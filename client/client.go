@@ -10,23 +10,35 @@
 //	plan, err := cl.Synthesize(ctx, g, c, client.Options{})
 //	plans, err := cl.SynthesizeBatch(ctx, g, []*hap.Cluster{c1, c2}, client.Options{})
 //
-// The returned plans are bound to the caller's graph and ready for
-// hap.Verify / hap.Simulate, exactly as if hap.NewPlanner had produced them
-// locally.
+// The returned plans are ready for hap.Verify / hap.Simulate, exactly as if
+// hap.NewPlanner had produced them locally. Each is bound to a shallow copy
+// of the caller's graph (same nodes, its own segment assignment): the
+// caller's graph value is never written to, so sending it again is the same
+// request.
+//
+// Synthesize is key-first: it derives the plan's cache key locally (two
+// fingerprints, no encoding) and posts only {"key": ...}. A daemon holding
+// the plan answers it outright; one that does not says need_body and the
+// client repeats the request with the encoded graph and cluster. A daemon
+// from before the key form rejects it once, after which the client sends
+// full bodies for the rest of its lifetime.
 package client
 
 import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
-	"hash/fnv"
 	"io"
 	"net/http"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"hap"
+	"hap/internal/fingerprint"
+	"hap/internal/graph"
 	"hap/internal/obs"
 )
 
@@ -90,7 +102,7 @@ func WithTracing() Option { return func(c *Client) { c.tracing = true } }
 // drift-triggered replan pays header bytes per poll instead of a full plan
 // transfer — until the plan actually changes.
 func WithConditionalFetch() Option {
-	return func(c *Client) { c.cond = &condCache{entries: map[uint64]condEntry{}} }
+	return func(c *Client) { c.cond = &condCache{entries: map[string]condEntry{}} }
 }
 
 // Client talks to one hap-serve daemon. Safe for concurrent use.
@@ -101,6 +113,9 @@ type Client struct {
 	tracing   bool
 	retry     retryPolicy
 	cond      *condCache // nil = conditional fetch disabled
+	// fullBodies latches once the daemon turns out not to know the key-only
+	// request form: from then on every request carries graph and cluster.
+	fullBodies atomic.Bool
 }
 
 // condEntry is one remembered plan response: the tag the server issued and
@@ -114,31 +129,21 @@ type condEntry struct {
 	binary bool
 }
 
-// condCache maps a request's identity (path + marshalled body + negotiated
+// condCache maps a request's identity (the plan's cache key + the negotiated
 // accept) to its last successful response. Safe for concurrent use.
 type condCache struct {
 	mu      sync.Mutex
-	entries map[uint64]condEntry
+	entries map[string]condEntry
 }
 
-func condKey(path string, body []byte, accept string) uint64 {
-	h := fnv.New64a()
-	io.WriteString(h, path)
-	h.Write([]byte{0})
-	h.Write(body)
-	h.Write([]byte{0})
-	io.WriteString(h, accept)
-	return h.Sum64()
-}
-
-func (cc *condCache) get(key uint64) (condEntry, bool) {
+func (cc *condCache) get(key string) (condEntry, bool) {
 	cc.mu.Lock()
 	defer cc.mu.Unlock()
 	e, ok := cc.entries[key]
 	return e, ok
 }
 
-func (cc *condCache) put(key uint64, e condEntry) {
+func (cc *condCache) put(key string, e condEntry) {
 	cc.mu.Lock()
 	defer cc.mu.Unlock()
 	cc.entries[key] = e
@@ -194,27 +199,31 @@ func encodeCluster(c *hap.Cluster) (json.RawMessage, error) {
 	return b.Bytes(), nil
 }
 
-// post sends one JSON body and returns the raw response, retrying transient
-// failures when WithRetry is configured (the body is re-sent from the
-// marshalled bytes, so every attempt is identical). Non-2xx responses are
-// decoded into *APIError (with a plain-text fallback for proxies and the
-// legacy endpoint).
-func (c *Client) post(ctx context.Context, path string, body any, accept string) (*http.Response, error) {
-	data, err := json.Marshal(body)
-	if err != nil {
-		return nil, fmt.Errorf("client: encoding request: %w", err)
+// newTraceID returns a fresh trace ID under WithTracing, "" otherwise. One
+// logical call draws one ID, however many requests it takes.
+func (c *Client) newTraceID() string {
+	if c.tracing {
+		return obs.NewTraceID()
 	}
-	return c.postData(ctx, path, data, accept, "")
+	return ""
 }
 
-// postData sends already-marshalled bytes. A non-empty ifNoneMatch makes the
-// request conditional; a 304 Not Modified is then a success the caller
-// resolves from its cache, not an error.
-func (c *Client) postData(ctx context.Context, path string, data []byte, accept, ifNoneMatch string) (*http.Response, error) {
-	traceID := ""
-	if c.tracing {
-		traceID = obs.NewTraceID()
+// accept is the Accept header of plan requests: binary preferred unless
+// WithJSONPlans.
+func (c *Client) accept() string {
+	if c.jsonPlans {
+		return "application/json"
 	}
+	return binaryPlanContentType + ", application/json"
+}
+
+// postData sends already-marshalled bytes and returns the raw response,
+// retrying transient failures when WithRetry is configured (every attempt
+// re-sends the same bytes). A non-empty ifNoneMatch makes the request
+// conditional; a 304 Not Modified is then a success the caller resolves from
+// its cache, not an error. Other non-2xx responses are decoded into *APIError
+// (with a plain-text fallback for proxies).
+func (c *Client) postData(ctx context.Context, path string, data []byte, accept, ifNoneMatch, traceID string) (*http.Response, error) {
 	resp, err := c.do(ctx, func() (*http.Request, error) {
 		req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.base+path, bytes.NewReader(data))
 		if err != nil {
@@ -260,67 +269,99 @@ func (c *Client) postData(ctx context.Context, path string, data []byte, accept,
 	return resp, nil
 }
 
-// Synthesize plans g on cl via the server, returning the plan bound to g.
-// By default the binary encoding is negotiated; the server's JSON answer is
-// accepted either way, so the client works against any protocol version.
+// needBody mirrors serve.NeedBody: the X-HAP-Cache value of the daemon's
+// answer to a key-only request it holds no plan for.
+const needBody = "need_body"
+
+// bindCopy returns the graph value a decoded plan binds to: a shallow copy of
+// the caller's. hap.ReadProgram adopts the plan's segment assignment onto the
+// graph it binds, and graph.Fingerprint covers that assignment — bound to the
+// caller's own value, a segmented plan would change what the next request for
+// the same graph hashes and encodes to.
+func bindCopy(g *hap.Graph) *hap.Graph {
+	bound := *g
+	return &bound
+}
+
+// Synthesize plans g on cl via the server. By default the binary encoding is
+// negotiated; the server's JSON answer is accepted either way, so the client
+// works against any protocol version.
+//
+// The request is key-first (see the package comment): a pure function of g,
+// cl and opt, none of which the call modifies. The returned plan is bound to
+// a shallow copy of g.
 func (c *Client) Synthesize(ctx context.Context, g *hap.Graph, cl *hap.Cluster, opt Options) (*hap.Plan, error) {
-	gb, err := encodeGraph(g)
-	if err != nil {
-		return nil, err
-	}
-	cb, err := encodeCluster(cl)
-	if err != nil {
-		return nil, err
-	}
-	accept := binaryPlanContentType + ", application/json"
-	if c.jsonPlans {
-		accept = "application/json"
-	}
-	data, err := json.Marshal(request{Graph: gb, Cluster: cb, Options: opt})
-	if err != nil {
-		return nil, fmt.Errorf("client: encoding request: %w", err)
-	}
 	const path = "/v1/synthesize"
+	accept := c.accept()
+	key := fingerprint.PlanKey(graph.Fingerprint(g), cl.Fingerprint(), fingerprint.Options(opt))
 	// With conditional fetch on, revalidate the remembered response instead
 	// of re-downloading it: send its tag, and resolve a 304 from the cache.
-	var key uint64
 	var cached condEntry
-	ifNoneMatch := ""
+	var condKey string
 	if c.cond != nil {
-		key = condKey(path, data, accept)
-		if e, ok := c.cond.get(key); ok {
-			cached, ifNoneMatch = e, e.etag
+		condKey = key + " " + accept
+		cached, _ = c.cond.get(condKey)
+	}
+	traceID := c.newTraceID()
+
+	var resp *http.Response
+	if !c.fullBodies.Load() {
+		// The key's alphabet is hex digits, ':' and the options signature's
+		// letters: nothing JSON would escape.
+		r, err := c.postData(ctx, path, []byte(`{"key":"`+key+`"}`), accept, cached.etag, traceID)
+		var apiErr *APIError
+		switch {
+		case errors.As(err, &apiErr) && apiErr.Status == http.StatusBadRequest:
+			// A daemon from before the key form: "graph and cluster are
+			// required". It will say so every time, so stop asking.
+			c.fullBodies.Store(true)
+		case err != nil:
+			return nil, err
+		case r.Header.Get("X-HAP-Cache") == needBody:
+			io.Copy(io.Discard, r.Body)
+			r.Body.Close()
+		default:
+			resp = r
 		}
 	}
-	resp, err := c.postData(ctx, path, data, accept, ifNoneMatch)
-	if err != nil {
-		return nil, err
+	if resp == nil {
+		gb, err := encodeGraph(g)
+		if err != nil {
+			return nil, err
+		}
+		cb, err := encodeCluster(cl)
+		if err != nil {
+			return nil, err
+		}
+		data, err := json.Marshal(request{Graph: gb, Cluster: cb, Options: opt})
+		if err != nil {
+			return nil, fmt.Errorf("client: encoding request: %w", err)
+		}
+		if resp, err = c.postData(ctx, path, data, accept, cached.etag, traceID); err != nil {
+			return nil, err
+		}
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode == http.StatusNotModified {
 		io.Copy(io.Discard, resp.Body)
-		return decodePlan(cached.body, cached.binary, g)
+		return decodePlanStream(bytes.NewReader(cached.body), cached.binary, bindCopy(g))
 	}
 	binary := strings.HasPrefix(resp.Header.Get("Content-Type"), binaryPlanContentType)
 	if c.cond == nil {
-		return decodePlanStream(resp.Body, binary, g)
+		return decodePlanStream(resp.Body, binary, bindCopy(g))
 	}
 	raw, err := io.ReadAll(resp.Body)
 	if err != nil {
 		return nil, fmt.Errorf("client: reading plan: %w", err)
 	}
 	if etag := resp.Header.Get("ETag"); etag != "" {
-		c.cond.put(key, condEntry{etag: etag, body: raw, binary: binary})
+		c.cond.put(condKey, condEntry{etag: etag, body: raw, binary: binary})
 	}
-	return decodePlan(raw, binary, g)
+	return decodePlanStream(bytes.NewReader(raw), binary, bindCopy(g))
 }
 
-// decodePlan decodes plan bytes in the negotiated encoding, binding to g.
-func decodePlan(body []byte, binary bool, g *hap.Graph) (*hap.Plan, error) {
-	return decodePlanStream(bytes.NewReader(body), binary, g)
-}
-
-// decodePlanStream decodes a plan from r in the negotiated encoding.
+// decodePlanStream decodes a plan from r in the negotiated encoding, binding
+// it to g.
 func decodePlanStream(r io.Reader, binary bool, g *hap.Graph) (*hap.Plan, error) {
 	if binary {
 		plan, err := hap.ReadProgramBinary(r, g)
@@ -338,10 +379,11 @@ func decodePlanStream(r io.Reader, binary bool, g *hap.Graph) (*hap.Plan, error)
 
 // SynthesizeBatch plans g against every cluster in one request — the server
 // builds the graph theory once for the whole batch. Plans come back in
-// cluster order, each bound to g. The response envelope is JSON; by default
-// the per-result plan payloads are negotiated binary (base64 in the
-// envelope), with each result decoded by whichever field the server filled —
-// so the client works against servers from before the binary batch form.
+// cluster order, each bound to its own shallow copy of g. The response
+// envelope is JSON; by default the per-result plan payloads are negotiated
+// binary (base64 in the envelope), with each result decoded by whichever
+// field the server filled — so the client works against servers from before
+// the binary batch form.
 func (c *Client) SynthesizeBatch(ctx context.Context, g *hap.Graph, clusters []*hap.Cluster, opt Options) ([]*hap.Plan, error) {
 	if len(clusters) == 0 {
 		return nil, fmt.Errorf("client: no clusters to synthesize for")
@@ -356,11 +398,11 @@ func (c *Client) SynthesizeBatch(ctx context.Context, g *hap.Graph, clusters []*
 			return nil, err
 		}
 	}
-	accept := binaryPlanContentType + ", application/json"
-	if c.jsonPlans {
-		accept = "application/json"
+	data, err := json.Marshal(batchRequest{Graph: gb, Clusters: raws, Options: opt})
+	if err != nil {
+		return nil, fmt.Errorf("client: encoding request: %w", err)
 	}
-	resp, err := c.post(ctx, "/v1/synthesize/batch", batchRequest{Graph: gb, Clusters: raws, Options: opt}, accept)
+	resp, err := c.postData(ctx, "/v1/synthesize/batch", data, c.accept(), "", c.newTraceID())
 	if err != nil {
 		return nil, err
 	}
@@ -374,16 +416,13 @@ func (c *Client) SynthesizeBatch(ctx context.Context, g *hap.Graph, clusters []*
 	}
 	plans := make([]*hap.Plan, len(br.Plans))
 	for i, bp := range br.Plans {
-		var plan *hap.Plan
+		body, binary := []byte(bp.Plan), false
 		if len(bp.Bin) > 0 {
-			plan, err = hap.ReadProgramBinary(bytes.NewReader(bp.Bin), g)
-		} else {
-			plan, err = hap.ReadProgram(bytes.NewReader(bp.Plan), g)
+			body, binary = bp.Bin, true
 		}
-		if err != nil {
-			return nil, fmt.Errorf("client: decoding plan %d: %w", i, err)
+		if plans[i], err = decodePlanStream(bytes.NewReader(body), binary, bindCopy(g)); err != nil {
+			return nil, fmt.Errorf("client: plan %d: %w", i, err)
 		}
-		plans[i] = plan
 	}
 	return plans, nil
 }

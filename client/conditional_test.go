@@ -29,7 +29,8 @@ func (r *statusRecorder) WriteHeader(code int) {
 
 // newRecordingServer wraps the daemon so the test can observe response
 // statuses — the only externally visible difference between a full response
-// and a 304 revalidation.
+// and a 304 revalidation. Only plan answers are recorded: a need_body answer
+// to a key-only request is the first half of a request, not a response to it.
 func newRecordingServer(t *testing.T, cfg serve.Config) (*httptest.Server, func() []int) {
 	t.Helper()
 	s := serve.New(cfg)
@@ -40,6 +41,9 @@ func newRecordingServer(t *testing.T, cfg serve.Config) (*httptest.Server, func(
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		rec := &statusRecorder{ResponseWriter: w, code: http.StatusOK}
 		h.ServeHTTP(rec, r)
+		if w.Header().Get("X-HAP-Cache") == serve.NeedBody {
+			return
+		}
 		mu.Lock()
 		codes = append(codes, rec.code)
 		mu.Unlock()

@@ -1,7 +1,17 @@
 // Package fingerprint is the shared content-hashing helper behind
-// graph.Fingerprint and cluster.Fingerprint. Both hashes key the serve
-// plan cache and the plan→graph binding check, so they must evolve in
-// lockstep; keeping the byte-level scheme in one place prevents drift.
+// graph.Fingerprint and cluster.Fingerprint, and the one derivation of the
+// plan cache key built from them (PlanKey). Both hashes key the serve plan
+// cache and the plan→graph binding check, so they must evolve in lockstep;
+// keeping the byte-level scheme in one place prevents drift.
+//
+// The key is wire contract: a client may send it instead of a request body
+// (POST /v1/synthesize {"key": ...}), so its rendering is pinned by golden
+// tests. Collision exposure: the graph half of the key and the binding check
+// hap.ReadProgram runs on every plan it loads are the same 64-bit FNV-1a of
+// the same fields. A key-first request therefore adds no exposure the
+// full-body path does not already have: there, too, two graphs that collide
+// share one cache entry, and the binding check (being the same hash) cannot
+// tell them apart. Widening one means widening both.
 package fingerprint
 
 import (
@@ -10,6 +20,7 @@ import (
 	"hash"
 	"hash/fnv"
 	"math"
+	"strconv"
 )
 
 // Hasher accumulates ints and floats into a stable 64-bit content hash.
@@ -44,4 +55,50 @@ func (h *Hasher) Sum() string {
 // combine or compare sub-hashes numerically (graph segment sub-fingerprints).
 func (h *Hasher) Sum64() uint64 {
 	return h.h.Sum64()
+}
+
+// Options are the planner options that participate in a plan cache key. The
+// field set mirrors the wire "options" object of the synthesize endpoints
+// (serve.RequestOptions, client.Options): both convert to this type, so a
+// field added on one side and not here fails to compile.
+type Options struct {
+	Segments      int
+	MaxIterations int
+	ExactSearch   bool
+	// Optimize toggles the post-synthesis pass pipeline; nil means on, and
+	// hashes exactly like an explicit true.
+	Optimize *bool
+}
+
+// Sig renders the options slice of a plan cache key. The similarity index
+// shares it: a donor plan must have been synthesized under the same options
+// to be worth seeding from.
+func (o Options) Sig() string {
+	return string(o.appendSig(make([]byte, 0, 24)))
+}
+
+func (o Options) appendSig(b []byte) []byte {
+	b = append(b, 's')
+	b = strconv.AppendInt(b, int64(o.Segments), 10)
+	b = append(b, ":i"...)
+	b = strconv.AppendInt(b, int64(o.MaxIterations), 10)
+	b = append(b, ":x"...)
+	b = strconv.AppendBool(b, o.ExactSearch)
+	b = append(b, ":o"...)
+	return strconv.AppendBool(b, o.Optimize == nil || *o.Optimize)
+}
+
+// PlanKey is the content address of a plan: what the graph computes
+// (graph.Fingerprint), what the cluster can do (Cluster.Fingerprint), and how
+// the planner was asked to run. It keys the daemon's plan store, routes the
+// request on the fleet ring, and is what a key-first client request carries —
+// the daemon (from a decoded body) and the client (from its in-memory graph)
+// must derive the same string, so both call this function and nothing else.
+func PlanKey(graphFP, clusterFP string, o Options) string {
+	b := make([]byte, 0, len(graphFP)+len(clusterFP)+26)
+	b = append(b, graphFP...)
+	b = append(b, ':')
+	b = append(b, clusterFP...)
+	b = append(b, ':')
+	return string(o.appendSig(b))
 }

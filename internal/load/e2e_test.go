@@ -134,23 +134,33 @@ func TestE2EFleetTrio(t *testing.T) {
 	if _, err := load.Warmup(context.Background(), urls[0], nil, corpus); err != nil {
 		t.Fatalf("warmup: %v", err)
 	}
-	rep, err := load.Run(context.Background(), load.Options{
-		Target: urls[0], Corpus: corpus, Mix: load.Mix{Single: 3, Conditional: 1},
-		Seed: 9, ZipfS: 1.05, Concurrency: 4, Requests: 60,
-	})
-	if err != nil {
-		t.Fatal(err)
+	// Every key has two holders on this ring (owner + one replica) and the
+	// listeners' ports are random, so which node lacks which key is too: about
+	// one run in five, node 0 happens to hold a copy of everything requested.
+	// Exactly one node lacks the hottest key, though, so driving each node in
+	// turn must reach one that proxies.
+	var rep *load.Report
+	for _, target := range urls {
+		rep, err = load.Run(context.Background(), load.Options{
+			Target: target, Corpus: corpus, Mix: load.Mix{Single: 3, Conditional: 1},
+			Seed: 9, ZipfS: 1.05, Concurrency: 4, Requests: 60,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.Errors != 0 {
+			t.Fatalf("errors = %d (%v)", rep.Errors, rep.ErrorsByCode)
+		}
+		if rep.PlanMiss != 0 {
+			t.Errorf("miss = %d after fleet-wide warmup", rep.PlanMiss)
+		}
+		if rep.Proxied > 0 {
+			break
+		}
 	}
-	if rep.Errors != 0 {
-		t.Fatalf("errors = %d (%v)", rep.Errors, rep.ErrorsByCode)
-	}
-	if rep.PlanMiss != 0 {
-		t.Errorf("miss = %d after fleet-wide warmup", rep.PlanMiss)
-	}
-	// With 8 items on a 3-node ring, node 0 cannot own them all: some
-	// requests must have been proxied, and the report must say so.
+	// Non-owned keys are answered by proxy, and the report must say so.
 	if rep.Proxied == 0 {
-		t.Error("no proxied requests recorded against a 3-node fleet")
+		t.Error("no proxied requests recorded against any node of a 3-node fleet")
 	}
 	if rep.Classes["proxied"].Count != rep.Proxied {
 		t.Errorf("proxied class count %d != proxied total %d", rep.Classes["proxied"].Count, rep.Proxied)

@@ -107,7 +107,8 @@ func (s *Server) fleetHealth() *fleetHealthPayload {
 	return &fleetHealthPayload{Self: f.Self(), Peers: f.Size(), PeersDown: f.Health.DownCount()}
 }
 
-// proxyPlanRequest forwards a missed request to the key's responsible peers:
+// proxyPlanRequest forwards a missed request — its body, as received — to
+// the key's responsible peers:
 // the owner first, then the ring successors holding replicas. The first peer
 // that answers has its response — status, plan headers, body — relayed
 // verbatim (plus the answering node's URL in the fleet node header), and
@@ -125,12 +126,8 @@ func (s *Server) fleetHealth() *fleetHealthPayload {
 // ships the trace ID and the span's ID in the trace header, so the peer's
 // spans — returned in its response trace header — merge under this hop and
 // the cross-node request reads as one tree.
-func (s *Server) proxyPlanRequest(w http.ResponseWriter, r *http.Request, req Request, key, owner string, v1, binary bool, rt *requestTrace) bool {
+func (s *Server) proxyPlanRequest(w http.ResponseWriter, r *http.Request, body []byte, key, owner string, v1, binary bool, rt *requestTrace) bool {
 	f := s.cfg.Fleet
-	body, err := json.Marshal(req)
-	if err != nil {
-		return false
-	}
 	accept := "application/json"
 	if binary {
 		accept = BinaryPlanContentType + ", application/json"

@@ -25,6 +25,7 @@
 // Wire protocol v2 (see DESIGN.md for the full specification):
 //
 //	POST /v1/synthesize        {"graph", "cluster", "options"} → plan
+//	POST /v1/synthesize        {"key"} → plan, or a need_body answer
 //	POST /v1/synthesize/batch  {"graph", "clusters": [...], "options"} → plans
 //	POST /synthesize           legacy unversioned endpoint (deprecated)
 //	GET  /v1/fleet/entries     NDJSON stream of cached entries (warm-up)
@@ -47,6 +48,7 @@ package serve
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -61,6 +63,7 @@ import (
 
 	"hap"
 	"hap/internal/cluster"
+	"hap/internal/fingerprint"
 	"hap/internal/fleet"
 	"hap/internal/graph"
 	"hap/internal/obs"
@@ -191,10 +194,18 @@ type Config struct {
 // Request is the body of POST /v1/synthesize (and the legacy /synthesize): a
 // graph and a cluster in their JSON wire formats (graph.Encode,
 // cluster.Encode), plus planner options.
+//
+// On /v1/synthesize a body carrying only Key — the plan's cache key, which
+// the sender derived with fingerprint.PlanKey from its own graph, cluster and
+// options — asks for the plan without uploading anything: a key in the local
+// store is answered exactly like a full-body hit, any other key gets the
+// need_body answer and the sender repeats the request in full. Key is ignored
+// when graph and cluster are present.
 type Request struct {
 	Graph   json.RawMessage `json:"graph"`
 	Cluster json.RawMessage `json:"cluster"`
 	Options RequestOptions  `json:"options"`
+	Key     string          `json:"key,omitempty"`
 }
 
 // BatchRequest is the body of POST /v1/synthesize/batch: one graph planned
@@ -248,6 +259,14 @@ const (
 	CodeNotFound         = "not_found"
 	CodeOverloaded       = "overloaded"
 )
+
+// NeedBody is the X-HAP-Cache value (and envelope code) of the answer to a
+// key-only request whose key is not in this node's store: not an error — the
+// sender repeats the request with graph and cluster, and that request is the
+// one counted as a miss.
+const NeedBody = "need_body"
+
+var needBodyAnswer = []byte(`{"code":"need_body","message":"no plan under this key here: resend with graph and cluster"}` + "\n")
 
 // RequestOptions mirrors hap.Options on the wire.
 type RequestOptions struct {
@@ -313,6 +332,7 @@ type Server struct {
 	// mds is the concrete default store, kept for the TTL sweeper; equal to
 	// store today, nil if a future Config grows a store override.
 	mds    *memDiskStore
+	memo   *bodyMemo // raw-body hash → cache key (memo.go)
 	flight flightGroup
 	start  time.Time
 
@@ -436,6 +456,7 @@ func New(cfg Config) *Server {
 		cfg:            cfg,
 		store:          mds,
 		mds:            mds,
+		memo:           newBodyMemo(cfg.MaxCacheEntries),
 		start:          time.Now(),
 		logger:         logger,
 		passRewritesBy: map[string]uint64{},
@@ -586,17 +607,17 @@ func (s *Server) recordPassStats(ps hap.PassStats) {
 // the cluster can do, and how the planner was asked to run. Names and other
 // labels do not participate (see graph.Fingerprint, Cluster.Fingerprint).
 // The same string is the fleet routing fingerprint: every node derives the
-// same key from the same request, so ring ownership is request-determined.
+// same key from the same request, so ring ownership is request-determined —
+// and so does a key-first client, through the same fingerprint.PlanKey.
 func cacheKey(g *graph.Graph, c *cluster.Cluster, opt RequestOptions) string {
-	return fmt.Sprintf("%s:%s:%s", graph.Fingerprint(g), c.Fingerprint(), optsSig(opt))
+	return fingerprint.PlanKey(graph.Fingerprint(g), c.Fingerprint(), fingerprint.Options(opt))
 }
 
 // optsSig is the planner-options slice of the cache key, shared with the
 // similarity index: a donor plan must have been synthesized under the same
 // options to be worth seeding from.
 func optsSig(opt RequestOptions) string {
-	return fmt.Sprintf("s%d:i%d:x%t:o%t",
-		opt.Segments, opt.MaxIterations, opt.ExactSearch, opt.optimize())
+	return fingerprint.Options(opt).Sig()
 }
 
 // hapOptions lowers wire options plus server config into planner options.
@@ -694,24 +715,76 @@ func wantsBinaryPlan(r *http.Request) bool {
 	return false
 }
 
-// decodePlanRequest parses and validates the shared body shape of the
-// synthesize endpoints. Failures are answered on w; the bool reports success.
-func (s *Server) decodePlanRequest(w http.ResponseWriter, r *http.Request, v1 bool, into any) bool {
+// presizeBodyCap caps how much of a declared Content-Length is allocated
+// before any byte arrives; larger bodies grow the buffer as they are read.
+const presizeBodyCap = 1 << 20
+
+// readBody reads the size-capped body of a synthesize request whole: the
+// single-plan endpoints hash the raw bytes before parsing anything (memo.go).
+// Failures are answered on w; the bool reports success.
+func (s *Server) readBody(w http.ResponseWriter, r *http.Request, v1 bool) ([]byte, bool) {
 	if r.Method != http.MethodPost {
 		s.fail(w, v1, http.StatusMethodNotAllowed, CodeMethodNotAllowed, "POST required")
-		return false
+		return nil, false
 	}
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.cfg.MaxRequestBytes))
-	if err := dec.Decode(into); err != nil {
+	// One allocation for a body that declares its length.
+	size := min(max(r.ContentLength, 0), presizeBodyCap, s.cfg.MaxRequestBytes)
+	buf := bytes.NewBuffer(make([]byte, 0, size+bytes.MinRead))
+	if _, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, s.cfg.MaxRequestBytes)); err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
 			s.fail(w, v1, http.StatusRequestEntityTooLarge, CodeTooLarge, "request body exceeds %d bytes", tooBig.Limit)
-			return false
+			return nil, false
 		}
 		s.fail(w, v1, http.StatusBadRequest, CodeBadRequest, "bad request: %v", err)
+		return nil, false
+	}
+	return buf.Bytes(), true
+}
+
+// parseBody parses a request body's outer JSON object. Like the stream
+// decoder the endpoints always used, it reads the first JSON value and
+// ignores anything after it.
+func parseBody(body []byte, into any) error {
+	return json.NewDecoder(bytes.NewReader(body)).Decode(into)
+}
+
+// absent reports whether a request field was omitted or sent as JSON null
+// (what a struct-marshalling sender emits for a payload it does not have).
+func absent(raw json.RawMessage) bool {
+	return len(raw) == 0 || string(raw) == "null"
+}
+
+// decodePlanRequest reads and parses the body of a v1 endpoint that needs no
+// key before decoding (batch, telemetry). Failures are answered on w; the bool
+// reports success.
+func (s *Server) decodePlanRequest(w http.ResponseWriter, r *http.Request, into any) bool {
+	body, ok := s.readBody(w, r, true)
+	if !ok {
+		return false
+	}
+	if err := parseBody(body, into); err != nil {
+		s.fail(w, true, http.StatusBadRequest, CodeBadRequest, "bad request: %v", err)
 		return false
 	}
 	return true
+}
+
+// decodeGraphCluster decodes and validates the two payloads of a full-body
+// request.
+func decodeGraphCluster(req *Request) (*graph.Graph, *cluster.Cluster, error) {
+	if len(req.Graph) == 0 || len(req.Cluster) == 0 {
+		return nil, nil, errors.New("graph and cluster are required")
+	}
+	g, err := graph.Decode(bytes.NewReader(req.Graph))
+	if err != nil {
+		return nil, nil, err
+	}
+	c, err := cluster.Decode(bytes.NewReader(req.Cluster))
+	if err != nil {
+		return nil, nil, err
+	}
+	return g, c, nil
 }
 
 // The aggregate and per-endpoint request counters increment together, at
@@ -738,7 +811,16 @@ func (s *Server) handleV1Synthesize(w http.ResponseWriter, r *http.Request) {
 }
 
 // synthesizeOne serves the single-cluster synthesize endpoints. v1 selects
-// the structured error envelope and binary content negotiation.
+// the structured error envelope, binary content negotiation and the key-only
+// request form.
+//
+// The cache key is resolved before anything is decoded when it can be: from
+// the body-hash memo for a repeat body, from the request itself for a
+// key-only one. Either way the store lookup that follows is the same one a
+// freshly decoded request gets, so a hit is a hit whichever way the key was
+// found. A request that misses needs its graph and cluster: a key-only one is
+// told so (need_body, counted neither as a miss nor as an error — the full
+// request that follows is the miss), a memoized one is decoded after all.
 //
 // With a fleet configured the flow is: local store first (an owned or
 // replicated entry answers immediately), then proxy the miss to the key's
@@ -747,32 +829,40 @@ func (s *Server) handleV1Synthesize(w http.ResponseWriter, r *http.Request) {
 // forwarded by a peer, or every responsible peer is unreachable.
 func (s *Server) synthesizeOne(w http.ResponseWriter, r *http.Request, v1 bool, rt *requestTrace) {
 	ds := rt.span("decode")
-	var req Request
-	if !s.decodePlanRequest(w, r, v1, &req) {
+	body, ok := s.readBody(w, r, v1)
+	if !ok {
 		ds.End()
 		return
 	}
-	if len(req.Graph) == 0 || len(req.Cluster) == 0 {
-		ds.End()
-		s.fail(w, v1, http.StatusBadRequest, CodeBadRequest, "bad request: graph and cluster are required")
-		return
+	var (
+		req     Request
+		g       *graph.Graph
+		c       *cluster.Cluster
+		keyOnly bool
+	)
+	sum := sha256.Sum256(body)
+	key, memoized := s.memo.get(sum)
+	if !memoized {
+		err := parseBody(body, &req)
+		if keyOnly = err == nil && v1 && req.Key != "" && absent(req.Graph) && absent(req.Cluster); keyOnly {
+			key = req.Key
+		} else {
+			if err == nil {
+				g, c, err = decodeGraphCluster(&req)
+			}
+			if err != nil {
+				ds.End()
+				s.fail(w, v1, http.StatusBadRequest, CodeBadRequest, "bad request: %v", err)
+				return
+			}
+			ds.SetAttrInt("graph_nodes", int64(g.NumNodes()))
+			key = cacheKey(g, c, req.Options)
+			s.memo.put(sum, key)
+		}
 	}
-	g, err := graph.Decode(bytes.NewReader(req.Graph))
-	if err != nil {
-		ds.End()
-		s.fail(w, v1, http.StatusBadRequest, CodeBadRequest, "bad request: %v", err)
-		return
-	}
-	c, err := cluster.Decode(bytes.NewReader(req.Cluster))
-	ds.SetAttrInt("graph_nodes", int64(g.NumNodes()))
 	ds.End()
-	if err != nil {
-		s.fail(w, v1, http.StatusBadRequest, CodeBadRequest, "bad request: %v", err)
-		return
-	}
 
 	binary := v1 && wantsBinaryPlan(r)
-	key := cacheKey(g, c, req.Options)
 	rt.setRole(s.fleetRole(key))
 	forwarded := r.Header.Get(fleet.ForwardHeader) != ""
 	if forwarded {
@@ -787,6 +877,30 @@ func (s *Server) synthesizeOne(w http.ResponseWriter, r *http.Request, v1 bool, 
 		writePlan(w, r, plan, "hit", binary)
 		return
 	}
+	if keyOnly {
+		// Answered from the local store or not at all: a bare key is never
+		// proxied — the full request that follows routes like any miss.
+		rt.setCache(NeedBody)
+		w.Header().Set("X-HAP-Cache", NeedBody)
+		w.Header().Set("Content-Type", "application/json")
+		w.Write(needBodyAnswer)
+		return
+	}
+	if memoized {
+		// The memo knew the key but the plan is gone (evicted, expired, or
+		// never stored here): the miss path needs the graph after all. These
+		// bytes decoded when the memo entry was made, so they decode now.
+		ds := rt.span("decode")
+		err := parseBody(body, &req)
+		if err == nil {
+			g, c, err = decodeGraphCluster(&req)
+		}
+		ds.End()
+		if err != nil {
+			s.fail(w, v1, http.StatusBadRequest, CodeBadRequest, "bad request: %v", err)
+			return
+		}
+	}
 	s.misses.Add(1)
 	rt.setCache("miss")
 	// A miss owned by a peer proxies there instead of synthesizing here —
@@ -794,7 +908,7 @@ func (s *Server) synthesizeOne(w http.ResponseWriter, r *http.Request, v1 bool, 
 	// handle it; re-forwarding could loop across divergent ring views).
 	if f := s.cfg.Fleet; f != nil && !forwarded {
 		if owner := f.Owner(key); owner != "" && owner != f.Self() {
-			if s.proxyPlanRequest(w, r, req, key, owner, v1, binary, rt) {
+			if s.proxyPlanRequest(w, r, body, key, owner, v1, binary, rt) {
 				return
 			}
 			// Every responsible peer is unreachable: synthesize locally so
@@ -939,7 +1053,7 @@ func (s *Server) handleV1Batch(w http.ResponseWriter, r *http.Request) {
 	defer rt.finish()
 	ds := rt.span("decode")
 	var req BatchRequest
-	if !s.decodePlanRequest(w, r, true, &req) {
+	if !s.decodePlanRequest(w, r, &req) {
 		ds.End()
 		return
 	}

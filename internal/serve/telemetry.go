@@ -171,7 +171,7 @@ func (s *Server) monitorFor(spec *cluster.Cluster) (*telemetry.Monitor, string, 
 // handleTelemetry serves POST /v1/telemetry.
 func (s *Server) handleTelemetry(w http.ResponseWriter, r *http.Request) {
 	var req TelemetryRequest
-	if !s.decodePlanRequest(w, r, true, &req) {
+	if !s.decodePlanRequest(w, r, &req) {
 		return
 	}
 	if len(req.Cluster) == 0 {
