@@ -4,8 +4,13 @@
 //	Q⁽ˢ⁾ = argmin_Q t(Q, B⁽ˢ⁻¹⁾)   (program synthesizer)
 //	B⁽ˢ⁾ = argmin_B t(Q⁽ˢ⁾, B)     (load balancer LP)
 //
-// iterated until convergence or oscillation; on oscillation the best (Q,B)
-// pair seen is returned. This package is HAP's top-level optimizer.
+// iterated until convergence or oscillation; the best (Q,B) pair seen is
+// returned. A search is a pure function of B, so convergence is decided
+// before a search, not after it: when the balancer hands back the B the last
+// search ran under (see sameRatios), the loop stops without re-running it.
+// Oscillation — a Q, and with it B = LP(Q), coming back after a cycle of two
+// or more — is caught by remembering every Q. This package is HAP's top-level
+// optimizer.
 package hapopt
 
 import (
@@ -14,7 +19,6 @@ import (
 	"fmt"
 	"math"
 	"runtime"
-	"strconv"
 	"sync"
 	"time"
 
@@ -112,12 +116,16 @@ func Optimize(ctx context.Context, g *graph.Graph, c *cluster.Cluster, opt Optio
 	if ctx == nil {
 		ctx = context.Background()
 	}
+	if opt.MaxIterations < 0 {
+		return nil, fmt.Errorf("hapopt: MaxIterations %d is negative", opt.MaxIterations)
+	}
 	if opt.MaxIterations == 0 {
 		opt.MaxIterations = 4
 	}
 	// One span lookup per Optimize call; nil (tracing off) makes every span
 	// operation below a no-op.
-	span := obs.SpanFromContext(ctx)
+	span := obs.SpanFromContext(ctx).Child("optimize")
+	defer span.End()
 	th := opt.Theory
 	if th == nil {
 		// A shared theory implies the caller already prepared the graph's
@@ -181,6 +189,7 @@ func Optimize(ctx context.Context, g *graph.Graph, c *cluster.Cluster, opt Optio
 	}
 	var best *Result
 	seen := map[string]bool{}
+	ran, stop := 0, "max_iterations"
 	for iter := 1; iter <= opt.MaxIterations; iter++ {
 		// The iteration span parents this round's searches, passes, and
 		// balance solve; error exits drop it unrecorded, which is fine — the
@@ -200,6 +209,7 @@ func Optimize(ctx context.Context, g *graph.Graph, c *cluster.Cluster, opt Optio
 			rem := time.Until(deadline)
 			if rem <= 0 {
 				if best != nil {
+					stop = "budget"
 					break
 				}
 				return nil, fmt.Errorf("hapopt: time budget exhausted after %v before any plan completed", time.Since(start).Round(time.Millisecond))
@@ -268,6 +278,7 @@ func Optimize(ctx context.Context, g *graph.Graph, c *cluster.Cluster, opt Optio
 		}
 		if p == nil {
 			it.End()
+			stop = "budget"
 			break // budget expired mid-iteration; serve what we have
 		}
 		pruned, pstats, err := optimizeProgram(ictx, c, p, opt)
@@ -275,6 +286,9 @@ func Optimize(ctx context.Context, g *graph.Graph, c *cluster.Cluster, opt Optio
 			return nil, fmt.Errorf("hapopt: iteration %d: %w", iter, err)
 		}
 		model := cost.Extract(c, p)
+		// Convergence: when the balancer returns the B this iteration's
+		// search ran under, the next search would return this Q again.
+		converged := opt.SkipBalance
 		if !opt.SkipBalance {
 			bs := it.Child("balance")
 			nb, err := balance.RatiosFromModel(model)
@@ -282,6 +296,7 @@ func Optimize(ctx context.Context, g *graph.Graph, c *cluster.Cluster, opt Optio
 			if err != nil {
 				return nil, fmt.Errorf("hapopt: iteration %d: %w", iter, err)
 			}
+			converged = sameRatios(nb, b)
 			b = nb
 		}
 		t := model.Eval(b)
@@ -296,13 +311,22 @@ func Optimize(ctx context.Context, g *graph.Graph, c *cluster.Cluster, opt Optio
 		}
 		it.SetAttrFloat("cost", t)
 		it.End()
-		// Convergence / oscillation detection on the (program, ratios) pair.
-		key := p.String() + ratiosKey(b)
-		if seen[key] {
+		ran = iter
+		if converged {
+			stop = "ratios_converged"
 			break
 		}
-		seen[key] = true
+		// Oscillation: B is a function of Q, so a Q seen before brings its B
+		// back with it — the (Q,B) pair repeats and the loop is in a cycle.
+		q := p.String()
+		if seen[q] {
+			stop = "pair_repeated"
+			break
+		}
+		seen[q] = true
 	}
+	span.SetAttrInt("iterations", int64(ran))
+	span.SetAttrStr("stop", stop)
 	best.Elapsed = time.Since(start)
 	return best, nil
 }
@@ -371,14 +395,20 @@ func cloneRatios(b [][]float64) [][]float64 {
 	return out
 }
 
-func ratiosKey(b [][]float64) string {
-	buf := make([]byte, 0, 128)
-	for _, row := range b {
-		for _, v := range row {
-			buf = strconv.AppendFloat(buf, math.Round(v*1e4)/1e4, 'f', 4, 64)
-			buf = append(buf, ',')
+// ratioGrain is the loop's resolution on B: far above the LP's round-off
+// between two solves at one vertex (1e-6 and below), far below a real move of
+// the optimum (1e-3 and up on every measured input).
+const ratioGrain = 1e-4
+
+// sameRatios is the one definition of "same B": no ratio differs by more
+// than ratioGrain.
+func sameRatios(a, b [][]float64) bool {
+	for i := range a {
+		for j := range a[i] {
+			if math.Abs(a[i][j]-b[i][j]) > ratioGrain {
+				return false
+			}
 		}
-		buf = append(buf, ';')
 	}
-	return string(buf)
+	return true
 }

@@ -12,8 +12,10 @@ import (
 	"hap/internal/dist"
 	"hap/internal/graph"
 	"hap/internal/models"
+	"hap/internal/obs"
 	"hap/internal/runtime"
 	"hap/internal/segment"
+	"hap/internal/synth"
 	"hap/internal/theory"
 )
 
@@ -284,5 +286,175 @@ func TestSplitWorkers(t *testing.T) {
 	}
 	if got := SplitWorkers(0, 2); got < 1 {
 		t.Errorf("SplitWorkers(0, 2) = %d, want >= 1", got)
+	}
+}
+
+// perGPU is a four-machine heterogeneous cluster with one virtual device per
+// GPU — the shape on which the balancer's B really moves between iterations.
+func perGPU(v100, a100, v100b, p100 int) *cluster.Cluster {
+	return cluster.FromGPUs(cluster.DefaultNetwork(),
+		cluster.MachineSpec{Type: cluster.V100, GPUs: v100}, cluster.MachineSpec{Type: cluster.A100, GPUs: a100},
+		cluster.MachineSpec{Type: cluster.V100, GPUs: v100b}, cluster.MachineSpec{Type: cluster.P100, GPUs: p100})
+}
+
+func bertGraph(cfg models.TransformerConfig, batch int) *graph.Graph {
+	return models.Training(models.BERT(cfg, batch*cfg.SeqLen))
+}
+
+// oscillating is an input on which the loop genuinely cycles: B moves every
+// iteration, the modelled cost alternates 0.05083 / 0.05110, and Q⁽⁴⁾ is Q⁽²⁾
+// again (found by a random sweep over small Transformers). It is the one case
+// here that runs more than three iterations and leaves through the seen set.
+func oscillating() (*graph.Graph, *cluster.Cluster, Options) {
+	cfg := models.TransformerConfig{Layers: 2, Hidden: 512, FFN: 2048, SeqLen: 16, Vocab: 128}
+	return bertGraph(cfg, 50), perGPU(3, 2, 2, 3), Options{Segments: 3, Synth: synth.Auto()}
+}
+
+// optimizeTraced runs Optimize under a traced context and returns the number
+// of "search" spans it recorded beside the optimize span's attributes.
+func optimizeTraced(g *graph.Graph, c *cluster.Cluster, opt Options) (res *Result, searches int, attrs map[string]string, err error) {
+	tr := obs.New("test", "test")
+	root := tr.Root("test", 0)
+	res, err = Optimize(obs.ContextWithSpan(context.Background(), root), g, c, opt)
+	root.End()
+	for _, sp := range tr.Finish().Spans {
+		switch sp.Name {
+		case "search":
+			searches++
+		case "optimize":
+			attrs = sp.Attrs
+		}
+	}
+	return res, searches, attrs, err
+}
+
+// TestLoopSearchCount pins how many searches one Optimize pays for. A search
+// is a pure function of B, so when the balancer returns the B the search just
+// ran under, the loop stops instead of running the search that would confirm
+// it: one search where B cannot move, one per portfolio arm where it moves
+// only by LP round-off.
+func TestLoopSearchCount(t *testing.T) {
+	moe := models.BERTMoE(8)
+	moe.Layers, moe.Vocab = 4, 8192
+	het8 := cluster.PaperHeterogeneous(1)
+	for _, tc := range []struct {
+		name string
+		g    *graph.Graph
+		c    *cluster.Cluster
+		opt  Options
+		want int
+	}{
+		{"homogeneous", models.Training(models.MLP(256, 64, 128, 64, 10)), cluster.PaperHomogeneous(2), Options{Synth: synth.Auto()}, 1},
+		{"skip_balance", models.Training(models.MLP(256, 64, 128, 64, 10)), hetero2(), Options{SkipBalance: true}, 1},
+		{"moe_portfolio", bertGraph(moe, models.PerDeviceBatch(models.ModelBERTMoE)*het8.TotalGPUs()), het8, Options{Synth: synth.Auto()}, 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			_, searches, attrs, err := optimizeTraced(tc.g, tc.c, tc.opt)
+			if err != nil {
+				t.Fatalf("Optimize: %v", err)
+			}
+			if searches != tc.want || attrs["iterations"] != "1" || attrs["stop"] != "ratios_converged" {
+				t.Errorf("ran %d searches, optimize span %v; want %d searches in 1 iteration, stop ratios_converged", searches, attrs, tc.want)
+			}
+		})
+	}
+}
+
+// Where B really moves — BERT (4 layers) on 16 per-GPU devices at 4 segments —
+// the loop keeps iterating, and what it returns is no worse than one pass.
+func TestLoopIteratesWhileRatiosMove(t *testing.T) {
+	cfg := models.BERTBase()
+	cfg.Layers = 4
+	c := perGPU(4, 4, 4, 4)
+	opt := Options{Segments: 4, Synth: synth.Auto()}
+	iterated, searches, attrs, err := optimizeTraced(bertGraph(cfg, 64*c.TotalGPUs()), c, opt)
+	if err != nil {
+		t.Fatalf("iterated: %v", err)
+	}
+	if searches < 2 {
+		t.Errorf("ran %d searches (optimize span %v), want at least 2", searches, attrs)
+	}
+	opt.MaxIterations = 1
+	single, err := Optimize(context.Background(), bertGraph(cfg, 64*c.TotalGPUs()), c, opt)
+	if err != nil {
+		t.Fatalf("single: %v", err)
+	}
+	if iterated.Cost > single.Cost+1e-12 {
+		t.Errorf("iterated cost %v worse than single-pass %v", iterated.Cost, single.Cost)
+	}
+}
+
+// TestLoopStopReasons reaches each value of the optimize span's "stop"
+// attribute — the answer to "why did the loop end, was it cut short".
+func TestLoopStopReasons(t *testing.T) {
+	run := func(mod func(*Options)) (map[string]string, error) {
+		g, c, opt := oscillating()
+		mod(&opt)
+		_, _, attrs, err := optimizeTraced(g, c, opt)
+		return attrs, err
+	}
+	for _, tc := range []struct {
+		name        string
+		mod         func(*Options)
+		stop, iters string
+	}{
+		{"ratios_converged", func(o *Options) { o.SkipBalance = true }, "ratios_converged", "1"},
+		{"pair_repeated", func(o *Options) {}, "pair_repeated", "4"},
+		{"max_iterations", func(o *Options) { o.MaxIterations = 3 }, "max_iterations", "3"},
+	} {
+		attrs, err := run(tc.mod)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if attrs["stop"] != tc.stop || attrs["iterations"] != tc.iters {
+			t.Errorf("%s: optimize span %v, want stop %s after %s iterations", tc.name, attrs, tc.stop, tc.iters)
+		}
+	}
+	// budget: the deadline must fall after the first of the four iterations
+	// and before the last ends. The window is wide, but the machine's speed
+	// is not ours, so walk the budget into it instead of guessing once.
+	g, c, opt := oscillating()
+	full, err := Optimize(context.Background(), g, c, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	budget := full.Elapsed / 2
+	for attempt := 0; attempt < 12; attempt++ {
+		attrs, err := run(func(o *Options) { o.TimeBudget = budget })
+		switch {
+		case err != nil: // expired before the first plan completed
+			budget = budget * 3 / 2
+		case attrs["stop"] == "budget":
+			return
+		default: // ran to the end inside the budget
+			budget /= 2
+		}
+	}
+	t.Error("no time budget between the first and the last iteration made the loop stop with stop=budget")
+}
+
+// "Same B" is a distance, not a rounded key: on the paper's heterogeneous
+// cluster a P100's proportional ratio is 0.10665138, 1.4e-6 from a four-digit
+// rounding edge, and the LP's answer for BERT-MoE (0.10664854, round-off away)
+// lands on the other side of it.
+func TestSameRatiosIgnoresRoundingEdges(t *testing.T) {
+	b0 := cost.UniformRatios(1, cluster.PaperHeterogeneous(1).ProportionalRatios())
+	b1 := cloneRatios(b0)
+	b1[0][2] = 0.10664853974976678
+	if !sameRatios(b0, b1) {
+		t.Errorf("ratios %v apart are not the same B", b0[0][2]-b1[0][2])
+	}
+	b1[0][2] += 2 * ratioGrain
+	if sameRatios(b0, b1) {
+		t.Errorf("ratios %v apart are the same B", b1[0][2]-b0[0][2])
+	}
+}
+
+// A negative iteration bound used to skip the loop and dereference a nil
+// result; it is a caller error.
+func TestNegativeMaxIterationsIsAnError(t *testing.T) {
+	g := models.Training(models.MLP(24, 8, 12, 6))
+	if res, err := Optimize(context.Background(), g, hetero2(), Options{MaxIterations: -1}); err == nil {
+		t.Fatalf("Optimize(MaxIterations: -1) = %+v, want an error", res)
 	}
 }

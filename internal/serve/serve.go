@@ -279,6 +279,24 @@ type RequestOptions struct {
 	Optimize *bool `json:"optimize,omitempty"`
 }
 
+// UnmarshalJSON rejects negative segments and max_iterations wherever a
+// request body is parsed — single, batch and legacy alike — so they answer
+// 400 before a cache key is derived from them. Neither means anything to the
+// planner: hapopt.Optimize refuses a negative iteration bound, and a negative
+// segment count would only mint a second key for the unsegmented plan.
+func (o *RequestOptions) UnmarshalJSON(b []byte) error {
+	type plain RequestOptions // drops this method, so the decode below does not recurse
+	var p plain
+	if err := json.Unmarshal(b, &p); err != nil {
+		return err
+	}
+	if p.Segments < 0 || p.MaxIterations < 0 {
+		return fmt.Errorf("options: segments (%d) and max_iterations (%d) must not be negative", p.Segments, p.MaxIterations)
+	}
+	*o = RequestOptions(p)
+	return nil
+}
+
 // optimize resolves the tri-state Optimize field (nil = on).
 func (o RequestOptions) optimize() bool {
 	return o.Optimize == nil || *o.Optimize

@@ -126,6 +126,43 @@ func TestV1SynthesizeAndErrorEnvelope(t *testing.T) {
 	}
 }
 
+// TestNegativeOptionsRejected: segments and max_iterations come off the wire,
+// so a negative one must be answered 400 bad_request by the decoder — on the
+// single, legacy and batch bodies — before a cache key exists: nothing is
+// looked up, counted as a miss, or handed to the planner (where a negative
+// iteration bound used to nil-dereference).
+func TestNegativeOptionsRejected(t *testing.T) {
+	s := New(Config{Synthesize: func(context.Context, *graph.Graph, *cluster.Cluster, hap.Options) (*hap.Plan, error) {
+		t.Error("a request with negative options reached the planner")
+		return nil, errors.New("unreachable")
+	}})
+	srv := httptest.NewServer(s.Handler())
+	defer srv.Close()
+	g, c := testGraph(t), testCluster()
+	// requestBody marshals RequestOptions, which has no encoder of its own:
+	// negative values go out as written.
+	for _, opt := range []RequestOptions{{MaxIterations: -1}, {Segments: -1}} {
+		for path, body := range map[string][]byte{
+			"/v1/synthesize":       requestBody(t, g, c, opt),
+			"/synthesize":          requestBody(t, g, c, opt),
+			"/v1/synthesize/batch": batchBody(t, g, []*cluster.Cluster{c}, opt),
+		} {
+			resp := postPath(t, srv.URL, path, body, "")
+			raw := readAll(t, resp)
+			if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(raw), "must not be negative") {
+				t.Errorf("%s with %+v: status %d body %q, want 400 naming the option", path, opt, resp.StatusCode, raw)
+			}
+			var env ErrorEnvelope
+			if path != "/synthesize" && (json.Unmarshal(raw, &env) != nil || env.Code != CodeBadRequest) {
+				t.Errorf("%s with %+v: body %q is not a %s envelope", path, opt, raw, CodeBadRequest)
+			}
+		}
+	}
+	if st := getStats(t, srv.URL); st.CacheMisses != 0 || st.Syntheses != 0 || st.Errors != 6 {
+		t.Errorf("stats after 6 rejected requests: misses %d syntheses %d errors %d, want 0/0/6", st.CacheMisses, st.Syntheses, st.Errors)
+	}
+}
+
 // TestBinaryContentNegotiation: Accept: application/x-hap-plan returns the
 // compact binary payload; its program section decodes with dist.DecodeBinary
 // and is byte-identical to the JSON-path program. Cache hits negotiate too.

@@ -447,7 +447,7 @@ func (sy *Synthesizer) applySeedComm(s *state, st seedStep) *state {
 		}
 		sy.ccBuf = sy.commCandidates(s, p, sy.ccBuf[:0])
 		for _, cc := range sy.ccBuf {
-			if cc.in.Coll == st.cc.coll && cc.in.Dim == st.cc.dim && cc.in.Dim2 == st.cc.dim2 {
+			if cc.matches(st.cc) {
 				return sy.applyComm(s, cc)
 			}
 		}

@@ -30,11 +30,12 @@
 package synth
 
 import (
+	"cmp"
 	"container/heap"
 	"context"
 	"fmt"
 	"runtime"
-
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -279,10 +280,11 @@ func propLess(a, b theory.Property) bool {
 	return a.Dim < b.Dim
 }
 
-// key returns a 64-bit FNV-1a dedup key over the canonical state contents
-// (sorted props, bitsets, placements, open-stage position). A hash key
-// trades a vanishing collision probability for an order of magnitude less
-// allocation in the search's hottest path.
+// key returns a 64-bit dedup key over the canonical state contents (sorted
+// props, bitsets, placements, open-stage position). A hash key trades a
+// vanishing collision probability for an order of magnitude less allocation
+// in the search's hottest path. It is FNV-1a a word at a time; the multiply
+// only carries differences upward, so each step folds the high half back down.
 func (s *state) key() uint64 {
 	const (
 		offset64 = 14695981039346656037
@@ -290,11 +292,8 @@ func (s *state) key() uint64 {
 	)
 	h := uint64(offset64)
 	mix := func(v uint64) {
-		for i := 0; i < 8; i++ {
-			h ^= v & 0xff
-			h *= prime64
-			v >>= 8
-		}
+		h = (h ^ v) * prime64
+		h ^= h >> 32
 	}
 	for _, p := range s.props {
 		mix(uint64(uint32(p.Ref)) | uint64(p.Kind)<<32 | uint64(uint8(p.Dim))<<40)
@@ -707,7 +706,7 @@ func (sy *Synthesizer) genCandidates(s *state, pi int32, w *beamWorker) {
 		if sd := sy.opt.Seed; sd != nil && sd.commPin[p.Ref].valid {
 			pin := sd.commPin[p.Ref]
 			for _, cc := range w.ccBuf {
-				if cc.in.Coll == pin.coll && cc.in.Dim == pin.dim && cc.in.Dim2 == pin.dim2 {
+				if cc.matches(pin) {
 					w.ccBuf[0] = cc
 					w.ccBuf = w.ccBuf[:1]
 					break
@@ -780,8 +779,8 @@ func (sy *Synthesizer) runBeam(root *state) (*state, Stats, error) {
 			workers = n
 		}
 		// Phase 1: generation + scoring. Contiguous chunks keep the
-		// concatenated arena ordered by (parent, enumeration index) — the
-		// deterministic tie-break of the merge.
+		// concatenated arena ordered by (parent, enumeration index) for every
+		// worker count — the fixed input the merge's sort permutes.
 		if workers <= 1 {
 			w := ws[0]
 			w.out = w.out[:0]
@@ -833,12 +832,14 @@ func (sy *Synthesizer) runBeam(root *state) (*state, Stats, error) {
 				return nil, stats, sy.overBudget(stats.Expansions)
 			}
 		}
-		// Phase 2: deterministic merge order.
+		// Phase 2: deterministic merge order. The sort compares scores only
+		// and is not stable: ties come out in pdqsort's deterministic
+		// permutation of the arena order, pinned by TestGoldenPlanIdentity.
 		refs = refs[:0]
 		for i := range arena {
 			refs = append(refs, candRef{score: arena[i].score, idx: int32(i)})
 		}
-		sort.Slice(refs, func(a, b int) bool { return refs[a].score < refs[b].score })
+		slices.SortFunc(refs, func(a, b candRef) int { return cmp.Compare(a.score, b.score) })
 		// Phase 3: materialize + select survivors in merge order.
 		clear(visited)
 		next = next[:0]
@@ -1116,10 +1117,21 @@ func (sy *Synthesizer) applyComp(s *state, tr *theory.Triple) *state {
 	return ns
 }
 
-// commCand is a not-yet-materialized communication successor.
+// commCand is a not-yet-materialized communication successor: collective
+// coll on tensor ref over dim (onto dim2 for All-To-All), establishing
+// property (ref, resKind, resDim). Sixteen bytes — the beam copies millions;
+// the dist.Instruction is built only on materialization (applyComm).
 type commCand struct {
-	in  dist.Instruction
-	res theory.Property
+	ref       graph.NodeID
+	coll      uint8 // collective.Kind
+	dim, dim2 int8
+	resKind   theory.PropKind
+	resDim    int8
+}
+
+// matches reports whether cc is the collective a seed pinned for its tensor.
+func (cc commCand) matches(pin pinnedComm) bool {
+	return collective.Kind(cc.coll) == pin.coll && int(cc.dim) == pin.dim && int(cc.dim2) == pin.dim2
 }
 
 // commCandidates yields the communication instructions applicable to p,
@@ -1147,7 +1159,7 @@ func (sy *Synthesizer) commCandidates(s *state, p theory.Property, out []commCan
 			}
 		}
 	}
-	try := func(in dist.Instruction, res theory.Property) {
+	try := func(coll collective.Kind, d, d2 int, res theory.Property) {
 		if s.hasProp(res) {
 			return // postcondition subsumed: strictly worse (line 7)
 		}
@@ -1158,24 +1170,24 @@ func (sy *Synthesizer) commCandidates(s *state, p theory.Property, out []commCan
 		} else if !sy.th.IsWanted(res) {
 			return // no triple's precondition can use the result
 		}
-		out = append(out, commCand{in: in, res: res})
+		out = append(out, commCand{ref: p.Ref, coll: uint8(coll), dim: int8(d), dim2: int8(d2), resKind: res.Kind, resDim: res.Dim})
 	}
 
 	switch p.Kind {
 	case theory.Reduce:
-		try(dist.Comm(p.Ref, collective.AllReduce, 0, 0), theory.Id(p.Ref))
+		try(collective.AllReduce, 0, 0, theory.Id(p.Ref))
 		for d := 0; d < rank; d++ {
-			try(dist.Comm(p.Ref, collective.ReduceScatter, d, 0), theory.Shard(p.Ref, d))
+			try(collective.ReduceScatter, d, 0, theory.Shard(p.Ref, d))
 		}
 	case theory.Gather:
 		d := int(p.Dim)
-		try(dist.Comm(p.Ref, collective.PaddedAllGather, d, 0), theory.Id(p.Ref))
+		try(collective.PaddedAllGather, d, 0, theory.Id(p.Ref))
 		if !sy.opt.DisableGroupedBroadcast {
-			try(dist.Comm(p.Ref, collective.GroupedBroadcast, d, 0), theory.Id(p.Ref))
+			try(collective.GroupedBroadcast, d, 0, theory.Id(p.Ref))
 		}
 		for d2 := 0; d2 < rank; d2++ {
 			if d2 != d {
-				try(dist.Comm(p.Ref, collective.AllToAll, d, d2), theory.Shard(p.Ref, d2))
+				try(collective.AllToAll, d, d2, theory.Shard(p.Ref, d2))
 			}
 		}
 	}
@@ -1185,9 +1197,9 @@ func (sy *Synthesizer) commCandidates(s *state, p theory.Property, out []commCan
 // applyComm materializes a communication successor.
 func (sy *Synthesizer) applyComm(s *state, cc commCand) *state {
 	ns := sy.clone(s)
-	ns.instrs = append(ns.instrs, cc.in)
-	ns.setCommunicated(cc.in.Ref)
-	ns.addProp(cc.res)
+	ns.instrs = append(ns.instrs, dist.Comm(cc.ref, collective.Kind(cc.coll), int(cc.dim), int(cc.dim2)))
+	ns.setCommunicated(cc.ref)
+	ns.addProp(theory.Property{Ref: cc.ref, Kind: cc.resKind, Dim: cc.resDim})
 	// Close the open stage (Sec. 3.2): its comm + worst comp are paid.
 	worst := 0.0
 	for _, v := range ns.openComp {
@@ -1196,11 +1208,11 @@ func (sy *Synthesizer) applyComm(s *state, cc commCand) *state {
 		}
 	}
 	ns.closedCost += ns.openComm + worst
-	k := int(cc.in.Coll)
-	pen := sy.commPen[cc.in.Ref]
+	k := int(cc.coll)
+	pen := sy.commPen[cc.ref]
 	m := len(ns.openComp)
 	copy(ns.openComp, pen[k*m:(k+1)*m])
-	ns.openComm = sy.commT[cc.in.Ref][k]
+	ns.openComm = sy.commT[cc.ref][k]
 	ns.lastComp = -1
 	ns.complete = sy.isComplete(ns)
 	return ns
@@ -1214,7 +1226,7 @@ func (sy *Synthesizer) commDelta(s *state, cc commCand) float64 {
 			worst = v
 		}
 	}
-	return s.closedCost + s.openComm + worst + sy.commT[cc.in.Ref][int(cc.in.Coll)]
+	return s.closedCost + s.openComm + worst + sy.commT[cc.ref][cc.coll]
 }
 
 // commSuccessors materializes all communication successors of p into out.

@@ -139,6 +139,14 @@ func TestPlannerTimeBudget(t *testing.T) {
 	}
 }
 
+// A negative iteration bound is a caller error, not a panic: the loop body
+// used never to run and Plan dereferenced a nil result.
+func TestPlannerNegativeMaxIterations(t *testing.T) {
+	if plan, err := NewPlanner(testCluster(), WithMaxIterations(-1)).Plan(context.Background(), testGraph(t)); err == nil {
+		t.Fatalf("Plan with WithMaxIterations(-1) = %+v, want an error", plan)
+	}
+}
+
 // The functional options must lower onto the same Options struct the legacy
 // API uses.
 func TestFunctionalOptions(t *testing.T) {
