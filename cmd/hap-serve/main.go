@@ -15,9 +15,9 @@
 //	          [-debug-addr ""]
 //
 // Endpoints (wire protocol v2): POST /v1/synthesize, POST
-// /v1/synthesize/batch, the deprecated legacy POST /synthesize, GET/POST
-// /v1/fleet/entries, GET /healthz, GET /stats, GET /metrics (Prometheus
-// text format), GET /v1/debug/traces[/<id>[?format=chrome]]. With
+// /v1/synthesize/batch, GET/POST /v1/fleet/entries, GET /healthz, GET
+// /stats, GET /metrics (Prometheus text format), GET
+// /v1/debug/traces[/<id>[?format=chrome]]. With
 // -cache-dir, cached plans are written through to disk and restored on the
 // next boot (oldest first, preserving LRU order); -cache-ttl expires aged
 // plans so the directory cannot grow unbounded.

@@ -108,26 +108,29 @@ func (s *Server) fleetHealth() *fleetHealthPayload {
 }
 
 // proxyPlanRequest forwards a missed request — its body, as received — to
-// the key's responsible peers:
+// the key's responsible peers when this node is not the key's owner:
 // the owner first, then the ring successors holding replicas. The first peer
 // that answers has its response — status, plan headers, body — relayed
 // verbatim (plus the answering node's URL in the fleet node header), and
 // peers that fail transport are marked down so the next request skips them.
-// Returns false when no peer could be reached; the caller synthesizes
-// locally. Peers answering an HTTP error are authoritative (the owner's 422
-// is the fleet's 422) — only transport failures fall through.
-//
-// The forward always targets /v1/synthesize regardless of which endpoint
-// the client hit: the legacy endpoint shares the cache key space, and
-// relaying a v1 envelope to a legacy client only changes the error body of
-// an already-failing request.
+// Returns false when the key is this node's own (or there is no fleet), and
+// when no peer could be reached; the caller synthesizes locally either way.
+// Peers answering an HTTP error are authoritative (the owner's 422 is the
+// fleet's 422) — only transport failures fall through.
 //
 // Each attempt records a "proxy" span carrying the peer URL; the forward
 // ships the trace ID and the span's ID in the trace header, so the peer's
 // spans — returned in its response trace header — merge under this hop and
 // the cross-node request reads as one tree.
-func (s *Server) proxyPlanRequest(w http.ResponseWriter, r *http.Request, body []byte, key, owner string, v1, binary bool, rt *requestTrace) bool {
+func (s *Server) proxyPlanRequest(w http.ResponseWriter, r *http.Request, body []byte, key string, binary bool, rt *requestTrace) bool {
 	f := s.cfg.Fleet
+	if f == nil {
+		return false
+	}
+	owner := f.Owner(key)
+	if owner == "" || owner == f.Self() {
+		return false
+	}
 	accept := "application/json"
 	if binary {
 		accept = BinaryPlanContentType + ", application/json"
@@ -156,7 +159,7 @@ func (s *Server) proxyPlanRequest(w http.ResponseWriter, r *http.Request, body [
 				ps.End()
 				// The client went away mid-proxy: no verdict on the peer's
 				// health, and the 499 is for the log — nobody reads it.
-				s.fail(w, v1, 499, CodeCanceled, "canceled: %v", r.Context().Err())
+				s.fail(w, 499, CodeCanceled, "canceled: %v", r.Context().Err())
 				return true
 			}
 			ps.SetAttrStr("error", err.Error())
@@ -185,6 +188,9 @@ func (s *Server) proxyPlanRequest(w http.ResponseWriter, r *http.Request, body [
 		ps.End()
 		return true
 	}
+	// Every responsible peer is unreachable: the caller synthesizes locally,
+	// so the fleet degrades to N independent caches, not to an outage.
+	s.fleetLocalFallbacks.Add(1)
 	return false
 }
 
@@ -206,7 +212,7 @@ func (s *Server) maybeReplicate(sp *obs.Span, key string, v CachedPlan) {
 	}
 	rs := sp.Child("replicate")
 	rs.SetAttrInt("peers", int64(len(set)-1))
-	e := fleet.Entry{Key: key, Plan: v.Plan, Bin: v.Bin, Passes: v.Passes, Version: v.Version, ETag: v.ETag}
+	e := entryOf(key, v)
 	for _, peer := range set[1:] {
 		ctx, cancel := context.WithTimeout(context.Background(), replicateTimeout)
 		push := rs.Child("replicate_push")
@@ -242,18 +248,18 @@ func (s *Server) handleFleetEntries(w http.ResponseWriter, r *http.Request) {
 		if key := r.URL.Query().Get("key"); key != "" {
 			v, ok := s.store.Get(key)
 			if !ok {
-				s.fail(w, true, http.StatusNotFound, CodeNotFound, "no entry for key %q", key)
+				s.fail(w, http.StatusNotFound, CodeNotFound, "no entry for key %q", key)
 				return
 			}
 			w.Header().Set("Content-Type", "application/json")
-			json.NewEncoder(w).Encode(fleet.Entry{Key: key, Plan: v.Plan, Bin: v.Bin, Passes: v.Passes, Version: v.Version, ETag: v.ETag})
+			json.NewEncoder(w).Encode(entryOf(key, v))
 			return
 		}
 		w.Header().Set("Content-Type", "application/x-ndjson")
 		flusher, _ := w.(http.Flusher)
 		enc := json.NewEncoder(w)
 		s.store.Range(func(key string, v CachedPlan) bool {
-			if err := enc.Encode(fleet.Entry{Key: key, Plan: v.Plan, Bin: v.Bin, Passes: v.Passes, Version: v.Version, ETag: v.ETag}); err != nil {
+			if err := enc.Encode(entryOf(key, v)); err != nil {
 				return false // receiver went away; stop streaming
 			}
 			if flusher != nil {
@@ -267,18 +273,18 @@ func (s *Server) handleFleetEntries(w http.ResponseWriter, r *http.Request) {
 		var e fleet.Entry
 		dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.cfg.MaxRequestBytes))
 		if err := dec.Decode(&e); err != nil {
-			s.fail(w, true, http.StatusBadRequest, CodeBadRequest, "bad entry: %v", err)
+			s.fail(w, http.StatusBadRequest, CodeBadRequest, "bad entry: %v", err)
 			return
 		}
 		if e.Key == "" || len(e.Plan) == 0 {
-			s.fail(w, true, http.StatusBadRequest, CodeBadRequest, "bad entry: key and plan are required")
+			s.fail(w, http.StatusBadRequest, CodeBadRequest, "bad entry: key and plan are required")
 			return
 		}
-		s.store.Put(e.Key, CachedPlan{Plan: e.Plan, Bin: e.Bin, Passes: e.Passes, Version: e.Version, ETag: e.ETag})
+		s.store.Put(e.Key, planOf(e))
 		s.fleetReplicatedIn.Add(1)
 		w.WriteHeader(http.StatusNoContent)
 	default:
-		s.fail(w, true, http.StatusMethodNotAllowed, CodeMethodNotAllowed, "GET or POST required")
+		s.fail(w, http.StatusMethodNotAllowed, CodeMethodNotAllowed, "GET or POST required")
 	}
 }
 
@@ -298,7 +304,7 @@ func (s *Server) WarmFrom(ctx context.Context, peers []string) (int, error) {
 			continue
 		}
 		n, err := f.Client.StreamEntries(ctx, peer, func(e fleet.Entry) bool {
-			s.store.Put(e.Key, CachedPlan{Plan: e.Plan, Bin: e.Bin, Passes: e.Passes, Version: e.Version, ETag: e.ETag})
+			s.store.Put(e.Key, planOf(e))
 			return true
 		})
 		s.fleetWarmupEntries.Add(uint64(n))
@@ -312,6 +318,17 @@ func (s *Server) WarmFrom(ctx context.Context, peers []string) (int, error) {
 		lastErr = err
 	}
 	return 0, lastErr
+}
+
+// entryOf and planOf convert between a stored plan and its fleet wire form.
+// Version and ETag travel with the entry so the tag means the same bytes
+// fleet-wide.
+func entryOf(key string, v CachedPlan) fleet.Entry {
+	return fleet.Entry{Key: key, Plan: v.Plan, Bin: v.Bin, Passes: v.Passes, Version: v.Version, ETag: v.ETag}
+}
+
+func planOf(e fleet.Entry) CachedPlan {
+	return CachedPlan{Plan: e.Plan, Bin: e.Bin, Passes: e.Passes, Version: e.Version, ETag: e.ETag}
 }
 
 func contains(list []string, s string) bool {

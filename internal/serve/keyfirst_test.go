@@ -210,11 +210,7 @@ func TestKeyOnlyRequest(t *testing.T) {
 	mixed, _ := json.Marshal(withKey)
 	wantPlan(t, "full body with a stray key", ask(t, url, mixed, ""), "hit", testGraph(t))
 
-	// The legacy endpoint has no key form.
-	if status, _, raw := post(t, url, keyBody(key)); status != http.StatusBadRequest {
-		t.Errorf("legacy endpoint answered a key-only body %d: %s", status, raw)
-	}
-	wantCounters(t, s, 5, 1, 1)
+	wantCounters(t, s, 5, 1, 0)
 }
 
 // TestKeyOnlyAfterEviction: the key of an evicted plan is an unknown key, and
@@ -310,14 +306,12 @@ func TestOversizedBodyBeatsMemo(t *testing.T) {
 	s.memo.put(sha256.Sum256(body[:len(body)-1]), key)
 	s.store.Put(key, CachedPlan{Plan: []byte(`{}`), Bin: []byte{0}})
 
-	for _, path := range []string{"/v1/synthesize", "/synthesize"} {
-		resp := postPath(t, url, path, body, "")
-		raw := readAll(t, resp)
-		if resp.StatusCode != http.StatusRequestEntityTooLarge || !strings.Contains(string(raw), "exceeds") {
-			t.Errorf("%s: oversized body answered %d: %s", path, resp.StatusCode, raw)
-		}
+	resp := postPath(t, url, "/v1/synthesize", body, "")
+	raw := readAll(t, resp)
+	if resp.StatusCode != http.StatusRequestEntityTooLarge || !strings.Contains(string(raw), "exceeds") {
+		t.Errorf("oversized body answered %d: %s", resp.StatusCode, raw)
 	}
-	wantCounters(t, s, 0, 0, 2)
+	wantCounters(t, s, 0, 0, 1)
 	// The key form is tiny and still works under the same cap.
 	if a := ask(t, url, keyBody(key), ""); a.status != http.StatusOK || a.cache != "hit" {
 		t.Errorf("key-only request under a small body cap: %d/%s", a.status, a.cache)

@@ -120,12 +120,12 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	counter("hap_serve_requests_total", "Plan requests across all endpoints.", st.Requests)
 	// Per-endpoint breakdown, in fixed order for a stable exposition.
 	fmt.Fprintf(&b, "# HELP hap_serve_requests_by_endpoint_total Plan requests, by wire endpoint.\n# TYPE hap_serve_requests_by_endpoint_total counter\n")
-	for _, ep := range []string{EndpointLegacy, EndpointV1, EndpointV1Batch} {
+	for _, ep := range []string{EndpointV1, EndpointV1Batch} {
 		fmt.Fprintf(&b, "hap_serve_requests_by_endpoint_total{endpoint=%q} %d\n", ep, st.RequestsByEndpoint[ep])
 	}
 	// Request latency histograms, one series per endpoint.
 	fmt.Fprintf(&b, "# HELP hap_serve_request_seconds Request wall time by wire endpoint, including rejected requests.\n# TYPE hap_serve_request_seconds histogram\n")
-	for _, ep := range []string{EndpointLegacy, EndpointV1, EndpointV1Batch} {
+	for _, ep := range []string{EndpointV1, EndpointV1Batch} {
 		writeHistogram(&b, "hap_serve_request_seconds", ep, hists[ep])
 	}
 	// Synthesis-phase summaries, fed by completed trace spans recorded on

@@ -25,7 +25,7 @@ func seedServeGraph(widths ...int) *graph.Graph {
 // postHdr is post with the full response header set, for seed-header checks.
 func postHdr(t *testing.T, url string, body []byte) (int, http.Header, []byte) {
 	t.Helper()
-	resp, err := http.Post(url+"/synthesize", "application/json", bytes.NewReader(body))
+	resp, err := http.Post(url+"/v1/synthesize", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,9 +137,10 @@ func TestServeSeedingDisabled(t *testing.T) {
 	}
 }
 
-// TestServeEvictionDropsRegistries: when the LRU evicts a plan, its replan
-// registration and similarity-index entry go with it — the side registries
-// must not outgrow the cache (the unbounded-sources leak).
+// TestServeEvictionDropsRegistries: when the LRU evicts a plan, its
+// plan-source record — replan registration and donor entry in one — goes with
+// it: the side registry must not outgrow the cache (the unbounded-sources
+// leak).
 func TestServeEvictionDropsRegistries(t *testing.T) {
 	s := New(Config{
 		MaxCacheEntries: 2,
@@ -166,9 +167,6 @@ func TestServeEvictionDropsRegistries(t *testing.T) {
 	sources := len(s.telemetry.sources)
 	s.telemetry.mu.Unlock()
 	if sources != 2 {
-		t.Errorf("replan registry holds %d sources after evictions, want 2", sources)
-	}
-	if n := s.sim.len(); n != 2 {
-		t.Errorf("similarity index holds %d entries after evictions, want 2", n)
+		t.Errorf("plan-source registry holds %d sources after evictions, want 2", sources)
 	}
 }

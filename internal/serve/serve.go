@@ -12,37 +12,36 @@
 // reference-counted flight context: it is cancelled when the last interested
 // client disconnects, never by one impatient client among many.
 //
-// The HTTP surface is separated from plan storage by the PlanStore
-// interface (store.go): handlers decode, route, and encode; everything that
-// remembers a plan lives behind Get/Put/Range/Stats. With a
-// fleet.Fleet configured (fleet.go), the daemon is one node of a sharded,
-// replicated cache tier: request fingerprints are consistent-hash routed to
-// an owner peer, misses proxy to the owner (whose single-flight group makes
-// a fleet-wide thundering herd synthesize exactly once), filled entries
-// replicate to ring successors, and a joining node warms up by streaming a
-// peer's entries.
+// Every way a plan comes to exist here — a request's miss, a batch, a
+// drift-triggered background replan — ends in the same tail: synthesize (the
+// planner call, under an admission slot), then commitPlan (register, store,
+// replicate). DESIGN.md, "The miss path", has the order and what each caller
+// skips. With a fleet.Fleet configured (fleet.go), the daemon is one node of
+// a sharded, replicated cache tier: request fingerprints are consistent-hash
+// routed to an owner peer, misses proxy to the owner (whose single-flight
+// group makes a fleet-wide thundering herd synthesize exactly once), filled
+// entries replicate to ring successors, and a joining node warms up by
+// streaming a peer's entries.
 //
 // Wire protocol v2 (see DESIGN.md for the full specification):
 //
 //	POST /v1/synthesize        {"graph", "cluster", "options"} → plan
 //	POST /v1/synthesize        {"key"} → plan, or a need_body answer
 //	POST /v1/synthesize/batch  {"graph", "clusters": [...], "options"} → plans
-//	POST /synthesize           legacy unversioned endpoint (deprecated)
 //	GET  /v1/fleet/entries     NDJSON stream of cached entries (warm-up)
 //	POST /v1/fleet/entries     accept one replicated entry
 //	GET  /healthz              liveness + protocol version, JSON
 //	GET  /stats                cache and request counters, JSON
 //	GET  /metrics              counters + latency histograms, Prometheus text
 //
-// The v1 endpoints answer errors with a structured JSON envelope
-// {"code", "message"} and honor content negotiation: a request with
+// Errors are answered with a structured JSON envelope {"code", "message"},
+// and plan responses honor content negotiation: a request with
 // Accept: application/x-hap-plan receives the compact binary plan encoding
 // (hap.WriteProgramBinary) instead of JSON. The batch endpoint plans one
 // graph against many clusters, building the graph theory once (request
 // coalescing); its response envelope is always JSON, with per-result plan
 // payloads in the negotiated encoding (base64 binary under Accept:
-// application/x-hap-plan). The legacy endpoint keeps its original
-// plain-text errors and JSON-only responses.
+// application/x-hap-plan).
 package serve
 
 import (
@@ -90,7 +89,6 @@ const SeedDistanceHeader = "X-HAP-Seed-Distance"
 // Endpoint labels for the per-endpoint request counters and latency
 // histograms.
 const (
-	EndpointLegacy  = "legacy"
 	EndpointV1      = "v1"
 	EndpointV1Batch = "v1_batch"
 )
@@ -191,11 +189,10 @@ type Config struct {
 	PlanBatch func(context.Context, *graph.Graph, []*cluster.Cluster, hap.Options) ([]*hap.Plan, error)
 }
 
-// Request is the body of POST /v1/synthesize (and the legacy /synthesize): a
-// graph and a cluster in their JSON wire formats (graph.Encode,
-// cluster.Encode), plus planner options.
+// Request is the body of POST /v1/synthesize: a graph and a cluster in their
+// JSON wire formats (graph.Encode, cluster.Encode), plus planner options.
 //
-// On /v1/synthesize a body carrying only Key — the plan's cache key, which
+// A body carrying only Key — the plan's cache key, which
 // the sender derived with fingerprint.PlanKey from its own graph, cluster and
 // options — asks for the plan without uploading anything: a key in the local
 // store is answered exactly like a full-body hit, any other key gets the
@@ -243,13 +240,13 @@ type BatchPlanResult struct {
 	ETag    string `json:"etag,omitempty"`
 }
 
-// ErrorEnvelope is the structured error body of the v1 endpoints.
+// ErrorEnvelope is the structured error body of every endpoint.
 type ErrorEnvelope struct {
 	Code    string `json:"code"`
 	Message string `json:"message"`
 }
 
-// Error codes of the v1 envelopes.
+// Error codes of the envelopes.
 const (
 	CodeBadRequest       = "bad_request"
 	CodeTooLarge         = "request_too_large"
@@ -280,7 +277,7 @@ type RequestOptions struct {
 }
 
 // UnmarshalJSON rejects negative segments and max_iterations wherever a
-// request body is parsed — single, batch and legacy alike — so they answer
+// request body is parsed — single and batch alike — so they answer
 // 400 before a cache key is derived from them. Neither means anything to the
 // planner: hapopt.Optimize refuses a negative iteration bound, and a negative
 // segment count would only mint a second key for the unsegmented plan.
@@ -328,7 +325,7 @@ type Stats struct {
 	CacheRestored    int     `json:"cache_restored"`  // plans reloaded from CacheDir on boot
 	UptimeSeconds    float64 `json:"uptime_seconds"`
 	// RequestsByEndpoint breaks Requests down by wire endpoint
-	// (legacy, v1, v1_batch).
+	// (v1, v1_batch).
 	RequestsByEndpoint map[string]uint64 `json:"requests_by_endpoint"`
 	// PassRuns counts syntheses that ran the post-synthesis pass pipeline;
 	// PassRewrites totals the rewrites those pipelines applied, broken down
@@ -345,11 +342,8 @@ type Stats struct {
 
 // Server is the plan-cache daemon. Create with New, mount via Handler.
 type Server struct {
-	cfg   Config
-	store PlanStore
-	// mds is the concrete default store, kept for the TTL sweeper; equal to
-	// store today, nil if a future Config grows a store override.
-	mds    *memDiskStore
+	cfg    Config
+	store  *memDiskStore
 	memo   *bodyMemo // raw-body hash → cache key (memo.go)
 	flight flightGroup
 	start  time.Time
@@ -360,7 +354,6 @@ type Server struct {
 	closeOnce sync.Once
 
 	requests     atomic.Uint64
-	epLegacy     atomic.Uint64
 	epV1         atomic.Uint64
 	epV1Batch    atomic.Uint64
 	hits         atomic.Uint64
@@ -381,10 +374,6 @@ type Server struct {
 	// seeded search's donor distance as float64 bits (atomic gauge).
 	synthIncremental atomic.Uint64
 	seedDistBits     atomic.Uint64
-
-	// sim is the segment-level similarity index donor lookups scan
-	// (similarity.go).
-	sim similarityIndex
 
 	fleetProxied         atomic.Uint64 // misses answered by proxying to a peer
 	fleetProxyErrors     atomic.Uint64 // failed proxy attempts (peer marked down)
@@ -469,17 +458,14 @@ func New(cfg Config) *Server {
 			persist = store
 		}
 	}
-	mds := newMemDiskStore(cfg.MaxCacheEntries, cfg.MaxCacheBytes, persist, cfg.CacheTTL)
 	s := &Server{
 		cfg:            cfg,
-		store:          mds,
-		mds:            mds,
+		store:          newMemDiskStore(cfg.MaxCacheEntries, cfg.MaxCacheBytes, persist, cfg.CacheTTL),
 		memo:           newBodyMemo(cfg.MaxCacheEntries),
 		start:          time.Now(),
 		logger:         logger,
 		passRewritesBy: map[string]uint64{},
 		latency: map[string]*histogram{
-			EndpointLegacy:  newHistogram(),
 			EndpointV1:      newHistogram(),
 			EndpointV1Batch: newHistogram(),
 		},
@@ -488,16 +474,15 @@ func New(cfg Config) *Server {
 			sources:  map[string]planSource{},
 			replan:   map[string]bool{},
 		},
-		sim: similarityIndex{entries: map[string]simEntry{}},
 	}
 	if cfg.MaxInflightSynth > 0 {
 		s.synthSem = make(chan struct{}, cfg.MaxInflightSynth)
 	}
 	// Evictions — LRU, TTL sweep, or a rejected oversized insert — drop the
-	// key's replan source and similarity entries, so the side registries stay
-	// bounded by the store's own caps. Wired after construction: the restore
-	// pass above ran with empty registries, so it has nothing to drop.
-	mds.onEvict = s.dropPlanRegistry
+	// key's plan source, so the side registry stays bounded by the store's
+	// own caps. Wired after construction: the restore pass above ran with an
+	// empty registry, so it has nothing to drop.
+	s.store.onEvict = s.dropPlanSources
 	// Tracing is on by default (an empty ring is just a few pointers; the
 	// per-request cost is a handful of small allocations and the synthesis
 	// hot path stays untouched — spans attach per phase, not per candidate).
@@ -530,7 +515,7 @@ func (s *Server) sweepLoop() {
 		case <-s.stopSweep:
 			return
 		case <-ticker.C:
-			s.mds.sweep(time.Now())
+			s.store.sweep(time.Now())
 		}
 	}
 }
@@ -549,9 +534,8 @@ func (s *Server) Close() {
 // Handler returns the daemon's HTTP routes.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("/synthesize", s.handleLegacySynthesize)
-	mux.HandleFunc("/v1/synthesize", s.handleV1Synthesize)
-	mux.HandleFunc("/v1/synthesize/batch", s.handleV1Batch)
+	mux.HandleFunc("/v1/synthesize", s.planEndpoint(EndpointV1, &s.epV1, s.synthesizeOne))
+	mux.HandleFunc("/v1/synthesize/batch", s.planEndpoint(EndpointV1Batch, &s.epV1Batch, s.handleV1Batch))
 	mux.HandleFunc("/v1/telemetry", s.handleTelemetry)
 	mux.HandleFunc(fleet.EntriesPath, s.handleFleetEntries)
 	mux.HandleFunc("/healthz", s.handleHealthz)
@@ -587,7 +571,6 @@ func (s *Server) Stats() Stats {
 		CacheRestored:     ss.Restored,
 		UptimeSeconds:     time.Since(s.start).Seconds(),
 		RequestsByEndpoint: map[string]uint64{
-			EndpointLegacy:  s.epLegacy.Load(),
 			EndpointV1:      s.epV1.Load(),
 			EndpointV1Batch: s.epV1Batch.Load(),
 		},
@@ -631,13 +614,6 @@ func cacheKey(g *graph.Graph, c *cluster.Cluster, opt RequestOptions) string {
 	return fingerprint.PlanKey(graph.Fingerprint(g), c.Fingerprint(), fingerprint.Options(opt))
 }
 
-// optsSig is the planner-options slice of the cache key, shared with the
-// similarity index: a donor plan must have been synthesized under the same
-// options to be worth seeding from.
-func optsSig(opt RequestOptions) string {
-	return fingerprint.Options(opt).Sig()
-}
-
 // hapOptions lowers wire options plus server config into planner options.
 func (s *Server) hapOptions(opt RequestOptions) hap.Options {
 	budget := s.cfg.SynthTimeBudget
@@ -654,35 +630,30 @@ func (s *Server) hapOptions(opt RequestOptions) hap.Options {
 	}
 }
 
-// fail answers an error. The v1 endpoints get the structured JSON envelope;
-// the legacy endpoint keeps its historical plain-text body.
-func (s *Server) fail(w http.ResponseWriter, v1 bool, status int, code string, format string, args ...any) {
+// fail answers an error with the structured JSON envelope.
+func (s *Server) fail(w http.ResponseWriter, status int, code string, format string, args ...any) {
 	s.errors.Add(1)
-	msg := fmt.Sprintf(format, args...)
-	if !v1 {
-		http.Error(w, msg, status)
-		return
-	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(ErrorEnvelope{Code: code, Message: msg})
+	json.NewEncoder(w).Encode(ErrorEnvelope{Code: code, Message: fmt.Sprintf(format, args...)})
 }
 
 // errOverloaded is the admission gate's refusal: every synthesis slot is
 // busy and this miss would have started a new search.
 var errOverloaded = errors.New("synthesis capacity exhausted")
 
-// acquireSynth claims a synthesis slot without blocking. On success the
-// returned release must be called when the synthesis finishes; on refusal
-// it returns errOverloaded and counts the shed. With no cap configured the
-// gate always admits (and still tracks the inflight gauge).
-func (s *Server) acquireSynth() (release func(), err error) {
+// acquireSynth claims a synthesis slot without blocking — the gate every
+// planner call passes, a background replan's included. On success the
+// returned release must be called when the synthesis finishes. The callers
+// that refuse a request count the shed; a replan that finds no slot is just
+// not started. With no cap configured the gate always admits (and still
+// tracks the inflight gauge).
+func (s *Server) acquireSynth() (release func(), ok bool) {
 	if s.synthSem != nil {
 		select {
 		case s.synthSem <- struct{}{}:
 		default:
-			s.admissionShed.Add(1)
-			return nil, errOverloaded
+			return nil, false
 		}
 	}
 	s.inflightSynth.Add(1)
@@ -691,33 +662,31 @@ func (s *Server) acquireSynth() (release func(), err error) {
 		if s.synthSem != nil {
 			<-s.synthSem
 		}
-	}, nil
+	}, true
 }
 
-// shedHeaders stamps the Retry-After hint on a response about to be shed.
-func (s *Server) shedHeaders(w http.ResponseWriter) {
-	secs := int(math.Ceil(s.cfg.ShedRetryAfter.Seconds()))
-	if secs < 1 {
-		secs = 1
+// failSynthesis answers a request whose synthesis did not produce a plan:
+// 429 with the Retry-After hint when the admission gate refused it, 499 when
+// the request context was cancelled (the client went away; the nginx
+// convention, for the log's benefit — nobody reads the body), else 422.
+func (s *Server) failSynthesis(w http.ResponseWriter, err error) {
+	switch {
+	case errors.Is(err, errOverloaded):
+		secs := int(math.Ceil(s.cfg.ShedRetryAfter.Seconds()))
+		if secs < 1 {
+			secs = 1
+		}
+		w.Header().Set("Retry-After", strconv.Itoa(secs))
+		s.fail(w, http.StatusTooManyRequests, CodeOverloaded, "overloaded: %v", err)
+	case errors.Is(err, context.Canceled):
+		s.fail(w, 499, CodeCanceled, "synthesis failed: %v", err)
+	default:
+		s.fail(w, http.StatusUnprocessableEntity, CodeSynthesisFailed, "synthesis failed: %v", err)
 	}
-	w.Header().Set("Retry-After", strconv.Itoa(secs))
-}
-
-// synthErrorCode maps a planner error to (HTTP status, envelope code). A
-// cancelled request context means the client went away: 499 in the nginx
-// convention, for the log's benefit — nobody reads the body.
-func synthErrorCode(err error) (int, string) {
-	if errors.Is(err, errOverloaded) {
-		return http.StatusTooManyRequests, CodeOverloaded
-	}
-	if errors.Is(err, context.Canceled) {
-		return 499, CodeCanceled
-	}
-	return http.StatusUnprocessableEntity, CodeSynthesisFailed
 }
 
 // wantsBinaryPlan reports whether the request negotiates the binary plan
-// content type (v1 endpoints only).
+// content type.
 func wantsBinaryPlan(r *http.Request) bool {
 	for _, accept := range r.Header.Values("Accept") {
 		for _, part := range strings.Split(accept, ",") {
@@ -740,9 +709,9 @@ const presizeBodyCap = 1 << 20
 // readBody reads the size-capped body of a synthesize request whole: the
 // single-plan endpoints hash the raw bytes before parsing anything (memo.go).
 // Failures are answered on w; the bool reports success.
-func (s *Server) readBody(w http.ResponseWriter, r *http.Request, v1 bool) ([]byte, bool) {
+func (s *Server) readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
 	if r.Method != http.MethodPost {
-		s.fail(w, v1, http.StatusMethodNotAllowed, CodeMethodNotAllowed, "POST required")
+		s.fail(w, http.StatusMethodNotAllowed, CodeMethodNotAllowed, "POST required")
 		return nil, false
 	}
 	// One allocation for a body that declares its length.
@@ -751,10 +720,10 @@ func (s *Server) readBody(w http.ResponseWriter, r *http.Request, v1 bool) ([]by
 	if _, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, s.cfg.MaxRequestBytes)); err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
-			s.fail(w, v1, http.StatusRequestEntityTooLarge, CodeTooLarge, "request body exceeds %d bytes", tooBig.Limit)
+			s.fail(w, http.StatusRequestEntityTooLarge, CodeTooLarge, "request body exceeds %d bytes", tooBig.Limit)
 			return nil, false
 		}
-		s.fail(w, v1, http.StatusBadRequest, CodeBadRequest, "bad request: %v", err)
+		s.fail(w, http.StatusBadRequest, CodeBadRequest, "bad request: %v", err)
 		return nil, false
 	}
 	return buf.Bytes(), true
@@ -773,19 +742,58 @@ func absent(raw json.RawMessage) bool {
 	return len(raw) == 0 || string(raw) == "null"
 }
 
-// decodePlanRequest reads and parses the body of a v1 endpoint that needs no
+// decodePlanRequest reads and parses the body of an endpoint that needs no
 // key before decoding (batch, telemetry). Failures are answered on w; the bool
 // reports success.
 func (s *Server) decodePlanRequest(w http.ResponseWriter, r *http.Request, into any) bool {
-	body, ok := s.readBody(w, r, true)
+	body, ok := s.readBody(w, r)
 	if !ok {
 		return false
 	}
 	if err := parseBody(body, into); err != nil {
-		s.fail(w, true, http.StatusBadRequest, CodeBadRequest, "bad request: %v", err)
+		s.fail(w, http.StatusBadRequest, CodeBadRequest, "bad request: %v", err)
 		return false
 	}
 	return true
+}
+
+// planInput is a decoded full-body request: what a miss plans from.
+type planInput struct {
+	req Request
+	g   *graph.Graph
+	c   *cluster.Cluster
+}
+
+// requestKey resolves a single-plan request's cache key, before anything is
+// decoded when it can: from the body-hash memo for a repeat body, from the
+// request itself for a key-only one (keyOnly). Only a full body the memo has
+// not seen is decoded (in, else nil) — and then memoized.
+func (s *Server) requestKey(body []byte) (key string, in *planInput, keyOnly bool, err error) {
+	sum := sha256.Sum256(body)
+	if key, ok := s.memo.get(sum); ok {
+		return key, nil, false, nil
+	}
+	if key, in, err = decodeRequest(body); err == nil && in != nil {
+		s.memo.put(sum, key)
+	}
+	return key, in, in == nil, err
+}
+
+// decodeRequest parses a single-plan request body. A key-only body yields its
+// key and a nil input; a full body yields its decoded, validated graph and
+// cluster and the key they derive.
+func decodeRequest(body []byte) (key string, in *planInput, err error) {
+	in = &planInput{}
+	if err := parseBody(body, &in.req); err != nil {
+		return "", nil, err
+	}
+	if in.req.Key != "" && absent(in.req.Graph) && absent(in.req.Cluster) {
+		return in.req.Key, nil, nil
+	}
+	if in.g, in.c, err = decodeGraphCluster(&in.req); err != nil {
+		return "", nil, err
+	}
+	return cacheKey(in.g, in.c, in.req.Options), in, nil
 }
 
 // decodeGraphCluster decodes and validates the two payloads of a full-body
@@ -805,82 +813,48 @@ func decodeGraphCluster(req *Request) (*graph.Graph, *cluster.Cluster, error) {
 	return g, c, nil
 }
 
-// The aggregate and per-endpoint request counters increment together, at
-// the top of each handler, so RequestsByEndpoint always sums to Requests —
-// including requests rejected before synthesis (bad method, bad body).
-// Latency histograms are observed on the same boundary: every request,
-// including rejects, contributes one sample to its endpoint's histogram.
-func (s *Server) handleLegacySynthesize(w http.ResponseWriter, r *http.Request) {
-	defer s.observeLatency(EndpointLegacy, time.Now())
-	s.requests.Add(1)
-	s.epLegacy.Add(1)
-	rt, r, w := s.startRequestTrace(w, r, EndpointLegacy)
-	defer rt.finish()
-	s.synthesizeOne(w, r, false, rt)
+// planEndpoint wraps a plan endpoint in the per-request bookkeeping. The
+// aggregate and per-endpoint request counters increment together, first, so
+// RequestsByEndpoint always sums to Requests — including requests rejected
+// before synthesis (bad method, bad body). Latency histograms are observed on
+// the same boundary: every request, rejects included, contributes one sample.
+func (s *Server) planEndpoint(endpoint string, count *atomic.Uint64, serve func(http.ResponseWriter, *http.Request, *requestTrace)) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		defer s.observeLatency(endpoint, time.Now())
+		s.requests.Add(1)
+		count.Add(1)
+		rt, r, w := s.startRequestTrace(w, r, endpoint)
+		defer rt.finish()
+		serve(w, r, rt)
+	}
 }
 
-func (s *Server) handleV1Synthesize(w http.ResponseWriter, r *http.Request) {
-	defer s.observeLatency(EndpointV1, time.Now())
-	s.requests.Add(1)
-	s.epV1.Add(1)
-	rt, r, w := s.startRequestTrace(w, r, EndpointV1)
-	defer rt.finish()
-	s.synthesizeOne(w, r, true, rt)
-}
-
-// synthesizeOne serves the single-cluster synthesize endpoints. v1 selects
-// the structured error envelope, binary content negotiation and the key-only
-// request form.
+// synthesizeOne serves POST /v1/synthesize: memo → store → need_body → proxy
+// → flight{re-check → gate → donor → synthesize → commitPlan}.
 //
-// The cache key is resolved before anything is decoded when it can be: from
-// the body-hash memo for a repeat body, from the request itself for a
-// key-only one. Either way the store lookup that follows is the same one a
-// freshly decoded request gets, so a hit is a hit whichever way the key was
-// found. A request that misses needs its graph and cluster: a key-only one is
-// told so (need_body, counted neither as a miss nor as an error — the full
-// request that follows is the miss), a memoized one is decoded after all.
-//
-// With a fleet configured the flow is: local store first (an owned or
-// replicated entry answers immediately), then proxy the miss to the key's
-// ring owner (read-replica fallback when the owner is down), and only
-// synthesize here when this node owns the key, the request was already
-// forwarded by a peer, or every responsible peer is unreachable.
-func (s *Server) synthesizeOne(w http.ResponseWriter, r *http.Request, v1 bool, rt *requestTrace) {
+// Whichever way requestKey found the key, the store lookup that follows is
+// the same one a freshly decoded request gets, so a hit is a hit. A request
+// that misses needs its graph and cluster: a key-only one is told so
+// (need_body, counted neither as a miss nor as an error — the full request
+// that follows is the miss), a memoized one is decoded after all.
+func (s *Server) synthesizeOne(w http.ResponseWriter, r *http.Request, rt *requestTrace) {
 	ds := rt.span("decode")
-	body, ok := s.readBody(w, r, v1)
+	body, ok := s.readBody(w, r)
 	if !ok {
 		ds.End()
 		return
 	}
-	var (
-		req     Request
-		g       *graph.Graph
-		c       *cluster.Cluster
-		keyOnly bool
-	)
-	sum := sha256.Sum256(body)
-	key, memoized := s.memo.get(sum)
-	if !memoized {
-		err := parseBody(body, &req)
-		if keyOnly = err == nil && v1 && req.Key != "" && absent(req.Graph) && absent(req.Cluster); keyOnly {
-			key = req.Key
-		} else {
-			if err == nil {
-				g, c, err = decodeGraphCluster(&req)
-			}
-			if err != nil {
-				ds.End()
-				s.fail(w, v1, http.StatusBadRequest, CodeBadRequest, "bad request: %v", err)
-				return
-			}
-			ds.SetAttrInt("graph_nodes", int64(g.NumNodes()))
-			key = cacheKey(g, c, req.Options)
-			s.memo.put(sum, key)
-		}
+	key, in, keyOnly, err := s.requestKey(body)
+	if in != nil {
+		ds.SetAttrInt("graph_nodes", int64(in.g.NumNodes()))
 	}
 	ds.End()
+	if err != nil {
+		s.fail(w, http.StatusBadRequest, CodeBadRequest, "bad request: %v", err)
+		return
+	}
 
-	binary := v1 && wantsBinaryPlan(r)
+	binary := wantsBinaryPlan(r)
 	rt.setRole(s.fleetRole(key))
 	forwarded := r.Header.Get(fleet.ForwardHeader) != ""
 	if forwarded {
@@ -904,18 +878,15 @@ func (s *Server) synthesizeOne(w http.ResponseWriter, r *http.Request, v1 bool, 
 		w.Write(needBodyAnswer)
 		return
 	}
-	if memoized {
+	if in == nil {
 		// The memo knew the key but the plan is gone (evicted, expired, or
 		// never stored here): the miss path needs the graph after all. These
 		// bytes decoded when the memo entry was made, so they decode now.
 		ds := rt.span("decode")
-		err := parseBody(body, &req)
-		if err == nil {
-			g, c, err = decodeGraphCluster(&req)
-		}
+		_, in, err = decodeRequest(body)
 		ds.End()
 		if err != nil {
-			s.fail(w, v1, http.StatusBadRequest, CodeBadRequest, "bad request: %v", err)
+			s.fail(w, http.StatusBadRequest, CodeBadRequest, "bad request: %v", err)
 			return
 		}
 	}
@@ -924,15 +895,8 @@ func (s *Server) synthesizeOne(w http.ResponseWriter, r *http.Request, v1 bool, 
 	// A miss owned by a peer proxies there instead of synthesizing here —
 	// unless the request was already forwarded (a peer decided we should
 	// handle it; re-forwarding could loop across divergent ring views).
-	if f := s.cfg.Fleet; f != nil && !forwarded {
-		if owner := f.Owner(key); owner != "" && owner != f.Self() {
-			if s.proxyPlanRequest(w, r, body, key, owner, v1, binary, rt) {
-				return
-			}
-			// Every responsible peer is unreachable: synthesize locally so
-			// the fleet degrades to N independent caches, not to an outage.
-			s.fleetLocalFallbacks.Add(1)
-		}
+	if !forwarded && s.proxyPlanRequest(w, r, body, key, binary, rt) {
+		return
 	}
 	// The flight span covers the whole single-flight interaction: for the
 	// executing caller it parents the synthesize/encode/replicate subtree,
@@ -943,6 +907,10 @@ func (s *Server) synthesizeOne(w http.ResponseWriter, r *http.Request, v1 bool, 
 	// run the closure, so they report the plan without a seed header — they
 	// paid a wait, not a seeded search.
 	seedDist := -1.0
+	// The closure runs under fctx, the flight context: alive while any client
+	// still wants this plan, cancelled when the last one disconnects — so a
+	// dropped connection aborts the search without killing the synthesis
+	// other waiters are sharing.
 	plan, err, shared := s.flight.do(r.Context(), key, func(fctx context.Context) (CachedPlan, error) {
 		// Re-check under the flight: a request that missed while a previous
 		// flight for this key was completing would otherwise re-synthesize a
@@ -956,61 +924,24 @@ func (s *Server) synthesizeOne(w http.ResponseWriter, r *http.Request, v1 bool, 
 		// were served before the flight. The executing caller's refusal
 		// propagates to every waiter that joined this flight: they were all
 		// waiting on a synthesis the daemon cannot afford right now.
-		release, admErr := s.acquireSynth()
-		if admErr != nil {
-			return CachedPlan{}, admErr
+		release, ok := s.acquireSynth()
+		if !ok {
+			s.admissionShed.Add(1)
+			return CachedPlan{}, errOverloaded
 		}
 		defer release()
-		s.syntheses.Add(1)
-		ho := s.hapOptions(req.Options)
-		// Incremental synthesis: find the nearest cached plan by segment
-		// sub-fingerprints and seed the search from it. The span records the
-		// donor choice; the planner's own search span carries the resulting
-		// seed distance and fast-forward depth.
-		if !s.cfg.DisableSeeding {
-			sds := fs.Child("seeded_search")
-			if dk, dg, dp, sharedSubs := s.seedDonor(fctx, g, c.Fingerprint(), optsSig(req.Options), key); dp != nil {
-				ho.SeedGraph, ho.SeedPlan = dg, dp
-				sds.SetAttrStr("donor", dk)
-				sds.SetAttrInt("shared_subs", int64(sharedSubs))
-			}
-			sds.End()
-		}
-		// fctx is the flight context: alive while any client still wants
-		// this plan, cancelled when the last one disconnects — so a dropped
-		// connection aborts the search without killing the synthesis other
-		// waiters are sharing. The synthesize span rides on fctx, so the
-		// planner's phase spans (theory, beam levels, passes, verify) attach
-		// to the executing caller's trace — a joined waiter's flight span
-		// shows the wait, not someone else's search.
-		ss := fs.Child("synthesize")
-		p, err := s.cfg.Synthesize(obs.ContextWithSpan(fctx, ss), g, c, ho)
-		if err == nil && p.Seeded {
-			ss.SetAttrFloat("seed_distance", p.SeedDistance)
-		}
-		ss.End()
+		src := newPlanSource(in.g, in.req.Graph, in.c, in.req.Options)
+		p, v, err := s.synthesize(fctx, fs, in.g, in.c, src.opts, func() donor { return s.nearestDonor(fctx, &src, key) })
 		if err != nil {
 			return CachedPlan{}, err
 		}
 		if p.Seeded {
-			s.synthIncremental.Add(1)
-			s.seedDistBits.Store(math.Float64bits(p.SeedDistance))
 			seedDist = p.SeedDistance
 		}
-		s.recordPassStats(p.Passes)
-		es := fs.Child("encode")
-		v, err := encodePlan(p)
-		es.End()
-		if err != nil {
-			return CachedPlan{}, err
-		}
-		// Cache before the flight key is released: a request arriving between
-		// flight completion and a later insert would synthesize a second time.
-		// Registering the source makes the entry eligible for drift-triggered
-		// background replanning (telemetry.go) and indexes it as a future
-		// seed donor (similarity.go).
-		s.recordPlanSource(key, g, req.Graph, c, req.Options, c.Fingerprint())
-		return s.storePlan(fs, key, v), nil
+		// Committed before the flight key is released: a request arriving
+		// between flight completion and a later insert would synthesize a
+		// second time.
+		return s.commitPlan(fs, key, src, v), nil
 	})
 	fs.SetAttrBool("shared", shared)
 	fs.End()
@@ -1018,19 +949,82 @@ func (s *Server) synthesizeOne(w http.ResponseWriter, r *http.Request, v1 bool, 
 		s.flightShared.Add(1)
 	}
 	if err != nil {
-		status, code := synthErrorCode(err)
-		if code == CodeOverloaded {
-			s.shedHeaders(w)
-			s.fail(w, v1, status, code, "overloaded: %v", err)
-			return
-		}
-		s.fail(w, v1, status, code, "synthesis failed: %v", err)
+		s.failSynthesis(w, err)
 		return
 	}
 	if seedDist >= 0 {
 		w.Header().Set(SeedDistanceHeader, strconv.FormatFloat(seedDist, 'g', -1, 64))
 	}
 	writePlan(w, r, plan, "miss", binary)
+}
+
+// donor names a cached plan a search may be seeded from, as the raw graph and
+// plan JSON a fresh bind decodes from; shared counts the target's segment
+// sub-fingerprints it shares. The zero donor means none.
+type donor struct {
+	key                 string
+	graphJSON, planJSON []byte
+	shared              int
+}
+
+// synthesize is the first half of the miss tail and the daemon's one
+// single-plan planner call: a request's miss and a background replan both
+// search here, holding an admission slot (acquireSynth). find picks the donor
+// for incremental synthesis — the nearest cached plan for a miss, the plan
+// being replaced for a replan — inside the seeded_search span that records the
+// choice (the planner's own search span carries the resulting seed distance
+// and fast-forward depth); a donor that fails to decode means a cold search.
+//
+// The synthesize span rides on ctx, so the planner's phase spans (theory, beam
+// levels, passes, verify) attach to the trace of whoever executes the search —
+// a joined waiter's flight span shows the wait, not someone else's search.
+func (s *Server) synthesize(ctx context.Context, sp *obs.Span, g *graph.Graph, c *cluster.Cluster, opts RequestOptions, find func() donor) (*hap.Plan, CachedPlan, error) {
+	s.syntheses.Add(1)
+	ho := s.hapOptions(opts)
+	if !s.cfg.DisableSeeding {
+		sds := sp.Child("seeded_search")
+		if d := find(); len(d.planJSON) > 0 {
+			if dg, dp, err := decodeDonor(d.graphJSON, d.planJSON); err == nil {
+				ho.SeedGraph, ho.SeedPlan = dg, dp
+				sds.SetAttrStr("donor", d.key)
+				sds.SetAttrInt("shared_subs", int64(d.shared))
+			}
+		}
+		sds.End()
+	}
+	ss := sp.Child("synthesize")
+	p, err := s.cfg.Synthesize(obs.ContextWithSpan(ctx, ss), g, c, ho)
+	if err == nil && p.Seeded {
+		ss.SetAttrFloat("seed_distance", p.SeedDistance)
+	}
+	ss.End()
+	if err != nil {
+		return nil, CachedPlan{}, err
+	}
+	v, err := s.encodeFresh(sp, p)
+	return p, v, err
+}
+
+// encodeFresh counts a fresh plan's seeded and pass statistics and renders its
+// cached wire forms: what follows any planner call, single or batch.
+func (s *Server) encodeFresh(sp *obs.Span, p *hap.Plan) (CachedPlan, error) {
+	if p.Seeded {
+		s.synthIncremental.Add(1)
+		s.seedDistBits.Store(math.Float64bits(p.SeedDistance))
+	}
+	s.recordPassStats(p.Passes)
+	es := sp.Child("encode")
+	defer es.End()
+	return encodePlan(p)
+}
+
+// commitPlan is the second half of the miss tail: register what the plan was
+// planned from (planSource, telemetry.go), then store and replicate it.
+// Registering first lets a store that rejects the plan (over its caps) drop
+// the registration again through its eviction hook.
+func (s *Server) commitPlan(sp *obs.Span, key string, src planSource, v CachedPlan) CachedPlan {
+	s.recordPlanSource(key, src)
+	return s.storePlan(sp, key, v)
 }
 
 // fleetRole classifies this node's relationship to a cache key for the
@@ -1063,12 +1057,7 @@ func (s *Server) fleetRole(key string) string {
 // guarantee for routing purity. Filled entries still replicate when this
 // node owns them, and replicated entries still serve the per-cluster cache
 // checks.
-func (s *Server) handleV1Batch(w http.ResponseWriter, r *http.Request) {
-	defer s.observeLatency(EndpointV1Batch, time.Now())
-	s.requests.Add(1)
-	s.epV1Batch.Add(1)
-	rt, r, w := s.startRequestTrace(w, r, EndpointV1Batch)
-	defer rt.finish()
+func (s *Server) handleV1Batch(w http.ResponseWriter, r *http.Request, rt *requestTrace) {
 	ds := rt.span("decode")
 	var req BatchRequest
 	if !s.decodePlanRequest(w, r, &req) {
@@ -1077,13 +1066,13 @@ func (s *Server) handleV1Batch(w http.ResponseWriter, r *http.Request) {
 	}
 	if len(req.Graph) == 0 || len(req.Clusters) == 0 {
 		ds.End()
-		s.fail(w, true, http.StatusBadRequest, CodeBadRequest, "bad request: graph and a non-empty clusters list are required")
+		s.fail(w, http.StatusBadRequest, CodeBadRequest, "bad request: graph and a non-empty clusters list are required")
 		return
 	}
 	g, err := graph.Decode(bytes.NewReader(req.Graph))
 	if err != nil {
 		ds.End()
-		s.fail(w, true, http.StatusBadRequest, CodeBadRequest, "bad request: %v", err)
+		s.fail(w, http.StatusBadRequest, CodeBadRequest, "bad request: %v", err)
 		return
 	}
 	clusters := make([]*cluster.Cluster, len(req.Clusters))
@@ -1092,7 +1081,7 @@ func (s *Server) handleV1Batch(w http.ResponseWriter, r *http.Request) {
 		c, err := cluster.Decode(bytes.NewReader(raw))
 		if err != nil {
 			ds.End()
-			s.fail(w, true, http.StatusBadRequest, CodeBadRequest, "bad request: cluster %d: %v", i, err)
+			s.fail(w, http.StatusBadRequest, CodeBadRequest, "bad request: cluster %d: %v", i, err)
 			return
 		}
 		clusters[i] = c
@@ -1106,8 +1095,9 @@ func (s *Server) handleV1Batch(w http.ResponseWriter, r *http.Request) {
 	results := make([]BatchPlanResult, len(clusters))
 	// Collect the clusters that need a synthesis, coalescing duplicates
 	// (the same cluster listed twice is one search, answered twice).
-	missing := map[string]int{} // key → index of first cluster needing it
-	var missingOrder []string
+	var missing []string // keys to plan, first-seen order
+	var toPlan []*cluster.Cluster
+	queued := map[string]bool{}
 	cs := rt.span("cache_lookup")
 	for i, key := range keys {
 		if v, ok := s.store.Get(key); ok {
@@ -1117,9 +1107,10 @@ func (s *Server) handleV1Batch(w http.ResponseWriter, r *http.Request) {
 		}
 		s.misses.Add(1)
 		results[i] = BatchPlanResult{Cache: "miss"}
-		if _, ok := missing[key]; !ok {
-			missing[key] = i
-			missingOrder = append(missingOrder, key)
+		if !queued[key] {
+			queued[key] = true
+			missing = append(missing, key)
+			toPlan = append(toPlan, clusters[i])
 		}
 	}
 	cs.SetAttrInt("missing", int64(len(missing)))
@@ -1128,24 +1119,18 @@ func (s *Server) handleV1Batch(w http.ResponseWriter, r *http.Request) {
 		rt.setCache("hit")
 	} else {
 		rt.setCache("miss")
-	}
-	if len(missing) > 0 {
 		// One admission slot covers the whole batch: PlanBatch is a single
 		// search sharing one graph theory, not len(missing) independent ones.
 		// An all-hit batch never reaches the gate; a shed batch answers 429
 		// for the request as a whole (partial responses would complicate the
 		// envelope for a client that must retry anyway).
-		release, admErr := s.acquireSynth()
-		if admErr != nil {
-			s.shedHeaders(w)
-			s.fail(w, true, http.StatusTooManyRequests, CodeOverloaded, "overloaded: %v", admErr)
+		release, ok := s.acquireSynth()
+		if !ok {
+			s.admissionShed.Add(1)
+			s.failSynthesis(w, errOverloaded)
 			return
 		}
 		defer release()
-		toPlan := make([]*cluster.Cluster, len(missingOrder))
-		for j, key := range missingOrder {
-			toPlan[j] = clusters[missing[key]]
-		}
 		s.syntheses.Add(uint64(len(toPlan)))
 		ss := rt.span("synthesize")
 		ss.SetAttrInt("clusters", int64(len(toPlan)))
@@ -1154,30 +1139,23 @@ func (s *Server) handleV1Batch(w http.ResponseWriter, r *http.Request) {
 		if batchErr == nil && len(plans) != len(toPlan) {
 			plans, batchErr = nil, fmt.Errorf("planner returned %d plans for %d clusters", len(plans), len(toPlan))
 		}
-		// Cache whatever completed even when the batch as a whole failed
+		// Commit whatever completed even when the batch as a whole failed
 		// (PlanBatch returns partial results): a starved cluster under the
 		// shared budget must not force retries to re-pay its siblings' work.
 		fresh := map[string]CachedPlan{}
-		es := rt.span("encode")
-		for j, key := range missingOrder {
+		for j, key := range missing {
 			if j >= len(plans) || plans[j] == nil {
 				continue
 			}
-			s.recordPassStats(plans[j].Passes)
-			v, err := encodePlan(plans[j])
+			v, err := s.encodeFresh(rt.rootSpan(), plans[j])
 			if err != nil {
-				es.End()
-				s.fail(w, true, http.StatusInternalServerError, CodeSynthesisFailed, "encoding plan: %v", err)
+				s.fail(w, http.StatusInternalServerError, CodeSynthesisFailed, "encoding plan: %v", err)
 				return
 			}
-			c := clusters[missing[key]]
-			s.recordPlanSource(key, g, req.Graph, c, req.Options, c.Fingerprint())
-			fresh[key] = s.storePlan(es, key, v)
+			fresh[key] = s.commitPlan(rt.rootSpan(), key, newPlanSource(g, req.Graph, toPlan[j], req.Options), v)
 		}
-		es.End()
 		if batchErr != nil {
-			status, code := synthErrorCode(batchErr)
-			s.fail(w, true, status, code, "synthesis failed: %v", batchErr)
+			s.failSynthesis(w, batchErr)
 			return
 		}
 		for i, key := range keys {
@@ -1223,18 +1201,13 @@ func encodePlan(p *hap.Plan) (CachedPlan, error) {
 // key, replicates it to the ring successors. It returns the plan as stored —
 // with the version and ETag the store assigned — so the synthesis response
 // and the replication pushes carry the same metadata the next cache hit
-// will. A plan the store rejects (over its caps) is tagged locally: the
-// response still gets an ETag, just no stored version sequence.
+// will. A plan the store rejects (over its caps) comes back tagged all the
+// same: the response still gets an ETag, just no stored version sequence.
 //
 // sp, when non-nil, parents the replication fan-out span so the pushes show
 // up in the request (or replan) trace that produced the plan.
 func (s *Server) storePlan(sp *obs.Span, key string, v CachedPlan) CachedPlan {
-	s.store.Put(key, v)
-	if stored, ok := s.store.Get(key); ok {
-		v = stored
-	} else {
-		normalizePlan(&v, 1)
-	}
+	v, _ = s.store.Put(key, v)
 	s.maybeReplicate(sp, key, v)
 	return v
 }
@@ -1325,7 +1298,6 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		Status:   "ok",
 		Protocol: ProtocolVersion,
 		Requests: map[string]uint64{
-			EndpointLegacy:  s.epLegacy.Load(),
 			EndpointV1:      s.epV1.Load(),
 			EndpointV1Batch: s.epV1Batch.Load(),
 		},
@@ -1334,8 +1306,5 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(s.Stats())
+	writeJSON(w, s.Stats())
 }

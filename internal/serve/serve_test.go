@@ -37,7 +37,7 @@ func testCluster() *cluster.Cluster {
 		cluster.MachineSpec{Type: cluster.P100, GPUs: 1})
 }
 
-// requestBody assembles a POST /synthesize body from wire-encoded parts.
+// requestBody assembles a POST /v1/synthesize body from wire-encoded parts.
 func requestBody(t *testing.T, g *graph.Graph, c *cluster.Cluster, opt RequestOptions) []byte {
 	t.Helper()
 	var gb, cb bytes.Buffer
@@ -56,7 +56,7 @@ func requestBody(t *testing.T, g *graph.Graph, c *cluster.Cluster, opt RequestOp
 
 func post(t *testing.T, url string, body []byte) (int, string, []byte) {
 	t.Helper()
-	resp, err := http.Post(url+"/synthesize", "application/json", bytes.NewReader(body))
+	resp, err := http.Post(url+"/v1/synthesize", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,13 +236,13 @@ func TestServeRejectsBadRequests(t *testing.T) {
 			}
 		})
 	}
-	resp, err := http.Get(srv.URL + "/synthesize")
+	resp, err := http.Get(srv.URL + "/v1/synthesize")
 	if err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusMethodNotAllowed {
-		t.Errorf("GET /synthesize = %d, want 405", resp.StatusCode)
+		t.Errorf("GET /v1/synthesize = %d, want 405", resp.StatusCode)
 	}
 	if st := s.Stats(); st.Errors != uint64(len(cases))+1 {
 		t.Errorf("errors = %d, want %d", st.Errors, len(cases)+1)
@@ -311,18 +311,25 @@ func TestServeOversizedRequestGets413(t *testing.T) {
 }
 
 // TestHealthz: the liveness probe reports the wire protocol version and the
-// per-endpoint request counters.
+// per-endpoint request counters — two labels, summing to the request total.
+// The unversioned POST /synthesize of protocol v1 is gone: the mux answers
+// 404 and nothing counts it.
 func TestHealthz(t *testing.T) {
 	s := New(Config{})
 	srv := httptest.NewServer(s.Handler())
 	defer srv.Close()
 
-	// Two legacy requests, so the per-endpoint counters have something to say.
+	// Two requests, so the per-endpoint counters have something to say.
 	body := requestBody(t, testGraph(t), testCluster(), RequestOptions{})
 	for i := 0; i < 2; i++ {
 		if status, _, b := post(t, srv.URL, body); status != http.StatusOK {
 			t.Fatalf("request %d: status %d: %s", i, status, b)
 		}
+	}
+
+	gone := postPath(t, srv.URL, "/synthesize", body, "")
+	if b := readAll(t, gone); gone.StatusCode != http.StatusNotFound {
+		t.Errorf("POST /synthesize = %d (%s), want the mux's 404", gone.StatusCode, b)
 	}
 
 	resp, err := http.Get(srv.URL + "/healthz")
@@ -344,8 +351,12 @@ func TestHealthz(t *testing.T) {
 	if h.Protocol != ProtocolVersion {
 		t.Errorf("healthz protocol = %q, want %q", h.Protocol, ProtocolVersion)
 	}
-	if h.Requests[EndpointLegacy] != 2 || h.Requests[EndpointV1] != 0 || h.Requests[EndpointV1Batch] != 0 {
-		t.Errorf("healthz per-endpoint counters = %v, want legacy=2, v1=0, v1_batch=0", h.Requests)
+	if len(h.Requests) != 2 || h.Requests[EndpointV1] != 2 || h.Requests[EndpointV1Batch] != 0 {
+		t.Errorf("healthz per-endpoint counters = %v, want exactly v1=2, v1_batch=0", h.Requests)
+	}
+	st := getStats(t, srv.URL)
+	if by := st.RequestsByEndpoint; len(by) != 2 || by[EndpointV1]+by[EndpointV1Batch] != st.Requests {
+		t.Errorf("requests_by_endpoint = %v does not sum to requests = %d over two labels", by, st.Requests)
 	}
 }
 
@@ -448,7 +459,7 @@ func TestMetricsEndpoint(t *testing.T) {
 }
 
 // The X-HAP-Passes header reports the pass pipeline's per-pass rewrite
-// counters on every /synthesize response — including cache hits, whose
+// counters on every /v1/synthesize response — including cache hits, whose
 // header must reflect what the pipeline did when the plan was synthesized.
 func TestPassesHeaderServedOnMissAndHit(t *testing.T) {
 	srv := httptest.NewServer(New(Config{}).Handler())
@@ -457,7 +468,7 @@ func TestPassesHeaderServedOnMissAndHit(t *testing.T) {
 
 	get := func(wantCache string) string {
 		t.Helper()
-		resp, err := http.Post(srv.URL+"/synthesize", "application/json", bytes.NewReader(body))
+		resp, err := http.Post(srv.URL+"/v1/synthesize", "application/json", bytes.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
 		}

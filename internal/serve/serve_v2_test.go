@@ -51,9 +51,8 @@ func readAll(t *testing.T, resp *http.Response) []byte {
 	return b
 }
 
-// TestV1SynthesizeAndErrorEnvelope: the versioned endpoint serves the same
-// plans as the legacy one and answers failures with the {code, message}
-// envelope instead of plain text.
+// TestV1SynthesizeAndErrorEnvelope: the versioned endpoint serves verifiable
+// plans and answers failures with the {code, message} envelope.
 func TestV1SynthesizeAndErrorEnvelope(t *testing.T) {
 	s := New(Config{})
 	srv := httptest.NewServer(s.Handler())
@@ -73,15 +72,6 @@ func TestV1SynthesizeAndErrorEnvelope(t *testing.T) {
 	}
 	if err := hap.Verify(p, c.M(), 7); err != nil {
 		t.Errorf("v1 plan fails verification: %v", err)
-	}
-
-	// The legacy endpoint shares the cache: same content address, a hit.
-	status, cacheHdr, legacyPlan := post(t, srv.URL, body)
-	if status != http.StatusOK || cacheHdr != "hit" {
-		t.Fatalf("legacy after v1: status %d cache %q, want 200/hit", status, cacheHdr)
-	}
-	if !bytes.Equal(plan, legacyPlan) {
-		t.Error("legacy endpoint served different bytes than v1 for the same key")
 	}
 
 	// Errors carry the structured envelope with the right code.
@@ -128,7 +118,7 @@ func TestV1SynthesizeAndErrorEnvelope(t *testing.T) {
 
 // TestNegativeOptionsRejected: segments and max_iterations come off the wire,
 // so a negative one must be answered 400 bad_request by the decoder — on the
-// single, legacy and batch bodies — before a cache key exists: nothing is
+// single and batch bodies — before a cache key exists: nothing is
 // looked up, counted as a miss, or handed to the planner (where a negative
 // iteration bound used to nil-dereference).
 func TestNegativeOptionsRejected(t *testing.T) {
@@ -144,7 +134,6 @@ func TestNegativeOptionsRejected(t *testing.T) {
 	for _, opt := range []RequestOptions{{MaxIterations: -1}, {Segments: -1}} {
 		for path, body := range map[string][]byte{
 			"/v1/synthesize":       requestBody(t, g, c, opt),
-			"/synthesize":          requestBody(t, g, c, opt),
 			"/v1/synthesize/batch": batchBody(t, g, []*cluster.Cluster{c}, opt),
 		} {
 			resp := postPath(t, srv.URL, path, body, "")
@@ -153,13 +142,13 @@ func TestNegativeOptionsRejected(t *testing.T) {
 				t.Errorf("%s with %+v: status %d body %q, want 400 naming the option", path, opt, resp.StatusCode, raw)
 			}
 			var env ErrorEnvelope
-			if path != "/synthesize" && (json.Unmarshal(raw, &env) != nil || env.Code != CodeBadRequest) {
+			if json.Unmarshal(raw, &env) != nil || env.Code != CodeBadRequest {
 				t.Errorf("%s with %+v: body %q is not a %s envelope", path, opt, raw, CodeBadRequest)
 			}
 		}
 	}
-	if st := getStats(t, srv.URL); st.CacheMisses != 0 || st.Syntheses != 0 || st.Errors != 6 {
-		t.Errorf("stats after 6 rejected requests: misses %d syntheses %d errors %d, want 0/0/6", st.CacheMisses, st.Syntheses, st.Errors)
+	if st := getStats(t, srv.URL); st.CacheMisses != 0 || st.Syntheses != 0 || st.Errors != 4 {
+		t.Errorf("stats after 4 rejected requests: misses %d syntheses %d errors %d, want 0/0/4", st.CacheMisses, st.Syntheses, st.Errors)
 	}
 }
 
@@ -227,16 +216,6 @@ func TestBinaryContentNegotiation(t *testing.T) {
 	}
 	if pBin.Cost != pJSON.Cost {
 		t.Errorf("binary plan cost %v != JSON plan cost %v", pBin.Cost, pJSON.Cost)
-	}
-
-	// The legacy endpoint ignores Accept: its wire format is frozen.
-	resp = postPath(t, srv.URL, "/synthesize", body, BinaryPlanContentType)
-	legacy := readAll(t, resp)
-	if ct := resp.Header.Get("Content-Type"); ct != "application/json" {
-		t.Errorf("legacy endpoint negotiated %q; its format is frozen", ct)
-	}
-	if !bytes.Equal(legacy, jsonPlan) {
-		t.Error("legacy endpoint served different JSON than v1")
 	}
 }
 
@@ -464,10 +443,10 @@ func TestMetricsV2(t *testing.T) {
 	srv := httptest.NewServer(s.Handler())
 	defer srv.Close()
 	body := requestBody(t, testGraph(t), testCluster(), RequestOptions{})
-	if status, _, b := post(t, srv.URL, body); status != http.StatusOK { // legacy
-		t.Fatalf("legacy request: %d: %s", status, b)
+	if status, _, b := post(t, srv.URL, body); status != http.StatusOK {
+		t.Fatalf("first request: %d: %s", status, b)
 	}
-	resp := postPath(t, srv.URL, "/v1/synthesize", body, "") // v1 (cache hit)
+	resp := postPath(t, srv.URL, "/v1/synthesize", body, "") // cache hit
 	readAll(t, resp)
 
 	mresp, err := http.Get(srv.URL + "/metrics")
@@ -477,8 +456,7 @@ func TestMetricsV2(t *testing.T) {
 	metrics := string(readAll(t, mresp))
 	for _, want := range []string{
 		`hap_serve_protocol_info{version="v2"} 1`,
-		`hap_serve_requests_by_endpoint_total{endpoint="legacy"} 1`,
-		`hap_serve_requests_by_endpoint_total{endpoint="v1"} 1`,
+		`hap_serve_requests_by_endpoint_total{endpoint="v1"} 2`,
 		`hap_serve_requests_by_endpoint_total{endpoint="v1_batch"} 0`,
 		"hap_serve_requests_total 2",
 		"# TYPE hap_serve_cache_restored gauge",

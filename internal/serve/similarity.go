@@ -1,127 +1,67 @@
-// The segment-level similarity index of the daemon: how a cache miss finds
-// a donor plan for incremental synthesis. Every locally synthesized entry is
-// indexed by its graph's segment sub-fingerprints (graph.SubFingerprints —
-// one stable hash per content-defined chunk of the node sequence); a miss
-// looks up the nearest indexed graph under the same cluster and planner
-// options, and the planner seeds its search from that donor's plan. The
-// index is advisory end to end: a donor that is too far away structurally
+// Donor lookup for incremental synthesis: how a cache miss finds a similar
+// cached plan to seed its search from. Every locally synthesized entry's
+// planSource carries its graph's segment sub-fingerprints; a miss looks up
+// the nearest registered graph under the same cluster and planner options,
+// and the planner seeds its search from that donor's plan. The lookup is
+// advisory end to end: a donor that is too far away structurally
 // (synth.BuildSeed enforces the distance cutoff), fails to decode, or whose
 // plan has left every store simply degrades the miss to a cold synthesis.
-//
-// Donor plan bytes resolve local-store first, then — on a fleet node — from
-// the donor key's ring owner via the fleet client: the index can briefly
-// outlive local residency (a plan the store's caps rejected, or an eviction
-// racing the lookup) while the owner still holds the entry.
-//
-// The index stores the donor graph's raw JSON, not the decoded *graph.Graph:
-// hap.ReadProgram adopts the plan's segment assignment onto the graph it
-// binds, and the registered graph object is shared with the replan registry —
-// decoding a fresh copy per donor use keeps the lookup free of cross-request
-// mutation.
 
 package serve
 
 import (
 	"bytes"
 	"context"
-	"sync"
 
 	"hap"
 	"hap/internal/graph"
 )
 
-// simEntry is one indexed plan: the segment sub-fingerprints of its graph,
-// the cluster and option coordinates a donor must share, and the raw graph
-// JSON a donor decode starts from.
-type simEntry struct {
-	subs      []uint64
-	clusterFP string
-	optsSig   string
-	graphJSON []byte
-}
-
-// similarityIndex maps cache keys to their similarity records. Entries are
-// added on local synthesis and dropped when the store evicts their key
-// (dropPlanRegistry), so the index is bounded by the store's own caps.
-type similarityIndex struct {
-	mu      sync.Mutex
-	entries map[string]simEntry
-}
-
-func (x *similarityIndex) add(key string, e simEntry) {
-	x.mu.Lock()
-	x.entries[key] = e
-	x.mu.Unlock()
-}
-
-func (x *similarityIndex) drop(keys []string) {
-	x.mu.Lock()
-	for _, k := range keys {
-		delete(x.entries, k)
-	}
-	x.mu.Unlock()
-}
-
-func (x *similarityIndex) len() int {
-	x.mu.Lock()
-	defer x.mu.Unlock()
-	return len(x.entries)
-}
-
-// nearest returns the indexed key sharing the most segment sub-fingerprints
-// with subs among entries at the same cluster and options coordinates,
-// excluding selfKey. Candidates sharing less than half of the target's
-// segments are not worth a donor replay and are skipped ("" when none
-// qualifies). Ties break toward the lexicographically smallest key so the
-// choice is deterministic across scans.
-func (x *similarityIndex) nearest(subs []uint64, clusterFP, optsSig, selfKey string) (string, simEntry, int) {
-	x.mu.Lock()
-	defer x.mu.Unlock()
-	var bestKey string
-	var best simEntry
-	bestShared := 0
-	for key, e := range x.entries {
-		if key == selfKey || e.clusterFP != clusterFP || e.optsSig != optsSig {
+// nearest returns the registered entry sharing the most segment
+// sub-fingerprints with target among entries at the same cluster and options
+// coordinates, excluding selfKey, as a donor whose plan bytes are still to be
+// resolved. Candidates sharing less than half of the target's segments are not
+// worth a donor replay and are skipped (the zero donor when none qualifies).
+// Ties break toward the lexicographically smallest key so the choice is
+// deterministic across scans.
+func (t *telemetryState) nearest(target *planSource, selfKey string) (best donor) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	for key, e := range t.sources {
+		if key == selfKey || e.specFP != target.specFP || e.optsSig != target.optsSig {
 			continue
 		}
-		shared := graph.SharedSubFingerprints(subs, e.subs)
-		if 2*shared < len(subs) {
+		shared := graph.SharedSubFingerprints(target.subs, e.subs)
+		if 2*shared < len(target.subs) {
 			continue
 		}
-		if shared > bestShared || (shared == bestShared && bestKey != "" && key < bestKey) {
-			bestKey, best, bestShared = key, e, shared
+		if shared > best.shared || (shared == best.shared && best.key != "" && key < best.key) {
+			best = donor{key: key, graphJSON: e.graphJSON, shared: shared}
 		}
 	}
-	return bestKey, best, bestShared
+	return best
 }
 
-// seedDonor locates the nearest donor plan for a miss on g and decodes it
-// into planner seed inputs. Every failure path returns nils — the miss
-// synthesizes cold, exactly as if the index were empty.
-func (s *Server) seedDonor(ctx context.Context, g *graph.Graph, clusterFP, osig, selfKey string) (donorKey string, donorG *graph.Graph, donorPlan *hap.Plan, shared int) {
-	subs := graph.SubFingerprints(g)
-	key, e, shared := s.sim.nearest(subs, clusterFP, osig, selfKey)
-	if key == "" {
-		return "", nil, nil, 0
+// nearestDonor locates the nearest donor for a miss on target and resolves
+// its plan bytes: local store first, then — on a fleet node — the donor key's
+// ring owner, since the registry can briefly outlive local residency (an
+// eviction racing the lookup) while the owner still holds the entry. Every
+// failure path leaves them empty and the miss synthesizes cold.
+func (s *Server) nearestDonor(ctx context.Context, target *planSource, selfKey string) donor {
+	d := s.telemetry.nearest(target, selfKey)
+	if d.key == "" {
+		return d
 	}
-	var planBytes []byte
-	if v, ok := s.store.Get(key); ok {
-		planBytes = v.Plan
+	if v, ok := s.store.Get(d.key); ok {
+		d.planJSON = v.Plan
 	} else if f := s.cfg.Fleet; f != nil {
-		if owner := f.Owner(key); owner != "" && owner != f.Self() {
-			if ent, err := f.Client.FetchEntry(ctx, owner, key); err == nil {
-				planBytes = ent.Plan
+		if owner := f.Owner(d.key); owner != "" && owner != f.Self() {
+			if ent, err := f.Client.FetchEntry(ctx, owner, d.key); err == nil {
+				d.planJSON = ent.Plan
 			}
 		}
 	}
-	if len(planBytes) == 0 {
-		return "", nil, nil, 0
-	}
-	dg, dp, err := decodeDonor(e.graphJSON, planBytes)
-	if err != nil {
-		return "", nil, nil, 0
-	}
-	return key, dg, dp, shared
+	return d
 }
 
 // decodeDonor rebinds a donor plan to a freshly decoded copy of its graph.
@@ -135,27 +75,4 @@ func decodeDonor(graphJSON, planJSON []byte) (*graph.Graph, *hap.Plan, error) {
 		return nil, nil, err
 	}
 	return dg, dp, nil
-}
-
-// recordSimilarity indexes a locally synthesized entry for donor lookups.
-func (s *Server) recordSimilarity(key string, g *graph.Graph, graphJSON []byte, clusterFP, osig string) {
-	s.sim.add(key, simEntry{
-		subs:      graph.SubFingerprints(g),
-		clusterFP: clusterFP,
-		optsSig:   osig,
-		graphJSON: graphJSON,
-	})
-}
-
-// dropPlanRegistry forgets evicted keys in the side registries — the replan
-// source registry and the similarity index — so neither can grow past the
-// store they describe. Wired as the store's eviction hook (see serve.New).
-func (s *Server) dropPlanRegistry(keys []string) {
-	t := &s.telemetry
-	t.mu.Lock()
-	for _, k := range keys {
-		delete(t.sources, k)
-	}
-	t.mu.Unlock()
-	s.sim.drop(keys)
 }

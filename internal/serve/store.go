@@ -1,9 +1,9 @@
-// PlanStore is the seam between the daemon's HTTP surface and its plan
-// storage. serve.go handles the wire protocol; everything that remembers a
-// plan — the in-memory LRU, the write-through disk mirror, a future
-// similarity index (ROADMAP ISSUE 8) — lives behind this interface. The
-// fleet layer leans on the same seam: replication pushes call Put, warm-up
-// streaming calls Range, and the stats surface reads Stats.
+// The daemon's plan store: the bounded in-memory LRU (cache.go) with its
+// optional write-through disk mirror (persist.go), and the version and ETag
+// metadata every stored plan carries. serve.go handles the wire protocol;
+// the miss path and the fleet layer write through Put (synthesized plans,
+// replication pushes, warm-up entries), warm-up streaming reads Range, and
+// the stats surface reads Stats.
 
 package serve
 
@@ -44,7 +44,7 @@ func ETagFor(plan []byte) string {
 	return fmt.Sprintf("%q", fmt.Sprintf("%016x", h.Sum64()))
 }
 
-// StoreStats is a PlanStore's bookkeeping snapshot, surfaced in /stats.
+// StoreStats is the store's bookkeeping snapshot, surfaced in /stats.
 type StoreStats struct {
 	Entries   int    // plans currently stored
 	Bytes     int64  // bytes currently stored
@@ -52,27 +52,12 @@ type StoreStats struct {
 	Restored  int    // plans reloaded from persistence at construction
 }
 
-// PlanStore stores encoded plans under their content-address cache keys.
-// Implementations must be safe for concurrent use.
-type PlanStore interface {
-	// Get returns the stored plan and refreshes its recency.
-	Get(key string) (CachedPlan, bool)
-	// Put stores (or refreshes) a plan, reporting whether it was kept —
-	// a store may reject values over its caps.
-	Put(key string, v CachedPlan) bool
-	// Range calls fn for each stored plan until fn returns false. The
-	// iteration order is most- to least-recently used; fn sees a snapshot
-	// and may block (warm-up streams entries over the network).
-	Range(fn func(key string, v CachedPlan) bool)
-	// Stats returns the store's bookkeeping counters.
-	Stats() StoreStats
-}
-
-// memDiskStore is the default PlanStore: the bounded in-memory LRU with
-// optional write-through disk persistence. Inserts mirror to disk, LRU and
-// TTL evictions delete their files, and construction reloads the directory
-// in mtime order — so the directory converges to the LRU's actual contents
-// and a restart does not re-pay every synthesis.
+// memDiskStore stores encoded plans under their content-address cache keys:
+// the bounded in-memory LRU with optional write-through disk persistence.
+// Inserts mirror to disk, LRU and TTL evictions delete their files, and
+// construction reloads the directory in mtime order — so the directory
+// converges to the LRU's actual contents and a restart does not re-pay every
+// synthesis. Safe for concurrent use.
 type memDiskStore struct {
 	cache    *lruCache
 	persist  *diskStore // nil = memory only
@@ -80,13 +65,11 @@ type memDiskStore struct {
 	restored int
 	// onEvict, when set, is called with the keys each Put or sweep evicted
 	// (or rejected), after the cache and disk state settle — the hook the
-	// server uses to drop side-registry entries (replan sources, similarity
-	// index) whose plan no longer exists. Set once right after construction,
+	// server uses to drop the plan-source registry entries whose plan no
+	// longer exists. Set once right after construction,
 	// before the store is shared; the restore pass runs without it.
 	onEvict func(keys []string)
 }
-
-var _ PlanStore = (*memDiskStore)(nil)
 
 // newMemDiskStore builds the store and, when persist is non-nil, restores
 // its directory: files are replayed oldest-mtime first so the LRU's recency
@@ -122,15 +105,17 @@ func newMemDiskStore(maxEntries int, maxBytes int64, persist *diskStore, ttl tim
 	return s
 }
 
+// Get returns the stored plan and refreshes its recency.
 func (s *memDiskStore) Get(key string) (CachedPlan, bool) { return s.cache.get(key) }
 
-// Put stores v, filling in the version/ETag metadata when the caller left it
-// zero: the ETag is derived from the plan content, and the version continues
-// the stored entry's sequence (first insert = 1, replacement = previous + 1).
-// Entries arriving with explicit metadata — fleet replication, warm-up
-// streaming — keep the owner's values so the tag means the same bytes
-// fleet-wide.
-func (s *memDiskStore) Put(key string, v CachedPlan) bool {
+// Put stores (or refreshes) v, filling in the version/ETag metadata when the
+// caller left it zero: the ETag is derived from the plan content, and the
+// version continues the stored entry's sequence (first insert = 1,
+// replacement = previous + 1). Entries arriving with explicit metadata —
+// fleet replication, warm-up streaming — keep the owner's values so the tag
+// means the same bytes fleet-wide. It returns the entry with its metadata
+// filled in and whether it was kept: a value over the caps is rejected.
+func (s *memDiskStore) Put(key string, v CachedPlan) (CachedPlan, bool) {
 	nextVersion := uint64(1)
 	if prev, ok := s.cache.peek(key); ok {
 		nextVersion = prev.Version + 1
@@ -153,9 +138,12 @@ func (s *memDiskStore) Put(key string, v CachedPlan) bool {
 	if s.onEvict != nil && len(evicted) > 0 {
 		s.onEvict(evicted)
 	}
-	return stored
+	return v, stored
 }
 
+// Range calls fn for each stored plan until fn returns false, most- to
+// least-recently used; fn sees a snapshot and may block (warm-up streams
+// entries over the network).
 func (s *memDiskStore) Range(fn func(key string, v CachedPlan) bool) {
 	for _, e := range s.cache.entries() {
 		if !fn(e.key, e.val) {

@@ -28,6 +28,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"math"
 	"net/http"
 	"os"
@@ -36,6 +37,7 @@ import (
 
 	"hap"
 	"hap/internal/cluster"
+	"hap/internal/fingerprint"
 	"hap/internal/graph"
 	"hap/internal/obs"
 	"hap/internal/telemetry"
@@ -98,26 +100,48 @@ type TelemetryStats struct {
 	MaxDrift float64            `json:"max_drift"`
 }
 
-// planSource remembers what a locally synthesized cache entry was planned
-// from, so drift in the source cluster can replan the entry without the
-// original request. Entries are registered on successful local synthesis
-// only — a replicated or warmed-up entry replans on its owner, and the
-// replacement re-replicates through the normal path.
+// planSource is the daemon's one side-registry record: what a locally
+// synthesized cache entry was planned from, so drift in the source cluster
+// can replan it without the original request and a similar miss can find it
+// as a seed donor (similarity.go). Entries are registered on successful local
+// synthesis only — a replicated or warmed-up entry replans on its owner, and
+// the replacement re-replicates through the normal path — and dropped when
+// the store evicts their key.
+//
+// graphJSON is the request's raw graph, never a decoded one: a search assigns
+// segments onto the graph it plans and hap.ReadProgram adopts a plan's
+// assignment onto the graph it binds, so every replan and every donor bind
+// decodes a copy of its own.
 type planSource struct {
-	g    *graph.Graph
-	spec *cluster.Cluster
-	opts RequestOptions
-	// graphJSON is the request's raw graph wire form, kept so a replan can
-	// decode a fresh donor copy for seeding (the registered g is mutated by
-	// the replan's own synthesis and must not be shared with a donor bind).
 	graphJSON []byte
-	// specFP is spec.Fingerprint(), precomputed for the replan scan.
-	specFP string
+	// subs are the graph's segment sub-fingerprints (graph.SubFingerprints:
+	// one stable hash per content-defined chunk of the node sequence).
+	subs []uint64
+	// specFP fingerprints the cluster the request named: the replan scan's
+	// filter, and with optsSig (the options slice of the cache key) what a
+	// donor must share with its target to be worth seeding from.
+	specFP  string
+	opts    RequestOptions
+	optsSig string
 	// plannedFP fingerprints the cluster the cached content was actually
 	// planned against — the spec at first synthesis, the drifted view after
 	// a replan. Replanning is idempotent per view: a second report of the
 	// same drift finds plannedFP already current and starts nothing.
 	plannedFP string
+}
+
+// newPlanSource builds the record of a plan about to be synthesized for g on
+// spec, fingerprinting both once for every later reader.
+func newPlanSource(g *graph.Graph, graphJSON []byte, spec *cluster.Cluster, opts RequestOptions) planSource {
+	specFP := spec.Fingerprint()
+	return planSource{
+		graphJSON: graphJSON,
+		subs:      graph.SubFingerprints(g),
+		specFP:    specFP,
+		opts:      opts,
+		optsSig:   fingerprint.Options(opts).Sig(),
+		plannedFP: specFP,
+	}
 }
 
 // telemetryState is the Server's telemetry compartment.
@@ -134,21 +158,24 @@ type telemetryState struct {
 	replanErrors     uint64
 }
 
-// recordPlanSource registers a locally synthesized entry for drift-triggered
-// replanning and indexes it as a similarity donor. plannedFP is the
-// fingerprint of the cluster the plan was synthesized against; graphJSON the
-// request's raw graph wire form.
-func (s *Server) recordPlanSource(key string, g *graph.Graph, graphJSON []byte, spec *cluster.Cluster, opts RequestOptions, plannedFP string) {
+// recordPlanSource registers (or, after a replan, refreshes) the source of a
+// locally synthesized entry.
+func (s *Server) recordPlanSource(key string, src planSource) {
 	t := &s.telemetry
 	t.mu.Lock()
-	src, ok := t.sources[key]
-	if !ok {
-		src = planSource{g: g, spec: spec, opts: opts, graphJSON: graphJSON, specFP: spec.Fingerprint()}
-	}
-	src.plannedFP = plannedFP
 	t.sources[key] = src
 	t.mu.Unlock()
-	s.recordSimilarity(key, g, graphJSON, spec.Fingerprint(), optsSig(opts))
+}
+
+// dropPlanSources forgets evicted keys, so the registry cannot grow past the
+// store it describes. Wired as the store's eviction hook (see serve.New).
+func (s *Server) dropPlanSources(keys []string) {
+	t := &s.telemetry
+	t.mu.Lock()
+	for _, k := range keys {
+		delete(t.sources, k)
+	}
+	t.mu.Unlock()
 }
 
 // monitorFor returns (creating on first use) the monitor for spec.
@@ -176,12 +203,12 @@ func (s *Server) handleTelemetry(w http.ResponseWriter, r *http.Request) {
 	}
 	if len(req.Cluster) == 0 {
 		s.telemetry.addReject()
-		s.fail(w, true, http.StatusBadRequest, CodeBadRequest, "bad request: cluster is required")
+		s.fail(w, http.StatusBadRequest, CodeBadRequest, "bad request: cluster is required")
 		return
 	}
 	resp, err := s.ingestTelemetry(req)
 	if err != nil {
-		s.fail(w, true, http.StatusBadRequest, CodeBadRequest, "bad request: %v", err)
+		s.fail(w, http.StatusBadRequest, CodeBadRequest, "bad request: %v", err)
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
@@ -228,6 +255,10 @@ func (s *Server) ingestTelemetry(req TelemetryRequest) (TelemetryResponse, error
 // content is stale relative to the live view. Returns how many replans were
 // started. Per-key idempotent: an entry already replanning, or already
 // planned against the current view, is skipped.
+//
+// A replan claims its admission slot before it starts, like any synthesis.
+// With every slot busy the entry is left as it is — nothing marked, nothing
+// counted — and the next report for the spec finds it still stale.
 func (s *Server) replanForSpec(specFP string, mon *telemetry.Monitor) int {
 	drifted := mon.Cluster()
 	// The live view may be unplannable — every device down, or throttled to
@@ -247,136 +278,110 @@ func (s *Server) replanForSpec(specFP string, mon *telemetry.Monitor) int {
 		}
 		old, ok := s.store.Get(key)
 		if !ok {
-			// Evicted since synthesis: nothing to refresh, drop the source
-			// (and its similarity entry — same key, same lifetime).
+			// Evicted since synthesis: nothing to refresh, drop the source.
 			delete(t.sources, key)
-			s.sim.drop([]string{key})
+			continue
+		}
+		release, ok := s.acquireSynth()
+		if !ok {
 			continue
 		}
 		t.replan[key] = true
 		started++
-		go s.replanOne(key, src, drifted, driftedFP, old)
+		src.plannedFP = driftedFP
+		go s.runReplan(key, src, drifted, old, release)
 	}
 	return started
 }
 
-// replanOne synthesizes one cached entry against the drifted cluster and
-// swaps it in only after the result verifies. The old plan serves throughout:
-// a failed synthesis, a failed verification, or an unchanged result all leave
-// the cache exactly as it was.
+// runReplan is the goroutine of one background replan. It owns what
+// replanForSpec claimed for it — the admission slot and the replanning mark —
+// and files the outcome under exactly one counter. src is the entry's source
+// as it reads once replanned: plannedFP already names the drifted view.
 //
-// Each replan records its own trace — there is no client request to attach
-// to — rooted at a "replan" span, with synthesize / verify / encode children
-// and the replication fan-out under the encode. It lands in the same ring as
-// request traces, so /v1/debug/traces answers "what did the background
-// replanner just do" too.
-func (s *Server) replanOne(key string, src planSource, drifted *cluster.Cluster, driftedFP string, old CachedPlan) {
-	t := &s.telemetry
-	defer func() {
-		t.mu.Lock()
-		delete(t.replan, key)
-		t.mu.Unlock()
-	}()
+// There is no client request to attach to, so each replan records a trace of
+// its own, rooted at a "replan" span over the children a request's miss
+// records plus the verify. It lands in the same ring as request traces, so
+// /v1/debug/traces answers "what did the background replanner just do" too.
+func (s *Server) runReplan(key string, src planSource, drifted *cluster.Cluster, old CachedPlan, release func()) {
+	defer release()
+	// tr stays nil with tracing off; every span below is then nil and inert.
 	var tr *obs.Trace
-	var root *obs.Span
 	if s.traces != nil {
 		tr = obs.New("", s.nodeLabel)
-		root = tr.Root("replan", 0)
-		root.SetAttrStr("key", key)
-		defer func() {
-			root.End()
-			s.collectTrace(tr.Finish())
-		}()
 	}
+	root := tr.Root("replan", 0)
+	root.SetAttrStr("key", key)
+	defer func() {
+		root.End()
+		s.collectTrace(tr.Finish())
+	}()
 	ctx := context.Background()
 	if s.cfg.SynthTimeBudget > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, s.cfg.SynthTimeBudget)
 		defer cancel()
 	}
-	s.syntheses.Add(1)
-	ho := s.hapOptions(src.opts)
+	swapped, err := s.replanOne(ctx, root, key, src, drifted, old)
+	if err != nil {
+		s.logger.Warn("replan failed", "key", key, "trace_id", tr.ID(), "error", err)
+	}
+	t := &s.telemetry
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	delete(t.replan, key)
+	switch {
+	case err != nil:
+		t.replanErrors++
+	case swapped:
+		t.replans++
+	default:
+		// commitPlan did not run, so mark the source current here, or the
+		// same view would replan again.
+		t.replansUnchanged++
+		if cur, ok := t.sources[key]; ok {
+			cur.plannedFP = src.plannedFP
+			t.sources[key] = cur
+		}
+	}
+}
+
+// replanOne synthesizes one cached entry against the drifted cluster and
+// swaps it in only after the result verifies, reporting whether it did. The
+// old plan serves throughout: a failed synthesis, a failed verification, or an
+// unchanged result all leave the cache exactly as it was.
+func (s *Server) replanOne(ctx context.Context, root *obs.Span, key string, src planSource, drifted *cluster.Cluster, old CachedPlan) (swapped bool, err error) {
+	g, err := graph.Decode(bytes.NewReader(src.graphJSON))
+	if err != nil {
+		return false, fmt.Errorf("decode: %w", err)
+	}
 	// Seed the replan from the pre-drift plan: the graph is unchanged, so the
 	// donor replay pins the whole program and the loop's work concentrates on
 	// rebalancing the sharding ratios against the drifted cluster — Q is
-	// structure-driven, B absorbs the performance drift. The donor binds to a
-	// freshly decoded graph copy: hap.ReadProgram adopts the plan's segment
-	// assignment onto the graph it is given, and src.g is about to be
-	// synthesized against. A decode failure just replans cold.
-	if !s.cfg.DisableSeeding && len(src.graphJSON) > 0 {
-		sds := root.Child("seeded_search")
-		if dg, dp, err := decodeDonor(src.graphJSON, old.Plan); err == nil {
-			ho.SeedGraph, ho.SeedPlan = dg, dp
-			sds.SetAttrStr("donor", key)
-		}
-		sds.End()
-	}
-	ss := root.Child("synthesize")
-	p, err := s.cfg.Synthesize(obs.ContextWithSpan(ctx, ss), src.g, drifted, ho)
-	if err == nil && p.Seeded {
-		ss.SetAttrFloat("seed_distance", p.SeedDistance)
-		s.synthIncremental.Add(1)
-		s.seedDistBits.Store(math.Float64bits(p.SeedDistance))
-	}
-	ss.End()
+	// structure-driven, B absorbs the performance drift.
+	p, v, err := s.synthesize(ctx, root, g, drifted, src.opts, func() donor {
+		return donor{key: key, graphJSON: src.graphJSON, planJSON: old.Plan, shared: len(src.subs)}
+	})
 	if err != nil {
-		t.addReplanError()
-		s.logger.Warn("replan synthesis failed", "key", key, "trace_id", traceIDOf(tr), "error", err)
-		return
+		return false, fmt.Errorf("synthesis: %w", err)
 	}
 	// Verify before swap: the drifted cluster is measurement-derived, and a
 	// plan that fails execution-equivalence must never replace one that works.
 	vs := root.Child("verify")
 	vs.SetAttrStr("kind", "numeric")
-	verr := hap.Verify(p, drifted.M(), replanVerifySeed)
+	err = hap.Verify(p, drifted.M(), replanVerifySeed)
 	vs.End()
-	if verr != nil {
-		t.addReplanError()
-		s.logger.Warn("replan verify failed", "key", key, "trace_id", traceIDOf(tr), "error", verr)
-		return
-	}
-	s.recordPassStats(p.Passes)
-	es := root.Child("encode")
-	v, err := encodePlan(p)
 	if err != nil {
-		es.End()
-		t.addReplanError()
-		s.logger.Warn("replan encode failed", "key", key, "trace_id", traceIDOf(tr), "error", err)
-		return
+		return false, fmt.Errorf("verify: %w", err)
 	}
+	// Same bytes: no swap, no version bump, warm clients' tags stay valid.
 	if bytes.Equal(v.Plan, old.Plan) {
-		es.End()
-		// Same bytes: no swap, no version bump, warm clients' tags stay
-		// valid. Mark the source current so this view does not re-replan.
-		t.mu.Lock()
-		t.replansUnchanged++
-		if src, ok := t.sources[key]; ok {
-			src.plannedFP = driftedFP
-			t.sources[key] = src
-		}
-		t.mu.Unlock()
-		return
+		return false, nil
 	}
-	// The store assigns the bumped version and the new content tag; the fleet
-	// path re-replicates the replacement to the ring successors exactly like
-	// a fresh synthesis.
-	s.storePlan(es, key, v)
-	es.End()
-	t.mu.Lock()
-	t.replans++
-	if src, ok := t.sources[key]; ok {
-		src.plannedFP = driftedFP
-		t.sources[key] = src
-	}
-	t.mu.Unlock()
-}
-
-// traceIDOf is the nil-safe trace_id log attr: "" when tracing is off.
-func traceIDOf(tr *obs.Trace) string {
-	if tr == nil {
-		return ""
-	}
-	return tr.ID()
+	// The swap: a version bump, a new content tag, and re-replication, exactly
+	// like a fresh synthesis.
+	s.commitPlan(root, key, src, v)
+	return true, nil
 }
 
 // StartTelemetryFile polls path every interval and feeds its contents through
@@ -480,12 +485,6 @@ func (s *Server) telemetryStats() *TelemetryStats {
 func (t *telemetryState) addReject() {
 	t.mu.Lock()
 	t.rejects++
-	t.mu.Unlock()
-}
-
-func (t *telemetryState) addReplanError() {
-	t.mu.Lock()
-	t.replanErrors++
 	t.mu.Unlock()
 }
 

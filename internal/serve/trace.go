@@ -115,14 +115,6 @@ func (rt *requestTrace) setRole(role string) {
 	}
 }
 
-// traceID returns the trace identifier ("" when tracing is off).
-func (rt *requestTrace) traceID() string {
-	if rt == nil {
-		return ""
-	}
-	return rt.tr.ID()
-}
-
 // forwardHeader renders the X-HAP-Trace value for a proxy hop parented
 // under span ("" when tracing is off).
 func (rt *requestTrace) forwardHeader(sp *obs.Span) string {
@@ -312,11 +304,11 @@ type TraceSummary struct {
 // newest first, as summaries.
 func (s *Server) handleDebugTraces(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
-		s.fail(w, true, http.StatusMethodNotAllowed, CodeMethodNotAllowed, "GET required")
+		s.fail(w, http.StatusMethodNotAllowed, CodeMethodNotAllowed, "GET required")
 		return
 	}
 	if s.traces == nil {
-		s.fail(w, true, http.StatusNotFound, CodeNotFound, "tracing is disabled (negative trace ring)")
+		s.fail(w, http.StatusNotFound, CodeNotFound, "tracing is disabled (negative trace ring)")
 		return
 	}
 	recs := s.traces.Traces()
@@ -345,7 +337,7 @@ func (s *Server) handleDebugTraces(w http.ResponseWriter, r *http.Request) {
 // directly in chrome://tracing or Perfetto.
 func (s *Server) handleDebugTrace(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
-		s.fail(w, true, http.StatusMethodNotAllowed, CodeMethodNotAllowed, "GET required")
+		s.fail(w, http.StatusMethodNotAllowed, CodeMethodNotAllowed, "GET required")
 		return
 	}
 	id := strings.TrimPrefix(r.URL.Path, "/v1/debug/traces/")
@@ -355,7 +347,7 @@ func (s *Server) handleDebugTrace(w http.ResponseWriter, r *http.Request) {
 	}
 	rec, ok := s.traces.Get(id)
 	if !ok {
-		s.fail(w, true, http.StatusNotFound, CodeNotFound, "no trace %q in the debug ring", id)
+		s.fail(w, http.StatusNotFound, CodeNotFound, "no trace %q in the debug ring", id)
 		return
 	}
 	if r.URL.Query().Get("format") == "chrome" {
