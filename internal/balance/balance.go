@@ -39,6 +39,8 @@ func RatiosFromModel(model *cost.Model) ([][]float64, error) {
 	}
 
 	prob := lp.NewProblem()
+	stages := len(model.Stages)
+	prob.Reserve(g*m+2*g+stages, stages*m+g*m+2*g, stages*m*(g+1)+3*g*m+2*g)
 	// Variables: B[k][j], M[k], t[i].
 	bVar := make([][]int, g)
 	for k := 0; k < g; k++ {
@@ -54,18 +56,19 @@ func RatiosFromModel(model *cost.Model) ([][]float64, error) {
 
 	// Objective: Σ stages (CommMaxCoef·M_seg + t_i) + boundary charges.
 	objM := make([]float64, g)
+	row := make([]lp.Term, 0, m+1) // reused: AddConstraint copies
 	for i := range model.Stages {
 		sm := &model.Stages[i]
 		objM[sm.CommSeg] += sm.CommMaxCoef
 		tv := prob.AddVar(1)
 		for j := 0; j < m; j++ {
-			coefs := map[int]float64{tv: 1}
+			row = append(row[:0], lp.Term{Var: tv, Coef: 1})
 			for k := 0; k < g; k++ {
 				if sm.CompCoef[k][j] != 0 {
-					coefs[bVar[k][j]] = -sm.CompCoef[k][j]
+					row = append(row, lp.Term{Var: bVar[k][j], Coef: -sm.CompCoef[k][j]})
 				}
 			}
-			prob.AddConstraint(coefs, lp.GE, sm.CompConst[j])
+			prob.AddConstraint(row, lp.GE, sm.CompConst[j])
 		}
 	}
 	for i := range model.Charges {
@@ -73,29 +76,29 @@ func RatiosFromModel(model *cost.Model) ([][]float64, error) {
 		objM[ch.SegA] += ch.Coef / 2
 		objM[ch.SegB] += ch.Coef / 2
 	}
-	// M objective coefficients were accumulated; re-register by adding a
-	// proxy variable is unnecessary: encode via constraint M_k ≥ B and give
-	// M its accumulated coefficient using an equality trick — the LP API
-	// fixes objective coefficients at AddVar time, so add a zero-cost helper
-	// t_M per segment: t_M = M_k with objective objM[k].
+	// The LP API fixes objective coefficients at AddVar time and M's is only
+	// known now, so M_k gets it through a proxy variable: proxy = M_k with
+	// objective objM[k]. The proxy stays even though it could be folded away:
+	// removing it renumbers the columns Bland's rule walks, which moves the
+	// solver to another of the LP's alternate optima (see DESIGN.md).
 	for k := 0; k < g; k++ {
 		if objM[k] == 0 {
 			continue
 		}
 		proxy := prob.AddVar(objM[k])
-		prob.AddConstraint(map[int]float64{proxy: 1, mVar[k]: -1}, lp.EQ, 0)
+		prob.AddConstraint(append(row[:0], lp.Term{Var: proxy, Coef: 1}, lp.Term{Var: mVar[k], Coef: -1}), lp.EQ, 0)
 	}
 
 	// M_k ≥ B_{k,j}; Σ_j B_{k,j} = 1.
 	for k := 0; k < g; k++ {
 		for j := 0; j < m; j++ {
-			prob.AddConstraint(map[int]float64{mVar[k]: 1, bVar[k][j]: -1}, lp.GE, 0)
+			prob.AddConstraint(append(row[:0], lp.Term{Var: mVar[k], Coef: 1}, lp.Term{Var: bVar[k][j], Coef: -1}), lp.GE, 0)
 		}
-		sum := map[int]float64{}
+		row = row[:0]
 		for j := 0; j < m; j++ {
-			sum[bVar[k][j]] = 1
+			row = append(row, lp.Term{Var: bVar[k][j], Coef: 1})
 		}
-		prob.AddConstraint(sum, lp.EQ, 1)
+		prob.AddConstraint(row, lp.EQ, 1)
 	}
 
 	res, err := prob.Solve()

@@ -84,6 +84,9 @@ type Options struct {
 	// skips re-assigning when a shared theory is supplied, so a caller-built
 	// theory and the segment layout cannot drift apart mid-batch.
 	Theory *theory.Theory
+
+	// onRatios, set by tests only, sees every B the balancer hands back.
+	onRatios func(b [][]float64)
 }
 
 // Result is the optimized plan.
@@ -106,6 +109,11 @@ type Result struct {
 	// donor's normalized structural distance (0 for an identical graph).
 	Seeded       bool
 	SeedDistance float64
+	// BalanceErr is the load balancer's error when its LP failed
+	// (stop=balance_failed on the optimize span): the loop ended there, and
+	// that iteration's program was costed under the ratios it was searched
+	// under. The plan is valid either way; nothing serialises this field.
+	BalanceErr error
 }
 
 // Optimize runs the full HAP pipeline on a training graph and cluster.
@@ -188,6 +196,7 @@ func Optimize(ctx context.Context, g *graph.Graph, c *cluster.Cluster, opt Optio
 		deadline = d
 	}
 	var best *Result
+	var balanceErr error
 	seen := map[string]bool{}
 	ran, stop := 0, "max_iterations"
 	for iter := 1; iter <= opt.MaxIterations; iter++ {
@@ -288,16 +297,23 @@ func Optimize(ctx context.Context, g *graph.Graph, c *cluster.Cluster, opt Optio
 		model := cost.Extract(c, p)
 		// Convergence: when the balancer returns the B this iteration's
 		// search ran under, the next search would return this Q again.
+		// A balancer that fails degrades the plan, not the call: this Q is
+		// judged under the B its search ran under, and the loop ends.
 		converged := opt.SkipBalance
 		if !opt.SkipBalance {
 			bs := it.Child("balance")
 			nb, err := balance.RatiosFromModel(model)
-			bs.End()
 			if err != nil {
-				return nil, fmt.Errorf("hapopt: iteration %d: %w", iter, err)
+				balanceErr = fmt.Errorf("hapopt: iteration %d: %w", iter, err)
+				bs.SetAttrStr("error", err.Error())
+			} else {
+				converged = sameRatios(nb, b)
+				b = nb
+				if opt.onRatios != nil {
+					opt.onRatios(b)
+				}
 			}
-			converged = sameRatios(nb, b)
-			b = nb
+			bs.End()
 		}
 		t := model.Eval(b)
 		if best == nil || t < best.Cost {
@@ -312,6 +328,10 @@ func Optimize(ctx context.Context, g *graph.Graph, c *cluster.Cluster, opt Optio
 		it.SetAttrFloat("cost", t)
 		it.End()
 		ran = iter
+		if balanceErr != nil {
+			stop = "balance_failed"
+			break
+		}
 		if converged {
 			stop = "ratios_converged"
 			break
@@ -328,6 +348,7 @@ func Optimize(ctx context.Context, g *graph.Graph, c *cluster.Cluster, opt Optio
 	span.SetAttrInt("iterations", int64(ran))
 	span.SetAttrStr("stop", stop)
 	best.Elapsed = time.Since(start)
+	best.BalanceErr = balanceErr
 	return best, nil
 }
 

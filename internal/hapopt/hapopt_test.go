@@ -458,3 +458,25 @@ func TestNegativeMaxIterationsIsAnError(t *testing.T) {
 		t.Fatalf("Optimize(MaxIterations: -1) = %+v, want an error", res)
 	}
 }
+
+// ViT on the paper's heterogeneous cluster is an input the ratio LP fails on
+// (it reports infeasibility at iteration 1). The loop degrades instead of
+// failing the call: Q⁽¹⁾ is kept under the B⁽⁰⁾ it was searched under, the
+// optimize span says why the loop ended, and the error rides on the Result.
+func TestBalanceFailureDegrades(t *testing.T) {
+	c := cluster.PaperHeterogeneous(1)
+	res, searches, attrs, err := optimizeTraced(models.Build(models.ModelViT, c.TotalGPUs()), c, Options{Synth: synth.Auto()})
+	if err != nil {
+		t.Fatalf("Optimize: %v", err)
+	}
+	if res.BalanceErr == nil || searches != 1 || attrs["stop"] != "balance_failed" || attrs["iterations"] != "1" {
+		t.Fatalf("BalanceErr %v after %d searches, optimize span %v; want an error, 1 search, stop balance_failed after 1 iteration", res.BalanceErr, searches, attrs)
+	}
+	if err := res.Program.Validate(); err != nil {
+		t.Errorf("degraded plan is ill-formed: %v", err)
+	}
+	b0 := cost.UniformRatios(1, c.ProportionalRatios())
+	if !sameRatios(res.Ratios, b0) || res.Cost != cost.Extract(c, res.Program).Eval(b0) {
+		t.Errorf("degraded plan has ratios %v at cost %v, want B⁽⁰⁾ %v and the cost under it", res.Ratios, res.Cost, b0)
+	}
+}

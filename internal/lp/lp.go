@@ -1,4 +1,4 @@
-// Package lp implements a dense two-phase primal simplex solver for linear
+// Package lp implements a two-phase primal simplex solver for linear
 // programs in the form
 //
 //	minimize    cᵀx
@@ -6,11 +6,13 @@
 //
 // It is the stand-in for the Coin CBC solver the paper uses for sharding-
 // ratio optimization (Sec. 5); the ratio LPs are small (tens to hundreds of
-// variables), well inside dense-simplex territory, and are solved exactly.
-// Bland's rule guards against cycling.
+// variables) and are solved exactly. The tableau is dense in storage but the
+// ratio LPs leave ~98 % of it zero, so a pivot touches only the columns where
+// the pivot row is non-zero. Bland's rule guards against cycling.
 package lp
 
 import (
+	"errors"
 	"fmt"
 	"math"
 )
@@ -25,45 +27,64 @@ const (
 	GE           // ≥
 )
 
-// Constraint is one row: coefficient map over variable indices, relation,
-// and right-hand side.
-type Constraint struct {
-	Coefs map[int]float64
-	Op    Op
-	RHS   float64
+// Solve's failures, matched with errors.Is.
+var (
+	ErrInfeasible     = errors.New("lp: infeasible")
+	ErrUnbounded      = errors.New("lp: unbounded")
+	ErrIterationLimit = errors.New("lp: iteration limit")
+)
+
+// Term is one coefficient of a constraint row.
+type Term struct {
+	Var  int
+	Coef float64
+}
+
+// row is one constraint: terms[start:end] of the problem, relation and
+// right-hand side.
+type row struct {
+	start, end int
+	op         Op
+	rhs        float64
 }
 
 // Problem is a linear program under construction.
 type Problem struct {
-	numVars     int
-	objective   []float64
-	constraints []Constraint
+	objective []float64
+	terms     []Term // every row's coefficients, back to back
+	rows      []row
 }
 
 // NewProblem returns an empty problem.
 func NewProblem() *Problem { return &Problem{} }
 
+// Reserve makes room for that many variables, constraints and terms in all,
+// so that building the problem allocates three slabs instead of growing them.
+// It is a hint: a problem may outgrow it.
+func (p *Problem) Reserve(vars, rows, terms int) {
+	p.objective = append(make([]float64, 0, vars), p.objective...)
+	p.rows = append(make([]row, 0, rows), p.rows...)
+	p.terms = append(make([]Term, 0, terms), p.terms...)
+}
+
 // AddVar introduces a variable with the given objective coefficient and
 // returns its index. All variables are non-negative.
 func (p *Problem) AddVar(objCoef float64) int {
 	p.objective = append(p.objective, objCoef)
-	p.numVars++
-	return p.numVars - 1
+	return len(p.objective) - 1
 }
 
-// NumVars returns the number of variables added so far.
-func (p *Problem) NumVars() int { return p.numVars }
-
-// AddConstraint appends a constraint. Coefs is copied.
-func (p *Problem) AddConstraint(coefs map[int]float64, op Op, rhs float64) {
-	cp := make(map[int]float64, len(coefs))
-	for k, v := range coefs {
-		if k < 0 || k >= p.numVars {
-			panic(fmt.Sprintf("lp: constraint references unknown variable %d", k))
+// AddConstraint appends a constraint. Terms are copied, so the caller may
+// reuse the slice; coefficients of a variable named twice add up.
+func (p *Problem) AddConstraint(terms []Term, op Op, rhs float64) {
+	for _, t := range terms {
+		if t.Var < 0 || t.Var >= len(p.objective) {
+			panic(fmt.Sprintf("lp: constraint references unknown variable %d", t.Var))
 		}
-		cp[k] = v
 	}
-	p.constraints = append(p.constraints, Constraint{Coefs: cp, Op: op, RHS: rhs})
+	start := len(p.terms)
+	p.terms = append(p.terms, terms...)
+	p.rows = append(p.rows, row{start: start, end: len(p.terms), op: op, rhs: rhs})
 }
 
 // Result is a solved LP.
@@ -77,192 +98,233 @@ const (
 	enterEps = 1e-7 // noise-robust entering threshold
 )
 
-var debugLP = false
-
-// Solve runs two-phase simplex and returns the optimum, or an error for
-// infeasible or unbounded problems. Highly degenerate problems that stall
-// despite Bland's rule are retried with a deterministic lexicographic-style
+// Solve runs two-phase simplex and returns the optimum, or ErrInfeasible or
+// ErrUnbounded. Highly degenerate problems that stall despite Bland's rule
+// (ErrIterationLimit) are retried with a deterministic lexicographic-style
 // RHS perturbation, which breaks ties at a negligible accuracy cost.
 func (p *Problem) Solve() (*Result, error) {
-	res, err := p.solve(0)
+	res, err := p.solve(0, nil)
 	for _, perturb := range []float64{1e-7, 1e-5} {
-		if err == nil || err.Error() != "lp: iteration limit" {
+		if !errors.Is(err, ErrIterationLimit) {
 			break
 		}
-		res, err = p.solve(perturb)
+		res, err = p.solve(perturb, nil)
 	}
 	return res, err
 }
 
-func (p *Problem) solve(perturb float64) (*Result, error) {
-	n := p.numVars
-	mRows := len(p.constraints)
+// tableau is the simplex tableau as one slab: m constraint rows then the
+// reduced-cost row, w entries each, the right-hand side in column w-1.
+type tableau struct {
+	a       []float64
+	m, w    int
+	basis   []int
+	obj     []float64          // the phase's objective, zero past its end
+	nz      []int              // scratch: the pivot row's non-zero columns
+	onPivot func(row, col int) // tests only
+}
 
-	// Normalize to equalities with slack/surplus, RHS ≥ 0, then add
-	// artificials for rows lacking an obvious basic variable.
-	type row struct {
-		coefs []float64
-		rhs   float64
-		op    Op
+func (t *tableau) row(i int) []float64 { return t.a[i*t.w : (i+1)*t.w] }
+
+// pivot makes column c basic in row r. Only the columns where the pivot row
+// is non-zero are updated, in the touched rows and in the reduced-cost row:
+// x −= f·0 leaves x as it was, so the skipped columns hold the bits a full
+// sweep would have left (up to the sign of a zero, which nothing reads; the
+// right-hand side is always swept, so X is exact to the sign too).
+//
+// Rows whose entry in column c is below eps are left alone, so the tableau
+// drifts off exact row-equivalence by those entries. The reduced-cost row
+// follows the tableau as it is, not as it should be — it stays what pricing
+// from scratch would give — by taking the costs of the rows left alone out of
+// its own multiplier.
+func (t *tableau) pivot(r, c int) {
+	if t.onPivot != nil {
+		t.onPivot(r, c)
 	}
-	rows := make([]row, mRows)
-	numSlacks := 0
-	for i, c := range p.constraints {
-		scale := 1.0 + abs(c.RHS)
-		r := row{coefs: make([]float64, n), rhs: c.RHS + perturb*scale*float64(i+1)/float64(mRows+1), op: c.Op}
-		for k, v := range c.Coefs {
-			r.coefs[k] = v
+	pr, rhs := t.row(r), t.w-1
+	pv := pr[c]
+	nz := t.nz[:0]
+	for j, v := range pr[:rhs] {
+		if v != 0 {
+			pr[j] = v / pv
+			nz = append(nz, j)
 		}
-		if r.rhs < 0 { // flip to make RHS non-negative
-			for k := range r.coefs {
-				r.coefs[k] = -r.coefs[k]
+	}
+	pr[rhs] /= pv
+	nz = append(nz, rhs)
+	t.nz = nz
+
+	d := t.row(t.m)
+	fd := d[c]
+	for i := 0; i < t.m; i++ {
+		ri := t.row(i)
+		f := ri[c]
+		if i == r {
+			continue
+		}
+		if math.Abs(f) < eps {
+			if b := t.basis[i]; b < len(t.obj) {
+				fd += t.obj[b] * f
 			}
-			r.rhs = -r.rhs
-			switch r.op {
+			continue
+		}
+		for _, j := range nz {
+			ri[j] -= f * pr[j]
+		}
+	}
+	for _, j := range nz {
+		d[j] -= fd * pr[j]
+	}
+	t.basis[r] = c
+}
+
+// price loads the reduced-cost row for objective obj (zero past its end):
+// obj minus, for every basic column that has a cost, that cost times its row.
+// A phase prices once; after that pivot keeps the row current.
+func (t *tableau) price(obj []float64) {
+	t.obj = obj
+	d := t.row(t.m)
+	clear(d)
+	copy(d, obj)
+	for i, b := range t.basis {
+		if b < len(obj) && obj[b] != 0 {
+			cb := obj[b]
+			for j, v := range t.row(i)[:t.w-1] {
+				d[j] -= cb * v
+			}
+		}
+	}
+}
+
+// simplex minimizes obj over the current tableau. allowed bounds the columns
+// eligible to enter. Bland's rule on both the entering column (smallest
+// index with negative reduced cost) and the leaving row (smallest basis
+// index among exact min-ratio rows) prevents cycling.
+func (t *tableau) simplex(obj []float64, allowed int) error {
+	t.price(obj)
+	d, rhs := t.row(t.m), t.w-1
+	for iter := 0; iter < 200000; iter++ {
+		entering := -1
+		for j, z := range d[:allowed] {
+			if z < -enterEps {
+				entering = j // Bland: first eligible column
+				break
+			}
+		}
+		if entering == -1 {
+			return nil
+		}
+		// Exact minimum ratio first, then Bland tie-break.
+		minRatio := math.Inf(1)
+		for i := 0; i < t.m; i++ {
+			if ri := t.row(i); ri[entering] > eps {
+				if r := ri[rhs] / ri[entering]; r < minRatio {
+					minRatio = r
+				}
+			}
+		}
+		if math.IsInf(minRatio, 1) {
+			return ErrUnbounded
+		}
+		leaving := -1
+		for i := 0; i < t.m; i++ {
+			if ri := t.row(i); ri[entering] > eps {
+				r := ri[rhs] / ri[entering]
+				if r <= minRatio+eps && (leaving == -1 || t.basis[i] < t.basis[leaving]) {
+					leaving = i
+				}
+			}
+		}
+		t.pivot(leaving, entering)
+	}
+	return ErrIterationLimit
+}
+
+func (p *Problem) solve(perturb float64, onPivot func(row, col int)) (*Result, error) {
+	n, m := len(p.objective), len(p.rows)
+
+	// Rows become equalities with slack/surplus and a right-hand side ≥ 0
+	// (flipping the row when it is not); rows left without an obvious basic
+	// variable get an artificial. normal is row i after that flip.
+	normal := func(i int) (rhs float64, op Op, sign float64) {
+		r := &p.rows[i]
+		rhs = r.rhs + perturb*(1.0+math.Abs(r.rhs))*float64(i+1)/float64(m+1)
+		op, sign = r.op, 1
+		if rhs < 0 {
+			rhs, sign = -rhs, -1
+			switch op {
 			case LE:
-				r.op = GE
+				op = GE
 			case GE:
-				r.op = LE
+				op = LE
 			}
 		}
-		if r.op != EQ {
+		return rhs, op, sign
+	}
+	numSlacks, numArts := 0, 0
+	for i := range p.rows {
+		_, op, _ := normal(i)
+		if op != EQ {
 			numSlacks++
 		}
-		rows[i] = r
+		if op != LE {
+			numArts++
+		}
 	}
 
 	// Column layout: [x (n)] [slacks] [artificials] | rhs.
-	totalCols := n + numSlacks + mRows // upper bound on artificials
-	tab := make([][]float64, mRows)
-	basis := make([]int, mRows)
-	slackCol := n
-	artCol := n + numSlacks
-	numArts := 0
-	for i := range rows {
-		tab[i] = make([]float64, totalCols+1)
-		copy(tab[i], rows[i].coefs)
-		tab[i][totalCols] = rows[i].rhs
-		switch rows[i].op {
-		case LE:
-			tab[i][slackCol] = 1
-			basis[i] = slackCol
+	structural := n + numSlacks
+	w := structural + numArts + 1
+	t := &tableau{a: make([]float64, (m+1)*w), m: m, w: w, basis: make([]int, m), nz: make([]int, 0, w), onPivot: onPivot}
+	slackCol, artCol := n, structural
+	for i := range p.rows {
+		rhs, op, sign := normal(i)
+		ri := t.row(i)
+		for _, tm := range p.terms[p.rows[i].start:p.rows[i].end] {
+			ri[tm.Var] += sign * tm.Coef
+		}
+		ri[w-1] = rhs
+		if op == LE {
+			ri[slackCol] = 1
+			t.basis[i] = slackCol
 			slackCol++
-		case GE:
-			tab[i][slackCol] = -1
+			continue
+		}
+		if op == GE {
+			ri[slackCol] = -1
 			slackCol++
-			tab[i][artCol] = 1
-			basis[i] = artCol
-			artCol++
-			numArts++
-		case EQ:
-			tab[i][artCol] = 1
-			basis[i] = artCol
-			artCol++
-			numArts++
 		}
-	}
-	usedCols := artCol
-
-	pivot := func(r, c int) {
-		pv := tab[r][c]
-		for j := 0; j <= totalCols; j++ {
-			tab[r][j] /= pv
-		}
-		for i := range tab {
-			if i == r || math.Abs(tab[i][c]) < eps {
-				continue
-			}
-			f := tab[i][c]
-			for j := 0; j <= totalCols; j++ {
-				tab[i][j] -= f * tab[r][j]
-			}
-		}
-		basis[r] = c
-	}
-
-	// simplex minimizes obj over the current tableau. allowed bounds the
-	// columns eligible to enter. Bland's rule on both the entering column
-	// (smallest index with negative reduced cost) and the leaving row
-	// (smallest basis index among exact min-ratio rows) prevents cycling.
-	simplex := func(obj []float64, allowed int) error {
-		for iter := 0; iter < 200000; iter++ {
-			entering := -1
-			for j := 0; j < allowed; j++ {
-				z := obj[j]
-				for i := range tab {
-					if b := basis[i]; b < len(obj) && obj[b] != 0 {
-						z -= obj[b] * tab[i][j]
-					}
-				}
-				if z < -enterEps {
-					entering = j // Bland: first eligible column
-					break
-				}
-			}
-			if entering == -1 {
-				return nil
-			}
-			if debugLP && iter%5000 == 0 {
-				obj0 := 0.0
-				for i := range tab {
-					if b := basis[i]; b < len(obj) {
-						obj0 += obj[b] * tab[i][totalCols]
-					}
-				}
-				fmt.Printf("iter=%d entering=%d obj=%.9g\n", iter, entering, obj0)
-			}
-			// Exact minimum ratio first, then Bland tie-break.
-			minRatio := math.Inf(1)
-			for i := range tab {
-				if tab[i][entering] > eps {
-					if r := tab[i][totalCols] / tab[i][entering]; r < minRatio {
-						minRatio = r
-					}
-				}
-			}
-			if math.IsInf(minRatio, 1) {
-				return fmt.Errorf("lp: unbounded")
-			}
-			leaving := -1
-			for i := range tab {
-				if tab[i][entering] > eps {
-					r := tab[i][totalCols] / tab[i][entering]
-					if r <= minRatio+eps && (leaving == -1 || basis[i] < basis[leaving]) {
-						leaving = i
-					}
-				}
-			}
-			pivot(leaving, entering)
-		}
-		return fmt.Errorf("lp: iteration limit")
+		ri[artCol] = 1
+		t.basis[i] = artCol
+		artCol++
 	}
 
 	// Phase 1: minimize the sum of artificials.
 	if numArts > 0 {
-		phase1 := make([]float64, usedCols)
-		for j := n + numSlacks; j < usedCols; j++ {
+		phase1 := make([]float64, w-1)
+		for j := structural; j < w-1; j++ {
 			phase1[j] = 1
 		}
-		if err := simplex(phase1, usedCols); err != nil {
+		if err := t.simplex(phase1, w-1); err != nil {
 			return nil, err
 		}
 		infeas := 0.0
-		for i := range tab {
-			if basis[i] >= n+numSlacks {
-				infeas += tab[i][totalCols]
+		for i, b := range t.basis {
+			if b >= structural {
+				infeas += t.row(i)[w-1]
 			}
 		}
 		if infeas > 1e-6 {
-			return nil, fmt.Errorf("lp: infeasible (residual %g)", infeas)
+			return nil, fmt.Errorf("%w (residual %g)", ErrInfeasible, infeas)
 		}
 		// Drive artificials out of the basis where possible.
-		for i := range tab {
-			if basis[i] < n+numSlacks {
+		for i := range t.basis {
+			if t.basis[i] < structural {
 				continue
 			}
-			for j := 0; j < n+numSlacks; j++ {
-				if math.Abs(tab[i][j]) > eps {
-					pivot(i, j)
+			for j, v := range t.row(i)[:structural] {
+				if math.Abs(v) > eps {
+					t.pivot(i, j)
 					break
 				}
 			}
@@ -270,28 +332,19 @@ func (p *Problem) solve(perturb float64) (*Result, error) {
 	}
 
 	// Phase 2: minimize the real objective over structural+slack columns.
-	phase2 := make([]float64, n+numSlacks)
-	copy(phase2, p.objective)
-	if err := simplex(phase2, n+numSlacks); err != nil {
+	if err := t.simplex(p.objective, structural); err != nil {
 		return nil, err
 	}
 
 	x := make([]float64, n)
-	for i, b := range basis {
+	for i, b := range t.basis {
 		if b < n {
-			x[b] = tab[i][totalCols]
+			x[b] = t.row(i)[w-1]
 		}
 	}
-	obj := 0.0
+	objective := 0.0
 	for j := 0; j < n; j++ {
-		obj += p.objective[j] * x[j]
+		objective += p.objective[j] * x[j]
 	}
-	return &Result{X: x, Objective: obj}, nil
-}
-
-func abs(x float64) float64 {
-	if x < 0 {
-		return -x
-	}
-	return x
+	return &Result{X: x, Objective: objective}, nil
 }

@@ -1,6 +1,7 @@
 package lp
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -21,8 +22,8 @@ func TestSimpleMaximizationAsMin(t *testing.T) {
 	p := NewProblem()
 	x := p.AddVar(-3)
 	y := p.AddVar(-2)
-	p.AddConstraint(map[int]float64{x: 1, y: 1}, LE, 4)
-	p.AddConstraint(map[int]float64{x: 1}, LE, 2)
+	p.AddConstraint([]Term{{x, 1}, {y, 1}}, LE, 4)
+	p.AddConstraint([]Term{{x, 1}}, LE, 2)
 	r := solveOrFatal(t, p)
 	if math.Abs(r.X[x]-2) > 1e-7 || math.Abs(r.X[y]-2) > 1e-7 {
 		t.Errorf("x=%v y=%v, want 2,2", r.X[x], r.X[y])
@@ -37,8 +38,8 @@ func TestEqualityAndGE(t *testing.T) {
 	p := NewProblem()
 	x := p.AddVar(1)
 	y := p.AddVar(1)
-	p.AddConstraint(map[int]float64{x: 1, y: 1}, EQ, 1)
-	p.AddConstraint(map[int]float64{x: 1}, GE, 0.3)
+	p.AddConstraint([]Term{{x, 1}, {y, 1}}, EQ, 1)
+	p.AddConstraint([]Term{{x, 1}}, GE, 0.3)
 	r := solveOrFatal(t, p)
 	if math.Abs(r.Objective-1) > 1e-7 {
 		t.Errorf("objective %v, want 1", r.Objective)
@@ -51,19 +52,19 @@ func TestEqualityAndGE(t *testing.T) {
 func TestInfeasible(t *testing.T) {
 	p := NewProblem()
 	x := p.AddVar(1)
-	p.AddConstraint(map[int]float64{x: 1}, LE, 1)
-	p.AddConstraint(map[int]float64{x: 1}, GE, 2)
-	if _, err := p.Solve(); err == nil {
-		t.Error("expected infeasible")
+	p.AddConstraint([]Term{{x, 1}}, LE, 1)
+	p.AddConstraint([]Term{{x, 1}}, GE, 2)
+	if _, err := p.Solve(); !errors.Is(err, ErrInfeasible) {
+		t.Errorf("Solve: %v, want ErrInfeasible", err)
 	}
 }
 
 func TestUnbounded(t *testing.T) {
 	p := NewProblem()
 	x := p.AddVar(-1) // maximize x with no upper bound
-	p.AddConstraint(map[int]float64{x: 1}, GE, 0)
-	if _, err := p.Solve(); err == nil {
-		t.Error("expected unbounded")
+	p.AddConstraint([]Term{{x, 1}}, GE, 0)
+	if _, err := p.Solve(); !errors.Is(err, ErrUnbounded) {
+		t.Errorf("Solve: %v, want ErrUnbounded", err)
 	}
 }
 
@@ -71,7 +72,7 @@ func TestNegativeRHSNormalization(t *testing.T) {
 	// min x s.t. -x ≤ -2  ⇔  x ≥ 2.
 	p := NewProblem()
 	x := p.AddVar(1)
-	p.AddConstraint(map[int]float64{x: -1}, LE, -2)
+	p.AddConstraint([]Term{{x, -1}}, LE, -2)
 	r := solveOrFatal(t, p)
 	if math.Abs(r.X[x]-2) > 1e-7 {
 		t.Errorf("x=%v, want 2", r.X[x])
@@ -88,9 +89,9 @@ func TestShardingRatioShape(t *testing.T) {
 	tv := p.AddVar(1)
 	// t ≥ 1.0·B1 (slow device has a=1), t ≥ 0.5·B2? — speeds 1 and 2:
 	// time on dev1 = B1/1, dev2 = B2/2.
-	p.AddConstraint(map[int]float64{tv: 1, b1: -1}, GE, 0)
-	p.AddConstraint(map[int]float64{tv: 1, b2: -0.5}, GE, 0)
-	p.AddConstraint(map[int]float64{b1: 1, b2: 1}, EQ, 1)
+	p.AddConstraint([]Term{{tv, 1}, {b1, -1}}, GE, 0)
+	p.AddConstraint([]Term{{tv, 1}, {b2, -0.5}}, GE, 0)
+	p.AddConstraint([]Term{{b1, 1}, {b2, 1}}, EQ, 1)
 	r := solveOrFatal(t, p)
 	if math.Abs(r.X[b1]-1.0/3) > 1e-6 || math.Abs(r.X[b2]-2.0/3) > 1e-6 {
 		t.Errorf("B = (%v, %v), want (1/3, 2/3)", r.X[b1], r.X[b2])
@@ -120,11 +121,11 @@ func TestQuickSimplexOptimality(t *testing.T) {
 		}
 		// Box: xⱼ ≤ u (keeps it bounded), plus a coupling row Σx ≥ 1.
 		for j := 0; j < n; j++ {
-			p.AddConstraint(map[int]float64{j: 1}, LE, 1+rng.Float64())
+			p.AddConstraint([]Term{{j, 1}}, LE, 1+rng.Float64())
 		}
-		all := map[int]float64{}
-		for j := 0; j < n; j++ {
-			all[j] = 1
+		all := make([]Term, n)
+		for j := range all {
+			all[j] = Term{j, 1}
 		}
 		p.AddConstraint(all, GE, 1)
 		r, err := p.Solve()

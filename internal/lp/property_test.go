@@ -1,0 +1,179 @@
+package lp
+
+import (
+	"errors"
+	"fmt"
+	"math"
+	"math/rand"
+	"testing"
+)
+
+// ratioLP builds a random LP of the load balancer's shape (see
+// balance.RatiosFromModel): per-segment ratios B[k][j] and their maxima M[k],
+// one t per stage bounded below by every device's compute time, the M's cost
+// carried by proxy variables. Coefficients span 1e-7…1e-1 like the cost
+// model's seconds-per-unit terms. kind picks the expected outcome: 0 feasible
+// and bounded, 1 infeasible (two devices of one segment each need over half
+// of it), 2 unbounded (one stage time is paid for, not charged).
+func ratioLP(rng *rand.Rand, kind int) *Problem {
+	segs, devs, stages := 1+rng.Intn(4), 2+rng.Intn(11), 1+rng.Intn(16)
+	coef := func() float64 { return math.Pow(10, -7+6*rng.Float64()) }
+	p := NewProblem()
+	b := make([][]int, segs)
+	for k := range b {
+		b[k] = make([]int, devs)
+		for j := range b[k] {
+			b[k][j] = p.AddVar(0)
+		}
+	}
+	mv := make([]int, segs)
+	for k := range mv {
+		mv[k] = p.AddVar(0)
+	}
+	for i := 0; i < stages; i++ {
+		cost := 1.0
+		if kind == 2 && i == 0 {
+			cost = -1
+		}
+		tv, own := p.AddVar(cost), rng.Intn(segs)
+		for j := 0; j < devs; j++ {
+			row := []Term{{tv, 1}}
+			for k := 0; k < segs; k++ {
+				if k == own || rng.Intn(4) == 0 {
+					row = append(row, Term{b[k][j], -coef()})
+				}
+			}
+			rhs := 0.0
+			if rng.Intn(2) == 0 {
+				rhs = coef() / 100
+			}
+			p.AddConstraint(row, GE, rhs)
+		}
+	}
+	for k := 0; k < segs; k++ {
+		if rng.Intn(5) == 0 {
+			continue // a segment no collective bottlenecks on
+		}
+		proxy := p.AddVar(coef())
+		p.AddConstraint([]Term{{proxy, 1}, {mv[k], -1}}, EQ, 0)
+	}
+	for k := 0; k < segs; k++ {
+		sum := make([]Term, devs)
+		for j := 0; j < devs; j++ {
+			p.AddConstraint([]Term{{mv[k], 1}, {b[k][j], -1}}, GE, 0)
+			sum[j] = Term{b[k][j], 1}
+		}
+		p.AddConstraint(sum, EQ, 1)
+	}
+	if kind == 1 {
+		p.AddConstraint([]Term{{b[0][0], 1}}, GE, 0.6)
+		p.AddConstraint([]Term{{b[0][1], 1}}, GE, 0.6)
+	}
+	return p
+}
+
+func errClass(err error) error {
+	for _, class := range []error{ErrInfeasible, ErrUnbounded, ErrIterationLimit} {
+		if errors.Is(err, class) {
+			return class
+		}
+	}
+	return err
+}
+
+// againstReference solves p both ways and reports whether the pivot paths
+// matched; it fails the test when the error classes differ, the objectives
+// differ by more than 1e-9 relative, or the same pivots led to another X.
+func againstReference(t *testing.T, name string, p *Problem, perturb float64) (refErr error, samePath bool) {
+	t.Helper()
+	var refPivots, gotPivots [][2]int
+	ref, refErr := p.referenceSolve(perturb, func(r, c int) { refPivots = append(refPivots, [2]int{r, c}) })
+	got, gotErr := p.solve(perturb, func(r, c int) { gotPivots = append(gotPivots, [2]int{r, c}) })
+	if errClass(refErr) != errClass(gotErr) {
+		t.Fatalf("%s: solve: %v, reference: %v", name, gotErr, refErr)
+	}
+	if refErr != nil {
+		return refErr, true
+	}
+	if math.Abs(got.Objective-ref.Objective) > 1e-9*math.Abs(ref.Objective) {
+		t.Errorf("%s: objective %v, reference %v", name, got.Objective, ref.Objective)
+	}
+	samePath = len(refPivots) == len(gotPivots)
+	for i := 0; samePath && i < len(refPivots); i++ {
+		samePath = refPivots[i] == gotPivots[i]
+	}
+	if !samePath {
+		t.Logf("%s: pivot paths diverge (%d pivots, reference %d)", name, len(gotPivots), len(refPivots))
+		return nil, false
+	}
+	for j := range ref.X {
+		if math.Float64bits(got.X[j]) != math.Float64bits(ref.X[j]) {
+			t.Fatalf("%s: same %d pivots but X[%d] = %v, reference %v", name, len(refPivots), j, got.X[j], ref.X[j])
+		}
+	}
+	return nil, true
+}
+
+// TestMatchesReference holds the solver to the dense reference on seeded
+// random ratio-shaped LPs: the same error class, the same objective, and —
+// wherever both made the same pivots in the same order — the same X bit for
+// bit. The maintained reduced-cost row differs from the reference's
+// from-scratch sums by round-off, so a reduced cost within that of -enterEps
+// may send the two down different pivot paths to the same optimum; the test
+// counts and logs those cases (none on any input seen so far). Right-hand
+// sides are non-negative, as the cost model's are: with flipped rows mixed in
+// at these scales the tableau's entries pass 1e9 and round-off alone is past
+// enterEps — the reference no longer says anything about such an LP.
+func TestMatchesReference(t *testing.T) {
+	const cases = 600
+	rng := rand.New(rand.NewSource(19))
+	diverged, failed := 0, 0
+	for n := 0; n < cases; n++ {
+		kind := 0
+		if n%10 >= 8 {
+			kind = n%10 - 7
+		}
+		p := ratioLP(rng, kind)
+		perturb := []float64{0, 0, 0, 1e-7}[n%4] // Solve's retry path, now and then
+		err, same := againstReference(t, fmt.Sprintf("case %d (kind %d)", n, kind), p, perturb)
+		if want := []error{nil, ErrInfeasible, ErrUnbounded}[kind]; errClass(err) != want {
+			t.Fatalf("case %d (kind %d): reference: %v, want %v", n, kind, err, want)
+		}
+		if err != nil {
+			failed++
+		} else if !same {
+			diverged++
+		}
+	}
+	t.Logf("%d LPs: %d infeasible or unbounded, %d pivot paths diverged from the reference", cases, failed, diverged)
+}
+
+// The ratio LPs have no ≤ rows and no negative right-hand sides; small
+// well-scaled LPs with every relation and both signs cover the row flip and
+// the slack-basic start against the reference too.
+func TestMatchesReferenceMixedRows(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	outcomes := map[error]int{}
+	for n := 0; n < 600; n++ {
+		p := NewProblem()
+		vars := 2 + rng.Intn(5)
+		for j := 0; j < vars; j++ {
+			p.AddVar(rng.Float64()*2 - 0.5)
+		}
+		for i, rows := 0, 2+rng.Intn(5); i < rows; i++ {
+			var row []Term
+			for j := 0; j < vars; j++ {
+				if rng.Intn(2) == 0 {
+					row = append(row, Term{j, rng.Float64()*4 - 2})
+				}
+			}
+			p.AddConstraint(row, []Op{LE, LE, LE, GE, GE, EQ}[rng.Intn(6)], rng.Float64()*4-2)
+		}
+		err, same := againstReference(t, fmt.Sprintf("case %d", n), p, 0)
+		if !same {
+			t.Errorf("case %d: pivot paths diverge on a well-scaled LP", n)
+		}
+		outcomes[errClass(err)]++
+	}
+	t.Logf("outcomes: %v", outcomes)
+}

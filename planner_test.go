@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"hap/internal/cluster"
 	"hap/internal/dist"
 	"hap/internal/graph"
 	"hap/internal/models"
@@ -215,5 +216,36 @@ func TestBinaryPlanRoundTrip(t *testing.T) {
 	bad[len(bad)-1] ^= 0xff
 	if _, err := ReadProgramBinary(bytes.NewReader(bad), testGraph(t)); err == nil || !strings.Contains(err.Error(), "suffix") {
 		t.Errorf("corrupt suffix: err = %v, want a suffix complaint", err)
+	}
+}
+
+// A balancer failure (ViT on the heterogeneous testbed: the ratio LP reports
+// infeasibility) costs the plan its tuned ratios, not the caller the plan:
+// what comes back validates and survives both wire formats.
+func TestPlanSurvivesBalancerFailure(t *testing.T) {
+	c := cluster.PaperHeterogeneous(1)
+	g := models.Build(models.ModelViT, c.TotalGPUs())
+	plan, err := NewPlanner(c).Plan(context.Background(), g)
+	if err != nil {
+		t.Fatalf("Plan: %v", err)
+	}
+	if err := plan.Program.Validate(); err != nil {
+		t.Errorf("Validate: %v", err)
+	}
+	if err := validateRatios(plan.Ratios, g.NumSegments()); err != nil {
+		t.Errorf("validateRatios: %v", err)
+	}
+	var js, bin bytes.Buffer
+	if err := plan.WriteProgram(&js); err != nil {
+		t.Fatalf("WriteProgram: %v", err)
+	}
+	if _, err := ReadProgram(&js, g); err != nil {
+		t.Errorf("ReadProgram: %v", err)
+	}
+	if err := plan.WriteProgramBinary(&bin); err != nil {
+		t.Fatalf("WriteProgramBinary: %v", err)
+	}
+	if _, err := ReadProgramBinary(&bin, g); err != nil {
+		t.Errorf("ReadProgramBinary: %v", err)
 	}
 }
