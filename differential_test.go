@@ -163,9 +163,9 @@ func TestDifferentialRandomGraphs(t *testing.T) {
 		for ci, c := range clusters {
 			c := c
 			t.Run(fmt.Sprintf("seed=%d/cluster=%d/segments=%d", seed, ci, segments), func(t *testing.T) {
-				plan, err := Parallelize(g, c, Options{Segments: segments})
+				plan, err := planWith(g, c, Options{Segments: segments})
 				if err != nil {
-					t.Fatalf("Parallelize on\n%s: %v", g, err)
+					t.Fatalf("Plan on\n%s: %v", g, err)
 				}
 				if plan.Cost <= 0 || len(plan.Program.Instrs) == 0 {
 					t.Fatalf("degenerate plan (cost %v, %d instrs)", plan.Cost, len(plan.Program.Instrs))
@@ -191,9 +191,9 @@ func TestDifferentialRandomGraphs(t *testing.T) {
 // seed-ignored path instead (the planner must not report them seeded).
 func seededArm(t *testing.T, g *Graph, cold *Plan, c *cluster.Cluster, segments int, seed int64) {
 	t.Helper()
-	plan, err := Parallelize(g, c, Options{Segments: segments, SeedGraph: g, SeedPlan: cold})
+	plan, err := planWith(g, c, Options{Segments: segments, SeedGraph: g, SeedPlan: cold})
 	if err != nil {
-		t.Fatalf("seeded Parallelize: %v", err)
+		t.Fatalf("seeded Plan: %v", err)
 	}
 	if err := plan.Program.Validate(); err != nil {
 		t.Fatalf("seeded program ill-formed: %v\n%s", err, plan.Program)
@@ -230,16 +230,16 @@ func TestDifferentialSeededVGG19(t *testing.T) {
 	base := models.Training(models.VGG19(8, 32, 10))
 	wide := models.Training(models.VGG19OneWider(8, 32, 10))
 
-	cold, err := Parallelize(base, c, Options{})
+	cold, err := planWith(base, c, Options{})
 	if err != nil {
 		t.Fatalf("base VGG19: %v", err)
 	}
-	coldWide, err := Parallelize(wide, c, Options{})
+	coldWide, err := planWith(wide, c, Options{})
 	if err != nil {
 		t.Fatalf("cold widened VGG19: %v", err)
 	}
 
-	plan, err := Parallelize(wide, c, Options{SeedGraph: base, SeedPlan: cold})
+	plan, err := planWith(wide, c, Options{SeedGraph: base, SeedPlan: cold})
 	if err != nil {
 		t.Fatalf("seeded widened VGG19: %v", err)
 	}

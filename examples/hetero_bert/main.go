@@ -4,6 +4,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
@@ -29,7 +30,7 @@ func main() {
 	cfg.Vocab = 8192
 	g := models.Training(models.BERT(cfg, 64*c.TotalGPUs()*32))
 
-	plan, err := hap.Parallelize(g, c, hap.Options{})
+	plan, err := hap.NewPlanner(c).Plan(context.Background(), g)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -27,7 +28,7 @@ func main() {
 		tokens := 256 * experts // keep per-expert load constant
 		g := models.Training(models.BERT(cfg, tokens))
 
-		plan, err := hap.Parallelize(g, c, hap.Options{})
+		plan, err := hap.NewPlanner(c).Plan(context.Background(), g)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -32,7 +33,7 @@ func main() {
 	fmt.Print(c)
 
 	// 3. Let HAP synthesize the distributed program and sharding ratios.
-	plan, err := hap.Parallelize(g, c, hap.Options{})
+	plan, err := hap.NewPlanner(c).Plan(context.Background(), g)
 	if err != nil {
 		log.Fatal(err)
 	}

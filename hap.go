@@ -20,8 +20,6 @@
 //	p := hap.NewPlanner(hap.Heterogeneous(...))
 //	plan, err := p.Plan(ctx, g)
 //
-// (hap.Parallelize(g, c, Options{}) remains as a deprecated shim.)
-//
 // The plan contains the SPMD program every device executes, the per-segment
 // sharding ratios, and the modeled per-iteration time. The numeric runtime
 // (hap.Verify) checks the synthesized program is semantically equivalent to
@@ -31,7 +29,6 @@ package hap
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -104,7 +101,8 @@ func PerGPU(machines ...MachineSpec) *Cluster {
 	return cluster.FromGPUs(cluster.DefaultNetwork(), machines...)
 }
 
-// Options tunes Parallelize.
+// Options tunes a Planner (see NewPlanner, WithOptions and the per-field
+// With* options).
 type Options struct {
 	// Segments > 1 enables per-segment sharding ratios (Sec. 5.2).
 	Segments int
@@ -131,7 +129,7 @@ type Options struct {
 	Workers int
 	// SeedGraph and SeedPlan supply a donor plan for incremental synthesis:
 	// when the donor graph is structurally close enough to the planned graph
-	// (normalized segment-level diff ≤ MaxSeedDistance), the search is seeded
+	// (normalized segment-level diff ≤ 0.25), the search is seeded
 	// from the donor plan — decisions in the unchanged region are pinned and
 	// only the changed region is searched. A donor too far away silently
 	// degrades to cold synthesis; exact A* ignores seeds. Both nil by
@@ -139,12 +137,9 @@ type Options struct {
 	// key: like Workers, they trade latency, never plan validity.
 	SeedGraph *Graph
 	SeedPlan  *Plan
-	// MaxSeedDistance overrides the incremental-synthesis cutoff
-	// (0 = the default, 0.25).
-	MaxSeedDistance float64
 }
 
-// Plan is the result of Parallelize: what every worker runs.
+// Plan is the result of Planner.Plan: what every worker runs.
 type Plan struct {
 	// Program is the SPMD program executed identically on all devices.
 	Program *Program
@@ -166,19 +161,9 @@ type Plan struct {
 	SeedDistance float64
 }
 
-// Parallelize runs the full HAP pipeline: iterative program synthesis and
-// sharding-ratio optimization (Sec. 3.1).
-//
-// Deprecated: use NewPlanner(c, WithOptions(opt)).Plan(ctx, g), which takes
-// a context.Context for cancellation and timeouts and amortizes setup across
-// calls. Parallelize is a thin shim over the Planner and never goes away.
-func Parallelize(g *Graph, c *Cluster, opt Options) (*Plan, error) {
-	return NewPlanner(c, WithOptions(opt)).Plan(context.Background(), g)
-}
-
 // planJSON is the serialized form of a Plan. The graph travels separately:
 // ReadProgram re-binds the program to a caller-provided graph. SegmentOf is
-// carried because Parallelize(Segments > 1) assigns it internally — a fresh
+// carried because planning with Segments > 1 assigns it internally — a fresh
 // process rebuilding the model graph has no way to reproduce it.
 type planJSON struct {
 	Program       json.RawMessage `json:"program"`

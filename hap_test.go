@@ -2,6 +2,7 @@ package hap
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 )
@@ -11,6 +12,11 @@ func testCluster() *Cluster {
 		MachineSpec{Type: V100, GPUs: 1},
 		MachineSpec{Type: P100, GPUs: 1},
 	)
+}
+
+// planWith plans g on c under opt, with no deadline.
+func planWith(g *Graph, c *Cluster, opt Options) (*Plan, error) {
+	return NewPlanner(c, WithOptions(opt)).Plan(context.Background(), g)
 }
 
 func testGraph(t *testing.T) *Graph {
@@ -30,9 +36,9 @@ func testGraph(t *testing.T) *Graph {
 func TestParallelizeEndToEnd(t *testing.T) {
 	g := testGraph(t)
 	c := testCluster()
-	plan, err := Parallelize(g, c, Options{})
+	plan, err := planWith(g, c, Options{})
 	if err != nil {
-		t.Fatalf("Parallelize: %v", err)
+		t.Fatalf("Plan: %v", err)
 	}
 	if plan.Cost <= 0 || len(plan.Program.Instrs) == 0 {
 		t.Fatal("degenerate plan")
@@ -47,9 +53,9 @@ func TestParallelizeEndToEnd(t *testing.T) {
 
 func TestParallelizeExactSearch(t *testing.T) {
 	g := testGraph(t)
-	plan, err := Parallelize(g, testCluster(), Options{ExactSearch: true})
+	plan, err := planWith(g, testCluster(), Options{ExactSearch: true})
 	if err != nil {
-		t.Fatalf("Parallelize exact: %v", err)
+		t.Fatalf("Plan exact: %v", err)
 	}
 	if err := Verify(plan, 2, 9); err != nil {
 		t.Errorf("Verify: %v", err)
@@ -59,7 +65,7 @@ func TestParallelizeExactSearch(t *testing.T) {
 func TestWriteTraceAPI(t *testing.T) {
 	g := testGraph(t)
 	c := testCluster()
-	plan, err := Parallelize(g, c, Options{})
+	plan, err := planWith(g, c, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

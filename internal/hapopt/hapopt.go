@@ -34,7 +34,8 @@ import (
 	"hap/internal/theory"
 )
 
-// Options configures the optimization loop.
+// Options configures the optimization loop. A wall-clock budget is not an
+// option: it is the deadline of the context Optimize runs under.
 type Options struct {
 	// MaxIterations bounds the alternation count (0 = 4, matching the
 	// paper's observation that the loop converges or oscillates quickly).
@@ -50,32 +51,16 @@ type Options struct {
 	// DisablePasses skips the post-synthesis optimization pipeline
 	// (collective fusion, collective CSE, DCE); on by default.
 	DisablePasses bool
-	// Pipeline overrides the pass pipeline (nil = passes.Default()).
-	Pipeline *passes.Pipeline
-	// TimeBudget bounds the whole optimization loop's wall-clock time:
-	// each program search gets the budget's remainder as its own limit, and
-	// an expired budget ends the loop with the best plan found so far (or an
-	// error when none exists yet). Zero means unlimited. A deadline on the
-	// Optimize context behaves identically (the earlier of the two wins);
-	// cancelling the context instead aborts the loop with the context error —
-	// nobody is waiting for a best-effort plan after a disconnect.
-	TimeBudget time.Duration
 	// SeedGraph and SeedProgram supply a donor plan for incremental
 	// synthesis: when the donor graph is structurally close enough to g
-	// (normalized diff ≤ MaxSeedDistance), every iteration's program search
-	// is seeded from the donor — decisions in the unchanged region are
-	// pinned and the beam narrows (see synth.Options.Seed). A donor too far
-	// away, or one whose program fails to replay, silently degrades to cold
-	// synthesis. Portfolio arms (the expert-parallel MoE theory) always
+	// (normalized diff ≤ synth.DefaultMaxSeedDistance), every iteration's
+	// program search is seeded from the donor — decisions in the unchanged
+	// region are pinned and the beam narrows (see synth.Options.Seed). A
+	// donor too far away, or one whose program fails to replay, silently
+	// degrades to cold synthesis. Portfolio arms (the expert-parallel MoE theory) always
 	// search cold: the filtered theory does not contain the pinned triples.
 	SeedGraph   *graph.Graph
 	SeedProgram *dist.Program
-	// SeedTheory optionally shares the donor graph's background theory
-	// (nil = built on demand while constructing the seed).
-	SeedTheory *theory.Theory
-	// MaxSeedDistance overrides the seeding cutoff
-	// (0 = synth.DefaultMaxSeedDistance).
-	MaxSeedDistance float64
 	// Theory overrides the background theory (nil = theory.New(g)). Batch
 	// planners synthesizing one graph against many clusters build the theory
 	// once and share it here: the theory depends only on the graph, never on
@@ -117,8 +102,12 @@ type Result struct {
 }
 
 // Optimize runs the full HAP pipeline on a training graph and cluster.
-// Cancelling ctx aborts the loop (and any in-flight program search) promptly
-// with the context error; a ctx deadline acts like Options.TimeBudget.
+// ctx carries the loop's one clock. Its deadline bounds the whole loop's
+// wall-clock time: every program search runs under it, and once it passes the
+// loop ends with the best plan found so far (or an error when none exists
+// yet). Cancelling ctx instead aborts the loop (and any in-flight search)
+// promptly with the context error — nobody is waiting for a best-effort plan
+// after a disconnect.
 func Optimize(ctx context.Context, g *graph.Graph, c *cluster.Cluster, opt Options) (*Result, error) {
 	start := time.Now()
 	if ctx == nil {
@@ -155,7 +144,7 @@ func Optimize(ctx context.Context, g *graph.Graph, c *cluster.Cluster, opt Optio
 	// and reused by every iteration's search.
 	if opt.SeedProgram != nil && opt.Synth.Seed == nil {
 		ss := span.Child("seed")
-		opt.Synth.Seed = synth.BuildSeed(opt.SeedGraph, opt.SeedProgram, opt.SeedTheory, g, th, opt.MaxSeedDistance)
+		opt.Synth.Seed = synth.BuildSeed(opt.SeedGraph, opt.SeedProgram, nil, g, th, 0)
 		if sd := opt.Synth.Seed; sd != nil {
 			ss.SetAttrFloat("distance", sd.Distance)
 			ss.SetAttrInt("steps", int64(sd.Steps()))
@@ -186,15 +175,8 @@ func Optimize(ctx context.Context, g *graph.Graph, c *cluster.Cluster, opt Optio
 		}))
 	}
 
-	var deadline time.Time
-	if opt.TimeBudget > 0 {
-		deadline = start.Add(opt.TimeBudget)
-	}
-	// A ctx deadline is the same contract as TimeBudget (the Planner API
-	// expresses budgets as context.WithTimeout); the earlier cutoff wins.
-	if d, ok := ctx.Deadline(); ok && (deadline.IsZero() || d.Before(deadline)) {
-		deadline = d
-	}
+	// Zero when ctx has no deadline; the searches read the same one.
+	deadline, _ := ctx.Deadline()
 	var best *Result
 	var balanceErr error
 	seen := map[string]bool{}
@@ -211,24 +193,18 @@ func Optimize(ctx context.Context, g *graph.Graph, c *cluster.Cluster, opt Optio
 		if err := ctx.Err(); err != nil && !errors.Is(err, context.DeadlineExceeded) {
 			return nil, fmt.Errorf("hapopt: %w", err)
 		}
-		// The whole loop shares one wall-clock budget: each search runs
-		// under the remainder, and an expired budget ends the loop with the
-		// best plan so far instead of holding the caller longer.
-		if !deadline.IsZero() {
-			rem := time.Until(deadline)
-			if rem <= 0 {
-				if best != nil {
-					stop = "budget"
-					break
-				}
-				return nil, fmt.Errorf("hapopt: time budget exhausted after %v before any plan completed", time.Since(start).Round(time.Millisecond))
+		// The whole loop shares one wall-clock budget: an expired one ends
+		// the loop with the best plan so far instead of holding the caller
+		// longer.
+		if !deadline.IsZero() && !time.Now().Before(deadline) {
+			if best != nil {
+				stop = "budget"
+				break
 			}
-			if opt.Synth.TimeBudget <= 0 || rem < opt.Synth.TimeBudget {
-				opt.Synth.TimeBudget = rem
-			}
+			return nil, fmt.Errorf("hapopt: time budget exhausted after %v before any plan completed", time.Since(start).Round(time.Millisecond))
 		}
 		// The portfolio theories search concurrently under the shared
-		// TimeBudget (each search is internally parallel too; see
+		// deadline (each search is internally parallel too; see
 		// synth.Options.Workers). Selection walks the results in portfolio
 		// order with the same tie-breaking as a sequential loop — the base
 		// theory wins cost ties — so the outcome is order-deterministic.
@@ -357,25 +333,14 @@ func Optimize(ctx context.Context, g *graph.Graph, c *cluster.Cluster, opt Optio
 // final form. Dead instructions must never reach cost modeling or the
 // balancer: a leaf loader (or a collective on it) that the fused-leaf
 // optimization displaced would otherwise inflate t(Q,B) and skew B. The
-// pipeline's DCE pass covers that; a standalone Prune runs only when the
-// pipeline is disabled or carries no DCE, and its count is folded into the
-// returned pruned total either way.
+// default pipeline's DCE pass covers that; a standalone Prune runs when the
+// pipeline is disabled.
 func optimizeProgram(ctx context.Context, c *cluster.Cluster, p *dist.Program, opt Options) (pruned int, pstats passes.Stats, err error) {
-	var pl *passes.Pipeline
-	if !opt.DisablePasses {
-		if pl = opt.Pipeline; pl == nil {
-			pl = passes.Default()
-		}
+	if opt.DisablePasses {
+		return p.Prune(), pstats, nil
 	}
-	dce := (passes.DCE{}).Name()
-	if pl == nil || !pl.HasPass(dce) {
-		pruned = p.Prune()
-	}
-	if pl != nil {
-		pstats, err = pl.RunContext(ctx, p, c)
-		pruned += pstats.ChangedBy(dce)
-	}
-	return pruned, pstats, err
+	pstats, err = passes.Default().RunContext(ctx, p, c)
+	return pstats.ChangedBy((passes.DCE{}).Name()), pstats, err
 }
 
 // portfolioResult is one theory's concurrent synthesis outcome.

@@ -221,10 +221,15 @@ func TestOptimizeHeterogeneousBeatsEvenDP(t *testing.T) {
 func TestTimeBudgetBoundsTheWholeLoop(t *testing.T) {
 	g := models.Training(models.MLP(24, 8, 12, 6))
 	c := hetero2()
-	if _, err := Optimize(context.Background(), g, c, Options{TimeBudget: time.Nanosecond}); err == nil {
+	within := func(d time.Duration) context.Context {
+		ctx, cancel := context.WithTimeout(context.Background(), d)
+		t.Cleanup(cancel)
+		return ctx
+	}
+	if _, err := Optimize(within(time.Nanosecond), g, c, Options{}); err == nil {
 		t.Fatal("Optimize succeeded under a 1ns budget; want a time-budget error")
 	}
-	res, err := Optimize(context.Background(), g, c, Options{TimeBudget: time.Minute})
+	res, err := Optimize(within(time.Minute), g, c, Options{})
 	if err != nil {
 		t.Fatalf("Optimize under a generous budget: %v", err)
 	}
@@ -234,8 +239,7 @@ func TestTimeBudgetBoundsTheWholeLoop(t *testing.T) {
 }
 
 // A cancelled context aborts the loop with the context error — unlike an
-// expired budget, which degrades to the best plan so far. A ctx deadline
-// behaves exactly like TimeBudget.
+// expired deadline, which degrades to the best plan so far.
 func TestOptimizeContextSemantics(t *testing.T) {
 	g := models.Training(models.MLP(24, 8, 12, 6))
 	c := hetero2()
@@ -312,10 +316,16 @@ func oscillating() (*graph.Graph, *cluster.Cluster, Options) {
 
 // optimizeTraced runs Optimize under a traced context and returns the number
 // of "search" spans it recorded beside the optimize span's attributes.
-func optimizeTraced(g *graph.Graph, c *cluster.Cluster, opt Options) (res *Result, searches int, attrs map[string]string, err error) {
+func optimizeTraced(g *graph.Graph, c *cluster.Cluster, opt Options) (*Result, int, map[string]string, error) {
+	return optimizeTracedUnder(context.Background(), g, c, opt)
+}
+
+// optimizeTracedUnder is optimizeTraced under a caller's context — the way a
+// test states a time budget.
+func optimizeTracedUnder(ctx context.Context, g *graph.Graph, c *cluster.Cluster, opt Options) (res *Result, searches int, attrs map[string]string, err error) {
 	tr := obs.New("test", "test")
 	root := tr.Root("test", 0)
-	res, err = Optimize(obs.ContextWithSpan(context.Background(), root), g, c, opt)
+	res, err = Optimize(obs.ContextWithSpan(ctx, root), g, c, opt)
 	root.End()
 	for _, sp := range tr.Finish().Spans {
 		switch sp.Name {
@@ -387,10 +397,10 @@ func TestLoopIteratesWhileRatiosMove(t *testing.T) {
 // TestLoopStopReasons reaches each value of the optimize span's "stop"
 // attribute — the answer to "why did the loop end, was it cut short".
 func TestLoopStopReasons(t *testing.T) {
-	run := func(mod func(*Options)) (map[string]string, error) {
+	run := func(ctx context.Context, mod func(*Options)) (map[string]string, error) {
 		g, c, opt := oscillating()
 		mod(&opt)
-		_, _, attrs, err := optimizeTraced(g, c, opt)
+		_, _, attrs, err := optimizeTracedUnder(ctx, g, c, opt)
 		return attrs, err
 	}
 	for _, tc := range []struct {
@@ -402,7 +412,7 @@ func TestLoopStopReasons(t *testing.T) {
 		{"pair_repeated", func(o *Options) {}, "pair_repeated", "4"},
 		{"max_iterations", func(o *Options) { o.MaxIterations = 3 }, "max_iterations", "3"},
 	} {
-		attrs, err := run(tc.mod)
+		attrs, err := run(context.Background(), tc.mod)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
@@ -420,7 +430,9 @@ func TestLoopStopReasons(t *testing.T) {
 	}
 	budget := full.Elapsed / 2
 	for attempt := 0; attempt < 12; attempt++ {
-		attrs, err := run(func(o *Options) { o.TimeBudget = budget })
+		ctx, cancel := context.WithTimeout(context.Background(), budget)
+		attrs, err := run(ctx, func(*Options) {})
+		cancel()
 		switch {
 		case err != nil: // expired before the first plan completed
 			budget = budget * 3 / 2

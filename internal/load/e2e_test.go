@@ -178,7 +178,7 @@ func TestE2EOverload(t *testing.T) {
 		ShedRetryAfter:   time.Second,
 		Synthesize: func(ctx context.Context, g *graph.Graph, c *cluster.Cluster, opt hap.Options) (*hap.Plan, error) {
 			time.Sleep(60 * time.Millisecond)
-			return hap.Parallelize(g, c, opt)
+			return hap.NewPlanner(c, hap.WithOptions(opt)).Plan(context.Background(), g)
 		},
 	})
 	t.Cleanup(s.Close)

@@ -8,6 +8,7 @@ package passes_test
 // semantic equivalence holds at every step.
 
 import (
+	"context"
 	"testing"
 
 	"hap"
@@ -21,9 +22,9 @@ import (
 func TestCommFusionWinsOnVGG19(t *testing.T) {
 	g := models.Build(models.ModelVGG19, 4)
 	c := cluster.FromGPUs(cluster.DefaultNetwork(), cluster.MachineSpec{Type: cluster.P100, GPUs: 4})
-	plan, err := hap.Parallelize(g, c, hap.Options{DisablePasses: true})
+	plan, err := hap.NewPlanner(c, hap.WithoutPasses()).Plan(context.Background(), g)
 	if err != nil {
-		t.Fatalf("Parallelize: %v", err)
+		t.Fatalf("Plan: %v", err)
 	}
 
 	lowered := plan.Program.Clone()
@@ -71,20 +72,20 @@ func TestCommFusionWinsOnVGG19(t *testing.T) {
 }
 
 // TestParallelizeRunsPassesByDefault pins the default-on wiring: a default
-// Parallelize reports pipeline stats and a DisablePasses one does not.
+// Planner reports pipeline stats and a WithoutPasses one does not.
 func TestParallelizeRunsPassesByDefault(t *testing.T) {
 	g := models.MLP(16, 8, 4)
 	c := cluster.FromGPUs(cluster.DefaultNetwork(),
 		cluster.MachineSpec{Type: cluster.V100, GPUs: 1},
 		cluster.MachineSpec{Type: cluster.P100, GPUs: 1})
-	plan, err := hap.Parallelize(g, c, hap.Options{})
+	plan, err := hap.NewPlanner(c).Plan(context.Background(), g)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if plan.Passes.Rounds == 0 {
-		t.Error("default Parallelize reports no pass-pipeline rounds; pipeline did not run")
+		t.Error("default Planner reports no pass-pipeline rounds; pipeline did not run")
 	}
-	off, err := hap.Parallelize(g, c, hap.Options{DisablePasses: true})
+	off, err := hap.NewPlanner(c, hap.WithoutPasses()).Plan(context.Background(), g)
 	if err != nil {
 		t.Fatal(err)
 	}

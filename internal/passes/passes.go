@@ -152,16 +152,6 @@ func (pl *Pipeline) RunContext(ctx context.Context, p *dist.Program, c *cluster.
 	return stats, nil
 }
 
-// HasPass reports whether the pipeline contains a pass with the given name.
-func (pl *Pipeline) HasPass(name string) bool {
-	for _, p := range pl.Passes {
-		if p.Name() == name {
-			return true
-		}
-	}
-	return false
-}
-
 // nextTouch returns the index of the first instruction after i that touches
 // the tensor communicated or computed at i — a collective on the same
 // tensor, or a computation reading it — or -1 if none does. Computation

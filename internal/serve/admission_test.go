@@ -52,7 +52,7 @@ func TestAdmissionShedsExcessMisses(t *testing.T) {
 					return nil, ctx.Err()
 				}
 			}
-			return hap.Parallelize(g, c, opt)
+			return planWith(g, c, opt)
 		},
 	}
 	s := New(cfg)
@@ -174,7 +174,7 @@ func TestAdmissionBatch(t *testing.T) {
 					return nil, ctx.Err()
 				}
 			}
-			return hap.Parallelize(g, c, opt)
+			return planWith(g, c, opt)
 		},
 	}
 	s := New(cfg)

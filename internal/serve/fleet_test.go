@@ -81,7 +81,7 @@ func newFleetTrio(t *testing.T, mutate func(i int, cfg *Config)) []*fleetNode {
 			Fleet: fl,
 			Synthesize: func(ctx context.Context, g *graph.Graph, c *cluster.Cluster, opt hap.Options) (*hap.Plan, error) {
 				node.synth.Add(1)
-				return hap.Parallelize(g, c, opt)
+				return planWith(g, c, opt)
 			},
 		}
 		if mutate != nil {
@@ -312,7 +312,7 @@ func TestFleetPeerListReloadMidTraffic(t *testing.T) {
 			Fleet: fl,
 			Synthesize: func(ctx context.Context, g *graph.Graph, c *cluster.Cluster, opt hap.Options) (*hap.Plan, error) {
 				node.synth.Add(1)
-				return hap.Parallelize(g, c, opt)
+				return planWith(g, c, opt)
 			},
 		})
 		defer node.s.Close()

@@ -145,7 +145,7 @@ func TestServeEvictionDropsRegistries(t *testing.T) {
 	s := New(Config{
 		MaxCacheEntries: 2,
 		Synthesize: func(ctx context.Context, g *graph.Graph, c *cluster.Cluster, opt hap.Options) (*hap.Plan, error) {
-			return hap.Parallelize(g, c, opt)
+			return planWith(g, c, opt)
 		},
 	})
 	srv := httptest.NewServer(s.Handler())

@@ -31,6 +31,12 @@ func testGraph(t *testing.T) *graph.Graph {
 	return g
 }
 
+// planWith is what a Config.Synthesize hook calls once it has done its own
+// bookkeeping: the default planner, detached from the request context.
+func planWith(g *graph.Graph, c *cluster.Cluster, opt hap.Options) (*hap.Plan, error) {
+	return hap.NewPlanner(c, hap.WithOptions(opt)).Plan(context.Background(), g)
+}
+
 func testCluster() *cluster.Cluster {
 	return cluster.FromGPUs(cluster.DefaultNetwork(),
 		cluster.MachineSpec{Type: cluster.V100, GPUs: 1},
@@ -158,7 +164,7 @@ func TestServeSingleFlight(t *testing.T) {
 				close(started) // let the test unleash the other clients
 				<-release      // hold the flight open while they pile in
 			}
-			return hap.Parallelize(g, c, opt)
+			return planWith(g, c, opt)
 		},
 	}
 	s := New(cfg)
@@ -375,7 +381,7 @@ func TestOptimizeOptionPlumbing(t *testing.T) {
 			mu.Lock()
 			opts = append(opts, opt)
 			mu.Unlock()
-			return hap.Parallelize(g, c, opt)
+			return planWith(g, c, opt)
 		},
 	})
 	srv := httptest.NewServer(s.Handler())

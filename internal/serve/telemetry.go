@@ -316,13 +316,9 @@ func (s *Server) runReplan(key string, src planSource, drifted *cluster.Cluster,
 		root.End()
 		s.collectTrace(tr.Finish())
 	}()
-	ctx := context.Background()
-	if s.cfg.SynthTimeBudget > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, s.cfg.SynthTimeBudget)
-		defer cancel()
-	}
-	swapped, err := s.replanOne(ctx, root, key, src, drifted, old)
+	// No deadline here: hapOptions states SynthTimeBudget for replans as it
+	// does for requests, and the planner turns it into the search's deadline.
+	swapped, err := s.replanOne(context.Background(), root, key, src, drifted, old)
 	if err != nil {
 		s.logger.Warn("replan failed", "key", key, "trace_id", tr.ID(), "error", err)
 	}

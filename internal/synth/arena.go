@@ -12,15 +12,14 @@
 // nothing escapes: Run copies the winning program out of the parent chain
 // before returning.
 //
-// get/put take a mutex because clone runs concurrently inside materialize
-// batches; release is serial. The critical sections are a few loads and
-// stores, dwarfed by the scoring work between them.
+// get/put are unlocked: only the goroutine running the search calls them.
+// The beam's phase-1 workers score candidates without materializing them;
+// clone (A*, the seed fast-forward, the beam's serial materialize loop) and
+// release all run on the search's own goroutine.
 
 package synth
 
 import (
-	"sync"
-
 	"hap/internal/dist"
 	"hap/internal/theory"
 )
@@ -38,7 +37,6 @@ const (
 
 // stateArena allocates and recycles search states for one Synthesizer.
 type stateArena struct {
-	mu   sync.Mutex
 	free []*state
 
 	block  []state
@@ -59,12 +57,10 @@ func (a *stateArena) init(nodes, m int) {
 // block. Fresh states come with zero-length slices whose capacities alias
 // the block slabs, so the caller's append-into pattern fills them in place.
 func (a *stateArena) get() *state {
-	a.mu.Lock()
 	if n := len(a.free); n > 0 {
 		s := a.free[n-1]
 		a.free[n-1] = nil
 		a.free = a.free[:n-1]
-		a.mu.Unlock()
 		return s
 	}
 	if a.used == len(a.block) {
@@ -82,13 +78,10 @@ func (a *stateArena) get() *state {
 	s.props = a.props[i*arenaPropCap : i*arenaPropCap : (i+1)*arenaPropCap]
 	s.instrs = a.instrs[i*arenaInstrCap : i*arenaInstrCap : (i+1)*arenaInstrCap]
 	a.used++
-	a.mu.Unlock()
 	return s
 }
 
 // put recycles a retired state for the next get.
 func (a *stateArena) put(s *state) {
-	a.mu.Lock()
 	a.free = append(a.free, s)
-	a.mu.Unlock()
 }

@@ -11,16 +11,24 @@ import (
 
 	"hap/internal/cluster"
 	"hap/internal/cost"
+	"hap/internal/graph"
 	"hap/internal/models"
 	"hap/internal/theory"
 )
 
-func benchSynthesize(b *testing.B, model models.PaperModel) {
+// benchInput is the search every BenchmarkSynthesize* row times: a paper
+// model on the paper's heterogeneous cluster at B⁽⁰⁾.
+func benchInput(model models.PaperModel) (*graph.Graph, *theory.Theory, *cluster.Cluster, [][]float64) {
 	c := cluster.PaperHeterogeneous(1)
 	g := models.Build(model, c.TotalGPUs())
-	th := theory.New(g)
-	ratios := cost.UniformRatios(g.NumSegments(), c.ProportionalRatios())
-	for _, workers := range []int{1, 4, 8} {
+	return g, theory.New(g), c, cost.UniformRatios(g.NumSegments(), c.ProportionalRatios())
+}
+
+func benchSynthesize(b *testing.B, model models.PaperModel) {
+	g, th, c, ratios := benchInput(model)
+	// 2 is the reference box's GOMAXPROCS, so workers=2 is what a default
+	// caller runs there.
+	for _, workers := range []int{1, 2, 8} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			opt := Options{BeamWidth: 48, Workers: workers}
 			b.ReportAllocs()
@@ -31,6 +39,36 @@ func benchSynthesize(b *testing.B, model models.PaperModel) {
 				}
 			}
 		})
+	}
+}
+
+// vgg19SearchAllocs is BenchmarkSynthesizeVGG19/workers=1's allocs/op. The
+// count is exact run to run: the search is deterministic and single-threaded.
+const vgg19SearchAllocs = 9665
+
+// TestSearchAllocationPin holds the beam's allocation profile. A closure in
+// runBeam that captures the selection loop's locals moves them to the heap
+// once per iteration and doubles this count (19 631 before the materialize
+// loop went serial) — for every worker count, since escape analysis is per
+// function, not per branch. Workers cost a few goroutines and chunk buffers
+// per level on top, nothing per candidate.
+func TestSearchAllocationPin(t *testing.T) {
+	g, th, c, ratios := benchInput(models.ModelVGG19)
+	allocs := func(workers int) float64 {
+		return testing.AllocsPerRun(2, func() {
+			if _, _, err := Synthesize(context.Background(), g, th, c, ratios, Options{BeamWidth: 48, Workers: workers}); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	one := allocs(1)
+	if limit := 1.25 * vgg19SearchAllocs; one > limit {
+		t.Errorf("VGG19 search at Workers=1: %.0f allocs, want at most %.0f (pinned %d + 25%%)", one, limit, vgg19SearchAllocs)
+	}
+	two := allocs(2)
+	t.Logf("allocs per search: %.0f at Workers=1, %.0f at Workers=2", one, two)
+	if two > 1.25*one {
+		t.Errorf("VGG19 search at Workers=2: %.0f allocs, want at most 1.25x the %.0f of Workers=1", two, one)
 	}
 }
 

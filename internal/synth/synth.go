@@ -22,17 +22,18 @@
 // collapses cost-equivalent permutations without losing any stage partition;
 // an optional beam bound caps expansions per search depth for model-scale
 // graphs (exact search remains the default for small graphs); the beam
-// search fans each level over Options.Workers goroutines and merges
-// candidates in a deterministic total order, so the emitted program is
-// byte-identical for every worker count; and the per-expansion hot path is
-// allocation-lean — pooled states with copy-on-write bitsets, memoized
-// collective costs, and binary-searched property sets.
+// search fans each level's candidate scoring over Options.Workers goroutines
+// and merges candidates in a deterministic total order, so the emitted
+// program is byte-identical for every worker count; and the per-expansion hot
+// path is allocation-lean — pooled states with copy-on-write bitsets,
+// memoized collective costs, and binary-searched property sets.
 package synth
 
 import (
 	"cmp"
 	"container/heap"
 	"context"
+	"errors"
 	"fmt"
 	"runtime"
 	"slices"
@@ -50,25 +51,19 @@ import (
 	"hap/internal/theory"
 )
 
-// Options tunes the search.
+// Options tunes the search. A wall-clock limit is not an option: it is the
+// deadline of the context the search runs under (see Run).
 type Options struct {
 	// BeamWidth caps expansions per depth (0 = exact A*; negative = choose
 	// automatically: exact for small graphs, beam for model-scale ones).
 	BeamWidth int
-	// MaxExpansions aborts runaway searches (0 = 4,000,000).
-	MaxExpansions int
-	// TimeBudget aborts searches whose wall-clock time exceeds it (0 = no
-	// limit). MaxExpansions bounds memory, not time: an adversarial graph
-	// can spend minutes inside its expansion budget. Serving stacks set
-	// this so one request cannot hold a worker indefinitely.
-	TimeBudget time.Duration
 	// Workers is the number of goroutines the beam search fans each level's
-	// candidate generation, scoring and materialization over (0 = GOMAXPROCS,
-	// 1 = serial). The emitted program is byte-identical for every worker
-	// count: workers own contiguous chunks of the level, so the merged
-	// candidate sequence — (parent index, candidate index) order — and the
-	// deterministic sort over it are independent of how the level was
-	// partitioned (see DESIGN.md). Exact A* is always serial.
+	// candidate generation and scoring over (0 = GOMAXPROCS, 1 = serial);
+	// survivors are always materialized serially. The emitted program is
+	// byte-identical for every worker count: workers own contiguous chunks of
+	// the level, so the merged candidate sequence — (parent index, candidate
+	// index) order — and the deterministic sort over it are independent of
+	// how the level was partitioned (see DESIGN.md). Exact A* is always serial.
 	Workers int
 	// DisableGroupedBroadcast removes the grouped-Broadcast All-Gather
 	// implementation (ablation "C", Sec. 7.4).
@@ -86,6 +81,11 @@ type Options struct {
 
 // Auto returns BeamWidth -1 options (automatic mode selection).
 func Auto() Options { return Options{BeamWidth: -1} }
+
+// maxExpansions aborts a runaway exact search. It bounds memory, not time: an
+// adversarial graph can spend minutes inside it, which is what the context
+// deadline is for.
+const maxExpansions = 4_000_000
 
 // seededBeamWidth is automatic mode's beam width for seeded searches. With
 // donor pins collapsing computation branching to one candidate per level,
@@ -203,7 +203,9 @@ func (s *state) setCommunicated(id graph.NodeID) {
 
 // clone allocates a successor of s from the per-search arena. The bitsets
 // are shared copy-on-write; every other slice is copied into recycled (or
-// slab-carved) backing.
+// slab-carved) backing. Only the search's own goroutine clones and releases
+// (phase 1's workers score candidates without materializing them), which is
+// what lets the arena go unlocked.
 func (sy *Synthesizer) clone(s *state) *state {
 	c := sy.arena.get()
 	c.parent = s
@@ -239,14 +241,6 @@ func (sy *Synthesizer) release(s *state) {
 	s.ownsComputed, s.ownsCommunicated = false, false
 	s.parent = nil
 	sy.arena.put(s)
-}
-
-func (sy *Synthesizer) releaseAll(states []*state) {
-	for _, s := range states {
-		if s != nil {
-			sy.release(s)
-		}
-	}
 }
 
 // hasProp binary-searches the sorted property set.
@@ -358,16 +352,17 @@ type Synthesizer struct {
 	b     [][]float64
 	opt   Options
 	words int
-	// ctx is the Run context: cancellation (client disconnect, caller
-	// timeout) latches expired via a watcher goroutine, so every worker
-	// aborts between candidate batches without polling ctx on the hot path.
+	// ctx is the Run context, the search's one clock: its cancellation
+	// (client disconnect) latches expired via a watcher goroutine, so every
+	// worker aborts between candidate batches without polling ctx on the hot
+	// path; its deadline is polled directly (see expiredNow).
 	ctx context.Context
-	// deadline is the wall-clock cutoff derived from Options.TimeBudget
-	// (zero = unlimited), set at the start of Run.
-	deadline time.Time
-	// expired latches a TimeBudget violation or a ctx cancellation so every
-	// beam worker observes it between candidate batches (prompt
-	// cancellation, see expiredNow).
+	// start and deadline are Run's entry time and ctx.Deadline() (zero =
+	// unlimited); their difference is the budget the expiry error names.
+	start, deadline time.Time
+	// expired latches a passed deadline or a ctx cancellation so every beam
+	// worker observes it between candidate batches (prompt cancellation, see
+	// expiredNow).
 	expired atomic.Bool
 	// span is the tracing span covering this search, resolved once from the
 	// Run context. Nil when tracing is off — every use below is nil-safe, so
@@ -404,16 +399,13 @@ type Synthesizer struct {
 
 // New prepares a synthesizer for one (graph, theory, cluster, ratios) tuple.
 func New(g *graph.Graph, th *theory.Theory, c *cluster.Cluster, b [][]float64, opt Options) *Synthesizer {
-	if opt.MaxExpansions == 0 {
-		opt.MaxExpansions = 4_000_000
-	}
 	if opt.BeamWidth < 0 {
 		// Exact A* is exponential in both graph size and the communication
 		// branching (which grows with the device count); keep it for the
 		// regimes where it finishes in milliseconds. The node bound is
 		// deliberately tight: randomized differential testing showed ~40-node
 		// training graphs where exact A* on 2 devices runs for minutes and
-		// allocates gigabytes before MaxExpansions trips.
+		// allocates gigabytes before maxExpansions trips.
 		if g.NumNodes() <= 24 && c.M() <= 2 {
 			opt.BeamWidth = 0 // exact
 		} else if opt.Seed != nil {
@@ -462,18 +454,15 @@ func New(g *graph.Graph, th *theory.Theory, c *cluster.Cluster, b [][]float64, o
 
 // workers resolves Options.Workers (0 = GOMAXPROCS).
 func (sy *Synthesizer) workers() int {
-	w := sy.opt.Workers
-	if w <= 0 {
-		w = runtime.GOMAXPROCS(0)
+	if w := sy.opt.Workers; w > 0 {
+		return w
 	}
-	if w < 1 {
-		w = 1
-	}
-	return w
+	return runtime.GOMAXPROCS(0)
 }
 
 // Synthesize runs the search under ctx and returns the best program found.
-// Cancelling ctx aborts an in-flight search within one candidate batch.
+// Cancelling ctx, or its deadline passing, aborts an in-flight search within
+// one candidate batch.
 func Synthesize(ctx context.Context, g *graph.Graph, th *theory.Theory, c *cluster.Cluster, b [][]float64, opt Options) (*dist.Program, Stats, error) {
 	return New(g, th, c, b, opt).Run(ctx)
 }
@@ -504,14 +493,15 @@ func (sy *Synthesizer) rootState() *state {
 
 // Run executes the search under ctx: exact A* (Fig. 10) when BeamWidth is
 // zero, a level-synchronized (optionally multi-core) beam search otherwise.
-// ctx cancellation and TimeBudget expiry share the same latch, so both abort
-// the search within one candidate batch.
+// ctx is the search's only clock: its deadline is the wall-clock budget, its
+// cancellation an abort. Both share one latch, so either stops the search
+// within one candidate batch.
 func (sy *Synthesizer) Run(ctx context.Context) (*dist.Program, Stats, error) {
-	start := time.Now()
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	sy.ctx = ctx
+	sy.ctx, sy.start = ctx, time.Now()
+	sy.deadline, _ = ctx.Deadline()
 	// One context lookup per search; nil (tracing off) makes every span call
 	// below a no-op.
 	sy.span = obs.SpanFromContext(ctx).Child("search")
@@ -524,9 +514,6 @@ func (sy *Synthesizer) Run(ctx context.Context) (*dist.Program, Stats, error) {
 			sy.span.SetAttrStr("mode", "astar")
 		}
 		sy.span.SetAttrInt("nodes", int64(sy.g.NumNodes()))
-	}
-	if sy.opt.TimeBudget > 0 {
-		sy.deadline = start.Add(sy.opt.TimeBudget)
 	}
 	// An already-cancelled context must abort deterministically, not race
 	// the watcher goroutine against a fast search.
@@ -551,11 +538,11 @@ func (sy *Synthesizer) Run(ctx context.Context) (*dist.Program, Stats, error) {
 	var stats Stats
 	var err error
 	if sy.opt.BeamWidth > 0 {
-		start := root
+		from := root
 		if sy.opt.Seed != nil {
 			var applied int
 			var done bool
-			start, applied, done = sy.fastForward(root)
+			from, applied, done = sy.fastForward(root)
 			if sy.span != nil {
 				sy.span.SetAttrFloat("seed_distance", sy.opt.Seed.Distance)
 				sy.span.SetAttrInt("seed_prefix", int64(applied))
@@ -563,17 +550,17 @@ func (sy *Synthesizer) Run(ctx context.Context) (*dist.Program, Stats, error) {
 			if done {
 				// The whole donor program replayed: the state is complete and
 				// byte-identical to the donor — nothing left to search.
-				best, stats = start, Stats{Pushed: applied}
+				best, stats = from, Stats{Pushed: applied}
 			}
 		}
 		if best == nil {
-			best, stats, err = sy.runBeam(start)
+			best, stats, err = sy.runBeam(from)
 		}
 		stats.Seeded = sy.opt.Seed != nil
 	} else {
 		best, stats, err = sy.runAStar(root)
 	}
-	stats.Elapsed = time.Since(start)
+	stats.Elapsed = time.Since(sy.start)
 	if err != nil {
 		if sy.span != nil {
 			sy.span.SetAttrInt("expansions", int64(stats.Expansions))
@@ -613,8 +600,8 @@ func (sy *Synthesizer) runAStar(root *state) (*state, Stats, error) {
 			break
 		}
 		stats.Expansions++
-		if stats.Expansions > sy.opt.MaxExpansions {
-			return nil, stats, fmt.Errorf("synth: exceeded %d expansions", sy.opt.MaxExpansions)
+		if stats.Expansions > maxExpansions {
+			return nil, stats, fmt.Errorf("synth: exceeded %d expansions", maxExpansions)
 		}
 		if err := sy.overBudget(stats.Expansions); err != nil {
 			return nil, stats, err
@@ -746,10 +733,10 @@ func (sy *Synthesizer) materialize(level []*state, c *beamCand) *state {
 // fixed arena order, giving one merge order for every worker count — the
 // surviving beam, and therefore the emitted program, is byte-identical
 // whether the level ran on 1 worker or 16. (3) Survivors are materialized
-// (in parallel batches; selection itself stays serial in merge order) with
-// dedup by state key; level states that produced no surviving child are
-// released to the state pool. Bounded suboptimality traded for a hard bound
-// on search effort; see DESIGN.md.
+// and selected serially, in merge order, with dedup by state key; level
+// states that produced no surviving child are released to the state pool.
+// Bounded suboptimality traded for a hard bound on search effort; see
+// DESIGN.md.
 func (sy *Synthesizer) runBeam(root *state) (*state, Stats, error) {
 	var stats Stats
 	var best *state
@@ -762,7 +749,6 @@ func (sy *Synthesizer) runBeam(root *state) (*state, Stats, error) {
 	var (
 		arena []beamCand
 		refs  []candRef
-		mats  []*state
 		kept  []bool
 		next  []*state
 	)
@@ -850,73 +836,36 @@ func (sy *Synthesizer) runBeam(root *state) (*state, Stats, error) {
 		for i := range kept {
 			kept[i] = false
 		}
-		batch := 1
-		if workers > 1 {
-			batch = 4 * workers
-		}
-		i := 0
-	selection:
-		for i < len(refs) {
-			if best != nil && refs[i].score >= bestCost {
+		for _, r := range refs {
+			if best != nil && r.score >= bestCost {
 				break // sorted: nothing further can improve
 			}
-			j := i + batch
-			if j > len(refs) {
-				j = len(refs)
+			cand := &arena[r.idx]
+			ns := sy.materialize(level, cand)
+			if ns == nil {
+				continue
 			}
-			mats = mats[:0]
-			if j-i == 1 || workers <= 1 {
-				j = i + 1
-				mats = append(mats, sy.materialize(level, &arena[refs[i].idx]))
-			} else {
-				for k := i; k < j; k++ {
-					mats = append(mats, nil)
-				}
-				var wg sync.WaitGroup
-				for c := 0; c < workers && c < j-i; c++ {
-					wg.Add(1)
-					go func(c int) {
-						defer wg.Done()
-						for k := i + c; k < j; k += workers {
-							mats[k-i] = sy.materialize(level, &arena[refs[k].idx])
-						}
-					}(c)
-				}
-				wg.Wait()
-			}
-			for k := i; k < j; k++ {
-				ns := mats[k-i]
-				if best != nil && refs[k].score >= bestCost {
-					sy.releaseAll(mats[k-i:])
-					break selection
-				}
-				if ns == nil {
-					continue
-				}
-				stats.Pushed++
-				if ns.complete {
-					if ec := ns.effCost(); best == nil || ec < bestCost {
-						best, bestCost = ns, ec
-						kept[arena[refs[k].idx].parent] = true
-					} else {
-						sy.release(ns)
-					}
-					continue
-				}
-				key := ns.key()
-				if _, ok := visited[key]; ok {
+			stats.Pushed++
+			if ns.complete {
+				if ec := ns.effCost(); best == nil || ec < bestCost {
+					best, bestCost = ns, ec
+					kept[cand.parent] = true
+				} else {
 					sy.release(ns)
-					continue
 				}
-				visited[key] = struct{}{}
-				next = append(next, ns)
-				kept[arena[refs[k].idx].parent] = true
-				if len(next) >= sy.opt.BeamWidth {
-					sy.releaseAll(mats[k-i+1:])
-					break selection
-				}
+				continue
 			}
-			i = j
+			key := ns.key()
+			if _, ok := visited[key]; ok {
+				sy.release(ns)
+				continue
+			}
+			visited[key] = struct{}{}
+			next = append(next, ns)
+			kept[cand.parent] = true
+			if len(next) >= sy.opt.BeamWidth {
+				break
+			}
 		}
 		// Retire this level: states that produced no surviving child and are
 		// not the parent of a retained complete state have no live borrowers
@@ -942,23 +891,24 @@ func (sy *Synthesizer) runBeam(root *state) (*state, Stats, error) {
 	return best, stats, nil
 }
 
-// overBudget reports a wall-clock budget violation or a ctx cancellation.
-// Checked once per expansion — the search's unit of real work, whose cost
-// dwarfs the latch read — so a search never overshoots its budget by more
-// than one expansion.
+// overBudget reports a passed deadline or a ctx cancellation. Checked once
+// per expansion — the search's unit of real work, whose cost dwarfs the latch
+// read — so a search never overshoots its budget by more than one expansion.
 func (sy *Synthesizer) overBudget(expansions int) error {
 	if !sy.expiredNow() {
 		return nil
 	}
-	if err := sy.ctx.Err(); err != nil {
+	// The deadline poll can run ahead of the context's own timer, so a nil or
+	// deadline Err here is the budget; anything else is a cancellation.
+	if err := sy.ctx.Err(); err != nil && !errors.Is(err, context.DeadlineExceeded) {
 		return fmt.Errorf("synth: search aborted after %d expansions: %w", expansions, err)
 	}
-	return fmt.Errorf("synth: exceeded %v time budget after %d expansions", sy.opt.TimeBudget, expansions)
+	return fmt.Errorf("synth: exceeded %v time budget after %d expansions", sy.deadline.Sub(sy.start), expansions)
 }
 
 // expiredNow reports (and latches, so concurrent workers short-circuit
-// without re-reading the clock) whether the TimeBudget deadline has passed
-// or the Run context was cancelled (the watcher goroutine sets the latch).
+// without re-reading the clock) whether the context's deadline has passed or
+// the context was cancelled (the watcher goroutine sets the latch).
 func (sy *Synthesizer) expiredNow() bool {
 	if sy.expired.Load() {
 		return true

@@ -301,23 +301,30 @@ func TestProgramStringRendersPaperNotation(t *testing.T) {
 	}
 }
 
+// The context's deadline is the search's time budget — no option states it —
+// and its expiry is the budget error, not a cancellation.
 func TestTimeBudgetAbortsSearch(t *testing.T) {
 	g := fig11Graph()
 	c := twoDevices()
 	th := theory.New(g)
+	within := func(d time.Duration) context.Context {
+		ctx, cancel := context.WithTimeout(context.Background(), d)
+		t.Cleanup(cancel)
+		return ctx
+	}
 	for name, opt := range map[string]Options{
-		"exact": {TimeBudget: time.Nanosecond},
-		"beam":  {TimeBudget: time.Nanosecond, BeamWidth: 4},
+		"exact": {},
+		"beam":  {BeamWidth: 4},
 	} {
 		t.Run(name, func(t *testing.T) {
-			_, _, err := Synthesize(context.Background(), g, th, c, ratios(c), opt)
+			_, _, err := Synthesize(within(time.Nanosecond), g, th, c, ratios(c), opt)
 			if err == nil || !strings.Contains(err.Error(), "time budget") {
 				t.Fatalf("err = %v, want a time-budget violation", err)
 			}
 		})
 	}
 	// A generous budget must not change the result.
-	p, _, err := Synthesize(context.Background(), g, th, c, ratios(c), Options{TimeBudget: time.Minute})
+	p, _, err := Synthesize(within(time.Minute), g, th, c, ratios(c), Options{})
 	if err != nil {
 		t.Fatalf("generous budget failed: %v", err)
 	}
@@ -355,7 +362,7 @@ func TestContextCancelAbortsSearch(t *testing.T) {
 }
 
 // Cancellation must propagate to a running parallel beam within roughly one
-// candidate batch — the same promptness contract as TimeBudget expiry, via
+// candidate batch — the same promptness contract as deadline expiry, via
 // the same latch.
 func TestContextCancelPropagatesToWorkers(t *testing.T) {
 	g := graph.New()
@@ -432,9 +439,12 @@ func TestParallelBeamMatchesSerial(t *testing.T) {
 	}
 }
 
-// A budget-expired parallel search must return promptly: every worker checks
-// the shared deadline between candidate batches, so cancellation propagates
-// within roughly one beam level rather than running the level to completion.
+// A search whose context deadline passes mid-flight must return promptly
+// with the budget error: exact A* and the serial beam poll the deadline once
+// per expansion, and every parallel worker checks the shared latch between
+// candidate batches, so expiry propagates within roughly one beam level
+// rather than running the level to completion. No option states the budget —
+// the context is the search's only clock.
 func TestParallelBudgetPropagatesToWorkers(t *testing.T) {
 	g := graph.New()
 	x := g.AddPlaceholder("x", 0, 256, 256)
@@ -450,15 +460,26 @@ func TestParallelBudgetPropagatesToWorkers(t *testing.T) {
 	c := twoDevices()
 	th := theory.New(g)
 	budget := 20 * time.Millisecond
-	start := time.Now()
-	_, _, err := Synthesize(context.Background(), g, th, c, ratios(c), Options{BeamWidth: 64, Workers: 4, TimeBudget: budget})
-	elapsed := time.Since(start)
-	if err == nil || !strings.Contains(err.Error(), "time budget") {
-		t.Fatalf("err = %v, want a time-budget violation", err)
-	}
-	// Generous bound: the search must stop within ~1 level of the deadline,
-	// not run the remaining levels out. A full search here takes seconds.
-	if elapsed > budget+2*time.Second {
-		t.Errorf("budget-expired search returned after %v (budget %v)", elapsed, budget)
+	for name, opt := range map[string]Options{
+		"exact":    {},
+		"serial":   {BeamWidth: 64, Workers: 1},
+		"parallel": {BeamWidth: 64, Workers: 4},
+	} {
+		t.Run(name, func(t *testing.T) {
+			ctx, cancel := context.WithTimeout(context.Background(), budget)
+			defer cancel()
+			start := time.Now()
+			_, _, err := Synthesize(ctx, g, th, c, ratios(c), opt)
+			elapsed := time.Since(start)
+			if err == nil || !strings.Contains(err.Error(), "time budget") {
+				t.Fatalf("err = %v, want a time-budget violation", err)
+			}
+			// Generous bound: the search must stop within ~1 level of the
+			// deadline, not run the remaining levels out. A full search here
+			// takes seconds (exact A*: longer than anyone has waited).
+			if elapsed > budget+2*time.Second {
+				t.Errorf("budget-expired search returned after %v (budget %v)", elapsed, budget)
+			}
+		})
 	}
 }

@@ -36,9 +36,9 @@ func heteroPair() *Cluster {
 func TestPlanJSONRoundTrip(t *testing.T) {
 	g := quickstartGraph(t)
 	c := heteroPair()
-	plan, err := Parallelize(g, c, Options{})
+	plan, err := planWith(g, c, Options{})
 	if err != nil {
-		t.Fatalf("Parallelize: %v", err)
+		t.Fatalf("Plan: %v", err)
 	}
 
 	var buf bytes.Buffer
@@ -82,9 +82,9 @@ func TestPlanJSONRoundTrip(t *testing.T) {
 func TestSegmentedPlanReloadsOnFreshGraph(t *testing.T) {
 	g1 := quickstartGraph(t)
 	c := heteroPair()
-	plan, err := Parallelize(g1, c, Options{Segments: 2})
+	plan, err := planWith(g1, c, Options{Segments: 2})
 	if err != nil {
-		t.Fatalf("Parallelize: %v", err)
+		t.Fatalf("Plan: %v", err)
 	}
 	if len(plan.Ratios) != 2 {
 		t.Fatalf("expected 2 ratio rows, got %v", plan.Ratios)
@@ -114,9 +114,9 @@ func TestSegmentedPlanReloadsOnFreshGraph(t *testing.T) {
 // crash later inside Verify/Simulate.
 func TestReadProgramRejectsBadRatios(t *testing.T) {
 	g := quickstartGraph(t)
-	plan, err := Parallelize(g, heteroPair(), Options{})
+	plan, err := planWith(g, heteroPair(), Options{})
 	if err != nil {
-		t.Fatalf("Parallelize: %v", err)
+		t.Fatalf("Plan: %v", err)
 	}
 	var buf bytes.Buffer
 	if err := plan.WriteProgram(&buf); err != nil {
@@ -171,9 +171,9 @@ func TestReadProgramRejectsBadRatios(t *testing.T) {
 func TestFailedReadProgramLeavesGraphUnmutated(t *testing.T) {
 	g1 := quickstartGraph(t)
 	c := heteroPair()
-	plan, err := Parallelize(g1, c, Options{Segments: 2})
+	plan, err := planWith(g1, c, Options{Segments: 2})
 	if err != nil {
-		t.Fatalf("Parallelize: %v", err)
+		t.Fatalf("Plan: %v", err)
 	}
 	var buf bytes.Buffer
 	if err := plan.WriteProgram(&buf); err != nil {
@@ -219,9 +219,9 @@ func TestFailedReadProgramLeavesGraphUnmutated(t *testing.T) {
 // a silently wrong program.
 func TestReadProgramRejectsWrongGraph(t *testing.T) {
 	g := quickstartGraph(t)
-	plan, err := Parallelize(g, heteroPair(), Options{})
+	plan, err := planWith(g, heteroPair(), Options{})
 	if err != nil {
-		t.Fatalf("Parallelize: %v", err)
+		t.Fatalf("Plan: %v", err)
 	}
 	var buf bytes.Buffer
 	if err := plan.WriteProgram(&buf); err != nil {

@@ -1,7 +1,6 @@
 // The context-aware planning API: a reusable Planner bound to a cluster,
 // configured with functional options, driving the hapopt loop under a
-// context.Context. This is the primary entry point; Parallelize survives as
-// a thin deprecated shim over it.
+// context.Context. This is the one way in.
 //
 //	p := hap.NewPlanner(c, hap.WithSegments(4), hap.WithTimeBudget(time.Minute))
 //	plan, err := p.Plan(ctx, g)
@@ -26,8 +25,8 @@ import (
 	"hap/internal/theory"
 )
 
-// Option configures a Planner (functional options over the legacy Options
-// struct, which remains the underlying representation).
+// Option configures a Planner (functional options over the Options struct,
+// which remains the underlying representation).
 type Option func(*Options)
 
 // WithSegments requests per-segment sharding ratios (Sec. 5.2).
@@ -51,16 +50,9 @@ func WithTimeBudget(d time.Duration) Option { return func(o *Options) { o.TimeBu
 // Plans are byte-identical for every worker count.
 func WithWorkers(n int) Option { return func(o *Options) { o.Workers = n } }
 
-// WithSeed supplies a donor plan for incremental synthesis: searches are
-// seeded from donorPlan when donorG is structurally close enough to the
-// planned graph, and silently fall back to cold synthesis otherwise (see
-// Options.SeedGraph).
-func WithSeed(donorG *Graph, donorPlan *Plan) Option {
-	return func(o *Options) { o.SeedGraph, o.SeedPlan = donorG, donorPlan }
-}
-
-// WithOptions adopts a legacy Options struct wholesale — the bridge for
-// callers migrating from Parallelize.
+// WithOptions adopts an Options struct wholesale — for callers that build
+// their options as data (hap-serve lowers wire options this way), and the
+// only way to supply a seed donor (Options.SeedGraph, Options.SeedPlan).
 func WithOptions(opt Options) Option { return func(o *Options) { *o = opt } }
 
 // Planner plans distributed programs for one cluster. It is cheap to build,
@@ -108,7 +100,6 @@ func (p *Planner) hapoptOptions(th *theory.Theory, workers int) hapopt.Options {
 	if p.opt.SeedPlan != nil && p.opt.SeedGraph != nil {
 		o.SeedGraph = p.opt.SeedGraph
 		o.SeedProgram = p.opt.SeedPlan.Program
-		o.MaxSeedDistance = p.opt.MaxSeedDistance
 	}
 	return o
 }

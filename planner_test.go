@@ -15,29 +15,6 @@ import (
 	"hap/internal/theory"
 )
 
-// The Planner is the primary API; Parallelize is a shim over it. Both must
-// emit byte-identical plans for the same inputs.
-func TestPlannerMatchesParallelize(t *testing.T) {
-	c := testCluster()
-	legacy, err := Parallelize(testGraph(t), c, Options{Segments: 2})
-	if err != nil {
-		t.Fatalf("Parallelize: %v", err)
-	}
-	plan, err := NewPlanner(c, WithSegments(2)).Plan(context.Background(), testGraph(t))
-	if err != nil {
-		t.Fatalf("Plan: %v", err)
-	}
-	if plan.Program.String() != legacy.Program.String() {
-		t.Errorf("Planner emitted a different program than Parallelize:\n%s\nvs\n%s", plan.Program, legacy.Program)
-	}
-	if plan.Cost != legacy.Cost {
-		t.Errorf("Planner cost %v != Parallelize cost %v", plan.Cost, legacy.Cost)
-	}
-	if err := Verify(plan, c.M(), 3); err != nil {
-		t.Errorf("Verify: %v", err)
-	}
-}
-
 // PlanBatch over k clusters must build the graph theory exactly once (the
 // theory depends only on the graph) and emit, per cluster, the same plan a
 // standalone Plan call would.
@@ -176,7 +153,7 @@ func TestFunctionalOptions(t *testing.T) {
 func TestBinaryPlanRoundTrip(t *testing.T) {
 	g := testGraph(t)
 	c := testCluster()
-	plan, err := Parallelize(g, c, Options{Segments: 2})
+	plan, err := planWith(g, c, Options{Segments: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
