@@ -143,8 +143,13 @@ func TestTraceSingleNodeSynthesis(t *testing.T) {
 		t.Errorf("root attrs = %v, want cache=miss endpoint=%s", root.Attrs, EndpointV1)
 	}
 	for _, sp := range rec.Spans {
-		if sp.Name == "beam_level" && sp.Attrs["candidates"] == "" {
-			t.Errorf("beam_level span lacks candidates attr: %v", sp.Attrs)
+		if sp.Name != "beam_level" {
+			continue
+		}
+		for _, attr := range []string{"candidates", "read", "sorted"} {
+			if sp.Attrs[attr] == "" {
+				t.Errorf("beam_level span lacks %s attr: %v", attr, sp.Attrs)
+			}
 		}
 	}
 

@@ -80,7 +80,7 @@ func BenchmarkSynthesizeMoE(b *testing.B)   { benchSynthesize(b, models.ModelBER
 // one-layer-wider VGG19 planned seeded from the base VGG19's plan. The timed
 // region is everything a cache miss with a donor pays — the structural diff,
 // the donor replay (donor theory included), and the seeded search — and the
-// benchcheck gate holds it under 10% of BenchmarkSynthesizeVGG19/workers=1.
+// benchcheck gate holds it under 15% of BenchmarkSynthesizeVGG19/workers=1.
 func BenchmarkSynthesizeIncrementalVGG19(b *testing.B) {
 	c := cluster.PaperHeterogeneous(1)
 	batch := models.PerDeviceBatch(models.ModelVGG19) * c.TotalGPUs()

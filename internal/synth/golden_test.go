@@ -22,13 +22,14 @@ type goldenPlan struct {
 
 // goldenPlans was generated at the commit before the merge sort lost its
 // reflection swapper, commCand shrank to 16 bytes and state.key() started
-// mixing whole words. The beam's merge is an unstable sort on score alone, so
-// which of several equal-score candidates survives is "the sort's
-// deterministic permutation of the enumeration order" (DESIGN.md): any change
-// to the sort, to the enumeration order or to the dedup set shows here first,
-// and so does a Go toolchain that changes its pdqsort. On a mismatch the test
-// logs the row as built now; replace a row only in a change that means to
-// move plans and says so.
+// mixing whole words — when the merge was still slices.SortFunc. The beam's
+// merge is an unstable sort on score alone, so which of several equal-score
+// candidates survives is "the sort's deterministic permutation of the
+// enumeration order" (DESIGN.md): any change to the sort (lazysort.go, the
+// repository's own pdqsort replica — the toolchain's no longer matters), to
+// the enumeration order or to the dedup set shows here first. On a mismatch
+// the test logs the row as built now; replace a row only in a change that
+// means to move plans and says so.
 var goldenPlans = map[string]goldenPlan{
 	"vgg19/het8": {"cd429a3184a8b45a", 6185, 9695},
 	"vgg19/hom4": {"26995aacc5601384", 6186, 9675},

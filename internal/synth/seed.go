@@ -441,11 +441,9 @@ func (sy *Synthesizer) applySeedComm(s *state, st seedStep) *state {
 	if bitGet(s.communicated, st.node) {
 		return nil
 	}
-	for _, p := range s.props {
-		if p.Ref != st.node {
-			continue
-		}
-		sy.ccBuf = sy.commCandidates(s, p, sy.ccBuf[:0])
+	run := s.propsOf(st.node)
+	for _, p := range run {
+		sy.ccBuf = sy.commCandidates(s, p, run, sy.ccBuf[:0])
 		for _, cc := range sy.ccBuf {
 			if cc.matches(st.cc) {
 				return sy.applyComm(s, cc)

@@ -30,13 +30,11 @@
 package synth
 
 import (
-	"cmp"
 	"container/heap"
 	"context"
 	"errors"
 	"fmt"
 	"runtime"
-	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -91,7 +89,7 @@ const maxExpansions = 4_000_000
 // donor pins collapsing computation branching to one candidate per level,
 // the beam explores only communication timing; 4 states reproduce the donor
 // plan's quality on near-miss graphs at a fraction of the cold search's
-// work (the <10%-of-cold target benchcheck gates).
+// work (about a tenth; benchcheck gates the same-run ratio).
 const seededBeamWidth = 4
 
 // Stats reports search effort.
@@ -257,6 +255,23 @@ func (s *state) hasProp(p theory.Property) bool {
 	return lo < len(s.props) && s.props[lo] == p
 }
 
+// propsOf returns ref's properties: props is sorted by Ref first, so they
+// are one contiguous run, found by binary search on Ref alone.
+func (s *state) propsOf(ref graph.NodeID) []theory.Property {
+	lo, hi := 0, len(s.props)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if s.props[mid].Ref < ref {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	for hi = lo; hi < len(s.props) && s.props[hi].Ref == ref; hi++ {
+	}
+	return s.props[lo:hi]
+}
+
 func (s *state) addProp(p theory.Property) {
 	i := sort.Search(len(s.props), func(i int) bool { return propLess(p, s.props[i]) })
 	s.props = append(s.props, theory.Property{})
@@ -391,6 +406,12 @@ type Synthesizer struct {
 	// aliasing discipline) and everything is dropped wholesale with the
 	// Synthesizer when the search ends.
 	arena stateArena
+	// merge is the beam's per-level lazy sort (its range stack lives here so
+	// a search allocates it once, with the Synthesizer).
+	merge lazySort
+	// levelHook, when set (tests only), sees each level's unsorted candidate
+	// refs before the merge permutes them.
+	levelHook func(refs []candRef)
 
 	// Serial scratch buffers for exact A* (never used concurrently).
 	expandBuf []*state
@@ -636,8 +657,9 @@ type beamCand struct {
 }
 
 // candRef is the compact record the merge sorts: 16 bytes instead of the
-// full candidate, so the sort — the beam's only serial O(C log C) step —
-// moves cache lines, not structs.
+// full candidate, so the sort moves cache lines, not structs. The merge is
+// lazy (lazysort.go): a level of C candidates costs about 2C comparisons for
+// the first partitions plus a short sorted prefix, not C log C.
 type candRef struct {
 	score float64
 	idx   int32 // index into the level's candidate arena
@@ -679,30 +701,38 @@ func (sy *Synthesizer) genCandidates(s *state, pi int32, w *beamWorker) {
 			}
 		}
 	}
-	// Communication candidates for live, uncommunicated tensors.
-	for _, p := range s.props {
-		if bitGet(s.communicated, p.Ref) {
+	// Communication candidates for live, uncommunicated tensors. props is
+	// sorted by Ref, so each tensor's properties are one contiguous run; the
+	// run is what commCandidates checks its results against.
+	for lo, hi := 0, 0; lo < len(s.props); lo = hi {
+		ref := s.props[lo].Ref
+		for hi = lo + 1; hi < len(s.props) && s.props[hi].Ref == ref; hi++ {
+		}
+		if bitGet(s.communicated, ref) {
 			continue
 		}
-		if oi := sy.outputIdx[p.Ref]; oi >= 0 && sy.outputAcceptable(s, sy.outputs[oi]) {
+		if oi := sy.outputIdx[ref]; oi >= 0 && sy.outputAcceptable(s, sy.outputs[oi]) {
 			continue
 		}
-		w.ccBuf = sy.commCandidates(s, p, w.ccBuf[:0])
-		// A pinned tensor keeps only its donor collective when legal here;
-		// timing — which level takes it — stays free.
-		if sd := sy.opt.Seed; sd != nil && sd.commPin[p.Ref].valid {
-			pin := sd.commPin[p.Ref]
-			for _, cc := range w.ccBuf {
-				if cc.matches(pin) {
-					w.ccBuf[0] = cc
-					w.ccBuf = w.ccBuf[:1]
-					break
+		run := s.props[lo:hi]
+		for _, p := range run {
+			w.ccBuf = sy.commCandidates(s, p, run, w.ccBuf[:0])
+			// A pinned tensor keeps only its donor collective when legal here;
+			// timing — which level takes it — stays free.
+			if sd := sy.opt.Seed; sd != nil && sd.commPin[ref].valid {
+				pin := sd.commPin[ref]
+				for _, cc := range w.ccBuf {
+					if cc.matches(pin) {
+						w.ccBuf[0] = cc
+						w.ccBuf = w.ccBuf[:1]
+						break
+					}
 				}
 			}
-		}
-		for _, cc := range w.ccBuf {
-			score := sy.commDelta(s, cc) + s.remFlops/sy.totalFlopsPerSec
-			w.out = append(w.out, beamCand{parent: pi, cc: cc, score: score})
+			for _, cc := range w.ccBuf {
+				score := sy.commDelta(s, cc) + s.remFlops/sy.totalFlopsPerSec
+				w.out = append(w.out, beamCand{parent: pi, cc: cc, score: score})
+			}
 		}
 	}
 }
@@ -729,12 +759,13 @@ func (sy *Synthesizer) materialize(level []*state, c *beamCand) *state {
 // out over Options.Workers goroutines, each worker owning a contiguous chunk
 // of the level's states, so the concatenated candidate arena is always in
 // (parent index, candidate index) order regardless of worker count. (2) The
-// candidates are sorted by score with a deterministic algorithm over that
-// fixed arena order, giving one merge order for every worker count — the
-// surviving beam, and therefore the emitted program, is byte-identical
-// whether the level ran on 1 worker or 16. (3) Survivors are materialized
-// and selected serially, in merge order, with dedup by state key; level
-// states that produced no surviving child are released to the state pool.
+// merge order is a deterministic sort by score over that fixed arena order,
+// one order for every worker count — the surviving beam, and therefore the
+// emitted program, is byte-identical whether the level ran on 1 worker or
+// 16 — computed lazily, only as far as phase 3 reads (lazysort.go). (3)
+// Survivors are materialized and selected serially, in merge order, with
+// dedup by state key; level states that produced no surviving child are
+// released to the state pool.
 // Bounded suboptimality traded for a hard bound on search effort; see
 // DESIGN.md.
 func (sy *Synthesizer) runBeam(root *state) (*state, Stats, error) {
@@ -818,14 +849,18 @@ func (sy *Synthesizer) runBeam(root *state) (*state, Stats, error) {
 				return nil, stats, sy.overBudget(stats.Expansions)
 			}
 		}
-		// Phase 2: deterministic merge order. The sort compares scores only
-		// and is not stable: ties come out in pdqsort's deterministic
-		// permutation of the arena order, pinned by TestGoldenPlanIdentity.
+		// Phase 2: deterministic merge order. The order is that of an unstable
+		// pdqsort on score alone — ties come out in its deterministic
+		// permutation of the arena order, pinned by TestGoldenPlanIdentity —
+		// but only as much of it as phase 3 reads is ever computed (lazysort.go).
 		refs = refs[:0]
 		for i := range arena {
 			refs = append(refs, candRef{score: arena[i].score, idx: int32(i)})
 		}
-		slices.SortFunc(refs, func(a, b candRef) int { return cmp.Compare(a.score, b.score) })
+		if sy.levelHook != nil {
+			sy.levelHook(refs)
+		}
+		sy.merge.reset(refs)
 		// Phase 3: materialize + select survivors in merge order.
 		clear(visited)
 		next = next[:0]
@@ -833,10 +868,14 @@ func (sy *Synthesizer) runBeam(root *state) (*state, Stats, error) {
 			kept = make([]bool, n)
 		}
 		kept = kept[:n]
-		for i := range kept {
-			kept[i] = false
-		}
-		for _, r := range refs {
+		clear(kept)
+		read := 0
+		for read < len(refs) {
+			if read >= sy.merge.sorted {
+				sy.merge.advance()
+			}
+			r := refs[read]
+			read++
 			if best != nil && r.score >= bestCost {
 				break // sorted: nothing further can improve
 			}
@@ -880,6 +919,8 @@ func (sy *Synthesizer) runBeam(root *state) (*state, Stats, error) {
 			lv.SetAttrInt("depth", int64(depth))
 			lv.SetAttrInt("states", int64(n))
 			lv.SetAttrInt("candidates", int64(len(arena)))
+			lv.SetAttrInt("read", int64(read))
+			lv.SetAttrInt("sorted", int64(sy.merge.sorted))
 			lv.SetAttrInt("survivors", int64(len(next)))
 			lv.End()
 		}
@@ -1085,8 +1126,11 @@ func (cc commCand) matches(pin pinnedComm) bool {
 }
 
 // commCandidates yields the communication instructions applicable to p,
-// without materializing states.
-func (sy *Synthesizer) commCandidates(s *state, p theory.Property, out []commCand) []commCand {
+// without materializing states. run is p.Ref's properties in s (s.propsOf,
+// or the caller's position in s.props): every result is a property of the
+// same tensor, so "already established" is a scan of those few entries, not a
+// search of the whole set.
+func (sy *Synthesizer) commCandidates(s *state, p theory.Property, run []theory.Property, out []commCand) []commCand {
 	g := sy.g
 	rank := len(g.Node(p.Ref).Shape)
 	// An output tensor is communicated at most once (opt 2), so that one
@@ -1110,8 +1154,10 @@ func (sy *Synthesizer) commCandidates(s *state, p theory.Property, out []commCan
 		}
 	}
 	try := func(coll collective.Kind, d, d2 int, res theory.Property) {
-		if s.hasProp(res) {
-			return // postcondition subsumed: strictly worse (line 7)
+		for _, q := range run {
+			if q == res {
+				return // postcondition subsumed: strictly worse (line 7)
+			}
 		}
 		if isOutput {
 			if !output.Acceptable(res, outDim) {
@@ -1181,7 +1227,7 @@ func (sy *Synthesizer) commDelta(s *state, cc commCand) float64 {
 
 // commSuccessors materializes all communication successors of p into out.
 func (sy *Synthesizer) commSuccessors(s *state, p theory.Property, out []*state) []*state {
-	sy.ccBuf = sy.commCandidates(s, p, sy.ccBuf[:0])
+	sy.ccBuf = sy.commCandidates(s, p, s.propsOf(p.Ref), sy.ccBuf[:0])
 	for _, cc := range sy.ccBuf {
 		out = append(out, sy.applyComm(s, cc))
 	}
@@ -1231,18 +1277,8 @@ func (sy *Synthesizer) outputAcceptable(s *state, o theory.Output) bool {
 			dim = int(pd)
 		}
 	}
-	// props are sorted by Ref first: binary-search the run of o.Ref.
-	lo, hi := 0, len(s.props)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if s.props[mid].Ref < o.Ref {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	for ; lo < len(s.props) && s.props[lo].Ref == o.Ref; lo++ {
-		if o.Acceptable(s.props[lo], dim) {
+	for _, p := range s.propsOf(o.Ref) {
+		if o.Acceptable(p, dim) {
 			return true
 		}
 	}
