@@ -377,10 +377,10 @@ func decodePlanStream(r io.Reader, binary bool, g *hap.Graph) (*hap.Plan, error)
 	return plan, nil
 }
 
-// SynthesizeBatch plans g against every cluster in one request — the server
-// builds the graph theory once for the whole batch. Plans come back in
-// cluster order, each bound to its own shallow copy of g. The response
-// envelope is JSON; by default the per-result plan payloads are negotiated
+// SynthesizeBatch plans g against every cluster in one request — one upload
+// of the graph, K plans. Plans come back in cluster order, each bound to its
+// own shallow copy of g. The response envelope is JSON; by default the
+// per-result plan payloads are negotiated
 // binary (base64 in the envelope), with each result decoded by whichever
 // field the server filled — so the client works against servers from before
 // the binary batch form.

@@ -21,16 +21,9 @@ import (
 	"hap/internal/graph"
 )
 
-// CompTimes returns the per-device execution time of one computation
-// instruction under the given per-segment sharding ratios B[segment][device].
-func CompTimes(c *cluster.Cluster, g *graph.Graph, in dist.Instruction, b [][]float64) []float64 {
-	out := make([]float64, c.M())
-	AddCompTimes(c, g, in, b, out)
-	return out
-}
-
-// AddCompTimes accumulates CompTimes into acc to avoid allocation in the
-// synthesizer's inner loop.
+// AddCompTimes accumulates into acc the per-device execution time of one
+// computation instruction under the given per-segment sharding ratios
+// B[segment][device] — no allocation in the synthesizer's inner loop.
 func AddCompTimes(c *cluster.Cluster, g *graph.Graph, in dist.Instruction, b [][]float64, acc []float64) {
 	flops := g.Flops(in.Ref)
 	if flops == 0 {

@@ -61,14 +61,6 @@ type Options struct {
 	// search cold: the filtered theory does not contain the pinned triples.
 	SeedGraph   *graph.Graph
 	SeedProgram *dist.Program
-	// Theory overrides the background theory (nil = theory.New(g)). Batch
-	// planners synthesizing one graph against many clusters build the theory
-	// once and share it here: the theory depends only on the graph, never on
-	// the cluster or the sharding ratios. The graph must already carry the
-	// segment assignment matching Segments (see segment.Assign) — Optimize
-	// skips re-assigning when a shared theory is supplied, so a caller-built
-	// theory and the segment layout cannot drift apart mid-batch.
-	Theory *theory.Theory
 
 	// onRatios, set by tests only, sees every B the balancer hands back.
 	onRatios func(b [][]float64)
@@ -123,21 +115,16 @@ func Optimize(ctx context.Context, g *graph.Graph, c *cluster.Cluster, opt Optio
 	// operation below a no-op.
 	span := obs.SpanFromContext(ctx).Child("optimize")
 	defer span.End()
-	th := opt.Theory
-	if th == nil {
-		// A shared theory implies the caller already prepared the graph's
-		// segment assignment; otherwise it is (re)derived here.
-		ts := span.Child("theory")
-		if opt.Segments > 1 {
-			segment.Assign(g, opt.Segments)
-		} else {
-			g.SegmentOf = nil
-		}
-		th = theory.New(g)
-		ts.SetAttrInt("nodes", int64(g.NumNodes()))
-		ts.SetAttrInt("outputs", int64(len(th.Outputs)))
-		ts.End()
+	ts := span.Child("theory")
+	if opt.Segments > 1 {
+		segment.Assign(g, opt.Segments)
+	} else {
+		g.SegmentOf = nil
 	}
+	th := theory.New(g)
+	ts.SetAttrInt("nodes", int64(g.NumNodes()))
+	ts.SetAttrInt("outputs", int64(len(th.Outputs)))
+	ts.End()
 
 	// The seed is built once — the structural diff and donor replay depend
 	// only on the graphs and theories, never on the ratios the loop updates —
@@ -217,7 +204,7 @@ func Optimize(ctx context.Context, g *graph.Graph, c *cluster.Cluster, opt Optio
 			// contend for the same cores. Plans are worker-count-invariant,
 			// so the split trades only latency, never content.
 			so := opt.Synth
-			so.Workers = SplitWorkers(so.Workers, len(portfolio))
+			so.Workers = splitWorkers(so.Workers, len(portfolio))
 			var wg sync.WaitGroup
 			for i := range portfolio {
 				wg.Add(1)
@@ -266,7 +253,7 @@ func Optimize(ctx context.Context, g *graph.Graph, c *cluster.Cluster, opt Optio
 			stop = "budget"
 			break // budget expired mid-iteration; serve what we have
 		}
-		pruned, pstats, err := optimizeProgram(ictx, c, p, opt)
+		pruned, pstats, err := optimizeProgram(ictx, c, p, opt.DisablePasses)
 		if err != nil {
 			return nil, fmt.Errorf("hapopt: iteration %d: %w", iter, err)
 		}
@@ -335,8 +322,8 @@ func Optimize(ctx context.Context, g *graph.Graph, c *cluster.Cluster, opt Optio
 // optimization displaced would otherwise inflate t(Q,B) and skew B. The
 // default pipeline's DCE pass covers that; a standalone Prune runs when the
 // pipeline is disabled.
-func optimizeProgram(ctx context.Context, c *cluster.Cluster, p *dist.Program, opt Options) (pruned int, pstats passes.Stats, err error) {
-	if opt.DisablePasses {
+func optimizeProgram(ctx context.Context, c *cluster.Cluster, p *dist.Program, disablePasses bool) (pruned int, pstats passes.Stats, err error) {
+	if disablePasses {
 		return p.Prune(), pstats, nil
 	}
 	pstats, err = passes.Default().RunContext(ctx, p, c)
@@ -350,10 +337,9 @@ type portfolioResult struct {
 	err   error
 }
 
-// SplitWorkers divides a worker budget (0 = GOMAXPROCS) across n concurrent
-// searches, never below one worker each — the anti-oversubscription policy
-// shared by the portfolio loop and hap.Planner.PlanBatch's cluster fan-out.
-func SplitWorkers(workers, n int) int {
+// splitWorkers divides a worker budget (0 = GOMAXPROCS) across the portfolio's
+// n concurrent searches, never below one worker each.
+func splitWorkers(workers, n int) int {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}

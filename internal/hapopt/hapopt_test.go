@@ -16,7 +16,6 @@ import (
 	"hap/internal/runtime"
 	"hap/internal/segment"
 	"hap/internal/synth"
-	"hap/internal/theory"
 )
 
 func hetero2() *cluster.Cluster {
@@ -255,41 +254,18 @@ func TestOptimizeContextSemantics(t *testing.T) {
 	}
 }
 
-// A pre-built theory short-circuits theory construction — the sharing
-// contract PlanBatch relies on — without changing the plan.
-func TestOptimizeSharedTheory(t *testing.T) {
-	g := models.Training(models.MLP(24, 8, 12, 6))
-	c := hetero2()
-	base, err := Optimize(context.Background(), g, c, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	th := theory.New(g)
-	before := theory.Builds()
-	shared, err := Optimize(context.Background(), g, c, Options{Theory: th})
-	if err != nil {
-		t.Fatalf("Optimize with shared theory: %v", err)
-	}
-	if built := theory.Builds() - before; built != 0 {
-		t.Errorf("shared-theory Optimize built %d theories, want 0", built)
-	}
-	if shared.Program.String() != base.Program.String() {
-		t.Error("shared theory changed the synthesized program")
-	}
-}
-
-// SplitWorkers divides the worker budget across concurrent portfolio
+// splitWorkers divides the worker budget across concurrent portfolio
 // searches instead of oversubscribing, never dropping below one per search.
 func TestSplitWorkers(t *testing.T) {
 	for _, tc := range []struct{ workers, n, want int }{
 		{8, 2, 4}, {8, 3, 2}, {1, 2, 1}, {2, 2, 1}, {3, 2, 1},
 	} {
-		if got := SplitWorkers(tc.workers, tc.n); got != tc.want {
-			t.Errorf("SplitWorkers(%d, %d) = %d, want %d", tc.workers, tc.n, got, tc.want)
+		if got := splitWorkers(tc.workers, tc.n); got != tc.want {
+			t.Errorf("splitWorkers(%d, %d) = %d, want %d", tc.workers, tc.n, got, tc.want)
 		}
 	}
-	if got := SplitWorkers(0, 2); got < 1 {
-		t.Errorf("SplitWorkers(0, 2) = %d, want >= 1", got)
+	if got := splitWorkers(0, 2); got < 1 {
+		t.Errorf("splitWorkers(0, 2) = %d, want >= 1", got)
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -172,11 +173,18 @@ func TestE2EFleetTrio(t *testing.T) {
 // 429s, which the report books as shed — never as errors — while the server
 // counts them in /stats and /metrics.
 func TestE2EOverload(t *testing.T) {
+	var inflight atomic.Int64
 	var s *serve.Server
 	s = serve.New(serve.Config{
 		MaxInflightSynth: 1,
 		ShedRetryAfter:   time.Second,
 		Synthesize: func(ctx context.Context, g *graph.Graph, c *cluster.Cluster, opt hap.Options) (*hap.Plan, error) {
+			// One slot: single and batch misses alike reach the planner one
+			// at a time.
+			if n := inflight.Add(1); n > 1 {
+				t.Errorf("%d planner calls in flight under -max-inflight-synth 1", n)
+			}
+			defer inflight.Add(-1)
 			time.Sleep(60 * time.Millisecond)
 			return hap.NewPlanner(c, hap.WithOptions(opt)).Plan(context.Background(), g)
 		},
@@ -191,9 +199,10 @@ func TestE2EOverload(t *testing.T) {
 	}
 	// No warmup: everything is cold, workers race distinct keys into the
 	// single slot. Near-uniform popularity keeps keys distinct so sheds come
-	// from admission, not single-flight joins.
+	// from admission, not single-flight joins. The corpus has one cluster, so
+	// a batch is one miss and a shed batch is one shed on both sides.
 	rep, err := load.Run(context.Background(), load.Options{
-		Target: srv.URL, Corpus: corpus, Mix: load.Mix{Single: 1},
+		Target: srv.URL, Corpus: corpus, Mix: load.Mix{Single: 3, Batch: 1},
 		Seed: 5, ZipfS: 1.01, Concurrency: 6, Requests: 48,
 	})
 	if err != nil {

@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -239,6 +240,88 @@ func TestAdmissionBatch(t *testing.T) {
 
 	if st := s.Stats(); st.AdmissionShed != 1 {
 		t.Errorf("AdmissionShed = %d, want 1", st.AdmissionShed)
+	}
+}
+
+// TestBatchRespectsAdmissionCap: a batch is K single misses, so the gate
+// counts its searches, not the request. With one slot, a 3-cluster all-miss
+// batch never has two planner calls in flight: one sibling runs, two are shed,
+// the request answers 429 — and the sibling that ran is cached, so retries
+// converge instead of re-paying it.
+func TestBatchRespectsAdmissionCap(t *testing.T) {
+	var inflight, peak atomic.Int64
+	release := make(chan struct{})
+	s := New(Config{
+		MaxInflightSynth: 1,
+		Synthesize: func(ctx context.Context, g *graph.Graph, c *cluster.Cluster, opt hap.Options) (*hap.Plan, error) {
+			n := inflight.Add(1)
+			defer inflight.Add(-1)
+			for p := peak.Load(); n > p && !peak.CompareAndSwap(p, n); p = peak.Load() {
+			}
+			select {
+			case <-release:
+			case <-ctx.Done():
+				return nil, ctx.Err()
+			}
+			return planWith(g, c, opt)
+		},
+	})
+	srv := httptest.NewServer(s.Handler())
+	defer srv.Close()
+	body := batchBody(t, testGraph(t), []*cluster.Cluster{testCluster(), altCluster(), thirdCluster()}, RequestOptions{})
+
+	// The sibling holding the slot stays in the planner until its two
+	// siblings have been turned away (or, with no gate between them, until
+	// all three are in the planner at once).
+	first := make(chan *http.Response, 1)
+	go func() { first <- postPath(t, srv.URL, "/v1/synthesize/batch", body, "") }()
+	settled := func() bool { return len(first) > 0 || s.Stats().AdmissionShed >= 2 || peak.Load() >= 3 }
+	for deadline := time.Now().Add(10 * time.Second); !settled() && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
+	close(release)
+	resp := <-first
+	raw := readAll(t, resp)
+	var env ErrorEnvelope
+	if resp.StatusCode != http.StatusTooManyRequests || json.Unmarshal(raw, &env) != nil || env.Code != CodeOverloaded {
+		t.Fatalf("3-miss batch under a cap of 1: status %d body %.120s, want 429 %s", resp.StatusCode, raw, CodeOverloaded)
+	}
+	if resp.Header.Get("Retry-After") == "" {
+		t.Error("shed batch carries no Retry-After")
+	}
+	st := s.Stats()
+	if st.AdmissionShed != 2 || st.InflightSynth != 0 || st.CacheEntries != 1 {
+		t.Errorf("after the shed batch: admission_shed %d inflight_synth %d cache_entries %d, want 2/0/1",
+			st.AdmissionShed, st.InflightSynth, st.CacheEntries)
+	}
+
+	// Retries converge: what ran before is a hit, and every request turns at
+	// least one more miss into one.
+	status := resp.StatusCode
+	for req := 2; status != http.StatusOK; req++ {
+		if req > 3 {
+			t.Fatalf("batch still answers %d after three requests", status)
+		}
+		before := s.Stats()
+		resp := postPath(t, srv.URL, "/v1/synthesize/batch", body, "")
+		raw := readAll(t, resp)
+		status = resp.StatusCode
+		if status != http.StatusOK && status != http.StatusTooManyRequests {
+			t.Fatalf("retry %d: status %d: %s", req, status, raw)
+		}
+		after := s.Stats()
+		if hits := after.CacheHits - before.CacheHits; hits != uint64(before.CacheEntries) {
+			t.Errorf("retry %d: %d hits with %d siblings already planned", req, hits, before.CacheEntries)
+		}
+		if after.CacheEntries <= before.CacheEntries {
+			t.Fatalf("retry %d planned nothing new (%d entries)", req, after.CacheEntries)
+		}
+	}
+	if p := peak.Load(); p != 1 {
+		t.Errorf("%d planner calls in flight at once under a cap of 1", p)
+	}
+	if n := s.Stats().InflightSynth; n != 0 {
+		t.Errorf("inflight_synth = %d after quiescence, want 0", n)
 	}
 }
 

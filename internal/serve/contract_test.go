@@ -45,16 +45,6 @@ func pinnedSynthesize(ctx context.Context, g *graph.Graph, c *cluster.Cluster, o
 	return p, err
 }
 
-func pinnedPlanBatch(ctx context.Context, g *graph.Graph, cs []*cluster.Cluster, opt hap.Options) ([]*hap.Plan, error) {
-	plans, err := hap.NewPlanner(cs[0], hap.WithOptions(opt)).PlanBatch(ctx, g, cs...)
-	for _, p := range plans {
-		if p != nil {
-			p.SynthesisTime = 0.5
-		}
-	}
-	return plans, err
-}
-
 // digest stands in for a plan payload in the golden: length and hash pin the
 // bytes without printing kilobytes of program.
 func digest(b []byte) string {
@@ -139,7 +129,6 @@ func TestWireContract(t *testing.T) {
 		if cfg.Synthesize == nil {
 			cfg.Synthesize = pinnedSynthesize
 		}
-		cfg.PlanBatch = pinnedPlanBatch
 		s := New(cfg)
 		srv := httptest.NewServer(s.Handler())
 		t.Cleanup(srv.Close)

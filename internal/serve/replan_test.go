@@ -143,19 +143,23 @@ func TestAdmissionGatesReplans(t *testing.T) {
 // once, their replans — segmented, so each search assigns segments onto the
 // graph it plans — overlap, and both verify and swap. Run under -race.
 func TestBatchSiblingsReplanConcurrently(t *testing.T) {
+	var armed atomic.Bool
 	var arrived atomic.Int64
 	both := make(chan struct{})
 	s := New(Config{
-		// The fill goes through PlanBatch, so every call here is a replan:
-		// hold the first until its sibling arrives, so the searches overlap.
+		// Armed once the fill has returned, so every call counted here is a
+		// replan: hold the first until its sibling arrives, so the searches
+		// overlap.
 		Synthesize: func(ctx context.Context, g *graph.Graph, c *cluster.Cluster, opt hap.Options) (*hap.Plan, error) {
-			if arrived.Add(1) == 2 {
-				close(both)
-			}
-			select {
-			case <-both:
-			case <-ctx.Done():
-				return nil, ctx.Err()
+			if armed.Load() {
+				if arrived.Add(1) == 2 {
+					close(both)
+				}
+				select {
+				case <-both:
+				case <-ctx.Done():
+					return nil, ctx.Err()
+				}
 			}
 			return hap.NewPlanner(c, hap.WithOptions(opt)).Plan(ctx, g)
 		},
@@ -170,6 +174,7 @@ func TestBatchSiblingsReplanConcurrently(t *testing.T) {
 	if raw := readAll(t, resp); resp.StatusCode != http.StatusOK {
 		t.Fatalf("batch fill: status %d: %s", resp.StatusCode, raw)
 	}
+	armed.Store(true)
 	for i, spec := range specs {
 		status, tr, raw := postTelemetry(t, srv.URL, driftReport(t, spec))
 		if status != http.StatusOK || tr.ReplansStarted != 1 {

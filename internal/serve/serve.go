@@ -12,16 +12,16 @@
 // reference-counted flight context: it is cancelled when the last interested
 // client disconnects, never by one impatient client among many.
 //
-// Every way a plan comes to exist here — a request's miss, a batch, a
-// drift-triggered background replan — ends in the same tail: synthesize (the
-// planner call, under an admission slot), then commitPlan (register, store,
-// replicate). DESIGN.md, "The miss path", has the order and what each caller
-// skips. With a fleet.Fleet configured (fleet.go), the daemon is one node of
-// a sharded, replicated cache tier: request fingerprints are consistent-hash
-// routed to an owner peer, misses proxy to the owner (whose single-flight
-// group makes a fleet-wide thundering herd synthesize exactly once), filled
-// entries replicate to ring successors, and a joining node warms up by
-// streaming a peer's entries.
+// Every way a plan comes to exist here — a request's miss, each miss of a
+// batch (both through planMiss), a drift-triggered background replan — ends in
+// the same tail: synthesize (the planner call, under an admission slot), then
+// commitPlan (register, store, replicate). DESIGN.md, "The miss path", has the
+// order and what each caller skips. With a fleet.Fleet configured (fleet.go),
+// the daemon is one node of a sharded, replicated cache tier: request
+// fingerprints are consistent-hash routed to an owner peer, misses proxy to
+// the owner (whose single-flight group makes a fleet-wide thundering herd
+// synthesize exactly once), filled entries replicate to ring successors, and
+// a joining node warms up by streaming a peer's entries.
 //
 // Wire protocol v2 (see DESIGN.md for the full specification):
 //
@@ -38,10 +38,10 @@
 // and plan responses honor content negotiation: a request with
 // Accept: application/x-hap-plan receives the compact binary plan encoding
 // (hap.WriteProgramBinary) instead of JSON. The batch endpoint plans one
-// graph against many clusters, building the graph theory once (request
-// coalescing); its response envelope is always JSON, with per-result plan
-// payloads in the negotiated encoding (base64 binary under Accept:
-// application/x-hap-plan).
+// graph against many clusters — one upload, cached clusters served at once,
+// each missing one planned as a single miss; its response envelope is always
+// JSON, with per-result plan payloads in the negotiated encoding (base64
+// binary under Accept: application/x-hap-plan).
 package serve
 
 import (
@@ -183,10 +183,6 @@ type Config struct {
 	// Synthesize overrides the planner, for tests. Nil means a hap.Planner
 	// driven by the request context.
 	Synthesize func(context.Context, *graph.Graph, *cluster.Cluster, hap.Options) (*hap.Plan, error)
-	// PlanBatch overrides the batch planner, for tests. Nil means
-	// hap.Planner.PlanBatch, which builds the graph theory once for the
-	// whole batch.
-	PlanBatch func(context.Context, *graph.Graph, []*cluster.Cluster, hap.Options) ([]*hap.Plan, error)
 }
 
 // Request is the body of POST /v1/synthesize: a graph and a cluster in their
@@ -206,7 +202,7 @@ type Request struct {
 }
 
 // BatchRequest is the body of POST /v1/synthesize/batch: one graph planned
-// against every listed cluster, with the graph theory built once.
+// against every listed cluster.
 type BatchRequest struct {
 	Graph    json.RawMessage   `json:"graph"`
 	Clusters []json.RawMessage `json:"clusters"`
@@ -435,11 +431,6 @@ func New(cfg Config) *Server {
 	if cfg.Synthesize == nil {
 		cfg.Synthesize = func(ctx context.Context, g *graph.Graph, c *cluster.Cluster, opt hap.Options) (*hap.Plan, error) {
 			return hap.NewPlanner(c, hap.WithOptions(opt)).Plan(ctx, g)
-		}
-	}
-	if cfg.PlanBatch == nil {
-		cfg.PlanBatch = func(ctx context.Context, g *graph.Graph, cs []*cluster.Cluster, opt hap.Options) ([]*hap.Plan, error) {
-			return hap.NewPlanner(cs[0], hap.WithOptions(opt)).PlanBatch(ctx, g, cs...)
 		}
 	}
 	logger := cfg.Logger
@@ -830,7 +821,7 @@ func (s *Server) planEndpoint(endpoint string, count *atomic.Uint64, serve func(
 }
 
 // synthesizeOne serves POST /v1/synthesize: memo → store → need_body → proxy
-// → flight{re-check → gate → donor → synthesize → commitPlan}.
+// → planMiss.
 //
 // Whichever way requestKey found the key, the store lookup that follows is
 // the same one a freshly decoded request gets, so a hit is a hit. A request
@@ -898,20 +889,38 @@ func (s *Server) synthesizeOne(w http.ResponseWriter, r *http.Request, rt *reque
 	if !forwarded && s.proxyPlanRequest(w, r, body, key, binary, rt) {
 		return
 	}
+	plan, seedDist, err := s.planMiss(r.Context(), rt.rootSpan(), key, in)
+	if err != nil {
+		s.failSynthesis(w, err)
+		return
+	}
+	if seedDist >= 0 {
+		w.Header().Set(SeedDistanceHeader, strconv.FormatFloat(seedDist, 'g', -1, 64))
+	}
+	writePlan(w, r, plan, "miss", binary)
+}
+
+// planMiss is the single-miss function — flight{re-check → gate → donor →
+// synthesize → commitPlan} — that every plan a request causes goes through: a
+// single request's miss, and each missing key of a batch. seedDist is the
+// donor's distance when this caller's own search ran seeded, else -1.
+func (s *Server) planMiss(ctx context.Context, sp *obs.Span, key string, in *planInput) (plan CachedPlan, seedDist float64, err error) {
 	// The flight span covers the whole single-flight interaction: for the
 	// executing caller it parents the synthesize/encode/replicate subtree,
 	// for joined callers it measures the wait on someone else's synthesis.
-	fs := rt.span("flight")
+	// Its key tells the flights of one batch trace apart.
+	fs := sp.Child("flight")
+	fs.SetAttrStr("key", key)
 	// seedDist is set by the executing caller's closure when its synthesis
-	// ran seeded, and stamps the response header below. Joined waiters never
-	// run the closure, so they report the plan without a seed header — they
-	// paid a wait, not a seeded search.
-	seedDist := -1.0
+	// ran seeded, and stamps the response header. Joined waiters never run
+	// the closure, so they report the plan without a seed header — they paid
+	// a wait, not a seeded search.
+	seedDist = -1.0
 	// The closure runs under fctx, the flight context: alive while any client
 	// still wants this plan, cancelled when the last one disconnects — so a
 	// dropped connection aborts the search without killing the synthesis
 	// other waiters are sharing.
-	plan, err, shared := s.flight.do(r.Context(), key, func(fctx context.Context) (CachedPlan, error) {
+	plan, err, shared := s.flight.do(ctx, key, func(fctx context.Context) (CachedPlan, error) {
 		// Re-check under the flight: a request that missed while a previous
 		// flight for this key was completing would otherwise re-synthesize a
 		// plan the cache now holds.
@@ -948,14 +957,7 @@ func (s *Server) synthesizeOne(w http.ResponseWriter, r *http.Request, rt *reque
 	if shared {
 		s.flightShared.Add(1)
 	}
-	if err != nil {
-		s.failSynthesis(w, err)
-		return
-	}
-	if seedDist >= 0 {
-		w.Header().Set(SeedDistanceHeader, strconv.FormatFloat(seedDist, 'g', -1, 64))
-	}
-	writePlan(w, r, plan, "miss", binary)
+	return plan, seedDist, err
 }
 
 // donor names a cached plan a search may be seeded from, as the raw graph and
@@ -967,13 +969,13 @@ type donor struct {
 	shared              int
 }
 
-// synthesize is the first half of the miss tail and the daemon's one
-// single-plan planner call: a request's miss and a background replan both
-// search here, holding an admission slot (acquireSynth). find picks the donor
-// for incremental synthesis — the nearest cached plan for a miss, the plan
-// being replaced for a replan — inside the seeded_search span that records the
-// choice (the planner's own search span carries the resulting seed distance
-// and fast-forward depth); a donor that fails to decode means a cold search.
+// synthesize is the first half of the miss tail and the daemon's one planner
+// call: a miss (planMiss) and a background replan both search here, holding an
+// admission slot (acquireSynth). find picks the donor for incremental
+// synthesis — the nearest cached plan for a miss, the plan being replaced for
+// a replan — inside the seeded_search span that records the choice (the
+// planner's own search span carries the resulting seed distance and
+// fast-forward depth); a donor that fails to decode means a cold search.
 //
 // The synthesize span rides on ctx, so the planner's phase spans (theory, beam
 // levels, passes, verify) attach to the trace of whoever executes the search —
@@ -1001,21 +1003,15 @@ func (s *Server) synthesize(ctx context.Context, sp *obs.Span, g *graph.Graph, c
 	if err != nil {
 		return nil, CachedPlan{}, err
 	}
-	v, err := s.encodeFresh(sp, p)
-	return p, v, err
-}
-
-// encodeFresh counts a fresh plan's seeded and pass statistics and renders its
-// cached wire forms: what follows any planner call, single or batch.
-func (s *Server) encodeFresh(sp *obs.Span, p *hap.Plan) (CachedPlan, error) {
 	if p.Seeded {
 		s.synthIncremental.Add(1)
 		s.seedDistBits.Store(math.Float64bits(p.SeedDistance))
 	}
 	s.recordPassStats(p.Passes)
 	es := sp.Child("encode")
-	defer es.End()
-	return encodePlan(p)
+	v, err := encodePlan(p)
+	es.End()
+	return p, v, err
 }
 
 // commitPlan is the second half of the miss tail: register what the plan was
@@ -1045,18 +1041,17 @@ func (s *Server) fleetRole(key string) string {
 }
 
 // handleV1Batch serves POST /v1/synthesize/batch: one graph against many
-// clusters. Clusters already cached are served from cache; the remaining
-// ones are planned in a single PlanBatch call that builds the graph theory
-// once — the request-coalescing path the batch endpoint exists for. The
-// response envelope is always JSON; the per-result plan payloads honor
-// binary content negotiation (Accept: application/x-hap-plan → base64
-// binary in the envelope's "bin" field instead of "plan").
+// clusters, uploaded once. Clusters already cached are served from cache;
+// each remaining distinct key is one planMiss — seeded, single-flighted and
+// gated per search exactly like a single request's miss — and the misses run
+// side by side. The response envelope is always JSON; the per-result plan
+// payloads honor binary content negotiation (Accept: application/x-hap-plan →
+// base64 binary in the envelope's "bin" field instead of "plan").
 //
-// Batch requests are not fleet-routed: coalescing happens within the
-// request, and splitting a batch across owners would trade the theory-once
-// guarantee for routing purity. Filled entries still replicate when this
-// node owns them, and replicated entries still serve the per-cluster cache
-// checks.
+// Batch requests are not fleet-routed: the request is answered as a whole, and
+// splitting it across owners would turn one upload into several. Filled
+// entries still replicate when this node owns them, and replicated entries
+// still serve the per-cluster cache checks.
 func (s *Server) handleV1Batch(w http.ResponseWriter, r *http.Request, rt *requestTrace) {
 	ds := rt.span("decode")
 	var req BatchRequest
@@ -1097,7 +1092,7 @@ func (s *Server) handleV1Batch(w http.ResponseWriter, r *http.Request, rt *reque
 	// (the same cluster listed twice is one search, answered twice).
 	var missing []string // keys to plan, first-seen order
 	var toPlan []*cluster.Cluster
-	queued := map[string]bool{}
+	queued := map[string]int{} // missing key → its index in missing
 	cs := rt.span("cache_lookup")
 	for i, key := range keys {
 		if v, ok := s.store.Get(key); ok {
@@ -1107,8 +1102,8 @@ func (s *Server) handleV1Batch(w http.ResponseWriter, r *http.Request, rt *reque
 		}
 		s.misses.Add(1)
 		results[i] = BatchPlanResult{Cache: "miss"}
-		if !queued[key] {
-			queued[key] = true
+		if _, ok := queued[key]; !ok {
+			queued[key] = len(missing)
 			missing = append(missing, key)
 			toPlan = append(toPlan, clusters[i])
 		}
@@ -1119,48 +1114,36 @@ func (s *Server) handleV1Batch(w http.ResponseWriter, r *http.Request, rt *reque
 		rt.setCache("hit")
 	} else {
 		rt.setCache("miss")
-		// One admission slot covers the whole batch: PlanBatch is a single
-		// search sharing one graph theory, not len(missing) independent ones.
-		// An all-hit batch never reaches the gate; a shed batch answers 429
-		// for the request as a whole (partial responses would complicate the
-		// envelope for a client that must retry anyway).
-		release, ok := s.acquireSynth()
-		if !ok {
-			s.admissionShed.Add(1)
-			s.failSynthesis(w, errOverloaded)
-			return
+		// A batch is len(missing) single misses: each takes (or is refused) its
+		// own admission slot and commits on its own success, so a failed or
+		// shed batch still caches the plans that completed and a retry does
+		// not re-pay its siblings' work. The request answers the first failing
+		// cluster's error (partial responses would complicate the envelope for
+		// a client that must retry anyway).
+		plans := make([]CachedPlan, len(missing))
+		errs := make([]error, len(missing))
+		var wg sync.WaitGroup
+		for j := range missing {
+			wg.Add(1)
+			go func(j int) {
+				defer wg.Done()
+				// A search assigns segments onto the graph it plans, so every
+				// sibling plans its own shallow copy; the rest is read-only.
+				gc := *g
+				in := &planInput{req: Request{Graph: req.Graph, Options: req.Options}, g: &gc, c: toPlan[j]}
+				plans[j], _, errs[j] = s.planMiss(r.Context(), rt.rootSpan(), missing[j], in)
+			}(j)
 		}
-		defer release()
-		s.syntheses.Add(uint64(len(toPlan)))
-		ss := rt.span("synthesize")
-		ss.SetAttrInt("clusters", int64(len(toPlan)))
-		plans, batchErr := s.cfg.PlanBatch(obs.ContextWithSpan(r.Context(), ss), g, toPlan, s.hapOptions(req.Options))
-		ss.End()
-		if batchErr == nil && len(plans) != len(toPlan) {
-			plans, batchErr = nil, fmt.Errorf("planner returned %d plans for %d clusters", len(plans), len(toPlan))
-		}
-		// Commit whatever completed even when the batch as a whole failed
-		// (PlanBatch returns partial results): a starved cluster under the
-		// shared budget must not force retries to re-pay its siblings' work.
-		fresh := map[string]CachedPlan{}
-		for j, key := range missing {
-			if j >= len(plans) || plans[j] == nil {
-				continue
-			}
-			v, err := s.encodeFresh(rt.rootSpan(), plans[j])
+		wg.Wait()
+		for _, err := range errs {
 			if err != nil {
-				s.fail(w, http.StatusInternalServerError, CodeSynthesisFailed, "encoding plan: %v", err)
+				s.failSynthesis(w, err)
 				return
 			}
-			fresh[key] = s.commitPlan(rt.rootSpan(), key, newPlanSource(g, req.Graph, toPlan[j], req.Options), v)
-		}
-		if batchErr != nil {
-			s.failSynthesis(w, batchErr)
-			return
 		}
 		for i, key := range keys {
-			if v, ok := fresh[key]; ok && len(results[i].Plan) == 0 && len(results[i].Bin) == 0 {
-				results[i] = batchResult(v, results[i].Cache, binary)
+			if results[i].Cache == "miss" {
+				results[i] = batchResult(plans[queued[key]], "miss", binary)
 			}
 		}
 	}

@@ -14,13 +14,14 @@ import (
 	"net/http/httptest"
 	"os"
 	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"hap"
 	"hap/internal/cluster"
 	"hap/internal/dist"
 	"hap/internal/graph"
-	"hap/internal/theory"
 )
 
 // postPath posts a body to an arbitrary endpoint with optional Accept.
@@ -241,8 +242,8 @@ func batchBody(t *testing.T, g *graph.Graph, clusters []*cluster.Cluster, opt Re
 	return body
 }
 
-// TestBatchCoalescing: a batch of N clusters for one graph builds the graph
-// theory exactly once, returns one valid plan per cluster (identical to the
+// TestBatchCoalescing: a batch of N clusters for one graph searches each
+// distinct cluster once, returns one valid plan per cluster (identical to the
 // single-endpoint plan), and caches every entry.
 func TestBatchCoalescing(t *testing.T) {
 	s := New(Config{})
@@ -257,14 +258,10 @@ func TestBatchCoalescing(t *testing.T) {
 	}
 	body := batchBody(t, testGraph(t), clusters, RequestOptions{})
 
-	before := theory.Builds()
 	resp := postPath(t, srv.URL, "/v1/synthesize/batch", body, "")
 	raw := readAll(t, resp)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("batch: status %d: %s", resp.StatusCode, raw)
-	}
-	if built := theory.Builds() - before; built != 1 {
-		t.Errorf("batch over %d clusters built the theory %d times, want once", len(clusters), built)
 	}
 
 	var br BatchResponse
@@ -330,33 +327,23 @@ func TestBatchCoalescing(t *testing.T) {
 	}
 }
 
-// A batch where one cluster fails (e.g. starved under the shared budget)
-// still caches the plans that completed: the request errors, but a retry —
-// or a single request for a finished cluster — does not re-pay its work.
+// A batch where one cluster fails (e.g. starved under its budget) still
+// caches the plans that completed: the request errors, but a retry — or a
+// single request for a finished cluster — does not re-pay its work.
 func TestBatchPartialFailureCachesSuccesses(t *testing.T) {
 	g := testGraph(t)
-	failErr := errors.New("cluster 2 starved")
+	starvedFP := altCluster().Fingerprint()
 	s := New(Config{
-		PlanBatch: func(ctx context.Context, gr *graph.Graph, cs []*cluster.Cluster, opt hap.Options) ([]*hap.Plan, error) {
-			plans := make([]*hap.Plan, len(cs))
-			for i, c := range cs[:len(cs)-1] { // last cluster "starves"
-				p, err := hap.NewPlanner(c, hap.WithOptions(opt)).Plan(ctx, gr)
-				if err != nil {
-					return nil, err
-				}
-				plans[i] = p
+		Synthesize: func(ctx context.Context, gr *graph.Graph, c *cluster.Cluster, opt hap.Options) (*hap.Plan, error) {
+			if c.Fingerprint() == starvedFP {
+				return nil, errors.New("cluster 2 starved")
 			}
-			return plans, failErr
+			return hap.NewPlanner(c, hap.WithOptions(opt)).Plan(ctx, gr)
 		},
 	})
 	srv := httptest.NewServer(s.Handler())
 	defer srv.Close()
-	clusters := []*cluster.Cluster{
-		testCluster(),
-		cluster.FromGPUs(cluster.DefaultNetwork(),
-			cluster.MachineSpec{Type: cluster.A100, GPUs: 1},
-			cluster.MachineSpec{Type: cluster.P100, GPUs: 1}),
-	}
+	clusters := []*cluster.Cluster{testCluster(), altCluster()}
 
 	resp := postPath(t, srv.URL, "/v1/synthesize/batch", batchBody(t, g, clusters, RequestOptions{}), "")
 	raw := readAll(t, resp)
@@ -372,6 +359,100 @@ func TestBatchPartialFailureCachesSuccesses(t *testing.T) {
 		t.Errorf("completed cluster after failed batch: status %d cache %q, want 200/hit",
 			resp.StatusCode, resp.Header.Get("X-HAP-Cache"))
 	}
+}
+
+// TestBatchMissesSeedAndJoin: a batch miss is a single miss, so it gets what
+// a single miss gets — (a) a donor: with a base graph cached on two clusters,
+// a batch for a near-variant seeds every one of its searches; (b) the flight:
+// a batch and a single request naming the same cold key share one search.
+func TestBatchMissesSeedAndJoin(t *testing.T) {
+	t.Run("seed", func(t *testing.T) {
+		s := New(Config{})
+		srv := httptest.NewServer(s.Handler())
+		defer srv.Close()
+		clusters := []*cluster.Cluster{testCluster(), altCluster()}
+		batch := func(g *graph.Graph) (seeded uint64) {
+			t.Helper()
+			before := s.Stats().SynthIncremental
+			resp := postPath(t, srv.URL, "/v1/synthesize/batch", batchBody(t, g, clusters, RequestOptions{}), "")
+			if raw := readAll(t, resp); resp.StatusCode != http.StatusOK {
+				t.Fatalf("batch: status %d: %.120s", resp.StatusCode, raw)
+			}
+			return s.Stats().SynthIncremental - before
+		}
+		// A donor shares its target's cluster, so the base batch's siblings
+		// cannot seed each other; each of the variant's misses finds the base
+		// plan on its own cluster.
+		if n := batch(seedServeGraph(64, 96, 96, 96, 96, 96, 96, 32)); n != 0 {
+			t.Errorf("base batch seeded %d searches on an empty cache", n)
+		}
+		if n := batch(seedServeGraph(64, 96, 96, 112, 96, 96, 96, 32)); n != uint64(len(clusters)) {
+			t.Errorf("near-variant batch seeded %d of its %d searches", n, len(clusters))
+		}
+	})
+
+	t.Run("join", func(t *testing.T) {
+		held := testCluster()
+		heldFP := held.Fingerprint()
+		var heldCalls atomic.Int64
+		started, release := make(chan struct{}), make(chan struct{})
+		s := New(Config{Synthesize: func(ctx context.Context, g *graph.Graph, c *cluster.Cluster, opt hap.Options) (*hap.Plan, error) {
+			if c.Fingerprint() == heldFP {
+				if heldCalls.Add(1) == 1 {
+					close(started)
+				}
+				select {
+				case <-release:
+				case <-ctx.Done():
+					return nil, ctx.Err()
+				}
+			}
+			return planWith(g, c, opt)
+		}})
+		srv := httptest.NewServer(s.Handler())
+		defer srv.Close()
+		g := testGraph(t)
+		key := cacheKey(g, held, RequestOptions{})
+
+		statuses := make(chan int, 2)
+		go func() {
+			status, _, _ := post(t, srv.URL, requestBody(t, g, held, RequestOptions{}))
+			statuses <- status
+		}()
+		<-started
+		go func() {
+			resp := postPath(t, srv.URL, "/v1/synthesize/batch", batchBody(t, g, []*cluster.Cluster{held, altCluster()}, RequestOptions{}), "")
+			readAll(t, resp)
+			statuses <- resp.StatusCode
+		}()
+		// Release the search only once the batch's miss is waiting on it.
+		joined := false
+		for deadline := time.Now().Add(10 * time.Second); !joined && time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+			s.flight.mu.Lock()
+			call := s.flight.m[key]
+			s.flight.mu.Unlock()
+			if call != nil {
+				call.mu.Lock()
+				joined = call.refs == 2
+				call.mu.Unlock()
+			}
+		}
+		close(release)
+		if !joined {
+			t.Error("the batch's miss never joined the single request's flight")
+		}
+		for i := 0; i < 2; i++ {
+			if status := <-statuses; status != http.StatusOK {
+				t.Errorf("status %d, want 200 for the single request and the batch alike", status)
+			}
+		}
+		if n := heldCalls.Load(); n != 1 {
+			t.Errorf("%d planner calls for the shared key, want 1", n)
+		}
+		if st := s.Stats(); st.FlightShared < 1 {
+			t.Errorf("flight_shared = %d, want the batch's miss counted as a joiner", st.FlightShared)
+		}
+	})
 }
 
 // TestCachePersistence: with CacheDir set, plans survive a server restart —

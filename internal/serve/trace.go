@@ -95,7 +95,8 @@ func (rt *requestTrace) span(name string) *obs.Span {
 	return rt.root.Child(name)
 }
 
-// rootSpan returns the root span for attr stamping (nil-safe).
+// rootSpan returns the root span, the parent planMiss opens its flight under
+// (nil-safe).
 func (rt *requestTrace) rootSpan() *obs.Span {
 	if rt == nil {
 		return nil

@@ -142,13 +142,14 @@ func TestTraceSingleNodeSynthesis(t *testing.T) {
 	if root.Attrs["cache"] != "miss" || root.Attrs["endpoint"] != EndpointV1 {
 		t.Errorf("root attrs = %v, want cache=miss endpoint=%s", root.Attrs, EndpointV1)
 	}
+	spanAttrs := map[string][]string{
+		"beam_level": {"candidates", "read", "sorted"},
+		"flight":     {"key", "shared"},
+	}
 	for _, sp := range rec.Spans {
-		if sp.Name != "beam_level" {
-			continue
-		}
-		for _, attr := range []string{"candidates", "read", "sorted"} {
+		for _, attr := range spanAttrs[sp.Name] {
 			if sp.Attrs[attr] == "" {
-				t.Errorf("beam_level span lacks %s attr: %v", attr, sp.Attrs)
+				t.Errorf("%s span lacks %s attr: %v", sp.Name, attr, sp.Attrs)
 			}
 		}
 	}
@@ -172,6 +173,43 @@ func TestTraceSingleNodeSynthesis(t *testing.T) {
 	list := getTraceList(t, srv.URL)
 	if len(list) != 2 || list[0].TraceID != hitID || list[1].TraceID != traceID {
 		t.Errorf("trace list = %+v, want [hit, miss] newest first", list)
+	}
+}
+
+// TestTraceBatchFlightsCarryKeys: a batch's misses are single misses side by
+// side, so its one trace holds a flight subtree per missing key; the flight's
+// key attribute is what tells their synthesize/encode children apart.
+func TestTraceBatchFlightsCarryKeys(t *testing.T) {
+	srv := httptest.NewServer(New(Config{}).Handler())
+	defer srv.Close()
+	g := testGraph(t)
+	clusters := []*cluster.Cluster{testCluster(), altCluster()}
+	resp := postPath(t, srv.URL, "/v1/synthesize/batch", batchBody(t, g, clusters, RequestOptions{}), "")
+	if raw := readAll(t, resp); resp.StatusCode != http.StatusOK {
+		t.Fatalf("batch: status %d: %.120s", resp.StatusCode, raw)
+	}
+	rec := getTrace(t, srv.URL, resp.Header.Get(obs.TraceHeader))
+	assertWellFormed(t, rec)
+
+	flights := map[uint64]string{} // flight span ID → key
+	for _, sp := range rec.Spans {
+		if sp.Name == "flight" {
+			flights[sp.ID] = sp.Attrs["key"]
+		}
+	}
+	searched := map[string]bool{}
+	for _, sp := range rec.Spans {
+		if sp.Name == "synthesize" {
+			searched[flights[sp.Parent]] = true
+		}
+	}
+	for _, c := range clusters {
+		if key := cacheKey(g, c, RequestOptions{}); !searched[key] {
+			t.Errorf("no synthesize span under a flight keyed %s (flights %v)", key, flights)
+		}
+	}
+	if len(flights) != len(clusters) || len(searched) != len(clusters) {
+		t.Errorf("%d flights, %d keyed searches for a %d-miss batch", len(flights), len(searched), len(clusters))
 	}
 }
 

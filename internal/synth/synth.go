@@ -627,7 +627,7 @@ func (sy *Synthesizer) runAStar(root *state) (*state, Stats, error) {
 		if err := sy.overBudget(stats.Expansions); err != nil {
 			return nil, stats, err
 		}
-		sy.expandBuf = sy.expandFrom(s, true, sy.expandBuf[:0])
+		sy.expandBuf = sy.expandFrom(s, sy.expandBuf[:0])
 		for _, next := range sy.expandBuf {
 			k := next.key()
 			ec := next.effCost()
@@ -677,7 +677,11 @@ type beamWorker struct {
 // states: it reads only s and the immutable search context.
 func (sy *Synthesizer) genCandidates(s *state, pi int32, w *beamWorker) {
 	// Computation: strict global topological order — only the lowest
-	// uncomputed required node (see expandFrom). The beam computes required
+	// uncomputed required node, the natural forward-then-backward training
+	// schedule — so that leaf placements are decided by forward consumers;
+	// without this, a beam thread can place a parameter from its backward
+	// transpose first and corner itself (the exact queue recovers through
+	// alternative orderings, a beam cannot). The beam computes required
 	// nodes in ascending id order, so the computed set is always a prefix of
 	// reqNodes and nextReq finds the candidate node in O(1).
 	if int(s.nextReq) < len(sy.reqNodes) {
@@ -970,31 +974,20 @@ func (sy *Synthesizer) score(s *state) float64 {
 	return s.effCost() + s.remFlops/sy.totalFlopsPerSec
 }
 
-// expandFrom enumerates successors into out. In canonical mode (exact A*)
-// the next computation must have a node id above the last one in the open
-// stage, collapsing cost-equivalent permutations: any program can be
-// reordered so comps within a stage ascend. Beam mode instead forces strict
-// global topological order — the natural forward-then-backward training
-// schedule — so that leaf placements are decided by forward consumers;
-// without this, a beam thread can place a parameter from its backward
-// transpose first and corner itself (the exact queue recovers through
-// alternative orderings, a beam cannot).
-func (sy *Synthesizer) expandFrom(s *state, canonical bool, out []*state) []*state {
+// expandFrom enumerates exact A*'s successors of s into out. The next
+// computation must have a node id above the last one in the open stage,
+// collapsing cost-equivalent permutations: any program can be reordered so
+// comps within a stage ascend. (The beam enumerates its own candidates, in
+// strict global topological order: see genCandidates.)
+func (sy *Synthesizer) expandFrom(s *state, out []*state) []*state {
 	g := sy.g
-	first := 0
-	if canonical {
-		first = int(s.lastComp) + 1
-	}
-	for i := first; i < g.NumNodes(); i++ {
+	for i := int(s.lastComp) + 1; i < g.NumNodes(); i++ {
 		id := graph.NodeID(i)
 		if !sy.th.Required[id] || bitGet(s.computed, id) || theory.IsLeaf(g.Node(id).Kind) {
 			continue
 		}
 		if !sy.ready(s, id) {
-			if canonical {
-				continue
-			}
-			break // global order: cannot happen, but stay safe
+			continue
 		}
 		for _, tr := range sy.th.ByNode[id] {
 			if sy.opt.DisableSFB && sy.isSFBTriple(tr) {
@@ -1003,9 +996,6 @@ func (sy *Synthesizer) expandFrom(s *state, canonical bool, out []*state) []*sta
 			if ns := sy.applyComp(s, tr); ns != nil {
 				out = append(out, ns)
 			}
-		}
-		if !canonical {
-			break // beam: only the lowest uncomputed node is a candidate
 		}
 	}
 	// Communication candidates for live, uncommunicated, non-leaf tensors.

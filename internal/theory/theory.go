@@ -22,19 +22,10 @@ package theory
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"hap/internal/dist"
 	"hap/internal/graph"
 )
-
-// builds counts New calls process-wide. Theory construction is the step
-// batch planners share across clusters; the counter lets tests assert the
-// sharing actually happened (one build for a k-cluster batch).
-var builds atomic.Uint64
-
-// Builds returns the process-wide count of theories built so far.
-func Builds() uint64 { return builds.Load() }
 
 // PropKind is the relation between a distributed tensor and its reference.
 type PropKind uint8
@@ -190,7 +181,6 @@ func IsLeaf(k graph.OpKind) bool {
 // New builds the background theory for a single-device graph by matching
 // the per-op rules against every node.
 func New(g *graph.Graph) *Theory {
-	builds.Add(1)
 	t := &Theory{
 		Graph:     g,
 		ByNode:    make([][]*Triple, g.NumNodes()),

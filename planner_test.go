@@ -12,56 +12,7 @@ import (
 	"hap/internal/dist"
 	"hap/internal/graph"
 	"hap/internal/models"
-	"hap/internal/theory"
 )
-
-// PlanBatch over k clusters must build the graph theory exactly once (the
-// theory depends only on the graph) and emit, per cluster, the same plan a
-// standalone Plan call would.
-func TestPlanBatchSharesTheory(t *testing.T) {
-	clusters := []*Cluster{
-		testCluster(),
-		PerGPU(MachineSpec{Type: A100, GPUs: 1}, MachineSpec{Type: P100, GPUs: 1}),
-		PerGPU(MachineSpec{Type: V100, GPUs: 2}, MachineSpec{Type: V100, GPUs: 1}),
-	}
-	p := NewPlanner(clusters[0])
-
-	before := theory.Builds()
-	plans, err := p.PlanBatch(context.Background(), testGraph(t), clusters...)
-	if err != nil {
-		t.Fatalf("PlanBatch: %v", err)
-	}
-	if built := theory.Builds() - before; built != 1 {
-		t.Errorf("batch over %d clusters built the theory %d times, want once", len(clusters), built)
-	}
-	if len(plans) != len(clusters) {
-		t.Fatalf("PlanBatch returned %d plans for %d clusters", len(plans), len(clusters))
-	}
-	for i, c := range clusters {
-		solo, err := NewPlanner(c).Plan(context.Background(), testGraph(t))
-		if err != nil {
-			t.Fatalf("solo plan for cluster %d: %v", i, err)
-		}
-		if plans[i].Program.String() != solo.Program.String() {
-			t.Errorf("cluster %d: batch plan differs from solo plan", i)
-		}
-		if err := Verify(plans[i], c.M(), int64(11+i)); err != nil {
-			t.Errorf("cluster %d: Verify: %v", i, err)
-		}
-	}
-}
-
-// With no extra clusters, PlanBatch plans the planner's own cluster.
-func TestPlanBatchDefaultsToOwnCluster(t *testing.T) {
-	c := testCluster()
-	plans, err := NewPlanner(c).PlanBatch(context.Background(), testGraph(t))
-	if err != nil {
-		t.Fatalf("PlanBatch: %v", err)
-	}
-	if len(plans) != 1 || len(plans[0].Program.Instrs) == 0 {
-		t.Fatalf("PlanBatch() = %d plans, want the planner's own cluster planned", len(plans))
-	}
-}
 
 // cancelGraph is a model big enough that its synthesis runs for seconds —
 // room to observe a mid-search cancellation.
