@@ -44,14 +44,15 @@ func benchSynthesize(b *testing.B, model models.PaperModel) {
 
 // vgg19SearchAllocs is BenchmarkSynthesizeVGG19/workers=1's allocs/op. The
 // count is exact run to run: the search is deterministic and single-threaded.
-const vgg19SearchAllocs = 9665
+const vgg19SearchAllocs = 5722
 
-// TestSearchAllocationPin holds the beam's allocation profile. A closure in
-// runBeam that captures the selection loop's locals moves them to the heap
-// once per iteration and doubles this count (19 631 before the materialize
-// loop went serial) — for every worker count, since escape analysis is per
-// function, not per branch. Workers cost a few goroutines and chunk buffers
-// per level on top, nothing per candidate.
+// TestSearchAllocationPin holds the beam's allocation profile. A fresh
+// state's copy-on-write bitset missing the arena's slab costs one allocation
+// per state (9 665 before the slab); a closure in runBeam that captures the
+// selection loop's locals moves them to the heap once per iteration (19 631
+// before the materialize loop went serial) — for every worker count, since
+// escape analysis is per function, not per branch. Workers cost a few
+// goroutines and chunk buffers per level on top, nothing per candidate.
 func TestSearchAllocationPin(t *testing.T) {
 	g, th, c, ratios := benchInput(models.ModelVGG19)
 	allocs := func(workers int) float64 {

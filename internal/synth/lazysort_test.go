@@ -176,7 +176,7 @@ func TestLazySortRealLevels(t *testing.T) {
 	sy := New(g, th, c, ratios, Options{BeamWidth: 48, Workers: 1})
 	levels, cands := 0, 0
 	rng := rand.New(rand.NewSource(24))
-	sy.levelHook = func(refs []candRef) {
+	sy.levelHook = func(_ []*state, refs []candRef) {
 		levels++
 		cands += len(refs)
 		checkLazyPrefix(t, slices.Clone(refs), rng.Intn(len(refs)+1))

@@ -428,26 +428,22 @@ func (sy *Synthesizer) fastForward(root *state) (*state, int, bool) {
 			ns.nextReq = s.nextReq + 1
 			s = ns
 		}
+		// The chain behind s is kept for its instructions only.
+		sy.dropFront(s.parent)
 		applied++
 	}
 	return s, applied, applied == len(sd.steps) && s.complete
 }
 
 // applySeedComm validates and applies one pinned communication on s: the
-// ref must be live, uncommunicated, and the pinned collective must be among
-// the legal candidates for its current property (the same filter the search
-// applies). Nil when the decision does not fit the state.
+// pinned collective must be in the tensor's segment — live, uncommunicated,
+// legal for its current properties, the same definition the search
+// enumerates. Nil when the decision does not fit the state.
 func (sy *Synthesizer) applySeedComm(s *state, st seedStep) *state {
-	if bitGet(s.communicated, st.node) {
-		return nil
-	}
-	run := s.propsOf(st.node)
-	for _, p := range run {
-		sy.ccBuf = sy.commCandidates(s, p, run, sy.ccBuf[:0])
-		for _, cc := range sy.ccBuf {
-			if cc.matches(st.cc) {
-				return sy.applyComm(s, cc)
-			}
+	sy.segBuf = sy.appendSegment(s, st.node, sy.segBuf[:0])
+	for _, e := range sy.segBuf {
+		if e.cc.matches(st.cc) {
+			return sy.applyComm(s, e.cc)
 		}
 	}
 	return nil

@@ -24,9 +24,11 @@
 // graphs (exact search remains the default for small graphs); the beam
 // search fans each level's candidate scoring over Options.Workers goroutines
 // and merges candidates in a deterministic total order, so the emitted
-// program is byte-identical for every worker count; and the per-expansion hot
-// path is allocation-lean — pooled states with copy-on-write bitsets,
-// memoized collective costs, and binary-searched property sets.
+// program is byte-identical for every worker count; a beam state inherits its
+// parent's legal collectives instead of re-deriving them every level; and the
+// per-expansion hot path is allocation-lean — pooled states with
+// copy-on-write bitsets, memoized collective costs, and binary-searched
+// property sets.
 package synth
 
 import (
@@ -35,6 +37,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -121,6 +124,14 @@ type state struct {
 	computed     []uint64          // nodes computed
 	communicated []uint64          // tensors already communicated (opt 2)
 	placed       []int8            // leaf placement: unplaced/replicated/dim
+	// front is the communication frontier (beam only; nil in exact A*): the
+	// legal collectives of every live, uncommunicated, not-yet-acceptable
+	// tensor, in enumeration order — ascending Ref, then the tensor's
+	// properties in set order, then commCandidates' try order. A successor
+	// inherits it, re-deriving only the tensors its step touched (see
+	// inheritFront). The buffer is the arena's; a state holds one only while
+	// it sits in the beam.
+	front []frontEntry
 
 	closedCost float64   // cost of all closed stages
 	openComm   float64   // comm cost of the open stage
@@ -238,7 +249,15 @@ func (sy *Synthesizer) release(s *state) {
 	s.computed, s.communicated = nil, nil
 	s.ownsComputed, s.ownsCommunicated = false, false
 	s.parent = nil
+	sy.dropFront(s)
 	sy.arena.put(s)
+}
+
+// dropFront hands s's frontier buffer back to the arena: s has left the beam
+// (retired, discarded or complete) and nothing will enumerate it again.
+func (sy *Synthesizer) dropFront(s *state) {
+	sy.arena.putFront(s.front)
+	s.front = nil
 }
 
 // hasProp binary-searches the sorted property set.
@@ -409,13 +428,20 @@ type Synthesizer struct {
 	// merge is the beam's per-level lazy sort (its range stack lives here so
 	// a search allocates it once, with the Synthesizer).
 	merge lazySort
-	// levelHook, when set (tests only), sees each level's unsorted candidate
-	// refs before the merge permutes them.
-	levelHook func(refs []candRef)
+	// levelHook, when set (tests only), sees each level's states and their
+	// unsorted candidate refs before the merge permutes them.
+	levelHook func(level []*state, refs []candRef)
 
-	// Serial scratch buffers for exact A* (never used concurrently).
+	// gradOf maps a parameter to the output tensor whose acceptable forms
+	// follow its placement (its gradient), -1 otherwise: the one tensor whose
+	// frontier segment a leaf placement changes.
+	gradOf []graph.NodeID
+
+	// Serial scratch (never used concurrently): exact A*'s successors and
+	// per-tensor segments, and inheritFront's touched set.
 	expandBuf []*state
-	ccBuf     []commCand
+	segBuf    []frontEntry
+	touched   []graph.NodeID
 }
 
 // New prepares a synthesizer for one (graph, theory, cluster, ratios) tuple.
@@ -439,21 +465,28 @@ func New(g *graph.Graph, th *theory.Theory, c *cluster.Cluster, b [][]float64, o
 			opt.BeamWidth = 48
 		}
 	}
+	if opt.BeamWidth == 0 {
+		opt.Seed = nil // exact A* ignores seeds: no pin may filter its segments
+	}
 	s := &Synthesizer{
 		g: g, th: th, c: c, b: b, opt: opt,
 		words:            (g.NumNodes() + 63) / 64,
 		totalFlopsPerSec: c.TotalFlops(),
 		outputs:          th.Outputs,
 		outputIdx:        make([]int32, g.NumNodes()),
+		gradOf:           make([]graph.NodeID, g.NumNodes()),
 		commT:            make([][numColl]float64, g.NumNodes()),
 		commPen:          make([][]float64, g.NumNodes()),
 	}
-	s.arena.init(g.NumNodes(), c.M())
+	s.arena.init(g.NumNodes(), c.M(), s.words, opt.BeamWidth)
 	for i := range s.outputIdx {
-		s.outputIdx[i] = -1
+		s.outputIdx[i], s.gradOf[i] = -1, -1
 	}
 	for i, o := range th.Outputs {
 		s.outputIdx[o.Ref] = int32(i)
+		if o.Param >= 0 {
+			s.gradOf[o.Param] = o.Ref
+		}
 	}
 	m := c.M()
 	for i := range g.Nodes {
@@ -648,34 +681,44 @@ func (sy *Synthesizer) runAStar(root *state) (*state, Stats, error) {
 	return best, stats, nil
 }
 
-// beamCand is a scored, not-yet-materialized successor for the beam.
-type beamCand struct {
-	parent int32          // index into the current level
-	tr     *theory.Triple // nil for communication candidates
-	cc     commCand
-	score  float64
-}
-
-// candRef is the compact record the merge sorts: 16 bytes instead of the
-// full candidate, so the sort moves cache lines, not structs. The merge is
-// lazy (lazysort.go): a level of C candidates costs about 2C comparisons for
-// the first partitions plus a short sorted prefix, not C log C.
+// candRef is the compact record the merge sorts: a candidate's score and its
+// position in the level's enumeration order — 16 bytes, so the sort moves
+// cache lines, not structs, and nothing else is ever written per candidate.
+// The merge is lazy (lazysort.go): a level of C candidates costs about 2C
+// comparisons for the first partitions plus a short sorted prefix, not C log C.
 type candRef struct {
 	score float64
-	idx   int32 // index into the level's candidate arena
+	idx   int32 // position in the level's enumeration order (see candSpan)
 }
 
-// beamWorker is one worker's per-level scratch.
-type beamWorker struct {
-	out        []beamCand
-	ccBuf      []commCand
+// candSpan locates one state's candidates in a level's enumeration: they are
+// refs[start:next.start] — its applicable computation triples, which are
+// comps[comps:next.comps], then its frontier entries in order.
+type candSpan struct {
+	start, comps int32
+}
+
+// levelCands is a level's (or one worker's chunk of a level's) scored
+// candidates: one ref per candidate, the computation triples among them, and
+// one span per state scored — plus a closing sentinel once the level is
+// whole. Communication candidates are not stored: they are the states'
+// frontiers.
+type levelCands struct {
+	refs       []candRef
+	comps      []*theory.Triple
+	spans      []candSpan
 	expansions int
 }
 
-// genCandidates scores every successor of s without materializing it,
-// appending to the worker's buffer. Safe to run concurrently for distinct
-// states: it reads only s and the immutable search context.
-func (sy *Synthesizer) genCandidates(s *state, pi int32, w *beamWorker) {
+func (lc *levelCands) reset() {
+	lc.refs, lc.comps, lc.spans, lc.expansions = lc.refs[:0], lc.comps[:0], lc.spans[:0], 0
+}
+
+// scoreCandidates scores every successor of s without materializing it,
+// appending to lc. Safe to run concurrently for distinct states: it reads
+// only s and the immutable search context.
+func (sy *Synthesizer) scoreCandidates(s *state, lc *levelCands) {
+	lc.spans = append(lc.spans, candSpan{start: int32(len(lc.refs)), comps: int32(len(lc.comps))})
 	// Computation: strict global topological order — only the lowest
 	// uncomputed required node, the natural forward-then-backward training
 	// schedule — so that leaf placements are decided by forward consumers;
@@ -701,75 +744,69 @@ func (sy *Synthesizer) genCandidates(s *state, pi int32, w *beamWorker) {
 			}
 			if sy.compApplicable(s, tr) {
 				score := sy.compDelta(s, tr) + (s.remFlops-sy.g.Flops(id))/sy.totalFlopsPerSec
-				w.out = append(w.out, beamCand{parent: pi, tr: tr, score: score})
+				lc.refs = append(lc.refs, candRef{score: score, idx: int32(len(lc.refs))})
+				lc.comps = append(lc.comps, tr)
 			}
 		}
 	}
-	// Communication candidates for live, uncommunicated tensors. props is
-	// sorted by Ref, so each tensor's properties are one contiguous run; the
-	// run is what commCandidates checks its results against.
-	for lo, hi := 0, 0; lo < len(s.props); lo = hi {
-		ref := s.props[lo].Ref
-		for hi = lo + 1; hi < len(s.props) && s.props[hi].Ref == ref; hi++ {
-		}
-		if bitGet(s.communicated, ref) {
-			continue
-		}
-		if oi := sy.outputIdx[ref]; oi >= 0 && sy.outputAcceptable(s, sy.outputs[oi]) {
-			continue
-		}
-		run := s.props[lo:hi]
-		for _, p := range run {
-			w.ccBuf = sy.commCandidates(s, p, run, w.ccBuf[:0])
-			// A pinned tensor keeps only its donor collective when legal here;
-			// timing — which level takes it — stays free.
-			if sd := sy.opt.Seed; sd != nil && sd.commPin[ref].valid {
-				pin := sd.commPin[ref]
-				for _, cc := range w.ccBuf {
-					if cc.matches(pin) {
-						w.ccBuf[0] = cc
-						w.ccBuf = w.ccBuf[:1]
-						break
-					}
-				}
-			}
-			for _, cc := range w.ccBuf {
-				score := sy.commDelta(s, cc) + s.remFlops/sy.totalFlopsPerSec
-				w.out = append(w.out, beamCand{parent: pi, cc: cc, score: score})
-			}
-		}
+	// Communication: the inherited frontier, each entry two adds away from
+	// its score. The association is the per-candidate sum's —
+	// ((closedCost+openComm)+worst)+commT, then +remFlops/total — so every
+	// score is the bit pattern a from-scratch enumeration computes
+	// (TestFrontierMatchesRebuild).
+	pre, rem := s.effCost(), s.remFlops/sy.totalFlopsPerSec
+	base := len(lc.refs)
+	lc.refs = slices.Grow(lc.refs, len(s.front))[:base+len(s.front)]
+	for i, out := 0, lc.refs[base:]; i < len(out); i++ {
+		out[i] = candRef{score: pre + s.front[i].off + rem, idx: int32(base + i)}
 	}
 }
 
-// materialize turns a scored candidate into a state. Comp candidates advance
-// nextReq past the node they compute.
-func (sy *Synthesizer) materialize(level []*state, c *beamCand) *state {
-	parent := level[c.parent]
-	if c.tr != nil {
-		ns := sy.applyComp(parent, c.tr)
-		if ns != nil {
-			ns.nextReq = parent.nextReq + 1
+// materialize turns the level's idx-th candidate into a state and reports
+// its parent's index. The spans map idx back to (parent, local index): a
+// binary search over the level's few dozen states, paid only for the
+// candidates phase 3 reads. Comp candidates advance nextReq past the node
+// they compute.
+func (sy *Synthesizer) materialize(level []*state, lc *levelCands, idx int32) (*state, int) {
+	// The closing sentinel starts past every idx, so the first span whose
+	// successor starts above idx exists, and is idx's even among empty spans.
+	lo, hi := 0, len(level)-1
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if lc.spans[mid+1].start <= idx {
+			lo = mid + 1
+		} else {
+			hi = mid
 		}
-		return ns
 	}
-	return sy.applyComm(parent, c.cc)
+	parent, sp, end := level[lo], lc.spans[lo], lc.spans[lo+1]
+	local := idx - sp.start
+	if nc := end.comps - sp.comps; local >= nc {
+		return sy.applyComm(parent, parent.front[local-nc].cc), lo
+	}
+	ns := sy.applyComp(parent, lc.comps[sp.comps+local])
+	if ns != nil {
+		ns.nextReq = parent.nextReq + 1
+	}
+	return ns, lo
 }
 
 // runBeam is the level-synchronized beam search used for model-scale graphs:
 // level k holds partial programs with k instructions; the best BeamWidth
 // states per level (by A* score) advance.
 //
-// Each level runs in three phases. (1) Candidate generation and scoring fan
-// out over Options.Workers goroutines, each worker owning a contiguous chunk
-// of the level's states, so the concatenated candidate arena is always in
-// (parent index, candidate index) order regardless of worker count. (2) The
-// merge order is a deterministic sort by score over that fixed arena order,
-// one order for every worker count — the surviving beam, and therefore the
-// emitted program, is byte-identical whether the level ran on 1 worker or
-// 16 — computed lazily, only as far as phase 3 reads (lazysort.go). (3)
-// Survivors are materialized and selected serially, in merge order, with
-// dedup by state key; level states that produced no surviving child are
-// released to the state pool.
+// Each level runs in three phases. (1) Scoring fans out over Options.Workers
+// goroutines, each worker owning a contiguous chunk of the level's states:
+// per state, the next node's applicable triples and one add per entry of the
+// frontier it inherited. The concatenated refs are always in (parent index,
+// candidate index) order regardless of worker count. (2) The merge order is a
+// deterministic sort by score over that fixed order, one order for every
+// worker count — the surviving beam, and therefore the emitted program, is
+// byte-identical whether the level ran on 1 worker or 16 — computed lazily,
+// only as far as phase 3 reads (lazysort.go). (3) Survivors are materialized
+// and selected serially, in merge order, with dedup by state key; level
+// states that produced no surviving child are released to the state pool,
+// and every state of the level hands its frontier buffer back.
 // Bounded suboptimality traded for a hard bound on search effort; see
 // DESIGN.md.
 func (sy *Synthesizer) runBeam(root *state) (*state, Stats, error) {
@@ -777,15 +814,11 @@ func (sy *Synthesizer) runBeam(root *state) (*state, Stats, error) {
 	var best *state
 	bestCost := 0.0
 	W := sy.workers()
-	ws := make([]*beamWorker, W)
-	for i := range ws {
-		ws[i] = &beamWorker{}
-	}
+	ws := make([]levelCands, W)
 	var (
-		arena []beamCand
-		refs  []candRef
-		kept  []bool
-		next  []*state
+		lc   levelCands // the whole level's candidates
+		kept []bool
+		next []*state
 	)
 	visited := map[uint64]struct{}{}
 	level := []*state{root}
@@ -799,20 +832,19 @@ func (sy *Synthesizer) runBeam(root *state) (*state, Stats, error) {
 		if workers > n {
 			workers = n
 		}
-		// Phase 1: generation + scoring. Contiguous chunks keep the
-		// concatenated arena ordered by (parent, enumeration index) for every
-		// worker count — the fixed input the merge's sort permutes.
+		// Phase 1: scoring. Contiguous chunks keep the concatenated refs
+		// ordered by (parent, enumeration index) for every worker count — the
+		// fixed input the merge's sort permutes.
+		lc.reset()
 		if workers <= 1 {
-			w := ws[0]
-			w.out = w.out[:0]
 			for pi := 0; pi < n; pi++ {
 				stats.Expansions++
 				if err := sy.overBudget(stats.Expansions); err != nil {
+					endAborted(lv, depth, n)
 					return nil, stats, err
 				}
-				sy.genCandidates(level[pi], int32(pi), w)
+				sy.scoreCandidates(level[pi], &lc)
 			}
-			arena, w.out = w.out, arena // swap, don't copy: both are scratch
 		} else {
 			chunk := (n + workers - 1) / workers
 			var wg sync.WaitGroup
@@ -822,14 +854,13 @@ func (sy *Synthesizer) runBeam(root *state) (*state, Stats, error) {
 				if hi > n {
 					hi = n
 				}
-				w := ws[c]
-				w.out = w.out[:0]
-				w.expansions = 0
+				w := &ws[c]
+				w.reset()
 				if lo >= hi {
 					continue
 				}
 				wg.Add(1)
-				go func(lo, hi int, w *beamWorker) {
+				go func(lo, hi int, w *levelCands) {
 					defer wg.Done()
 					for pi := lo; pi < hi; pi++ {
 						// Budget cancellation propagates per candidate batch:
@@ -839,30 +870,38 @@ func (sy *Synthesizer) runBeam(root *state) (*state, Stats, error) {
 							return
 						}
 						w.expansions++
-						sy.genCandidates(level[pi], int32(pi), w)
+						sy.scoreCandidates(level[pi], w)
 					}
 				}(lo, hi, w)
 			}
 			wg.Wait()
-			arena = arena[:0]
+			// Chunks concatenate in level order; positions shift by what the
+			// earlier chunks hold.
 			for c := 0; c < workers; c++ {
-				stats.Expansions += ws[c].expansions
-				arena = append(arena, ws[c].out...)
+				w := &ws[c]
+				stats.Expansions += w.expansions
+				ro, co := int32(len(lc.refs)), int32(len(lc.comps))
+				for _, r := range w.refs {
+					lc.refs = append(lc.refs, candRef{score: r.score, idx: r.idx + ro})
+				}
+				lc.comps = append(lc.comps, w.comps...)
+				for _, sp := range w.spans {
+					lc.spans = append(lc.spans, candSpan{start: sp.start + ro, comps: sp.comps + co})
+				}
 			}
 			if sy.expired.Load() {
+				endAborted(lv, depth, n)
 				return nil, stats, sy.overBudget(stats.Expansions)
 			}
 		}
+		lc.spans = append(lc.spans, candSpan{start: int32(len(lc.refs)), comps: int32(len(lc.comps))})
 		// Phase 2: deterministic merge order. The order is that of an unstable
 		// pdqsort on score alone — ties come out in its deterministic
-		// permutation of the arena order, pinned by TestGoldenPlanIdentity —
+		// permutation of the enumeration order, pinned by TestGoldenPlanIdentity —
 		// but only as much of it as phase 3 reads is ever computed (lazysort.go).
-		refs = refs[:0]
-		for i := range arena {
-			refs = append(refs, candRef{score: arena[i].score, idx: int32(i)})
-		}
+		refs := lc.refs
 		if sy.levelHook != nil {
-			sy.levelHook(refs)
+			sy.levelHook(level, refs)
 		}
 		sy.merge.reset(refs)
 		// Phase 3: materialize + select survivors in merge order.
@@ -883,16 +922,16 @@ func (sy *Synthesizer) runBeam(root *state) (*state, Stats, error) {
 			if best != nil && r.score >= bestCost {
 				break // sorted: nothing further can improve
 			}
-			cand := &arena[r.idx]
-			ns := sy.materialize(level, cand)
+			ns, pi := sy.materialize(level, &lc, r.idx)
 			if ns == nil {
 				continue
 			}
 			stats.Pushed++
 			if ns.complete {
 				if ec := ns.effCost(); best == nil || ec < bestCost {
+					sy.dropFront(ns) // never expanded
 					best, bestCost = ns, ec
-					kept[cand.parent] = true
+					kept[pi] = true
 				} else {
 					sy.release(ns)
 				}
@@ -905,7 +944,7 @@ func (sy *Synthesizer) runBeam(root *state) (*state, Stats, error) {
 			}
 			visited[key] = struct{}{}
 			next = append(next, ns)
-			kept[cand.parent] = true
+			kept[pi] = true
 			if len(next) >= sy.opt.BeamWidth {
 				break
 			}
@@ -913,16 +952,19 @@ func (sy *Synthesizer) runBeam(root *state) (*state, Stats, error) {
 		// Retire this level: states that produced no surviving child and are
 		// not the parent of a retained complete state have no live borrowers
 		// and go back to the pool. Ancestors of survivors stay referenced
-		// through parent chains and are never revisited.
+		// through parent chains and are never revisited — only their frontier
+		// buffers return.
 		for pi, s := range level {
-			if !kept[pi] {
+			if kept[pi] {
+				sy.dropFront(s)
+			} else {
 				sy.release(s)
 			}
 		}
 		if lv != nil {
 			lv.SetAttrInt("depth", int64(depth))
 			lv.SetAttrInt("states", int64(n))
-			lv.SetAttrInt("candidates", int64(len(arena)))
+			lv.SetAttrInt("candidates", int64(len(refs)))
 			lv.SetAttrInt("read", int64(read))
 			lv.SetAttrInt("sorted", int64(sy.merge.sorted))
 			lv.SetAttrInt("survivors", int64(len(next)))
@@ -934,6 +976,18 @@ func (sy *Synthesizer) runBeam(root *state) (*state, Stats, error) {
 		return nil, stats, fmt.Errorf("synth: beam search found no complete program")
 	}
 	return best, stats, nil
+}
+
+// endAborted records the beam level a budget or cancellation cut short, so
+// the trace of an aborted search ends at the level it was cut at.
+func endAborted(lv *obs.Span, depth, states int) {
+	if lv == nil {
+		return
+	}
+	lv.SetAttrInt("depth", int64(depth))
+	lv.SetAttrInt("states", int64(states))
+	lv.SetAttrBool("aborted", true)
+	lv.End()
 }
 
 // overBudget reports a passed deadline or a ctx cancellation. Checked once
@@ -978,7 +1032,7 @@ func (sy *Synthesizer) score(s *state) float64 {
 // computation must have a node id above the last one in the open stage,
 // collapsing cost-equivalent permutations: any program can be reordered so
 // comps within a stage ascend. (The beam enumerates its own candidates, in
-// strict global topological order: see genCandidates.)
+// strict global topological order: see scoreCandidates.)
 func (sy *Synthesizer) expandFrom(s *state, out []*state) []*state {
 	g := sy.g
 	for i := int(s.lastComp) + 1; i < g.NumNodes(); i++ {
@@ -998,15 +1052,11 @@ func (sy *Synthesizer) expandFrom(s *state, out []*state) []*state {
 			}
 		}
 	}
-	// Communication candidates for live, uncommunicated, non-leaf tensors.
-	for _, p := range s.props {
-		if bitGet(s.communicated, p.Ref) {
-			continue
-		}
-		if oi := sy.outputIdx[p.Ref]; oi >= 0 && sy.outputAcceptable(s, sy.outputs[oi]) {
-			continue // already in final form; more communication is waste
-		}
-		out = sy.commSuccessors(s, p, out)
+	// Communication successors: the frontier, built here rather than carried —
+	// the exact queue can hold millions of states.
+	sy.segBuf = sy.appendFrontier(s, sy.segBuf[:0])
+	for _, e := range sy.segBuf {
+		out = append(out, sy.applyComm(s, e.cc))
 	}
 	return out
 }
@@ -1094,6 +1144,23 @@ func (sy *Synthesizer) applyComp(s *state, tr *theory.Triple) *state {
 	ns.remFlops -= sy.g.Flops(tr.Node)
 	cost.AddCompTimes(sy.c, sy.g, in, sy.b, ns.openComp)
 	sy.pruneDead(ns, tr.Node)
+	if sy.opt.BeamWidth > 0 {
+		// What this step changed for the frontier: the new node's first
+		// property, inputs pruneDead just dropped, and the gradient of each
+		// leaf placed here (its acceptable forms follow the placement).
+		sy.touched = touch(sy.touched[:0], tr.Node)
+		for _, u := range sy.g.Node(tr.Node).Inputs {
+			if !theory.IsLeaf(sy.g.Node(u).Kind) && len(ns.propsOf(u)) == 0 {
+				sy.touched = touch(sy.touched, u)
+			}
+		}
+		for _, p := range tr.LeafPre {
+			if gr := sy.gradOf[p.Ref]; gr >= 0 && s.placed[p.Ref] == unplaced {
+				sy.touched = touch(sy.touched, gr)
+			}
+		}
+		sy.inheritFront(ns, s, sy.touched)
+	}
 	ns.complete = sy.isComplete(ns)
 	return ns
 }
@@ -1110,17 +1177,25 @@ type commCand struct {
 	resDim    int8
 }
 
+// frontEntry is one legal collective of a state's communication frontier:
+// the candidate and its memoized commT[ref][coll], the only part of its score
+// that is the candidate's own — 24 bytes.
+type frontEntry struct {
+	cc  commCand
+	off float64
+}
+
 // matches reports whether cc is the collective a seed pinned for its tensor.
 func (cc commCand) matches(pin pinnedComm) bool {
 	return collective.Kind(cc.coll) == pin.coll && int(cc.dim) == pin.dim && int(cc.dim2) == pin.dim2
 }
 
 // commCandidates yields the communication instructions applicable to p,
-// without materializing states. run is p.Ref's properties in s (s.propsOf,
-// or the caller's position in s.props): every result is a property of the
-// same tensor, so "already established" is a scan of those few entries, not a
-// search of the whole set.
-func (sy *Synthesizer) commCandidates(s *state, p theory.Property, run []theory.Property, out []commCand) []commCand {
+// without materializing states. run is p.Ref's properties in s: every result
+// is a property of the same tensor, so "already established" is a scan of
+// those few entries, not a search of the whole set. appendSegment is the
+// only caller: a tensor's legal collectives have one definition.
+func (sy *Synthesizer) commCandidates(s *state, p theory.Property, run []theory.Property, out []frontEntry) []frontEntry {
 	g := sy.g
 	rank := len(g.Node(p.Ref).Shape)
 	// An output tensor is communicated at most once (opt 2), so that one
@@ -1156,7 +1231,10 @@ func (sy *Synthesizer) commCandidates(s *state, p theory.Property, run []theory.
 		} else if !sy.th.IsWanted(res) {
 			return // no triple's precondition can use the result
 		}
-		out = append(out, commCand{ref: p.Ref, coll: uint8(coll), dim: int8(d), dim2: int8(d2), resKind: res.Kind, resDim: res.Dim})
+		out = append(out, frontEntry{
+			cc:  commCand{ref: p.Ref, coll: uint8(coll), dim: int8(d), dim2: int8(d2), resKind: res.Kind, resDim: res.Dim},
+			off: sy.commT[p.Ref][coll],
+		})
 	}
 
 	switch p.Kind {
@@ -1180,6 +1258,79 @@ func (sy *Synthesizer) commCandidates(s *state, p theory.Property, run []theory.
 	return out
 }
 
+// appendSegment appends ref's segment in state s — the collectives legal on
+// ref right now, in enumeration order — to out: nothing once ref is
+// communicated (opt 2) or dead, nothing for an output already in an
+// acceptable form (more communication is waste), else each of its
+// properties' candidates. A tensor the seed pinned keeps, per property, only
+// its donor collective when that is legal here; timing — which level takes
+// it — stays free. The result depends on s only through ref's properties,
+// its communicated bit and, for a gradient, its parameter's placement, which
+// is what lets a successor inherit every segment its step did not touch.
+func (sy *Synthesizer) appendSegment(s *state, ref graph.NodeID, out []frontEntry) []frontEntry {
+	if bitGet(s.communicated, ref) {
+		return out
+	}
+	if oi := sy.outputIdx[ref]; oi >= 0 && sy.outputAcceptable(s, sy.outputs[oi]) {
+		return out
+	}
+	run := s.propsOf(ref)
+	for _, p := range run {
+		base := len(out)
+		out = sy.commCandidates(s, p, run, out)
+		if sd := sy.opt.Seed; sd != nil && sd.commPin[ref].valid {
+			for _, e := range out[base:] {
+				if e.cc.matches(sd.commPin[ref]) {
+					out = append(out[:base], e)
+					break
+				}
+			}
+		}
+	}
+	return out
+}
+
+// appendFrontier appends s's whole frontier, built from scratch: the segment
+// of every tensor that has properties, in ascending Ref order.
+func (sy *Synthesizer) appendFrontier(s *state, out []frontEntry) []frontEntry {
+	for i := 0; i < len(s.props); {
+		ref := s.props[i].Ref
+		out = sy.appendSegment(s, ref, out)
+		for i++; i < len(s.props) && s.props[i].Ref == ref; i++ {
+		}
+	}
+	return out
+}
+
+// touch inserts ref into the ascending, duplicate-free set refs.
+func touch(refs []graph.NodeID, ref graph.NodeID) []graph.NodeID {
+	i, found := slices.BinarySearch(refs, ref)
+	if found {
+		return refs
+	}
+	return slices.Insert(refs, i, ref)
+}
+
+// inheritFront gives ns, a fresh successor of s, its frontier: s's, with the
+// segment of each touched tensor (ascending) re-derived in ns and every
+// other segment copied — they cannot have changed (see appendSegment).
+func (sy *Synthesizer) inheritFront(ns, s *state, touched []graph.NodeID) {
+	out, rest := sy.arena.getFront(), s.front
+	for _, ref := range touched {
+		i := 0
+		for i < len(rest) && rest[i].cc.ref < ref {
+			i++
+		}
+		out = append(out, rest[:i]...)
+		for i < len(rest) && rest[i].cc.ref == ref {
+			i++
+		}
+		rest = rest[i:]
+		out = sy.appendSegment(ns, ref, out)
+	}
+	ns.front = append(out, rest...)
+}
+
 // applyComm materializes a communication successor.
 func (sy *Synthesizer) applyComm(s *state, cc commCand) *state {
 	ns := sy.clone(s)
@@ -1200,28 +1351,13 @@ func (sy *Synthesizer) applyComm(s *state, cc commCand) *state {
 	copy(ns.openComp, pen[k*m:(k+1)*m])
 	ns.openComm = sy.commT[cc.ref][k]
 	ns.lastComp = -1
+	if sy.opt.BeamWidth > 0 {
+		// A communicated tensor has no segment, and nothing else moved.
+		sy.touched = append(sy.touched[:0], cc.ref)
+		sy.inheritFront(ns, s, sy.touched)
+	}
 	ns.complete = sy.isComplete(ns)
 	return ns
-}
-
-// commDelta estimates the materialized effCost of a comm successor.
-func (sy *Synthesizer) commDelta(s *state, cc commCand) float64 {
-	worst := 0.0
-	for _, v := range s.openComp {
-		if v > worst {
-			worst = v
-		}
-	}
-	return s.closedCost + s.openComm + worst + sy.commT[cc.ref][cc.coll]
-}
-
-// commSuccessors materializes all communication successors of p into out.
-func (sy *Synthesizer) commSuccessors(s *state, p theory.Property, out []*state) []*state {
-	sy.ccBuf = sy.commCandidates(s, p, s.propsOf(p.Ref), sy.ccBuf[:0])
-	for _, cc := range sy.ccBuf {
-		out = append(out, sy.applyComm(s, cc))
-	}
-	return out
 }
 
 // pruneDead drops properties of tensors whose consumers are all computed

@@ -3,6 +3,7 @@ package synth
 import (
 	"context"
 	"errors"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -13,6 +14,7 @@ import (
 	"hap/internal/cost"
 	"hap/internal/dist"
 	"hap/internal/graph"
+	"hap/internal/obs"
 	"hap/internal/theory"
 )
 
@@ -301,6 +303,30 @@ func TestProgramStringRendersPaperNotation(t *testing.T) {
 	}
 }
 
+// traced returns ctx carrying a fresh trace's root span, and the trace.
+func traced(ctx context.Context) (context.Context, *obs.Trace) {
+	tr := obs.New("t", "test")
+	return obs.ContextWithSpan(ctx, tr.Root("test", 0)), tr
+}
+
+// wantAbortedLevel holds an aborted beam search's trace to the level it was
+// cut at: one recorded beam_level span, marked aborted, with its position.
+func wantAbortedLevel(t *testing.T, tr *obs.Trace) {
+	t.Helper()
+	var levels []obs.SpanRecord
+	for _, sp := range tr.Snapshot() {
+		if sp.Name == "beam_level" {
+			levels = append(levels, sp)
+		}
+	}
+	if len(levels) != 1 {
+		t.Fatalf("trace has %d beam_level spans, want the one the search was cut at", len(levels))
+	}
+	if a := levels[0].Attrs; a["aborted"] != "true" || a["depth"] != "0" || a["states"] != "1" {
+		t.Errorf("cut-short beam_level has attrs %v, want aborted=true depth=0 states=1", a)
+	}
+}
+
 // The context's deadline is the search's time budget — no option states it —
 // and its expiry is the budget error, not a cancellation.
 func TestTimeBudgetAbortsSearch(t *testing.T) {
@@ -317,9 +343,13 @@ func TestTimeBudgetAbortsSearch(t *testing.T) {
 		"beam":  {BeamWidth: 4},
 	} {
 		t.Run(name, func(t *testing.T) {
-			_, _, err := Synthesize(within(time.Nanosecond), g, th, c, ratios(c), opt)
+			ctx, tr := traced(within(time.Nanosecond))
+			_, _, err := Synthesize(ctx, g, th, c, ratios(c), opt)
 			if err == nil || !strings.Contains(err.Error(), "time budget") {
 				t.Fatalf("err = %v, want a time-budget violation", err)
+			}
+			if opt.BeamWidth > 0 {
+				wantAbortedLevel(t, tr)
 			}
 		})
 	}
@@ -346,9 +376,13 @@ func TestContextCancelAbortsSearch(t *testing.T) {
 		"beam":  {BeamWidth: 4},
 	} {
 		t.Run(name, func(t *testing.T) {
-			_, _, err := Synthesize(cancelled, g, th, c, ratios(c), opt)
+			ctx, tr := traced(cancelled)
+			_, _, err := Synthesize(ctx, g, th, c, ratios(c), opt)
 			if !errors.Is(err, context.Canceled) {
 				t.Fatalf("err = %v, want context.Canceled in the chain", err)
+			}
+			if opt.BeamWidth > 0 {
+				wantAbortedLevel(t, tr)
 			}
 		})
 	}
@@ -368,7 +402,7 @@ func TestContextCancelPropagatesToWorkers(t *testing.T) {
 	g := graph.New()
 	x := g.AddPlaceholder("x", 0, 256, 256)
 	h := x
-	for i := 0; i < 24; i++ {
+	for i := 0; i < 96; i++ { // a search of ~0.5 s: far past the 20 ms it is cut at
 		w := g.AddParameter("w", 256, 256)
 		h = g.AddOp(graph.ReLU, g.AddOp(graph.MatMul, h, w))
 	}
@@ -379,6 +413,7 @@ func TestContextCancelPropagatesToWorkers(t *testing.T) {
 	c := twoDevices()
 	th := theory.New(g)
 	ctx, cancel := context.WithCancel(context.Background())
+	ctx, tr := traced(ctx)
 	go func() {
 		time.Sleep(20 * time.Millisecond)
 		cancel()
@@ -389,7 +424,25 @@ func TestContextCancelPropagatesToWorkers(t *testing.T) {
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled in the chain", err)
 	}
-	// Generous bound: a full search here takes seconds; the workers check
+	// The fanned-out phase 1 records the level it was cut at too: the
+	// deepest beam_level of the trace, and the only aborted one.
+	deepest, aborted := -1, 0
+	var last obs.SpanRecord
+	for _, sp := range tr.Snapshot() {
+		if sp.Name != "beam_level" {
+			continue
+		}
+		if sp.Attrs["aborted"] == "true" {
+			aborted++
+		}
+		if d, _ := strconv.Atoi(sp.Attrs["depth"]); d > deepest {
+			deepest, last = d, sp
+		}
+	}
+	if aborted != 1 || last.Attrs["aborted"] != "true" || deepest < 1 {
+		t.Errorf("%d aborted beam_level spans, deepest (depth %d) has attrs %v; want exactly the deepest aborted", aborted, deepest, last.Attrs)
+	}
+	// Generous bound: a full search here takes ~0.5 s; the workers check
 	// the shared latch between candidate batches.
 	if elapsed > 2*time.Second {
 		t.Errorf("cancelled search returned after %v, want prompt abort", elapsed)
@@ -449,7 +502,7 @@ func TestParallelBudgetPropagatesToWorkers(t *testing.T) {
 	g := graph.New()
 	x := g.AddPlaceholder("x", 0, 256, 256)
 	h := x
-	for i := 0; i < 24; i++ {
+	for i := 0; i < 96; i++ { // a search of ~0.5 s: far past the 20 ms it is cut at
 		w := g.AddParameter("w", 256, 256)
 		h = g.AddOp(graph.ReLU, g.AddOp(graph.MatMul, h, w))
 	}
@@ -476,7 +529,7 @@ func TestParallelBudgetPropagatesToWorkers(t *testing.T) {
 			}
 			// Generous bound: the search must stop within ~1 level of the
 			// deadline, not run the remaining levels out. A full search here
-			// takes seconds (exact A*: longer than anyone has waited).
+			// takes ~0.5 s (exact A*: longer than anyone has waited).
 			if elapsed > budget+2*time.Second {
 				t.Errorf("budget-expired search returned after %v (budget %v)", elapsed, budget)
 			}

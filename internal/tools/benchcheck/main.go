@@ -5,7 +5,7 @@
 // absolute ns/op is reported but never gated — CI machines vary too much
 // for wall-clock assertions. The baseline may also declare relative gates:
 // one benchmark's ns/op bounded by a fraction of another's from the SAME
-// run (e.g. incremental VGG19 synthesis under 15% of cold). Ratios between
+// run (e.g. incremental VGG19 synthesis under 25% of cold). Ratios between
 // same-run measurements cancel out the hardware, so they are safe to gate.
 //
 // It also gates load-test reports: with -serve-baseline, benchcheck reads a

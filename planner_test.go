@@ -14,8 +14,8 @@ import (
 	"hap/internal/models"
 )
 
-// cancelGraph is a model big enough that its synthesis runs for seconds —
-// room to observe a mid-search cancellation.
+// cancelGraph is a model big enough that its synthesis runs for ~0.1 s —
+// room to observe a mid-search cancellation 10 ms in.
 func cancelGraph(t *testing.T) *graph.Graph {
 	t.Helper()
 	return models.Build(models.ModelBERTBase, 2)
@@ -28,7 +28,7 @@ func TestPlanContextCancelAbortsSearch(t *testing.T) {
 	c := testCluster()
 	ctx, cancel := context.WithCancel(context.Background())
 	go func() {
-		time.Sleep(30 * time.Millisecond)
+		time.Sleep(10 * time.Millisecond)
 		cancel()
 	}()
 	start := time.Now()
@@ -42,7 +42,7 @@ func TestPlanContextCancelAbortsSearch(t *testing.T) {
 	}
 	// Generous bound: workers re-check the cancellation latch between
 	// candidate batches, so the search must stop within ~one beam level.
-	// Uncancelled, this synthesis runs for seconds.
+	// Uncancelled, this synthesis runs ten times longer than the cancel waits.
 	if elapsed > 2*time.Second {
 		t.Errorf("cancelled Plan returned after %v, want prompt abort", elapsed)
 	}
