@@ -12,6 +12,14 @@
 // bookkeeping, and nothing escapes: Run copies the winning program out of the
 // parent chain before returning.
 //
+// A state that stays in the search tree as an ancestor is never recycled
+// whole — program() walks its parent and instrs when the search ends, and
+// its children may borrow its bitsets — but its props, placed and openComp
+// are never read again once its level retires. retire hands that backing to
+// a third free list, and a fresh state takes it before carving a slab: a
+// long search then carves little beyond the state structs themselves, and
+// reuses props backing that has already grown to the graph.
+//
 // Communication frontiers (state.front) are not per-state backing: a state
 // needs one only while it sits in the beam, so their buffers are a second
 // free list, handed back when a level retires and carved from slabs sized by
@@ -30,7 +38,7 @@ import (
 )
 
 const (
-	// arenaBlock is the number of states allocated per slab.
+	// arenaBlock is the number of states (and of backings) allocated per slab.
 	arenaBlock = 256
 	// arenaPropCap, arenaInstrCap and arenaFrontCap are the initial
 	// capacities carved from the slabs. A state whose props or instrs (or a
@@ -46,17 +54,26 @@ const (
 	arenaFrontSlack = 8
 )
 
-// stateArena allocates and recycles search states for one Synthesizer.
-type stateArena struct {
-	free []*state
-
-	block  []state
-	used   int
+// backing is the part of a state that a retired ancestor hands back.
+type backing struct {
+	props  []theory.Property
 	placed []int8
 	comp   []float64
+}
+
+// stateArena allocates and recycles search states for one Synthesizer.
+type stateArena struct {
+	free  []*state
+	backs []backing
+
+	// The current slabs' uncarved rest: state structs with their bitset
+	// and instruction slabs, and backings.
+	block  []state
 	bits   []uint64
-	props  []theory.Property
 	instrs []dist.Instruction
+	placed []int8
+	comp   []float64
+	props  []theory.Property
 
 	freeFronts [][]frontEntry
 	fronts     []frontEntry // the current frontier slab's uncarved rest
@@ -69,10 +86,11 @@ func (a *stateArena) init(nodes, m, words, width int) {
 }
 
 // get returns a recycled state, or carves a fresh one from the current
-// block. Fresh states come with zero-length slices whose capacities alias
-// the block slabs, so the caller's append-into pattern fills them in place,
-// and with one spare bitset: every expansion copies-on-write exactly one of
-// its two sets, so a fresh state's cowCopy never reaches the heap.
+// block. Fresh states come with zero-length slices whose capacities alias a
+// retired ancestor's backing or the slabs, so the caller's append-into
+// pattern fills them in place, and with one spare bitset: every expansion
+// copies-on-write exactly one of its two sets, so a fresh state's cowCopy
+// never reaches the heap.
 func (a *stateArena) get() *state {
 	if n := len(a.free); n > 0 {
 		s := a.free[n-1]
@@ -80,29 +98,42 @@ func (a *stateArena) get() *state {
 		a.free = a.free[:n-1]
 		return s
 	}
-	if a.used == len(a.block) {
+	if len(a.block) == 0 {
 		a.block = make([]state, arenaBlock)
+		a.bits = make([]uint64, arenaBlock*a.words)
+		a.instrs = make([]dist.Instruction, arenaBlock*arenaInstrCap)
+	}
+	s := &a.block[0]
+	a.block = a.block[1:]
+	s.spare[0], a.bits = a.bits[:a.words:a.words], a.bits[a.words:]
+	s.instrs, a.instrs = a.instrs[:0:arenaInstrCap], a.instrs[arenaInstrCap:]
+	if n := len(a.backs); n > 0 {
+		b := a.backs[n-1]
+		a.backs = a.backs[:n-1]
+		s.props, s.placed, s.openComp = b.props, b.placed, b.comp
+		return s
+	}
+	if len(a.props) == 0 {
 		a.placed = make([]int8, arenaBlock*a.nodes)
 		a.comp = make([]float64, arenaBlock*a.m)
-		a.bits = make([]uint64, arenaBlock*a.words)
 		a.props = make([]theory.Property, arenaBlock*arenaPropCap)
-		a.instrs = make([]dist.Instruction, arenaBlock*arenaInstrCap)
-		a.used = 0
 	}
-	i := a.used
-	s := &a.block[i]
-	s.placed = a.placed[i*a.nodes : i*a.nodes : (i+1)*a.nodes]
-	s.openComp = a.comp[i*a.m : i*a.m : (i+1)*a.m]
-	s.spare[0] = a.bits[i*a.words : (i+1)*a.words : (i+1)*a.words]
-	s.props = a.props[i*arenaPropCap : i*arenaPropCap : (i+1)*arenaPropCap]
-	s.instrs = a.instrs[i*arenaInstrCap : i*arenaInstrCap : (i+1)*arenaInstrCap]
-	a.used++
+	s.placed, a.placed = a.placed[:0:a.nodes], a.placed[a.nodes:]
+	s.openComp, a.comp = a.comp[:0:a.m], a.comp[a.m:]
+	s.props, a.props = a.props[:0:arenaPropCap], a.props[arenaPropCap:]
 	return s
 }
 
 // put recycles a retired state for the next get.
 func (a *stateArena) put(s *state) {
 	a.free = append(a.free, s)
+}
+
+// putBacking takes s's props, placed and openComp backing for the next fresh
+// state; s must never read them again.
+func (a *stateArena) putBacking(s *state) {
+	a.backs = append(a.backs, backing{s.props[:0], s.placed[:0], s.openComp[:0]})
+	s.props, s.placed, s.openComp = nil, nil, nil
 }
 
 // getFront returns an empty frontier buffer: a recycled one, or the next

@@ -217,26 +217,33 @@ func checkLevels(t *testing.T, sy *Synthesizer) {
 	t.Logf("%d levels, %d candidates", levels, cands)
 }
 
-// TestFrontierMatchesRebuild holds the inherited frontier to the enumeration
-// it replaced on whole searches: paper models, per-segment ratios, a seeded
-// near-miss search whose pins filter segments, and the two ablations that
-// change what is legal.
-func TestFrontierMatchesRebuild(t *testing.T) {
+// beamCase is one whole beam search a rebuild test replays level by level.
+type beamCase struct {
+	name  string
+	build func(t *testing.T) *Synthesizer
+}
+
+// beamCases are the searches the rebuild tests hold to their from-scratch
+// definitions: paper models, per-segment ratios, a seeded near-miss search
+// whose pins filter segments and whose fast-forward retires a chain, and the
+// two ablations that change what is legal.
+func beamCases() []beamCase {
 	het := cluster.PaperHeterogeneous(1)
 	b0 := func(g *graph.Graph, c *cluster.Cluster) [][]float64 {
 		return cost.UniformRatios(g.NumSegments(), c.ProportionalRatios())
 	}
+	var cases []beamCase
 	for _, workers := range []int{1, 4} {
-		t.Run("vgg19", func(t *testing.T) {
+		workers := workers // the closure outlives the iteration (go 1.21 loop semantics)
+		cases = append(cases, beamCase{"vgg19", func(*testing.T) *Synthesizer {
 			g, th, c, ratios := benchInput(models.ModelVGG19)
-			checkLevels(t, New(g, th, c, ratios, Options{BeamWidth: 48, Workers: workers}))
-		})
+			return New(g, th, c, ratios, Options{BeamWidth: 48, Workers: workers})
+		}})
 	}
-	t.Run("moe4", func(t *testing.T) {
+	cases = append(cases, beamCase{"moe4", func(*testing.T) *Synthesizer {
 		g := goldenInputs()["moe4"](het)
-		checkLevels(t, New(g, theory.New(g), het, b0(g, het), Options{BeamWidth: 48, Workers: 1}))
-	})
-	t.Run("mlp/seg4", func(t *testing.T) {
+		return New(g, theory.New(g), het, b0(g, het), Options{BeamWidth: 48, Workers: 1})
+	}}, beamCase{"mlp/seg4", func(t *testing.T) *Synthesizer {
 		g := seedTestGraph(t, 64, 96, 128, 96, 64, 32)
 		segment.Assign(g, 4)
 		if g.NumSegments() < 2 {
@@ -249,9 +256,8 @@ func TestFrontierMatchesRebuild(t *testing.T) {
 			ratios[seg][0] += 0.01 * float64(seg)
 			ratios[seg][1] -= 0.01 * float64(seg)
 		}
-		checkLevels(t, New(g, theory.New(g), het, ratios, Options{BeamWidth: 24, Workers: 4}))
-	})
-	t.Run("seeded", func(t *testing.T) {
+		return New(g, theory.New(g), het, ratios, Options{BeamWidth: 24, Workers: 4})
+	}}, beamCase{"seeded", func(t *testing.T) *Synthesizer {
 		batch := models.PerDeviceBatch(models.ModelVGG19) * het.TotalGPUs()
 		base := models.Training(models.VGG19(batch, 224, 10))
 		wide := models.Training(models.VGG19OneWider(batch, 224, 10))
@@ -274,16 +280,23 @@ func TestFrontierMatchesRebuild(t *testing.T) {
 		if pins == 0 {
 			t.Fatal("the seed pins no communication: the pin filter is not exercised")
 		}
-		checkLevels(t, New(wide, thWide, het, b0(wide, het), Options{BeamWidth: -1, Workers: 1, Seed: seed}))
-	})
-	for name, opt := range map[string]Options{
-		"no-sfb":               {BeamWidth: 16, Workers: 1, DisableSFB: true},
-		"no-grouped-broadcast": {BeamWidth: 16, Workers: 1, DisableGroupedBroadcast: true},
-	} {
-		t.Run(name, func(t *testing.T) {
+		return New(wide, thWide, het, b0(wide, het), Options{BeamWidth: -1, Workers: 1, Seed: seed})
+	}})
+	for _, name := range []string{"no-sfb", "no-grouped-broadcast"} {
+		opt := Options{BeamWidth: 16, Workers: 1, DisableSFB: name == "no-sfb", DisableGroupedBroadcast: name == "no-grouped-broadcast"}
+		cases = append(cases, beamCase{name, func(t *testing.T) *Synthesizer {
 			g := seedTestGraph(t, 64, 128, 96, 32)
-			checkLevels(t, New(g, theory.New(g), het, b0(g, het), opt))
-		})
+			return New(g, theory.New(g), het, b0(g, het), opt)
+		}})
+	}
+	return cases
+}
+
+// TestFrontierMatchesRebuild holds the inherited frontier to the enumeration
+// it replaced on every beamCases search.
+func TestFrontierMatchesRebuild(t *testing.T) {
+	for _, bc := range beamCases() {
+		t.Run(bc.name, func(t *testing.T) { checkLevels(t, bc.build(t)) })
 	}
 }
 
@@ -306,6 +319,8 @@ func fuzzWalkGraphs() []*graph.Graph {
 // to the same bits, which holds inheritance on paths the beam's strict
 // schedule never takes: gradients computed before their parameter is
 // placed, inputs that die out of order, triples that place several leaves.
+// Its maintained key must equal the one rebuilt from its content, and two of
+// its collectives applied in either order must reach one key.
 func FuzzFrontierWalk(f *testing.F) {
 	graphs := fuzzWalkGraphs()
 	theories := make([]*theory.Theory, len(graphs))
@@ -367,10 +382,12 @@ func FuzzFrontierWalk(f *testing.F) {
 			if ns == nil {
 				t.Fatalf("depth %d: an applicable candidate did not apply", s.depth)
 			}
-			sy.dropFront(s) // as the beam retires a level: buffers recycle along the walk
+			sy.retire(s) // as the beam retires a level: buffers and backing recycle along the walk
 			s = ns
 			s.nextReq = int32(len(sy.reqNodes))
 
+			checkKey(t, s)
+			checkCommOrders(t, sy, s, b)
 			want = oracleCandidates(sy, s, want[:0])
 			checkFrontier(t, sy, s, want)
 			lc.reset()

@@ -429,7 +429,7 @@ func (sy *Synthesizer) fastForward(root *state) (*state, int, bool) {
 			s = ns
 		}
 		// The chain behind s is kept for its instructions only.
-		sy.dropFront(s.parent)
+		sy.retire(s.parent)
 		applied++
 	}
 	return s, applied, applied == len(sd.steps) && s.complete

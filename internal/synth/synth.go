@@ -27,8 +27,8 @@
 // program is byte-identical for every worker count; a beam state inherits its
 // parent's legal collectives instead of re-deriving them every level; and the
 // per-expansion hot path is allocation-lean — pooled states with
-// copy-on-write bitsets, memoized collective costs, and binary-searched
-// property sets.
+// copy-on-write bitsets, a dedup key maintained per step, memoized
+// collective costs, and binary-searched property sets.
 package synth
 
 import (
@@ -141,11 +141,16 @@ type state struct {
 	depth      int32 // instructions so far (for beam leveling)
 	nextReq    int32 // beam only: index into Synthesizer.reqNodes of the next computation
 	complete   bool
+	// h is the set hash of the content key() covers except lastComp: the XOR
+	// of one elemCode per property, computed bit, communicated bit and leaf
+	// placement, kept current by the writers (see key).
+	h uint64
 
 	// Copy-on-write bookkeeping: clone shares the parent's bitset words and
 	// copies only on first mutation (each expansion touches one of the two
 	// sets, never both). owns* marks a backing array this state allocated —
-	// and may recycle on release.
+	// and may recycle on release. A retired ancestor keeps its bitsets for
+	// this reason alone: its children may still be borrowing them.
 	ownsComputed     bool
 	ownsCommunicated bool
 	// spare holds bitset backing arrays recycled from this state object's
@@ -193,21 +198,36 @@ func (s *state) stash(b []uint64) {
 }
 
 // setComputed and setCommunicated are the only bitset writers: they
-// materialize the copy-on-write before mutating.
+// materialize the copy-on-write before mutating, and add a newly set bit to
+// the state key.
 func (s *state) setComputed(id graph.NodeID) {
+	if bitGet(s.computed, id) {
+		return
+	}
 	if !s.ownsComputed {
 		s.computed = s.cowCopy(s.computed)
 		s.ownsComputed = true
 	}
 	bitSet(s.computed, id)
+	s.h ^= nodeCode(elemComputed, id)
 }
 
 func (s *state) setCommunicated(id graph.NodeID) {
+	if bitGet(s.communicated, id) {
+		return
+	}
 	if !s.ownsCommunicated {
 		s.communicated = s.cowCopy(s.communicated)
 		s.ownsCommunicated = true
 	}
 	bitSet(s.communicated, id)
+	s.h ^= nodeCode(elemCommunicated, id)
+}
+
+// place records leaf ref's placement (it was unplaced).
+func (s *state) place(ref graph.NodeID, v int8) {
+	s.placed[ref] = v
+	s.h ^= placedCode(ref, v)
 }
 
 // clone allocates a successor of s from the per-search arena. The bitsets
@@ -231,6 +251,7 @@ func (sy *Synthesizer) clone(s *state) *state {
 	c.depth = s.depth + 1
 	c.nextReq = s.nextReq
 	c.complete = false
+	c.h = s.h
 	return c
 }
 
@@ -251,6 +272,15 @@ func (sy *Synthesizer) release(s *state) {
 	s.parent = nil
 	sy.dropFront(s)
 	sy.arena.put(s)
+}
+
+// retire keeps s as an ancestor only: what program() reads (parent, instrs)
+// and the bitsets its children borrow copy-on-write. Its frontier buffer and
+// its props/placed/openComp backing go back to the arena for the states
+// carved after it. s is never released.
+func (sy *Synthesizer) retire(s *state) {
+	sy.dropFront(s)
+	sy.arena.putBacking(s)
 }
 
 // dropFront hands s's frontier buffer back to the arena: s has left the beam
@@ -291,11 +321,13 @@ func (s *state) propsOf(ref graph.NodeID) []theory.Property {
 	return s.props[lo:hi]
 }
 
+// addProp inserts p, which s does not hold, into the sorted property set.
 func (s *state) addProp(p theory.Property) {
 	i := sort.Search(len(s.props), func(i int) bool { return propLess(p, s.props[i]) })
 	s.props = append(s.props, theory.Property{})
 	copy(s.props[i+1:], s.props[i:])
 	s.props[i] = p
+	s.h ^= propCode(p)
 }
 
 func propLess(a, b theory.Property) bool {
@@ -308,41 +340,44 @@ func propLess(a, b theory.Property) bool {
 	return a.Dim < b.Dim
 }
 
-// key returns a 64-bit dedup key over the canonical state contents (sorted
-// props, bitsets, placements, open-stage position). A hash key trades a
-// vanishing collision probability for an order of magnitude less allocation
-// in the search's hottest path. It is FNV-1a a word at a time; the multiply
-// only carries differences upward, so each step folds the high half back down.
-func (s *state) key() uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	mix := func(v uint64) {
-		h = (h ^ v) * prime64
-		h ^= h >> 32
-	}
-	for _, p := range s.props {
-		mix(uint64(uint32(p.Ref)) | uint64(p.Kind)<<32 | uint64(uint8(p.Dim))<<40)
-	}
-	mix(0xabcdef)
-	for _, w := range s.computed {
-		mix(w)
-	}
-	for _, w := range s.communicated {
-		mix(w)
-	}
-	for i := 0; i < len(s.placed); i += 8 {
-		var v uint64
-		for j := 0; j < 8 && i+j < len(s.placed); j++ {
-			v |= uint64(uint8(s.placed[i+j])) << (8 * j)
-		}
-		mix(v)
-	}
-	mix(uint64(uint32(s.lastComp)))
-	return h
+// Element kinds of the state key's set hash, tagged into a code's high byte
+// so that equal payloads of different kinds hash apart.
+const (
+	elemProp = uint64(iota+1) << 56
+	elemComputed
+	elemCommunicated
+	elemPlaced
+	elemLastComp
+)
+
+// elemCode is the splitmix64 finalizer: a bijection on 64 bits whose every
+// output bit depends on every input bit, so the XOR of distinct elements'
+// codes collides with that of another set with probability ~2⁻⁶⁴.
+func elemCode(x uint64) uint64 {
+	x ^= x >> 30
+	x *= 0xbf58476d1ce4e5b9
+	x ^= x >> 27
+	x *= 0x94d049bb133111eb
+	return x ^ x>>31
 }
+
+func propCode(p theory.Property) uint64 {
+	return elemCode(elemProp | uint64(uint32(p.Ref)) | uint64(p.Kind)<<32 | uint64(uint8(p.Dim))<<40)
+}
+
+func nodeCode(kind uint64, id graph.NodeID) uint64 { return elemCode(kind | uint64(uint32(id))) }
+
+func placedCode(ref graph.NodeID, v int8) uint64 {
+	return elemCode(elemPlaced | uint64(uint32(ref)) | uint64(uint8(v))<<32)
+}
+
+// key returns the 64-bit dedup key over the canonical state content: the
+// property set, both bitsets, the leaf placements and the open stage's last
+// computation. The first four are a set the writers keep hashed in h — a step
+// pays for the elements it changes, not for the state — and lastComp, which
+// is overwritten rather than added, is folded in here. Equal content gives
+// equal keys whatever path built it (DESIGN.md "State key").
+func (s *state) key() uint64 { return s.h ^ nodeCode(elemLastComp, s.lastComp) }
 
 // program reconstructs the instruction sequence along the parent chain.
 func (s *state) program(g *graph.Graph) *dist.Program {
@@ -952,11 +987,12 @@ func (sy *Synthesizer) runBeam(root *state) (*state, Stats, error) {
 		// Retire this level: states that produced no surviving child and are
 		// not the parent of a retained complete state have no live borrowers
 		// and go back to the pool. Ancestors of survivors stay referenced
-		// through parent chains and are never revisited — only their frontier
-		// buffers return.
+		// through parent chains, but only program() reads them again: they
+		// keep their instructions and the bitsets their children borrow, and
+		// hand everything else back (retire).
 		for pi, s := range level {
 			if kept[pi] {
-				sy.dropFront(s)
+				sy.retire(s)
 			} else {
 				sy.release(s)
 			}
@@ -1128,9 +1164,9 @@ func (sy *Synthesizer) applyComp(s *state, tr *theory.Triple) *state {
 			continue
 		}
 		if p.Kind == theory.Gather {
-			ns.placed[p.Ref] = int8(p.Dim)
+			ns.place(p.Ref, int8(p.Dim))
 		} else {
-			ns.placed[p.Ref] = replicated
+			ns.place(p.Ref, replicated)
 		}
 		ns.instrs = append(ns.instrs, theory.LeafInstr(sy.g, p))
 	}
@@ -1377,6 +1413,8 @@ func (sy *Synthesizer) pruneDead(s *state, justComputed graph.NodeID) {
 		for _, p := range s.props {
 			if p.Ref != u {
 				w = append(w, p)
+			} else {
+				s.h ^= propCode(p)
 			}
 		}
 		s.props = w
