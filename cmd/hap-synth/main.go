@@ -21,6 +21,7 @@ import (
 	"log"
 	"os"
 	"os/signal"
+	"time"
 
 	"hap"
 	"hap/client"
@@ -67,10 +68,15 @@ func main() {
 	var err error
 	if *server != "" {
 		optimize := *passes
+		start := time.Now()
 		plan, err = client.New(*server).Synthesize(ctx, g, c, client.Options{
 			Segments: *segments,
 			Optimize: &optimize,
 		})
+		if err == nil {
+			// Plan bytes carry no timing: report the round trip.
+			plan.SynthesisTime = time.Since(start).Seconds()
+		}
 	} else {
 		opts := []hap.Option{hap.WithSegments(*segments), hap.WithWorkers(*workers)}
 		if !*passes {

@@ -147,7 +147,9 @@ type Plan struct {
 	Ratios [][]float64
 	// Cost is the modeled per-iteration time in seconds.
 	Cost float64
-	// SynthesisTime is the time program synthesis took.
+	// SynthesisTime is the wall-clock time the optimization took, in
+	// seconds. In-memory only: not serialized by WriteProgram, so plan bytes
+	// are a function of the inputs alone.
 	SynthesisTime float64
 	// Passes reports the post-synthesis pass pipeline's rewrites (zero when
 	// Options.DisablePasses is set). In-memory only: not serialized by
@@ -166,11 +168,10 @@ type Plan struct {
 // carried because planning with Segments > 1 assigns it internally — a fresh
 // process rebuilding the model graph has no way to reproduce it.
 type planJSON struct {
-	Program       json.RawMessage `json:"program"`
-	Ratios        [][]float64     `json:"ratios"`
-	SegmentOf     []int           `json:"segment_of,omitempty"`
-	Cost          float64         `json:"cost"`
-	SynthesisTime float64         `json:"synthesis_time,omitempty"`
+	Program   json.RawMessage `json:"program"`
+	Ratios    [][]float64     `json:"ratios"`
+	SegmentOf []int           `json:"segment_of,omitempty"`
+	Cost      float64         `json:"cost"`
 }
 
 // WriteProgram serializes the plan — the SPMD program, the sharding ratios,
@@ -184,11 +185,10 @@ func (p *Plan) WriteProgram(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(planJSON{
-		Program:       buf.Bytes(),
-		Ratios:        p.Ratios,
-		SegmentOf:     p.Program.Graph.SegmentOf,
-		Cost:          p.Cost,
-		SynthesisTime: p.SynthesisTime,
+		Program:   buf.Bytes(),
+		Ratios:    p.Ratios,
+		SegmentOf: p.Program.Graph.SegmentOf,
+		Cost:      p.Cost,
 	})
 }
 
@@ -221,12 +221,7 @@ func ReadProgram(r io.Reader, g *Graph) (*Plan, error) {
 		g.SegmentOf = prevSegments
 		return nil, fmt.Errorf("hap: read plan: %w", err)
 	}
-	return &Plan{
-		Program:       prog,
-		Ratios:        pj.Ratios,
-		Cost:          pj.Cost,
-		SynthesisTime: pj.SynthesisTime,
-	}, nil
+	return &Plan{Program: prog, Ratios: pj.Ratios, Cost: pj.Cost}, nil
 }
 
 // validateRatios rejects sharding-ratio matrices that would crash or

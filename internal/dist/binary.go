@@ -245,7 +245,9 @@ func DecodeBinary(r io.Reader, g *graph.Graph) (*Program, error) {
 			if err1 != nil || err2 != nil || err3 != nil {
 				return fail("instr %d: truncated communication", i)
 			}
-			if int(ci) >= len(colls) {
+			// Compare in uint64: a huge index must not wrap negative through
+			// int conversion and dodge the bounds check.
+			if ci >= uint64(len(colls)) {
 				return fail("instr %d: collective index %d out of table range %d", i, ci, len(colls))
 			}
 			p.Instrs = append(p.Instrs, Comm(graph.NodeID(ref), colls[ci], int(dim), int(dim2)))
@@ -255,7 +257,7 @@ func DecodeBinary(r io.Reader, g *graph.Graph) (*Program, error) {
 		if err != nil {
 			return fail("instr %d: reading op: %w", i, err)
 		}
-		if int(oi) >= len(ops) {
+		if oi >= uint64(len(ops)) {
 			return fail("instr %d: op index %d out of table range %d", i, oi, len(ops))
 		}
 		in := Instruction{Ref: graph.NodeID(ref), Op: ops[oi], ShardDim: -1, FlopsScaled: flags&binFlagScaled != 0}

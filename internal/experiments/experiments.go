@@ -1,14 +1,17 @@
 // Package experiments regenerates every table and figure of the paper's
 // evaluation (Sec. 7) plus the motivating measurements (Figs. 2 and 4) on
 // the simulated substrate. Each generator returns a Report whose rows are
-// the series the paper plots; cmd/hap-bench prints them and bench_test.go
-// wraps them as benchmarks. EXPERIMENTS.md records paper-vs-measured.
+// the series the paper plots; cmd/hap-bench prints them. The simulator is
+// deterministic, so the full-size tables are pinned cell for cell in the
+// repository's FIGURES.txt (TestFiguresGolden; regenerate with
+// `go test ./internal/experiments -run TestFiguresGolden -update-figures`).
 package experiments
 
 import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"time"
 
@@ -48,9 +51,11 @@ func (r *Report) String() string {
 		}
 	}
 	line := func(cells []string) {
+		var l strings.Builder
 		for i, cell := range cells {
-			fmt.Fprintf(&b, "%-*s  ", widths[i], cell)
+			fmt.Fprintf(&l, "%-*s  ", widths[i], cell)
 		}
+		b.WriteString(strings.TrimRight(l.String(), " "))
 		b.WriteByte('\n')
 	}
 	line(r.Header)
@@ -160,7 +165,7 @@ func Table1(c Config) *Report {
 // P100+A100 pair and compares CP and EV sharding ratios (Sec. 2.4).
 func Fig2(c Config) *Report {
 	r := &Report{ID: "fig2", Title: "CP vs EV under varying computation-to-communication ratio",
-		Header: []string{"batch", "comp/comm", "CP(s)", "EV(s)"}}
+		Header: []string{"batch", "comp/comm", "CP(ms)", "EV(ms)"}}
 	cl := cluster.PaperP100A100Pair()
 	// Under data parallelism both computation and gradient volume scale
 	// with hidden², so the computation-to-communication ratio is steered by
@@ -177,18 +182,21 @@ func Fig2(c Config) *Report {
 		if err != nil {
 			continue
 		}
-		cp := cost.Evaluate(cl, p.Program, cost.UniformRatios(1, cl.ProportionalRatios()))
+		bcp := cost.UniformRatios(1, cl.ProportionalRatios())
+		cp := cost.Evaluate(cl, p.Program, bcp)
 		ev := cost.Evaluate(cl, p.Program, cost.UniformRatios(1, cl.EvenRatios()))
-		model := cost.Extract(cl, p.Program)
+		// Communication at the CP ratios: a reduce-scatter or padded
+		// all-gather stage also pays a term in the largest ratio, which is
+		// communication, not computation.
 		comm := 0.0
-		for i := range model.Stages {
-			comm += model.Stages[i].CommConst
+		for _, st := range cost.Extract(cl, p.Program).Stages {
+			comm += st.CommConst + st.CommMaxCoef*slices.Max(bcp[st.CommSeg])
 		}
 		ratio := 0.0
 		if comm > 0 {
 			ratio = (cp - comm) / comm
 		}
-		r.Rows = append(r.Rows, []string{fmt.Sprint(batch), f3(ratio), f3(cp), f3(ev)})
+		r.Rows = append(r.Rows, []string{fmt.Sprint(batch), f3(ratio), f3(cp * 1e3), f3(ev * 1e3)})
 	}
 	return r
 }

@@ -29,9 +29,17 @@ func TestTable1(t *testing.T) {
 }
 
 func TestFig2CrossoverDirection(t *testing.T) {
-	r := Fig2(quick)
+	r := Fig2(Config{}) // full size costs milliseconds
 	if len(r.Rows) < 2 {
 		t.Fatal("too few rows")
+	}
+	// Batch steers the computation-to-communication ratio: the column must
+	// rise strictly with it.
+	for i := 1; i < len(r.Rows); i++ {
+		if prev, cur := parse(t, r.Rows[i-1][1]), parse(t, r.Rows[i][1]); cur <= prev {
+			t.Errorf("comp/comm %v at batch %s after %v at batch %s: want strictly increasing",
+				cur, r.Rows[i][0], prev, r.Rows[i-1][0])
+		}
 	}
 	// At the lowest comp/comm ratio EV should not lose badly; at the
 	// highest, CP must win (it balances compute).

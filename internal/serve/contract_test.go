@@ -1,9 +1,9 @@
 // The wire contract of the plan endpoints, pinned as one golden file: status,
 // the plan headers and the body of every answer /v1/synthesize and
-// /v1/synthesize/batch can give. The planner is the real one with its
-// SynthesisTime pinned, so plan bytes — and with them every ETag — are
-// deterministic. Regenerate with -update-contract, and only in a change that
-// means to move response bytes.
+// /v1/synthesize/batch can give. The planner is the real one: plan bytes —
+// and with them every ETag — are a function of the request alone.
+// Regenerate with -update-contract, and only in a change that means to move
+// response bytes.
 
 package serve
 
@@ -33,16 +33,6 @@ var updateContract = flag.Bool("update-contract", false, "rewrite testdata/wire_
 // contractHeaders are the response headers the contract pins, in golden order.
 var contractHeaders = []string{
 	"Content-Type", "X-HAP-Cache", "X-HAP-Passes", "ETag", PlanVersionHeader, SeedDistanceHeader, "Retry-After",
-}
-
-// pinnedSynthesize is the real planner with the one run-dependent plan field
-// fixed.
-func pinnedSynthesize(ctx context.Context, g *graph.Graph, c *cluster.Cluster, opt hap.Options) (*hap.Plan, error) {
-	p, err := hap.NewPlanner(c, hap.WithOptions(opt)).Plan(ctx, g)
-	if err == nil {
-		p.SynthesisTime = 0.5
-	}
-	return p, err
 }
 
 // digest stands in for a plan payload in the golden: length and hash pin the
@@ -126,9 +116,6 @@ func TestWireContract(t *testing.T) {
 
 	newServer := func(cfg Config) (*Server, string) {
 		t.Helper()
-		if cfg.Synthesize == nil {
-			cfg.Synthesize = pinnedSynthesize
-		}
 		s := New(cfg)
 		srv := httptest.NewServer(s.Handler())
 		t.Cleanup(srv.Close)
@@ -187,7 +174,7 @@ func TestWireContract(t *testing.T) {
 	_, gated := newServer(Config{MaxInflightSynth: 1, Synthesize: func(ctx context.Context, g *graph.Graph, c *cluster.Cluster, opt hap.Options) (*hap.Plan, error) {
 		close(started)
 		<-release
-		return pinnedSynthesize(ctx, g, c, opt)
+		return hap.NewPlanner(c, hap.WithOptions(opt)).Plan(ctx, g)
 	}})
 	held := make(chan struct{})
 	go func() {
@@ -218,7 +205,7 @@ func TestWireContract(t *testing.T) {
 					return nil, ctx.Err()
 				}
 			}
-			return pinnedSynthesize(ctx, g, c, opt)
+			return hap.NewPlanner(c, hap.WithOptions(opt)).Plan(ctx, g)
 		}
 	})
 	bystander := func(key string) *fleetNode {

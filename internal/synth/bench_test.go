@@ -1,7 +1,7 @@
 // Microbenchmarks for the synthesis hot path: one benchmark per paper
 // workload, each reporting ns/op and allocs/op via -benchmem. These are the
-// numbers BENCH_synth.json baselines and CI's bench-smoke step regresses
-// against; README's "Performance" section tabulates them.
+// numbers BENCH_synth.json baselines and CI's "bench synth" step regresses
+// against.
 package synth
 
 import (

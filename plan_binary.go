@@ -30,10 +30,9 @@ var binPlanMagic = [4]byte{'H', 'A', 'P', 'T'}
 // planTrailer is the JSON metadata appended after the binary program — the
 // planJSON fields that EncodeBinary does not carry.
 type planTrailer struct {
-	Ratios        [][]float64 `json:"ratios"`
-	SegmentOf     []int       `json:"segment_of,omitempty"`
-	Cost          float64     `json:"cost"`
-	SynthesisTime float64     `json:"synthesis_time,omitempty"`
+	Ratios    [][]float64 `json:"ratios"`
+	SegmentOf []int       `json:"segment_of,omitempty"`
+	Cost      float64     `json:"cost"`
 }
 
 // WriteProgramBinary serializes the plan in the compact binary wire form —
@@ -45,10 +44,9 @@ func (p *Plan) WriteProgramBinary(w io.Writer) error {
 		return err
 	}
 	tr, err := json.Marshal(planTrailer{
-		Ratios:        p.Ratios,
-		SegmentOf:     p.Program.Graph.SegmentOf,
-		Cost:          p.Cost,
-		SynthesisTime: p.SynthesisTime,
+		Ratios:    p.Ratios,
+		SegmentOf: p.Program.Graph.SegmentOf,
+		Cost:      p.Cost,
 	})
 	if err != nil {
 		return err
@@ -100,10 +98,5 @@ func ReadProgramBinary(r io.Reader, g *Graph) (*Plan, error) {
 		g.SegmentOf = prevSegments
 		return nil, fmt.Errorf("hap: read binary plan: %w", err)
 	}
-	return &Plan{
-		Program:       prog,
-		Ratios:        tr.Ratios,
-		Cost:          tr.Cost,
-		SynthesisTime: tr.SynthesisTime,
-	}, nil
+	return &Plan{Program: prog, Ratios: tr.Ratios, Cost: tr.Cost}, nil
 }

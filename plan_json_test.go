@@ -8,7 +8,7 @@ import (
 )
 
 // quickstartGraph mirrors examples/quickstart: a small MLP with backward pass.
-func quickstartGraph(t *testing.T) *Graph {
+func quickstartGraph(t testing.TB) *Graph {
 	t.Helper()
 	g := NewGraph()
 	x := g.AddPlaceholder("x", 0, 64, 48)
@@ -73,6 +73,33 @@ func TestPlanJSONRoundTrip(t *testing.T) {
 	}
 	if dt := Simulate(back, c, 1); dt <= 0 {
 		t.Errorf("Simulate on re-loaded plan = %v", dt)
+	}
+}
+
+// Plan bytes are a function of the inputs: planning one input twice must
+// serialize identically in both wire forms (the daemon's strong ETag hashes
+// these bytes, so a wall-clock field would give one key two ETags).
+func TestPlanBytesDeterministic(t *testing.T) {
+	g := quickstartGraph(t)
+	c := heteroPair()
+	var text, bin [2]bytes.Buffer
+	for i := range text {
+		plan, err := planWith(g, c, Options{})
+		if err != nil {
+			t.Fatalf("Plan: %v", err)
+		}
+		if err := plan.WriteProgram(&text[i]); err != nil {
+			t.Fatalf("WriteProgram: %v", err)
+		}
+		if err := plan.WriteProgramBinary(&bin[i]); err != nil {
+			t.Fatalf("WriteProgramBinary: %v", err)
+		}
+	}
+	if !bytes.Equal(text[0].Bytes(), text[1].Bytes()) {
+		t.Errorf("WriteProgram differs between two plans of one input:\n%s\nvs\n%s", text[0].Bytes(), text[1].Bytes())
+	}
+	if !bytes.Equal(bin[0].Bytes(), bin[1].Bytes()) {
+		t.Errorf("WriteProgramBinary differs between two plans of one input (%d vs %d bytes)", bin[0].Len(), bin[1].Len())
 	}
 }
 
