@@ -2,6 +2,7 @@ package balance_test
 
 import (
 	"context"
+	"runtime"
 	"testing"
 
 	"hap/internal/balance"
@@ -65,17 +66,33 @@ func BenchmarkRatiosFromModel(b *testing.B) {
 }
 
 // One solve allocates a handful of slabs — the problem's three arrays as they
-// grow, one tableau, the answer — not a map and a slice per constraint row
-// (about 1 500 allocations on this model before the tableau became one slab).
+// grow, the tableau's scratch, the answer — not a map and a slice per
+// constraint row (about 1 500 allocations on this model before the tableau
+// became one slab). The tableau itself (2.4 MB here) is the slab the previous
+// solve handed back, so a warm solve allocates tens of kilobytes, not
+// megabytes.
 func TestSolveAllocs(t *testing.T) {
 	model := bert4pg16(t)
-	allocs := testing.AllocsPerRun(5, func() {
+	solve := func() {
 		if _, err := balance.RatiosFromModel(model); err != nil {
 			t.Fatal(err)
 		}
-	})
+	}
+	allocs := testing.AllocsPerRun(5, solve)
 	if allocs > 40 {
 		t.Errorf("RatiosFromModel on 16 devices × 4 segments: %v allocations, want at most 40", allocs)
 	}
-	t.Logf("%v allocations per solve", allocs)
+
+	const runs = 40
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		solve()
+	}
+	runtime.ReadMemStats(&after)
+	perSolve := (after.TotalAlloc - before.TotalAlloc) / runs
+	if perSolve > 256<<10 {
+		t.Errorf("RatiosFromModel on 16 devices × 4 segments: %d bytes per warm solve, want at most %d", perSolve, 256<<10)
+	}
+	t.Logf("%v allocations, %d bytes per solve", allocs, perSolve)
 }

@@ -8,13 +8,15 @@
 // ratio optimization (Sec. 5); the ratio LPs are small (tens to hundreds of
 // variables) and are solved exactly. The tableau is dense in storage but the
 // ratio LPs leave ~98 % of it zero, so a pivot touches only the columns where
-// the pivot row is non-zero. Bland's rule guards against cycling.
+// the pivot row is non-zero and only the rows where the entering column is.
+// Bland's rule guards against cycling.
 package lp
 
 import (
 	"errors"
 	"fmt"
 	"math"
+	"sync"
 )
 
 // Op is a constraint relation.
@@ -113,6 +115,51 @@ func (p *Problem) Solve() (*Result, error) {
 	return res, err
 }
 
+// spare is the tableau slab one solve hands to the next: a solve re-slices
+// and clears it instead of making and zeroing megabytes anew. It is one slot
+// behind a mutex, not a sync.Pool, so reuse does not depend on when the GC
+// last ran: a caller that solves one LP at a time misses once per size step,
+// then never. A solve that finds the slot empty or too small makes its own;
+// the larger slab is kept, up to maxSpare entries.
+var spare struct {
+	sync.Mutex
+	a []float64
+}
+
+// maxSpare bounds the slab spare keeps (32 MiB): one outsized LP does not
+// pin its tableau for the life of the process.
+const maxSpare = 4 << 20
+
+// takeSlab returns a zeroed slab of size entries, the spare one if it fits.
+func takeSlab(size int) []float64 {
+	spare.Lock()
+	a := spare.a
+	if cap(a) >= size {
+		spare.a = nil
+	} else {
+		a = nil
+	}
+	spare.Unlock()
+	if a == nil {
+		return make([]float64, size)
+	}
+	a = a[:size]
+	clear(a)
+	return a
+}
+
+// keepSlab offers a slab no solve reads any more back to spare.
+func keepSlab(a []float64) {
+	if cap(a) > maxSpare {
+		return
+	}
+	spare.Lock()
+	if cap(a) > cap(spare.a) {
+		spare.a = a
+	}
+	spare.Unlock()
+}
+
 // tableau is the simplex tableau as one slab: m constraint rows then the
 // reduced-cost row, w entries each, the right-hand side in column w-1.
 type tableau struct {
@@ -121,16 +168,33 @@ type tableau struct {
 	basis   []int
 	obj     []float64          // the phase's objective, zero past its end
 	nz      []int              // scratch: the pivot row's non-zero columns
+	col     []int32            // scratch: the rows gather found, ascending
 	onPivot func(row, col int) // tests only
 }
 
 func (t *tableau) row(i int) []float64 { return t.a[i*t.w : (i+1)*t.w] }
 
+// gather lists in t.col, in ascending order, the constraint rows whose entry
+// in column c is non-zero: one strided pass over the slab that the ratio
+// tests and pivot then share.
+func (t *tableau) gather(c int) {
+	col := t.col[:0]
+	for i, k := 0, c; i < t.m; i, k = i+1, k+t.w {
+		if t.a[k] != 0 {
+			col = append(col, int32(i))
+		}
+	}
+	t.col = col
+}
+
 // pivot makes column c basic in row r. Only the columns where the pivot row
 // is non-zero are updated, in the touched rows and in the reduced-cost row:
 // x −= f·0 leaves x as it was, so the skipped columns hold the bits a full
 // sweep would have left (up to the sign of a zero, which nothing reads; the
-// right-hand side is always swept, so X is exact to the sign too).
+// right-hand side is always swept, so X is exact to the sign too). The rows
+// visited are those t.col lists, which the caller gathers for column c: a row
+// with a zero there would subtract 0·pr and add obj·0 to the multiplier, so
+// skipping it changes no value either.
 //
 // Rows whose entry in column c is below eps are left alone, so the tableau
 // drifts off exact row-equivalence by those entries. The reduced-cost row
@@ -156,12 +220,12 @@ func (t *tableau) pivot(r, c int) {
 
 	d := t.row(t.m)
 	fd := d[c]
-	for i := 0; i < t.m; i++ {
-		ri := t.row(i)
-		f := ri[c]
-		if i == r {
+	for _, i := range t.col {
+		if int(i) == r {
 			continue
 		}
+		ri := t.row(int(i))
+		f := ri[c]
 		if math.Abs(f) < eps {
 			if b := t.basis[i]; b < len(t.obj) {
 				fd += t.obj[b] * f
@@ -199,7 +263,8 @@ func (t *tableau) price(obj []float64) {
 // simplex minimizes obj over the current tableau. allowed bounds the columns
 // eligible to enter. Bland's rule on both the entering column (smallest
 // index with negative reduced cost) and the leaving row (smallest basis
-// index among exact min-ratio rows) prevents cycling.
+// index among exact min-ratio rows) prevents cycling. The entering column is
+// gathered once per iteration; both ratio passes and pivot walk that list.
 func (t *tableau) simplex(obj []float64, allowed int) error {
 	t.price(obj)
 	d, rhs := t.row(t.m), t.w-1
@@ -215,9 +280,10 @@ func (t *tableau) simplex(obj []float64, allowed int) error {
 			return nil
 		}
 		// Exact minimum ratio first, then Bland tie-break.
+		t.gather(entering)
 		minRatio := math.Inf(1)
-		for i := 0; i < t.m; i++ {
-			if ri := t.row(i); ri[entering] > eps {
+		for _, i := range t.col {
+			if ri := t.row(int(i)); ri[entering] > eps {
 				if r := ri[rhs] / ri[entering]; r < minRatio {
 					minRatio = r
 				}
@@ -227,11 +293,11 @@ func (t *tableau) simplex(obj []float64, allowed int) error {
 			return ErrUnbounded
 		}
 		leaving := -1
-		for i := 0; i < t.m; i++ {
-			if ri := t.row(i); ri[entering] > eps {
+		for _, i := range t.col {
+			if ri := t.row(int(i)); ri[entering] > eps {
 				r := ri[rhs] / ri[entering]
 				if r <= minRatio+eps && (leaving == -1 || t.basis[i] < t.basis[leaving]) {
-					leaving = i
+					leaving = int(i)
 				}
 			}
 		}
@@ -275,7 +341,10 @@ func (p *Problem) solve(perturb float64, onPivot func(row, col int)) (*Result, e
 	// Column layout: [x (n)] [slacks] [artificials] | rhs.
 	structural := n + numSlacks
 	w := structural + numArts + 1
-	t := &tableau{a: make([]float64, (m+1)*w), m: m, w: w, basis: make([]int, m), nz: make([]int, 0, w), onPivot: onPivot}
+	// The slab goes back to spare once X has been copied out of it.
+	slab := takeSlab((m + 1) * w)
+	defer keepSlab(slab)
+	t := &tableau{a: slab, m: m, w: w, basis: make([]int, m), nz: make([]int, 0, w), col: make([]int32, 0, m), onPivot: onPivot}
 	slackCol, artCol := n, structural
 	for i := range p.rows {
 		rhs, op, sign := normal(i)
@@ -324,6 +393,7 @@ func (p *Problem) solve(perturb float64, onPivot func(row, col int)) (*Result, e
 			}
 			for j, v := range t.row(i)[:structural] {
 				if math.Abs(v) > eps {
+					t.gather(j)
 					t.pivot(i, j)
 					break
 				}
