@@ -54,8 +54,6 @@ type Options struct {
 	MaxIterations int `json:"max_iterations,omitempty"`
 	// ExactSearch forces exact A* instead of the automatic choice.
 	ExactSearch bool `json:"exact_search,omitempty"`
-	// Optimize toggles the post-synthesis pass pipeline (nil = on).
-	Optimize *bool `json:"optimize,omitempty"`
 }
 
 // APIError is a structured error envelope returned by a v1 endpoint.

@@ -5,7 +5,7 @@
 // Usage:
 //
 //	hap-synth [-model VGG19|ViT|BERT-Base|BERT-MoE] [-k gpusPerMachine]
-//	          [-cluster hetero|homo|a100p100] [-segments n] [-passes=true]
+//	          [-cluster hetero|homo|a100p100] [-segments n] [-workers n]
 //	          [-trace file] [-out plan.json] [-server http://host:8080]
 //
 // With -server, synthesis is delegated to a hap-serve daemon over wire
@@ -35,7 +35,6 @@ func main() {
 	k := flag.Int("k", 1, "GPUs per machine")
 	clusterName := flag.String("cluster", "hetero", "cluster: hetero (2×V100+6×P100 machines), homo (4×P100), a100p100")
 	segments := flag.Int("segments", 1, "model segments for per-segment sharding ratios")
-	passes := flag.Bool("passes", true, "run the post-synthesis optimization pipeline (comm fusion, CSE, DCE)")
 	workers := flag.Int("workers", 0, "beam-search worker goroutines (0 = GOMAXPROCS); the plan is byte-identical for any value")
 	trace := flag.String("trace", "", "write a Chrome trace of one simulated iteration to this file")
 	out := flag.String("out", "", "export the plan (program + ratios) as JSON to this file and verify the round-trip")
@@ -67,22 +66,14 @@ func main() {
 	var plan *hap.Plan
 	var err error
 	if *server != "" {
-		optimize := *passes
 		start := time.Now()
-		plan, err = client.New(*server).Synthesize(ctx, g, c, client.Options{
-			Segments: *segments,
-			Optimize: &optimize,
-		})
+		plan, err = client.New(*server).Synthesize(ctx, g, c, client.Options{Segments: *segments})
 		if err == nil {
 			// Plan bytes carry no timing: report the round trip.
 			plan.SynthesisTime = time.Since(start).Seconds()
 		}
 	} else {
-		opts := []hap.Option{hap.WithSegments(*segments), hap.WithWorkers(*workers)}
-		if !*passes {
-			opts = append(opts, hap.WithoutPasses())
-		}
-		plan, err = hap.NewPlanner(c, opts...).Plan(ctx, g)
+		plan, err = hap.NewPlanner(c, hap.WithSegments(*segments), hap.WithWorkers(*workers)).Plan(ctx, g)
 	}
 	if err != nil {
 		log.Fatal(err)
@@ -94,13 +85,6 @@ func main() {
 	st := plan.Program.Stats()
 	fmt.Printf("\nprogram: %d instructions, %d collectives (%d ratio-scaled comps); histogram %v\n",
 		st.Instrs, st.Comms, st.FlopsScaled, st.PerCollective)
-	if *passes && *server == "" {
-		fmt.Printf("passes: %d rewrites in %d rounds", plan.Passes.Changed, plan.Passes.Rounds)
-		for _, ps := range plan.Passes.PerPass {
-			fmt.Printf("  %s=%d", ps.Pass, ps.Changed)
-		}
-		fmt.Println()
-	}
 
 	if *out != "" {
 		var buf bytes.Buffer

@@ -145,6 +145,25 @@ func passesArm(t *testing.T, plan *Plan, c *cluster.Cluster, seed int64) {
 	}
 }
 
+// wantEachTensorCommunicatedOnce asserts the synthesizer's opt 2: no tensor
+// is the operand of two collectives. The planner's only cleanup is a prune
+// because of it — a program that communicates each tensor once leaves the
+// pass pipeline's collective fusion and CSE nothing to rewrite.
+func wantEachTensorCommunicatedOnce(t *testing.T, arm string, p *Program) {
+	t.Helper()
+	seen := map[NodeID]bool{}
+	for _, in := range p.Instrs {
+		if !in.IsComm {
+			continue
+		}
+		if seen[in.Ref] {
+			t.Errorf("%s plan communicates e%d twice (opt 2 violated):\n%s", arm, in.Ref, p)
+			return
+		}
+		seen[in.Ref] = true
+	}
+}
+
 func TestDifferentialRandomGraphs(t *testing.T) {
 	graphs := *fuzzGraphs
 	if testing.Short() {
@@ -173,6 +192,7 @@ func TestDifferentialRandomGraphs(t *testing.T) {
 				if err := plan.Program.Validate(); err != nil {
 					t.Fatalf("ill-formed program: %v\n%s", err, plan.Program)
 				}
+				wantEachTensorCommunicatedOnce(t, "cold", plan.Program)
 				if err := Verify(plan, c.M(), seed); err != nil {
 					t.Errorf("synthesized program is not equivalent to the graph: %v\ngraph:\n%s\nprogram:\n%s",
 						err, g, plan.Program)
@@ -198,6 +218,7 @@ func seededArm(t *testing.T, g *Graph, cold *Plan, c *cluster.Cluster, segments 
 	if err := plan.Program.Validate(); err != nil {
 		t.Fatalf("seeded program ill-formed: %v\n%s", err, plan.Program)
 	}
+	wantEachTensorCommunicatedOnce(t, "seeded", plan.Program)
 	if err := Verify(plan, c.M(), seed); err != nil {
 		t.Errorf("seeded program is not equivalent to the graph: %v\n%s", err, plan.Program)
 	}
@@ -243,6 +264,11 @@ func TestDifferentialSeededVGG19(t *testing.T) {
 	if err != nil {
 		t.Fatalf("seeded widened VGG19: %v", err)
 	}
+	// The random corpus is small enough to plan without any collective;
+	// VGG19's gradients are where opt 2 is exercised.
+	wantEachTensorCommunicatedOnce(t, "cold", cold.Program)
+	wantEachTensorCommunicatedOnce(t, "cold widened", coldWide.Program)
+	wantEachTensorCommunicatedOnce(t, "seeded widened", plan.Program)
 	if !plan.Seeded {
 		t.Fatal("one-layer-wider VGG19 did not seed from the base plan")
 	}
@@ -260,8 +286,9 @@ func TestDifferentialSeededVGG19(t *testing.T) {
 // TestDifferentialParallelDeterminism checks the parallel beam's central
 // guarantee on the same seeded random graphs the differential harness fuzzes
 // with: Workers=4 and Workers=1 emit byte-identical disassembly on every
-// graph × cluster pair. Run under -race (CI does) this also exercises the
-// worker pool for data races on real workloads.
+// graph × cluster pair, each communicating every tensor at most once. Run
+// under -race (CI does) this also exercises the worker pool for data races
+// on real workloads.
 func TestDifferentialParallelDeterminism(t *testing.T) {
 	graphs := 12
 	if testing.Short() {
@@ -286,6 +313,8 @@ func TestDifferentialParallelDeterminism(t *testing.T) {
 				if err != nil {
 					t.Fatalf("workers=4: %v", err)
 				}
+				wantEachTensorCommunicatedOnce(t, "workers=1", serial)
+				wantEachTensorCommunicatedOnce(t, "workers=4", parallel)
 				if serial.String() != parallel.String() {
 					t.Errorf("workers=4 emitted a different program:\n%s\nvs workers=1:\n%s", parallel, serial)
 				}

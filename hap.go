@@ -39,7 +39,6 @@ import (
 	"hap/internal/cluster"
 	"hap/internal/dist"
 	"hap/internal/graph"
-	"hap/internal/passes"
 	"hap/internal/runtime"
 	"hap/internal/sim"
 )
@@ -60,9 +59,6 @@ type (
 	MachineSpec = cluster.MachineSpec
 	// Program is a synthesized SPMD program.
 	Program = dist.Program
-	// PassStats reports what the post-synthesis optimization pipeline did
-	// to a plan's program (see internal/passes).
-	PassStats = passes.Stats
 )
 
 // Common operator kinds (see internal/graph for the full set).
@@ -111,10 +107,6 @@ type Options struct {
 	// ExactSearch forces exact A* (default: automatic — exact for small
 	// graphs, beam search for model-scale ones).
 	ExactSearch bool
-	// DisablePasses skips the post-synthesis optimization pipeline
-	// (collective fusion, collective CSE, DCE); the pipeline runs by
-	// default on every synthesized program.
-	DisablePasses bool
 	// TimeBudget bounds the whole optimization's wall-clock time
 	// (0 = unlimited): every program search runs under the budget's
 	// remainder, and an expired budget returns the best plan found so far —
@@ -151,10 +143,6 @@ type Plan struct {
 	// seconds. In-memory only: not serialized by WriteProgram, so plan bytes
 	// are a function of the inputs alone.
 	SynthesisTime float64
-	// Passes reports the post-synthesis pass pipeline's rewrites (zero when
-	// Options.DisablePasses is set). In-memory only: not serialized by
-	// WriteProgram.
-	Passes PassStats
 	// Seeded reports whether the plan came out of a seeded (incremental)
 	// search rather than a cold one, and SeedDistance the donor's normalized
 	// structural distance. In-memory only: not serialized by WriteProgram —

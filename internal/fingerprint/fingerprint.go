@@ -65,9 +65,6 @@ type Options struct {
 	Segments      int
 	MaxIterations int
 	ExactSearch   bool
-	// Optimize toggles the post-synthesis pass pipeline; nil means on, and
-	// hashes exactly like an explicit true.
-	Optimize *bool
 }
 
 // Sig renders the options slice of a plan cache key. The similarity index
@@ -84,8 +81,8 @@ func (o Options) appendSig(b []byte) []byte {
 	b = strconv.AppendInt(b, int64(o.MaxIterations), 10)
 	b = append(b, ":x"...)
 	b = strconv.AppendBool(b, o.ExactSearch)
-	b = append(b, ":o"...)
-	return strconv.AppendBool(b, o.Optimize == nil || *o.Optimize)
+	// A retired option's slot: keys are wire contract and name persisted files.
+	return append(b, ":otrue"...)
 }
 
 // PlanKey is the content address of a plan: what the graph computes

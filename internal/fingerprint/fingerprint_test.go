@@ -15,7 +15,6 @@ import (
 // derivation as it stood before it moved here, and must never change without
 // a protocol version bump.
 func TestPlanKeyGolden(t *testing.T) {
-	off := false
 	mlp := models.Training(models.MLP(64, 32, 48, 8))
 	pair := cluster.FromGPUs(cluster.DefaultNetwork(),
 		cluster.MachineSpec{Type: cluster.V100, GPUs: 1},
@@ -33,8 +32,8 @@ func TestPlanKeyGolden(t *testing.T) {
 		{"mlp on a V100+P100 pair, default options", mlp, pair, fingerprint.Options{},
 			"b498b1a9e733ec7f:fd383007238f1049:s0:i0:xfalse:otrue"},
 		{"segmented vgg19 on the paper's heterogeneous cluster, every option set", vgg, cluster.PaperHeterogeneous(1),
-			fingerprint.Options{Segments: 4, MaxIterations: 3, ExactSearch: true, Optimize: &off},
-			"7525001bcd7e89e9:0e60e9d708f02dce:s4:i3:xtrue:ofalse"},
+			fingerprint.Options{Segments: 4, MaxIterations: 3, ExactSearch: true},
+			"7525001bcd7e89e9:0e60e9d708f02dce:s4:i3:xtrue:otrue"},
 	} {
 		if got := fingerprint.PlanKey(graph.Fingerprint(tc.g), tc.c.Fingerprint(), tc.opt); got != tc.want {
 			t.Errorf("%s: key = %q, want %q", tc.name, got, tc.want)
@@ -42,19 +41,9 @@ func TestPlanKeyGolden(t *testing.T) {
 	}
 }
 
-// An omitted Optimize means on, and must hash like an explicit true; the
-// signature is the tail of the key.
+// The signature is the tail of the key.
 func TestOptionsSig(t *testing.T) {
-	on, off := true, false
 	base := fingerprint.Options{Segments: 2, MaxIterations: 5}
-	withOn, withOff := base, base
-	withOn.Optimize, withOff.Optimize = &on, &off
-	if base.Sig() != withOn.Sig() {
-		t.Errorf("nil Optimize sig %q != explicit true %q", base.Sig(), withOn.Sig())
-	}
-	if base.Sig() == withOff.Sig() {
-		t.Errorf("Optimize=false shares sig %q with the default", base.Sig())
-	}
 	if want := "s2:i5:xfalse:otrue"; base.Sig() != want {
 		t.Errorf("sig = %q, want %q", base.Sig(), want)
 	}

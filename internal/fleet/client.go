@@ -45,15 +45,13 @@ const EntriesPath = "/v1/fleet/entries"
 // plan bytes are restored byte-exact on the receiving node so the content
 // address keeps meaning the same bytes fleet-wide.
 type Entry struct {
-	Key    string `json:"key"`
-	Plan   []byte `json:"plan"`
-	Bin    []byte `json:"bin,omitempty"`
-	Passes string `json:"passes,omitempty"`
-	// Version and ETag carry the owner's plan-version metadata so a replica
-	// serves the same entity tag the owner does — a conditional fetch must
-	// see one answer fleet-wide.
+	Key  string `json:"key"`
+	Plan []byte `json:"plan"`
+	Bin  []byte `json:"bin,omitempty"`
+	// Version carries the owner's plan version so a replica serves the
+	// number the owner does. The ETag does not travel: every node derives it
+	// from the plan bytes, so the tag means the same bytes fleet-wide.
 	Version uint64 `json:"version,omitempty"`
-	ETag    string `json:"etag,omitempty"`
 }
 
 // Client is the intra-fleet HTTP client. Safe for concurrent use.

@@ -28,7 +28,6 @@ import (
 	"hap/internal/dist"
 	"hap/internal/graph"
 	"hap/internal/obs"
-	"hap/internal/passes"
 	"hap/internal/segment"
 	"hap/internal/synth"
 	"hap/internal/theory"
@@ -48,9 +47,6 @@ type Options struct {
 	SkipBalance bool
 	// InitialRatios overrides B⁽⁰⁾ (default: proportional to device flops).
 	InitialRatios []float64
-	// DisablePasses skips the post-synthesis optimization pipeline
-	// (collective fusion, collective CSE, DCE); on by default.
-	DisablePasses bool
 	// SeedGraph and SeedProgram supply a donor plan for incremental
 	// synthesis: when the donor graph is structurally close enough to g
 	// (normalized diff ≤ synth.DefaultMaxSeedDistance), every iteration's
@@ -78,9 +74,6 @@ type Result struct {
 	// cost modeling (the synthesizer's fused-leaf optimization can leave
 	// displaced leaf loaders behind; see dist.Prune).
 	Pruned int
-	// Passes reports the post-synthesis pass pipeline's rewrite stats for
-	// the returned program (zero when Options.DisablePasses is set).
-	Passes passes.Stats
 	// Seeded reports whether the returned program came out of a seeded
 	// (incremental) search rather than a cold one, and SeedDistance the
 	// donor's normalized structural distance (0 for an identical graph).
@@ -169,9 +162,9 @@ func Optimize(ctx context.Context, g *graph.Graph, c *cluster.Cluster, opt Optio
 	seen := map[string]bool{}
 	ran, stop := 0, "max_iterations"
 	for iter := 1; iter <= opt.MaxIterations; iter++ {
-		// The iteration span parents this round's searches, passes, and
-		// balance solve; error exits drop it unrecorded, which is fine — the
-		// error reaches the request's root span anyway.
+		// The iteration span parents this round's searches and balance solve;
+		// error exits drop it unrecorded, which is fine — the error reaches
+		// the request's root span anyway.
 		it := span.Child("iteration")
 		it.SetAttrInt("iter", int64(iter))
 		ictx := obs.ContextWithSpan(ctx, it)
@@ -253,10 +246,13 @@ func Optimize(ctx context.Context, g *graph.Graph, c *cluster.Cluster, opt Optio
 			stop = "budget"
 			break // budget expired mid-iteration; serve what we have
 		}
-		pruned, pstats, err := optimizeProgram(ictx, c, p, opt.DisablePasses)
-		if err != nil {
-			return nil, fmt.Errorf("hapopt: iteration %d: %w", iter, err)
-		}
+		// Dead instructions must never reach cost modeling or the balancer:
+		// a leaf loader (or a collective on it) that the fused-leaf
+		// optimization displaced would inflate t(Q,B) and skew B. Pruning is
+		// the only cleanup a synthesized program needs — the synthesizer never
+		// communicates a tensor twice, so there is no collective to fuse or
+		// deduplicate (internal/passes canonicalizes other programs).
+		pruned := p.Prune()
 		model := cost.Extract(c, p)
 		// Convergence: when the balancer returns the B this iteration's
 		// search ran under, the next search would return this Q again.
@@ -280,7 +276,7 @@ func Optimize(ctx context.Context, g *graph.Graph, c *cluster.Cluster, opt Optio
 		}
 		t := model.Eval(b)
 		if best == nil || t < best.Cost {
-			best = &Result{Program: p, Ratios: cloneRatios(b), Cost: t, Iters: iter, Synth: stats, Pruned: pruned, Passes: pstats}
+			best = &Result{Program: p, Ratios: cloneRatios(b), Cost: t, Iters: iter, Synth: stats, Pruned: pruned}
 			// stats.Seeded (not just a non-nil seed) so a small graph routed
 			// to exact A* — which ignores seeds — is not reported seeded.
 			if sd := opt.Synth.Seed; sd != nil && win == 0 && stats.Seeded {
@@ -313,21 +309,6 @@ func Optimize(ctx context.Context, g *graph.Graph, c *cluster.Cluster, opt Optio
 	best.Elapsed = time.Since(start)
 	best.BalanceErr = balanceErr
 	return best, nil
-}
-
-// optimizeProgram cleans and optimizes a freshly synthesized program before
-// cost extraction, so the balancer's B and the reported t(Q,B) both see the
-// final form. Dead instructions must never reach cost modeling or the
-// balancer: a leaf loader (or a collective on it) that the fused-leaf
-// optimization displaced would otherwise inflate t(Q,B) and skew B. The
-// default pipeline's DCE pass covers that; a standalone Prune runs when the
-// pipeline is disabled.
-func optimizeProgram(ctx context.Context, c *cluster.Cluster, p *dist.Program, disablePasses bool) (pruned int, pstats passes.Stats, err error) {
-	if disablePasses {
-		return p.Prune(), pstats, nil
-	}
-	pstats, err = passes.Default().RunContext(ctx, p, c)
-	return pstats.ChangedBy((passes.DCE{}).Name()), pstats, err
 }
 
 // portfolioResult is one theory's concurrent synthesis outcome.

@@ -17,7 +17,7 @@ import (
 func BenchmarkPipelineVGG19(b *testing.B) {
 	g := models.Build(models.ModelVGG19, 4)
 	c := cluster.FromGPUs(cluster.DefaultNetwork(), cluster.MachineSpec{Type: cluster.P100, GPUs: 4})
-	plan, err := hap.NewPlanner(c, hap.WithoutPasses()).Plan(context.Background(), g)
+	plan, err := hap.NewPlanner(c).Plan(context.Background(), g)
 	if err != nil {
 		b.Fatal(err)
 	}

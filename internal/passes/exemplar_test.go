@@ -22,7 +22,7 @@ import (
 func TestCommFusionWinsOnVGG19(t *testing.T) {
 	g := models.Build(models.ModelVGG19, 4)
 	c := cluster.FromGPUs(cluster.DefaultNetwork(), cluster.MachineSpec{Type: cluster.P100, GPUs: 4})
-	plan, err := hap.NewPlanner(c, hap.WithoutPasses()).Plan(context.Background(), g)
+	plan, err := hap.NewPlanner(c).Plan(context.Background(), g)
 	if err != nil {
 		t.Fatalf("Plan: %v", err)
 	}
@@ -71,9 +71,10 @@ func TestCommFusionWinsOnVGG19(t *testing.T) {
 		countBefore, countAfter, costBefore*1e3, costAfter*1e3, simBefore*1e3, simAfter*1e3)
 }
 
-// TestParallelizeRunsPassesByDefault pins the default-on wiring: a default
-// Planner reports pipeline stats and a WithoutPasses one does not.
-func TestParallelizeRunsPassesByDefault(t *testing.T) {
+// TestPlannerPlanIsPipelineFixedPoint pins why the planner only prunes: the
+// synthesizer never communicates a tensor twice, so the default pipeline
+// finds nothing to fuse, deduplicate or remove in a plan it hands out.
+func TestPlannerPlanIsPipelineFixedPoint(t *testing.T) {
 	g := models.MLP(16, 8, 4)
 	c := cluster.FromGPUs(cluster.DefaultNetwork(),
 		cluster.MachineSpec{Type: cluster.V100, GPUs: 1},
@@ -82,14 +83,12 @@ func TestParallelizeRunsPassesByDefault(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if plan.Passes.Rounds == 0 {
-		t.Error("default Planner reports no pass-pipeline rounds; pipeline did not run")
-	}
-	off, err := hap.NewPlanner(c, hap.WithoutPasses()).Plan(context.Background(), g)
+	p := plan.Program.Clone()
+	st, err := passes.Default().Run(p, c)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if off.Passes.Rounds != 0 {
-		t.Errorf("DisablePasses plan reports %d pipeline rounds, want 0", off.Passes.Rounds)
+	if st.Changed != 0 || p.String() != plan.Program.String() {
+		t.Errorf("pipeline rewrote a planned program %d times", st.Changed)
 	}
 }

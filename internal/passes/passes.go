@@ -1,13 +1,15 @@
-// Package passes optimizes synthesized distributed programs after the fact:
-// a reusable rewrite layer over the dist.Program IR, sitting between program
-// synthesis and cost extraction / serving.
+// Package passes canonicalizes distributed programs after the fact: a
+// reusable rewrite layer over the dist.Program IR for programs the
+// synthesizer did not emit. The planner does not run it — the synthesizer
+// never communicates a tensor twice, so its programs hold no collective pair
+// to fuse and no repeat to deduplicate, and a prune (dist.Prune) is all they
+// need.
 //
-// The synthesizer emits communication literally as chosen per edge, and
-// decoded or hand-built programs (hap.ReadProgram, baselines, lowered
-// backends) carry whatever their producer wrote. A Pass rewrites one program
-// in place — merging collective pairs into cheaper equivalents, deduplicating
-// redundant collectives, deleting dead code — and reports how many rewrites
-// it made. A Pipeline runs a pass list to a fixed point with per-pass stats
+// Decoded or hand-built programs (hap.ReadProgram, baselines, lowered
+// backends such as ExpandAllReduce's) carry whatever their producer wrote.
+// A Pass rewrites one program in place — merging collective pairs into
+// cheaper equivalents, deduplicating redundant collectives, deleting dead
+// code — and reports how many rewrites it made. A Pipeline runs a pass list to a fixed point with per-pass stats
 // and (optionally) the structural validator after every pass, so a buggy
 // rewrite is caught at the pass boundary instead of deep inside the cost
 // model or the numeric runtime.
@@ -19,12 +21,10 @@
 package passes
 
 import (
-	"context"
 	"fmt"
 
 	"hap/internal/cluster"
 	"hap/internal/dist"
-	"hap/internal/obs"
 )
 
 // Pass is one program rewrite. Run mutates p in place and returns the number
@@ -79,7 +79,7 @@ type Pipeline struct {
 	MaxRounds int
 }
 
-// Default returns the standard post-synthesis pipeline: collective fusion,
+// Default returns the standard pipeline: collective fusion,
 // collective CSE, then dead-code elimination, validated after every pass.
 func Default() *Pipeline {
 	return &Pipeline{
@@ -94,14 +94,6 @@ func Default() *Pipeline {
 // hold a partially rewritten (but, with Validate set, still well-formed)
 // program.
 func (pl *Pipeline) Run(p *dist.Program, c *cluster.Cluster) (Stats, error) {
-	return pl.RunContext(context.Background(), p, c)
-}
-
-// RunContext is Run under a context: when ctx carries a tracing span
-// (internal/obs), the pipeline records a "passes" span with one child per
-// pass execution carrying its rewrite count. With tracing off the only
-// overhead is one context lookup per pipeline run.
-func (pl *Pipeline) RunContext(ctx context.Context, p *dist.Program, c *cluster.Cluster) (Stats, error) {
 	maxRounds := pl.MaxRounds
 	if maxRounds <= 0 {
 		maxRounds = 4
@@ -110,24 +102,11 @@ func (pl *Pipeline) RunContext(ctx context.Context, p *dist.Program, c *cluster.
 	for i, pass := range pl.Passes {
 		stats.PerPass[i].Pass = pass.Name()
 	}
-	ps := obs.SpanFromContext(ctx).Child("passes")
-	defer func() {
-		ps.SetAttrInt("rounds", int64(stats.Rounds))
-		ps.SetAttrInt("changed", int64(stats.Changed))
-		ps.SetAttrBool("converged", stats.Converged)
-		ps.End()
-	}()
 	for round := 1; round <= maxRounds; round++ {
 		stats.Rounds = round
 		roundChanged := 0
 		for i, pass := range pl.Passes {
-			sp := ps.Child(pass.Name())
 			n, err := pass.Run(p, c)
-			if sp != nil {
-				sp.SetAttrInt("round", int64(round))
-				sp.SetAttrInt("changed", int64(n))
-				sp.End()
-			}
 			stats.PerPass[i].Runs++
 			stats.PerPass[i].Changed += n
 			stats.Changed += n

@@ -32,7 +32,7 @@ var updateContract = flag.Bool("update-contract", false, "rewrite testdata/wire_
 
 // contractHeaders are the response headers the contract pins, in golden order.
 var contractHeaders = []string{
-	"Content-Type", "X-HAP-Cache", "X-HAP-Passes", "ETag", PlanVersionHeader, SeedDistanceHeader, "Retry-After",
+	"Content-Type", "X-HAP-Cache", "ETag", PlanVersionHeader, SeedDistanceHeader, "Retry-After",
 }
 
 // digest stands in for a plan payload in the golden: length and hash pin the
@@ -74,8 +74,8 @@ func (l *contractLog) record(name string, status int, h http.Header, body []byte
 	case json.Unmarshal(body, &batch) == nil && batch.Plans != nil:
 		fmt.Fprintf(&l.buf, "body: %s\n", digest(body))
 		for i, p := range batch.Plans {
-			fmt.Fprintf(&l.buf, "  plan %d: cache=%s passes=%q version=%d etag=%s plan=%s bin=%s\n",
-				i, p.Cache, p.Passes, p.Version, p.ETag, digest(p.Plan), digest(p.Bin))
+			fmt.Fprintf(&l.buf, "  plan %d: cache=%s version=%d etag=%s plan=%s bin=%s\n",
+				i, p.Cache, p.Version, p.ETag, digest(p.Plan), digest(p.Bin))
 		}
 	default:
 		fmt.Fprintf(&l.buf, "body: %s\n", digest(body))

@@ -176,7 +176,7 @@ func (s *Server) proxyPlanRequest(w http.ResponseWriter, r *http.Request, body [
 		// client intact: the proxying node relays the 429 as authoritative
 		// (the owner is up and answering; its refusal is load, not failure)
 		// and the client backs off exactly as if it had hit the owner.
-		for _, h := range []string{"Content-Type", "X-HAP-Cache", "X-HAP-Passes", "ETag", PlanVersionHeader, "Retry-After"} {
+		for _, h := range []string{"Content-Type", "X-HAP-Cache", "ETag", PlanVersionHeader, "Retry-After"} {
 			if v := resp.Header.Get(h); v != "" {
 				w.Header().Set(h, v)
 			}
@@ -321,14 +321,14 @@ func (s *Server) WarmFrom(ctx context.Context, peers []string) (int, error) {
 }
 
 // entryOf and planOf convert between a stored plan and its fleet wire form.
-// Version and ETag travel with the entry so the tag means the same bytes
-// fleet-wide.
+// The version travels with the entry; the receiving store derives the ETag
+// from the plan bytes, as it does for every Put.
 func entryOf(key string, v CachedPlan) fleet.Entry {
-	return fleet.Entry{Key: key, Plan: v.Plan, Bin: v.Bin, Passes: v.Passes, Version: v.Version, ETag: v.ETag}
+	return fleet.Entry{Key: key, Plan: v.Plan, Bin: v.Bin, Version: v.Version}
 }
 
 func planOf(e fleet.Entry) CachedPlan {
-	return CachedPlan{Plan: e.Plan, Bin: e.Bin, Passes: e.Passes, Version: e.Version, ETag: e.ETag}
+	return CachedPlan{Plan: e.Plan, Bin: e.Bin, Version: e.Version}
 }
 
 func contains(list []string, s string) bool {

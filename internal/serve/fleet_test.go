@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"context"
+	"encoding/base64"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -373,7 +374,7 @@ func TestFleetEntriesRoundTrip(t *testing.T) {
 	srv := httptest.NewServer(s.Handler())
 	defer srv.Close()
 
-	e := fleet.Entry{Key: "k1", Plan: []byte(`{"plan":true}`), Bin: []byte{1, 2, 3}, Passes: "fuse"}
+	e := fleet.Entry{Key: "k1", Plan: []byte(`{"plan":true}`), Bin: []byte{1, 2, 3}}
 	push, _ := json.Marshal(e)
 	resp, err := http.Post(srv.URL+fleet.EntriesPath, "application/json", bytes.NewReader(push))
 	if err != nil {
@@ -383,7 +384,7 @@ func TestFleetEntriesRoundTrip(t *testing.T) {
 	if resp.StatusCode != http.StatusNoContent {
 		t.Fatalf("push: status %d, want 204", resp.StatusCode)
 	}
-	if v, ok := s.store.Get("k1"); !ok || !bytes.Equal(v.Plan, e.Plan) || !bytes.Equal(v.Bin, e.Bin) || v.Passes != "fuse" {
+	if v, ok := s.store.Get("k1"); !ok || !bytes.Equal(v.Plan, e.Plan) || !bytes.Equal(v.Bin, e.Bin) {
 		t.Fatalf("pushed entry did not land in the store: %+v, %v", v, ok)
 	}
 
@@ -416,6 +417,44 @@ func TestFleetEntriesRoundTrip(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("empty entry: status %d, want 400", resp.StatusCode)
+	}
+}
+
+// TestStoreIgnoresSuppliedETag: an entry's tag is hash(bytes) whatever tag it
+// arrived with — a replication push or a restored file with a wrong one must
+// not make If-None-Match answer 304 for bytes the client does not hold.
+func TestStoreIgnoresSuppliedETag(t *testing.T) {
+	plan := []byte(`{"plan":true}`)
+	want := ETagFor(plan)
+	const forged = `"0000000000000000"`
+	_, url := newKeyFirstServer(t, Config{})
+	push := fmt.Sprintf(`{"key":"k1","plan":"%s","version":3,"etag":%q}`, base64.StdEncoding.EncodeToString(plan), forged)
+	resp, err := http.Post(url+fleet.EntriesPath, "application/json", strings.NewReader(push))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNoContent {
+		t.Fatalf("push: status %d, want 204", resp.StatusCode)
+	}
+	if a := ask(t, url, keyBody("k1"), forged); a.status != http.StatusOK || a.etag != want || !bytes.Equal(a.body, plan) {
+		t.Errorf("If-None-Match: <forged>: status %d tag %q, want 200 with the plan and %q", a.status, a.etag, want)
+	}
+	if a := ask(t, url, keyBody("k1"), want); a.status != http.StatusNotModified {
+		t.Errorf("If-None-Match: <content tag>: status %d, want 304", a.status)
+	}
+
+	dir := t.TempDir()
+	d, err := newDiskStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	file, _ := json.Marshal(map[string]any{"key": "k2", "plan": plan, "version": 2, "etag": forged})
+	if err := os.WriteFile(d.path("k2"), file, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if v, ok := newMemDiskStore(8, 1<<20, d, 0).Get("k2"); !ok || v.ETag != want || v.Version != 2 {
+		t.Errorf("restored entry: %v, version %d tag %q; want version 2 with %q", ok, v.Version, v.ETag, want)
 	}
 }
 

@@ -105,8 +105,7 @@ func newKeyFirstServer(t *testing.T, cfg Config) (*Server, string) {
 // TestClientKeyEqualsServerKey is the wire contract of the key-only form:
 // the key derived from an in-memory (graph, cluster, options) triple equals
 // the key the daemon derives from the decoded request body — over the model
-// zoo, random MLPs, segmented graphs, and every options shape including the
-// omitted-means-true Optimize.
+// zoo, random MLPs, segmented graphs, and every options shape.
 func TestClientKeyEqualsServerKey(t *testing.T) {
 	rng := rand.New(rand.NewSource(16))
 	graphs := []*graph.Graph{
@@ -128,11 +127,8 @@ func TestClientKeyEqualsServerKey(t *testing.T) {
 		graphs = append(graphs, g)
 	}
 	clusters := []*cluster.Cluster{testCluster(), cluster.PaperHeterogeneous(1), cluster.PaperHomogeneous(2), cluster.PaperA100P100()}
-	on, off := true, false
 	options := []RequestOptions{
 		{},
-		{Optimize: &on},
-		{Optimize: &off},
 		{Segments: 4, MaxIterations: 3, ExactSearch: true},
 	}
 	for gi, g := range graphs {
@@ -151,9 +147,6 @@ func TestClientKeyEqualsServerKey(t *testing.T) {
 				}
 			}
 		}
-	}
-	if a, b := clientKey(graphs[0], clusters[0], options[0]), clientKey(graphs[0], clusters[0], options[1]); a != b {
-		t.Errorf("omitted Optimize keys %q, explicit true %q", a, b)
 	}
 }
 

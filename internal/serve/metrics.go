@@ -153,18 +153,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	gauge("hap_serve_cache_bytes", "Bytes of plans currently cached.", float64(st.CacheBytes))
 	gauge("hap_serve_cache_restored", "Plans reloaded from the cache directory on boot.", float64(st.CacheRestored))
 	gauge("hap_serve_uptime_seconds", "Seconds since the server started.", st.UptimeSeconds)
-	counter("hap_serve_pass_runs_total", "Syntheses that ran the post-synthesis pass pipeline.", st.PassRuns)
-	counter("hap_serve_pass_rewrites_total", "Program rewrites applied by the pass pipeline.", st.PassRewrites)
-	// Per-pass breakdown, emitted in sorted order for a stable exposition.
-	fmt.Fprintf(&b, "# HELP hap_serve_pass_rewrites_by_total Program rewrites applied, by pass.\n# TYPE hap_serve_pass_rewrites_by_total counter\n")
-	names := make([]string, 0, len(st.PassRewritesBy))
-	for name := range st.PassRewritesBy {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		fmt.Fprintf(&b, "hap_serve_pass_rewrites_by_total{pass=%q} %d\n", name, st.PassRewritesBy[name])
-	}
 	// Telemetry and replanning series are always exposed — a dashboard must
 	// distinguish "no drift" from "telemetry not wired up", so the counters
 	// and the max-drift gauge exist from the first scrape.

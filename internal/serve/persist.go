@@ -38,13 +38,10 @@ type persistedPlan struct {
 	Plan []byte `json:"plan"`
 	// Bin is the WriteProgramBinary payload.
 	Bin []byte `json:"bin,omitempty"`
-	// Passes is the X-HAP-Passes header value.
-	Passes string `json:"passes,omitempty"`
-	// Version and ETag are the plan-version metadata (see CachedPlan); files
-	// from before versioning restore with zero values and are normalized on
-	// load.
+	// Version is the plan version (see CachedPlan); files from before
+	// versioning restore with zero and are normalized on load. The ETag is
+	// not stored: the store derives it from Plan on every restore.
 	Version uint64 `json:"version,omitempty"`
-	ETag    string `json:"etag,omitempty"`
 }
 
 type diskStore struct {
@@ -79,7 +76,7 @@ func (d *diskStore) path(key string) string {
 // save writes one plan through to disk, atomically. Errors are swallowed:
 // persistence never fails a request.
 func (d *diskStore) save(key string, v CachedPlan) {
-	data, err := json.Marshal(persistedPlan{Key: key, Plan: v.Plan, Bin: v.Bin, Passes: v.Passes, Version: v.Version, ETag: v.ETag})
+	data, err := json.Marshal(persistedPlan{Key: key, Plan: v.Plan, Bin: v.Bin, Version: v.Version})
 	if err != nil {
 		return
 	}
@@ -149,7 +146,7 @@ func (d *diskStore) load(cutoff time.Time, add func(key string, v CachedPlan, mt
 		if err := json.Unmarshal(data, &p); err != nil || p.Key == "" || len(p.Plan) == 0 {
 			continue
 		}
-		if add(p.Key, CachedPlan{Plan: p.Plan, Bin: p.Bin, Passes: p.Passes, Version: p.Version, ETag: p.ETag}, f.mtime) {
+		if add(p.Key, CachedPlan{Plan: p.Plan, Bin: p.Bin, Version: p.Version}, f.mtime) {
 			restored++
 		}
 	}

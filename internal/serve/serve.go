@@ -227,8 +227,6 @@ type BatchPlanResult struct {
 	// request sent Accept: application/x-hap-plan. The envelope itself stays
 	// JSON either way — only the per-result payload encoding negotiates.
 	Bin []byte `json:"bin,omitempty"`
-	// Passes mirrors the X-HAP-Passes header ("" = pipeline disabled).
-	Passes string `json:"passes,omitempty"`
 	// Version and ETag mirror the X-HAP-Plan-Version and ETag headers of the
 	// single-plan endpoints (zero/empty on a plan that was synthesized but
 	// rejected by the store caps).
@@ -266,10 +264,6 @@ type RequestOptions struct {
 	Segments      int  `json:"segments,omitempty"`
 	MaxIterations int  `json:"max_iterations,omitempty"`
 	ExactSearch   bool `json:"exact_search,omitempty"`
-	// Optimize toggles the post-synthesis pass pipeline (collective fusion,
-	// collective CSE, DCE). Omitted means true: served plans are optimized
-	// by default.
-	Optimize *bool `json:"optimize,omitempty"`
 }
 
 // UnmarshalJSON rejects negative segments and max_iterations wherever a
@@ -288,11 +282,6 @@ func (o *RequestOptions) UnmarshalJSON(b []byte) error {
 	}
 	*o = RequestOptions(p)
 	return nil
-}
-
-// optimize resolves the tri-state Optimize field (nil = on).
-func (o RequestOptions) optimize() bool {
-	return o.Optimize == nil || *o.Optimize
 }
 
 // Stats is the GET /stats payload.
@@ -323,12 +312,6 @@ type Stats struct {
 	// RequestsByEndpoint breaks Requests down by wire endpoint
 	// (v1, v1_batch).
 	RequestsByEndpoint map[string]uint64 `json:"requests_by_endpoint"`
-	// PassRuns counts syntheses that ran the post-synthesis pass pipeline;
-	// PassRewrites totals the rewrites those pipelines applied, broken down
-	// by pass in PassRewritesBy.
-	PassRuns       uint64            `json:"pass_runs"`
-	PassRewrites   uint64            `json:"pass_rewrites"`
-	PassRewritesBy map[string]uint64 `json:"pass_rewrites_by,omitempty"`
 	// Fleet reports the fleet-layer counters; nil on a standalone daemon.
 	Fleet *FleetStats `json:"fleet,omitempty"`
 	// Telemetry reports the probe-ingestion and replanning counters; always
@@ -380,11 +363,6 @@ type Server struct {
 	fleetReplicatedIn    atomic.Uint64 // entries accepted from peers
 	fleetWarmupEntries   atomic.Uint64 // entries received by warm-up streaming
 
-	passMu         sync.Mutex
-	passRuns       uint64
-	passRewrites   uint64
-	passRewritesBy map[string]uint64
-
 	// traces is the debug ring of completed request traces; nil = tracing
 	// off. logger receives structured log lines; nodeLabel stamps every
 	// span with this node's fleet URL ("" standalone); phase accumulates
@@ -393,7 +371,7 @@ type Server struct {
 	traces    *obs.Collector
 	logger    *slog.Logger
 	nodeLabel string
-	phase     [4]struct {
+	phase     [len(phaseNames)]struct {
 		count atomic.Uint64
 		sumNs atomic.Int64
 	}
@@ -450,12 +428,11 @@ func New(cfg Config) *Server {
 		}
 	}
 	s := &Server{
-		cfg:            cfg,
-		store:          newMemDiskStore(cfg.MaxCacheEntries, cfg.MaxCacheBytes, persist, cfg.CacheTTL),
-		memo:           newBodyMemo(cfg.MaxCacheEntries),
-		start:          time.Now(),
-		logger:         logger,
-		passRewritesBy: map[string]uint64{},
+		cfg:    cfg,
+		store:  newMemDiskStore(cfg.MaxCacheEntries, cfg.MaxCacheBytes, persist, cfg.CacheTTL),
+		memo:   newBodyMemo(cfg.MaxCacheEntries),
+		start:  time.Now(),
+		logger: logger,
 		latency: map[string]*histogram{
 			EndpointV1:      newHistogram(),
 			EndpointV1Batch: newHistogram(),
@@ -543,7 +520,7 @@ func (s *Server) Handler() http.Handler {
 // Stats returns a snapshot of the server counters.
 func (s *Server) Stats() Stats {
 	ss := s.store.Stats()
-	st := Stats{
+	return Stats{
 		Protocol:          ProtocolVersion,
 		Requests:          s.requests.Load(),
 		CacheHits:         s.hits.Load(),
@@ -568,31 +545,6 @@ func (s *Server) Stats() Stats {
 		Fleet:     s.fleetStats(),
 		Telemetry: s.telemetryStats(),
 	}
-	s.passMu.Lock()
-	st.PassRuns = s.passRuns
-	st.PassRewrites = s.passRewrites
-	if len(s.passRewritesBy) > 0 {
-		st.PassRewritesBy = make(map[string]uint64, len(s.passRewritesBy))
-		for k, v := range s.passRewritesBy {
-			st.PassRewritesBy[k] = v
-		}
-	}
-	s.passMu.Unlock()
-	return st
-}
-
-// recordPassStats accumulates one synthesis's pass-pipeline counters.
-func (s *Server) recordPassStats(ps hap.PassStats) {
-	if ps.Rounds == 0 {
-		return // pipeline disabled (or a stubbed planner)
-	}
-	s.passMu.Lock()
-	s.passRuns++
-	s.passRewrites += uint64(ps.Changed)
-	for _, p := range ps.PerPass {
-		s.passRewritesBy[p.Pass] += uint64(p.Changed)
-	}
-	s.passMu.Unlock()
 }
 
 // cacheKey is the content address of a plan: what the graph computes, what
@@ -615,7 +567,6 @@ func (s *Server) hapOptions(opt RequestOptions) hap.Options {
 		Segments:      opt.Segments,
 		MaxIterations: opt.MaxIterations,
 		ExactSearch:   opt.ExactSearch,
-		DisablePasses: !opt.optimize(),
 		TimeBudget:    budget,
 		Workers:       s.cfg.SynthWorkers,
 	}
@@ -1007,7 +958,6 @@ func (s *Server) synthesize(ctx context.Context, sp *obs.Span, g *graph.Graph, c
 		s.synthIncremental.Add(1)
 		s.seedDistBits.Store(math.Float64bits(p.SeedDistance))
 	}
-	s.recordPassStats(p.Passes)
 	es := sp.Child("encode")
 	v, err := encodePlan(p)
 	es.End()
@@ -1156,7 +1106,7 @@ func (s *Server) handleV1Batch(w http.ResponseWriter, r *http.Request, rt *reque
 // entry with no binary form (possible only for entries replicated from a
 // pre-binary peer) falls back to JSON rather than answering empty.
 func batchResult(v CachedPlan, cache string, binary bool) BatchPlanResult {
-	res := BatchPlanResult{Cache: cache, Passes: v.Passes, Version: v.Version, ETag: v.ETag}
+	res := BatchPlanResult{Cache: cache, Version: v.Version, ETag: v.ETag}
 	if binary && len(v.Bin) > 0 {
 		res.Bin = v.Bin
 	} else {
@@ -1166,7 +1116,7 @@ func batchResult(v CachedPlan, cache string, binary bool) BatchPlanResult {
 }
 
 // encodePlan renders a synthesized plan into its cached wire forms: the
-// diffable JSON and the compact binary payload, plus the passes header.
+// diffable JSON and the compact binary payload.
 func encodePlan(p *hap.Plan) (CachedPlan, error) {
 	var buf bytes.Buffer
 	if err := p.WriteProgram(&buf); err != nil {
@@ -1176,7 +1126,7 @@ func encodePlan(p *hap.Plan) (CachedPlan, error) {
 	if err := p.WriteProgramBinary(&bin); err != nil {
 		return CachedPlan{}, err
 	}
-	return CachedPlan{Plan: buf.Bytes(), Bin: bin.Bytes(), Passes: passesHeader(p.Passes)}, nil
+	return CachedPlan{Plan: buf.Bytes(), Bin: bin.Bytes()}, nil
 }
 
 // storePlan inserts a freshly synthesized plan into the store (which
@@ -1195,24 +1145,6 @@ func (s *Server) storePlan(sp *obs.Span, key string, v CachedPlan) CachedPlan {
 	return v
 }
 
-// passesHeader renders the pass pipeline's per-pass rewrite counters as the
-// X-HAP-Passes header value, in pipeline order: "comm-fusion=3,dce=2".
-// Empty when the pipeline did not run (request opted out, or a stubbed
-// planner reported no stats).
-func passesHeader(ps hap.PassStats) string {
-	if ps.Rounds == 0 {
-		return ""
-	}
-	var b strings.Builder
-	for i, p := range ps.PerPass {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		fmt.Fprintf(&b, "%s=%d", p.Pass, p.Changed)
-	}
-	return b.String()
-}
-
 // writePlan renders one cached plan, honoring conditional fetch: a request
 // whose If-None-Match matches the plan's current ETag gets 304 Not Modified
 // with no body — a warm client revalidating after a drift-triggered replan
@@ -1222,9 +1154,6 @@ func passesHeader(ps hap.PassStats) string {
 // current tag.
 func writePlan(w http.ResponseWriter, r *http.Request, plan CachedPlan, cache string, binary bool) {
 	w.Header().Set("X-HAP-Cache", cache)
-	if plan.Passes != "" {
-		w.Header().Set("X-HAP-Passes", plan.Passes)
-	}
 	if plan.ETag != "" {
 		w.Header().Set("ETag", plan.ETag)
 	}

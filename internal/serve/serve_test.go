@@ -366,13 +366,10 @@ func TestHealthz(t *testing.T) {
 	}
 }
 
-// boolPtr helps build tri-state RequestOptions.
-func boolPtr(b bool) *bool { return &b }
-
-// TestOptimizeOptionPlumbing checks the optimize request option: omitted
-// means the pass pipeline runs (DisablePasses false) with the default synth
-// time budget, optimize=false disables it, and the two variants are
-// distinct cache entries.
+// TestOptimizeOptionPlumbing checks a miss runs under the default synth time
+// budget, and that the retired "optimize" option no longer splits the cache:
+// a body that still sends "optimize": false decodes (unknown fields are
+// ignored), derives the default key and is served the cached plan.
 func TestOptimizeOptionPlumbing(t *testing.T) {
 	var mu sync.Mutex
 	var opts []hap.Options
@@ -386,39 +383,27 @@ func TestOptimizeOptionPlumbing(t *testing.T) {
 	})
 	srv := httptest.NewServer(s.Handler())
 	defer srv.Close()
-	g, c := testGraph(t), testCluster()
+	body := requestBody(t, testGraph(t), testCluster(), RequestOptions{})
 
-	if status, _, b := post(t, srv.URL, requestBody(t, g, c, RequestOptions{})); status != http.StatusOK {
-		t.Fatalf("default request: status %d: %s", status, b)
+	status, hdr, plan := post(t, srv.URL, body)
+	if status != http.StatusOK || hdr != "miss" {
+		t.Fatalf("default request: status %d cache %q: %s", status, hdr, plan)
 	}
-	if status, hdr, b := post(t, srv.URL, requestBody(t, g, c, RequestOptions{Optimize: boolPtr(false)})); status != http.StatusOK || hdr != "miss" {
-		t.Fatalf("optimize=false request: status %d cache %q: %s", status, hdr, b)
+	legacy := bytes.Replace(body, []byte(`"options":{}`), []byte(`"options":{"optimize":false}`), 1)
+	if bytes.Equal(legacy, body) {
+		t.Fatalf("request body has no empty options object to rewrite: %s", body)
 	}
-	// optimize=true is the same content address as the default.
-	if status, hdr, _ := post(t, srv.URL, requestBody(t, g, c, RequestOptions{Optimize: boolPtr(true)})); status != http.StatusOK || hdr != "hit" {
-		t.Fatalf("optimize=true request: status %d cache %q, want 200/hit", status, hdr)
+	if status, hdr, b := post(t, srv.URL, legacy); status != http.StatusOK || hdr != "hit" || !bytes.Equal(b, plan) {
+		t.Fatalf("optimize=false request: status %d cache %q, want 200/hit with the default plan", status, hdr)
 	}
 
 	mu.Lock()
 	defer mu.Unlock()
-	if len(opts) != 2 {
-		t.Fatalf("%d syntheses, want 2 (default + optimize=false)", len(opts))
+	if len(opts) != 1 {
+		t.Fatalf("%d syntheses, want 1", len(opts))
 	}
-	if opts[0].DisablePasses {
-		t.Error("default request disabled the pass pipeline")
-	}
-	if !opts[1].DisablePasses {
-		t.Error("optimize=false request did not disable the pass pipeline")
-	}
-	for i, o := range opts {
-		if o.TimeBudget != DefaultSynthTimeBudget {
-			t.Errorf("synthesis %d ran with time budget %v, want default %v", i, o.TimeBudget, DefaultSynthTimeBudget)
-		}
-	}
-
-	st := s.Stats()
-	if st.PassRuns != 1 {
-		t.Errorf("stats report %d pass-pipeline runs, want 1 (only the optimized synthesis)", st.PassRuns)
+	if opts[0].TimeBudget != DefaultSynthTimeBudget {
+		t.Errorf("synthesis ran with time budget %v, want default %v", opts[0].TimeBudget, DefaultSynthTimeBudget)
 	}
 }
 
@@ -455,57 +440,9 @@ func TestMetricsEndpoint(t *testing.T) {
 		"hap_serve_syntheses_total 1",
 		"# TYPE hap_serve_cache_entries gauge",
 		"hap_serve_cache_entries 1",
-		"hap_serve_pass_runs_total 1",
-		`hap_serve_pass_rewrites_by_total{pass="comm-fusion"}`,
 	} {
 		if !strings.Contains(metrics, want) {
 			t.Errorf("metrics exposition missing %q:\n%s", want, metrics)
 		}
-	}
-}
-
-// The X-HAP-Passes header reports the pass pipeline's per-pass rewrite
-// counters on every /v1/synthesize response — including cache hits, whose
-// header must reflect what the pipeline did when the plan was synthesized.
-func TestPassesHeaderServedOnMissAndHit(t *testing.T) {
-	srv := httptest.NewServer(New(Config{}).Handler())
-	defer srv.Close()
-	body := requestBody(t, testGraph(t), testCluster(), RequestOptions{})
-
-	get := func(wantCache string) string {
-		t.Helper()
-		resp, err := http.Post(srv.URL+"/v1/synthesize", "application/json", bytes.NewReader(body))
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		io.Copy(io.Discard, resp.Body)
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("status %d", resp.StatusCode)
-		}
-		if c := resp.Header.Get("X-HAP-Cache"); c != wantCache {
-			t.Fatalf("X-HAP-Cache = %q, want %q", c, wantCache)
-		}
-		return resp.Header.Get("X-HAP-Passes")
-	}
-
-	miss := get("miss")
-	if miss == "" {
-		t.Fatal("miss response has no X-HAP-Passes header")
-	}
-	for _, pass := range []string{"comm-fusion", "collective-cse", "dce"} {
-		if !strings.Contains(miss, pass+"=") {
-			t.Errorf("X-HAP-Passes = %q missing %s counter", miss, pass)
-		}
-	}
-	if hit := get("hit"); hit != miss {
-		t.Errorf("cache hit X-HAP-Passes = %q, want the miss's %q", hit, miss)
-	}
-
-	// Opting out of the pipeline must drop the header.
-	off := false
-	body = requestBody(t, testGraph(t), testCluster(), RequestOptions{Optimize: &off})
-	if h := get("miss"); h != "" {
-		t.Errorf("optimize=false response still carries X-HAP-Passes %q", h)
 	}
 }

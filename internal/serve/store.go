@@ -14,15 +14,12 @@ import (
 )
 
 // CachedPlan is one stored plan: both wire encodings plus the response
-// metadata served with it. The X-HAP-Passes header must survive caching — a
-// cache hit reports what the pass pipeline did when the plan was
-// synthesized, without clients scraping /stats. The binary form is cached
-// alongside the JSON so content negotiation never re-encodes. The byte
-// slices are shared between callers and must be treated as immutable.
+// metadata served with it. The binary form is cached alongside the JSON so
+// content negotiation never re-encodes. The byte slices are shared between
+// callers and must be treated as immutable.
 type CachedPlan struct {
-	Plan   []byte // WriteProgram JSON
-	Bin    []byte // WriteProgramBinary payload (may be empty for restored v1 files)
-	Passes string // X-HAP-Passes header value ("" = pipeline disabled)
+	Plan []byte // WriteProgram JSON
+	Bin  []byte // WriteProgramBinary payload (may be empty for restored v1 files)
 	// Version counts how many times this key's content has been replaced on
 	// its owning node — 1 on first synthesis, bumped by each background
 	// replan. Replicas copy the owner's version verbatim, so the number is
@@ -31,11 +28,12 @@ type CachedPlan struct {
 	// ETag is the strong entity tag served with the plan and matched against
 	// If-None-Match: a quoted hash of the plan content. Content-derived, not
 	// version-derived, so a replan that lands on byte-identical output keeps
-	// warm clients' tags valid.
+	// warm clients' tags valid. The store derives it on every Put and
+	// restore; a tag supplied by the caller is never trusted.
 	ETag string
 }
 
-func (v CachedPlan) size() int64 { return int64(len(v.Plan) + len(v.Bin) + len(v.Passes)) }
+func (v CachedPlan) size() int64 { return int64(len(v.Plan) + len(v.Bin)) }
 
 // ETagFor derives the strong entity tag for a plan's JSON content.
 func ETagFor(plan []byte) string {
@@ -108,13 +106,13 @@ func newMemDiskStore(maxEntries int, maxBytes int64, persist *diskStore, ttl tim
 // Get returns the stored plan and refreshes its recency.
 func (s *memDiskStore) Get(key string) (CachedPlan, bool) { return s.cache.get(key) }
 
-// Put stores (or refreshes) v, filling in the version/ETag metadata when the
-// caller left it zero: the ETag is derived from the plan content, and the
-// version continues the stored entry's sequence (first insert = 1,
-// replacement = previous + 1). Entries arriving with explicit metadata —
-// fleet replication, warm-up streaming — keep the owner's values so the tag
-// means the same bytes fleet-wide. It returns the entry with its metadata
-// filled in and whether it was kept: a value over the caps is rejected.
+// Put stores (or refreshes) v with its ETag derived from the plan content
+// and, when the caller left it zero, a version continuing the stored entry's
+// sequence (first insert = 1, replacement = previous + 1). Entries arriving
+// with a version — fleet replication, warm-up streaming — keep the owner's,
+// so the number is the same fleet-wide. It returns the entry with its
+// metadata filled in and whether it was kept: a value over the caps is
+// rejected.
 func (s *memDiskStore) Put(key string, v CachedPlan) (CachedPlan, bool) {
 	nextVersion := uint64(1)
 	if prev, ok := s.cache.peek(key); ok {
@@ -157,12 +155,10 @@ func (s *memDiskStore) Stats() StoreStats {
 	return StoreStats{Entries: entries, Bytes: bytes, Evictions: evictions, Restored: s.restored}
 }
 
-// normalizePlan fills zero-valued response metadata: a content-derived ETag
-// and the given version.
+// normalizePlan derives the ETag from the plan content — whatever tag v
+// arrived with — and fills a zero version with the given one.
 func normalizePlan(v *CachedPlan, version uint64) {
-	if v.ETag == "" {
-		v.ETag = ETagFor(v.Plan)
-	}
+	v.ETag = ETagFor(v.Plan)
 	if v.Version == 0 {
 		v.Version = version
 	}

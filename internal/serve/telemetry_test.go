@@ -417,10 +417,12 @@ func TestPlanVersioningThroughStore(t *testing.T) {
 	if v3.Version != 3 || v3.ETag == v1.ETag {
 		t.Errorf("changed-content replacement: version %d etag %q, want 3 with a new tag", v3.Version, v3.ETag)
 	}
+	// A replicated entry keeps the owner's version; its tag is derived here
+	// from the bytes, never taken from the caller.
 	s.Put("r", CachedPlan{Plan: []byte(`{"b":1}`), Version: 7, ETag: `"owner-tag"`})
 	vr, _ := s.Get("r")
-	if vr.Version != 7 || vr.ETag != `"owner-tag"` {
-		t.Errorf("replicated entry: version %d etag %q, want the owner's 7/owner-tag", vr.Version, vr.ETag)
+	if want := ETagFor([]byte(`{"b":1}`)); vr.Version != 7 || vr.ETag != want {
+		t.Errorf("replicated entry: version %d etag %q, want the owner's 7 with the content tag %q", vr.Version, vr.ETag, want)
 	}
 }
 

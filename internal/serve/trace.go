@@ -181,7 +181,7 @@ func (rt *requestTrace) finish() {
 
 // phaseNames are the /metrics summary labels of
 // hap_serve_synth_phase_seconds, index-aligned with Server.phase.
-var phaseNames = [...]string{"theory", "beam", "passes", "verify"}
+var phaseNames = [...]string{"theory", "beam", "verify"}
 
 // phaseIndex maps a span name to its summary slot (-1 = not a phase span).
 // The beam phase aggregates the synthesizer's "search" spans — exact A*
@@ -192,10 +192,8 @@ func phaseIndex(name string) int {
 		return 0
 	case "search":
 		return 1
-	case "passes":
-		return 2
 	case "verify":
-		return 3
+		return 2
 	}
 	return -1
 }

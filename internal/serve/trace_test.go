@@ -106,8 +106,8 @@ func assertWellFormed(t *testing.T, rec *obs.TraceRecord) {
 
 // TestTraceSingleNodeSynthesis: a cold miss on a standalone daemon records
 // one trace whose span tree covers the whole pipeline — decode, cache
-// lookup, flight, synthesize, theory, per-level beam search, passes,
-// verify, encode — and a repeat hit records a trace with no synthesis.
+// lookup, flight, synthesize, theory, per-level beam search, verify,
+// encode — and a repeat hit records a trace with no synthesis.
 func TestTraceSingleNodeSynthesis(t *testing.T) {
 	srv := httptest.NewServer(New(Config{}).Handler())
 	defer srv.Close()
@@ -130,7 +130,7 @@ func TestTraceSingleNodeSynthesis(t *testing.T) {
 	rec := getTrace(t, srv.URL, traceID)
 	assertWellFormed(t, rec)
 	names := spanNames(rec)
-	for _, want := range []string{"request", "decode", "cache_lookup", "flight", "synthesize", "theory", "search", "beam_level", "passes", "verify", "encode"} {
+	for _, want := range []string{"request", "decode", "cache_lookup", "flight", "synthesize", "theory", "search", "beam_level", "verify", "encode"} {
 		if names[want] == 0 {
 			t.Errorf("trace lacks a %q span (got %v)", want, names)
 		}
@@ -324,7 +324,7 @@ func TestTraceFleetCrossNode(t *testing.T) {
 	assertWellFormed(t, rec)
 
 	names := spanNames(rec)
-	for _, want := range []string{"request", "proxy", "synthesize", "theory", "search", "beam_level", "passes", "verify", "encode", "replicate", "replicate_push"} {
+	for _, want := range []string{"request", "proxy", "synthesize", "theory", "search", "beam_level", "verify", "encode", "replicate", "replicate_push"} {
 		if names[want] == 0 {
 			t.Errorf("cross-node trace lacks a %q span (got %v)", want, names)
 		}

@@ -34,9 +34,6 @@ func WithMaxIterations(n int) Option { return func(o *Options) { o.MaxIterations
 // WithExactSearch forces exact A* instead of the automatic exact/beam choice.
 func WithExactSearch() Option { return func(o *Options) { o.ExactSearch = true } }
 
-// WithoutPasses skips the post-synthesis optimization pipeline.
-func WithoutPasses() Option { return func(o *Options) { o.DisablePasses = true } }
-
 // WithTimeBudget bounds each Plan call's wall-clock time: the call
 // runs under context.WithTimeout(ctx, d), and an expired budget returns the
 // best plan the loop found so far (or an error when none completed).
@@ -86,7 +83,6 @@ func (p *Planner) hapoptOptions() hapopt.Options {
 		MaxIterations: p.opt.MaxIterations,
 		Segments:      p.opt.Segments,
 		Synth:         synth.Auto(),
-		DisablePasses: p.opt.DisablePasses,
 	}
 	if p.opt.ExactSearch {
 		o.Synth = synth.Options{}
@@ -123,7 +119,6 @@ func (p *Planner) Plan(ctx context.Context, g *Graph) (*Plan, error) {
 		Ratios:        res.Ratios,
 		Cost:          res.Cost,
 		SynthesisTime: res.Elapsed.Seconds(),
-		Passes:        res.Passes,
 		Seeded:        res.Seeded,
 		SeedDistance:  res.SeedDistance,
 	}, nil

@@ -82,12 +82,12 @@ func TestFunctionalOptions(t *testing.T) {
 	var got Options
 	for _, o := range []Option{
 		WithSegments(3), WithMaxIterations(2), WithExactSearch(),
-		WithoutPasses(), WithTimeBudget(time.Second), WithWorkers(4),
+		WithTimeBudget(time.Second), WithWorkers(4),
 	} {
 		o(&got)
 	}
 	want := Options{Segments: 3, MaxIterations: 2, ExactSearch: true,
-		DisablePasses: true, TimeBudget: time.Second, Workers: 4}
+		TimeBudget: time.Second, Workers: 4}
 	if got != want {
 		t.Errorf("options = %+v, want %+v", got, want)
 	}
