@@ -5,12 +5,10 @@
 //
 // Usage:
 //
-//	hap-serve [-addr :8080] [-cache-entries 1024] [-cache-bytes 268435456]
-//	          [-synth-budget 60s] [-cache-dir /var/lib/hap/plans] [-cache-ttl 0]
-//	          [-self URL] [-peers URL,URL] [-peers-file PATH] [-peers-poll 10s]
-//	          [-replicas 2] [-probe-interval 5s] [-warmup]
-//	          [-drift-threshold 0.1] [-telemetry-window 5m]
-//	          [-telemetry-file PATH] [-telemetry-poll 5s]
+//	hap-serve [-addr :8080] [-cache-entries 1024] [-synth-budget 60s]
+//	          [-max-inflight-synth 0] [-no-seed]
+//	          [-cache-dir /var/lib/hap/plans] [-cache-ttl 0]
+//	          [-self URL] [-peers URL,URL] [-peers-file PATH] [-replicas 2]
 //	          [-log-format text] [-trace-ring 256] [-trace-slow 0]
 //	          [-debug-addr ""]
 //
@@ -27,17 +25,16 @@
 // owner node, misses proxy to the owner (so a fleet-wide thundering herd
 // synthesizes exactly once), filled entries replicate to -replicas nodes,
 // and a booting node warms its cache from a peer. The peers file is
-// re-read on SIGHUP and polled every -peers-poll. See internal/serve and
-// README "Running a fleet".
+// re-read on SIGHUP and polled every 10s; peers' /healthz is probed every
+// 5s. See internal/serve and README "Running a fleet".
 //
 // Live telemetry: POST /v1/telemetry ingests probe measurements (per-link
 // bandwidth/latency, per-device achieved TFLOPS) against the spec cluster
-// they measure; when the smoothed live view drifts past -drift-threshold,
-// cached plans for that cluster replan in the background and swap in only
-// after verification — clients keep getting the old plan (same ETag, 304 on
-// conditional fetch) until the replacement is ready. -telemetry-file polls
-// the same report format from disk for probe agents that write files
-// instead of speaking HTTP. See README "Live telemetry & replanning".
+// they measure; when the smoothed live view drifts past 10%, cached plans
+// for that cluster replan in the background and swap in only after
+// verification — clients keep getting the old plan (same ETag, 304 on
+// conditional fetch) until the replacement is ready. See README "Live
+// telemetry & replanning".
 //
 // Observability: every request is traced end-to-end (decode, cache lookup,
 // fleet proxy hop, synthesis phases, encode, replication) and the last
@@ -72,15 +69,10 @@ import (
 func main() {
 	addr := flag.String("addr", ":8080", "listen address")
 	entries := flag.Int("cache-entries", serve.DefaultMaxCacheEntries, "max cached plans")
-	bytes := flag.Int64("cache-bytes", serve.DefaultMaxCacheBytes, "max total bytes of cached plans")
 	budget := flag.Duration("synth-budget", serve.DefaultSynthTimeBudget,
 		"wall-clock budget per request's synthesis, covering the whole optimization loop (0 = unlimited)")
 	maxInflight := flag.Int("max-inflight-synth", 0,
 		"max concurrent local syntheses; excess cache misses are shed with 429 + Retry-After (0 = unlimited)")
-	shedRetryAfter := flag.Duration("shed-retry-after", serve.DefaultShedRetryAfter,
-		"Retry-After hint on admission-shed 429 responses")
-	workers := flag.Int("synth-workers", 0,
-		"beam-search worker goroutines per synthesis (0 = GOMAXPROCS); plans are byte-identical for any value")
 	cacheDir := flag.String("cache-dir", "",
 		"write cached plans through to this directory and restore them on boot (empty = memory only)")
 	cacheTTL := flag.Duration("cache-ttl", 0,
@@ -90,25 +82,11 @@ func main() {
 	peers := flag.String("peers", "",
 		"comma-separated peer URLs forming the fleet (combined with -peers-file)")
 	peersFile := flag.String("peers-file", "",
-		"file with one peer URL per line (# comments); re-read on SIGHUP and by -peers-poll")
-	peersPoll := flag.Duration("peers-poll", 10*time.Second,
-		"poll the peers file for changes at this interval (0 = SIGHUP only)")
+		"file with one peer URL per line (# comments); re-read on SIGHUP and every 10s")
 	replicas := flag.Int("replicas", fleet.DefaultReplicas,
 		"total copies of each cached plan across the fleet, owner included")
-	probeInterval := flag.Duration("probe-interval", 5*time.Second,
-		"probe peer /healthz at this interval (0 = mark-down on proxy failure only)")
-	warmup := flag.Bool("warmup", true,
-		"on boot, stream cached entries from the first reachable peer (fleet mode only)")
-	driftThreshold := flag.Float64("drift-threshold", serve.DefaultDriftThreshold,
-		"cluster drift past which cached plans replan in the background (negative = disable replanning)")
 	noSeed := flag.Bool("no-seed", false,
 		"disable incremental synthesis: misses synthesize cold instead of seeding from the nearest similar cached plan")
-	telemetryWindow := flag.Duration("telemetry-window", 0,
-		"staleness horizon of probe estimates; older estimates revert to the spec (0 = 5m)")
-	telemetryFile := flag.String("telemetry-file", "",
-		"poll telemetry reports (one JSON report or an array) from this file, like POST /v1/telemetry")
-	telemetryPoll := flag.Duration("telemetry-poll", 5*time.Second,
-		"poll the telemetry file for size/mtime changes at this interval")
 	logFormat := flag.String("log-format", "text",
 		"log line format: text or json (one object per line, machine-parseable)")
 	traceRing := flag.Int("trace-ring", serve.DefaultTraceRing,
@@ -150,7 +128,7 @@ func main() {
 			logger.Error("fleet configuration failed", "error", err)
 			os.Exit(1)
 		}
-		fl.Start(*peersPoll, *probeInterval)
+		fl.Start()
 		defer fl.Stop()
 		logger.Info("fleet mode", "self", fl.Self(), "members", strings.Join(fl.Members.Peers(), ","), "replicas", fl.ReplicaCount())
 	} else if *peers != "" || *peersFile != "" {
@@ -160,15 +138,10 @@ func main() {
 
 	s := serve.New(serve.Config{
 		MaxCacheEntries:  *entries,
-		MaxCacheBytes:    *bytes,
 		SynthTimeBudget:  synthBudget,
-		SynthWorkers:     *workers,
 		MaxInflightSynth: *maxInflight,
-		ShedRetryAfter:   *shedRetryAfter,
 		CacheDir:         *cacheDir,
 		CacheTTL:         *cacheTTL,
-		DriftThreshold:   *driftThreshold,
-		TelemetryWindow:  *telemetryWindow,
 		DisableSeeding:   *noSeed,
 		Fleet:            fl,
 		TraceRing:        ring,
@@ -179,16 +152,11 @@ func main() {
 	if *cacheDir != "" {
 		logger.Info("cache restored", "plans", s.Stats().CacheRestored, "dir", *cacheDir)
 	}
-	if *telemetryFile != "" {
-		stop := s.StartTelemetryFile(*telemetryFile, *telemetryPoll)
-		defer stop()
-		logger.Info("polling telemetry file", "path", *telemetryFile, "interval", *telemetryPoll)
-	}
 
 	// Warm up from a peer before accepting traffic: every entry streamed in
 	// is a synthesis this node will not re-pay. Best-effort — a partial
 	// transfer keeps what arrived, a fleet of one just starts cold.
-	if fl != nil && *warmup {
+	if fl != nil {
 		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 		n, err := s.WarmFrom(ctx, fl.Members.Peers())
 		cancel()
@@ -256,7 +224,7 @@ func main() {
 		}
 	}()
 
-	logger.Info("listening", "addr", *addr, "cache_entries", *entries, "cache_bytes", *bytes)
+	logger.Info("listening", "addr", *addr, "cache_entries", *entries)
 	if err := srv.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
 		logger.Error("listener failed", "error", err)
 		os.Exit(1)

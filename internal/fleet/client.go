@@ -62,13 +62,13 @@ type Client struct {
 	stream *http.Client
 }
 
-// NewClient returns a fleet client whose calls time out after timeout
-// (0 = a 30s default, sized for proxied syntheses, not just cache hits).
-func NewClient(timeout time.Duration) *Client {
-	if timeout <= 0 {
-		timeout = 30 * time.Second
-	}
-	return &Client{http: &http.Client{Timeout: timeout}, stream: &http.Client{}}
+// callTimeout bounds one forwarded or replicated call. It is sized for a
+// proxied cold synthesis, not just a cache hit.
+const callTimeout = 30 * time.Second
+
+// NewClient returns a fleet client.
+func NewClient() *Client {
+	return &Client{http: &http.Client{Timeout: callTimeout}, stream: &http.Client{}}
 }
 
 // Forward relays a plan request to peer, marked with the forwarding node's

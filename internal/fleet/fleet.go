@@ -24,15 +24,18 @@ type Config struct {
 	// Replicas is the total number of copies of each filled entry, owner
 	// included (0 = DefaultReplicas). Clamped to the fleet size.
 	Replicas int
-	// ProxyTimeout bounds one forwarded request (0 = the client default,
-	// which must cover a proxied cold synthesis, not just a cache hit).
-	ProxyTimeout time.Duration
-	// ProbeTimeout bounds one health probe (0 = 2s).
-	ProbeTimeout time.Duration
 }
 
 // DefaultReplicas is the default total copies per entry (owner + 1).
 const DefaultReplicas = 2
+
+// Intervals of the background pollers Start launches: the peers file is
+// checked for changes every pollInterval (SIGHUP reloads it at once), and
+// every peer's /healthz is probed every probeInterval.
+const (
+	pollInterval  = 10 * time.Second
+	probeInterval = 5 * time.Second
+)
 
 // Fleet is one node's cluster view. Create with New; Start launches the
 // background pollers and Stop tears them down.
@@ -66,8 +69,8 @@ func New(cfg Config) (*Fleet, error) {
 		self:     NormalizeURL(cfg.Self),
 		replicas: replicas,
 		Members:  members,
-		Health:   NewHealth(cfg.ProbeTimeout),
-		Client:   NewClient(cfg.ProxyTimeout),
+		Health:   NewHealth(),
+		Client:   NewClient(),
 	}, nil
 }
 
@@ -89,9 +92,9 @@ func (f *Fleet) ReplicaSet(key string) []string {
 	return f.Members.Ring().Successors(key, f.replicas)
 }
 
-// Start launches membership polling (pollInterval; 0 disables) and health
-// probing (probeInterval; 0 disables). Call Stop to tear both down.
-func (f *Fleet) Start(pollInterval, probeInterval time.Duration) {
+// Start launches membership polling and health probing. Call Stop to tear
+// both down.
+func (f *Fleet) Start() {
 	f.stops = append(f.stops, f.Members.StartPolling(pollInterval))
 	f.stops = append(f.stops, f.Health.StartProbing(f.self, f.Members.Peers, probeInterval))
 }

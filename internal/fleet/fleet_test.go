@@ -176,7 +176,7 @@ func TestMembershipPollingPicksUpChange(t *testing.T) {
 }
 
 func TestHealthMarking(t *testing.T) {
-	h := NewHealth(0)
+	h := NewHealth()
 	if !h.Healthy("http://a:8080") {
 		t.Error("unknown peer should default healthy")
 	}

@@ -27,11 +27,11 @@ type Health struct {
 	stopCh   chan struct{}
 }
 
-// NewHealth returns a tracker probing with the given timeout per request.
-func NewHealth(probeTimeout time.Duration) *Health {
-	if probeTimeout <= 0 {
-		probeTimeout = 2 * time.Second
-	}
+// probeTimeout bounds one health probe.
+const probeTimeout = 2 * time.Second
+
+// NewHealth returns a tracker with no peer marked down.
+func NewHealth() *Health {
 	return &Health{
 		client: &http.Client{Timeout: probeTimeout},
 		down:   map[string]time.Time{},
@@ -117,9 +117,6 @@ func (h *Health) Probe(ctx context.Context, peer string) error {
 // probe interval, delaying the recovery signal for every healthy peer behind
 // it. Returns a stop function.
 func (h *Health) StartProbing(self string, members func() []string, interval time.Duration) (stop func()) {
-	if interval <= 0 {
-		return func() {}
-	}
 	done := make(chan struct{})
 	go func() {
 		ticker := time.NewTicker(interval)

@@ -109,10 +109,10 @@ func (m *Membership) Reload() (changed bool, err error) {
 
 // StartPolling watches the peers file's mtime every interval and reloads on
 // change — the fsnotify-style path for fleets that cannot signal the
-// daemon. Returns a stop function; a Membership without a file (or with a
-// non-positive interval) polls nothing.
+// daemon. Returns a stop function; a Membership without a file polls
+// nothing.
 func (m *Membership) StartPolling(interval time.Duration) (stop func()) {
-	if m.file == "" || interval <= 0 {
+	if m.file == "" {
 		return func() {}
 	}
 	done := make(chan struct{})

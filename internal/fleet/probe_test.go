@@ -93,7 +93,7 @@ func TestProbeDrainsBodyForKeepAlive(t *testing.T) {
 	srv.Start()
 	defer srv.Close()
 
-	h := NewHealth(2 * time.Second)
+	h := NewHealth()
 	for i := 0; i < 3; i++ {
 		if err := h.Probe(context.Background(), srv.URL); err != nil {
 			t.Fatalf("probe %d: %v", i, err)
@@ -120,7 +120,7 @@ func TestProbeRoundConcurrentWallClock(t *testing.T) {
 		urls = append(urls, srv.URL)
 	}
 
-	h := NewHealth(2 * time.Second)
+	h := NewHealth()
 	start := time.Now()
 	h.probeRound("http://self:1", urls)
 	elapsed := time.Since(start)

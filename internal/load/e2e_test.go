@@ -177,7 +177,6 @@ func TestE2EOverload(t *testing.T) {
 	var s *serve.Server
 	s = serve.New(serve.Config{
 		MaxInflightSynth: 1,
-		ShedRetryAfter:   time.Second,
 		Synthesize: func(ctx context.Context, g *graph.Graph, c *cluster.Cluster, opt hap.Options) (*hap.Plan, error) {
 			// One slot: single and batch misses alike reach the planner one
 			// at a time.

@@ -47,8 +47,6 @@ type FleetStats struct {
 	Self      string   `json:"self"`
 	Peers     []string `json:"peers"`
 	PeersDown int      `json:"peers_down"`
-	// Replicas is the configured copies per entry, owner included.
-	Replicas int `json:"replicas"`
 	// MembershipReloads counts peer-list reloads that changed the ring.
 	MembershipReloads uint64 `json:"membership_reloads"`
 	// Proxied counts misses answered by a peer; ProxyErrors failed proxy
@@ -79,7 +77,6 @@ func (s *Server) fleetStats() *FleetStats {
 		Self:              f.Self(),
 		Peers:             f.Members.Peers(),
 		PeersDown:         f.Health.DownCount(),
-		Replicas:          f.ReplicaCount(),
 		MembershipReloads: f.Members.Reloads(),
 		Proxied:           s.fleetProxied.Load(),
 		ProxyErrors:       s.fleetProxyErrors.Load(),

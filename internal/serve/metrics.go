@@ -116,7 +116,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	gauge := func(name, help string, v float64) {
 		fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s gauge\n%s %g\n", name, help, name, name, v)
 	}
-	fmt.Fprintf(&b, "# HELP hap_serve_protocol_info Wire protocol version served, as an info-style gauge.\n# TYPE hap_serve_protocol_info gauge\nhap_serve_protocol_info{version=%q} 1\n", st.Protocol)
 	counter("hap_serve_requests_total", "Plan requests across all endpoints.", st.Requests)
 	// Per-endpoint breakdown, in fixed order for a stable exposition.
 	fmt.Fprintf(&b, "# HELP hap_serve_requests_by_endpoint_total Plan requests, by wire endpoint.\n# TYPE hap_serve_requests_by_endpoint_total counter\n")
@@ -146,18 +145,16 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	counter("hap_serve_flight_shared_total", "Cache misses that joined an in-flight synthesis.", st.FlightShared)
 	counter("hap_serve_admission_shed_total", "Cache misses shed with 429 by the synthesis admission gate.", st.AdmissionShed)
 	gauge("hap_serve_inflight_synth", "Local syntheses currently executing.", float64(st.InflightSynth))
-	gauge("hap_serve_max_inflight_synth", "Configured concurrent-synthesis cap (0 = unlimited).", float64(st.MaxInflightSynth))
 	counter("hap_serve_errors_total", "Requests answered with an error status.", st.Errors)
 	counter("hap_serve_cache_evictions_total", "Plans evicted by the LRU caps or the TTL sweep.", st.CacheEvictions)
 	gauge("hap_serve_cache_entries", "Plans currently cached.", float64(st.CacheEntries))
 	gauge("hap_serve_cache_bytes", "Bytes of plans currently cached.", float64(st.CacheBytes))
 	gauge("hap_serve_cache_restored", "Plans reloaded from the cache directory on boot.", float64(st.CacheRestored))
-	gauge("hap_serve_uptime_seconds", "Seconds since the server started.", st.UptimeSeconds)
 	// Telemetry and replanning series are always exposed — a dashboard must
 	// distinguish "no drift" from "telemetry not wired up", so the counters
 	// and the max-drift gauge exist from the first scrape.
 	if ts := st.Telemetry; ts != nil {
-		counter("hap_serve_telemetry_reports_total", "Probe batches accepted by /v1/telemetry or the telemetry file.", ts.Reports)
+		counter("hap_serve_telemetry_reports_total", "Probe batches accepted by /v1/telemetry.", ts.Reports)
 		counter("hap_serve_telemetry_rejects_total", "Probe batches rejected (unknown machine or device, malformed cluster).", ts.Rejects)
 		counter("hap_serve_replans_total", "Background replans that swapped a new plan into the cache.", ts.Replans)
 		counter("hap_serve_replans_unchanged_total", "Background replans whose output matched the cached plan byte-for-byte (no swap).", ts.ReplansUnchanged)
@@ -178,7 +175,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	if fs := st.Fleet; fs != nil {
 		gauge("hap_serve_fleet_peers", "Current fleet members, self included.", float64(len(fs.Peers)))
 		gauge("hap_serve_fleet_peers_down", "Fleet peers currently failing health checks.", float64(fs.PeersDown))
-		gauge("hap_serve_fleet_replicas", "Configured copies per entry, owner included.", float64(fs.Replicas))
 		counter("hap_serve_fleet_membership_reloads_total", "Peer-list reloads that changed the ring.", fs.MembershipReloads)
 		counter("hap_serve_fleet_proxied_total", "Cache misses answered by proxying to a peer.", fs.Proxied)
 		counter("hap_serve_fleet_proxy_errors_total", "Failed proxy attempts to peers.", fs.ProxyErrors)

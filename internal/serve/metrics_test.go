@@ -4,6 +4,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -127,12 +128,82 @@ func TestMetricsExposesFleetSeries(t *testing.T) {
 	text := string(raw)
 	for _, want := range []string{
 		"hap_serve_fleet_peers 2",
-		"hap_serve_fleet_replicas 2",
 		"hap_serve_fleet_proxied_total 0",
 		"hap_serve_fleet_replicated_in_total 0",
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("/metrics missing %q", want)
 		}
+	}
+}
+
+// TestMetricsSeriesNames pins the /metrics vocabulary of a fleet node: every
+// series, with its type, in exposition order. Configuration is not echoed as
+// a series (the protocol version is on /healthz), so nothing here restates a
+// flag. A series is added or removed in this list on purpose.
+func TestMetricsSeriesNames(t *testing.T) {
+	fl, err := fleet.New(fleet.Config{Self: "http://self:1", Peers: []string{"http://peer:1"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := New(Config{Fleet: fl})
+	defer s.Close()
+	srv := httptest.NewServer(s.Handler())
+	defer srv.Close()
+
+	resp, err := http.Get(srv.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	raw, _ := io.ReadAll(resp.Body)
+	var got []string
+	for _, line := range strings.Split(string(raw), "\n") {
+		if typ, ok := strings.CutPrefix(line, "# TYPE "); ok {
+			got = append(got, typ)
+		}
+	}
+	want := []string{
+		"hap_serve_requests_total counter",
+		"hap_serve_requests_by_endpoint_total counter",
+		"hap_serve_request_seconds histogram",
+		"hap_serve_synth_phase_seconds summary",
+		"hap_serve_slow_requests_total counter",
+		"hap_serve_debug_traces gauge",
+		"hap_serve_cache_hits_total counter",
+		"hap_serve_cache_misses_total counter",
+		"hap_serve_syntheses_total counter",
+		"hap_serve_synth_incremental_total counter",
+		"hap_serve_synth_seed_distance gauge",
+		"hap_serve_flight_shared_total counter",
+		"hap_serve_admission_shed_total counter",
+		"hap_serve_inflight_synth gauge",
+		"hap_serve_errors_total counter",
+		"hap_serve_cache_evictions_total counter",
+		"hap_serve_cache_entries gauge",
+		"hap_serve_cache_bytes gauge",
+		"hap_serve_cache_restored gauge",
+		"hap_serve_telemetry_reports_total counter",
+		"hap_serve_telemetry_rejects_total counter",
+		"hap_serve_replans_total counter",
+		"hap_serve_replans_unchanged_total counter",
+		"hap_serve_replan_errors_total counter",
+		"hap_serve_telemetry_monitors gauge",
+		"hap_serve_cluster_drift_max gauge",
+		"hap_serve_cluster_drift gauge",
+		"hap_serve_fleet_peers gauge",
+		"hap_serve_fleet_peers_down gauge",
+		"hap_serve_fleet_membership_reloads_total counter",
+		"hap_serve_fleet_proxied_total counter",
+		"hap_serve_fleet_proxy_errors_total counter",
+		"hap_serve_fleet_local_fallbacks_total counter",
+		"hap_serve_fleet_forwarded_served_total counter",
+		"hap_serve_fleet_replicated_out_total counter",
+		"hap_serve_fleet_replicate_errors_total counter",
+		"hap_serve_fleet_replicated_in_total counter",
+		"hap_serve_fleet_warmup_entries_total counter",
+	}
+	if !slices.Equal(got, want) {
+		t.Errorf("/metrics series:\n got %q\nwant %q", got, want)
 	}
 }

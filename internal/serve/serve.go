@@ -70,7 +70,7 @@ import (
 )
 
 // ProtocolVersion names the serve wire protocol implemented by this build,
-// reported by /healthz and /metrics.
+// reported by /healthz.
 const ProtocolVersion = "v2"
 
 // BinaryPlanContentType is the media type of the compact binary plan
@@ -96,7 +96,6 @@ const (
 // Defaults for Config zero values.
 const (
 	DefaultMaxCacheEntries = 1024
-	DefaultMaxCacheBytes   = 256 << 20 // plans are ~100 KB at model scale
 	DefaultMaxRequestBytes = 64 << 20
 	// DefaultSynthTimeBudget bounds one request's synthesis wall-clock time
 	// (the whole Q↔B loop, not just one search) so a single adversarial
@@ -104,18 +103,21 @@ const (
 	// expansion limits bound memory, not time. An expired budget serves the
 	// best plan the loop found, or fails the request when none completed.
 	DefaultSynthTimeBudget = 60 * time.Second
-	// DefaultShedRetryAfter is the Retry-After hint on admission-shed 429
-	// responses: long enough for a synthesis slot to plausibly free, short
-	// enough that a warm retry is cheap.
-	DefaultShedRetryAfter = time.Second
 )
+
+// maxCacheBytes caps the total bytes of cached plans. Plans are ~100 KB at
+// model scale, so the entry cap binds first.
+const maxCacheBytes = 256 << 20
+
+// shedRetryAfter is the Retry-After hint, in seconds, on admission-shed 429
+// responses: long enough for a synthesis slot to plausibly free, short enough
+// that a warm retry is cheap.
+const shedRetryAfter = "1"
 
 // Config tunes a Server.
 type Config struct {
 	// MaxCacheEntries caps the number of cached plans (0 = default).
 	MaxCacheEntries int
-	// MaxCacheBytes caps the total bytes of cached plans (0 = default).
-	MaxCacheBytes int64
 	// MaxRequestBytes caps the accepted request body size (0 = default).
 	MaxRequestBytes int64
 	// SynthTimeBudget bounds each request's synthesis wall-clock time
@@ -138,15 +140,6 @@ type Config struct {
 	// does not grow unbounded under a slowly-rotating working set
 	// (0 = never expire).
 	CacheTTL time.Duration
-	// DriftThreshold is the cluster drift (cluster.Distance between a spec
-	// and its telemetry-materialized live view) past which cached plans for
-	// that spec replan in the background (0 = DefaultDriftThreshold;
-	// negative = replanning disabled, telemetry still ingested).
-	DriftThreshold float64
-	// TelemetryWindow is the staleness horizon of probe estimates: an
-	// estimate with no sample newer than this reverts to the spec value
-	// (0 = the telemetry package default, 5 minutes).
-	TelemetryWindow time.Duration
 	// MaxInflightSynth bounds the number of concurrently executing local
 	// syntheses (0 = unlimited). When every slot is busy, cache misses that
 	// would start a new synthesis are shed with 429 Too Many Requests and a
@@ -157,9 +150,6 @@ type Config struct {
 	// expensive step, and N unbounded concurrent searches is the only way
 	// this process OOMs.
 	MaxInflightSynth int
-	// ShedRetryAfter is the Retry-After hint on shed responses
-	// (0 = DefaultShedRetryAfter).
-	ShedRetryAfter time.Duration
 	// DisableSeeding turns off incremental synthesis (the -no-seed flag):
 	// cache misses always synthesize cold instead of seeding their search
 	// from the nearest similar cached plan, and drift replans stop reusing
@@ -286,7 +276,6 @@ func (o *RequestOptions) UnmarshalJSON(b []byte) error {
 
 // Stats is the GET /stats payload.
 type Stats struct {
-	Protocol    string `json:"protocol"`     // wire protocol version
 	Requests    uint64 `json:"requests"`     // plan requests, all endpoints
 	CacheHits   uint64 `json:"cache_hits"`   // served straight from cache
 	CacheMisses uint64 `json:"cache_misses"` // required (or joined) a synthesis
@@ -299,16 +288,14 @@ type Stats struct {
 	FlightShared      uint64  `json:"flight_shared"` // misses that joined an in-flight synthesis
 	// AdmissionShed counts misses shed with 429 by the synthesis admission
 	// gate; InflightSynth is the number of currently executing local
-	// syntheses; MaxInflightSynth echoes the configured cap (0 = unlimited).
-	AdmissionShed    uint64  `json:"admission_shed"`
-	InflightSynth    int64   `json:"inflight_synth"`
-	MaxInflightSynth int     `json:"max_inflight_synth"`
-	Errors           uint64  `json:"errors"`          // requests answered with an error status
-	CacheEntries     int     `json:"cache_entries"`   // plans currently cached
-	CacheBytes       int64   `json:"cache_bytes"`     // bytes currently cached
-	CacheEvictions   uint64  `json:"cache_evictions"` // plans evicted by the LRU caps or the TTL sweep
-	CacheRestored    int     `json:"cache_restored"`  // plans reloaded from CacheDir on boot
-	UptimeSeconds    float64 `json:"uptime_seconds"`
+	// syntheses.
+	AdmissionShed  uint64 `json:"admission_shed"`
+	InflightSynth  int64  `json:"inflight_synth"`
+	Errors         uint64 `json:"errors"`          // requests answered with an error status
+	CacheEntries   int    `json:"cache_entries"`   // plans currently cached
+	CacheBytes     int64  `json:"cache_bytes"`     // bytes currently cached
+	CacheEvictions uint64 `json:"cache_evictions"` // plans evicted by the LRU caps or the TTL sweep
+	CacheRestored  int    `json:"cache_restored"`  // plans reloaded from CacheDir on boot
 	// RequestsByEndpoint breaks Requests down by wire endpoint
 	// (v1, v1_batch).
 	RequestsByEndpoint map[string]uint64 `json:"requests_by_endpoint"`
@@ -325,7 +312,6 @@ type Server struct {
 	store  *memDiskStore
 	memo   *bodyMemo // raw-body hash → cache key (memo.go)
 	flight flightGroup
-	start  time.Time
 
 	latency map[string]*histogram // per-endpoint request latency
 
@@ -391,20 +377,11 @@ func New(cfg Config) *Server {
 	if cfg.MaxCacheEntries <= 0 {
 		cfg.MaxCacheEntries = DefaultMaxCacheEntries
 	}
-	if cfg.MaxCacheBytes <= 0 {
-		cfg.MaxCacheBytes = DefaultMaxCacheBytes
-	}
 	if cfg.MaxRequestBytes <= 0 {
 		cfg.MaxRequestBytes = DefaultMaxRequestBytes
 	}
 	if cfg.SynthTimeBudget == 0 {
 		cfg.SynthTimeBudget = DefaultSynthTimeBudget
-	}
-	if cfg.ShedRetryAfter <= 0 {
-		cfg.ShedRetryAfter = DefaultShedRetryAfter
-	}
-	if cfg.DriftThreshold == 0 {
-		cfg.DriftThreshold = DefaultDriftThreshold
 	}
 	if cfg.Synthesize == nil {
 		cfg.Synthesize = func(ctx context.Context, g *graph.Graph, c *cluster.Cluster, opt hap.Options) (*hap.Plan, error) {
@@ -429,9 +406,8 @@ func New(cfg Config) *Server {
 	}
 	s := &Server{
 		cfg:    cfg,
-		store:  newMemDiskStore(cfg.MaxCacheEntries, cfg.MaxCacheBytes, persist, cfg.CacheTTL),
+		store:  newMemDiskStore(cfg.MaxCacheEntries, maxCacheBytes, persist, cfg.CacheTTL),
 		memo:   newBodyMemo(cfg.MaxCacheEntries),
-		start:  time.Now(),
 		logger: logger,
 		latency: map[string]*histogram{
 			EndpointV1:      newHistogram(),
@@ -521,7 +497,6 @@ func (s *Server) Handler() http.Handler {
 func (s *Server) Stats() Stats {
 	ss := s.store.Stats()
 	return Stats{
-		Protocol:          ProtocolVersion,
 		Requests:          s.requests.Load(),
 		CacheHits:         s.hits.Load(),
 		CacheMisses:       s.misses.Load(),
@@ -531,13 +506,11 @@ func (s *Server) Stats() Stats {
 		FlightShared:      s.flightShared.Load(),
 		AdmissionShed:     s.admissionShed.Load(),
 		InflightSynth:     s.inflightSynth.Load(),
-		MaxInflightSynth:  s.cfg.MaxInflightSynth,
 		Errors:            s.errors.Load(),
 		CacheEntries:      ss.Entries,
 		CacheBytes:        ss.Bytes,
 		CacheEvictions:    ss.Evictions,
 		CacheRestored:     ss.Restored,
-		UptimeSeconds:     time.Since(s.start).Seconds(),
 		RequestsByEndpoint: map[string]uint64{
 			EndpointV1:      s.epV1.Load(),
 			EndpointV1Batch: s.epV1Batch.Load(),
@@ -614,11 +587,7 @@ func (s *Server) acquireSynth() (release func(), ok bool) {
 func (s *Server) failSynthesis(w http.ResponseWriter, err error) {
 	switch {
 	case errors.Is(err, errOverloaded):
-		secs := int(math.Ceil(s.cfg.ShedRetryAfter.Seconds()))
-		if secs < 1 {
-			secs = 1
-		}
-		w.Header().Set("Retry-After", strconv.Itoa(secs))
+		w.Header().Set("Retry-After", shedRetryAfter)
 		s.fail(w, http.StatusTooManyRequests, CodeOverloaded, "overloaded: %v", err)
 	case errors.Is(err, context.Canceled):
 		s.fail(w, 499, CodeCanceled, "synthesis failed: %v", err)

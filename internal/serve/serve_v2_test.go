@@ -536,7 +536,6 @@ func TestMetricsV2(t *testing.T) {
 	}
 	metrics := string(readAll(t, mresp))
 	for _, want := range []string{
-		`hap_serve_protocol_info{version="v2"} 1`,
 		`hap_serve_requests_by_endpoint_total{endpoint="v1"} 2`,
 		`hap_serve_requests_by_endpoint_total{endpoint="v1_batch"} 0`,
 		"hap_serve_requests_total 2",

@@ -8,7 +8,7 @@
 //
 // Each report feeds a telemetry.Monitor keyed by the spec cluster's
 // fingerprint (EWMA-smoothed, windowed — see internal/telemetry). When the
-// materialized live view drifts past Config.DriftThreshold, every cached
+// materialized live view drifts past driftThreshold, every cached
 // entry synthesized against that spec is replanned in the background against
 // the drifted cluster. The old plan keeps serving — same key, same ETag —
 // until the replacement synthesizes AND verifies (hap.Verify executes the
@@ -17,10 +17,6 @@
 // stops answering 304 and delivers the new plan. A replan that lands on
 // byte-identical output is not swapped at all, so warm clients' tags stay
 // valid across no-op replans.
-//
-// The same report body can be polled from disk (-telemetry-file), mirroring
-// the -peers-file pattern: an external probe agent appends measurements to a
-// file and the daemon picks them up on size-or-mtime change.
 
 package serve
 
@@ -31,9 +27,7 @@ import (
 	"fmt"
 	"math"
 	"net/http"
-	"os"
 	"sync"
-	"time"
 
 	"hap"
 	"hap/internal/cluster"
@@ -43,18 +37,17 @@ import (
 	"hap/internal/telemetry"
 )
 
-// DefaultDriftThreshold is the drift past which cached plans replan: 10%
-// relative change in any measured quantity. Below it a replan would mostly
-// reshuffle within cost-model noise; above it the paper's load-balancing
-// gains are being left on the table.
-const DefaultDriftThreshold = 0.10
+// driftThreshold is the drift past which cached plans replan: 10% relative
+// change in any measured quantity. Below it a replan would mostly reshuffle
+// within cost-model noise; above it the paper's load-balancing gains are
+// being left on the table.
+const driftThreshold = 0.10
 
 // replanVerifySeed seeds the hap.Verify run that gates every replan swap.
 const replanVerifySeed = 7
 
-// TelemetryRequest is the body of POST /v1/telemetry and one entry of the
-// -telemetry-file format: the spec cluster the samples measure (identifying
-// the monitor) plus the probe batch.
+// TelemetryRequest is the body of POST /v1/telemetry: the spec cluster the
+// samples measure (identifying the monitor) plus the probe batch.
 type TelemetryRequest struct {
 	Cluster json.RawMessage          `json:"cluster"`
 	Links   []telemetry.LinkSample   `json:"links,omitempty"`
@@ -187,7 +180,7 @@ func (s *Server) monitorFor(spec *cluster.Cluster) (*telemetry.Monitor, string, 
 	if m, ok := t.monitors[fp]; ok {
 		return m, fp, nil
 	}
-	m, err := telemetry.New(spec, telemetry.Config{Window: s.cfg.TelemetryWindow})
+	m, err := telemetry.New(spec, telemetry.Config{})
 	if err != nil {
 		return nil, fp, err
 	}
@@ -216,8 +209,7 @@ func (s *Server) handleTelemetry(w http.ResponseWriter, r *http.Request) {
 }
 
 // ingestTelemetry folds one report into its monitor and, past the drift
-// threshold, kicks off background replans. Shared by the HTTP endpoint and
-// the -telemetry-file poller.
+// threshold, kicks off background replans.
 func (s *Server) ingestTelemetry(req TelemetryRequest) (TelemetryResponse, error) {
 	spec, err := cluster.Decode(bytes.NewReader(req.Cluster))
 	if err != nil {
@@ -241,7 +233,7 @@ func (s *Server) ingestTelemetry(req TelemetryRequest) (TelemetryResponse, error
 	resp := TelemetryResponse{
 		Cluster:  fp,
 		Distance: jsonSafeDrift(dist),
-		Drifted:  s.cfg.DriftThreshold > 0 && dist > s.cfg.DriftThreshold,
+		Drifted:  dist > driftThreshold,
 		Samples:  mon.Samples(),
 	}
 	if resp.Drifted {
@@ -378,69 +370,6 @@ func (s *Server) replanOne(ctx context.Context, root *obs.Span, key string, src 
 	// like a fresh synthesis.
 	s.commitPlan(root, key, src, v)
 	return true, nil
-}
-
-// StartTelemetryFile polls path every interval and feeds its contents through
-// the same ingestion path as POST /v1/telemetry, mirroring the -peers-file
-// pattern for environments where the probe agent writes a file instead of
-// speaking HTTP. The file holds one TelemetryRequest JSON object, or a JSON
-// array of them. Reloads trigger on size-or-mtime change (same rationale as
-// the membership poller: mtime granularity alone misses rapid rewrites); the
-// file is also applied once at start. Returns a stop function.
-func (s *Server) StartTelemetryFile(path string, interval time.Duration) func() {
-	if interval <= 0 {
-		interval = 5 * time.Second
-	}
-	stop := make(chan struct{})
-	var lastMtime time.Time
-	var lastSize int64
-	apply := func() {
-		info, err := os.Stat(path)
-		if err != nil {
-			return // absent file: the probe agent has not written yet
-		}
-		if info.ModTime() == lastMtime && info.Size() == lastSize {
-			return
-		}
-		data, err := os.ReadFile(path)
-		if err != nil {
-			return
-		}
-		lastMtime, lastSize = info.ModTime(), info.Size()
-		for _, req := range decodeTelemetryFile(data) {
-			if _, err := s.ingestTelemetry(req); err != nil {
-				s.logger.Warn("telemetry file rejected", "path", path, "error", err)
-			}
-		}
-	}
-	apply()
-	go func() {
-		ticker := time.NewTicker(interval)
-		defer ticker.Stop()
-		for {
-			select {
-			case <-stop:
-				return
-			case <-ticker.C:
-				apply()
-			}
-		}
-	}()
-	return func() { close(stop) }
-}
-
-// decodeTelemetryFile parses a telemetry file: a JSON array of reports or a
-// single report object. Malformed content decodes to nothing.
-func decodeTelemetryFile(data []byte) []TelemetryRequest {
-	var many []TelemetryRequest
-	if err := json.Unmarshal(data, &many); err == nil {
-		return many
-	}
-	var one TelemetryRequest
-	if err := json.Unmarshal(data, &one); err == nil && len(one.Cluster) > 0 {
-		return []TelemetryRequest{one}
-	}
-	return nil
 }
 
 // telemetryStats assembles the /stats telemetry slice. Always non-nil: the

@@ -1,8 +1,7 @@
 // Tests for the telemetry layer: drift verdicts over the wire, the
 // background-replan swap discipline (old plan + old ETag until the
 // replacement verifies, then a version bump and a new tag), plan versioning
-// through the store, the telemetry file poller, and the metrics exposition
-// of the replanning counters.
+// through the store, and the metrics exposition of the replanning counters.
 
 package serve
 
@@ -14,8 +13,6 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"os"
-	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -339,60 +336,6 @@ func TestTelemetryReplanFailureKeepsOldPlan(t *testing.T) {
 	}
 	if st := getStats(t, srv.URL); st.Telemetry.Replans != 0 {
 		t.Errorf("failed replan counted as a success: replans=%d", st.Telemetry.Replans)
-	}
-}
-
-// TestTelemetryFilePoller: reports land from a polled file, reload on
-// rewrite, and skip unchanged content.
-func TestTelemetryFilePoller(t *testing.T) {
-	s := New(Config{})
-	defer s.Close()
-	srv := httptest.NewServer(s.Handler())
-	defer srv.Close()
-	c := testCluster()
-
-	path := filepath.Join(t.TempDir(), "telemetry.json")
-	write := func(tflops float64) {
-		t.Helper()
-		var cb bytes.Buffer
-		if err := c.Encode(&cb); err != nil {
-			t.Fatal(err)
-		}
-		report, err := json.Marshal(TelemetryRequest{
-			Cluster: cb.Bytes(),
-			Devices: []telemetry.DeviceSample{{Device: 0, TFLOPS: tflops}},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, report, 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	write(achievedTFLOPS(c, 0))
-
-	stop := s.StartTelemetryFile(path, 20*time.Millisecond)
-	defer stop()
-
-	waitReports := func(want uint64) {
-		t.Helper()
-		deadline := time.Now().Add(10 * time.Second)
-		for getStats(t, srv.URL).Telemetry.Reports < want {
-			if time.Now().After(deadline) {
-				t.Fatalf("file poller never reached %d reports (at %d)", want, getStats(t, srv.URL).Telemetry.Reports)
-			}
-			time.Sleep(10 * time.Millisecond)
-		}
-	}
-	waitReports(1) // initial load applies without waiting for a tick
-
-	write(achievedTFLOPS(c, 0) * 0.9)
-	waitReports(2) // rewrite detected by the size-or-mtime poll
-
-	// Unchanged file: give the poller a few ticks and assert no re-ingest.
-	time.Sleep(100 * time.Millisecond)
-	if n := getStats(t, srv.URL).Telemetry.Reports; n != 2 {
-		t.Errorf("unchanged file re-ingested: %d reports, want 2", n)
 	}
 }
 

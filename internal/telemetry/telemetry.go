@@ -33,15 +33,14 @@ import (
 	"hap/internal/cluster"
 )
 
-// Defaults for Config zero values.
 const (
-	// DefaultAlpha is the EWMA smoothing factor: each sample contributes
-	// 30%, so three to four consistent samples move the estimate most of the
-	// way while a single outlier moves it less than halfway.
-	DefaultAlpha = 0.3
-	// DefaultWindow is the staleness horizon: an estimate with no sample
-	// newer than this reverts to the spec value.
-	DefaultWindow = 5 * time.Minute
+	// alpha is the EWMA smoothing factor: each sample contributes 30%, so
+	// three to four consistent samples move the estimate most of the way
+	// while a single outlier moves it less than halfway.
+	alpha = 0.3
+	// window is the staleness horizon: an estimate with no sample newer than
+	// this reverts to the spec value.
+	window = 5 * time.Minute
 )
 
 // LinkSample is one measured link: bandwidth and/or latency between two
@@ -62,8 +61,8 @@ type DeviceSample struct {
 	TFLOPS float64 `json:"tflops"` // achieved dense TFLOPS of the whole virtual device
 }
 
-// Report is one probe batch — the body of POST /v1/telemetry and the
-// -telemetry-file format (wrapped with the cluster spec, see serve).
+// Report is one probe batch — the body of POST /v1/telemetry (wrapped with
+// the cluster spec, see serve).
 type Report struct {
 	Links   []LinkSample   `json:"links,omitempty"`
 	Devices []DeviceSample `json:"devices,omitempty"`
@@ -71,11 +70,6 @@ type Report struct {
 
 // Config tunes a Monitor.
 type Config struct {
-	// Alpha is the EWMA smoothing factor in (0, 1] (0 = DefaultAlpha).
-	Alpha float64
-	// Window is the staleness horizon (0 = DefaultWindow; negative = never
-	// expire).
-	Window time.Duration
 	// Now overrides the clock, for tests (nil = time.Now).
 	Now func() time.Time
 }
@@ -90,8 +84,8 @@ type estimate struct {
 // observe folds one sample in. A sample landing after the window expired
 // restarts the estimate from the sample — blending a fresh measurement into
 // a spec value the window already declared stale would just slow convergence.
-func (e *estimate) observe(v float64, alpha float64, window time.Duration, now time.Time) {
-	if e.n == 0 || (window > 0 && now.Sub(e.last) > window) {
+func (e *estimate) observe(v float64, now time.Time) {
+	if e.n == 0 || now.Sub(e.last) > window {
 		e.val = v
 	} else {
 		e.val = alpha*v + (1-alpha)*e.val
@@ -102,8 +96,8 @@ func (e *estimate) observe(v float64, alpha float64, window time.Duration, now t
 
 // current returns the estimate, or (spec, false) when no live sample exists
 // within the window.
-func (e *estimate) current(spec float64, window time.Duration, now time.Time) (float64, bool) {
-	if e.n == 0 || (window > 0 && now.Sub(e.last) > window) {
+func (e *estimate) current(spec float64, now time.Time) (float64, bool) {
+	if e.n == 0 || now.Sub(e.last) > window {
 		return spec, false
 	}
 	return e.val, true
@@ -138,15 +132,6 @@ type Monitor struct {
 func New(spec *cluster.Cluster, cfg Config) (*Monitor, error) {
 	if spec == nil || len(spec.Devices) == 0 {
 		return nil, fmt.Errorf("telemetry: monitor needs a non-empty spec cluster")
-	}
-	if cfg.Alpha == 0 {
-		cfg.Alpha = DefaultAlpha
-	}
-	if cfg.Alpha < 0 || cfg.Alpha > 1 {
-		return nil, fmt.Errorf("telemetry: alpha %v outside (0, 1]", cfg.Alpha)
-	}
-	if cfg.Window == 0 {
-		cfg.Window = DefaultWindow
 	}
 	if cfg.Now == nil {
 		cfg.Now = time.Now
@@ -196,11 +181,11 @@ func (m *Monitor) Ingest(r Report) error {
 			bw, lat = &m.intraBW, &m.intraLat
 		}
 		if l.Bandwidth > 0 {
-			bw.observe(l.Bandwidth, m.cfg.Alpha, m.cfg.Window, now)
+			bw.observe(l.Bandwidth, now)
 			m.samples++
 		}
 		if l.Latency > 0 {
-			lat.observe(l.Latency, m.cfg.Alpha, m.cfg.Window, now)
+			lat.observe(l.Latency, now)
 			m.samples++
 		}
 	}
@@ -216,7 +201,7 @@ func (m *Monitor) Ingest(r Report) error {
 				ds.est.n = 0
 				ds.down = false
 			}
-			ds.est.observe(d.TFLOPS*1e12, m.cfg.Alpha, m.cfg.Window, now)
+			ds.est.observe(d.TFLOPS*1e12, now)
 		}
 		m.samples++
 	}
@@ -234,13 +219,13 @@ func (m *Monitor) Cluster() *cluster.Cluster {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	out := &cluster.Cluster{Net: m.spec.Net}
-	out.Net.InterBW, _ = m.interBW.current(m.spec.Net.InterBW, m.cfg.Window, now)
-	out.Net.InterLatency, _ = m.interLat.current(m.spec.Net.InterLatency, m.cfg.Window, now)
-	out.Net.IntraBW, _ = m.intraBW.current(m.spec.Net.IntraBW, m.cfg.Window, now)
-	out.Net.IntraLatency, _ = m.intraLat.current(m.spec.Net.IntraLatency, m.cfg.Window, now)
+	out.Net.InterBW, _ = m.interBW.current(m.spec.Net.InterBW, now)
+	out.Net.InterLatency, _ = m.interLat.current(m.spec.Net.InterLatency, now)
+	out.Net.IntraBW, _ = m.intraBW.current(m.spec.Net.IntraBW, now)
+	out.Net.IntraLatency, _ = m.intraLat.current(m.spec.Net.IntraLatency, now)
 	for i, d := range m.spec.Devices {
 		ds := &m.devices[i]
-		fresh := m.cfg.Window <= 0 || now.Sub(ds.est.last) <= m.cfg.Window
+		fresh := now.Sub(ds.est.last) <= window
 		if ds.down && fresh {
 			continue // dropped out
 		}
