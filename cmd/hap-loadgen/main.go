@@ -22,8 +22,7 @@
 // -slo takes comma-separated assertions over the report (see internal/load:
 // "warm.p99<5ms,errors=0,hit_ratio>=0.9"); any violation makes the process
 // exit 1 after printing the verdicts — the CI gate. -report writes the full
-// machine-readable JSON report; benchcheck -serve-baseline re-evaluates
-// committed gates against the same file.
+// machine-readable JSON report, the artifact CI uploads.
 package main
 
 import (

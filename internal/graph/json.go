@@ -122,8 +122,8 @@ func Decode(r io.Reader) (*Graph, error) {
 			Kind:           kind,
 			Shape:          tensor.Shape(nj.Shape),
 			Name:           nj.Name,
-			ScaleFactor:    nj.Scale,
-			FlopsPerSample: nj.FlopsPerSample,
+			ScaleFactor:    positiveZero(nj.Scale),
+			FlopsPerSample: positiveZero(nj.FlopsPerSample),
 			BatchDim:       bd,
 		}
 		for _, d := range node.Shape {
@@ -200,6 +200,16 @@ func Decode(r io.Reader) (*Graph, error) {
 		}
 	}
 	return g, nil
+}
+
+// positiveZero maps -0 to 0. The wire spells both, Encode omits either, and
+// Fingerprint hashes a float's bits: a kept sign would give one graph two
+// cache keys, one before and one after a round trip.
+func positiveZero(v float64) float64 {
+	if v == 0 {
+		return 0
+	}
+	return v
 }
 
 // inferableKinds are the op kinds inferShape has a rule for; for these a

@@ -58,7 +58,7 @@ func TestE2ESingleDaemon(t *testing.T) {
 		t.Errorf("miss = %d hit_ratio = %g after full warmup", rep.PlanMiss, rep.HitRatio)
 	}
 	// The in-process threshold is deliberately loose — race-mode CI shares
-	// cores with the daemon; the tight gates live in BENCH_serve.json.
+	// cores with the daemon; CI's load job gates real daemons tighter.
 	slo, err := load.ParseSLO("errors=0, hit_ratio>=0.99, warm.p99<2s")
 	if err != nil {
 		t.Fatal(err)

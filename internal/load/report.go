@@ -1,6 +1,6 @@
 // The loadgen report: per-class latency stats, cache-hit ratio, and the
-// error taxonomy, rendered as text for humans and JSON for the SLO gates
-// (benchcheck re-evaluates committed gates against the JSON artifact).
+// error taxonomy, rendered as text for humans and as JSON for the artifact
+// CI archives.
 
 package load
 

@@ -14,9 +14,7 @@
 //	warm.p99<5ms,hit_ratio>=0.8,shed>0
 //
 // hap-loadgen evaluates -slo after a run and exits non-zero on violation;
-// benchcheck evaluates the committed BENCH_serve.json gates against the
-// JSON report the same way — the parser and evaluator here are the single
-// source of truth for both.
+// CI's load job passes each profile's gate that way.
 
 package load
 

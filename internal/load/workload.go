@@ -1,8 +1,8 @@
 // Package load is the hap-serve load-generation harness: a deterministic
 // workload generator, closed- and open-loop drivers, a log-bucketed latency
 // histogram, and SLO assertions over the resulting report. cmd/hap-loadgen
-// is the CLI; CI runs it against a single daemon and a 3-node fleet with
-// the gates committed in BENCH_serve.json.
+// is the CLI; CI runs it against a single daemon and a 3-node fleet, each
+// profile gated by its -slo string in the workflow.
 //
 // The workload is a seeded corpus of (graph, cluster) pairs whose request
 // popularity is zipf-distributed — production plan traffic is not i.i.d.:

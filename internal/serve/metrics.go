@@ -159,7 +159,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		counter("hap_serve_replans_total", "Background replans that swapped a new plan into the cache.", ts.Replans)
 		counter("hap_serve_replans_unchanged_total", "Background replans whose output matched the cached plan byte-for-byte (no swap).", ts.ReplansUnchanged)
 		counter("hap_serve_replan_errors_total", "Background replans that failed to synthesize or verify.", ts.ReplanErrors)
-		gauge("hap_serve_telemetry_monitors", "Spec clusters with live telemetry monitors.", float64(ts.Monitors))
 		gauge("hap_serve_cluster_drift_max", "Largest current drift across monitored clusters.", ts.MaxDrift)
 		// Per-cluster drift, sorted by fingerprint for a stable exposition.
 		fmt.Fprintf(&b, "# HELP hap_serve_cluster_drift Current drift between a monitored spec cluster and its telemetry view.\n# TYPE hap_serve_cluster_drift gauge\n")

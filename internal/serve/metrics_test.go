@@ -188,7 +188,6 @@ func TestMetricsSeriesNames(t *testing.T) {
 		"hap_serve_replans_total counter",
 		"hap_serve_replans_unchanged_total counter",
 		"hap_serve_replan_errors_total counter",
-		"hap_serve_telemetry_monitors gauge",
 		"hap_serve_cluster_drift_max gauge",
 		"hap_serve_cluster_drift gauge",
 		"hap_serve_fleet_peers gauge",

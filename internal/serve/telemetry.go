@@ -78,8 +78,6 @@ type TelemetryStats struct {
 	// (unknown machine or device, malformed cluster).
 	Reports uint64 `json:"reports"`
 	Rejects uint64 `json:"rejects"`
-	// Monitors is how many spec clusters have live monitors.
-	Monitors int `json:"monitors"`
 	// Replans counts background replans that swapped a new plan in;
 	// ReplansUnchanged counts replans whose output was byte-identical to the
 	// cached plan (no swap, ETag untouched); ReplanErrors counts replans that
@@ -386,7 +384,6 @@ func (s *Server) telemetryStats() *TelemetryStats {
 	ts := &TelemetryStats{
 		Reports:          t.reports,
 		Rejects:          t.rejects,
-		Monitors:         len(t.monitors),
 		Replans:          t.replans,
 		ReplansUnchanged: t.replansUnchanged,
 		ReplanErrors:     t.replanErrors,

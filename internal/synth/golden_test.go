@@ -8,6 +8,7 @@ import (
 
 	"hap/internal/cluster"
 	"hap/internal/cost"
+	"hap/internal/dist"
 	"hap/internal/graph"
 	"hap/internal/models"
 	"hap/internal/theory"
@@ -40,6 +41,13 @@ var goldenPlans = map[string]goldenPlan{
 	"moe4/het8":  {"1709726f526dc27a", 7751, 12656},
 	"moe4/hom4":  {"bc223561bffd735e", 7748, 12942},
 }
+
+// goldenSeeded pins the warm near-miss search (seededInput): VGG19OneWider on
+// het8 seeded from the base VGG19's plan, in automatic mode. What it holds is
+// the narrow seeded beam: the same graph searched cold reads 6 185
+// expansions, so a seed that is dropped or falls back to cold, or a seeded
+// beam that widens, fails the row by its counts, not by a timing margin.
+var goldenSeeded = goldenPlan{"f6cfc2036783d828", 469, 487}
 
 // goldenInputs mirrors the benchmark's plan_cold models (bench/inputs.go) on
 // the paper's heterogeneous and homogeneous clusters.
@@ -79,14 +87,37 @@ func TestGoldenPlanIdentity(t *testing.T) {
 					if err != nil {
 						t.Fatalf("workers=%d: %v", workers, err)
 					}
-					h := fnv.New64a()
-					h.Write([]byte(p.String()))
-					got := goldenPlan{fmt.Sprintf("%016x", h.Sum64()), stats.Expansions, stats.Pushed}
+					got := pinOf(p, stats)
 					if want := goldenPlans[name]; got != want {
 						t.Errorf("workers=%d: plan moved: built\n\t%q: {%q, %d, %d},\npinned %+v", workers, name, got.hash, got.expansions, got.pushed, want)
 					}
 				}
 			})
+		}
+	}
+}
+
+// pinOf is a search's golden row.
+func pinOf(p *dist.Program, stats Stats) goldenPlan {
+	h := fnv.New64a()
+	h.Write([]byte(p.String()))
+	return goldenPlan{fmt.Sprintf("%016x", h.Sum64()), stats.Expansions, stats.Pushed}
+}
+
+// TestGoldenSeededPlan holds the seeded search to goldenSeeded at Workers 1
+// and 4, and to having consumed its seed.
+func TestGoldenSeededPlan(t *testing.T) {
+	in := newSeededInput(t)
+	for _, workers := range []int{1, 4} {
+		p, stats, err := in.search(workers)
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		if !stats.Seeded {
+			t.Errorf("workers=%d: the search did not consume its seed", workers)
+		}
+		if got := pinOf(p, stats); got != goldenSeeded {
+			t.Errorf("workers=%d: seeded plan moved: built {%q, %d, %d}, pinned %+v", workers, got.hash, got.expansions, got.pushed, goldenSeeded)
 		}
 	}
 }

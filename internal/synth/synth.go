@@ -92,7 +92,8 @@ const maxExpansions = 4_000_000
 // donor pins collapsing computation branching to one candidate per level,
 // the beam explores only communication timing; 4 states reproduce the donor
 // plan's quality on near-miss graphs at a fraction of the cold search's
-// work (about a tenth; benchcheck gates the same-run ratio).
+// work (VGG19OneWider: 469 expansions against 6 185 cold; TestGoldenSeededPlan
+// pins the count).
 const seededBeamWidth = 4
 
 // Stats reports search effort.
@@ -436,7 +437,7 @@ type Synthesizer struct {
 	// span is the tracing span covering this search, resolved once from the
 	// Run context. Nil when tracing is off — every use below is nil-safe, so
 	// the hot path pays a pointer check per beam level and nothing per
-	// candidate (guarded by the benchcheck allocs gate).
+	// candidate (guarded by TestSearchAllocationPin).
 	span *obs.Span
 	// totalFlopsPerSec is the admissible-heuristic denominator.
 	totalFlopsPerSec float64
