@@ -40,6 +40,7 @@ import (
 	"hap/internal/fingerprint"
 	"hap/internal/graph"
 	"hap/internal/obs"
+	"hap/internal/planwire"
 )
 
 // binaryPlanContentType mirrors serve.BinaryPlanContentType (the serve
@@ -291,7 +292,8 @@ func bindCopy(g *hap.Graph) *hap.Graph {
 func (c *Client) Synthesize(ctx context.Context, g *hap.Graph, cl *hap.Cluster, opt Options) (*hap.Plan, error) {
 	const path = "/v1/synthesize"
 	accept := c.accept()
-	key := fingerprint.PlanKey(graph.Fingerprint(g), cl.Fingerprint(), fingerprint.Options(opt))
+	fp := graph.Fingerprint(g)
+	key := fingerprint.PlanKey(fp, cl.Fingerprint(), fingerprint.Options(opt))
 	// With conditional fetch on, revalidate the remembered response instead
 	// of re-downloading it: send its tag, and resolve a 304 from the cache.
 	var cached condEntry
@@ -342,37 +344,37 @@ func (c *Client) Synthesize(ctx context.Context, g *hap.Graph, cl *hap.Cluster, 
 	defer resp.Body.Close()
 	if resp.StatusCode == http.StatusNotModified {
 		io.Copy(io.Discard, resp.Body)
-		return decodePlanStream(bytes.NewReader(cached.body), cached.binary, bindCopy(g))
-	}
-	binary := strings.HasPrefix(resp.Header.Get("Content-Type"), binaryPlanContentType)
-	if c.cond == nil {
-		return decodePlanStream(resp.Body, binary, bindCopy(g))
+		return decodePlan(cached.body, cached.binary, bindCopy(g), fp)
 	}
 	raw, err := io.ReadAll(resp.Body)
 	if err != nil {
 		return nil, fmt.Errorf("client: reading plan: %w", err)
 	}
-	if etag := resp.Header.Get("ETag"); etag != "" {
+	binary := strings.HasPrefix(resp.Header.Get("Content-Type"), binaryPlanContentType)
+	if etag := resp.Header.Get("ETag"); c.cond != nil && etag != "" {
 		c.cond.put(condKey, condEntry{etag: etag, body: raw, binary: binary})
 	}
-	return decodePlanStream(bytes.NewReader(raw), binary, bindCopy(g))
+	return decodePlan(raw, binary, bindCopy(g), fp)
 }
 
-// decodePlanStream decodes a plan from r in the negotiated encoding, binding
-// it to g.
-func decodePlanStream(r io.Reader, binary bool, g *hap.Graph) (*hap.Plan, error) {
+// decodePlan decodes a plan body in the negotiated encoding, binding it to
+// g. fp is graph.Fingerprint(g), hashed once per call for the cache key: the
+// plan→graph binding check reuses it while the plan's segment assignment is
+// the one g carried when hashed, and hashes g afresh otherwise (a segmented
+// plan for an unsegmented request).
+func decodePlan(body []byte, binary bool, g *hap.Graph, fp string) (*hap.Plan, error) {
 	if binary {
-		plan, err := hap.ReadProgramBinary(r, g)
+		prog, ratios, cost, err := planwire.ReadBinary(body, g, fp)
 		if err != nil {
 			return nil, fmt.Errorf("client: decoding binary plan: %w", err)
 		}
-		return plan, nil
+		return &hap.Plan{Program: prog, Ratios: ratios, Cost: cost}, nil
 	}
-	plan, err := hap.ReadProgram(r, g)
+	prog, ratios, cost, err := planwire.ReadJSON(bytes.NewReader(body), g, fp)
 	if err != nil {
 		return nil, fmt.Errorf("client: decoding plan: %w", err)
 	}
-	return plan, nil
+	return &hap.Plan{Program: prog, Ratios: ratios, Cost: cost}, nil
 }
 
 // SynthesizeBatch plans g against every cluster in one request — one upload
@@ -413,12 +415,13 @@ func (c *Client) SynthesizeBatch(ctx context.Context, g *hap.Graph, clusters []*
 		return nil, fmt.Errorf("client: server returned %d plans for %d clusters", len(br.Plans), len(clusters))
 	}
 	plans := make([]*hap.Plan, len(br.Plans))
+	fp := graph.Fingerprint(g)
 	for i, bp := range br.Plans {
 		body, binary := []byte(bp.Plan), false
 		if len(bp.Bin) > 0 {
 			body, binary = bp.Bin, true
 		}
-		if plans[i], err = decodePlanStream(bytes.NewReader(body), binary, bindCopy(g)); err != nil {
+		if plans[i], err = decodePlan(body, binary, bindCopy(g), fp); err != nil {
 			return nil, fmt.Errorf("client: plan %d: %w", i, err)
 		}
 	}

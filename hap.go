@@ -30,15 +30,14 @@ package hap
 import (
 	"bytes"
 	"encoding/json"
-	"fmt"
 	"io"
-	"math"
 	"time"
 
 	"hap/internal/autodiff"
 	"hap/internal/cluster"
 	"hap/internal/dist"
 	"hap/internal/graph"
+	"hap/internal/planwire"
 	"hap/internal/runtime"
 	"hap/internal/sim"
 )
@@ -151,17 +150,6 @@ type Plan struct {
 	SeedDistance float64
 }
 
-// planJSON is the serialized form of a Plan. The graph travels separately:
-// ReadProgram re-binds the program to a caller-provided graph. SegmentOf is
-// carried because planning with Segments > 1 assigns it internally — a fresh
-// process rebuilding the model graph has no way to reproduce it.
-type planJSON struct {
-	Program   json.RawMessage `json:"program"`
-	Ratios    [][]float64     `json:"ratios"`
-	SegmentOf []int           `json:"segment_of,omitempty"`
-	Cost      float64         `json:"cost"`
-}
-
 // WriteProgram serializes the plan — the SPMD program, the sharding ratios,
 // and the modeled cost — as JSON, so plans can be exported, diffed, and
 // re-loaded without re-running synthesis.
@@ -172,7 +160,7 @@ func (p *Plan) WriteProgram(w io.Writer) error {
 	}
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
-	return enc.Encode(planJSON{
+	return enc.Encode(planwire.JSON{
 		Program:   buf.Bytes(),
 		Ratios:    p.Ratios,
 		SegmentOf: p.Program.Graph.SegmentOf,
@@ -184,62 +172,14 @@ func (p *Plan) WriteProgram(w io.Writer) error {
 // to g (which must be the graph the plan was synthesized for) and validating
 // it structurally. The plan's segment assignment is adopted onto g, so plans
 // produced with Options.Segments > 1 re-load against a freshly built graph.
+// A failed ReadProgram leaves g as it was: a plan already bound to g would
+// otherwise index its ratio rows with a stale assignment.
 func ReadProgram(r io.Reader, g *Graph) (*Plan, error) {
-	var pj planJSON
-	if err := json.NewDecoder(r).Decode(&pj); err != nil {
-		return nil, fmt.Errorf("hap: read plan: %w", err)
-	}
-	if len(pj.Program) == 0 {
-		return nil, fmt.Errorf("hap: read plan: input has no %q section (not written by Plan.WriteProgram?)", "program")
-	}
-	if len(pj.SegmentOf) != 0 && len(pj.SegmentOf) != g.NumNodes() {
-		return nil, fmt.Errorf("hap: read plan: segment assignment covers %d nodes, the graph has %d", len(pj.SegmentOf), g.NumNodes())
-	}
-	// Adopt the plan's segment assignment only if the whole load succeeds: a
-	// failed ReadProgram must not leave the caller's graph mutated (a plan
-	// already bound to g would then index ratio rows with a stale assignment).
-	prevSegments := g.SegmentOf
-	g.SegmentOf = pj.SegmentOf
-	prog, err := dist.Decode(bytes.NewReader(pj.Program), g)
+	prog, ratios, cost, err := planwire.ReadJSON(r, g, "")
 	if err != nil {
-		g.SegmentOf = prevSegments
-		return nil, fmt.Errorf("hap: read plan: %w", err)
+		return nil, err
 	}
-	if err := validateRatios(pj.Ratios, g.NumSegments()); err != nil {
-		g.SegmentOf = prevSegments
-		return nil, fmt.Errorf("hap: read plan: %w", err)
-	}
-	return &Plan{Program: prog, Ratios: pj.Ratios, Cost: pj.Cost}, nil
-}
-
-// validateRatios rejects sharding-ratio matrices that would crash or
-// silently corrupt Verify/Simulate: the plan must carry one row per model
-// segment, rectangular and non-empty, with non-negative finite entries
-// summing to 1 per row.
-func validateRatios(b [][]float64, segments int) error {
-	if len(b) != segments {
-		return fmt.Errorf("ratios have %d segments, the graph has %d", len(b), segments)
-	}
-	m := 0
-	for k, row := range b {
-		if k == 0 {
-			m = len(row)
-		}
-		if len(row) == 0 || len(row) != m {
-			return fmt.Errorf("ratios row %d has %d devices, want %d", k, len(row), m)
-		}
-		sum := 0.0
-		for j, v := range row {
-			if v < 0 || math.IsNaN(v) || math.IsInf(v, 0) {
-				return fmt.Errorf("ratios[%d][%d] = %v is not a valid ratio", k, j, v)
-			}
-			sum += v
-		}
-		if math.Abs(sum-1) > 1e-6 {
-			return fmt.Errorf("ratios row %d sums to %v, want 1", k, sum)
-		}
-	}
-	return nil
+	return &Plan{Program: prog, Ratios: ratios, Cost: cost}, nil
 }
 
 // Verify numerically checks that the plan's program is semantically

@@ -45,16 +45,21 @@ func (k Kind) String() string {
 	return fmt.Sprintf("collective(%d)", int(k))
 }
 
+// kindByName is kindNames reversed, for ParseKind.
+var kindByName = func() map[string]Kind {
+	m := make(map[string]Kind, len(kindNames))
+	for k, n := range kindNames {
+		m[n] = k
+	}
+	return m
+}()
+
 // ParseKind returns the collective kind with the given name (as produced by
 // Kind.String). Serialized programs store kinds by name so the format
 // survives enum renumbering.
 func ParseKind(name string) (Kind, bool) {
-	for k, n := range kindNames {
-		if n == name {
-			return k, true
-		}
-	}
-	return 0, false
+	k, ok := kindByName[name]
+	return k, ok
 }
 
 // MaxRatio returns the largest sharding ratio — the padded-collective

@@ -26,6 +26,7 @@ package dist
 import (
 	"bufio"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 
@@ -122,104 +123,147 @@ func (p *Program) EncodeBinary(w io.Writer) error {
 
 // DecodeBinary reads a program written by EncodeBinary, binds it to g, and
 // validates it — mirroring Decode's checks: version, node count, and the
-// structural graph fingerprint.
+// structural graph fingerprint. Bytes after the program are ignored.
 func DecodeBinary(r io.Reader, g *graph.Graph) (*Program, error) {
+	data, err := readAll(r)
+	if err != nil {
+		return nil, fmt.Errorf("dist: decode binary: reading program: %w", err)
+	}
+	return DecodeBinaryWithFingerprint(data, g, "")
+}
+
+// readAll is io.ReadAll in one allocation when r knows how much is left
+// (bytes.Reader, bytes.Buffer, strings.Reader).
+func readAll(r io.Reader) ([]byte, error) {
+	if l, ok := r.(interface{ Len() int }); ok {
+		data := make([]byte, l.Len())
+		_, err := io.ReadFull(r, data)
+		return data, err
+	}
+	return io.ReadAll(r)
+}
+
+// errVarintOverflow reports a varint longer than 64 bits.
+var errVarintOverflow = errors.New("varint overflows 64 bits")
+
+// binReader walks a binary program held in memory.
+type binReader struct{ b []byte }
+
+func (r *binReader) byte() (byte, error) {
+	if len(r.b) == 0 {
+		return 0, io.ErrUnexpectedEOF
+	}
+	c := r.b[0]
+	r.b = r.b[1:]
+	return c, nil
+}
+
+func (r *binReader) uvarint() (uint64, error) {
+	v, n := binary.Uvarint(r.b)
+	switch {
+	case n > 0:
+		r.b = r.b[n:]
+		return v, nil
+	case n == 0:
+		return 0, io.ErrUnexpectedEOF
+	default:
+		return 0, errVarintOverflow
+	}
+}
+
+// str reads a length-prefixed string as a view of the payload. limit guards
+// the length prefix, so a corrupt stream fails on the prefix, not the read.
+func (r *binReader) str(limit uint64) ([]byte, error) {
+	n, err := r.uvarint()
+	if err != nil {
+		return nil, err
+	}
+	if n > limit {
+		return nil, fmt.Errorf("string length %d exceeds %d", n, limit)
+	}
+	if n > uint64(len(r.b)) {
+		return nil, io.ErrUnexpectedEOF
+	}
+	s := r.b[:n]
+	r.b = r.b[n:]
+	return s, nil
+}
+
+// DecodeBinaryWithFingerprint is DecodeBinary over a payload already in
+// memory. fp, when not empty, must be graph.Fingerprint(g) as g stands: the
+// binding check then compares against it instead of hashing g again.
+func DecodeBinaryWithFingerprint(data []byte, g *graph.Graph, fp string) (*Program, error) {
 	fail := func(format string, args ...any) (*Program, error) {
 		return nil, fmt.Errorf("dist: decode binary: "+format, args...)
 	}
-	br := bufio.NewReader(r)
-	var magic [4]byte
-	if _, err := io.ReadFull(br, magic[:]); err != nil {
-		return fail("reading magic: %w", err)
+	if len(data) < len(binaryMagic) || [4]byte(data) != binaryMagic {
+		return fail("bad magic (not a binary program)")
 	}
-	if magic != binaryMagic {
-		return fail("bad magic %q (not a binary program)", magic[:])
-	}
-	version, err := br.ReadByte()
+	r := binReader{data[len(binaryMagic):]}
+	version, err := r.byte()
 	if err != nil {
 		return fail("reading version: %w", err)
 	}
 	if version != binaryVersion {
 		return fail("unsupported program version %d (want %d)", version, binaryVersion)
 	}
-	uv := func() (uint64, error) { return binary.ReadUvarint(br) }
-	// cap guards length prefixes so a corrupt stream cannot drive huge
-	// allocations before the content check fails.
-	str := func(cap uint64) (string, error) {
-		n, err := uv()
-		if err != nil {
-			return "", err
-		}
-		if n > cap {
-			return "", fmt.Errorf("string length %d exceeds %d", n, cap)
-		}
-		b := make([]byte, n)
-		if _, err := io.ReadFull(br, b); err != nil {
-			return "", err
-		}
-		return string(b), nil
-	}
-
-	nodes, err := uv()
+	nodes, err := r.uvarint()
 	if err != nil {
 		return fail("reading node count: %w", err)
 	}
 	if g == nil {
 		return fail("no graph to bind the program to")
 	}
-	if int(nodes) != g.NumNodes() {
-		return fail("program was synthesized for a %d-node graph, binding graph has %d", nodes, g.NumNodes())
-	}
-	hash, err := str(1024)
+	hash, err := r.str(1024)
 	if err != nil {
 		return fail("reading graph hash: %w", err)
 	}
-	if fp := graph.Fingerprint(g); hash != fp {
-		return fail("graph fingerprint mismatch (program %s, binding graph %s): the plan was synthesized for a structurally different graph", hash, fp)
+	if err := checkBinding(g, nodes, string(hash), fp); err != nil {
+		return fail("%w", err)
 	}
 
-	table := func(kind string) ([]string, error) {
-		n, err := uv()
+	// The name tables resolve to kinds in place: the names are views of the
+	// payload, never copied.
+	opCount, err := r.uvarint()
+	if err != nil {
+		return fail("reading op table size: %w", err)
+	}
+	if opCount > 4096 {
+		return fail("op table size %d is implausible", opCount)
+	}
+	ops := make([]graph.OpKind, opCount)
+	for i := range ops {
+		name, err := r.str(256)
 		if err != nil {
-			return nil, fmt.Errorf("reading %s table size: %w", kind, err)
+			return fail("reading op table entry %d: %w", i, err)
 		}
-		if n > 4096 {
-			return nil, fmt.Errorf("%s table size %d is implausible", kind, n)
-		}
-		out := make([]string, n)
-		for i := range out {
-			if out[i], err = str(256); err != nil {
-				return nil, fmt.Errorf("reading %s table entry %d: %w", kind, i, err)
-			}
-		}
-		return out, nil
-	}
-	opNames, err := table("op")
-	if err != nil {
-		return fail("%v", err)
-	}
-	collNames, err := table("collective")
-	if err != nil {
-		return fail("%v", err)
-	}
-	ops := make([]graph.OpKind, len(opNames))
-	for i, name := range opNames {
-		op, ok := graph.ParseOpKind(name)
+		op, ok := graph.ParseOpKind(string(name))
 		if !ok {
 			return fail("unknown op %q", name)
 		}
 		ops[i] = op
 	}
-	colls := make([]collective.Kind, len(collNames))
-	for i, name := range collNames {
-		k, ok := collective.ParseKind(name)
+	collCount, err := r.uvarint()
+	if err != nil {
+		return fail("reading collective table size: %w", err)
+	}
+	if collCount > 4096 {
+		return fail("collective table size %d is implausible", collCount)
+	}
+	colls := make([]collective.Kind, collCount)
+	for i := range colls {
+		name, err := r.str(256)
+		if err != nil {
+			return fail("reading collective table entry %d: %w", i, err)
+		}
+		k, ok := collective.ParseKind(string(name))
 		if !ok {
 			return fail("unknown collective %q", name)
 		}
 		colls[i] = k
 	}
 
-	count, err := uv()
+	count, err := r.uvarint()
 	if err != nil {
 		return fail("reading instruction count: %w", err)
 	}
@@ -228,32 +272,36 @@ func DecodeBinary(r io.Reader, g *graph.Graph) (*Program, error) {
 	if count > uint64(16*(nodes+1)+1024) {
 		return fail("instruction count %d is implausible for a %d-node graph", count, nodes)
 	}
-	p := &Program{Graph: g, Instrs: make([]Instruction, 0, count)}
-	for i := uint64(0); i < count; i++ {
-		flags, err := br.ReadByte()
+	// Every untrusted integer is compared in uint64 before it is converted:
+	// a huge value must not wrap negative through int conversion and dodge
+	// a range check (or, as a shard dim, read as -1: replicated).
+	p := &Program{Graph: g, Instrs: make([]Instruction, count)}
+	for i := range p.Instrs {
+		flags, err := r.byte()
 		if err != nil {
 			return fail("instr %d: reading flags: %w", i, err)
 		}
-		ref, err := uv()
+		ref, err := r.uvarint()
 		if err != nil {
 			return fail("instr %d: reading ref: %w", i, err)
 		}
+		if ref >= nodes {
+			return fail("instr %d references node e%d outside the %d-node graph", i, ref, nodes)
+		}
 		if flags&binFlagComm != 0 {
-			ci, err1 := uv()
-			dim, err2 := uv()
-			dim2, err3 := uv()
+			ci, err1 := r.uvarint()
+			dim, err2 := r.uvarint()
+			dim2, err3 := r.uvarint()
 			if err1 != nil || err2 != nil || err3 != nil {
 				return fail("instr %d: truncated communication", i)
 			}
-			// Compare in uint64: a huge index must not wrap negative through
-			// int conversion and dodge the bounds check.
 			if ci >= uint64(len(colls)) {
 				return fail("instr %d: collective index %d out of table range %d", i, ci, len(colls))
 			}
-			p.Instrs = append(p.Instrs, Comm(graph.NodeID(ref), colls[ci], int(dim), int(dim2)))
+			p.Instrs[i] = Comm(graph.NodeID(ref), colls[ci], int(dim), int(dim2))
 			continue
 		}
-		oi, err := uv()
+		oi, err := r.uvarint()
 		if err != nil {
 			return fail("instr %d: reading op: %w", i, err)
 		}
@@ -262,17 +310,18 @@ func DecodeBinary(r io.Reader, g *graph.Graph) (*Program, error) {
 		}
 		in := Instruction{Ref: graph.NodeID(ref), Op: ops[oi], ShardDim: -1, FlopsScaled: flags&binFlagScaled != 0}
 		if flags&binFlagShardDim != 0 {
-			sd, err := uv()
+			sd, err := r.uvarint()
 			if err != nil {
 				return fail("instr %d: reading shard dim: %w", i, err)
 			}
+			if rank := len(g.Node(in.Ref).Shape); sd >= uint64(rank) {
+				return fail("instr %d: shard dim %d out of range for e%d's rank %d", i, sd, ref, rank)
+			}
 			in.ShardDim = int(sd)
 		}
-		if ref < uint64(g.NumNodes()) && !isLeafKind(in.Op) {
-			in.Inputs = append(in.Inputs, g.Node(graph.NodeID(ref)).Inputs...)
-		}
-		p.Instrs = append(p.Instrs, in)
+		p.Instrs[i] = in
 	}
+	p.bindInputs()
 	if err := p.Validate(); err != nil {
 		return fail("%w", err)
 	}

@@ -73,6 +73,13 @@ func (p *Program) Encode(w io.Writer) error {
 
 // Decode reads a program written by Encode, binds it to g, and validates it.
 func Decode(r io.Reader, g *graph.Graph) (*Program, error) {
+	return DecodeWithFingerprint(r, g, "")
+}
+
+// DecodeWithFingerprint is Decode for a caller that already holds
+// graph.Fingerprint(g) as g stands: fp, when not empty, is what the binding
+// check compares against instead of hashing g again.
+func DecodeWithFingerprint(r io.Reader, g *graph.Graph, fp string) (*Program, error) {
 	var pj programJSON
 	if err := json.NewDecoder(r).Decode(&pj); err != nil {
 		return nil, fmt.Errorf("dist: decode: %w", err)
@@ -83,11 +90,8 @@ func Decode(r io.Reader, g *graph.Graph) (*Program, error) {
 	if g == nil {
 		return nil, fmt.Errorf("dist: decode: no graph to bind the program to")
 	}
-	if pj.Nodes != g.NumNodes() {
-		return nil, fmt.Errorf("dist: decode: program was synthesized for a %d-node graph, binding graph has %d", pj.Nodes, g.NumNodes())
-	}
-	if fp := graph.Fingerprint(g); pj.GraphHash != fp {
-		return nil, fmt.Errorf("dist: decode: graph fingerprint mismatch (program %s, binding graph %s): the plan was synthesized for a structurally different graph", pj.GraphHash, fp)
+	if err := checkBinding(g, uint64(pj.Nodes), pj.GraphHash, fp); err != nil {
+		return nil, fmt.Errorf("dist: decode: %w", err)
 	}
 	p := &Program{Graph: g}
 	for i, ij := range pj.Instrs {
@@ -107,13 +111,52 @@ func Decode(r io.Reader, g *graph.Graph) (*Program, error) {
 		if ij.ShardDim != nil {
 			in.ShardDim = *ij.ShardDim
 		}
-		if ij.Ref >= 0 && ij.Ref < g.NumNodes() && !isLeafKind(op) {
-			in.Inputs = append(in.Inputs, g.Node(graph.NodeID(ij.Ref)).Inputs...)
-		}
 		p.Instrs = append(p.Instrs, in)
 	}
+	p.bindInputs()
 	if err := p.Validate(); err != nil {
 		return nil, fmt.Errorf("dist: decode: %w", err)
 	}
 	return p, nil
+}
+
+// checkBinding is the plan→graph binding check of both wire forms: the
+// program's node count and graph hash against g's. fp is
+// graph.Fingerprint(g) when the caller holds it, "" to compute it here.
+func checkBinding(g *graph.Graph, nodes uint64, hash, fp string) error {
+	if nodes != uint64(g.NumNodes()) {
+		return fmt.Errorf("program was synthesized for a %d-node graph, binding graph has %d", nodes, g.NumNodes())
+	}
+	if fp == "" {
+		fp = graph.Fingerprint(g)
+	}
+	if hash != fp {
+		return fmt.Errorf("graph fingerprint mismatch (program %s, binding graph %s): the plan was synthesized for a structurally different graph", hash, fp)
+	}
+	return nil
+}
+
+// bindInputs gives every computation a copy of its graph node's input list
+// (inputs are not serialized: Validate holds them to the node's anyway), all
+// copies carved from one allocation. Leaf loaders get none, and so does a
+// reference outside the graph, which Validate rejects.
+func (p *Program) bindInputs() {
+	g := p.Graph
+	bound := func(in *Instruction) []graph.NodeID {
+		if in.IsComm || in.Ref < 0 || int(in.Ref) >= g.NumNodes() || isLeafKind(in.Op) {
+			return nil
+		}
+		return g.Node(in.Ref).Inputs
+	}
+	n := 0
+	for i := range p.Instrs {
+		n += len(bound(&p.Instrs[i]))
+	}
+	slab := make([]graph.NodeID, n)
+	for i := range p.Instrs {
+		if k := copy(slab, bound(&p.Instrs[i])); k > 0 {
+			p.Instrs[i].Inputs = slab[:k:k]
+			slab = slab[k:]
+		}
+	}
 }

@@ -13,7 +13,11 @@
 
 package graph
 
-import "hap/internal/fingerprint"
+import (
+	"slices"
+
+	"hap/internal/fingerprint"
+)
 
 // Chunking parameters for the content-defined segmentation of the signature
 // sequence (rsync-style: a boundary falls after any node whose signature is
@@ -35,6 +39,51 @@ const (
 // participate — ids shift under insertion and segments are a planning
 // overlay, not structure.
 func NodeSignature(g *Graph, id NodeID) uint64 {
+	gradOf := 0
+	for p, gn := range g.Grads {
+		if gn == id {
+			gradOf = minGradOffset(gradOf, int(id)-int(p))
+		}
+	}
+	return signature(g, id, slices.Contains(g.Params, id), gradOf)
+}
+
+// Signatures returns the per-node signature sequence of g: NodeSignature of
+// every node, with the parameter and gradient roles tabulated once instead
+// of rescanning g.Params and g.Grads per node.
+func Signatures(g *Graph) []uint64 {
+	n := g.NumNodes()
+	param := make([]bool, n)
+	for _, p := range g.Params {
+		if p >= 0 && int(p) < n {
+			param[p] = true
+		}
+	}
+	gradOf := make([]int, n)
+	for p, gn := range g.Grads {
+		if gn >= 0 && int(gn) < n {
+			gradOf[gn] = minGradOffset(gradOf[gn], int(gn)-int(p))
+		}
+	}
+	sigs := make([]uint64, n)
+	for i := range sigs {
+		sigs[i] = signature(g, NodeID(i), param[i], gradOf[i])
+	}
+	return sigs
+}
+
+// minGradOffset folds one more differentiated parameter, at relative offset
+// off, into a gradient node's role: the smallest offset wins, 0 means none
+// seen yet.
+func minGradOffset(cur, off int) int {
+	if cur == 0 || off < cur {
+		return off
+	}
+	return cur
+}
+
+// signature hashes one node given its parameter and gradient roles.
+func signature(g *Graph, id NodeID, param bool, gradOf int) uint64 {
 	n := g.Node(id)
 	h := fingerprint.New()
 	h.Int(int(n.Kind))
@@ -54,36 +103,16 @@ func NodeSignature(g *Graph, id NodeID) uint64 {
 	} else {
 		h.Int(0)
 	}
-	role := 0
-	for _, p := range g.Params {
-		if p == id {
-			role = 1
-			break
-		}
+	if param {
+		h.Int(1)
+	} else {
+		h.Int(0)
 	}
-	h.Int(role)
 	// A gradient node's signature carries which parameter it differentiates,
 	// as a relative offset — the output set is part of what a plan must
 	// materialize.
-	gradOf := 0
-	for p, gn := range g.Grads {
-		if gn == id {
-			if off := int(id) - int(p); gradOf == 0 || off < gradOf {
-				gradOf = off
-			}
-		}
-	}
 	h.Int(gradOf)
 	return h.Sum64()
-}
-
-// Signatures returns the per-node signature sequence of g.
-func Signatures(g *Graph) []uint64 {
-	sigs := make([]uint64, g.NumNodes())
-	for i := range sigs {
-		sigs[i] = NodeSignature(g, NodeID(i))
-	}
-	return sigs
 }
 
 // chunk is one content-defined segment of the signature sequence.

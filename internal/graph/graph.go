@@ -109,16 +109,21 @@ func (k OpKind) String() string {
 	return fmt.Sprintf("op(%d)", int(k))
 }
 
+// opByName is opNames reversed, for ParseOpKind.
+var opByName = func() map[string]OpKind {
+	m := make(map[string]OpKind, len(opNames))
+	for k, n := range opNames {
+		m[n] = k
+	}
+	return m
+}()
+
 // ParseOpKind returns the op kind with the given name (as produced by
 // OpKind.String). Serialized programs store kinds by name so the format
 // survives enum renumbering.
 func ParseOpKind(name string) (OpKind, bool) {
-	for k, n := range opNames {
-		if n == name {
-			return k, true
-		}
-	}
-	return 0, false
+	k, ok := opByName[name]
+	return k, ok
 }
 
 // Node is one instruction of the single-device program, producing one tensor.
@@ -458,18 +463,20 @@ func (g *Graph) Consumers() [][]NodeID {
 	return out
 }
 
+// arity is each op kind's input count, for Validate.
+var arity = map[OpKind]int{
+	Placeholder: 0, Parameter: 0, Ones: 0, Expand: 1,
+	MatMul: 2, Transpose: 1, Add: 2, Mul: 2, Scale: 1,
+	ReLU: 1, Sigmoid: 1, GeLU: 1, Softmax: 1, Sum: 1,
+	ReLUGrad: 2, SigmoidGrad: 2, GeLUGrad: 2, SoftmaxGrad: 2,
+	Conv: 2, ConvGradX: 2, ConvGradW: 2,
+	Dispatch: 2, ExpertMM: 2, Combine: 2,
+	DispatchGrad: 1, ExpertMMGradX: 2, ExpertMMGradW: 2, CombineGrad: 2, CombineGradG: 2,
+	Embed: 2, EmbedGrad: 2, Attention: 1, AttentionGrad: 2, Pool: 1, PoolGrad: 2,
+}
+
 // Validate checks topological ordering, input arity, and loss designation.
 func (g *Graph) Validate() error {
-	arity := map[OpKind]int{
-		Placeholder: 0, Parameter: 0, Ones: 0, Expand: 1,
-		MatMul: 2, Transpose: 1, Add: 2, Mul: 2, Scale: 1,
-		ReLU: 1, Sigmoid: 1, GeLU: 1, Softmax: 1, Sum: 1,
-		ReLUGrad: 2, SigmoidGrad: 2, GeLUGrad: 2, SoftmaxGrad: 2,
-		Conv: 2, ConvGradX: 2, ConvGradW: 2,
-		Dispatch: 2, ExpertMM: 2, Combine: 2,
-		DispatchGrad: 1, ExpertMMGradX: 2, ExpertMMGradW: 2, CombineGrad: 2, CombineGradG: 2,
-		Embed: 2, EmbedGrad: 2, Attention: 1, AttentionGrad: 2, Pool: 1, PoolGrad: 2,
-	}
 	for i := range g.Nodes {
 		n := &g.Nodes[i]
 		if n.ID != NodeID(i) {

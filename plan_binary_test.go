@@ -24,11 +24,72 @@ func binaryPayload(t testing.TB, opt Options) ([]byte, []int) {
 	return buf.Bytes(), g.SegmentOf
 }
 
+// rawDim is the shard dim one computation's bytes carry.
+type rawDim struct {
+	flagged bool
+	v       uint64
+}
+
+// rawShardDims walks the instruction framing of a binary program section and
+// returns, per computation in order, the shard dim its bytes carry. It reads
+// nothing else — no table, no binding — so an accepted plan can be held to
+// what its bytes say; ok is false when the framing does not parse.
+func rawShardDims(prog []byte) (dims []rawDim, ok bool) {
+	pos, bad := 5, len(prog) < 5 // past magic and version
+	uv := func() uint64 {
+		v, n := binary.Uvarint(prog[min(pos, len(prog)):])
+		if n <= 0 {
+			bad = true
+			return 0
+		}
+		pos += n
+		return v
+	}
+	skip := func(n uint64) {
+		if n > uint64(len(prog)-pos) {
+			bad, pos = true, len(prog)
+			return
+		}
+		pos += int(n)
+	}
+	uv()                           // node count
+	skip(uv())                     // graph hash
+	for tbl := 0; tbl < 2; tbl++ { // op and collective name tables
+		for k := uv(); k > 0 && !bad; k-- {
+			skip(uv())
+		}
+	}
+	for k := uv(); k > 0 && !bad; k-- {
+		if pos >= len(prog) {
+			return nil, false
+		}
+		flags := prog[pos]
+		pos++
+		uv() // ref
+		if flags&1 != 0 {
+			uv() // collective, dim, dim2
+			uv()
+			uv()
+			continue
+		}
+		uv() // op
+		d := rawDim{flagged: flags&4 != 0}
+		if d.flagged {
+			d.v = uv()
+		}
+		dims = append(dims, d)
+	}
+	return dims, !bad
+}
+
 // FuzzReadProgramBinary feeds arbitrary bytes to the binary plan decoder,
 // bound to a fresh quickstart graph that already carries a segment
 // assignment. It must never panic; a rejected payload must leave the graph's
-// assignment as it was; an accepted one must re-encode to a payload that
-// decodes to the same program, ratios and cost.
+// assignment as it was; an accepted one must say what its bytes say (every
+// computation's shard dim, flagged or not, is the one in the payload — the
+// committed corpus holds a flagged 2^64−1 that once read as −1, replicated)
+// and re-encode to a payload that decodes to the same program, ratios and
+// cost.
 func FuzzReadProgramBinary(f *testing.F) {
 	flat, _ := binaryPayload(f, Options{})
 	seg4, prev := binaryPayload(f, Options{Segments: 4})
@@ -59,6 +120,23 @@ func FuzzReadProgramBinary(f *testing.F) {
 				t.Fatalf("rejected payload (%v) changed the graph's segment assignment to %v", err, g.SegmentOf)
 			}
 			return
+		}
+		progEnd := len(data) - 8 - int(binary.BigEndian.Uint32(data[len(data)-8:]))
+		dims, ok := rawShardDims(data[:progEnd])
+		var comps []int
+		for i, in := range plan.Program.Instrs {
+			if !in.IsComm {
+				comps = append(comps, i)
+			}
+		}
+		if !ok || len(dims) != len(comps) {
+			t.Fatalf("accepted a payload whose framing holds %d computations (ok %v), the plan %d", len(dims), ok, len(comps))
+		}
+		for k, i := range comps {
+			sd := plan.Program.Instrs[i].ShardDim
+			if d := dims[k]; d.flagged != (sd >= 0) || d.flagged && d.v != uint64(sd) {
+				t.Errorf("instr %d: the payload carries shard dim %+v, the plan says %d", i, d, sd)
+			}
 		}
 		var buf bytes.Buffer
 		if err := plan.WriteProgramBinary(&buf); err != nil {

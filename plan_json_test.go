@@ -3,6 +3,8 @@ package hap
 import (
 	"bytes"
 	"encoding/json"
+	"math"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -261,4 +263,94 @@ func TestReadProgramRejectsWrongGraph(t *testing.T) {
 	} else if !strings.Contains(err.Error(), "node") {
 		t.Errorf("unexpected error: %v", err)
 	}
+}
+
+// jsonPayload plans the quickstart MLP and returns its WriteProgram bytes and
+// the segment assignment planning left on the graph.
+func jsonPayload(t testing.TB, opt Options) ([]byte, []int) {
+	t.Helper()
+	g := quickstartGraph(t)
+	plan, err := planWith(g, heteroPair(), opt)
+	if err != nil {
+		t.Fatalf("Plan: %v", err)
+	}
+	var buf bytes.Buffer
+	if err := plan.WriteProgram(&buf); err != nil {
+		t.Fatalf("WriteProgram: %v", err)
+	}
+	return buf.Bytes(), g.SegmentOf
+}
+
+// FuzzReadProgram holds the JSON plan decoder to the properties
+// FuzzReadProgramBinary holds the binary one to, bound to a fresh quickstart
+// graph that already carries a segment assignment: no input panics it, a
+// rejected one leaves the graph's assignment as it was, and an accepted one
+// re-encodes to a plan that decodes to the same program, ratios and cost.
+func FuzzReadProgram(f *testing.F) {
+	flat, _ := jsonPayload(f, Options{})
+	seg4, prev := jsonPayload(f, Options{Segments: 4})
+	f.Add(flat)
+	f.Add(seg4)
+	f.Add(flat[:len(flat)/2]) // truncated
+	tamper := func(body []byte, edit func(plan, prog map[string]any)) []byte {
+		var plan map[string]any
+		if err := json.Unmarshal(body, &plan); err != nil {
+			f.Fatal(err)
+		}
+		prog := plan["program"].(map[string]any)
+		edit(plan, prog)
+		out, err := json.Marshal(plan)
+		if err != nil {
+			f.Fatal(err)
+		}
+		return out
+	}
+	// Edge bodies, each rejected for the reason its name gives.
+	for _, edge := range []struct {
+		want string
+		body []byte
+	}{
+		{"segment assignment covers", tamper(seg4, func(plan, _ map[string]any) {
+			segs := plan["segment_of"].([]any)
+			plan["segment_of"] = segs[:len(segs)-1]
+		})},
+		{"fingerprint mismatch", tamper(flat, func(_, prog map[string]any) { prog["graph_hash"] = "0123456789abcdef" })},
+		{"unknown op", tamper(flat, func(_, prog map[string]any) {
+			prog["instrs"].([]any)[0].(map[string]any)["op"] = "convolve"
+		})},
+	} {
+		if _, err := ReadProgram(bytes.NewReader(edge.body), quickstartGraph(f)); err == nil || !strings.Contains(err.Error(), edge.want) {
+			f.Fatalf("edge seed: err = %v, want %q", err, edge.want)
+		}
+		f.Add(edge.body)
+	}
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		g := quickstartGraph(t)
+		g.SegmentOf = slices.Clone(prev)
+		plan, err := ReadProgram(bytes.NewReader(data), g)
+		if err != nil {
+			if !slices.Equal(g.SegmentOf, prev) {
+				t.Fatalf("rejected plan (%v) changed the graph's segment assignment to %v", err, g.SegmentOf)
+			}
+			return
+		}
+		var buf bytes.Buffer
+		if err := plan.WriteProgram(&buf); err != nil {
+			t.Fatalf("accepted plan does not re-encode: %v", err)
+		}
+		back, err := ReadProgram(&buf, quickstartGraph(t))
+		if err != nil {
+			t.Fatalf("re-encoded plan does not decode: %v", err)
+		}
+		if got, want := back.Program.String(), plan.Program.String(); got != want {
+			t.Errorf("re-encoding changed the program:\n%s\nvs\n%s", got, want)
+		}
+		if !slices.EqualFunc(back.Ratios, plan.Ratios, slices.Equal[[]float64]) {
+			t.Errorf("re-encoding changed the ratios: %v vs %v", back.Ratios, plan.Ratios)
+		}
+		if math.Float64bits(back.Cost) != math.Float64bits(plan.Cost) {
+			t.Errorf("re-encoding changed the cost: %v vs %v", back.Cost, plan.Cost)
+		}
+	})
 }

@@ -12,6 +12,7 @@ import (
 	"hap/internal/dist"
 	"hap/internal/graph"
 	"hap/internal/models"
+	"hap/internal/planwire"
 )
 
 // cancelGraph is a model big enough that its synthesis runs for ~0.1 s —
@@ -160,8 +161,8 @@ func TestPlanSurvivesBalancerFailure(t *testing.T) {
 	if err := plan.Program.Validate(); err != nil {
 		t.Errorf("Validate: %v", err)
 	}
-	if err := validateRatios(plan.Ratios, g.NumSegments()); err != nil {
-		t.Errorf("validateRatios: %v", err)
+	if err := planwire.ValidateRatios(plan.Ratios, g.NumSegments()); err != nil {
+		t.Errorf("ValidateRatios: %v", err)
 	}
 	var js, bin bytes.Buffer
 	if err := plan.WriteProgram(&js); err != nil {
