@@ -133,3 +133,33 @@ func TestClusterJSONRejections(t *testing.T) {
 		})
 	}
 }
+
+// TestDecodeNegativeZero: the wire spells a zero latency or kernel overhead
+// as 0 or -0, and both mean one cluster with one fingerprint — the plan
+// cache's key. Fingerprint hashes a float's bits, so Decode must drop the
+// sign.
+func TestDecodeNegativeZero(t *testing.T) {
+	c := buildMixed()
+	c.Net.InterLatency, c.Net.IntraLatency, c.Net.KernelOverhead = 0, 0, 0
+	var buf bytes.Buffer
+	if err := c.Encode(&buf); err != nil {
+		t.Fatal(err)
+	}
+	zero, err := Decode(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, field := range []string{"inter_latency", "intra_latency", "kernel_overhead"} {
+		spelled := strings.Replace(buf.String(), `"`+field+`": 0`, `"`+field+`": -0`, 1)
+		if spelled == buf.String() {
+			t.Fatalf("%s: the encoding has no zero to negate (test is stale)", field)
+		}
+		neg, err := Decode(strings.NewReader(spelled))
+		if err != nil {
+			t.Fatalf("%s: -0 rejected: %v", field, err)
+		}
+		if got, want := neg.Fingerprint(), zero.Fingerprint(); got != want {
+			t.Errorf("%s: -0 fingerprints %s, 0 fingerprints %s", field, got, want)
+		}
+	}
+}

@@ -49,6 +49,14 @@ func finitePos(v float64) bool {
 	return v > 0 && !math.IsInf(v, 0) && !math.IsNaN(v)
 }
 
+// positiveZero maps -0 to 0.
+func positiveZero(v float64) float64 {
+	if v == 0 {
+		return 0
+	}
+	return v
+}
+
 // Decode reads a cluster written by Encode and validates it: at least one
 // device, positive capability numbers, and a physically sensible network.
 func Decode(r io.Reader) (*Cluster, error) {
@@ -86,13 +94,18 @@ func Decode(r io.Reader) (*Cluster, error) {
 	if c.TotalFlops() <= 0 {
 		return nil, fmt.Errorf("cluster: decode: cluster has no achievable flops")
 	}
-	n := cj.Net
+	n := &c.Net
 	if !finitePos(n.InterBW) || !finitePos(n.IntraBW) {
 		return nil, fmt.Errorf("cluster: decode: network bandwidths %v, %v (want positive finite)", n.InterBW, n.IntraBW)
 	}
 	if n.InterLatency < 0 || n.IntraLatency < 0 || n.KernelOverhead < 0 {
 		return nil, fmt.Errorf("cluster: decode: negative latency or overhead")
 	}
+	// The only fields the checks admit at zero. Fingerprint hashes a float's
+	// bits, so a kept sign would give one cluster two cache keys.
+	n.InterLatency = positiveZero(n.InterLatency)
+	n.IntraLatency = positiveZero(n.IntraLatency)
+	n.KernelOverhead = positiveZero(n.KernelOverhead)
 	if n.BroadcastFactor <= 0 || n.BroadcastFactor > 1 || math.IsNaN(n.BroadcastFactor) {
 		return nil, fmt.Errorf("cluster: decode: broadcast_factor %v (want in (0, 1])", n.BroadcastFactor)
 	}

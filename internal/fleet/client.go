@@ -11,18 +11,13 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"net/http"
-	"net/url"
 	"time"
 
 	"hap/internal/obs"
 )
-
-// ErrEntryNotFound reports a FetchEntry for a key the peer does not hold.
-var ErrEntryNotFound = errors.New("fleet: entry not found")
 
 // Wire headers of the fleet layer.
 const (
@@ -119,36 +114,6 @@ func (c *Client) Replicate(ctx context.Context, peer string, e Entry) error {
 		return fmt.Errorf("fleet: replicate to %s: HTTP %d", peer, resp.StatusCode)
 	}
 	return nil
-}
-
-// FetchEntry GETs one cached entry from peer by its cache key — the
-// similarity layer's donor-plan fallback for when the local store no longer
-// holds a plan the index still points at. A peer without the key answers
-// 404, surfaced as ErrEntryNotFound.
-func (c *Client) FetchEntry(ctx context.Context, peer, key string) (Entry, error) {
-	u := NormalizeURL(peer) + EntriesPath + "?key=" + url.QueryEscape(key)
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, u, nil)
-	if err != nil {
-		return Entry{}, err
-	}
-	resp, err := c.http.Do(req)
-	if err != nil {
-		return Entry{}, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode == http.StatusNotFound {
-		io.Copy(io.Discard, resp.Body)
-		return Entry{}, ErrEntryNotFound
-	}
-	if resp.StatusCode != http.StatusOK {
-		io.Copy(io.Discard, resp.Body)
-		return Entry{}, fmt.Errorf("fleet: entry from %s: HTTP %d", peer, resp.StatusCode)
-	}
-	var e Entry
-	if err := json.NewDecoder(resp.Body).Decode(&e); err != nil {
-		return Entry{}, fmt.Errorf("fleet: entry from %s: %w", peer, err)
-	}
-	return e, nil
 }
 
 // StreamEntries GETs peer's cached entries and feeds each to fn until the

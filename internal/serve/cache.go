@@ -97,6 +97,32 @@ func (c *lruCache) add(key string, val CachedPlan, at time.Time) (stored bool, e
 	return true, evicted
 }
 
+// addTail inserts a value at the LRU tail, below every entry held, or
+// replaces a held key's value where it stands. Unlike add it never evicts:
+// it stores nothing and reports false when the value does not fit under both
+// caps beside what is already held.
+func (c *lruCache) addTail(key string, val CachedPlan, at time.Time) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	e, held := c.items[key]
+	n, grow := c.ll.Len()+1, val.size()
+	if held {
+		n--
+		grow -= e.Value.(*cacheEntry).val.size()
+	}
+	if n > c.maxEntries || c.bytes+grow > c.maxBytes {
+		return false
+	}
+	c.bytes += grow
+	if held {
+		ent := e.Value.(*cacheEntry)
+		ent.val, ent.at = val, at
+	} else {
+		c.items[key] = c.ll.PushBack(&cacheEntry{key: key, val: val, at: at})
+	}
+	return true
+}
+
 // removeElement unlinks one entry; the caller holds c.mu.
 func (c *lruCache) removeElement(e *list.Element) {
 	ent := e.Value.(*cacheEntry)

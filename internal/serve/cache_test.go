@@ -73,7 +73,7 @@ func TestLRUUpdateExistingKey(t *testing.T) {
 	c.add("a", bp("1234"), time.Now())
 	v, ok := c.get("a")
 	if !ok || string(v.Plan) != "1234" {
-		t.Errorf("get after update = %q, %v", v, ok)
+		t.Errorf("get after update = %q, %v", v.Plan, ok)
 	}
 	if entries, bytes, _ := c.snapshot(); entries != 1 || bytes != 4 {
 		t.Errorf("snapshot = (%d, %d), want (1, 4)", entries, bytes)
@@ -131,7 +131,7 @@ func TestSingleFlightSharesResult(t *testing.T) {
 	nonShared := 0
 	for i := range results {
 		if string(results[i].Plan) != "result" {
-			t.Errorf("caller %d got %q", i, results[i])
+			t.Errorf("caller %d got %q", i, results[i].Plan)
 		}
 		if !shared[i] {
 			nonShared++

@@ -239,19 +239,6 @@ func (s *Server) maybeReplicate(sp *obs.Span, key string, v CachedPlan) {
 func (s *Server) handleFleetEntries(w http.ResponseWriter, r *http.Request) {
 	switch r.Method {
 	case http.MethodGet:
-		// ?key= fetches one entry as a JSON object — the similarity layer's
-		// donor-plan fallback (fleet.Client.FetchEntry) — instead of the
-		// full warm-up stream.
-		if key := r.URL.Query().Get("key"); key != "" {
-			v, ok := s.store.Get(key)
-			if !ok {
-				s.fail(w, http.StatusNotFound, CodeNotFound, "no entry for key %q", key)
-				return
-			}
-			w.Header().Set("Content-Type", "application/json")
-			json.NewEncoder(w).Encode(entryOf(key, v))
-			return
-		}
 		w.Header().Set("Content-Type", "application/x-ndjson")
 		flusher, _ := w.(http.Flusher)
 		enc := json.NewEncoder(w)
@@ -287,9 +274,13 @@ func (s *Server) handleFleetEntries(w http.ResponseWriter, r *http.Request) {
 
 // WarmFrom streams cached entries from the first peer that answers into the
 // local store — how a joining node avoids starting cold. Peers are tried in
-// order (self skipped); a stream cut mid-transfer keeps every entry that
-// arrived and reports the partial count alongside the error, because each
-// one is a synthesis the node will not re-pay. Requires a configured fleet.
+// order (self skipped). The peer sends its hottest plans first and each one
+// lands below those before it (memDiskStore.Warm), so the node ends with the
+// peer's recency order, and the stream stops at the first entry that no
+// longer fits: a smaller cache keeps the peer's hottest plans. A stream cut
+// mid-transfer keeps every entry that arrived and reports the partial count
+// alongside the error, because each one is a synthesis the node will not
+// re-pay. Requires a configured fleet.
 func (s *Server) WarmFrom(ctx context.Context, peers []string) (int, error) {
 	f := s.cfg.Fleet
 	if f == nil {
@@ -301,8 +292,7 @@ func (s *Server) WarmFrom(ctx context.Context, peers []string) (int, error) {
 			continue
 		}
 		n, err := f.Client.StreamEntries(ctx, peer, func(e fleet.Entry) bool {
-			s.store.Put(e.Key, planOf(e))
-			return true
+			return s.store.Warm(e.Key, planOf(e))
 		})
 		s.fleetWarmupEntries.Add(uint64(n))
 		if err == nil {
@@ -319,7 +309,8 @@ func (s *Server) WarmFrom(ctx context.Context, peers []string) (int, error) {
 
 // entryOf and planOf convert between a stored plan and its fleet wire form.
 // The version travels with the entry; the receiving store derives the ETag
-// from the plan bytes, as it does for every Put.
+// from the plan bytes, as it does for every Put. The plan source does not
+// travel: a received entry replans on its owner.
 func entryOf(key string, v CachedPlan) fleet.Entry {
 	return fleet.Entry{Key: key, Plan: v.Plan, Bin: v.Bin, Version: v.Version}
 }

@@ -522,6 +522,42 @@ func TestFleetWarmup(t *testing.T) {
 	}
 }
 
+// TestFleetWarmupKeepsHottest: a peer streams its plans most-recently used
+// first, so a joining node whose cache is smaller than the peer's must keep
+// the hottest prefix, in the peer's recency order — not the coldest plans
+// with the order reversed.
+func TestFleetWarmupKeepsHottest(t *testing.T) {
+	source := New(Config{})
+	defer source.Close()
+	for i := 0; i < 3; i++ {
+		source.store.Put(fmt.Sprintf("k%d", i), CachedPlan{Plan: []byte(fmt.Sprintf("plan-%d", i))})
+	}
+	srcSrv := httptest.NewServer(source.Handler())
+	defer srcSrv.Close()
+
+	fl, err := fleet.New(fleet.Config{Self: "http://joining:1", Peers: []string{srcSrv.URL}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	joining := New(Config{Fleet: fl, MaxCacheEntries: 2})
+	defer joining.Close()
+	n, err := joining.WarmFrom(context.Background(), fl.Members.Peers())
+	if err != nil || n != 2 {
+		t.Fatalf("WarmFrom = (%d, %v), want (2, nil): the stream stops once the cache is full", n, err)
+	}
+	var held []string
+	joining.store.Range(func(key string, _ CachedPlan) bool {
+		held = append(held, key)
+		return true
+	})
+	if got := strings.Join(held, " "); got != "k2 k1" {
+		t.Errorf("warmed cache holds [%s] most recent first, want [k2 k1]", got)
+	}
+	if st := joining.Stats(); st.CacheEvictions != 0 || st.Fleet.WarmupEntries != 2 {
+		t.Errorf("evictions %d, warmup_entries %d; want 0 and 2", st.CacheEvictions, st.Fleet.WarmupEntries)
+	}
+}
+
 // TestFleetForwardedRequestNeverReforwards plants a forwarded request on a
 // node that does not own the key: the node must synthesize locally rather
 // than bounce the request onward, the loop-prevention invariant.

@@ -206,3 +206,57 @@ func TestBatchSiblingsReplanConcurrently(t *testing.T) {
 		}
 	}
 }
+
+// TestDriftReportPromotesNothing: the replan scan reads the store without
+// touching recency. With room for two plans, a drift report whose replan of
+// the older one comes back unchanged leaves that plan at the LRU tail, so the
+// next insert evicts it and not the plan nobody reported on.
+func TestDriftReportPromotesNothing(t *testing.T) {
+	spec, alt := testCluster(), altCluster()
+	altFP := alt.Fingerprint()
+	s := New(Config{
+		MaxCacheEntries: 2,
+		DisableSeeding:  true,
+		// Anything but alt plans on spec, so the drifted replan reproduces
+		// the cached bytes exactly.
+		Synthesize: func(ctx context.Context, g *graph.Graph, c *cluster.Cluster, opt hap.Options) (*hap.Plan, error) {
+			if c.Fingerprint() != altFP {
+				c = spec
+			}
+			return planWith(g, c, opt)
+		},
+	})
+	defer s.Close()
+	srv := httptest.NewServer(s.Handler())
+	defer srv.Close()
+	reported, other := testGraph(t), seedServeGraph(32, 48, 8)
+	for _, b := range [][]byte{
+		requestBody(t, reported, spec, RequestOptions{}),
+		requestBody(t, other, alt, RequestOptions{}),
+	} {
+		if status, _, raw := post(t, srv.URL, b); status != http.StatusOK {
+			t.Fatalf("fill: status %d: %s", status, raw)
+		}
+	}
+
+	if status, tr, raw := postTelemetry(t, srv.URL, driftReport(t, spec)); status != http.StatusOK || tr.ReplansStarted != 1 {
+		t.Fatalf("drift report: status %d replans=%d: %s", status, tr.ReplansStarted, raw)
+	}
+	deadline := time.Now().Add(30 * time.Second)
+	for s.Stats().Telemetry.ReplansUnchanged != 1 {
+		if ts := s.Stats().Telemetry; ts.Replans+ts.ReplanErrors != 0 || time.Now().After(deadline) {
+			t.Fatalf("the replan did not come back unchanged: %+v", ts)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+
+	if status, _, raw := post(t, srv.URL, requestBody(t, reported, alt, RequestOptions{})); status != http.StatusOK {
+		t.Fatalf("insert: status %d: %s", status, raw)
+	}
+	if _, ok := s.store.cache.peek(cacheKey(reported, spec, RequestOptions{})); ok {
+		t.Error("the reported plan survived the next insert: the drift report promoted it")
+	}
+	if _, ok := s.store.cache.peek(cacheKey(other, alt, RequestOptions{})); !ok {
+		t.Error("the plan no report touched was evicted in place of the reported one")
+	}
+}

@@ -38,7 +38,7 @@ func postHdr(t *testing.T, url string, body []byte) (int, http.Header, []byte) {
 }
 
 // TestServeIncrementalSynthesis drives the full incremental path over the
-// wire: a first miss synthesizes cold and registers as a donor, a structurally
+// wire: a first miss synthesizes cold and is stored as a donor, a structurally
 // similar second miss seeds from it — observable as the X-HAP-Seed-Distance
 // header, the synth_incremental /stats counter, and the /metrics counter —
 // and the seeded plan still passes numeric verification.
@@ -137,11 +137,12 @@ func TestServeSeedingDisabled(t *testing.T) {
 	}
 }
 
-// TestServeEvictionDropsRegistries: when the LRU evicts a plan, its
-// plan-source record — replan registration and donor entry in one — goes with
-// it: the side registry must not outgrow the cache (the unbounded-sources
-// leak).
-func TestServeEvictionDropsRegistries(t *testing.T) {
+// TestServeEvictedPlanIsNeverDonor: a plan's donor record lives in its cache
+// entry, so a plan the LRU has evicted is never chosen as a donor. With room
+// for two entries, a near-miss of a cached base graph seeds from it; once two
+// unrelated plans push base and that near-miss out, a second near-miss of
+// base finds no donor and synthesizes cold.
+func TestServeEvictedPlanIsNeverDonor(t *testing.T) {
 	s := New(Config{
 		MaxCacheEntries: 2,
 		Synthesize: func(ctx context.Context, g *graph.Graph, c *cluster.Cluster, opt hap.Options) (*hap.Plan, error) {
@@ -151,22 +152,50 @@ func TestServeEvictionDropsRegistries(t *testing.T) {
 	srv := httptest.NewServer(s.Handler())
 	defer srv.Close()
 	c := testCluster()
+	base := seedServeGraph(64, 96, 96, 96, 96, 96, 96, 32)
+	wide := seedServeGraph(64, 96, 96, 112, 96, 96, 96, 32)
+	wider := seedServeGraph(64, 96, 96, 96, 96, 112, 96, 32)
+	miss := func(g *graph.Graph) http.Header {
+		t.Helper()
+		status, hdr, body := postHdr(t, srv.URL, requestBody(t, g, c, RequestOptions{}))
+		if status != http.StatusOK || hdr.Get("X-HAP-Cache") != "miss" {
+			t.Fatalf("status %d, cache %q, want 200/miss: %s", status, hdr.Get("X-HAP-Cache"), body)
+		}
+		return hdr
+	}
+	donorFor := func(g *graph.Graph) donor {
+		t.Helper()
+		var gb bytes.Buffer
+		if err := g.Encode(&gb); err != nil {
+			t.Fatal(err)
+		}
+		return s.nearestDonor(newPlanSource(g, gb.Bytes(), c, RequestOptions{}), cacheKey(g, c, RequestOptions{}))
+	}
 
-	for _, w := range []int{24, 32, 40, 48} {
-		g := seedServeGraph(w, 8)
-		status, _, body := post(t, srv.URL, requestBody(t, g, c, RequestOptions{}))
-		if status != http.StatusOK {
-			t.Fatalf("width %d: status %d: %s", w, status, body)
+	miss(base)
+	if d := donorFor(wide); d.key != cacheKey(base, c, RequestOptions{}) || len(d.planJSON) == 0 {
+		t.Fatalf("with base cached, the donor for a near-miss is %q (plan %d bytes), want base", d.key, len(d.planJSON))
+	}
+	if hdr := miss(wide); hdr.Get(SeedDistanceHeader) == "" {
+		t.Fatal("a near-miss of a cached plan was not seeded")
+	}
+
+	for _, w := range []int{24, 40} {
+		miss(seedServeGraph(w, 8))
+	}
+	evicted := map[string]bool{cacheKey(base, c, RequestOptions{}): true, cacheKey(wide, c, RequestOptions{}): true}
+	for k := range evicted {
+		if _, ok := s.store.cache.peek(k); ok {
+			t.Fatalf("%s is still cached after two later misses with room for two", k)
 		}
 	}
-	if st := s.Stats(); st.CacheEntries != 2 {
-		t.Fatalf("cache holds %d entries, want 2", st.CacheEntries)
+	if d := donorFor(wider); evicted[d.key] {
+		t.Errorf("donor %q was evicted from the store", d.key)
 	}
-
-	s.telemetry.mu.Lock()
-	sources := len(s.telemetry.sources)
-	s.telemetry.mu.Unlock()
-	if sources != 2 {
-		t.Errorf("plan-source registry holds %d sources after evictions, want 2", sources)
+	if hdr := miss(wider); hdr.Get(SeedDistanceHeader) != "" {
+		t.Errorf("a near-miss of evicted plans was seeded (%s = %q)", SeedDistanceHeader, hdr.Get(SeedDistanceHeader))
+	}
+	if st := s.Stats(); st.SynthIncremental != 1 {
+		t.Errorf("synth_incremental = %d, want 1 (the near-miss of the cached base only)", st.SynthIncremental)
 	}
 }

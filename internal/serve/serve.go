@@ -15,13 +15,14 @@
 // Every way a plan comes to exist here — a request's miss, each miss of a
 // batch (both through planMiss), a drift-triggered background replan — ends in
 // the same tail: synthesize (the planner call, under an admission slot), then
-// commitPlan (register, store, replicate). DESIGN.md, "The miss path", has the
-// order and what each caller skips. With a fleet.Fleet configured (fleet.go),
-// the daemon is one node of a sharded, replicated cache tier: request
-// fingerprints are consistent-hash routed to an owner peer, misses proxy to
-// the owner (whose single-flight group makes a fleet-wide thundering herd
-// synthesize exactly once), filled entries replicate to ring successors, and
-// a joining node warms up by streaming a peer's entries.
+// storePlan (store the plan with what it was planned from, replicate).
+// DESIGN.md, "The miss path", has the order and what each caller skips. With
+// a fleet.Fleet configured (fleet.go), the daemon is one node of a sharded,
+// replicated cache tier: request fingerprints are consistent-hash routed to
+// an owner peer, misses proxy to the owner (whose single-flight group makes a
+// fleet-wide thundering herd synthesize exactly once), filled entries
+// replicate to ring successors, and a joining node warms up by streaming a
+// peer's entries.
 //
 // Wire protocol v2 (see DESIGN.md for the full specification):
 //
@@ -415,18 +416,12 @@ func New(cfg Config) *Server {
 		},
 		telemetry: telemetryState{
 			monitors: map[string]*telemetry.Monitor{},
-			sources:  map[string]planSource{},
 			replan:   map[string]bool{},
 		},
 	}
 	if cfg.MaxInflightSynth > 0 {
 		s.synthSem = make(chan struct{}, cfg.MaxInflightSynth)
 	}
-	// Evictions — LRU, TTL sweep, or a rejected oversized insert — drop the
-	// key's plan source, so the side registry stays bounded by the store's
-	// own caps. Wired after construction: the restore pass above ran with an
-	// empty registry, so it has nothing to drop.
-	s.store.onEvict = s.dropPlanSources
 	// Tracing is on by default (an empty ring is just a few pointers; the
 	// per-request cost is a handful of small allocations and the synthesis
 	// hot path stays untouched — spans attach per phase, not per candidate).
@@ -821,7 +816,7 @@ func (s *Server) synthesizeOne(w http.ResponseWriter, r *http.Request, rt *reque
 }
 
 // planMiss is the single-miss function — flight{re-check → gate → donor →
-// synthesize → commitPlan} — that every plan a request causes goes through: a
+// synthesize → storePlan} — that every plan a request causes goes through: a
 // single request's miss, and each missing key of a batch. seedDist is the
 // donor's distance when this caller's own search ran seeded, else -1.
 func (s *Server) planMiss(ctx context.Context, sp *obs.Span, key string, in *planInput) (plan CachedPlan, seedDist float64, err error) {
@@ -860,17 +855,18 @@ func (s *Server) planMiss(ctx context.Context, sp *obs.Span, key string, in *pla
 		}
 		defer release()
 		src := newPlanSource(in.g, in.req.Graph, in.c, in.req.Options)
-		p, v, err := s.synthesize(fctx, fs, in.g, in.c, src.opts, func() donor { return s.nearestDonor(fctx, &src, key) })
+		p, v, err := s.synthesize(fctx, fs, in.g, in.c, src.opts, func() donor { return s.nearestDonor(src, key) })
 		if err != nil {
 			return CachedPlan{}, err
 		}
 		if p.Seeded {
 			seedDist = p.SeedDistance
 		}
-		// Committed before the flight key is released: a request arriving
+		// Stored before the flight key is released: a request arriving
 		// between flight completion and a later insert would synthesize a
 		// second time.
-		return s.commitPlan(fs, key, src, v), nil
+		v.src = src
+		return s.storePlan(fs, key, v), nil
 	})
 	fs.SetAttrBool("shared", shared)
 	fs.End()
@@ -931,15 +927,6 @@ func (s *Server) synthesize(ctx context.Context, sp *obs.Span, g *graph.Graph, c
 	v, err := encodePlan(p)
 	es.End()
 	return p, v, err
-}
-
-// commitPlan is the second half of the miss tail: register what the plan was
-// planned from (planSource, telemetry.go), then store and replicate it.
-// Registering first lets a store that rejects the plan (over its caps) drop
-// the registration again through its eviction hook.
-func (s *Server) commitPlan(sp *obs.Span, key string, src planSource, v CachedPlan) CachedPlan {
-	s.recordPlanSource(key, src)
-	return s.storePlan(sp, key, v)
 }
 
 // fleetRole classifies this node's relationship to a cache key for the
@@ -1098,13 +1085,15 @@ func encodePlan(p *hap.Plan) (CachedPlan, error) {
 	return CachedPlan{Plan: buf.Bytes(), Bin: bin.Bytes()}, nil
 }
 
-// storePlan inserts a freshly synthesized plan into the store (which
-// mirrors it to disk when persistence is on) and, when this node owns the
-// key, replicates it to the ring successors. It returns the plan as stored —
-// with the version and ETag the store assigned — so the synthesis response
-// and the replication pushes carry the same metadata the next cache hit
-// will. A plan the store rejects (over its caps) comes back tagged all the
-// same: the response still gets an ETag, just no stored version sequence.
+// storePlan is the second half of the miss tail: it inserts a freshly
+// synthesized plan, carrying the planSource it was planned from, into the
+// store (which mirrors it to disk when persistence is on) and, when this node
+// owns the key, replicates it to the ring successors. It returns the plan as
+// stored — with the version and ETag the store assigned — so the synthesis
+// response and the replication pushes carry the same metadata the next cache
+// hit will. A plan the store rejects (over its caps) comes back tagged all
+// the same: the response still gets an ETag, just no stored version sequence
+// (and its source is gone with it).
 //
 // sp, when non-nil, parents the replication fan-out span so the pushes show
 // up in the request (or replan) trace that produced the plan.

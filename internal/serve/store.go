@@ -1,9 +1,9 @@
 // The daemon's plan store: the bounded in-memory LRU (cache.go) with its
 // optional write-through disk mirror (persist.go), and the version and ETag
 // metadata every stored plan carries. serve.go handles the wire protocol;
-// the miss path and the fleet layer write through Put (synthesized plans,
-// replication pushes, warm-up entries), warm-up streaming reads Range, and
-// the stats surface reads Stats.
+// the miss path and replication intake write through Put, warm-up through
+// Warm; the warm-up stream a node serves, donor lookup and the replan scan
+// read Range; the stats surface reads Stats.
 
 package serve
 
@@ -31,6 +31,11 @@ type CachedPlan struct {
 	// warm clients' tags valid. The store derives it on every Put and
 	// restore; a tag supplied by the caller is never trusted.
 	ETag string
+	// src is what a locally synthesized plan was planned from — its donor
+	// and replan record (telemetry.go); nil on replicated, warmed-up and
+	// restored entries, which replan on their owner. It lives and dies with
+	// the entry: a Put replaces it, an eviction drops it.
+	src *planSource
 }
 
 func (v CachedPlan) size() int64 { return int64(len(v.Plan) + len(v.Bin)) }
@@ -61,12 +66,6 @@ type memDiskStore struct {
 	persist  *diskStore // nil = memory only
 	ttl      time.Duration
 	restored int
-	// onEvict, when set, is called with the keys each Put or sweep evicted
-	// (or rejected), after the cache and disk state settle — the hook the
-	// server uses to drop the plan-source registry entries whose plan no
-	// longer exists. Set once right after construction,
-	// before the store is shared; the restore pass runs without it.
-	onEvict func(keys []string)
 }
 
 // newMemDiskStore builds the store and, when persist is non-nil, restores
@@ -114,11 +113,7 @@ func (s *memDiskStore) Get(key string) (CachedPlan, bool) { return s.cache.get(k
 // metadata filled in and whether it was kept: a value over the caps is
 // rejected.
 func (s *memDiskStore) Put(key string, v CachedPlan) (CachedPlan, bool) {
-	nextVersion := uint64(1)
-	if prev, ok := s.cache.peek(key); ok {
-		nextVersion = prev.Version + 1
-	}
-	normalizePlan(&v, nextVersion)
+	normalizePlan(&v, s.nextVersion(key))
 	stored, evicted := s.cache.add(key, v, time.Now())
 	if s.persist != nil {
 		if stored {
@@ -128,20 +123,29 @@ func (s *memDiskStore) Put(key string, v CachedPlan) (CachedPlan, bool) {
 			s.persist.remove(k)
 		}
 	}
-	if !stored {
-		// A rejected insert is an eviction of the key itself: nothing is
-		// cached, so nothing should stay registered under it.
-		evicted = append(evicted, key)
-	}
-	if s.onEvict != nil && len(evicted) > 0 {
-		s.onEvict(evicted)
-	}
 	return v, stored
 }
 
+// Warm stores a warm-up entry below every plan already held, keeping its
+// owner's version, and reports whether it fit without evicting anything. A
+// peer streams its plans most-recently used first, so each entry belongs
+// under the ones before it, and the first that does not fit ends the stream:
+// what is left is colder still. A key already held is replaced in place.
+func (s *memDiskStore) Warm(key string, v CachedPlan) bool {
+	normalizePlan(&v, s.nextVersion(key))
+	if !s.cache.addTail(key, v, time.Now()) {
+		return false
+	}
+	if s.persist != nil {
+		s.persist.save(key, v)
+	}
+	return true
+}
+
 // Range calls fn for each stored plan until fn returns false, most- to
-// least-recently used; fn sees a snapshot and may block (warm-up streams
-// entries over the network).
+// least-recently used, promoting none. fn sees a snapshot taken under the
+// LRU's lock and runs outside it, so it may block (warm-up streams entries
+// over the network) or compare (donor lookup) while hits go on.
 func (s *memDiskStore) Range(fn func(key string, v CachedPlan) bool) {
 	for _, e := range s.cache.entries() {
 		if !fn(e.key, e.val) {
@@ -153,6 +157,15 @@ func (s *memDiskStore) Range(fn func(key string, v CachedPlan) bool) {
 func (s *memDiskStore) Stats() StoreStats {
 	entries, bytes, evictions := s.cache.snapshot()
 	return StoreStats{Entries: entries, Bytes: bytes, Evictions: evictions, Restored: s.restored}
+}
+
+// nextVersion is the version a zero-versioned write of key gets: 1 on first
+// insert, the stored entry's version + 1 on a replacement.
+func (s *memDiskStore) nextVersion(key string) uint64 {
+	if prev, ok := s.cache.peek(key); ok {
+		return prev.Version + 1
+	}
+	return 1
 }
 
 // normalizePlan derives the ETag from the plan content — whatever tag v
@@ -176,9 +189,6 @@ func (s *memDiskStore) sweep(now time.Time) int {
 		for _, k := range expired {
 			s.persist.remove(k)
 		}
-	}
-	if s.onEvict != nil && len(expired) > 0 {
-		s.onEvict(expired)
 	}
 	return len(expired)
 }

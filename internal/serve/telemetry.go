@@ -91,13 +91,12 @@ type TelemetryStats struct {
 	MaxDrift float64            `json:"max_drift"`
 }
 
-// planSource is the daemon's one side-registry record: what a locally
-// synthesized cache entry was planned from, so drift in the source cluster
-// can replan it without the original request and a similar miss can find it
-// as a seed donor (similarity.go). Entries are registered on successful local
-// synthesis only — a replicated or warmed-up entry replans on its owner, and
-// the replacement re-replicates through the normal path — and dropped when
-// the store evicts their key.
+// planSource is what a locally synthesized cache entry was planned from, so
+// drift in the source cluster can replan it without the original request and
+// a similar miss can find it as a seed donor (similarity.go). It rides in the
+// entry itself (CachedPlan.src): only local synthesis sets one — a replicated
+// or warmed-up entry replans on its owner, and the replacement re-replicates
+// through the normal path — and an eviction cannot leave one behind.
 //
 // graphJSON is the request's raw graph, never a decoded one: a search assigns
 // segments onto the graph it plans and hap.ReadProgram adopts a plan's
@@ -117,15 +116,17 @@ type planSource struct {
 	// plannedFP fingerprints the cluster the cached content was actually
 	// planned against — the spec at first synthesis, the drifted view after
 	// a replan. Replanning is idempotent per view: a second report of the
-	// same drift finds plannedFP already current and starts nothing.
+	// same drift finds plannedFP already current and starts nothing. The one
+	// field written after the entry is stored; read and written only under
+	// telemetryState.mu.
 	plannedFP string
 }
 
 // newPlanSource builds the record of a plan about to be synthesized for g on
 // spec, fingerprinting both once for every later reader.
-func newPlanSource(g *graph.Graph, graphJSON []byte, spec *cluster.Cluster, opts RequestOptions) planSource {
+func newPlanSource(g *graph.Graph, graphJSON []byte, spec *cluster.Cluster, opts RequestOptions) *planSource {
 	specFP := spec.Fingerprint()
-	return planSource{
+	return &planSource{
 		graphJSON: graphJSON,
 		subs:      graph.SubFingerprints(g),
 		specFP:    specFP,
@@ -139,7 +140,6 @@ func newPlanSource(g *graph.Graph, graphJSON []byte, spec *cluster.Cluster, opts
 type telemetryState struct {
 	mu       sync.Mutex
 	monitors map[string]*telemetry.Monitor // spec fingerprint → monitor
-	sources  map[string]planSource         // cache key → what it was planned from
 	replan   map[string]bool               // cache keys replanning right now
 
 	reports          uint64
@@ -147,26 +147,6 @@ type telemetryState struct {
 	replans          uint64
 	replansUnchanged uint64
 	replanErrors     uint64
-}
-
-// recordPlanSource registers (or, after a replan, refreshes) the source of a
-// locally synthesized entry.
-func (s *Server) recordPlanSource(key string, src planSource) {
-	t := &s.telemetry
-	t.mu.Lock()
-	t.sources[key] = src
-	t.mu.Unlock()
-}
-
-// dropPlanSources forgets evicted keys, so the registry cannot grow past the
-// store it describes. Wired as the store's eviction hook (see serve.New).
-func (s *Server) dropPlanSources(keys []string) {
-	t := &s.telemetry
-	t.mu.Lock()
-	for _, k := range keys {
-		delete(t.sources, k)
-	}
-	t.mu.Unlock()
 }
 
 // monitorFor returns (creating on first use) the monitor for spec.
@@ -240,11 +220,13 @@ func (s *Server) ingestTelemetry(req TelemetryRequest) (TelemetryResponse, error
 	return resp, nil
 }
 
-// replanForSpec scans the plan-source registry for cached entries planned
-// from the drifted spec and starts a background replan for each one whose
-// content is stale relative to the live view. Returns how many replans were
-// started. Per-key idempotent: an entry already replanning, or already
-// planned against the current view, is skipped.
+// replanForSpec scans the store for locally synthesized entries planned from
+// the drifted spec and starts a background replan for each one whose content
+// is stale relative to the live view. Returns how many replans were started.
+// Per-key idempotent: an entry already replanning, or already planned against
+// the current view, is skipped. The scan reads a snapshot and promotes
+// nothing: a report whose replans are shed or come back unchanged leaves the
+// LRU order as it found it.
 //
 // A replan claims its admission slot before it starts, like any synthesis.
 // With every slot busy the entry is left as it is — nothing marked, nothing
@@ -262,25 +244,22 @@ func (s *Server) replanForSpec(specFP string, mon *telemetry.Monitor) int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	started := 0
-	for key, src := range t.sources {
-		if src.specFP != specFP || src.plannedFP == driftedFP || t.replan[key] {
-			continue
-		}
-		old, ok := s.store.Get(key)
-		if !ok {
-			// Evicted since synthesis: nothing to refresh, drop the source.
-			delete(t.sources, key)
-			continue
+	s.store.Range(func(key string, old CachedPlan) bool {
+		src := old.src
+		if src == nil || src.specFP != specFP || src.plannedFP == driftedFP || t.replan[key] {
+			return true
 		}
 		release, ok := s.acquireSynth()
 		if !ok {
-			continue
+			return true
 		}
 		t.replan[key] = true
 		started++
-		src.plannedFP = driftedFP
-		go s.runReplan(key, src, drifted, old, release)
-	}
+		next := *src
+		next.plannedFP = driftedFP
+		go s.runReplan(key, next, drifted, old, release)
+		return true
+	})
 	return started
 }
 
@@ -322,13 +301,10 @@ func (s *Server) runReplan(key string, src planSource, drifted *cluster.Cluster,
 	case swapped:
 		t.replans++
 	default:
-		// commitPlan did not run, so mark the source current here, or the
-		// same view would replan again.
+		// Nothing was stored, so mark the old entry's source current here,
+		// or the same view would replan again.
 		t.replansUnchanged++
-		if cur, ok := t.sources[key]; ok {
-			cur.plannedFP = src.plannedFP
-			t.sources[key] = cur
-		}
+		old.src.plannedFP = src.plannedFP
 	}
 }
 
@@ -366,7 +342,8 @@ func (s *Server) replanOne(ctx context.Context, root *obs.Span, key string, src 
 	}
 	// The swap: a version bump, a new content tag, and re-replication, exactly
 	// like a fresh synthesis.
-	s.commitPlan(root, key, src, v)
+	v.src = &src
+	s.storePlan(root, key, v)
 	return true, nil
 }
 
