@@ -13,12 +13,12 @@
 //	          [-debug-addr ""]
 //
 // Endpoints (wire protocol v2): POST /v1/synthesize, POST
-// /v1/synthesize/batch, GET/POST /v1/fleet/entries, GET /healthz, GET
-// /stats, GET /metrics (Prometheus text format), GET
-// /v1/debug/traces[/<id>[?format=chrome]]. With
-// -cache-dir, cached plans are written through to disk and restored on the
-// next boot (oldest first, preserving LRU order); -cache-ttl expires aged
-// plans so the directory cannot grow unbounded.
+// /v1/synthesize/batch, GET/POST /v1/fleet/entries, GET /healthz
+// (liveness, protocol and fleet membership), GET /metrics (every counter,
+// Prometheus text format), GET /v1/debug/traces[/<id>[?format=chrome]].
+// With -cache-dir, cached plans are written through to disk and restored on
+// the next boot (oldest first, preserving LRU order); -cache-ttl expires
+// aged plans so the directory cannot grow unbounded.
 //
 // Fleet mode: -self names this node's advertise URL and -peers/-peers-file
 // the other members. Request fingerprints are consistent-hash routed to an

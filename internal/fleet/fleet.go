@@ -80,9 +80,6 @@ func (f *Fleet) Self() string { return f.self }
 // ReplicaCount returns the configured copies per entry, owner included.
 func (f *Fleet) ReplicaCount() int { return f.replicas }
 
-// Size returns the current number of fleet members.
-func (f *Fleet) Size() int { return f.Members.Ring().Size() }
-
 // Owner returns the member owning key on the current ring.
 func (f *Fleet) Owner(key string) string { return f.Members.Ring().Owner(key) }
 

@@ -36,11 +36,6 @@ type Membership struct {
 	// lastMtime never equals a real mtime).
 	lastMtime time.Time
 	lastSize  int64
-
-	pollReloads atomic.Uint64 // reloads triggered by the mtime/size poller
-
-	stopPoll chan struct{}
-	pollOnce sync.Once
 }
 
 // NewMembership builds the member list from self, the static peers, and the
@@ -132,7 +127,6 @@ func (m *Membership) StartPolling(interval time.Duration) (stop func()) {
 				dirty := info.ModTime() != m.lastMtime || info.Size() != m.lastSize
 				m.mu.Unlock()
 				if dirty {
-					m.pollReloads.Add(1)
 					// Reload re-reads the file and re-snapshots its stat.
 					m.Reload()
 				}

@@ -71,7 +71,7 @@ func TestMembershipPollNoSpuriousFirstTick(t *testing.T) {
 	stop := m.StartPolling(5 * time.Millisecond)
 	defer stop()
 	time.Sleep(100 * time.Millisecond) // many ticks
-	if n := m.pollReloads.Load(); n != 0 {
+	if n := m.Reloads(); n != 0 {
 		t.Errorf("poller reloaded %d times with an untouched file, want 0", n)
 	}
 }

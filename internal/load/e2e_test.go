@@ -171,7 +171,7 @@ func TestE2EFleetTrio(t *testing.T) {
 // TestE2EOverload pins the admission-control contract end to end: a daemon
 // with one synthesis slot and a slow planner sheds concurrent cold misses as
 // 429s, which the report books as shed — never as errors — while the server
-// counts them in /stats and /metrics.
+// counts them in Stats and /metrics.
 func TestE2EOverload(t *testing.T) {
 	var inflight atomic.Int64
 	var s *serve.Server

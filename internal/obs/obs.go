@@ -312,10 +312,11 @@ func FormatTraceHeader(traceID string, parent uint64) string {
 	return traceID + "-" + strconv.FormatUint(parent, 16)
 }
 
-// ParseTraceHeader splits an incoming X-HAP-Trace value into the trace ID
-// and (when present) the forwarding node's hop-span ID to parent under.
-// Client-minted values are a bare ID; a malformed suffix is treated as
-// part of an opaque ID rather than rejected.
+// ParseTraceHeader splits a fleet forward hop's X-HAP-Trace value into the
+// trace ID and the forwarding node's hop-span ID to parent under. Only
+// forwarded requests carry that form — an end client's value is an opaque
+// ID, never parsed. A malformed suffix is treated as part of the ID rather
+// than rejected.
 func ParseTraceHeader(v string) (id string, parent uint64) {
 	i := strings.LastIndexByte(v, '-')
 	if i < 0 {

@@ -104,16 +104,6 @@ func (c *Collector) Get(id string) (*TraceRecord, bool) {
 	return nil, false
 }
 
-// Len reports how many traces the ring currently holds.
-func (c *Collector) Len() int {
-	if c == nil {
-		return 0
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.n
-}
-
 // chromeEvent mirrors the Chrome trace-event JSON shape used by
 // hap.WriteTrace (internal/sim): "X" complete events with microsecond
 // timestamps, plus "M" metadata events naming each process.

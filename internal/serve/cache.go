@@ -16,8 +16,16 @@ import (
 type cacheEntry struct {
 	key string
 	val CachedPlan
-	at  time.Time // insert (or refresh) time, for the TTL sweep
+	// at is the entry's LRU stamp: its insert (or refresh) time, or just
+	// below the tail's for a warm-up entry. The TTL sweep reads it, and the
+	// disk mirror keeps it as the plan file's mtime, so a restore replays
+	// entries in stamp order.
+	at time.Time
 }
+
+// warmStampStep is how far below the tail's stamp a warm-up entry lands: a
+// millisecond, so filesystems that keep coarse mtimes still order the files.
+const warmStampStep = time.Millisecond
 
 type lruCache struct {
 	mu         sync.Mutex
@@ -98,10 +106,12 @@ func (c *lruCache) add(key string, val CachedPlan, at time.Time) (stored bool, e
 }
 
 // addTail inserts a value at the LRU tail, below every entry held, or
-// replaces a held key's value where it stands. Unlike add it never evicts:
-// it stores nothing and reports false when the value does not fit under both
-// caps beside what is already held.
-func (c *lruCache) addTail(key string, val CachedPlan, at time.Time) bool {
+// replaces a held key's value where it stands, and returns the entry's
+// stamp: a new entry's sits warmStampStep below the tail's (now in an empty
+// cache), a held one keeps its own. Unlike add it never evicts: it stores
+// nothing and reports false when the value does not fit under both caps
+// beside what is already held.
+func (c *lruCache) addTail(key string, val CachedPlan, now time.Time) (at time.Time, ok bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	e, held := c.items[key]
@@ -111,16 +121,20 @@ func (c *lruCache) addTail(key string, val CachedPlan, at time.Time) bool {
 		grow -= e.Value.(*cacheEntry).val.size()
 	}
 	if n > c.maxEntries || c.bytes+grow > c.maxBytes {
-		return false
+		return time.Time{}, false
 	}
 	c.bytes += grow
 	if held {
 		ent := e.Value.(*cacheEntry)
-		ent.val, ent.at = val, at
-	} else {
-		c.items[key] = c.ll.PushBack(&cacheEntry{key: key, val: val, at: at})
+		ent.val = val
+		return ent.at, true
 	}
-	return true
+	at = now
+	if tail := c.ll.Back(); tail != nil {
+		at = tail.Value.(*cacheEntry).at.Add(-warmStampStep)
+	}
+	c.items[key] = c.ll.PushBack(&cacheEntry{key: key, val: val, at: at})
+	return at, true
 }
 
 // removeElement unlinks one entry; the caller holds c.mu.
@@ -163,7 +177,7 @@ func (c *lruCache) entries() []cacheEntry {
 	return out
 }
 
-// snapshot returns (entries, bytes, evictions) for /stats.
+// snapshot returns (entries, bytes, evictions) for Stats.
 func (c *lruCache) snapshot() (int, int64, uint64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()

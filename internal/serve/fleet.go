@@ -3,7 +3,7 @@
 // internal/fleet (ring, membership, health, intra-fleet client); this file
 // is the serve-side wiring — proxy-on-miss, replication of filled entries,
 // the /v1/fleet/entries exchange endpoint, warm-up, and the fleet slices of
-// /stats, /metrics, and /healthz.
+// Stats (rendered by /metrics) and /healthz.
 //
 // Division of labor per request fingerprint (the cache key):
 //
@@ -40,41 +40,39 @@ import (
 // delays a miss response, not a request timeout.
 const replicateTimeout = 5 * time.Second
 
-// FleetStats is the fleet slice of /stats.
+// FleetStats is the fleet slice of Stats.
 type FleetStats struct {
-	// Self is this node's advertise URL; Peers the current membership
-	// (sorted, self included); PeersDown how many peers health marks down.
-	Self      string   `json:"self"`
-	Peers     []string `json:"peers"`
-	PeersDown int      `json:"peers_down"`
+	// Peers is the current membership (sorted, self included); PeersDown how
+	// many peers health marks down.
+	Peers     []string
+	PeersDown int
 	// MembershipReloads counts peer-list reloads that changed the ring.
-	MembershipReloads uint64 `json:"membership_reloads"`
+	MembershipReloads uint64
 	// Proxied counts misses answered by a peer; ProxyErrors failed proxy
 	// attempts (each marks the peer down); LocalFallbacks misses owned
 	// elsewhere that synthesized here because every peer was unreachable.
-	Proxied        uint64 `json:"proxied"`
-	ProxyErrors    uint64 `json:"proxy_errors"`
-	LocalFallbacks uint64 `json:"local_fallbacks"`
+	Proxied        uint64
+	ProxyErrors    uint64
+	LocalFallbacks uint64
 	// ForwardedServed counts requests served on behalf of forwarding peers —
 	// the owner's side of the proxy traffic.
-	ForwardedServed uint64 `json:"forwarded_served"`
+	ForwardedServed uint64
 	// ReplicatedOut / ReplicateErrors / ReplicatedIn count replication
 	// pushes sent, failed, and accepted; WarmupEntries counts entries this
 	// node received by warm-up streaming.
-	ReplicatedOut   uint64 `json:"replicated_out"`
-	ReplicateErrors uint64 `json:"replicate_errors"`
-	ReplicatedIn    uint64 `json:"replicated_in"`
-	WarmupEntries   uint64 `json:"warmup_entries"`
+	ReplicatedOut   uint64
+	ReplicateErrors uint64
+	ReplicatedIn    uint64
+	WarmupEntries   uint64
 }
 
-// fleetStats assembles the /stats fleet slice; nil on a standalone daemon.
+// fleetStats assembles the Stats fleet slice; nil on a standalone daemon.
 func (s *Server) fleetStats() *FleetStats {
 	f := s.cfg.Fleet
 	if f == nil {
 		return nil
 	}
 	return &FleetStats{
-		Self:              f.Self(),
 		Peers:             f.Members.Peers(),
 		PeersDown:         f.Health.DownCount(),
 		MembershipReloads: f.Members.Reloads(),
@@ -89,11 +87,13 @@ func (s *Server) fleetStats() *FleetStats {
 	}
 }
 
-// fleetHealthPayload is the fleet section of /healthz.
+// fleetHealthPayload is the fleet section of /healthz: this node, the
+// current membership (sorted, self included) and how many peers health
+// marks down.
 type fleetHealthPayload struct {
-	Self      string `json:"self"`
-	Peers     int    `json:"peers"`
-	PeersDown int    `json:"peers_down"`
+	Self      string   `json:"self"`
+	Peers     []string `json:"peers"`
+	PeersDown int      `json:"peers_down"`
 }
 
 func (s *Server) fleetHealth() *fleetHealthPayload {
@@ -101,7 +101,7 @@ func (s *Server) fleetHealth() *fleetHealthPayload {
 	if f == nil {
 		return nil
 	}
-	return &fleetHealthPayload{Self: f.Self(), Peers: f.Size(), PeersDown: f.Health.DownCount()}
+	return &fleetHealthPayload{Self: f.Self(), Peers: f.Members.Peers(), PeersDown: f.Health.DownCount()}
 }
 
 // proxyPlanRequest forwards a missed request — its body, as received — to

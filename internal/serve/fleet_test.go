@@ -194,18 +194,18 @@ func TestFleetCrossNodeSingleFlight(t *testing.T) {
 	if nodes[owner].synth.Load() != 1 {
 		t.Errorf("the one synthesis did not run on the ring owner")
 	}
-	// The non-owners answered their misses by proxying; /stats must show it.
+	// The non-owners answered their misses by proxying; Stats must show it.
 	for _, i := range others {
-		st := getStats(t, nodes[i].url)
+		st := nodes[i].s.Stats()
 		if st.Fleet == nil {
-			t.Fatalf("node %d /stats has no fleet slice", i)
+			t.Fatalf("node %d Stats has no fleet slice", i)
 		}
 		if st.Fleet.Proxied == 0 {
 			t.Errorf("node %d proxied no requests despite not owning the key", i)
 		}
 	}
 	// Replication: with Replicas=2 exactly one non-owner holds a copy.
-	ownerStats := getStats(t, nodes[owner].url)
+	ownerStats := nodes[owner].s.Stats()
 	if ownerStats.Fleet.ReplicatedOut != 1 {
 		t.Errorf("owner replicated %d entries, want 1", ownerStats.Fleet.ReplicatedOut)
 	}
@@ -269,7 +269,7 @@ func TestFleetOwnerDownReplicaRead(t *testing.T) {
 	if got := totalSyntheses(nodes); got != 1 {
 		t.Errorf("replica read re-synthesized: %d total syntheses", got)
 	}
-	st := getStats(t, nodes[reader].url)
+	st := nodes[reader].s.Stats()
 	if st.Fleet.ProxyErrors == 0 {
 		t.Error("dead owner produced no proxy error")
 	}
@@ -280,7 +280,7 @@ func TestFleetOwnerDownReplicaRead(t *testing.T) {
 
 // TestFleetPeerListReloadMidTraffic grows a 2-node fleet to 3 by rewriting
 // the peers file between requests: traffic before, during, and after the
-// reload answers 200, and /stats counts the membership change.
+// reload answers 200, and Stats counts the membership change.
 func TestFleetPeerListReloadMidTraffic(t *testing.T) {
 	// Three servers up front, but only the first two start in the peers file.
 	switches := make([]*switchHandler, 3)
@@ -356,7 +356,7 @@ func TestFleetPeerListReloadMidTraffic(t *testing.T) {
 	if got := totalSyntheses(nodes); got != 2 {
 		t.Errorf("fleet ran %d syntheses for 2 distinct keys, want 2", got)
 	}
-	st := getStats(t, nodes[0].url)
+	st := nodes[0].s.Stats()
 	if st.Fleet.MembershipReloads != 1 {
 		t.Errorf("membership_reloads = %d, want 1", st.Fleet.MembershipReloads)
 	}
@@ -367,7 +367,7 @@ func TestFleetPeerListReloadMidTraffic(t *testing.T) {
 
 // TestFleetEntriesRoundTrip pushes an entry over POST /v1/fleet/entries and
 // reads it back over GET: the replication wire format round-trips, bad
-// entries are rejected, and /stats counts the accepted push.
+// entries are rejected, and Stats counts the accepted push.
 func TestFleetEntriesRoundTrip(t *testing.T) {
 	s := New(Config{})
 	defer s.Close()
@@ -558,6 +558,49 @@ func TestFleetWarmupKeepsHottest(t *testing.T) {
 	}
 }
 
+// TestFleetWarmupRestartKeepsRecency: a joiner with a cache directory warms
+// from a peer holding k0, k1, k2 (k2 hottest), then restarts on the same
+// directory. The restored cache must hold the warm-up set in the peer's
+// recency order — a warm-up entry's file carries its LRU stamp, just below
+// the tail's, so the oldest-first replay puts k2 back on top.
+func TestFleetWarmupRestartKeepsRecency(t *testing.T) {
+	source := New(Config{})
+	defer source.Close()
+	for i := 0; i < 3; i++ {
+		source.store.Put(fmt.Sprintf("k%d", i), CachedPlan{Plan: []byte(fmt.Sprintf("plan-%d", i))})
+	}
+	srcSrv := httptest.NewServer(source.Handler())
+	defer srcSrv.Close()
+
+	held := func(s *Server) string {
+		var keys []string
+		s.store.Range(func(key string, _ CachedPlan) bool {
+			keys = append(keys, key)
+			return true
+		})
+		return strings.Join(keys, " ")
+	}
+	dir := t.TempDir()
+	fl, err := fleet.New(fleet.Config{Self: "http://joining:1", Peers: []string{srcSrv.URL}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	joining := New(Config{Fleet: fl, CacheDir: dir})
+	if n, err := joining.WarmFrom(context.Background(), fl.Members.Peers()); err != nil || n != 3 {
+		t.Fatalf("WarmFrom = (%d, %v), want (3, nil)", n, err)
+	}
+	if got := held(joining); got != "k2 k1 k0" {
+		t.Fatalf("warmed cache holds [%s] most recent first, want [k2 k1 k0]", got)
+	}
+	joining.Close()
+
+	restarted := New(Config{CacheDir: dir})
+	defer restarted.Close()
+	if got := held(restarted); got != "k2 k1 k0" {
+		t.Errorf("restarted cache holds [%s] most recent first, want the warm-up order [k2 k1 k0]", got)
+	}
+}
+
 // TestFleetForwardedRequestNeverReforwards plants a forwarded request on a
 // node that does not own the key: the node must synthesize locally rather
 // than bounce the request onward, the loop-prevention invariant.
@@ -587,7 +630,7 @@ func TestFleetForwardedRequestNeverReforwards(t *testing.T) {
 	if nonOwner.synth.Load() != 1 {
 		t.Errorf("forwarded request did not synthesize on the receiving node")
 	}
-	st := getStats(t, nonOwner.url)
+	st := nonOwner.s.Stats()
 	if st.Fleet.ForwardedServed != 1 {
 		t.Errorf("forwarded_served = %d, want 1", st.Fleet.ForwardedServed)
 	}

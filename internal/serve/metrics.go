@@ -26,7 +26,6 @@ var latencyBuckets = []float64{
 type histogram struct {
 	counts []atomic.Uint64 // len(latencyBuckets)+1; last = +Inf overflow
 	sumNs  atomic.Int64
-	total  atomic.Uint64
 }
 
 func newHistogram() *histogram {
@@ -38,7 +37,6 @@ func (h *histogram) observe(d time.Duration) {
 	i := sort.SearchFloat64s(latencyBuckets, sec) // first bucket with bound >= sec
 	h.counts[i].Add(1)
 	h.sumNs.Add(int64(d))
-	h.total.Add(1)
 }
 
 // observeLatency records one request's wall time in its endpoint histogram.
@@ -107,7 +105,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		phases[i].sumNs = s.phase[i].sumNs.Load()
 	}
 	slow := s.slowRequests.Load()
-	tracesHeld := s.traces.Len()
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	var b bytes.Buffer
 	counter := func(name, help string, v uint64) {
@@ -116,8 +113,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	gauge := func(name, help string, v float64) {
 		fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s gauge\n%s %g\n", name, help, name, name, v)
 	}
-	counter("hap_serve_requests_total", "Plan requests across all endpoints.", st.Requests)
-	// Per-endpoint breakdown, in fixed order for a stable exposition.
+	// Per-endpoint request counts, in fixed order for a stable exposition.
 	fmt.Fprintf(&b, "# HELP hap_serve_requests_by_endpoint_total Plan requests, by wire endpoint.\n# TYPE hap_serve_requests_by_endpoint_total counter\n")
 	for _, ep := range []string{EndpointV1, EndpointV1Batch} {
 		fmt.Fprintf(&b, "hap_serve_requests_by_endpoint_total{endpoint=%q} %d\n", ep, st.RequestsByEndpoint[ep])
@@ -136,12 +132,10 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprintf(&b, "hap_serve_synth_phase_seconds_count{phase=%q} %d\n", name, phases[i].count)
 	}
 	counter("hap_serve_slow_requests_total", "Requests at or past the -trace-slow threshold.", slow)
-	gauge("hap_serve_debug_traces", "Completed traces held in the debug ring.", float64(tracesHeld))
 	counter("hap_serve_cache_hits_total", "Requests served straight from the plan cache.", st.CacheHits)
 	counter("hap_serve_cache_misses_total", "Requests that required (or joined) a synthesis.", st.CacheMisses)
 	counter("hap_serve_syntheses_total", "Plans actually synthesized.", st.Syntheses)
 	counter("hap_serve_synth_incremental_total", "Syntheses seeded from a similar cached plan (incremental synthesis).", st.SynthIncremental)
-	gauge("hap_serve_synth_seed_distance", "Normalized donor distance of the most recent seeded synthesis.", st.SynthSeedDistance)
 	counter("hap_serve_flight_shared_total", "Cache misses that joined an in-flight synthesis.", st.FlightShared)
 	counter("hap_serve_admission_shed_total", "Cache misses shed with 429 by the synthesis admission gate.", st.AdmissionShed)
 	gauge("hap_serve_inflight_synth", "Local syntheses currently executing.", float64(st.InflightSynth))
@@ -152,14 +146,13 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	gauge("hap_serve_cache_restored", "Plans reloaded from the cache directory on boot.", float64(st.CacheRestored))
 	// Telemetry and replanning series are always exposed — a dashboard must
 	// distinguish "no drift" from "telemetry not wired up", so the counters
-	// and the max-drift gauge exist from the first scrape.
+	// exist from the first scrape (reports_total 0 = no telemetry yet).
 	if ts := st.Telemetry; ts != nil {
 		counter("hap_serve_telemetry_reports_total", "Probe batches accepted by /v1/telemetry.", ts.Reports)
 		counter("hap_serve_telemetry_rejects_total", "Probe batches rejected (unknown machine or device, malformed cluster).", ts.Rejects)
 		counter("hap_serve_replans_total", "Background replans that swapped a new plan into the cache.", ts.Replans)
 		counter("hap_serve_replans_unchanged_total", "Background replans whose output matched the cached plan byte-for-byte (no swap).", ts.ReplansUnchanged)
 		counter("hap_serve_replan_errors_total", "Background replans that failed to synthesize or verify.", ts.ReplanErrors)
-		gauge("hap_serve_cluster_drift_max", "Largest current drift across monitored clusters.", ts.MaxDrift)
 		// Per-cluster drift, sorted by fingerprint for a stable exposition.
 		fmt.Fprintf(&b, "# HELP hap_serve_cluster_drift Current drift between a monitored spec cluster and its telemetry view.\n# TYPE hap_serve_cluster_drift gauge\n")
 		fps := make([]string, 0, len(ts.Drift))

@@ -22,9 +22,6 @@ func TestHistogramBuckets(t *testing.T) {
 	h.observe(700 * time.Millisecond) // → le="1"
 	h.observe(5 * time.Minute)        // → +Inf overflow
 
-	if h.total.Load() != 4 {
-		t.Fatalf("total = %d, want 4", h.total.Load())
-	}
 	// Cumulative counts: everything at or under 1s is 3, +Inf is 4.
 	cum := uint64(0)
 	for i, bound := range latencyBuckets {
@@ -57,8 +54,12 @@ func TestHistogramConcurrentObserve(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if h.total.Load() != 8000 {
-		t.Errorf("total = %d, want 8000 (lost observations)", h.total.Load())
+	total := uint64(0)
+	for _, n := range h.snapshot().counts {
+		total += n
+	}
+	if total != 8000 {
+		t.Errorf("total = %d, want 8000 (lost observations)", total)
 	}
 }
 
@@ -164,17 +165,14 @@ func TestMetricsSeriesNames(t *testing.T) {
 		}
 	}
 	want := []string{
-		"hap_serve_requests_total counter",
 		"hap_serve_requests_by_endpoint_total counter",
 		"hap_serve_request_seconds histogram",
 		"hap_serve_synth_phase_seconds summary",
 		"hap_serve_slow_requests_total counter",
-		"hap_serve_debug_traces gauge",
 		"hap_serve_cache_hits_total counter",
 		"hap_serve_cache_misses_total counter",
 		"hap_serve_syntheses_total counter",
 		"hap_serve_synth_incremental_total counter",
-		"hap_serve_synth_seed_distance gauge",
 		"hap_serve_flight_shared_total counter",
 		"hap_serve_admission_shed_total counter",
 		"hap_serve_inflight_synth gauge",
@@ -188,7 +186,6 @@ func TestMetricsSeriesNames(t *testing.T) {
 		"hap_serve_replans_total counter",
 		"hap_serve_replans_unchanged_total counter",
 		"hap_serve_replan_errors_total counter",
-		"hap_serve_cluster_drift_max gauge",
 		"hap_serve_cluster_drift gauge",
 		"hap_serve_fleet_peers gauge",
 		"hap_serve_fleet_peers_down gauge",

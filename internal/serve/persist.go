@@ -1,9 +1,10 @@
 // Write-through disk persistence for the plan cache. Plans are
 // content-addressed already (the cache key is built from the graph and
 // cluster fingerprints plus the planner options), so the store is a flat
-// directory of fingerprint-named files: each insert writes one file, each
-// LRU eviction deletes one, and a restarting server reloads the directory —
-// a fleet restart does not re-pay every synthesis.
+// directory of fingerprint-named files: each insert writes one file whose
+// mtime is the entry's LRU stamp, each LRU eviction deletes one, and a
+// restarting server reloads the directory in stamp order — a fleet restart
+// does not re-pay every synthesis.
 //
 // Persistence is best-effort by design: a failed write or an unreadable file
 // degrades to an in-memory cache entry (or a cache miss), never to a failed
@@ -73,9 +74,10 @@ func (d *diskStore) path(key string) string {
 	return filepath.Join(d.dir, hex.EncodeToString(sum[:])+planFileExt)
 }
 
-// save writes one plan through to disk, atomically. Errors are swallowed:
-// persistence never fails a request.
-func (d *diskStore) save(key string, v CachedPlan) {
+// save writes one plan through to disk, atomically, with mtime at (the
+// entry's LRU stamp). Errors are swallowed: persistence never fails a
+// request.
+func (d *diskStore) save(key string, v CachedPlan, at time.Time) {
 	data, err := json.Marshal(persistedPlan{Key: key, Plan: v.Plan, Bin: v.Bin, Version: v.Version})
 	if err != nil {
 		return
@@ -94,6 +96,7 @@ func (d *diskStore) save(key string, v CachedPlan) {
 		os.Remove(tmp.Name())
 		return
 	}
+	os.Chtimes(tmp.Name(), at, at) // best effort: the stamp only orders a restore
 	if err := os.Rename(tmp.Name(), target); err != nil {
 		os.Remove(tmp.Name())
 	}
@@ -105,8 +108,8 @@ func (d *diskStore) remove(key string) {
 }
 
 // load feeds every persisted plan to add in ascending-mtime order — oldest
-// first, so the most recently written plan ends up most recently used and a
-// restart preserves the LRU's eviction order instead of replaying the
+// stamp first, so the most recently stamped plan ends up most recently used
+// and a restart preserves the LRU's eviction order instead of replaying the
 // directory's arbitrary listing order. Files last written before cutoff
 // (the TTL horizon; zero disables) are deleted instead of restored. Returns
 // how many plans add accepted. Corrupt or foreign files are skipped, not

@@ -32,7 +32,6 @@
 //	GET  /v1/fleet/entries     NDJSON stream of cached entries (warm-up)
 //	POST /v1/fleet/entries     accept one replicated entry
 //	GET  /healthz              liveness + protocol version, JSON
-//	GET  /stats                cache and request counters, JSON
 //	GET  /metrics              counters + latency histograms, Prometheus text
 //
 // Errors are answered with a structured JSON envelope {"code", "message"},
@@ -53,7 +52,6 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
-	"math"
 	"net/http"
 	"strconv"
 	"strings"
@@ -275,36 +273,32 @@ func (o *RequestOptions) UnmarshalJSON(b []byte) error {
 	return nil
 }
 
-// Stats is the GET /stats payload.
+// Stats is an in-process snapshot of the server counters. GET /metrics
+// renders it; over HTTP that is the only place the numbers are read.
 type Stats struct {
-	Requests    uint64 `json:"requests"`     // plan requests, all endpoints
-	CacheHits   uint64 `json:"cache_hits"`   // served straight from cache
-	CacheMisses uint64 `json:"cache_misses"` // required (or joined) a synthesis
-	Syntheses   uint64 `json:"syntheses"`    // plans actually synthesized
-	// SynthIncremental counts syntheses that ran seeded from a donor plan
-	// (incremental synthesis); SynthSeedDistance is the most recent seeded
-	// search's normalized donor distance.
-	SynthIncremental  uint64  `json:"synth_incremental"`
-	SynthSeedDistance float64 `json:"synth_seed_distance"`
-	FlightShared      uint64  `json:"flight_shared"` // misses that joined an in-flight synthesis
+	CacheHits        uint64 // served straight from cache
+	CacheMisses      uint64 // required (or joined) a synthesis
+	Syntheses        uint64 // plans actually synthesized
+	SynthIncremental uint64 // syntheses seeded from a donor plan (incremental synthesis)
+	FlightShared     uint64 // misses that joined an in-flight synthesis
 	// AdmissionShed counts misses shed with 429 by the synthesis admission
 	// gate; InflightSynth is the number of currently executing local
 	// syntheses.
-	AdmissionShed  uint64 `json:"admission_shed"`
-	InflightSynth  int64  `json:"inflight_synth"`
-	Errors         uint64 `json:"errors"`          // requests answered with an error status
-	CacheEntries   int    `json:"cache_entries"`   // plans currently cached
-	CacheBytes     int64  `json:"cache_bytes"`     // bytes currently cached
-	CacheEvictions uint64 `json:"cache_evictions"` // plans evicted by the LRU caps or the TTL sweep
-	CacheRestored  int    `json:"cache_restored"`  // plans reloaded from CacheDir on boot
-	// RequestsByEndpoint breaks Requests down by wire endpoint
-	// (v1, v1_batch).
-	RequestsByEndpoint map[string]uint64 `json:"requests_by_endpoint"`
+	AdmissionShed  uint64
+	InflightSynth  int64
+	Errors         uint64 // requests answered with an error status
+	CacheEntries   int    // plans currently cached
+	CacheBytes     int64  // bytes currently cached
+	CacheEvictions uint64 // plans evicted by the LRU caps or the TTL sweep
+	CacheRestored  int    // plans reloaded from CacheDir on boot
+	// RequestsByEndpoint counts plan requests by wire endpoint (v1,
+	// v1_batch), rejected ones included.
+	RequestsByEndpoint map[string]uint64
 	// Fleet reports the fleet-layer counters; nil on a standalone daemon.
-	Fleet *FleetStats `json:"fleet,omitempty"`
+	Fleet *FleetStats
 	// Telemetry reports the probe-ingestion and replanning counters; always
 	// present so "no telemetry yet" is observable.
-	Telemetry *TelemetryStats `json:"telemetry"`
+	Telemetry *TelemetryStats
 }
 
 // Server is the plan-cache daemon. Create with New, mount via Handler.
@@ -319,7 +313,6 @@ type Server struct {
 	stopSweep chan struct{}
 	closeOnce sync.Once
 
-	requests     atomic.Uint64
 	epV1         atomic.Uint64
 	epV1Batch    atomic.Uint64
 	hits         atomic.Uint64
@@ -336,10 +329,7 @@ type Server struct {
 	admissionShed atomic.Uint64
 	inflightSynth atomic.Int64
 
-	// synthIncremental counts seeded syntheses; seedDistBits holds the last
-	// seeded search's donor distance as float64 bits (atomic gauge).
-	synthIncremental atomic.Uint64
-	seedDistBits     atomic.Uint64
+	synthIncremental atomic.Uint64 // seeded syntheses
 
 	fleetProxied         atomic.Uint64 // misses answered by proxying to a peer
 	fleetProxyErrors     atomic.Uint64 // failed proxy attempts (peer marked down)
@@ -478,7 +468,6 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("/v1/telemetry", s.handleTelemetry)
 	mux.HandleFunc(fleet.EntriesPath, s.handleFleetEntries)
 	mux.HandleFunc("/healthz", s.handleHealthz)
-	mux.HandleFunc("/stats", s.handleStats)
 	mux.HandleFunc("/metrics", s.handleMetrics)
 	// Both forms registered explicitly: the bare path lists, the trailing-
 	// slash form fetches one trace by ID (parsed manually — this module's
@@ -492,20 +481,18 @@ func (s *Server) Handler() http.Handler {
 func (s *Server) Stats() Stats {
 	ss := s.store.Stats()
 	return Stats{
-		Requests:          s.requests.Load(),
-		CacheHits:         s.hits.Load(),
-		CacheMisses:       s.misses.Load(),
-		Syntheses:         s.syntheses.Load(),
-		SynthIncremental:  s.synthIncremental.Load(),
-		SynthSeedDistance: math.Float64frombits(s.seedDistBits.Load()),
-		FlightShared:      s.flightShared.Load(),
-		AdmissionShed:     s.admissionShed.Load(),
-		InflightSynth:     s.inflightSynth.Load(),
-		Errors:            s.errors.Load(),
-		CacheEntries:      ss.Entries,
-		CacheBytes:        ss.Bytes,
-		CacheEvictions:    ss.Evictions,
-		CacheRestored:     ss.Restored,
+		CacheHits:        s.hits.Load(),
+		CacheMisses:      s.misses.Load(),
+		Syntheses:        s.syntheses.Load(),
+		SynthIncremental: s.synthIncremental.Load(),
+		FlightShared:     s.flightShared.Load(),
+		AdmissionShed:    s.admissionShed.Load(),
+		InflightSynth:    s.inflightSynth.Load(),
+		Errors:           s.errors.Load(),
+		CacheEntries:     ss.Entries,
+		CacheBytes:       ss.Bytes,
+		CacheEvictions:   ss.Evictions,
+		CacheRestored:    ss.Restored,
 		RequestsByEndpoint: map[string]uint64{
 			EndpointV1:      s.epV1.Load(),
 			EndpointV1Batch: s.epV1Batch.Load(),
@@ -720,14 +707,13 @@ func decodeGraphCluster(req *Request) (*graph.Graph, *cluster.Cluster, error) {
 }
 
 // planEndpoint wraps a plan endpoint in the per-request bookkeeping. The
-// aggregate and per-endpoint request counters increment together, first, so
-// RequestsByEndpoint always sums to Requests — including requests rejected
-// before synthesis (bad method, bad body). Latency histograms are observed on
-// the same boundary: every request, rejects included, contributes one sample.
+// endpoint's request counter increments first, so requests rejected before
+// synthesis (bad method, bad body) count too. Latency histograms are observed
+// on the same boundary: every request, rejects included, contributes one
+// sample.
 func (s *Server) planEndpoint(endpoint string, count *atomic.Uint64, serve func(http.ResponseWriter, *http.Request, *requestTrace)) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		defer s.observeLatency(endpoint, time.Now())
-		s.requests.Add(1)
 		count.Add(1)
 		rt, r, w := s.startRequestTrace(w, r, endpoint)
 		defer rt.finish()
@@ -921,7 +907,6 @@ func (s *Server) synthesize(ctx context.Context, sp *obs.Span, g *graph.Graph, c
 	}
 	if p.Seeded {
 		s.synthIncremental.Add(1)
-		s.seedDistBits.Store(math.Float64bits(p.SeedDistance))
 	}
 	es := sp.Child("encode")
 	v, err := encodePlan(p)
@@ -1153,12 +1138,11 @@ func etagMatches(ifNoneMatch, etag string) bool {
 }
 
 // healthzPayload is the GET /healthz body: liveness, the wire protocol
-// version, the per-endpoint request counters, and (on a fleet node) the
-// fleet membership summary.
+// version and (on a fleet node) the fleet membership. Counters are on
+// /metrics only.
 type healthzPayload struct {
 	Status   string              `json:"status"`
 	Protocol string              `json:"protocol"`
-	Requests map[string]uint64   `json:"requests"`
 	Fleet    *fleetHealthPayload `json:"fleet,omitempty"`
 }
 
@@ -1167,14 +1151,6 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	json.NewEncoder(w).Encode(healthzPayload{
 		Status:   "ok",
 		Protocol: ProtocolVersion,
-		Requests: map[string]uint64{
-			EndpointV1:      s.epV1.Load(),
-			EndpointV1Batch: s.epV1Batch.Load(),
-		},
-		Fleet: s.fleetHealth(),
+		Fleet:    s.fleetHealth(),
 	})
-}
-
-func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, s.Stats())
 }

@@ -7,12 +7,14 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
 
 	"hap"
 	"hap/internal/cluster"
+	"hap/internal/fleet"
 	"hap/internal/graph"
 )
 
@@ -74,25 +76,12 @@ func post(t *testing.T, url string, body []byte) (int, string, []byte) {
 	return resp.StatusCode, resp.Header.Get("X-HAP-Cache"), b
 }
 
-func getStats(t *testing.T, url string) Stats {
-	t.Helper()
-	resp, err := http.Get(url + "/stats")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var st Stats
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-		t.Fatalf("decode /stats: %v", err)
-	}
-	return st
-}
-
 // TestServeEndToEnd drives the daemon over a loopback listener: a first
 // request synthesizes, a repeat is a cache hit, the returned plan re-binds to
 // an independently rebuilt graph and passes numeric verification.
 func TestServeEndToEnd(t *testing.T) {
-	srv := httptest.NewServer(New(Config{}).Handler())
+	s := New(Config{})
+	srv := httptest.NewServer(s.Handler())
 	defer srv.Close()
 	c := testCluster()
 	body := requestBody(t, testGraph(t), c, RequestOptions{})
@@ -136,8 +125,8 @@ func TestServeEndToEnd(t *testing.T) {
 		t.Errorf("different cluster: status %d, cache %q, want 200/miss", status, cacheHdr)
 	}
 
-	st := getStats(t, srv.URL)
-	if st.Requests != 3 || st.CacheHits != 1 || st.Syntheses != 2 {
+	st := s.Stats()
+	if st.RequestsByEndpoint[EndpointV1] != 3 || st.CacheHits != 1 || st.Syntheses != 2 {
 		t.Errorf("stats = %+v, want 3 requests, 1 hit, 2 syntheses", st)
 	}
 	if st.CacheEntries != 2 || st.CacheBytes == 0 {
@@ -206,7 +195,7 @@ func TestServeSingleFlight(t *testing.T) {
 	if st.Syntheses != 1 {
 		t.Errorf("stats report %d syntheses, want 1", st.Syntheses)
 	}
-	if st.Requests != n || st.CacheHits+st.CacheMisses != n {
+	if st.RequestsByEndpoint[EndpointV1] != n || st.CacheHits+st.CacheMisses != n {
 		t.Errorf("stats = %+v, want %d requests with hits+misses = %d", st, n, n)
 	}
 
@@ -316,54 +305,91 @@ func TestServeOversizedRequestGets413(t *testing.T) {
 	}
 }
 
-// TestHealthz: the liveness probe reports the wire protocol version and the
-// per-endpoint request counters — two labels, summing to the request total.
-// The unversioned POST /synthesize of protocol v1 is gone: the mux answers
-// 404 and nothing counts it.
+// TestHealthz: the liveness probe answers status and the wire protocol
+// version and nothing else on a standalone daemon — counters are on /metrics
+// only, and GET /stats is gone. A fleet node adds its membership: self, the
+// member list and how many peers are down. The unversioned POST /synthesize
+// of protocol v1 is gone too: the mux answers 404.
 func TestHealthz(t *testing.T) {
 	s := New(Config{})
 	srv := httptest.NewServer(s.Handler())
 	defer srv.Close()
 
-	// Two requests, so the per-endpoint counters have something to say.
 	body := requestBody(t, testGraph(t), testCluster(), RequestOptions{})
-	for i := 0; i < 2; i++ {
-		if status, _, b := post(t, srv.URL, body); status != http.StatusOK {
-			t.Fatalf("request %d: status %d: %s", i, status, b)
-		}
+	if status, _, b := post(t, srv.URL, body); status != http.StatusOK {
+		t.Fatalf("request: status %d: %s", status, b)
 	}
-
 	gone := postPath(t, srv.URL, "/synthesize", body, "")
 	if b := readAll(t, gone); gone.StatusCode != http.StatusNotFound {
 		t.Errorf("POST /synthesize = %d (%s), want the mux's 404", gone.StatusCode, b)
 	}
+	stats, err := http.Get(srv.URL + "/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b := readAll(t, stats); stats.StatusCode != http.StatusNotFound {
+		t.Errorf("GET /stats = %d (%s), want the mux's 404", stats.StatusCode, b)
+	}
 
-	resp, err := http.Get(srv.URL + "/healthz")
+	h := getHealthz(t, srv.URL)
+	if got := fieldNames(h); got != "protocol,status" {
+		t.Errorf("standalone /healthz fields = %s, want exactly protocol,status", got)
+	}
+	if string(h["status"]) != `"ok"` || string(h["protocol"]) != `"`+ProtocolVersion+`"` {
+		t.Errorf("healthz = status %s protocol %s, want \"ok\" and %q", h["status"], h["protocol"], ProtocolVersion)
+	}
+
+	fl, err := fleet.New(fleet.Config{Self: "http://self:1", Peers: []string{"http://peer:1"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	node := New(Config{Fleet: fl})
+	defer node.Close()
+	nodeSrv := httptest.NewServer(node.Handler())
+	defer nodeSrv.Close()
+	h = getHealthz(t, nodeSrv.URL)
+	if got := fieldNames(h); got != "fleet,protocol,status" {
+		t.Errorf("fleet /healthz fields = %s, want exactly fleet,protocol,status", got)
+	}
+	var fh struct {
+		Self      string   `json:"self"`
+		Peers     []string `json:"peers"`
+		PeersDown int      `json:"peers_down"`
+	}
+	if err := json.Unmarshal(h["fleet"], &fh); err != nil {
+		t.Fatalf("decode /healthz fleet: %v", err)
+	}
+	if fh.Self != "http://self:1" || strings.Join(fh.Peers, " ") != "http://peer:1 http://self:1" || fh.PeersDown != 0 {
+		t.Errorf("healthz fleet = %+v, want self http://self:1, peers [http://peer:1 http://self:1], 0 down", fh)
+	}
+}
+
+// getHealthz fetches GET /healthz and decodes its top-level fields.
+func getHealthz(t *testing.T, url string) map[string]json.RawMessage {
+	t.Helper()
+	resp, err := http.Get(url + "/healthz")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var h struct {
-		Status   string            `json:"status"`
-		Protocol string            `json:"protocol"`
-		Requests map[string]uint64 `json:"requests"`
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET /healthz = %d, want 200", resp.StatusCode)
 	}
+	var h map[string]json.RawMessage
 	if err := json.NewDecoder(resp.Body).Decode(&h); err != nil {
 		t.Fatalf("decode /healthz: %v", err)
 	}
-	if resp.StatusCode != http.StatusOK || h.Status != "ok" {
-		t.Errorf("healthz = %d status %q, want 200/ok", resp.StatusCode, h.Status)
+	return h
+}
+
+// fieldNames lists a JSON object's keys, sorted and comma-joined.
+func fieldNames(h map[string]json.RawMessage) string {
+	names := make([]string, 0, len(h))
+	for k := range h {
+		names = append(names, k)
 	}
-	if h.Protocol != ProtocolVersion {
-		t.Errorf("healthz protocol = %q, want %q", h.Protocol, ProtocolVersion)
-	}
-	if len(h.Requests) != 2 || h.Requests[EndpointV1] != 2 || h.Requests[EndpointV1Batch] != 0 {
-		t.Errorf("healthz per-endpoint counters = %v, want exactly v1=2, v1_batch=0", h.Requests)
-	}
-	st := getStats(t, srv.URL)
-	if by := st.RequestsByEndpoint; len(by) != 2 || by[EndpointV1]+by[EndpointV1Batch] != st.Requests {
-		t.Errorf("requests_by_endpoint = %v does not sum to requests = %d over two labels", by, st.Requests)
-	}
+	sort.Strings(names)
+	return strings.Join(names, ",")
 }
 
 // TestOptimizeOptionPlumbing checks a miss runs under the default synth time
@@ -408,7 +434,7 @@ func TestOptimizeOptionPlumbing(t *testing.T) {
 }
 
 // TestMetricsEndpoint checks the Prometheus text exposition carries the
-// same counters /stats reports.
+// counters Stats reports.
 func TestMetricsEndpoint(t *testing.T) {
 	s := New(Config{})
 	srv := httptest.NewServer(s.Handler())
@@ -434,8 +460,8 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 	metrics := string(b)
 	for _, want := range []string{
-		"# TYPE hap_serve_requests_total counter",
-		"hap_serve_requests_total 2",
+		"# TYPE hap_serve_requests_by_endpoint_total counter",
+		`hap_serve_requests_by_endpoint_total{endpoint="v1"} 2`,
 		"hap_serve_cache_hits_total 1",
 		"hap_serve_syntheses_total 1",
 		"# TYPE hap_serve_cache_entries gauge",

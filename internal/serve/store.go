@@ -3,7 +3,7 @@
 // metadata every stored plan carries. serve.go handles the wire protocol;
 // the miss path and replication intake write through Put, warm-up through
 // Warm; the warm-up stream a node serves, donor lookup and the replan scan
-// read Range; the stats surface reads Stats.
+// read Range; Server.Stats reads Stats.
 
 package serve
 
@@ -47,7 +47,7 @@ func ETagFor(plan []byte) string {
 	return fmt.Sprintf("%q", fmt.Sprintf("%016x", h.Sum64()))
 }
 
-// StoreStats is the store's bookkeeping snapshot, surfaced in /stats.
+// StoreStats is the store's bookkeeping snapshot, surfaced in Stats.
 type StoreStats struct {
 	Entries   int    // plans currently stored
 	Bytes     int64  // bytes currently stored
@@ -57,10 +57,11 @@ type StoreStats struct {
 
 // memDiskStore stores encoded plans under their content-address cache keys:
 // the bounded in-memory LRU with optional write-through disk persistence.
-// Inserts mirror to disk, LRU and TTL evictions delete their files, and
-// construction reloads the directory in mtime order — so the directory
-// converges to the LRU's actual contents and a restart does not re-pay every
-// synthesis. Safe for concurrent use.
+// Inserts mirror to disk with the entry's LRU stamp as the file's mtime, LRU
+// and TTL evictions delete their files, and construction reloads the
+// directory in mtime order — so the directory converges to the LRU's actual
+// contents and a restart does not re-pay every synthesis. Safe for
+// concurrent use.
 type memDiskStore struct {
 	cache    *lruCache
 	persist  *diskStore // nil = memory only
@@ -114,10 +115,11 @@ func (s *memDiskStore) Get(key string) (CachedPlan, bool) { return s.cache.get(k
 // rejected.
 func (s *memDiskStore) Put(key string, v CachedPlan) (CachedPlan, bool) {
 	normalizePlan(&v, s.nextVersion(key))
-	stored, evicted := s.cache.add(key, v, time.Now())
+	now := time.Now()
+	stored, evicted := s.cache.add(key, v, now)
 	if s.persist != nil {
 		if stored {
-			s.persist.save(key, v)
+			s.persist.save(key, v, now)
 		}
 		for _, k := range evicted {
 			s.persist.remove(k)
@@ -131,13 +133,16 @@ func (s *memDiskStore) Put(key string, v CachedPlan) (CachedPlan, bool) {
 // peer streams its plans most-recently used first, so each entry belongs
 // under the ones before it, and the first that does not fit ends the stream:
 // what is left is colder still. A key already held is replaced in place.
+// The entry's file carries its stamp, just below the tail's, so a restart
+// restores the warm-up set in the peer's recency order.
 func (s *memDiskStore) Warm(key string, v CachedPlan) bool {
 	normalizePlan(&v, s.nextVersion(key))
-	if !s.cache.addTail(key, v, time.Now()) {
+	at, ok := s.cache.addTail(key, v, time.Now())
+	if !ok {
 		return false
 	}
 	if s.persist != nil {
-		s.persist.save(key, v)
+		s.persist.save(key, v, at)
 	}
 	return true
 }

@@ -46,7 +46,7 @@ func TestRestorePreservesLRUOrder(t *testing.T) {
 	}
 	for i, age := range []time.Duration{3 * time.Hour, 2 * time.Hour, time.Hour} {
 		key := fmt.Sprintf("k%d", i)
-		d.save(key, bp("plan-"+key))
+		d.save(key, bp("plan-"+key), time.Now())
 		backdate(t, d, key, age)
 	}
 
@@ -81,8 +81,8 @@ func TestRestoreAppliesTTLCutoff(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d.save("fresh", bp("a"))
-	d.save("stale", bp("b"))
+	d.save("fresh", bp("a"), time.Now())
+	d.save("stale", bp("b"), time.Now())
 	backdate(t, d, "stale", 48*time.Hour)
 
 	s := newMemDiskStore(10, 1<<20, d, 24*time.Hour)
@@ -108,9 +108,9 @@ func TestSweepExpiresAgedEntries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d.save("old", bp("a"))
+	d.save("old", bp("a"), time.Now())
 	backdate(t, d, "old", 2*time.Hour)
-	d.save("new", bp("b"))
+	d.save("new", bp("b"), time.Now())
 
 	// TTL of 3h restores both ("old" is 2h, inside the horizon)...
 	s := newMemDiskStore(10, 1<<20, d, 3*time.Hour)
@@ -130,7 +130,7 @@ func TestSweepExpiresAgedEntries(t *testing.T) {
 	if n := planFiles(t, dir); n != 1 {
 		t.Errorf("%d plan files after sweep, want 1", n)
 	}
-	// Sweep evictions count as cache evictions in /stats.
+	// Sweep evictions count as cache evictions in Stats.
 	if ev := s.Stats().Evictions; ev != 1 {
 		t.Errorf("evictions = %d, want 1", ev)
 	}
@@ -175,9 +175,9 @@ func TestFilenameIsContentAddressed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d.save("k1", bp("a"))
-	d.save("k1", bp("b"))
-	d.save("k2", bp("c"))
+	d.save("k1", bp("a"), time.Now())
+	d.save("k1", bp("b"), time.Now())
+	d.save("k2", bp("c"), time.Now())
 	if n := planFiles(t, dir); n != 2 {
 		t.Errorf("%d plan files, want 2 (same key overwrites)", n)
 	}

@@ -72,23 +72,22 @@ type TelemetryResponse struct {
 	Samples uint64 `json:"samples"`
 }
 
-// TelemetryStats is the telemetry slice of /stats.
+// TelemetryStats is the telemetry slice of Stats.
 type TelemetryStats struct {
 	// Reports counts accepted probe batches; Rejects counts batches refused
 	// (unknown machine or device, malformed cluster).
-	Reports uint64 `json:"reports"`
-	Rejects uint64 `json:"rejects"`
+	Reports uint64
+	Rejects uint64
 	// Replans counts background replans that swapped a new plan in;
 	// ReplansUnchanged counts replans whose output was byte-identical to the
 	// cached plan (no swap, ETag untouched); ReplanErrors counts replans that
 	// failed to synthesize or verify (the old plan keeps serving).
-	Replans          uint64 `json:"replans"`
-	ReplansUnchanged uint64 `json:"replans_unchanged"`
-	ReplanErrors     uint64 `json:"replan_errors"`
-	// Drift maps each monitored spec fingerprint to its current distance;
-	// MaxDrift is the largest (0 when nothing is monitored).
-	Drift    map[string]float64 `json:"drift,omitempty"`
-	MaxDrift float64            `json:"max_drift"`
+	Replans          uint64
+	ReplansUnchanged uint64
+	ReplanErrors     uint64
+	// Drift maps each monitored spec fingerprint to its current distance,
+	// +Inf capped as in jsonSafeDrift; nil when nothing is monitored.
+	Drift map[string]float64
 }
 
 // planSource is what a locally synthesized cache entry was planned from, so
@@ -347,10 +346,9 @@ func (s *Server) replanOne(ctx context.Context, root *obs.Span, key string, src 
 	return true, nil
 }
 
-// telemetryStats assembles the /stats telemetry slice. Always non-nil: the
-// counters (and the max-drift gauge derived from them) must be visible on a
-// scrape before the first report arrives, or dashboards cannot tell "no
-// drift" from "no telemetry wiring".
+// telemetryStats assembles the Stats telemetry slice. Always non-nil: the
+// counters must be visible on a scrape before the first report arrives, or
+// dashboards cannot tell "no drift" from "no telemetry wiring".
 func (s *Server) telemetryStats() *TelemetryStats {
 	t := &s.telemetry
 	t.mu.Lock()
@@ -371,11 +369,7 @@ func (s *Server) telemetryStats() *TelemetryStats {
 	if len(monitors) > 0 {
 		ts.Drift = make(map[string]float64, len(monitors))
 		for fp, m := range monitors {
-			d := jsonSafeDrift(m.Distance())
-			ts.Drift[fp] = d
-			if d > ts.MaxDrift {
-				ts.MaxDrift = d
-			}
+			ts.Drift[fp] = jsonSafeDrift(m.Distance())
 		}
 	}
 	return ts

@@ -141,7 +141,7 @@ func TestTelemetryDriftVerdict(t *testing.T) {
 		t.Errorf("unknown device: body %s lacks the %s envelope", raw, CodeBadRequest)
 	}
 
-	st := getStats(t, srv.URL)
+	st := s.Stats()
 	if st.Telemetry == nil {
 		t.Fatal("stats lack the telemetry slice")
 	}
@@ -265,7 +265,7 @@ func TestTelemetryBackgroundReplan(t *testing.T) {
 		t.Errorf("fresh conditional fetch: status %d, want 304", status)
 	}
 
-	st := getStats(t, srv.URL)
+	st := s.Stats()
 	if st.Telemetry.Replans != 1 || st.Telemetry.ReplanErrors != 0 {
 		t.Errorf("telemetry stats replans=%d errors=%d, want 1/0", st.Telemetry.Replans, st.Telemetry.ReplanErrors)
 	}
@@ -324,7 +324,7 @@ func TestTelemetryReplanFailureKeepsOldPlan(t *testing.T) {
 	}
 	// Wait for the failed replan to record its error.
 	deadline := time.Now().Add(10 * time.Second)
-	for getStats(t, srv.URL).Telemetry.ReplanErrors == 0 {
+	for s.Stats().Telemetry.ReplanErrors == 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("replan error never recorded")
 		}
@@ -334,7 +334,7 @@ func TestTelemetryReplanFailureKeepsOldPlan(t *testing.T) {
 	if status != http.StatusOK || !bytes.Equal(respBody, plan1) || etag != etag1 || ver != ver1 {
 		t.Errorf("after failed replan: status %d etag %q ver %q, want the untouched original (%q/%q)", status, etag, ver, etag1, ver1)
 	}
-	if st := getStats(t, srv.URL); st.Telemetry.Replans != 0 {
+	if st := s.Stats(); st.Telemetry.Replans != 0 {
 		t.Errorf("failed replan counted as a success: replans=%d", st.Telemetry.Replans)
 	}
 }
@@ -369,10 +369,9 @@ func TestPlanVersioningThroughStore(t *testing.T) {
 	}
 }
 
-// TestMetricsExposesTelemetrySeries: the replanning counters and the drift
-// gauge exist on a scrape before any telemetry arrives (so dashboards can
-// tell "no drift" from "not wired"), and a monitored cluster gets its
-// labeled drift series.
+// TestMetricsExposesTelemetrySeries: the replanning counters exist on a
+// scrape before any telemetry arrives (so dashboards can tell "no drift" from
+// "not wired"), and a monitored cluster gets its labeled drift series.
 func TestMetricsExposesTelemetrySeries(t *testing.T) {
 	s := New(Config{})
 	defer s.Close()
@@ -397,7 +396,6 @@ func TestMetricsExposesTelemetrySeries(t *testing.T) {
 		"hap_serve_replans_total 0",
 		"hap_serve_replan_errors_total 0",
 		"hap_serve_telemetry_reports_total 0",
-		"hap_serve_cluster_drift_max 0",
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("fresh /metrics lacks %q", want)

@@ -62,7 +62,13 @@ type requestTrace struct {
 	role      string
 }
 
-// startRequestTrace begins tracing one plan request. When tracing is off it
+// maxClientTraceID bounds an end client's X-HAP-Trace value: the debug ring
+// keeps every ID it is sent, so a longer one is replaced by a minted ID.
+const maxClientTraceID = 64
+
+// startRequestTrace begins tracing one plan request. An end client's
+// X-HAP-Trace value is the trace ID verbatim (a UUID's dashes included);
+// only a fleet forward carries the "traceID-parentSpanID" hop form. When tracing is off it
 // returns (nil, r, w) and the handler path is unchanged; when on, the
 // returned writer must replace w (it exports spans on fleet-hop responses)
 // and the returned request carries the root span on its context.
@@ -70,7 +76,13 @@ func (s *Server) startRequestTrace(w http.ResponseWriter, r *http.Request, endpo
 	if s.traces == nil {
 		return nil, r, w
 	}
-	id, parent := obs.ParseTraceHeader(r.Header.Get(obs.TraceHeader))
+	forwarded := r.Header.Get(fleet.ForwardHeader) != ""
+	id, parent := r.Header.Get(obs.TraceHeader), uint64(0)
+	if forwarded {
+		id, parent = obs.ParseTraceHeader(id)
+	} else if len(id) > maxClientTraceID {
+		id = "" // obs.New mints a fresh one
+	}
 	tr := obs.New(id, s.nodeLabel)
 	root := tr.Root("request", parent)
 	root.SetAttrStr("endpoint", endpoint)
@@ -78,7 +90,7 @@ func (s *Server) startRequestTrace(w http.ResponseWriter, r *http.Request, endpo
 		s: s, w: w, tr: tr, root: root,
 		endpoint:  endpoint,
 		start:     time.Now(),
-		forwarded: r.Header.Get(fleet.ForwardHeader) != "",
+		forwarded: forwarded,
 		role:      roleLocal,
 	}
 	// The trace ID rides on every response — including errors, so a failed
