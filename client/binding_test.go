@@ -40,28 +40,14 @@ func bodiesOf(t *testing.T, plan *hap.Plan) planBodies {
 
 // stubDaemon answers every synthesize request, key-only or full, with the
 // given plan in the form the request accepts, tagged with a fixed ETag: a
-// request revalidating that tag is answered 304. Batch requests get the
-// binary form in every slot.
+// request revalidating that tag is answered 304.
 func stubDaemon(t *testing.T, plan planBodies) (url string, notModified func() int) {
 	t.Helper()
 	const etag = `"stub"`
 	var mu sync.Mutex
 	var n304 int
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		body, _ := io.ReadAll(r.Body)
-		if r.URL.Path == "/v1/synthesize/batch" {
-			var req struct {
-				Clusters []json.RawMessage `json:"clusters"`
-			}
-			json.Unmarshal(body, &req)
-			plans := make([]map[string]any, len(req.Clusters))
-			for i := range plans {
-				plans[i] = map[string]any{"cache": "hit", "bin": plan.bin}
-			}
-			w.Header().Set("Content-Type", "application/json")
-			json.NewEncoder(w).Encode(map[string]any{"plans": plans})
-			return
-		}
+		io.Copy(io.Discard, r.Body)
 		w.Header().Set("ETag", etag)
 		if r.Header.Get("If-None-Match") == etag {
 			mu.Lock()
@@ -88,7 +74,7 @@ func stubDaemon(t *testing.T, plan planBodies) (url string, notModified func() i
 
 // wantMismatch asserts every way of asking the stub for g's plan fails the
 // binding check on the fingerprint: binary, JSON, a conditional fetch and
-// its 304 re-decode, and a batch.
+// its 304 re-decode.
 func wantMismatch(t *testing.T, url string, notModified func() int, g *hap.Graph) {
 	t.Helper()
 	c := testCluster()
@@ -113,8 +99,6 @@ func wantMismatch(t *testing.T, url string, notModified func() int, g *hap.Graph
 			t.Fatalf("after the %s the stub answered %d requests 304, want %d", what, got, i)
 		}
 	}
-	_, err := New(url).SynthesizeBatch(context.Background(), g, []*hap.Cluster{c}, Options{})
-	check("batch", err)
 }
 
 // A daemon that answers the client's key with a plan for another graph — the

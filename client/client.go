@@ -8,7 +8,10 @@
 //
 //	cl := client.New("http://planner:8080")
 //	plan, err := cl.Synthesize(ctx, g, c, client.Options{})
-//	plans, err := cl.SynthesizeBatch(ctx, g, []*hap.Cluster{c1, c2}, client.Options{})
+//
+// A caller with several clusters for one graph calls Synthesize once per
+// cluster: each call is key-first on its own, so a plan the daemon holds
+// costs no upload.
 //
 // The returned plans are ready for hap.Verify / hap.Simulate, exactly as if
 // hap.NewPlanner had produced them locally. Each is bound to a shallow copy
@@ -164,40 +167,6 @@ type request struct {
 	Options Options         `json:"options"`
 }
 
-// batchRequest is the batch wire body.
-type batchRequest struct {
-	Graph    json.RawMessage   `json:"graph"`
-	Clusters []json.RawMessage `json:"clusters"`
-	Options  Options           `json:"options"`
-}
-
-// batchResponse mirrors serve.BatchResponse. Each entry carries its plan in
-// exactly one of Plan (JSON) or Bin (base64 binary, when the request
-// negotiated the compact encoding).
-type batchResponse struct {
-	Plans []struct {
-		Cache string          `json:"cache"`
-		Plan  json.RawMessage `json:"plan"`
-		Bin   []byte          `json:"bin"`
-	} `json:"plans"`
-}
-
-func encodeGraph(g *hap.Graph) (json.RawMessage, error) {
-	var b bytes.Buffer
-	if err := g.Encode(&b); err != nil {
-		return nil, fmt.Errorf("client: encoding graph: %w", err)
-	}
-	return b.Bytes(), nil
-}
-
-func encodeCluster(c *hap.Cluster) (json.RawMessage, error) {
-	var b bytes.Buffer
-	if err := c.Encode(&b); err != nil {
-		return nil, fmt.Errorf("client: encoding cluster: %w", err)
-	}
-	return b.Bytes(), nil
-}
-
 // newTraceID returns a fresh trace ID under WithTracing, "" otherwise. One
 // logical call draws one ID, however many requests it takes.
 func (c *Client) newTraceID() string {
@@ -325,15 +294,14 @@ func (c *Client) Synthesize(ctx context.Context, g *hap.Graph, cl *hap.Cluster, 
 		}
 	}
 	if resp == nil {
-		gb, err := encodeGraph(g)
-		if err != nil {
-			return nil, err
+		var gb, cb bytes.Buffer
+		if err := g.Encode(&gb); err != nil {
+			return nil, fmt.Errorf("client: encoding graph: %w", err)
 		}
-		cb, err := encodeCluster(cl)
-		if err != nil {
-			return nil, err
+		if err := cl.Encode(&cb); err != nil {
+			return nil, fmt.Errorf("client: encoding cluster: %w", err)
 		}
-		data, err := json.Marshal(request{Graph: gb, Cluster: cb, Options: opt})
+		data, err := json.Marshal(request{Graph: gb.Bytes(), Cluster: cb.Bytes(), Options: opt})
 		if err != nil {
 			return nil, fmt.Errorf("client: encoding request: %w", err)
 		}
@@ -375,57 +343,6 @@ func decodePlan(body []byte, binary bool, g *hap.Graph, fp string) (*hap.Plan, e
 		return nil, fmt.Errorf("client: decoding plan: %w", err)
 	}
 	return &hap.Plan{Program: prog, Ratios: ratios, Cost: cost}, nil
-}
-
-// SynthesizeBatch plans g against every cluster in one request — one upload
-// of the graph, K plans. Plans come back in cluster order, each bound to its
-// own shallow copy of g. The response envelope is JSON; by default the
-// per-result plan payloads are negotiated
-// binary (base64 in the envelope), with each result decoded by whichever
-// field the server filled — so the client works against servers from before
-// the binary batch form.
-func (c *Client) SynthesizeBatch(ctx context.Context, g *hap.Graph, clusters []*hap.Cluster, opt Options) ([]*hap.Plan, error) {
-	if len(clusters) == 0 {
-		return nil, fmt.Errorf("client: no clusters to synthesize for")
-	}
-	gb, err := encodeGraph(g)
-	if err != nil {
-		return nil, err
-	}
-	raws := make([]json.RawMessage, len(clusters))
-	for i, cl := range clusters {
-		if raws[i], err = encodeCluster(cl); err != nil {
-			return nil, err
-		}
-	}
-	data, err := json.Marshal(batchRequest{Graph: gb, Clusters: raws, Options: opt})
-	if err != nil {
-		return nil, fmt.Errorf("client: encoding request: %w", err)
-	}
-	resp, err := c.postData(ctx, "/v1/synthesize/batch", data, c.accept(), "", c.newTraceID())
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	var br batchResponse
-	if err := json.NewDecoder(resp.Body).Decode(&br); err != nil {
-		return nil, fmt.Errorf("client: decoding batch response: %w", err)
-	}
-	if len(br.Plans) != len(clusters) {
-		return nil, fmt.Errorf("client: server returned %d plans for %d clusters", len(br.Plans), len(clusters))
-	}
-	plans := make([]*hap.Plan, len(br.Plans))
-	fp := graph.Fingerprint(g)
-	for i, bp := range br.Plans {
-		body, binary := []byte(bp.Plan), false
-		if len(bp.Bin) > 0 {
-			body, binary = bp.Bin, true
-		}
-		if plans[i], err = decodePlan(body, binary, bindCopy(g), fp); err != nil {
-			return nil, fmt.Errorf("client: plan %d: %w", i, err)
-		}
-	}
-	return plans, nil
 }
 
 // Healthz probes the daemon and returns its reported protocol version.

@@ -99,55 +99,6 @@ func TestClientJSONPlans(t *testing.T) {
 	}
 }
 
-// SynthesizeBatch returns one verified plan per cluster, in order.
-func TestClientSynthesizeBatch(t *testing.T) {
-	_, srv := newServer(t, serve.Config{})
-	clusters := []*hap.Cluster{
-		testCluster(),
-		hap.PerGPU(hap.MachineSpec{Type: hap.A100, GPUs: 1}, hap.MachineSpec{Type: hap.P100, GPUs: 1}),
-	}
-	g := testGraph(t)
-	plans, err := New(srv.URL).SynthesizeBatch(context.Background(), g, clusters, Options{})
-	if err != nil {
-		t.Fatalf("SynthesizeBatch: %v", err)
-	}
-	if len(plans) != len(clusters) {
-		t.Fatalf("%d plans for %d clusters", len(plans), len(clusters))
-	}
-	for i, p := range plans {
-		if err := hap.Verify(p, clusters[i].M(), int64(7+i)); err != nil {
-			t.Errorf("plan %d: %v", i, err)
-		}
-	}
-}
-
-// The batch call negotiates binary payloads by default; WithJSONPlans opts
-// out; both decode to the same plans, and the server confirms which field
-// carried them.
-func TestClientSynthesizeBatchBinary(t *testing.T) {
-	_, srv := newServer(t, serve.Config{})
-	clusters := []*hap.Cluster{
-		testCluster(),
-		hap.PerGPU(hap.MachineSpec{Type: hap.A100, GPUs: 1}, hap.MachineSpec{Type: hap.P100, GPUs: 1}),
-	}
-	binPlans, err := New(srv.URL).SynthesizeBatch(context.Background(), testGraph(t), clusters, Options{})
-	if err != nil {
-		t.Fatalf("binary SynthesizeBatch: %v", err)
-	}
-	jsonPlans, err := New(srv.URL, WithJSONPlans()).SynthesizeBatch(context.Background(), testGraph(t), clusters, Options{})
-	if err != nil {
-		t.Fatalf("JSON SynthesizeBatch: %v", err)
-	}
-	for i := range clusters {
-		if binPlans[i].Program.String() != jsonPlans[i].Program.String() {
-			t.Errorf("plan %d: binary and JSON batch transports disagree", i)
-		}
-		if err := hap.Verify(binPlans[i], clusters[i].M(), int64(11+i)); err != nil {
-			t.Errorf("plan %d: %v", i, err)
-		}
-	}
-}
-
 // Server errors surface as *APIError with the envelope's code.
 func TestClientAPIError(t *testing.T) {
 	_, srv := newServer(t, serve.Config{})

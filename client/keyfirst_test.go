@@ -128,15 +128,6 @@ func TestClientResendSegmentedGraph(t *testing.T) {
 	if st := s.Stats(); st.CacheMisses != 1 || st.CacheHits != 5 || st.Syntheses != 1 || st.Errors != 0 {
 		t.Errorf("one graph value sent six times: %d misses / %d hits / %d syntheses / %d errors, want 1/5/1/0", st.CacheMisses, st.CacheHits, st.Syntheses, st.Errors)
 	}
-
-	// The batch call binds each plan to its own copy as well.
-	plans, err := New(url).SynthesizeBatch(context.Background(), g, []*hap.Cluster{c}, Options{Segments: 4})
-	if err != nil {
-		t.Fatalf("SynthesizeBatch: %v", err)
-	}
-	if len(g.SegmentOf) != 0 || len(plans[0].Program.Graph.SegmentOf) != g.NumNodes() {
-		t.Errorf("SynthesizeBatch: caller's SegmentOf %v, plan's covers %d of %d nodes", g.SegmentOf, len(plans[0].Program.Graph.SegmentOf), g.NumNodes())
-	}
 }
 
 // Against a daemon that predates the key form — it answers a body without

@@ -103,16 +103,17 @@ func retryableTransportError(err error) bool {
 
 // parseRetryAfter reads a Retry-After header in either RFC 9110 form —
 // delay seconds or an HTTP-date — as a backoff floor. Absent, malformed, or
-// already-past values mean no floor.
+// already-past values mean no floor; a delay of seconds is capped at
+// maxBackoff.
 func parseRetryAfter(h string) time.Duration {
 	if h == "" {
 		return 0
 	}
-	if secs, err := strconv.Atoi(h); err == nil {
-		if secs < 0 {
-			return 0
-		}
-		return time.Duration(secs) * time.Second
+	// A delay past the int range parses as the range's bound (ErrRange). The
+	// seconds are clamped before they become a Duration: a large delay would
+	// otherwise overflow it into a negative floor.
+	if secs, err := strconv.Atoi(h); err == nil || errors.Is(err, strconv.ErrRange) {
+		return time.Duration(min(max(secs, 0), int(maxBackoff/time.Second))) * time.Second
 	}
 	if t, err := http.ParseTime(h); err == nil {
 		if d := time.Until(t); d > 0 {

@@ -2,8 +2,10 @@ package client
 
 import (
 	"context"
+	"errors"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -168,6 +170,54 @@ func TestParseRetryAfter(t *testing.T) {
 			t.Errorf("parseRetryAfter(%q) = %v, want %v", tc.in, got, tc.want)
 		}
 	}
+}
+
+// TestParseRetryAfterClamps: a delay of seconds past maxBackoff is capped
+// there, however large — never wrapped through time.Duration into a negative
+// floor that backoff would ignore.
+func TestParseRetryAfterClamps(t *testing.T) {
+	cases := []struct {
+		in   string
+		want time.Duration
+	}{
+		{"30", maxBackoff},
+		{"31", maxBackoff},
+		{"9223372037", maxBackoff},           // × 1e9 ns wraps int64
+		{"10000000000", maxBackoff},          // × 1e9 ns wraps int64
+		{"99999999999999999999", maxBackoff}, // past int64 itself
+		{"-99999999999999999999", 0},
+	}
+	for _, tc := range cases {
+		if got := parseRetryAfter(tc.in); got != tc.want {
+			t.Errorf("parseRetryAfter(%q) = %v, want %v", tc.in, got, tc.want)
+		}
+	}
+}
+
+// FuzzRetryAfter: whatever the header says, the floor is never negative, and
+// a delay of n seconds floors the backoff at min(n s, maxBackoff) or more.
+// The committed corpus holds two delays that once wrapped negative.
+func FuzzRetryAfter(f *testing.F) {
+	for _, s := range []string{"", "0", "1", "30", "-3", "soon", "Wed, 21 Oct 2015 07:28:00 GMT"} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, h string) {
+		got := parseRetryAfter(h)
+		if got < 0 {
+			t.Fatalf("parseRetryAfter(%q) = %v, negative", h, got)
+		}
+		n, err := strconv.ParseUint(h, 10, 64)
+		if err != nil && !errors.Is(err, strconv.ErrRange) {
+			return
+		}
+		want := maxBackoff
+		if n < uint64(maxBackoff/time.Second) {
+			want = time.Duration(n) * time.Second
+		}
+		if got < want {
+			t.Fatalf("parseRetryAfter(%q) = %v, want at least %v", h, got, want)
+		}
+	})
 }
 
 // TestBackoffHonorsRetryAfterFloor: the jittered delay never undercuts the

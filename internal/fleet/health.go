@@ -21,10 +21,7 @@ type Health struct {
 	client *http.Client
 
 	mu   sync.Mutex
-	down map[string]time.Time // peer → when it was marked down
-
-	stopOnce sync.Once
-	stopCh   chan struct{}
+	down map[string]bool // peers marked down
 }
 
 // probeTimeout bounds one health probe.
@@ -34,8 +31,7 @@ const probeTimeout = 2 * time.Second
 func NewHealth() *Health {
 	return &Health{
 		client: &http.Client{Timeout: probeTimeout},
-		down:   map[string]time.Time{},
-		stopCh: make(chan struct{}),
+		down:   map[string]bool{},
 	}
 }
 
@@ -44,18 +40,14 @@ func NewHealth() *Health {
 func (h *Health) Healthy(peer string) bool {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	_, isDown := h.down[NormalizeURL(peer)]
-	return !isDown
+	return !h.down[NormalizeURL(peer)]
 }
 
 // MarkDown records a peer failure (a failed proxy or probe).
 func (h *Health) MarkDown(peer string) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	key := NormalizeURL(peer)
-	if _, ok := h.down[key]; !ok {
-		h.down[key] = time.Now()
-	}
+	h.down[NormalizeURL(peer)] = true
 }
 
 // MarkUp clears a peer's down state (a successful proxy or probe).
@@ -70,17 +62,6 @@ func (h *Health) DownCount() int {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	return len(h.down)
-}
-
-// Snapshot returns the peers currently marked down and for how long.
-func (h *Health) Snapshot() map[string]time.Duration {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	out := make(map[string]time.Duration, len(h.down))
-	for p, since := range h.down {
-		out[p] = time.Since(since)
-	}
-	return out
 }
 
 // Probe GETs peer's /healthz once and updates the table.

@@ -245,28 +245,10 @@ type executor struct {
 	etags  sync.Map // item int → ETag string, for the Conditional class
 }
 
-// batchEnvelope is the slice of the batch response the classifier needs.
-type batchEnvelope struct {
-	Plans []struct {
-		Cache string `json:"cache"`
-	} `json:"plans"`
-}
-
 func (e *executor) do(ctx context.Context, spec Spec) Result {
 	res := Result{Class: spec.Class}
-	path := "/v1/synthesize"
-	var body []byte
 	accept := "application/json"
-	batch := false
-	switch spec.Class {
-	case Batch, BatchBinary:
-		path = "/v1/synthesize/batch"
-		body = e.corpus.BatchBody(spec.Graph)
-		batch = true
-	default:
-		body = e.corpus.SingleBody(spec.Item)
-	}
-	if spec.Class == SingleBinary || spec.Class == BatchBinary {
+	if spec.Class == SingleBinary {
 		accept = binaryPlanContentType + ", application/json"
 	}
 	cctx := ctx
@@ -275,7 +257,8 @@ func (e *executor) do(ctx context.Context, spec Spec) Result {
 		cctx, cancel = context.WithTimeout(ctx, spec.CancelAfter)
 		defer cancel()
 	}
-	req, err := http.NewRequestWithContext(cctx, http.MethodPost, e.target+path, bytes.NewReader(body))
+	body := bytes.NewReader(e.corpus.SingleBody(spec.Item))
+	req, err := http.NewRequestWithContext(cctx, http.MethodPost, e.target+"/v1/synthesize", body)
 	if err != nil {
 		res.Outcome, res.Code = OutcomeError, "request"
 		return res
@@ -308,29 +291,14 @@ func (e *executor) do(ctx context.Context, spec Spec) Result {
 	case resp.StatusCode == http.StatusNotModified:
 		// Conditional revalidation answered from the client's cached copy:
 		// a warm plan served for a handful of header bytes.
-		res.Outcome, res.PlanHits = OutcomeWarm, 1
+		res.Outcome = OutcomeWarm
 	case resp.StatusCode == http.StatusTooManyRequests:
 		res.Outcome = OutcomeShed
-	case resp.StatusCode/100 == 2 && batch:
-		var env batchEnvelope
-		if err := json.NewDecoder(resp.Body).Decode(&env); err != nil {
-			res.Outcome, res.Code = OutcomeError, "bad_batch_envelope"
-			return res
-		}
-		res.Outcome = OutcomeWarm
-		for _, p := range env.Plans {
-			if p.Cache == "hit" {
-				res.PlanHits++
-			} else {
-				res.PlanMisses++
-				res.Outcome = OutcomeMiss
-			}
-		}
 	case resp.StatusCode/100 == 2:
 		if resp.Header.Get("X-HAP-Cache") == "hit" {
-			res.Outcome, res.PlanHits = OutcomeWarm, 1
+			res.Outcome = OutcomeWarm
 		} else {
-			res.Outcome, res.PlanMisses = OutcomeMiss, 1
+			res.Outcome = OutcomeMiss
 		}
 		if tag := resp.Header.Get("ETag"); tag != "" {
 			e.etags.Store(spec.Item, tag)

@@ -178,8 +178,7 @@ func TestE2EOverload(t *testing.T) {
 	s = serve.New(serve.Config{
 		MaxInflightSynth: 1,
 		Synthesize: func(ctx context.Context, g *graph.Graph, c *cluster.Cluster, opt hap.Options) (*hap.Plan, error) {
-			// One slot: single and batch misses alike reach the planner one
-			// at a time.
+			// One slot: misses reach the planner one at a time.
 			if n := inflight.Add(1); n > 1 {
 				t.Errorf("%d planner calls in flight under -max-inflight-synth 1", n)
 			}
@@ -198,10 +197,9 @@ func TestE2EOverload(t *testing.T) {
 	}
 	// No warmup: everything is cold, workers race distinct keys into the
 	// single slot. Near-uniform popularity keeps keys distinct so sheds come
-	// from admission, not single-flight joins. The corpus has one cluster, so
-	// a batch is one miss and a shed batch is one shed on both sides.
+	// from admission, not single-flight joins.
 	rep, err := load.Run(context.Background(), load.Options{
-		Target: srv.URL, Corpus: corpus, Mix: load.Mix{Single: 3, Batch: 1},
+		Target: srv.URL, Corpus: corpus, Mix: load.Mix{Single: 3, SingleBinary: 1},
 		Seed: 5, ZipfS: 1.01, Concurrency: 6, Requests: 48,
 	})
 	if err != nil {

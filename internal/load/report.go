@@ -31,10 +31,6 @@ type Result struct {
 	Proxied bool   // answered by a fleet peer on the client's behalf
 	Code    string // error taxonomy key when Outcome == OutcomeError
 	Latency time.Duration
-	// PlanHits/PlanMisses count per-plan cache outcomes (batch responses
-	// carry one per cluster; single responses exactly one).
-	PlanHits   int
-	PlanMisses int
 }
 
 // ClassStats is one report class's latency summary, in milliseconds.
@@ -61,8 +57,8 @@ type Report struct {
 	Requests   uint64  `json:"requests"`       // requests issued, all classes
 	Throughput float64 `json:"throughput_rps"` // Requests / DurationSec
 
-	// PlanWarm/PlanMiss count per-plan cache outcomes across single and
-	// batch responses; HitRatio = PlanWarm / (PlanWarm + PlanMiss).
+	// PlanWarm/PlanMiss count answered plan requests by cache outcome;
+	// HitRatio = PlanWarm / (PlanWarm + PlanMiss).
 	PlanWarm uint64  `json:"plan_warm"`
 	PlanMiss uint64  `json:"plan_miss"`
 	HitRatio float64 `json:"hit_ratio"`
@@ -82,8 +78,8 @@ type Report struct {
 
 	// Classes holds latency summaries keyed by class: "all" (every
 	// successfully answered plan request), the request classes ("single",
-	// "single_bin", "batch", "batch_bin", "cond", "cancel"), and the
-	// outcome classes ("warm", "miss", "proxied", "shed").
+	// "single_bin", "cond", "cancel"), and the outcome classes ("warm",
+	// "miss", "proxied", "shed").
 	Classes map[string]ClassStats `json:"classes"`
 }
 
@@ -120,8 +116,11 @@ func (r *recorder) record(res Result) {
 	r.requests++
 	switch res.Outcome {
 	case OutcomeWarm, OutcomeMiss:
-		r.planWarm += uint64(res.PlanHits)
-		r.planMiss += uint64(res.PlanMisses)
+		if res.Outcome == OutcomeWarm {
+			r.planWarm++
+		} else {
+			r.planMiss++
+		}
 		r.observe("all", res.Latency)
 		r.observe(res.Class.String(), res.Latency)
 		r.observe(res.Outcome, res.Latency)

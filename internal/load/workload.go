@@ -7,10 +7,10 @@
 // The workload is a seeded corpus of (graph, cluster) pairs whose request
 // popularity is zipf-distributed — production plan traffic is not i.i.d.:
 // a handful of (model, cluster) pairs dominate, with a long cold tail —
-// plus a request mix covering the daemon's real surface: single and batch
-// synthesis, JSON and binary content negotiation, conditional fetch with
-// If-None-Match, and requests cancelled mid-flight. Everything is
-// deterministic under a seed, so a latency regression reproduces.
+// plus a request mix covering the daemon's real surface: synthesis with JSON
+// and binary content negotiation, conditional fetch with If-None-Match, and
+// requests cancelled mid-flight. Everything is deterministic under a seed, so
+// a latency regression reproduces.
 package load
 
 import (
@@ -31,10 +31,6 @@ const (
 	Single Class = iota
 	// SingleBinary negotiates the compact binary plan encoding.
 	SingleBinary
-	// Batch is POST /v1/synthesize/batch (one graph × every corpus cluster).
-	Batch
-	// BatchBinary is the batch endpoint with binary content negotiation.
-	BatchBinary
 	// Conditional revalidates with If-None-Match using the last seen ETag;
 	// a warm server answers 304 with no body.
 	Conditional
@@ -52,10 +48,6 @@ func (c Class) String() string {
 		return "single"
 	case SingleBinary:
 		return "single_bin"
-	case Batch:
-		return "batch"
-	case BatchBinary:
-		return "batch_bin"
 	case Conditional:
 		return "cond"
 	case Cancel:
@@ -69,21 +61,19 @@ func (c Class) String() string {
 type Mix struct {
 	Single       int
 	SingleBinary int
-	Batch        int
-	BatchBinary  int
 	Conditional  int
 	Cancel       int
 }
 
-// DefaultMix is a plausible production blend: mostly single fetches split
-// across encodings, a batch slice in both forms, a conditional-revalidation
-// slice, and a trickle of abandoned requests.
+// DefaultMix is a plausible production blend: mostly fetches split across
+// encodings, a conditional-revalidation slice, and a trickle of abandoned
+// requests.
 func DefaultMix() Mix {
-	return Mix{Single: 30, SingleBinary: 25, Batch: 10, BatchBinary: 10, Conditional: 20, Cancel: 5}
+	return Mix{Single: 30, SingleBinary: 25, Conditional: 20, Cancel: 5}
 }
 
 func (m Mix) weights() [numClasses]int {
-	return [numClasses]int{m.Single, m.SingleBinary, m.Batch, m.BatchBinary, m.Conditional, m.Cancel}
+	return [numClasses]int{m.Single, m.SingleBinary, m.Conditional, m.Cancel}
 }
 
 func (m Mix) total() int {
@@ -97,11 +87,8 @@ func (m Mix) total() int {
 // Spec is one generated request: its class and its corpus coordinates.
 type Spec struct {
 	Class Class
-	// Item indexes the corpus (graph, cluster) pair for the single-style
-	// classes; Graph the corpus graph for the batch classes (derived from
-	// the same popularity draw, so batch traffic shares the zipf shape).
-	Item  int
-	Graph int
+	// Item indexes the corpus (graph, cluster) pair.
+	Item int
 	// CancelAfter is the mid-flight abandonment point for Cancel requests.
 	CancelAfter time.Duration
 }
@@ -115,7 +102,6 @@ type Generator struct {
 	zipf  *rand.Zipf
 	w     [numClasses]int
 	total int
-	c     *Corpus
 }
 
 // NewGenerator returns a generator over the corpus with the given mix.
@@ -134,14 +120,12 @@ func NewGenerator(c *Corpus, mix Mix, zipfS float64, seed int64) *Generator {
 		zipf:  rand.NewZipf(rng, zipfS, 1, uint64(c.Items()-1)),
 		w:     mix.weights(),
 		total: mix.total(),
-		c:     c,
 	}
 }
 
 // Next draws the next request.
 func (g *Generator) Next() Spec {
-	item := int(g.zipf.Uint64())
-	s := Spec{Item: item, Graph: item / g.c.NumClusters}
+	s := Spec{Item: int(g.zipf.Uint64())}
 	pick := g.rng.Intn(g.total)
 	for c, w := range g.w {
 		if pick < w {
@@ -162,10 +146,7 @@ func (g *Generator) Next() Spec {
 // graphs × a palette of cluster shapes, with every wire body pre-marshalled
 // so the drivers spend their cycles on HTTP, not JSON.
 type Corpus struct {
-	NumGraphs   int
-	NumClusters int
-	singles     [][]byte // graph-major: item = graph*NumClusters + cluster
-	batches     [][]byte // one per graph, spanning all clusters
+	singles [][]byte // graph-major: item = graph*clusters + cluster
 }
 
 // clusterPalette is the fixed set of cluster shapes the corpus draws from:
@@ -205,7 +186,7 @@ func NewCorpus(graphs, clusters int, seed int64) (*Corpus, error) {
 		clusterJSON[i] = b.Bytes()
 	}
 	rng := rand.New(rand.NewSource(seed))
-	c := &Corpus{NumGraphs: graphs, NumClusters: clusters}
+	c := &Corpus{}
 	for gi := 0; gi < graphs; gi++ {
 		g, err := randomTrainingGraph(rng)
 		if err != nil {
@@ -226,14 +207,6 @@ func NewCorpus(graphs, clusters int, seed int64) (*Corpus, error) {
 			}
 			c.singles = append(c.singles, body)
 		}
-		batch, err := json.Marshal(struct {
-			Graph    json.RawMessage   `json:"graph"`
-			Clusters []json.RawMessage `json:"clusters"`
-		}{graphJSON, clusterJSON})
-		if err != nil {
-			return nil, err
-		}
-		c.batches = append(c.batches, batch)
 	}
 	return c, nil
 }
@@ -243,9 +216,6 @@ func (c *Corpus) Items() int { return len(c.singles) }
 
 // SingleBody returns item i's pre-marshalled /v1/synthesize body.
 func (c *Corpus) SingleBody(i int) []byte { return c.singles[i] }
-
-// BatchBody returns graph g's pre-marshalled /v1/synthesize/batch body.
-func (c *Corpus) BatchBody(g int) []byte { return c.batches[g] }
 
 // randomTrainingGraph builds one random small MLP-family training graph —
 // the same family the differential harness fuzzes: 1–3 matmul layers over a

@@ -26,11 +26,6 @@ func TestCorpusDeterministic(t *testing.T) {
 			t.Fatalf("single body %d differs between same-seed corpora", i)
 		}
 	}
-	for g := 0; g < 4; g++ {
-		if !bytes.Equal(a.BatchBody(g), b.BatchBody(g)) {
-			t.Fatalf("batch body %d differs between same-seed corpora", g)
-		}
-	}
 	c, err := NewCorpus(4, 2, 43)
 	if err != nil {
 		t.Fatal(err)
@@ -82,9 +77,6 @@ func TestGeneratorDeterministicAndZipf(t *testing.T) {
 		if s1.Item < 0 || s1.Item >= corpus.Items() {
 			t.Fatalf("item %d out of corpus range", s1.Item)
 		}
-		if s1.Graph != s1.Item/corpus.NumClusters {
-			t.Fatalf("graph %d inconsistent with item %d", s1.Graph, s1.Item)
-		}
 		if s1.Class == Cancel && s1.CancelAfter <= 0 {
 			t.Fatal("cancel spec without a cancel point")
 		}
@@ -105,8 +97,8 @@ func TestGeneratorDeterministicAndZipf(t *testing.T) {
 	mix := DefaultMix()
 	total := mix.total()
 	for class, weight := range map[Class]int{
-		Single: mix.Single, SingleBinary: mix.SingleBinary, Batch: mix.Batch,
-		BatchBinary: mix.BatchBinary, Conditional: mix.Conditional, Cancel: mix.Cancel,
+		Single: mix.Single, SingleBinary: mix.SingleBinary,
+		Conditional: mix.Conditional, Cancel: mix.Cancel,
 	} {
 		want := n * weight / total
 		got := classes[class]
@@ -125,8 +117,8 @@ func TestGeneratorSingleItemCorpus(t *testing.T) {
 	}
 	g := NewGenerator(corpus, Mix{Single: 1}, 1.2, 5)
 	for i := 0; i < 100; i++ {
-		if s := g.Next(); s.Item != 0 || s.Graph != 0 {
-			t.Fatalf("1-item corpus drew item %d graph %d", s.Item, s.Graph)
+		if s := g.Next(); s.Item != 0 {
+			t.Fatalf("1-item corpus drew item %d", s.Item)
 		}
 	}
 }

@@ -153,96 +153,11 @@ func TestAdmissionShedsExcessMisses(t *testing.T) {
 	}
 }
 
-// TestAdmissionBatch: a batch needing synthesis sheds as a whole at
-// capacity; an all-hit batch is served even with the gate full.
-func TestAdmissionBatch(t *testing.T) {
-	started := make(chan struct{}, 1)
-	release := make(chan struct{})
-	var holdFP string
-	cfg := Config{
-		MaxInflightSynth: 1,
-		Synthesize: func(ctx context.Context, g *graph.Graph, c *cluster.Cluster, opt hap.Options) (*hap.Plan, error) {
-			if c.Fingerprint() == holdFP {
-				started <- struct{}{}
-				select {
-				case <-release:
-				case <-ctx.Done():
-					return nil, ctx.Err()
-				}
-			}
-			return planWith(g, c, opt)
-		},
-	}
-	s := New(cfg)
-	srv := httptest.NewServer(s.Handler())
-	defer srv.Close()
-	g := testGraph(t)
-	slow, hot := testCluster(), thirdCluster()
-	holdFP = slow.Fingerprint()
-
-	// Warm one key, then occupy the slot.
-	if status, _, b := post(t, srv.URL, requestBody(t, g, hot, RequestOptions{})); status != http.StatusOK {
-		t.Fatalf("warming: status %d: %s", status, b)
-	}
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		post(t, srv.URL, requestBody(t, g, slow, RequestOptions{}))
-	}()
-	<-started
-
-	batchFor := func(cs ...*cluster.Cluster) []byte {
-		t.Helper()
-		var gb bytes.Buffer
-		if err := g.Encode(&gb); err != nil {
-			t.Fatal(err)
-		}
-		raws := make([]json.RawMessage, len(cs))
-		for i, c := range cs {
-			var cb bytes.Buffer
-			if err := c.Encode(&cb); err != nil {
-				t.Fatal(err)
-			}
-			raws[i] = cb.Bytes()
-		}
-		body, err := json.Marshal(BatchRequest{Graph: gb.Bytes(), Clusters: raws})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return body
-	}
-	postBatch := func(body []byte) (int, []byte) {
-		t.Helper()
-		resp, err := http.Post(srv.URL+"/v1/synthesize/batch", "application/json", bytes.NewReader(body))
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		b, _ := io.ReadAll(resp.Body)
-		return resp.StatusCode, b
-	}
-
-	// All-hit batch: served while the gate is full.
-	if status, b := postBatch(batchFor(hot)); status != http.StatusOK {
-		t.Errorf("all-hit batch at capacity: status %d: %s", status, b)
-	}
-	// A batch needing a synthesis sheds as a whole.
-	if status, b := postBatch(batchFor(hot, altCluster())); status != http.StatusTooManyRequests {
-		t.Errorf("miss batch at capacity: status %d, want 429: %s", status, b)
-	}
-	close(release)
-	<-done
-
-	if st := s.Stats(); st.AdmissionShed != 1 {
-		t.Errorf("AdmissionShed = %d, want 1", st.AdmissionShed)
-	}
-}
-
-// TestBatchRespectsAdmissionCap: a batch is K single misses, so the gate
-// counts its searches, not the request. With one slot, a 3-cluster all-miss
-// batch never has two planner calls in flight: one sibling runs, two are shed,
-// the request answers 429 — and the sibling that ran is cached, so retries
-// converge instead of re-paying it.
+// TestBatchRespectsAdmissionCap: a caller with K clusters makes K requests,
+// and the gate counts their searches. With one slot, three concurrent cold
+// requests never have two planner calls in flight: one runs, two are shed
+// with 429 and Retry-After — and the one that ran is cached, so the retry
+// round re-pays none of it.
 func TestBatchRespectsAdmissionCap(t *testing.T) {
 	var inflight, peak atomic.Int64
 	release := make(chan struct{})
@@ -263,161 +178,69 @@ func TestBatchRespectsAdmissionCap(t *testing.T) {
 	})
 	srv := httptest.NewServer(s.Handler())
 	defer srv.Close()
-	body := batchBody(t, testGraph(t), []*cluster.Cluster{testCluster(), altCluster(), thirdCluster()}, RequestOptions{})
+	g := testGraph(t)
+	var bodies [][]byte
+	for _, c := range []*cluster.Cluster{testCluster(), altCluster(), thirdCluster()} {
+		bodies = append(bodies, requestBody(t, g, c, RequestOptions{}))
+	}
 
-	// The sibling holding the slot stays in the planner until its two
-	// siblings have been turned away (or, with no gate between them, until
-	// all three are in the planner at once).
-	first := make(chan *http.Response, 1)
-	go func() { first <- postPath(t, srv.URL, "/v1/synthesize/batch", body, "") }()
-	settled := func() bool { return len(first) > 0 || s.Stats().AdmissionShed >= 2 || peak.Load() >= 3 }
+	// The request holding the slot stays in the planner until the other two
+	// have been turned away (or, with no gate between them, until all three
+	// are in the planner at once).
+	answers := make(chan *http.Response, len(bodies))
+	for _, body := range bodies {
+		go func(body []byte) {
+			resp, err := http.Post(srv.URL+"/v1/synthesize", "application/json", bytes.NewReader(body))
+			if err != nil {
+				t.Error(err)
+			}
+			answers <- resp
+		}(body)
+	}
+	settled := func() bool { return s.Stats().AdmissionShed >= 2 || peak.Load() >= 3 }
 	for deadline := time.Now().Add(10 * time.Second); !settled() && time.Now().Before(deadline); {
 		time.Sleep(time.Millisecond)
 	}
 	close(release)
-	resp := <-first
-	raw := readAll(t, resp)
-	var env ErrorEnvelope
-	if resp.StatusCode != http.StatusTooManyRequests || json.Unmarshal(raw, &env) != nil || env.Code != CodeOverloaded {
-		t.Fatalf("3-miss batch under a cap of 1: status %d body %.120s, want 429 %s", resp.StatusCode, raw, CodeOverloaded)
-	}
-	if resp.Header.Get("Retry-After") == "" {
-		t.Error("shed batch carries no Retry-After")
+	shed := 0
+	for range bodies {
+		resp := <-answers
+		if resp == nil {
+			continue
+		}
+		raw := readAll(t, resp)
+		if resp.StatusCode == http.StatusOK {
+			continue
+		}
+		var env ErrorEnvelope
+		if resp.StatusCode != http.StatusTooManyRequests || json.Unmarshal(raw, &env) != nil || env.Code != CodeOverloaded {
+			t.Fatalf("cold request under a cap of 1: status %d body %.120s, want 200 or 429 %s", resp.StatusCode, raw, CodeOverloaded)
+		}
+		if resp.Header.Get("Retry-After") == "" {
+			t.Error("shed request carries no Retry-After")
+		}
+		shed++
 	}
 	st := s.Stats()
-	if st.AdmissionShed != 2 || st.InflightSynth != 0 || st.CacheEntries != 1 {
-		t.Errorf("after the shed batch: admission_shed %d inflight_synth %d cache_entries %d, want 2/0/1",
-			st.AdmissionShed, st.InflightSynth, st.CacheEntries)
+	if shed != 2 || st.AdmissionShed != 2 || st.InflightSynth != 0 || st.CacheEntries != 1 {
+		t.Errorf("after three cold requests: %d shed, admission_shed %d inflight_synth %d cache_entries %d, want 2/2/0/1",
+			shed, st.AdmissionShed, st.InflightSynth, st.CacheEntries)
 	}
 
-	// Retries converge: what ran before is a hit, and every request turns at
-	// least one more miss into one.
-	status := resp.StatusCode
-	for req := 2; status != http.StatusOK; req++ {
-		if req > 3 {
-			t.Fatalf("batch still answers %d after three requests", status)
+	// The retry round: what ran before is a hit, the two shed ones plan now.
+	for i, body := range bodies {
+		if status, _, raw := post(t, srv.URL, body); status != http.StatusOK {
+			t.Fatalf("retry %d: status %d: %s", i, status, raw)
 		}
-		before := s.Stats()
-		resp := postPath(t, srv.URL, "/v1/synthesize/batch", body, "")
-		raw := readAll(t, resp)
-		status = resp.StatusCode
-		if status != http.StatusOK && status != http.StatusTooManyRequests {
-			t.Fatalf("retry %d: status %d: %s", req, status, raw)
-		}
-		after := s.Stats()
-		if hits := after.CacheHits - before.CacheHits; hits != uint64(before.CacheEntries) {
-			t.Errorf("retry %d: %d hits with %d siblings already planned", req, hits, before.CacheEntries)
-		}
-		if after.CacheEntries <= before.CacheEntries {
-			t.Fatalf("retry %d planned nothing new (%d entries)", req, after.CacheEntries)
-		}
+	}
+	if after := s.Stats(); after.CacheHits-st.CacheHits != 1 || after.Syntheses != 3 || after.CacheEntries != 3 {
+		t.Errorf("retry round: %d hits, %d syntheses in all, %d entries; want 1/3/3",
+			after.CacheHits-st.CacheHits, after.Syntheses, after.CacheEntries)
 	}
 	if p := peak.Load(); p != 1 {
 		t.Errorf("%d planner calls in flight at once under a cap of 1", p)
 	}
 	if n := s.Stats().InflightSynth; n != 0 {
 		t.Errorf("inflight_synth = %d after quiescence, want 0", n)
-	}
-}
-
-// TestBatchBinaryNegotiation: Accept: application/x-hap-plan on the batch
-// endpoint yields per-result binary payloads (base64 in the JSON envelope)
-// that decode with ReadProgramBinary to the same plans the JSON form
-// carries — on both the miss path and the hit path.
-func TestBatchBinaryNegotiation(t *testing.T) {
-	s := New(Config{})
-	srv := httptest.NewServer(s.Handler())
-	defer srv.Close()
-	g := testGraph(t)
-	clusters := []*cluster.Cluster{testCluster(), altCluster()}
-
-	var gb bytes.Buffer
-	if err := g.Encode(&gb); err != nil {
-		t.Fatal(err)
-	}
-	raws := make([]json.RawMessage, len(clusters))
-	for i, c := range clusters {
-		var cb bytes.Buffer
-		if err := c.Encode(&cb); err != nil {
-			t.Fatal(err)
-		}
-		raws[i] = cb.Bytes()
-	}
-	body, err := json.Marshal(BatchRequest{Graph: gb.Bytes(), Clusters: raws})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	postBatch := func(accept string) BatchResponse {
-		t.Helper()
-		req, err := http.NewRequest(http.MethodPost, srv.URL+"/v1/synthesize/batch", bytes.NewReader(body))
-		if err != nil {
-			t.Fatal(err)
-		}
-		req.Header.Set("Content-Type", "application/json")
-		req.Header.Set("Accept", accept)
-		resp, err := http.DefaultClient.Do(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			raw, _ := io.ReadAll(resp.Body)
-			t.Fatalf("batch status %d: %s", resp.StatusCode, raw)
-		}
-		if ct := resp.Header.Get("Content-Type"); !strings.HasPrefix(ct, "application/json") {
-			t.Fatalf("batch envelope Content-Type = %q, want JSON", ct)
-		}
-		var br BatchResponse
-		if err := json.NewDecoder(resp.Body).Decode(&br); err != nil {
-			t.Fatal(err)
-		}
-		if len(br.Plans) != len(clusters) {
-			t.Fatalf("%d results for %d clusters", len(br.Plans), len(clusters))
-		}
-		return br
-	}
-
-	// Miss path, binary negotiated: every result carries bin, no plan.
-	bin := postBatch(BinaryPlanContentType)
-	for i, p := range bin.Plans {
-		if p.Cache != "miss" {
-			t.Errorf("result %d cache = %q, want miss", i, p.Cache)
-		}
-		if len(p.Bin) == 0 || len(p.Plan) != 0 {
-			t.Fatalf("result %d: bin %d bytes, plan %d bytes; want binary only", i, len(p.Bin), len(p.Plan))
-		}
-	}
-	// Hit path, JSON: same plans in the JSON field.
-	js := postBatch("application/json")
-	for i, p := range js.Plans {
-		if p.Cache != "hit" {
-			t.Errorf("repeat result %d cache = %q, want hit", i, p.Cache)
-		}
-		if len(p.Plan) == 0 || len(p.Bin) != 0 {
-			t.Fatalf("repeat result %d: plan %d bytes, bin %d bytes; want JSON only", i, len(p.Plan), len(p.Bin))
-		}
-	}
-	// The two encodings decode to the same programs.
-	for i := range clusters {
-		g2 := testGraph(t)
-		fromBin, err := hap.ReadProgramBinary(bytes.NewReader(bin.Plans[i].Bin), g2)
-		if err != nil {
-			t.Fatalf("result %d: decoding binary payload: %v", i, err)
-		}
-		fromJSON, err := hap.ReadProgram(bytes.NewReader(js.Plans[i].Plan), testGraph(t))
-		if err != nil {
-			t.Fatalf("result %d: decoding JSON payload: %v", i, err)
-		}
-		if fromBin.Program.String() != fromJSON.Program.String() {
-			t.Errorf("result %d: binary and JSON payloads decode to different programs", i)
-		}
-	}
-	// Hit path, binary: cached entries serve their binary form too.
-	binHit := postBatch(BinaryPlanContentType)
-	for i, p := range binHit.Plans {
-		if p.Cache != "hit" || len(p.Bin) == 0 {
-			t.Errorf("binary hit result %d: cache %q, %d bin bytes", i, p.Cache, len(p.Bin))
-		}
 	}
 }

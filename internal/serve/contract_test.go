@@ -1,7 +1,7 @@
-// The wire contract of the plan endpoints, pinned as one golden file: status,
-// the plan headers and the body of every answer /v1/synthesize and
-// /v1/synthesize/batch can give. The planner is the real one: plan bytes —
-// and with them every ETag — are a function of the request alone.
+// The wire contract of the plan endpoint, pinned as one golden file: status,
+// the plan headers and the body of every answer /v1/synthesize can give. The
+// planner is the real one: plan bytes — and with them every ETag — are a
+// function of the request alone.
 // Regenerate with -update-contract, and only in a change that means to move
 // response bytes.
 
@@ -51,8 +51,7 @@ type contractLog struct {
 }
 
 // record appends one answer. Error envelopes and the need_body answer are
-// printed whole; plan payloads as digests; a batch envelope as its digest
-// plus one line per result.
+// printed whole; plan payloads as digests.
 func (l *contractLog) record(name string, status int, h http.Header, body []byte) {
 	l.t.Helper()
 	fmt.Fprintf(&l.buf, "== %s\nstatus: %d\n", name, status)
@@ -65,18 +64,11 @@ func (l *contractLog) record(name string, status int, h http.Header, body []byte
 		fmt.Fprintf(&l.buf, "%s: <peer>\n", fleet.NodeHeader)
 	}
 	var env ErrorEnvelope
-	var batch BatchResponse
 	switch {
 	case len(body) == 0:
 		fmt.Fprintf(&l.buf, "body: -\n")
 	case json.Unmarshal(body, &env) == nil && env.Code != "":
 		fmt.Fprintf(&l.buf, "code: %s\nbody: %s", env.Code, body)
-	case json.Unmarshal(body, &batch) == nil && batch.Plans != nil:
-		fmt.Fprintf(&l.buf, "body: %s\n", digest(body))
-		for i, p := range batch.Plans {
-			fmt.Fprintf(&l.buf, "  plan %d: cache=%s version=%d etag=%s plan=%s bin=%s\n",
-				i, p.Cache, p.Version, p.ETag, digest(p.Plan), digest(p.Bin))
-		}
 	default:
 		fmt.Fprintf(&l.buf, "body: %s\n", digest(body))
 	}
@@ -137,21 +129,11 @@ func TestWireContract(t *testing.T) {
 	l.do("synthesize seeded miss", http.MethodPost, single,
 		requestBody(t, seedServeGraph(64, 96, 96, 112, 96, 96, 96, 32), c, RequestOptions{}), nil)
 
-	// The batch endpoint: a hit, a miss and a duplicate of the miss in one
-	// request, then hits and a fresh miss negotiating the binary payload.
-	batch := url + "/v1/synthesize/batch"
-	l.do("batch JSON hit+miss+duplicate", http.MethodPost, batch,
-		batchBody(t, g, []*cluster.Cluster{c, wide, wide}, RequestOptions{}), nil)
-	l.do("batch binary hit+hit+miss", http.MethodPost, batch,
-		batchBody(t, g, []*cluster.Cluster{c, wide, altCluster()}, RequestOptions{}), binary)
-
 	// Requests rejected before a key exists.
 	l.do("400 bad JSON", http.MethodPost, single, []byte("]["), nil)
 	l.do("400 negative options", http.MethodPost, single, requestBody(t, g, c, RequestOptions{Segments: -1}), nil)
 	l.do("400 missing graph", http.MethodPost, single, []byte(`{"cluster": {"version": 1}}`), nil)
-	l.do("400 batch without clusters", http.MethodPost, batch, batchBody(t, g, nil, RequestOptions{}), nil)
 	l.do("405 synthesize", http.MethodGet, single, nil, nil)
-	l.do("405 batch", http.MethodGet, batch, nil, nil)
 	_, small := newServer(Config{MaxRequestBytes: 128})
 	l.do("413 synthesize", http.MethodPost, small+"/v1/synthesize", body, nil)
 
@@ -168,8 +150,7 @@ func TestWireContract(t *testing.T) {
 	}})
 	l.do("422 synthesize", http.MethodPost, failing+"/v1/synthesize", body, nil)
 
-	// The admission gate, single and batch, while a held synthesis owns the
-	// only slot.
+	// The admission gate, while a held synthesis owns the only slot.
 	started, release := make(chan struct{}), make(chan struct{})
 	_, gated := newServer(Config{MaxInflightSynth: 1, Synthesize: func(ctx context.Context, g *graph.Graph, c *cluster.Cluster, opt hap.Options) (*hap.Plan, error) {
 		close(started)
@@ -186,7 +167,6 @@ func TestWireContract(t *testing.T) {
 	}()
 	<-started
 	l.do("429 synthesize", http.MethodPost, gated+"/v1/synthesize", requestBody(t, g, altCluster(), RequestOptions{}), nil)
-	l.do("429 batch", http.MethodPost, gated+"/v1/synthesize/batch", batchBody(t, g, []*cluster.Cluster{altCluster()}, RequestOptions{}), nil)
 	close(release)
 	<-held
 

@@ -39,12 +39,10 @@ func (h *histogram) observe(d time.Duration) {
 	h.sumNs.Add(int64(d))
 }
 
-// observeLatency records one request's wall time in its endpoint histogram.
-// Used as `defer s.observeLatency(endpoint, time.Now())` at handler entry.
-func (s *Server) observeLatency(endpoint string, start time.Time) {
-	if h := s.latency[endpoint]; h != nil {
-		h.observe(time.Since(start))
-	}
+// since records one request's wall time. Used as
+// `defer s.latency.since(time.Now())` at handler entry.
+func (h *histogram) since(start time.Time) {
+	h.observe(time.Since(start))
 }
 
 // histogramSnapshot is one histogram read at a single point in time, so a
@@ -92,10 +90,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	// disagree with itself (e.g. syntheses_total without the matching
 	// phase-summary growth).
 	st := s.Stats()
-	hists := make(map[string]histogramSnapshot, len(s.latency))
-	for ep, h := range s.latency {
-		hists[ep] = h.snapshot()
-	}
+	latency := s.latency.snapshot()
 	var phases [len(phaseNames)]struct {
 		count uint64
 		sumNs int64
@@ -113,16 +108,10 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	gauge := func(name, help string, v float64) {
 		fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s gauge\n%s %g\n", name, help, name, name, v)
 	}
-	// Per-endpoint request counts, in fixed order for a stable exposition.
 	fmt.Fprintf(&b, "# HELP hap_serve_requests_by_endpoint_total Plan requests, by wire endpoint.\n# TYPE hap_serve_requests_by_endpoint_total counter\n")
-	for _, ep := range []string{EndpointV1, EndpointV1Batch} {
-		fmt.Fprintf(&b, "hap_serve_requests_by_endpoint_total{endpoint=%q} %d\n", ep, st.RequestsByEndpoint[ep])
-	}
-	// Request latency histograms, one series per endpoint.
+	fmt.Fprintf(&b, "hap_serve_requests_by_endpoint_total{endpoint=%q} %d\n", EndpointV1, st.Requests)
 	fmt.Fprintf(&b, "# HELP hap_serve_request_seconds Request wall time by wire endpoint, including rejected requests.\n# TYPE hap_serve_request_seconds histogram\n")
-	for _, ep := range []string{EndpointV1, EndpointV1Batch} {
-		writeHistogram(&b, "hap_serve_request_seconds", ep, hists[ep])
-	}
+	writeHistogram(&b, "hap_serve_request_seconds", EndpointV1, latency)
 	// Synthesis-phase summaries, fed by completed trace spans recorded on
 	// this node (fleet-merged remote spans are excluded — each node counts
 	// only its own work).

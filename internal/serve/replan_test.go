@@ -138,10 +138,11 @@ func TestAdmissionGatesReplans(t *testing.T) {
 	}
 }
 
-// TestBatchSiblingsReplanConcurrently: the entries one batch request filled
-// share a graph on the wire, not in memory. Both of a batch's specs drift at
-// once, their replans — segmented, so each search assigns segments onto the
-// graph it plans — overlap, and both verify and swap. Run under -race.
+// TestBatchSiblingsReplanConcurrently: two entries filled by two requests for
+// one graph share that graph's wire bytes, not a decoded value. Both specs
+// drift at once, their replans — segmented, so each search assigns segments
+// onto the graph it plans — overlap, and both verify and swap. Run under
+// -race.
 func TestBatchSiblingsReplanConcurrently(t *testing.T) {
 	var armed atomic.Bool
 	var arrived atomic.Int64
@@ -170,9 +171,10 @@ func TestBatchSiblingsReplanConcurrently(t *testing.T) {
 	specs := []*cluster.Cluster{testCluster(), altCluster()}
 	opts := RequestOptions{Segments: 2}
 
-	resp := postPath(t, srv.URL, "/v1/synthesize/batch", batchBody(t, testGraph(t), specs, opts), "")
-	if raw := readAll(t, resp); resp.StatusCode != http.StatusOK {
-		t.Fatalf("batch fill: status %d: %s", resp.StatusCode, raw)
+	for i, spec := range specs {
+		if status, _, raw := post(t, srv.URL, requestBody(t, testGraph(t), spec, opts)); status != http.StatusOK {
+			t.Fatalf("fill %d: status %d: %s", i, status, raw)
+		}
 	}
 	armed.Store(true)
 	for i, spec := range specs {

@@ -12,10 +12,10 @@
 // reference-counted flight context: it is cancelled when the last interested
 // client disconnects, never by one impatient client among many.
 //
-// Every way a plan comes to exist here — a request's miss, each miss of a
-// batch (both through planMiss), a drift-triggered background replan — ends in
-// the same tail: synthesize (the planner call, under an admission slot), then
-// storePlan (store the plan with what it was planned from, replicate).
+// Every way a plan comes to exist here — a request's miss (through planMiss),
+// a drift-triggered background replan — ends in the same tail: synthesize
+// (the planner call, under an admission slot), then storePlan (store the plan
+// with what it was planned from, replicate).
 // DESIGN.md, "The miss path", has the order and what each caller skips. With
 // a fleet.Fleet configured (fleet.go), the daemon is one node of a sharded,
 // replicated cache tier: request fingerprints are consistent-hash routed to
@@ -26,22 +26,19 @@
 //
 // Wire protocol v2 (see DESIGN.md for the full specification):
 //
-//	POST /v1/synthesize        {"graph", "cluster", "options"} → plan
-//	POST /v1/synthesize        {"key"} → plan, or a need_body answer
-//	POST /v1/synthesize/batch  {"graph", "clusters": [...], "options"} → plans
-//	GET  /v1/fleet/entries     NDJSON stream of cached entries (warm-up)
-//	POST /v1/fleet/entries     accept one replicated entry
-//	GET  /healthz              liveness + protocol version, JSON
-//	GET  /metrics              counters + latency histograms, Prometheus text
+//	POST /v1/synthesize     {"graph", "cluster", "options"} → plan
+//	POST /v1/synthesize     {"key"} → plan, or a need_body answer
+//	GET  /v1/fleet/entries  NDJSON stream of cached entries (warm-up)
+//	POST /v1/fleet/entries  accept one replicated entry
+//	GET  /healthz           liveness + protocol version, JSON
+//	GET  /metrics           counters + latency histograms, Prometheus text
 //
 // Errors are answered with a structured JSON envelope {"code", "message"},
 // and plan responses honor content negotiation: a request with
 // Accept: application/x-hap-plan receives the compact binary plan encoding
-// (hap.WriteProgramBinary) instead of JSON. The batch endpoint plans one
-// graph against many clusters — one upload, cached clusters served at once,
-// each missing one planned as a single miss; its response envelope is always
-// JSON, with per-result plan payloads in the negotiated encoding (base64
-// binary under Accept: application/x-hap-plan).
+// (hap.WriteProgramBinary) instead of JSON. A caller with K clusters for one
+// graph makes K requests: each is a key-first request on its own, so a hit
+// uploads nothing and a miss routes to its own owner.
 package serve
 
 import (
@@ -85,12 +82,9 @@ const PlanVersionHeader = "X-HAP-Plan-Version"
 // (incremental synthesis). Absent on cache hits and cold syntheses.
 const SeedDistanceHeader = "X-HAP-Seed-Distance"
 
-// Endpoint labels for the per-endpoint request counters and latency
-// histograms.
-const (
-	EndpointV1      = "v1"
-	EndpointV1Batch = "v1_batch"
-)
+// EndpointV1 is the endpoint label of /v1/synthesize on the request counter,
+// the latency histogram, request traces and the slow log.
+const EndpointV1 = "v1"
 
 // Defaults for Config zero values.
 const (
@@ -190,39 +184,6 @@ type Request struct {
 	Key     string          `json:"key,omitempty"`
 }
 
-// BatchRequest is the body of POST /v1/synthesize/batch: one graph planned
-// against every listed cluster.
-type BatchRequest struct {
-	Graph    json.RawMessage   `json:"graph"`
-	Clusters []json.RawMessage `json:"clusters"`
-	Options  RequestOptions    `json:"options"`
-}
-
-// BatchResponse is the JSON answer of the batch endpoint: one entry per
-// requested cluster, in request order.
-type BatchResponse struct {
-	Plans []BatchPlanResult `json:"plans"`
-}
-
-// BatchPlanResult is one cluster's plan in a BatchResponse.
-type BatchPlanResult struct {
-	// Cache is "hit" or "miss", mirroring the X-HAP-Cache header.
-	Cache string `json:"cache"`
-	// Plan is the plan JSON (hap.Plan.WriteProgram form). Empty when the
-	// request negotiated the binary encoding — Bin carries the plan instead.
-	Plan json.RawMessage `json:"plan,omitempty"`
-	// Bin is the compact binary plan payload (hap.Plan.WriteProgramBinary,
-	// base64 inside the JSON envelope), populated instead of Plan when the
-	// request sent Accept: application/x-hap-plan. The envelope itself stays
-	// JSON either way — only the per-result payload encoding negotiates.
-	Bin []byte `json:"bin,omitempty"`
-	// Version and ETag mirror the X-HAP-Plan-Version and ETag headers of the
-	// single-plan endpoints (zero/empty on a plan that was synthesized but
-	// rejected by the store caps).
-	Version uint64 `json:"version,omitempty"`
-	ETag    string `json:"etag,omitempty"`
-}
-
 // ErrorEnvelope is the structured error body of every endpoint.
 type ErrorEnvelope struct {
 	Code    string `json:"code"`
@@ -255,11 +216,11 @@ type RequestOptions struct {
 	ExactSearch   bool `json:"exact_search,omitempty"`
 }
 
-// UnmarshalJSON rejects negative segments and max_iterations wherever a
-// request body is parsed — single and batch alike — so they answer
-// 400 before a cache key is derived from them. Neither means anything to the
-// planner: hapopt.Optimize refuses a negative iteration bound, and a negative
-// segment count would only mint a second key for the unsegmented plan.
+// UnmarshalJSON rejects negative segments and max_iterations when a request
+// body is parsed, so they answer 400 before a cache key is derived from them.
+// Neither means anything to the planner: hapopt.Optimize refuses a negative
+// iteration bound, and a negative segment count would only mint a second key
+// for the unsegmented plan.
 func (o *RequestOptions) UnmarshalJSON(b []byte) error {
 	type plain RequestOptions // drops this method, so the decode below does not recurse
 	var p plain
@@ -291,9 +252,8 @@ type Stats struct {
 	CacheBytes     int64  // bytes currently cached
 	CacheEvictions uint64 // plans evicted by the LRU caps or the TTL sweep
 	CacheRestored  int    // plans reloaded from CacheDir on boot
-	// RequestsByEndpoint counts plan requests by wire endpoint (v1,
-	// v1_batch), rejected ones included.
-	RequestsByEndpoint map[string]uint64
+	// Requests counts /v1/synthesize requests, rejected ones included.
+	Requests uint64
 	// Fleet reports the fleet-layer counters; nil on a standalone daemon.
 	Fleet *FleetStats
 	// Telemetry reports the probe-ingestion and replanning counters; always
@@ -308,13 +268,12 @@ type Server struct {
 	memo   *bodyMemo // raw-body hash → cache key (memo.go)
 	flight flightGroup
 
-	latency map[string]*histogram // per-endpoint request latency
+	latency *histogram // /v1/synthesize request latency
 
 	stopSweep chan struct{}
 	closeOnce sync.Once
 
-	epV1         atomic.Uint64
-	epV1Batch    atomic.Uint64
+	requests     atomic.Uint64
 	hits         atomic.Uint64
 	misses       atomic.Uint64
 	syntheses    atomic.Uint64
@@ -396,14 +355,11 @@ func New(cfg Config) *Server {
 		}
 	}
 	s := &Server{
-		cfg:    cfg,
-		store:  newMemDiskStore(cfg.MaxCacheEntries, maxCacheBytes, persist, cfg.CacheTTL),
-		memo:   newBodyMemo(cfg.MaxCacheEntries),
-		logger: logger,
-		latency: map[string]*histogram{
-			EndpointV1:      newHistogram(),
-			EndpointV1Batch: newHistogram(),
-		},
+		cfg:     cfg,
+		store:   newMemDiskStore(cfg.MaxCacheEntries, maxCacheBytes, persist, cfg.CacheTTL),
+		memo:    newBodyMemo(cfg.MaxCacheEntries),
+		logger:  logger,
+		latency: newHistogram(),
 		telemetry: telemetryState{
 			monitors: map[string]*telemetry.Monitor{},
 			replan:   map[string]bool{},
@@ -463,8 +419,7 @@ func (s *Server) Close() {
 // Handler returns the daemon's HTTP routes.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("/v1/synthesize", s.planEndpoint(EndpointV1, &s.epV1, s.synthesizeOne))
-	mux.HandleFunc("/v1/synthesize/batch", s.planEndpoint(EndpointV1Batch, &s.epV1Batch, s.handleV1Batch))
+	mux.HandleFunc("/v1/synthesize", s.handleSynthesize)
 	mux.HandleFunc("/v1/telemetry", s.handleTelemetry)
 	mux.HandleFunc(fleet.EntriesPath, s.handleFleetEntries)
 	mux.HandleFunc("/healthz", s.handleHealthz)
@@ -493,12 +448,9 @@ func (s *Server) Stats() Stats {
 		CacheBytes:       ss.Bytes,
 		CacheEvictions:   ss.Evictions,
 		CacheRestored:    ss.Restored,
-		RequestsByEndpoint: map[string]uint64{
-			EndpointV1:      s.epV1.Load(),
-			EndpointV1Batch: s.epV1Batch.Load(),
-		},
-		Fleet:     s.fleetStats(),
-		Telemetry: s.telemetryStats(),
+		Requests:         s.requests.Load(),
+		Fleet:            s.fleetStats(),
+		Telemetry:        s.telemetryStats(),
 	}
 }
 
@@ -579,17 +531,27 @@ func (s *Server) failSynthesis(w http.ResponseWriter, err error) {
 }
 
 // wantsBinaryPlan reports whether the request negotiates the binary plan
-// content type.
+// content type: the Accept header lists it without q=0, which RFC 9110
+// §12.4.2 defines as "not acceptable".
 func wantsBinaryPlan(r *http.Request) bool {
 	for _, accept := range r.Header.Values("Accept") {
 		for _, part := range strings.Split(accept, ",") {
-			mt := strings.TrimSpace(part)
-			if i := strings.IndexByte(mt, ';'); i >= 0 {
-				mt = strings.TrimSpace(mt[:i])
-			}
-			if mt == BinaryPlanContentType {
+			mt, params, hasParams := strings.Cut(part, ";")
+			if strings.TrimSpace(mt) == BinaryPlanContentType && !(hasParams && zeroQ(params)) {
 				return true
 			}
+		}
+	}
+	return false
+}
+
+// zeroQ reports whether a media range's parameters carry a zero q weight.
+func zeroQ(params string) bool {
+	for _, p := range strings.Split(params, ";") {
+		name, v, _ := strings.Cut(p, "=")
+		if strings.EqualFold(strings.TrimSpace(name), "q") {
+			q, err := strconv.ParseFloat(strings.TrimSpace(v), 64)
+			return err == nil && q == 0
 		}
 	}
 	return false
@@ -633,21 +595,6 @@ func parseBody(body []byte, into any) error {
 // (what a struct-marshalling sender emits for a payload it does not have).
 func absent(raw json.RawMessage) bool {
 	return len(raw) == 0 || string(raw) == "null"
-}
-
-// decodePlanRequest reads and parses the body of an endpoint that needs no
-// key before decoding (batch, telemetry). Failures are answered on w; the bool
-// reports success.
-func (s *Server) decodePlanRequest(w http.ResponseWriter, r *http.Request, into any) bool {
-	body, ok := s.readBody(w, r)
-	if !ok {
-		return false
-	}
-	if err := parseBody(body, into); err != nil {
-		s.fail(w, http.StatusBadRequest, CodeBadRequest, "bad request: %v", err)
-		return false
-	}
-	return true
 }
 
 // planInput is a decoded full-body request: what a miss plans from.
@@ -706,30 +653,24 @@ func decodeGraphCluster(req *Request) (*graph.Graph, *cluster.Cluster, error) {
 	return g, c, nil
 }
 
-// planEndpoint wraps a plan endpoint in the per-request bookkeeping. The
-// endpoint's request counter increments first, so requests rejected before
-// synthesis (bad method, bad body) count too. Latency histograms are observed
-// on the same boundary: every request, rejects included, contributes one
-// sample.
-func (s *Server) planEndpoint(endpoint string, count *atomic.Uint64, serve func(http.ResponseWriter, *http.Request, *requestTrace)) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		defer s.observeLatency(endpoint, time.Now())
-		count.Add(1)
-		rt, r, w := s.startRequestTrace(w, r, endpoint)
-		defer rt.finish()
-		serve(w, r, rt)
-	}
-}
-
-// synthesizeOne serves POST /v1/synthesize: memo → store → need_body → proxy
-// → planMiss.
+// handleSynthesize serves POST /v1/synthesize: memo → store → need_body →
+// proxy → planMiss.
+//
+// The request counter increments first, so requests rejected before synthesis
+// (bad method, bad body) count too; the latency histogram is observed on the
+// same boundary, so every request, rejects included, contributes one sample.
 //
 // Whichever way requestKey found the key, the store lookup that follows is
 // the same one a freshly decoded request gets, so a hit is a hit. A request
 // that misses needs its graph and cluster: a key-only one is told so
 // (need_body, counted neither as a miss nor as an error — the full request
 // that follows is the miss), a memoized one is decoded after all.
-func (s *Server) synthesizeOne(w http.ResponseWriter, r *http.Request, rt *requestTrace) {
+func (s *Server) handleSynthesize(w http.ResponseWriter, r *http.Request) {
+	defer s.latency.since(time.Now())
+	s.requests.Add(1)
+	rt, r, w := s.startRequestTrace(w, r)
+	defer rt.finish()
+
 	ds := rt.span("decode")
 	body, ok := s.readBody(w, r)
 	if !ok {
@@ -802,14 +743,13 @@ func (s *Server) synthesizeOne(w http.ResponseWriter, r *http.Request, rt *reque
 }
 
 // planMiss is the single-miss function — flight{re-check → gate → donor →
-// synthesize → storePlan} — that every plan a request causes goes through: a
-// single request's miss, and each missing key of a batch. seedDist is the
-// donor's distance when this caller's own search ran seeded, else -1.
+// synthesize → storePlan} — that every plan a request causes goes through.
+// seedDist is the donor's distance when this caller's own search ran seeded,
+// else -1.
 func (s *Server) planMiss(ctx context.Context, sp *obs.Span, key string, in *planInput) (plan CachedPlan, seedDist float64, err error) {
 	// The flight span covers the whole single-flight interaction: for the
 	// executing caller it parents the synthesize/encode/replicate subtree,
 	// for joined callers it measures the wait on someone else's synthesis.
-	// Its key tells the flights of one batch trace apart.
 	fs := sp.Child("flight")
 	fs.SetAttrStr("key", key)
 	// seedDist is set by the executing caller's closure when its synthesis
@@ -929,131 +869,6 @@ func (s *Server) fleetRole(key string) string {
 	default:
 		return roleProxy
 	}
-}
-
-// handleV1Batch serves POST /v1/synthesize/batch: one graph against many
-// clusters, uploaded once. Clusters already cached are served from cache;
-// each remaining distinct key is one planMiss — seeded, single-flighted and
-// gated per search exactly like a single request's miss — and the misses run
-// side by side. The response envelope is always JSON; the per-result plan
-// payloads honor binary content negotiation (Accept: application/x-hap-plan →
-// base64 binary in the envelope's "bin" field instead of "plan").
-//
-// Batch requests are not fleet-routed: the request is answered as a whole, and
-// splitting it across owners would turn one upload into several. Filled
-// entries still replicate when this node owns them, and replicated entries
-// still serve the per-cluster cache checks.
-func (s *Server) handleV1Batch(w http.ResponseWriter, r *http.Request, rt *requestTrace) {
-	ds := rt.span("decode")
-	var req BatchRequest
-	if !s.decodePlanRequest(w, r, &req) {
-		ds.End()
-		return
-	}
-	if len(req.Graph) == 0 || len(req.Clusters) == 0 {
-		ds.End()
-		s.fail(w, http.StatusBadRequest, CodeBadRequest, "bad request: graph and a non-empty clusters list are required")
-		return
-	}
-	g, err := graph.Decode(bytes.NewReader(req.Graph))
-	if err != nil {
-		ds.End()
-		s.fail(w, http.StatusBadRequest, CodeBadRequest, "bad request: %v", err)
-		return
-	}
-	clusters := make([]*cluster.Cluster, len(req.Clusters))
-	keys := make([]string, len(req.Clusters))
-	for i, raw := range req.Clusters {
-		c, err := cluster.Decode(bytes.NewReader(raw))
-		if err != nil {
-			ds.End()
-			s.fail(w, http.StatusBadRequest, CodeBadRequest, "bad request: cluster %d: %v", i, err)
-			return
-		}
-		clusters[i] = c
-		keys[i] = cacheKey(g, c, req.Options)
-	}
-	ds.SetAttrInt("graph_nodes", int64(g.NumNodes()))
-	ds.SetAttrInt("clusters", int64(len(clusters)))
-	ds.End()
-
-	binary := wantsBinaryPlan(r)
-	results := make([]BatchPlanResult, len(clusters))
-	// Collect the clusters that need a synthesis, coalescing duplicates
-	// (the same cluster listed twice is one search, answered twice).
-	var missing []string // keys to plan, first-seen order
-	var toPlan []*cluster.Cluster
-	queued := map[string]int{} // missing key → its index in missing
-	cs := rt.span("cache_lookup")
-	for i, key := range keys {
-		if v, ok := s.store.Get(key); ok {
-			s.hits.Add(1)
-			results[i] = batchResult(v, "hit", binary)
-			continue
-		}
-		s.misses.Add(1)
-		results[i] = BatchPlanResult{Cache: "miss"}
-		if _, ok := queued[key]; !ok {
-			queued[key] = len(missing)
-			missing = append(missing, key)
-			toPlan = append(toPlan, clusters[i])
-		}
-	}
-	cs.SetAttrInt("missing", int64(len(missing)))
-	cs.End()
-	if len(missing) == 0 {
-		rt.setCache("hit")
-	} else {
-		rt.setCache("miss")
-		// A batch is len(missing) single misses: each takes (or is refused) its
-		// own admission slot and commits on its own success, so a failed or
-		// shed batch still caches the plans that completed and a retry does
-		// not re-pay its siblings' work. The request answers the first failing
-		// cluster's error (partial responses would complicate the envelope for
-		// a client that must retry anyway).
-		plans := make([]CachedPlan, len(missing))
-		errs := make([]error, len(missing))
-		var wg sync.WaitGroup
-		for j := range missing {
-			wg.Add(1)
-			go func(j int) {
-				defer wg.Done()
-				// A search assigns segments onto the graph it plans, so every
-				// sibling plans its own shallow copy; the rest is read-only.
-				gc := *g
-				in := &planInput{req: Request{Graph: req.Graph, Options: req.Options}, g: &gc, c: toPlan[j]}
-				plans[j], _, errs[j] = s.planMiss(r.Context(), rt.rootSpan(), missing[j], in)
-			}(j)
-		}
-		wg.Wait()
-		for _, err := range errs {
-			if err != nil {
-				s.failSynthesis(w, err)
-				return
-			}
-		}
-		for i, key := range keys {
-			if results[i].Cache == "miss" {
-				results[i] = batchResult(plans[queued[key]], "miss", binary)
-			}
-		}
-	}
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(BatchResponse{Plans: results})
-}
-
-// batchResult renders one cached plan as a batch envelope entry in the
-// negotiated payload encoding: exactly one of Plan or Bin is set. A cached
-// entry with no binary form (possible only for entries replicated from a
-// pre-binary peer) falls back to JSON rather than answering empty.
-func batchResult(v CachedPlan, cache string, binary bool) BatchPlanResult {
-	res := BatchPlanResult{Cache: cache, Version: v.Version, ETag: v.ETag}
-	if binary && len(v.Bin) > 0 {
-		res.Bin = v.Bin
-	} else {
-		res.Plan = v.Plan
-	}
-	return res
 }
 
 // encodePlan renders a synthesized plan into its cached wire forms: the

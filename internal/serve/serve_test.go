@@ -126,7 +126,7 @@ func TestServeEndToEnd(t *testing.T) {
 	}
 
 	st := s.Stats()
-	if st.RequestsByEndpoint[EndpointV1] != 3 || st.CacheHits != 1 || st.Syntheses != 2 {
+	if st.Requests != 3 || st.CacheHits != 1 || st.Syntheses != 2 {
 		t.Errorf("stats = %+v, want 3 requests, 1 hit, 2 syntheses", st)
 	}
 	if st.CacheEntries != 2 || st.CacheBytes == 0 {
@@ -195,7 +195,7 @@ func TestServeSingleFlight(t *testing.T) {
 	if st.Syntheses != 1 {
 		t.Errorf("stats report %d syntheses, want 1", st.Syntheses)
 	}
-	if st.RequestsByEndpoint[EndpointV1] != n || st.CacheHits+st.CacheMisses != n {
+	if st.Requests != n || st.CacheHits+st.CacheMisses != n {
 		t.Errorf("stats = %+v, want %d requests with hits+misses = %d", st, n, n)
 	}
 

@@ -1,6 +1,6 @@
 // Tests for wire protocol v2: the versioned endpoints, the structured error
-// envelopes, binary content negotiation, batch coalescing, and disk
-// persistence of the plan cache.
+// envelopes, binary content negotiation, a caller's K clusters as K
+// requests, and disk persistence of the plan cache.
 
 package serve
 
@@ -118,10 +118,9 @@ func TestV1SynthesizeAndErrorEnvelope(t *testing.T) {
 }
 
 // TestNegativeOptionsRejected: segments and max_iterations come off the wire,
-// so a negative one must be answered 400 bad_request by the decoder — on the
-// single and batch bodies — before a cache key exists: nothing is
-// looked up, counted as a miss, or handed to the planner (where a negative
-// iteration bound used to nil-dereference).
+// so a negative one must be answered 400 bad_request by the decoder before a
+// cache key exists: nothing is looked up, counted as a miss, or handed to the
+// planner (where a negative iteration bound used to nil-dereference).
 func TestNegativeOptionsRejected(t *testing.T) {
 	s := New(Config{Synthesize: func(context.Context, *graph.Graph, *cluster.Cluster, hap.Options) (*hap.Plan, error) {
 		t.Error("a request with negative options reached the planner")
@@ -133,23 +132,17 @@ func TestNegativeOptionsRejected(t *testing.T) {
 	// requestBody marshals RequestOptions, which has no encoder of its own:
 	// negative values go out as written.
 	for _, opt := range []RequestOptions{{MaxIterations: -1}, {Segments: -1}} {
-		for path, body := range map[string][]byte{
-			"/v1/synthesize":       requestBody(t, g, c, opt),
-			"/v1/synthesize/batch": batchBody(t, g, []*cluster.Cluster{c}, opt),
-		} {
-			resp := postPath(t, srv.URL, path, body, "")
-			raw := readAll(t, resp)
-			if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(raw), "must not be negative") {
-				t.Errorf("%s with %+v: status %d body %q, want 400 naming the option", path, opt, resp.StatusCode, raw)
-			}
-			var env ErrorEnvelope
-			if json.Unmarshal(raw, &env) != nil || env.Code != CodeBadRequest {
-				t.Errorf("%s with %+v: body %q is not a %s envelope", path, opt, raw, CodeBadRequest)
-			}
+		status, _, raw := post(t, srv.URL, requestBody(t, g, c, opt))
+		if status != http.StatusBadRequest || !strings.Contains(string(raw), "must not be negative") {
+			t.Errorf("%+v: status %d body %q, want 400 naming the option", opt, status, raw)
+		}
+		var env ErrorEnvelope
+		if json.Unmarshal(raw, &env) != nil || env.Code != CodeBadRequest {
+			t.Errorf("%+v: body %q is not a %s envelope", opt, raw, CodeBadRequest)
 		}
 	}
-	if st := s.Stats(); st.CacheMisses != 0 || st.Syntheses != 0 || st.Errors != 4 {
-		t.Errorf("stats after 4 rejected requests: misses %d syntheses %d errors %d, want 0/0/4", st.CacheMisses, st.Syntheses, st.Errors)
+	if st := s.Stats(); st.CacheMisses != 0 || st.Syntheses != 0 || st.Errors != 2 {
+		t.Errorf("stats after 2 rejected requests: misses %d syntheses %d errors %d, want 0/0/2", st.CacheMisses, st.Syntheses, st.Errors)
 	}
 }
 
@@ -220,174 +213,124 @@ func TestBinaryContentNegotiation(t *testing.T) {
 	}
 }
 
-// batchBody assembles a /v1/synthesize/batch request.
-func batchBody(t *testing.T, g *graph.Graph, clusters []*cluster.Cluster, opt RequestOptions) []byte {
-	t.Helper()
-	var gb bytes.Buffer
-	if err := g.Encode(&gb); err != nil {
-		t.Fatal(err)
-	}
-	raws := make([]json.RawMessage, len(clusters))
-	for i, c := range clusters {
-		var cb bytes.Buffer
-		if err := c.Encode(&cb); err != nil {
-			t.Fatal(err)
+// TestAcceptQZero: a q of zero on the binary type means "not acceptable"
+// (RFC 9110 §12.4.2), so such a request is answered in JSON; any other
+// weight, or none, still negotiates the binary form.
+func TestAcceptQZero(t *testing.T) {
+	for accept, want := range map[string]bool{
+		"":                    false,
+		"application/json":    false,
+		BinaryPlanContentType: true,
+		BinaryPlanContentType + ", application/json":          true,
+		BinaryPlanContentType + ";q=0.5":                      true,
+		BinaryPlanContentType + "; q=0.001":                   true,
+		"application/json;q=0, " + BinaryPlanContentType:      true,
+		"application/json, " + BinaryPlanContentType + ";q=0": false,
+		BinaryPlanContentType + "; q=0.000":                   false,
+		BinaryPlanContentType + ";Q=0":                        false,
+		BinaryPlanContentType + ";v=1;q=0":                    false,
+	} {
+		r := httptest.NewRequest(http.MethodPost, "/v1/synthesize", nil)
+		if accept != "" {
+			r.Header.Set("Accept", accept)
 		}
-		raws[i] = append(json.RawMessage(nil), cb.Bytes()...)
+		if got := wantsBinaryPlan(r); got != want {
+			t.Errorf("Accept %q: binary %v, want %v", accept, got, want)
+		}
 	}
-	body, err := json.Marshal(BatchRequest{Graph: gb.Bytes(), Clusters: raws, Options: opt})
-	if err != nil {
-		t.Fatal(err)
+
+	srv := httptest.NewServer(New(Config{}).Handler())
+	defer srv.Close()
+	resp := postPath(t, srv.URL, "/v1/synthesize", requestBody(t, testGraph(t), testCluster(), RequestOptions{}),
+		"application/json, "+BinaryPlanContentType+";q=0")
+	plan := readAll(t, resp)
+	if ct := resp.Header.Get("Content-Type"); resp.StatusCode != http.StatusOK || ct != "application/json" {
+		t.Fatalf("binary refused with q=0: status %d Content-Type %q, want 200 JSON", resp.StatusCode, ct)
 	}
-	return body
+	if _, err := hap.ReadProgram(bytes.NewReader(plan), testGraph(t)); err != nil {
+		t.Errorf("JSON answer does not decode: %v", err)
+	}
 }
 
-// TestBatchCoalescing: a batch of N clusters for one graph searches each
-// distinct cluster once, returns one valid plan per cluster (identical to the
-// single-endpoint plan), and caches every entry.
+// TestBatchCoalescing: a caller with K clusters for one graph makes K
+// requests. Each distinct cluster is searched once — the duplicate's body is
+// a repeat, served from cache — every plan verifies, and the caller's next
+// round, asked key-first, is all hits with no graph uploaded.
 func TestBatchCoalescing(t *testing.T) {
 	s := New(Config{})
 	srv := httptest.NewServer(s.Handler())
 	defer srv.Close()
-	clusters := []*cluster.Cluster{
-		testCluster(),
-		cluster.FromGPUs(cluster.DefaultNetwork(),
-			cluster.MachineSpec{Type: cluster.A100, GPUs: 1},
-			cluster.MachineSpec{Type: cluster.P100, GPUs: 1}),
-		testCluster(), // duplicate of the first: one search, answered twice
-	}
-	body := batchBody(t, testGraph(t), clusters, RequestOptions{})
-
-	resp := postPath(t, srv.URL, "/v1/synthesize/batch", body, "")
-	raw := readAll(t, resp)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("batch: status %d: %s", resp.StatusCode, raw)
-	}
-
-	var br BatchResponse
-	if err := json.Unmarshal(raw, &br); err != nil {
-		t.Fatalf("decode batch response: %v", err)
-	}
-	if len(br.Plans) != len(clusters) {
-		t.Fatalf("batch returned %d plans for %d clusters", len(br.Plans), len(clusters))
-	}
-	for i, bp := range br.Plans {
-		if bp.Cache != "miss" {
-			t.Errorf("plan %d cache = %q, want miss on a cold server", i, bp.Cache)
+	g := testGraph(t)
+	clusters := []*cluster.Cluster{testCluster(), altCluster(), testCluster()}
+	plans := make([][]byte, len(clusters))
+	for i, c := range clusters {
+		status, cache, plan := post(t, srv.URL, requestBody(t, g, c, RequestOptions{}))
+		if status != http.StatusOK {
+			t.Fatalf("cluster %d: status %d: %s", i, status, plan)
 		}
-		p, err := hap.ReadProgram(bytes.NewReader(bp.Plan), testGraph(t))
+		want := "miss"
+		if i == 2 {
+			want = "hit" // the duplicate
+		}
+		if cache != want {
+			t.Errorf("cluster %d cache = %q, want %s", i, cache, want)
+		}
+		p, err := hap.ReadProgram(bytes.NewReader(plan), testGraph(t))
 		if err != nil {
 			t.Fatalf("plan %d: %v", i, err)
 		}
 		if err := hap.Verify(p, clusters[i].M(), int64(3+i)); err != nil {
 			t.Errorf("plan %d fails verification: %v", i, err)
 		}
+		plans[i] = plan
 	}
-	// The duplicate cluster received the same plan without a second search.
-	if !bytes.Equal(br.Plans[0].Plan, br.Plans[2].Plan) {
-		t.Error("duplicate clusters in one batch got different plans")
+	if !bytes.Equal(plans[0], plans[2]) {
+		t.Error("the duplicate cluster got a different plan")
 	}
 	if st := s.Stats(); st.Syntheses != 2 {
-		t.Errorf("batch ran %d syntheses, want 2 (3 clusters, 1 duplicate)", st.Syntheses)
+		t.Errorf("%d syntheses for 3 clusters with 1 duplicate, want 2", st.Syntheses)
 	}
 
-	// A batch plan equals the single-endpoint plan for the same cluster
-	// (modulo whitespace: marshalling the batch response compacts the
-	// embedded RawMessage).
-	single := requestBody(t, testGraph(t), clusters[1], RequestOptions{})
-	resp = postPath(t, srv.URL, "/v1/synthesize", single, "")
-	singlePlan := readAll(t, resp)
-	if resp.Header.Get("X-HAP-Cache") != "hit" {
-		t.Errorf("single request after batch missed the cache")
-	}
-	var compactSingle, compactBatch bytes.Buffer
-	if err := json.Compact(&compactSingle, singlePlan); err != nil {
-		t.Fatal(err)
-	}
-	if err := json.Compact(&compactBatch, br.Plans[1].Plan); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(compactSingle.Bytes(), compactBatch.Bytes()) {
-		t.Error("batch plan differs from the single-endpoint plan for the same cluster")
-	}
-
-	// Re-running the whole batch is all hits, no new synthesis.
-	resp = postPath(t, srv.URL, "/v1/synthesize/batch", body, "")
-	raw = readAll(t, resp)
-	if err := json.Unmarshal(raw, &br); err != nil {
-		t.Fatal(err)
-	}
-	for i, bp := range br.Plans {
-		if bp.Cache != "hit" {
-			t.Errorf("repeat batch plan %d cache = %q, want hit", i, bp.Cache)
+	for i, c := range clusters {
+		status, cache, plan := post(t, srv.URL, keyBody(clientKey(g, c, RequestOptions{})))
+		if status != http.StatusOK || cache != "hit" || !bytes.Equal(plan, plans[i]) {
+			t.Errorf("key-first repeat %d: status %d cache %q, same plan %v; want 200/hit/true", i, status, cache, bytes.Equal(plan, plans[i]))
 		}
 	}
-	if st := s.Stats(); st.Syntheses != 2 {
-		t.Errorf("repeat batch re-synthesized (total %d, want 2)", st.Syntheses)
+	if st := s.Stats(); st.Syntheses != 2 || st.CacheHits != 4 {
+		t.Errorf("after the key-first round: %d syntheses, %d hits; want 2/4", st.Syntheses, st.CacheHits)
 	}
 }
 
-// A batch where one cluster fails (e.g. starved under its budget) still
-// caches the plans that completed: the request errors, but a retry — or a
-// single request for a finished cluster — does not re-pay its work.
-func TestBatchPartialFailureCachesSuccesses(t *testing.T) {
-	g := testGraph(t)
-	starvedFP := altCluster().Fingerprint()
-	s := New(Config{
-		Synthesize: func(ctx context.Context, gr *graph.Graph, c *cluster.Cluster, opt hap.Options) (*hap.Plan, error) {
-			if c.Fingerprint() == starvedFP {
-				return nil, errors.New("cluster 2 starved")
-			}
-			return hap.NewPlanner(c, hap.WithOptions(opt)).Plan(ctx, gr)
-		},
-	})
-	srv := httptest.NewServer(s.Handler())
-	defer srv.Close()
-	clusters := []*cluster.Cluster{testCluster(), altCluster()}
-
-	resp := postPath(t, srv.URL, "/v1/synthesize/batch", batchBody(t, g, clusters, RequestOptions{}), "")
-	raw := readAll(t, resp)
-	var env ErrorEnvelope
-	if resp.StatusCode != http.StatusUnprocessableEntity || json.Unmarshal(raw, &env) != nil || env.Code != CodeSynthesisFailed {
-		t.Fatalf("partial batch = %d %q, want 422 synthesis_failed envelope", resp.StatusCode, raw)
-	}
-
-	// The cluster that completed is cached: a single request hits.
-	resp = postPath(t, srv.URL, "/v1/synthesize", requestBody(t, testGraph(t), clusters[0], RequestOptions{}), "")
-	readAll(t, resp)
-	if resp.StatusCode != http.StatusOK || resp.Header.Get("X-HAP-Cache") != "hit" {
-		t.Errorf("completed cluster after failed batch: status %d cache %q, want 200/hit",
-			resp.StatusCode, resp.Header.Get("X-HAP-Cache"))
-	}
-}
-
-// TestBatchMissesSeedAndJoin: a batch miss is a single miss, so it gets what
-// a single miss gets — (a) a donor: with a base graph cached on two clusters,
-// a batch for a near-variant seeds every one of its searches; (b) the flight:
-// a batch and a single request naming the same cold key share one search.
+// TestBatchMissesSeedAndJoin: a caller's K clusters are K single misses, each
+// with what a miss gets — (a) a donor: with a base graph cached on two
+// clusters, a near-variant's miss on each cluster seeds from the base plan on
+// that cluster; (b) the flight: a key-first caller naming a key whose search
+// is running is told need_body, and its full request joins that search.
 func TestBatchMissesSeedAndJoin(t *testing.T) {
 	t.Run("seed", func(t *testing.T) {
 		s := New(Config{})
 		srv := httptest.NewServer(s.Handler())
 		defer srv.Close()
 		clusters := []*cluster.Cluster{testCluster(), altCluster()}
-		batch := func(g *graph.Graph) (seeded uint64) {
+		round := func(g *graph.Graph) (seeded uint64) {
 			t.Helper()
 			before := s.Stats().SynthIncremental
-			resp := postPath(t, srv.URL, "/v1/synthesize/batch", batchBody(t, g, clusters, RequestOptions{}), "")
-			if raw := readAll(t, resp); resp.StatusCode != http.StatusOK {
-				t.Fatalf("batch: status %d: %.120s", resp.StatusCode, raw)
+			for _, c := range clusters {
+				if status, _, raw := post(t, srv.URL, requestBody(t, g, c, RequestOptions{})); status != http.StatusOK {
+					t.Fatalf("status %d: %.120s", status, raw)
+				}
 			}
 			return s.Stats().SynthIncremental - before
 		}
-		// A donor shares its target's cluster, so the base batch's siblings
+		// A donor shares its target's cluster, so the base graph's plans
 		// cannot seed each other; each of the variant's misses finds the base
 		// plan on its own cluster.
-		if n := batch(seedServeGraph(64, 96, 96, 96, 96, 96, 96, 32)); n != 0 {
-			t.Errorf("base batch seeded %d searches on an empty cache", n)
+		if n := round(seedServeGraph(64, 96, 96, 96, 96, 96, 96, 32)); n != 0 {
+			t.Errorf("base graph seeded %d searches on an empty cache", n)
 		}
-		if n := batch(seedServeGraph(64, 96, 96, 112, 96, 96, 96, 32)); n != uint64(len(clusters)) {
-			t.Errorf("near-variant batch seeded %d of its %d searches", n, len(clusters))
+		if n := round(seedServeGraph(64, 96, 96, 112, 96, 96, 96, 32)); n != uint64(len(clusters)) {
+			t.Errorf("near-variant seeded %d of its %d searches", n, len(clusters))
 		}
 	})
 
@@ -413,19 +356,27 @@ func TestBatchMissesSeedAndJoin(t *testing.T) {
 		defer srv.Close()
 		g := testGraph(t)
 		key := cacheKey(g, held, RequestOptions{})
+		body := requestBody(t, g, held, RequestOptions{})
 
 		statuses := make(chan int, 2)
-		go func() {
-			status, _, _ := post(t, srv.URL, requestBody(t, g, held, RequestOptions{}))
-			statuses <- status
-		}()
-		<-started
-		go func() {
-			resp := postPath(t, srv.URL, "/v1/synthesize/batch", batchBody(t, g, []*cluster.Cluster{held, altCluster()}, RequestOptions{}), "")
-			readAll(t, resp)
+		send := func() {
+			resp, err := http.Post(srv.URL+"/v1/synthesize", "application/json", bytes.NewReader(body))
+			if err != nil {
+				t.Error(err)
+				statuses <- 0
+				return
+			}
+			io.Copy(io.Discard, resp.Body)
+			resp.Body.Close()
 			statuses <- resp.StatusCode
-		}()
-		// Release the search only once the batch's miss is waiting on it.
+		}
+		go send()
+		<-started
+		if status, cache, raw := post(t, srv.URL, keyBody(key)); status != http.StatusOK || cache != NeedBody {
+			t.Fatalf("key-only request during the search: status %d cache %q: %s", status, cache, raw)
+		}
+		go send()
+		// Release the search only once the second miss is waiting on it.
 		joined := false
 		for deadline := time.Now().Add(10 * time.Second); !joined && time.Now().Before(deadline); time.Sleep(time.Millisecond) {
 			s.flight.mu.Lock()
@@ -439,18 +390,18 @@ func TestBatchMissesSeedAndJoin(t *testing.T) {
 		}
 		close(release)
 		if !joined {
-			t.Error("the batch's miss never joined the single request's flight")
+			t.Error("the second caller's miss never joined the first one's flight")
 		}
 		for i := 0; i < 2; i++ {
 			if status := <-statuses; status != http.StatusOK {
-				t.Errorf("status %d, want 200 for the single request and the batch alike", status)
+				t.Errorf("status %d, want 200 for both callers", status)
 			}
 		}
 		if n := heldCalls.Load(); n != 1 {
 			t.Errorf("%d planner calls for the shared key, want 1", n)
 		}
-		if st := s.Stats(); st.FlightShared < 1 {
-			t.Errorf("flight_shared = %d, want the batch's miss counted as a joiner", st.FlightShared)
+		if st := s.Stats(); st.FlightShared != 1 {
+			t.Errorf("flight_shared = %d, want the second miss counted as a joiner", st.FlightShared)
 		}
 	})
 }
@@ -536,11 +487,34 @@ func TestMetricsV2(t *testing.T) {
 	metrics := string(readAll(t, mresp))
 	for _, want := range []string{
 		`hap_serve_requests_by_endpoint_total{endpoint="v1"} 2`,
-		`hap_serve_requests_by_endpoint_total{endpoint="v1_batch"} 0`,
 		"# TYPE hap_serve_cache_restored gauge",
 	} {
 		if !strings.Contains(metrics, want) {
 			t.Errorf("metrics exposition missing %q", want)
 		}
+	}
+}
+
+// TestBatchEndpointGone: a caller with K clusters makes K /v1/synthesize
+// requests; the batch path is not routed — the mux answers 404, counted on
+// no endpoint — and /metrics carries no series for it.
+func TestBatchEndpointGone(t *testing.T) {
+	s := New(Config{})
+	srv := httptest.NewServer(s.Handler())
+	defer srv.Close()
+	resp := postPath(t, srv.URL, "/v1/synthesize/batch", []byte(`{"graph": {}, "clusters": [{}]}`), "")
+	if b := readAll(t, resp); resp.StatusCode != http.StatusNotFound {
+		t.Errorf("POST /v1/synthesize/batch = %d (%s), want the mux's 404", resp.StatusCode, b)
+	}
+	mresp, err := http.Get(srv.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	metrics := string(readAll(t, mresp))
+	if strings.Contains(metrics, "v1_batch") {
+		t.Error("/metrics still exposes v1_batch series")
+	}
+	if !strings.Contains(metrics, `hap_serve_requests_by_endpoint_total{endpoint="v1"} 0`) {
+		t.Error("/metrics lacks the v1 request counter at 0")
 	}
 }

@@ -167,8 +167,13 @@ func (s *Server) monitorFor(spec *cluster.Cluster) (*telemetry.Monitor, string, 
 
 // handleTelemetry serves POST /v1/telemetry.
 func (s *Server) handleTelemetry(w http.ResponseWriter, r *http.Request) {
+	body, ok := s.readBody(w, r)
+	if !ok {
+		return
+	}
 	var req TelemetryRequest
-	if !s.decodePlanRequest(w, r, &req) {
+	if err := parseBody(body, &req); err != nil {
+		s.fail(w, http.StatusBadRequest, CodeBadRequest, "bad request: %v", err)
 		return
 	}
 	if len(req.Cluster) == 0 {

@@ -41,8 +41,8 @@ const (
 )
 
 // requestTrace carries one traced request through a handler: the trace,
-// its root span, and the labels (endpoint, cache outcome, fleet role) the
-// slow log and the trace summary report. It wraps the ResponseWriter so
+// its root span, and the labels (cache outcome, fleet role) the slow log and
+// the trace summary report. It wraps the ResponseWriter so
 // the first WriteHeader can export this node's spans to a forwarding peer
 // before the status line is committed.
 //
@@ -53,7 +53,6 @@ type requestTrace struct {
 	w         http.ResponseWriter
 	tr        *obs.Trace
 	root      *obs.Span
-	endpoint  string
 	start     time.Time
 	forwarded bool
 	wrote     bool
@@ -72,7 +71,7 @@ const maxClientTraceID = 64
 // returns (nil, r, w) and the handler path is unchanged; when on, the
 // returned writer must replace w (it exports spans on fleet-hop responses)
 // and the returned request carries the root span on its context.
-func (s *Server) startRequestTrace(w http.ResponseWriter, r *http.Request, endpoint string) (*requestTrace, *http.Request, http.ResponseWriter) {
+func (s *Server) startRequestTrace(w http.ResponseWriter, r *http.Request) (*requestTrace, *http.Request, http.ResponseWriter) {
 	if s.traces == nil {
 		return nil, r, w
 	}
@@ -85,10 +84,9 @@ func (s *Server) startRequestTrace(w http.ResponseWriter, r *http.Request, endpo
 	}
 	tr := obs.New(id, s.nodeLabel)
 	root := tr.Root("request", parent)
-	root.SetAttrStr("endpoint", endpoint)
+	root.SetAttrStr("endpoint", EndpointV1)
 	rt := &requestTrace{
 		s: s, w: w, tr: tr, root: root,
-		endpoint:  endpoint,
 		start:     time.Now(),
 		forwarded: forwarded,
 		role:      roleLocal,
@@ -188,7 +186,7 @@ func (rt *requestTrace) finish() {
 	rt.root.End()
 	rec := rt.tr.Finish()
 	rt.s.collectTrace(rec)
-	rt.s.logSlowRequest(rec, rt.endpoint, rt.cache, rt.role, status, time.Since(rt.start))
+	rt.s.logSlowRequest(rec, rt.cache, rt.role, status, time.Since(rt.start))
 }
 
 // phaseNames are the /metrics summary labels of
@@ -234,7 +232,7 @@ func (s *Server) collectTrace(rec *obs.TraceRecord) {
 // logSlowRequest emits the structured slow-request line: every request
 // when Config.TraceSlow is negative, requests at or past the threshold
 // when positive, nothing when zero.
-func (s *Server) logSlowRequest(rec *obs.TraceRecord, endpoint, cache, role string, status int, elapsed time.Duration) {
+func (s *Server) logSlowRequest(rec *obs.TraceRecord, cache, role string, status int, elapsed time.Duration) {
 	if s.cfg.TraceSlow == 0 {
 		return
 	}
@@ -244,7 +242,7 @@ func (s *Server) logSlowRequest(rec *obs.TraceRecord, endpoint, cache, role stri
 	s.slowRequests.Add(1)
 	s.logger.LogAttrs(context.Background(), slog.LevelWarn, "slow request",
 		slog.String("trace_id", rec.TraceID),
-		slog.String("endpoint", endpoint),
+		slog.String("endpoint", EndpointV1),
 		slog.String("cache", cache),
 		slog.String("fleet_role", role),
 		slog.Int("status", status),

@@ -176,43 +176,6 @@ func TestTraceSingleNodeSynthesis(t *testing.T) {
 	}
 }
 
-// TestTraceBatchFlightsCarryKeys: a batch's misses are single misses side by
-// side, so its one trace holds a flight subtree per missing key; the flight's
-// key attribute is what tells their synthesize/encode children apart.
-func TestTraceBatchFlightsCarryKeys(t *testing.T) {
-	srv := httptest.NewServer(New(Config{}).Handler())
-	defer srv.Close()
-	g := testGraph(t)
-	clusters := []*cluster.Cluster{testCluster(), altCluster()}
-	resp := postPath(t, srv.URL, "/v1/synthesize/batch", batchBody(t, g, clusters, RequestOptions{}), "")
-	if raw := readAll(t, resp); resp.StatusCode != http.StatusOK {
-		t.Fatalf("batch: status %d: %.120s", resp.StatusCode, raw)
-	}
-	rec := getTrace(t, srv.URL, resp.Header.Get(obs.TraceHeader))
-	assertWellFormed(t, rec)
-
-	flights := map[uint64]string{} // flight span ID → key
-	for _, sp := range rec.Spans {
-		if sp.Name == "flight" {
-			flights[sp.ID] = sp.Attrs["key"]
-		}
-	}
-	searched := map[string]bool{}
-	for _, sp := range rec.Spans {
-		if sp.Name == "synthesize" {
-			searched[flights[sp.Parent]] = true
-		}
-	}
-	for _, c := range clusters {
-		if key := cacheKey(g, c, RequestOptions{}); !searched[key] {
-			t.Errorf("no synthesize span under a flight keyed %s (flights %v)", key, flights)
-		}
-	}
-	if len(flights) != len(clusters) || len(searched) != len(clusters) {
-		t.Errorf("%d flights, %d keyed searches for a %d-miss batch", len(flights), len(searched), len(clusters))
-	}
-}
-
 // TestTraceClientProvidedID: a client-sent X-HAP-Trace ID is adopted as the
 // trace identifier, so the caller can look the request up afterwards.
 func TestTraceClientProvidedID(t *testing.T) {

@@ -291,9 +291,6 @@ func SplitSizes(a *Tensor, d int, sizes []int) []*Tensor {
 	return parts
 }
 
-// Zeros returns a zero tensor with the same shape as a.
-func Zeros(a *Tensor) *Tensor { return New(a.shape...) }
-
 // Ones returns a tensor of ones with the given shape.
 func Ones(shape ...int) *Tensor {
 	t := New(shape...)

@@ -126,18 +126,6 @@ func (t *Tensor) offset(idx []int) int {
 	return off
 }
 
-// Reshape returns a view-copy of the tensor with a new shape that must have
-// the same number of elements.
-func (t *Tensor) Reshape(shape ...int) *Tensor {
-	s := Shape(shape).Clone()
-	if s.NumElements() != len(t.data) {
-		panic(fmt.Sprintf("tensor: cannot reshape %v to %v", t.shape, s))
-	}
-	c := make([]float64, len(t.data))
-	copy(c, t.data)
-	return &Tensor{shape: s, data: c}
-}
-
 // AllClose reports whether both tensors have the same shape and all elements
 // differ by at most atol + rtol*|b|.
 func AllClose(a, b *Tensor, rtol, atol float64) bool {
