@@ -8,6 +8,10 @@
 //	op        := < | <= | > | >= | = | == | !=
 //	value     := Go duration (latency metrics: "5ms", "1.5s") | number
 //
+// A threshold is finite, and a latency threshold is not negative: NaN
+// compares false against everything (so errors!=NaN would pass whatever the
+// count), Inf makes a bound vacuous, and no latency is below zero.
+//
 // Examples:
 //
 //	warm.p99<5ms,errors=0
@@ -20,6 +24,7 @@ package load
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 	"time"
@@ -100,11 +105,17 @@ func parseAssertion(s string) (Assertion, error) {
 		if err != nil {
 			return Assertion{}, fmt.Errorf("load: SLO assertion %q: latency threshold must be a duration (e.g. 5ms): %v", s, err)
 		}
+		if d < 0 {
+			return Assertion{}, fmt.Errorf("load: SLO assertion %q: latency threshold %s is negative", s, rhs)
+		}
 		a.Value = float64(d.Nanoseconds()) / 1e6
 	} else {
 		v, err := strconv.ParseFloat(rhs, 64)
 		if err != nil {
 			return Assertion{}, fmt.Errorf("load: SLO assertion %q: bad threshold %q", s, rhs)
+		}
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return Assertion{}, fmt.Errorf("load: SLO assertion %q: threshold %q is not finite", s, rhs)
 		}
 		a.Value = v
 	}

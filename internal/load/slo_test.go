@@ -1,6 +1,7 @@
 package load
 
 import (
+	"math"
 	"strings"
 	"testing"
 )
@@ -110,4 +111,75 @@ func TestSLOParseErrors(t *testing.T) {
 	if slo.Assertions[0].Op != "=" {
 		t.Errorf("op = %q, want =", slo.Assertions[0].Op)
 	}
+}
+
+// TestSLORejectsNonFiniteThresholds: a threshold no measurement can meet or
+// miss is a parse error. NaN compares false against everything, so
+// errors!=NaN passed whatever the error count; Inf makes its bound vacuous;
+// a negative latency threshold can never pass.
+func TestSLORejectsNonFiniteThresholds(t *testing.T) {
+	for _, tc := range []struct {
+		slo    string
+		accept bool
+	}{
+		{"errors!=NaN", false},
+		{"errors=nan", false},
+		{"errors<=Inf", false},
+		{"shed<+Inf", false},
+		{"hit_ratio>-Inf", false},
+		{"throughput>=infinity", false},
+		{"warm.count<Inf", false},
+		{"warm.p99<-5ms", false},
+		{"miss.max<=-1s", false},
+		{"warm.p99<0ms", true},    // zero is a threshold, if a strict one
+		{"warm.count>-1", true},   // only latencies are non-negative by kind
+		{"hit_ratio>=1e-9", true}, // tiny but finite
+	} {
+		_, err := ParseSLO(tc.slo)
+		if tc.accept && err != nil {
+			t.Errorf("ParseSLO(%q): %v", tc.slo, err)
+		}
+		if !tc.accept && err == nil {
+			t.Errorf("ParseSLO(%q) accepted a threshold no measurement can meet or miss", tc.slo)
+		}
+	}
+}
+
+// FuzzParseSLO: arbitrary -slo text never panics the parser, and every
+// assertion it accepts has a finite threshold (non-negative for a latency)
+// and re-parses from its Raw text to itself — what the report prints is what
+// was checked. The committed corpus holds errors!=NaN, which once parsed and
+// then passed whatever the error count.
+func FuzzParseSLO(f *testing.F) {
+	for _, s := range []string{
+		"warm.p99<5ms, errors=0, hit_ratio>=0.8, shed>0, miss.p99 <= 100ms",
+		"errors==0,proxied.count>0,warm.p99<1s",
+		"warm.p99<-5ms",
+		"errors<=Inf",
+		"warm.p99<5,errors=zero",
+		"",
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		slo, err := ParseSLO(s)
+		if err != nil {
+			return
+		}
+		for _, a := range slo.Assertions {
+			if math.IsNaN(a.Value) || math.IsInf(a.Value, 0) {
+				t.Fatalf("%q: accepted assertion %q has threshold %v", s, a.Raw, a.Value)
+			}
+			if a.Class != "" && latencyMetrics[a.Metric] && a.Value < 0 {
+				t.Fatalf("%q: accepted assertion %q has negative latency threshold %v", s, a.Raw, a.Value)
+			}
+			again, err := ParseSLO(a.Raw)
+			if err != nil {
+				t.Fatalf("%q: accepted assertion %q does not re-parse: %v", s, a.Raw, err)
+			}
+			if len(again.Assertions) != 1 || again.Assertions[0] != a {
+				t.Fatalf("%q: assertion %+v re-parses from its Raw text to %+v", s, a, again.Assertions)
+			}
+		}
+	})
 }

@@ -6,19 +6,20 @@
 // the level that allocated them — paid five separate allocations (the state
 // plus four slice backings). The arena batch-allocates states in blocks and
 // carves each state's fixed-size backing (placed, openComp, one bitset) and
-// initial capacity (props, instrs) out of per-block slabs: a miss is one slab
-// index, a hit is a free-list pop. Everything is released wholesale when the
-// search ends and the Synthesizer becomes garbage — no per-object
-// bookkeeping, and nothing escapes: Run copies the winning program out of the
-// parent chain before returning.
+// initial props capacity out of per-block slabs: a miss is one slab index, a
+// hit is a free-list pop. Everything is released wholesale when the search
+// ends and the Synthesizer becomes garbage — no per-object bookkeeping, and
+// nothing escapes: Run rebuilds the winning program from the trail before
+// returning.
 //
-// A state that stays in the search tree as an ancestor is never recycled
-// whole — program() walks its parent and instrs when the search ends, and
-// its children may borrow its bitsets — but its props, placed and openComp
-// are never read again once its level retires. retire hands that backing to
-// a third free list, and a fresh state takes it before carving a slab: a
-// long search then carves little beyond the state structs themselves, and
-// reuses props backing that has already grown to the graph.
+// No state outlives its level as an ancestor: a step's program is a trail
+// record (Synthesizer.trail), so every state of a retiring level returns
+// here whole, backing included, and the next level's successors reuse it.
+// A search therefore carves about two levels' worth of states, however deep
+// it runs, and props backing that has already grown to the graph is reused.
+// The one thing a retiring state cannot hand back is a bitset its children
+// still borrow copy-on-write; get gives a state arriving without a spare
+// bitset one from the bitset slab, so cowCopy stays off the heap.
 //
 // Communication frontiers (state.front) are not per-state backing: a state
 // needs one only while it sits in the beam, so their buffers are a second
@@ -32,21 +33,18 @@
 
 package synth
 
-import (
-	"hap/internal/dist"
-	"hap/internal/theory"
-)
+import "hap/internal/theory"
 
 const (
-	// arenaBlock is the number of states (and of backings) allocated per slab.
+	// arenaBlock is the number of states (and of backings, and of bitsets)
+	// allocated per slab.
 	arenaBlock = 256
-	// arenaPropCap, arenaInstrCap and arenaFrontCap are the initial
-	// capacities carved from the slabs. A state whose props or instrs (or a
-	// frontier buffer whose entries) outgrow them falls back to an ordinary
-	// append reallocation and keeps the larger backing across its recycled
-	// lives — the arena self-tunes to the graph.
+	// arenaPropCap and arenaFrontCap are the initial capacities carved from
+	// the slabs. A state whose props (or a frontier buffer whose entries)
+	// outgrow them falls back to an ordinary append reallocation and keeps
+	// the larger backing across its recycled lives — the arena self-tunes to
+	// the graph.
 	arenaPropCap  = 12
-	arenaInstrCap = 4
 	arenaFrontCap = 64
 	// arenaFrontSlack is how many frontier buffers a slab holds beyond the
 	// beam width: a level's states plus the candidates materialized and
@@ -54,23 +52,14 @@ const (
 	arenaFrontSlack = 8
 )
 
-// backing is the part of a state that a retired ancestor hands back.
-type backing struct {
-	props  []theory.Property
-	placed []int8
-	comp   []float64
-}
-
 // stateArena allocates and recycles search states for one Synthesizer.
 type stateArena struct {
-	free  []*state
-	backs []backing
+	free []*state
 
-	// The current slabs' uncarved rest: state structs with their bitset
-	// and instruction slabs, and backings.
+	// The current slabs' uncarved rest: state structs, bitsets, and the
+	// structs' backings.
 	block  []state
 	bits   []uint64
-	instrs []dist.Instruction
 	placed []int8
 	comp   []float64
 	props  []theory.Property
@@ -86,54 +75,41 @@ func (a *stateArena) init(nodes, m, words, width int) {
 }
 
 // get returns a recycled state, or carves a fresh one from the current
-// block. Fresh states come with zero-length slices whose capacities alias a
-// retired ancestor's backing or the slabs, so the caller's append-into
-// pattern fills them in place, and with one spare bitset: every expansion
-// copies-on-write exactly one of its two sets, so a fresh state's cowCopy
-// never reaches the heap.
+// block. Fresh states come with zero-length slices whose capacities alias
+// the slabs, so the caller's append-into pattern fills them in place; every
+// state comes with at least one spare bitset: every expansion copies-on-write
+// exactly one of its two sets, so cowCopy never reaches the heap.
 func (a *stateArena) get() *state {
+	var s *state
 	if n := len(a.free); n > 0 {
-		s := a.free[n-1]
+		s = a.free[n-1]
 		a.free[n-1] = nil
 		a.free = a.free[:n-1]
-		return s
+	} else {
+		if len(a.block) == 0 {
+			a.block = make([]state, arenaBlock)
+			a.placed = make([]int8, arenaBlock*a.nodes)
+			a.comp = make([]float64, arenaBlock*a.m)
+			a.props = make([]theory.Property, arenaBlock*arenaPropCap)
+		}
+		s = &a.block[0]
+		a.block = a.block[1:]
+		s.placed, a.placed = a.placed[:0:a.nodes], a.placed[a.nodes:]
+		s.openComp, a.comp = a.comp[:0:a.m], a.comp[a.m:]
+		s.props, a.props = a.props[:0:arenaPropCap], a.props[arenaPropCap:]
 	}
-	if len(a.block) == 0 {
-		a.block = make([]state, arenaBlock)
-		a.bits = make([]uint64, arenaBlock*a.words)
-		a.instrs = make([]dist.Instruction, arenaBlock*arenaInstrCap)
+	if s.spare[0] == nil && s.spare[1] == nil {
+		if len(a.bits) < a.words {
+			a.bits = make([]uint64, arenaBlock*a.words)
+		}
+		s.spare[0], a.bits = a.bits[:a.words:a.words], a.bits[a.words:]
 	}
-	s := &a.block[0]
-	a.block = a.block[1:]
-	s.spare[0], a.bits = a.bits[:a.words:a.words], a.bits[a.words:]
-	s.instrs, a.instrs = a.instrs[:0:arenaInstrCap], a.instrs[arenaInstrCap:]
-	if n := len(a.backs); n > 0 {
-		b := a.backs[n-1]
-		a.backs = a.backs[:n-1]
-		s.props, s.placed, s.openComp = b.props, b.placed, b.comp
-		return s
-	}
-	if len(a.props) == 0 {
-		a.placed = make([]int8, arenaBlock*a.nodes)
-		a.comp = make([]float64, arenaBlock*a.m)
-		a.props = make([]theory.Property, arenaBlock*arenaPropCap)
-	}
-	s.placed, a.placed = a.placed[:0:a.nodes], a.placed[a.nodes:]
-	s.openComp, a.comp = a.comp[:0:a.m], a.comp[a.m:]
-	s.props, a.props = a.props[:0:arenaPropCap], a.props[arenaPropCap:]
 	return s
 }
 
-// put recycles a retired state for the next get.
+// put recycles a state no live state reads for the next get.
 func (a *stateArena) put(s *state) {
 	a.free = append(a.free, s)
-}
-
-// putBacking takes s's props, placed and openComp backing for the next fresh
-// state; s must never read them again.
-func (a *stateArena) putBacking(s *state) {
-	a.backs = append(a.backs, backing{s.props[:0], s.placed[:0], s.openComp[:0]})
-	s.props, s.placed, s.openComp = nil, nil, nil
 }
 
 // getFront returns an empty frontier buffer: a recycled one, or the next

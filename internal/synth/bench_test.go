@@ -9,6 +9,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"testing"
 
 	"hap/internal/cluster"
@@ -86,23 +87,28 @@ func (in *seededInput) search(workers int) (*dist.Program, Stats, error) {
 
 // fanOutAllocsPerLevel bounds what Workers=2 allocates per beam level beyond
 // Workers=1: the WaitGroup, the goroutines and their closures, and chunk
-// buffers while they grow. Measured 5.4 ((1 296 − 578) / 134 levels); one
+// buffers while they grow. Measured 5.4 ((1 273 − 555) / 134 levels); one
 // allocation per candidate would add thousands.
 const fanOutAllocsPerLevel = 8
 
 // TestSearchAllocationPin holds the beam's allocation profile. Each row is
-// one search at Workers=1, whose count is exact run to run (the search is
-// deterministic and single-threaded), and fails past its pin + 25 %. Fresh
-// states carving new slabs instead of taking retired ancestors' backing cost
-// about one allocation per two states materialized (VGG19 read 5 722 before
-// ancestors handed it back: props outgrowing their slab, fresh slabs all
-// search long); a fresh state's copy-on-write bitset missing the arena's slab
-// costs one per state (9 665 before the slab); a closure in runBeam that
-// captures the selection loop's locals moves them to the heap once per
-// iteration (19 631 before the materialize loop went serial) — for every
-// worker count, since escape analysis is per function, not per branch. The
-// incremental row is most of all the donor replay's maps. Workers cost a few
-// goroutines and chunk buffers per level on top, nothing per candidate:
+// one search at Workers=1, whose allocation count is exact run to run (the
+// search is deterministic and single-threaded) and whose bytes repeat to a
+// few KiB. A count fails past its pin + 25 %: fresh states carving new slabs
+// instead of reusing retired ones cost about one allocation per two states
+// materialized (VGG19 read 5 722 before retired states handed their backing
+// back); a fresh state's copy-on-write bitset missing the arena's slab costs
+// one per state (9 665 before the slab); a closure in runBeam that captures
+// the selection loop's locals moves them to the heap once per iteration
+// (19 631 before the materialize loop went serial) — for every worker count,
+// since escape analysis is per function, not per branch. The incremental row
+// is most of all the donor replay's maps. Bytes fail past their pin + 5 %:
+// retired ancestors kept as state structs until the search ends, and
+// duplicates built before their key rejected them, cost VGG19 3 569 KiB per
+// search before the trail and key-first dedup (BERT-Base 8 940, BERT-MoE
+// 12 705, VGG19 incremental 747); a trail grown by append rather than in
+// chunks would add ~570 KiB to VGG19 and ~2 600 to BERT-Base. Workers cost a
+// few goroutines and chunk buffers per level on top, nothing per candidate:
 // since the serial search allocates less than the fan-out's fixed cost, that
 // is held per level, not as a ratio.
 func TestSearchAllocationPin(t *testing.T) {
@@ -114,25 +120,42 @@ func TestSearchAllocationPin(t *testing.T) {
 			}
 		}
 	}
+	// kibPerRun is AllocsPerRun's byte counterpart: one warm-up run, then
+	// the mean of TotalAlloc over runs.
+	kibPerRun := func(runs int, f func()) float64 {
+		f()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			f()
+		}
+		runtime.ReadMemStats(&after)
+		return float64(after.TotalAlloc-before.TotalAlloc) / float64(runs) / 1024
+	}
 	seeded := newSeededInput(t)
 	for _, row := range []struct {
 		name   string
 		search func()
-		pinned int
+		allocs int
+		kib    int
 	}{
-		{"VGG19", cold(models.ModelVGG19, 1), 578},
-		{"BERT-Base", cold(models.ModelBERTBase, 1), 1146},
-		{"BERT-MoE", cold(models.ModelBERTMoE, 1), 1366},
+		{"VGG19", cold(models.ModelVGG19, 1), 555, 1440},
+		{"BERT-Base", cold(models.ModelBERTBase, 1), 1090, 3805},
+		{"BERT-MoE", cold(models.ModelBERTMoE, 1), 1288, 5693},
 		{"VGG19 incremental", func() {
 			if _, _, err := seeded.search(1); err != nil {
 				t.Fatal(err)
 			}
-		}, 2908},
+		}, 2911, 538},
 	} {
 		got := testing.AllocsPerRun(2, row.search)
-		t.Logf("%s: %.0f allocs per search (pinned %d)", row.name, got, row.pinned)
-		if limit := 1.25 * float64(row.pinned); got > limit {
-			t.Errorf("%s search at Workers=1: %.0f allocs, want at most %.0f (pinned %d + 25%%)", row.name, got, limit, row.pinned)
+		kib := kibPerRun(2, row.search)
+		t.Logf("%s: %.0f allocs, %.0f KiB per search (pinned %d, %d KiB)", row.name, got, kib, row.allocs, row.kib)
+		if limit := 1.25 * float64(row.allocs); got > limit {
+			t.Errorf("%s search at Workers=1: %.0f allocs, want at most %.0f (pinned %d + 25%%)", row.name, got, limit, row.allocs)
+		}
+		if limit := 1.05 * float64(row.kib); kib > limit {
+			t.Errorf("%s search at Workers=1: %.0f KiB, want at most %.0f (pinned %d KiB + 5%%)", row.name, kib, limit, row.kib)
 		}
 	}
 

@@ -320,7 +320,9 @@ func fuzzWalkGraphs() []*graph.Graph {
 // schedule never takes: gradients computed before their parameter is
 // placed, inputs that die out of order, triples that place several leaves.
 // Its maintained key must equal the one rebuilt from its content, and two of
-// its collectives applied in either order must reach one key.
+// its collectives applied in either order must reach one key. Before every
+// step, every candidate's childKey must equal key() of the child it builds
+// (checkChildKeys).
 func FuzzFrontierWalk(f *testing.F) {
 	graphs := fuzzWalkGraphs()
 	theories := make([]*theory.Theory, len(graphs))
@@ -357,6 +359,7 @@ func FuzzFrontierWalk(f *testing.F) {
 		var comps []*theory.Triple
 		var lc levelCands
 		var want []oracleCand
+		var cov keyCover
 		for _, b := range data[1:] {
 			comps = comps[:0]
 			for _, id := range sy.reqNodes {
@@ -373,6 +376,7 @@ func FuzzFrontierWalk(f *testing.F) {
 			if n == 0 {
 				break
 			}
+			checkChildKeys(t, sy, s, comps, &cov)
 			var ns *state
 			if k := int(b) % n; k < len(comps) {
 				ns = sy.applyComp(s, comps[k])
@@ -382,7 +386,7 @@ func FuzzFrontierWalk(f *testing.F) {
 			if ns == nil {
 				t.Fatalf("depth %d: an applicable candidate did not apply", s.depth)
 			}
-			sy.retire(s) // as the beam retires a level: buffers and backing recycle along the walk
+			sy.retire(s) // as the beam retires a level: the state recycles whole along the walk
 			s = ns
 			s.nextReq = int32(len(sy.reqNodes))
 

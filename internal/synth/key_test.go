@@ -8,6 +8,7 @@ import (
 	"slices"
 	"testing"
 
+	"hap/internal/autodiff"
 	"hap/internal/cluster"
 	"hap/internal/cost"
 	"hap/internal/graph"
@@ -89,17 +90,69 @@ func checkCommOrders(t testing.TB, sy *Synthesizer, s *state, pick byte) {
 	}
 }
 
+// keyCover counts the steps checkChildKeys held to their child's key, by
+// what the step writes to the key.
+type keyCover struct {
+	comm, leaf, dropped, dupDropped int
+}
+
+// checkChildKeys materializes every candidate of s — each triple of comps,
+// then each frontier entry — and holds childKey, computed from s before the
+// step, to key() of the child the step builds: phase 3 skips a candidate on
+// the former without ever computing the latter.
+func checkChildKeys(t testing.TB, sy *Synthesizer, s *state, comps []*theory.Triple, cov *keyCover) {
+	t.Helper()
+	check := func(st step, ns *state) {
+		t.Helper()
+		if got, want := sy.childKey(s, st), ns.key(); got != want {
+			t.Fatalf("depth %d: childKey of %+v is %016x, the child it builds has key %016x", s.depth, st, got, want)
+		}
+		sy.release(ns)
+	}
+	for _, tr := range comps {
+		ns := sy.applyComp(s, tr)
+		if ns == nil {
+			t.Fatalf("depth %d: an applicable triple of node %d did not apply", s.depth, tr.Node)
+		}
+		for _, p := range tr.LeafPre {
+			if s.placed[p.Ref] == unplaced {
+				cov.leaf++
+				break
+			}
+		}
+		ins := sy.g.Node(tr.Node).Inputs
+		for i, u := range ins {
+			if slices.Contains(ins[:i], u) || len(s.propsOf(u)) == 0 || len(ns.propsOf(u)) > 0 {
+				continue
+			}
+			cov.dropped++
+			if slices.Contains(ins[i+1:], u) {
+				cov.dupDropped++
+			}
+		}
+		check(step{tr: tr}, ns)
+	}
+	for _, e := range s.front {
+		cov.comm++
+		check(step{cc: e.cc}, sy.applyComm(s, e.cc))
+	}
+}
+
 // TestStateKeyMatchesRebuild holds the maintained state key to its
 // from-scratch definition on every state of every level of the beamCases
 // searches, and on exact A*'s successors of a small graph. Within a level,
 // and among A*'s states, equal keys must mean equal content: the key is what
-// dedup compares instead of the content.
+// dedup compares instead of the content. Every candidate of every level
+// state must also reach, once built, the key childKey gave it beforehand —
+// on the beamCases and on a graph whose one input read twice dies there.
 func TestStateKeyMatchesRebuild(t *testing.T) {
+	var cov keyCover
 	for _, bc := range beamCases() {
 		t.Run(bc.name, func(t *testing.T) {
 			sy := bc.build(t)
 			states := 0
 			byKey := map[uint64]*state{}
+			var lc levelCands
 			sy.levelHook = func(level []*state, _ []candRef) {
 				clear(byKey)
 				for _, s := range level {
@@ -108,6 +161,9 @@ func TestStateKeyMatchesRebuild(t *testing.T) {
 						t.Fatalf("depth %d: two states of different content share key %016x", s.depth, s.key())
 					}
 					byKey[s.key()] = s
+					lc.reset()
+					sy.scoreCandidates(s, &lc)
+					checkChildKeys(t, sy, s, lc.comps, &cov)
 				}
 				states += len(level)
 			}
@@ -119,6 +175,36 @@ func TestStateKeyMatchesRebuild(t *testing.T) {
 			}
 			t.Logf("%d states", states)
 		})
+	}
+	// h+h: h's only consumer reads it twice (and its backward does not read
+	// h), so computing it drops h's properties once, not twice.
+	t.Run("double", func(t *testing.T) {
+		g := graph.New()
+		x := g.AddPlaceholder("x", 0, 32, 16)
+		w := g.AddParameter("w", 16, 16)
+		h := g.AddOp(graph.MatMul, x, w)
+		g.SetLoss(g.AddOp(graph.Sum, g.AddOp(graph.Add, h, h)))
+		if err := autodiff.Backward(g); err != nil {
+			t.Fatal(err)
+		}
+		c := twoDevices()
+		sy := New(g, theory.New(g), c, ratios(c), Options{BeamWidth: 8, Workers: 1})
+		var lc levelCands
+		sy.levelHook = func(level []*state, _ []candRef) {
+			for _, s := range level {
+				lc.reset()
+				sy.scoreCandidates(s, &lc)
+				checkChildKeys(t, sy, s, lc.comps, &cov)
+			}
+		}
+		if _, _, err := sy.Run(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("childKey held on %d collectives, %d leaf-placing computations, %d dropped inputs (%d read twice)",
+		cov.comm, cov.leaf, cov.dropped, cov.dupDropped)
+	if cov.comm == 0 || cov.leaf == 0 || cov.dropped == 0 || cov.dupDropped == 0 {
+		t.Errorf("childKey coverage is missing a step kind: %+v", cov)
 	}
 	// Exact A*: breadth-first over expandFrom from the root. Unlike a beam
 	// level, A*'s states reach the same content along different paths (two
@@ -155,28 +241,23 @@ func TestStateKeyMatchesRebuild(t *testing.T) {
 	})
 }
 
-// TestRetiredAncestorsKeepOnlyInstructions holds what an ancestor keeps once
-// its level retires — its parent, its instructions and the bitsets its
-// children borrow, not its props, placements or stage times — and that
-// program() still rebuilds the winner from those shells.
-func TestRetiredAncestorsKeepOnlyInstructions(t *testing.T) {
-	shells := func(t *testing.T, s *state) {
-		t.Helper()
-		for a := s.parent; a != nil; a = a.parent {
-			if a.props != nil || a.placed != nil || a.openComp != nil {
-				t.Fatalf("the depth-%d ancestor of a depth-%d state still holds its backing", a.depth, s.depth)
-			}
-			if a.computed == nil || a.communicated == nil {
-				t.Fatalf("the depth-%d ancestor of a depth-%d state lost the bitsets its children borrow", a.depth, s.depth)
-			}
-		}
-	}
+// TestTrailRebuildsPrograms holds program(), which rebuilds a state's
+// instructions from the trail alone, to the plans the search emitted when
+// ancestors kept theirs: the beam winner's golden hash, and a fast-forward
+// through a whole donor program reproducing the donor. Since no ancestor
+// outlives its level, the beam's levels also occupy a number of state
+// structs bounded by the beam width, not by the search depth.
+func TestTrailRebuildsPrograms(t *testing.T) {
 	t.Run("beam", func(t *testing.T) {
+		const width = 48
 		g, th, c, ratios := benchInput(models.ModelVGG19)
-		sy := New(g, th, c, ratios, Options{BeamWidth: 48, Workers: 1})
+		sy := New(g, th, c, ratios, Options{BeamWidth: width, Workers: 1})
+		structs := map[*state]bool{}
+		levels := 0
 		sy.levelHook = func(level []*state, _ []candRef) {
+			levels++
 			for _, s := range level {
-				shells(t, s)
+				structs[s] = true
 			}
 		}
 		p, _, err := sy.Run(context.Background())
@@ -186,7 +267,13 @@ func TestRetiredAncestorsKeepOnlyInstructions(t *testing.T) {
 		h := fnv.New64a()
 		h.Write([]byte(p.String()))
 		if got, want := fmt.Sprintf("%016x", h.Sum64()), goldenPlans["vgg19/het8"].hash; got != want {
-			t.Fatalf("the winner rebuilt from retired ancestors hashes to %s, the golden plan to %s", got, want)
+			t.Fatalf("the winner rebuilt from the trail hashes to %s, the golden plan to %s", got, want)
+		}
+		t.Logf("%d levels occupied %d state structs", levels, len(structs))
+		// A level and its successors, plus the candidate in hand and a
+		// retained complete state.
+		if limit := 2*width + 2; len(structs) > limit {
+			t.Errorf("%d levels occupied %d state structs, want at most %d (two levels' worth)", levels, len(structs), limit)
 		}
 	})
 	// A zero-diff seed fast-forwards through the whole donor program,
@@ -209,9 +296,8 @@ func TestRetiredAncestorsKeepOnlyInstructions(t *testing.T) {
 		if !done {
 			t.Fatalf("the fast-forward stopped after %d of %d steps", applied, opt.Seed.Steps())
 		}
-		shells(t, end)
 		checkKey(t, end)
-		if got := end.program(g); got.String() != donor.String() {
+		if got := sy.program(end.tail); got.String() != donor.String() {
 			t.Fatalf("the fast-forwarded program differs from the donor:\n%s\nvs\n%s", got, donor)
 		}
 	})

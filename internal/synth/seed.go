@@ -408,28 +408,21 @@ func (sy *Synthesizer) fastForward(root *state) (*state, int, bool) {
 		if !st.mapped {
 			break
 		}
+		var ns *state
 		if st.comm {
-			ns := sy.applySeedComm(s, st)
-			if ns == nil {
-				break
+			ns = sy.applySeedComm(s, st)
+		} else if int(s.nextReq) < len(sy.reqNodes) && sy.reqNodes[s.nextReq] == st.node &&
+			!(sy.opt.DisableSFB && sy.isSFBTriple(st.tr)) {
+			if ns = sy.applyComp(s, st.tr); ns != nil {
+				ns.nextReq = s.nextReq + 1
 			}
-			s = ns
-		} else {
-			if int(s.nextReq) >= len(sy.reqNodes) || sy.reqNodes[s.nextReq] != st.node {
-				break
-			}
-			if sy.opt.DisableSFB && sy.isSFBTriple(st.tr) {
-				break
-			}
-			ns := sy.applyComp(s, st.tr)
-			if ns == nil {
-				break
-			}
-			ns.nextReq = s.nextReq + 1
-			s = ns
 		}
-		// The chain behind s is kept for its instructions only.
-		sy.retire(s.parent)
+		if ns == nil {
+			break
+		}
+		// The step is on the trail; the state it left goes back whole.
+		sy.retire(s)
+		s = ns
 		applied++
 	}
 	return s, applied, applied == len(sd.steps) && s.complete

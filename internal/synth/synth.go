@@ -118,8 +118,10 @@ const numColl = int(collective.AllToAll) + 1
 
 // state is a partial program: the property set plus progress bookkeeping.
 type state struct {
-	parent *state
-	instrs []dist.Instruction // appended by this step (leaf loaders + op, or one comm)
+	// tail indexes the trail record of the step that built this state (-1
+	// for the root): the state's program is that record's chain (see
+	// program), so an ancestor needs no state of its own.
+	tail int32
 
 	props        []theory.Property // sorted canonical property set (live, non-leaf)
 	computed     []uint64          // nodes computed
@@ -139,7 +141,7 @@ type state struct {
 	openComp   []float64 // per-device comp time of the open stage
 	lastComp   graph.NodeID
 	remFlops   float64
-	depth      int32 // instructions so far (for beam leveling)
+	depth      int32 // steps so far (for beam leveling)
 	nextReq    int32 // beam only: index into Synthesizer.reqNodes of the next computation
 	complete   bool
 	// h is the set hash of the content key() covers except lastComp: the XOR
@@ -150,8 +152,7 @@ type state struct {
 	// Copy-on-write bookkeeping: clone shares the parent's bitset words and
 	// copies only on first mutation (each expansion touches one of the two
 	// sets, never both). owns* marks a backing array this state allocated —
-	// and may recycle on release. A retired ancestor keeps its bitsets for
-	// this reason alone: its children may still be borrowing them.
+	// and may recycle on release, unless a child still borrows it (retire).
 	ownsComputed     bool
 	ownsCommunicated bool
 	// spare holds bitset backing arrays recycled from this state object's
@@ -232,14 +233,12 @@ func (s *state) place(ref graph.NodeID, v int8) {
 }
 
 // clone allocates a successor of s from the per-search arena. The bitsets
-// are shared copy-on-write; every other slice is copied into recycled (or
-// slab-carved) backing. Only the search's own goroutine clones and releases
+// are shared copy-on-write; every other slice is copied into the recycled
+// state's backing. Only the search's own goroutine clones and releases
 // (phase 1's workers score candidates without materializing them), which is
 // what lets the arena go unlocked.
 func (sy *Synthesizer) clone(s *state) *state {
 	c := sy.arena.get()
-	c.parent = s
-	c.instrs = c.instrs[:0]
 	c.props = append(c.props[:0], s.props...)
 	c.computed, c.ownsComputed = s.computed, false
 	c.communicated, c.ownsCommunicated = s.communicated, false
@@ -256,11 +255,10 @@ func (sy *Synthesizer) clone(s *state) *state {
 	return c
 }
 
-// release returns a state to the arena and recycles the bitsets it owns.
-// Callers must guarantee no live state borrows those bitsets: fresh
-// candidates discarded before gaining children, and beam-level states
-// retired with no surviving child and no retained complete descendant,
-// satisfy this (see runBeam's retirement discipline and DESIGN.md).
+// release returns s to the arena and recycles the bitsets it owns. Callers
+// must guarantee no live state borrows those bitsets: a fresh complete
+// candidate that loses to the best so far, or a beam-level state retired
+// with no surviving child, satisfies this (see runBeam's retirement).
 func (sy *Synthesizer) release(s *state) {
 	if s.ownsComputed {
 		s.stash(s.computed)
@@ -268,20 +266,17 @@ func (sy *Synthesizer) release(s *state) {
 	if s.ownsCommunicated {
 		s.stash(s.communicated)
 	}
-	s.computed, s.communicated = nil, nil
-	s.ownsComputed, s.ownsCommunicated = false, false
-	s.parent = nil
-	sy.dropFront(s)
-	sy.arena.put(s)
+	sy.retire(s)
 }
 
-// retire keeps s as an ancestor only: what program() reads (parent, instrs)
-// and the bitsets its children borrow copy-on-write. Its frontier buffer and
-// its props/placed/openComp backing go back to the arena for the states
-// carved after it. s is never released.
+// retire returns s to the arena whole while children may still borrow its
+// bitsets: those stay with the children and are not recycled. Nothing else
+// of s is read again — its program lives on in the trail.
 func (sy *Synthesizer) retire(s *state) {
+	s.computed, s.communicated = nil, nil
+	s.ownsComputed, s.ownsCommunicated = false, false
 	sy.dropFront(s)
-	sy.arena.putBacking(s)
+	sy.arena.put(s)
 }
 
 // dropFront hands s's frontier buffer back to the arena: s has left the beam
@@ -380,15 +375,68 @@ func placedCode(ref graph.NodeID, v int8) uint64 {
 // equal keys whatever path built it (DESIGN.md "State key").
 func (s *state) key() uint64 { return s.h ^ nodeCode(elemLastComp, s.lastComp) }
 
-// program reconstructs the instruction sequence along the parent chain.
-func (s *state) program(g *graph.Graph) *dist.Program {
-	var chain []*state
-	for cur := s; cur != nil; cur = cur.parent {
-		chain = append(chain, cur)
+// step is one search step: the computation triple tr, or (tr nil) the
+// collective cc.
+type step struct {
+	tr *theory.Triple
+	cc commCand
+}
+
+// trailRec is one step in the search's trail: the step, and the record of
+// the step before it (-1 at the root). A state's program is the chain its
+// tail starts.
+type trailRec struct {
+	step
+	prev int32
+}
+
+// trailChunk is the number of records per trail chunk. The trail grows a
+// chunk at a time and never copies a record: grown by append, its copies
+// cost more than its records (VGG19: ~600 of ~790 KiB).
+const trailChunk = 1024
+
+// record appends st, taken from the state whose tail is prev, to the trail
+// and returns its index: the successor's tail.
+func (sy *Synthesizer) record(prev int32, st step) int32 {
+	n := len(sy.trail)
+	if n == 0 || len(sy.trail[n-1]) == trailChunk {
+		sy.trail = append(sy.trail, make([]trailRec, 0, trailChunk))
+		n++
 	}
-	p := &dist.Program{Graph: g}
-	for i := len(chain) - 1; i >= 0; i-- {
-		p.Instrs = append(p.Instrs, chain[i].instrs...)
+	c := &sy.trail[n-1]
+	*c = append(*c, trailRec{step: st, prev: prev})
+	return int32((n-1)*trailChunk + len(*c) - 1)
+}
+
+// rec returns the trail record at index i.
+func (sy *Synthesizer) rec(i int32) *trailRec { return &sy.trail[i/trailChunk][i%trailChunk] }
+
+// program rebuilds the instruction sequence of the state whose tail is tail
+// from the trail. A computation's fused leaf loaders are re-derived as
+// applyComp emitted them: one per LeafPre whose leaf was unplaced before
+// the step.
+func (sy *Synthesizer) program(tail int32) *dist.Program {
+	var chain []int32
+	for i := tail; i >= 0; i = sy.rec(i).prev {
+		chain = append(chain, i)
+	}
+	placed := make([]bool, sy.g.NumNodes())
+	p := &dist.Program{Graph: sy.g}
+	for k := len(chain) - 1; k >= 0; k-- {
+		st := sy.rec(chain[k]).step
+		if st.tr == nil {
+			p.Instrs = append(p.Instrs, dist.Comm(st.cc.ref, collective.Kind(st.cc.coll), int(st.cc.dim), int(st.cc.dim2)))
+			continue
+		}
+		for _, lp := range st.tr.LeafPre {
+			if !placed[lp.Ref] {
+				p.Instrs = append(p.Instrs, theory.LeafInstr(sy.g, lp))
+			}
+		}
+		for _, lp := range st.tr.LeafPre {
+			placed[lp.Ref] = true
+		}
+		p.Instrs = append(p.Instrs, st.tr.Instr(sy.g))
 	}
 	return p
 }
@@ -396,15 +444,14 @@ func (s *state) program(g *graph.Graph) *dist.Program {
 type entry struct {
 	st    *state
 	score float64
-	index int
 }
 
 type pq []*entry
 
 func (q pq) Len() int            { return len(q) }
 func (q pq) Less(i, j int) bool  { return q[i].score < q[j].score }
-func (q pq) Swap(i, j int)       { q[i], q[j] = q[j], q[i]; q[i].index = i; q[j].index = j }
-func (q *pq) Push(x interface{}) { e := x.(*entry); e.index = len(*q); *q = append(*q, e) }
+func (q pq) Swap(i, j int)       { q[i], q[j] = q[j], q[i] }
+func (q *pq) Push(x interface{}) { *q = append(*q, x.(*entry)) }
 func (q *pq) Pop() interface{} {
 	old := *q
 	n := len(old)
@@ -457,10 +504,15 @@ type Synthesizer struct {
 	commPen [][]float64
 
 	// arena allocates and recycles beam states (and their slice backing);
-	// retired states return at level boundaries (see release for the
-	// aliasing discipline) and everything is dropped wholesale with the
-	// Synthesizer when the search ends.
+	// a level's states return whole when it retires (see release and retire
+	// for the aliasing discipline) and everything is dropped wholesale with
+	// the Synthesizer when the search ends.
 	arena stateArena
+	// trail holds one record per step taken this search (record), in
+	// chunks of trailChunk: every state's program, rebuilt on demand by
+	// program. It only grows, 32 bytes a step, so no state needs to outlive
+	// its level as an ancestor.
+	trail [][]trailRec
 	// merge is the beam's per-level lazy sort (its range stack lives here so
 	// a search allocates it once, with the Synthesizer).
 	merge lazySort
@@ -561,6 +613,7 @@ func Synthesize(ctx context.Context, g *graph.Graph, th *theory.Theory, c *clust
 func (sy *Synthesizer) rootState() *state {
 	g := sy.g
 	root := &state{
+		tail:             -1,
 		computed:         make([]uint64, sy.words),
 		communicated:     make([]uint64, sy.words),
 		placed:           make([]int8, g.NumNodes()),
@@ -608,6 +661,7 @@ func (sy *Synthesizer) Run(ctx context.Context) (*dist.Program, Stats, error) {
 	// An already-cancelled context must abort deterministically, not race
 	// the watcher goroutine against a fast search.
 	sy.expired.Store(ctx.Err() != nil)
+	sy.trail = sy.trail[:0]
 	// The watcher turns ctx cancellation into the expired latch the search
 	// already polls, keeping ctx.Err() (a mutex acquisition in the common
 	// cancelCtx case) off the per-expansion hot path.
@@ -666,7 +720,7 @@ func (sy *Synthesizer) Run(ctx context.Context) (*dist.Program, Stats, error) {
 		sy.span.SetAttrFloat("cost", stats.Cost)
 		sy.span.End()
 	}
-	return best.program(sy.g), stats, nil
+	return sy.program(best.tail), stats, nil
 }
 
 // runAStar is the exact search of Fig. 10.
@@ -798,12 +852,10 @@ func (sy *Synthesizer) scoreCandidates(s *state, lc *levelCands) {
 	}
 }
 
-// materialize turns the level's idx-th candidate into a state and reports
-// its parent's index. The spans map idx back to (parent, local index): a
-// binary search over the level's few dozen states, paid only for the
-// candidates phase 3 reads. Comp candidates advance nextReq past the node
-// they compute.
-func (sy *Synthesizer) materialize(level []*state, lc *levelCands, idx int32) (*state, int) {
+// candidate returns the level's idx-th candidate and the index of its parent.
+// The spans map idx back to (parent, local index): a binary search over the
+// level's few dozen states, paid only for the candidates phase 3 reads.
+func (lc *levelCands) candidate(level []*state, idx int32) (step, int) {
 	// The closing sentinel starts past every idx, so the first span whose
 	// successor starts above idx exists, and is idx's even among empty spans.
 	lo, hi := 0, len(level)-1
@@ -815,16 +867,75 @@ func (sy *Synthesizer) materialize(level []*state, lc *levelCands, idx int32) (*
 			hi = mid
 		}
 	}
-	parent, sp, end := level[lo], lc.spans[lo], lc.spans[lo+1]
+	sp, end := lc.spans[lo], lc.spans[lo+1]
 	local := idx - sp.start
 	if nc := end.comps - sp.comps; local >= nc {
-		return sy.applyComm(parent, parent.front[local-nc].cc), lo
+		return step{cc: level[lo].front[local-nc].cc}, lo
 	}
-	ns := sy.applyComp(parent, lc.comps[sp.comps+local])
-	if ns != nil {
-		ns.nextReq = parent.nextReq + 1
+	return step{tr: lc.comps[sp.comps+local]}, lo
+}
+
+// childKey is key() of the state st would build from s, computed from s and
+// the step alone — O(step), nothing cloned — so phase 3 rejects a duplicate
+// before paying for it. Each kind mirrors its applier's writes to the key:
+// commKey applyComm's, compKey applyComp's (TestStateKeyMatchesRebuild and
+// FuzzFrontierWalk hold every materialized child to it).
+func (sy *Synthesizer) childKey(s *state, st step) uint64 {
+	if st.tr == nil {
+		return commKey(s, st.cc)
 	}
-	return ns, lo
+	return sy.compKey(s, st.tr)
+}
+
+// commKey: the communicated bit and the result property are new (the
+// frontier holds only uncommunicated tensors lacking the result), and the
+// open stage closes.
+func commKey(s *state, cc commCand) uint64 {
+	return s.h ^ nodeCode(elemCommunicated, cc.ref) ^ propCode(cc.result()) ^ nodeCode(elemLastComp, -1)
+}
+
+// compKey: each leaf placement the step makes, the computed bit, Out if s
+// lacks it, and every property pruneDead drops — an input named twice (x·x)
+// dies once. When the computed node itself dies, Out is added and dropped,
+// which cancels.
+func (sy *Synthesizer) compKey(s *state, tr *theory.Triple) uint64 {
+	h := s.h ^ nodeCode(elemLastComp, tr.Node)
+	for _, p := range tr.LeafPre {
+		if s.placed[p.Ref] == unplaced {
+			h ^= placedCode(p.Ref, leafPlacement(p))
+		}
+	}
+	if !bitGet(s.computed, tr.Node) {
+		h ^= nodeCode(elemComputed, tr.Node)
+	}
+	if sy.dead(s, tr.Node, tr.Node) {
+		for _, p := range s.propsOf(tr.Node) {
+			h ^= propCode(p)
+		}
+	} else if !s.hasProp(tr.Out) {
+		h ^= propCode(tr.Out)
+	}
+	ins := sy.g.Node(tr.Node).Inputs
+	for i, u := range ins {
+		if theory.IsLeaf(sy.g.Node(u).Kind) || slices.Contains(ins[:i], u) || !sy.dead(s, u, tr.Node) {
+			continue
+		}
+		for _, p := range s.propsOf(u) {
+			h ^= propCode(p)
+		}
+	}
+	return h
+}
+
+// materialize builds the state st takes s to. A computation advances nextReq
+// past the node it computes.
+func (sy *Synthesizer) materialize(s *state, st step) *state {
+	if st.tr == nil {
+		return sy.applyComm(s, st.cc)
+	}
+	ns := sy.applyComp(s, st.tr)
+	ns.nextReq = s.nextReq + 1
+	return ns
 }
 
 // runBeam is the level-synchronized beam search used for model-scale graphs:
@@ -840,9 +951,9 @@ func (sy *Synthesizer) materialize(level []*state, lc *levelCands, idx int32) (*
 // worker count — the surviving beam, and therefore the emitted program, is
 // byte-identical whether the level ran on 1 worker or 16 — computed lazily,
 // only as far as phase 3 reads (lazysort.go). (3) Survivors are materialized
-// and selected serially, in merge order, with dedup by state key; level
-// states that produced no surviving child are released to the state pool,
-// and every state of the level hands its frontier buffer back.
+// and selected serially, in merge order, with dedup by state key — computed
+// before the candidate is built, so a duplicate costs a key and a map probe;
+// every state of the level then goes back to the arena whole.
 // Bounded suboptimality traded for a hard bound on search effort; see
 // DESIGN.md.
 func (sy *Synthesizer) runBeam(root *state) (*state, Stats, error) {
@@ -958,11 +1069,16 @@ func (sy *Synthesizer) runBeam(root *state) (*state, Stats, error) {
 			if best != nil && r.score >= bestCost {
 				break // sorted: nothing further can improve
 			}
-			ns, pi := sy.materialize(level, &lc, r.idx)
-			if ns == nil {
+			st, pi := lc.candidate(level, r.idx)
+			stats.Pushed++
+			// A duplicate is rejected by its key before it is built. Equal
+			// keys mean equal content, hence equal completeness: visited
+			// holds only incomplete states, so no complete child is skipped.
+			key := sy.childKey(level[pi], st)
+			if _, ok := visited[key]; ok {
 				continue
 			}
-			stats.Pushed++
+			ns := sy.materialize(level[pi], st)
 			if ns.complete {
 				if ec := ns.effCost(); best == nil || ec < bestCost {
 					sy.dropFront(ns) // never expanded
@@ -973,11 +1089,6 @@ func (sy *Synthesizer) runBeam(root *state) (*state, Stats, error) {
 				}
 				continue
 			}
-			key := ns.key()
-			if _, ok := visited[key]; ok {
-				sy.release(ns)
-				continue
-			}
 			visited[key] = struct{}{}
 			next = append(next, ns)
 			kept[pi] = true
@@ -985,12 +1096,10 @@ func (sy *Synthesizer) runBeam(root *state) (*state, Stats, error) {
 				break
 			}
 		}
-		// Retire this level: states that produced no surviving child and are
-		// not the parent of a retained complete state have no live borrowers
-		// and go back to the pool. Ancestors of survivors stay referenced
-		// through parent chains, but only program() reads them again: they
-		// keep their instructions and the bitsets their children borrow, and
-		// hand everything else back (retire).
+		// Retire this level: every state goes back to the arena whole — its
+		// program lives on in the trail. A state with a surviving child (or a
+		// retained complete one) leaves the bitsets it owns to the children
+		// borrowing them (retire); the others' are recycled too (release).
 		for pi, s := range level {
 			if kept[pi] {
 				sy.retire(s)
@@ -1124,15 +1233,19 @@ func (sy *Synthesizer) compApplicable(s *state, tr *theory.Triple) bool {
 		}
 	}
 	for _, p := range tr.LeafPre {
-		want := replicated
-		if p.Kind == theory.Gather {
-			want = int8(p.Dim)
-		}
-		if got := s.placed[p.Ref]; got != want && got != unplaced {
+		if got := s.placed[p.Ref]; got != leafPlacement(p) && got != unplaced {
 			return false
 		}
 	}
 	return true
+}
+
+// leafPlacement is the placement a leaf precondition asks for.
+func leafPlacement(p theory.Property) int8 {
+	if p.Kind == theory.Gather {
+		return int8(p.Dim)
+	}
+	return replicated
 }
 
 // compDelta returns the per-device open-stage time increase of applying tr,
@@ -1160,19 +1273,13 @@ func (sy *Synthesizer) applyComp(s *state, tr *theory.Triple) *state {
 		return nil
 	}
 	ns := sy.clone(s)
+	ns.tail = sy.record(s.tail, step{tr: tr})
 	for _, p := range tr.LeafPre {
-		if s.placed[p.Ref] != unplaced {
-			continue
+		if s.placed[p.Ref] == unplaced {
+			ns.place(p.Ref, leafPlacement(p))
 		}
-		if p.Kind == theory.Gather {
-			ns.place(p.Ref, int8(p.Dim))
-		} else {
-			ns.place(p.Ref, replicated)
-		}
-		ns.instrs = append(ns.instrs, theory.LeafInstr(sy.g, p))
 	}
 	in := tr.Instr(sy.g)
-	ns.instrs = append(ns.instrs, in)
 	ns.setComputed(tr.Node)
 	if !ns.hasProp(tr.Out) {
 		ns.addProp(tr.Out)
@@ -1220,6 +1327,11 @@ type commCand struct {
 type frontEntry struct {
 	cc  commCand
 	off float64
+}
+
+// result is the property cc establishes.
+func (cc commCand) result() theory.Property {
+	return theory.Property{Ref: cc.ref, Kind: cc.resKind, Dim: cc.resDim}
 }
 
 // matches reports whether cc is the collective a seed pinned for its tensor.
@@ -1371,9 +1483,9 @@ func (sy *Synthesizer) inheritFront(ns, s *state, touched []graph.NodeID) {
 // applyComm materializes a communication successor.
 func (sy *Synthesizer) applyComm(s *state, cc commCand) *state {
 	ns := sy.clone(s)
-	ns.instrs = append(ns.instrs, dist.Comm(cc.ref, collective.Kind(cc.coll), int(cc.dim), int(cc.dim2)))
+	ns.tail = sy.record(s.tail, step{cc: cc})
 	ns.setCommunicated(cc.ref)
-	ns.addProp(theory.Property{Ref: cc.ref, Kind: cc.resKind, Dim: cc.resDim})
+	ns.addProp(cc.result())
 	// Close the open stage (Sec. 3.2): its comm + worst comp are paid.
 	worst := 0.0
 	for _, v := range ns.openComp {
@@ -1401,15 +1513,9 @@ func (sy *Synthesizer) applyComm(s *state, cc commCand) *state {
 // (optimization 3), keeping required outputs.
 func (sy *Synthesizer) pruneDead(s *state, justComputed graph.NodeID) {
 	check := func(u graph.NodeID) {
-		if sy.outputIdx[u] >= 0 {
+		if !sy.dead(s, u, justComputed) {
 			return
 		}
-		for _, c := range sy.th.Consumers[u] {
-			if sy.th.Required[c] && !bitGet(s.computed, c) {
-				return
-			}
-		}
-		// Dead: remove all props of u.
 		w := s.props[:0]
 		for _, p := range s.props {
 			if p.Ref != u {
@@ -1428,6 +1534,21 @@ func (sy *Synthesizer) pruneDead(s *state, justComputed graph.NodeID) {
 	// The freshly computed node may itself have no pending consumers left
 	// only in degenerate graphs; checking costs little.
 	check(justComputed)
+}
+
+// dead reports whether u's properties are dropped once node is computed on
+// top of s: u is no required output and every required consumer of u is
+// computed in s or is node.
+func (sy *Synthesizer) dead(s *state, u, node graph.NodeID) bool {
+	if sy.outputIdx[u] >= 0 {
+		return false
+	}
+	for _, c := range sy.th.Consumers[u] {
+		if sy.th.Required[c] && c != node && !bitGet(s.computed, c) {
+			return false
+		}
+	}
+	return true
 }
 
 func (sy *Synthesizer) outputAcceptable(s *state, o theory.Output) bool {
