@@ -4,10 +4,11 @@
 //
 // Usage:
 //
-//	hap-bench [-quick] [experiment ids...]
+//	hap-bench [experiment ids...]
 //
 // With no ids, all experiments run in order. Known ids: table1 fig2 fig4
-// fig13 fig14 fig15 fig16 fig17 fig18 fig19.
+// fig13 fig14 fig15 fig16 fig17 fig18 fig19. Every id is checked before any
+// experiment runs.
 package main
 
 import (
@@ -20,21 +21,20 @@ import (
 )
 
 func main() {
-	quick := flag.Bool("quick", false, "reduced model sizes and sweeps")
 	flag.Parse()
 
 	ids := flag.Args()
 	if len(ids) == 0 {
 		ids = experiments.Order
 	}
-	cfg := experiments.Config{Quick: *quick}
 	for _, id := range ids {
-		gen, ok := experiments.All[id]
-		if !ok {
+		if _, ok := experiments.All[id]; !ok {
 			log.Fatalf("unknown experiment %q (known: %v)", id, experiments.Order)
 		}
+	}
+	for _, id := range ids {
 		start := time.Now()
-		fmt.Println(gen(cfg))
+		fmt.Println(experiments.All[id]())
 		fmt.Printf("(%s generated in %v)\n\n", id, time.Since(start).Round(time.Millisecond))
 	}
 }

@@ -33,7 +33,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"strconv"
 	"strings"
 	"syscall"
 	"time"
@@ -69,7 +68,7 @@ func main() {
 	if err != nil {
 		fatal("%v", err)
 	}
-	mix, err := parseMix(*mixFlag)
+	mix, err := load.ParseMix(*mixFlag)
 	if err != nil {
 		fatal("%v", err)
 	}
@@ -141,42 +140,4 @@ func main() {
 			os.Exit(1)
 		}
 	}
-}
-
-// parseMix reads "class=weight,..." using the report class names. An empty
-// string keeps the default mix.
-func parseMix(s string) (load.Mix, error) {
-	var m load.Mix
-	if s == "" {
-		return m, nil
-	}
-	fields := map[string]*int{
-		"single":     &m.Single,
-		"single_bin": &m.SingleBinary,
-		"cond":       &m.Conditional,
-		"cancel":     &m.Cancel,
-	}
-	for _, part := range strings.Split(s, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		name, val, ok := strings.Cut(part, "=")
-		if !ok {
-			return m, fmt.Errorf("bad -mix entry %q (want class=weight)", part)
-		}
-		p, known := fields[strings.TrimSpace(name)]
-		if !known {
-			return m, fmt.Errorf("unknown -mix class %q", name)
-		}
-		w, err := strconv.Atoi(strings.TrimSpace(val))
-		if err != nil || w < 0 {
-			return m, fmt.Errorf("bad -mix weight in %q", part)
-		}
-		*p = w
-	}
-	if m == (load.Mix{}) {
-		return m, fmt.Errorf("-mix %q leaves every class at zero weight", s)
-	}
-	return m, nil
 }

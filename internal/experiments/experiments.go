@@ -1,10 +1,11 @@
 // Package experiments regenerates every table and figure of the paper's
 // evaluation (Sec. 7) plus the motivating measurements (Figs. 2 and 4) on
 // the simulated substrate. Each generator returns a Report whose rows are
-// the series the paper plots; cmd/hap-bench prints them. The simulator is
-// deterministic, so the full-size tables are pinned cell for cell in the
-// repository's FIGURES.txt (TestFiguresGolden; regenerate with
-// `go test ./internal/experiments -run TestFiguresGolden -update-figures`).
+// the series the paper plots at the paper's sizes; cmd/hap-bench prints
+// them. Figs. 13–17 time every system on the noiseless simulator and Fig. 18
+// draws its noise from a fixed seed per row, so the tables are pinned cell
+// for cell in the repository's FIGURES.txt (TestFiguresGolden; regenerate
+// with `go test ./internal/experiments -run TestFiguresGolden -update-figures`).
 package experiments
 
 import (
@@ -19,6 +20,7 @@ import (
 	"hap/internal/cluster"
 	"hap/internal/collective"
 	"hap/internal/cost"
+	"hap/internal/dist"
 	"hap/internal/graph"
 	"hap/internal/hapopt"
 	"hap/internal/models"
@@ -67,80 +69,33 @@ func (r *Report) String() string {
 
 func f3(v float64) string { return fmt.Sprintf("%.3f", v) }
 
-// Quick reduces problem sizes for fast runs (unit tests); full runs use the
-// paper's scales.
-type Config struct {
-	Quick bool
+// simTime is a program's noiseless simulated iteration time. Figs. 13–17
+// compare systems, so each of their cells is read off the same
+// deterministic clock: two programs the simulator cannot tell apart print
+// the same number.
+func simTime(cl *cluster.Cluster, p *dist.Program, b [][]float64) float64 {
+	return sim.Run(cl, p, b, sim.Options{NoiseSigma: -1}).Time
 }
 
-func (c Config) gpuScalesHet() []int {
-	if c.Quick {
-		return []int{1}
-	}
-	return []int{1, 2, 4, 8} // ×8 machines ⇒ 8,16,32,64 GPUs (Fig. 13)
-}
-
-func (c Config) gpuScalesHom() []int {
-	if c.Quick {
-		return []int{2}
-	}
-	return []int{2, 4, 6, 8} // ×4 machines ⇒ 8,16,24,32 GPUs (Fig. 14)
-}
-
-// buildModel constructs a (possibly reduced) training graph for a benchmark.
-func (c Config) buildModel(m models.PaperModel, devices int) *graph.Graph {
-	if !c.Quick {
-		return models.Build(m, devices)
-	}
-	// Quick mode: third-scale models with the same structure.
-	batch := models.PerDeviceBatch(m) * devices
-	switch m {
-	case models.ModelVGG19:
-		return models.Training(models.VGG19(batch, 64, 10))
-	case models.ModelViT:
-		cfg := models.ViTConfig()
-		cfg.Layers = 3
-		return models.Training(models.ViT(cfg, batch*cfg.SeqLen/4, 16*16*3, 10))
-	case models.ModelBERTBase:
-		cfg := models.BERTBase()
-		cfg.Layers = 4
-		cfg.Vocab = 8192
-		return models.Training(models.BERT(cfg, batch*32))
-	case models.ModelBERTMoE:
-		cfg := models.BERTMoE(devices)
-		cfg.Layers = 4
-		cfg.Vocab = 8192
-		return models.Training(models.BERT(cfg, batch*32))
-	}
-	panic("unknown model")
-}
-
-func (c Config) hapOpts() hapopt.Options {
-	o := hapopt.Options{Synth: synth.Auto()}
-	if c.Quick {
-		o.MaxIterations = 2
-	}
-	return o
-}
-
-// runHAP optimizes with HAP and returns the simulated iteration time.
-func (c Config) runHAP(g *graph.Graph, cl *cluster.Cluster, seed int64) (float64, *hapopt.Result, error) {
-	res, err := hapopt.Optimize(context.Background(), g, cl, c.hapOpts())
+// runHAP optimizes with HAP and returns the noiseless simulated iteration
+// time.
+func runHAP(g *graph.Graph, cl *cluster.Cluster) (float64, error) {
+	res, err := hapopt.Optimize(context.Background(), g, cl, hapopt.Options{Synth: synth.Auto()})
 	if err != nil {
-		return 0, nil, err
+		return 0, err
 	}
-	return sim.IterationTime(cl, res.Program, res.Ratios, seed), res, nil
+	return simTime(cl, res.Program, res.Ratios), nil
 }
 
-func simPlan(cl *cluster.Cluster, p *baselines.Plan, seed int64) string {
+func simPlan(cl *cluster.Cluster, p *baselines.Plan) string {
 	if p.OOM {
 		return "OOM"
 	}
-	return f3(sim.IterationTime(cl, p.Program, p.Ratios, seed))
+	return f3(simTime(cl, p.Program, p.Ratios))
 }
 
 // Table1 reports the benchmark models' parameter counts.
-func Table1(c Config) *Report {
+func Table1() *Report {
 	r := &Report{ID: "table1", Title: "Benchmark models",
 		Header: []string{"model", "task", "params(M)", "paper(M)"}}
 	rows := []struct {
@@ -163,7 +118,7 @@ func Table1(c Config) *Report {
 
 // Fig2 sweeps the computation-to-communication ratio of an FC layer on the
 // P100+A100 pair and compares CP and EV sharding ratios (Sec. 2.4).
-func Fig2(c Config) *Report {
+func Fig2() *Report {
 	r := &Report{ID: "fig2", Title: "CP vs EV under varying computation-to-communication ratio",
 		Header: []string{"batch", "comp/comm", "CP(ms)", "EV(ms)"}}
 	cl := cluster.PaperP100A100Pair()
@@ -171,12 +126,8 @@ func Fig2(c Config) *Report {
 	// with hidden², so the computation-to-communication ratio is steered by
 	// the batch size (the paper steers it with the hidden dim under model
 	// parallelism; the trade-off probed is the same).
-	batches := []int{64, 256, 1024, 4096, 16384}
-	if c.Quick {
-		batches = []int{64, 1024, 16384}
-	}
 	const h = 512
-	for _, batch := range batches {
+	for _, batch := range []int{64, 256, 1024, 4096, 16384} {
 		g := models.Training(models.MLP(batch, h, h, h))
 		p, err := baselines.DPCP(g, cl)
 		if err != nil {
@@ -203,18 +154,14 @@ func Fig2(c Config) *Report {
 
 // Fig4 sweeps shard skew for a 4 MB tensor and reports the effective
 // bandwidth of padded All-Gather vs grouped Broadcast (Sec. 2.5.1).
-func Fig4(c Config) *Report {
+func Fig4() *Report {
 	r := &Report{ID: "fig4", Title: "Padded All-Gather vs grouped Broadcast (4MB tensor)",
 		Header: []string{"maxRatio", "padded(GB/s)", "grouped(GB/s)"}}
 	cl := cluster.FromGPUs(cluster.DefaultNetwork(),
 		cluster.MachineSpec{Type: cluster.A100, GPUs: 2},
 		cluster.MachineSpec{Type: cluster.A100, GPUs: 2})
 	const bytes = 4 << 20
-	step := 0.05
-	if c.Quick {
-		step = 0.15
-	}
-	for mr := 0.25; mr <= 1.0001; mr += step {
+	for mr := 0.25; mr <= 1.0001; mr += 0.05 {
 		rest := (1 - mr) / 3
 		ratios := []float64{mr, rest, rest, rest}
 		pad := collective.Time(cl, collective.PaddedAllGather, bytes, ratios)
@@ -225,35 +172,35 @@ func Fig4(c Config) *Report {
 }
 
 // systemsRow runs all systems on one model×cluster point.
-func (c Config) systemsRow(m models.PaperModel, cl *cluster.Cluster, devices int, withCP bool) []string {
-	g := c.buildModel(m, devices)
+func systemsRow(m models.PaperModel, cl *cluster.Cluster, withCP bool) []string {
+	g := models.Build(m, cl.TotalGPUs())
 	row := []string{string(m), fmt.Sprint(cl.TotalGPUs())}
-	if hapT, _, err := c.runHAP(g, cl, 1); err == nil {
+	if hapT, err := runHAP(g, cl); err == nil {
 		row = append(row, f3(hapT))
 	} else {
 		row = append(row, "ERR")
 	}
 	if p, err := baselines.DPEV(g, cl); err == nil {
-		row = append(row, simPlan(cl, p, 2))
+		row = append(row, simPlan(cl, p))
 	} else {
 		row = append(row, "ERR")
 	}
 	if withCP {
 		if p, err := baselines.DPCP(g, cl); err == nil {
-			row = append(row, simPlan(cl, p, 3))
+			row = append(row, simPlan(cl, p))
 		} else {
 			row = append(row, "ERR")
 		}
 	}
 	if p, err := baselines.DeepSpeed(g, cl); err == nil {
-		row = append(row, simPlan(cl, p, 4))
+		row = append(row, simPlan(cl, p))
 	} else {
 		row = append(row, "ERR")
 	}
 	// TAG runs only on VGG19 and BERT-Base (Sec. 7.1).
 	if m == models.ModelVGG19 || m == models.ModelBERTBase {
 		if p, err := baselines.TAG(g, cl); err == nil {
-			row = append(row, simPlan(cl, p, 5))
+			row = append(row, simPlan(cl, p))
 		} else {
 			row = append(row, "ERR")
 		}
@@ -264,45 +211,39 @@ func (c Config) systemsRow(m models.PaperModel, cl *cluster.Cluster, devices int
 }
 
 // Fig13 reproduces per-iteration time on the heterogeneous cluster.
-func Fig13(c Config) *Report {
+func Fig13() *Report {
 	r := &Report{ID: "fig13", Title: "Per-iteration time, heterogeneous cluster (2×8 V100 + 6×8 P100)",
 		Header: []string{"model", "GPUs", "HAP(s)", "DP-EV(s)", "DP-CP(s)", "DeepSpeed(s)", "TAG(s)"}}
 	for _, m := range models.AllPaperModels {
-		for _, k := range c.gpuScalesHet() {
-			cl := cluster.PaperHeterogeneous(k)
-			r.Rows = append(r.Rows, c.systemsRow(m, cl, cl.TotalGPUs(), true))
+		for _, k := range []int{1, 2, 4, 8} { // ×8 machines ⇒ 8, 16, 32, 64 GPUs
+			r.Rows = append(r.Rows, systemsRow(m, cluster.PaperHeterogeneous(k), true))
 		}
 	}
 	return r
 }
 
 // Fig14 reproduces per-iteration time on the homogeneous subset.
-func Fig14(c Config) *Report {
+func Fig14() *Report {
 	r := &Report{ID: "fig14", Title: "Per-iteration time, homogeneous cluster (4×8 P100)",
 		Header: []string{"model", "GPUs", "HAP(s)", "DP-EV(s)", "DeepSpeed(s)", "TAG(s)"}}
 	for _, m := range models.AllPaperModels {
-		for _, k := range c.gpuScalesHom() {
-			cl := cluster.PaperHomogeneous(k)
-			r.Rows = append(r.Rows, c.systemsRow(m, cl, cl.TotalGPUs(), false))
+		for _, k := range []int{2, 4, 6, 8} { // ×4 machines ⇒ 8, 16, 24, 32 GPUs
+			r.Rows = append(r.Rows, systemsRow(m, cluster.PaperHomogeneous(k), false))
 		}
 	}
 	return r
 }
 
 // Fig15 reproduces the ablation study: DP-EV → +Q → +B → +C throughput.
-func Fig15(c Config) *Report {
+func Fig15() *Report {
 	r := &Report{ID: "fig15", Title: "Ablation: throughput relative to DP-EV (%)",
 		Header: []string{"model", "DP-EV", "+Q", "+QB", "+QBC"}}
-	k := 8
-	if c.Quick {
-		k = 1
-	}
-	cl := cluster.PaperHeterogeneous(k)
+	cl := cluster.PaperHeterogeneous(8)
 	for _, m := range models.AllPaperModels {
-		g := c.buildModel(m, cl.TotalGPUs())
+		g := models.Build(m, cl.TotalGPUs())
 		base := math.Inf(1)
 		if p, err := baselines.DPEV(g, cl); err == nil && !p.OOM {
-			base = sim.IterationTime(cl, p.Program, p.Ratios, 10)
+			base = simTime(cl, p.Program, p.Ratios)
 		}
 		noOpt := synth.Auto()
 		noOpt.DisableGroupedBroadcast = true
@@ -312,16 +253,15 @@ func Fig15(c Config) *Report {
 			if err != nil {
 				return "ERR"
 			}
-			t := sim.IterationTime(cl, res.Program, res.Ratios, 10)
+			t := simTime(cl, res.Program, res.Ratios)
 			if math.IsInf(base, 1) {
 				return "DP-OOM/" + f3(t)
 			}
 			return fmt.Sprintf("%.0f", base/t*100)
 		}
-		q := variant(hapopt.Options{Synth: noOpt, SkipBalance: true,
-			InitialRatios: cl.EvenRatios(), MaxIterations: c.hapOpts().MaxIterations})
-		qb := variant(hapopt.Options{Synth: noOpt, MaxIterations: c.hapOpts().MaxIterations})
-		qbc := variant(c.hapOpts())
+		q := variant(hapopt.Options{Synth: noOpt, SkipBalance: true, InitialRatios: cl.EvenRatios()})
+		qb := variant(hapopt.Options{Synth: noOpt})
+		qbc := variant(hapopt.Options{Synth: synth.Auto()})
 		r.Rows = append(r.Rows, []string{string(m), "100", q, qb, qbc})
 	}
 	return r
@@ -329,13 +269,10 @@ func Fig15(c Config) *Report {
 
 // Fig16 compares HAP on the whole heterogeneous cluster against training
 // two models concurrently on homogeneous subclusters.
-func Fig16(c Config) *Report {
+func Fig16() *Report {
 	r := &Report{ID: "fig16", Title: "HAP vs concurrent subcluster training (total throughput %)",
 		Header: []string{"model", "concurrent(V100)", "concurrent(P100)", "HAP(%)"}}
-	k := 8
-	if c.Quick {
-		k = 1
-	}
+	const k = 8
 	full := cluster.PaperHeterogeneous(k)
 	v100s := cluster.FromMachines(cluster.DefaultNetwork(), k,
 		cluster.MachineSpec{Type: cluster.V100, GPUs: 8}, cluster.MachineSpec{Type: cluster.V100, GPUs: 8})
@@ -345,8 +282,7 @@ func Fig16(c Config) *Report {
 		cluster.MachineSpec{Type: cluster.P100, GPUs: 8}, cluster.MachineSpec{Type: cluster.P100, GPUs: 8})
 	for _, m := range models.AllPaperModels {
 		thr := func(cl *cluster.Cluster) float64 {
-			g := c.buildModel(m, cl.TotalGPUs())
-			t, _, err := c.runHAP(g, cl, 20)
+			t, err := runHAP(models.Build(m, cl.TotalGPUs()), cl)
 			if err != nil {
 				return 0
 			}
@@ -364,36 +300,31 @@ func Fig16(c Config) *Report {
 	return r
 }
 
-// Fig17 reproduces uneven expert placement: BERT-MoE with 4..32 experts on
-// 2×A100 + 2×P100, HAP vs DeepSpeed (which pads experts to a multiple of 4).
-func Fig17(c Config) *Report {
+// Fig17 reproduces uneven expert placement: BERT-MoE with 4, 6, ..., 32
+// experts on 2×A100 + 2×P100, HAP vs DeepSpeed (which pads experts to a
+// multiple of the 4 devices, so every other row trains a larger model).
+func Fig17() *Report {
 	r := &Report{ID: "fig17", Title: "BERT-MoE uneven expert placement (2×A100 + 2×P100)",
 		Header: []string{"experts", "HAP(s)", "DeepSpeed(s)", "padded-experts"}}
 	cl := cluster.PaperA100P100()
-	counts := []int{4, 8, 12, 16, 20, 24, 28, 32}
-	layers := 4
-	if c.Quick {
-		counts = []int{4, 6, 8}
-		layers = 2
-	}
-	for _, e := range counts {
+	for e := 4; e <= 32; e += 2 {
 		build := func(experts int) *graph.Graph {
 			cfg := models.BERTMoE(4)
 			cfg.Experts = experts
-			cfg.Layers = layers
+			cfg.Layers = 4
 			cfg.Vocab = 8192
 			// Tokens proportional to experts to keep per-expert load fixed.
 			return models.Training(models.BERT(cfg, 256*e))
 		}
 		row := []string{fmt.Sprint(e)}
-		if t, _, err := c.runHAP(build(e), cl, int64(e)); err == nil {
+		if t, err := runHAP(build(e), cl); err == nil {
 			row = append(row, f3(t))
 		} else {
 			row = append(row, "ERR")
 		}
 		padded := baselines.PadExperts(e, cl.M())
 		if p, err := baselines.DeepSpeed(build(padded), cl); err == nil {
-			row = append(row, simPlan(cl, p, int64(e)), fmt.Sprint(padded))
+			row = append(row, simPlan(cl, p), fmt.Sprint(padded))
 		} else {
 			row = append(row, "ERR", fmt.Sprint(padded))
 		}
@@ -403,23 +334,18 @@ func Fig17(c Config) *Report {
 }
 
 // Fig18 compares the cost model's estimate against simulated "actual" time
-// across BERT variants and reports the Pearson correlation.
-func Fig18(c Config) *Report {
+// across BERT variants and reports the Pearson correlation. Noise is what
+// this figure measures, so each row keeps its own simulator seed.
+func Fig18() *Report {
 	r := &Report{ID: "fig18", Title: "Cost model accuracy (BERT variants)",
 		Header: []string{"layers", "hidden", "estimated(s)", "actual(s)"}}
 	cl := cluster.PaperHeterogeneous(1)
-	layerSet := []int{2, 4, 6, 8}
-	hiddenSet := []int{256, 512, 768}
-	if c.Quick {
-		layerSet = []int{2, 4}
-		hiddenSet = []int{256, 512}
-	}
 	var est, act []float64
-	for _, l := range layerSet {
-		for _, h := range hiddenSet {
+	for _, l := range []int{2, 4, 6, 8} {
+		for _, h := range []int{256, 512, 768} {
 			cfg := models.TransformerConfig{Layers: l, Hidden: h, FFN: 4 * h, SeqLen: 128, Vocab: 8192}
 			g := models.Training(models.BERT(cfg, 64*8*32))
-			res, err := hapopt.Optimize(context.Background(), g, cl, c.hapOpts())
+			res, err := hapopt.Optimize(context.Background(), g, cl, hapopt.Options{Synth: synth.Auto()})
 			if err != nil {
 				continue
 			}
@@ -435,15 +361,11 @@ func Fig18(c Config) *Report {
 }
 
 // Fig19 measures program-synthesis time as the layer count grows.
-func Fig19(c Config) *Report {
+func Fig19() *Report {
 	r := &Report{ID: "fig19", Title: "Program synthesis time vs model depth (ViT)",
 		Header: []string{"layers", "synthesis(s)", "instructions"}}
 	cl := cluster.PaperHeterogeneous(1)
-	layerSet := []int{2, 4, 8, 12, 16, 20, 24}
-	if c.Quick {
-		layerSet = []int{2, 4, 8}
-	}
-	for _, l := range layerSet {
+	for _, l := range []int{2, 4, 8, 12, 16, 20, 24} {
 		cfg := models.ViTConfig()
 		cfg.Layers = l
 		g := models.Training(models.ViT(cfg, 64*8*cfg.SeqLen/4, 768, 10))
@@ -486,7 +408,7 @@ func Pearson(x, y []float64) float64 {
 }
 
 // All lists the experiment generators by id.
-var All = map[string]func(Config) *Report{
+var All = map[string]func() *Report{
 	"table1": Table1, "fig2": Fig2, "fig4": Fig4, "fig13": Fig13, "fig14": Fig14,
 	"fig15": Fig15, "fig16": Fig16, "fig17": Fig17, "fig18": Fig18, "fig19": Fig19,
 }

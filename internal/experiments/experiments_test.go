@@ -1,13 +1,18 @@
 package experiments
 
 import (
+	"fmt"
 	"math"
+	"os"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
 )
 
-var quick = Config{Quick: true}
+// The shape and order checks below read the committed FIGURES.txt, which
+// TestFiguresGolden holds cell for cell to the full-size generators. They
+// only parse a file, so they also run under -race.
 
 func parse(t *testing.T, s string) float64 {
 	t.Helper()
@@ -18,37 +23,80 @@ func parse(t *testing.T, s string) float64 {
 	return v
 }
 
-func TestTable1(t *testing.T) {
-	r := Table1(quick)
-	if len(r.Rows) != 4 {
-		t.Fatalf("rows = %d", len(r.Rows))
+// pinned returns experiment id's table from FIGURES.txt: its header and its
+// rows, each cut at the header's column offsets (Table 1's task cells hold
+// spaces, so a row cannot be split on them).
+func pinned(t *testing.T, id string) (header []string, rows [][]string) {
+	t.Helper()
+	text, err := os.ReadFile(figuresFile)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if v := parse(t, r.Rows[0][2]); v < 110 || v > 155 {
+	lines := sections(string(text))[id]
+	if len(lines) < 3 {
+		t.Fatalf("FIGURES.txt has no rows for %s", id)
+	}
+	head := []rune(lines[1])
+	var starts []int
+	for i, r := range head {
+		if r != ' ' && (i == 0 || head[i-1] == ' ') {
+			starts = append(starts, i)
+		}
+	}
+	cut := func(line string) []string {
+		l := []rune(line)
+		cells := make([]string, len(starts))
+		for i, s := range starts {
+			end := len(l)
+			if i+1 < len(starts) {
+				end = min(starts[i+1], len(l))
+			}
+			if s < end {
+				cells[i] = strings.TrimSpace(string(l[s:end]))
+			}
+		}
+		return cells
+	}
+	for _, line := range lines[2:] {
+		rows = append(rows, cut(line))
+	}
+	return cut(lines[1]), rows
+}
+
+func TestTable1(t *testing.T) {
+	_, rows := pinned(t, "table1")
+	if len(rows) != 4 {
+		t.Fatalf("rows = %d", len(rows))
+	}
+	if rows[0][1] != "Image Classification" {
+		t.Errorf("VGG19 task %q", rows[0][1])
+	}
+	if v := parse(t, rows[0][2]); v < 110 || v > 155 {
 		t.Errorf("VGG19 params %v, want ≈133M", v)
 	}
 }
 
 func TestFig2CrossoverDirection(t *testing.T) {
-	r := Fig2(Config{}) // full size costs milliseconds
-	if len(r.Rows) < 2 {
+	_, rows := pinned(t, "fig2")
+	if len(rows) < 2 {
 		t.Fatal("too few rows")
 	}
 	// Batch steers the computation-to-communication ratio: the column must
 	// rise strictly with it.
-	for i := 1; i < len(r.Rows); i++ {
-		if prev, cur := parse(t, r.Rows[i-1][1]), parse(t, r.Rows[i][1]); cur <= prev {
+	for i := 1; i < len(rows); i++ {
+		if prev, cur := parse(t, rows[i-1][1]), parse(t, rows[i][1]); cur <= prev {
 			t.Errorf("comp/comm %v at batch %s after %v at batch %s: want strictly increasing",
-				cur, r.Rows[i][0], prev, r.Rows[i-1][0])
+				cur, rows[i][0], prev, rows[i-1][0])
 		}
 	}
 	// At the lowest comp/comm ratio EV should not lose badly; at the
 	// highest, CP must win (it balances compute).
-	last := r.Rows[len(r.Rows)-1]
+	last := rows[len(rows)-1]
 	cp, ev := parse(t, last[2]), parse(t, last[3])
 	if cp > ev {
 		t.Errorf("at high comp/comm CP (%v) should beat EV (%v)", cp, ev)
 	}
-	first := r.Rows[0]
+	first := rows[0]
 	cp0, ev0 := parse(t, first[2]), parse(t, first[3])
 	if ev0/cp0 > 1.05 {
 		t.Errorf("at low comp/comm EV (%v) should be competitive with CP (%v)", ev0, cp0)
@@ -56,8 +104,8 @@ func TestFig2CrossoverDirection(t *testing.T) {
 }
 
 func TestFig4Shape(t *testing.T) {
-	r := Fig4(quick)
-	first, last := r.Rows[0], r.Rows[len(r.Rows)-1]
+	_, rows := pinned(t, "fig4")
+	first, last := rows[0], rows[len(rows)-1]
 	if parse(t, first[1]) <= parse(t, first[2]) {
 		t.Error("padded AG should win at even sharding")
 	}
@@ -66,101 +114,165 @@ func TestFig4Shape(t *testing.T) {
 	}
 }
 
-func TestFig13QuickHAPCompetitive(t *testing.T) {
-	r := Fig13(quick)
-	if len(r.Rows) != 4 {
-		t.Fatalf("rows = %d", len(r.Rows))
+// rowID names one row of Figs. 13–15. Fig. 15 runs on the 64-GPU
+// heterogeneous cluster.
+type rowID struct {
+	table, model string
+	gpus         int
+}
+
+// losing lists the rows that fail their order check on the noiseless
+// tables today. It is a ratchet, not a slack: a row may only leave it, and a
+// listed row that starts passing fails its table's test until it is removed.
+var losing = []rowID{
+	// BERT-MoE loses to DeepSpeed where the ratio LP fails and the plan
+	// keeps its initial ratios (ROADMAP K).
+	{"fig13", "BERT-MoE", 16}, // 1.780 vs 1.689 s
+	{"fig13", "BERT-MoE", 32}, // 2.420 vs 2.176 s
+	{"fig13", "BERT-MoE", 64}, // 3.777 vs 2.909 s
+	// +Q/+QB/+QBC 375/354/293 %: not monotone, for the same reason.
+	{"fig15", "BERT-MoE", 64},
+	// The LP solves on the homogeneous cluster, and HAP misses DeepSpeed's
+	// program by under 0.4 % (ROADMAP A(c)).
+	{"fig14", "BERT-MoE", 8},  // 1.508 vs 1.507 s
+	{"fig14", "BERT-MoE", 32}, // 2.724 vs 2.714 s
+}
+
+// orders collects the failed order checks of every row it has seen.
+type orders map[rowID][]string
+
+// row marks id as checked: a row with no failed check holds its order.
+func (o orders) row(id rowID) { o[id] = o[id] }
+
+func (o orders) check(id rowID, ok bool, format string, args ...any) {
+	if !ok {
+		o[id] = append(o[id], fmt.Sprintf(format, args...))
 	}
-	for _, row := range r.Rows {
-		hap := parse(t, row[2])
-		// HAP must beat or match every finishing baseline (small tolerance
-		// for simulator noise).
-		for i := 3; i < len(row); i++ {
-			cell := row[i]
-			if cell == "OOM" || cell == "ERR" || cell == "-" {
-				continue
-			}
-			if b := parse(t, cell); hap > b*1.10 {
-				t.Errorf("%s: HAP %.3fs slower than %s %.3fs", row[0], hap, r.Header[i], b)
-			}
+}
+
+// settle fails every unlisted row that broke an order, and every listed row
+// of the checked tables that holds its order or is gone.
+func (o orders) settle(t *testing.T, tables ...string) {
+	t.Helper()
+	for _, id := range losing {
+		if !slices.Contains(tables, id.table) {
+			continue
+		}
+		msgs, seen := o[id]
+		switch {
+		case !seen:
+			t.Errorf("%v is listed as losing but is not in FIGURES.txt: remove it from the list", id)
+		case len(msgs) == 0:
+			t.Errorf("%v now holds its order: remove it from the list", id)
+		default:
+			t.Logf("%v still loses (listed): %s", id, strings.Join(msgs, "; "))
+		}
+		delete(o, id)
+	}
+	for id, msgs := range o {
+		for _, m := range msgs {
+			t.Errorf("%v: %s", id, m)
 		}
 	}
 }
 
-func TestFig15AblationMonotone(t *testing.T) {
-	r := Fig15(quick)
-	for _, row := range r.Rows {
-		if strings.Contains(row[1]+row[2]+row[3], "ERR") {
-			t.Errorf("%s: ablation error: %v", row[0], row)
-			continue
-		}
-		if strings.HasPrefix(row[2], "DP-OOM") {
-			continue // DP baseline OOM: ratios not comparable
-		}
-		q, qbc := parse(t, row[2]), parse(t, row[4])
-		if qbc < q*0.9 {
-			t.Errorf("%s: full HAP (%v%%) much worse than Q-only (%v%%)", row[0], qbc, q)
-		}
-		if q < 95 {
-			t.Errorf("%s: +Q (%v%%) should not be slower than DP-EV", row[0], q)
+// TestFig13And14HAPNotSlower checks that HAP is never slower than a
+// baseline that finishes, on every row of Figs. 13 and 14, with no slack.
+func TestFig13And14HAPNotSlower(t *testing.T) {
+	o := orders{}
+	for _, table := range []string{"fig13", "fig14"} {
+		header, rows := pinned(t, table)
+		hapCol := slices.Index(header, "HAP(s)")
+		for _, row := range rows {
+			id := rowID{table, row[0], int(parse(t, row[1]))}
+			hap := parse(t, row[hapCol])
+			o.row(id)
+			for i := hapCol + 1; i < len(row); i++ {
+				if row[i] == "OOM" || row[i] == "-" {
+					continue
+				}
+				b := parse(t, row[i])
+				o.check(id, hap <= b, "HAP %.3fs slower than %s %.3fs", hap, header[i], b)
+			}
 		}
 	}
+	o.settle(t, "fig13", "fig14")
+}
+
+// TestFig15AblationMonotone checks that each ablation step adds throughput:
+// +Q ≤ +QB ≤ +QBC, and +Q does not lose to DP-EV.
+func TestFig15AblationMonotone(t *testing.T) {
+	o := orders{}
+	_, rows := pinned(t, "fig15")
+	for _, row := range rows {
+		id := rowID{"fig15", row[0], 64}
+		o.row(id)
+		q, qb, qbc := row[2], row[3], row[4]
+		// Where DP-EV runs out of memory the cells print HAP's times, which
+		// must not rise; elsewhere they print throughput, which must not fall.
+		if tq, ok := strings.CutPrefix(q, "DP-OOM/"); ok {
+			a, b, c := parse(t, tq), parse(t, strings.TrimPrefix(qb, "DP-OOM/")), parse(t, strings.TrimPrefix(qbc, "DP-OOM/"))
+			o.check(id, a >= b && b >= c, "+Q/+QB/+QBC times %v/%v/%vs rise", a, b, c)
+			continue
+		}
+		a, b, c := parse(t, q), parse(t, qb), parse(t, qbc)
+		o.check(id, a <= b && b <= c, "+Q/+QB/+QBC throughput %v/%v/%v%% is not monotone", a, b, c)
+		o.check(id, a >= 95, "+Q (%v%%) should not be slower than DP-EV", a)
+	}
+	o.settle(t, "fig15")
 }
 
 func TestFig17HAPSmoothVsDeepSpeedStaircase(t *testing.T) {
-	r := Fig17(quick)
-	// DeepSpeed pads; with a non-multiple expert count it trains a larger
-	// model, so HAP (exact count) should be at least as fast there.
-	for _, row := range r.Rows {
-		e := row[0]
-		if row[1] == "ERR" || row[2] == "ERR" || row[2] == "OOM" {
-			continue
+	_, rows := pinned(t, "fig17")
+	padded := 0
+	for _, row := range rows {
+		e, hap, ds, pad := row[0], parse(t, row[1]), parse(t, row[2]), row[3]
+		if hap > ds {
+			t.Errorf("experts=%s (DeepSpeed padded to %s): HAP %.3fs slower than DeepSpeed %.3fs", e, pad, hap, ds)
 		}
-		hap, ds := parse(t, row[1]), parse(t, row[2])
-		padded := row[3]
-		if padded != e && hap > ds*1.15 {
-			t.Errorf("experts=%s (padded to %s): HAP %.3f should not lose to DeepSpeed %.3f", e, padded, hap, ds)
+		if pad != e {
+			padded++
 		}
+	}
+	// DeepSpeed pads experts to a multiple of the devices; the sweep must
+	// hold counts where it does, or the figure shows no staircase.
+	if padded == 0 {
+		t.Error("no row where DeepSpeed pads its experts")
 	}
 }
 
 func TestFig18UnderestimatesWithHighCorrelation(t *testing.T) {
-	r := Fig18(quick)
-	var est, act []float64
-	for _, row := range r.Rows {
+	_, rows := pinned(t, "fig18")
+	variants := 0
+	for _, row := range rows {
 		if row[0] == "pearson" {
 			if p := parse(t, row[2]); p < 0.9 {
 				t.Errorf("Pearson %v, want ≥ 0.9 (paper: 0.97)", p)
 			}
 			continue
 		}
-		e, a := parse(t, row[2]), parse(t, row[3])
-		est = append(est, e)
-		act = append(act, a)
-		if e > a*1.02 {
+		variants++
+		if e, a := parse(t, row[2]), parse(t, row[3]); e > a*1.02 {
 			t.Errorf("cost model over-estimates: est %v > actual %v", e, a)
 		}
 	}
-	if len(est) < 3 {
+	if variants < 3 {
 		t.Fatal("too few variants")
 	}
 }
 
-func TestFig19SynthesisSecondsAndGrowth(t *testing.T) {
-	r := Fig19(quick)
+// TestFig19InstructionsGrow checks Fig. 19's pinned program sizes; its
+// synthesis seconds are wall-clock time, checked where TestFiguresGolden
+// computes them.
+func TestFig19InstructionsGrow(t *testing.T) {
+	_, rows := pinned(t, "fig19")
 	prev := 0.0
-	for _, row := range r.Rows {
-		if row[1] == "ERR" {
-			t.Fatalf("synthesis failed at %s layers", row[0])
+	for _, row := range rows {
+		n := parse(t, row[2])
+		if n <= prev {
+			t.Errorf("%v instructions at %s layers after %v: want strictly increasing", n, row[0], prev)
 		}
-		v := parse(t, row[1])
-		if v > 30 {
-			t.Errorf("synthesis at %s layers took %vs, paper reports seconds", row[0], v)
-		}
-		if v < prev*0.3 {
-			t.Errorf("synthesis time should grow with layers: %v after %v", v, prev)
-		}
-		prev = v
+		prev = n
 	}
 }
 
@@ -174,7 +286,7 @@ func TestPearson(t *testing.T) {
 }
 
 func TestReportString(t *testing.T) {
-	r := Fig4(quick)
+	r := Fig4()
 	s := r.String()
 	if !strings.Contains(s, "fig4") || !strings.Contains(s, "maxRatio") {
 		t.Errorf("bad rendering:\n%s", s)

@@ -14,12 +14,21 @@ var updateFigures = flag.Bool("update-figures", false, "rewrite FIGURES.txt at t
 var figuresFile = filepath.Join("..", "..", "FIGURES.txt")
 
 // figure renders experiment id at full size as FIGURES.txt pins it. Fig. 19's
-// synthesis seconds are wall-clock time and print as "-"; its instruction
-// counts stay.
-func figure(id string) string {
-	r := All[id](Config{})
+// synthesis seconds are wall-clock time: they are checked here, in the one
+// run that computes them, and print as "-"; its instruction counts stay.
+func figure(t *testing.T, id string) string {
+	r := All[id]()
 	if id == "fig19" {
+		prev := 0.0
 		for _, row := range r.Rows {
+			v := parse(t, row[1])
+			if v > 30 {
+				t.Errorf("fig19: synthesis at %s layers took %vs, paper reports seconds", row[0], v)
+			}
+			if v < prev*0.3 {
+				t.Errorf("fig19: synthesis time should grow with layers: %vs at %s layers after %vs", v, row[0], prev)
+			}
+			prev = v
 			row[1] = "-"
 		}
 	}
@@ -52,7 +61,7 @@ func TestFiguresGolden(t *testing.T) {
 	}
 	got := make([]string, len(Order))
 	for i, id := range Order {
-		got[i] = figure(id)
+		got[i] = figure(t, id)
 	}
 	if *updateFigures {
 		if err := os.WriteFile(figuresFile, []byte(strings.Join(got, "\n")), 0o644); err != nil {

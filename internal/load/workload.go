@@ -18,6 +18,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"math/rand"
+	"strconv"
+	"strings"
 	"time"
 
 	"hap"
@@ -82,6 +84,50 @@ func (m Mix) total() int {
 		t += w
 	}
 	return t
+}
+
+// maxMixWeight bounds one class's parsed weight, so a mix's total can never
+// wrap to a negative or zero draw range.
+const maxMixWeight = 1_000_000
+
+// ParseMix reads "class=weight,..." using the report class names (single,
+// single_bin, cond, cancel); each weight is an integer in [0, 1000000]. An
+// empty string parses to the zero Mix, which means DefaultMix; a non-empty
+// one must give some class a weight.
+func ParseMix(s string) (Mix, error) {
+	var m Mix
+	if s == "" {
+		return m, nil
+	}
+	fields := map[string]*int{
+		"single":     &m.Single,
+		"single_bin": &m.SingleBinary,
+		"cond":       &m.Conditional,
+		"cancel":     &m.Cancel,
+	}
+	for _, part := range strings.Split(s, ",") {
+		part = strings.TrimSpace(part)
+		if part == "" {
+			continue
+		}
+		name, val, ok := strings.Cut(part, "=")
+		if !ok {
+			return Mix{}, fmt.Errorf("load: mix entry %q: want class=weight", part)
+		}
+		p, known := fields[strings.TrimSpace(name)]
+		if !known {
+			return Mix{}, fmt.Errorf("load: mix entry %q: unknown class %q", part, name)
+		}
+		w, err := strconv.Atoi(strings.TrimSpace(val))
+		if err != nil || w < 0 || w > maxMixWeight {
+			return Mix{}, fmt.Errorf("load: mix entry %q: weight must be an integer in [0, %d]", part, maxMixWeight)
+		}
+		*p = w
+	}
+	if m == (Mix{}) {
+		return Mix{}, fmt.Errorf("load: mix %q leaves every class at zero weight", s)
+	}
+	return m, nil
 }
 
 // Spec is one generated request: its class and its corpus coordinates.

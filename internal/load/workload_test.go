@@ -122,3 +122,40 @@ func TestGeneratorSingleItemCorpus(t *testing.T) {
 		}
 	}
 }
+
+// TestParseMix: every accepted non-empty mix gives the generator a positive
+// draw range. Weights near MaxInt64 once wrapped the total negative (Next
+// panicked in Intn) or to zero (the run silently used DefaultMix).
+func TestParseMix(t *testing.T) {
+	for _, tc := range []struct {
+		in   string
+		want Mix
+		ok   bool
+	}{
+		{"", Mix{}, true},
+		{"single=30, single_bin=25,cond=20,cancel=5", DefaultMix(), true},
+		{"cond=1", Mix{Conditional: 1}, true},
+		{"single=1000000,single_bin=1000000,cond=1000000,cancel=1000000",
+			Mix{Single: 1000000, SingleBinary: 1000000, Conditional: 1000000, Cancel: 1000000}, true},
+		{"single=9223372036854775807,cond=1", Mix{}, false},
+		{"single=9223372036854775807,single_bin=9223372036854775807,cond=2", Mix{}, false},
+		{"single=1000001", Mix{}, false},
+		{"single=-1,cond=1", Mix{}, false},
+		{"single=0,cancel=0", Mix{}, false},
+		{"single", Mix{}, false},
+		{"batch=1", Mix{}, false},
+		{"cond=1.5", Mix{}, false},
+	} {
+		m, err := ParseMix(tc.in)
+		if (err == nil) != tc.ok {
+			t.Errorf("ParseMix(%q): err = %v, want ok = %v", tc.in, err, tc.ok)
+			continue
+		}
+		if m != tc.want {
+			t.Errorf("ParseMix(%q) = %+v, want %+v", tc.in, m, tc.want)
+		}
+		if err == nil && tc.in != "" && m.total() <= 0 {
+			t.Errorf("ParseMix(%q) accepted a mix with total %d", tc.in, m.total())
+		}
+	}
+}

@@ -507,3 +507,67 @@ func TestWarmHitAllocs(t *testing.T) {
 		t.Errorf("errors/misses = %d/%d, want 0/1", st.Errors, st.CacheMisses)
 	}
 }
+
+// FuzzDecodeRequest: arbitrary /v1/synthesize bodies never panic the parse.
+// A non-empty key with no graph and no cluster (absent or null) is answered
+// by that key alone; a full body yields a graph and cluster whose re-encoding
+// derives the same key; negative segments or max_iterations are refused
+// whatever else the body carries. Seeded with the wire contract's bodies.
+func FuzzDecodeRequest(f *testing.F) {
+	g, c := testGraph(f), testCluster()
+	for _, seed := range [][]byte{
+		requestBody(f, g, c, RequestOptions{}),
+		requestBody(f, g, c, RequestOptions{Segments: 2, MaxIterations: 3, ExactSearch: true}),
+		requestBody(f, g, c, RequestOptions{Segments: -1}),
+		requestBody(f, seedServeGraph(64, 96, 96, 112, 96, 96, 96, 32), altCluster(), RequestOptions{}),
+		keyBody(clientKey(g, c, RequestOptions{})),
+		keyBody("not-a-key"),
+		[]byte(`{"key":"k","graph":null}`),
+		[]byte(`{"key":"k","graph":null,"cluster":null,"options":{"max_iterations":-1}}`),
+		[]byte(`{"cluster": {"version": 1}}`),
+		[]byte("]["),
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		key, in, err := decodeRequest(body)
+		if err != nil {
+			if key != "" || in != nil {
+				t.Fatalf("rejected body answered key %q, input %v", key, in != nil)
+			}
+		} else if key == "" {
+			t.Fatal("accepted body derived an empty key")
+		}
+
+		var opts struct {
+			Options struct {
+				Segments      int `json:"segments"`
+				MaxIterations int `json:"max_iterations"`
+			} `json:"options"`
+		}
+		if parseBody(body, &opts) == nil && (opts.Options.Segments < 0 || opts.Options.MaxIterations < 0) && err == nil {
+			t.Fatalf("options %+v accepted", opts.Options)
+		}
+
+		var req Request
+		if parseBody(body, &req) == nil && req.Key != "" && absent(req.Graph) && absent(req.Cluster) {
+			if err != nil || key != req.Key || in != nil {
+				t.Fatalf("key-only body %q: key %q, input %v, err %v", req.Key, key, in != nil, err)
+			}
+		}
+
+		if in == nil {
+			return
+		}
+		if want := cacheKey(in.g, in.c, in.req.Options); key != want {
+			t.Fatalf("key %q, want %q from the decoded input", key, want)
+		}
+		again, in2, err := decodeRequest(requestBody(t, in.g, in.c, in.req.Options))
+		if err != nil || in2 == nil {
+			t.Fatalf("re-encoded body: input %v, err %v", in2 != nil, err)
+		}
+		if again != key {
+			t.Fatalf("re-encoded body keys %q, want %q", again, key)
+		}
+	})
+}

@@ -19,7 +19,7 @@ import (
 )
 
 // testGraph builds the MLP training graph used across the repo's tests.
-func testGraph(t *testing.T) *graph.Graph {
+func testGraph(t testing.TB) *graph.Graph {
 	t.Helper()
 	g := hap.NewGraph()
 	x := g.AddPlaceholder("x", 0, 64, 32)
@@ -46,7 +46,7 @@ func testCluster() *cluster.Cluster {
 }
 
 // requestBody assembles a POST /v1/synthesize body from wire-encoded parts.
-func requestBody(t *testing.T, g *graph.Graph, c *cluster.Cluster, opt RequestOptions) []byte {
+func requestBody(t testing.TB, g *graph.Graph, c *cluster.Cluster, opt RequestOptions) []byte {
 	t.Helper()
 	var gb, cb bytes.Buffer
 	if err := g.Encode(&gb); err != nil {
