@@ -1,9 +1,9 @@
 // The client hashes the caller's graph once, for the plan's cache key, and
 // its plan→graph binding check reuses that fingerprint while the plan's
 // segment assignment is the one hashed. These tests hold the check to biting
-// on that path: a daemon that answers with another graph's plan is refused in
-// every answer form, and a plan that changes the segment assignment is
-// checked against a fresh hash, not the key's.
+// on that path: a daemon that answers with another graph's plan is refused,
+// fetched outright or revalidated, and a plan that changes the segment
+// assignment is checked against a fresh hash, not the key's.
 
 package client
 
@@ -23,25 +23,20 @@ import (
 	"hap/internal/planwire"
 )
 
-// planBodies are one plan in both wire forms.
-type planBodies struct{ bin, json []byte }
-
-func bodiesOf(t *testing.T, plan *hap.Plan) planBodies {
+// binaryOf is a plan's binary payload, the body of every plan answer.
+func binaryOf(t *testing.T, plan *hap.Plan) []byte {
 	t.Helper()
-	var bin, js bytes.Buffer
+	var bin bytes.Buffer
 	if err := plan.WriteProgramBinary(&bin); err != nil {
 		t.Fatal(err)
 	}
-	if err := plan.WriteProgram(&js); err != nil {
-		t.Fatal(err)
-	}
-	return planBodies{bin.Bytes(), js.Bytes()}
+	return bin.Bytes()
 }
 
 // stubDaemon answers every synthesize request, key-only or full, with the
-// given plan in the form the request accepts, tagged with a fixed ETag: a
-// request revalidating that tag is answered 304.
-func stubDaemon(t *testing.T, plan planBodies) (url string, notModified func() int) {
+// given plan payload, tagged with a fixed ETag: a request revalidating that
+// tag is answered 304.
+func stubDaemon(t *testing.T, bin []byte) (url string, notModified func() int) {
 	t.Helper()
 	const etag = `"stub"`
 	var mu sync.Mutex
@@ -56,13 +51,8 @@ func stubDaemon(t *testing.T, plan planBodies) (url string, notModified func() i
 			w.WriteHeader(http.StatusNotModified)
 			return
 		}
-		if strings.Contains(r.Header.Get("Accept"), binaryPlanContentType) {
-			w.Header().Set("Content-Type", binaryPlanContentType)
-			w.Write(plan.bin)
-			return
-		}
-		w.Header().Set("Content-Type", "application/json")
-		w.Write(plan.json)
+		w.Header().Set("Content-Type", accept)
+		w.Write(bin)
 	}))
 	t.Cleanup(srv.Close)
 	return srv.URL, func() int {
@@ -73,7 +63,7 @@ func stubDaemon(t *testing.T, plan planBodies) (url string, notModified func() i
 }
 
 // wantMismatch asserts every way of asking the stub for g's plan fails the
-// binding check on the fingerprint: binary, JSON, a conditional fetch and
+// binding check on the fingerprint: a plain fetch, a conditional fetch and
 // its 304 re-decode.
 func wantMismatch(t *testing.T, url string, notModified func() int, g *hap.Graph) {
 	t.Helper()
@@ -84,13 +74,8 @@ func wantMismatch(t *testing.T, url string, notModified func() int, g *hap.Graph
 			t.Errorf("%s: err = %v, want a graph fingerprint mismatch", what, err)
 		}
 	}
-	for _, tc := range []struct {
-		name string
-		cl   *Client
-	}{{"binary", New(url)}, {"json", New(url, WithJSONPlans())}} {
-		_, err := tc.cl.Synthesize(context.Background(), g, c, Options{})
-		check(tc.name, err)
-	}
+	_, err := New(url).Synthesize(context.Background(), g, c, Options{})
+	check("fetch", err)
 	cond := New(url, WithConditionalFetch())
 	for i, what := range []string{"conditional fetch", "304 re-decode"} {
 		_, err := cond.Synthesize(context.Background(), g, c, Options{})
@@ -122,7 +107,7 @@ func TestClientRejectsAnotherGraphsPlan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	url, notModified := stubDaemon(t, bodiesOf(t, plan))
+	url, notModified := stubDaemon(t, binaryOf(t, plan))
 	wantMismatch(t, url, notModified, g)
 }
 
@@ -138,10 +123,10 @@ func TestClientRehashesAnAdoptedSegmentAssignment(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	honest := bodiesOf(t, plan)
+	honest := binaryOf(t, plan)
 	zeros := make([]int, g.NumNodes())
 
-	bin := honest.bin
+	bin := honest
 	tlen := int(binary.BigEndian.Uint32(bin[len(bin)-8:]))
 	tr, err := json.Marshal(planwire.Trailer{Ratios: plan.Ratios, SegmentOf: zeros, Cost: plan.Cost})
 	if err != nil {
@@ -151,19 +136,7 @@ func TestClientRehashesAnAdoptedSegmentAssignment(t *testing.T) {
 	forgedBin = binary.BigEndian.AppendUint32(forgedBin, uint32(len(tr)))
 	forgedBin = append(forgedBin, planwire.Magic[:]...)
 
-	var doc map[string]json.RawMessage
-	if err := json.Unmarshal(honest.json, &doc); err != nil {
-		t.Fatal(err)
-	}
-	if doc["segment_of"], err = json.Marshal(zeros); err != nil {
-		t.Fatal(err)
-	}
-	forgedJSON, err := json.Marshal(doc)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	url, notModified := stubDaemon(t, planBodies{forgedBin, forgedJSON})
+	url, notModified := stubDaemon(t, forgedBin)
 	wantMismatch(t, url, notModified, g)
 
 	// The unforged plan, served by the same stub, binds.

@@ -1,10 +1,9 @@
 // Package client is the Go client for the hap-serve plan daemon's wire
-// protocol v2. It speaks the versioned /v1 endpoints, negotiates the compact
-// binary plan encoding by default (a model-scale plan is ~20× smaller than
-// its JSON form), decodes structured error envelopes, and honors the request
-// context end-to-end — cancelling ctx abandons the HTTP request and,
-// server-side, aborts the in-flight synthesis once no other client is
-// waiting on it.
+// protocol v2. It speaks the versioned /v1 endpoints, decodes the binary plan
+// payload every plan answer carries and the structured error envelopes, and
+// honors the request context end-to-end — cancelling ctx abandons the HTTP
+// request and, server-side, aborts the in-flight synthesis once no other
+// client is waiting on it.
 //
 //	cl := client.New("http://planner:8080")
 //	plan, err := cl.Synthesize(ctx, g, c, client.Options{})
@@ -46,9 +45,10 @@ import (
 	"hap/internal/planwire"
 )
 
-// binaryPlanContentType mirrors serve.BinaryPlanContentType (the serve
-// package is internal; the media type is the wire contract).
-const binaryPlanContentType = "application/x-hap-plan"
+// accept is the Accept header of plan requests: the binary plan payload,
+// mirroring serve.BinaryPlanContentType (the serve package is internal; the
+// media type is the wire contract).
+const accept = "application/x-hap-plan"
 
 // Options mirrors the wire "options" object of the synthesize endpoints.
 type Options struct {
@@ -85,10 +85,6 @@ type Option func(*Client)
 // WithHTTPClient substitutes the http.Client used for requests.
 func WithHTTPClient(h *http.Client) Option { return func(c *Client) { c.http = h } }
 
-// WithJSONPlans disables binary content negotiation: plans travel as JSON.
-// Useful for debugging with a packet capture, never required.
-func WithJSONPlans() Option { return func(c *Client) { c.jsonPlans = true } }
-
 // WithTracing stamps every request with a fresh client-generated trace ID
 // (the X-HAP-Trace header). A tracing-enabled daemon adopts the ID for its
 // request trace, so a slow or failed call can be looked up afterwards at
@@ -109,30 +105,28 @@ func WithConditionalFetch() Option {
 
 // Client talks to one hap-serve daemon. Safe for concurrent use.
 type Client struct {
-	base      string
-	http      *http.Client
-	jsonPlans bool
-	tracing   bool
-	retry     retryPolicy
-	cond      *condCache // nil = conditional fetch disabled
+	base    string
+	http    *http.Client
+	tracing bool
+	retry   retryPolicy
+	cond    *condCache // nil = conditional fetch disabled
 	// fullBodies latches once the daemon turns out not to know the key-only
 	// request form: from then on every request carries graph and cluster.
 	fullBodies atomic.Bool
 }
 
 // condEntry is one remembered plan response: the tag the server issued and
-// the exact body bytes it tagged, in whichever encoding was negotiated.
-// Bodies are cached as bytes, not decoded plans, because a decoded plan is
-// bound to the caller's graph value — re-decoding per call keeps the cache
-// valid across distinct (but fingerprint-equal) graph instances.
+// the exact body bytes it tagged. Bodies are cached as bytes, not decoded
+// plans, because a decoded plan is bound to the caller's graph value —
+// re-decoding per call keeps the cache valid across distinct (but
+// fingerprint-equal) graph instances.
 type condEntry struct {
-	etag   string
-	body   []byte
-	binary bool
+	etag string
+	body []byte
 }
 
-// condCache maps a request's identity (the plan's cache key + the negotiated
-// accept) to its last successful response. Safe for concurrent use.
+// condCache maps a request's identity (the plan's cache key) to its last
+// successful response. Safe for concurrent use.
 type condCache struct {
 	mu      sync.Mutex
 	entries map[string]condEntry
@@ -176,31 +170,20 @@ func (c *Client) newTraceID() string {
 	return ""
 }
 
-// accept is the Accept header of plan requests: binary preferred unless
-// WithJSONPlans.
-func (c *Client) accept() string {
-	if c.jsonPlans {
-		return "application/json"
-	}
-	return binaryPlanContentType + ", application/json"
-}
-
 // postData sends already-marshalled bytes and returns the raw response,
 // retrying transient failures when WithRetry is configured (every attempt
 // re-sends the same bytes). A non-empty ifNoneMatch makes the request
 // conditional; a 304 Not Modified is then a success the caller resolves from
 // its cache, not an error. Other non-2xx responses are decoded into *APIError
 // (with a plain-text fallback for proxies).
-func (c *Client) postData(ctx context.Context, path string, data []byte, accept, ifNoneMatch, traceID string) (*http.Response, error) {
+func (c *Client) postData(ctx context.Context, path string, data []byte, ifNoneMatch, traceID string) (*http.Response, error) {
 	resp, err := c.do(ctx, func() (*http.Request, error) {
 		req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.base+path, bytes.NewReader(data))
 		if err != nil {
 			return nil, fmt.Errorf("client: %w", err)
 		}
 		req.Header.Set("Content-Type", "application/json")
-		if accept != "" {
-			req.Header.Set("Accept", accept)
-		}
+		req.Header.Set("Accept", accept)
 		if ifNoneMatch != "" {
 			req.Header.Set("If-None-Match", ifNoneMatch)
 		}
@@ -251,25 +234,21 @@ func bindCopy(g *hap.Graph) *hap.Graph {
 	return &bound
 }
 
-// Synthesize plans g on cl via the server. By default the binary encoding is
-// negotiated; the server's JSON answer is accepted either way, so the client
-// works against any protocol version.
+// Synthesize plans g on cl via the server, which answers with the binary
+// plan payload; an answer that does not decode as one is an error.
 //
 // The request is key-first (see the package comment): a pure function of g,
 // cl and opt, none of which the call modifies. The returned plan is bound to
 // a shallow copy of g.
 func (c *Client) Synthesize(ctx context.Context, g *hap.Graph, cl *hap.Cluster, opt Options) (*hap.Plan, error) {
 	const path = "/v1/synthesize"
-	accept := c.accept()
 	fp := graph.Fingerprint(g)
 	key := fingerprint.PlanKey(fp, cl.Fingerprint(), fingerprint.Options(opt))
 	// With conditional fetch on, revalidate the remembered response instead
 	// of re-downloading it: send its tag, and resolve a 304 from the cache.
 	var cached condEntry
-	var condKey string
 	if c.cond != nil {
-		condKey = key + " " + accept
-		cached, _ = c.cond.get(condKey)
+		cached, _ = c.cond.get(key)
 	}
 	traceID := c.newTraceID()
 
@@ -277,7 +256,7 @@ func (c *Client) Synthesize(ctx context.Context, g *hap.Graph, cl *hap.Cluster, 
 	if !c.fullBodies.Load() {
 		// The key's alphabet is hex digits, ':' and the options signature's
 		// letters: nothing JSON would escape.
-		r, err := c.postData(ctx, path, []byte(`{"key":"`+key+`"}`), accept, cached.etag, traceID)
+		r, err := c.postData(ctx, path, []byte(`{"key":"`+key+`"}`), cached.etag, traceID)
 		var apiErr *APIError
 		switch {
 		case errors.As(err, &apiErr) && apiErr.Status == http.StatusBadRequest:
@@ -305,42 +284,34 @@ func (c *Client) Synthesize(ctx context.Context, g *hap.Graph, cl *hap.Cluster, 
 		if err != nil {
 			return nil, fmt.Errorf("client: encoding request: %w", err)
 		}
-		if resp, err = c.postData(ctx, path, data, accept, cached.etag, traceID); err != nil {
+		if resp, err = c.postData(ctx, path, data, cached.etag, traceID); err != nil {
 			return nil, err
 		}
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode == http.StatusNotModified {
 		io.Copy(io.Discard, resp.Body)
-		return decodePlan(cached.body, cached.binary, bindCopy(g), fp)
+		return decodePlan(cached.body, bindCopy(g), fp)
 	}
 	raw, err := io.ReadAll(resp.Body)
 	if err != nil {
 		return nil, fmt.Errorf("client: reading plan: %w", err)
 	}
-	binary := strings.HasPrefix(resp.Header.Get("Content-Type"), binaryPlanContentType)
 	if etag := resp.Header.Get("ETag"); c.cond != nil && etag != "" {
-		c.cond.put(condKey, condEntry{etag: etag, body: raw, binary: binary})
+		c.cond.put(key, condEntry{etag: etag, body: raw})
 	}
-	return decodePlan(raw, binary, bindCopy(g), fp)
+	return decodePlan(raw, bindCopy(g), fp)
 }
 
-// decodePlan decodes a plan body in the negotiated encoding, binding it to
-// g. fp is graph.Fingerprint(g), hashed once per call for the cache key: the
+// decodePlan decodes a binary plan body, binding it to g. fp is
+// graph.Fingerprint(g), hashed once per call for the cache key: the
 // plan→graph binding check reuses it while the plan's segment assignment is
 // the one g carried when hashed, and hashes g afresh otherwise (a segmented
 // plan for an unsegmented request).
-func decodePlan(body []byte, binary bool, g *hap.Graph, fp string) (*hap.Plan, error) {
-	if binary {
-		prog, ratios, cost, err := planwire.ReadBinary(body, g, fp)
-		if err != nil {
-			return nil, fmt.Errorf("client: decoding binary plan: %w", err)
-		}
-		return &hap.Plan{Program: prog, Ratios: ratios, Cost: cost}, nil
-	}
-	prog, ratios, cost, err := planwire.ReadJSON(bytes.NewReader(body), g, fp)
+func decodePlan(body []byte, g *hap.Graph, fp string) (*hap.Plan, error) {
+	prog, ratios, cost, err := planwire.ReadBinary(body, g, fp)
 	if err != nil {
-		return nil, fmt.Errorf("client: decoding plan: %w", err)
+		return nil, fmt.Errorf("client: decoding binary plan: %w", err)
 	}
 	return &hap.Plan{Program: prog, Ratios: ratios, Cost: cost}, nil
 }

@@ -46,8 +46,8 @@ func newServer(t *testing.T, cfg serve.Config) (*serve.Server, *httptest.Server)
 	return s, srv
 }
 
-// The client negotiates binary by default; the plan it returns is bound to
-// the caller's graph and verifies, exactly like a local synthesis.
+// The plan the client decodes from the daemon's binary answer is bound to the
+// caller's graph and verifies, exactly like a local synthesis.
 func TestClientSynthesizeBinaryDefault(t *testing.T) {
 	s, srv := newServer(t, serve.Config{})
 	c := testCluster()
@@ -82,20 +82,26 @@ func TestClientSynthesizeBinaryDefault(t *testing.T) {
 	}
 }
 
-// WithJSONPlans opts out of binary negotiation and must yield the same plan.
-func TestClientJSONPlans(t *testing.T) {
-	_, srv := newServer(t, serve.Config{})
-	c := testCluster()
-	binPlan, err := New(srv.URL).Synthesize(context.Background(), testGraph(t), c, Options{})
+// A daemon that answers a plan as JSON sent what the client cannot decode:
+// the call fails like any other malformed answer.
+func TestClientRefusesJSONAnswer(t *testing.T) {
+	plan, err := hap.NewPlanner(testCluster()).Plan(context.Background(), testGraph(t))
 	if err != nil {
 		t.Fatal(err)
 	}
-	jsonPlan, err := New(srv.URL, WithJSONPlans()).Synthesize(context.Background(), testGraph(t), c, Options{})
-	if err != nil {
+	var js strings.Builder
+	if err := plan.WriteProgram(&js); err != nil {
 		t.Fatal(err)
 	}
-	if binPlan.Program.String() != jsonPlan.Program.String() {
-		t.Error("JSON and binary transports returned different plans")
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		io.Copy(io.Discard, r.Body)
+		w.Header().Set("Content-Type", "application/json")
+		io.WriteString(w, js.String())
+	}))
+	t.Cleanup(srv.Close)
+	_, err = New(srv.URL).Synthesize(context.Background(), testGraph(t), testCluster(), Options{})
+	if err == nil || !strings.Contains(err.Error(), "decoding binary plan") {
+		t.Errorf("err = %v, want a binary decode error", err)
 	}
 }
 

@@ -68,7 +68,7 @@ func TestNoRetryOnApplicationErrors(t *testing.T) {
 	defer srv.Close()
 
 	c := New(srv.URL, WithRetry(5, time.Millisecond))
-	_, err := c.postData(context.Background(), "/v1/synthesize", []byte("{}"), "", "", "")
+	_, err := c.postData(context.Background(), "/v1/synthesize", []byte("{}"), "", "")
 	if err == nil {
 		t.Fatal("422 did not surface an error")
 	}

@@ -8,13 +8,13 @@
 //	            [-concurrency 8] [-rate 100] [-max-outstanding 1024]
 //	            [-duration 5s] [-requests 0] [-seed 1]
 //	            [-graphs 8] [-clusters 2] [-zipf 1.2]
-//	            [-mix single=30,single_bin=25,cond=20,cancel=5]
+//	            [-mix single=55,cond=20,cancel=5]
 //	            [-warmup] [-slo "warm.p99<5ms,errors=0"] [-report out.json]
 //
 // The workload is a deterministic seeded corpus of random training graphs ×
 // cluster shapes with zipf-distributed popularity, covering the daemon's
-// real surface: synthesis with JSON and binary content negotiation,
-// conditional fetch (If-None-Match), and mid-flight cancellation. Two
+// real surface: synthesis, conditional fetch (If-None-Match), and
+// mid-flight cancellation. Two
 // drivers: closed loop (fixed concurrency) and open loop (Poisson arrivals
 // at -rate, latency measured from the intended send time so coordinated
 // omission cannot hide server queueing).
@@ -52,7 +52,7 @@ func main() {
 	graphs := flag.Int("graphs", 8, "corpus graphs")
 	clusters := flag.Int("clusters", 2, fmt.Sprintf("corpus clusters per graph (1..%d)", load.MaxClusters))
 	zipf := flag.Float64("zipf", 1.2, "popularity skew (> 1; larger = hotter head)")
-	mixFlag := flag.String("mix", "", "request class weights, e.g. single=40,single_bin=10,cond=20 (empty = default mix)")
+	mixFlag := flag.String("mix", "", "request class weights, e.g. single=40,cond=20 (empty = default mix)")
 	warmup := flag.Bool("warmup", false, "serially synthesize the whole corpus before measuring (warm-cache runs)")
 	slo := flag.String("slo", "", `SLO assertions over the report, e.g. "warm.p99<5ms,errors=0"; violations exit 1`)
 	report := flag.String("report", "", "write the JSON report to this file (\"-\" = stdout)")

@@ -12,8 +12,10 @@
 //	          [-log-format text] [-trace-ring 256] [-trace-slow 0]
 //	          [-debug-addr ""]
 //
-// Endpoints (wire protocol v2): POST /v1/synthesize (one plan per request;
-// K clusters are K requests), GET/POST /v1/fleet/entries, GET /healthz
+// Endpoints (wire protocol v2): POST /v1/synthesize (one plan per request,
+// answered with the binary plan payload, application/x-hap-plan, whatever
+// the Accept header says; K clusters are K requests), GET/POST
+// /v1/fleet/entries, GET /healthz
 // (liveness, protocol and fleet membership), GET /metrics (every counter,
 // Prometheus text format), GET /v1/debug/traces[/<id>[?format=chrome]].
 // With -cache-dir, cached plans are written through to disk and restored on

@@ -41,6 +41,12 @@ var binaryMagic = [4]byte{'H', 'A', 'P', 'B'}
 
 const binaryVersion = byte(formatVersion)
 
+// HasBinaryMagic reports whether data starts with the magic EncodeBinary
+// writes first.
+func HasBinaryMagic(data []byte) bool {
+	return len(data) >= len(binaryMagic) && [4]byte(data) == binaryMagic
+}
+
 const (
 	binFlagComm     = 1 << 0
 	binFlagScaled   = 1 << 1
@@ -196,7 +202,7 @@ func DecodeBinaryWithFingerprint(data []byte, g *graph.Graph, fp string) (*Progr
 	fail := func(format string, args ...any) (*Program, error) {
 		return nil, fmt.Errorf("dist: decode binary: "+format, args...)
 	}
-	if len(data) < len(binaryMagic) || [4]byte(data) != binaryMagic {
+	if !HasBinaryMagic(data) {
 		return fail("bad magic (not a binary program)")
 	}
 	r := binReader{data[len(binaryMagic):]}

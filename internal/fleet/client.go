@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"hap/internal/obs"
+	"hap/internal/planwire"
 )
 
 // Wire headers of the fleet layer.
@@ -35,18 +36,35 @@ const (
 // cached entries as NDJSON (warm-up), POST accepts one replicated entry.
 const EntriesPath = "/v1/fleet/entries"
 
-// Entry is one cached plan on the fleet wire, mirroring the daemon's
-// CachedPlan. Payloads travel base64 (encoding/json's []byte form); the
-// plan bytes are restored byte-exact on the receiving node so the content
-// address keeps meaning the same bytes fleet-wide.
+// Entry is one cached plan crossing a process or disk boundary: a
+// replication push, a warm-up stream line, and the daemon's plan file are
+// all this record. Bin is the plan's binary payload (Plan.WriteProgramBinary),
+// base64 on the wire (encoding/json's []byte form) and restored byte-exact,
+// so the content address keeps meaning the same bytes fleet-wide.
 type Entry struct {
-	Key  string `json:"key"`
-	Plan []byte `json:"plan"`
-	Bin  []byte `json:"bin,omitempty"`
+	Key string `json:"key"`
+	Bin []byte `json:"bin"`
 	// Version carries the owner's plan version so a replica serves the
 	// number the owner does. The ETag does not travel: every node derives it
 	// from the plan bytes, so the tag means the same bytes fleet-wide.
 	Version uint64 `json:"version,omitempty"`
+}
+
+// DecodeEntry parses one entry and refuses it unless it names a key and its
+// payload is framed as a binary plan (planwire.Framed): a payload no client
+// could decode must not be stored and then served as a hit. Every intake —
+// disk restore, a replication push, the warm-up stream — decodes here.
+// Unknown fields are ignored, so records that also carried the plan's JSON
+// form still decode.
+func DecodeEntry(data []byte) (Entry, error) {
+	var e Entry
+	if err := json.Unmarshal(data, &e); err != nil {
+		return Entry{}, fmt.Errorf("fleet: entry: %w", err)
+	}
+	if e.Key == "" || !planwire.Framed(e.Bin) {
+		return Entry{}, fmt.Errorf("fleet: entry: a key and a framed plan payload are required")
+	}
+	return e, nil
 }
 
 // Client is the intra-fleet HTTP client. Safe for concurrent use.
@@ -138,18 +156,17 @@ func (c *Client) StreamEntries(ctx context.Context, peer string, fn func(Entry) 
 	}
 	n := 0
 	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 0, 64<<10), 64<<20) // model-scale plans are ~100 KB of JSON, base64'd
+	// Model-scale plans are a few KiB of binary, base64'd; the cap leaves
+	// room for far larger ones.
+	sc.Buffer(make([]byte, 0, 64<<10), 64<<20)
 	for sc.Scan() {
 		line := bytes.TrimSpace(sc.Bytes())
 		if len(line) == 0 {
 			continue
 		}
-		var e Entry
-		if err := json.Unmarshal(line, &e); err != nil {
+		e, err := DecodeEntry(line)
+		if err != nil {
 			return n, fmt.Errorf("fleet: entries from %s: %w", peer, err)
-		}
-		if e.Key == "" || len(e.Plan) == 0 {
-			continue
 		}
 		if !fn(e) {
 			return n, nil

@@ -30,11 +30,6 @@ import (
 	"time"
 )
 
-// binaryPlanContentType mirrors serve.BinaryPlanContentType (the wire
-// contract; the serve package stays unimported so loadgen measures the
-// daemon strictly from outside).
-const binaryPlanContentType = "application/x-hap-plan"
-
 // Options configures one load run.
 type Options struct {
 	// Target is the daemon base URL (e.g. "http://127.0.0.1:8080").
@@ -247,10 +242,6 @@ type executor struct {
 
 func (e *executor) do(ctx context.Context, spec Spec) Result {
 	res := Result{Class: spec.Class}
-	accept := "application/json"
-	if spec.Class == SingleBinary {
-		accept = binaryPlanContentType + ", application/json"
-	}
 	cctx := ctx
 	if spec.Class == Cancel {
 		var cancel context.CancelFunc
@@ -264,7 +255,6 @@ func (e *executor) do(ctx context.Context, spec Spec) Result {
 		return res
 	}
 	req.Header.Set("Content-Type", "application/json")
-	req.Header.Set("Accept", accept)
 	if spec.Class == Conditional {
 		if tag, ok := e.etags.Load(spec.Item); ok {
 			req.Header.Set("If-None-Match", tag.(string))

@@ -199,7 +199,7 @@ func TestE2EOverload(t *testing.T) {
 	// single slot. Near-uniform popularity keeps keys distinct so sheds come
 	// from admission, not single-flight joins.
 	rep, err := load.Run(context.Background(), load.Options{
-		Target: srv.URL, Corpus: corpus, Mix: load.Mix{Single: 3, SingleBinary: 1},
+		Target: srv.URL, Corpus: corpus, Mix: load.Mix{Single: 4},
 		Seed: 5, ZipfS: 1.01, Concurrency: 6, Requests: 48,
 	})
 	if err != nil {

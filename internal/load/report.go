@@ -78,7 +78,7 @@ type Report struct {
 
 	// Classes holds latency summaries keyed by class: "all" (every
 	// successfully answered plan request), the request classes ("single",
-	// "single_bin", "cond", "cancel"), and the outcome classes ("warm",
+	// "cond", "cancel"), and the outcome classes ("warm",
 	// "miss", "proxied", "shed").
 	Classes map[string]ClassStats `json:"classes"`
 }

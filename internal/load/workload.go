@@ -7,9 +7,8 @@
 // The workload is a seeded corpus of (graph, cluster) pairs whose request
 // popularity is zipf-distributed — production plan traffic is not i.i.d.:
 // a handful of (model, cluster) pairs dominate, with a long cold tail —
-// plus a request mix covering the daemon's real surface: synthesis with JSON
-// and binary content negotiation, conditional fetch with If-None-Match, and
-// requests cancelled mid-flight. Everything is deterministic under a seed, so
+// plus a request mix covering the daemon's real surface: synthesis,
+// conditional fetch with If-None-Match, and requests cancelled mid-flight. Everything is deterministic under a seed, so
 // a latency regression reproduces.
 package load
 
@@ -29,10 +28,9 @@ import (
 type Class uint8
 
 const (
-	// Single is POST /v1/synthesize with a JSON-plan Accept.
+	// Single is POST /v1/synthesize with the corpus body and no Accept
+	// header: the daemon answers every plan request with the binary payload.
 	Single Class = iota
-	// SingleBinary negotiates the compact binary plan encoding.
-	SingleBinary
 	// Conditional revalidates with If-None-Match using the last seen ETag;
 	// a warm server answers 304 with no body.
 	Conditional
@@ -48,8 +46,6 @@ func (c Class) String() string {
 	switch c {
 	case Single:
 		return "single"
-	case SingleBinary:
-		return "single_bin"
 	case Conditional:
 		return "cond"
 	case Cancel:
@@ -61,21 +57,19 @@ func (c Class) String() string {
 // Mix weighs the request classes. Zero-valued fields get no traffic; a
 // zero-valued Mix means DefaultMix.
 type Mix struct {
-	Single       int
-	SingleBinary int
-	Conditional  int
-	Cancel       int
+	Single      int
+	Conditional int
+	Cancel      int
 }
 
-// DefaultMix is a plausible production blend: mostly fetches split across
-// encodings, a conditional-revalidation slice, and a trickle of abandoned
-// requests.
+// DefaultMix is a plausible production blend: mostly fetches, a
+// conditional-revalidation slice, and a trickle of abandoned requests.
 func DefaultMix() Mix {
-	return Mix{Single: 30, SingleBinary: 25, Conditional: 20, Cancel: 5}
+	return Mix{Single: 55, Conditional: 20, Cancel: 5}
 }
 
 func (m Mix) weights() [numClasses]int {
-	return [numClasses]int{m.Single, m.SingleBinary, m.Conditional, m.Cancel}
+	return [numClasses]int{m.Single, m.Conditional, m.Cancel}
 }
 
 func (m Mix) total() int {
@@ -91,7 +85,7 @@ func (m Mix) total() int {
 const maxMixWeight = 1_000_000
 
 // ParseMix reads "class=weight,..." using the report class names (single,
-// single_bin, cond, cancel); each weight is an integer in [0, 1000000]. An
+// cond, cancel); each weight is an integer in [0, 1000000]. An
 // empty string parses to the zero Mix, which means DefaultMix; a non-empty
 // one must give some class a weight.
 func ParseMix(s string) (Mix, error) {
@@ -100,10 +94,9 @@ func ParseMix(s string) (Mix, error) {
 		return m, nil
 	}
 	fields := map[string]*int{
-		"single":     &m.Single,
-		"single_bin": &m.SingleBinary,
-		"cond":       &m.Conditional,
-		"cancel":     &m.Cancel,
+		Single.String():      &m.Single,
+		Conditional.String(): &m.Conditional,
+		Cancel.String():      &m.Cancel,
 	}
 	for _, part := range strings.Split(s, ",") {
 		part = strings.TrimSpace(part)
@@ -116,7 +109,7 @@ func ParseMix(s string) (Mix, error) {
 		}
 		p, known := fields[strings.TrimSpace(name)]
 		if !known {
-			return Mix{}, fmt.Errorf("load: mix entry %q: unknown class %q", part, name)
+			return Mix{}, fmt.Errorf("load: mix entry %q: unknown class %q (known: %s, %s, %s)", part, name, Single, Conditional, Cancel)
 		}
 		w, err := strconv.Atoi(strings.TrimSpace(val))
 		if err != nil || w < 0 || w > maxMixWeight {

@@ -3,6 +3,7 @@ package load
 import (
 	"bytes"
 	"encoding/json"
+	"strings"
 	"testing"
 )
 
@@ -97,8 +98,7 @@ func TestGeneratorDeterministicAndZipf(t *testing.T) {
 	mix := DefaultMix()
 	total := mix.total()
 	for class, weight := range map[Class]int{
-		Single: mix.Single, SingleBinary: mix.SingleBinary,
-		Conditional: mix.Conditional, Cancel: mix.Cancel,
+		Single: mix.Single, Conditional: mix.Conditional, Cancel: mix.Cancel,
 	} {
 		want := n * weight / total
 		got := classes[class]
@@ -133,17 +133,18 @@ func TestParseMix(t *testing.T) {
 		ok   bool
 	}{
 		{"", Mix{}, true},
-		{"single=30, single_bin=25,cond=20,cancel=5", DefaultMix(), true},
+		{"single=55, cond=20,cancel=5", DefaultMix(), true},
 		{"cond=1", Mix{Conditional: 1}, true},
-		{"single=1000000,single_bin=1000000,cond=1000000,cancel=1000000",
-			Mix{Single: 1000000, SingleBinary: 1000000, Conditional: 1000000, Cancel: 1000000}, true},
+		{"single=1000000,cond=1000000,cancel=1000000",
+			Mix{Single: 1000000, Conditional: 1000000, Cancel: 1000000}, true},
 		{"single=9223372036854775807,cond=1", Mix{}, false},
-		{"single=9223372036854775807,single_bin=9223372036854775807,cond=2", Mix{}, false},
+		{"single=9223372036854775807,cancel=9223372036854775807,cond=2", Mix{}, false},
 		{"single=1000001", Mix{}, false},
 		{"single=-1,cond=1", Mix{}, false},
 		{"single=0,cancel=0", Mix{}, false},
 		{"single", Mix{}, false},
 		{"batch=1", Mix{}, false},
+		{"single=3,single_bin=1", Mix{}, false},
 		{"cond=1.5", Mix{}, false},
 	} {
 		m, err := ParseMix(tc.in)
@@ -153,6 +154,9 @@ func TestParseMix(t *testing.T) {
 		}
 		if m != tc.want {
 			t.Errorf("ParseMix(%q) = %+v, want %+v", tc.in, m, tc.want)
+		}
+		if err != nil && strings.Contains(err.Error(), "unknown class") && !strings.Contains(err.Error(), "(known: single, cond, cancel)") {
+			t.Errorf("ParseMix(%q): %v, want the known classes listed", tc.in, err)
 		}
 		if err == nil && tc.in != "" && m.total() <= 0 {
 			t.Errorf("ParseMix(%q) accepted a mix with total %d", tc.in, m.total())

@@ -87,16 +87,10 @@ func ReadBinary(data []byte, g *graph.Graph, fp string) (*dist.Program, [][]floa
 	fail := func(err error) (*dist.Program, [][]float64, float64, error) {
 		return nil, nil, 0, fmt.Errorf("hap: read binary plan: %w", err)
 	}
-	if len(data) < 8 || !bytes.Equal(data[len(data)-4:], Magic[:]) {
-		return fail(fmt.Errorf("missing %q suffix (not written by WriteProgramBinary?)", Magic[:]))
+	progEnd, err := frame(data)
+	if err != nil {
+		return fail(err)
 	}
-	// The length field is untrusted: compare in uint64 so a huge value cannot
-	// wrap through int conversion on 32-bit platforms and dodge the check.
-	tlen32 := binary.BigEndian.Uint32(data[len(data)-8 : len(data)-4])
-	if uint64(tlen32)+8 > uint64(len(data)) {
-		return fail(fmt.Errorf("trailer length %d exceeds the %d-byte payload", tlen32, len(data)))
-	}
-	progEnd := len(data) - 8 - int(tlen32)
 	var tr Trailer
 	if err := json.Unmarshal(data[progEnd:len(data)-8], &tr); err != nil {
 		return fail(fmt.Errorf("trailer: %w", err))
@@ -114,6 +108,34 @@ func ReadBinary(data []byte, g *graph.Graph, fp string) (*dist.Program, [][]floa
 		return fail(err)
 	}
 	return prog, tr.Ratios, tr.Cost, nil
+}
+
+// frame checks a binary payload's framing, decoding nothing — the trailer
+// length and Magic at the end, a trailer that lies inside the payload after
+// the program's 4-byte magic, and that magic at the start — and returns
+// where the trailer begins.
+func frame(data []byte) (int, error) {
+	if len(data) < 8 || !bytes.Equal(data[len(data)-4:], Magic[:]) {
+		return 0, fmt.Errorf("missing %q suffix (not written by WriteProgramBinary?)", Magic[:])
+	}
+	// The length field is untrusted: compare in uint64 so a huge value cannot
+	// wrap through int conversion on 32-bit platforms and dodge the check.
+	tlen32 := binary.BigEndian.Uint32(data[len(data)-8 : len(data)-4])
+	if uint64(tlen32)+8+4 > uint64(len(data)) {
+		return 0, fmt.Errorf("trailer length %d exceeds the %d-byte payload", tlen32, len(data))
+	}
+	if !dist.HasBinaryMagic(data) {
+		return 0, fmt.Errorf("no binary program magic (not written by WriteProgramBinary?)")
+	}
+	return len(data) - 8 - int(tlen32), nil
+}
+
+// Framed reports whether data is framed as a binary plan payload (see
+// frame). A plan store checks this on intake, where there is no graph to
+// bind a decode to.
+func Framed(data []byte) bool {
+	_, err := frame(data)
+	return err == nil
 }
 
 // checkSegments rejects a carried segment assignment that does not cover g.

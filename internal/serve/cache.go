@@ -1,7 +1,7 @@
 // A concurrency-safe LRU cache for encoded plans, bounded both by entry
-// count and by total value bytes. Plans for model-scale graphs run ~100 KB
-// of JSON each (see ROADMAP), so the byte cap is the binding limit in
-// production; the entry cap is a backstop against many tiny plans. Entries
+// count and by total value bytes. A model-scale plan is about 1–3 KiB of
+// binary payload, so the entry cap is the binding limit in production; the
+// byte cap is a backstop against a few very large plans. Entries
 // carry their insert time so a TTL sweep can expire a slowly-rotating
 // working set that the capacity caps would keep forever.
 

@@ -10,7 +10,7 @@ import (
 )
 
 // bp wraps raw bytes as a header-less CachedPlan for cache tests.
-func bp(s string) CachedPlan { return CachedPlan{Plan: []byte(s)} }
+func bp(s string) CachedPlan { return CachedPlan{Bin: []byte(s)} }
 
 func TestLRUEntryCapEvictsOldest(t *testing.T) {
 	c := newLRUCache(2, 1<<20)
@@ -32,8 +32,8 @@ func TestLRUEntryCapEvictsOldest(t *testing.T) {
 
 func TestLRUByteCapEvicts(t *testing.T) {
 	c := newLRUCache(100, 10)
-	c.add("a", CachedPlan{Plan: make([]byte, 6)}, time.Now())
-	c.add("b", CachedPlan{Plan: make([]byte, 6)}, time.Now()) // 12 > 10: "a" must go
+	c.add("a", CachedPlan{Bin: make([]byte, 6)}, time.Now())
+	c.add("b", CachedPlan{Bin: make([]byte, 6)}, time.Now()) // 12 > 10: "a" must go
 	if _, ok := c.get("a"); ok {
 		t.Error("byte cap not enforced")
 	}
@@ -58,7 +58,7 @@ func TestLRUGetRefreshesRecency(t *testing.T) {
 
 func TestLRUOversizedValueNotCached(t *testing.T) {
 	c := newLRUCache(10, 4)
-	c.add("big", CachedPlan{Plan: make([]byte, 5)}, time.Now())
+	c.add("big", CachedPlan{Bin: make([]byte, 5)}, time.Now())
 	if _, ok := c.get("big"); ok {
 		t.Error("value above the byte cap was cached")
 	}
@@ -72,8 +72,8 @@ func TestLRUUpdateExistingKey(t *testing.T) {
 	c.add("a", bp("1"), time.Now())
 	c.add("a", bp("1234"), time.Now())
 	v, ok := c.get("a")
-	if !ok || string(v.Plan) != "1234" {
-		t.Errorf("get after update = %q, %v", v.Plan, ok)
+	if !ok || string(v.Bin) != "1234" {
+		t.Errorf("get after update = %q, %v", v.Bin, ok)
 	}
 	if entries, bytes, _ := c.snapshot(); entries != 1 || bytes != 4 {
 		t.Errorf("snapshot = (%d, %d), want (1, 4)", entries, bytes)
@@ -130,8 +130,8 @@ func TestSingleFlightSharesResult(t *testing.T) {
 	}
 	nonShared := 0
 	for i := range results {
-		if string(results[i].Plan) != "result" {
-			t.Errorf("caller %d got %q", i, results[i].Plan)
+		if string(results[i].Bin) != "result" {
+			t.Errorf("caller %d got %q", i, results[i].Bin)
 		}
 		if !shared[i] {
 			nonShared++
@@ -193,8 +193,8 @@ func TestSingleFlightRefCountedCancellation(t *testing.T) {
 	}
 	close(release)
 	w := <-waiterDone
-	if w.err != nil || string(w.val.Plan) != "plan" {
-		t.Fatalf("waiter got (%q, %v), want the owner's plan", w.val.Plan, w.err)
+	if w.err != nil || string(w.val.Bin) != "plan" {
+		t.Fatalf("waiter got (%q, %v), want the owner's plan", w.val.Bin, w.err)
 	}
 	<-ownerDone
 

@@ -119,7 +119,7 @@ func (s *Server) fleetHealth() *fleetHealthPayload {
 // ships the trace ID and the span's ID in the trace header, so the peer's
 // spans — returned in its response trace header — merge under this hop and
 // the cross-node request reads as one tree.
-func (s *Server) proxyPlanRequest(w http.ResponseWriter, r *http.Request, body []byte, key string, binary bool, rt *requestTrace) bool {
+func (s *Server) proxyPlanRequest(w http.ResponseWriter, r *http.Request, body []byte, key string, rt *requestTrace) bool {
 	f := s.cfg.Fleet
 	if f == nil {
 		return false
@@ -127,10 +127,6 @@ func (s *Server) proxyPlanRequest(w http.ResponseWriter, r *http.Request, body [
 	owner := f.Owner(key)
 	if owner == "" || owner == f.Self() {
 		return false
-	}
-	accept := "application/json"
-	if binary {
-		accept = BinaryPlanContentType + ", application/json"
 	}
 	// Candidates: owner first, then the replica set (minus self — we
 	// already missed locally). Unhealthy peers are tried last rather than
@@ -150,7 +146,7 @@ func (s *Server) proxyPlanRequest(w http.ResponseWriter, r *http.Request, body [
 	for _, peer := range append(healthy, down...) {
 		ps := rt.span("proxy")
 		ps.SetAttrStr("peer", peer)
-		resp, err := f.Client.Forward(r.Context(), peer, "/v1/synthesize", body, accept, f.Self(), r.Header.Get("If-None-Match"), rt.forwardHeader(ps))
+		resp, err := f.Client.Forward(r.Context(), peer, "/v1/synthesize", body, BinaryPlanContentType, f.Self(), r.Header.Get("If-None-Match"), rt.forwardHeader(ps))
 		if err != nil {
 			if errors.Is(err, context.Canceled) || r.Context().Err() != nil {
 				ps.End()
@@ -254,14 +250,13 @@ func (s *Server) handleFleetEntries(w http.ResponseWriter, r *http.Request) {
 			return true
 		})
 	case http.MethodPost:
-		var e fleet.Entry
-		dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.cfg.MaxRequestBytes))
-		if err := dec.Decode(&e); err != nil {
-			s.fail(w, http.StatusBadRequest, CodeBadRequest, "bad entry: %v", err)
+		body, ok := s.readBody(w, r)
+		if !ok {
 			return
 		}
-		if e.Key == "" || len(e.Plan) == 0 {
-			s.fail(w, http.StatusBadRequest, CodeBadRequest, "bad entry: key and plan are required")
+		e, err := fleet.DecodeEntry(body)
+		if err != nil {
+			s.fail(w, http.StatusBadRequest, CodeBadRequest, "bad entry: %v", err)
 			return
 		}
 		s.store.Put(e.Key, planOf(e))
@@ -308,15 +303,16 @@ func (s *Server) WarmFrom(ctx context.Context, peers []string) (int, error) {
 }
 
 // entryOf and planOf convert between a stored plan and its fleet wire form.
-// The version travels with the entry; the receiving store derives the ETag
-// from the plan bytes, as it does for every Put. The plan source does not
-// travel: a received entry replans on its owner.
+// A plan file on disk is the same record. The version travels with the
+// entry; the receiving store derives the ETag from the plan bytes, as it does
+// for every Put. The plan source does not travel: a received entry replans on
+// its owner.
 func entryOf(key string, v CachedPlan) fleet.Entry {
-	return fleet.Entry{Key: key, Plan: v.Plan, Bin: v.Bin, Version: v.Version}
+	return fleet.Entry{Key: key, Bin: v.Bin, Version: v.Version}
 }
 
 func planOf(e fleet.Entry) CachedPlan {
-	return CachedPlan{Plan: e.Plan, Bin: e.Bin, Version: e.Version}
+	return CachedPlan{Bin: e.Bin, Version: e.Version}
 }
 
 func contains(list []string, s string) bool {

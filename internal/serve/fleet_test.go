@@ -11,6 +11,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -374,7 +375,7 @@ func TestFleetEntriesRoundTrip(t *testing.T) {
 	srv := httptest.NewServer(s.Handler())
 	defer srv.Close()
 
-	e := fleet.Entry{Key: "k1", Plan: []byte(`{"plan":true}`), Bin: []byte{1, 2, 3}}
+	e := fleet.Entry{Key: "k1", Bin: framed("plan"), Version: 4}
 	push, _ := json.Marshal(e)
 	resp, err := http.Post(srv.URL+fleet.EntriesPath, "application/json", bytes.NewReader(push))
 	if err != nil {
@@ -384,7 +385,7 @@ func TestFleetEntriesRoundTrip(t *testing.T) {
 	if resp.StatusCode != http.StatusNoContent {
 		t.Fatalf("push: status %d, want 204", resp.StatusCode)
 	}
-	if v, ok := s.store.Get("k1"); !ok || !bytes.Equal(v.Plan, e.Plan) || !bytes.Equal(v.Bin, e.Bin) {
+	if v, ok := s.store.Get("k1"); !ok || !bytes.Equal(v.Bin, e.Bin) || v.Version != e.Version {
 		t.Fatalf("pushed entry did not land in the store: %+v, %v", v, ok)
 	}
 
@@ -405,7 +406,7 @@ func TestFleetEntriesRoundTrip(t *testing.T) {
 		}
 		streamed = append(streamed, got)
 	}
-	if len(streamed) != 1 || streamed[0].Key != "k1" || !bytes.Equal(streamed[0].Plan, e.Plan) {
+	if len(streamed) != 1 || !reflect.DeepEqual(streamed[0], e) {
 		t.Errorf("streamed entries = %+v, want the pushed entry back", streamed)
 	}
 
@@ -424,11 +425,11 @@ func TestFleetEntriesRoundTrip(t *testing.T) {
 // arrived with — a replication push or a restored file with a wrong one must
 // not make If-None-Match answer 304 for bytes the client does not hold.
 func TestStoreIgnoresSuppliedETag(t *testing.T) {
-	plan := []byte(`{"plan":true}`)
+	plan := framed("plan")
 	want := ETagFor(plan)
 	const forged = `"0000000000000000"`
 	_, url := newKeyFirstServer(t, Config{})
-	push := fmt.Sprintf(`{"key":"k1","plan":"%s","version":3,"etag":%q}`, base64.StdEncoding.EncodeToString(plan), forged)
+	push := fmt.Sprintf(`{"key":"k1","bin":"%s","version":3,"etag":%q}`, base64.StdEncoding.EncodeToString(plan), forged)
 	resp, err := http.Post(url+fleet.EntriesPath, "application/json", strings.NewReader(push))
 	if err != nil {
 		t.Fatal(err)
@@ -449,7 +450,7 @@ func TestStoreIgnoresSuppliedETag(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	file, _ := json.Marshal(map[string]any{"key": "k2", "plan": plan, "version": 2, "etag": forged})
+	file, _ := json.Marshal(map[string]any{"key": "k2", "bin": plan, "version": 2, "etag": forged})
 	if err := os.WriteFile(d.path("k2"), file, 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -466,7 +467,7 @@ func TestFleetWarmup(t *testing.T) {
 	source := New(Config{})
 	defer source.Close()
 	for i := 0; i < 3; i++ {
-		source.store.Put(fmt.Sprintf("k%d", i), CachedPlan{Plan: []byte(fmt.Sprintf("plan-%d", i))})
+		source.store.Put(fmt.Sprintf("k%d", i), CachedPlan{Bin: framed(fmt.Sprintf("plan-%d", i))})
 	}
 	srcSrv := httptest.NewServer(source.Handler())
 	defer srcSrv.Close()
@@ -495,8 +496,8 @@ func TestFleetWarmup(t *testing.T) {
 	dying := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/x-ndjson")
 		enc := json.NewEncoder(w)
-		enc.Encode(fleet.Entry{Key: "p0", Plan: []byte("plan")})
-		enc.Encode(fleet.Entry{Key: "p1", Plan: []byte("plan")})
+		enc.Encode(fleet.Entry{Key: "p0", Bin: framed("plan")})
+		enc.Encode(fleet.Entry{Key: "p1", Bin: framed("plan")})
 		w.(http.Flusher).Flush()
 		panic(http.ErrAbortHandler) // slam the connection mid-response
 	}))
@@ -530,7 +531,7 @@ func TestFleetWarmupKeepsHottest(t *testing.T) {
 	source := New(Config{})
 	defer source.Close()
 	for i := 0; i < 3; i++ {
-		source.store.Put(fmt.Sprintf("k%d", i), CachedPlan{Plan: []byte(fmt.Sprintf("plan-%d", i))})
+		source.store.Put(fmt.Sprintf("k%d", i), CachedPlan{Bin: framed(fmt.Sprintf("plan-%d", i))})
 	}
 	srcSrv := httptest.NewServer(source.Handler())
 	defer srcSrv.Close()
@@ -567,7 +568,7 @@ func TestFleetWarmupRestartKeepsRecency(t *testing.T) {
 	source := New(Config{})
 	defer source.Close()
 	for i := 0; i < 3; i++ {
-		source.store.Put(fmt.Sprintf("k%d", i), CachedPlan{Plan: []byte(fmt.Sprintf("plan-%d", i))})
+		source.store.Put(fmt.Sprintf("k%d", i), CachedPlan{Bin: framed(fmt.Sprintf("plan-%d", i))})
 	}
 	srcSrv := httptest.NewServer(source.Handler())
 	defer srcSrv.Close()

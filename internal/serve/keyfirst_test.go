@@ -47,7 +47,8 @@ type answer struct {
 	body   []byte
 }
 
-// ask posts body to /v1/synthesize negotiating the binary plan form.
+// ask posts body to /v1/synthesize as the client does, asking for the binary
+// plan form.
 func ask(t *testing.T, url string, body []byte, ifNoneMatch string) answer {
 	t.Helper()
 	req, err := http.NewRequest(http.MethodPost, url+"/v1/synthesize", bytes.NewReader(body))
@@ -151,8 +152,8 @@ func TestClientKeyEqualsServerKey(t *testing.T) {
 }
 
 // TestKeyOnlyRequest: a key in the store is answered exactly like a full-body
-// hit — same bytes, same tag, 304 on revalidation, JSON when that is what
-// Accept asks for, one cache_hits each — and any other key gets need_body
+// hit — same bytes, same tag, 304 on revalidation, the same binary answer
+// without an Accept header, one cache_hits each — and any other key gets need_body
 // without touching the miss or error counters.
 func TestKeyOnlyRequest(t *testing.T) {
 	s, url := newKeyFirstServer(t, Config{})
@@ -176,9 +177,9 @@ func TestKeyOnlyRequest(t *testing.T) {
 		t.Errorf("key-only revalidation: status %d, %d body bytes, tag %q; want an empty 304 with %q", a.status, len(a.body), a.etag, full.etag)
 	}
 	resp := postPath(t, url, "/v1/synthesize", keyBody(key), "")
-	jsonPlan := readAll(t, resp)
-	if _, err := hap.ReadProgram(bytes.NewReader(jsonPlan), testGraph(t)); err != nil || resp.Header.Get("X-HAP-Cache") != "hit" {
-		t.Errorf("key-only hit without the binary Accept: cache %q, JSON plan error %v", resp.Header.Get("X-HAP-Cache"), err)
+	noAccept := readAll(t, resp)
+	if ct := resp.Header.Get("Content-Type"); !bytes.Equal(noAccept, full.body) || ct != BinaryPlanContentType || resp.Header.Get("X-HAP-Cache") != "hit" {
+		t.Errorf("key-only hit without an Accept header: cache %q, Content-Type %q, same bytes %v; want the binary hit", resp.Header.Get("X-HAP-Cache"), ct, bytes.Equal(noAccept, full.body))
 	}
 	wantCounters(t, s, 4, 1, 0)
 
@@ -297,7 +298,7 @@ func TestOversizedBodyBeatsMemo(t *testing.T) {
 	key := clientKey(testGraph(t), c, RequestOptions{})
 	s.memo.put(sha256.Sum256(body), key)
 	s.memo.put(sha256.Sum256(body[:len(body)-1]), key)
-	s.store.Put(key, CachedPlan{Plan: []byte(`{}`), Bin: []byte{0}})
+	s.store.Put(key, CachedPlan{Bin: framed("plan")})
 
 	resp := postPath(t, url, "/v1/synthesize", body, "")
 	raw := readAll(t, resp)

@@ -108,8 +108,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	gauge := func(name, help string, v float64) {
 		fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s gauge\n%s %g\n", name, help, name, name, v)
 	}
-	fmt.Fprintf(&b, "# HELP hap_serve_requests_by_endpoint_total Plan requests, by wire endpoint.\n# TYPE hap_serve_requests_by_endpoint_total counter\n")
-	fmt.Fprintf(&b, "hap_serve_requests_by_endpoint_total{endpoint=%q} %d\n", EndpointV1, st.Requests)
 	fmt.Fprintf(&b, "# HELP hap_serve_request_seconds Request wall time by wire endpoint, including rejected requests.\n# TYPE hap_serve_request_seconds histogram\n")
 	writeHistogram(&b, "hap_serve_request_seconds", EndpointV1, latency)
 	// Synthesis-phase summaries, fed by completed trace spans recorded on

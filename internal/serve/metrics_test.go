@@ -164,7 +164,6 @@ func TestMetricsSeriesNames(t *testing.T) {
 		}
 	}
 	want := []string{
-		"hap_serve_requests_by_endpoint_total counter",
 		"hap_serve_request_seconds histogram",
 		"hap_serve_synth_phase_seconds summary",
 		"hap_serve_slow_requests_total counter",

@@ -23,27 +23,13 @@ import (
 	"sort"
 	"strings"
 	"time"
+
+	"hap/internal/fleet"
 )
 
-// planFileExt names persisted plan files.
+// planFileExt names persisted plan files. Each holds one fleet.Entry, the
+// record a plan crossing the fleet wire travels as.
 const planFileExt = ".plan"
-
-// persistedPlan is the on-disk envelope of one cached plan. Both payloads
-// travel base64-encoded: the plan JSON must be restored byte-for-byte (a
-// marshalled RawMessage would be compacted, silently changing the bytes a
-// restarted server serves for the same content address).
-type persistedPlan struct {
-	// Key is the full cache key; the filename is only its hash.
-	Key string `json:"key"`
-	// Plan is the WriteProgram JSON, byte-exact.
-	Plan []byte `json:"plan"`
-	// Bin is the WriteProgramBinary payload.
-	Bin []byte `json:"bin,omitempty"`
-	// Version is the plan version (see CachedPlan); files from before
-	// versioning restore with zero and are normalized on load. The ETag is
-	// not stored: the store derives it from Plan on every restore.
-	Version uint64 `json:"version,omitempty"`
-}
 
 type diskStore struct {
 	dir string
@@ -78,7 +64,7 @@ func (d *diskStore) path(key string) string {
 // entry's LRU stamp). Errors are swallowed: persistence never fails a
 // request.
 func (d *diskStore) save(key string, v CachedPlan, at time.Time) {
-	data, err := json.Marshal(persistedPlan{Key: key, Plan: v.Plan, Bin: v.Bin, Version: v.Version})
+	data, err := json.Marshal(entryOf(key, v))
 	if err != nil {
 		return
 	}
@@ -112,7 +98,8 @@ func (d *diskStore) remove(key string) {
 // and a restart preserves the LRU's eviction order instead of replaying the
 // directory's arbitrary listing order. Files last written before cutoff
 // (the TTL horizon; zero disables) are deleted instead of restored. Returns
-// how many plans add accepted. Corrupt or foreign files are skipped, not
+// how many plans add accepted. Corrupt or foreign files, and files whose
+// payload is not a framed binary plan (fleet.DecodeEntry), are skipped, not
 // fatal.
 func (d *diskStore) load(cutoff time.Time, add func(key string, v CachedPlan, mtime time.Time) bool) int {
 	entries, err := os.ReadDir(d.dir)
@@ -145,11 +132,11 @@ func (d *diskStore) load(cutoff time.Time, add func(key string, v CachedPlan, mt
 		if err != nil {
 			continue
 		}
-		var p persistedPlan
-		if err := json.Unmarshal(data, &p); err != nil || p.Key == "" || len(p.Plan) == 0 {
+		e, err := fleet.DecodeEntry(data)
+		if err != nil {
 			continue
 		}
-		if add(p.Key, CachedPlan{Plan: p.Plan, Bin: p.Bin, Version: p.Version}, f.mtime) {
+		if add(e.Key, planOf(e), f.mtime) {
 			restored++
 		}
 	}

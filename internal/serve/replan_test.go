@@ -199,7 +199,7 @@ func TestBatchSiblingsReplanConcurrently(t *testing.T) {
 	}
 	for i, spec := range specs {
 		_, _, _, plan := postConditional(t, srv.URL, requestBody(t, testGraph(t), spec, opts), "")
-		p, err := hap.ReadProgram(bytes.NewReader(plan), testGraph(t))
+		p, err := hap.ReadProgramBinary(bytes.NewReader(plan), testGraph(t))
 		if err != nil {
 			t.Fatalf("replanned plan %d does not decode: %v", i, err)
 		}
@@ -260,5 +260,47 @@ func TestDriftReportPromotesNothing(t *testing.T) {
 	}
 	if _, ok := s.store.cache.peek(cacheKey(other, alt, RequestOptions{})); !ok {
 		t.Error("the plan no report touched was evicted in place of the reported one")
+	}
+}
+
+// TestReplanOntoSameBytesKeepsTagAndVersion: a drift replan whose binary
+// payload comes back byte-identical swaps nothing. The entry keeps its ETag
+// and version, a warm client's revalidation still answers 304, and the replan
+// is counted as unchanged.
+func TestReplanOntoSameBytesKeepsTagAndVersion(t *testing.T) {
+	spec := testCluster()
+	s := New(Config{
+		// The drifted view plans on spec, so the replan reproduces the
+		// cached payload exactly.
+		Synthesize: func(ctx context.Context, g *graph.Graph, _ *cluster.Cluster, opt hap.Options) (*hap.Plan, error) {
+			return planWith(g, spec, opt)
+		},
+	})
+	defer s.Close()
+	srv := httptest.NewServer(s.Handler())
+	defer srv.Close()
+	body := requestBody(t, testGraph(t), spec, RequestOptions{})
+	status, etag1, ver1, plan1 := postConditional(t, srv.URL, body, "")
+	if status != http.StatusOK || ver1 != "1" || etag1 != ETagFor(plan1) {
+		t.Fatalf("fill: status %d version %q tag %s, want 200, 1 and the payload's hash", status, ver1, etag1)
+	}
+
+	if status, tr, raw := postTelemetry(t, srv.URL, driftReport(t, spec)); status != http.StatusOK || tr.ReplansStarted != 1 {
+		t.Fatalf("drift report: status %d replans=%d: %s", status, tr.ReplansStarted, raw)
+	}
+	deadline := time.Now().Add(30 * time.Second)
+	for s.Stats().Telemetry.ReplansUnchanged != 1 {
+		if ts := s.Stats().Telemetry; ts.Replans+ts.ReplanErrors != 0 || time.Now().After(deadline) {
+			t.Fatalf("the replan did not come back unchanged: %+v", ts)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+
+	status, etag, ver, plan := postConditional(t, srv.URL, body, "")
+	if status != http.StatusOK || etag != etag1 || ver != ver1 || !bytes.Equal(plan, plan1) {
+		t.Errorf("after the unchanged replan: status %d tag %s version %q, same bytes %v; want %s, %q and true", status, etag, ver, bytes.Equal(plan, plan1), etag1, ver1)
+	}
+	if status, _, _, _ := postConditional(t, srv.URL, body, etag1); status != http.StatusNotModified {
+		t.Errorf("revalidation after the unchanged replan: status %d, want 304", status)
 	}
 }

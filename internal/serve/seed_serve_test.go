@@ -74,9 +74,9 @@ func TestServeIncrementalSynthesis(t *testing.T) {
 	// The seeded plan must re-bind to a fresh rebuild of the widened model
 	// and pass numeric verification, exactly like a cold plan.
 	g2 := seedServeGraph(64, 96, 96, 112, 96, 96, 96, 32)
-	p, err := hap.ReadProgram(bytes.NewReader(plan), g2)
+	p, err := hap.ReadProgramBinary(bytes.NewReader(plan), g2)
 	if err != nil {
-		t.Fatalf("ReadProgram on seeded plan: %v", err)
+		t.Fatalf("ReadProgramBinary on seeded plan: %v", err)
 	}
 	if err := p.Program.Validate(); err != nil {
 		t.Fatalf("seeded program ill-formed: %v", err)
@@ -170,8 +170,8 @@ func TestServeEvictedPlanIsNeverDonor(t *testing.T) {
 	}
 
 	miss(base)
-	if d := donorFor(wide); d.key != cacheKey(base, c, RequestOptions{}) || len(d.planJSON) == 0 {
-		t.Fatalf("with base cached, the donor for a near-miss is %q (plan %d bytes), want base", d.key, len(d.planJSON))
+	if d := donorFor(wide); d.key != cacheKey(base, c, RequestOptions{}) || len(d.bin) == 0 {
+		t.Fatalf("with base cached, the donor for a near-miss is %q (payload %d bytes), want base", d.key, len(d.bin))
 	}
 	if hdr := miss(wide); hdr.Get(SeedDistanceHeader) == "" {
 		t.Fatal("a near-miss of a cached plan was not seeded")

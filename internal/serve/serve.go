@@ -34,11 +34,11 @@
 //	GET  /metrics           counters + latency histograms, Prometheus text
 //
 // Errors are answered with a structured JSON envelope {"code", "message"},
-// and plan responses honor content negotiation: a request with
-// Accept: application/x-hap-plan receives the compact binary plan encoding
-// (hap.WriteProgramBinary) instead of JSON. A caller with K clusters for one
-// graph makes K requests: each is a key-first request on its own, so a hit
-// uploads nothing and a miss routes to its own owner.
+// and every plan answer is the binary plan payload (hap.WriteProgramBinary,
+// Content-Type application/x-hap-plan), whatever the Accept header says — the
+// one encoding the daemon stores, persists and replicates. A caller with K
+// clusters for one graph makes K requests: each is a key-first request on its
+// own, so a hit uploads nothing and a miss routes to its own owner.
 package serve
 
 import (
@@ -69,8 +69,8 @@ import (
 // reported by /healthz.
 const ProtocolVersion = "v2"
 
-// BinaryPlanContentType is the media type of the compact binary plan
-// encoding, requested via the Accept header and returned as Content-Type.
+// BinaryPlanContentType is the media type of the binary plan payload, the
+// Content-Type of every plan answer.
 const BinaryPlanContentType = "application/x-hap-plan"
 
 // PlanVersionHeader carries the served plan's monotonic version (see
@@ -82,8 +82,8 @@ const PlanVersionHeader = "X-HAP-Plan-Version"
 // (incremental synthesis). Absent on cache hits and cold syntheses.
 const SeedDistanceHeader = "X-HAP-Seed-Distance"
 
-// EndpointV1 is the endpoint label of /v1/synthesize on the request counter,
-// the latency histogram, request traces and the slow log.
+// EndpointV1 is the endpoint label of /v1/synthesize on the latency
+// histogram, request traces and the slow log.
 const EndpointV1 = "v1"
 
 // Defaults for Config zero values.
@@ -98,8 +98,8 @@ const (
 	DefaultSynthTimeBudget = 60 * time.Second
 )
 
-// maxCacheBytes caps the total bytes of cached plans. Plans are ~100 KB at
-// model scale, so the entry cap binds first.
+// maxCacheBytes caps the total bytes of cached plans. A model-scale plan is
+// about 1–3 KiB of binary payload, so the entry cap binds first.
 const maxCacheBytes = 256 << 20
 
 // shedRetryAfter is the Retry-After hint, in seconds, on admission-shed 429
@@ -252,8 +252,6 @@ type Stats struct {
 	CacheBytes     int64  // bytes currently cached
 	CacheEvictions uint64 // plans evicted by the LRU caps or the TTL sweep
 	CacheRestored  int    // plans reloaded from CacheDir on boot
-	// Requests counts /v1/synthesize requests, rejected ones included.
-	Requests uint64
 	// Fleet reports the fleet-layer counters; nil on a standalone daemon.
 	Fleet *FleetStats
 	// Telemetry reports the probe-ingestion and replanning counters; always
@@ -273,7 +271,6 @@ type Server struct {
 	stopSweep chan struct{}
 	closeOnce sync.Once
 
-	requests     atomic.Uint64
 	hits         atomic.Uint64
 	misses       atomic.Uint64
 	syntheses    atomic.Uint64
@@ -448,7 +445,6 @@ func (s *Server) Stats() Stats {
 		CacheBytes:       ss.Bytes,
 		CacheEvictions:   ss.Evictions,
 		CacheRestored:    ss.Restored,
-		Requests:         s.requests.Load(),
 		Fleet:            s.fleetStats(),
 		Telemetry:        s.telemetryStats(),
 	}
@@ -530,40 +526,14 @@ func (s *Server) failSynthesis(w http.ResponseWriter, err error) {
 	}
 }
 
-// wantsBinaryPlan reports whether the request negotiates the binary plan
-// content type: the Accept header lists it without q=0, which RFC 9110
-// §12.4.2 defines as "not acceptable".
-func wantsBinaryPlan(r *http.Request) bool {
-	for _, accept := range r.Header.Values("Accept") {
-		for _, part := range strings.Split(accept, ",") {
-			mt, params, hasParams := strings.Cut(part, ";")
-			if strings.TrimSpace(mt) == BinaryPlanContentType && !(hasParams && zeroQ(params)) {
-				return true
-			}
-		}
-	}
-	return false
-}
-
-// zeroQ reports whether a media range's parameters carry a zero q weight.
-func zeroQ(params string) bool {
-	for _, p := range strings.Split(params, ";") {
-		name, v, _ := strings.Cut(p, "=")
-		if strings.EqualFold(strings.TrimSpace(name), "q") {
-			q, err := strconv.ParseFloat(strings.TrimSpace(v), 64)
-			return err == nil && q == 0
-		}
-	}
-	return false
-}
-
 // presizeBodyCap caps how much of a declared Content-Length is allocated
 // before any byte arrives; larger bodies grow the buffer as they are read.
 const presizeBodyCap = 1 << 20
 
-// readBody reads the size-capped body of a synthesize request whole: the
-// single-plan endpoints hash the raw bytes before parsing anything (memo.go).
-// Failures are answered on w; the bool reports success.
+// readBody reads the size-capped body of a POST whole: /v1/synthesize hashes
+// the raw bytes before parsing anything (memo.go), and the fleet entry intake
+// decodes them as one record. Failures are answered on w; the bool reports
+// success.
 func (s *Server) readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
 	if r.Method != http.MethodPost {
 		s.fail(w, http.StatusMethodNotAllowed, CodeMethodNotAllowed, "POST required")
@@ -656,9 +626,9 @@ func decodeGraphCluster(req *Request) (*graph.Graph, *cluster.Cluster, error) {
 // handleSynthesize serves POST /v1/synthesize: memo → store → need_body →
 // proxy → planMiss.
 //
-// The request counter increments first, so requests rejected before synthesis
-// (bad method, bad body) count too; the latency histogram is observed on the
-// same boundary, so every request, rejects included, contributes one sample.
+// The latency histogram is observed at entry, so every request, rejects
+// (bad method, bad body) included, contributes one sample: its count is the
+// request count.
 //
 // Whichever way requestKey found the key, the store lookup that follows is
 // the same one a freshly decoded request gets, so a hit is a hit. A request
@@ -667,7 +637,6 @@ func decodeGraphCluster(req *Request) (*graph.Graph, *cluster.Cluster, error) {
 // that follows is the miss), a memoized one is decoded after all.
 func (s *Server) handleSynthesize(w http.ResponseWriter, r *http.Request) {
 	defer s.latency.since(time.Now())
-	s.requests.Add(1)
 	rt, r, w := s.startRequestTrace(w, r)
 	defer rt.finish()
 
@@ -687,7 +656,6 @@ func (s *Server) handleSynthesize(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	binary := wantsBinaryPlan(r)
 	rt.setRole(s.fleetRole(key))
 	forwarded := r.Header.Get(fleet.ForwardHeader) != ""
 	if forwarded {
@@ -699,7 +667,7 @@ func (s *Server) handleSynthesize(w http.ResponseWriter, r *http.Request) {
 	if ok {
 		s.hits.Add(1)
 		rt.setCache("hit")
-		writePlan(w, r, plan, "hit", binary)
+		writePlan(w, r, plan, "hit")
 		return
 	}
 	if keyOnly {
@@ -728,7 +696,7 @@ func (s *Server) handleSynthesize(w http.ResponseWriter, r *http.Request) {
 	// A miss owned by a peer proxies there instead of synthesizing here —
 	// unless the request was already forwarded (a peer decided we should
 	// handle it; re-forwarding could loop across divergent ring views).
-	if !forwarded && s.proxyPlanRequest(w, r, body, key, binary, rt) {
+	if !forwarded && s.proxyPlanRequest(w, r, body, key, rt) {
 		return
 	}
 	plan, seedDist, err := s.planMiss(r.Context(), rt.rootSpan(), key, in)
@@ -739,7 +707,7 @@ func (s *Server) handleSynthesize(w http.ResponseWriter, r *http.Request) {
 	if seedDist >= 0 {
 		w.Header().Set(SeedDistanceHeader, strconv.FormatFloat(seedDist, 'g', -1, 64))
 	}
-	writePlan(w, r, plan, "miss", binary)
+	writePlan(w, r, plan, "miss")
 }
 
 // planMiss is the single-miss function — flight{re-check → gate → donor →
@@ -802,13 +770,13 @@ func (s *Server) planMiss(ctx context.Context, sp *obs.Span, key string, in *pla
 	return plan, seedDist, err
 }
 
-// donor names a cached plan a search may be seeded from, as the raw graph and
-// plan JSON a fresh bind decodes from; shared counts the target's segment
-// sub-fingerprints it shares. The zero donor means none.
+// donor names a cached plan a search may be seeded from, as the raw graph JSON
+// and binary plan payload a fresh bind decodes from; shared counts the
+// target's segment sub-fingerprints it shares. The zero donor means none.
 type donor struct {
-	key                 string
-	graphJSON, planJSON []byte
-	shared              int
+	key            string
+	graphJSON, bin []byte
+	shared         int
 }
 
 // synthesize is the first half of the miss tail and the daemon's one planner
@@ -827,8 +795,8 @@ func (s *Server) synthesize(ctx context.Context, sp *obs.Span, g *graph.Graph, c
 	ho := s.hapOptions(opts)
 	if !s.cfg.DisableSeeding {
 		sds := sp.Child("seeded_search")
-		if d := find(); len(d.planJSON) > 0 {
-			if dg, dp, err := decodeDonor(d.graphJSON, d.planJSON); err == nil {
+		if d := find(); len(d.bin) > 0 {
+			if dg, dp, err := decodeDonor(d.graphJSON, d.bin); err == nil {
 				ho.SeedGraph, ho.SeedPlan = dg, dp
 				sds.SetAttrStr("donor", d.key)
 				sds.SetAttrInt("shared_subs", int64(d.shared))
@@ -871,18 +839,14 @@ func (s *Server) fleetRole(key string) string {
 	}
 }
 
-// encodePlan renders a synthesized plan into its cached wire forms: the
-// diffable JSON and the compact binary payload.
+// encodePlan renders a synthesized plan into its cached form, the binary
+// payload.
 func encodePlan(p *hap.Plan) (CachedPlan, error) {
-	var buf bytes.Buffer
-	if err := p.WriteProgram(&buf); err != nil {
-		return CachedPlan{}, err
-	}
 	var bin bytes.Buffer
 	if err := p.WriteProgramBinary(&bin); err != nil {
 		return CachedPlan{}, err
 	}
-	return CachedPlan{Plan: buf.Bytes(), Bin: bin.Bytes()}, nil
+	return CachedPlan{Bin: bin.Bytes()}, nil
 }
 
 // storePlan is the second half of the miss tail: it inserts a freshly
@@ -910,7 +874,7 @@ func (s *Server) storePlan(sp *obs.Span, key string, v CachedPlan) CachedPlan {
 // actually changes the content. The ETag and version headers ride on every
 // response (including the 304, per RFC 9110) so clients always hold the
 // current tag.
-func writePlan(w http.ResponseWriter, r *http.Request, plan CachedPlan, cache string, binary bool) {
+func writePlan(w http.ResponseWriter, r *http.Request, plan CachedPlan, cache string) {
 	w.Header().Set("X-HAP-Cache", cache)
 	if plan.ETag != "" {
 		w.Header().Set("ETag", plan.ETag)
@@ -922,13 +886,8 @@ func writePlan(w http.ResponseWriter, r *http.Request, plan CachedPlan, cache st
 		w.WriteHeader(http.StatusNotModified)
 		return
 	}
-	if binary && len(plan.Bin) > 0 {
-		w.Header().Set("Content-Type", BinaryPlanContentType)
-		w.Write(plan.Bin)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.Write(plan.Plan)
+	w.Header().Set("Content-Type", BinaryPlanContentType)
+	w.Write(plan.Bin)
 }
 
 // etagMatches implements the If-None-Match comparison: a comma-separated

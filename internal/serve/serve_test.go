@@ -62,6 +62,16 @@ func requestBody(t testing.TB, g *graph.Graph, c *cluster.Cluster, opt RequestOp
 	return body
 }
 
+// requestCount is how many /v1/synthesize requests s has answered, rejects
+// included: the latency histogram's sample count.
+func requestCount(s *Server) uint64 {
+	n := uint64(0)
+	for _, c := range s.latency.snapshot().counts {
+		n += c
+	}
+	return n
+}
+
 func post(t *testing.T, url string, body []byte) (int, string, []byte) {
 	t.Helper()
 	resp, err := http.Post(url+"/v1/synthesize", "application/json", bytes.NewReader(body))
@@ -97,9 +107,9 @@ func TestServeEndToEnd(t *testing.T) {
 	// The plan must decode against a fresh rebuild of the same model and be
 	// semantically equivalent to it.
 	g2 := testGraph(t)
-	p, err := hap.ReadProgram(bytes.NewReader(plan), g2)
+	p, err := hap.ReadProgramBinary(bytes.NewReader(plan), g2)
 	if err != nil {
-		t.Fatalf("ReadProgram on served plan: %v", err)
+		t.Fatalf("ReadProgramBinary on served plan: %v", err)
 	}
 	if err := p.Program.Validate(); err != nil {
 		t.Fatalf("served program ill-formed: %v", err)
@@ -126,8 +136,8 @@ func TestServeEndToEnd(t *testing.T) {
 	}
 
 	st := s.Stats()
-	if st.Requests != 3 || st.CacheHits != 1 || st.Syntheses != 2 {
-		t.Errorf("stats = %+v, want 3 requests, 1 hit, 2 syntheses", st)
+	if n := requestCount(s); n != 3 || st.CacheHits != 1 || st.Syntheses != 2 {
+		t.Errorf("%d requests, stats = %+v; want 3 requests, 1 hit, 2 syntheses", n, st)
 	}
 	if st.CacheEntries != 2 || st.CacheBytes == 0 {
 		t.Errorf("cache holds %d entries / %d bytes, want 2 entries", st.CacheEntries, st.CacheBytes)
@@ -195,8 +205,8 @@ func TestServeSingleFlight(t *testing.T) {
 	if st.Syntheses != 1 {
 		t.Errorf("stats report %d syntheses, want 1", st.Syntheses)
 	}
-	if st.Requests != n || st.CacheHits+st.CacheMisses != n {
-		t.Errorf("stats = %+v, want %d requests with hits+misses = %d", st, n, n)
+	if got := requestCount(s); got != n || st.CacheHits+st.CacheMisses != n {
+		t.Errorf("%d requests, stats = %+v; want %d requests with hits+misses = %d", got, st, n, n)
 	}
 
 	// And afterwards the plan is cached: one more request is a pure hit.
@@ -460,8 +470,8 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 	metrics := string(b)
 	for _, want := range []string{
-		"# TYPE hap_serve_requests_by_endpoint_total counter",
-		`hap_serve_requests_by_endpoint_total{endpoint="v1"} 2`,
+		"# TYPE hap_serve_request_seconds histogram",
+		`hap_serve_request_seconds_count{endpoint="v1"} 2`,
 		"hap_serve_cache_hits_total 1",
 		"hap_serve_syntheses_total 1",
 		"# TYPE hap_serve_cache_entries gauge",

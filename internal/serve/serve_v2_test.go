@@ -1,5 +1,5 @@
 // Tests for wire protocol v2: the versioned endpoints, the structured error
-// envelopes, binary content negotiation, a caller's K clusters as K
+// envelopes, the one plan answer encoding, a caller's K clusters as K
 // requests, and disk persistence of the plan cache.
 
 package serve
@@ -9,10 +9,12 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"path/filepath"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -21,6 +23,7 @@ import (
 	"hap"
 	"hap/internal/cluster"
 	"hap/internal/dist"
+	"hap/internal/fleet"
 	"hap/internal/graph"
 )
 
@@ -67,9 +70,9 @@ func TestV1SynthesizeAndErrorEnvelope(t *testing.T) {
 		t.Fatalf("v1 first request: status %d cache %q: %s", resp.StatusCode, resp.Header.Get("X-HAP-Cache"), plan)
 	}
 	g2 := testGraph(t)
-	p, err := hap.ReadProgram(bytes.NewReader(plan), g2)
+	p, err := hap.ReadProgramBinary(bytes.NewReader(plan), g2)
 	if err != nil {
-		t.Fatalf("ReadProgram on v1 plan: %v", err)
+		t.Fatalf("ReadProgramBinary on v1 plan: %v", err)
 	}
 	if err := hap.Verify(p, c.M(), 7); err != nil {
 		t.Errorf("v1 plan fails verification: %v", err)
@@ -146,109 +149,103 @@ func TestNegativeOptionsRejected(t *testing.T) {
 	}
 }
 
-// TestBinaryContentNegotiation: Accept: application/x-hap-plan returns the
-// compact binary payload; its program section decodes with dist.DecodeBinary
-// and is byte-identical to the JSON-path program. Cache hits negotiate too.
+// TestBinaryContentNegotiation: negotiation has one outcome — every plan
+// answer is the binary payload, whatever Accept says (RFC 9110 §12.5.1 lets
+// an origin server disregard it). A request asking for the binary type and
+// one with no Accept share the content address: the second is a hit with the
+// same bytes and tag. The payload's program section is a plain dist binary
+// program, identical to the program of the plan the whole payload
+// reconstructs, and that plan verifies.
 func TestBinaryContentNegotiation(t *testing.T) {
 	srv := httptest.NewServer(New(Config{}).Handler())
 	defer srv.Close()
 	c := testCluster()
 	body := requestBody(t, testGraph(t), c, RequestOptions{})
 
-	// JSON path first (also warms the cache).
-	resp := postPath(t, srv.URL, "/v1/synthesize", body, "")
-	jsonPlan := readAll(t, resp)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("JSON request: status %d: %s", resp.StatusCode, jsonPlan)
-	}
-	gJSON := testGraph(t)
-	pJSON, err := hap.ReadProgram(bytes.NewReader(jsonPlan), gJSON)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Binary path: a cache hit, negotiated via Accept.
-	resp = postPath(t, srv.URL, "/v1/synthesize", body, BinaryPlanContentType+", application/json;q=0.5")
-	binPlan := readAll(t, resp)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("binary request: status %d: %s", resp.StatusCode, binPlan)
-	}
-	if ct := resp.Header.Get("Content-Type"); ct != BinaryPlanContentType {
-		t.Fatalf("binary Content-Type = %q, want %q", ct, BinaryPlanContentType)
-	}
-	if resp.Header.Get("X-HAP-Cache") != "hit" {
-		t.Errorf("binary request missed the cache; negotiation must not fork the content address")
-	}
-	if len(binPlan) >= len(jsonPlan) {
-		t.Errorf("binary payload (%d bytes) not smaller than JSON (%d bytes)", len(binPlan), len(jsonPlan))
+	var first []byte
+	for i, accept := range []string{BinaryPlanContentType + ", application/json;q=0.5", ""} {
+		resp := postPath(t, srv.URL, "/v1/synthesize", body, accept)
+		bin := readAll(t, resp)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("Accept %q: status %d: %s", accept, resp.StatusCode, bin)
+		}
+		if ct := resp.Header.Get("Content-Type"); ct != BinaryPlanContentType {
+			t.Errorf("Accept %q: Content-Type = %q, want %q", accept, ct, BinaryPlanContentType)
+		}
+		if tag := resp.Header.Get("ETag"); tag != ETagFor(bin) {
+			t.Errorf("Accept %q: ETag %s, want the hash of the binary bytes %s", accept, tag, ETagFor(bin))
+		}
+		want := "hit"
+		if i == 0 {
+			want, first = "miss", bin
+		}
+		if got := resp.Header.Get("X-HAP-Cache"); got != want || !bytes.Equal(bin, first) {
+			t.Errorf("Accept %q: cache %q, same bytes as the first answer %v; want %s and true", accept, got, bytes.Equal(bin, first), want)
+		}
 	}
 
-	// The raw payload's program section is a plain dist binary program…
-	gBin := testGraph(t)
-	prog, err := dist.DecodeBinary(bytes.NewReader(binPlan), gBin)
+	prog, err := dist.DecodeBinary(bytes.NewReader(first), testGraph(t))
 	if err != nil {
-		t.Fatalf("DecodeBinary on response body: %v", err)
+		t.Fatalf("DecodeBinary on the response body: %v", err)
+	}
+	p, err := hap.ReadProgramBinary(bytes.NewReader(first), testGraph(t))
+	if err != nil {
+		t.Fatalf("ReadProgramBinary: %v", err)
 	}
 	var wantProg, gotProg bytes.Buffer
-	if err := pJSON.Program.Encode(&wantProg); err != nil {
+	if err := p.Program.Encode(&wantProg); err != nil {
 		t.Fatal(err)
 	}
 	if err := prog.Encode(&gotProg); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(wantProg.Bytes(), gotProg.Bytes()) {
-		t.Error("binary program differs from the JSON-path program")
+		t.Error("the payload's program section differs from the reconstructed plan's program")
 	}
-
-	// …and the full payload reconstructs the complete plan.
-	pBin, err := hap.ReadProgramBinary(bytes.NewReader(binPlan), testGraph(t))
-	if err != nil {
-		t.Fatalf("ReadProgramBinary: %v", err)
-	}
-	if err := hap.Verify(pBin, c.M(), 13); err != nil {
+	if err := hap.Verify(p, c.M(), 13); err != nil {
 		t.Errorf("binary plan fails verification: %v", err)
-	}
-	if pBin.Cost != pJSON.Cost {
-		t.Errorf("binary plan cost %v != JSON plan cost %v", pBin.Cost, pJSON.Cost)
 	}
 }
 
-// TestAcceptQZero: a q of zero on the binary type means "not acceptable"
-// (RFC 9110 §12.4.2), so such a request is answered in JSON; any other
-// weight, or none, still negotiates the binary form.
+// TestAcceptQZero: a q of zero on the binary type once meant "answer in
+// JSON" (RFC 9110 §12.4.2). The daemon has one plan encoding, so every
+// Accept value — q=0 and its spellings included — gets the same binary
+// answer, served from the one cache entry after the first request.
 func TestAcceptQZero(t *testing.T) {
-	for accept, want := range map[string]bool{
-		"":                    false,
-		"application/json":    false,
-		BinaryPlanContentType: true,
-		BinaryPlanContentType + ", application/json":          true,
-		BinaryPlanContentType + ";q=0.5":                      true,
-		BinaryPlanContentType + "; q=0.001":                   true,
-		"application/json;q=0, " + BinaryPlanContentType:      true,
-		"application/json, " + BinaryPlanContentType + ";q=0": false,
-		BinaryPlanContentType + "; q=0.000":                   false,
-		BinaryPlanContentType + ";Q=0":                        false,
-		BinaryPlanContentType + ";v=1;q=0":                    false,
-	} {
-		r := httptest.NewRequest(http.MethodPost, "/v1/synthesize", nil)
-		if accept != "" {
-			r.Header.Set("Accept", accept)
-		}
-		if got := wantsBinaryPlan(r); got != want {
-			t.Errorf("Accept %q: binary %v, want %v", accept, got, want)
-		}
-	}
-
 	srv := httptest.NewServer(New(Config{}).Handler())
 	defer srv.Close()
-	resp := postPath(t, srv.URL, "/v1/synthesize", requestBody(t, testGraph(t), testCluster(), RequestOptions{}),
-		"application/json, "+BinaryPlanContentType+";q=0")
-	plan := readAll(t, resp)
-	if ct := resp.Header.Get("Content-Type"); resp.StatusCode != http.StatusOK || ct != "application/json" {
-		t.Fatalf("binary refused with q=0: status %d Content-Type %q, want 200 JSON", resp.StatusCode, ct)
+	body := requestBody(t, testGraph(t), testCluster(), RequestOptions{})
+
+	var first []byte
+	for i, accept := range []string{
+		"",
+		"application/json",
+		"*/*",
+		BinaryPlanContentType,
+		BinaryPlanContentType + ", application/json",
+		BinaryPlanContentType + ";q=0.5",
+		BinaryPlanContentType + "; q=0.001",
+		"application/json;q=0, " + BinaryPlanContentType,
+		"application/json, " + BinaryPlanContentType + ";q=0",
+		BinaryPlanContentType + "; q=0.000",
+		BinaryPlanContentType + ";Q=0",
+		BinaryPlanContentType + ";v=1;q=0",
+	} {
+		resp := postPath(t, srv.URL, "/v1/synthesize", body, accept)
+		bin := readAll(t, resp)
+		if ct := resp.Header.Get("Content-Type"); resp.StatusCode != http.StatusOK || ct != BinaryPlanContentType {
+			t.Fatalf("Accept %q: status %d Content-Type %q, want 200 %s", accept, resp.StatusCode, ct, BinaryPlanContentType)
+		}
+		want := "hit"
+		if i == 0 {
+			want, first = "miss", bin
+		}
+		if got := resp.Header.Get("X-HAP-Cache"); got != want || !bytes.Equal(bin, first) {
+			t.Errorf("Accept %q: cache %q, same bytes as the first answer %v; want %s and true", accept, got, bytes.Equal(bin, first), want)
+		}
 	}
-	if _, err := hap.ReadProgram(bytes.NewReader(plan), testGraph(t)); err != nil {
-		t.Errorf("JSON answer does not decode: %v", err)
+	if _, err := hap.ReadProgramBinary(bytes.NewReader(first), testGraph(t)); err != nil {
+		t.Errorf("binary answer does not decode: %v", err)
 	}
 }
 
@@ -275,7 +272,7 @@ func TestBatchCoalescing(t *testing.T) {
 		if cache != want {
 			t.Errorf("cluster %d cache = %q, want %s", i, cache, want)
 		}
-		p, err := hap.ReadProgram(bytes.NewReader(plan), testGraph(t))
+		p, err := hap.ReadProgramBinary(bytes.NewReader(plan), testGraph(t))
 		if err != nil {
 			t.Fatalf("plan %d: %v", i, err)
 		}
@@ -408,7 +405,8 @@ func TestBatchMissesSeedAndJoin(t *testing.T) {
 
 // TestCachePersistence: with CacheDir set, plans survive a server restart —
 // the second server reports the restored count and serves hits without
-// re-synthesizing.
+// re-synthesizing. The file holds the binary payload the first server
+// served, and the restored cache's bytes are that payload's length.
 func TestCachePersistence(t *testing.T) {
 	dir := t.TempDir()
 	syntheses := 0
@@ -433,6 +431,13 @@ func TestCachePersistence(t *testing.T) {
 	if err != nil || len(entries) != 1 {
 		t.Fatalf("cache dir holds %d files (err %v), want 1", len(entries), err)
 	}
+	file, err := os.ReadFile(filepath.Join(dir, entries[0].Name()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if e, err := fleet.DecodeEntry(file); err != nil || !bytes.Equal(e.Bin, plan1) {
+		t.Fatalf("plan file does not hold the served payload: %v", err)
+	}
 
 	// A fresh server over the same directory restores the plan…
 	s2 := New(Config{CacheDir: dir, Synthesize: count})
@@ -451,24 +456,25 @@ func TestCachePersistence(t *testing.T) {
 	if !bytes.Equal(plan1, plan2) {
 		t.Error("restored plan differs from the original")
 	}
-
-	// …including the binary form for content negotiation.
-	resp := postPath(t, srv2.URL, "/v1/synthesize", body, BinaryPlanContentType)
-	bin := readAll(t, resp)
-	if ct := resp.Header.Get("Content-Type"); ct != BinaryPlanContentType {
-		t.Fatalf("restored binary Content-Type = %q", ct)
-	}
-	if _, err := hap.ReadProgramBinary(bytes.NewReader(bin), testGraph(t)); err != nil {
-		t.Errorf("restored binary plan: %v", err)
+	if _, err := hap.ReadProgramBinary(bytes.NewReader(plan2), testGraph(t)); err != nil {
+		t.Errorf("restored plan: %v", err)
 	}
 
-	// Stats and /metrics surface the restored count.
-	if st := s2.Stats(); st.CacheRestored != 1 {
-		t.Errorf("CacheRestored = %d, want 1", st.CacheRestored)
+	// Stats and /metrics surface the restored count and the payload bytes.
+	if st := s2.Stats(); st.CacheRestored != 1 || st.CacheBytes != int64(len(plan1)) {
+		t.Errorf("CacheRestored = %d, CacheBytes = %d; want 1 and the payload's %d", st.CacheRestored, st.CacheBytes, len(plan1))
+	}
+	mresp, err := http.Get(srv2.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := fmt.Sprintf("hap_serve_cache_bytes %d\n", len(plan1)); !strings.Contains(string(readAll(t, mresp)), want) {
+		t.Errorf("/metrics lacks %q", want)
 	}
 }
 
-// TestMetricsV2 checks the per-endpoint request counters in the exposition.
+// TestMetricsV2 checks the per-endpoint request count in the exposition: the
+// latency histogram's sample count, which every request adds to.
 func TestMetricsV2(t *testing.T) {
 	s := New(Config{})
 	srv := httptest.NewServer(s.Handler())
@@ -486,7 +492,7 @@ func TestMetricsV2(t *testing.T) {
 	}
 	metrics := string(readAll(t, mresp))
 	for _, want := range []string{
-		`hap_serve_requests_by_endpoint_total{endpoint="v1"} 2`,
+		`hap_serve_request_seconds_count{endpoint="v1"} 2`,
 		"# TYPE hap_serve_cache_restored gauge",
 	} {
 		if !strings.Contains(metrics, want) {
@@ -514,7 +520,7 @@ func TestBatchEndpointGone(t *testing.T) {
 	if strings.Contains(metrics, "v1_batch") {
 		t.Error("/metrics still exposes v1_batch series")
 	}
-	if !strings.Contains(metrics, `hap_serve_requests_by_endpoint_total{endpoint="v1"} 0`) {
-		t.Error("/metrics lacks the v1 request counter at 0")
+	if !strings.Contains(metrics, `hap_serve_request_seconds_count{endpoint="v1"} 0`) {
+		t.Error("/metrics lacks the v1 request count at 0")
 	}
 }

@@ -44,19 +44,20 @@ func (s *Server) nearestDonor(target *planSource, selfKey string) (best donor) {
 	})
 	if best.key != "" {
 		if v, ok := s.store.Get(best.key); ok {
-			best.planJSON = v.Plan
+			best.bin = v.Bin
 		}
 	}
 	return best
 }
 
-// decodeDonor rebinds a donor plan to a freshly decoded copy of its graph.
-func decodeDonor(graphJSON, planJSON []byte) (*graph.Graph, *hap.Plan, error) {
+// decodeDonor rebinds a donor's binary plan payload to a freshly decoded copy
+// of its graph.
+func decodeDonor(graphJSON, bin []byte) (*graph.Graph, *hap.Plan, error) {
 	dg, err := graph.Decode(bytes.NewReader(graphJSON))
 	if err != nil {
 		return nil, nil, err
 	}
-	dp, err := hap.ReadProgram(bytes.NewReader(planJSON), dg)
+	dp, err := hap.ReadProgramBinary(bytes.NewReader(bin), dg)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -13,20 +13,18 @@ import (
 	"time"
 )
 
-// CachedPlan is one stored plan: both wire encodings plus the response
-// metadata served with it. The binary form is cached alongside the JSON so
-// content negotiation never re-encodes. The byte slices are shared between
-// callers and must be treated as immutable.
+// CachedPlan is one stored plan: its binary payload plus the response
+// metadata served with it. The byte slice is shared between callers and must
+// be treated as immutable.
 type CachedPlan struct {
-	Plan []byte // WriteProgram JSON
-	Bin  []byte // WriteProgramBinary payload (may be empty for restored v1 files)
+	Bin []byte // WriteProgramBinary payload, the body of every plan answer
 	// Version counts how many times this key's content has been replaced on
 	// its owning node — 1 on first synthesis, bumped by each background
 	// replan. Replicas copy the owner's version verbatim, so the number is
 	// consistent fleet-wide (monotonic per key as long as the entry lives).
 	Version uint64
 	// ETag is the strong entity tag served with the plan and matched against
-	// If-None-Match: a quoted hash of the plan content. Content-derived, not
+	// If-None-Match: a quoted hash of the plan bytes. Content-derived, not
 	// version-derived, so a replan that lands on byte-identical output keeps
 	// warm clients' tags valid. The store derives it on every Put and
 	// restore; a tag supplied by the caller is never trusted.
@@ -38,12 +36,12 @@ type CachedPlan struct {
 	src *planSource
 }
 
-func (v CachedPlan) size() int64 { return int64(len(v.Plan) + len(v.Bin)) }
+func (v CachedPlan) size() int64 { return int64(len(v.Bin)) }
 
-// ETagFor derives the strong entity tag for a plan's JSON content.
-func ETagFor(plan []byte) string {
+// ETagFor derives the strong entity tag for a plan's binary payload.
+func ETagFor(bin []byte) string {
 	h := fnv.New64a()
-	h.Write(plan)
+	h.Write(bin)
 	return fmt.Sprintf("%q", fmt.Sprintf("%016x", h.Sum64()))
 }
 
@@ -173,10 +171,10 @@ func (s *memDiskStore) nextVersion(key string) uint64 {
 	return 1
 }
 
-// normalizePlan derives the ETag from the plan content — whatever tag v
+// normalizePlan derives the ETag from the plan bytes — whatever tag v
 // arrived with — and fills a zero version with the given one.
 func normalizePlan(v *CachedPlan, version uint64) {
-	v.ETag = ETagFor(v.Plan)
+	v.ETag = ETagFor(v.Bin)
 	if v.Version == 0 {
 		v.Version = version
 	}

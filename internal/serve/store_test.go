@@ -1,6 +1,8 @@
 package serve
 
 import (
+	"bytes"
+	"encoding/binary"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -8,6 +10,18 @@ import (
 	"testing"
 	"time"
 )
+
+// framed wraps s as a payload that passes the intake's framing check
+// (planwire.Framed): dist's magic, s, an empty trailer. It is no plan anyone
+// could decode, and the store never decodes what it holds.
+func framed(s string) []byte {
+	b := append([]byte("HAPB"), s...)
+	b = append(b, "{}"...)
+	b = binary.BigEndian.AppendUint32(b, 2)
+	return append(b, "HAPT"...)
+}
+
+func framedPlan(s string) CachedPlan { return CachedPlan{Bin: framed(s)} }
 
 // backdate rewinds a persisted plan's file mtime, standing in for a plan
 // written long ago.
@@ -46,7 +60,7 @@ func TestRestorePreservesLRUOrder(t *testing.T) {
 	}
 	for i, age := range []time.Duration{3 * time.Hour, 2 * time.Hour, time.Hour} {
 		key := fmt.Sprintf("k%d", i)
-		d.save(key, bp("plan-"+key), time.Now())
+		d.save(key, framedPlan("plan-"+key), time.Now())
 		backdate(t, d, key, age)
 	}
 
@@ -63,9 +77,12 @@ func TestRestorePreservesLRUOrder(t *testing.T) {
 		t.Error("oldest plan survived restore into a smaller cache")
 	}
 	for _, k := range []string{"k1", "k2"} {
-		if _, ok := s.Get(k); !ok {
-			t.Errorf("recent plan %s lost in restore", k)
+		if v, ok := s.Get(k); !ok || !bytes.Equal(v.Bin, framed("plan-"+k)) {
+			t.Errorf("recent plan %s: restored %v with payload %q, want the saved payload", k, ok, v.Bin)
 		}
+	}
+	if got, want := s.Stats().Bytes, int64(2*len(framed("plan-k0"))); got != want {
+		t.Errorf("restored cache holds %d bytes, want the two payloads' %d", got, want)
 	}
 	// The directory converges to the cache's contents: k0's file is gone.
 	if n := planFiles(t, dir); n != 2 {
@@ -81,8 +98,8 @@ func TestRestoreAppliesTTLCutoff(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d.save("fresh", bp("a"), time.Now())
-	d.save("stale", bp("b"), time.Now())
+	d.save("fresh", framedPlan("a"), time.Now())
+	d.save("stale", framedPlan("b"), time.Now())
 	backdate(t, d, "stale", 48*time.Hour)
 
 	s := newMemDiskStore(10, 1<<20, d, 24*time.Hour)
@@ -108,9 +125,9 @@ func TestSweepExpiresAgedEntries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d.save("old", bp("a"), time.Now())
+	d.save("old", framedPlan("a"), time.Now())
 	backdate(t, d, "old", 2*time.Hour)
-	d.save("new", bp("b"), time.Now())
+	d.save("new", framedPlan("b"), time.Now())
 
 	// TTL of 3h restores both ("old" is 2h, inside the horizon)...
 	s := newMemDiskStore(10, 1<<20, d, 3*time.Hour)

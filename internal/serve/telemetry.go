@@ -326,7 +326,7 @@ func (s *Server) replanOne(ctx context.Context, root *obs.Span, key string, src 
 	// rebalancing the sharding ratios against the drifted cluster — Q is
 	// structure-driven, B absorbs the performance drift.
 	p, v, err := s.synthesize(ctx, root, g, drifted, src.opts, func() donor {
-		return donor{key: key, graphJSON: src.graphJSON, planJSON: old.Plan, shared: len(src.subs)}
+		return donor{key: key, graphJSON: src.graphJSON, bin: old.Bin, shared: len(src.subs)}
 	})
 	if err != nil {
 		return false, fmt.Errorf("synthesis: %w", err)
@@ -341,7 +341,7 @@ func (s *Server) replanOne(ctx context.Context, root *obs.Span, key string, src 
 		return false, fmt.Errorf("verify: %w", err)
 	}
 	// Same bytes: no swap, no version bump, warm clients' tags stay valid.
-	if bytes.Equal(v.Plan, old.Plan) {
+	if bytes.Equal(v.Bin, old.Bin) {
 		return false, nil
 	}
 	// The swap: a version bump, a new content tag, and re-replication, exactly

@@ -244,7 +244,7 @@ func TestTelemetryBackgroundReplan(t *testing.T) {
 		t.Fatalf("replan swapped but content did not change (tag %q → %q)", etag1, etag2)
 	}
 	// The replanned plan verifies against the drifted device count.
-	p, err := hap.ReadProgram(bytes.NewReader(plan2), testGraph(t))
+	p, err := hap.ReadProgramBinary(bytes.NewReader(plan2), testGraph(t))
 	if err != nil {
 		t.Fatalf("replanned plan does not decode: %v", err)
 	}
@@ -345,24 +345,24 @@ func TestTelemetryReplanFailureKeepsOldPlan(t *testing.T) {
 // tag, and entries arriving with explicit metadata (replication) keep it.
 func TestPlanVersioningThroughStore(t *testing.T) {
 	s := newMemDiskStore(8, 1<<20, nil, 0)
-	s.Put("k", CachedPlan{Plan: []byte(`{"a":1}`)})
+	s.Put("k", CachedPlan{Bin: []byte(`{"a":1}`)})
 	v1, _ := s.Get("k")
 	if v1.Version != 1 || v1.ETag == "" || v1.ETag != ETagFor([]byte(`{"a":1}`)) {
 		t.Fatalf("first insert: version %d etag %q", v1.Version, v1.ETag)
 	}
-	s.Put("k", CachedPlan{Plan: []byte(`{"a":1}`)})
+	s.Put("k", CachedPlan{Bin: []byte(`{"a":1}`)})
 	v2, _ := s.Get("k")
 	if v2.Version != 2 || v2.ETag != v1.ETag {
 		t.Errorf("same-content refresh: version %d etag %q, want 2 with the same tag %q", v2.Version, v2.ETag, v1.ETag)
 	}
-	s.Put("k", CachedPlan{Plan: []byte(`{"a":2}`)})
+	s.Put("k", CachedPlan{Bin: []byte(`{"a":2}`)})
 	v3, _ := s.Get("k")
 	if v3.Version != 3 || v3.ETag == v1.ETag {
 		t.Errorf("changed-content replacement: version %d etag %q, want 3 with a new tag", v3.Version, v3.ETag)
 	}
 	// A replicated entry keeps the owner's version; its tag is derived here
 	// from the bytes, never taken from the caller.
-	s.Put("r", CachedPlan{Plan: []byte(`{"b":1}`), Version: 7, ETag: `"owner-tag"`})
+	s.Put("r", CachedPlan{Bin: []byte(`{"b":1}`), Version: 7, ETag: `"owner-tag"`})
 	vr, _ := s.Get("r")
 	if want := ETagFor([]byte(`{"b":1}`)); vr.Version != 7 || vr.ETag != want {
 		t.Errorf("replicated entry: version %d etag %q, want the owner's 7 with the content tag %q", vr.Version, vr.ETag, want)
