@@ -2,30 +2,35 @@
 //
 // This file is an exact replica of the pattern-defeating quicksort behind
 // slices.SortFunc (Go's slices/zsortanyfunc.go, BSD-licensed, © The Go
-// Authors), specialised to []candRef under cmp.Compare on score, with one
-// change of schedule and none of outcome: where the original recurses into
-// the smaller side of a partition and loops on the larger, lazySort always
-// descends into the LEFT side and parks the right one — with the limit,
-// wasBalanced and wasPartitioned it would have been sorted under — on an
-// explicit stack. Sub-ranges of a pdqsort are independent: sorting
-// data[a:b] reads and writes only data[a:b] plus a read of data[a-1], which
-// is a pivot (or an element equal to one) already in its final place;
-// breakPatterns seeds its xorshift from the range length; and the three
-// carried fields pass by value. So every range this replica touches sees the
-// same comparisons, pivots and swaps as under slices.SortFunc, in whatever
-// order the ranges are visited, and ranges wholly right of the last element
-// the beam reads are simply never visited. data[:sorted] is final — equal,
-// element for element (score and idx), to the full sort's prefix; the
-// selection loop calls advance when its index reaches the frontier.
+// Authors), specialised to []candRef under cmp.Compare on score, with two
+// changes of schedule and none of outcome. First, the partition compares 64
+// elements a side at a time, without a branch per comparison, ahead of the
+// very swaps the scalar loop makes, in its order (blockPartitionRefs).
+// Second, where the original recurses into the smaller side of a partition
+// and loops on the larger, lazySort always descends into the LEFT side and
+// parks the right one — with the limit, wasBalanced and wasPartitioned it
+// would have been sorted under — on an explicit stack. Sub-ranges of a
+// pdqsort are independent: sorting data[a:b] reads and writes only
+// data[a:b] plus a read of data[a-1], which is a pivot (or an element equal
+// to one) already in its final place; breakPatterns seeds its xorshift from
+// the range length; and the three carried fields pass by value. So every
+// range this replica touches sees the same comparisons, pivots and swaps as
+// under slices.SortFunc, in whatever order the ranges are visited, and
+// ranges wholly right of the last element the beam reads are simply never
+// visited. data[:sorted] is final — equal, element for element (score and
+// idx), to the full sort's prefix; the selection loop calls advance when its
+// index reaches the frontier.
 //
-// The beam reads 1–3 % of a level's candidates before the BeamWidth cut or
-// the bestCost break, so a level costs about 2C comparisons (the first
-// partitions) plus a short sorted prefix instead of C log C. Which of several
-// equal-score candidates comes first is this file's deterministic permutation
-// of the arena order, pinned by TestGoldenPlanIdentity — the repository's own
-// code, not the toolchain's. When ROADMAP B defines ties on purpose
-// ((score, state key)), this file is what it deletes in favour of a plain
-// top-K select; slices.SortFunc survives as the oracle in lazysort_test.go.
+// On the benchmark's plan_cold inputs the beam reads 1.7–3.5 % of a level's
+// candidates before the BeamWidth cut or the bestCost break, and the sort
+// finishes 3.2–5.7 % (8.4 and 10 % on the MLP inputs), so a level costs
+// about 2C comparisons (the first partitions) plus a short sorted prefix
+// instead of C log C. Which of several equal-score candidates comes first is
+// this file's deterministic permutation of the arena order, pinned by
+// TestGoldenPlanIdentity — the repository's own code, not the toolchain's.
+// When ROADMAP B defines ties on purpose ((score, state key)), this file is
+// what it deletes in favour of a plain top-K select; slices.SortFunc
+// survives as the oracle in lazysort_test.go.
 
 package synth
 
@@ -55,8 +60,9 @@ type lazySort struct {
 	// stack holds the pending ranges, leftmost on top: the right-hand
 	// siblings along one root-to-leaf path of the partition tree, at most
 	// log₈⸝₇(n) balanced descents plus bits.Len(n) unbalanced ones. buf backs
-	// it without an allocation (levels run to ~10⁵ candidates and ~30 deep);
-	// append grows past it if a level ever needs more.
+	// it without an allocation (the benchmark's levels hold 675–3 901
+	// candidates on average, VGG19×het8's 2 528, and park at most 13
+	// ranges); append grows past it if a level ever needs more.
 	stack []sortRange
 	buf   [128]sortRange
 }
@@ -231,6 +237,9 @@ func partitionRefs(data []candRef, a, b, pivot int) (newpivot int, alreadyPartit
 	i++
 	j--
 
+	// The pivot is not NaN here: nothing is less than a NaN one, so the
+	// prologue's scans would have met.
+	i, j = blockPartitionRefs(data, i, j, data[a].score)
 	for {
 		for i <= j && refLess(data[i], data[a]) {
 			i++
@@ -247,6 +256,72 @@ func partitionRefs(data []candRef, a, b, pivot int) (newpivot int, alreadyPartit
 	}
 	data[j], data[a] = data[a], data[j]
 	return j, false
+}
+
+// partitionBlock is how many elements blockPartitionRefs compares ahead on
+// each side: one bit of a uint64 per element.
+const partitionBlock = 64
+
+// blockPartitionRefs runs partitionRefs's loop on data[i:j+1] against a
+// pivot score p that is not NaN for as long as two whole blocks remain, and
+// returns the i and j at which the scalar loop resumes. The scalar loop
+// swaps the k-th element >= p from the left with the k-th element < p from
+// the right while the first lies left of the second; this one compares a
+// block on each side first, without a branch per comparison, records those
+// stops as bits, then makes the same swaps in the same order. The two blocks
+// never overlap, so every pair it swaps is one the scalar loop swaps, and a
+// block is compared before any swap reaches into it.
+func blockPartitionRefs(data []candRef, i, j int, p float64) (int, int) {
+	// Pending stops: bit k of left is data[i+k], bit k of right data[j-k].
+	var left, right uint64
+	for j-i+1 >= 2*partitionBlock {
+		if left == 0 {
+			left = atLeast((*[partitionBlock]candRef)(data[i:]), p)
+		}
+		if right == 0 {
+			// With p not NaN, refLess(x, p) is !(x >= p).
+			right = ^bits.Reverse64(atLeast((*[partitionBlock]candRef)(data[j+1-partitionBlock:]), p))
+		}
+		for left != 0 && right != 0 {
+			l, r := i+bits.TrailingZeros64(left), j-bits.TrailingZeros64(right)
+			data[l], data[r] = data[r], data[l]
+			left &= left - 1
+			right &= right - 1
+		}
+		if left == 0 {
+			i += partitionBlock
+		}
+		if right == 0 {
+			j -= partitionBlock
+		}
+	}
+	// Everything between a block's base and its next pending stop is
+	// already on its side, so the scalar loop's next stop is that one.
+	if left != 0 {
+		i += bits.TrailingZeros64(left)
+	}
+	if right != 0 {
+		j -= bits.TrailingZeros64(right)
+	}
+	return i, j
+}
+
+// atLeast compares a block with p: bit k is blk[k].score >= p, which is
+// !refLess(blk[k], p) for p not NaN. Four comparisons a step keep the loop
+// overhead and the chain through m short.
+func atLeast(blk *[partitionBlock]candRef, p float64) (m uint64) {
+	for s := blk[:]; len(s) >= 4; s = s[4:] {
+		m = m>>4 | (b2u(s[0].score >= p)|b2u(s[1].score >= p)<<1|b2u(s[2].score >= p)<<2|b2u(s[3].score >= p)<<3)<<60
+	}
+	return m
+}
+
+// b2u is 1 for true and 0 for false; the compiler turns it into a SETcc.
+func b2u(b bool) uint64 {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // partitionEqualRefs partitions data[a:b] into elements equal to data[pivot]

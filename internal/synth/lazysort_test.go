@@ -248,3 +248,171 @@ func TestLazySortAdversarial(t *testing.T) {
 		t.Errorf("adversarial input reached heapsort %d times and breakPatterns %d times; want both", heapsorts, scatters)
 	}
 }
+
+// partitionRefsHoare is partitionRefs as it stood before the block loop:
+// pdqsort's scalar Hoare partition, kept as the reference the block version
+// must match swap for swap.
+func partitionRefsHoare(data []candRef, a, b, pivot int) (newpivot int, alreadyPartitioned bool) {
+	data[a], data[pivot] = data[pivot], data[a]
+	i, j := a+1, b-1 // inclusive bounds of what remains to be partitioned
+
+	for i <= j && refLess(data[i], data[a]) {
+		i++
+	}
+	for i <= j && !refLess(data[j], data[a]) {
+		j--
+	}
+	if i > j {
+		data[j], data[a] = data[a], data[j]
+		return j, true
+	}
+	data[i], data[j] = data[j], data[i]
+	i++
+	j--
+
+	for {
+		for i <= j && refLess(data[i], data[a]) {
+			i++
+		}
+		for i <= j && !refLess(data[j], data[a]) {
+			j--
+		}
+		if i > j {
+			break
+		}
+		data[i], data[j] = data[j], data[i]
+		i++
+		j--
+	}
+	data[j], data[a] = data[a], data[j]
+	return j, false
+}
+
+// checkBlockPartition partitions refs[a:b] around refs[pivot] twice, with
+// partitionRefs and with the scalar reference, and requires the same returns
+// and the same slice — score bits and idx at every position, outside the
+// range too.
+func checkBlockPartition(t testing.TB, refs []candRef, a, b, pivot int) {
+	t.Helper()
+	got, want := slices.Clone(refs), slices.Clone(refs)
+	gotMid, gotAlready := partitionRefs(got, a, b, pivot)
+	wantMid, wantAlready := partitionRefsHoare(want, a, b, pivot)
+	if gotMid != wantMid || gotAlready != wantAlready {
+		t.Fatalf("n=%d [%d,%d) pivot %d (%v): partitionRefs returns (%d, %v), the scalar loop (%d, %v)",
+			len(refs), a, b, pivot, refs[pivot].score, gotMid, gotAlready, wantMid, wantAlready)
+	}
+	for i := range got {
+		if !sameRef(got[i], want[i]) {
+			t.Fatalf("n=%d [%d,%d) pivot %d (%v): position %d is %+v, the scalar loop has %+v",
+				len(refs), a, b, pivot, refs[pivot].score, i, got[i], want[i])
+		}
+	}
+}
+
+func TestBlockPartitionMatchesHoare(t *testing.T) {
+	rng := rand.New(rand.NewSource(26))
+	// tieHeavy draws n scores from 1…distinct values, a few of them the
+	// floats cmp.Compare treats specially.
+	specials := []float64{math.NaN(), math.Inf(1), math.Inf(-1), math.Copysign(0, -1), 0}
+	tieHeavy := func(n, distinct int) []float64 {
+		scores := make([]float64, n)
+		for i := range scores {
+			if rng.Intn(50) == 0 {
+				scores[i] = specials[rng.Intn(len(specials))]
+			} else {
+				scores[i] = float64(rng.Intn(distinct)) / 8
+			}
+		}
+		return scores
+	}
+	// A partition needs a pivot, so the shortest range holds one element;
+	// the lengths around one and two blocks past the prologue are listed.
+	var lengths []int
+	for n := 1; n <= 2000; n += 1 + rng.Intn(13) {
+		lengths = append(lengths, n)
+	}
+	lengths = append(lengths, 127, 128, 129, 130, 131, 132, 255, 256, 257, 258, 259, 383, 384, 385, 2000)
+	for _, n := range lengths {
+		for _, distinct := range []int{1, 2, 3, 8, n} {
+			scores := tieHeavy(n, distinct)
+			checkBlockPartition(t, mkRefs(scores), 0, n, rng.Intn(n))
+
+			// A sub-range with a > 0, the rest of the slice left alone.
+			pad := 1 + rng.Intn(40)
+			wide := append(append(tieHeavy(pad, distinct), scores...), tieHeavy(pad, distinct)...)
+			checkBlockPartition(t, mkRefs(wide), pad, pad+n, pad+rng.Intn(n))
+
+			// Special pivots. Nothing is less than a NaN one, so its partition
+			// ends in the prologue; ±Inf and -0 reach the block loop with a
+			// one-sided or a signed-zero comparison.
+			for _, p := range specials[:4] {
+				pivot := rng.Intn(n)
+				s := slices.Clone(scores)
+				s[pivot] = p
+				checkBlockPartition(t, mkRefs(s), 0, n, pivot)
+			}
+
+			// Half the range equal to the pivot.
+			s := slices.Clone(scores)
+			for _, k := range rng.Perm(n)[:n/2] {
+				s[k] = 0.5
+			}
+			pivot := rng.Intn(n)
+			s[pivot] = 0.5
+			checkBlockPartition(t, mkRefs(s), 0, n, pivot)
+		}
+	}
+}
+
+// fuzzBlockLen is the length FuzzBlockPartition tiles its bytes to at least:
+// room for four blocks after the prologue's first swap, so the block loop
+// runs, refills both sides, and hands a tail to the scalar loop.
+const fuzzBlockLen = 4*partitionBlock + 3
+
+// FuzzBlockPartition holds partitionRefs to the scalar reference on ranges
+// long enough for the block loop. The bytes are scores (fuzzScores), repeated
+// until there are at least fuzzBlockLen of them; pivot picks the pivot's
+// index. The committed corpus (testdata/fuzz/FuzzBlockPartition) has a NaN
+// and a -0 pivot.
+func FuzzBlockPartition(f *testing.F) {
+	f.Add([]byte{0, 8, 4, 8, 0, 12, 4}, uint16(3))
+	f.Fuzz(func(t *testing.T, data []byte, pivot uint16) {
+		if len(data) == 0 {
+			data = []byte{0}
+		}
+		tiled := slices.Clone(data)
+		for len(tiled) < fuzzBlockLen {
+			tiled = append(tiled, data...)
+		}
+		checkBlockPartition(t, mkRefs(fuzzScores(tiled)), 0, len(tiled), int(pivot)%len(tiled))
+	})
+}
+
+// TestLazySortAllocs pins the merge at zero allocations: reset and a full
+// drain over the largest level of the VGG19×het8 search, so the sort's stack
+// and the block loop's state stay off the heap.
+func TestLazySortAllocs(t *testing.T) {
+	g, th, c, ratios := benchInput(models.ModelVGG19)
+	sy := New(g, th, c, ratios, Options{BeamWidth: 48, Workers: 1})
+	var level []candRef
+	sy.levelHook = func(_ []*state, refs []candRef) {
+		if len(refs) > len(level) {
+			level = slices.Clone(refs)
+		}
+	}
+	if _, _, err := sy.Run(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	work := make([]candRef, len(level))
+	var z lazySort
+	allocs := testing.AllocsPerRun(20, func() {
+		copy(work, level)
+		z.reset(work)
+		for z.sorted < len(work) {
+			z.advance()
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("sorting a %d-candidate level allocates %v times; want 0", len(level), allocs)
+	}
+}
