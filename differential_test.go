@@ -1,14 +1,19 @@
 package hap
 
 import (
+	"bytes"
 	"context"
 	"flag"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"hap/internal/cluster"
+	"hap/internal/collective"
 	"hap/internal/cost"
+	"hap/internal/dist"
+	"hap/internal/graph"
 	"hap/internal/models"
 	"hap/internal/passes"
 	"hap/internal/synth"
@@ -179,6 +184,7 @@ func TestDifferentialRandomGraphs(t *testing.T) {
 		if g.ForwardCount >= 6 && rng.Intn(2) == 0 {
 			segments = 2
 		}
+		var plans []*Program
 		for ci, c := range clusters {
 			c := c
 			t.Run(fmt.Sprintf("seed=%d/cluster=%d/segments=%d", seed, ci, segments), func(t *testing.T) {
@@ -198,9 +204,10 @@ func TestDifferentialRandomGraphs(t *testing.T) {
 						err, g, plan.Program)
 				}
 				passesArm(t, plan, c, seed)
-				seededArm(t, g, plan, c, segments, seed)
+				plans = append(plans, plan.Program, seededArm(t, g, plan, c, segments, seed))
 			})
 		}
+		equalBinaryArm(t, plans)
 	}
 }
 
@@ -209,7 +216,7 @@ func TestDifferentialRandomGraphs(t *testing.T) {
 // and cost no more than the cold one — on every graph × cluster pair the
 // harness generates. Graphs small enough for exact A* exercise the
 // seed-ignored path instead (the planner must not report them seeded).
-func seededArm(t *testing.T, g *Graph, cold *Plan, c *cluster.Cluster, segments int, seed int64) {
+func seededArm(t *testing.T, g *Graph, cold *Plan, c *cluster.Cluster, segments int, seed int64) *Program {
 	t.Helper()
 	plan, err := planWith(g, c, Options{Segments: segments, SeedGraph: g, SeedPlan: cold})
 	if err != nil {
@@ -233,6 +240,102 @@ func seededArm(t *testing.T, g *Graph, cold *Plan, c *cluster.Cluster, segments 
 		// ratio rebalancing could differ, and it is deterministic too.
 		if plan.Program.String() != cold.Program.String() {
 			t.Errorf("self-seeded plan differs from its donor:\n%s\nvs cold:\n%s", plan.Program, cold.Program)
+		}
+	}
+	return plan.Program
+}
+
+// equalBinaryArm holds Program.EqualBinary — the optimizer loop's test for a
+// program it has seen before — to bytes.Equal of the two encodings, over
+// every pair of one graph's plans and of single-field variants of them: one
+// for each field the encoding writes, and for two it does not (a second
+// negative shard dim, the inputs). These plans hold no collective, so each
+// also gets a copy with an All-Reduce appended, whose fields vary too.
+func equalBinaryArm(t *testing.T, plans []*Program) {
+	t.Helper()
+	var bases, progs []*Program
+	for _, p := range plans {
+		q := p.Clone()
+		if n := len(q.Instrs); n > 0 {
+			q.Instrs = append(q.Instrs, dist.Comm(q.Instrs[n-1].Ref, collective.AllReduce, 0, 0))
+		}
+		bases = append(bases, p, q)
+	}
+	for _, p := range bases {
+		progs = append(progs, p)
+		if len(p.Instrs) == 0 {
+			continue
+		}
+		variant := func(edit func(in *dist.Instruction)) {
+			for i := range p.Instrs {
+				q := p.Clone()
+				before := q.Instrs[i]
+				edit(&q.Instrs[i])
+				if !reflect.DeepEqual(q.Instrs[i], before) {
+					progs = append(progs, q)
+					return
+				}
+			}
+		}
+		variant(func(in *dist.Instruction) { in.Ref++ })
+		variant(func(in *dist.Instruction) { in.FlopsScaled = !in.FlopsScaled })
+		variant(func(in *dist.Instruction) {
+			if in.IsComm {
+				if in.Coll == collective.AllToAll {
+					in.Coll = collective.AllReduce
+				} else {
+					in.Coll = collective.AllToAll
+				}
+			}
+		})
+		variant(func(in *dist.Instruction) {
+			if in.IsComm {
+				in.Dim++
+			}
+		})
+		variant(func(in *dist.Instruction) {
+			if in.IsComm {
+				in.Dim2++
+			}
+		})
+		variant(func(in *dist.Instruction) {
+			if !in.IsComm {
+				if in.Op == graph.Add {
+					in.Op = graph.Mul
+				} else {
+					in.Op = graph.Add
+				}
+			}
+		})
+		variant(func(in *dist.Instruction) {
+			if !in.IsComm {
+				in.ShardDim = (in.ShardDim+2)%3 - 1 // -1 → 0 → 1 → -1
+			}
+		})
+		variant(func(in *dist.Instruction) {
+			if !in.IsComm && in.ShardDim < 0 {
+				in.ShardDim = -2
+			}
+		})
+		variant(func(in *dist.Instruction) { in.Inputs = append(in.Inputs[:len(in.Inputs):len(in.Inputs)], in.Ref) })
+		q := p.Clone()
+		q.Instrs = q.Instrs[:len(q.Instrs)-1]
+		progs = append(progs, q)
+	}
+	enc := make([][]byte, len(progs))
+	for i, p := range progs {
+		var buf bytes.Buffer
+		if err := p.EncodeBinary(&buf); err != nil {
+			t.Fatalf("EncodeBinary: %v", err)
+		}
+		enc[i] = buf.Bytes()
+	}
+	for i, p := range progs {
+		for j, q := range progs {
+			if got, want := p.EqualBinary(q), bytes.Equal(enc[i], enc[j]); got != want {
+				t.Errorf("programs %d and %d: EqualBinary %v, encodings equal %v:\n%s\nvs\n%s", i, j, got, want, p, q)
+				return
+			}
 		}
 	}
 }

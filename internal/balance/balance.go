@@ -3,15 +3,16 @@
 // stage-based cost model by solving a linear program,
 //
 //	min  Σᵢ ( commᵢ(B) + tᵢ )
-//	s.t. tᵢ ≥ comp_{i,j}(B),   ∀ stages i, devices j
-//	     M_k ≥ B_{k,j},        ∀ segments k, devices j
-//	     Σⱼ B_{k,j} = 1,       ∀ segments k
+//	s.t. tᵢ ≥ comp_{i,c}(B),       ∀ stages i, device classes c
+//	     M_k ≥ B_{k,c},            ∀ segments k, device classes c
+//	     Σ_c |c|·B_{k,c} = 1,      ∀ segments k
 //	     B ≥ 0,
 //
 // where commᵢ is linear in M_{seg(i)} (padded collectives bottleneck on the
-// largest shard) and comp is linear in B. Fractional ratios are converted to
-// integer shard sizes with the paper's rounding scheme (implemented in
-// collective.ShardSizes).
+// largest shard), comp is linear in B, and a device class c (cost.Classes)
+// is the |c| devices the cost model cannot tell apart, which share one
+// ratio. Fractional ratios are converted to integer shard sizes with the
+// paper's rounding scheme (implemented in collective.ShardSizes).
 package balance
 
 import (
@@ -30,73 +31,71 @@ func Ratios(c *cluster.Cluster, p *dist.Program) ([][]float64, error) {
 	return RatiosFromModel(model)
 }
 
-// RatiosFromModel solves the LP over an already-extracted cost model.
+// RatiosFromModel solves the LP over an already-extracted cost model, with
+// one B variable per device class rather than per device. Devices of one
+// class have identical columns in every row, so the LP is symmetric under
+// permuting them; it is convex, so a symmetric optimum exists, and the LP
+// over classes finds it exactly: class c weighs Size[c] in Σ B = 1 and
+// needs one M ≥ B row. Each device gets its class's value.
 func RatiosFromModel(model *cost.Model) ([][]float64, error) {
 	m := model.Cluster.M()
 	g := model.Segments
 	if m == 1 {
 		return cost.UniformRatios(g, []float64{1}), nil
 	}
+	nc := len(model.Size)
 
-	prob := lp.NewProblem()
-	stages := len(model.Stages)
-	prob.Reserve(g*m+2*g+stages, stages*m+g*m+2*g, stages*m*(g+1)+3*g*m+2*g)
-	// Variables: B[k][j], M[k], t[i].
-	bVar := make([][]int, g)
-	for k := 0; k < g; k++ {
-		bVar[k] = make([]int, m)
-		for j := 0; j < m; j++ {
-			bVar[k][j] = prob.AddVar(0)
-		}
-	}
-	mVar := make([]int, g)
-	for k := 0; k < g; k++ {
-		mVar[k] = prob.AddVar(0)
-	}
-
-	// Objective: Σ stages (CommMaxCoef·M_seg + t_i) + boundary charges.
+	// M_k's objective is Σ of the CommMaxCoef of segment k's stages and half
+	// of each boundary charge touching k: known before any variable is added.
 	objM := make([]float64, g)
-	row := make([]lp.Term, 0, m+1) // reused: AddConstraint copies
 	for i := range model.Stages {
 		sm := &model.Stages[i]
 		objM[sm.CommSeg] += sm.CommMaxCoef
-		tv := prob.AddVar(1)
-		for j := 0; j < m; j++ {
-			row = append(row[:0], lp.Term{Var: tv, Coef: 1})
-			for k := 0; k < g; k++ {
-				if sm.CompCoef[k][j] != 0 {
-					row = append(row, lp.Term{Var: bVar[k][j], Coef: -sm.CompCoef[k][j]})
-				}
-			}
-			prob.AddConstraint(row, lp.GE, sm.CompConst[j])
-		}
 	}
 	for i := range model.Charges {
 		ch := &model.Charges[i]
 		objM[ch.SegA] += ch.Coef / 2
 		objM[ch.SegB] += ch.Coef / 2
 	}
-	// The LP API fixes objective coefficients at AddVar time and M's is only
-	// known now, so M_k gets it through a proxy variable: proxy = M_k with
-	// objective objM[k]. The proxy stays even though it could be folded away:
-	// removing it renumbers the columns Bland's rule walks, which moves the
-	// solver to another of the LP's alternate optima (see DESIGN.md).
-	for k := 0; k < g; k++ {
-		if objM[k] == 0 {
-			continue
-		}
-		proxy := prob.AddVar(objM[k])
-		prob.AddConstraint(append(row[:0], lp.Term{Var: proxy, Coef: 1}, lp.Term{Var: mVar[k], Coef: -1}), lp.EQ, 0)
+
+	prob := lp.NewProblem()
+	stages := len(model.Stages)
+	prob.Reserve(g*nc+g+stages, stages*nc+g*nc+g, stages*nc*(g+1)+3*g*nc)
+	// Variables: B[k][c], M[k], t[i].
+	bVar := make([]int, g*nc) // B[k][c] is bVar[k*nc+c]
+	for i := range bVar {
+		bVar[i] = prob.AddVar(0)
+	}
+	mVar := make([]int, g)
+	for k := range mVar {
+		mVar[k] = prob.AddVar(objM[k])
 	}
 
-	// M_k ≥ B_{k,j}; Σ_j B_{k,j} = 1.
+	// Objective: Σ stages (CommMaxCoef·M_seg + t_i) + boundary charges;
+	// t_i ≥ comp_{i,c}(B) for every class c.
+	row := make([]lp.Term, 0, max(g, nc)+1) // reused: AddConstraint copies
+	for i := range model.Stages {
+		sm := &model.Stages[i]
+		tv := prob.AddVar(1)
+		for c := 0; c < nc; c++ {
+			row = append(row[:0], lp.Term{Var: tv, Coef: 1})
+			for k := 0; k < g; k++ {
+				if sm.CompCoef[k][c] != 0 {
+					row = append(row, lp.Term{Var: bVar[k*nc+c], Coef: -sm.CompCoef[k][c]})
+				}
+			}
+			prob.AddConstraint(row, lp.GE, sm.CompConst[c])
+		}
+	}
+
+	// M_k ≥ B_{k,c}; Σ_c Size[c]·B_{k,c} = 1.
 	for k := 0; k < g; k++ {
-		for j := 0; j < m; j++ {
-			prob.AddConstraint(append(row[:0], lp.Term{Var: mVar[k], Coef: 1}, lp.Term{Var: bVar[k][j], Coef: -1}), lp.GE, 0)
+		for c := 0; c < nc; c++ {
+			prob.AddConstraint(append(row[:0], lp.Term{Var: mVar[k], Coef: 1}, lp.Term{Var: bVar[k*nc+c], Coef: -1}), lp.GE, 0)
 		}
 		row = row[:0]
-		for j := 0; j < m; j++ {
-			row = append(row, lp.Term{Var: bVar[k][j], Coef: 1})
+		for c := 0; c < nc; c++ {
+			row = append(row, lp.Term{Var: bVar[k*nc+c], Coef: float64(model.Size[c])})
 		}
 		prob.AddConstraint(row, lp.EQ, 1)
 	}
@@ -109,8 +108,8 @@ func RatiosFromModel(model *cost.Model) ([][]float64, error) {
 	for k := 0; k < g; k++ {
 		out[k] = make([]float64, m)
 		total := 0.0
-		for j := 0; j < m; j++ {
-			v := res.X[bVar[k][j]]
+		for j, c := range model.Class {
+			v := res.X[bVar[k*nc+c]]
 			if v < 0 {
 				v = 0
 			}

@@ -22,11 +22,11 @@ func perGPU(n int) *cluster.Cluster {
 		cluster.MachineSpec{Type: cluster.A100, GPUs: n}, cluster.MachineSpec{Type: cluster.P100, GPUs: n})
 }
 
-// firstModel is the cost model of Q⁽¹⁾ at 4 segments — the LP the Q↔B loop
-// solves first on that input.
-func firstModel(tb testing.TB, g *graph.Graph, c *cluster.Cluster) *cost.Model {
+// firstModel is the cost model of Q⁽¹⁾, searched at B⁽⁰⁾ — the LP the Q↔B
+// loop solves first on that input.
+func firstModel(tb testing.TB, g *graph.Graph, c *cluster.Cluster, segments int) *cost.Model {
 	tb.Helper()
-	res, err := hapopt.Optimize(context.Background(), g, c, hapopt.Options{MaxIterations: 1, Segments: 4, SkipBalance: true, Synth: synth.Auto()})
+	res, err := hapopt.Optimize(context.Background(), g, c, hapopt.Options{MaxIterations: 1, Segments: segments, SkipBalance: true, Synth: synth.Auto()})
 	if err != nil {
 		tb.Fatalf("Optimize: %v", err)
 	}
@@ -36,17 +36,17 @@ func firstModel(tb testing.TB, g *graph.Graph, c *cluster.Cluster) *cost.Model {
 func bert4pg16(tb testing.TB) *cost.Model {
 	cfg, c := models.BERTBase(), perGPU(4)
 	cfg.Layers = 4
-	return firstModel(tb, models.Training(models.BERT(cfg, 64*c.TotalGPUs()*cfg.SeqLen)), c)
+	return firstModel(tb, models.Training(models.BERT(cfg, 64*c.TotalGPUs()*cfg.SeqLen)), c, 4)
 }
 
 func mlppg32(tb testing.TB) *cost.Model {
 	c := perGPU(8)
-	return firstModel(tb, models.Training(models.MLP(64*c.TotalGPUs(), 1024, 4096, 4096, 4096, 1024, 10)), c)
+	return firstModel(tb, models.Training(models.MLP(64*c.TotalGPUs(), 1024, 4096, 4096, 4096, 1024, 10)), c, 4)
 }
 
 // BenchmarkRatiosFromModel is one ratio-LP solve on the two shapes of the
-// plan_balance workload: 16 devices × 4 segments (90 variables, 360 rows)
-// and 32 × 4 (112 variables, 422 rows).
+// plan_balance workload: 16 and 32 devices in 3 classes × 4 segments (34
+// variables over 70 rows, and 26 over 46).
 func BenchmarkRatiosFromModel(b *testing.B) {
 	for _, tc := range []struct {
 		name  string
@@ -68,9 +68,8 @@ func BenchmarkRatiosFromModel(b *testing.B) {
 // One solve allocates a handful of slabs — the problem's three arrays as they
 // grow, the tableau's scratch, the answer — not a map and a slice per
 // constraint row (about 1 500 allocations on this model before the tableau
-// became one slab). The tableau itself (2.4 MB here) is the slab the previous
-// solve handed back, so a warm solve allocates tens of kilobytes, not
-// megabytes.
+// became one slab). The tableau itself (95 KiB here) is the slab the previous
+// solve handed back, so a warm solve allocates kilobytes.
 func TestSolveAllocs(t *testing.T) {
 	model := bert4pg16(t)
 	solve := func() {

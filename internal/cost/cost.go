@@ -15,6 +15,8 @@
 package cost
 
 import (
+	"slices"
+
 	"hap/internal/cluster"
 	"hap/internal/collective"
 	"hap/internal/dist"
@@ -95,23 +97,27 @@ func Stages(p *dist.Program) []Stage {
 // StageModel is the linearized cost of one stage, the LP's raw material:
 //
 //	stage time = CommConst + CommMaxCoef·max_j B[CommSeg][j]
-//	           + max_j ( CompConst[j] + Σ_k CompCoef[k][j]·B[k][j] )
+//	           + max_j ( CompConst[c(j)] + Σ_k CompCoef[k][c(j)]·B[k][j] )
+//
+// where c(j) is device j's class (Model.Class): devices whose columns the
+// extraction cannot tell apart share one.
 type StageModel struct {
 	CommConst   float64
 	CommSeg     int
 	CommMaxCoef float64
-	CompCoef    [][]float64 // [segment][device]
-	CompConst   []float64   // [device]
+	CompCoef    [][]float64 // [segment][class]
+	CompConst   []float64   // [class]
 }
 
-// Eval computes the stage time under ratios b.
-func (sm *StageModel) Eval(b [][]float64) float64 {
+// Eval computes the stage time under per-device ratios b, class mapping
+// each device to its column.
+func (sm *StageModel) Eval(class []int, b [][]float64) float64 {
 	t := sm.CommConst + sm.CommMaxCoef*maxOf(b[sm.CommSeg])
 	worst := 0.0
-	for j := range sm.CompConst {
-		cj := sm.CompConst[j]
+	for j, cl := range class {
+		cj := sm.CompConst[cl]
 		for k := range sm.CompCoef {
-			cj += sm.CompCoef[k][j] * b[k][j]
+			cj += sm.CompCoef[k][cl] * b[k][j]
 		}
 		if cj > worst {
 			worst = cj
@@ -146,12 +152,41 @@ func (bc *BoundaryCharge) Eval(b [][]float64) float64 {
 }
 
 // Model is the extracted linear cost model of one program on one cluster.
+// Its comp columns are per device class, not per device: Class[j] is device
+// j's class and Size[c] the number of devices in class c.
 type Model struct {
 	Cluster  *cluster.Cluster
 	Graph    *graph.Graph
 	Stages   []StageModel
 	Charges  []BoundaryCharge
 	Segments int
+	Class    []int
+	Size     []int
+}
+
+// Classes groups a cluster's devices by exactly what Extract's comp columns
+// read of a device — its flops and whether it is a multi-GPU machine — in
+// order of first appearance. Devices of one class have identical columns in
+// every stage, so the ratio LP needs one variable per class, not per device.
+func Classes(c *cluster.Cluster) (class, size []int) {
+	type key struct {
+		flops float64
+		multi bool
+	}
+	var keys []key
+	class = make([]int, len(c.Devices))
+	for j, d := range c.Devices {
+		k := key{d.Flops(), d.GPUs > 1}
+		cl := slices.Index(keys, k)
+		if cl < 0 {
+			cl = len(keys)
+			keys = append(keys, k)
+			size = append(size, 0)
+		}
+		class[j] = cl
+		size[cl]++
+	}
+	return class, size
 }
 
 // Extract linearizes a program's cost: one StageModel per stage plus the
@@ -160,20 +195,31 @@ func Extract(c *cluster.Cluster, p *dist.Program) *Model {
 	g := p.Graph
 	m := c.M()
 	segs := g.NumSegments()
-	model := &Model{Cluster: c, Graph: g, Segments: segs}
+	class, size := Classes(c)
+	model := &Model{Cluster: c, Graph: g, Segments: segs, Class: class, Size: size}
 
 	bw := c.EffectiveBW()
 	lat := c.EffectiveLatency()
 	oh := c.Net.KernelOverhead
 	mm := float64(m)
 
-	for _, st := range Stages(p) {
-		sm := StageModel{
-			CompConst: make([]float64, m),
-			CompCoef:  make([][]float64, segs),
-		}
+	// A representative device per class: the columns are computed once per
+	// class, all carved from one slab.
+	nc := len(size)
+	reps := make([]cluster.VirtualDevice, nc)
+	for j := len(class) - 1; j >= 0; j-- {
+		reps[class[j]] = c.Devices[j]
+	}
+	stages := Stages(p)
+	model.Stages = make([]StageModel, len(stages))
+	slab := make([]float64, len(stages)*(segs+1)*nc)
+	coefs := make([][]float64, len(stages)*segs)
+	for si, st := range stages {
+		sm := &model.Stages[si]
+		sm.CompConst, slab = slab[:nc:nc], slab[nc:]
+		sm.CompCoef, coefs = coefs[:segs:segs], coefs[segs:]
 		for k := range sm.CompCoef {
-			sm.CompCoef[k] = make([]float64, m)
+			sm.CompCoef[k], slab = slab[:nc:nc], slab[nc:]
 		}
 		if st.Comm != nil && m > 1 {
 			in := st.Comm
@@ -194,14 +240,14 @@ func Extract(c *cluster.Cluster, p *dist.Program) *Model {
 				sm.CommMaxCoef = bytes * (mm - 1) / mm / bw
 			}
 			// Intra-machine aggregation folded into comp (Sec. 6).
-			for j, d := range c.Devices {
+			for cl, d := range reps {
 				if d.GPUs <= 1 {
 					continue
 				}
 				if in.Coll == collective.AllReduce {
-					sm.CompConst[j] += 2 * bytes / c.Net.IntraBW
+					sm.CompConst[cl] += 2 * bytes / c.Net.IntraBW
 				} else {
-					sm.CompCoef[seg][j] += 2 * bytes / c.Net.IntraBW
+					sm.CompCoef[seg][cl] += 2 * bytes / c.Net.IntraBW
 				}
 			}
 		}
@@ -211,15 +257,14 @@ func Extract(c *cluster.Cluster, p *dist.Program) *Model {
 				continue
 			}
 			seg := g.Segment(in.Ref)
-			for j, d := range c.Devices {
+			for cl, d := range reps {
 				if in.FlopsScaled {
-					sm.CompCoef[seg][j] += flops / d.Flops()
+					sm.CompCoef[seg][cl] += flops / d.Flops()
 				} else {
-					sm.CompConst[j] += flops / d.Flops()
+					sm.CompConst[cl] += flops / d.Flops()
 				}
 			}
 		}
-		model.Stages = append(model.Stages, sm)
 	}
 
 	// Segment-boundary All-To-All charges (Sec. 5.2): one per distinct
@@ -258,7 +303,7 @@ func theoryLeafKind(k graph.OpKind) bool {
 func (m *Model) Eval(b [][]float64) float64 {
 	t := 0.0
 	for i := range m.Stages {
-		t += m.Stages[i].Eval(b)
+		t += m.Stages[i].Eval(m.Class, b)
 	}
 	for i := range m.Charges {
 		t += m.Charges[i].Eval(b)

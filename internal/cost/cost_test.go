@@ -2,6 +2,7 @@ package cost
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"hap/internal/autodiff"
@@ -179,5 +180,36 @@ func TestGroupedBroadcastRatioIndependentInModel(t *testing.T) {
 	}
 	if last.CommConst <= 0 {
 		t.Error("grouped broadcast should have positive constant cost")
+	}
+}
+
+// A device class is what the comp columns read of a device and nothing
+// more: devices that differ only in name and machine share one, while a
+// multi-GPU machine and a single GPU of equal flops do not — only the
+// machine pays intra-machine aggregation.
+func TestClasses(t *testing.T) {
+	eightfold := cluster.DeviceType{Name: "P100x8", TFLOPS: 8 * cluster.P100.TFLOPS, MemGB: 12}
+	c := &cluster.Cluster{Net: cluster.DefaultNetwork(), Devices: []cluster.VirtualDevice{
+		{Name: "a", Type: cluster.P100, GPUs: 8, Machine: 0},
+		{Name: "b", Type: cluster.V100, GPUs: 1, Machine: 1},
+		{Name: "c", Type: cluster.P100, GPUs: 8, Machine: 2},
+		{Name: "d", Type: eightfold, GPUs: 1, Machine: 3},
+	}}
+	if c.Devices[0].Flops() != c.Devices[3].Flops() {
+		t.Fatalf("flops %v and %v differ: the split below would not be by GPUs alone", c.Devices[0].Flops(), c.Devices[3].Flops())
+	}
+	class, size := Classes(c)
+	if !slices.Equal(class, []int{0, 1, 0, 2}) || !slices.Equal(size, []int{2, 1, 1}) {
+		t.Errorf("Classes = %v, sizes %v; want [0 1 0 2], [2 1 1]", class, size)
+	}
+	p, _ := handProgram(t)
+	model := Extract(c, p)
+	if !slices.Equal(model.Class, class) || !slices.Equal(model.Size, size) {
+		t.Errorf("Extract's classes %v, sizes %v; want %v, %v", model.Class, model.Size, class, size)
+	}
+	for _, sm := range model.Stages {
+		if len(sm.CompConst) != 3 || len(sm.CompCoef[0]) != 3 {
+			t.Fatalf("stage has %d/%d comp columns, want one per class", len(sm.CompConst), len(sm.CompCoef[0]))
+		}
 	}
 }

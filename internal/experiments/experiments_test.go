@@ -125,15 +125,8 @@ type rowID struct {
 // tables today. It is a ratchet, not a slack: a row may only leave it, and a
 // listed row that starts passing fails its table's test until it is removed.
 var losing = []rowID{
-	// BERT-MoE loses to DeepSpeed where the ratio LP fails and the plan
-	// keeps its initial ratios (ROADMAP K).
-	{"fig13", "BERT-MoE", 16}, // 1.780 vs 1.689 s
-	{"fig13", "BERT-MoE", 32}, // 2.420 vs 2.176 s
-	{"fig13", "BERT-MoE", 64}, // 3.777 vs 2.909 s
-	// +Q/+QB/+QBC 375/354/293 %: not monotone, for the same reason.
-	{"fig15", "BERT-MoE", 64},
-	// The LP solves on the homogeneous cluster, and HAP misses DeepSpeed's
-	// program by under 0.4 % (ROADMAP A(c)).
+	// HAP misses DeepSpeed's program on the homogeneous cluster by under
+	// 0.4 % (ROADMAP A(c)).
 	{"fig14", "BERT-MoE", 8},  // 1.508 vs 1.507 s
 	{"fig14", "BERT-MoE", 32}, // 2.724 vs 2.714 s
 }

@@ -2,6 +2,7 @@ package hapopt
 
 import (
 	"context"
+	"runtime"
 	"testing"
 
 	"hap/internal/cluster"
@@ -34,22 +35,55 @@ func BenchmarkOptimizeLoop(b *testing.B) {
 	}
 }
 
-// TestOptimizeAllocationPin holds one whole Optimize on loopInput at
-// Workers=1 to its pinned allocation count + 25 %. The count is exact run to
-// run: each arm's search is serial and deterministic. Synth's
-// TestSearchAllocationPin holds the searches alone; this row adds segment
-// assignment, both theories, the arms' goroutines, cost extraction and the
-// ratio LP.
+// TestOptimizeAllocationPin holds one whole Optimize at Workers=1 to its
+// pinned allocation count + 25 % and its pinned bytes + 5 %. The count is
+// exact run to run: each arm's search is serial and deterministic. Synth's
+// TestSearchAllocationPin holds the searches alone; these rows add segment
+// assignment, the theories, the arms' goroutines, cost extraction and the
+// ratio LP. loopInput runs two searches, one per arm. bert4/pg16/seg4 runs
+// four on one Synthesizer, re-priced per B: a fresh synth.New per search,
+// each carving its own arena, trail and beam buffers, cost it 4 451
+// allocations and 6 310 KiB.
 func TestOptimizeAllocationPin(t *testing.T) {
-	const pinned = 11812
-	g, c, opt := loopInput(1)
-	got := testing.AllocsPerRun(2, func() {
-		if _, err := Optimize(context.Background(), g, c, opt); err != nil {
-			t.Fatal(err)
+	cfg := models.BERTBase()
+	cfg.Layers = 4
+	pg16 := benchPerGPU(4)
+	for _, row := range []struct {
+		name     string
+		input    func() (*graph.Graph, *cluster.Cluster, Options)
+		searches int
+		allocs   int
+		kib      int
+	}{
+		{"BERT-MoE/het8", func() (*graph.Graph, *cluster.Cluster, Options) { return loopInput(1) }, 2, 10571, 10738},
+		{"bert4/pg16/seg4", func() (*graph.Graph, *cluster.Cluster, Options) {
+			return bertGraph(cfg, models.PerDeviceBatch(models.ModelBERTBase)*pg16.TotalGPUs()), pg16,
+				Options{Segments: 4, Synth: synth.Options{BeamWidth: 48, Workers: 1}}
+		}, 4, 3252, 2232},
+	} {
+		g, c, opt := row.input()
+		if _, searches, _, err := optimizeTraced(g, c, opt); err != nil || searches != row.searches {
+			t.Fatalf("%s: %d searches (err %v), want %d", row.name, searches, err, row.searches)
 		}
-	})
-	t.Logf("Optimize on BERT-MoE: %.0f allocs (pinned %d)", got, pinned)
-	if limit := 1.25 * pinned; got > limit {
-		t.Errorf("Optimize on BERT-MoE at Workers=1: %.0f allocs, want at most %.0f (pinned %d + 25%%)", got, limit, pinned)
+		run := func() {
+			if _, err := Optimize(context.Background(), g, c, opt); err != nil {
+				t.Fatal(err)
+			}
+		}
+		got := testing.AllocsPerRun(2, run)
+		run()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		run()
+		run()
+		runtime.ReadMemStats(&after)
+		kib := float64(after.TotalAlloc-before.TotalAlloc) / 2 / 1024
+		t.Logf("%s: %.0f allocs, %.0f KiB per Optimize (pinned %d, %d KiB)", row.name, got, kib, row.allocs, row.kib)
+		if limit := 1.25 * float64(row.allocs); got > limit {
+			t.Errorf("%s at Workers=1: %.0f allocs, want at most %.0f (pinned %d + 25%%)", row.name, got, limit, row.allocs)
+		}
+		if limit := 1.05 * float64(row.kib); kib > limit {
+			t.Errorf("%s at Workers=1: %.0f KiB, want at most %.0f (pinned %d KiB + 5%%)", row.name, kib, limit, row.kib)
+		}
 	}
 }

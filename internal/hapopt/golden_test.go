@@ -22,20 +22,21 @@ type goldenLoop struct {
 	stop       string
 }
 
-// goldenLoops was generated with the dense simplex of PR 18 (the reference
-// kept in internal/lp's tests). synth's TestGoldenPlanIdentity runs one
-// search at B⁽⁰⁾ and never reaches the balancer; this table is the guard that
-// a solver change moved no ratio by a single bit on the benchmark's inputs.
-// A failure logs the row as built now; replace rows only in a change that
-// means to move B.
+// goldenLoops was generated with the ratio LP over device classes (one B
+// variable per class, see balance.RatiosFromModel). synth's
+// TestGoldenPlanIdentity runs one search at B⁽⁰⁾ and never reaches the
+// balancer; this table is the guard that a solver
+// change moved no ratio by a single bit on the benchmark's inputs. A failure
+// logs the row as built now; replace rows only in a change that means to
+// move B.
 var goldenLoops = map[string]goldenLoop{
-	"mlp/pg32/seg4":      {"ca6ba248fb733095", "2", "ratios_converged"},
-	"mlp/pg32/seg1":      {"8a3e2c2987643dfe", "1", "ratios_converged"},
-	"bert4/pg16/seg4":    {"e5f20bc816cd8de7", "3", "ratios_converged"},
-	"vgg19r64/pg16/seg4": {"565a1c0c39bcad65", "2", "ratios_converged"},
-	"vgg19/het8":         {"a5a5f3320c9ab139", "1", "ratios_converged"},
+	"mlp/pg32/seg4":      {"45aa8b78e914d7e5", "2", "ratios_converged"},
+	"mlp/pg32/seg1":      {"8c73ee8fb09cff85", "1", "ratios_converged"},
+	"bert4/pg16/seg4":    {"4a983ff54a01bf95", "4", "max_iterations"},
+	"vgg19r64/pg16/seg4": {"e25c04a56244c635", "2", "ratios_converged"},
+	"vgg19/het8":         {"c4567c15f4525d9d", "1", "ratios_converged"},
 	"bert6/a100p100":     {"cbaee9c2293ecf95", "1", "ratios_converged"},
-	"moe4/het8":          {"43fe023fe1a0d70d", "1", "ratios_converged"},
+	"moe4/het8":          {"3cd3f00f0ba3ae35", "1", "ratios_converged"},
 }
 
 // benchPerGPU is bench/inputs.go's per-GPU cluster: V100, P100, A100, P100

@@ -9,8 +9,9 @@
 // before a search, not after it: when the balancer hands back the B the last
 // search ran under (see sameRatios), the loop stops without re-running it.
 // Oscillation — a Q, and with it B = LP(Q), coming back after a cycle of two
-// or more — is caught by remembering every Q. This package is HAP's top-level
-// optimizer.
+// or more — is caught by remembering every Q. Each theory of the portfolio
+// has one synth.Synthesizer for the whole loop, re-priced for every B. This
+// package is HAP's top-level optimizer.
 package hapopt
 
 import (
@@ -19,6 +20,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"sync"
 	"time"
 
@@ -60,6 +62,8 @@ type Options struct {
 
 	// onRatios, set by tests only, sees every B the balancer hands back.
 	onRatios func(b [][]float64)
+	// balance, set by tests only, stands in for balance.RatiosFromModel.
+	balance func(*cost.Model) ([][]float64, error)
 }
 
 // Result is the optimized plan.
@@ -155,11 +159,36 @@ func Optimize(ctx context.Context, g *graph.Graph, c *cluster.Cluster, opt Optio
 		}))
 	}
 
+	// One Synthesizer per portfolio theory serves every iteration: SetRatios
+	// re-prices it for the new B, and each Run reuses the scratch the last
+	// one left. Several theories search concurrently, so the worker budget is
+	// split instead of oversubscribed — two beams at GOMAXPROCS workers each
+	// would contend for the same cores. Plans are worker-count-invariant, so
+	// the split trades only latency, never content.
+	so := opt.Synth
+	if len(portfolio) > 1 {
+		so.Workers = splitWorkers(so.Workers, len(portfolio))
+	}
+	arms := make([]*synth.Synthesizer, len(portfolio))
+	for i, th := range portfolio {
+		o := so
+		if i != 0 {
+			// Filtered portfolio theories carry their own triple set; the
+			// seed's pins reference the base theory's.
+			o.Seed = nil
+		}
+		arms[i] = synth.New(g, th, c, b, o)
+	}
+	solve := opt.balance
+	if solve == nil {
+		solve = balance.RatiosFromModel
+	}
+
 	// Zero when ctx has no deadline; the searches read the same one.
 	deadline, _ := ctx.Deadline()
 	var best *Result
 	var balanceErr error
-	seen := map[string]bool{}
+	var seen []*dist.Program
 	ran, stop := 0, "max_iterations"
 	for iter := 1; iter <= opt.MaxIterations; iter++ {
 		// The iteration span parents this round's searches and balance solve;
@@ -183,34 +212,27 @@ func Optimize(ctx context.Context, g *graph.Graph, c *cluster.Cluster, opt Optio
 			}
 			return nil, fmt.Errorf("hapopt: time budget exhausted after %v before any plan completed", time.Since(start).Round(time.Millisecond))
 		}
+		if iter > 1 {
+			for _, a := range arms {
+				a.SetRatios(b)
+			}
+		}
 		// The portfolio theories search concurrently under the shared
 		// deadline (each search is internally parallel too; see
 		// synth.Options.Workers). Selection walks the results in portfolio
 		// order with the same tie-breaking as a sequential loop — the base
 		// theory wins cost ties — so the outcome is order-deterministic.
-		outs := make([]portfolioResult, len(portfolio))
-		if len(portfolio) == 1 {
-			outs[0].p, outs[0].stats, outs[0].err = synth.Synthesize(ictx, g, portfolio[0], c, b, opt.Synth)
+		outs := make([]portfolioResult, len(arms))
+		if len(arms) == 1 {
+			outs[0].p, outs[0].stats, outs[0].err = arms[0].Run(ictx)
 		} else {
-			// Split the worker budget across the concurrent searches instead
-			// of oversubscribing: two beams at GOMAXPROCS workers each would
-			// contend for the same cores. Plans are worker-count-invariant,
-			// so the split trades only latency, never content.
-			so := opt.Synth
-			so.Workers = splitWorkers(so.Workers, len(portfolio))
 			var wg sync.WaitGroup
-			for i := range portfolio {
+			for i, a := range arms {
 				wg.Add(1)
-				go func(i int) {
+				go func(i int, a *synth.Synthesizer) {
 					defer wg.Done()
-					o := so
-					if i != 0 {
-						// Filtered portfolio theories carry their own triple
-						// set; the seed's pins reference the base theory's.
-						o.Seed = nil
-					}
-					outs[i].p, outs[i].stats, outs[i].err = synth.Synthesize(ictx, g, portfolio[i], c, b, o)
-				}(i)
+					outs[i].p, outs[i].stats, outs[i].err = a.Run(ictx)
+				}(i, a)
 			}
 			wg.Wait()
 		}
@@ -261,7 +283,7 @@ func Optimize(ctx context.Context, g *graph.Graph, c *cluster.Cluster, opt Optio
 		converged := opt.SkipBalance
 		if !opt.SkipBalance {
 			bs := it.Child("balance")
-			nb, err := balance.RatiosFromModel(model)
+			nb, err := solve(model)
 			if err != nil {
 				balanceErr = fmt.Errorf("hapopt: iteration %d: %w", iter, err)
 				bs.SetAttrStr("error", err.Error())
@@ -297,12 +319,12 @@ func Optimize(ctx context.Context, g *graph.Graph, c *cluster.Cluster, opt Optio
 		}
 		// Oscillation: B is a function of Q, so a Q seen before brings its B
 		// back with it — the (Q,B) pair repeats and the loop is in a cycle.
-		q := p.String()
-		if seen[q] {
+		// Programs compare on what their encoding holds.
+		if slices.ContainsFunc(seen, p.EqualBinary) {
 			stop = "pair_repeated"
 			break
 		}
-		seen[q] = true
+		seen = append(seen, p)
 	}
 	span.SetAttrInt("iterations", int64(ran))
 	span.SetAttrStr("stop", stop)

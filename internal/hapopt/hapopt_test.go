@@ -1,6 +1,7 @@
 package hapopt
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"testing"
@@ -11,11 +12,13 @@ import (
 	"hap/internal/cost"
 	"hap/internal/dist"
 	"hap/internal/graph"
+	"hap/internal/lp"
 	"hap/internal/models"
 	"hap/internal/obs"
 	"hap/internal/runtime"
 	"hap/internal/segment"
 	"hap/internal/synth"
+	"hap/internal/theory"
 )
 
 func hetero2() *cluster.Cluster {
@@ -281,13 +284,25 @@ func bertGraph(cfg models.TransformerConfig, batch int) *graph.Graph {
 	return models.Training(models.BERT(cfg, batch*cfg.SeqLen))
 }
 
-// oscillating is an input on which the loop genuinely cycles: B moves every
-// iteration, the modelled cost alternates 0.05083 / 0.05110, and Q⁽⁴⁾ is Q⁽²⁾
-// again (found by a random sweep over small Transformers). It is the one case
-// here that runs more than three iterations and leaves through the seen set.
+// oscillating is a small Transformer on per-GPU devices whose balancer
+// alternates between even ratios and B⁽⁰⁾: B moves every iteration and Q⁽³⁾
+// is Q⁽¹⁾ again, so the loop leaves through the seen set. The alternation is
+// injected, so the witness does not depend on which optimal vertex the ratio
+// LP returns (the real LP converges on this input in two iterations).
 func oscillating() (*graph.Graph, *cluster.Cluster, Options) {
 	cfg := models.TransformerConfig{Layers: 2, Hidden: 512, FFN: 2048, SeqLen: 16, Vocab: 128}
-	return bertGraph(cfg, 50), perGPU(3, 2, 2, 3), Options{Segments: 3, Synth: synth.Auto()}
+	c := perGPU(3, 2, 2, 3)
+	g := bertGraph(cfg, 50)
+	opt := Options{Segments: 3, Synth: synth.Auto()}
+	calls := 0
+	opt.balance = func(*cost.Model) ([][]float64, error) {
+		calls++
+		if calls%2 == 1 {
+			return cost.UniformRatios(3, c.EvenRatios()), nil
+		}
+		return cost.UniformRatios(3, c.ProportionalRatios()), nil
+	}
+	return g, c, opt
 }
 
 // optimizeTraced runs Optimize under a traced context and returns the number
@@ -385,8 +400,8 @@ func TestLoopStopReasons(t *testing.T) {
 		stop, iters string
 	}{
 		{"ratios_converged", func(o *Options) { o.SkipBalance = true }, "ratios_converged", "1"},
-		{"pair_repeated", func(o *Options) {}, "pair_repeated", "4"},
-		{"max_iterations", func(o *Options) { o.MaxIterations = 3 }, "max_iterations", "3"},
+		{"pair_repeated", func(o *Options) {}, "pair_repeated", "3"},
+		{"max_iterations", func(o *Options) { o.MaxIterations = 2 }, "max_iterations", "2"},
 	} {
 		attrs, err := run(context.Background(), tc.mod)
 		if err != nil {
@@ -396,7 +411,7 @@ func TestLoopStopReasons(t *testing.T) {
 			t.Errorf("%s: optimize span %v, want stop %s after %s iterations", tc.name, attrs, tc.stop, tc.iters)
 		}
 	}
-	// budget: the deadline must fall after the first of the four iterations
+	// budget: the deadline must fall after the first of the three iterations
 	// and before the last ends. The window is wide, but the machine's speed
 	// is not ours, so walk the budget into it instead of guessing once.
 	g, c, opt := oscillating()
@@ -447,18 +462,21 @@ func TestNegativeMaxIterationsIsAnError(t *testing.T) {
 	}
 }
 
-// ViT on the paper's heterogeneous cluster is an input the ratio LP fails on
-// (it reports infeasibility at iteration 1). The loop degrades instead of
-// failing the call: Q⁽¹⁾ is kept under the B⁽⁰⁾ it was searched under, the
-// optimize span says why the loop ended, and the error rides on the Result.
+// A balancer that fails degrades the loop instead of failing the call: Q⁽¹⁾
+// is kept under the B⁽⁰⁾ it was searched under, the optimize span says why
+// the loop ended, and the error rides on the Result. The failure is
+// injected: ViT on the paper's heterogeneous cluster, the witness before the
+// ratio LP went over device classes, now solves.
 func TestBalanceFailureDegrades(t *testing.T) {
 	c := cluster.PaperHeterogeneous(1)
-	res, searches, attrs, err := optimizeTraced(models.Build(models.ModelViT, c.TotalGPUs()), c, Options{Synth: synth.Auto()})
+	opt := Options{Synth: synth.Auto()}
+	opt.balance = func(*cost.Model) ([][]float64, error) { return nil, lp.ErrUnbounded }
+	res, searches, attrs, err := optimizeTraced(models.Build(models.ModelViT, c.TotalGPUs()), c, opt)
 	if err != nil {
 		t.Fatalf("Optimize: %v", err)
 	}
-	if res.BalanceErr == nil || searches != 1 || attrs["stop"] != "balance_failed" || attrs["iterations"] != "1" {
-		t.Fatalf("BalanceErr %v after %d searches, optimize span %v; want an error, 1 search, stop balance_failed after 1 iteration", res.BalanceErr, searches, attrs)
+	if !errors.Is(res.BalanceErr, lp.ErrUnbounded) || searches != 1 || attrs["stop"] != "balance_failed" || attrs["iterations"] != "1" {
+		t.Fatalf("BalanceErr %v after %d searches, optimize span %v; want the injected error, 1 search, stop balance_failed after 1 iteration", res.BalanceErr, searches, attrs)
 	}
 	if err := res.Program.Validate(); err != nil {
 		t.Errorf("degraded plan is ill-formed: %v", err)
@@ -467,4 +485,95 @@ func TestBalanceFailureDegrades(t *testing.T) {
 	if !sameRatios(res.Ratios, b0) || res.Cost != cost.Extract(c, res.Program).Eval(b0) {
 		t.Errorf("degraded plan has ratios %v at cost %v, want B⁽⁰⁾ %v and the cost under it", res.Ratios, res.Cost, b0)
 	}
+}
+
+// TestSynthesizerReuse holds the loop's one Synthesizer per arm to a fresh
+// synth.New per B: re-priced with SetRatios and run again, it returns the
+// same program bytes and the same effort counters, on bert4/pg16/seg4's four
+// searches and on a seeded search.
+func TestSynthesizerReuse(t *testing.T) {
+	type input struct {
+		name string
+		g    *graph.Graph
+		th   *theory.Theory
+		c    *cluster.Cluster
+		opt  synth.Options
+		bs   [][][]float64
+	}
+	// loopRatios is every B the loop searches under: B⁽⁰⁾ and what the
+	// balancer handed back, but the last.
+	loopRatios := func(g *graph.Graph, c *cluster.Cluster, opt Options) [][][]float64 {
+		bs := [][][]float64{cost.UniformRatios(max(opt.Segments, 1), c.ProportionalRatios())}
+		opt.onRatios = func(b [][]float64) { bs = append(bs, cloneRatios(b)) }
+		if _, err := Optimize(context.Background(), g, c, opt); err != nil {
+			t.Fatal(err)
+		}
+		return bs[:len(bs)-1]
+	}
+
+	cfg := models.BERTBase()
+	cfg.Layers = 4
+	pg16 := benchPerGPU(4)
+	bert := bertGraph(cfg, models.PerDeviceBatch(models.ModelBERTBase)*pg16.TotalGPUs())
+	bertB := loopRatios(bert, pg16, Options{Segments: 4, Synth: synth.Auto()})
+	if len(bertB) != 4 {
+		t.Fatalf("bert4/pg16/seg4 searched under %d ratios, want 4", len(bertB))
+	}
+
+	het8 := cluster.PaperHeterogeneous(1)
+	batch := models.PerDeviceBatch(models.ModelVGG19) * het8.TotalGPUs()
+	donorG := models.Training(models.VGG19(batch, 224, 10))
+	donor, err := Optimize(context.Background(), donorG, het8, Options{Synth: synth.Auto()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wide := models.Training(models.VGG19OneWider(batch, 224, 10))
+	wideTh := theory.New(wide)
+	seed := synth.BuildSeed(donorG, donor.Program, nil, wide, wideTh, 0)
+	if seed == nil {
+		t.Fatal("BuildSeed returned nil")
+	}
+	b0 := cost.UniformRatios(1, het8.ProportionalRatios())
+	seededB := [][][]float64{b0, cost.UniformRatios(1, het8.EvenRatios()), b0}
+
+	for _, in := range []input{
+		{"bert4/pg16/seg4", bert, theory.New(bert), pg16, synth.Auto(), bertB},
+		{"vgg19wider/het8/seeded", wide, wideTh, het8, synth.Options{BeamWidth: -1, Seed: seed}, seededB},
+	} {
+		t.Run(in.name, func(t *testing.T) {
+			sy := synth.New(in.g, in.th, in.c, in.bs[0], in.opt)
+			for k, b := range in.bs {
+				if k > 0 {
+					sy.SetRatios(b)
+				}
+				p, st, err := sy.Run(context.Background())
+				if err != nil {
+					t.Fatalf("B⁽%d⁾ reused: %v", k, err)
+				}
+				fp, fst, err := synth.New(in.g, in.th, in.c, b, in.opt).Run(context.Background())
+				if err != nil {
+					t.Fatalf("B⁽%d⁾ fresh: %v", k, err)
+				}
+				st.Elapsed, fst.Elapsed = 0, 0
+				if st.Seeded != (in.opt.Seed != nil) {
+					t.Errorf("B⁽%d⁾: Seeded %v with seed %v", k, st.Seeded, in.opt.Seed != nil)
+				}
+				if st != fst {
+					t.Errorf("B⁽%d⁾: reused search %+v, fresh %+v", k, st, fst)
+				}
+				if !bytes.Equal(encodeBinary(t, p), encodeBinary(t, fp)) {
+					t.Errorf("B⁽%d⁾: the reused Synthesizer's program differs from a fresh one's", k)
+				}
+			}
+		})
+	}
+}
+
+func encodeBinary(t *testing.T, p *dist.Program) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := p.EncodeBinary(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
 }

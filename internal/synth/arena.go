@@ -7,10 +7,11 @@
 // plus four slice backings). The arena batch-allocates states in blocks and
 // carves each state's fixed-size backing (placed, openComp, one bitset) and
 // initial props capacity out of per-block slabs: a miss is one slab index, a
-// hit is a free-list pop. Everything is released wholesale when the search
-// ends and the Synthesizer becomes garbage — no per-object bookkeeping, and
-// nothing escapes: Run rebuilds the winning program from the trail before
-// returning.
+// hit is a free-list pop. Nothing escapes a search — Run rebuilds the winning
+// program from the trail before returning — so the slabs live as long as the
+// Synthesizer: the next Run rewinds the arena (rewind), handing every state
+// it ever carved back to the free list with its backing, so a Synthesizer
+// that serves a whole Q↔B loop reuses what its first search carved.
 //
 // No state outlives its level as an ancestor: a step's program is a trail
 // record (Synthesizer.trail), so every state of a retiring level returns
@@ -56,6 +57,9 @@ const (
 type stateArena struct {
 	free []*state
 
+	// blocks are the state blocks allocated so far; the last one's uncarved
+	// rest is block.
+	blocks [][]state
 	// The current slabs' uncarved rest: state structs, bitsets, and the
 	// structs' backings.
 	block  []state
@@ -88,6 +92,7 @@ func (a *stateArena) get() *state {
 	} else {
 		if len(a.block) == 0 {
 			a.block = make([]state, arenaBlock)
+			a.blocks = append(a.blocks, a.block)
 			a.placed = make([]int8, arenaBlock*a.nodes)
 			a.comp = make([]float64, arenaBlock*a.m)
 			a.props = make([]theory.Property, arenaBlock*arenaPropCap)
@@ -99,12 +104,47 @@ func (a *stateArena) get() *state {
 		s.props, a.props = a.props[:0:arenaPropCap], a.props[arenaPropCap:]
 	}
 	if s.spare[0] == nil && s.spare[1] == nil {
-		if len(a.bits) < a.words {
-			a.bits = make([]uint64, arenaBlock*a.words)
-		}
-		s.spare[0], a.bits = a.bits[:a.words:a.words], a.bits[a.words:]
+		s.spare[0] = a.bitset()
 	}
 	return s
+}
+
+// bitset carves a zeroed bitset from the bitset slab: the slab is never
+// re-carved, so its uncarved rest is still zero.
+func (a *stateArena) bitset() []uint64 {
+	if len(a.bits) < a.words {
+		a.bits = make([]uint64, arenaBlock*a.words)
+	}
+	b := a.bits[:a.words:a.words]
+	a.bits = a.bits[a.words:]
+	return b
+}
+
+// rewind makes every state the arena has carved free again, for the next
+// search: no state outlives the Run that used it. Each keeps its backing;
+// the bitsets it owned become its spares (a borrowed one has its owner), and
+// its frontier buffer goes back to the frontier free list.
+func (a *stateArena) rewind() {
+	a.free = a.free[:0]
+	for i, blk := range a.blocks {
+		if i == len(a.blocks)-1 {
+			blk = blk[:len(blk)-len(a.block)]
+		}
+		for j := range blk {
+			s := &blk[j]
+			if s.ownsComputed {
+				s.stash(s.computed)
+			}
+			if s.ownsCommunicated {
+				s.stash(s.communicated)
+			}
+			s.computed, s.communicated = nil, nil
+			s.ownsComputed, s.ownsCommunicated = false, false
+			a.putFront(s.front)
+			s.front = nil
+			a.free = append(a.free, s)
+		}
+	}
 }
 
 // put recycles a state no live state reads for the next get.

@@ -396,11 +396,17 @@ type trailRec struct {
 const trailChunk = 1024
 
 // record appends st, taken from the state whose tail is prev, to the trail
-// and returns its index: the successor's tail.
+// and returns its index: the successor's tail. A chunk an earlier Run
+// filled is re-sliced, not reallocated.
 func (sy *Synthesizer) record(prev int32, st step) int32 {
 	n := len(sy.trail)
 	if n == 0 || len(sy.trail[n-1]) == trailChunk {
-		sy.trail = append(sy.trail, make([]trailRec, 0, trailChunk))
+		if n < cap(sy.trail) && cap(sy.trail[:n+1][n]) == trailChunk {
+			sy.trail = sy.trail[:n+1]
+			sy.trail[n] = sy.trail[n][:0]
+		} else {
+			sy.trail = append(sy.trail, make([]trailRec, 0, trailChunk))
+		}
 		n++
 	}
 	c := &sy.trail[n-1]
@@ -461,7 +467,11 @@ func (q *pq) Pop() interface{} {
 	return e
 }
 
-// Synthesizer holds the immutable search context.
+// Synthesizer holds a search's context. Everything but the ratios is fixed
+// at New; SetRatios re-prices the search for another B, and every Run
+// rewinds the scratch the previous one left (the arena, the trail, the
+// beam's buffers) instead of allocating it again, so one Synthesizer serves
+// a whole Q↔B loop.
 type Synthesizer struct {
 	g     *graph.Graph
 	th    *theory.Theory
@@ -497,22 +507,24 @@ type Synthesizer struct {
 	// indexes it, so finding the next computation is O(1) per state).
 	reqNodes []graph.NodeID
 	// commT and commPen memoize cost.CommTime and cost.AddIntraPenalty per
-	// (ref, collective kind) — both are dim-independent, and the search
-	// prices the same few collectives millions of times. commPen[ref] holds
-	// the per-kind penalty vectors flattened with stride M.
+	// (ref, collective kind) under b — both are dim-independent, and the
+	// search prices the same few collectives millions of times. commPen[ref]
+	// holds the per-kind penalty vectors flattened with stride M.
 	commT   [][numColl]float64
 	commPen [][]float64
 
 	// arena allocates and recycles beam states (and their slice backing);
 	// a level's states return whole when it retires (see release and retire
-	// for the aliasing discipline) and everything is dropped wholesale with
-	// the Synthesizer when the search ends.
+	// for the aliasing discipline), and every state it carved returns when
+	// the next Run rewinds it.
 	arena stateArena
 	// trail holds one record per step taken this search (record), in
 	// chunks of trailChunk: every state's program, rebuilt on demand by
-	// program. It only grows, 32 bytes a step, so no state needs to outlive
-	// its level as an ancestor.
+	// program. It only grows within a search, 32 bytes a step, so no state
+	// needs to outlive its level as an ancestor; the next Run re-slices it.
 	trail [][]trailRec
+	// beam is runBeam's per-level scratch, kept across Runs.
+	beam beamScratch
 	// merge is the beam's per-level lazy sort (its range stack lives here so
 	// a search allocates it once, with the Synthesizer).
 	merge lazySort
@@ -576,22 +588,40 @@ func New(g *graph.Graph, th *theory.Theory, c *cluster.Cluster, b [][]float64, o
 			s.gradOf[o.Param] = o.Ref
 		}
 	}
-	m := c.M()
 	for i := range g.Nodes {
 		id := graph.NodeID(i)
-		if !th.Required[id] || theory.IsLeaf(g.Node(id).Kind) {
-			continue
+		if th.Required[id] && !theory.IsLeaf(g.Node(id).Kind) {
+			s.reqNodes = append(s.reqNodes, id)
 		}
-		s.reqNodes = append(s.reqNodes, id)
-		pen := make([]float64, numColl*m)
+	}
+	stride := numColl * c.M()
+	pen := make([]float64, stride*len(s.reqNodes))
+	for _, id := range s.reqNodes {
+		s.commPen[id], pen = pen[:stride:stride], pen[stride:]
+	}
+	s.price()
+	return s
+}
+
+// SetRatios re-prices the search for ratios b: the next Run searches under
+// them, exactly as a fresh New(…, b, …) would.
+func (sy *Synthesizer) SetRatios(b [][]float64) {
+	sy.b = b
+	sy.price()
+}
+
+// price fills commT and commPen under sy.b, in place.
+func (sy *Synthesizer) price() {
+	m := sy.c.M()
+	for _, id := range sy.reqNodes {
+		pen := sy.commPen[id]
+		clear(pen)
 		for k := 0; k < numColl; k++ {
 			in := dist.Comm(id, collective.Kind(k), 0, 0)
-			s.commT[id][k] = cost.CommTime(c, g, in, b)
-			cost.AddIntraPenalty(c, g, in, b, pen[k*m:(k+1)*m])
+			sy.commT[id][k] = cost.CommTime(sy.c, sy.g, in, sy.b)
+			cost.AddIntraPenalty(sy.c, sy.g, in, sy.b, pen[k*m:(k+1)*m])
 		}
-		s.commPen[id] = pen
 	}
-	return s
 }
 
 // workers resolves Options.Workers (0 = GOMAXPROCS).
@@ -609,19 +639,22 @@ func Synthesize(ctx context.Context, g *graph.Graph, th *theory.Theory, c *clust
 	return New(g, th, c, b, opt).Run(ctx)
 }
 
-// rootState builds the empty-program search root.
+// rootState builds the empty-program search root from the arena.
 func (sy *Synthesizer) rootState() *state {
 	g := sy.g
-	root := &state{
-		tail:             -1,
-		computed:         make([]uint64, sy.words),
-		communicated:     make([]uint64, sy.words),
-		placed:           make([]int8, g.NumNodes()),
-		openComp:         make([]float64, sy.c.M()),
-		lastComp:         -1,
-		ownsComputed:     true,
-		ownsCommunicated: true,
-	}
+	root := sy.arena.get()
+	root.tail = -1
+	root.computed, root.communicated = sy.arena.bitset(), sy.arena.bitset()
+	root.ownsComputed, root.ownsCommunicated = true, true
+	root.props = root.props[:0]
+	root.placed = root.placed[:g.NumNodes()]
+	root.openComp = root.openComp[:sy.c.M()]
+	clear(root.openComp)
+	root.closedCost, root.openComm, root.remFlops = 0, 0, 0
+	root.lastComp = -1
+	root.depth, root.nextReq = 0, 0
+	root.complete = false
+	root.h = 0
 	for i := range root.placed {
 		root.placed[i] = unplaced
 	}
@@ -661,6 +694,9 @@ func (sy *Synthesizer) Run(ctx context.Context) (*dist.Program, Stats, error) {
 	// An already-cancelled context must abort deterministically, not race
 	// the watcher goroutine against a fast search.
 	sy.expired.Store(ctx.Err() != nil)
+	// Nothing of the previous Run survives it: its states and trail records
+	// are scratch for this one.
+	sy.arena.rewind()
 	sy.trail = sy.trail[:0]
 	// The watcher turns ctx cancellation into the expired latch the search
 	// already polls, keeping ctx.Err() (a mutex acquisition in the common
@@ -961,14 +997,18 @@ func (sy *Synthesizer) runBeam(root *state) (*state, Stats, error) {
 	var best *state
 	bestCost := 0.0
 	W := sy.workers()
-	ws := make([]levelCands, W)
-	var (
-		lc   levelCands // the whole level's candidates
-		kept []bool
-		next []*state
-	)
-	visited := map[uint64]struct{}{}
-	level := []*state{root}
+	bs := &sy.beam
+	if len(bs.ws) < W {
+		bs.ws = make([]levelCands, W)
+	}
+	if bs.visited == nil {
+		bs.visited = map[uint64]struct{}{}
+	}
+	ws, lc, visited := bs.ws, &bs.lc, bs.visited
+	kept, next := bs.kept, bs.next[:0]
+	level := append(bs.level[:0], root)
+	// The buffers go back to the scratch however the search ends, grown.
+	defer func() { bs.kept, bs.next, bs.level = kept, next[:0], level[:0] }()
 	maxLevels := 3*sy.g.NumNodes() + 100
 	for depth := 0; depth < maxLevels && len(level) > 0; depth++ {
 		// One span per beam level (nil when tracing is off — the only cost
@@ -990,7 +1030,7 @@ func (sy *Synthesizer) runBeam(root *state) (*state, Stats, error) {
 					endAborted(lv, depth, n)
 					return nil, stats, err
 				}
-				sy.scoreCandidates(level[pi], &lc)
+				sy.scoreCandidates(level[pi], lc)
 			}
 		} else {
 			chunk := (n + workers - 1) / workers
@@ -1122,6 +1162,18 @@ func (sy *Synthesizer) runBeam(root *state) (*state, Stats, error) {
 		return nil, stats, fmt.Errorf("synth: beam search found no complete program")
 	}
 	return best, stats, nil
+}
+
+// beamScratch is runBeam's per-level working set, kept on the Synthesizer
+// so a Run after the first allocates none of it: the level's candidates
+// (lc, and the workers' chunks ws), the dedup set, which parents kept a
+// child, and the current and next levels.
+type beamScratch struct {
+	lc          levelCands
+	ws          []levelCands
+	visited     map[uint64]struct{}
+	kept        []bool
+	next, level []*state
 }
 
 // endAborted records the beam level a budget or cancellation cut short, so

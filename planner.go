@@ -95,12 +95,15 @@ func (p *Planner) hapoptOptions() hapopt.Options {
 	return o
 }
 
+// optimize is the loop Plan runs; tests stand in for it to inject faults.
+var optimize = hapopt.Optimize
+
 // Plan synthesizes a distributed plan for g on the planner's cluster.
 // Cancelling ctx aborts an in-flight search within one candidate batch.
 func (p *Planner) Plan(ctx context.Context, g *Graph) (*Plan, error) {
 	ctx, cancel := p.searchCtx(ctx)
 	defer cancel()
-	res, err := hapopt.Optimize(ctx, g, p.c, p.hapoptOptions())
+	res, err := optimize(ctx, g, p.c, p.hapoptOptions())
 	if err != nil {
 		return nil, err
 	}

@@ -11,6 +11,8 @@ import (
 	"hap/internal/cluster"
 	"hap/internal/dist"
 	"hap/internal/graph"
+	"hap/internal/hapopt"
+	"hap/internal/lp"
 	"hap/internal/models"
 	"hap/internal/planwire"
 )
@@ -148,10 +150,21 @@ func TestBinaryPlanRoundTrip(t *testing.T) {
 	}
 }
 
-// A balancer failure (ViT on the heterogeneous testbed: the ratio LP reports
-// infeasibility) costs the plan its tuned ratios, not the caller the plan:
-// what comes back validates and survives both wire formats.
+// A balancer failure costs the plan its tuned ratios, not the caller the
+// plan: what comes back validates and survives both wire formats. The
+// failure is injected — ViT on the heterogeneous testbed, the witness before
+// the ratio LP went over device classes, now solves — as the result the loop
+// returns when its first LP fails: Q⁽¹⁾ under the B⁽⁰⁾ it was searched under.
 func TestPlanSurvivesBalancerFailure(t *testing.T) {
+	defer func(f func(context.Context, *Graph, *Cluster, hapopt.Options) (*hapopt.Result, error)) { optimize = f }(optimize)
+	optimize = func(ctx context.Context, g *Graph, c *Cluster, o hapopt.Options) (*hapopt.Result, error) {
+		o.SkipBalance, o.MaxIterations = true, 1
+		res, err := hapopt.Optimize(ctx, g, c, o)
+		if err == nil {
+			res.BalanceErr = lp.ErrUnbounded
+		}
+		return res, err
+	}
 	c := cluster.PaperHeterogeneous(1)
 	g := models.Build(models.ModelViT, c.TotalGPUs())
 	plan, err := NewPlanner(c).Plan(context.Background(), g)
