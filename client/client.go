@@ -13,10 +13,10 @@
 // costs no upload.
 //
 // The returned plans are ready for hap.Verify / hap.Simulate, exactly as if
-// hap.NewPlanner had produced them locally. Each is bound to a shallow copy
-// of the caller's graph (same nodes, its own segment assignment): the
-// caller's graph value is never written to, so sending it again is the same
-// request.
+// hap.NewPlanner had produced them locally. Each is bound to the caller's
+// graph, or to a shallow copy of it when the plan's segment assignment is not
+// the one the graph carries: the caller's graph value is never written to,
+// so sending it again is the same request.
 //
 // Synthesize is key-first: it derives the plan's cache key locally (two
 // fingerprints, no encoding) and posts only {"key": ...}. A daemon holding
@@ -224,22 +224,12 @@ func (c *Client) postData(ctx context.Context, path string, data []byte, ifNoneM
 // answer to a key-only request it holds no plan for.
 const needBody = "need_body"
 
-// bindCopy returns the graph value a decoded plan binds to: a shallow copy of
-// the caller's. hap.ReadProgram adopts the plan's segment assignment onto the
-// graph it binds, and graph.Fingerprint covers that assignment — bound to the
-// caller's own value, a segmented plan would change what the next request for
-// the same graph hashes and encodes to.
-func bindCopy(g *hap.Graph) *hap.Graph {
-	bound := *g
-	return &bound
-}
-
 // Synthesize plans g on cl via the server, which answers with the binary
 // plan payload; an answer that does not decode as one is an error.
 //
 // The request is key-first (see the package comment): a pure function of g,
 // cl and opt, none of which the call modifies. The returned plan is bound to
-// a shallow copy of g.
+// g, or to a shallow copy of g carrying the plan's segment assignment.
 func (c *Client) Synthesize(ctx context.Context, g *hap.Graph, cl *hap.Cluster, opt Options) (*hap.Plan, error) {
 	const path = "/v1/synthesize"
 	fp := graph.Fingerprint(g)
@@ -291,7 +281,7 @@ func (c *Client) Synthesize(ctx context.Context, g *hap.Graph, cl *hap.Cluster, 
 	defer resp.Body.Close()
 	if resp.StatusCode == http.StatusNotModified {
 		io.Copy(io.Discard, resp.Body)
-		return decodePlan(cached.body, bindCopy(g), fp)
+		return decodePlan(cached.body, g, fp)
 	}
 	raw, err := io.ReadAll(resp.Body)
 	if err != nil {
@@ -300,13 +290,13 @@ func (c *Client) Synthesize(ctx context.Context, g *hap.Graph, cl *hap.Cluster, 
 	if etag := resp.Header.Get("ETag"); c.cond != nil && etag != "" {
 		c.cond.put(key, condEntry{etag: etag, body: raw})
 	}
-	return decodePlan(raw, bindCopy(g), fp)
+	return decodePlan(raw, g, fp)
 }
 
 // decodePlan decodes a binary plan body, binding it to g. fp is
 // graph.Fingerprint(g), hashed once per call for the cache key: the
 // plan→graph binding check reuses it while the plan's segment assignment is
-// the one g carried when hashed, and hashes g afresh otherwise (a segmented
+// the one g carries, and hashes the copy it binds to otherwise (a segmented
 // plan for an unsegmented request).
 func decodePlan(body []byte, g *hap.Graph, fp string) (*hap.Plan, error) {
 	prog, ratios, cost, err := planwire.ReadBinary(body, g, fp)

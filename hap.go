@@ -125,7 +125,8 @@ type Options struct {
 	// only the changed region is searched. A donor too far away silently
 	// degrades to cold synthesis; exact A* ignores seeds. Both nil by
 	// default. Seed inputs are deliberately not part of hap-serve's cache
-	// key: like Workers, they trade latency, never plan validity.
+	// key: like Workers, they trade latency, never plan validity. Planning
+	// only reads them, so one donor may seed concurrent Plan calls.
 	SeedGraph *Graph
 	SeedPlan  *Plan
 }
@@ -170,10 +171,11 @@ func (p *Plan) WriteProgram(w io.Writer) error {
 
 // ReadProgram loads a plan written by Plan.WriteProgram, binding its program
 // to g (which must be the graph the plan was synthesized for) and validating
-// it structurally. The plan's segment assignment is adopted onto g, so plans
-// produced with Options.Segments > 1 re-load against a freshly built graph.
-// A failed ReadProgram leaves g as it was: a plan already bound to g would
-// otherwise index its ratio rows with a stale assignment.
+// it structurally. g is never written, whether the read succeeds or not: the
+// program binds to g when g carries the plan's segment assignment, and to a
+// shallow copy of g carrying it otherwise, so plans produced with
+// Options.Segments > 1 re-load against a freshly built graph. The returned
+// Program.Graph is the graph it bound to.
 func ReadProgram(r io.Reader, g *Graph) (*Plan, error) {
 	prog, ratios, cost, err := planwire.ReadJSON(r, g, "")
 	if err != nil {

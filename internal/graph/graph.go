@@ -11,6 +11,7 @@ package graph
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"hap/internal/tensor"
@@ -517,6 +518,19 @@ func (g *Graph) NumSegments() int {
 		return 1
 	}
 	return max + 1
+}
+
+// WithSegmentOf returns g itself when it already carries segmentOf, and
+// otherwise a shallow copy of g that carries it. A plan's segment assignment
+// reaches a graph only this way, so planning and plan reading never write
+// the caller's graph; the copy shares everything else with g read-only.
+func (g *Graph) WithSegmentOf(segmentOf []int) *Graph {
+	if slices.Equal(g.SegmentOf, segmentOf) {
+		return g
+	}
+	cp := *g
+	cp.SegmentOf = segmentOf
+	return &cp
 }
 
 // Segment returns the segment of a node (0 when unsegmented).

@@ -96,7 +96,8 @@ type Result struct {
 // loop ends with the best plan found so far (or an error when none exists
 // yet). Cancelling ctx instead aborts the loop (and any in-flight search)
 // promptly with the context error — nobody is waiting for a best-effort plan
-// after a disconnect.
+// after a disconnect. g is only read: the program binds to g, or to a shallow
+// copy of g when the plan's segment assignment is not the one g carries.
 func Optimize(ctx context.Context, g *graph.Graph, c *cluster.Cluster, opt Options) (*Result, error) {
 	start := time.Now()
 	if ctx == nil {
@@ -113,11 +114,12 @@ func Optimize(ctx context.Context, g *graph.Graph, c *cluster.Cluster, opt Optio
 	span := obs.SpanFromContext(ctx).Child("optimize")
 	defer span.End()
 	ts := span.Child("theory")
+	// From here on g carries the requested segment assignment (see above).
+	var segOf []int
 	if opt.Segments > 1 {
-		segment.Assign(g, opt.Segments)
-	} else {
-		g.SegmentOf = nil
+		segOf = segment.Of(g, opt.Segments)
 	}
+	g = g.WithSegmentOf(segOf)
 	th := theory.New(g)
 	ts.SetAttrInt("nodes", int64(g.NumNodes()))
 	ts.SetAttrInt("outputs", int64(len(th.Outputs)))

@@ -92,8 +92,11 @@ func TestSegmentedOptimization(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Optimize: %v", err)
 	}
-	if len(res.Ratios) != g.NumSegments() {
-		t.Errorf("ratio rows %d != segments %d", len(res.Ratios), g.NumSegments())
+	if n := res.Program.Graph.NumSegments(); len(res.Ratios) != n || n < 2 {
+		t.Errorf("ratio rows %d, the plan's graph has %d segments", len(res.Ratios), n)
+	}
+	if g.SegmentOf != nil {
+		t.Errorf("Optimize wrote the caller's graph: SegmentOf = %v", g.SegmentOf)
 	}
 }
 

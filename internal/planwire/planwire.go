@@ -6,6 +6,10 @@
 // computed for the plan's cache key, sparing the binding check a second hash
 // of the same graph.
 //
+// A reader never writes the graph it is given. The program binds to that
+// graph when it already carries the plan's segment assignment, and to a
+// shallow copy carrying the assignment otherwise (graph.Graph.WithSegmentOf).
+//
 // Binary layout:
 //
 //	dist.EncodeBinary(program) · trailer JSON · uint32 trailer length (BE) · "HAPT"
@@ -23,7 +27,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"slices"
 
 	"hap/internal/dist"
 	"hap/internal/graph"
@@ -52,10 +55,9 @@ type Trailer struct {
 var Magic = [4]byte{'H', 'A', 'P', 'T'}
 
 // ReadJSON loads a plan in the JSON form, binding its program to g (which
-// must be the graph the plan was synthesized for) and validating it. The
-// plan's segment assignment is adopted onto g, and only if the whole load
-// succeeds: a failed read leaves g as it was. fp, when not empty, must be
-// graph.Fingerprint(g) as g stands on entry.
+// must be the graph the plan was synthesized for) or to a copy of g carrying
+// the plan's segment assignment, and validating it. fp, when not empty, must
+// be graph.Fingerprint(g).
 func ReadJSON(r io.Reader, g *graph.Graph, fp string) (*dist.Program, [][]float64, float64, error) {
 	fail := func(err error) (*dist.Program, [][]float64, float64, error) {
 		return nil, nil, 0, fmt.Errorf("hap: read plan: %w", err)
@@ -67,16 +69,15 @@ func ReadJSON(r io.Reader, g *graph.Graph, fp string) (*dist.Program, [][]float6
 	if len(pj.Program) == 0 {
 		return fail(fmt.Errorf("input has no %q section (not written by Plan.WriteProgram?)", "program"))
 	}
-	if err := checkSegments(pj.SegmentOf, g); err != nil {
+	bg, fp, err := binding(g, pj.SegmentOf, fp)
+	if err != nil {
 		return fail(err)
 	}
-	prev, known := adopt(g, pj.SegmentOf, fp)
-	prog, err := dist.DecodeWithFingerprint(bytes.NewReader(pj.Program), g, known)
+	prog, err := dist.DecodeWithFingerprint(bytes.NewReader(pj.Program), bg, fp)
 	if err == nil {
-		err = ValidateRatios(pj.Ratios, g.NumSegments())
+		err = ValidateRatios(pj.Ratios, bg.NumSegments())
 	}
 	if err != nil {
-		g.SegmentOf = prev
 		return fail(err)
 	}
 	return prog, pj.Ratios, pj.Cost, nil
@@ -95,16 +96,15 @@ func ReadBinary(data []byte, g *graph.Graph, fp string) (*dist.Program, [][]floa
 	if err := json.Unmarshal(data[progEnd:len(data)-8], &tr); err != nil {
 		return fail(fmt.Errorf("trailer: %w", err))
 	}
-	if err := checkSegments(tr.SegmentOf, g); err != nil {
+	bg, fp, err := binding(g, tr.SegmentOf, fp)
+	if err != nil {
 		return fail(err)
 	}
-	prev, known := adopt(g, tr.SegmentOf, fp)
-	prog, err := dist.DecodeBinaryWithFingerprint(data[:progEnd], g, known)
+	prog, err := dist.DecodeBinaryWithFingerprint(data[:progEnd], bg, fp)
 	if err == nil {
-		err = ValidateRatios(tr.Ratios, g.NumSegments())
+		err = ValidateRatios(tr.Ratios, bg.NumSegments())
 	}
 	if err != nil {
-		g.SegmentOf = prev
 		return fail(err)
 	}
 	return prog, tr.Ratios, tr.Cost, nil
@@ -138,26 +138,19 @@ func Framed(data []byte) bool {
 	return err == nil
 }
 
-// checkSegments rejects a carried segment assignment that does not cover g.
-func checkSegments(segmentOf []int, g *graph.Graph) error {
+// binding returns the graph a plan carrying segmentOf binds to, and the
+// fingerprint its binding check may take as given: g and fp when g carries
+// the assignment already, else a copy of g carrying it and "" — the
+// fingerprint covers the assignment, so the copy is hashed afresh. An
+// assignment that does not cover g is refused.
+func binding(g *graph.Graph, segmentOf []int, fp string) (*graph.Graph, string, error) {
 	if len(segmentOf) != 0 && len(segmentOf) != g.NumNodes() {
-		return fmt.Errorf("segment assignment covers %d nodes, the graph has %d", len(segmentOf), g.NumNodes())
+		return nil, "", fmt.Errorf("segment assignment covers %d nodes, the graph has %d", len(segmentOf), g.NumNodes())
 	}
-	return nil
-}
-
-// adopt installs a plan's segment assignment on g, the graph its program
-// binds to, and returns the assignment it replaced (restored on failure) and
-// the fingerprint the binding check may take as given. The fingerprint
-// covers SegmentOf, so fp — computed for g as it stood — holds only when the
-// assignment is unchanged; otherwise "" makes the check hash g afresh.
-func adopt(g *graph.Graph, segmentOf []int, fp string) (prev []int, known string) {
-	prev = g.SegmentOf
-	if slices.Equal(segmentOf, prev) {
-		known = fp
+	if bg := g.WithSegmentOf(segmentOf); bg != g {
+		return bg, "", nil
 	}
-	g.SegmentOf = segmentOf
-	return prev, known
+	return g, fp, nil
 }
 
 // ValidateRatios rejects sharding-ratio matrices that would crash or

@@ -12,9 +12,13 @@ import (
 )
 
 // Assign partitions g into at most maxSegments segments and fills
-// g.SegmentOf. Node weights are forward flops plus the flops of the
-// backward nodes they spawn; boundaries balance cumulative weight.
-func Assign(g *graph.Graph, maxSegments int) {
+// g.SegmentOf with the assignment Of computes.
+func Assign(g *graph.Graph, maxSegments int) { g.SegmentOf = Of(g, maxSegments) }
+
+// Of partitions g into at most maxSegments segments and returns each node's
+// segment, leaving g as it is. Node weights are forward flops plus the flops
+// of the backward nodes they spawn; boundaries balance cumulative weight.
+func Of(g *graph.Graph, maxSegments int) []int {
 	n := g.NumNodes()
 	fwd := g.ForwardCount
 	if fwd == 0 {
@@ -67,5 +71,5 @@ func Assign(g *graph.Graph, maxSegments int) {
 			segOf[i] = seg // stragglers join the last segment
 		}
 	}
-	g.SegmentOf = segOf
+	return segOf
 }

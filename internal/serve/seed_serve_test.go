@@ -8,6 +8,7 @@ import (
 	"net/http/httptest"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 
 	"hap"
@@ -161,12 +162,7 @@ func TestServeEvictedPlanIsNeverDonor(t *testing.T) {
 		return hdr
 	}
 	donorFor := func(g *graph.Graph) donor {
-		t.Helper()
-		var gb bytes.Buffer
-		if err := g.Encode(&gb); err != nil {
-			t.Fatal(err)
-		}
-		return s.nearestDonor(newPlanSource(g, gb.Bytes(), c, RequestOptions{}), cacheKey(g, c, RequestOptions{}))
+		return s.nearestDonor(newPlanSource(g, c, RequestOptions{}), cacheKey(g, c, RequestOptions{}))
 	}
 
 	miss(base)
@@ -194,5 +190,69 @@ func TestServeEvictedPlanIsNeverDonor(t *testing.T) {
 	}
 	if st := s.Stats(); st.SynthIncremental != 1 {
 		t.Errorf("synth_incremental = %d, want 1 (the near-miss of the cached base only)", st.SynthIncremental)
+	}
+}
+
+// TestConcurrentNearMissesSeedFromOneDonor: two near-misses in flight at once
+// both seed from one cached donor. The donor's graph is shared read-only by
+// both binds, segmented plans bind to copies of it, and it still hashes to
+// the key it is stored under.
+func TestConcurrentNearMissesSeedFromOneDonor(t *testing.T) {
+	s := New(Config{})
+	srv := httptest.NewServer(s.Handler())
+	defer srv.Close()
+	c := testCluster()
+	opts := RequestOptions{Segments: 2}
+	base := seedServeGraph(64, 96, 96, 96, 96, 96, 96, 32)
+	if status, _, body := postHdr(t, srv.URL, requestBody(t, base, c, opts)); status != http.StatusOK {
+		t.Fatalf("donor request: status %d: %s", status, body)
+	}
+	near := []*graph.Graph{
+		seedServeGraph(64, 96, 96, 112, 96, 96, 96, 32),
+		seedServeGraph(64, 96, 96, 96, 96, 112, 96, 32),
+	}
+	hdrs := make([]http.Header, len(near))
+	plans := make([][]byte, len(near))
+	var wg sync.WaitGroup
+	for i, g := range near {
+		body := requestBody(t, g, c, opts)
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			resp, err := http.Post(srv.URL+"/v1/synthesize", "application/json", bytes.NewReader(body))
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			defer resp.Body.Close()
+			hdrs[i] = resp.Header
+			plans[i], _ = io.ReadAll(resp.Body)
+		}(i)
+	}
+	wg.Wait()
+	for i, g := range near {
+		if hdrs[i] == nil || hdrs[i].Get(SeedDistanceHeader) == "" {
+			t.Fatalf("near-miss %d was not seeded", i)
+		}
+		p, err := hap.ReadProgramBinary(bytes.NewReader(plans[i]), g)
+		if err != nil {
+			t.Fatalf("near-miss %d: %v", i, err)
+		}
+		if n := p.Program.Graph.NumSegments(); n != 2 || len(p.Ratios) != 2 {
+			t.Errorf("near-miss %d: the plan's graph has %d segments, %d ratio rows, want 2", i, n, len(p.Ratios))
+		}
+		if err := hap.Verify(p, c.M(), 7); err != nil {
+			t.Errorf("near-miss %d fails verification: %v", i, err)
+		}
+	}
+	v, ok := s.store.Get(cacheKey(base, c, opts))
+	if !ok || v.src == nil {
+		t.Fatal("the donor left the store")
+	}
+	if got, want := graph.Fingerprint(v.src.g), graph.Fingerprint(base); got != want {
+		t.Errorf("the donor's graph hashes to %s, want %s: a seeded search or bind wrote it", got, want)
+	}
+	if st := s.Stats(); st.SynthIncremental != 2 {
+		t.Errorf("synth_incremental = %d, want 2", st.SynthIncremental)
 	}
 }

@@ -748,7 +748,7 @@ func (s *Server) planMiss(ctx context.Context, sp *obs.Span, key string, in *pla
 			return CachedPlan{}, errOverloaded
 		}
 		defer release()
-		src := newPlanSource(in.g, in.req.Graph, in.c, in.req.Options)
+		src := newPlanSource(in.g, in.c, in.req.Options)
 		p, v, err := s.synthesize(fctx, fs, in.g, in.c, src.opts, func() donor { return s.nearestDonor(src, key) })
 		if err != nil {
 			return CachedPlan{}, err
@@ -770,13 +770,14 @@ func (s *Server) planMiss(ctx context.Context, sp *obs.Span, key string, in *pla
 	return plan, seedDist, err
 }
 
-// donor names a cached plan a search may be seeded from, as the raw graph JSON
-// and binary plan payload a fresh bind decodes from; shared counts the
-// target's segment sub-fingerprints it shares. The zero donor means none.
+// donor names a cached plan a search may be seeded from, as the graph it was
+// planned for (shared read-only) and its binary plan payload; shared counts
+// the target's segment sub-fingerprints it shares. The zero donor means none.
 type donor struct {
-	key            string
-	graphJSON, bin []byte
-	shared         int
+	key    string
+	g      *graph.Graph
+	bin    []byte
+	shared int
 }
 
 // synthesize is the first half of the miss tail and the daemon's one planner
@@ -796,8 +797,8 @@ func (s *Server) synthesize(ctx context.Context, sp *obs.Span, g *graph.Graph, c
 	if !s.cfg.DisableSeeding {
 		sds := sp.Child("seeded_search")
 		if d := find(); len(d.bin) > 0 {
-			if dg, dp, err := decodeDonor(d.graphJSON, d.bin); err == nil {
-				ho.SeedGraph, ho.SeedPlan = dg, dp
+			if dp, err := hap.ReadProgramBinary(bytes.NewReader(d.bin), d.g); err == nil {
+				ho.SeedGraph, ho.SeedPlan = dp.Program.Graph, dp
 				sds.SetAttrStr("donor", d.key)
 				sds.SetAttrInt("shared_subs", int64(d.shared))
 			}

@@ -9,12 +9,7 @@
 
 package serve
 
-import (
-	"bytes"
-
-	"hap"
-	"hap/internal/graph"
-)
+import "hap/internal/graph"
 
 // nearestDonor returns the stored entry sharing the most segment
 // sub-fingerprints with target among locally synthesized entries at the same
@@ -38,7 +33,7 @@ func (s *Server) nearestDonor(target *planSource, selfKey string) (best donor) {
 			return true
 		}
 		if shared > best.shared || (shared == best.shared && best.key != "" && key < best.key) {
-			best = donor{key: key, graphJSON: e.graphJSON, shared: shared}
+			best = donor{key: key, g: e.g, shared: shared}
 		}
 		return true
 	})
@@ -48,18 +43,4 @@ func (s *Server) nearestDonor(target *planSource, selfKey string) (best donor) {
 		}
 	}
 	return best
-}
-
-// decodeDonor rebinds a donor's binary plan payload to a freshly decoded copy
-// of its graph.
-func decodeDonor(graphJSON, bin []byte) (*graph.Graph, *hap.Plan, error) {
-	dg, err := graph.Decode(bytes.NewReader(graphJSON))
-	if err != nil {
-		return nil, nil, err
-	}
-	dp, err := hap.ReadProgramBinary(bytes.NewReader(bin), dg)
-	if err != nil {
-		return nil, nil, err
-	}
-	return dg, dp, nil
 }

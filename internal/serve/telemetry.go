@@ -97,12 +97,10 @@ type TelemetryStats struct {
 // or warmed-up entry replans on its owner, and the replacement re-replicates
 // through the normal path — and an eviction cannot leave one behind.
 //
-// graphJSON is the request's raw graph, never a decoded one: a search assigns
-// segments onto the graph it plans and hap.ReadProgram adopts a plan's
-// assignment onto the graph it binds, so every replan and every donor bind
-// decodes a copy of its own.
+// g is the request's decoded graph. Planning and plan reading only read a
+// graph, so every replan of the entry and every donor bind from it share g.
 type planSource struct {
-	graphJSON []byte
+	g *graph.Graph
 	// subs are the graph's segment sub-fingerprints (graph.SubFingerprints:
 	// one stable hash per content-defined chunk of the node sequence).
 	subs []uint64
@@ -123,10 +121,10 @@ type planSource struct {
 
 // newPlanSource builds the record of a plan about to be synthesized for g on
 // spec, fingerprinting both once for every later reader.
-func newPlanSource(g *graph.Graph, graphJSON []byte, spec *cluster.Cluster, opts RequestOptions) *planSource {
+func newPlanSource(g *graph.Graph, spec *cluster.Cluster, opts RequestOptions) *planSource {
 	specFP := spec.Fingerprint()
 	return &planSource{
-		graphJSON: graphJSON,
+		g:         g,
 		subs:      graph.SubFingerprints(g),
 		specFP:    specFP,
 		opts:      opts,
@@ -317,16 +315,12 @@ func (s *Server) runReplan(key string, src planSource, drifted *cluster.Cluster,
 // old plan serves throughout: a failed synthesis, a failed verification, or an
 // unchanged result all leave the cache exactly as it was.
 func (s *Server) replanOne(ctx context.Context, root *obs.Span, key string, src planSource, drifted *cluster.Cluster, old CachedPlan) (swapped bool, err error) {
-	g, err := graph.Decode(bytes.NewReader(src.graphJSON))
-	if err != nil {
-		return false, fmt.Errorf("decode: %w", err)
-	}
 	// Seed the replan from the pre-drift plan: the graph is unchanged, so the
 	// donor replay pins the whole program and the loop's work concentrates on
 	// rebalancing the sharding ratios against the drifted cluster — Q is
 	// structure-driven, B absorbs the performance drift.
-	p, v, err := s.synthesize(ctx, root, g, drifted, src.opts, func() donor {
-		return donor{key: key, graphJSON: src.graphJSON, bin: old.Bin, shared: len(src.subs)}
+	p, v, err := s.synthesize(ctx, root, src.g, drifted, src.opts, func() donor {
+		return donor{key: key, g: src.g, bin: old.Bin, shared: len(src.subs)}
 	})
 	if err != nil {
 		return false, fmt.Errorf("synthesis: %w", err)

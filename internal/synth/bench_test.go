@@ -87,7 +87,7 @@ func (in *seededInput) search(workers int) (*dist.Program, Stats, error) {
 
 // fanOutAllocsPerLevel bounds what Workers=2 allocates per beam level beyond
 // Workers=1: the WaitGroup, the goroutines and their closures, and chunk
-// buffers while they grow. Measured 5.4 ((1 273 − 555) / 134 levels); one
+// buffers while they grow. Measured 5.4 ((1 155 − 437) / 134 levels); one
 // allocation per candidate would add thousands.
 const fanOutAllocsPerLevel = 8
 
@@ -139,14 +139,14 @@ func TestSearchAllocationPin(t *testing.T) {
 		allocs int
 		kib    int
 	}{
-		{"VGG19", cold(models.ModelVGG19, 1), 555, 1440},
-		{"BERT-Base", cold(models.ModelBERTBase, 1), 1090, 3805},
-		{"BERT-MoE", cold(models.ModelBERTMoE, 1), 1288, 5693},
+		{"VGG19", cold(models.ModelVGG19, 1), 437, 1440},
+		{"BERT-Base", cold(models.ModelBERTBase, 1), 734, 3805},
+		{"BERT-MoE", cold(models.ModelBERTMoE, 1), 879, 5693},
 		{"VGG19 incremental", func() {
 			if _, _, err := seeded.search(1); err != nil {
 				t.Fatal(err)
 			}
-		}, 2911, 538},
+		}, 2793, 538},
 	} {
 		got := testing.AllocsPerRun(2, row.search)
 		kib := kibPerRun(2, row.search)

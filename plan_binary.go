@@ -42,8 +42,9 @@ func (p *Plan) WriteProgramBinary(w io.Writer) error {
 }
 
 // ReadProgramBinary loads a plan written by WriteProgramBinary, binding its
-// program to g — the same contract as ReadProgram, including adopting the
-// plan's segment assignment onto g and leaving g untouched on failure.
+// program to g — the same contract as ReadProgram: g is never written, and
+// the program binds to a shallow copy of g when the plan's segment
+// assignment is not the one g carries.
 func ReadProgramBinary(r io.Reader, g *Graph) (*Plan, error) {
 	data, err := io.ReadAll(r)
 	if err != nil {

@@ -3,13 +3,16 @@ package hap
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/json"
 	"math"
 	"slices"
 	"testing"
+
+	"hap/internal/planwire"
 )
 
 // binaryPayload plans the quickstart MLP and returns its WriteProgramBinary
-// bytes and the segment assignment planning left on the graph.
+// bytes and the segment assignment of the graph the plan binds.
 func binaryPayload(t testing.TB, opt Options) ([]byte, []int) {
 	t.Helper()
 	g := quickstartGraph(t)
@@ -21,7 +24,7 @@ func binaryPayload(t testing.TB, opt Options) ([]byte, []int) {
 	if err := plan.WriteProgramBinary(&buf); err != nil {
 		t.Fatalf("WriteProgramBinary: %v", err)
 	}
-	return buf.Bytes(), g.SegmentOf
+	return buf.Bytes(), plan.Program.Graph.SegmentOf
 }
 
 // rawDim is the shard dim one computation's bytes carry.
@@ -84,8 +87,9 @@ func rawShardDims(prog []byte) (dims []rawDim, ok bool) {
 
 // FuzzReadProgramBinary feeds arbitrary bytes to the binary plan decoder,
 // bound to a fresh quickstart graph that already carries a segment
-// assignment. It must never panic; a rejected payload must leave the graph's
-// assignment as it was; an accepted one must say what its bytes say (every
+// assignment. It must never panic; no read, accepted or rejected, may write
+// the graph; an accepted payload must bind to a graph carrying the trailer's
+// segment assignment and say what its bytes say (every
 // computation's shard dim, flagged or not, is the one in the payload — the
 // committed corpus holds a flagged 2^64−1 that once read as −1, replicated)
 // and re-encode to a payload that decodes to the same program, ratios and
@@ -114,14 +118,22 @@ func FuzzReadProgramBinary(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		g := quickstartGraph(t)
 		g.SegmentOf = slices.Clone(prev)
+		before := GraphIdentity(t, g)
 		plan, err := ReadProgramBinary(bytes.NewReader(data), g)
+		if GraphIdentity(t, g) != before {
+			t.Fatalf("a read (err %v) wrote the graph: segment assignment now %v", err, g.SegmentOf)
+		}
 		if err != nil {
-			if !slices.Equal(g.SegmentOf, prev) {
-				t.Fatalf("rejected payload (%v) changed the graph's segment assignment to %v", err, g.SegmentOf)
-			}
 			return
 		}
 		progEnd := len(data) - 8 - int(binary.BigEndian.Uint32(data[len(data)-8:]))
+		var tr planwire.Trailer
+		if err := json.Unmarshal(data[progEnd:len(data)-8], &tr); err != nil {
+			t.Fatalf("accepted a payload whose trailer does not decode: %v", err)
+		}
+		if !slices.Equal(plan.Program.Graph.SegmentOf, tr.SegmentOf) {
+			t.Fatalf("the plan's graph carries segment assignment %v, the trailer %v", plan.Program.Graph.SegmentOf, tr.SegmentOf)
+		}
 		dims, ok := rawShardDims(data[:progEnd])
 		var comps []int
 		for i, in := range plan.Program.Instrs {

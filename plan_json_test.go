@@ -7,6 +7,9 @@ import (
 	"slices"
 	"strings"
 	"testing"
+
+	"hap/internal/graph"
+	"hap/internal/planwire"
 )
 
 // quickstartGraph mirrors examples/quickstart: a small MLP with backward pass.
@@ -106,8 +109,9 @@ func TestPlanBytesDeterministic(t *testing.T) {
 }
 
 // A plan produced with Segments > 1 must re-load against a freshly built
-// (unsegmented) graph: the serialized segment assignment is adopted onto the
-// binding graph, since a fresh process cannot reproduce it otherwise.
+// (unsegmented) graph: the program binds to a copy of that graph carrying the
+// serialized segment assignment, since a fresh process cannot reproduce it
+// otherwise, and the fresh graph itself stays unsegmented.
 func TestSegmentedPlanReloadsOnFreshGraph(t *testing.T) {
 	g1 := quickstartGraph(t)
 	c := heteroPair()
@@ -128,8 +132,11 @@ func TestSegmentedPlanReloadsOnFreshGraph(t *testing.T) {
 	if err != nil {
 		t.Fatalf("ReadProgram on fresh graph: %v", err)
 	}
-	if g2.NumSegments() != 2 {
-		t.Errorf("segment assignment not adopted: %d segments", g2.NumSegments())
+	if n := back.Program.Graph.NumSegments(); n != 2 {
+		t.Errorf("the plan's graph has %d segments, want 2", n)
+	}
+	if n := g2.NumSegments(); n != 1 {
+		t.Errorf("reading the plan wrote the fresh graph: %d segments", n)
 	}
 	if got, want := back.Program.String(), plan.Program.String(); got != want {
 		t.Errorf("round-trip changed the program:\n%s\nvs\n%s", got, want)
@@ -215,9 +222,9 @@ func TestFailedReadProgramLeavesGraphUnmutated(t *testing.T) {
 	}
 	before := append([]int(nil), g2.SegmentOf...)
 
-	// Corrupt the plan so the load fails *after* the segment assignment
-	// would have been adopted: stripping segment_of changes the graph
-	// fingerprint, so the program no longer binds.
+	// Corrupt the plan so the load fails at the binding check: stripping
+	// segment_of changes the fingerprint of the graph the program would bind
+	// to, so the program no longer binds.
 	var m map[string]json.RawMessage
 	if err := json.Unmarshal(buf.Bytes(), &m); err != nil {
 		t.Fatal(err)
@@ -278,14 +285,26 @@ func jsonPayload(t testing.TB, opt Options) ([]byte, []int) {
 	if err := plan.WriteProgram(&buf); err != nil {
 		t.Fatalf("WriteProgram: %v", err)
 	}
-	return buf.Bytes(), g.SegmentOf
+	return buf.Bytes(), plan.Program.Graph.SegmentOf
+}
+
+// GraphIdentity is what a graph's cache key and request body are made of:
+// its fingerprint and its encoding. Exported for the hap_test package.
+func GraphIdentity(t testing.TB, g *Graph) string {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := g.Encode(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return graph.Fingerprint(g) + "\n" + buf.String()
 }
 
 // FuzzReadProgram holds the JSON plan decoder to the properties
 // FuzzReadProgramBinary holds the binary one to, bound to a fresh quickstart
-// graph that already carries a segment assignment: no input panics it, a
-// rejected one leaves the graph's assignment as it was, and an accepted one
-// re-encodes to a plan that decodes to the same program, ratios and cost.
+// graph that already carries a segment assignment: no input panics it, no
+// read, accepted or rejected, writes the graph, and an accepted one binds to
+// a graph carrying the payload's segment assignment and re-encodes to a plan
+// that decodes to the same program, ratios and cost.
 func FuzzReadProgram(f *testing.F) {
 	flat, _ := jsonPayload(f, Options{})
 	seg4, prev := jsonPayload(f, Options{Segments: 4})
@@ -328,12 +347,20 @@ func FuzzReadProgram(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		g := quickstartGraph(t)
 		g.SegmentOf = slices.Clone(prev)
+		before := GraphIdentity(t, g)
 		plan, err := ReadProgram(bytes.NewReader(data), g)
+		if GraphIdentity(t, g) != before {
+			t.Fatalf("a read (err %v) wrote the graph: segment assignment now %v", err, g.SegmentOf)
+		}
 		if err != nil {
-			if !slices.Equal(g.SegmentOf, prev) {
-				t.Fatalf("rejected plan (%v) changed the graph's segment assignment to %v", err, g.SegmentOf)
-			}
 			return
+		}
+		var doc planwire.JSON
+		if err := json.NewDecoder(bytes.NewReader(data)).Decode(&doc); err != nil {
+			t.Fatalf("accepted a plan that does not decode: %v", err)
+		}
+		if !slices.Equal(plan.Program.Graph.SegmentOf, doc.SegmentOf) {
+			t.Fatalf("the plan's graph carries segment assignment %v, the payload %v", plan.Program.Graph.SegmentOf, doc.SegmentOf)
 		}
 		var buf bytes.Buffer
 		if err := plan.WriteProgram(&buf); err != nil {

@@ -100,6 +100,9 @@ var optimize = hapopt.Optimize
 
 // Plan synthesizes a distributed plan for g on the planner's cluster.
 // Cancelling ctx aborts an in-flight search within one candidate batch.
+// g is only read, so concurrent calls may share it: the plan's
+// Program.Graph is g, or a shallow copy of g carrying the plan's segment
+// assignment (WithSegments) when g does not carry it already.
 func (p *Planner) Plan(ctx context.Context, g *Graph) (*Plan, error) {
 	ctx, cancel := p.searchCtx(ctx)
 	defer cancel()

@@ -134,7 +134,7 @@ func TestBinaryPlanRoundTrip(t *testing.T) {
 
 	// The program section is a plain dist binary program: DecodeBinary
 	// consumes it directly and ignores the trailer.
-	prog, err := dist.DecodeBinary(bytes.NewReader(bin.Bytes()), g2)
+	prog, err := dist.DecodeBinary(bytes.NewReader(bin.Bytes()), back.Program.Graph)
 	if err != nil {
 		t.Fatalf("DecodeBinary on the raw payload: %v", err)
 	}
