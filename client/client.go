@@ -51,13 +51,11 @@ import (
 const accept = "application/x-hap-plan"
 
 // Options mirrors the wire "options" object of the synthesize endpoints.
+// Segments is its one field: the planner picks exact or beam search and
+// bounds the Q↔B alternation itself.
 type Options struct {
 	// Segments requests per-segment sharding ratios.
 	Segments int `json:"segments,omitempty"`
-	// MaxIterations bounds the Q↔B alternation (0 = server default).
-	MaxIterations int `json:"max_iterations,omitempty"`
-	// ExactSearch forces exact A* instead of the automatic choice.
-	ExactSearch bool `json:"exact_search,omitempty"`
 }
 
 // APIError is a structured error envelope returned by a v1 endpoint.

@@ -6,7 +6,7 @@
 // Usage:
 //
 //	hap-serve [-addr :8080] [-cache-entries 1024] [-synth-budget 60s]
-//	          [-max-inflight-synth 0] [-no-seed]
+//	          [-max-inflight-synth 0]
 //	          [-cache-dir /var/lib/hap/plans] [-cache-ttl 0]
 //	          [-self URL] [-peers URL,URL] [-peers-file PATH] [-replicas 2]
 //	          [-log-format text] [-trace-ring 256] [-trace-slow 0]
@@ -87,8 +87,6 @@ func main() {
 		"file with one peer URL per line (# comments); re-read on SIGHUP and every 10s")
 	replicas := flag.Int("replicas", fleet.DefaultReplicas,
 		"total copies of each cached plan across the fleet, owner included")
-	noSeed := flag.Bool("no-seed", false,
-		"disable incremental synthesis: misses synthesize cold instead of seeding from the nearest similar cached plan")
 	logFormat := flag.String("log-format", "text",
 		"log line format: text or json (one object per line, machine-parseable)")
 	traceRing := flag.Int("trace-ring", serve.DefaultTraceRing,
@@ -144,7 +142,6 @@ func main() {
 		MaxInflightSynth: *maxInflight,
 		CacheDir:         *cacheDir,
 		CacheTTL:         *cacheTTL,
-		DisableSeeding:   *noSeed,
 		Fleet:            fl,
 		TraceRing:        ring,
 		TraceSlow:        *traceSlow,

@@ -101,11 +101,6 @@ func PerGPU(machines ...MachineSpec) *Cluster {
 type Options struct {
 	// Segments > 1 enables per-segment sharding ratios (Sec. 5.2).
 	Segments int
-	// MaxIterations bounds the Q↔B alternation (default 4).
-	MaxIterations int
-	// ExactSearch forces exact A* (default: automatic — exact for small
-	// graphs, beam search for model-scale ones).
-	ExactSearch bool
 	// TimeBudget bounds the whole optimization's wall-clock time
 	// (0 = unlimited): every program search runs under the budget's
 	// remainder, and an expired budget returns the best plan found so far —

@@ -5,6 +5,8 @@ import (
 	"context"
 	"strings"
 	"testing"
+
+	"hap/internal/obs"
 )
 
 func testCluster() *Cluster {
@@ -51,11 +53,29 @@ func TestParallelizeEndToEnd(t *testing.T) {
 	}
 }
 
+// Automatic mode plans a graph of at most 24 nodes on at most 2 devices with
+// exact A*, which every search span of the plan records as its mode.
 func TestParallelizeExactSearch(t *testing.T) {
 	g := testGraph(t)
-	plan, err := planWith(g, testCluster(), Options{ExactSearch: true})
+	tr := obs.New("", "")
+	root := tr.Root("plan", 0)
+	plan, err := NewPlanner(testCluster()).Plan(obs.ContextWithSpan(context.Background(), root), g)
+	root.End()
 	if err != nil {
-		t.Fatalf("Plan exact: %v", err)
+		t.Fatalf("Plan: %v", err)
+	}
+	searches := 0
+	for _, sp := range tr.Snapshot() {
+		if sp.Name != "search" {
+			continue
+		}
+		searches++
+		if mode := sp.Attrs["mode"]; mode != "astar" {
+			t.Errorf("search %d ran in mode %q, want astar", searches, mode)
+		}
+	}
+	if searches == 0 {
+		t.Fatal("no search span recorded")
 	}
 	if err := Verify(plan, 2, 9); err != nil {
 		t.Errorf("Verify: %v", err)

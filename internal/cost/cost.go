@@ -274,7 +274,7 @@ func Extract(c *cluster.Cluster, p *dist.Program) *Model {
 		for i := range g.Nodes {
 			v := graph.NodeID(i)
 			for _, u := range g.Nodes[i].Inputs {
-				if g.Segment(u) == g.Segment(v) || charged[u] || theoryLeafKind(g.Node(u).Kind) {
+				if g.Segment(u) == g.Segment(v) || charged[u] || g.Node(u).Kind.IsLeaf() {
 					continue
 				}
 				if len(g.Node(u).Shape) == 0 {
@@ -291,12 +291,6 @@ func Extract(c *cluster.Cluster, p *dist.Program) *Model {
 		}
 	}
 	return model
-}
-
-// theoryLeafKind mirrors theory.IsLeaf without importing it (leaves are
-// loaded locally, never resharded across boundaries).
-func theoryLeafKind(k graph.OpKind) bool {
-	return k == graph.Placeholder || k == graph.Parameter || k == graph.Ones
 }
 
 // Eval computes t(Q,B) from the extracted model.

@@ -58,11 +58,6 @@ func Comm(ref graph.NodeID, kind collective.Kind, d, d2 int) Instruction {
 	return Instruction{Ref: ref, ShardDim: -1, IsComm: true, Coll: kind, Dim: d, Dim2: d2}
 }
 
-// isLeafKind mirrors theory.IsLeaf without importing it (theory imports dist).
-func isLeafKind(k graph.OpKind) bool {
-	return k == graph.Placeholder || k == graph.Parameter || k == graph.Ones
-}
-
 // String renders the instruction in the paper's listing notation:
 // "all-gather(e3, 1)" for collectives, "e5 = matmul(e1, e3)" for
 // computations, with sharded placements as "e0 = placeholder-shard(0)".
@@ -148,7 +143,7 @@ func (p *Program) Format(w io.Writer) error {
 			if in.Ref == p.Graph.Loss {
 				notes = append(notes, "loss")
 			}
-			if !in.FlopsScaled && !isLeafKind(n.Kind) && n.Kind != graph.Expand {
+			if !in.FlopsScaled && !n.Kind.IsLeaf() && n.Kind != graph.Expand {
 				notes = append(notes, "replicated")
 			}
 		}

@@ -143,7 +143,7 @@ func checkBinding(g *graph.Graph, nodes uint64, hash, fp string) error {
 func (p *Program) bindInputs() {
 	g := p.Graph
 	bound := func(in *Instruction) []graph.NodeID {
-		if in.IsComm || in.Ref < 0 || int(in.Ref) >= g.NumNodes() || isLeafKind(in.Op) {
+		if in.IsComm || in.Ref < 0 || int(in.Ref) >= g.NumNodes() || in.Op.IsLeaf() {
 			return nil
 		}
 		return g.Node(in.Ref).Inputs

@@ -62,9 +62,7 @@ func (h *Hasher) Sum64() uint64 {
 // (serve.RequestOptions, client.Options): both convert to this type, so a
 // field added on one side and not here fails to compile.
 type Options struct {
-	Segments      int
-	MaxIterations int
-	ExactSearch   bool
+	Segments int
 }
 
 // Sig renders the options slice of a plan cache key. The similarity index
@@ -77,12 +75,10 @@ func (o Options) Sig() string {
 func (o Options) appendSig(b []byte) []byte {
 	b = append(b, 's')
 	b = strconv.AppendInt(b, int64(o.Segments), 10)
-	b = append(b, ":i"...)
-	b = strconv.AppendInt(b, int64(o.MaxIterations), 10)
-	b = append(b, ":x"...)
-	b = strconv.AppendBool(b, o.ExactSearch)
-	// A retired option's slot: keys are wire contract and name persisted files.
-	return append(b, ":otrue"...)
+	// The retired max_iterations, exact_search and optimize options' slots,
+	// at the values every request now plans under: keys are wire contract
+	// and name persisted files.
+	return append(b, ":i0:xfalse:otrue"...)
 }
 
 // PlanKey is the content address of a plan: what the graph computes

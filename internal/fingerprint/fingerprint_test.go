@@ -31,9 +31,9 @@ func TestPlanKeyGolden(t *testing.T) {
 	}{
 		{"mlp on a V100+P100 pair, default options", mlp, pair, fingerprint.Options{},
 			"b498b1a9e733ec7f:fd383007238f1049:s0:i0:xfalse:otrue"},
-		{"segmented vgg19 on the paper's heterogeneous cluster, every option set", vgg, cluster.PaperHeterogeneous(1),
-			fingerprint.Options{Segments: 4, MaxIterations: 3, ExactSearch: true},
-			"7525001bcd7e89e9:0e60e9d708f02dce:s4:i3:xtrue:otrue"},
+		{"segmented vgg19 on the paper's heterogeneous cluster", vgg, cluster.PaperHeterogeneous(1),
+			fingerprint.Options{Segments: 4},
+			"7525001bcd7e89e9:0e60e9d708f02dce:s4:i0:xfalse:otrue"},
 	} {
 		if got := fingerprint.PlanKey(graph.Fingerprint(tc.g), tc.c.Fingerprint(), tc.opt); got != tc.want {
 			t.Errorf("%s: key = %q, want %q", tc.name, got, tc.want)
@@ -41,10 +41,11 @@ func TestPlanKeyGolden(t *testing.T) {
 	}
 }
 
-// The signature is the tail of the key.
+// The signature is the tail of the key; the retired options' slots hold
+// the values every request plans under.
 func TestOptionsSig(t *testing.T) {
-	base := fingerprint.Options{Segments: 2, MaxIterations: 5}
-	if want := "s2:i5:xfalse:otrue"; base.Sig() != want {
+	base := fingerprint.Options{Segments: 2}
+	if want := "s2:i0:xfalse:otrue"; base.Sig() != want {
 		t.Errorf("sig = %q, want %q", base.Sig(), want)
 	}
 	if got, want := fingerprint.PlanKey("aa", "bb", base), "aa:bb:"+base.Sig(); got != want {

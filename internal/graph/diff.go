@@ -161,12 +161,6 @@ func SubFingerprints(g *Graph) []uint64 {
 	return out
 }
 
-// Span is a half-open range [Start, End) of node ids.
-type Span struct {
-	Start NodeID
-	End   NodeID
-}
-
 // Match is one aligned run: Len nodes starting at AStart in graph A map
 // one-to-one onto the Len nodes starting at BStart in graph B.
 type Match struct {
@@ -186,8 +180,6 @@ type Diff struct {
 	// graph's node count. 0 means structurally identical, 1 means no
 	// alignment at all. Two empty graphs diff to 0.
 	Norm float64
-
-	lenA, lenB int
 }
 
 // StructuralDiff aligns graphs a and b. Both signature sequences are cut
@@ -200,7 +192,7 @@ func StructuralDiff(a, b *Graph) *Diff {
 	sa, sb := Signatures(a), Signatures(b)
 	ca := chunkSignatures(sa)
 	cb := chunkSignatures(sb)
-	d := &Diff{lenA: a.NumNodes(), lenB: b.NumNodes()}
+	d := &Diff{}
 
 	// Longest common subsequence over chunk (hash, length) pairs. Chunk
 	// counts are node count / ~chunkModulus, so the quadratic DP is cheap
@@ -239,21 +231,10 @@ func StructuralDiff(a, b *Graph) *Diff {
 	for _, m := range d.Matches {
 		matched += m.Len
 	}
-	d.EditA = d.lenA - matched
-	d.EditB = d.lenB - matched
-	switch {
-	case d.lenA == 0 && d.lenB == 0:
-		d.Norm = 0
-	default:
-		edit := d.EditA
-		if d.EditB > edit {
-			edit = d.EditB
-		}
-		size := d.lenA
-		if d.lenB > size {
-			size = d.lenB
-		}
-		d.Norm = float64(edit) / float64(size)
+	d.EditA = a.NumNodes() - matched
+	d.EditB = b.NumNodes() - matched
+	if size := max(a.NumNodes(), b.NumNodes()); size > 0 {
+		d.Norm = float64(max(d.EditA, d.EditB)) / float64(size)
 	}
 	return d
 }
@@ -339,34 +320,6 @@ func (d *Diff) MapAB(a NodeID) (NodeID, bool) {
 		}
 	}
 	return 0, false
-}
-
-// MapBA maps a node id of graph B into graph A, reporting false when the
-// node lies in the changed subgraph.
-func (d *Diff) MapBA(b NodeID) (NodeID, bool) {
-	for _, m := range d.Matches {
-		if b >= m.BStart && b < m.BStart+NodeID(m.Len) {
-			return m.AStart + (b - m.BStart), true
-		}
-	}
-	return 0, false
-}
-
-// ChangedB returns the changed subgraph on the B side: the spans of B whose
-// nodes have no aligned counterpart in A, in ascending order.
-func (d *Diff) ChangedB() []Span {
-	var out []Span
-	next := NodeID(0)
-	for _, m := range d.Matches {
-		if m.BStart > next {
-			out = append(out, Span{Start: next, End: m.BStart})
-		}
-		next = m.BStart + NodeID(m.Len)
-	}
-	if next < NodeID(d.lenB) {
-		out = append(out, Span{Start: next, End: NodeID(d.lenB)})
-	}
-	return out
 }
 
 // SharedSubFingerprints counts how many sub-fingerprints of a (with

@@ -27,8 +27,8 @@ func TestDiffIdenticalGraphs(t *testing.T) {
 			t.Fatalf("identical graphs: MapAB(%d) = %d,%v, want identity", i, m, ok)
 		}
 	}
-	if spans := d.ChangedB(); len(spans) != 0 {
-		t.Fatalf("identical graphs: ChangedB = %v, want empty", spans)
+	if len(d.Matches) != 1 || d.Matches[0] != (Match{Len: a.NumNodes()}) {
+		t.Fatalf("identical graphs: Matches = %v, want one run covering the graph", d.Matches)
 	}
 }
 
@@ -44,9 +44,6 @@ func TestDiffEmptyGraph(t *testing.T) {
 	}
 	if len(d.Matches) != 0 || d.EditB != full.NumNodes() {
 		t.Fatalf("empty vs full: Matches=%v EditB=%d, want none/%d", d.Matches, d.EditB, full.NumNodes())
-	}
-	if spans := d.ChangedB(); len(spans) != 1 || spans[0].Start != 0 || int(spans[0].End) != full.NumNodes() {
-		t.Fatalf("empty vs full: ChangedB=%v, want one span covering the graph", spans)
 	}
 	// And the transpose: the edit size is symmetric.
 	if d := StructuralDiff(full, empty); d.Norm != 1 || d.EditA != full.NumNodes() {
@@ -71,17 +68,20 @@ func TestDiffDisjointGraphs(t *testing.T) {
 	if len(d.Matches) != 0 {
 		t.Fatalf("disjoint graphs: Matches=%v, want none", d.Matches)
 	}
-	for i := 0; i < b.NumNodes(); i++ {
-		if _, ok := d.MapBA(NodeID(i)); ok {
-			t.Fatalf("disjoint graphs: MapBA(%d) unexpectedly mapped", i)
+	if d.EditB != b.NumNodes() {
+		t.Fatalf("disjoint graphs: EditB=%d, want %d", d.EditB, b.NumNodes())
+	}
+	for i := 0; i < a.NumNodes(); i++ {
+		if _, ok := d.MapAB(NodeID(i)); ok {
+			t.Fatalf("disjoint graphs: MapAB(%d) unexpectedly mapped", i)
 		}
 	}
 }
 
 // TestDiffCrossesSegmentBoundary edits a region spanning a segment boundary
 // and checks that the alignment (which ignores the segment overlay) still
-// recovers the unchanged prefix and suffix, and that the changed span covers
-// nodes from both segments.
+// recovers the unchanged prefix and suffix, and that the changed nodes come
+// from both segments.
 func TestDiffCrossesSegmentBoundary(t *testing.T) {
 	segment := func(g *Graph) {
 		// Two segments split at the graph midpoint.
@@ -98,22 +98,25 @@ func TestDiffCrossesSegmentBoundary(t *testing.T) {
 	if d.Norm <= 0 || d.Norm >= 1 {
 		t.Fatalf("boundary-crossing edit: Norm=%v, want strictly between 0 and 1", d.Norm)
 	}
-	spans := d.ChangedB()
-	if len(spans) == 0 {
-		t.Fatalf("boundary-crossing edit: no changed spans")
+	if d.EditB == 0 {
+		t.Fatalf("boundary-crossing edit: EditB=0, want changed nodes in b")
 	}
 	seg := map[int]bool{}
-	for _, sp := range spans {
-		for i := sp.Start; i < sp.End; i++ {
-			seg[b.SegmentOf[i]] = true
+	for i := 0; i < a.NumNodes(); i++ {
+		if _, ok := d.MapAB(NodeID(i)); !ok {
+			seg[a.SegmentOf[i]] = true
 		}
 	}
 	if !seg[0] || !seg[1] {
-		t.Fatalf("changed spans %v touch segments %v, want both 0 and 1", spans, seg)
+		t.Fatalf("changed nodes (matches %v) touch segments %v, want both 0 and 1", d.Matches, seg)
 	}
-	// The prefix before the edit still maps identically.
-	if m, ok := d.MapBA(0); !ok || m != 0 {
-		t.Fatalf("MapBA(0) = %d,%v, want identity", m, ok)
+	// The prefix before the edit and the suffix after it still map.
+	if m, ok := d.MapAB(0); !ok || m != 0 {
+		t.Fatalf("MapAB(0) = %d,%v, want identity", m, ok)
+	}
+	last := NodeID(a.NumNodes() - 1)
+	if m, ok := d.MapAB(last); !ok || m != NodeID(b.NumNodes()-1) {
+		t.Fatalf("MapAB(%d) = %d,%v, want b's last node", last, m, ok)
 	}
 }
 

@@ -110,6 +110,12 @@ func (k OpKind) String() string {
 	return fmt.Sprintf("op(%d)", int(k))
 }
 
+// IsLeaf reports whether k is a leaf kind: a tensor placed by a fused loader
+// instruction rather than computed, and loaded locally rather than resharded.
+func (k OpKind) IsLeaf() bool {
+	return k == Placeholder || k == Parameter || k == Ones
+}
+
 // opByName is opNames reversed, for ParseOpKind.
 var opByName = func() map[string]OpKind {
 	m := make(map[string]OpKind, len(opNames))

@@ -15,11 +15,11 @@ import (
 // the portfolio case, where the base and the expert-restricted theories
 // search concurrently. On this cluster the balancer moves B only by
 // round-off, so the loop converges after one iteration (two searches, one per
-// arm) whatever MaxIterations allows.
+// arm) whatever the iteration bound allows.
 func loopInput(workers int) (*graph.Graph, *cluster.Cluster, Options) {
 	c := cluster.PaperHeterogeneous(1)
 	return models.Build(models.ModelBERTMoE, c.TotalGPUs()), c,
-		Options{MaxIterations: 2, Synth: synth.Options{BeamWidth: 48, Workers: workers}}
+		Options{iterations: 2, Synth: synth.Options{BeamWidth: 48, Workers: workers}}
 }
 
 // BenchmarkOptimizeLoop measures the full Q↔B alternation on loopInput, the

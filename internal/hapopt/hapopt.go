@@ -38,9 +38,6 @@ import (
 // Options configures the optimization loop. A wall-clock budget is not an
 // option: it is the deadline of the context Optimize runs under.
 type Options struct {
-	// MaxIterations bounds the alternation count (0 = 4, matching the
-	// paper's observation that the loop converges or oscillates quickly).
-	MaxIterations int
 	// Segments requests per-segment sharding ratios (0 = single segment).
 	Segments int
 	// Synth forwards synthesizer options.
@@ -60,11 +57,17 @@ type Options struct {
 	SeedGraph   *graph.Graph
 	SeedProgram *dist.Program
 
+	// iterations, set by tests only, stands in for maxIterations when > 0.
+	iterations int
 	// onRatios, set by tests only, sees every B the balancer hands back.
 	onRatios func(b [][]float64)
 	// balance, set by tests only, stands in for balance.RatiosFromModel.
 	balance func(*cost.Model) ([][]float64, error)
 }
+
+// maxIterations bounds the alternation count, matching the paper's
+// observation that the loop converges or oscillates quickly.
+const maxIterations = 4
 
 // Result is the optimized plan.
 type Result struct {
@@ -103,11 +106,9 @@ func Optimize(ctx context.Context, g *graph.Graph, c *cluster.Cluster, opt Optio
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	if opt.MaxIterations < 0 {
-		return nil, fmt.Errorf("hapopt: MaxIterations %d is negative", opt.MaxIterations)
-	}
-	if opt.MaxIterations == 0 {
-		opt.MaxIterations = 4
+	iterations := maxIterations
+	if opt.iterations > 0 {
+		iterations = opt.iterations
 	}
 	// One span lookup per Optimize call; nil (tracing off) makes every span
 	// operation below a no-op.
@@ -192,7 +193,7 @@ func Optimize(ctx context.Context, g *graph.Graph, c *cluster.Cluster, opt Optio
 	var balanceErr error
 	var seen []*dist.Program
 	ran, stop := 0, "max_iterations"
-	for iter := 1; iter <= opt.MaxIterations; iter++ {
+	for iter := 1; iter <= iterations; iter++ {
 		// The iteration span parents this round's searches and balance solve;
 		// error exits drop it unrecorded, which is fine — the error reaches
 		// the request's root span anyway.

@@ -48,11 +48,11 @@ func TestOptimizeMLP(t *testing.T) {
 func TestIterativeNoWorseThanSinglePass(t *testing.T) {
 	g := models.Training(models.MLP(256, 64, 128, 64, 10))
 	c := hetero2()
-	single, err := Optimize(context.Background(), g, c, Options{MaxIterations: 1})
+	single, err := Optimize(context.Background(), g, c, Options{iterations: 1})
 	if err != nil {
 		t.Fatalf("single: %v", err)
 	}
-	iterated, err := Optimize(context.Background(), g, c, Options{MaxIterations: 4})
+	iterated, err := Optimize(context.Background(), g, c, Options{})
 	if err != nil {
 		t.Fatalf("iterated: %v", err)
 	}
@@ -378,7 +378,7 @@ func TestLoopIteratesWhileRatiosMove(t *testing.T) {
 	if searches < 2 {
 		t.Errorf("ran %d searches (optimize span %v), want at least 2", searches, attrs)
 	}
-	opt.MaxIterations = 1
+	opt.iterations = 1
 	single, err := Optimize(context.Background(), bertGraph(cfg, 64*c.TotalGPUs()), c, opt)
 	if err != nil {
 		t.Fatalf("single: %v", err)
@@ -404,7 +404,7 @@ func TestLoopStopReasons(t *testing.T) {
 	}{
 		{"ratios_converged", func(o *Options) { o.SkipBalance = true }, "ratios_converged", "1"},
 		{"pair_repeated", func(o *Options) {}, "pair_repeated", "3"},
-		{"max_iterations", func(o *Options) { o.MaxIterations = 2 }, "max_iterations", "2"},
+		{"max_iterations", func(o *Options) { o.iterations = 2 }, "max_iterations", "2"},
 	} {
 		attrs, err := run(context.Background(), tc.mod)
 		if err != nil {
@@ -453,15 +453,6 @@ func TestSameRatiosIgnoresRoundingEdges(t *testing.T) {
 	b1[0][2] += 2 * ratioGrain
 	if sameRatios(b0, b1) {
 		t.Errorf("ratios %v apart are the same B", b1[0][2]-b0[0][2])
-	}
-}
-
-// A negative iteration bound used to skip the loop and dereference a nil
-// result; it is a caller error.
-func TestNegativeMaxIterationsIsAnError(t *testing.T) {
-	g := models.Training(models.MLP(24, 8, 12, 6))
-	if res, err := Optimize(context.Background(), g, hetero2(), Options{MaxIterations: -1}); err == nil {
-		t.Fatalf("Optimize(MaxIterations: -1) = %+v, want an error", res)
 	}
 }
 

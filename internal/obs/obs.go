@@ -138,15 +138,18 @@ func (t *Trace) Finish() *TraceRecord {
 	}
 	spans := t.Snapshot()
 	rec := &TraceRecord{TraceID: t.id, Node: t.node, Spans: spans}
-	for i := range spans {
-		end := spans[i].StartUS + spans[i].DurUS
-		if rec.StartUS == 0 || spans[i].StartUS < rec.StartUS {
-			rec.StartUS = spans[i].StartUS
+	// The extent runs from the earliest start to the latest end, which need
+	// not belong to one span: merged fleet spans carry another node's clock.
+	var end int64
+	for i, sp := range spans {
+		if i == 0 || sp.StartUS < rec.StartUS {
+			rec.StartUS = sp.StartUS
 		}
-		if end > rec.StartUS+rec.DurUS {
-			rec.DurUS = end - rec.StartUS
+		if e := sp.StartUS + sp.DurUS; i == 0 || e > end {
+			end = e
 		}
 	}
+	rec.DurUS = end - rec.StartUS
 	return rec
 }
 

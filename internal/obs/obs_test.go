@@ -5,6 +5,8 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"maps"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -153,6 +155,21 @@ func TestTraceMergeAndProvisionalRecord(t *testing.T) {
 	}
 }
 
+// A trace's extent runs from its earliest start to its latest end, whichever
+// records those are: spans merged from a fleet hop carry the remote node's
+// clock, so a record that starts later may end last.
+func TestTraceFinishExtent(t *testing.T) {
+	tr := New("abc123", "")
+	tr.Merge([]SpanRecord{
+		{ID: 1, Name: "a", StartUS: 10, DurUS: 80},
+		{ID: 2, Name: "b", StartUS: 5, DurUS: 195},
+		{ID: 3, Name: "c", StartUS: 0, DurUS: 100},
+	})
+	if rec := tr.Finish(); rec.StartUS != 0 || rec.DurUS != 200 {
+		t.Errorf("extent = start %d dur %d, want start 0 dur 200", rec.StartUS, rec.DurUS)
+	}
+}
+
 func TestTraceHeaderCodec(t *testing.T) {
 	id, parent := ParseTraceHeader(FormatTraceHeader("deadbeef00112233", 0xabc))
 	if id != "deadbeef00112233" || parent != 0xabc {
@@ -285,4 +302,43 @@ func TestTraceLoggerFormats(t *testing.T) {
 	if !strings.Contains(buf.String(), "msg=hello") {
 		t.Errorf("text line = %q", buf.String())
 	}
+}
+
+// FuzzDecodeSpans: DecodeSpans reads the X-HAP-Trace-Spans header of every
+// proxied miss. Arbitrary header values never panic it, the empty value
+// decodes to nil, whatever decodes re-encodes to records that decode equal,
+// and merging the decoded records into a trace keeps the trace's own spans.
+// The committed corpus holds a forwarded miss's real header, the empty
+// value, non-base64 text and base64 of non-JSON.
+func FuzzDecodeSpans(f *testing.F) {
+	f.Add(EncodeSpans([]SpanRecord{{ID: 7, Parent: 3, Name: "synthesize", Node: "b", StartUS: 10, DurUS: 5, Attrs: map[string]string{"k": "v"}}}))
+	f.Fuzz(func(t *testing.T, v string) {
+		spans := DecodeSpans(v)
+		if v == "" && spans != nil {
+			t.Fatalf("empty header decoded to %+v", spans)
+		}
+		if len(spans) > 0 {
+			if again := DecodeSpans(EncodeSpans(spans)); !slices.EqualFunc(spans, again, sameRecord) {
+				t.Fatalf("re-encoded records decode to %+v, want %+v", again, spans)
+			}
+		}
+
+		tr := New("abc123", "self")
+		own := tr.Root("request", 0)
+		own.Child("proxy").End()
+		own.End()
+		mine := tr.Snapshot()
+		tr.Merge(spans)
+		rec := tr.Finish()
+		if len(rec.Spans) != len(mine)+len(spans) || !slices.EqualFunc(rec.Spans[:len(mine)], mine, sameRecord) {
+			t.Fatalf("merging %d records left %d spans, want the trace's own %d first", len(spans), len(rec.Spans), len(mine))
+		}
+	})
+}
+
+// sameRecord compares span records; a nil and an empty attribute map are the
+// same record, as their encodings are.
+func sameRecord(a, b SpanRecord) bool {
+	return a.ID == b.ID && a.Parent == b.Parent && a.Name == b.Name && a.Node == b.Node &&
+		a.StartUS == b.StartUS && a.DurUS == b.DurUS && maps.Equal(a.Attrs, b.Attrs)
 }

@@ -130,7 +130,7 @@ func TestClientKeyEqualsServerKey(t *testing.T) {
 	clusters := []*cluster.Cluster{testCluster(), cluster.PaperHeterogeneous(1), cluster.PaperHomogeneous(2), cluster.PaperA100P100()}
 	options := []RequestOptions{
 		{},
-		{Segments: 4, MaxIterations: 3, ExactSearch: true},
+		{Segments: 4},
 	}
 	for gi, g := range graphs {
 		for ci, c := range clusters {
@@ -188,7 +188,7 @@ func TestKeyOnlyRequest(t *testing.T) {
 	for what, k := range map[string]string{
 		"garbage key":       "not-a-key",
 		"huge key":          strings.Repeat("f", 1<<16),
-		"other options key": clientKey(testGraph(t), c, RequestOptions{MaxIterations: 1}),
+		"other options key": clientKey(testGraph(t), c, RequestOptions{Segments: 3}),
 	} {
 		wantNeedBody(t, what, ask(t, url, keyBody(k), ""))
 	}
@@ -512,13 +512,15 @@ func TestWarmHitAllocs(t *testing.T) {
 // FuzzDecodeRequest: arbitrary /v1/synthesize bodies never panic the parse.
 // A non-empty key with no graph and no cluster (absent or null) is answered
 // by that key alone; a full body yields a graph and cluster whose re-encoding
-// derives the same key; negative segments or max_iterations are refused
-// whatever else the body carries. Seeded with the wire contract's bodies.
+// derives the same key; negative segments are refused whatever else the body
+// carries, and the retired max_iterations and exact_search fields are
+// ignored. Seeded with the wire contract's bodies.
 func FuzzDecodeRequest(f *testing.F) {
 	g, c := testGraph(f), testCluster()
 	for _, seed := range [][]byte{
 		requestBody(f, g, c, RequestOptions{}),
-		requestBody(f, g, c, RequestOptions{Segments: 2, MaxIterations: 3, ExactSearch: true}),
+		bytes.Replace(requestBody(f, g, c, RequestOptions{Segments: 2}),
+			[]byte(`"options":{"segments":2}`), []byte(`"options":{"segments":2,"max_iterations":3,"exact_search":true}`), 1),
 		requestBody(f, g, c, RequestOptions{Segments: -1}),
 		requestBody(f, seedServeGraph(64, 96, 96, 112, 96, 96, 96, 32), altCluster(), RequestOptions{}),
 		keyBody(clientKey(g, c, RequestOptions{})),
@@ -542,11 +544,10 @@ func FuzzDecodeRequest(f *testing.F) {
 
 		var opts struct {
 			Options struct {
-				Segments      int `json:"segments"`
-				MaxIterations int `json:"max_iterations"`
+				Segments int `json:"segments"`
 			} `json:"options"`
 		}
-		if parseBody(body, &opts) == nil && (opts.Options.Segments < 0 || opts.Options.MaxIterations < 0) && err == nil {
+		if parseBody(body, &opts) == nil && opts.Options.Segments < 0 && err == nil {
 			t.Fatalf("options %+v accepted", opts.Options)
 		}
 

@@ -218,7 +218,6 @@ func TestDriftReportPromotesNothing(t *testing.T) {
 	altFP := alt.Fingerprint()
 	s := New(Config{
 		MaxCacheEntries: 2,
-		DisableSeeding:  true,
 		// Anything but alt plans on spec, so the drifted replan reproduces
 		// the cached bytes exactly.
 		Synthesize: func(ctx context.Context, g *graph.Graph, c *cluster.Cluster, opt hap.Options) (*hap.Plan, error) {

@@ -111,30 +111,6 @@ func TestServeIncrementalSynthesis(t *testing.T) {
 	}
 }
 
-// TestServeSeedingDisabled: with DisableSeeding (-no-seed) a structurally
-// similar miss synthesizes cold — no seed header, no incremental counter.
-func TestServeSeedingDisabled(t *testing.T) {
-	s := New(Config{DisableSeeding: true})
-	srv := httptest.NewServer(s.Handler())
-	defer srv.Close()
-	c := testCluster()
-
-	status, _, body := postHdr(t, srv.URL, requestBody(t, seedServeGraph(64, 96, 96, 96, 96, 96, 96, 32), c, RequestOptions{}))
-	if status != http.StatusOK {
-		t.Fatalf("donor request: status %d: %s", status, body)
-	}
-	status, hdr, body := postHdr(t, srv.URL, requestBody(t, seedServeGraph(64, 96, 96, 112, 96, 96, 96, 32), c, RequestOptions{}))
-	if status != http.StatusOK {
-		t.Fatalf("widened request: status %d: %s", status, body)
-	}
-	if got := hdr.Get(SeedDistanceHeader); got != "" {
-		t.Errorf("seeding disabled but response sent %s = %q", SeedDistanceHeader, got)
-	}
-	if st := s.Stats(); st.SynthIncremental != 0 {
-		t.Errorf("stats synth_incremental = %d with seeding disabled, want 0", st.SynthIncremental)
-	}
-}
-
 // TestServeEvictedPlanIsNeverDonor: a plan's donor record lives in its cache
 // entry, so a plan the LRU has evicted is never chosen as a donor. With room
 // for two entries, a near-miss of a cached base graph seeds from it; once two

@@ -143,13 +143,6 @@ type Config struct {
 	// expensive step, and N unbounded concurrent searches is the only way
 	// this process OOMs.
 	MaxInflightSynth int
-	// DisableSeeding turns off incremental synthesis (the -no-seed flag):
-	// cache misses always synthesize cold instead of seeding their search
-	// from the nearest similar cached plan, and drift replans stop reusing
-	// the pre-drift plan as a seed. Every served plan passes the same
-	// structural validation either way; the knob exists for A/B timing
-	// comparisons and debugging.
-	DisableSeeding bool
 	// Fleet, when non-nil, makes this daemon one node of a sharded,
 	// replicated plan-cache fleet (see fleet.go and internal/fleet).
 	Fleet *fleet.Fleet
@@ -209,26 +202,25 @@ const NeedBody = "need_body"
 
 var needBodyAnswer = []byte(`{"code":"need_body","message":"no plan under this key here: resend with graph and cluster"}` + "\n")
 
-// RequestOptions mirrors hap.Options on the wire.
+// RequestOptions mirrors hap.Options on the wire. The retired "optimize",
+// "exact_search" and "max_iterations" fields decode as unknown fields: they
+// are ignored, and the request keys and plans like one without them.
 type RequestOptions struct {
-	Segments      int  `json:"segments,omitempty"`
-	MaxIterations int  `json:"max_iterations,omitempty"`
-	ExactSearch   bool `json:"exact_search,omitempty"`
+	Segments int `json:"segments,omitempty"`
 }
 
-// UnmarshalJSON rejects negative segments and max_iterations when a request
-// body is parsed, so they answer 400 before a cache key is derived from them.
-// Neither means anything to the planner: hapopt.Optimize refuses a negative
-// iteration bound, and a negative segment count would only mint a second key
-// for the unsegmented plan.
+// UnmarshalJSON rejects negative segments when a request body is parsed, so
+// they answer 400 before a cache key is derived from them: a negative
+// segment count means nothing to the planner and would only mint a second
+// key for the unsegmented plan.
 func (o *RequestOptions) UnmarshalJSON(b []byte) error {
 	type plain RequestOptions // drops this method, so the decode below does not recurse
 	var p plain
 	if err := json.Unmarshal(b, &p); err != nil {
 		return err
 	}
-	if p.Segments < 0 || p.MaxIterations < 0 {
-		return fmt.Errorf("options: segments (%d) and max_iterations (%d) must not be negative", p.Segments, p.MaxIterations)
+	if p.Segments < 0 {
+		return fmt.Errorf("options: segments (%d) must not be negative", p.Segments)
 	}
 	*o = RequestOptions(p)
 	return nil
@@ -467,11 +459,9 @@ func (s *Server) hapOptions(opt RequestOptions) hap.Options {
 		budget = 0 // negative config = unlimited
 	}
 	return hap.Options{
-		Segments:      opt.Segments,
-		MaxIterations: opt.MaxIterations,
-		ExactSearch:   opt.ExactSearch,
-		TimeBudget:    budget,
-		Workers:       s.cfg.SynthWorkers,
+		Segments:   opt.Segments,
+		TimeBudget: budget,
+		Workers:    s.cfg.SynthWorkers,
 	}
 }
 
@@ -794,17 +784,15 @@ type donor struct {
 func (s *Server) synthesize(ctx context.Context, sp *obs.Span, g *graph.Graph, c *cluster.Cluster, opts RequestOptions, find func() donor) (*hap.Plan, CachedPlan, error) {
 	s.syntheses.Add(1)
 	ho := s.hapOptions(opts)
-	if !s.cfg.DisableSeeding {
-		sds := sp.Child("seeded_search")
-		if d := find(); len(d.bin) > 0 {
-			if dp, err := hap.ReadProgramBinary(bytes.NewReader(d.bin), d.g); err == nil {
-				ho.SeedGraph, ho.SeedPlan = dp.Program.Graph, dp
-				sds.SetAttrStr("donor", d.key)
-				sds.SetAttrInt("shared_subs", int64(d.shared))
-			}
+	sds := sp.Child("seeded_search")
+	if d := find(); len(d.bin) > 0 {
+		if dp, err := hap.ReadProgramBinary(bytes.NewReader(d.bin), d.g); err == nil {
+			ho.SeedGraph, ho.SeedPlan = dp.Program.Graph, dp
+			sds.SetAttrStr("donor", d.key)
+			sds.SetAttrInt("shared_subs", int64(d.shared))
 		}
-		sds.End()
 	}
+	sds.End()
 	ss := sp.Child("synthesize")
 	p, err := s.cfg.Synthesize(obs.ContextWithSpan(ctx, ss), g, c, ho)
 	if err == nil && p.Seeded {

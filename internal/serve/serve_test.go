@@ -402,6 +402,32 @@ func fieldNames(h map[string]json.RawMessage) string {
 	return strings.Join(names, ",")
 }
 
+// TestRetiredOptionsKeyAsDefault: the retired "exact_search" and
+// "max_iterations" options neither split the cache nor reach the planner. A
+// body that still sends them decodes (unknown fields are ignored), derives
+// the key of the same body without them and is served that body's plan.
+func TestRetiredOptionsKeyAsDefault(t *testing.T) {
+	s := New(Config{})
+	srv := httptest.NewServer(s.Handler())
+	defer srv.Close()
+	body := requestBody(t, testGraph(t), testCluster(), RequestOptions{})
+
+	status, hdr, plan := post(t, srv.URL, body)
+	if status != http.StatusOK || hdr != "miss" {
+		t.Fatalf("default request: status %d cache %q: %s", status, hdr, plan)
+	}
+	legacy := bytes.Replace(body, []byte(`"options":{}`), []byte(`"options":{"exact_search":true,"max_iterations":2}`), 1)
+	if bytes.Equal(legacy, body) {
+		t.Fatalf("request body has no empty options object to rewrite: %s", body)
+	}
+	if status, hdr, b := post(t, srv.URL, legacy); status != http.StatusOK || hdr != "hit" || !bytes.Equal(b, plan) {
+		t.Fatalf("request with retired options: status %d cache %q, want 200/hit with the default plan", status, hdr)
+	}
+	if st := s.Stats(); st.Syntheses != 1 {
+		t.Errorf("%d syntheses, want 1", st.Syntheses)
+	}
+}
+
 // TestOptimizeOptionPlumbing checks a miss runs under the default synth time
 // budget, and that the retired "optimize" option no longer splits the cache:
 // a body that still sends "optimize": false decodes (unknown fields are

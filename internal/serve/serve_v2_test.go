@@ -120,10 +120,9 @@ func TestV1SynthesizeAndErrorEnvelope(t *testing.T) {
 	}
 }
 
-// TestNegativeOptionsRejected: segments and max_iterations come off the wire,
-// so a negative one must be answered 400 bad_request by the decoder before a
-// cache key exists: nothing is looked up, counted as a miss, or handed to the
-// planner (where a negative iteration bound used to nil-dereference).
+// TestNegativeOptionsRejected: segments come off the wire, so a negative
+// count must be answered 400 bad_request by the decoder before a cache key
+// exists: nothing is looked up, counted as a miss, or handed to the planner.
 func TestNegativeOptionsRejected(t *testing.T) {
 	s := New(Config{Synthesize: func(context.Context, *graph.Graph, *cluster.Cluster, hap.Options) (*hap.Plan, error) {
 		t.Error("a request with negative options reached the planner")
@@ -133,19 +132,17 @@ func TestNegativeOptionsRejected(t *testing.T) {
 	defer srv.Close()
 	g, c := testGraph(t), testCluster()
 	// requestBody marshals RequestOptions, which has no encoder of its own:
-	// negative values go out as written.
-	for _, opt := range []RequestOptions{{MaxIterations: -1}, {Segments: -1}} {
-		status, _, raw := post(t, srv.URL, requestBody(t, g, c, opt))
-		if status != http.StatusBadRequest || !strings.Contains(string(raw), "must not be negative") {
-			t.Errorf("%+v: status %d body %q, want 400 naming the option", opt, status, raw)
-		}
-		var env ErrorEnvelope
-		if json.Unmarshal(raw, &env) != nil || env.Code != CodeBadRequest {
-			t.Errorf("%+v: body %q is not a %s envelope", opt, raw, CodeBadRequest)
-		}
+	// a negative value goes out as written.
+	status, _, raw := post(t, srv.URL, requestBody(t, g, c, RequestOptions{Segments: -1}))
+	if status != http.StatusBadRequest || !strings.Contains(string(raw), "segments (-1) must not be negative") {
+		t.Errorf("status %d body %q, want 400 naming segments", status, raw)
 	}
-	if st := s.Stats(); st.CacheMisses != 0 || st.Syntheses != 0 || st.Errors != 2 {
-		t.Errorf("stats after 2 rejected requests: misses %d syntheses %d errors %d, want 0/0/2", st.CacheMisses, st.Syntheses, st.Errors)
+	var env ErrorEnvelope
+	if json.Unmarshal(raw, &env) != nil || env.Code != CodeBadRequest {
+		t.Errorf("body %q is not a %s envelope", raw, CodeBadRequest)
+	}
+	if st := s.Stats(); st.CacheMisses != 0 || st.Syntheses != 0 || st.Errors != 1 {
+		t.Errorf("stats after a rejected request: misses %d syntheses %d errors %d, want 0/0/1", st.CacheMisses, st.Syntheses, st.Errors)
 	}
 }
 

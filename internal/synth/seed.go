@@ -148,7 +148,7 @@ func (r *replayer) pruneDead(rs *replayState, justComputed graph.NodeID) {
 		}
 	}
 	for _, u := range r.g.Node(justComputed).Inputs {
-		if !theory.IsLeaf(r.g.Node(u).Kind) {
+		if !r.g.Node(u).Kind.IsLeaf() {
 			check(u)
 		}
 	}
@@ -192,7 +192,7 @@ func (r *replayer) replay(rs *replayState, instrs []dist.Instruction, steps []do
 			steps = append(steps, donorStep{comm: true, node: in.Ref, coll: in.Coll, dim: in.Dim, dim2: in.Dim2})
 			instrs = instrs[1:]
 
-		case theory.IsLeaf(in.Op):
+		case in.Op.IsLeaf():
 			// A fused leaf loader: record the placement it establishes.
 			want := replicated
 			if in.ShardDim >= 0 {

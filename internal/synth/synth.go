@@ -590,7 +590,7 @@ func New(g *graph.Graph, th *theory.Theory, c *cluster.Cluster, b [][]float64, o
 	}
 	for i := range g.Nodes {
 		id := graph.NodeID(i)
-		if th.Required[id] && !theory.IsLeaf(g.Node(id).Kind) {
+		if th.Required[id] && !g.Node(id).Kind.IsLeaf() {
 			s.reqNodes = append(s.reqNodes, id)
 		}
 	}
@@ -660,7 +660,7 @@ func (sy *Synthesizer) rootState() *state {
 	}
 	for i := range g.Nodes {
 		id := graph.NodeID(i)
-		if sy.th.Required[id] && !theory.IsLeaf(g.Node(id).Kind) {
+		if sy.th.Required[id] && !g.Node(id).Kind.IsLeaf() {
 			root.remFlops += g.Flops(id)
 		}
 	}
@@ -953,7 +953,7 @@ func (sy *Synthesizer) compKey(s *state, tr *theory.Triple) uint64 {
 	}
 	ins := sy.g.Node(tr.Node).Inputs
 	for i, u := range ins {
-		if theory.IsLeaf(sy.g.Node(u).Kind) || slices.Contains(ins[:i], u) || !sy.dead(s, u, tr.Node) {
+		if sy.g.Node(u).Kind.IsLeaf() || slices.Contains(ins[:i], u) || !sy.dead(s, u, tr.Node) {
 			continue
 		}
 		for _, p := range s.propsOf(u) {
@@ -1235,7 +1235,7 @@ func (sy *Synthesizer) expandFrom(s *state, out []*state) []*state {
 	g := sy.g
 	for i := int(s.lastComp) + 1; i < g.NumNodes(); i++ {
 		id := graph.NodeID(i)
-		if !sy.th.Required[id] || bitGet(s.computed, id) || theory.IsLeaf(g.Node(id).Kind) {
+		if !sy.th.Required[id] || bitGet(s.computed, id) || g.Node(id).Kind.IsLeaf() {
 			continue
 		}
 		if !sy.ready(s, id) {
@@ -1262,7 +1262,7 @@ func (sy *Synthesizer) expandFrom(s *state, out []*state) []*state {
 // ready reports whether every non-leaf input of id is computed.
 func (sy *Synthesizer) ready(s *state, id graph.NodeID) bool {
 	for _, in := range sy.g.Node(id).Inputs {
-		if theory.IsLeaf(sy.g.Node(in).Kind) {
+		if sy.g.Node(in).Kind.IsLeaf() {
 			continue
 		}
 		if !bitGet(s.computed, in) {
@@ -1346,7 +1346,7 @@ func (sy *Synthesizer) applyComp(s *state, tr *theory.Triple) *state {
 		// leaf placed here (its acceptable forms follow the placement).
 		sy.touched = touch(sy.touched[:0], tr.Node)
 		for _, u := range sy.g.Node(tr.Node).Inputs {
-			if !theory.IsLeaf(sy.g.Node(u).Kind) && len(ns.propsOf(u)) == 0 {
+			if !sy.g.Node(u).Kind.IsLeaf() && len(ns.propsOf(u)) == 0 {
 				sy.touched = touch(sy.touched, u)
 			}
 		}
@@ -1579,7 +1579,7 @@ func (sy *Synthesizer) pruneDead(s *state, justComputed graph.NodeID) {
 		s.props = w
 	}
 	for _, u := range sy.g.Node(justComputed).Inputs {
-		if !theory.IsLeaf(sy.g.Node(u).Kind) {
+		if !sy.g.Node(u).Kind.IsLeaf() {
 			check(u)
 		}
 	}

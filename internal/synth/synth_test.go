@@ -99,7 +99,7 @@ func TestSynthesizeTrainingGradientsMatchPlacements(t *testing.T) {
 			}
 			continue
 		}
-		if theory.IsLeaf(in.Op) {
+		if in.Op.IsLeaf() {
 			placed[in.Ref] = in.ShardDim
 		}
 		computed[in.Ref] = true
@@ -248,7 +248,7 @@ func TestLeafFusionPlacesLeavesOnce(t *testing.T) {
 	}
 	placements := map[graph.NodeID]int{}
 	for _, in := range p.Instrs {
-		if !in.IsComm && theory.IsLeaf(in.Op) {
+		if !in.IsComm && in.Op.IsLeaf() {
 			placements[in.Ref]++
 		}
 	}

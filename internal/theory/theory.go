@@ -172,12 +172,6 @@ type Output struct {
 	Param graph.NodeID
 }
 
-// IsLeaf reports whether a node is a leaf placed by fused loader
-// instructions rather than computed.
-func IsLeaf(k graph.OpKind) bool {
-	return k == graph.Placeholder || k == graph.Parameter || k == graph.Ones
-}
-
 // New builds the background theory for a single-device graph by matching
 // the per-op rules against every node.
 func New(g *graph.Graph) *Theory {
@@ -214,7 +208,7 @@ func New(g *graph.Graph) *Theory {
 	t.wantedMask = make([]uint32, g.NumNodes())
 	for i := range g.Nodes {
 		id := graph.NodeID(i)
-		if !t.Required[id] || IsLeaf(g.Node(id).Kind) {
+		if !t.Required[id] || g.Node(id).Kind.IsLeaf() {
 			continue
 		}
 		t.ByNode[id] = buildTriples(g, id)
@@ -266,7 +260,7 @@ func addRule(g *graph.Graph, out *[]*Triple, node graph.NodeID, inProps []Proper
 		if p.Kind == Gather && (int(p.Dim) >= len(n.Shape) || n.Shape[p.Dim] < 1) {
 			return // unshardable dimension
 		}
-		if IsLeaf(n.Kind) {
+		if n.Kind.IsLeaf() {
 			if p.Kind == Reduce {
 				return // leaves cannot be pending-reduce
 			}

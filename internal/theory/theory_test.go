@@ -177,7 +177,7 @@ func TestEveryModelOpHasRules(t *testing.T) {
 	th := New(g)
 	for i := range g.Nodes {
 		id := graph.NodeID(i)
-		if th.Required[id] && !IsLeaf(g.Node(id).Kind) && len(th.ByNode[id]) == 0 {
+		if th.Required[id] && !g.Node(id).Kind.IsLeaf() && len(th.ByNode[id]) == 0 {
 			t.Errorf("node e%d (%v) has no rules", id, g.Node(id).Kind)
 		}
 	}

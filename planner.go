@@ -28,12 +28,6 @@ type Option func(*Options)
 // WithSegments requests per-segment sharding ratios (Sec. 5.2).
 func WithSegments(n int) Option { return func(o *Options) { o.Segments = n } }
 
-// WithMaxIterations bounds the Q↔B alternation (default 4).
-func WithMaxIterations(n int) Option { return func(o *Options) { o.MaxIterations = n } }
-
-// WithExactSearch forces exact A* instead of the automatic exact/beam choice.
-func WithExactSearch() Option { return func(o *Options) { o.ExactSearch = true } }
-
 // WithTimeBudget bounds each Plan call's wall-clock time: the call
 // runs under context.WithTimeout(ctx, d), and an expired budget returns the
 // best plan the loop found so far (or an error when none completed).
@@ -79,14 +73,7 @@ func (p *Planner) searchCtx(ctx context.Context) (context.Context, context.Cance
 // hapoptOptions lowers the planner's options for one optimization run. The
 // time budget is deliberately absent: it travels on the context.
 func (p *Planner) hapoptOptions() hapopt.Options {
-	o := hapopt.Options{
-		MaxIterations: p.opt.MaxIterations,
-		Segments:      p.opt.Segments,
-		Synth:         synth.Auto(),
-	}
-	if p.opt.ExactSearch {
-		o.Synth = synth.Options{}
-	}
+	o := hapopt.Options{Segments: p.opt.Segments, Synth: synth.Auto()}
 	o.Synth.Workers = p.opt.Workers
 	if p.opt.SeedPlan != nil && p.opt.SeedGraph != nil {
 		o.SeedGraph = p.opt.SeedGraph

@@ -71,26 +71,16 @@ func TestPlannerTimeBudget(t *testing.T) {
 	}
 }
 
-// A negative iteration bound is a caller error, not a panic: the loop body
-// used never to run and Plan dereferenced a nil result.
-func TestPlannerNegativeMaxIterations(t *testing.T) {
-	if plan, err := NewPlanner(testCluster(), WithMaxIterations(-1)).Plan(context.Background(), testGraph(t)); err == nil {
-		t.Fatalf("Plan with WithMaxIterations(-1) = %+v, want an error", plan)
-	}
-}
-
 // The functional options must lower onto the same Options struct the legacy
 // API uses.
 func TestFunctionalOptions(t *testing.T) {
 	var got Options
 	for _, o := range []Option{
-		WithSegments(3), WithMaxIterations(2), WithExactSearch(),
-		WithTimeBudget(time.Second), WithWorkers(4),
+		WithSegments(3), WithTimeBudget(time.Second), WithWorkers(4),
 	} {
 		o(&got)
 	}
-	want := Options{Segments: 3, MaxIterations: 2, ExactSearch: true,
-		TimeBudget: time.Second, Workers: 4}
+	want := Options{Segments: 3, TimeBudget: time.Second, Workers: 4}
 	if got != want {
 		t.Errorf("options = %+v, want %+v", got, want)
 	}
@@ -158,7 +148,7 @@ func TestBinaryPlanRoundTrip(t *testing.T) {
 func TestPlanSurvivesBalancerFailure(t *testing.T) {
 	defer func(f func(context.Context, *Graph, *Cluster, hapopt.Options) (*hapopt.Result, error)) { optimize = f }(optimize)
 	optimize = func(ctx context.Context, g *Graph, c *Cluster, o hapopt.Options) (*hapopt.Result, error) {
-		o.SkipBalance, o.MaxIterations = true, 1
+		o.SkipBalance = true
 		res, err := hapopt.Optimize(ctx, g, c, o)
 		if err == nil {
 			res.BalanceErr = lp.ErrUnbounded
