@@ -32,6 +32,13 @@ const (
 	NodeHeader = "X-HAP-Fleet-Node"
 )
 
+// A forwarded plan request goes to the peer's plan endpoint and asks for the
+// binary plan payload, the daemon's only plan answer.
+const (
+	forwardPath   = "/v1/synthesize"
+	forwardAccept = "application/x-hap-plan"
+)
+
 // EntriesPath is the fleet entry-exchange endpoint: GET streams the node's
 // cached entries as NDJSON (warm-up), POST accepts one replicated entry.
 const EntriesPath = "/v1/fleet/entries"
@@ -84,24 +91,23 @@ func NewClient() *Client {
 	return &Client{http: &http.Client{Timeout: callTimeout}, stream: &http.Client{}}
 }
 
-// Forward relays a plan request to peer, marked with the forwarding node's
-// URL so the peer serves it locally. A non-empty ifNoneMatch travels with the
-// forward so a warm client's conditional fetch stays conditional across the
-// proxy hop — the owner answers 304 and the proxy relays it without ever
-// moving the plan body. A non-empty trace is sent as the trace-propagation
+// Forward relays a plan request to peer's plan endpoint, asking for the
+// binary plan payload and marked with the forwarding node's URL so the peer
+// serves it locally. A non-empty ifNoneMatch travels with the forward so a
+// warm client's conditional fetch stays conditional across the proxy hop —
+// the owner answers 304 and the proxy relays it without ever moving the plan
+// body. A non-empty trace is sent as the trace-propagation
 // header (obs.TraceHeader) so the peer's spans land in the forwarder's trace.
 // The caller relays the response (status, plan headers, body) to its own
 // client and must close the body.
-func (c *Client) Forward(ctx context.Context, peer, path string, body []byte, accept, from, ifNoneMatch, trace string) (*http.Response, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, NormalizeURL(peer)+path, bytes.NewReader(body))
+func (c *Client) Forward(ctx context.Context, peer string, body []byte, from, ifNoneMatch, trace string) (*http.Response, error) {
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, NormalizeURL(peer)+forwardPath, bytes.NewReader(body))
 	if err != nil {
 		return nil, err
 	}
 	req.Header.Set("Content-Type", "application/json")
 	req.Header.Set(ForwardHeader, from)
-	if accept != "" {
-		req.Header.Set("Accept", accept)
-	}
+	req.Header.Set("Accept", forwardAccept)
 	if ifNoneMatch != "" {
 		req.Header.Set("If-None-Match", ifNoneMatch)
 	}

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 )
@@ -109,6 +111,27 @@ func TestMembershipMergesStaticAndFile(t *testing.T) {
 			t.Fatalf("peers = %v, want %v", peers, want)
 		}
 	}
+}
+
+// FuzzPeersFile holds parsePeers to what a ring build relies on: arbitrary
+// bytes never panic it, every peer it returns is non-empty, already trimmed
+// and not a #-comment, and writing the list back one peer per line parses to
+// the same list. The committed corpus holds a CRLF file, a comment-only file
+// and a URL listed twice, once with a trailing slash.
+func FuzzPeersFile(f *testing.F) {
+	f.Add([]byte("# fleet\nhttp://c:8080\n\nhttp://d:8080\n"))
+	f.Add([]byte("  http://a:1  \n\t#x\n"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		peers := parsePeers(data)
+		for _, p := range peers {
+			if p == "" || p != strings.TrimSpace(p) || strings.HasPrefix(p, "#") {
+				t.Fatalf("parsed peer %q from %q", p, data)
+			}
+		}
+		if again := parsePeers([]byte(strings.Join(peers, "\n"))); !slices.Equal(again, peers) {
+			t.Fatalf("peers %q written back parse to %q", peers, again)
+		}
+	})
 }
 
 func TestMembershipReloadSwapsRing(t *testing.T) {

@@ -11,6 +11,7 @@ package fleet
 import (
 	"fmt"
 	"os"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -92,7 +93,7 @@ func (m *Membership) Reload() (changed bool, err error) {
 	}
 	next := NewRing(members)
 	prev := m.ring.Load()
-	if prev != nil && equalMembers(prev.Members(), next.Members()) {
+	if prev != nil && slices.Equal(prev.Members(), next.Members()) {
 		return false, nil
 	}
 	m.ring.Store(next)
@@ -137,13 +138,18 @@ func (m *Membership) StartPolling(interval time.Duration) (stop func()) {
 	return func() { once.Do(func() { close(done) }) }
 }
 
-// readPeersFile parses a peers file: one base URL per line, blank lines and
-// #-comments ignored.
+// readPeersFile reads and parses a peers file.
 func readPeersFile(path string) ([]string, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, fmt.Errorf("fleet: peers file: %w", err)
 	}
+	return parsePeers(data), nil
+}
+
+// parsePeers parses a peers file's contents: one base URL per line, each
+// trimmed of surrounding space, blank lines and #-comments ignored.
+func parsePeers(data []byte) []string {
 	var peers []string
 	for _, line := range strings.Split(string(data), "\n") {
 		line = strings.TrimSpace(line)
@@ -152,17 +158,5 @@ func readPeersFile(path string) ([]string, error) {
 		}
 		peers = append(peers, line)
 	}
-	return peers, nil
-}
-
-func equalMembers(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
+	return peers
 }

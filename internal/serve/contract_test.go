@@ -19,6 +19,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -192,7 +193,7 @@ func TestWireContract(t *testing.T) {
 		t.Helper()
 		set := nodes[0].s.cfg.Fleet.ReplicaSet(key)
 		for _, n := range nodes {
-			if !contains(set, n.url) {
+			if !slices.Contains(set, n.url) {
 				return n
 			}
 		}

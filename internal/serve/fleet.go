@@ -29,6 +29,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
 	"time"
 
 	"hap/internal/fleet"
@@ -134,7 +135,7 @@ func (s *Server) proxyPlanRequest(w http.ResponseWriter, r *http.Request, body [
 	// fresh attempt is still cheaper than a local synthesis.
 	var healthy, down []string
 	for _, peer := range append([]string{owner}, f.ReplicaSet(key)...) {
-		if peer == f.Self() || contains(healthy, peer) || contains(down, peer) {
+		if peer == f.Self() || slices.Contains(healthy, peer) || slices.Contains(down, peer) {
 			continue
 		}
 		if f.Health.Healthy(peer) {
@@ -146,7 +147,7 @@ func (s *Server) proxyPlanRequest(w http.ResponseWriter, r *http.Request, body [
 	for _, peer := range append(healthy, down...) {
 		ps := rt.span("proxy")
 		ps.SetAttrStr("peer", peer)
-		resp, err := f.Client.Forward(r.Context(), peer, "/v1/synthesize", body, BinaryPlanContentType, f.Self(), r.Header.Get("If-None-Match"), rt.forwardHeader(ps))
+		resp, err := f.Client.Forward(r.Context(), peer, body, f.Self(), r.Header.Get("If-None-Match"), rt.forwardHeader(ps))
 		if err != nil {
 			if errors.Is(err, context.Canceled) || r.Context().Err() != nil {
 				ps.End()
@@ -270,7 +271,7 @@ func (s *Server) handleFleetEntries(w http.ResponseWriter, r *http.Request) {
 // WarmFrom streams cached entries from the first peer that answers into the
 // local store — how a joining node avoids starting cold. Peers are tried in
 // order (self skipped). The peer sends its hottest plans first and each one
-// lands below those before it (memDiskStore.Warm), so the node ends with the
+// lands below those before it (store.Warm), so the node ends with the
 // peer's recency order, and the stream stops at the first entry that no
 // longer fits: a smaller cache keeps the peer's hottest plans. A stream cut
 // mid-transfer keeps every entry that arrived and reports the partial count
@@ -313,13 +314,4 @@ func entryOf(key string, v CachedPlan) fleet.Entry {
 
 func planOf(e fleet.Entry) CachedPlan {
 	return CachedPlan{Bin: e.Bin, Version: e.Version}
-}
-
-func contains(list []string, s string) bool {
-	for _, v := range list {
-		if v == s {
-			return true
-		}
-	}
-	return false
 }

@@ -454,7 +454,7 @@ func TestStoreIgnoresSuppliedETag(t *testing.T) {
 	if err := os.WriteFile(d.path("k2"), file, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if v, ok := newMemDiskStore(8, 1<<20, d, 0).Get("k2"); !ok || v.ETag != want || v.Version != 2 {
+	if v, ok := newStore(8, 1<<20, d, 0).Get("k2"); !ok || v.ETag != want || v.Version != 2 {
 		t.Errorf("restored entry: %v, version %d tag %q; want version 2 with %q", ok, v.Version, v.ETag, want)
 	}
 }

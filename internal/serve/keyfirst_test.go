@@ -14,6 +14,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -373,7 +374,7 @@ func TestKeyOnlyNeverProxies(t *testing.T) {
 		switch {
 		case n.url == f.Owner(key):
 			owner = n
-		case !contains(f.ReplicaSet(key), n.url):
+		case !slices.Contains(f.ReplicaSet(key), n.url):
 			outsider = n
 		}
 	}

@@ -254,10 +254,10 @@ func TestDriftReportPromotesNothing(t *testing.T) {
 	if status, _, raw := post(t, srv.URL, requestBody(t, reported, alt, RequestOptions{})); status != http.StatusOK {
 		t.Fatalf("insert: status %d: %s", status, raw)
 	}
-	if _, ok := s.store.cache.peek(cacheKey(reported, spec, RequestOptions{})); ok {
+	if holds(s.store, cacheKey(reported, spec, RequestOptions{})) {
 		t.Error("the reported plan survived the next insert: the drift report promoted it")
 	}
-	if _, ok := s.store.cache.peek(cacheKey(other, alt, RequestOptions{})); !ok {
+	if !holds(s.store, cacheKey(other, alt, RequestOptions{})) {
 		t.Error("the plan no report touched was evicted in place of the reported one")
 	}
 }

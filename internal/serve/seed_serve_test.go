@@ -154,7 +154,7 @@ func TestServeEvictedPlanIsNeverDonor(t *testing.T) {
 	}
 	evicted := map[string]bool{cacheKey(base, c, RequestOptions{}): true, cacheKey(wide, c, RequestOptions{}): true}
 	for k := range evicted {
-		if _, ok := s.store.cache.peek(k); ok {
+		if holds(s.store, k) {
 			t.Fatalf("%s is still cached after two later misses with room for two", k)
 		}
 	}

@@ -50,6 +50,7 @@ import (
 	"fmt"
 	"log/slog"
 	"net/http"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -254,7 +255,7 @@ type Stats struct {
 // Server is the plan-cache daemon. Create with New, mount via Handler.
 type Server struct {
 	cfg    Config
-	store  *memDiskStore
+	store  *store
 	memo   *bodyMemo // raw-body hash → cache key (memo.go)
 	flight flightGroup
 
@@ -345,7 +346,7 @@ func New(cfg Config) *Server {
 	}
 	s := &Server{
 		cfg:     cfg,
-		store:   newMemDiskStore(cfg.MaxCacheEntries, maxCacheBytes, persist, cfg.CacheTTL),
+		store:   newStore(cfg.MaxCacheEntries, maxCacheBytes, persist, cfg.CacheTTL),
 		memo:    newBodyMemo(cfg.MaxCacheEntries),
 		logger:  logger,
 		latency: newHistogram(),
@@ -423,7 +424,7 @@ func (s *Server) Handler() http.Handler {
 
 // Stats returns a snapshot of the server counters.
 func (s *Server) Stats() Stats {
-	ss := s.store.Stats()
+	entries, size, evictions := s.store.counts()
 	return Stats{
 		CacheHits:        s.hits.Load(),
 		CacheMisses:      s.misses.Load(),
@@ -433,10 +434,10 @@ func (s *Server) Stats() Stats {
 		AdmissionShed:    s.admissionShed.Load(),
 		InflightSynth:    s.inflightSynth.Load(),
 		Errors:           s.errors.Load(),
-		CacheEntries:     ss.Entries,
-		CacheBytes:       ss.Bytes,
-		CacheEvictions:   ss.Evictions,
-		CacheRestored:    ss.Restored,
+		CacheEntries:     entries,
+		CacheBytes:       size,
+		CacheEvictions:   evictions,
+		CacheRestored:    s.store.restored,
 		Fleet:            s.fleetStats(),
 		Telemetry:        s.telemetryStats(),
 	}
@@ -821,7 +822,7 @@ func (s *Server) fleetRole(key string) string {
 	switch {
 	case f.Owner(key) == f.Self():
 		return roleOwner
-	case contains(f.ReplicaSet(key), f.Self()):
+	case slices.Contains(f.ReplicaSet(key), f.Self()):
 		return roleReplica
 	default:
 		return roleProxy
@@ -851,7 +852,7 @@ func encodePlan(p *hap.Plan) (CachedPlan, error) {
 // sp, when non-nil, parents the replication fan-out span so the pushes show
 // up in the request (or replan) trace that produced the plan.
 func (s *Server) storePlan(sp *obs.Span, key string, v CachedPlan) CachedPlan {
-	v, _ = s.store.Put(key, v)
+	v = s.store.Put(key, v)
 	s.maybeReplicate(sp, key, v)
 	return v
 }

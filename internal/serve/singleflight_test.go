@@ -3,103 +3,10 @@ package serve
 import (
 	"context"
 	"errors"
-	"fmt"
 	"sync"
 	"testing"
 	"time"
 )
-
-// bp wraps raw bytes as a header-less CachedPlan for cache tests.
-func bp(s string) CachedPlan { return CachedPlan{Bin: []byte(s)} }
-
-func TestLRUEntryCapEvictsOldest(t *testing.T) {
-	c := newLRUCache(2, 1<<20)
-	c.add("a", bp("1"), time.Now())
-	c.add("b", bp("2"), time.Now())
-	c.add("c", bp("3"), time.Now())
-	if _, ok := c.get("a"); ok {
-		t.Error("oldest entry survived the entry cap")
-	}
-	for _, k := range []string{"b", "c"} {
-		if _, ok := c.get(k); !ok {
-			t.Errorf("entry %q evicted prematurely", k)
-		}
-	}
-	if entries, bytes, evictions := c.snapshot(); entries != 2 || bytes != 2 || evictions != 1 {
-		t.Errorf("snapshot = (%d, %d, %d), want (2, 2, 1)", entries, bytes, evictions)
-	}
-}
-
-func TestLRUByteCapEvicts(t *testing.T) {
-	c := newLRUCache(100, 10)
-	c.add("a", CachedPlan{Bin: make([]byte, 6)}, time.Now())
-	c.add("b", CachedPlan{Bin: make([]byte, 6)}, time.Now()) // 12 > 10: "a" must go
-	if _, ok := c.get("a"); ok {
-		t.Error("byte cap not enforced")
-	}
-	if _, ok := c.get("b"); !ok {
-		t.Error("newest entry evicted")
-	}
-}
-
-func TestLRUGetRefreshesRecency(t *testing.T) {
-	c := newLRUCache(2, 1<<20)
-	c.add("a", bp("1"), time.Now())
-	c.add("b", bp("2"), time.Now())
-	c.get("a") // "b" is now least recent
-	c.add("c", bp("3"), time.Now())
-	if _, ok := c.get("a"); !ok {
-		t.Error("recently used entry evicted")
-	}
-	if _, ok := c.get("b"); ok {
-		t.Error("least recently used entry survived")
-	}
-}
-
-func TestLRUOversizedValueNotCached(t *testing.T) {
-	c := newLRUCache(10, 4)
-	c.add("big", CachedPlan{Bin: make([]byte, 5)}, time.Now())
-	if _, ok := c.get("big"); ok {
-		t.Error("value above the byte cap was cached")
-	}
-	if entries, bytes, _ := c.snapshot(); entries != 0 || bytes != 0 {
-		t.Errorf("snapshot = (%d, %d), want empty", entries, bytes)
-	}
-}
-
-func TestLRUUpdateExistingKey(t *testing.T) {
-	c := newLRUCache(10, 1<<20)
-	c.add("a", bp("1"), time.Now())
-	c.add("a", bp("1234"), time.Now())
-	v, ok := c.get("a")
-	if !ok || string(v.Bin) != "1234" {
-		t.Errorf("get after update = %q, %v", v.Bin, ok)
-	}
-	if entries, bytes, _ := c.snapshot(); entries != 1 || bytes != 4 {
-		t.Errorf("snapshot = (%d, %d), want (1, 4)", entries, bytes)
-	}
-}
-
-func TestLRUConcurrentAccess(t *testing.T) {
-	// Meaningful under -race: hammer the cache from many goroutines.
-	c := newLRUCache(32, 1<<20)
-	var wg sync.WaitGroup
-	for i := 0; i < 8; i++ {
-		wg.Add(1)
-		go func(id int) {
-			defer wg.Done()
-			for j := 0; j < 200; j++ {
-				k := fmt.Sprintf("k%d", (id+j)%64)
-				c.add(k, bp(k), time.Now())
-				c.get(k)
-			}
-		}(i)
-	}
-	wg.Wait()
-	if entries, _, _ := c.snapshot(); entries > 32 {
-		t.Errorf("%d entries above the cap", entries)
-	}
-}
 
 func TestSingleFlightSharesResult(t *testing.T) {
 	var g flightGroup

@@ -1,15 +1,20 @@
-// The daemon's plan store: the bounded in-memory LRU (cache.go) with its
-// optional write-through disk mirror (persist.go), and the version and ETag
-// metadata every stored plan carries. serve.go handles the wire protocol;
-// the miss path and replication intake write through Put, warm-up through
-// Warm; the warm-up stream a node serves, donor lookup and the replan scan
-// read Range; Server.Stats reads Stats.
+// The daemon's plan store: a concurrency-safe LRU of encoded plans, bounded
+// both by entry count and by total bytes, with an optional write-through
+// disk mirror (persist.go) and the version and ETag metadata every stored
+// plan carries. A model-scale plan is about 1–3 KiB of binary payload, so the
+// entry cap is the binding limit in production; the byte cap is a backstop
+// against a few very large plans. serve.go handles the wire protocol; the
+// miss path and replication intake write through Put, warm-up through Warm;
+// the warm-up stream a node serves, donor lookup and the replan scan read
+// Range.
 
 package serve
 
 import (
+	"container/list"
 	"fmt"
 	"hash/fnv"
+	"sync"
 	"time"
 )
 
@@ -45,153 +50,252 @@ func ETagFor(bin []byte) string {
 	return fmt.Sprintf("%q", fmt.Sprintf("%016x", h.Sum64()))
 }
 
-// StoreStats is the store's bookkeeping snapshot, surfaced in Stats.
-type StoreStats struct {
-	Entries   int    // plans currently stored
-	Bytes     int64  // bytes currently stored
-	Evictions uint64 // plans evicted by capacity limits
-	Restored  int    // plans reloaded from persistence at construction
+type storeEntry struct {
+	key string
+	val CachedPlan
+	// at is the entry's LRU stamp: its insert (or refresh) time, or just
+	// below the tail's for a warm-up entry. The TTL sweep reads it, and the
+	// disk mirror keeps it as the plan file's mtime, so a restore replays
+	// entries in stamp order.
+	at time.Time
 }
 
-// memDiskStore stores encoded plans under their content-address cache keys:
-// the bounded in-memory LRU with optional write-through disk persistence.
-// Inserts mirror to disk with the entry's LRU stamp as the file's mtime, LRU
-// and TTL evictions delete their files, and construction reloads the
-// directory in mtime order — so the directory converges to the LRU's actual
-// contents and a restart does not re-pay every synthesis. Safe for
-// concurrent use.
-type memDiskStore struct {
-	cache    *lruCache
-	persist  *diskStore // nil = memory only
-	ttl      time.Duration
-	restored int
+// warmStampStep is how far below the tail's stamp a warm-up entry lands: a
+// millisecond, so filesystems that keep coarse mtimes still order the files.
+const warmStampStep = time.Millisecond
+
+// store holds encoded plans under their content-address cache keys. Inserts
+// mirror to disk with the entry's LRU stamp as the file's mtime, LRU and TTL
+// evictions delete their files, and construction reloads the directory in
+// mtime order — so the directory converges to the LRU's actual contents and
+// a restart does not re-pay every synthesis. Each write takes mu once, for
+// its version, its insert and the evictions it causes; hashing the ETag and
+// the disk mirror run outside it. Safe for concurrent use.
+type store struct {
+	maxEntries int
+	maxBytes   int64
+	persist    *diskStore // nil = memory only
+	ttl        time.Duration
+	restored   int // plans reloaded at construction
+
+	mu        sync.Mutex
+	ll        *list.List // of *storeEntry, front = most recently used
+	items     map[string]*list.Element
+	bytes     int64
+	evictions uint64
 }
 
-// newMemDiskStore builds the store and, when persist is non-nil, restores
-// its directory: files are replayed oldest-mtime first so the LRU's recency
-// order survives the restart, and files older than ttl are deleted instead
-// of restored.
-func newMemDiskStore(maxEntries int, maxBytes int64, persist *diskStore, ttl time.Duration) *memDiskStore {
-	s := &memDiskStore{
-		cache:   newLRUCache(maxEntries, maxBytes),
-		persist: persist,
-		ttl:     ttl,
+// newStore builds the store and, when persist is non-nil, restores its
+// directory: files are replayed oldest-mtime first so the LRU's recency order
+// survives the restart, and files older than ttl are deleted instead of
+// restored.
+func newStore(maxEntries int, maxBytes int64, persist *diskStore, ttl time.Duration) *store {
+	s := &store{
+		maxEntries: maxEntries,
+		maxBytes:   maxBytes,
+		persist:    persist,
+		ttl:        ttl,
+		ll:         list.New(),
+		items:      map[string]*list.Element{},
 	}
 	if persist != nil {
 		var cutoff time.Time
 		if ttl > 0 {
 			cutoff = time.Now().Add(-ttl)
 		}
-		// Restore mirrors Put: entries the (possibly re-capped) cache
+		// Restore mirrors Put: entries the (possibly re-capped) store
 		// rejects or evicts during the reload lose their files too, so the
 		// directory converges to the LRU's actual contents instead of
-		// re-reading stale plans on every boot.
+		// re-reading stale plans on every boot. A file from before
+		// versioning restores as v1.
 		s.restored = persist.load(cutoff, func(key string, v CachedPlan, mtime time.Time) bool {
-			normalizePlan(&v, 1) // files from before versioning restore as v1
-			stored, evicted := s.cache.add(key, v, mtime)
+			_, stored, evicted := s.insert(key, v, mtime)
 			if !stored {
-				persist.remove(key)
+				evicted = append(evicted, key)
 			}
-			for _, k := range evicted {
-				persist.remove(k)
-			}
+			s.drop(evicted)
 			return stored
 		})
 	}
 	return s
 }
 
-// Get returns the stored plan and refreshes its recency.
-func (s *memDiskStore) Get(key string) (CachedPlan, bool) { return s.cache.get(key) }
-
-// Put stores (or refreshes) v with its ETag derived from the plan content
-// and, when the caller left it zero, a version continuing the stored entry's
-// sequence (first insert = 1, replacement = previous + 1). Entries arriving
-// with a version — fleet replication, warm-up streaming — keep the owner's,
-// so the number is the same fleet-wide. It returns the entry with its
-// metadata filled in and whether it was kept: a value over the caps is
-// rejected.
-func (s *memDiskStore) Put(key string, v CachedPlan) (CachedPlan, bool) {
-	normalizePlan(&v, s.nextVersion(key))
-	now := time.Now()
-	stored, evicted := s.cache.add(key, v, now)
-	if s.persist != nil {
-		if stored {
-			s.persist.save(key, v, now)
-		}
-		for _, k := range evicted {
-			s.persist.remove(k)
-		}
+// Get returns the stored plan and refreshes its recency. The returned plan
+// bytes are shared — callers must not mutate them.
+func (s *store) Get(key string) (CachedPlan, bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	e, ok := s.items[key]
+	if !ok {
+		return CachedPlan{}, false
 	}
-	return v, stored
+	s.ll.MoveToFront(e)
+	return e.Value.(*storeEntry).val, true
+}
+
+// Put stores (or refreshes) v at the LRU head, evicting from the tail until
+// both caps hold, and returns it with its metadata filled in: the ETag derived
+// from the plan content and, when the caller left it zero, a version
+// continuing the stored entry's sequence (first insert = 1, replacement =
+// previous + 1). Entries arriving with a version — fleet replication — keep
+// the owner's, so the number is the same fleet-wide. A value larger than the
+// byte cap on its own is not stored at all — storing it would evict
+// everything else for a single entry — but comes back tagged all the same.
+func (s *store) Put(key string, v CachedPlan) CachedPlan {
+	now := time.Now()
+	v, stored, evicted := s.insert(key, v, now)
+	if stored && s.persist != nil {
+		s.persist.save(key, v, now)
+	}
+	s.drop(evicted)
+	return v
+}
+
+// insert is Put's in-memory half, stamping the entry at: it reports whether
+// v was stored and which keys it evicted, for the caller to mirror on disk.
+func (s *store) insert(key string, v CachedPlan, at time.Time) (_ CachedPlan, stored bool, evicted []string) {
+	v.ETag = ETagFor(v.Bin)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	e := s.version(key, &v)
+	if v.size() > s.maxBytes {
+		return v, false, nil
+	}
+	if e != nil {
+		ent := e.Value.(*storeEntry)
+		s.bytes += v.size() - ent.val.size()
+		ent.val, ent.at = v, at
+		s.ll.MoveToFront(e)
+	} else {
+		s.items[key] = s.ll.PushFront(&storeEntry{key: key, val: v, at: at})
+		s.bytes += v.size()
+	}
+	for s.ll.Len() > s.maxEntries || s.bytes > s.maxBytes {
+		evicted = append(evicted, s.evict(s.ll.Back()))
+	}
+	return v, true, evicted
 }
 
 // Warm stores a warm-up entry below every plan already held, keeping its
 // owner's version, and reports whether it fit without evicting anything. A
 // peer streams its plans most-recently used first, so each entry belongs
 // under the ones before it, and the first that does not fit ends the stream:
-// what is left is colder still. A key already held is replaced in place.
-// The entry's file carries its stamp, just below the tail's, so a restart
-// restores the warm-up set in the peer's recency order.
-func (s *memDiskStore) Warm(key string, v CachedPlan) bool {
-	normalizePlan(&v, s.nextVersion(key))
-	at, ok := s.cache.addTail(key, v, time.Now())
-	if !ok {
+// what is left is colder still. A key already held is replaced in place and
+// keeps its stamp. A new entry's file carries a stamp just below the tail's
+// (now in an empty store), so a restart restores the warm-up set in the
+// peer's recency order.
+func (s *store) Warm(key string, v CachedPlan) bool {
+	v.ETag = ETagFor(v.Bin)
+	now := time.Now()
+	s.mu.Lock()
+	e := s.version(key, &v)
+	n, grow := s.ll.Len()+1, v.size()
+	if e != nil {
+		n--
+		grow -= e.Value.(*storeEntry).val.size()
+	}
+	if n > s.maxEntries || s.bytes+grow > s.maxBytes {
+		s.mu.Unlock()
 		return false
 	}
+	s.bytes += grow
+	var at time.Time
+	if e != nil {
+		ent := e.Value.(*storeEntry)
+		ent.val, at = v, ent.at
+	} else {
+		at = now
+		if tail := s.ll.Back(); tail != nil {
+			at = tail.Value.(*storeEntry).at.Add(-warmStampStep)
+		}
+		s.items[key] = s.ll.PushBack(&storeEntry{key: key, val: v, at: at})
+	}
+	s.mu.Unlock()
 	if s.persist != nil {
 		s.persist.save(key, v, at)
 	}
 	return true
 }
 
+// version returns key's list element, nil when it is not held, and fills a
+// zero v.Version with the next in the key's sequence: 1 on first insert, the
+// held entry's + 1 on a replacement. The caller holds s.mu through its
+// insert, so two writes of one key never take the same version.
+func (s *store) version(key string, v *CachedPlan) *list.Element {
+	e := s.items[key]
+	if v.Version == 0 {
+		v.Version = 1
+		if e != nil {
+			v.Version = e.Value.(*storeEntry).val.Version + 1
+		}
+	}
+	return e
+}
+
+// evict unlinks one entry and returns its key; the caller holds s.mu.
+func (s *store) evict(e *list.Element) string {
+	ent := s.ll.Remove(e).(*storeEntry)
+	delete(s.items, ent.key)
+	s.bytes -= ent.val.size()
+	s.evictions++
+	return ent.key
+}
+
+// drop deletes evicted keys' files when persistence is on.
+func (s *store) drop(keys []string) {
+	if s.persist == nil {
+		return
+	}
+	for _, k := range keys {
+		s.persist.remove(k)
+	}
+}
+
 // Range calls fn for each stored plan until fn returns false, most- to
 // least-recently used, promoting none. fn sees a snapshot taken under the
-// LRU's lock and runs outside it, so it may block (warm-up streams entries
-// over the network) or compare (donor lookup) while hits go on.
-func (s *memDiskStore) Range(fn func(key string, v CachedPlan) bool) {
-	for _, e := range s.cache.entries() {
+// lock and runs outside it, so it may block (warm-up streams entries over the
+// network) or compare (donor lookup) while hits go on. The snapshot shares
+// its byte slices with the store (immutable by contract), so it is cheap.
+func (s *store) Range(fn func(key string, v CachedPlan) bool) {
+	s.mu.Lock()
+	snap := make([]storeEntry, 0, s.ll.Len())
+	for e := s.ll.Front(); e != nil; e = e.Next() {
+		snap = append(snap, *e.Value.(*storeEntry))
+	}
+	s.mu.Unlock()
+	for _, e := range snap {
 		if !fn(e.key, e.val) {
 			return
 		}
 	}
 }
 
-func (s *memDiskStore) Stats() StoreStats {
-	entries, bytes, evictions := s.cache.snapshot()
-	return StoreStats{Entries: entries, Bytes: bytes, Evictions: evictions, Restored: s.restored}
+// counts returns the plans and bytes held and the evictions so far.
+func (s *store) counts() (entries int, bytes int64, evictions uint64) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.ll.Len(), s.bytes, s.evictions
 }
 
-// nextVersion is the version a zero-versioned write of key gets: 1 on first
-// insert, the stored entry's version + 1 on a replacement.
-func (s *memDiskStore) nextVersion(key string) uint64 {
-	if prev, ok := s.cache.peek(key); ok {
-		return prev.Version + 1
-	}
-	return 1
-}
-
-// normalizePlan derives the ETag from the plan bytes — whatever tag v
-// arrived with — and fills a zero version with the given one.
-func normalizePlan(v *CachedPlan, version uint64) {
-	v.ETag = ETagFor(v.Bin)
-	if v.Version == 0 {
-		v.Version = version
-	}
-}
-
-// sweep evicts every entry older than the TTL, deleting its file — the GC
-// pass that keeps a long-lived -cache-dir from growing unbounded under a
-// slowly-rotating working set. A no-op without a TTL.
-func (s *memDiskStore) sweep(now time.Time) int {
+// sweep evicts every entry stamped before now minus the TTL, deleting its
+// file — the GC pass that keeps a long-lived -cache-dir from growing
+// unbounded under a slowly-rotating working set — and returns how many went.
+// A no-op without a TTL.
+func (s *store) sweep(now time.Time) int {
 	if s.ttl <= 0 {
 		return 0
 	}
-	expired := s.cache.sweepExpired(now.Add(-s.ttl))
-	if s.persist != nil {
-		for _, k := range expired {
-			s.persist.remove(k)
+	cutoff := now.Add(-s.ttl)
+	var expired []string
+	s.mu.Lock()
+	for e := s.ll.Front(); e != nil; {
+		next := e.Next()
+		if e.Value.(*storeEntry).at.Before(cutoff) {
+			expired = append(expired, s.evict(e))
 		}
+		e = next
 	}
+	s.mu.Unlock()
+	s.drop(expired)
 	return len(expired)
 }

@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -48,6 +49,108 @@ func planFiles(t *testing.T, dir string) int {
 	return n
 }
 
+// bp wraps raw bytes as a header-less CachedPlan for store tests.
+func bp(s string) CachedPlan { return CachedPlan{Bin: []byte(s)} }
+
+// holds reports whether s stores key without promoting it, as Get would.
+func holds(s *store, key string) bool {
+	found := false
+	s.Range(func(k string, _ CachedPlan) bool {
+		found = k == key
+		return !found
+	})
+	return found
+}
+
+func TestLRUEntryCapEvictsOldest(t *testing.T) {
+	c := newStore(2, 1<<20, nil, 0)
+	c.Put("a", bp("1"))
+	c.Put("b", bp("2"))
+	c.Put("c", bp("3"))
+	if _, ok := c.Get("a"); ok {
+		t.Error("oldest entry survived the entry cap")
+	}
+	for _, k := range []string{"b", "c"} {
+		if _, ok := c.Get(k); !ok {
+			t.Errorf("entry %q evicted prematurely", k)
+		}
+	}
+	if entries, bytes, evictions := c.counts(); entries != 2 || bytes != 2 || evictions != 1 {
+		t.Errorf("counts = (%d, %d, %d), want (2, 2, 1)", entries, bytes, evictions)
+	}
+}
+
+func TestLRUByteCapEvicts(t *testing.T) {
+	c := newStore(100, 10, nil, 0)
+	c.Put("a", CachedPlan{Bin: make([]byte, 6)})
+	c.Put("b", CachedPlan{Bin: make([]byte, 6)}) // 12 > 10: "a" must go
+	if _, ok := c.Get("a"); ok {
+		t.Error("byte cap not enforced")
+	}
+	if _, ok := c.Get("b"); !ok {
+		t.Error("newest entry evicted")
+	}
+}
+
+func TestLRUGetRefreshesRecency(t *testing.T) {
+	c := newStore(2, 1<<20, nil, 0)
+	c.Put("a", bp("1"))
+	c.Put("b", bp("2"))
+	c.Get("a") // "b" is now least recent
+	c.Put("c", bp("3"))
+	if _, ok := c.Get("a"); !ok {
+		t.Error("recently used entry evicted")
+	}
+	if _, ok := c.Get("b"); ok {
+		t.Error("least recently used entry survived")
+	}
+}
+
+func TestLRUOversizedValueNotCached(t *testing.T) {
+	c := newStore(10, 4, nil, 0)
+	c.Put("big", CachedPlan{Bin: make([]byte, 5)})
+	if _, ok := c.Get("big"); ok {
+		t.Error("value above the byte cap was cached")
+	}
+	if entries, bytes, _ := c.counts(); entries != 0 || bytes != 0 {
+		t.Errorf("counts = (%d, %d), want empty", entries, bytes)
+	}
+}
+
+func TestLRUUpdateExistingKey(t *testing.T) {
+	c := newStore(10, 1<<20, nil, 0)
+	c.Put("a", bp("1"))
+	c.Put("a", bp("1234"))
+	v, ok := c.Get("a")
+	if !ok || string(v.Bin) != "1234" {
+		t.Errorf("get after update = %q, %v", v.Bin, ok)
+	}
+	if entries, bytes, _ := c.counts(); entries != 1 || bytes != 4 {
+		t.Errorf("counts = (%d, %d), want (1, 4)", entries, bytes)
+	}
+}
+
+func TestLRUConcurrentAccess(t *testing.T) {
+	// Meaningful under -race: hammer the store from many goroutines.
+	c := newStore(32, 1<<20, nil, 0)
+	var wg sync.WaitGroup
+	for i := 0; i < 8; i++ {
+		wg.Add(1)
+		go func(id int) {
+			defer wg.Done()
+			for j := 0; j < 200; j++ {
+				k := fmt.Sprintf("k%d", (id+j)%64)
+				c.Put(k, bp(k))
+				c.Get(k)
+			}
+		}(i)
+	}
+	wg.Wait()
+	if entries, _, _ := c.counts(); entries > 32 {
+		t.Errorf("%d entries above the cap", entries)
+	}
+}
+
 // TestRestorePreservesLRUOrder persists three plans with staggered mtimes and
 // restores them into a 2-entry cache: the oldest must lose — evicted during
 // the replay and its file deleted — because restore replays oldest-first so
@@ -66,12 +169,12 @@ func TestRestorePreservesLRUOrder(t *testing.T) {
 
 	// All three replay (Restored counts accepted adds); the oldest is then
 	// evicted by the third's arrival, exactly as live traffic would evict it.
-	s := newMemDiskStore(2, 1<<20, d, 0)
-	if s.Stats().Restored != 3 {
-		t.Errorf("restored = %d, want 3", s.Stats().Restored)
+	s := newStore(2, 1<<20, d, 0)
+	if s.restored != 3 {
+		t.Errorf("restored = %d, want 3", s.restored)
 	}
-	if s.Stats().Entries != 2 {
-		t.Errorf("entries = %d, want the cap of 2", s.Stats().Entries)
+	if entries, _, _ := s.counts(); entries != 2 {
+		t.Errorf("entries = %d, want the cap of 2", entries)
 	}
 	if _, ok := s.Get("k0"); ok {
 		t.Error("oldest plan survived restore into a smaller cache")
@@ -81,7 +184,8 @@ func TestRestorePreservesLRUOrder(t *testing.T) {
 			t.Errorf("recent plan %s: restored %v with payload %q, want the saved payload", k, ok, v.Bin)
 		}
 	}
-	if got, want := s.Stats().Bytes, int64(2*len(framed("plan-k0"))); got != want {
+	want := int64(2 * len(framed("plan-k0")))
+	if _, got, _ := s.counts(); got != want {
 		t.Errorf("restored cache holds %d bytes, want the two payloads' %d", got, want)
 	}
 	// The directory converges to the cache's contents: k0's file is gone.
@@ -102,15 +206,15 @@ func TestRestoreAppliesTTLCutoff(t *testing.T) {
 	d.save("stale", framedPlan("b"), time.Now())
 	backdate(t, d, "stale", 48*time.Hour)
 
-	s := newMemDiskStore(10, 1<<20, d, 24*time.Hour)
+	s := newStore(10, 1<<20, d, 24*time.Hour)
 	if _, ok := s.Get("stale"); ok {
 		t.Error("plan older than the TTL was restored")
 	}
 	if _, ok := s.Get("fresh"); !ok {
 		t.Error("fresh plan lost")
 	}
-	if s.Stats().Restored != 1 {
-		t.Errorf("restored = %d, want 1", s.Stats().Restored)
+	if s.restored != 1 {
+		t.Errorf("restored = %d, want 1", s.restored)
 	}
 	if n := planFiles(t, dir); n != 1 {
 		t.Errorf("%d plan files after TTL restore, want the fresh one only", n)
@@ -130,9 +234,9 @@ func TestSweepExpiresAgedEntries(t *testing.T) {
 	d.save("new", framedPlan("b"), time.Now())
 
 	// TTL of 3h restores both ("old" is 2h, inside the horizon)...
-	s := newMemDiskStore(10, 1<<20, d, 3*time.Hour)
-	if s.Stats().Restored != 2 {
-		t.Fatalf("restored = %d, want 2", s.Stats().Restored)
+	s := newStore(10, 1<<20, d, 3*time.Hour)
+	if s.restored != 2 {
+		t.Fatalf("restored = %d, want 2", s.restored)
 	}
 	// ...then a sweep 2h "later" finds "old" (now 4h) past the TTL.
 	if n := s.sweep(time.Now().Add(2 * time.Hour)); n != 1 {
@@ -148,7 +252,7 @@ func TestSweepExpiresAgedEntries(t *testing.T) {
 		t.Errorf("%d plan files after sweep, want 1", n)
 	}
 	// Sweep evictions count as cache evictions in Stats.
-	if ev := s.Stats().Evictions; ev != 1 {
+	if _, _, ev := s.counts(); ev != 1 {
 		t.Errorf("evictions = %d, want 1", ev)
 	}
 }
@@ -157,7 +261,7 @@ func TestSweepExpiresAgedEntries(t *testing.T) {
 // stream depends on: most recently used entries come first, so a transfer
 // cut short delivered the hottest keys.
 func TestStoreRangeIsMRUFirst(t *testing.T) {
-	s := newMemDiskStore(10, 1<<20, nil, 0)
+	s := newStore(10, 1<<20, nil, 0)
 	for _, k := range []string{"a", "b", "c"} {
 		s.Put(k, bp(k))
 	}
@@ -181,6 +285,28 @@ func TestStoreRangeIsMRUFirst(t *testing.T) {
 	s.Range(func(string, CachedPlan) bool { visits++; return false })
 	if visits != 1 {
 		t.Errorf("Range ignored fn returning false (%d visits)", visits)
+	}
+}
+
+// TestStoreConcurrentPutsBumpVersion: concurrent replacements of one key
+// each take their own version, because a write assigns it under the lock of
+// its insert. 8 × 500 zero-versioned Puts must end at version 4 000.
+func TestStoreConcurrentPutsBumpVersion(t *testing.T) {
+	const writers, puts = 8, 500
+	s := newStore(10, 1<<20, nil, 0)
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < puts; i++ {
+				s.Put("k", framedPlan(fmt.Sprintf("plan-%d-%d", w, i)))
+			}
+		}(w)
+	}
+	wg.Wait()
+	if v, _ := s.Get("k"); v.Version != writers*puts {
+		t.Errorf("version after %d concurrent Puts = %d, want %d", writers*puts, v.Version, writers*puts)
 	}
 }
 

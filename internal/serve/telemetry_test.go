@@ -344,7 +344,7 @@ func TestTelemetryReplanFailureKeepsOldPlan(t *testing.T) {
 // the tag, a changed-content replacement bumps the version and changes the
 // tag, and entries arriving with explicit metadata (replication) keep it.
 func TestPlanVersioningThroughStore(t *testing.T) {
-	s := newMemDiskStore(8, 1<<20, nil, 0)
+	s := newStore(8, 1<<20, nil, 0)
 	s.Put("k", CachedPlan{Bin: []byte(`{"a":1}`)})
 	v1, _ := s.Get("k")
 	if v1.Version != 1 || v1.ETag == "" || v1.ETag != ETagFor([]byte(`{"a":1}`)) {
