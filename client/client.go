@@ -34,6 +34,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -152,13 +153,6 @@ func New(base string, opts ...Option) *Client {
 	return c
 }
 
-// request is the single-synthesize wire body.
-type request struct {
-	Graph   json.RawMessage `json:"graph"`
-	Cluster json.RawMessage `json:"cluster"`
-	Options Options         `json:"options"`
-}
-
 // newTraceID returns a fresh trace ID under WithTracing, "" otherwise. One
 // logical call draws one ID, however many requests it takes.
 func (c *Client) newTraceID() string {
@@ -261,16 +255,9 @@ func (c *Client) Synthesize(ctx context.Context, g *hap.Graph, cl *hap.Cluster, 
 		}
 	}
 	if resp == nil {
-		var gb, cb bytes.Buffer
-		if err := g.Encode(&gb); err != nil {
-			return nil, fmt.Errorf("client: encoding graph: %w", err)
-		}
-		if err := cl.Encode(&cb); err != nil {
-			return nil, fmt.Errorf("client: encoding cluster: %w", err)
-		}
-		data, err := json.Marshal(request{Graph: gb.Bytes(), Cluster: cb.Bytes(), Options: opt})
+		data, err := requestBody(g, cl, opt)
 		if err != nil {
-			return nil, fmt.Errorf("client: encoding request: %w", err)
+			return nil, err
 		}
 		if resp, err = c.postData(ctx, path, data, cached.etag, traceID); err != nil {
 			return nil, err
@@ -289,6 +276,33 @@ func (c *Client) Synthesize(ctx context.Context, g *hap.Graph, cl *hap.Cluster, 
 		c.cond.put(key, condEntry{etag: etag, body: raw})
 	}
 	return decodePlan(raw, g, fp)
+}
+
+// requestBody renders the full-body request, {"graph":…,"cluster":…,
+// "options":…}: the bytes json.Marshal writes for the three fields with the
+// graph and cluster payloads compacted, so body-memo and plan keys see the
+// same bytes whichever way they were built. The graph is appended without
+// reflection (graph.AppendJSON); the cluster, a few hundred bytes, is
+// compacted from its indented encoding.
+func requestBody(g *hap.Graph, cl *hap.Cluster, opt Options) ([]byte, error) {
+	b := append(make([]byte, 0, 96*g.NumNodes()+1024), `{"graph":`...)
+	b, err := g.AppendJSON(b)
+	if err != nil {
+		return nil, fmt.Errorf("client: encoding graph: %w", err)
+	}
+	var cb bytes.Buffer
+	if err := cl.Encode(&cb); err != nil {
+		return nil, fmt.Errorf("client: encoding cluster: %w", err)
+	}
+	body := bytes.NewBuffer(append(b, `,"cluster":`...))
+	if err := json.Compact(body, cb.Bytes()); err != nil {
+		return nil, fmt.Errorf("client: encoding cluster: %w", err)
+	}
+	b = append(body.Bytes(), `,"options":{`...)
+	if opt.Segments != 0 {
+		b = strconv.AppendInt(append(b, `"segments":`...), int64(opt.Segments), 10)
+	}
+	return append(b, "}}"...), nil
 }
 
 // decodePlan decodes a binary plan body, binding it to g. fp is

@@ -2,17 +2,26 @@ package graph_test
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 
 	"hap/internal/graph"
 	"hap/internal/models"
 )
 
-// FuzzGraphDecode holds graph.Decode, which parses the graph of every
-// full-body request, to two properties: no input panics it, and an accepted
-// graph re-encodes to bytes that decode to the same fingerprint — the
-// fingerprint is the plan cache's key, so a graph whose key moves across a
-// round trip would be planned twice or served another graph's plan.
+// FuzzGraphDecode holds graph.DecodeBytes, which parses the graph of every
+// full-body request, to four properties: no input panics it; it and the
+// encoding/json reader (DecodeReference) both reject an input or both accept
+// it as reflect.DeepEqual graphs, so the one-pass reader changes no answer;
+// an accepted graph's AppendJSON is json.Marshal of its graphJSON; and an
+// accepted graph re-encodes to bytes that decode to the same fingerprint —
+// the fingerprint is the plan cache's key, so a graph whose key moves across
+// a round trip would be planned twice or served another graph's plan.
+//
+// The committed corpus holds one input per fallback trigger of the one-pass
+// reader (a key spelled otherwise, a repeated key, an escaped name, a
+// fraction in an int field, a null shape, an unknown field) and floats at
+// the writer's format boundaries, 1e-6 and 1e21.
 func FuzzGraphDecode(f *testing.F) {
 	tiny := models.TransformerConfig{Layers: 2, Hidden: 8, FFN: 16, SeqLen: 4, Vocab: 16}
 	moe := tiny
@@ -51,9 +60,16 @@ func FuzzGraphDecode(f *testing.F) {
 		f.Add([]byte(body))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		g, err := graph.Decode(bytes.NewReader(data))
+		g, err := decodeAgreeing(t, data)
 		if err != nil {
 			return
+		}
+		compact, _, err := graph.WireOracle(g)
+		if err != nil {
+			t.Fatalf("json.Marshal of an accepted graph: %v", err)
+		}
+		if got, err := g.AppendJSON(nil); err != nil || !bytes.Equal(got, compact) {
+			t.Fatalf("AppendJSON (err %v) differs from json.Marshal at byte %d", err, firstDiff(got, compact))
 		}
 		var buf bytes.Buffer
 		if err := g.Encode(&buf); err != nil {
@@ -67,4 +83,20 @@ func FuzzGraphDecode(f *testing.F) {
 			t.Fatalf("fingerprint %s after the round trip, %s before", got, want)
 		}
 	})
+}
+
+// decodeAgreeing decodes data with DecodeBytes and fails t unless the
+// encoding/json reader gives the same answer: both an error, or equal
+// graphs.
+func decodeAgreeing(t *testing.T, data []byte) (*graph.Graph, error) {
+	t.Helper()
+	g, err := graph.DecodeBytes(data)
+	ref, refErr := graph.DecodeReference(data)
+	if (err == nil) != (refErr == nil) {
+		t.Fatalf("DecodeBytes err %v, encoding/json err %v", err, refErr)
+	}
+	if err == nil && !reflect.DeepEqual(g, ref) {
+		t.Fatalf("DecodeBytes and encoding/json decode different graphs:\n%v\nvs\n%v", g, ref)
+	}
+	return g, err
 }

@@ -1,18 +1,34 @@
 // Stable JSON serialization of single-device graphs — the wire format a
 // hap-serve client ships its model in. Op kinds travel by name (not ordinal)
-// so the format survives enum renumbering; Decode validates the result so a
-// malformed request cannot crash later pipeline stages. Everything synthesis
-// depends on is carried: shapes, numeric attributes, the loss and gradient
-// designations, and the autodiff bookkeeping (ForwardCount, PrimalOf) that
-// the segmenter consumes.
+// so the format survives enum renumbering; decoding validates the result so
+// a malformed request cannot crash later pipeline stages. Everything
+// synthesis depends on is carried: shapes, numeric attributes, the loss and
+// gradient designations, and the autodiff bookkeeping (ForwardCount,
+// PrimalOf) that the segmenter consumes.
+//
+// The wire form is the one encoding/json writes for graphJSON, but neither
+// direction reflects over it. AppendJSON and Encode write its compact and
+// indented bytes directly. DecodeBytes reads the canonical form in one pass,
+// straight into Nodes; input that reader does not recognise (a key spelled
+// otherwise, a repeated key, a string with an escape or invalid UTF-8, a
+// fraction or exponent in an int field, null, an unknown field, an unknown
+// op) is decoded by encoding/json into graphJSON as before. Both readers
+// share the range checks, Validate and shape inference, so they accept the
+// same inputs and build the same graphs; FuzzGraphDecode holds them to that
+// and TestGraphWireBytes holds the writers to encoding/json's bytes.
 
 package graph
 
 import (
+	"bytes"
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"io"
-	"sort"
+	"math"
+	"slices"
+	"strconv"
+	"unicode/utf8"
 
 	"hap/internal/tensor"
 )
@@ -47,6 +63,139 @@ type nodeJSON struct {
 	BatchDim *int `json:"batch_dim"`
 }
 
+// AppendJSON appends the graph's compact wire form to b: byte for byte what
+// json.Marshal writes for its graphJSON (field order, omitempty, a nil shape
+// as null, encoding/json's float format, HTML-safe strings). A NaN or ±Inf
+// scale or flops count is an error, as it is to encoding/json.
+func (g *Graph) AppendJSON(b []byte) ([]byte, error) {
+	w := jsonWriter{b: b}
+	err := w.graph(g)
+	return w.b, err
+}
+
+// Encode writes the graph as indented (diffable, deterministic) JSON: the
+// bytes a json.Encoder with SetIndent("", "  ") writes for its graphJSON,
+// trailing newline included.
+func (g *Graph) Encode(w io.Writer) error {
+	jw := jsonWriter{b: make([]byte, 0, 256*len(g.Nodes)+256), indent: true}
+	if err := jw.graph(g); err != nil {
+		return err
+	}
+	_, err := w.Write(append(jw.b, '\n'))
+	return err
+}
+
+// jsonWriter appends a graph's wire form, compact or in json.Indent's
+// layout with a two-space indent.
+type jsonWriter struct {
+	b      []byte
+	indent bool
+	depth  int
+}
+
+func (w *jsonWriter) newline() {
+	if w.indent {
+		w.b = append(w.b, '\n')
+		for i := 0; i < w.depth; i++ {
+			w.b = append(w.b, ' ', ' ')
+		}
+	}
+}
+
+// open starts an object or array.
+func (w *jsonWriter) open(c byte) {
+	w.b = append(w.b, c)
+	w.depth++
+}
+
+// close ends an object or array; an empty one stays on its line ("[]").
+func (w *jsonWriter) close(c byte, empty bool) {
+	w.depth--
+	if !empty {
+		w.newline()
+	}
+	w.b = append(w.b, c)
+}
+
+// elem starts the i-th element of the open object or array.
+func (w *jsonWriter) elem(i int) {
+	if i > 0 {
+		w.b = append(w.b, ',')
+	}
+	w.newline()
+}
+
+// key starts the i-th member of the open object, named k.
+func (w *jsonWriter) key(i int, k string) {
+	w.elem(i)
+	w.b = append(w.b, '"')
+	w.b = append(w.b, k...)
+	w.b = append(w.b, '"', ':')
+	if w.indent {
+		w.b = append(w.b, ' ')
+	}
+}
+
+func (w *jsonWriter) int(v int) { w.b = strconv.AppendInt(w.b, int64(v), 10) }
+
+// float writes v the way encoding/json does: 'f' format, else 'e' below
+// 1e-6 or from 1e21, with a one-digit negative exponent unpadded.
+func (w *jsonWriter) float(v float64) error {
+	if math.IsInf(v, 0) || math.IsNaN(v) {
+		return fmt.Errorf("graph: encode: unsupported value %v", v)
+	}
+	format := byte('f')
+	if abs := math.Abs(v); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	w.b = strconv.AppendFloat(w.b, v, format, -1, 64)
+	if n := len(w.b); format == 'e' && n >= 4 && w.b[n-4] == 'e' && w.b[n-3] == '-' && w.b[n-2] == '0' {
+		w.b[n-2] = w.b[n-1]
+		w.b = w.b[:n-1]
+	}
+	return nil
+}
+
+// str writes s quoted. A string needing any escape — a quote, a backslash,
+// a control or non-ASCII byte, or an HTML-sensitive <, > or & — is left to
+// encoding/json, whose HTML-safe escaping the wire form uses.
+func (w *jsonWriter) str(s string) {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < ' ' || c >= utf8.RuneSelf || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			q, _ := json.Marshal(s) // a string always marshals
+			w.b = append(w.b, q...)
+			return
+		}
+	}
+	w.b = append(w.b, '"')
+	w.b = append(w.b, s...)
+	w.b = append(w.b, '"')
+}
+
+// ints writes an int array, or null for a nil slice.
+func ints[T ~int](w *jsonWriter, vs []T) {
+	if vs == nil {
+		w.b = append(w.b, "null"...)
+		return
+	}
+	w.open('[')
+	for i, v := range vs {
+		w.elem(i)
+		w.int(int(v))
+	}
+	w.close(']', len(vs) == 0)
+}
+
+// pairs writes id-sorted [k, v] pairs.
+func (w *jsonWriter) pairs(prs [][2]int) {
+	w.open('[')
+	for i, pr := range prs {
+		w.elem(i)
+		ints(w, pr[:])
+	}
+	w.close(']', false)
+}
+
 // sortedPairs flattens an id→id map into key-sorted pairs.
 func sortedPairs(m map[NodeID]NodeID) [][2]int {
 	if len(m) == 0 {
@@ -56,58 +205,156 @@ func sortedPairs(m map[NodeID]NodeID) [][2]int {
 	for k, v := range m {
 		out = append(out, [2]int{int(k), int(v)})
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i][0] < out[j][0] })
+	slices.SortFunc(out, func(a, b [2]int) int { return cmp.Compare(a[0], b[0]) })
 	return out
 }
 
-// Encode writes the graph as indented (diffable, deterministic) JSON.
-func (g *Graph) Encode(w io.Writer) error {
-	loss := int(g.Loss)
-	gj := graphJSON{
-		Version:      wireVersion,
-		Loss:         &loss,
-		Grads:        sortedPairs(g.Grads),
-		ForwardCount: g.ForwardCount,
-		PrimalOf:     sortedPairs(g.PrimalOf),
-		SegmentOf:    g.SegmentOf,
-	}
-	for _, p := range g.Params {
-		gj.Params = append(gj.Params, int(p))
-	}
-	for i := range g.Nodes {
-		n := g.Node(NodeID(i))
-		bd := n.BatchDim
-		nj := nodeJSON{
-			Op:             n.Kind.String(),
-			Shape:          []int(n.Shape),
-			Name:           n.Name,
-			Scale:          n.ScaleFactor,
-			FlopsPerSample: n.FlopsPerSample,
-			BatchDim:       &bd,
+func (w *jsonWriter) graph(g *Graph) error {
+	w.open('{')
+	w.key(0, "version")
+	w.int(wireVersion)
+	w.key(1, "nodes")
+	if len(g.Nodes) == 0 {
+		w.b = append(w.b, "null"...)
+	} else {
+		w.open('[')
+		for i := range g.Nodes {
+			w.elem(i)
+			if err := w.node(&g.Nodes[i]); err != nil {
+				return fmt.Errorf("%w (node %d)", err, i)
+			}
 		}
-		for _, u := range n.Inputs {
-			nj.Inputs = append(nj.Inputs, int(u))
-		}
-		gj.Nodes = append(gj.Nodes, nj)
+		w.close(']', false)
 	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(gj)
+	w.key(1, "loss")
+	w.int(int(g.Loss))
+	if len(g.Params) > 0 {
+		w.key(1, "params")
+		ints(w, g.Params)
+	}
+	if len(g.Grads) > 0 {
+		w.key(1, "grads")
+		w.pairs(sortedPairs(g.Grads))
+	}
+	if g.ForwardCount != 0 {
+		w.key(1, "forward_count")
+		w.int(g.ForwardCount)
+	}
+	if len(g.PrimalOf) > 0 {
+		w.key(1, "primal_of")
+		w.pairs(sortedPairs(g.PrimalOf))
+	}
+	if len(g.SegmentOf) > 0 {
+		w.key(1, "segment_of")
+		ints(w, g.SegmentOf)
+	}
+	w.close('}', false)
+	return nil
+}
+
+func (w *jsonWriter) node(n *Node) error {
+	w.open('{')
+	w.key(0, "op")
+	w.str(n.Kind.String())
+	if len(n.Inputs) > 0 {
+		w.key(1, "inputs")
+		ints(w, n.Inputs)
+	}
+	w.key(1, "shape")
+	ints(w, n.Shape)
+	if n.Name != "" {
+		w.key(1, "name")
+		w.str(n.Name)
+	}
+	if n.ScaleFactor != 0 {
+		w.key(1, "scale")
+		if err := w.float(n.ScaleFactor); err != nil {
+			return err
+		}
+	}
+	if n.FlopsPerSample != 0 {
+		w.key(1, "flops_per_sample")
+		if err := w.float(n.FlopsPerSample); err != nil {
+			return err
+		}
+	}
+	w.key(1, "batch_dim")
+	w.int(n.BatchDim)
+	w.close('}', false)
+	return nil
 }
 
 // Decode reads a graph written by Encode and validates it structurally, so
 // downstream consumers (synthesizer, runtime) can assume well-formedness.
 func Decode(r io.Reader) (*Graph, error) {
-	var gj graphJSON
-	if err := json.NewDecoder(r).Decode(&gj); err != nil {
+	var buf bytes.Buffer
+	if l, ok := r.(interface{ Len() int }); ok { // *bytes.Reader, *strings.Reader, *bytes.Buffer
+		buf.Grow(l.Len() + bytes.MinRead)
+	}
+	if _, err := buf.ReadFrom(r); err != nil {
 		return nil, fmt.Errorf("graph: decode: %w", err)
 	}
-	if gj.Version != wireVersion {
-		return nil, fmt.Errorf("graph: decode: unsupported graph version %d (want %d)", gj.Version, wireVersion)
+	return DecodeBytes(buf.Bytes())
+}
+
+// DecodeBytes decodes the graph whose JSON starts data (anything after it
+// is ignored, as json.Decoder ignores it) and validates it like Decode. The
+// canonical form is read in one pass, straight into Nodes whose Inputs and
+// Shape share slabs; any other spelling goes through encoding/json. Both
+// paths answer an input alike, down to the error.
+func DecodeBytes(data []byte) (*Graph, error) {
+	if g, n, err := DecodePrefix(data); n > 0 {
+		return g, err
+	}
+	return decodeReflect(data)
+}
+
+// DecodePrefix runs DecodeBytes's one-pass reader on the graph object at
+// the front of data (after any JSON space) and reports how many bytes of
+// data it spans, so a caller can read the graph where it lies inside a
+// larger document. n is 0 when the reader does not recognise the bytes: g
+// and err are then nil, and DecodeBytes on the graph's bytes gives the
+// answer. When n > 0, g and err are what DecodeBytes(data[:n]) returns.
+func DecodePrefix(data []byte) (g *Graph, n int, err error) {
+	r := wireReader{data: data}
+	var gj graphJSON
+	g = New()
+	// Every node spells "op" once: counting them sizes the node slice (and
+	// the name ends) in one allocation each.
+	if n := bytes.Count(data, []byte(`"op"`)); n > 0 {
+		g.Nodes, r.nameEnds = make([]Node, 0, n), make([]int, 0, n)
+	}
+	if !r.graph(&gj, g) {
+		return nil, 0, nil
+	}
+	if len(g.Nodes) == 0 {
+		g.Nodes = nil // as encoding/json's path leaves a graph without nodes
+	}
+	if err := checkVersion(gj.Version); err != nil {
+		return nil, r.i, err
+	}
+	for i := range g.Nodes {
+		if err := checkNode(i, &g.Nodes[i], len(g.Nodes)); err != nil {
+			return nil, r.i, err
+		}
+	}
+	if err := gj.finish(g); err != nil {
+		return nil, r.i, err
+	}
+	return g, r.i, nil
+}
+
+// decodeReflect is the encoding/json reader, for input the one-pass reader
+// does not recognise.
+func decodeReflect(data []byte) (*Graph, error) {
+	var gj graphJSON
+	if err := json.NewDecoder(bytes.NewReader(data)).Decode(&gj); err != nil {
+		return nil, fmt.Errorf("graph: decode: %w", err)
+	}
+	if err := checkVersion(gj.Version); err != nil {
+		return nil, err
 	}
 	g := New()
-	n := len(gj.Nodes)
-	inRange := func(id int) bool { return id >= 0 && id < n }
 	for i, nj := range gj.Nodes {
 		kind, ok := ParseOpKind(nj.Op)
 		if !ok {
@@ -126,60 +373,94 @@ func Decode(r io.Reader) (*Graph, error) {
 			FlopsPerSample: positiveZero(nj.FlopsPerSample),
 			BatchDim:       bd,
 		}
-		for _, d := range node.Shape {
-			if d < 0 {
-				return nil, fmt.Errorf("graph: decode: node %d has negative dimension %d", i, d)
-			}
-		}
-		if node.BatchDim < -1 {
-			return nil, fmt.Errorf("graph: decode: node %d has batch_dim %d", i, node.BatchDim)
-		}
 		for _, u := range nj.Inputs {
-			if !inRange(u) {
-				return nil, fmt.Errorf("graph: decode: node %d references input %d of %d nodes", i, u, n)
-			}
 			node.Inputs = append(node.Inputs, NodeID(u))
+		}
+		if err := checkNode(i, &node, len(gj.Nodes)); err != nil {
+			return nil, err
 		}
 		g.Nodes = append(g.Nodes, node)
 	}
+	if err := gj.finish(g); err != nil {
+		return nil, err
+	}
+	return g, nil
+}
+
+func checkVersion(v int) error {
+	if v != wireVersion {
+		return fmt.Errorf("graph: decode: unsupported graph version %d (want %d)", v, wireVersion)
+	}
+	return nil
+}
+
+// checkNode range-checks node i of a graph of n nodes.
+func checkNode(i int, node *Node, n int) error {
+	for _, d := range node.Shape {
+		if d < 0 {
+			return fmt.Errorf("graph: decode: node %d has negative dimension %d", i, d)
+		}
+	}
+	if node.BatchDim < -1 {
+		return fmt.Errorf("graph: decode: node %d has batch_dim %d", i, node.BatchDim)
+	}
+	for _, u := range node.Inputs {
+		if u < 0 || int(u) >= n {
+			return fmt.Errorf("graph: decode: node %d references input %d of %d nodes", i, u, n)
+		}
+	}
+	return nil
+}
+
+// finish range-checks the graph-level fields of gj, moves them onto g, whose
+// nodes are built and checked, and validates the whole.
+func (gj *graphJSON) finish(g *Graph) error {
+	n := len(g.Nodes)
+	inRange := func(id int) bool { return id >= 0 && id < n }
 	loss := -1
 	if gj.Loss != nil {
 		loss = *gj.Loss
 	}
 	if loss != -1 && !inRange(loss) {
-		return nil, fmt.Errorf("graph: decode: loss %d of %d nodes", loss, n)
+		return fmt.Errorf("graph: decode: loss %d of %d nodes", loss, n)
 	}
 	g.Loss = NodeID(loss)
+	if len(gj.Grads) > 0 {
+		g.Grads = make(map[NodeID]NodeID, len(gj.Grads))
+	}
+	if len(gj.PrimalOf) > 0 {
+		g.PrimalOf = make(map[NodeID]NodeID, len(gj.PrimalOf))
+	}
 	for _, p := range gj.Params {
 		if !inRange(p) {
-			return nil, fmt.Errorf("graph: decode: parameter %d of %d nodes", p, n)
+			return fmt.Errorf("graph: decode: parameter %d of %d nodes", p, n)
 		}
 		g.Params = append(g.Params, NodeID(p))
 	}
 	for _, pr := range gj.Grads {
 		if !inRange(pr[0]) || !inRange(pr[1]) {
-			return nil, fmt.Errorf("graph: decode: gradient pair %v of %d nodes", pr, n)
+			return fmt.Errorf("graph: decode: gradient pair %v of %d nodes", pr, n)
 		}
 		g.Grads[NodeID(pr[0])] = NodeID(pr[1])
 	}
 	if gj.ForwardCount < 0 || gj.ForwardCount > n {
-		return nil, fmt.Errorf("graph: decode: forward_count %d of %d nodes", gj.ForwardCount, n)
+		return fmt.Errorf("graph: decode: forward_count %d of %d nodes", gj.ForwardCount, n)
 	}
 	g.ForwardCount = gj.ForwardCount
 	for _, pr := range gj.PrimalOf {
 		if !inRange(pr[0]) || !inRange(pr[1]) {
-			return nil, fmt.Errorf("graph: decode: primal pair %v of %d nodes", pr, n)
+			return fmt.Errorf("graph: decode: primal pair %v of %d nodes", pr, n)
 		}
 		g.PrimalOf[NodeID(pr[0])] = NodeID(pr[1])
 	}
 	g.SegmentOf = gj.SegmentOf
 	for _, s := range g.SegmentOf {
 		if s < 0 {
-			return nil, fmt.Errorf("graph: decode: negative segment %d", s)
+			return fmt.Errorf("graph: decode: negative segment %d", s)
 		}
 	}
 	if err := g.Validate(); err != nil {
-		return nil, fmt.Errorf("graph: decode: %w", err)
+		return fmt.Errorf("graph: decode: %w", err)
 	}
 	// Declared shapes must agree with what each op would actually produce:
 	// synthesis rules and the numeric runtime trust them, and an
@@ -193,13 +474,13 @@ func Decode(r io.Reader) (*Graph, error) {
 		}
 		want, ok := g.tryInferShape(n)
 		if !ok {
-			return nil, fmt.Errorf("graph: decode: node %d (%v) has inconsistent input shapes", i, n.Kind)
+			return fmt.Errorf("graph: decode: node %d (%v) has inconsistent input shapes", i, n.Kind)
 		}
 		if !n.Shape.Equal(want) {
-			return nil, fmt.Errorf("graph: decode: node %d (%v) declares shape %v, op produces %v", i, n.Kind, n.Shape, want)
+			return fmt.Errorf("graph: decode: node %d (%v) declares shape %v, op produces %v", i, n.Kind, n.Shape, want)
 		}
 	}
-	return g, nil
+	return nil
 }
 
 // positiveZero maps -0 to 0. The wire spells both, Encode omits either, and

@@ -14,6 +14,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"slices"
 	"strings"
 	"testing"
@@ -511,11 +512,15 @@ func TestWarmHitAllocs(t *testing.T) {
 }
 
 // FuzzDecodeRequest: arbitrary /v1/synthesize bodies never panic the parse.
+// decodeRequest, whose one-pass reader takes the body a client sends, and
+// parseRequest (parseBody + decodeGraphCluster) agree on every body: on the
+// key, on the graph and cluster (reflect.DeepEqual) and on error-or-not.
 // A non-empty key with no graph and no cluster (absent or null) is answered
 // by that key alone; a full body yields a graph and cluster whose re-encoding
 // derives the same key; negative segments are refused whatever else the body
 // carries, and the retired max_iterations and exact_search fields are
-// ignored. Seeded with the wire contract's bodies.
+// ignored. Seeded with the wire contract's bodies and with one body per way
+// the one-pass reader hands a body on.
 func FuzzDecodeRequest(f *testing.F) {
 	g, c := testGraph(f), testCluster()
 	for _, seed := range [][]byte{
@@ -533,8 +538,33 @@ func FuzzDecodeRequest(f *testing.F) {
 	} {
 		f.Add(seed)
 	}
+	// One body per way readFullBody hands a body on to parseRequest, and
+	// bodies it reads itself in another order or with an error to report.
+	full := string(requestBody(f, g, c, RequestOptions{Segments: 2}))
+	graphJSON := full[len(`{"graph":`):strings.Index(full, `,"cluster":`)]
+	clusterJSON := full[strings.Index(full, `,"cluster":`)+len(`,"cluster":`) : strings.Index(full, `,"options":`)]
+	for _, seed := range []string{
+		`{"key":"k",` + full[1:],
+		"\n{ \"options\" : {\"segments\":2} ,\t\"cluster\":" + clusterJSON + `,"graph":` + graphJSON + "}\n",
+		strings.Replace(full, `"options":{"segments":2}`, `"options":{},"options":{"segments":2}`, 1),
+		strings.Replace(full, `"options":`, `"extra":1,"options":`, 1),
+		strings.Replace(full, `"cluster":{`, `"cluster":{"version":1,]`, 1),
+		strings.Replace(full, `"graph":{"version":1`, `"graph":{"version":2`, 1),
+		strings.Replace(full, `"segments":2`, `"segments":-2`, 1),
+		full + `garbage`,
+	} {
+		f.Add([]byte(seed))
+	}
 	f.Fuzz(func(t *testing.T, body []byte) {
 		key, in, err := decodeRequest(body)
+		refKey, ref, refErr := parseRequest(body)
+		if (err == nil) != (refErr == nil) || key != refKey || (in == nil) != (ref == nil) {
+			t.Fatalf("one pass: key %q, input %v, err %v; parseBody: key %q, input %v, err %v",
+				key, in != nil, err, refKey, ref != nil, refErr)
+		}
+		if in != nil && !reflect.DeepEqual(in, ref) {
+			t.Fatal("one pass and parseBody decode different graphs, clusters or options")
+		}
 		if err != nil {
 			if key != "" || in != nil {
 				t.Fatalf("rejected body answered key %q, input %v", key, in != nil)
@@ -562,10 +592,10 @@ func FuzzDecodeRequest(f *testing.F) {
 		if in == nil {
 			return
 		}
-		if want := cacheKey(in.g, in.c, in.req.Options); key != want {
+		if want := cacheKey(in.g, in.c, in.opts); key != want {
 			t.Fatalf("key %q, want %q from the decoded input", key, want)
 		}
-		again, in2, err := decodeRequest(requestBody(t, in.g, in.c, in.req.Options))
+		again, in2, err := decodeRequest(requestBody(t, in.g, in.c, in.opts))
 		if err != nil || in2 == nil {
 			t.Fatalf("re-encoded body: input %v, err %v", in2 != nil, err)
 		}

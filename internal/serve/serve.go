@@ -560,9 +560,9 @@ func absent(raw json.RawMessage) bool {
 
 // planInput is a decoded full-body request: what a miss plans from.
 type planInput struct {
-	req Request
-	g   *graph.Graph
-	c   *cluster.Cluster
+	opts RequestOptions
+	g    *graph.Graph
+	c    *cluster.Cluster
 }
 
 // requestKey resolves a single-plan request's cache key, before anything is
@@ -582,19 +582,161 @@ func (s *Server) requestKey(body []byte) (key string, in *planInput, keyOnly boo
 
 // decodeRequest parses a single-plan request body. A key-only body yields its
 // key and a nil input; a full body yields its decoded, validated graph and
-// cluster and the key they derive.
+// cluster and the key they derive. The body a client sends is read in one
+// pass (readFullBody); any other goes through parseRequest.
 func decodeRequest(body []byte) (key string, in *planInput, err error) {
-	in = &planInput{}
-	if err := parseBody(body, &in.req); err != nil {
+	in, ok, err := readFullBody(body)
+	if !ok {
+		return parseRequest(body)
+	}
+	if err != nil {
 		return "", nil, err
 	}
-	if in.req.Key != "" && absent(in.req.Graph) && absent(in.req.Cluster) {
-		return in.req.Key, nil, nil
-	}
-	if in.g, in.c, err = decodeGraphCluster(&in.req); err != nil {
+	return cacheKey(in.g, in.c, in.opts), in, nil
+}
+
+// parseRequest is decodeRequest through parseBody: the outer object into a
+// Request, then each payload by its own decoder.
+func parseRequest(body []byte) (key string, in *planInput, err error) {
+	var req Request
+	if err := parseBody(body, &req); err != nil {
 		return "", nil, err
 	}
-	return cacheKey(in.g, in.c, in.req.Options), in, nil
+	if req.Key != "" && absent(req.Graph) && absent(req.Cluster) {
+		return req.Key, nil, nil
+	}
+	in = &planInput{opts: req.Options}
+	if in.g, in.c, err = decodeGraphCluster(&req); err != nil {
+		return "", nil, err
+	}
+	return cacheKey(in.g, in.c, in.opts), in, nil
+}
+
+// readFullBody reads a full body of the form a client sends — one object
+// holding "graph", "cluster" and optionally "options", each once, in any
+// order — in one pass: the graph is decoded where it lies in body by
+// graph.DecodePrefix, the cluster and options by their own decoders. ok is
+// false for a body it does not recognise (a key, a null, an unknown or
+// repeated member, a payload that fails to parse or a cluster that fails to
+// decode), and parseRequest then answers it, so every answer and every 400
+// message stays parseRequest's. When ok, in and err are what parseRequest
+// would return.
+func readFullBody(body []byte) (in *planInput, ok bool, err error) {
+	var (
+		g           *graph.Graph
+		gErr        error
+		clusterJSON []byte
+		opts        RequestOptions
+		seen        [len(fullBodyMembers)]bool
+	)
+	i := skipSpace(body, 0)
+	if i == len(body) || body[i] != '{' {
+		return nil, false, nil
+	}
+	for {
+		// A member: "name", a colon, the value.
+		i = skipSpace(body, i+1)
+		if i == len(body) || body[i] != '"' {
+			return nil, false, nil
+		}
+		end := bytes.IndexByte(body[i+1:], '"')
+		if end < 0 {
+			return nil, false, nil
+		}
+		name := body[i+1 : i+1+end]
+		i = skipSpace(body, i+end+2)
+		if i == len(body) || body[i] != ':' {
+			return nil, false, nil
+		}
+		i = skipSpace(body, i+1)
+		m := 0
+		for m < len(fullBodyMembers) && fullBodyMembers[m] != string(name) {
+			m++
+		}
+		if m == len(fullBodyMembers) || seen[m] {
+			return nil, false, nil
+		}
+		seen[m] = true
+		if m == 0 {
+			n := 0
+			if g, n, gErr = graph.DecodePrefix(body[i:]); n == 0 {
+				return nil, false, nil
+			}
+			i += n
+		} else {
+			end := objectEnd(body, i)
+			if end < 0 {
+				return nil, false, nil
+			}
+			if m == 1 {
+				clusterJSON = body[i:end]
+			} else if json.Unmarshal(body[i:end], &opts) != nil {
+				return nil, false, nil
+			}
+			i = end
+		}
+		if i = skipSpace(body, i); i == len(body) {
+			return nil, false, nil
+		}
+		if body[i] == '}' {
+			break
+		}
+		if body[i] != ',' {
+			return nil, false, nil
+		}
+	}
+	if !seen[0] || !seen[1] {
+		return nil, false, nil
+	}
+	if gErr != nil {
+		return nil, true, gErr
+	}
+	// The cluster's bytes were only delimited: one that does not decode may
+	// not even be JSON, which parseBody reports first.
+	c, err := cluster.Decode(bytes.NewReader(clusterJSON))
+	if err != nil {
+		return nil, false, nil
+	}
+	return &planInput{opts: opts, g: g, c: c}, true, nil
+}
+
+// fullBodyMembers are the members readFullBody reads, in the order of its
+// seen flags.
+var fullBodyMembers = [...]string{"graph", "cluster", "options"}
+
+// skipSpace returns the index of the first non-space byte of b from i on.
+func skipSpace(b []byte, i int) int {
+	for i < len(b) && (b[i] == ' ' || b[i] == '\t' || b[i] == '\n' || b[i] == '\r') {
+		i++
+	}
+	return i
+}
+
+// objectEnd returns the index just past the JSON object starting at b[i],
+// or -1. It only balances brackets outside strings; whether the object is
+// valid JSON is its decoder's to say.
+func objectEnd(b []byte, i int) int {
+	if i == len(b) || b[i] != '{' {
+		return -1
+	}
+	depth := 0
+	for ; i < len(b); i++ {
+		switch b[i] {
+		case '"':
+			for i++; i < len(b) && b[i] != '"'; i++ {
+				if b[i] == '\\' {
+					i++
+				}
+			}
+		case '{', '[':
+			depth++
+		case '}', ']':
+			if depth--; depth == 0 {
+				return i + 1
+			}
+		}
+	}
+	return -1
 }
 
 // decodeGraphCluster decodes and validates the two payloads of a full-body
@@ -603,7 +745,7 @@ func decodeGraphCluster(req *Request) (*graph.Graph, *cluster.Cluster, error) {
 	if len(req.Graph) == 0 || len(req.Cluster) == 0 {
 		return nil, nil, errors.New("graph and cluster are required")
 	}
-	g, err := graph.Decode(bytes.NewReader(req.Graph))
+	g, err := graph.DecodeBytes(req.Graph)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -739,7 +881,7 @@ func (s *Server) planMiss(ctx context.Context, sp *obs.Span, key string, in *pla
 			return CachedPlan{}, errOverloaded
 		}
 		defer release()
-		src := newPlanSource(in.g, in.c, in.req.Options)
+		src := newPlanSource(in.g, in.c, in.opts)
 		p, v, err := s.synthesize(fctx, fs, in.g, in.c, src.opts, func() donor { return s.nearestDonor(src, key) })
 		if err != nil {
 			return CachedPlan{}, err
