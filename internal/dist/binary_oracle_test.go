@@ -217,13 +217,16 @@ func TestDecodeBinaryMatchesReferenceOnMutations(t *testing.T) {
 
 // decodeAllocs is what decoding one binary program costs in allocations,
 // whatever its size: the payload read, the program and its instruction and
-// input slices, the two kind tables, the graph fingerprint (hasher, sorted
-// gradient pairs, hex digest) and Validate's definition set. The reference
-// allocated an input slice per computation instruction, so its count grew
-// with the plan (VGG19 and BERT-Base differ). The gradient pairs have been
-// sorted by slices.SortFunc since the graph's wire JSON stopped reflecting;
-// sort.Slice's swapper and closure cost three more (17).
-const decodeAllocs = 14
+// input slices, the two kind tables, the graph fingerprint (sorted gradient
+// pairs, hex digest) and Validate's definition set. The reference allocated
+// an input slice per computation instruction, so its count grew with the
+// plan (VGG19 and BERT-Base differ). The gradient pairs have been sorted by
+// slices.SortFunc since the graph's wire JSON stopped reflecting; sort.Slice's
+// swapper and closure cost three more (17). The fingerprint's hasher has been
+// an inline FNV-1a value since the seeded miss stopped allocating per node;
+// the heap hasher, its hash/fnv state and the digest's fmt boxing cost three
+// more (14).
+const decodeAllocs = 11
 
 func TestDecodeBinaryAllocationPin(t *testing.T) {
 	for _, p := range modelPayloads(t)[:2] { // VGG19, BERT-Base

@@ -15,46 +15,61 @@
 package fingerprint
 
 import (
-	"encoding/binary"
-	"fmt"
-	"hash"
-	"hash/fnv"
 	"math"
 	"strconv"
 )
 
-// Hasher accumulates ints and floats into a stable 64-bit content hash.
+// FNV-1a 64-bit parameters (the hash/fnv New64a function).
+const (
+	fnvOffset64 = 14695981039346656037
+	fnvPrime64  = 1099511628211
+)
+
+// Hasher accumulates ints and floats into a stable 64-bit content hash:
+// FNV-1a 64 over each value's 8 little-endian bytes, computed inline so a
+// Hasher is a plain value and hashing allocates nothing.
 type Hasher struct {
-	h   hash.Hash64
-	buf [8]byte
+	h uint64
 }
 
 // New returns an empty Hasher (FNV-64a).
-func New() *Hasher {
-	return &Hasher{h: fnv.New64a()}
+func New() Hasher {
+	return Hasher{h: fnvOffset64}
+}
+
+// word mixes the 8 little-endian bytes of v.
+func (h *Hasher) word(v uint64) {
+	x := h.h
+	for i := 0; i < 8; i++ {
+		x ^= v & 0xff
+		x *= fnvPrime64
+		v >>= 8
+	}
+	h.h = x
 }
 
 // Int mixes a signed integer into the hash.
-func (h *Hasher) Int(v int) {
-	binary.LittleEndian.PutUint64(h.buf[:], uint64(int64(v)))
-	h.h.Write(h.buf[:])
-}
+func (h *Hasher) Int(v int) { h.word(uint64(int64(v))) }
 
 // Float mixes a float64 into the hash by its exact bit pattern.
-func (h *Hasher) Float(v float64) {
-	binary.LittleEndian.PutUint64(h.buf[:], math.Float64bits(v))
-	h.h.Write(h.buf[:])
-}
+func (h *Hasher) Float(v float64) { h.word(math.Float64bits(v)) }
 
 // Sum renders the accumulated hash as 16 hex digits.
 func (h *Hasher) Sum() string {
-	return fmt.Sprintf("%016x", h.h.Sum64())
+	const digits = "0123456789abcdef"
+	var b [16]byte
+	v := h.h
+	for i := len(b) - 1; i >= 0; i-- {
+		b[i] = digits[v&0xf]
+		v >>= 4
+	}
+	return string(b[:])
 }
 
 // Sum64 returns the accumulated hash as a raw 64-bit value, for callers that
 // combine or compare sub-hashes numerically (graph segment sub-fingerprints).
 func (h *Hasher) Sum64() uint64 {
-	return h.h.Sum64()
+	return h.h
 }
 
 // Options are the planner options that participate in a plan cache key. The

@@ -1,6 +1,11 @@
 package fingerprint_test
 
 import (
+	"encoding/binary"
+	"fmt"
+	"hash/fnv"
+	"math"
+	"math/rand"
 	"testing"
 
 	"hap/internal/cluster"
@@ -62,4 +67,68 @@ func TestHasherGolden(t *testing.T) {
 	if got, want := h.Sum(), "77a0b936690d04d0"; got != want {
 		t.Errorf("Sum = %q, want %q", got, want)
 	}
+}
+
+// The inline hasher is hash/fnv's New64a over each value's 8 little-endian
+// bytes: on random sequences of Int and Float, Sum64 and Sum agree with the
+// library hash bit for bit.
+func TestHasherMatchesFNV(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	specials := []float64{0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1), math.NaN(), math.MaxFloat64, math.SmallestNonzeroFloat64}
+	for seq := 0; seq < 500; seq++ {
+		h := fingerprint.New()
+		ref := fnv.New64a()
+		var buf [8]byte
+		for i, n := 0, rng.Intn(40); i < n; i++ {
+			var bits uint64
+			switch rng.Intn(4) {
+			case 0:
+				v := int(rng.Int63()) - math.MaxInt64/2
+				h.Int(v)
+				bits = uint64(int64(v))
+			case 1:
+				v := rng.Intn(33) - 16
+				h.Int(v)
+				bits = uint64(int64(v))
+			case 2:
+				v := rng.NormFloat64() * math.Pow(10, float64(rng.Intn(40)-20))
+				h.Float(v)
+				bits = math.Float64bits(v)
+			default:
+				v := specials[rng.Intn(len(specials))]
+				h.Float(v)
+				bits = math.Float64bits(v)
+			}
+			binary.LittleEndian.PutUint64(buf[:], bits)
+			ref.Write(buf[:])
+		}
+		if got, want := h.Sum64(), ref.Sum64(); got != want {
+			t.Fatalf("sequence %d: Sum64 = %x, hash/fnv = %x", seq, got, want)
+		}
+		if got, want := h.Sum(), fmt.Sprintf("%016x", ref.Sum64()); got != want {
+			t.Fatalf("sequence %d: Sum = %q, hash/fnv = %q", seq, got, want)
+		}
+	}
+}
+
+// A Hasher is a value: hashing allocates nothing, and Sum allocates only
+// its string.
+func TestHasherAllocations(t *testing.T) {
+	if n := testing.AllocsPerRun(10, func() {
+		h := fingerprint.New()
+		h.Int(3)
+		h.Float(0.25)
+		_ = h.Sum64()
+	}); n != 0 {
+		t.Errorf("hashing made %.0f allocations, want 0", n)
+	}
+	var sum string
+	if n := testing.AllocsPerRun(10, func() {
+		h := fingerprint.New()
+		h.Int(3)
+		sum = h.Sum()
+	}); n > 1 {
+		t.Errorf("Sum made %.0f allocations, want at most 1 (its string)", n)
+	}
+	_ = sum
 }

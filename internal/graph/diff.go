@@ -50,24 +50,26 @@ func NodeSignature(g *Graph, id NodeID) uint64 {
 
 // Signatures returns the per-node signature sequence of g: NodeSignature of
 // every node, with the parameter and gradient roles tabulated once instead
-// of rescanning g.Params and g.Grads per node.
+// of rescanning g.Params and g.Grads per node. The roles are tabulated in
+// the result itself (bit 0 = parameter, the rest the gradient offset) and
+// each entry is then overwritten by its signature, so the result is the
+// only allocation.
 func Signatures(g *Graph) []uint64 {
 	n := g.NumNodes()
-	param := make([]bool, n)
+	sigs := make([]uint64, n)
 	for _, p := range g.Params {
 		if p >= 0 && int(p) < n {
-			param[p] = true
+			sigs[p] |= 1
 		}
 	}
-	gradOf := make([]int, n)
 	for p, gn := range g.Grads {
 		if gn >= 0 && int(gn) < n {
-			gradOf[gn] = minGradOffset(gradOf[gn], int(gn)-int(p))
+			off := minGradOffset(int(int64(sigs[gn])>>1), int(gn)-int(p))
+			sigs[gn] = uint64(int64(off))<<1 | sigs[gn]&1
 		}
 	}
-	sigs := make([]uint64, n)
-	for i := range sigs {
-		sigs[i] = signature(g, NodeID(i), param[i], gradOf[i])
+	for i, role := range sigs {
+		sigs[i] = signature(g, NodeID(i), role&1 != 0, int(int64(role)>>1))
 	}
 	return sigs
 }
@@ -124,26 +126,39 @@ type chunk struct {
 
 // chunkSignatures cuts the signature sequence into content-defined chunks.
 func chunkSignatures(sigs []uint64) []chunk {
-	var out []chunk
-	start := 0
-	h := fingerprint.New()
-	flush := func(end int) {
-		out = append(out, chunk{start: start, n: end - start, hash: h.Sum64()})
+	n := 0
+	for start := 0; start < len(sigs); start = chunkEnd(sigs, start) {
+		n++
+	}
+	out := make([]chunk, 0, n)
+	for start := 0; start < len(sigs); {
+		end := chunkEnd(sigs, start)
+		out = append(out, chunk{start: start, n: end - start, hash: chunkHash(sigs[start:end])})
 		start = end
-		h = fingerprint.New()
-	}
-	for i, sig := range sigs {
-		h.Int(int(uint32(sig)))
-		h.Int(int(sig >> 32))
-		n := i - start + 1
-		if n >= chunkMax || (n >= chunkMin && sig%chunkModulus == 0) {
-			flush(i + 1)
-		}
-	}
-	if start < len(sigs) {
-		flush(len(sigs))
 	}
 	return out
+}
+
+// chunkEnd returns the end of the chunk starting at start: after the first
+// node whose signature is ≡ 0 mod chunkModulus once the chunk holds
+// chunkMin nodes, after chunkMax nodes, or at the end of the sequence.
+func chunkEnd(sigs []uint64, start int) int {
+	for i := start; i < len(sigs); i++ {
+		if n := i - start + 1; n >= chunkMax || (n >= chunkMin && sigs[i]%chunkModulus == 0) {
+			return i + 1
+		}
+	}
+	return len(sigs)
+}
+
+// chunkHash is the order-sensitive hash of one chunk's signatures.
+func chunkHash(sigs []uint64) uint64 {
+	h := fingerprint.New()
+	for _, sig := range sigs {
+		h.Int(int(uint32(sig)))
+		h.Int(int(sig >> 32))
+	}
+	return h.Sum64()
 }
 
 // SubFingerprints returns the stable segment-level sub-hashes of g: one hash
@@ -194,33 +209,32 @@ func StructuralDiff(a, b *Graph) *Diff {
 	cb := chunkSignatures(sb)
 	d := &Diff{}
 
-	// Longest common subsequence over chunk (hash, length) pairs. Chunk
-	// counts are node count / ~chunkModulus, so the quadratic DP is cheap
-	// even for the largest benchmark graphs.
+	// Longest common subsequence over chunk (hash, length) pairs, in one
+	// (len(ca)+1) × (len(cb)+1) table. Chunk counts are node count /
+	// ~chunkModulus, so the quadratic DP is cheap even for the largest
+	// benchmark graphs.
 	eq := func(x, y chunk) bool { return x.hash == y.hash && x.n == y.n }
-	lcs := make([][]int32, len(ca)+1)
-	for i := range lcs {
-		lcs[i] = make([]int32, len(cb)+1)
-	}
+	w := len(cb) + 1
+	lcs := make([]int32, (len(ca)+1)*w)
+	at := func(i, j int) int32 { return lcs[i*w+j] }
 	for i := len(ca) - 1; i >= 0; i-- {
 		for j := len(cb) - 1; j >= 0; j-- {
 			if eq(ca[i], cb[j]) {
-				lcs[i][j] = lcs[i+1][j+1] + int32(ca[i].n)
-			} else if lcs[i+1][j] >= lcs[i][j+1] {
-				lcs[i][j] = lcs[i+1][j]
+				lcs[i*w+j] = at(i+1, j+1) + int32(ca[i].n)
 			} else {
-				lcs[i][j] = lcs[i][j+1]
+				lcs[i*w+j] = max(at(i+1, j), at(i, j+1))
 			}
 		}
 	}
-	var rough []Match
+	// Room for every run plus the prefix and suffix refineMatches may add.
+	rough := make([]Match, 0, min(len(ca), len(cb))+2)
 	for i, j := 0, 0; i < len(ca) && j < len(cb); {
 		switch {
 		case eq(ca[i], cb[j]):
 			rough = append(rough, Match{AStart: NodeID(ca[i].start), BStart: NodeID(cb[j].start), Len: ca[i].n})
 			i++
 			j++
-		case lcs[i+1][j] >= lcs[i][j+1]:
+		case at(i+1, j) >= at(i, j+1):
 			i++
 		default:
 			j++
@@ -243,10 +257,10 @@ func StructuralDiff(a, b *Graph) *Diff {
 // run extends into its neighboring gaps while the raw node signatures still
 // agree, and unanchored common prefixes/suffixes of the whole sequences are
 // recovered. Runs stay strictly increasing and non-overlapping on both
-// sides; contiguous same-offset runs are coalesced.
-func refineMatches(rough []Match, sa, sb []uint64) []Match {
+// sides; contiguous same-offset runs are coalesced. The runs are refined in
+// place, in ms's backing array.
+func refineMatches(ms []Match, sa, sb []uint64) []Match {
 	la, lb := NodeID(len(sa)), NodeID(len(sb))
-	ms := append([]Match(nil), rough...)
 
 	// Extend every run backward, bounded by the previous run's end (or 0).
 	for i := range ms {
@@ -282,7 +296,9 @@ func refineMatches(rough []Match, sa, sb []uint64) []Match {
 		pre.Len++
 	}
 	if pre.Len > 0 {
-		ms = append([]Match{pre}, ms...)
+		ms = append(ms, Match{})
+		copy(ms[1:], ms)
+		ms[0] = pre
 	}
 	// And an unanchored common suffix.
 	aLo, bLo := NodeID(0), NodeID(0)

@@ -459,12 +459,35 @@ func (g *Graph) ParameterBytes() float64 {
 	return float64(g.ParameterCount()) * BytesPerElement
 }
 
-// Consumers returns, for every node, the ids of nodes consuming its output.
+// Consumers returns, for every node, the ids of nodes consuming its output,
+// in ascending order (a node consuming a tensor twice is listed twice). The
+// lists are windows of one backing array; a node without consumers has nil.
 func (g *Graph) Consumers() [][]NodeID {
 	out := make([][]NodeID, len(g.Nodes))
+	count := make([]int, len(g.Nodes)+1)
 	for i := range g.Nodes {
 		for _, in := range g.Nodes[i].Inputs {
-			out[in] = append(out[in], NodeID(i))
+			count[in+1]++
+		}
+	}
+	for i := 1; i < len(count); i++ {
+		count[i] += count[i-1]
+	}
+	backing := make([]NodeID, count[len(g.Nodes)])
+	fill := count[:len(g.Nodes)]
+	for i := range g.Nodes {
+		for _, in := range g.Nodes[i].Inputs {
+			backing[fill[in]] = NodeID(i)
+			fill[in]++
+		}
+	}
+	for i := range out {
+		lo, hi := 0, fill[i]
+		if i > 0 {
+			lo = fill[i-1]
+		}
+		if hi > lo {
+			out[i] = backing[lo:hi:hi]
 		}
 	}
 	return out

@@ -26,3 +26,19 @@ func TestSignaturesMatchNodeSignature(t *testing.T) {
 		}
 	}
 }
+
+// Signatures allocates only its result: the roles are tabulated in it and
+// hashing a node allocates nothing. StructuralDiff's allocations are a fixed
+// seven per diff (two signature sequences, two chunk lists, the LCS table,
+// the runs and the Diff), never one per node or chunk.
+func TestSignaturesAllocations(t *testing.T) {
+	g := models.Build(models.ModelBERTBase, 8)
+	if n := testing.AllocsPerRun(5, func() { graph.Signatures(g) }); n != 1 {
+		t.Errorf("Signatures made %.0f allocations, want 1 (its result)", n)
+	}
+	wide := models.Training(models.VGG19OneWider(64, 224, 10))
+	base := models.Training(models.VGG19(64, 224, 10))
+	if n := testing.AllocsPerRun(5, func() { graph.StructuralDiff(base, wide) }); n != 7 {
+		t.Errorf("StructuralDiff made %.0f allocations, want 7", n)
+	}
+}

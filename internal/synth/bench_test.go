@@ -101,8 +101,12 @@ const fanOutAllocsPerLevel = 8
 // one per state (9 665 before the slab); a closure in runBeam that captures
 // the selection loop's locals moves them to the heap once per iteration
 // (19 631 before the materialize loop went serial) — for every worker count,
-// since escape analysis is per function, not per branch. The incremental row
-// is most of all the donor replay's maps. Bytes fail past their pin + 5 %:
+// since escape analysis is per function, not per branch. The incremental
+// row read 2 793 while the replay kept each tensor's properties in a map,
+// the donor's theory allocated per triple, the hasher per node signature and
+// the seed a slice per pin; BuildSeed is now 43 of its 145 (the donor's
+// theory 12, the diff 7, the replay's mirror and branches, the seed's
+// tables). Bytes fail past their pin + 5 %:
 // retired ancestors kept as state structs until the search ends, and
 // duplicates built before their key rejected them, cost VGG19 3 569 KiB per
 // search before the trail and key-first dedup (BERT-Base 8 940, BERT-MoE
@@ -146,7 +150,7 @@ func TestSearchAllocationPin(t *testing.T) {
 			if _, _, err := seeded.search(1); err != nil {
 				t.Fatal(err)
 			}
-		}, 2793, 538},
+		}, 145, 476},
 	} {
 		got := testing.AllocsPerRun(2, row.search)
 		kib := kibPerRun(2, row.search)

@@ -63,12 +63,12 @@ type Seed struct {
 	// (0 = structurally identical).
 	Distance float64
 
-	steps   []seedStep
-	compPin []*theory.Triple // by target node id; nil = unpinned
-	// compPinOne[id] is a prebuilt one-element slice over compPin[id], so
-	// the beam's hot loop swaps candidate lists without allocating.
-	compPinOne [][]*theory.Triple
-	commPin    []pinnedComm // by target ref id
+	steps []seedStep
+	// compPin is by target node id; nil = unpinned. The beam's hot loop
+	// swaps a node's candidate list for the window compPin[id:id+1], so a
+	// pin costs no allocation of its own.
+	compPin []*theory.Triple
+	commPin []pinnedComm // by target ref id
 }
 
 // Steps reports how many donor decisions the seed carries (mapped or not).
@@ -89,16 +89,34 @@ type donorStep struct {
 // The mirror must be exact — a superset of the search's property set would
 // let an inconsistent reading of the program replay "successfully" and
 // produce pins the real search never chose.
+//
+// A tensor's properties are one mask word (see propBit), so dropping a dead
+// tensor's properties is one store and cloning a branch copies slices.
 type replayState struct {
-	props        map[theory.Property]bool
+	props        []uint64
 	placed       []int8
 	computed     []bool
 	communicated []bool
 }
 
+// maxReplayRank is the widest tensor a mask word holds every Gather
+// property of: bits 0 and 1 are Identity and Reduce, bits 2..63 the shard
+// dimensions. A donor with a wider tensor is not replayed (BuildSeed
+// returns nil).
+const maxReplayRank = 62
+
+// propBit is p's bit in its tensor's mask word, 1<<p.Slot(). Every
+// property the replay sets or tests fits: a triple's dimensions lie below
+// its tensor's rank (at most maxReplayRank), and commTransition refuses a
+// collective on a dimension past it.
+func propBit(p theory.Property) uint64 { return 1 << uint(p.Slot()) }
+
+func (rs *replayState) has(p theory.Property) bool { return rs.props[p.Ref]&propBit(p) != 0 }
+func (rs *replayState) set(p theory.Property)      { rs.props[p.Ref] |= propBit(p) }
+
 func newReplayState(n int) *replayState {
 	rs := &replayState{
-		props:        map[theory.Property]bool{},
+		props:        make([]uint64, n),
 		placed:       make([]int8, n),
 		computed:     make([]bool, n),
 		communicated: make([]bool, n),
@@ -110,16 +128,12 @@ func newReplayState(n int) *replayState {
 }
 
 func (rs *replayState) clone() *replayState {
-	c := &replayState{
-		props:        make(map[theory.Property]bool, len(rs.props)),
+	return &replayState{
+		props:        append([]uint64(nil), rs.props...),
 		placed:       append([]int8(nil), rs.placed...),
 		computed:     append([]bool(nil), rs.computed...),
 		communicated: append([]bool(nil), rs.communicated...),
 	}
-	for p := range rs.props {
-		c.props[p] = true
-	}
-	return c
 }
 
 // replayer replays a donor program instruction-by-instruction.
@@ -128,45 +142,67 @@ type replayer struct {
 	th     *theory.Theory
 	isOut  []bool
 	budget int
+	// matches is a stack of candidate readings: each computation pushes
+	// its readings above those of the ambiguous computations it branches
+	// under, and pops them when it is done.
+	matches []*theory.Triple
+}
+
+// newReplayer returns a replayer of programs for g with the full budget, or
+// nil when a tensor of g is wider than the mask words hold.
+func newReplayer(g *graph.Graph, th *theory.Theory) *replayer {
+	for i := range g.Nodes {
+		if len(g.Nodes[i].Shape) > maxReplayRank {
+			return nil
+		}
+	}
+	r := &replayer{g: g, th: th, isOut: make([]bool, g.NumNodes()), budget: replayBudget}
+	for _, o := range th.Outputs {
+		r.isOut[o.Ref] = true
+	}
+	return r
+}
+
+// dead mirrors Synthesizer.dead on the replay state: u is no required
+// output and every required consumer of u is computed.
+func (r *replayer) dead(rs *replayState, u graph.NodeID) bool {
+	if r.isOut[u] {
+		return false
+	}
+	for _, c := range r.th.Consumers[u] {
+		if r.th.Required[c] && !rs.computed[c] {
+			return false
+		}
+	}
+	return true
 }
 
 // pruneDead mirrors Synthesizer.pruneDead on the replay state.
 func (r *replayer) pruneDead(rs *replayState, justComputed graph.NodeID) {
-	check := func(u graph.NodeID) {
-		if r.isOut[u] {
-			return
-		}
-		for _, c := range r.th.Consumers[u] {
-			if r.th.Required[c] && !rs.computed[c] {
-				return
-			}
-		}
-		for p := range rs.props {
-			if p.Ref == u {
-				delete(rs.props, p)
-			}
-		}
-	}
 	for _, u := range r.g.Node(justComputed).Inputs {
-		if !r.g.Node(u).Kind.IsLeaf() {
-			check(u)
+		if !r.g.Node(u).Kind.IsLeaf() && r.dead(rs, u) {
+			rs.props[u] = 0
 		}
 	}
-	check(justComputed)
+	if r.dead(rs, justComputed) {
+		rs.props[justComputed] = 0
+	}
 }
 
 // commTransition returns the property a collective consumes and the one it
-// establishes — the inverse of commCandidates.
-func commTransition(in dist.Instruction) (src, res theory.Property, ok bool) {
+// establishes — the inverse of commCandidates. A collective on a dimension
+// the tensor (of the given rank) does not have is no candidate.
+func commTransition(in dist.Instruction, rank int) (src, res theory.Property, ok bool) {
+	dim := func(d int) bool { return d >= 0 && d < rank }
 	switch in.Coll {
 	case collective.AllReduce:
 		return theory.Pending(in.Ref), theory.Id(in.Ref), true
 	case collective.ReduceScatter:
-		return theory.Pending(in.Ref), theory.Shard(in.Ref, in.Dim), true
+		return theory.Pending(in.Ref), theory.Shard(in.Ref, in.Dim), dim(in.Dim)
 	case collective.PaddedAllGather, collective.GroupedBroadcast:
-		return theory.Shard(in.Ref, in.Dim), theory.Id(in.Ref), true
+		return theory.Shard(in.Ref, in.Dim), theory.Id(in.Ref), dim(in.Dim)
 	case collective.AllToAll:
-		return theory.Shard(in.Ref, in.Dim), theory.Shard(in.Ref, in.Dim2), true
+		return theory.Shard(in.Ref, in.Dim), theory.Shard(in.Ref, in.Dim2), dim(in.Dim) && dim(in.Dim2)
 	}
 	return theory.Property{}, theory.Property{}, false
 }
@@ -181,14 +217,17 @@ func (r *replayer) replay(rs *replayState, instrs []dist.Instruction, steps []do
 			return nil
 		}
 		in := instrs[0]
+		if in.Ref < 0 || int(in.Ref) >= len(rs.computed) {
+			return nil
+		}
 		switch {
 		case in.IsComm:
-			src, res, ok := commTransition(in)
-			if !ok || rs.communicated[in.Ref] || !rs.props[src] || rs.props[res] {
+			src, res, ok := commTransition(in, len(r.g.Node(in.Ref).Shape))
+			if !ok || rs.communicated[in.Ref] || !rs.has(src) || rs.has(res) {
 				return nil
 			}
 			rs.communicated[in.Ref] = true
-			rs.props[res] = true
+			rs.set(res)
 			steps = append(steps, donorStep{comm: true, node: in.Ref, coll: in.Coll, dim: in.Dim, dim2: in.Dim2})
 			instrs = instrs[1:]
 
@@ -211,7 +250,7 @@ func (r *replayer) replay(rs *replayState, instrs []dist.Instruction, steps []do
 			if rs.computed[id] {
 				return nil
 			}
-			var matches []*theory.Triple
+			base := len(r.matches)
 			for _, tr := range r.th.ByNode[id] {
 				ti := tr.Instr(r.g)
 				if ti.FlopsScaled != in.FlopsScaled || ti.ShardDim != in.ShardDim {
@@ -220,25 +259,28 @@ func (r *replayer) replay(rs *replayState, instrs []dist.Instruction, steps []do
 				if !r.applicable(rs, tr) {
 					continue
 				}
-				matches = append(matches, tr)
+				r.matches = append(r.matches, tr)
 			}
+			matches := r.matches[base:]
+			r.matches = r.matches[:base]
 			if len(matches) == 0 {
 				return nil
 			}
 			if len(matches) > 1 {
 				// Ambiguous reading: branch. First consistent full replay wins;
 				// any two differ only in property bookkeeping, never in bytes.
+				// The branches push their own readings above these.
+				r.matches = r.matches[:base+len(matches)]
+				var out []donorStep
 				for _, tr := range matches {
 					branch := rs.clone()
 					r.applyComp(branch, id, tr)
-					if out := r.replay(branch, instrs[1:], append(steps, donorStep{node: id, tr: tr})); out != nil {
-						return out
-					}
-					if r.budget < 0 {
-						return nil
+					if out = r.replay(branch, instrs[1:], append(steps, donorStep{node: id, tr: tr})); out != nil || r.budget < 0 {
+						break
 					}
 				}
-				return nil
+				r.matches = r.matches[:base]
+				return out
 			}
 			r.applyComp(rs, id, matches[0])
 			steps = append(steps, donorStep{node: id, tr: matches[0]})
@@ -252,7 +294,7 @@ func (r *replayer) replay(rs *replayState, instrs []dist.Instruction, steps []do
 // must already be set: the donor program's loaders precede their consumer.
 func (r *replayer) applicable(rs *replayState, tr *theory.Triple) bool {
 	for _, p := range tr.Pre {
-		if !rs.props[p] {
+		if !rs.has(p) {
 			return false
 		}
 	}
@@ -270,7 +312,7 @@ func (r *replayer) applicable(rs *replayState, tr *theory.Triple) bool {
 
 func (r *replayer) applyComp(rs *replayState, id graph.NodeID, tr *theory.Triple) {
 	rs.computed[id] = true
-	rs.props[tr.Out] = true
+	rs.set(tr.Out)
 	r.pruneDead(rs, id)
 }
 
@@ -304,20 +346,19 @@ func BuildSeed(donorG *graph.Graph, donorProg *dist.Program, donorTh *theory.The
 		}
 	}
 
-	r := &replayer{g: donorG, th: donorTh, isOut: make([]bool, donorG.NumNodes()), budget: replayBudget}
-	for _, o := range donorTh.Outputs {
-		r.isOut[o.Ref] = true
+	r := newReplayer(donorG, donorTh)
+	if r == nil {
+		return nil
 	}
-	donorSteps := r.replay(newReplayState(donorG.NumNodes()), donorProg.Instrs, nil)
+	donorSteps := r.replay(newReplayState(donorG.NumNodes()), donorProg.Instrs, make([]donorStep, 0, len(donorProg.Instrs)))
 	if donorSteps == nil {
 		return nil
 	}
 
 	sd := &Seed{
-		compPin:    make([]*theory.Triple, g.NumNodes()),
-		compPinOne: make([][]*theory.Triple, g.NumNodes()),
-		commPin:    make([]pinnedComm, g.NumNodes()),
-		steps:      make([]seedStep, 0, len(donorSteps)),
+		compPin: make([]*theory.Triple, g.NumNodes()),
+		commPin: make([]pinnedComm, g.NumNodes()),
+		steps:   make([]seedStep, 0, len(donorSteps)),
 	}
 	if d != nil {
 		sd.Distance = d.Norm
@@ -346,7 +387,6 @@ func BuildSeed(donorG *graph.Graph, donorProg *dist.Program, donorTh *theory.The
 			continue
 		}
 		sd.compPin[tid] = tr
-		sd.compPinOne[tid] = []*theory.Triple{tr}
 		sd.steps = append(sd.steps, seedStep{mapped: true, node: tid, tr: tr})
 	}
 	return sd

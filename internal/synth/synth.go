@@ -861,7 +861,7 @@ func (sy *Synthesizer) scoreCandidates(s *state, lc *levelCands) {
 		// degrades to full enumeration.
 		if sd := sy.opt.Seed; sd != nil && sd.compPin[id] != nil {
 			if pin := sd.compPin[id]; !(sy.opt.DisableSFB && sy.isSFBTriple(pin)) && sy.compApplicable(s, pin) {
-				trs = sd.compPinOne[id]
+				trs = sd.compPin[id : id+1 : id+1]
 			}
 		}
 		for _, tr := range trs {

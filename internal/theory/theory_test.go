@@ -124,8 +124,57 @@ func TestFilterRecomputesWanted(t *testing.T) {
 	if n := len(only.ByNode[y]); n != 1 {
 		t.Fatalf("filtered triples = %d, want 1", n)
 	}
-	if len(only.Wanted) >= len(th.Wanted) && len(th.Wanted) > 0 {
-		t.Error("Wanted not shrunk by filter")
+	// The Sum consuming y wanted it in every form; with Sum's triples
+	// filtered out, nothing is wanted any more.
+	if !th.IsWanted(Id(y)) || !th.IsWanted(Pending(y)) || !th.IsWanted(Shard(y, 1)) {
+		t.Error("the Sum's preconditions on y are not wanted")
+	}
+	if n, m := countWanted(only), countWanted(th); n >= m || n != 0 {
+		t.Errorf("filtered theory wants %d properties, unfiltered %d: want 0 of more", n, m)
+	}
+}
+
+// countWanted counts the properties IsWanted accepts among every form every
+// tensor of the theory's graph can take.
+func countWanted(th *Theory) int {
+	n := 0
+	for i, node := range th.Graph.Nodes {
+		id := graph.NodeID(i)
+		ps := []Property{Id(id), Pending(id)}
+		for d := range node.Shape {
+			ps = append(ps, Shard(id, d))
+		}
+		for _, p := range ps {
+			if th.IsWanted(p) {
+				n++
+			}
+		}
+	}
+	return n
+}
+
+// IsWanted answers every property, including Gather dimensions past 30 (the
+// old dense mask's width) and refs outside the graph.
+func TestIsWantedWideGather(t *testing.T) {
+	g := graph.New()
+	shape := make([]int, 40)
+	for i := range shape {
+		shape[i] = 2
+	}
+	x := g.AddPlaceholder("x", 0, shape...)
+	r := g.AddOp(graph.ReLU, x)
+	s := g.AddOp(graph.ReLU, r)
+	g.SetLoss(g.AddOp(graph.Sum, s))
+	th := New(g)
+	for d := 0; d < 40; d++ {
+		if !th.IsWanted(Shard(r, d)) {
+			t.Errorf("ReLU input wanted sharded on dim %d: IsWanted = false", d)
+		}
+	}
+	for _, p := range []Property{Shard(r, 40), Shard(r, 127), Shard(r, -1), Shard(x, 0), Id(graph.NodeID(g.NumNodes())), Id(-1), {Ref: r, Kind: 7}} {
+		if th.IsWanted(p) {
+			t.Errorf("IsWanted(%v) = true, want false", p)
+		}
 	}
 }
 
