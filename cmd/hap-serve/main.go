@@ -32,11 +32,11 @@
 //
 // Live telemetry: POST /v1/telemetry ingests probe measurements (per-link
 // bandwidth/latency, per-device achieved TFLOPS) against the spec cluster
-// they measure; when the smoothed live view drifts past 10%, cached plans
-// for that cluster replan in the background and swap in only after
-// verification — clients keep getting the old plan (same ETag, 304 on
-// conditional fetch) until the replacement is ready. See README "Live
-// telemetry & replanning".
+// they measure; when the smoothed live view drifts past 10%, the report
+// re-solves the sharding ratios of every cached plan for that cluster on its
+// cached program — a linear program per plan, no search — and swaps each
+// changed plan in: its version bumps and its ETag changes, so a conditional
+// fetch gets the new plan. See README "Live telemetry & replanning".
 //
 // Observability: every request is traced end-to-end (decode, cache lookup,
 // fleet proxy hop, synthesis phases, encode, replication) and the last

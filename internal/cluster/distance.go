@@ -1,7 +1,7 @@
 // Drift quantification between two cluster specifications. The serve tier
 // compares the spec cluster a plan was synthesized against with the cluster
 // live telemetry says the fleet actually is; Distance turns that comparison
-// into one scalar a threshold can gate background replanning on.
+// into one scalar a threshold can gate drift replanning on.
 
 package cluster
 
@@ -12,8 +12,10 @@ import "math"
 // device's achievable flops and memory, and every network-model parameter.
 // Identical clusters are at distance 0; a link running at half its spec
 // bandwidth is at 0.5; structurally different clusters (device count, GPU
-// counts, machine placement) are infinitely distant, because no amount of
-// ratio rebalancing maps a plan across them — only a full replan does.
+// counts, machine placement) are infinitely distant, because no relative
+// change describes them. Infinite drift is still drift the ratios absorb:
+// when a device drops out, the serve tier re-solves each cached program's
+// sharding ratios over the survivors.
 //
 // The metric is symmetric (relative deltas are normalized by the larger
 // magnitude) and ignores device and type names, mirroring Fingerprint: a

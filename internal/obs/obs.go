@@ -52,7 +52,7 @@ type SpanRecord struct {
 	Attrs   map[string]string `json:"attrs,omitempty"`
 }
 
-// Trace accumulates the spans of one request (or one background replan).
+// Trace accumulates the spans of one request.
 // A nil *Trace is valid and inert.
 type Trace struct {
 	id   string

@@ -306,8 +306,8 @@ func (s *Server) WarmFrom(ctx context.Context, peers []string) (int, error) {
 // entryOf and planOf convert between a stored plan and its fleet wire form.
 // A plan file on disk is the same record. The version travels with the
 // entry; the receiving store derives the ETag from the plan bytes, as it does
-// for every Put. The plan source does not travel: a received entry replans on
-// its owner.
+// for every Put. The plan source does not travel: a received entry is
+// re-solved on its owner.
 func entryOf(key string, v CachedPlan) fleet.Entry {
 	return fleet.Entry{Key: key, Bin: v.Bin, Version: v.Version}
 }

@@ -5,7 +5,7 @@
 //
 // The mapping is a pure function of the bytes (decode and key derivation are
 // deterministic), so an entry never goes stale: whatever happens to the plan
-// in the store — eviction, TTL expiry, a drift replan — the body still
+// in the store — eviction, TTL expiry, a drift re-solve — the body still
 // derives the same key, and the store lookup that follows a memo hit decides
 // hit or miss exactly as the full decode would have. That is why the table
 // needs no eviction hook and no coordination with the store; it only needs a

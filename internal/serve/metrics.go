@@ -85,7 +85,7 @@ func formatBound(v float64) string {
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	// Snapshot everything up front — counters, histograms, phase summaries —
 	// so one scrape renders a single capture moment. Without this, a
-	// background replan (or any concurrent request) landing between the
+	// drift re-solve (or any concurrent request) landing between the
 	// Stats() call and a later live histogram read could make the exposition
 	// disagree with itself (e.g. syntheses_total without the matching
 	// phase-summary growth).
@@ -136,10 +136,10 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	// exist from the first scrape (reports_total 0 = no telemetry yet).
 	if ts := st.Telemetry; ts != nil {
 		counter("hap_serve_telemetry_reports_total", "Probe batches accepted by /v1/telemetry.", ts.Reports)
-		counter("hap_serve_telemetry_rejects_total", "Probe batches rejected (unknown machine or device, malformed cluster).", ts.Rejects)
-		counter("hap_serve_replans_total", "Background replans that swapped a new plan into the cache.", ts.Replans)
-		counter("hap_serve_replans_unchanged_total", "Background replans whose output matched the cached plan byte-for-byte (no swap).", ts.ReplansUnchanged)
-		counter("hap_serve_replan_errors_total", "Background replans that failed to synthesize or verify.", ts.ReplanErrors)
+		counter("hap_serve_telemetry_rejects_total", "Probe batches rejected (malformed body or cluster, unknown machine or device).", ts.Rejects)
+		counter("hap_serve_replans_total", "Drift re-solves of a cached plan's sharding ratios that swapped a new plan into the cache.", ts.Replans)
+		counter("hap_serve_replans_unchanged_total", "Drift re-solves whose output matched the cached plan byte-for-byte (no swap).", ts.ReplansUnchanged)
+		counter("hap_serve_replan_errors_total", "Drift re-solves whose ratio LP failed or whose answer failed its checks (no swap).", ts.ReplanErrors)
 		// Per-cluster drift, sorted by fingerprint for a stable exposition.
 		fmt.Fprintf(&b, "# HELP hap_serve_cluster_drift Current drift between a monitored spec cluster and its telemetry view.\n# TYPE hap_serve_cluster_drift gauge\n")
 		fps := make([]string, 0, len(ts.Drift))

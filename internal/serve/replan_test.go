@@ -1,25 +1,23 @@
-// Tests for what a background replan shares with the request paths: the
-// admission gate's slots, and nothing mutable.
+// Tests for what a drift re-solve shares with the request paths: the store,
+// the decoded graph of each entry's source, and nothing mutable.
 
 package serve
 
 import (
 	"bytes"
-	"context"
+	"encoding/json"
 	"net/http"
 	"net/http/httptest"
-	"sync/atomic"
+	"sync"
 	"testing"
-	"time"
 
 	"hap"
 	"hap/internal/cluster"
-	"hap/internal/graph"
 	"hap/internal/telemetry"
 )
 
 // driftReport is a probe batch that puts spec well past the drift threshold.
-func driftReport(t *testing.T, spec *cluster.Cluster) []byte {
+func driftReport(t testing.TB, spec *cluster.Cluster) []byte {
 	t.Helper()
 	return telemetryBody(t, spec, TelemetryRequest{
 		Links:   []telemetry.LinkSample{{FromMachine: 0, ToMachine: 1, Bandwidth: spec.Net.InterBW * 0.5}},
@@ -27,144 +25,24 @@ func driftReport(t *testing.T, spec *cluster.Cluster) []byte {
 	})
 }
 
-// TestAdmissionGatesReplans: background replans claim synthesis slots like
-// any other search. With one slot held by a request, a drift report over two
-// cached entries starts no replan — the old plans keep serving and nothing is
-// counted as shed — and once the slot frees, further reports replan both
-// entries one at a time.
-func TestAdmissionGatesReplans(t *testing.T) {
-	var running, peak atomic.Int64
-	holdFP := altCluster().Fingerprint()
-	started, release := make(chan struct{}, 1), make(chan struct{})
-	s := New(Config{
-		MaxInflightSynth: 1,
-		Synthesize: func(ctx context.Context, g *graph.Graph, c *cluster.Cluster, opt hap.Options) (*hap.Plan, error) {
-			n := running.Add(1)
-			defer running.Add(-1)
-			for p := peak.Load(); n > p && !peak.CompareAndSwap(p, n); p = peak.Load() {
-			}
-			if c.Fingerprint() == holdFP {
-				started <- struct{}{}
-				select {
-				case <-release:
-				case <-ctx.Done():
-					return nil, ctx.Err()
-				}
-			}
-			return hap.NewPlanner(c, hap.WithOptions(opt)).Plan(ctx, g)
-		},
+// intraDriftReport drifts spec past the threshold on the intra-machine link
+// alone. Every machine of testCluster and altCluster holds one GPU, so no
+// collective crosses that link: the re-solve reproduces the cached plan byte
+// for byte.
+func intraDriftReport(t testing.TB, spec *cluster.Cluster) []byte {
+	t.Helper()
+	return telemetryBody(t, spec, TelemetryRequest{
+		Links: []telemetry.LinkSample{{FromMachine: 0, ToMachine: 0, Bandwidth: spec.Net.IntraBW * 0.5}},
 	})
-	defer s.Close()
-	srv := httptest.NewServer(s.Handler())
-	defer srv.Close()
-	spec := testCluster()
-	bodies := [][]byte{
-		requestBody(t, testGraph(t), spec, RequestOptions{}),
-		requestBody(t, seedServeGraph(32, 48, 8), spec, RequestOptions{}),
-	}
-	for i, b := range bodies {
-		if status, _, ver, raw := postConditional(t, srv.URL, b, ""); status != http.StatusOK || ver != "1" {
-			t.Fatalf("fill %d: status %d version %q: %s", i, status, ver, raw)
-		}
-	}
-
-	// A request for another cluster takes the only slot and keeps it.
-	held := make(chan struct{})
-	go func() {
-		defer close(held)
-		resp, err := http.Post(srv.URL+"/v1/synthesize", "application/json",
-			bytes.NewReader(requestBody(t, testGraph(t), altCluster(), RequestOptions{})))
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		resp.Body.Close()
-	}()
-	<-started
-
-	status, tr, raw := postTelemetry(t, srv.URL, driftReport(t, spec))
-	if status != http.StatusOK || !tr.Drifted {
-		t.Fatalf("drift report: status %d drifted=%v: %s", status, tr.Drifted, raw)
-	}
-	if tr.ReplansStarted != 0 {
-		t.Errorf("report started %d replans with every slot busy, want 0", tr.ReplansStarted)
-	}
-	if st := s.Stats(); st.InflightSynth != 1 || st.AdmissionShed != 0 {
-		t.Errorf("with the slot held: inflight_synth %d, admission_shed %d; want 1 and 0 (a deferred replan is not a refused request)", st.InflightSynth, st.AdmissionShed)
-	}
-	for i, b := range bodies {
-		if status, _, ver, _ := postConditional(t, srv.URL, b, ""); status != http.StatusOK || ver != "1" {
-			t.Errorf("entry %d while its replan waits: status %d version %q, want the old plan", i, status, ver)
-		}
-	}
-	close(release)
-	<-held
-
-	// The next reports start what the first could not. One slot: one replan
-	// per report at most, so it takes at least two.
-	deadline := time.Now().Add(30 * time.Second)
-	for swapped := 0; swapped < len(bodies); {
-		if time.Now().After(deadline) {
-			t.Fatalf("only %d of %d entries replanned", swapped, len(bodies))
-		}
-		if status, _, raw := postTelemetry(t, srv.URL, driftReport(t, spec)); status != http.StatusOK {
-			t.Fatalf("drift report: status %d: %s", status, raw)
-		}
-		if n := s.Stats().InflightSynth; n > 1 {
-			t.Fatalf("inflight_synth = %d with a cap of 1", n)
-		}
-		time.Sleep(20 * time.Millisecond)
-		swapped = 0
-		for _, b := range bodies {
-			if _, _, ver, _ := postConditional(t, srv.URL, b, ""); ver != "1" {
-				swapped++
-			}
-		}
-	}
-	for replanning := 1; replanning > 0; time.Sleep(5 * time.Millisecond) {
-		if time.Now().After(deadline) {
-			t.Fatal("replans never quiesced")
-		}
-		s.telemetry.mu.Lock()
-		replanning = len(s.telemetry.replan)
-		s.telemetry.mu.Unlock()
-	}
-	if p := peak.Load(); p > 1 {
-		t.Errorf("%d planner calls ran at once under -max-inflight-synth 1", p)
-	}
-	if st := s.Stats(); st.InflightSynth != 0 || st.AdmissionShed != 0 || st.Telemetry.ReplanErrors != 0 {
-		t.Errorf("after quiescence: inflight_synth %d, admission_shed %d, replan_errors %d; want all 0",
-			st.InflightSynth, st.AdmissionShed, st.Telemetry.ReplanErrors)
-	}
 }
 
-// TestBatchSiblingsReplanConcurrently: two entries filled by two requests for
-// one graph share that graph's wire bytes, not a decoded value. Both specs
-// drift at once, their replans — segmented, so each search assigns segments
-// onto the graph it plans — overlap, and both verify and swap. Run under
+// TestBatchSiblingsReplanConcurrently: two entries planned for one graph on
+// two clusters, segmented so each re-solve binds the plan's segment
+// assignment onto a copy of its source graph. Both specs drift at once — two
+// reports in flight together — and both re-solves swap and verify. Run under
 // -race.
 func TestBatchSiblingsReplanConcurrently(t *testing.T) {
-	var armed atomic.Bool
-	var arrived atomic.Int64
-	both := make(chan struct{})
-	s := New(Config{
-		// Armed once the fill has returned, so every call counted here is a
-		// replan: hold the first until its sibling arrives, so the searches
-		// overlap.
-		Synthesize: func(ctx context.Context, g *graph.Graph, c *cluster.Cluster, opt hap.Options) (*hap.Plan, error) {
-			if armed.Load() {
-				if arrived.Add(1) == 2 {
-					close(both)
-				}
-				select {
-				case <-both:
-				case <-ctx.Done():
-					return nil, ctx.Err()
-				}
-			}
-			return hap.NewPlanner(c, hap.WithOptions(opt)).Plan(ctx, g)
-		},
-	})
+	s := New(Config{})
 	defer s.Close()
 	srv := httptest.NewServer(s.Handler())
 	defer srv.Close()
@@ -176,29 +54,32 @@ func TestBatchSiblingsReplanConcurrently(t *testing.T) {
 			t.Fatalf("fill %d: status %d: %s", i, status, raw)
 		}
 	}
-	armed.Store(true)
+	var wg sync.WaitGroup
 	for i, spec := range specs {
-		status, tr, raw := postTelemetry(t, srv.URL, driftReport(t, spec))
-		if status != http.StatusOK || tr.ReplansStarted != 1 {
-			t.Fatalf("drift report %d: status %d replans=%d: %s", i, status, tr.ReplansStarted, raw)
-		}
+		wg.Add(1)
+		go func(i int, report []byte) {
+			defer wg.Done()
+			resp, err := http.Post(srv.URL+"/v1/telemetry", "application/json", bytes.NewReader(report))
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			defer resp.Body.Close()
+			var tr TelemetryResponse
+			if err := json.NewDecoder(resp.Body).Decode(&tr); err != nil || resp.StatusCode != http.StatusOK || tr.ReplansStarted != 1 {
+				t.Errorf("drift report %d: status %d replans=%d (%v)", i, resp.StatusCode, tr.ReplansStarted, err)
+			}
+		}(i, driftReport(t, spec))
 	}
-	deadline := time.Now().Add(30 * time.Second)
-	for {
-		ts := s.Stats().Telemetry
-		if ts.ReplanErrors != 0 {
-			t.Fatalf("%d replans failed to synthesize or verify", ts.ReplanErrors)
-		}
-		if ts.Replans+ts.ReplansUnchanged == uint64(len(specs)) {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("replans never completed: %+v", ts)
-		}
-		time.Sleep(10 * time.Millisecond)
+	wg.Wait()
+	if ts := s.Stats().Telemetry; ts.ReplanErrors != 0 || ts.Replans != uint64(len(specs)) {
+		t.Fatalf("replans %d, replan_errors %d; want %d and 0", ts.Replans, ts.ReplanErrors, len(specs))
 	}
 	for i, spec := range specs {
-		_, _, _, plan := postConditional(t, srv.URL, requestBody(t, testGraph(t), spec, opts), "")
+		_, _, ver, plan := postConditional(t, srv.URL, requestBody(t, testGraph(t), spec, opts), "")
+		if ver != "2" {
+			t.Errorf("plan %d is at version %q, want 2", i, ver)
+		}
 		p, err := hap.ReadProgramBinary(bytes.NewReader(plan), testGraph(t))
 		if err != nil {
 			t.Fatalf("replanned plan %d does not decode: %v", i, err)
@@ -209,24 +90,13 @@ func TestBatchSiblingsReplanConcurrently(t *testing.T) {
 	}
 }
 
-// TestDriftReportPromotesNothing: the replan scan reads the store without
-// touching recency. With room for two plans, a drift report whose replan of
+// TestDriftReportPromotesNothing: the drift scan reads the store without
+// touching recency. With room for two plans, a drift report whose re-solve of
 // the older one comes back unchanged leaves that plan at the LRU tail, so the
 // next insert evicts it and not the plan nobody reported on.
 func TestDriftReportPromotesNothing(t *testing.T) {
 	spec, alt := testCluster(), altCluster()
-	altFP := alt.Fingerprint()
-	s := New(Config{
-		MaxCacheEntries: 2,
-		// Anything but alt plans on spec, so the drifted replan reproduces
-		// the cached bytes exactly.
-		Synthesize: func(ctx context.Context, g *graph.Graph, c *cluster.Cluster, opt hap.Options) (*hap.Plan, error) {
-			if c.Fingerprint() != altFP {
-				c = spec
-			}
-			return planWith(g, c, opt)
-		},
-	})
+	s := New(Config{MaxCacheEntries: 2})
 	defer s.Close()
 	srv := httptest.NewServer(s.Handler())
 	defer srv.Close()
@@ -240,15 +110,11 @@ func TestDriftReportPromotesNothing(t *testing.T) {
 		}
 	}
 
-	if status, tr, raw := postTelemetry(t, srv.URL, driftReport(t, spec)); status != http.StatusOK || tr.ReplansStarted != 1 {
+	if status, tr, raw := postTelemetry(t, srv.URL, intraDriftReport(t, spec)); status != http.StatusOK || tr.ReplansStarted != 1 {
 		t.Fatalf("drift report: status %d replans=%d: %s", status, tr.ReplansStarted, raw)
 	}
-	deadline := time.Now().Add(30 * time.Second)
-	for s.Stats().Telemetry.ReplansUnchanged != 1 {
-		if ts := s.Stats().Telemetry; ts.Replans+ts.ReplanErrors != 0 || time.Now().After(deadline) {
-			t.Fatalf("the replan did not come back unchanged: %+v", ts)
-		}
-		time.Sleep(5 * time.Millisecond)
+	if ts := s.Stats().Telemetry; ts.ReplansUnchanged != 1 || ts.Replans+ts.ReplanErrors != 0 {
+		t.Fatalf("the replan did not come back unchanged: %+v", ts)
 	}
 
 	if status, _, raw := post(t, srv.URL, requestBody(t, reported, alt, RequestOptions{})); status != http.StatusOK {
@@ -262,19 +128,13 @@ func TestDriftReportPromotesNothing(t *testing.T) {
 	}
 }
 
-// TestReplanOntoSameBytesKeepsTagAndVersion: a drift replan whose binary
+// TestReplanOntoSameBytesKeepsTagAndVersion: a drift re-solve whose binary
 // payload comes back byte-identical swaps nothing. The entry keeps its ETag
 // and version, a warm client's revalidation still answers 304, and the replan
 // is counted as unchanged.
 func TestReplanOntoSameBytesKeepsTagAndVersion(t *testing.T) {
 	spec := testCluster()
-	s := New(Config{
-		// The drifted view plans on spec, so the replan reproduces the
-		// cached payload exactly.
-		Synthesize: func(ctx context.Context, g *graph.Graph, _ *cluster.Cluster, opt hap.Options) (*hap.Plan, error) {
-			return planWith(g, spec, opt)
-		},
-	})
+	s := New(Config{})
 	defer s.Close()
 	srv := httptest.NewServer(s.Handler())
 	defer srv.Close()
@@ -284,15 +144,11 @@ func TestReplanOntoSameBytesKeepsTagAndVersion(t *testing.T) {
 		t.Fatalf("fill: status %d version %q tag %s, want 200, 1 and the payload's hash", status, ver1, etag1)
 	}
 
-	if status, tr, raw := postTelemetry(t, srv.URL, driftReport(t, spec)); status != http.StatusOK || tr.ReplansStarted != 1 {
+	if status, tr, raw := postTelemetry(t, srv.URL, intraDriftReport(t, spec)); status != http.StatusOK || tr.ReplansStarted != 1 {
 		t.Fatalf("drift report: status %d replans=%d: %s", status, tr.ReplansStarted, raw)
 	}
-	deadline := time.Now().Add(30 * time.Second)
-	for s.Stats().Telemetry.ReplansUnchanged != 1 {
-		if ts := s.Stats().Telemetry; ts.Replans+ts.ReplanErrors != 0 || time.Now().After(deadline) {
-			t.Fatalf("the replan did not come back unchanged: %+v", ts)
-		}
-		time.Sleep(5 * time.Millisecond)
+	if ts := s.Stats().Telemetry; ts.ReplansUnchanged != 1 || ts.Replans+ts.ReplanErrors != 0 {
+		t.Fatalf("the replan did not come back unchanged: %+v", ts)
 	}
 
 	status, etag, ver, plan := postConditional(t, srv.URL, body, "")
@@ -301,5 +157,50 @@ func TestReplanOntoSameBytesKeepsTagAndVersion(t *testing.T) {
 	}
 	if status, _, _, _ := postConditional(t, srv.URL, body, etag1); status != http.StatusNotModified {
 		t.Errorf("revalidation after the unchanged replan: status %d, want 304", status)
+	}
+}
+
+// TestConcurrentDriftReportsOneSpec: reports for one spec arriving together
+// may re-solve the same entry at once, each for its own view. Whichever
+// swap lands last, no re-solve fails and the plan served still verifies.
+// Run under -race: the entry's source is read and marked by every report.
+func TestConcurrentDriftReportsOneSpec(t *testing.T) {
+	s := New(Config{})
+	defer s.Close()
+	srv := httptest.NewServer(s.Handler())
+	defer srv.Close()
+	spec := testCluster()
+	body := requestBody(t, testGraph(t), spec, RequestOptions{})
+	if status, _, raw := post(t, srv.URL, body); status != http.StatusOK {
+		t.Fatalf("fill: status %d: %s", status, raw)
+	}
+	reports := [][]byte{driftReport(t, spec), intraDriftReport(t, spec)}
+	var wg sync.WaitGroup
+	for i := 0; i < 8; i++ {
+		wg.Add(1)
+		go func(report []byte) {
+			defer wg.Done()
+			resp, err := http.Post(srv.URL+"/v1/telemetry", "application/json", bytes.NewReader(report))
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusOK {
+				t.Errorf("report: status %d", resp.StatusCode)
+			}
+		}(reports[i%len(reports)])
+	}
+	wg.Wait()
+	if ts := s.Stats().Telemetry; ts.ReplanErrors != 0 || ts.Replans == 0 {
+		t.Errorf("replans %d, replan_errors %d; want some and 0", ts.Replans, ts.ReplanErrors)
+	}
+	_, _, _, plan := postConditional(t, srv.URL, body, "")
+	p, err := hap.ReadProgramBinary(bytes.NewReader(plan), testGraph(t))
+	if err != nil {
+		t.Fatalf("served plan does not decode: %v", err)
+	}
+	if err := hap.Verify(p, spec.M(), 7); err != nil {
+		t.Errorf("served plan fails verification: %v", err)
 	}
 }

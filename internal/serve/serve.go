@@ -12,17 +12,17 @@
 // reference-counted flight context: it is cancelled when the last interested
 // client disconnects, never by one impatient client among many.
 //
-// Every way a plan comes to exist here — a request's miss (through planMiss),
-// a drift-triggered background replan — ends in the same tail: synthesize
-// (the planner call, under an admission slot), then storePlan (store the plan
-// with what it was planned from, replicate).
-// DESIGN.md, "The miss path", has the order and what each caller skips. With
-// a fleet.Fleet configured (fleet.go), the daemon is one node of a sharded,
-// replicated cache tier: request fingerprints are consistent-hash routed to
-// an owner peer, misses proxy to the owner (whose single-flight group makes a
-// fleet-wide thundering herd synthesize exactly once), filled entries
-// replicate to ring successors, and a joining node warms up by streaming a
-// peer's entries.
+// Every plan synthesized here comes from a request's miss, through planMiss:
+// synthesize (the planner call, under an admission slot), then storePlan
+// (store the plan with what it was planned from, replicate). A drift report
+// re-solves a cached plan's sharding ratios inline and swaps the result in
+// through the same storePlan (telemetry.go). DESIGN.md, "The miss path", has
+// the order. With a fleet.Fleet configured (fleet.go), the daemon is one node
+// of a sharded, replicated cache tier: request fingerprints are
+// consistent-hash routed to an owner peer, misses proxy to the owner (whose
+// single-flight group makes a fleet-wide thundering herd synthesize exactly
+// once), filled entries replicate to ring successors, and a joining node
+// warms up by streaming a peer's entries.
 //
 // Wire protocol v2 (see DESIGN.md for the full specification):
 //
@@ -303,7 +303,7 @@ type Server struct {
 	}
 	slowRequests atomic.Uint64
 
-	// telemetry is the probe-ingestion and background-replanning compartment
+	// telemetry is the probe-ingestion and drift re-solving compartment
 	// (telemetry.go).
 	telemetry telemetryState
 }
@@ -352,7 +352,6 @@ func New(cfg Config) *Server {
 		latency: newHistogram(),
 		telemetry: telemetryState{
 			monitors: map[string]*telemetry.Monitor{},
-			replan:   map[string]bool{},
 		},
 	}
 	if cfg.MaxInflightSynth > 0 {
@@ -479,11 +478,10 @@ func (s *Server) fail(w http.ResponseWriter, status int, code string, format str
 var errOverloaded = errors.New("synthesis capacity exhausted")
 
 // acquireSynth claims a synthesis slot without blocking — the gate every
-// planner call passes, a background replan's included. On success the
-// returned release must be called when the synthesis finishes. The callers
-// that refuse a request count the shed; a replan that finds no slot is just
-// not started. With no cap configured the gate always admits (and still
-// tracks the inflight gauge).
+// planner call passes. On success the returned release must be called when
+// the synthesis finishes; the caller that refuses a request counts the shed.
+// With no cap configured the gate always admits (and still tracks the
+// inflight gauge).
 func (s *Server) acquireSynth() (release func(), ok bool) {
 	if s.synthSem != nil {
 		select {
@@ -882,7 +880,7 @@ func (s *Server) planMiss(ctx context.Context, sp *obs.Span, key string, in *pla
 		}
 		defer release()
 		src := newPlanSource(in.g, in.c, in.opts)
-		p, v, err := s.synthesize(fctx, fs, in.g, in.c, src.opts, func() donor { return s.nearestDonor(src, key) })
+		p, v, err := s.synthesize(fctx, fs, key, in.c, src)
 		if err != nil {
 			return CachedPlan{}, err
 		}
@@ -914,21 +912,21 @@ type donor struct {
 }
 
 // synthesize is the first half of the miss tail and the daemon's one planner
-// call: a miss (planMiss) and a background replan both search here, holding an
-// admission slot (acquireSynth). find picks the donor for incremental
-// synthesis — the nearest cached plan for a miss, the plan being replaced for
-// a replan — inside the seeded_search span that records the choice (the
-// planner's own search span carries the resulting seed distance and
-// fast-forward depth); a donor that fails to decode means a cold search.
+// call, made by planMiss alone while it holds an admission slot
+// (acquireSynth). It plans src's graph on c, seeded from the nearest cached
+// plan (nearestDonor), looked up inside the seeded_search span that records
+// the choice (the planner's own search span carries the resulting seed
+// distance and fast-forward depth); a donor that fails to decode means a cold
+// search.
 //
 // The synthesize span rides on ctx, so the planner's phase spans (theory, beam
 // levels, passes, verify) attach to the trace of whoever executes the search —
 // a joined waiter's flight span shows the wait, not someone else's search.
-func (s *Server) synthesize(ctx context.Context, sp *obs.Span, g *graph.Graph, c *cluster.Cluster, opts RequestOptions, find func() donor) (*hap.Plan, CachedPlan, error) {
+func (s *Server) synthesize(ctx context.Context, sp *obs.Span, key string, c *cluster.Cluster, src *planSource) (*hap.Plan, CachedPlan, error) {
 	s.syntheses.Add(1)
-	ho := s.hapOptions(opts)
+	ho := s.hapOptions(src.opts)
 	sds := sp.Child("seeded_search")
-	if d := find(); len(d.bin) > 0 {
+	if d := s.nearestDonor(src, key); len(d.bin) > 0 {
 		if dp, err := hap.ReadProgramBinary(bytes.NewReader(d.bin), d.g); err == nil {
 			ho.SeedGraph, ho.SeedPlan = dp.Program.Graph, dp
 			sds.SetAttrStr("donor", d.key)
@@ -937,7 +935,7 @@ func (s *Server) synthesize(ctx context.Context, sp *obs.Span, g *graph.Graph, c
 	}
 	sds.End()
 	ss := sp.Child("synthesize")
-	p, err := s.cfg.Synthesize(obs.ContextWithSpan(ctx, ss), g, c, ho)
+	p, err := s.cfg.Synthesize(obs.ContextWithSpan(ctx, ss), src.g, c, ho)
 	if err == nil && p.Seeded {
 		ss.SetAttrFloat("seed_distance", p.SeedDistance)
 	}
@@ -992,7 +990,7 @@ func encodePlan(p *hap.Plan) (CachedPlan, error) {
 // (and its source is gone with it).
 //
 // sp, when non-nil, parents the replication fan-out span so the pushes show
-// up in the request (or replan) trace that produced the plan.
+// up in the request trace that produced the plan (a drift re-solve has none).
 func (s *Server) storePlan(sp *obs.Span, key string, v CachedPlan) CachedPlan {
 	v = s.store.Put(key, v)
 	s.maybeReplicate(sp, key, v)

@@ -5,7 +5,7 @@
 // entry cap is the binding limit in production; the byte cap is a backstop
 // against a few very large plans. serve.go handles the wire protocol; the
 // miss path and replication intake write through Put, warm-up through Warm;
-// the warm-up stream a node serves, donor lookup and the replan scan read
+// the warm-up stream a node serves, donor lookup and the drift scan read
 // Range.
 
 package serve
@@ -24,20 +24,20 @@ import (
 type CachedPlan struct {
 	Bin []byte // WriteProgramBinary payload, the body of every plan answer
 	// Version counts how many times this key's content has been replaced on
-	// its owning node — 1 on first synthesis, bumped by each background
-	// replan. Replicas copy the owner's version verbatim, so the number is
+	// its owning node — 1 on first synthesis, bumped by each drift re-solve
+	// that swaps. Replicas copy the owner's version verbatim, so the number is
 	// consistent fleet-wide (monotonic per key as long as the entry lives).
 	Version uint64
 	// ETag is the strong entity tag served with the plan and matched against
 	// If-None-Match: a quoted hash of the plan bytes. Content-derived, not
-	// version-derived, so a replan that lands on byte-identical output keeps
+	// version-derived, so a re-solve that lands on byte-identical output keeps
 	// warm clients' tags valid. The store derives it on every Put and
 	// restore; a tag supplied by the caller is never trusted.
 	ETag string
 	// src is what a locally synthesized plan was planned from — its donor
-	// and replan record (telemetry.go); nil on replicated, warmed-up and
-	// restored entries, which replan on their owner. It lives and dies with
-	// the entry: a Put replaces it, an eviction drops it.
+	// and re-solve record (telemetry.go); nil on replicated, warmed-up and
+	// restored entries, which are re-solved on their owner. It lives and
+	// dies with the entry: a Put replaces it, an eviction drops it.
 	src *planSource
 }
 

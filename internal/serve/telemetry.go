@@ -1,4 +1,4 @@
-// The telemetry layer of the daemon: live probe ingestion and background
+// The telemetry layer of the daemon: live probe ingestion and drift
 // replanning. The cache (and the fleet built on it) treats a plan as valid
 // forever because its key — graph fingerprint, cluster fingerprint, options —
 // is immutable. The cluster the key describes is not: links congest, GPUs
@@ -8,32 +8,34 @@
 //
 // Each report feeds a telemetry.Monitor keyed by the spec cluster's
 // fingerprint (EWMA-smoothed, windowed — see internal/telemetry). When the
-// materialized live view drifts past driftThreshold, every cached
-// entry synthesized against that spec is replanned in the background against
-// the drifted cluster. The old plan keeps serving — same key, same ETag —
-// until the replacement synthesizes AND verifies (hap.Verify executes the
-// candidate before the swap); only then does the store swap bump the plan
-// version and change the entity tag, at which point a conditional fetch
-// stops answering 304 and delivers the new plan. A replan that lands on
-// byte-identical output is not swapped at all, so warm clients' tags stay
-// valid across no-op replans.
+// materialized live view drifts past driftThreshold, every cached entry
+// synthesized against that spec has its sharding ratios re-solved on its
+// cached program for the drifted cluster, inside the report's request: one
+// ratio LP per entry, no search. A re-solve that passes its checks is swapped
+// in — the store bumps the plan version and changes the entity tag, so a
+// conditional fetch stops answering 304 and delivers the new plan; one that
+// fails leaves the old plan serving, same key, same ETag. A re-solve that
+// lands on byte-identical output is not swapped at all, so warm clients' tags
+// stay valid across no-op replans.
 
 package serve
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math"
 	"net/http"
 	"sync"
 
 	"hap"
+	"hap/internal/balance"
 	"hap/internal/cluster"
+	"hap/internal/cost"
 	"hap/internal/fingerprint"
 	"hap/internal/graph"
-	"hap/internal/obs"
+	"hap/internal/planwire"
 	"hap/internal/telemetry"
 )
 
@@ -42,9 +44,6 @@ import (
 // within cost-model noise; above it the paper's load-balancing gains are
 // being left on the table.
 const driftThreshold = 0.10
-
-// replanVerifySeed seeds the hap.Verify run that gates every replan swap.
-const replanVerifySeed = 7
 
 // TelemetryRequest is the body of POST /v1/telemetry: the spec cluster the
 // samples measure (identifying the monitor) plus the probe batch.
@@ -65,8 +64,7 @@ type TelemetryResponse struct {
 	Distance float64 `json:"distance"`
 	// Drifted reports whether Distance crossed the replan threshold.
 	Drifted bool `json:"drifted"`
-	// ReplansStarted is how many cached entries began replanning in the
-	// background because of this report.
+	// ReplansStarted is how many cached entries this report re-solved.
 	ReplansStarted int `json:"replans_started"`
 	// Samples is the monitor's lifetime ingested-sample count.
 	Samples uint64 `json:"samples"`
@@ -75,13 +73,13 @@ type TelemetryResponse struct {
 // TelemetryStats is the telemetry slice of Stats.
 type TelemetryStats struct {
 	// Reports counts accepted probe batches; Rejects counts batches refused
-	// (unknown machine or device, malformed cluster).
+	// (malformed body or cluster, unknown machine or device).
 	Reports uint64
 	Rejects uint64
-	// Replans counts background replans that swapped a new plan in;
-	// ReplansUnchanged counts replans whose output was byte-identical to the
-	// cached plan (no swap, ETag untouched); ReplanErrors counts replans that
-	// failed to synthesize or verify (the old plan keeps serving).
+	// Replans counts re-solves that swapped a new plan in; ReplansUnchanged
+	// counts re-solves whose output was byte-identical to the cached plan (no
+	// swap, ETag untouched); ReplanErrors counts re-solves whose ratio LP
+	// failed or whose answer failed its checks (the old plan keeps serving).
 	Replans          uint64
 	ReplansUnchanged uint64
 	ReplanErrors     uint64
@@ -91,20 +89,21 @@ type TelemetryStats struct {
 }
 
 // planSource is what a locally synthesized cache entry was planned from, so
-// drift in the source cluster can replan it without the original request and
-// a similar miss can find it as a seed donor (similarity.go). It rides in the
-// entry itself (CachedPlan.src): only local synthesis sets one — a replicated
-// or warmed-up entry replans on its owner, and the replacement re-replicates
-// through the normal path — and an eviction cannot leave one behind.
+// drift in the source cluster can re-solve it without the original request
+// and a similar miss can find it as a seed donor (similarity.go). It rides in
+// the entry itself (CachedPlan.src): only local synthesis sets one — a
+// replicated or warmed-up entry is re-solved on its owner, and the replacement
+// re-replicates through the normal path — and an eviction cannot leave one
+// behind.
 //
 // g is the request's decoded graph. Planning and plan reading only read a
-// graph, so every replan of the entry and every donor bind from it share g.
+// graph, so every re-solve of the entry and every donor bind from it share g.
 type planSource struct {
 	g *graph.Graph
 	// subs are the graph's segment sub-fingerprints (graph.SubFingerprints:
 	// one stable hash per content-defined chunk of the node sequence).
 	subs []uint64
-	// specFP fingerprints the cluster the request named: the replan scan's
+	// specFP fingerprints the cluster the request named: the drift scan's
 	// filter, and with optsSig (the options slice of the cache key) what a
 	// donor must share with its target to be worth seeding from.
 	specFP  string
@@ -112,10 +111,10 @@ type planSource struct {
 	optsSig string
 	// plannedFP fingerprints the cluster the cached content was actually
 	// planned against — the spec at first synthesis, the drifted view after
-	// a replan. Replanning is idempotent per view: a second report of the
-	// same drift finds plannedFP already current and starts nothing. The one
-	// field written after the entry is stored; read and written only under
-	// telemetryState.mu.
+	// a re-solve. Re-solving is idempotent per view: a second report of the
+	// same drift finds plannedFP already current and re-solves nothing. The
+	// one field written after the entry is stored; read and written only
+	// under telemetryState.mu.
 	plannedFP string
 }
 
@@ -137,7 +136,6 @@ func newPlanSource(g *graph.Graph, spec *cluster.Cluster, opts RequestOptions) *
 type telemetryState struct {
 	mu       sync.Mutex
 	monitors map[string]*telemetry.Monitor // spec fingerprint → monitor
-	replan   map[string]bool               // cache keys replanning right now
 
 	reports          uint64
 	rejects          uint64
@@ -169,18 +167,12 @@ func (s *Server) handleTelemetry(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	var req TelemetryRequest
-	if err := parseBody(body, &req); err != nil {
-		s.fail(w, http.StatusBadRequest, CodeBadRequest, "bad request: %v", err)
-		return
-	}
-	if len(req.Cluster) == 0 {
-		s.telemetry.addReject()
-		s.fail(w, http.StatusBadRequest, CodeBadRequest, "bad request: cluster is required")
-		return
-	}
-	resp, err := s.ingestTelemetry(req)
+	resp, err := s.ingestTelemetry(body)
 	if err != nil {
+		t := &s.telemetry
+		t.mu.Lock()
+		t.rejects++
+		t.mu.Unlock()
 		s.fail(w, http.StatusBadRequest, CodeBadRequest, "bad request: %v", err)
 		return
 	}
@@ -188,21 +180,26 @@ func (s *Server) handleTelemetry(w http.ResponseWriter, r *http.Request) {
 	json.NewEncoder(w).Encode(resp)
 }
 
-// ingestTelemetry folds one report into its monitor and, past the drift
-// threshold, kicks off background replans.
-func (s *Server) ingestTelemetry(req TelemetryRequest) (TelemetryResponse, error) {
+// ingestTelemetry parses one report body, folds it into its monitor and,
+// past the drift threshold, re-solves the stale entries. An error means the
+// batch was refused, and nothing was ingested.
+func (s *Server) ingestTelemetry(body []byte) (TelemetryResponse, error) {
+	var req TelemetryRequest
+	if err := parseBody(body, &req); err != nil {
+		return TelemetryResponse{}, err
+	}
+	if len(req.Cluster) == 0 {
+		return TelemetryResponse{}, errors.New("cluster is required")
+	}
 	spec, err := cluster.Decode(bytes.NewReader(req.Cluster))
 	if err != nil {
-		s.telemetry.addReject()
 		return TelemetryResponse{}, err
 	}
 	mon, fp, err := s.monitorFor(spec)
 	if err != nil {
-		s.telemetry.addReject()
 		return TelemetryResponse{}, err
 	}
 	if err := mon.Ingest(telemetry.Report{Links: req.Links, Devices: req.Devices}); err != nil {
-		s.telemetry.addReject()
 		return TelemetryResponse{}, err
 	}
 	t := &s.telemetry
@@ -222,127 +219,106 @@ func (s *Server) ingestTelemetry(req TelemetryRequest) (TelemetryResponse, error
 	return resp, nil
 }
 
-// replanForSpec scans the store for locally synthesized entries planned from
-// the drifted spec and starts a background replan for each one whose content
-// is stale relative to the live view. Returns how many replans were started.
-// Per-key idempotent: an entry already replanning, or already planned against
-// the current view, is skipped. The scan reads a snapshot and promotes
-// nothing: a report whose replans are shed or come back unchanged leaves the
-// LRU order as it found it.
-//
-// A replan claims its admission slot before it starts, like any synthesis.
-// With every slot busy the entry is left as it is — nothing marked, nothing
-// counted — and the next report for the spec finds it still stale.
+// resolveRatios is the LP a re-solve runs; tests stand in for it to inject
+// faults.
+var resolveRatios = balance.Ratios
+
+// replanForSpec re-solves, inline, every locally synthesized entry planned
+// from the drifted spec whose content is stale relative to the live view, and
+// returns how many it re-solved. Idempotent per view: an entry already
+// planned against the current view is skipped. The scan reads a snapshot and
+// promotes nothing: a report whose re-solves fail or come back unchanged
+// leaves the LRU order as it found it. The re-solves run after the scan,
+// outside every lock; two reports racing on one spec may both re-solve an
+// entry, and the next report re-solves whichever view is then current.
 func (s *Server) replanForSpec(specFP string, mon *telemetry.Monitor) int {
 	drifted := mon.Cluster()
 	// The live view may be unplannable — every device down, or throttled to
-	// zero. Keep serving the old plans; replanning against nothing helps
+	// zero. Keep serving the old plans; balancing against nothing helps
 	// nobody.
 	if len(drifted.Devices) == 0 || drifted.TotalFlops() <= 0 {
 		return 0
 	}
 	driftedFP := drifted.Fingerprint()
+	type stale struct {
+		key string
+		old CachedPlan
+		// next is old's source as it reads once re-solved, copied under
+		// telemetryState.mu: plannedFP is the one field written after its
+		// entry is stored.
+		next *planSource
+	}
+	var todo []stale
 	t := &s.telemetry
 	t.mu.Lock()
-	defer t.mu.Unlock()
-	started := 0
-	s.store.Range(func(key string, old CachedPlan) bool {
-		src := old.src
-		if src == nil || src.specFP != specFP || src.plannedFP == driftedFP || t.replan[key] {
-			return true
+	s.store.Range(func(key string, v CachedPlan) bool {
+		if src := v.src; src != nil && src.specFP == specFP && src.plannedFP != driftedFP {
+			next := *src
+			next.plannedFP = driftedFP
+			todo = append(todo, stale{key, v, &next})
 		}
-		release, ok := s.acquireSynth()
-		if !ok {
-			return true
-		}
-		t.replan[key] = true
-		started++
-		next := *src
-		next.plannedFP = driftedFP
-		go s.runReplan(key, next, drifted, old, release)
 		return true
 	})
-	return started
+	t.mu.Unlock()
+	for _, e := range todo {
+		v, err := resolve(drifted, e.old)
+		swapped := err == nil && !bytes.Equal(v.Bin, e.old.Bin)
+		if swapped {
+			// The swap: a version bump, a new content tag, and
+			// re-replication, exactly like a fresh synthesis.
+			v.src = e.next
+			s.storePlan(nil, e.key, v)
+		}
+		if err != nil {
+			s.logger.Warn("replan failed", "key", e.key, "error", err)
+		}
+		t.mu.Lock()
+		switch {
+		case err != nil:
+			t.replanErrors++
+		case swapped:
+			t.replans++
+		default:
+			// Nothing was stored, so mark the old entry's source current
+			// here, or the same view would re-solve again.
+			t.replansUnchanged++
+			e.old.src.plannedFP = driftedFP
+		}
+		t.mu.Unlock()
+	}
+	return len(todo)
 }
 
-// runReplan is the goroutine of one background replan. It owns what
-// replanForSpec claimed for it — the admission slot and the replanning mark —
-// and files the outcome under exactly one counter. src is the entry's source
-// as it reads once replanned: plannedFP already names the drifted view.
-//
-// There is no client request to attach to, so each replan records a trace of
-// its own, rooted at a "replan" span over the children a request's miss
-// records plus the verify. It lands in the same ring as request traces, so
-// /v1/debug/traces answers "what did the background replanner just do" too.
-func (s *Server) runReplan(key string, src planSource, drifted *cluster.Cluster, old CachedPlan, release func()) {
-	defer release()
-	// tr stays nil with tracing off; every span below is then nil and inert.
-	var tr *obs.Trace
-	if s.traces != nil {
-		tr = obs.New("", s.nodeLabel)
-	}
-	root := tr.Root("replan", 0)
-	root.SetAttrStr("key", key)
-	defer func() {
-		root.End()
-		s.collectTrace(tr.Finish())
-	}()
-	// No deadline here: hapOptions states SynthTimeBudget for replans as it
-	// does for requests, and the planner turns it into the search's deadline.
-	swapped, err := s.replanOne(context.Background(), root, key, src, drifted, old)
+// resolve re-solves the sharding ratios B of one cached entry's program for
+// the drifted cluster and re-encodes the plan: the paper's split, where the
+// program Q is structure-driven and B, the ratio LP's answer, absorbs the
+// performance drift. No search runs, so a dropped device is balanced over
+// the survivors. The swap is gated only on checks that hold at any model
+// size: the ratios are well-formed, and with the device count unchanged the
+// new B models no slower on the drifted cluster than the stale one.
+func resolve(drifted *cluster.Cluster, old CachedPlan) (CachedPlan, error) {
+	p, err := hap.ReadProgramBinary(bytes.NewReader(old.Bin), old.src.g)
 	if err != nil {
-		s.logger.Warn("replan failed", "key", key, "trace_id", tr.ID(), "error", err)
+		return CachedPlan{}, fmt.Errorf("decode: %w", err)
 	}
-	t := &s.telemetry
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	delete(t.replan, key)
-	switch {
-	case err != nil:
-		t.replanErrors++
-	case swapped:
-		t.replans++
-	default:
-		// Nothing was stored, so mark the old entry's source current here,
-		// or the same view would replan again.
-		t.replansUnchanged++
-		old.src.plannedFP = src.plannedFP
-	}
-}
-
-// replanOne synthesizes one cached entry against the drifted cluster and
-// swaps it in only after the result verifies, reporting whether it did. The
-// old plan serves throughout: a failed synthesis, a failed verification, or an
-// unchanged result all leave the cache exactly as it was.
-func (s *Server) replanOne(ctx context.Context, root *obs.Span, key string, src planSource, drifted *cluster.Cluster, old CachedPlan) (swapped bool, err error) {
-	// Seed the replan from the pre-drift plan: the graph is unchanged, so the
-	// donor replay pins the whole program and the loop's work concentrates on
-	// rebalancing the sharding ratios against the drifted cluster — Q is
-	// structure-driven, B absorbs the performance drift.
-	p, v, err := s.synthesize(ctx, root, src.g, drifted, src.opts, func() donor {
-		return donor{key: key, g: src.g, bin: old.Bin, shared: len(src.subs)}
-	})
+	b, err := resolveRatios(drifted, p.Program)
 	if err != nil {
-		return false, fmt.Errorf("synthesis: %w", err)
+		return CachedPlan{}, fmt.Errorf("ratio LP: %w", err)
 	}
-	// Verify before swap: the drifted cluster is measurement-derived, and a
-	// plan that fails execution-equivalence must never replace one that works.
-	vs := root.Child("verify")
-	vs.SetAttrStr("kind", "numeric")
-	err = hap.Verify(p, drifted.M(), replanVerifySeed)
-	vs.End()
-	if err != nil {
-		return false, fmt.Errorf("verify: %w", err)
+	if err := planwire.ValidateRatios(b, p.Program.Graph.NumSegments()); err != nil {
+		return CachedPlan{}, fmt.Errorf("ratio LP: %w", err)
 	}
-	// Same bytes: no swap, no version bump, warm clients' tags stay valid.
-	if bytes.Equal(v.Bin, old.Bin) {
-		return false, nil
+	model := cost.Extract(drifted, p.Program)
+	c := model.Eval(b)
+	if len(p.Ratios[0]) == drifted.M() {
+		// A relative hair of slack: an LP vertex tied with the stale B may
+		// evaluate a rounding error above it.
+		if stale := model.Eval(p.Ratios); c > stale*(1+1e-9) {
+			return CachedPlan{}, fmt.Errorf("ratio LP: re-solved cost %g exceeds the stale ratios' %g", c, stale)
+		}
 	}
-	// The swap: a version bump, a new content tag, and re-replication, exactly
-	// like a fresh synthesis.
-	v.src = &src
-	s.storePlan(root, key, v)
-	return true, nil
+	p.Ratios, p.Cost = b, c
+	return encodePlan(p)
 }
 
 // telemetryStats assembles the Stats telemetry slice. Always non-nil: the
@@ -372,12 +348,6 @@ func (s *Server) telemetryStats() *TelemetryStats {
 		}
 	}
 	return ts
-}
-
-func (t *telemetryState) addReject() {
-	t.mu.Lock()
-	t.rejects++
-	t.mu.Unlock()
 }
 
 // jsonSafeDrift caps +Inf (a dropped device) at math.MaxFloat64: the JSON

@@ -1,31 +1,32 @@
-// Tests for the telemetry layer: drift verdicts over the wire, the
-// background-replan swap discipline (old plan + old ETag until the
-// replacement verifies, then a version bump and a new tag), plan versioning
-// through the store, and the metrics exposition of the replanning counters.
+// Tests for the telemetry layer: drift verdicts over the wire, the re-solve
+// swap discipline (a version bump and a new tag once a re-solved plan passes
+// its checks, the old plan and tag untouched when it does not), plan
+// versioning through the store, and the metrics exposition of the
+// replanning counters.
 
 package serve
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"fmt"
 	"io"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"strings"
-	"sync"
 	"testing"
-	"time"
 
 	"hap"
 	"hap/internal/cluster"
-	"hap/internal/graph"
+	"hap/internal/dist"
+	"hap/internal/models"
+	"hap/internal/planwire"
 	"hap/internal/telemetry"
 )
 
 // telemetryBody assembles a POST /v1/telemetry body for spec.
-func telemetryBody(t *testing.T, spec *cluster.Cluster, req TelemetryRequest) []byte {
+func telemetryBody(t testing.TB, spec *cluster.Cluster, req TelemetryRequest) []byte {
 	t.Helper()
 	var cb bytes.Buffer
 	if err := spec.Encode(&cb); err != nil {
@@ -150,30 +151,14 @@ func TestTelemetryDriftVerdict(t *testing.T) {
 	}
 }
 
-// TestTelemetryBackgroundReplan is the acceptance test for the tentpole:
-// after drift past the threshold, the affected cache entry replans in the
-// background while the pre-drift plan keeps serving (same ETag, 304 on
-// conditional fetch); once the replacement verifies and swaps, the version
-// bumps, the tag changes, a stale conditional fetch gets the new body, and a
-// fresh conditional fetch 304s against the new tag.
+// TestTelemetryBackgroundReplan is the acceptance test of drift replanning:
+// before any drift the plan revalidates with 304; a report past the
+// threshold re-solves the affected cache entry within the request, so by the
+// time the verdict arrives the version has bumped, the tag has changed, a
+// stale conditional fetch gets the new body, and a fresh conditional fetch
+// 304s against the new tag.
 func TestTelemetryBackgroundReplan(t *testing.T) {
-	gate := make(chan struct{})
-	var calls atomic32
-	s := New(Config{
-		Synthesize: func(ctx context.Context, g *graph.Graph, c *cluster.Cluster, opt hap.Options) (*hap.Plan, error) {
-			// First call is the foreground synthesis; later calls are
-			// background replans, held at the gate so the test can observe
-			// the old plan serving mid-replan.
-			if calls.inc() > 1 {
-				select {
-				case <-gate:
-				case <-ctx.Done():
-					return nil, ctx.Err()
-				}
-			}
-			return hap.NewPlanner(c, hap.WithOptions(opt)).Plan(ctx, g)
-		},
-	})
+	s := New(Config{})
 	defer s.Close()
 	srv := httptest.NewServer(s.Handler())
 	defer srv.Close()
@@ -197,12 +182,8 @@ func TestTelemetryBackgroundReplan(t *testing.T) {
 	}
 
 	// Degrade the cluster: the cross-machine link drops to half bandwidth and
-	// device 0 throttles to half throughput. The replan starts and blocks at
-	// the gate.
-	status, tr, raw := postTelemetry(t, srv.URL, telemetryBody(t, c, TelemetryRequest{
-		Links:   []telemetry.LinkSample{{FromMachine: 0, ToMachine: 1, Bandwidth: c.Net.InterBW * 0.5}},
-		Devices: []telemetry.DeviceSample{{Device: 0, TFLOPS: achievedTFLOPS(c, 0) * 0.5}},
-	}))
+	// device 0 throttles to half throughput.
+	status, tr, raw := postTelemetry(t, srv.URL, driftReport(t, c))
 	if status != http.StatusOK {
 		t.Fatalf("telemetry: status %d: %s", status, raw)
 	}
@@ -210,35 +191,10 @@ func TestTelemetryBackgroundReplan(t *testing.T) {
 		t.Fatalf("telemetry verdict drifted=%v replans=%d, want true/1", tr.Drifted, tr.ReplansStarted)
 	}
 
-	// Mid-replan: the old plan serves, with the old tag and version.
-	status, etag, ver, respBody := postConditional(t, srv.URL, body, "")
-	if status != http.StatusOK || !bytes.Equal(respBody, plan1) {
-		t.Fatalf("mid-replan fetch: status %d, body changed=%v, want the pre-drift plan", status, !bytes.Equal(respBody, plan1))
-	}
-	if etag != etag1 || ver != "1" {
-		t.Errorf("mid-replan fetch: ETag %q version %q, want %q/1", etag, ver, etag1)
-	}
-	if status, _, _, _ := postConditional(t, srv.URL, body, etag1); status != http.StatusNotModified {
-		t.Errorf("mid-replan conditional fetch: status %d, want 304", status)
-	}
-
-	// Release the replan and wait for the swap: version 2, a new tag.
-	close(gate)
-	var etag2, ver2 string
-	var plan2 []byte
-	deadline := time.Now().Add(15 * time.Second)
-	for {
-		status, etag2, ver2, plan2 = postConditional(t, srv.URL, body, "")
-		if status != http.StatusOK {
-			t.Fatalf("post-release fetch: status %d: %s", status, plan2)
-		}
-		if ver2 == "2" {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("replan never swapped: still version %q", ver2)
-		}
-		time.Sleep(20 * time.Millisecond)
+	// The swap happened inside the report: version 2, a new tag.
+	status, etag2, ver2, plan2 := postConditional(t, srv.URL, body, "")
+	if status != http.StatusOK || ver2 != "2" {
+		t.Fatalf("post-drift fetch: status %d version %q, want 200 and 2", status, ver2)
 	}
 	if etag2 == etag1 || bytes.Equal(plan2, plan1) {
 		t.Fatalf("replan swapped but content did not change (tag %q → %q)", etag1, etag2)
@@ -269,6 +225,9 @@ func TestTelemetryBackgroundReplan(t *testing.T) {
 	if st.Telemetry.Replans != 1 || st.Telemetry.ReplanErrors != 0 {
 		t.Errorf("telemetry stats replans=%d errors=%d, want 1/0", st.Telemetry.Replans, st.Telemetry.ReplanErrors)
 	}
+	if st.Syntheses != 1 || st.InflightSynth != 0 {
+		t.Errorf("syntheses %d, inflight_synth %d; want 1 and 0 (a re-solve searches nothing)", st.Syntheses, st.InflightSynth)
+	}
 
 	// The same drift reported again must not replan again: the entry is
 	// already planned against the current view.
@@ -280,32 +239,15 @@ func TestTelemetryBackgroundReplan(t *testing.T) {
 	}
 }
 
-// atomic32 is a tiny atomic counter for stubs.
-type atomic32 struct {
-	mu sync.Mutex
-	n  int
-}
-
-func (a *atomic32) inc() int {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	a.n++
-	return a.n
-}
-
-// TestTelemetryReplanFailureKeepsOldPlan: a replan whose synthesis fails
+// TestTelemetryReplanFailureKeepsOldPlan: a re-solve whose ratio LP fails
 // leaves the cached plan, its tag, and its version untouched, and counts a
 // replan error.
 func TestTelemetryReplanFailureKeepsOldPlan(t *testing.T) {
-	var calls atomic32
-	s := New(Config{
-		Synthesize: func(ctx context.Context, g *graph.Graph, c *cluster.Cluster, opt hap.Options) (*hap.Plan, error) {
-			if calls.inc() > 1 {
-				return nil, fmt.Errorf("search exhausted")
-			}
-			return hap.NewPlanner(c, hap.WithOptions(opt)).Plan(ctx, g)
-		},
-	})
+	defer func(f func(*cluster.Cluster, *dist.Program) ([][]float64, error)) { resolveRatios = f }(resolveRatios)
+	resolveRatios = func(*cluster.Cluster, *dist.Program) ([][]float64, error) {
+		return nil, fmt.Errorf("lp: infeasible")
+	}
+	s := New(Config{})
 	defer s.Close()
 	srv := httptest.NewServer(s.Handler())
 	defer srv.Close()
@@ -322,21 +264,176 @@ func TestTelemetryReplanFailureKeepsOldPlan(t *testing.T) {
 	if status != http.StatusOK || tr.ReplansStarted != 1 {
 		t.Fatalf("telemetry: status %d replans=%d: %s", status, tr.ReplansStarted, raw)
 	}
-	// Wait for the failed replan to record its error.
-	deadline := time.Now().Add(10 * time.Second)
-	for s.Stats().Telemetry.ReplanErrors == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("replan error never recorded")
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
 	status, etag, ver, respBody := postConditional(t, srv.URL, body, "")
 	if status != http.StatusOK || !bytes.Equal(respBody, plan1) || etag != etag1 || ver != ver1 {
 		t.Errorf("after failed replan: status %d etag %q ver %q, want the untouched original (%q/%q)", status, etag, ver, etag1, ver1)
 	}
-	if st := s.Stats(); st.Telemetry.Replans != 0 {
-		t.Errorf("failed replan counted as a success: replans=%d", st.Telemetry.Replans)
+	if ts := s.Stats().Telemetry; ts.ReplanErrors != 1 || ts.Replans != 0 {
+		t.Errorf("after failed replan: replan_errors %d, replans %d; want 1 and 0", ts.ReplanErrors, ts.Replans)
 	}
+}
+
+// TestTelemetryResolvesCostOnlyOps is the witness that drift replanning
+// reaches a model the numeric verifier cannot execute: a 1-layer BERT, whose
+// attention has no runtime kernel. Its drifted entry is re-solved and
+// swapped to version 2 with no replan error — even though its ratios stay
+// where they were, the modelled cost the plan carries moved with the
+// cluster.
+func TestTelemetryResolvesCostOnlyOps(t *testing.T) {
+	s := New(Config{})
+	defer s.Close()
+	srv := httptest.NewServer(s.Handler())
+	defer srv.Close()
+	c := testCluster()
+	g := models.Training(models.BERT(models.TransformerConfig{Layers: 1, Hidden: 8, FFN: 16, SeqLen: 4, Vocab: 16}, 16))
+	body := requestBody(t, g, c, RequestOptions{})
+	if status, _, ver, raw := postConditional(t, srv.URL, body, ""); status != http.StatusOK || ver != "1" {
+		t.Fatalf("fill: status %d version %q: %s", status, ver, raw)
+	}
+	if status, tr, raw := postTelemetry(t, srv.URL, driftReport(t, c)); status != http.StatusOK || tr.ReplansStarted != 1 {
+		t.Fatalf("drift report: status %d replans=%d: %s", status, tr.ReplansStarted, raw)
+	}
+	status, _, ver, plan := postConditional(t, srv.URL, body, "")
+	if status != http.StatusOK || ver != "2" {
+		t.Errorf("after the drift: status %d version %q, want 200 and 2", status, ver)
+	}
+	if ts := s.Stats().Telemetry; ts.ReplanErrors != 0 || ts.Replans != 1 {
+		t.Errorf("replans %d, replan_errors %d; want 1 and 0", ts.Replans, ts.ReplanErrors)
+	}
+	if _, err := hap.ReadProgramBinary(bytes.NewReader(plan), g); err != nil {
+		t.Errorf("re-solved plan does not decode: %v", err)
+	}
+}
+
+// TestTelemetryDroppedDeviceResolves: a device reported down leaves a live
+// view with one device fewer, and the cached program is re-solved over the
+// survivors — no search, which for a small graph might find no program at
+// all. The swapped plan's ratios have one column per survivor and it
+// verifies on that many devices.
+func TestTelemetryDroppedDeviceResolves(t *testing.T) {
+	s := New(Config{})
+	defer s.Close()
+	srv := httptest.NewServer(s.Handler())
+	defer srv.Close()
+	c := testCluster()
+	body := requestBody(t, testGraph(t), c, RequestOptions{})
+	if status, _, _, raw := postConditional(t, srv.URL, body, ""); status != http.StatusOK {
+		t.Fatalf("fill: status %d: %s", status, raw)
+	}
+	status, tr, raw := postTelemetry(t, srv.URL, telemetryBody(t, c, TelemetryRequest{
+		Devices: []telemetry.DeviceSample{{Device: 0, TFLOPS: 0}},
+	}))
+	if status != http.StatusOK || !tr.Drifted || tr.ReplansStarted != 1 {
+		t.Fatalf("device-down report: status %d drifted=%v replans=%d: %s", status, tr.Drifted, tr.ReplansStarted, raw)
+	}
+	status, _, ver, plan := postConditional(t, srv.URL, body, "")
+	if status != http.StatusOK || ver != "2" {
+		t.Fatalf("after the drop: status %d version %q, want 200 and 2", status, ver)
+	}
+	p, err := hap.ReadProgramBinary(bytes.NewReader(plan), testGraph(t))
+	if err != nil {
+		t.Fatalf("re-solved plan does not decode: %v", err)
+	}
+	m := c.M() - 1
+	for k, row := range p.Ratios {
+		if len(row) != m {
+			t.Errorf("ratios row %d has %d devices, want the %d survivors", k, len(row), m)
+		}
+	}
+	if err := hap.Verify(p, m, 7); err != nil {
+		t.Errorf("re-solved plan fails verification on %d devices: %v", m, err)
+	}
+}
+
+// TestTelemetryNearZeroThrottle: a device throttled towards 1 % of its
+// throughput — reported until the smoothed estimate is within a few percent
+// of it — pushes the ratio LP to its most lopsided answer. Every re-solve on
+// the way swaps in ratios that still verify.
+func TestTelemetryNearZeroThrottle(t *testing.T) {
+	s := New(Config{})
+	defer s.Close()
+	srv := httptest.NewServer(s.Handler())
+	defer srv.Close()
+	c := testCluster()
+	body := requestBody(t, testGraph(t), c, RequestOptions{})
+	if status, _, _, raw := postConditional(t, srv.URL, body, ""); status != http.StatusOK {
+		t.Fatalf("fill: status %d: %s", status, raw)
+	}
+	report := telemetryBody(t, c, TelemetryRequest{
+		Devices: []telemetry.DeviceSample{{Device: 1, TFLOPS: achievedTFLOPS(c, 1) * 0.01}},
+	})
+	for i := 0; i < 12; i++ {
+		if status, tr, raw := postTelemetry(t, srv.URL, report); status != http.StatusOK || !tr.Drifted {
+			t.Fatalf("report %d: status %d drifted=%v: %s", i, status, tr.Drifted, raw)
+		}
+		status, _, _, plan := postConditional(t, srv.URL, body, "")
+		if status != http.StatusOK {
+			t.Fatalf("fetch %d: status %d", i, status)
+		}
+		p, err := hap.ReadProgramBinary(bytes.NewReader(plan), testGraph(t))
+		if err != nil {
+			t.Fatalf("fetch %d: plan does not decode: %v", i, err)
+		}
+		if err := hap.Verify(p, c.M(), 7); err != nil {
+			t.Fatalf("fetch %d: ratios %v fail verification: %v", i, p.Ratios, err)
+		}
+	}
+	if ts := s.Stats().Telemetry; ts.ReplanErrors != 0 || ts.Replans == 0 {
+		t.Errorf("replans %d, replan_errors %d; want some and 0", ts.Replans, ts.ReplanErrors)
+	}
+}
+
+// FuzzTelemetryReport feeds arbitrary bytes to POST /v1/telemetry on a server
+// holding one cached MLP plan for the spec the seeds name. No body may panic
+// the handler; every call counts exactly one accepted report or one reject,
+// and answers 200 exactly when it is a report; and whatever the report does
+// to the entry — nothing, a swap, a failed re-solve — the plan served under
+// its key still decodes and carries well-formed ratios.
+func FuzzTelemetryReport(f *testing.F) {
+	g, spec := testGraph(f), testCluster()
+	p, err := planWith(g, spec, hap.Options{})
+	if err != nil {
+		f.Fatal(err)
+	}
+	v, err := encodePlan(p)
+	if err != nil {
+		f.Fatal(err)
+	}
+	key := cacheKey(g, spec, RequestOptions{})
+	// The committed corpus holds a drift past the threshold, a device down,
+	// and an unparsable body, which once answered 400 without counting a
+	// reject.
+	for _, seed := range [][]byte{
+		intraDriftReport(f, spec),
+		telemetryBody(f, spec, TelemetryRequest{Devices: []telemetry.DeviceSample{{Device: 1, TFLOPS: achievedTFLOPS(spec, 1) * 0.01}}}),
+		telemetryBody(f, spec, TelemetryRequest{Devices: []telemetry.DeviceSample{{Device: 99, TFLOPS: 10}}}),
+		[]byte(`{"cluster":null}`),
+	} {
+		f.Add(seed)
+	}
+	quiet := slog.New(slog.NewTextHandler(io.Discard, nil))
+	f.Fuzz(func(t *testing.T, body []byte) {
+		s := New(Config{Logger: quiet})
+		defer s.Close()
+		s.store.Put(key, CachedPlan{Bin: v.Bin, src: newPlanSource(g, spec, RequestOptions{})})
+		w := httptest.NewRecorder()
+		s.handleTelemetry(w, httptest.NewRequest(http.MethodPost, "/v1/telemetry", bytes.NewReader(body)))
+		ts := s.Stats().Telemetry
+		if ts.Reports+ts.Rejects != 1 || (w.Code == http.StatusOK) != (ts.Reports == 1) {
+			t.Fatalf("status %d counted %d reports and %d rejects, want one of them, the report exactly when 200", w.Code, ts.Reports, ts.Rejects)
+		}
+		served, ok := s.store.Get(key)
+		if !ok {
+			t.Fatal("the cached plan is gone")
+		}
+		sp, err := hap.ReadProgramBinary(bytes.NewReader(served.Bin), g)
+		if err != nil {
+			t.Fatalf("served plan (version %d) does not decode: %v", served.Version, err)
+		}
+		if err := planwire.ValidateRatios(sp.Ratios, sp.Program.Graph.NumSegments()); err != nil {
+			t.Fatalf("served plan (version %d): %v", served.Version, err)
+		}
+	})
 }
 
 // TestPlanVersioningThroughStore pins the store-level versioning contract:

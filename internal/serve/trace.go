@@ -306,7 +306,6 @@ type TraceSummary struct {
 	Cache    string `json:"cache,omitempty"`
 	Role     string `json:"fleet_role,omitempty"`
 	Status   string `json:"status,omitempty"`
-	Name     string `json:"name,omitempty"` // root span name (request, replan)
 }
 
 // handleDebugTraces serves GET /v1/debug/traces: the retained traces,
@@ -335,7 +334,6 @@ func (s *Server) handleDebugTraces(w http.ResponseWriter, r *http.Request) {
 			Cache:    root.Attrs["cache"],
 			Role:     root.Attrs["fleet_role"],
 			Status:   root.Attrs["status"],
-			Name:     root.Name,
 		})
 	}
 	writeJSON(w, out)

@@ -15,7 +15,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"hap/internal/cluster"
 	"hap/internal/fleet"
@@ -564,10 +563,9 @@ func TestMetricsPhaseSummaries(t *testing.T) {
 	}
 }
 
-// TestMetricsScrapeDuringReplan hammers /metrics and Stats while a
-// background replan synthesizes and swaps — the regression test for the
-// scrape path reading live counters mid-swap (run under -race). It also
-// checks the replan recorded its own trace in the debug ring.
+// TestMetricsScrapeDuringReplan hammers /metrics and Stats while a drift
+// report re-solves and swaps a cached plan — the regression test for the
+// scrape path reading live counters mid-swap (run under -race).
 func TestMetricsScrapeDuringReplan(t *testing.T) {
 	s := New(Config{})
 	defer s.Close()
@@ -605,7 +603,7 @@ func TestMetricsScrapeDuringReplan(t *testing.T) {
 	}
 
 	// Throttle device 0 to half throughput: past the drift threshold, the
-	// cached entry replans in the background while the scrapers run.
+	// cached entry is re-solved and swapped while the scrapers run.
 	tb := telemetryBody(t, c, TelemetryRequest{
 		Devices: []telemetry.DeviceSample{{Device: 0, TFLOPS: achievedTFLOPS(c, 0) * 0.5}},
 	})
@@ -613,34 +611,9 @@ func TestMetricsScrapeDuringReplan(t *testing.T) {
 	if tstatus != http.StatusOK || !tr.Drifted || tr.ReplansStarted != 1 {
 		t.Fatalf("telemetry: status %d drifted=%v replans=%d: %s", tstatus, tr.Drifted, tr.ReplansStarted, raw)
 	}
-	deadline := time.Now().Add(30 * time.Second)
-	for {
-		st := s.Stats()
-		if st.Telemetry != nil && st.Telemetry.Replans+st.Telemetry.ReplansUnchanged+st.Telemetry.ReplanErrors >= 1 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("replan never completed")
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
 	close(stop)
 	wg.Wait()
-
-	// The replan recorded its own trace, rooted at a "replan" span with the
-	// synthesis inside it.
-	var replan *TraceSummary
-	for _, sum := range getTraceList(t, srv.URL) {
-		if sum.Name == "replan" {
-			replan = &sum
-			break
-		}
-	}
-	if replan == nil {
-		t.Fatal("no replan trace in the debug ring")
-	}
-	rec := getTrace(t, srv.URL, replan.TraceID)
-	if n := spanNames(rec); n["synthesize"] == 0 || n["verify"] == 0 {
-		t.Errorf("replan trace spans = %v, want synthesize and verify", n)
+	if ts := s.Stats().Telemetry; ts.Replans != 1 || ts.ReplanErrors != 0 {
+		t.Errorf("replans %d, replan_errors %d; want 1 and 0", ts.Replans, ts.ReplanErrors)
 	}
 }

@@ -322,7 +322,7 @@ func (r *replayer) applyComp(rs *replayState, id graph.NodeID, tr *theory.Triple
 // DefaultMaxSeedDistance), or when the donor program does not replay
 // consistently against its own theory. donorTh may be nil; it is built from
 // the donor graph on demand (or shared with th when the graphs are one
-// object, the drift-replan case).
+// object).
 func BuildSeed(donorG *graph.Graph, donorProg *dist.Program, donorTh *theory.Theory, g *graph.Graph, th *theory.Theory, maxDistance float64) *Seed {
 	if donorG == nil || donorProg == nil || g == nil || th == nil {
 		return nil

@@ -2,7 +2,6 @@ package synth
 
 import (
 	"context"
-	"strings"
 	"testing"
 
 	"hap/internal/cluster"
@@ -425,19 +424,12 @@ func FuzzBuildSeed(f *testing.F) {
 		if seed == nil {
 			return
 		}
+		// A mutated donor can pin a prefix (say, a replicated first layer)
+		// from which all four states of the narrow seeded beam dead-end; the
+		// search then falls back to a cold one, so it always plans.
 		p, _, err := New(g, th, d.c, ratios, Options{BeamWidth: -1, Workers: 1, Seed: seed}).Run(context.Background())
 		if err != nil {
-			// A mutated donor can pin a prefix (say, a replicated first layer)
-			// from which all four states of the narrow seeded beam dead-end;
-			// the search then reports it, as it did before the mask mirror.
-			// It must never be the graph's fault: a cold search succeeds.
-			if !strings.Contains(err.Error(), "found no complete program") {
-				t.Fatalf("seeded search: %v", err)
-			}
-			if _, _, err := New(g, th, d.c, ratios, Options{BeamWidth: 48, Workers: 1}).Run(context.Background()); err != nil {
-				t.Fatalf("cold search after a failed seeded one: %v", err)
-			}
-			return
+			t.Fatalf("seeded search: %v", err)
 		}
 		if err := p.Validate(); err != nil {
 			t.Fatalf("seeded program: %v", err)

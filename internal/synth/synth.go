@@ -96,6 +96,10 @@ const maxExpansions = 4_000_000
 // pins the count).
 const seededBeamWidth = 4
 
+// coldBeamWidth is automatic mode's beam width for cold model-scale
+// searches, and for the cold search a dead-ended seeded one falls back to.
+const coldBeamWidth = 48
+
 // Stats reports search effort.
 type Stats struct {
 	Expansions int
@@ -479,6 +483,9 @@ type Synthesizer struct {
 	b     [][]float64
 	opt   Options
 	words int
+	// coldWidth is the beam width of the cold search a dead-ended seeded
+	// one falls back to (runCold).
+	coldWidth int
 	// ctx is the Run context, the search's one clock: its cancellation
 	// (client disconnect) latches expired via a watcher goroutine, so every
 	// worker aborts between candidate batches without polling ctx on the hot
@@ -546,6 +553,7 @@ type Synthesizer struct {
 
 // New prepares a synthesizer for one (graph, theory, cluster, ratios) tuple.
 func New(g *graph.Graph, th *theory.Theory, c *cluster.Cluster, b [][]float64, opt Options) *Synthesizer {
+	coldWidth := opt.BeamWidth
 	if opt.BeamWidth < 0 {
 		// Exact A* is exponential in both graph size and the communication
 		// branching (which grows with the device count); keep it for the
@@ -562,14 +570,15 @@ func New(g *graph.Graph, th *theory.Theory, c *cluster.Cluster, b [][]float64, o
 			// searches the changed window with full candidate enumeration.
 			opt.BeamWidth = seededBeamWidth
 		} else {
-			opt.BeamWidth = 48
+			opt.BeamWidth = coldBeamWidth
 		}
+		coldWidth = coldBeamWidth
 	}
 	if opt.BeamWidth == 0 {
 		opt.Seed = nil // exact A* ignores seeds: no pin may filter its segments
 	}
 	s := &Synthesizer{
-		g: g, th: th, c: c, b: b, opt: opt,
+		g: g, th: th, c: c, b: b, opt: opt, coldWidth: coldWidth,
 		words:            (g.NumNodes() + 63) / 64,
 		totalFlopsPerSec: c.TotalFlops(),
 		outputs:          th.Outputs,
@@ -737,6 +746,9 @@ func (sy *Synthesizer) Run(ctx context.Context) (*dist.Program, Stats, error) {
 			best, stats, err = sy.runBeam(from)
 		}
 		stats.Seeded = sy.opt.Seed != nil
+		if errors.Is(err, errNoProgram) && stats.Seeded {
+			best, stats, err = sy.runCold(stats)
+		}
 	} else {
 		best, stats, err = sy.runAStar(root)
 	}
@@ -1159,9 +1171,28 @@ func (sy *Synthesizer) runBeam(root *state) (*state, Stats, error) {
 		level, next = next, level
 	}
 	if best == nil {
-		return nil, stats, fmt.Errorf("synth: beam search found no complete program")
+		return nil, stats, errNoProgram
 	}
 	return best, stats, nil
+}
+
+// errNoProgram is a beam search's report that every state dead-ended.
+var errNoProgram = errors.New("synth: beam search found no complete program")
+
+// runCold repeats a seeded beam search that found no program without the
+// seed, at the cold beam width: a donor's pins can leave every state of the
+// narrow seeded beam dead-ended on a graph a cold search plans. The stats
+// add up both searches' effort.
+func (sy *Synthesizer) runCold(seeded Stats) (*state, Stats, error) {
+	opt := sy.opt
+	defer func() { sy.opt = opt }()
+	sy.opt.Seed, sy.opt.BeamWidth = nil, sy.coldWidth
+	sy.arena.rewind()
+	sy.trail = sy.trail[:0]
+	best, stats, err := sy.runBeam(sy.rootState())
+	stats.Expansions += seeded.Expansions
+	stats.Pushed += seeded.Pushed
+	return best, stats, err
 }
 
 // beamScratch is runBeam's per-level working set, kept on the Synthesizer

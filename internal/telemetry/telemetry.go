@@ -22,7 +22,7 @@
 // Cluster() materializes the current view as a *cluster.Cluster whose
 // Fingerprint differs from the spec's exactly when the measurements moved,
 // and Distance() quantifies the drift with cluster.Distance — the number the
-// serve tier thresholds background replanning on.
+// serve tier thresholds drift replanning on.
 package telemetry
 
 import (

@@ -98,8 +98,9 @@ func (p *Planner) Plan(ctx context.Context, g *Graph) (*Plan, error) {
 		return nil, err
 	}
 	// The serving path's "verify" phase: the structural validator gating
-	// every plan handed out. (Numeric verification — hap.Verify — runs in
-	// the background replanner, which records its own verify span.)
+	// every plan handed out. Numeric verification (hap.Verify) executes the
+	// plan and is left to the caller: it has no kernel for several ops the
+	// paper's models use.
 	vs := obs.SpanFromContext(ctx).Child("verify")
 	vs.SetAttrStr("kind", "structural")
 	verr := res.Program.Validate()
