@@ -280,8 +280,8 @@ func (c *Client) Synthesize(ctx context.Context, g *hap.Graph, cl *hap.Cluster, 
 
 // requestBody renders the full-body request, {"graph":…,"cluster":…,
 // "options":…}: the bytes json.Marshal writes for the three fields with the
-// graph and cluster payloads compacted, so body-memo and plan keys see the
-// same bytes whichever way they were built. The graph is appended without
+// graph and cluster payloads compacted, so the daemon reads the same bytes
+// whichever way they were built. The graph is appended without
 // reflection (graph.AppendJSON); the cluster, a few hundred bytes, is
 // compacted from its indented encoding.
 func requestBody(g *hap.Graph, cl *hap.Cluster, opt Options) ([]byte, error) {

@@ -48,8 +48,8 @@ func bert12() *hap.Graph {
 // TestGraphWireBytes holds requestBody to the body json.Marshal built from
 // the indented graph and cluster encodings, on the paper's models, a
 // segmented MLP and a cluster whose device names need HTML-safe escaping,
-// so body-memo keys, plan keys and the benchmark's body sizes stay where
-// they were. A NaN scale still fails Synthesize with an encoding error, and
+// so the request bytes and the benchmark's body sizes stay where they
+// were. A NaN scale still fails Synthesize with an encoding error, and
 // no full body is sent. (internal/graph's TestGraphWireBytes holds Encode
 // and AppendJSON to encoding/json.)
 func TestGraphWireBytes(t *testing.T) {

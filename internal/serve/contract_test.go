@@ -138,12 +138,12 @@ func TestWireContract(t *testing.T) {
 	_, small := newServer(Config{MaxRequestBytes: 128})
 	l.do("413 synthesize", http.MethodPost, small+"/v1/synthesize", body, nil)
 
-	// A memoized body whose plan was evicted: the memo knows the key, the
-	// store does not, and the request is a miss like any other.
+	// A repeat body whose plan was evicted: it decodes to the same key, the
+	// store no longer holds it, and the request is a miss like any other.
 	_, tiny := newServer(Config{MaxCacheEntries: 1})
 	l.do("eviction: fill", http.MethodPost, tiny+"/v1/synthesize", body, nil)
 	l.do("eviction: evict", http.MethodPost, tiny+"/v1/synthesize", requestBody(t, g, wide, RequestOptions{}), nil)
-	l.do("eviction: memo hit, store miss", http.MethodPost, tiny+"/v1/synthesize", body, nil)
+	l.do("eviction: repeat body, store miss", http.MethodPost, tiny+"/v1/synthesize", body, nil)
 
 	// A planner failure.
 	_, failing := newServer(Config{Synthesize: func(context.Context, *graph.Graph, *cluster.Cluster, hap.Options) (*hap.Plan, error) {

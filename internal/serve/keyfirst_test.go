@@ -1,14 +1,14 @@
-// Tests for the two ways a request's cache key is known before anything is
-// decoded: the key-only request form of /v1/synthesize and the body-hash
-// memo. Every scenario ends in the correct plan (hap.ReadProgramBinary's
-// binding check passes against a freshly built graph) or in need_body, and —
-// unless it is about a rejected request — with the error counter at zero.
+// Tests for the key-only request form of /v1/synthesize, the one way a
+// request's cache key is known before anything is decoded, beside the full
+// body it stands in for. Every scenario ends in the correct plan
+// (hap.ReadProgramBinary's binding check passes against a freshly built
+// graph) or in need_body, and — unless it is about a rejected request — with
+// the error counter at zero.
 
 package serve
 
 import (
 	"bytes"
-	"crypto/sha256"
 	"encoding/json"
 	"io"
 	"math/rand"
@@ -45,6 +45,7 @@ type answer struct {
 	status int
 	cache  string // X-HAP-Cache
 	etag   string
+	trace  string // obs.TraceHeader
 	body   []byte
 }
 
@@ -65,7 +66,7 @@ func ask(t *testing.T, url string, body []byte, ifNoneMatch string) answer {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return answer{resp.StatusCode, resp.Header.Get("X-HAP-Cache"), resp.Header.Get("ETag"), readAll(t, resp)}
+	return answer{resp.StatusCode, resp.Header.Get("X-HAP-Cache"), resp.Header.Get("ETag"), resp.Header.Get(obs.TraceHeader), readAll(t, resp)}
 }
 
 // wantPlan asserts a is a 200 plan answer with the given cache outcome whose
@@ -209,7 +210,7 @@ func TestKeyOnlyRequest(t *testing.T) {
 }
 
 // TestKeyOnlyAfterEviction: the key of an evicted plan is an unknown key, and
-// the full request that follows brings the plan back.
+// the full request that follows brings the plan back, decoding its body once.
 func TestKeyOnlyAfterEviction(t *testing.T) {
 	s, url := newKeyFirstServer(t, Config{MaxCacheEntries: 1})
 	c := testCluster()
@@ -220,9 +221,13 @@ func TestKeyOnlyAfterEviction(t *testing.T) {
 
 	key := clientKey(first, c, RequestOptions{})
 	wantNeedBody(t, "key of the evicted plan", ask(t, url, keyBody(key), ""))
-	// The evicted plan's body is still in the memo; its key no longer in the
-	// store. The request falls through to a full decode and re-synthesizes.
-	wantPlan(t, "memoized body, evicted key", ask(t, url, firstBody, ""), "miss", seedServeGraph(32, 48, 8))
+	// The repeat of the first body misses the store and re-synthesizes from
+	// the one decode that derived its key.
+	again := ask(t, url, firstBody, "")
+	wantPlan(t, "repeat body, evicted key", again, "miss", seedServeGraph(32, 48, 8))
+	if n := spanNames(getTrace(t, url, again.trace))["decode"]; n != 1 {
+		t.Errorf("repeat body of an evicted plan: %d decode spans, want 1", n)
+	}
 	wantPlan(t, "key after the refill", ask(t, url, keyBody(key), ""), "hit", seedServeGraph(32, 48, 8))
 	wantCounters(t, s, 1, 3, 0)
 	if st := s.Stats(); st.Syntheses != 3 || st.CacheEvictions != 2 {
@@ -231,8 +236,8 @@ func TestKeyOnlyAfterEviction(t *testing.T) {
 }
 
 // TestBodiesSharingOneKey: bodies that differ as bytes but not as content —
-// renamed nodes, re-indented JSON — are distinct memo entries for one key,
-// and all hit the one cached plan.
+// renamed nodes, re-indented JSON — each decode to the one key, and all hit
+// the one cached plan.
 func TestBodiesSharingOneKey(t *testing.T) {
 	s, url := newKeyFirstServer(t, Config{})
 	c := testCluster()
@@ -253,7 +258,7 @@ func TestBodiesSharingOneKey(t *testing.T) {
 
 	fill := ask(t, url, body, "")
 	wantPlan(t, "fill", fill, "miss", testGraph(t))
-	for round := 0; round < 2; round++ { // second round: every body answers from the memo
+	for round := 0; round < 2; round++ { // second round: a repeat body decodes as the first did
 		for what, b := range map[string][]byte{"original": body, "renamed nodes": renamedBody, "re-indented": indented.Bytes()} {
 			a := ask(t, url, b, "")
 			wantPlan(t, what, a, "hit", testGraph(t))
@@ -268,10 +273,10 @@ func TestBodiesSharingOneKey(t *testing.T) {
 	}
 }
 
-// TestMemoNeverRecordsRejectedBodies: a body that fails to parse, decode or
-// validate is rejected every time it is sent — no memo entry short-cuts the
-// second attempt into the store.
-func TestMemoNeverRecordsRejectedBodies(t *testing.T) {
+// TestRejectedBodyRejectedEveryTime: a body that fails to parse, decode or
+// validate is rejected every time it is sent — nothing remembered from the
+// first attempt short-cuts the second into the store.
+func TestRejectedBodyRejectedEveryTime(t *testing.T) {
 	s, url := newKeyFirstServer(t, Config{})
 	bad := [][]byte{
 		[]byte("]["),
@@ -289,16 +294,14 @@ func TestMemoNeverRecordsRejectedBodies(t *testing.T) {
 	wantCounters(t, s, 0, 0, uint64(2*len(bad)))
 }
 
-// TestOversizedBodyBeatsMemo: the size cap is enforced while reading, before
-// the hash of what was read is looked up — even a body whose hash is in the
-// memo, with its plan in the store, is answered request_too_large.
-func TestOversizedBodyBeatsMemo(t *testing.T) {
+// TestOversizedBodyBeatsStore: the size cap is enforced while reading, before
+// the key is looked up — even a body whose plan is in the store is answered
+// request_too_large.
+func TestOversizedBodyBeatsStore(t *testing.T) {
 	c := testCluster()
 	body := requestBody(t, testGraph(t), c, RequestOptions{})
 	s, url := newKeyFirstServer(t, Config{MaxRequestBytes: int64(len(body)) - 1})
 	key := clientKey(testGraph(t), c, RequestOptions{})
-	s.memo.put(sha256.Sum256(body), key)
-	s.memo.put(sha256.Sum256(body[:len(body)-1]), key)
 	s.store.Put(key, CachedPlan{Bin: framed("plan")})
 
 	resp := postPath(t, url, "/v1/synthesize", body, "")
@@ -342,9 +345,9 @@ func TestKeyOnlyServesDriftReplan(t *testing.T) {
 	if a := ask(t, url, keyBody(key), after.etag); a.status != http.StatusNotModified {
 		t.Errorf("revalidating the new tag by key: status %d, want 304", a.status)
 	}
-	// The memoized body agrees with the key.
+	// The full body agrees with the key.
 	if a := ask(t, url, body, ""); a.etag != after.etag {
-		t.Errorf("memoized body serves tag %q, the key %q", a.etag, after.etag)
+		t.Errorf("full body serves tag %q, the key %q", a.etag, after.etag)
 	}
 	if st := s.Stats(); st.Errors != 0 || st.CacheMisses != 1 {
 		t.Errorf("errors/misses = %d/%d, want 0/1", st.Errors, st.CacheMisses)
@@ -353,7 +356,7 @@ func TestKeyOnlyServesDriftReplan(t *testing.T) {
 
 // TestKeyOnlyNeverProxies: on a fleet node that does not own the key, a bare
 // key is answered from the local store or with need_body — never forwarded —
-// while a memoized body that misses locally still proxies to the owner.
+// while a full body that misses locally proxies to the owner, every time.
 func TestKeyOnlyNeverProxies(t *testing.T) {
 	nodes := newFleetTrio(t, nil)
 	c := testCluster()
@@ -376,7 +379,7 @@ func TestKeyOnlyNeverProxies(t *testing.T) {
 	if st := outsider.s.Stats(); st.Fleet.Proxied != 0 || st.CacheMisses != 0 || st.Errors != 0 {
 		t.Errorf("after a bare key: proxied=%d misses=%d errors=%d, want 0/0/0", st.Fleet.Proxied, st.CacheMisses, st.Errors)
 	}
-	for i, what := range []string{"full body at that node", "memoized body at that node"} {
+	for i, what := range []string{"full body at that node", "repeat body at that node"} {
 		wantPlan(t, what, ask(t, outsider.url, body, ""), "hit", testGraph(t))
 		if st := outsider.s.Stats(); st.Fleet.Proxied != uint64(i+1) || st.Errors != 0 {
 			t.Errorf("%s: proxied=%d errors=%d, want %d/0", what, st.Fleet.Proxied, st.Errors, i+1)
@@ -395,9 +398,9 @@ func TestKeyOnlyNeverProxies(t *testing.T) {
 	}
 }
 
-// TestFastPathHitSpans: however the key was found, a hit's trace shows the
-// same decode and cache_lookup spans a decoded hit shows, and nothing of the
-// miss pipeline; a need_body answer is labelled as such.
+// TestFastPathHitSpans: whether the key came from a key-only body or a
+// decoded full one, a hit's trace shows one decode and one cache_lookup span
+// and nothing of the miss pipeline; a need_body answer is labelled as such.
 func TestFastPathHitSpans(t *testing.T) {
 	_, url := newKeyFirstServer(t, Config{})
 	c := testCluster()
@@ -413,7 +416,7 @@ func TestFastPathHitSpans(t *testing.T) {
 		t.Errorf("need_body trace: cache attr %q, spans %v", rec.Root().Attrs["cache"], spanNames(rec))
 	}
 	traceOf(body) // the miss
-	for what, b := range map[string][]byte{"memoized body": body, "key only": keyBody(key)} {
+	for what, b := range map[string][]byte{"full body": body, "key only": keyBody(key)} {
 		rec := traceOf(b)
 		assertWellFormed(t, rec)
 		if n := spanNames(rec); n["decode"] != 1 || n["cache_lookup"] != 1 || n["flight"] != 0 || n["synthesize"] != 0 || len(rec.Spans) != 3 {
@@ -425,80 +428,91 @@ func TestFastPathHitSpans(t *testing.T) {
 	}
 }
 
-// TestBodyMemoBounded: the memo holds at most two generations, keeps what is
-// in use across a rotation, and forgets what is not.
-func TestBodyMemoBounded(t *testing.T) {
-	m := newBodyMemo(4)
-	sum := func(i int) bodySum { return sha256.Sum256([]byte{byte(i), byte(i >> 8)}) }
-	m.put(sum(0), "hot")
-	for i := 1; i <= 100; i++ {
-		m.put(sum(i), "cold")
-		if _, ok := m.get(sum(0)); !ok {
-			t.Fatalf("entry in use was dropped after %d inserts", i)
-		}
-		if n := len(m.cur) + len(m.old); n > 8 {
-			t.Fatalf("memo holds %d entries after %d inserts, want at most 2×4", n, i)
-		}
-	}
-	if _, ok := m.get(sum(1)); ok {
-		t.Error("an entry 99 inserts old is still held")
-	}
-}
-
-// warmHitAllocCeiling bounds the allocations of one fast-path hit served
+// warmHitAllocCeiling bounds the allocations of one key-only hit served
 // through Handler().ServeHTTP with tracing at its default (on), as the
 // benchmark's daemon runs: request and recorder excluded, the trace, its
-// three spans and the response headers included. Measured: 44 for a memoized
-// full-body hit, 56 for a key-only one (the key is parsed out of JSON);
-// before the memo a hit decoded its graph for ~1 900. The ceiling leaves room
-// for a Go release to move a few, not for a decode to come back.
+// three spans and the response headers included. Measured: 60 (the key is
+// parsed out of JSON); a full-body hit decodes its graph by design and is
+// not bounded here. The ceiling leaves room for a Go release to move a few,
+// not for a decode to reach the key-only path.
 const warmHitAllocCeiling = 80
 
-func TestWarmHitAllocs(t *testing.T) {
-	s := New(Config{})
-	defer s.Close()
-	h := s.Handler()
-	g := models.Training(models.VGG19(8, 32, 10)) // a model-sized body: ~15 KB
+// warmHitServer fills a daemon, tracing at its default (on), with the plan of
+// a model-sized request (~15 KB) and returns it with the full body and the
+// key-only body that now hit.
+func warmHitServer(tb testing.TB) (s *Server, full, keyOnly []byte) {
+	tb.Helper()
+	s = New(Config{})
+	tb.Cleanup(s.Close)
+	g := models.Training(models.VGG19(8, 32, 10))
 	c := testCluster()
-	body := requestBody(t, g, c, RequestOptions{})
-	serve := func(b []byte, rd *bytes.Reader, rr *httptest.ResponseRecorder) {
-		rd.Reset(b)
-		req := httptest.NewRequest(http.MethodPost, "/v1/synthesize", rd)
-		req.Header.Set("Accept", BinaryPlanContentType)
-		h.ServeHTTP(rr, req)
+	full = requestBody(tb, g, c, RequestOptions{})
+	if rr := serveHit(s.Handler(), full, new(bytes.Reader)); rr.Code != http.StatusOK || rr.Header().Get("X-HAP-Cache") != "miss" {
+		tb.Fatalf("fill: %d %s", rr.Code, rr.Body)
 	}
-	var rd bytes.Reader
-	rr := httptest.NewRecorder()
-	if serve(body, &rd, rr); rr.Code != http.StatusOK || rr.Header().Get("X-HAP-Cache") != "miss" {
-		t.Fatalf("fill: %d %s", rr.Code, rr.Body)
-	}
+	return s, full, keyBody(clientKey(g, c, RequestOptions{}))
+}
 
-	for what, b := range map[string][]byte{"memoized full body": body, "key only": keyBody(clientKey(g, c, RequestOptions{}))} {
-		// The request and the recorder are the caller's, not the handler's:
-		// their cost is measured alone and subtracted.
-		harness := testing.AllocsPerRun(200, func() {
-			rd.Reset(b)
-			req := httptest.NewRequest(http.MethodPost, "/v1/synthesize", &rd)
-			req.Header.Set("Accept", BinaryPlanContentType)
-			_ = httptest.NewRecorder()
-			io.Copy(io.Discard, req.Body)
-		})
-		var last *httptest.ResponseRecorder
-		total := testing.AllocsPerRun(200, func() {
-			last = httptest.NewRecorder()
-			serve(b, &rd, last)
-		})
-		if last.Code != http.StatusOK || last.Header().Get("X-HAP-Cache") != "hit" {
-			t.Fatalf("%s: answered %d (%s), want a hit", what, last.Code, last.Header().Get("X-HAP-Cache"))
-		}
-		if got := total - harness; got > warmHitAllocCeiling {
-			t.Errorf("%s hit: %.0f allocations in the handler, ceiling %d", what, got, warmHitAllocCeiling)
-		} else {
-			t.Logf("%s hit: %.0f allocations in the handler (%.0f with the test's request and recorder)", what, got, total)
-		}
+// serveHit posts b to h through Handler().ServeHTTP, asking for the binary
+// plan as the client does; rd is reset to b, so a loop reuses one reader.
+func serveHit(h http.Handler, b []byte, rd *bytes.Reader) *httptest.ResponseRecorder {
+	rd.Reset(b)
+	req := httptest.NewRequest(http.MethodPost, "/v1/synthesize", rd)
+	req.Header.Set("Accept", BinaryPlanContentType)
+	rr := httptest.NewRecorder()
+	h.ServeHTTP(rr, req)
+	return rr
+}
+
+func TestWarmHitAllocs(t *testing.T) {
+	s, _, b := warmHitServer(t)
+	h := s.Handler()
+	var rd bytes.Reader
+	// The request and the recorder are the caller's, not the handler's: their
+	// cost is measured alone and subtracted.
+	harness := testing.AllocsPerRun(200, func() {
+		rd.Reset(b)
+		req := httptest.NewRequest(http.MethodPost, "/v1/synthesize", &rd)
+		req.Header.Set("Accept", BinaryPlanContentType)
+		_ = httptest.NewRecorder()
+		io.Copy(io.Discard, req.Body)
+	})
+	var last *httptest.ResponseRecorder
+	total := testing.AllocsPerRun(200, func() { last = serveHit(h, b, &rd) })
+	if last.Code != http.StatusOK || last.Header().Get("X-HAP-Cache") != "hit" {
+		t.Fatalf("key only: answered %d (%s), want a hit", last.Code, last.Header().Get("X-HAP-Cache"))
+	}
+	if got := total - harness; got > warmHitAllocCeiling {
+		t.Errorf("key-only hit: %.0f allocations in the handler, ceiling %d", got, warmHitAllocCeiling)
+	} else {
+		t.Logf("key-only hit: %.0f allocations in the handler (%.0f with the test's request and recorder)", got, total)
 	}
 	if st := s.Stats(); st.Errors != 0 || st.CacheMisses != 1 {
 		t.Errorf("errors/misses = %d/%d, want 0/1", st.Errors, st.CacheMisses)
+	}
+}
+
+// BenchmarkWarmHit times one hit through Handler().ServeHTTP with tracing on,
+// the test's request and recorder included: "key_only" is the hit the Go
+// client's key-first request gets, "full_body" the one a sender repeating a
+// full body gets (hap-loadgen, curl, a fleet proxy's owner side), which
+// decodes the body to derive its key.
+func BenchmarkWarmHit(b *testing.B) {
+	s, full, keyOnly := warmHitServer(b)
+	h := s.Handler()
+	for _, arm := range []struct {
+		name string
+		body []byte
+	}{{"key_only", keyOnly}, {"full_body", full}} {
+		b.Run(arm.name, func(b *testing.B) {
+			var rd bytes.Reader
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if rr := serveHit(h, arm.body, &rd); rr.Code != http.StatusOK {
+					b.Fatalf("answered %d: %s", rr.Code, rr.Body)
+				}
+			}
+		})
 	}
 }
 

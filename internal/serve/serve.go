@@ -44,7 +44,6 @@ package serve
 import (
 	"bytes"
 	"context"
-	"crypto/sha256"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -256,7 +255,6 @@ type Stats struct {
 type Server struct {
 	cfg    Config
 	store  *store
-	memo   *bodyMemo // raw-body hash → cache key (memo.go)
 	flight flightGroup
 
 	latency *histogram // /v1/synthesize request latency
@@ -347,7 +345,6 @@ func New(cfg Config) *Server {
 	s := &Server{
 		cfg:     cfg,
 		store:   newStore(cfg.MaxCacheEntries, maxCacheBytes, persist, cfg.CacheTTL),
-		memo:    newBodyMemo(cfg.MaxCacheEntries),
 		logger:  logger,
 		latency: newHistogram(),
 		telemetry: telemetryState{
@@ -519,10 +516,10 @@ func (s *Server) failSynthesis(w http.ResponseWriter, err error) {
 // before any byte arrives; larger bodies grow the buffer as they are read.
 const presizeBodyCap = 1 << 20
 
-// readBody reads the size-capped body of a POST whole: /v1/synthesize hashes
-// the raw bytes before parsing anything (memo.go), and the fleet entry intake
-// decodes them as one record. Failures are answered on w; the bool reports
-// success.
+// readBody reads the size-capped body of a POST whole: /v1/synthesize decodes
+// it in place (and proxies the same bytes on a miss owned by a peer), and the
+// fleet entry intake decodes it as one record. Failures are answered on w;
+// the bool reports success.
 func (s *Server) readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
 	if r.Method != http.MethodPost {
 		s.fail(w, http.StatusMethodNotAllowed, CodeMethodNotAllowed, "POST required")
@@ -561,21 +558,6 @@ type planInput struct {
 	opts RequestOptions
 	g    *graph.Graph
 	c    *cluster.Cluster
-}
-
-// requestKey resolves a single-plan request's cache key, before anything is
-// decoded when it can: from the body-hash memo for a repeat body, from the
-// request itself for a key-only one (keyOnly). Only a full body the memo has
-// not seen is decoded (in, else nil) — and then memoized.
-func (s *Server) requestKey(body []byte) (key string, in *planInput, keyOnly bool, err error) {
-	sum := sha256.Sum256(body)
-	if key, ok := s.memo.get(sum); ok {
-		return key, nil, false, nil
-	}
-	if key, in, err = decodeRequest(body); err == nil && in != nil {
-		s.memo.put(sum, key)
-	}
-	return key, in, in == nil, err
 }
 
 // decodeRequest parses a single-plan request body. A key-only body yields its
@@ -754,18 +736,17 @@ func decodeGraphCluster(req *Request) (*graph.Graph, *cluster.Cluster, error) {
 	return g, c, nil
 }
 
-// handleSynthesize serves POST /v1/synthesize: memo → store → need_body →
+// handleSynthesize serves POST /v1/synthesize: decode → store → need_body →
 // proxy → planMiss.
 //
 // The latency histogram is observed at entry, so every request, rejects
 // (bad method, bad body) included, contributes one sample: its count is the
 // request count.
 //
-// Whichever way requestKey found the key, the store lookup that follows is
-// the same one a freshly decoded request gets, so a hit is a hit. A request
-// that misses needs its graph and cluster: a key-only one is told so
-// (need_body, counted neither as a miss nor as an error — the full request
-// that follows is the miss), a memoized one is decoded after all.
+// A key-only body skips the decode: its key is the lookup. A full body is
+// decoded once, and its graph and cluster serve a miss. A key-only request
+// that misses is told so (need_body, counted neither as a miss nor as an
+// error — the full request that follows is the miss).
 func (s *Server) handleSynthesize(w http.ResponseWriter, r *http.Request) {
 	defer s.latency.since(time.Now())
 	rt, r, w := s.startRequestTrace(w, r)
@@ -777,7 +758,7 @@ func (s *Server) handleSynthesize(w http.ResponseWriter, r *http.Request) {
 		ds.End()
 		return
 	}
-	key, in, keyOnly, err := s.requestKey(body)
+	key, in, err := decodeRequest(body)
 	if in != nil {
 		ds.SetAttrInt("graph_nodes", int64(in.g.NumNodes()))
 	}
@@ -801,7 +782,7 @@ func (s *Server) handleSynthesize(w http.ResponseWriter, r *http.Request) {
 		writePlan(w, r, plan, "hit")
 		return
 	}
-	if keyOnly {
+	if in == nil {
 		// Answered from the local store or not at all: a bare key is never
 		// proxied — the full request that follows routes like any miss.
 		rt.setCache(NeedBody)
@@ -809,18 +790,6 @@ func (s *Server) handleSynthesize(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
 		w.Write(needBodyAnswer)
 		return
-	}
-	if in == nil {
-		// The memo knew the key but the plan is gone (evicted, expired, or
-		// never stored here): the miss path needs the graph after all. These
-		// bytes decoded when the memo entry was made, so they decode now.
-		ds := rt.span("decode")
-		_, in, err = decodeRequest(body)
-		ds.End()
-		if err != nil {
-			s.fail(w, http.StatusBadRequest, CodeBadRequest, "bad request: %v", err)
-			return
-		}
 	}
 	s.misses.Add(1)
 	rt.setCache("miss")
