@@ -6,6 +6,10 @@ package graph
 
 import "hap/internal/fingerprint"
 
+// fingerprintPairs is how many gradient pairs Fingerprint sorts without a
+// heap allocation: BERT-Base has 49.
+const fingerprintPairs = 64
+
 // Fingerprint returns a stable structural hash of the graph: node kinds,
 // edges, shapes, numeric attributes (scale factors, flop overrides, batch
 // axes), loss and gradient designations, and the segment assignment. Two
@@ -38,8 +42,11 @@ func Fingerprint(g *Graph) string {
 	// All gradient designations, in sorted order — including any whose key
 	// is not a registered parameter (a hand-written wire graph can carry
 	// those, and they change what the plan must materialize).
+	// The pairs sort in a stack buffer; only a graph with more gradients
+	// than it holds sorts on the heap.
+	var buf [fingerprintPairs][2]int
 	h.Int(len(g.Grads))
-	for _, pr := range sortedPairs(g.Grads) {
+	for _, pr := range sortPairsInto(buf[:], g.Grads) {
 		h.Int(pr[0])
 		h.Int(pr[1])
 	}

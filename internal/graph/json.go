@@ -201,12 +201,18 @@ func sortedPairs(m map[NodeID]NodeID) [][2]int {
 	if len(m) == 0 {
 		return nil
 	}
-	out := make([][2]int, 0, len(m))
+	return sortPairsInto(make([][2]int, 0, len(m)), m)
+}
+
+// sortPairsInto is sortedPairs writing into buf's backing array, which it
+// outgrows only when m holds more pairs than buf's capacity.
+func sortPairsInto(buf [][2]int, m map[NodeID]NodeID) [][2]int {
+	buf = buf[:0]
 	for k, v := range m {
-		out = append(out, [2]int{int(k), int(v)})
+		buf = append(buf, [2]int{int(k), int(v)})
 	}
-	slices.SortFunc(out, func(a, b [2]int) int { return cmp.Compare(a[0], b[0]) })
-	return out
+	slices.SortFunc(buf, func(a, b [2]int) int { return cmp.Compare(a[0], b[0]) })
+	return buf
 }
 
 func (w *jsonWriter) graph(g *Graph) error {

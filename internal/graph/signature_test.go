@@ -42,3 +42,14 @@ func TestSignaturesAllocations(t *testing.T) {
 		t.Errorf("StructuralDiff made %.0f allocations, want 7", n)
 	}
 }
+
+// Fingerprint allocates only its string: the gradient pairs sort in a stack
+// buffer on the paper's models (VGG19 19 gradients, BERT-Base 49).
+func TestFingerprintAllocations(t *testing.T) {
+	for _, m := range []models.PaperModel{models.ModelVGG19, models.ModelBERTBase} {
+		g := models.Build(m, 8)
+		if n := testing.AllocsPerRun(5, func() { graph.Fingerprint(g) }); n != 1 {
+			t.Errorf("%s: Fingerprint made %.0f allocations, want 1 (its string)", m, n)
+		}
+	}
+}

@@ -45,7 +45,9 @@ func BenchmarkOptimizeLoop(b *testing.B) {
 // each carving its own arena, trail and beam buffers, cost it 4 451
 // allocations and 6 310 KiB. While theory.New allocated per triple and the
 // hasher per node signature, the rows read 10 571 / 10 738 KiB and
-// 3 252 / 2 232 KiB.
+// 3 252 / 2 232 KiB. Both clusters are one GPU per device: while each
+// Synthesizer also allocated a penalty table of zeros, the rows read
+// 2 997 / 10 478 KiB and 817 / 2 197 KiB.
 func TestOptimizeAllocationPin(t *testing.T) {
 	cfg := models.BERTBase()
 	cfg.Layers = 4
@@ -57,11 +59,11 @@ func TestOptimizeAllocationPin(t *testing.T) {
 		allocs   int
 		kib      int
 	}{
-		{"BERT-MoE/het8", func() (*graph.Graph, *cluster.Cluster, Options) { return loopInput(1) }, 2, 2997, 10478},
+		{"BERT-MoE/het8", func() (*graph.Graph, *cluster.Cluster, Options) { return loopInput(1) }, 2, 2997, 10334},
 		{"bert4/pg16/seg4", func() (*graph.Graph, *cluster.Cluster, Options) {
 			return bertGraph(cfg, models.PerDeviceBatch(models.ModelBERTBase)*pg16.TotalGPUs()), pg16,
 				Options{Segments: 4, Synth: synth.Options{BeamWidth: 48, Workers: 1}}
-		}, 4, 817, 2197},
+		}, 4, 817, 2157},
 	} {
 		g, c, opt := row.input()
 		if _, searches, _, err := optimizeTraced(g, c, opt); err != nil || searches != row.searches {

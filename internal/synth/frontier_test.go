@@ -95,6 +95,25 @@ func oracleCommDelta(sy *Synthesizer, s *state, cc commCand) float64 {
 	return s.closedCost + s.openComm + worst + sy.commT[cc.ref][cc.coll]
 }
 
+// isComplete is completeness by its definition: every output of s in an
+// acceptable form — what state.complete, counted per step, must say.
+func isComplete(sy *Synthesizer, s *state) bool {
+	for _, o := range sy.outputs {
+		if !sy.outputAcceptable(s, o) {
+			return false
+		}
+	}
+	return true
+}
+
+// checkComplete holds s's maintained completeness to isComplete.
+func checkComplete(t testing.TB, sy *Synthesizer, s *state) {
+	t.Helper()
+	if want := isComplete(sy, s); s.complete != want {
+		t.Fatalf("depth %d: complete is %v (%d outputs unmet), every output re-tested says %v", s.depth, s.complete, s.unmet, want)
+	}
+}
+
 func oracleCandidates(sy *Synthesizer, s *state, out []oracleCand) []oracleCand {
 	if int(s.nextReq) < len(sy.reqNodes) {
 		id := sy.reqNodes[s.nextReq]
@@ -184,25 +203,29 @@ func checkFrontier(t testing.TB, sy *Synthesizer, s *state, want []oracleCand) {
 }
 
 // checkLevels runs sy's beam search with a hook that holds every state's
-// frontier (checkFrontier) and every level's refs — score bits and order —
-// to the oracle's enumeration.
+// frontier (checkFrontier) and every level's refs — score bits, order and
+// parent — to the oracle's enumeration.
 func checkLevels(t *testing.T, sy *Synthesizer) {
 	t.Helper()
 	levels, cands := 0, 0
 	var want []oracleCand
+	var parents []int32
 	sy.levelHook = func(level []*state, refs []candRef) {
 		levels++
-		want = want[:0]
-		for _, s := range level {
+		want, parents = want[:0], parents[:0]
+		for pi, s := range level {
 			from := len(want)
 			want = oracleCandidates(sy, s, want)
 			checkFrontier(t, sy, s, want[from:])
+			for range want[from:] {
+				parents = append(parents, int32(pi))
+			}
 		}
 		if len(refs) != len(want) {
 			t.Fatalf("level %d: %d refs, the oracle enumerates %d candidates", levels, len(refs), len(want))
 		}
 		for i, r := range refs {
-			if !sameRef(r, candRef{score: want[i].score, idx: int32(i)}) {
+			if !sameRef(r, candRef{score: want[i].score, idx: int32(i), parent: parents[i]}) {
 				t.Fatalf("level %d: ref %d is %+v, the oracle scores it %v", levels, i, r, want[i].score)
 			}
 		}
@@ -319,10 +342,11 @@ func fuzzWalkGraphs() []*graph.Graph {
 // to the same bits, which holds inheritance on paths the beam's strict
 // schedule never takes: gradients computed before their parameter is
 // placed, inputs that die out of order, triples that place several leaves.
-// Its maintained key must equal the one rebuilt from its content, and two of
-// its collectives applied in either order must reach one key. Before every
-// step, every candidate's childKey must equal key() of the child it builds
-// (checkChildKeys).
+// Its maintained key must equal the one rebuilt from its content, its
+// completeness count must agree with re-testing every output, and two of its
+// collectives applied in either order must reach one key. Before every step,
+// every candidate's childKey must equal key() of the child it builds, and
+// every child's completeness its re-tested outputs (checkChildKeys).
 func FuzzFrontierWalk(f *testing.F) {
 	graphs := fuzzWalkGraphs()
 	theories := make([]*theory.Theory, len(graphs))
@@ -391,6 +415,7 @@ func FuzzFrontierWalk(f *testing.F) {
 			s.nextReq = int32(len(sy.reqNodes))
 
 			checkKey(t, s)
+			checkComplete(t, sy, s)
 			checkCommOrders(t, sy, s, b)
 			want = oracleCandidates(sy, s, want[:0])
 			checkFrontier(t, sy, s, want)

@@ -99,7 +99,8 @@ type keyCover struct {
 // checkChildKeys materializes every candidate of s — each triple of comps,
 // then each frontier entry — and holds childKey, computed from s before the
 // step, to key() of the child the step builds: phase 3 skips a candidate on
-// the former without ever computing the latter.
+// the former without ever computing the latter. Each child's completeness,
+// counted from the outputs its step touched, must match isComplete.
 func checkChildKeys(t testing.TB, sy *Synthesizer, s *state, comps []*theory.Triple, cov *keyCover) {
 	t.Helper()
 	check := func(st step, ns *state) {
@@ -107,6 +108,7 @@ func checkChildKeys(t testing.TB, sy *Synthesizer, s *state, comps []*theory.Tri
 		if got, want := sy.childKey(s, st), ns.key(); got != want {
 			t.Fatalf("depth %d: childKey of %+v is %016x, the child it builds has key %016x", s.depth, st, got, want)
 		}
+		checkComplete(t, sy, ns)
 		sy.release(ns)
 	}
 	for _, tr := range comps {
@@ -139,12 +141,13 @@ func checkChildKeys(t testing.TB, sy *Synthesizer, s *state, comps []*theory.Tri
 }
 
 // TestStateKeyMatchesRebuild holds the maintained state key to its
-// from-scratch definition on every state of every level of the beamCases
-// searches, and on exact A*'s successors of a small graph. Within a level,
-// and among A*'s states, equal keys must mean equal content: the key is what
-// dedup compares instead of the content. Every candidate of every level
-// state must also reach, once built, the key childKey gave it beforehand —
-// on the beamCases and on a graph whose one input read twice dies there.
+// from-scratch definition, and the completeness count to isComplete, on
+// every state of every level of the beamCases searches, and on exact A*'s
+// successors of a small graph. Within a level, and among A*'s states, equal
+// keys must mean equal content: the key is what dedup compares instead of
+// the content. Every candidate of every level state must also reach, once
+// built, the key childKey gave it beforehand — on the beamCases and on a
+// graph whose one input read twice dies there.
 func TestStateKeyMatchesRebuild(t *testing.T) {
 	var cov keyCover
 	for _, bc := range beamCases() {
@@ -157,6 +160,7 @@ func TestStateKeyMatchesRebuild(t *testing.T) {
 				clear(byKey)
 				for _, s := range level {
 					checkKey(t, s)
+					checkComplete(t, sy, s)
 					if o, ok := byKey[s.key()]; ok && !sameContent(o, s) {
 						t.Fatalf("depth %d: two states of different content share key %016x", s.depth, s.key())
 					}
@@ -223,6 +227,7 @@ func TestStateKeyMatchesRebuild(t *testing.T) {
 			queue = queue[1:]
 			for _, ns := range sy.expandFrom(s, nil) {
 				checkKey(t, ns)
+				checkComplete(t, sy, ns)
 				if o, ok := seen[ns.key()]; ok {
 					if !sameContent(o, ns) {
 						t.Fatalf("depth %d: two states of different content share key %016x", ns.depth, ns.key())

@@ -21,9 +21,10 @@ func mkRefs(scores []float64) []candRef {
 	return refs
 }
 
-// sameRef compares score bits (NaN equals NaN, -0 differs from +0) and idx.
+// sameRef compares score bits (NaN equals NaN, -0 differs from +0), idx and
+// parent.
 func sameRef(a, b candRef) bool {
-	return math.Float64bits(a.score) == math.Float64bits(b.score) && a.idx == b.idx
+	return math.Float64bits(a.score) == math.Float64bits(b.score) && a.idx == b.idx && a.parent == b.parent
 }
 
 // checkLazyPrefix is the oracle check: slices.SortFunc under cmp.Compare on

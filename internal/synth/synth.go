@@ -27,8 +27,9 @@
 // program is byte-identical for every worker count; a beam state inherits its
 // parent's legal collectives instead of re-deriving them every level; and the
 // per-expansion hot path is allocation-lean — pooled states with
-// copy-on-write bitsets, a dedup key maintained per step, memoized
-// collective costs, and binary-searched property sets.
+// copy-on-write bitsets, a dedup key and a completeness count maintained per
+// step, computation and collective costs tabled per B, and binary-searched
+// property sets.
 package synth
 
 import (
@@ -147,7 +148,11 @@ type state struct {
 	remFlops   float64
 	depth      int32 // steps so far (for beam leveling)
 	nextReq    int32 // beam only: index into Synthesizer.reqNodes of the next computation
-	complete   bool
+	// unmet counts the outputs not yet in an acceptable form. It only falls:
+	// an output's properties are never pruned and a leaf is placed once, so
+	// a step re-tests only the outputs it touched (settle).
+	unmet    int32
+	complete bool
 	// h is the set hash of the content key() covers except lastComp: the XOR
 	// of one elemCode per property, computed bit, communicated bit and leaf
 	// placement, kept current by the writers (see key).
@@ -254,6 +259,7 @@ func (sy *Synthesizer) clone(s *state) *state {
 	c.remFlops = s.remFlops
 	c.depth = s.depth + 1
 	c.nextReq = s.nextReq
+	c.unmet = s.unmet
 	c.complete = false
 	c.h = s.h
 	return c
@@ -513,10 +519,17 @@ type Synthesizer struct {
 	// strict global topological schedule the beam walks (state.nextReq
 	// indexes it, so finding the next computation is O(1) per state).
 	reqNodes []graph.NodeID
-	// commT and commPen memoize cost.CommTime and cost.AddIntraPenalty per
-	// (ref, collective kind) under b — both are dim-independent, and the
-	// search prices the same few collectives millions of times. commPen[ref]
-	// holds the per-kind penalty vectors flattened with stride M.
+	// flops holds Graph.Flops of every required node, evaluated once.
+	flops []float64
+	// compT, commT and commPen table a step's cost under b, per required
+	// node (DESIGN.md "Memoized costs"): the search prices the same few
+	// steps millions of times. compT[id] holds the per-device times
+	// cost.AddCompTimes adds, unscaled then scaled by b (see compTimes).
+	// commT and commPen hold cost.CommTime and cost.AddIntraPenalty per
+	// (ref, collective kind) — both dim-independent; commPen[ref] flattens
+	// the per-kind penalty vectors with stride M. commPen is nil when no
+	// device aggregates GPUs: every penalty is then zero.
+	compT   [][]float64
 	commT   [][numColl]float64
 	commPen [][]float64
 
@@ -584,8 +597,8 @@ func New(g *graph.Graph, th *theory.Theory, c *cluster.Cluster, b [][]float64, o
 		outputs:          th.Outputs,
 		outputIdx:        make([]int32, g.NumNodes()),
 		gradOf:           make([]graph.NodeID, g.NumNodes()),
+		compT:            make([][]float64, g.NumNodes()),
 		commT:            make([][numColl]float64, g.NumNodes()),
-		commPen:          make([][]float64, g.NumNodes()),
 	}
 	s.arena.init(g.NumNodes(), c.M(), s.words, opt.BeamWidth)
 	for i := range s.outputIdx {
@@ -603,10 +616,21 @@ func New(g *graph.Graph, th *theory.Theory, c *cluster.Cluster, b [][]float64, o
 			s.reqNodes = append(s.reqNodes, id)
 		}
 	}
-	stride := numColl * c.M()
-	pen := make([]float64, stride*len(s.reqNodes))
+	// flops and the compute table share one slab.
+	m := c.M()
+	comp := make([]float64, g.NumNodes()+2*m*len(s.reqNodes))
+	s.flops, comp = comp[:g.NumNodes()], comp[g.NumNodes():]
 	for _, id := range s.reqNodes {
-		s.commPen[id], pen = pen[:stride:stride], pen[stride:]
+		s.flops[id] = g.Flops(id)
+		s.compT[id], comp = comp[:2*m:2*m], comp[2*m:]
+	}
+	if slices.ContainsFunc(c.Devices, func(d cluster.VirtualDevice) bool { return d.GPUs > 1 }) {
+		s.commPen = make([][]float64, g.NumNodes())
+		stride := numColl * m
+		pen := make([]float64, stride*len(s.reqNodes))
+		for _, id := range s.reqNodes {
+			s.commPen[id], pen = pen[:stride:stride], pen[stride:]
+		}
 	}
 	s.price()
 	return s
@@ -619,18 +643,37 @@ func (sy *Synthesizer) SetRatios(b [][]float64) {
 	sy.price()
 }
 
-// price fills commT and commPen under sy.b, in place.
+// price fills compT, commT and commPen under sy.b, in place. A compT entry
+// is the quotient cost.AddCompTimes adds, computed by the same operations in
+// the same order, so a tabled score keeps the bits of a priced one.
 func (sy *Synthesizer) price() {
 	m := sy.c.M()
 	for _, id := range sy.reqNodes {
-		pen := sy.commPen[id]
-		clear(pen)
+		flops, comp, seg := sy.flops[id], sy.compT[id], sy.g.Segment(id)
+		for j, d := range sy.c.Devices {
+			comp[j] = flops / d.Flops()
+			comp[m+j] = flops * sy.b[seg][j] / d.Flops()
+		}
 		for k := 0; k < numColl; k++ {
 			in := dist.Comm(id, collective.Kind(k), 0, 0)
 			sy.commT[id][k] = cost.CommTime(sy.c, sy.g, in, sy.b)
-			cost.AddIntraPenalty(sy.c, sy.g, in, sy.b, pen[k*m:(k+1)*m])
+			if sy.commPen != nil {
+				pen := sy.commPen[id][k*m : (k+1)*m]
+				clear(pen)
+				cost.AddIntraPenalty(sy.c, sy.g, in, sy.b, pen)
+			}
 		}
 	}
+}
+
+// compTimes returns the per-device times tr adds to the open stage under
+// sy.b: flops scaled by the device's ratio when tr shards its work.
+func (sy *Synthesizer) compTimes(tr *theory.Triple) []float64 {
+	comp, m := sy.compT[tr.Node], sy.c.M()
+	if tr.FlopsScaled {
+		return comp[m:]
+	}
+	return comp[:m]
 }
 
 // workers resolves Options.Workers (0 = GOMAXPROCS).
@@ -662,17 +705,16 @@ func (sy *Synthesizer) rootState() *state {
 	root.closedCost, root.openComm, root.remFlops = 0, 0, 0
 	root.lastComp = -1
 	root.depth, root.nextReq = 0, 0
-	root.complete = false
 	root.h = 0
 	for i := range root.placed {
 		root.placed[i] = unplaced
 	}
-	for i := range g.Nodes {
-		id := graph.NodeID(i)
-		if sy.th.Required[id] && !g.Node(id).Kind.IsLeaf() {
-			root.remFlops += g.Flops(id)
-		}
+	for _, id := range sy.reqNodes {
+		root.remFlops += sy.flops[id]
 	}
+	// The empty program holds no property, so no output is acceptable yet.
+	root.unmet = int32(len(sy.outputs))
+	root.complete = false
 	return root
 }
 
@@ -819,14 +861,16 @@ func (sy *Synthesizer) runAStar(root *state) (*state, Stats, error) {
 	return best, stats, nil
 }
 
-// candRef is the compact record the merge sorts: a candidate's score and its
-// position in the level's enumeration order — 16 bytes, so the sort moves
-// cache lines, not structs, and nothing else is ever written per candidate.
-// The merge is lazy (lazysort.go): a level of C candidates costs about 2C
-// comparisons for the first partitions plus a short sorted prefix, not C log C.
+// candRef is the compact record the merge sorts: a candidate's score, its
+// position in the level's enumeration order and the level index of the state
+// it extends — 16 bytes, so the sort moves cache lines, not structs, and
+// nothing else is ever written per candidate. The merge is lazy
+// (lazysort.go): a level of C candidates costs about 2C comparisons for the
+// first partitions plus a short sorted prefix, not C log C.
 type candRef struct {
-	score float64
-	idx   int32 // position in the level's enumeration order (see candSpan)
+	score  float64
+	idx    int32 // position in the level's enumeration order (see candSpan)
+	parent int32 // index of the candidate's state in the level
 }
 
 // candSpan locates one state's candidates in a level's enumeration: they are
@@ -856,6 +900,7 @@ func (lc *levelCands) reset() {
 // appending to lc. Safe to run concurrently for distinct states: it reads
 // only s and the immutable search context.
 func (sy *Synthesizer) scoreCandidates(s *state, lc *levelCands) {
+	parent := int32(len(lc.spans))
 	lc.spans = append(lc.spans, candSpan{start: int32(len(lc.refs)), comps: int32(len(lc.comps))})
 	// Computation: strict global topological order — only the lowest
 	// uncomputed required node, the natural forward-then-backward training
@@ -881,8 +926,8 @@ func (sy *Synthesizer) scoreCandidates(s *state, lc *levelCands) {
 				continue
 			}
 			if sy.compApplicable(s, tr) {
-				score := sy.compDelta(s, tr) + (s.remFlops-sy.g.Flops(id))/sy.totalFlopsPerSec
-				lc.refs = append(lc.refs, candRef{score: score, idx: int32(len(lc.refs))})
+				score := sy.compDelta(s, tr) + (s.remFlops-sy.flops[id])/sy.totalFlopsPerSec
+				lc.refs = append(lc.refs, candRef{score: score, idx: int32(len(lc.refs)), parent: parent})
 				lc.comps = append(lc.comps, tr)
 			}
 		}
@@ -896,31 +941,22 @@ func (sy *Synthesizer) scoreCandidates(s *state, lc *levelCands) {
 	base := len(lc.refs)
 	lc.refs = slices.Grow(lc.refs, len(s.front))[:base+len(s.front)]
 	for i, out := 0, lc.refs[base:]; i < len(out); i++ {
-		out[i] = candRef{score: pre + s.front[i].off + rem, idx: int32(base + i)}
+		out[i] = candRef{score: pre + s.front[i].off + rem, idx: int32(base + i), parent: parent}
 	}
 }
 
-// candidate returns the level's idx-th candidate and the index of its parent.
-// The spans map idx back to (parent, local index): a binary search over the
-// level's few dozen states, paid only for the candidates phase 3 reads.
-func (lc *levelCands) candidate(level []*state, idx int32) (step, int) {
-	// The closing sentinel starts past every idx, so the first span whose
-	// successor starts above idx exists, and is idx's even among empty spans.
-	lo, hi := 0, len(level)-1
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if lc.spans[mid+1].start <= idx {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	sp, end := lc.spans[lo], lc.spans[lo+1]
-	local := idx - sp.start
+// candidate returns r's step and the level index of its parent. r carries
+// the parent, whose span and its successor's (the closing sentinel's, for
+// the last state) bound r.idx: the local index picks a computation triple
+// or a frontier entry. Paid only for the candidates phase 3 reads.
+func (lc *levelCands) candidate(level []*state, r candRef) (step, int) {
+	pi := int(r.parent)
+	sp, end := lc.spans[pi], lc.spans[pi+1]
+	local := r.idx - sp.start
 	if nc := end.comps - sp.comps; local >= nc {
-		return step{cc: level[lo].front[local-nc].cc}, lo
+		return step{cc: level[pi].front[local-nc].cc}, pi
 	}
-	return step{tr: lc.comps[sp.comps+local]}, lo
+	return step{tr: lc.comps[sp.comps+local]}, pi
 }
 
 // childKey is key() of the state st would build from s, computed from s and
@@ -992,16 +1028,19 @@ func (sy *Synthesizer) materialize(s *state, st step) *state {
 //
 // Each level runs in three phases. (1) Scoring fans out over Options.Workers
 // goroutines, each worker owning a contiguous chunk of the level's states:
-// per state, the next node's applicable triples and one add per entry of the
-// frontier it inherited. The concatenated refs are always in (parent index,
-// candidate index) order regardless of worker count. (2) The merge order is a
-// deterministic sort by score over that fixed order, one order for every
-// worker count — the surviving beam, and therefore the emitted program, is
-// byte-identical whether the level ran on 1 worker or 16 — computed lazily,
-// only as far as phase 3 reads (lazysort.go). (3) Survivors are materialized
-// and selected serially, in merge order, with dedup by state key — computed
-// before the candidate is built, so a duplicate costs a key and a map probe;
-// every state of the level then goes back to the arena whole.
+// per state, the next node's applicable triples, priced from the per-B
+// compute table, and one add per entry of the frontier it inherited. The
+// concatenated refs, each carrying its parent's index, are always in (parent
+// index, candidate index) order regardless of worker count. (2) The merge
+// order is a deterministic sort by score over that fixed order, one order
+// for every worker count — the surviving beam, and therefore the emitted
+// program, is byte-identical whether the level ran on 1 worker or 16 —
+// computed lazily, only as far as phase 3 reads (lazysort.go). (3) Survivors
+// are materialized and selected serially, in merge order, with dedup by
+// state key — computed before the candidate is built, so a duplicate costs a
+// key and a map probe; a built child updates its completeness count from the
+// outputs its step touched. Every state of the level then goes back to the
+// arena whole.
 // Bounded suboptimality traded for a hard bound on search effort; see
 // DESIGN.md.
 func (sy *Synthesizer) runBeam(root *state) (*state, Stats, error) {
@@ -1079,9 +1118,9 @@ func (sy *Synthesizer) runBeam(root *state) (*state, Stats, error) {
 			for c := 0; c < workers; c++ {
 				w := &ws[c]
 				stats.Expansions += w.expansions
-				ro, co := int32(len(lc.refs)), int32(len(lc.comps))
+				ro, co, po := int32(len(lc.refs)), int32(len(lc.comps)), int32(len(lc.spans))
 				for _, r := range w.refs {
-					lc.refs = append(lc.refs, candRef{score: r.score, idx: r.idx + ro})
+					lc.refs = append(lc.refs, candRef{score: r.score, idx: r.idx + ro, parent: r.parent + po})
 				}
 				lc.comps = append(lc.comps, w.comps...)
 				for _, sp := range w.spans {
@@ -1121,7 +1160,7 @@ func (sy *Synthesizer) runBeam(root *state) (*state, Stats, error) {
 			if best != nil && r.score >= bestCost {
 				break // sorted: nothing further can improve
 			}
-			st, pi := lc.candidate(level, r.idx)
+			st, pi := lc.candidate(level, r)
 			stats.Pushed++
 			// A duplicate is rejected by its key before it is built. Equal
 			// keys mean equal content, hence equal completeness: visited
@@ -1331,18 +1370,13 @@ func leafPlacement(p theory.Property) int8 {
 	return replicated
 }
 
-// compDelta returns the per-device open-stage time increase of applying tr,
-// without allocation (the beam's candidate-scoring fast path).
+// compDelta returns the effective cost of s with tr appended to its open
+// stage, without building the successor (the beam's candidate-scoring fast
+// path): one add per device from the compute table.
 func (sy *Synthesizer) compDelta(s *state, tr *theory.Triple) float64 {
-	flops := sy.g.Flops(tr.Node)
-	seg := sy.g.Segment(tr.Node)
 	worst := 0.0
-	for j, d := range sy.c.Devices {
-		f := flops
-		if tr.FlopsScaled {
-			f *= sy.b[seg][j]
-		}
-		if t := s.openComp[j] + f/d.Flops(); t > worst {
+	for j, dt := range sy.compTimes(tr) {
+		if t := s.openComp[j] + dt; t > worst {
 			worst = t
 		}
 	}
@@ -1362,34 +1396,60 @@ func (sy *Synthesizer) applyComp(s *state, tr *theory.Triple) *state {
 			ns.place(p.Ref, leafPlacement(p))
 		}
 	}
-	in := tr.Instr(sy.g)
 	ns.setComputed(tr.Node)
 	if !ns.hasProp(tr.Out) {
 		ns.addProp(tr.Out)
 	}
 	ns.lastComp = tr.Node
-	ns.remFlops -= sy.g.Flops(tr.Node)
-	cost.AddCompTimes(sy.c, sy.g, in, sy.b, ns.openComp)
+	ns.remFlops -= sy.flops[tr.Node]
+	if sy.flops[tr.Node] != 0 { // cost.AddCompTimes' skip: x+0 is not always x
+		for j, dt := range sy.compTimes(tr) {
+			ns.openComp[j] += dt
+		}
+	}
 	sy.pruneDead(ns, tr.Node)
+	// What this step changed: the new node's first property, inputs
+	// pruneDead just dropped, and the gradient of each leaf placed here (its
+	// acceptable forms follow the placement). The frontier re-derives these
+	// tensors' segments, and the outputs among them are the only ones the
+	// step can have made acceptable. Each was unacceptable in s: a gradient's
+	// parameter was unplaced, and tr.Node, which no caller computes twice,
+	// held no property.
+	sy.touched = touch(sy.touched[:0], tr.Node)
+	for _, u := range sy.g.Node(tr.Node).Inputs {
+		if !sy.g.Node(u).Kind.IsLeaf() && len(ns.propsOf(u)) == 0 {
+			sy.touched = touch(sy.touched, u)
+		}
+	}
+	for _, p := range tr.LeafPre {
+		if gr := sy.gradOf[p.Ref]; gr >= 0 && s.placed[p.Ref] == unplaced {
+			sy.touched = touch(sy.touched, gr)
+		}
+	}
 	if sy.opt.BeamWidth > 0 {
-		// What this step changed for the frontier: the new node's first
-		// property, inputs pruneDead just dropped, and the gradient of each
-		// leaf placed here (its acceptable forms follow the placement).
-		sy.touched = touch(sy.touched[:0], tr.Node)
-		for _, u := range sy.g.Node(tr.Node).Inputs {
-			if !sy.g.Node(u).Kind.IsLeaf() && len(ns.propsOf(u)) == 0 {
-				sy.touched = touch(sy.touched, u)
-			}
-		}
-		for _, p := range tr.LeafPre {
-			if gr := sy.gradOf[p.Ref]; gr >= 0 && s.placed[p.Ref] == unplaced {
-				sy.touched = touch(sy.touched, gr)
-			}
-		}
 		sy.inheritFront(ns, s, sy.touched)
 	}
-	ns.complete = sy.isComplete(ns)
+	for _, ref := range sy.touched {
+		sy.settle(ns, ref)
+	}
+	ns.complete = ns.unmet == 0
 	return ns
+}
+
+// settle counts ref off ns.unmet when ref is an output acceptable in ns. The
+// step to ns must have touched ref, which was unacceptable in its parent:
+// an acceptable output stays so (its properties are never pruned, its
+// parameter never re-placed), and an untouched one did not change.
+func (sy *Synthesizer) settle(ns *state, ref graph.NodeID) {
+	if sy.acceptable(ns, ref) {
+		ns.unmet--
+	}
+}
+
+// acceptable reports whether ref is an output in an acceptable form in s.
+func (sy *Synthesizer) acceptable(s *state, ref graph.NodeID) bool {
+	oi := sy.outputIdx[ref]
+	return oi >= 0 && sy.outputAcceptable(s, sy.outputs[oi])
 }
 
 // commCand is a not-yet-materialized communication successor: collective
@@ -1503,7 +1563,7 @@ func (sy *Synthesizer) appendSegment(s *state, ref graph.NodeID, out []frontEntr
 	if bitGet(s.communicated, ref) {
 		return out
 	}
-	if oi := sy.outputIdx[ref]; oi >= 0 && sy.outputAcceptable(s, sy.outputs[oi]) {
+	if sy.acceptable(s, ref) {
 		return out
 	}
 	run := s.propsOf(ref)
@@ -1578,9 +1638,12 @@ func (sy *Synthesizer) applyComm(s *state, cc commCand) *state {
 	}
 	ns.closedCost += ns.openComm + worst
 	k := int(cc.coll)
-	pen := sy.commPen[cc.ref]
-	m := len(ns.openComp)
-	copy(ns.openComp, pen[k*m:(k+1)*m])
+	if sy.commPen == nil {
+		clear(ns.openComp)
+	} else {
+		m := len(ns.openComp)
+		copy(ns.openComp, sy.commPen[cc.ref][k*m:(k+1)*m])
+	}
 	ns.openComm = sy.commT[cc.ref][k]
 	ns.lastComp = -1
 	if sy.opt.BeamWidth > 0 {
@@ -1588,7 +1651,9 @@ func (sy *Synthesizer) applyComm(s *state, cc commCand) *state {
 		sy.touched = append(sy.touched[:0], cc.ref)
 		sy.inheritFront(ns, s, sy.touched)
 	}
-	ns.complete = sy.isComplete(ns)
+	// A frontier entry's tensor is no acceptable output (appendSegment).
+	sy.settle(ns, cc.ref)
+	ns.complete = ns.unmet == 0
 	return ns
 }
 
@@ -1652,13 +1717,4 @@ func (sy *Synthesizer) outputAcceptable(s *state, o theory.Output) bool {
 		}
 	}
 	return false
-}
-
-func (sy *Synthesizer) isComplete(s *state) bool {
-	for _, o := range sy.outputs {
-		if !sy.outputAcceptable(s, o) {
-			return false
-		}
-	}
-	return true
 }

@@ -3,10 +3,13 @@ package synth
 import (
 	"context"
 	"errors"
+	"math"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
 	"time"
+	"unsafe"
 
 	"hap/internal/autodiff"
 	"hap/internal/cluster"
@@ -14,7 +17,9 @@ import (
 	"hap/internal/cost"
 	"hap/internal/dist"
 	"hap/internal/graph"
+	"hap/internal/models"
 	"hap/internal/obs"
+	"hap/internal/segment"
 	"hap/internal/theory"
 )
 
@@ -534,5 +539,89 @@ func TestParallelBudgetPropagatesToWorkers(t *testing.T) {
 				t.Errorf("budget-expired search returned after %v (budget %v)", elapsed, budget)
 			}
 		})
+	}
+}
+
+// TestCompTimesMatchCost holds the per-B compute table to the cost model it
+// replaced: for every required node, unscaled and scaled, the time the table
+// adds on each device has the bits cost.AddCompTimes adds, under uneven
+// per-segment, per-device ratios and again after SetRatios re-prices the
+// search. The penalty table matches cost.AddIntraPenalty where a device
+// aggregates GPUs, and is absent where none does (every penalty is zero).
+func TestCompTimesMatchCost(t *testing.T) {
+	uneven := func(g *graph.Graph, c *cluster.Cluster, skew float64) [][]float64 {
+		b := cost.UniformRatios(g.NumSegments(), c.ProportionalRatios())
+		for seg := range b {
+			for j := range b[seg] {
+				b[seg][j] *= 1 + skew*float64((seg+1)*(j%3-1))
+			}
+		}
+		return b
+	}
+	for _, tc := range []struct {
+		name     string
+		c        *cluster.Cluster
+		multiGPU bool
+	}{
+		{"hom4-2gpu", cluster.PaperHomogeneous(2), true},
+		{"het8-pergpu", cluster.PaperHeterogeneous(1), false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			g := models.Training(models.MLP(64, 64, 96, 128, 96, 64, 32))
+			segment.Assign(g, 4)
+			if g.NumSegments() < 2 {
+				t.Fatalf("graph has %d segments, want several", g.NumSegments())
+			}
+			c := tc.c
+			sy := New(g, theory.New(g), c, uneven(g, c, 0.01), Options{BeamWidth: 8, Workers: 1})
+			if (sy.commPen != nil) != tc.multiGPU {
+				t.Fatalf("penalty table allocated: %v, want %v", sy.commPen != nil, tc.multiGPU)
+			}
+			check := func(b [][]float64) {
+				t.Helper()
+				m := c.M()
+				for _, id := range sy.reqNodes {
+					if sy.flops[id] != g.Flops(id) {
+						t.Fatalf("node %d: tabled flops %v, Graph.Flops %v", id, sy.flops[id], g.Flops(id))
+					}
+					// AddCompTimes skips a zero-flop node; so does applyComp.
+					for _, scaled := range []bool{false, true} {
+						want := make([]float64, m)
+						cost.AddCompTimes(c, g, dist.Instruction{Ref: id, FlopsScaled: scaled}, b, want)
+						got := sy.compTimes(&theory.Triple{Node: id, FlopsScaled: scaled})
+						for j := range want {
+							if g.Flops(id) != 0 && math.Float64bits(got[j]) != math.Float64bits(want[j]) {
+								t.Fatalf("node %d scaled=%v device %d: table %v, cost.AddCompTimes %v", id, scaled, j, got[j], want[j])
+							}
+						}
+					}
+					for k := 0; k < numColl; k++ {
+						want := make([]float64, m)
+						cost.AddIntraPenalty(c, g, dist.Comm(id, collective.Kind(k), 0, 0), b, want)
+						if sy.commPen == nil {
+							if slices.ContainsFunc(want, func(v float64) bool { return v != 0 }) {
+								t.Fatalf("node %d kind %d: no penalty table, but cost.AddIntraPenalty adds %v", id, k, want)
+							}
+							continue
+						}
+						if got := sy.commPen[id][k*m : (k+1)*m]; !slices.Equal(got, want) {
+							t.Fatalf("node %d kind %d: penalty %v, cost.AddIntraPenalty %v", id, k, got, want)
+						}
+					}
+				}
+			}
+			check(sy.b)
+			b := uneven(g, c, -0.02)
+			sy.SetRatios(b)
+			check(b)
+		})
+	}
+}
+
+// TestCandRefSize holds the merge's record at 16 bytes: the parent index
+// lives in what was the record's padding.
+func TestCandRefSize(t *testing.T) {
+	if n := unsafe.Sizeof(candRef{}); n != 16 {
+		t.Fatalf("candRef is %d bytes, want 16", n)
 	}
 }
