@@ -196,6 +196,6 @@ func Simulate(plan *Plan, c *Cluster, seed int64) float64 {
 // WriteTrace writes a Chrome-trace JSON of one simulated iteration, like
 // the artifact's trace.json.gz.
 func WriteTrace(w io.Writer, plan *Plan, c *Cluster, seed int64) error {
-	r := sim.Run(c, plan.Program, plan.Ratios, sim.Options{Seed: seed})
+	r := sim.Trace(c, plan.Program, plan.Ratios, sim.Options{Seed: seed})
 	return sim.WriteTrace(w, r.Events)
 }

@@ -7,8 +7,10 @@
 // with it, which is exactly the relationship Fig. 18 reports against the
 // real testbed.
 //
-// The simulator also emits Chrome-trace JSON like the artifact's
-// trace.json.gz for inspection in the Chrome tracing UI.
+// Run computes the clock alone: it formats no name and records no event,
+// and allocates the same few objects for any program. Trace walks the same
+// stages and also records a Chrome-trace timeline, which WriteTrace writes
+// as JSON like the artifact's trace.json.gz, for the Chrome tracing UI.
 package sim
 
 import (
@@ -65,58 +67,105 @@ type Result struct {
 	Time float64
 	// CommTime is the portion spent in collectives (on the critical path).
 	CommTime float64
-	// Events is the Chrome-trace timeline.
+	// Events is the Chrome-trace timeline; only Trace fills it.
 	Events []TraceEvent
 }
 
-// Run simulates one training iteration of program p under ratios b.
+// Run simulates one training iteration of program p under ratios b and
+// reports its Time and CommTime; Events stays nil. Trace walks the same
+// stages and also records the timeline.
 func Run(c *cluster.Cluster, p *dist.Program, b [][]float64, opt Options) *Result {
+	return walk(c, p, b, opt, nil)
+}
+
+// Trace is Run plus the Chrome-trace timeline in Events: one "comm" event
+// per device for each stage's collective, one "comp" event per device for
+// each computation. Time and CommTime are Run's, bit for bit.
+func Trace(c *cluster.Cluster, p *dist.Program, b [][]float64, opt Options) *Result {
+	tr := &tracer{events: make([]TraceEvent, 0, c.M()*len(p.Instrs))}
+	res := walk(c, p, b, opt, tr)
+	res.Events = tr.events
+	return res
+}
+
+// tracer collects the timeline of a Trace. walk gets a nil *tracer from
+// Run and then formats no name and appends no event.
+type tracer struct {
+	events []TraceEvent
+}
+
+// emit records one complete event on device dev.
+func (t *tracer) emit(name, cat string, dev int, start, dur float64) {
+	t.events = append(t.events, TraceEvent{
+		Name: name, Cat: cat, Ph: "X",
+		TS: start * 1e6, Dur: dur * 1e6, PID: 0, TID: dev,
+	})
+}
+
+// walk is the clock: it runs p's synchronization stages in order. A stage
+// opens with a collective, except a leading run of computations (the split
+// cost.Stages makes), and ends at a barrier once its slowest device has
+// finished.
+func walk(c *cluster.Cluster, p *dist.Program, b [][]float64, opt Options, tr *tracer) *Result {
 	opt.defaults()
-	rng := rand.New(rand.NewSource(opt.Seed))
+	var rng *rand.Rand
+	if opt.NoiseSigma > 0 {
+		rng = rand.New(rand.NewSource(opt.Seed))
+	}
 	g := p.Graph
 	m := c.M()
 	res := &Result{}
+	// comp is each device's time into the current stage's computation,
+	// including intra-machine aggregation and per-kernel launch overheads.
+	comp := make([]float64, m)
+	instrs := p.Instrs
 
 	clock := 0.0 // global (stage-synchronized) time, seconds
-	emit := func(name, cat string, dev int, start, dur float64) {
-		res.Events = append(res.Events, TraceEvent{
-			Name: name, Cat: cat, Ph: "X",
-			TS: start * 1e6, Dur: dur * 1e6, PID: 0, TID: dev,
-		})
-	}
-
-	for _, st := range cost.Stages(p) {
+	for i := 0; ; {
 		stageStart := clock
 		commDur := 0.0
-		if st.Comm != nil && m > 1 {
-			commDur = cost.CommTime(c, g, *st.Comm, b)
-			if opt.NoiseSigma > 0 {
+		var coll *dist.Instruction
+		if i < len(instrs) && instrs[i].IsComm {
+			coll = &instrs[i]
+			i++
+		}
+		if coll != nil && m > 1 {
+			commDur = cost.CommTime(c, g, *coll, b)
+			if rng != nil {
 				commDur *= 1 + opt.NoiseSigma*rng.NormFloat64()
 				if commDur < 0 {
 					commDur = 0
 				}
 			}
-			for j := 0; j < m; j++ {
-				emit(st.Comm.String(), "comm", j, stageStart, commDur)
+			if tr != nil {
+				name := coll.String()
+				for j := 0; j < m; j++ {
+					tr.emit(name, "comm", j, stageStart, commDur)
+				}
 			}
 			res.CommTime += commDur
 		}
-		// Per-device computation, including intra-machine aggregation and
-		// per-kernel launch overheads.
-		comp := make([]float64, m)
-		if st.Comm != nil {
-			cost.AddIntraPenalty(c, g, *st.Comm, b, comp)
+		clear(comp)
+		if coll != nil {
+			cost.AddIntraPenalty(c, g, *coll, b, comp)
 		}
-		for _, in := range st.Comps {
+		for ; i < len(instrs) && !instrs[i].IsComm; i++ {
+			in := &instrs[i]
 			seg := g.Segment(in.Ref)
 			flops := g.Flops(in.Ref)
+			var name string
+			if tr != nil {
+				name = in.String()
+			}
 			for j, d := range c.Devices {
 				f := flops
 				if in.FlopsScaled {
 					f *= b[seg][j]
 				}
 				dur := f/d.Flops() + opt.KernelOverhead
-				emit(in.String(), "comp", j, stageStart+commDur+comp[j], dur)
+				if tr != nil {
+					tr.emit(name, "comp", j, stageStart+commDur+comp[j], dur)
+				}
 				comp[j] += dur
 			}
 		}
@@ -127,6 +176,9 @@ func Run(c *cluster.Cluster, p *dist.Program, b [][]float64, opt Options) *Resul
 			}
 		}
 		clock = stageStart + commDur + worst + opt.BarrierOverhead
+		if i == len(instrs) {
+			break
+		}
 	}
 	res.Time = clock
 	return res

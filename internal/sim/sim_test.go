@@ -9,13 +9,15 @@ import (
 
 	"hap/internal/cluster"
 	"hap/internal/cost"
+	"hap/internal/dist"
 	"hap/internal/models"
 	"hap/internal/synth"
 	"hap/internal/theory"
 )
 
-func plan(t *testing.T) (*cluster.Cluster, [][]float64, *Result) {
-	t.Helper()
+// mlpPlan plans a small MLP on a V100 + P100 pair.
+func mlpPlan(tb testing.TB) (*cluster.Cluster, [][]float64, *dist.Program) {
+	tb.Helper()
 	c := cluster.FromGPUs(cluster.DefaultNetwork(),
 		cluster.MachineSpec{Type: cluster.V100, GPUs: 1},
 		cluster.MachineSpec{Type: cluster.P100, GPUs: 1})
@@ -23,9 +25,15 @@ func plan(t *testing.T) (*cluster.Cluster, [][]float64, *Result) {
 	b := cost.UniformRatios(1, c.ProportionalRatios())
 	p, _, err := synth.Synthesize(context.Background(), g, theory.New(g), c, b, synth.Options{})
 	if err != nil {
-		t.Fatalf("Synthesize: %v", err)
+		tb.Fatalf("Synthesize: %v", err)
 	}
-	return c, b, Run(c, p, b, Options{Seed: 1})
+	return c, b, p
+}
+
+func plan(t *testing.T) (*cluster.Cluster, [][]float64, *Result) {
+	t.Helper()
+	c, b, p := mlpPlan(t)
+	return c, b, Trace(c, p, b, Options{Seed: 1})
 }
 
 func TestSimulatedTimeExceedsAnalytic(t *testing.T) {

@@ -23,7 +23,11 @@ import (
 // benchInput is the search every BenchmarkSynthesize* row times: a paper
 // model on the paper's heterogeneous cluster at B⁽⁰⁾.
 func benchInput(model models.PaperModel) (*graph.Graph, *theory.Theory, *cluster.Cluster, [][]float64) {
-	c := cluster.PaperHeterogeneous(1)
+	return inputOn(model, cluster.PaperHeterogeneous(1))
+}
+
+// inputOn is benchInput's search on cluster c.
+func inputOn(model models.PaperModel, c *cluster.Cluster) (*graph.Graph, *theory.Theory, *cluster.Cluster, [][]float64) {
 	g := models.Build(model, c.TotalGPUs())
 	return g, theory.New(g), c, cost.UniformRatios(g.NumSegments(), c.ProportionalRatios())
 }
@@ -94,8 +98,10 @@ const fanOutAllocsPerLevel = 8
 // TestSearchAllocationPin holds the beam's allocation profile. Each row is
 // one search at Workers=1, whose allocation count is exact run to run (the
 // search is deterministic and single-threaded) and whose bytes repeat to a
-// few KiB. These rows run on the paper's one-GPU-per-machine cluster, so
-// they carry no intra-machine penalty table, and the per-B compute table
+// few KiB. All rows but "VGG19 hom4" run on the paper's one-GPU-per-machine
+// cluster, so they carry no intra-machine penalty table; "VGG19 hom4" runs
+// on PaperHomogeneous(2), whose two-GPU machines take the commPen != nil
+// path (the penalty table and its slab). The per-B compute table
 // shares a slab with the tabled flops: the rows read 437 / 1 440, 734 /
 // 3 805, 879 / 5 693 and 145 / 476 KiB while the zero penalty table was
 // allocated and the flops were recomputed. A count fails past its pin + 25 %: fresh states carving new slabs
@@ -120,8 +126,9 @@ const fanOutAllocsPerLevel = 8
 // since the serial search allocates less than the fan-out's fixed cost, that
 // is held per level, not as a ratio.
 func TestSearchAllocationPin(t *testing.T) {
-	cold := func(model models.PaperModel, workers int) func() {
-		g, th, c, ratios := benchInput(model)
+	het := cluster.PaperHeterogeneous(1)
+	cold := func(model models.PaperModel, c *cluster.Cluster, workers int) func() {
+		g, th, c, ratios := inputOn(model, c)
 		return func() {
 			if _, _, err := Synthesize(context.Background(), g, th, c, ratios, Options{BeamWidth: 48, Workers: workers}); err != nil {
 				t.Fatal(err)
@@ -147,9 +154,10 @@ func TestSearchAllocationPin(t *testing.T) {
 		allocs int
 		kib    int
 	}{
-		{"VGG19", cold(models.ModelVGG19, 1), 437, 1420},
-		{"BERT-Base", cold(models.ModelBERTBase, 1), 734, 3742},
-		{"BERT-MoE", cold(models.ModelBERTMoE, 1), 879, 5626},
+		{"VGG19", cold(models.ModelVGG19, het, 1), 437, 1420},
+		{"BERT-Base", cold(models.ModelBERTBase, het, 1), 734, 3742},
+		{"BERT-MoE", cold(models.ModelBERTMoE, het, 1), 879, 5626},
+		{"VGG19 hom4", cold(models.ModelVGG19, cluster.PaperHomogeneous(2), 1), 437, 1414},
 		{"VGG19 incremental", func() {
 			if _, _, err := seeded.search(1); err != nil {
 				t.Fatal(err)
@@ -174,8 +182,8 @@ func TestSearchAllocationPin(t *testing.T) {
 	if _, _, err := sy.Run(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	one := testing.AllocsPerRun(2, cold(models.ModelVGG19, 1))
-	two := testing.AllocsPerRun(2, cold(models.ModelVGG19, 2))
+	one := testing.AllocsPerRun(2, cold(models.ModelVGG19, het, 1))
+	two := testing.AllocsPerRun(2, cold(models.ModelVGG19, het, 2))
 	perLevel := (two - one) / float64(levels)
 	t.Logf("VGG19 allocs per search: %.0f at Workers=1, %.0f at Workers=2 (%.1f per level over %d levels)", one, two, perLevel, levels)
 	if perLevel > fanOutAllocsPerLevel {
