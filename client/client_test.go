@@ -82,15 +82,16 @@ func TestClientSynthesizeBinaryDefault(t *testing.T) {
 	}
 }
 
-// A daemon that answers a plan as JSON sent what the client cannot decode:
-// the call fails like any other malformed answer.
+// A daemon that answers a plan as JSON (here the program's Encode rendering)
+// sent what the client cannot decode: the call fails like any other
+// malformed answer.
 func TestClientRefusesJSONAnswer(t *testing.T) {
 	plan, err := hap.NewPlanner(testCluster()).Plan(context.Background(), testGraph(t))
 	if err != nil {
 		t.Fatal(err)
 	}
 	var js strings.Builder
-	if err := plan.WriteProgram(&js); err != nil {
+	if err := plan.Program.Encode(&js); err != nil {
 		t.Fatal(err)
 	}
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {

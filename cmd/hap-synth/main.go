@@ -6,7 +6,11 @@
 //
 //	hap-synth [-model VGG19|ViT|BERT-Base|BERT-MoE] [-k gpusPerMachine]
 //	          [-cluster hetero|homo|a100p100] [-segments n] [-workers n]
-//	          [-trace file] [-out plan.json] [-server http://host:8080]
+//	          [-trace file] [-out plan.bin] [-server http://host:8080]
+//
+// The printed disassembly is the form a person reads; -out writes the binary
+// plan payload, the one form hap.ReadProgramBinary loads, and fails unless
+// it re-loads to the same program.
 //
 // With -server, synthesis is delegated to a hap-serve daemon over wire
 // protocol v2 (binary plan encoding): repeated invocations for the same
@@ -37,7 +41,7 @@ func main() {
 	segments := flag.Int("segments", 1, "model segments for per-segment sharding ratios")
 	workers := flag.Int("workers", 0, "beam-search worker goroutines (0 = GOMAXPROCS); the plan is byte-identical for any value")
 	trace := flag.String("trace", "", "write a Chrome trace of one simulated iteration to this file")
-	out := flag.String("out", "", "export the plan (program + ratios) as JSON to this file and verify the round-trip")
+	out := flag.String("out", "", "write the plan (program, ratios, cost) as its binary payload to this file and check that it re-loads to the same program")
 	server := flag.String("server", "", "synthesize via this hap-serve daemon (e.g. http://host:8080) instead of locally")
 	flag.Parse()
 
@@ -88,13 +92,13 @@ func main() {
 
 	if *out != "" {
 		var buf bytes.Buffer
-		if err := plan.WriteProgram(&buf); err != nil {
+		if err := plan.WriteProgramBinary(&buf); err != nil {
 			log.Fatal(err)
 		}
 		if err := os.WriteFile(*out, buf.Bytes(), 0o644); err != nil {
 			log.Fatal(err)
 		}
-		back, err := hap.ReadProgram(bytes.NewReader(buf.Bytes()), g)
+		back, err := hap.ReadProgramBinary(bytes.NewReader(buf.Bytes()), g)
 		if err != nil {
 			log.Fatalf("re-loading %s: %v", *out, err)
 		}

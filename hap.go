@@ -28,8 +28,6 @@
 package hap
 
 import (
-	"bytes"
-	"encoding/json"
 	"io"
 	"time"
 
@@ -37,7 +35,6 @@ import (
 	"hap/internal/cluster"
 	"hap/internal/dist"
 	"hap/internal/graph"
-	"hap/internal/planwire"
 	"hap/internal/runtime"
 	"hap/internal/sim"
 )
@@ -135,53 +132,23 @@ type Plan struct {
 	// Cost is the modeled per-iteration time in seconds.
 	Cost float64
 	// SynthesisTime is the wall-clock time the optimization took, in
-	// seconds. In-memory only: not serialized by WriteProgram, so plan bytes
-	// are a function of the inputs alone.
+	// seconds. In-memory only: not serialized by WriteProgramBinary, so plan
+	// bytes are a function of the inputs alone.
 	SynthesisTime float64
 	// Seeded reports whether the plan came out of a seeded (incremental)
 	// search rather than a cold one, and SeedDistance the donor's normalized
-	// structural distance. In-memory only: not serialized by WriteProgram —
-	// a reloaded plan is just a plan, regardless of how it was found.
+	// structural distance. In-memory only: not serialized by
+	// WriteProgramBinary — a reloaded plan is just a plan, regardless of how
+	// it was found.
 	Seeded       bool
 	SeedDistance float64
 }
 
-// WriteProgram serializes the plan — the SPMD program, the sharding ratios,
-// and the modeled cost — as JSON, so plans can be exported, diffed, and
-// re-loaded without re-running synthesis.
-func (p *Plan) WriteProgram(w io.Writer) error {
-	var buf bytes.Buffer
-	if err := p.Program.Encode(&buf); err != nil {
-		return err
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(planwire.JSON{
-		Program:   buf.Bytes(),
-		Ratios:    p.Ratios,
-		SegmentOf: p.Program.Graph.SegmentOf,
-		Cost:      p.Cost,
-	})
-}
-
-// ReadProgram loads a plan written by Plan.WriteProgram, binding its program
-// to g (which must be the graph the plan was synthesized for) and validating
-// it structurally. g is never written, whether the read succeeds or not: the
-// program binds to g when g carries the plan's segment assignment, and to a
-// shallow copy of g carrying it otherwise, so plans produced with
-// Options.Segments > 1 re-load against a freshly built graph. The returned
-// Program.Graph is the graph it bound to.
-func ReadProgram(r io.Reader, g *Graph) (*Plan, error) {
-	prog, ratios, cost, err := planwire.ReadJSON(r, g, "")
-	if err != nil {
-		return nil, err
-	}
-	return &Plan{Program: prog, Ratios: ratios, Cost: cost}, nil
-}
-
 // Verify numerically checks that the plan's program is semantically
 // equivalent to the single-device graph (Sec. 4.2), executing both on
-// random data across m simulated devices.
+// random data across the given number of simulated devices — the device
+// count the plan was balanced for (its cluster's M()), or Verify returns an
+// error naming both counts.
 func Verify(plan *Plan, devices int, seed int64) error {
 	return runtime.VerifyEquivalence(plan.Program, devices, plan.Ratios, seed)
 }

@@ -3,6 +3,7 @@ package hap
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -105,5 +106,32 @@ func TestHeterogeneousBuilder(t *testing.T) {
 	)
 	if c.M() != 2 || c.TotalGPUs() != 16 {
 		t.Errorf("M=%d GPUs=%d", c.M(), c.TotalGPUs())
+	}
+}
+
+// A plan loaded from disk carries no cluster, so Verify's device count can
+// disagree with the width of the plan's ratio rows. It must say so, naming
+// both counts, instead of panicking (more devices than ratios) or reporting
+// a misleading equivalence failure (fewer).
+func TestVerifyRejectsDeviceCountMismatch(t *testing.T) {
+	c := testCluster()
+	plan, err := planWith(testGraph(t), c, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, m := range []int{1, 8} {
+		err := Verify(plan, m, 1)
+		if err == nil {
+			t.Errorf("Verify on %d devices accepted a plan balanced for %d", m, c.M())
+			continue
+		}
+		for _, want := range []string{fmt.Sprintf("%d devices", m), fmt.Sprintf("%d ratios", c.M())} {
+			if !strings.Contains(err.Error(), want) {
+				t.Errorf("Verify on %d devices: error %q does not mention %q", m, err, want)
+			}
+		}
+	}
+	if err := Verify(plan, c.M(), 1); err != nil {
+		t.Errorf("Verify on the plan's own %d devices: %v", c.M(), err)
 	}
 }

@@ -1,13 +1,14 @@
-// Compact binary serialization of distributed programs — the serving-path
-// counterpart of the diffable JSON form (json.go). A VGG19 plan is ~100 KB
-// of JSON; the binary form is a few KB, which matters when hap-serve holds
-// thousands of cached plans and trainers fetch them on every cold start.
+// Compact binary serialization of distributed programs — a plan's one wire
+// encoding. The VGG19 program that renders as 14.5 KB of JSON (Encode,
+// json.go) is 688 bytes here (TestBinaryModelScaleRoundTripAndSize), which
+// matters when hap-serve holds thousands of cached plans and trainers fetch
+// them on every cold start.
 //
-// Like the JSON form, op and collective kinds travel by NAME, not ordinal —
-// a string table in the header keeps the format robust to enum renumbering
-// while still costing one varint per instruction. The graph travels
-// separately: DecodeBinary re-binds the instruction stream to a
-// caller-provided graph, checks the embedded fingerprint, and validates.
+// Op and collective kinds travel by NAME, not ordinal — a string table in
+// the header keeps the format robust to enum renumbering while still costing
+// one varint per instruction. The graph travels separately: DecodeBinary
+// re-binds the instruction stream to a caller-provided graph, checks the
+// embedded fingerprint, and validates.
 //
 // Layout (all integers are unsigned varints unless noted):
 //
@@ -151,8 +152,10 @@ func (p *Program) EqualBinary(q *Program) bool {
 }
 
 // DecodeBinary reads a program written by EncodeBinary, binds it to g, and
-// validates it — mirroring Decode's checks: version, node count, and the
-// structural graph fingerprint. Bytes after the program are ignored.
+// validates it: version, node count, the structural graph fingerprint (a
+// plan cannot be silently re-bound to a graph it was not synthesized for —
+// same topology with different shapes costs and shards differently), and
+// Validate. Bytes after the program are ignored.
 func DecodeBinary(r io.Reader, g *graph.Graph) (*Program, error) {
 	data, err := readAll(r)
 	if err != nil {
@@ -355,4 +358,45 @@ func DecodeBinaryWithFingerprint(data []byte, g *graph.Graph, fp string) (*Progr
 		return fail("%w", err)
 	}
 	return p, nil
+}
+
+// checkBinding is the plan→graph binding check: the program's node count and
+// graph hash against g's. fp is graph.Fingerprint(g) when the caller holds
+// it, "" to compute it here.
+func checkBinding(g *graph.Graph, nodes uint64, hash, fp string) error {
+	if nodes != uint64(g.NumNodes()) {
+		return fmt.Errorf("program was synthesized for a %d-node graph, binding graph has %d", nodes, g.NumNodes())
+	}
+	if fp == "" {
+		fp = graph.Fingerprint(g)
+	}
+	if hash != fp {
+		return fmt.Errorf("graph fingerprint mismatch (program %s, binding graph %s): the plan was synthesized for a structurally different graph", hash, fp)
+	}
+	return nil
+}
+
+// bindInputs gives every computation a copy of its graph node's input list
+// (inputs are not serialized: Validate holds them to the node's anyway), all
+// copies carved from one allocation. Leaf loaders get none, and so does a
+// reference outside the graph, which Validate rejects.
+func (p *Program) bindInputs() {
+	g := p.Graph
+	bound := func(in *Instruction) []graph.NodeID {
+		if in.IsComm || in.Ref < 0 || int(in.Ref) >= g.NumNodes() || in.Op.IsLeaf() {
+			return nil
+		}
+		return g.Node(in.Ref).Inputs
+	}
+	n := 0
+	for i := range p.Instrs {
+		n += len(bound(&p.Instrs[i]))
+	}
+	slab := make([]graph.NodeID, n)
+	for i := range p.Instrs {
+		if k := copy(slab, bound(&p.Instrs[i])); k > 0 {
+			p.Instrs[i].Inputs = slab[:k:k]
+			slab = slab[k:]
+		}
+	}
 }

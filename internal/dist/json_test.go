@@ -2,32 +2,12 @@ package dist
 
 import (
 	"bytes"
-	"reflect"
 	"strings"
 	"testing"
 
 	"hap/internal/collective"
 	"hap/internal/graph"
 )
-
-func TestJSONRoundTrip(t *testing.T) {
-	g := trainingGraph(t)
-	p := dataParallel(t, g)
-	var buf bytes.Buffer
-	if err := p.Encode(&buf); err != nil {
-		t.Fatalf("Encode: %v", err)
-	}
-	q, err := Decode(bytes.NewReader(buf.Bytes()), g)
-	if err != nil {
-		t.Fatalf("Decode: %v", err)
-	}
-	if !reflect.DeepEqual(p.Instrs, q.Instrs) {
-		t.Errorf("round-trip changed the program:\n%s\nvs\n%s", p, q)
-	}
-	if q.Graph != g {
-		t.Error("decoded program not bound to the provided graph")
-	}
-}
 
 func TestEncodeUsesStableNames(t *testing.T) {
 	g := trainingGraph(t)
@@ -44,86 +24,6 @@ func TestEncodeUsesStableNames(t *testing.T) {
 	}
 	if strings.Contains(s, `"op": 4`) {
 		t.Error("op kinds serialized by ordinal, not name")
-	}
-}
-
-func TestDecodeRejections(t *testing.T) {
-	g := trainingGraph(t)
-	p := dataParallel(t, g)
-	var buf bytes.Buffer
-	if err := p.Encode(&buf); err != nil {
-		t.Fatalf("Encode: %v", err)
-	}
-	enc := buf.String()
-
-	cases := []struct {
-		name    string
-		json    string
-		graph   *graph.Graph
-		wantSub string
-	}{
-		{"graph size mismatch", enc, graph.New(), "binding graph"},
-		{"unknown op", strings.Replace(enc, `"op": "matmul"`, `"op": "quantum_matmul"`, 1), g, "unknown op"},
-		{"unknown collective", strings.Replace(enc, `"comm": "all-reduce"`, `"comm": "teleport"`, 1), g, "unknown collective"},
-		{"bad version", strings.Replace(enc, `"version": 2`, `"version": 99`, 1), g, "version"},
-		{"not json", "][", g, "decode"},
-		{"ill-formed program", strings.Replace(enc, `"shard_dim": 0`, `"shard_dim": 7`, 1), g, "out of range"},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			_, err := Decode(strings.NewReader(tc.json), tc.graph)
-			if err == nil {
-				t.Fatal("Decode accepted bad input")
-			}
-			if !strings.Contains(err.Error(), tc.wantSub) {
-				t.Errorf("error %q does not mention %q", err, tc.wantSub)
-			}
-		})
-	}
-}
-
-func TestDecodeRejectsShapeDrift(t *testing.T) {
-	// Same topology and node count, different tensor shapes: the structural
-	// fingerprint must refuse the binding — the plan's sharding and cost were
-	// optimized for different shapes.
-	g := trainingGraph(t)
-	g2 := graph.New()
-	x := g2.AddPlaceholder("x", 0, 4, 9)
-	w := g2.AddParameter("w", 9, 2)
-	y := g2.AddOp(graph.MatMul, x, w)
-	g2.SetLoss(g2.AddOp(graph.Sum, y))
-	ones := g2.AddOnes()
-	gy := g2.AddExpand(ones, g2.Node(y).Shape)
-	xt := g2.AddOp(graph.Transpose, x)
-	g2.Grads[w] = g2.AddOp(graph.MatMul, xt, gy)
-
-	p := dataParallel(t, g)
-	var buf bytes.Buffer
-	if err := p.Encode(&buf); err != nil {
-		t.Fatalf("Encode: %v", err)
-	}
-	_, err := Decode(bytes.NewReader(buf.Bytes()), g2)
-	if err == nil {
-		t.Fatal("Decode bound a plan to a graph with different shapes")
-	}
-	if !strings.Contains(err.Error(), "fingerprint") {
-		t.Errorf("unexpected error: %v", err)
-	}
-}
-
-func TestDecodedProgramIsValidatedStructurally(t *testing.T) {
-	// A syntactically fine JSON whose instruction order is ill-formed must be
-	// rejected by the decoder's validation pass.
-	g := trainingGraph(t)
-	p := &Program{Graph: g, Instrs: []Instruction{
-		{Ref: 2, Op: graph.MatMul, Inputs: []graph.NodeID{0, 1}, ShardDim: -1, FlopsScaled: true},
-	}}
-	var buf bytes.Buffer
-	if err := p.Encode(&buf); err != nil {
-		t.Fatalf("Encode: %v", err)
-	}
-	if _, err := Decode(bytes.NewReader(buf.Bytes()), g); err == nil {
-		t.Fatal("Decode accepted a use-before-def program")
 	}
 }
 

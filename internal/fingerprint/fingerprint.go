@@ -7,11 +7,11 @@
 // The key is wire contract: a client may send it instead of a request body
 // (POST /v1/synthesize {"key": ...}), so its rendering is pinned by golden
 // tests. Collision exposure: the graph half of the key and the binding check
-// hap.ReadProgram runs on every plan it loads are the same 64-bit FNV-1a of
-// the same fields. A key-first request therefore adds no exposure the
-// full-body path does not already have: there, too, two graphs that collide
-// share one cache entry, and the binding check (being the same hash) cannot
-// tell them apart. Widening one means widening both.
+// hap.ReadProgramBinary runs on every plan it loads are the same 64-bit
+// FNV-1a of the same fields. A key-first request therefore adds no exposure
+// the full-body path does not already have: there, too, two graphs that
+// collide share one cache entry, and the binding check (being the same hash)
+// cannot tell them apart. Widening one means widening both.
 package fingerprint
 
 import (

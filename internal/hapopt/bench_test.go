@@ -45,9 +45,13 @@ func BenchmarkOptimizeLoop(b *testing.B) {
 // each carving its own arena, trail and beam buffers, cost it 4 451
 // allocations and 6 310 KiB. While theory.New allocated per triple and the
 // hasher per node signature, the rows read 10 571 / 10 738 KiB and
-// 3 252 / 2 232 KiB. Both clusters are one GPU per device: while each
+// 3 252 / 2 232 KiB. Those two clusters are one GPU per device: while each
 // Synthesizer also allocated a penalty table of zeros, the rows read
-// 2 997 / 10 478 KiB and 817 / 2 197 KiB.
+// 2 997 / 10 478 KiB and 817 / 2 197 KiB. VGG19/hom4 runs on
+// PaperHomogeneous(2), whose two-GPU machines take the commPen != nil path
+// (the intra-machine penalty table and its slab); on its identical devices
+// the balancer returns the B the search ran under, so the loop converges
+// after one search.
 func TestOptimizeAllocationPin(t *testing.T) {
 	cfg := models.BERTBase()
 	cfg.Layers = 4
@@ -64,6 +68,10 @@ func TestOptimizeAllocationPin(t *testing.T) {
 			return bertGraph(cfg, models.PerDeviceBatch(models.ModelBERTBase)*pg16.TotalGPUs()), pg16,
 				Options{Segments: 4, Synth: synth.Options{BeamWidth: 48, Workers: 1}}
 		}, 4, 817, 2157},
+		{"VGG19/hom4", func() (*graph.Graph, *cluster.Cluster, Options) {
+			c := cluster.PaperHomogeneous(2)
+			return models.Build(models.ModelVGG19, c.TotalGPUs()), c, Options{Synth: synth.Options{BeamWidth: 48, Workers: 1}}
+		}, 1, 506, 1518},
 	} {
 		g, c, opt := row.input()
 		if _, searches, _, err := optimizeTraced(g, c, opt); err != nil || searches != row.searches {

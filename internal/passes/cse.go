@@ -16,11 +16,11 @@ import (
 // it states intent the program has already realized.
 //
 // The synthesizer cannot emit such programs (it communicates each tensor at
-// most once), but decoded plans (hap.ReadProgram) and hand-built programs
-// can, and the structural validator accepts them: a duplicate is well-formed
-// SSA. Left in place it would double-charge the cost model and, in the data
-// plane, corrupt the value (collectives are state transitions, not
-// idempotent operations — a second all-reduce multiplies by m). CSE
+// most once), but decoded plans (hap.ReadProgramBinary) and hand-built
+// programs can, and the structural validator accepts them: a duplicate is
+// well-formed SSA. Left in place it would double-charge the cost model and,
+// in the data plane, corrupt the value (collectives are state transitions,
+// not idempotent operations — a second all-reduce multiplies by m). CSE
 // canonicalizes such programs to the form their producer evidently meant.
 type CollectiveCSE struct{}
 

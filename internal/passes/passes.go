@@ -5,14 +5,14 @@
 // to fuse and no repeat to deduplicate, and a prune (dist.Prune) is all they
 // need.
 //
-// Decoded or hand-built programs (hap.ReadProgram, baselines, lowered
-// backends such as ExpandAllReduce's) carry whatever their producer wrote.
-// A Pass rewrites one program in place — merging collective pairs into
-// cheaper equivalents, deduplicating redundant collectives, deleting dead
-// code — and reports how many rewrites it made. A Pipeline runs a pass list to a fixed point with per-pass stats
-// and (optionally) the structural validator after every pass, so a buggy
-// rewrite is caught at the pass boundary instead of deep inside the cost
-// model or the numeric runtime.
+// Decoded or hand-built programs (hap.ReadProgramBinary, baselines,
+// lowered backends such as ExpandAllReduce's) carry whatever their producer
+// wrote. A Pass rewrites one program in place — merging collective pairs
+// into cheaper equivalents, deduplicating redundant collectives, deleting
+// dead code — and reports how many rewrites it made. A Pipeline runs a pass
+// list to a fixed point with per-pass stats and (optionally) the structural
+// validator after every pass, so a buggy rewrite is caught at the pass
+// boundary instead of deep inside the cost model or the numeric runtime.
 //
 // Passes only ever need the program and the cluster: cost decisions (is the
 // fused collective actually cheaper here?) are made against the analytic

@@ -1,10 +1,10 @@
-// Package planwire reads the two wire forms of a plan: the JSON document
-// Plan.WriteProgram writes and the binary payload Plan.WriteProgramBinary
-// writes. The hap package wraps these readers (hap.ReadProgram,
-// hap.ReadProgramBinary) and writes the forms itself; the client calls the
-// readers directly so it can hand over the graph fingerprint it already
-// computed for the plan's cache key, sparing the binding check a second hash
-// of the same graph.
+// Package planwire reads a plan's one wire form: the binary payload
+// Plan.WriteProgramBinary writes, which the plan store, its disk mirror, the
+// fleet and every /v1/synthesize answer carry. The hap package wraps the
+// reader (hap.ReadProgramBinary) and writes the payload itself; the client
+// calls ReadBinary directly so it can hand over the graph fingerprint it
+// already computed for the plan's cache key, sparing the binding check a
+// second hash of the same graph.
 //
 // A reader never writes the graph it is given. The program binds to that
 // graph when it already carries the plan's segment assignment, and to a
@@ -25,26 +25,17 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
-	"io"
 	"math"
 
 	"hap/internal/dist"
 	"hap/internal/graph"
 )
 
-// JSON is the serialized form of a plan. The graph travels separately: the
+// Trailer is the JSON metadata appended after the binary program: what
+// dist.EncodeBinary does not carry. The graph travels separately — the
 // reader re-binds the program to a caller-provided graph. SegmentOf is
-// carried because planning with Segments > 1 assigns it internally — a fresh
+// carried because planning with Segments > 1 assigns it internally: a fresh
 // process rebuilding the model graph has no way to reproduce it.
-type JSON struct {
-	Program   json.RawMessage `json:"program"`
-	Ratios    [][]float64     `json:"ratios"`
-	SegmentOf []int           `json:"segment_of,omitempty"`
-	Cost      float64         `json:"cost"`
-}
-
-// Trailer is the JSON metadata appended after the binary program — the JSON
-// fields that dist.EncodeBinary does not carry.
 type Trailer struct {
 	Ratios    [][]float64 `json:"ratios"`
 	SegmentOf []int       `json:"segment_of,omitempty"`
@@ -54,36 +45,10 @@ type Trailer struct {
 // Magic terminates every binary plan payload.
 var Magic = [4]byte{'H', 'A', 'P', 'T'}
 
-// ReadJSON loads a plan in the JSON form, binding its program to g (which
-// must be the graph the plan was synthesized for) or to a copy of g carrying
-// the plan's segment assignment, and validating it. fp, when not empty, must
-// be graph.Fingerprint(g).
-func ReadJSON(r io.Reader, g *graph.Graph, fp string) (*dist.Program, [][]float64, float64, error) {
-	fail := func(err error) (*dist.Program, [][]float64, float64, error) {
-		return nil, nil, 0, fmt.Errorf("hap: read plan: %w", err)
-	}
-	var pj JSON
-	if err := json.NewDecoder(r).Decode(&pj); err != nil {
-		return fail(err)
-	}
-	if len(pj.Program) == 0 {
-		return fail(fmt.Errorf("input has no %q section (not written by Plan.WriteProgram?)", "program"))
-	}
-	bg, fp, err := binding(g, pj.SegmentOf, fp)
-	if err != nil {
-		return fail(err)
-	}
-	prog, err := dist.DecodeWithFingerprint(bytes.NewReader(pj.Program), bg, fp)
-	if err == nil {
-		err = ValidateRatios(pj.Ratios, bg.NumSegments())
-	}
-	if err != nil {
-		return fail(err)
-	}
-	return prog, pj.Ratios, pj.Cost, nil
-}
-
-// ReadBinary is ReadJSON for a binary payload held in memory.
+// ReadBinary loads a plan from a binary payload held in memory, binding its
+// program to g (which must be the graph the plan was synthesized for) or to
+// a copy of g carrying the plan's segment assignment, and validating it. fp,
+// when not empty, must be graph.Fingerprint(g).
 func ReadBinary(data []byte, g *graph.Graph, fp string) (*dist.Program, [][]float64, float64, error) {
 	fail := func(err error) (*dist.Program, [][]float64, float64, error) {
 		return nil, nil, 0, fmt.Errorf("hap: read binary plan: %w", err)

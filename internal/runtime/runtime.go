@@ -311,8 +311,15 @@ func RelationOf(ref *tensor.Tensor, instances []*tensor.Tensor) (string, error) 
 
 // VerifyEquivalence runs both executions with random leaf data and checks
 // that every tensor the distributed program produces is explained by a
-// property of the reference tensor. It returns the first violation.
+// property of the reference tensor. It returns the first violation. Every
+// ratio row must cover the m devices: a plan balanced for another device
+// count is refused before anything runs.
 func VerifyEquivalence(p *dist.Program, m int, b [][]float64, seed int64) error {
+	for k, row := range b {
+		if len(row) != m {
+			return fmt.Errorf("runtime: verify on %d devices: ratio row %d holds %d ratios", m, k, len(row))
+		}
+	}
 	g := p.Graph
 	rng := rand.New(rand.NewSource(seed))
 	leaves := map[graph.NodeID]*tensor.Tensor{}

@@ -75,10 +75,11 @@ func TestTwoEncodingPlanFileRestores(t *testing.T) {
 }
 
 // TestUnframedPayloadRefused is the witness for intake framing: a record with
-// a good JSON plan and a payload that is not a framed binary plan was once
-// restored from disk, and accepted from a replicating peer, then served as a
-// hit that no client could decode until it was evicted. Both intakes now
-// refuse it, and the key misses and synthesizes a plan that verifies.
+// a JSON plan (here the program's Encode rendering) and a payload that is not
+// a framed binary plan was once restored from disk, and accepted from a
+// replicating peer, then served as a hit that no client could decode until
+// it was evicted. Both intakes now refuse it, and the key misses and
+// synthesizes a plan that verifies.
 func TestUnframedPayloadRefused(t *testing.T) {
 	g, c := testGraph(t), testCluster()
 	key := cacheKey(g, c, RequestOptions{})
@@ -87,7 +88,7 @@ func TestUnframedPayloadRefused(t *testing.T) {
 		t.Fatal(err)
 	}
 	var plan bytes.Buffer
-	if err := good.WriteProgram(&plan); err != nil {
+	if err := good.Program.Encode(&plan); err != nil {
 		t.Fatal(err)
 	}
 	record, err := json.Marshal(map[string]any{"key": key, "plan": plan.Bytes(), "bin": []byte("not a plan payload"), "version": 1})

@@ -6,10 +6,46 @@ import (
 	"encoding/json"
 	"math"
 	"slices"
+	"strings"
 	"testing"
 
+	"hap/internal/graph"
 	"hap/internal/planwire"
 )
+
+// quickstartGraph mirrors examples/quickstart: a small MLP with backward pass.
+func quickstartGraph(t testing.TB) *Graph {
+	t.Helper()
+	g := NewGraph()
+	x := g.AddPlaceholder("x", 0, 64, 48)
+	w1 := g.AddParameter("w1", 48, 32)
+	w2 := g.AddParameter("w2", 32, 8)
+	h := g.AddOp(ReLU, g.AddOp(MatMul, x, w1))
+	logits := g.AddOp(MatMul, h, w2)
+	g.SetLoss(g.AddOp(Sum, g.AddScale(logits, 1.0/64)))
+	if err := Backward(g); err != nil {
+		t.Fatalf("Backward: %v", err)
+	}
+	return g
+}
+
+func heteroPair() *Cluster {
+	return PerGPU(
+		MachineSpec{Type: V100, GPUs: 1},
+		MachineSpec{Type: P100, GPUs: 1},
+	)
+}
+
+// GraphIdentity is what a graph's cache key and request body are made of:
+// its fingerprint and its encoding. Exported for the hap_test package.
+func GraphIdentity(t testing.TB, g *Graph) string {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := g.Encode(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return graph.Fingerprint(g) + "\n" + buf.String()
+}
 
 // binaryPayload plans the quickstart MLP and returns its WriteProgramBinary
 // bytes and the segment assignment of the graph the plan binds.
@@ -25,6 +61,185 @@ func binaryPayload(t testing.TB, opt Options) ([]byte, []int) {
 		t.Fatalf("WriteProgramBinary: %v", err)
 	}
 	return buf.Bytes(), plan.Program.Graph.SegmentOf
+}
+
+// withTrailer returns a copy of a binary payload whose JSON trailer edit has
+// rewritten, framed anew: the program section is untouched.
+func withTrailer(t testing.TB, payload []byte, edit func(m map[string]json.RawMessage)) []byte {
+	t.Helper()
+	progEnd := len(payload) - 8 - int(binary.BigEndian.Uint32(payload[len(payload)-8:]))
+	var m map[string]json.RawMessage
+	if err := json.Unmarshal(payload[progEnd:len(payload)-8], &m); err != nil {
+		t.Fatalf("trailer: %v", err)
+	}
+	edit(m)
+	tr, err := json.Marshal(m)
+	if err != nil {
+		t.Fatalf("trailer: %v", err)
+	}
+	out := append(slices.Clone(payload[:progEnd]), tr...)
+	out = binary.BigEndian.AppendUint32(out, uint32(len(tr)))
+	return append(out, planwire.Magic[:]...)
+}
+
+// graphHashSpan returns where the graph hash lies in a binary payload.
+func graphHashSpan(payload []byte) (from, to int) {
+	pos := 5 // magic and version
+	_, n := binary.Uvarint(payload[pos:])
+	pos += n
+	hashLen, n := binary.Uvarint(payload[pos:])
+	return pos + n, pos + n + int(hashLen)
+}
+
+// badPayload is an input the plan reader must refuse, with the phrase its
+// error must carry.
+type badPayload struct {
+	name, want string
+	data       []byte
+}
+
+// badPayloads edits the quickstart plan's payloads (flat, and seg4 planned
+// with Segments: 4) into inputs the reader must refuse: malformed ratios, an
+// input that is no plan payload, and programs that no longer bind to the
+// quickstart graph.
+func badPayloads(t testing.TB, flat, seg4 []byte) []badPayload {
+	ratios := func(v string) []byte {
+		return withTrailer(t, flat, func(m map[string]json.RawMessage) { m["ratios"] = json.RawMessage(v) })
+	}
+	segs := func(m map[string]json.RawMessage) {
+		var s []int
+		if err := json.Unmarshal(m["segment_of"], &s); err != nil {
+			t.Fatal(err)
+		}
+		m["segment_of"], _ = json.Marshal(s[:len(s)-1])
+	}
+	from, to := graphHashSpan(flat)
+	forged := slices.Clone(flat)
+	copy(forged[from:to], strings.Repeat("0", to-from))
+	return []badPayload{
+		{"null ratios", "segments", ratios("null")},
+		{"ratios not summing to 1", "sums to", ratios("[[0.5, 0.2]]")},
+		{"empty ratio row", "devices", ratios("[[]]")},
+		{"negative ratio", "not a valid ratio", ratios("[[1.5, -0.5]]")},
+		{"not a plan", "suffix", []byte("{}")},
+		{"short segment assignment", "segment assignment covers", withTrailer(t, seg4, segs)},
+		{"forged graph hash", "fingerprint mismatch", forged},
+		{"unknown op", "unknown op", bytes.Replace(flat, []byte("relu"), []byte("rulu"), 1)},
+	}
+}
+
+// Malformed ratios, non-plan input and a program that does not bind must be
+// rejected at load time, not crash later inside Verify/Simulate.
+func TestReadProgramRejectsBadRatios(t *testing.T) {
+	flat, _ := binaryPayload(t, Options{})
+	seg4, _ := binaryPayload(t, Options{Segments: 4})
+	for _, tc := range badPayloads(t, flat, seg4) {
+		t.Run(tc.name, func(t *testing.T) {
+			_, err := ReadProgramBinary(bytes.NewReader(tc.data), quickstartGraph(t))
+			if err == nil {
+				t.Fatal("ReadProgramBinary accepted malformed input")
+			}
+			if !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("error %q does not mention %q", err, tc.want)
+			}
+		})
+	}
+}
+
+// Plan bytes are a function of the inputs: planning one input twice must
+// serialize identically (the daemon's strong ETag hashes these bytes, so a
+// wall-clock field would give one key two ETags).
+func TestPlanBytesDeterministic(t *testing.T) {
+	a, _ := binaryPayload(t, Options{})
+	b, _ := binaryPayload(t, Options{})
+	if !bytes.Equal(a, b) {
+		t.Errorf("WriteProgramBinary differs between two plans of one input (%d vs %d bytes)", len(a), len(b))
+	}
+}
+
+// A plan produced with Segments > 1 must re-load against a freshly built
+// (unsegmented) graph: the program binds to a copy of that graph carrying the
+// serialized segment assignment, since a fresh process cannot reproduce it
+// otherwise, and the fresh graph itself stays unsegmented. The re-loaded
+// plan verifies and simulates.
+func TestSegmentedPlanReloadsOnFreshGraph(t *testing.T) {
+	c := heteroPair()
+	plan, err := planWith(quickstartGraph(t), c, Options{Segments: 2})
+	if err != nil {
+		t.Fatalf("Plan: %v", err)
+	}
+	if len(plan.Ratios) != 2 {
+		t.Fatalf("expected 2 ratio rows, got %v", plan.Ratios)
+	}
+	var buf bytes.Buffer
+	if err := plan.WriteProgramBinary(&buf); err != nil {
+		t.Fatalf("WriteProgramBinary: %v", err)
+	}
+
+	g2 := quickstartGraph(t) // fresh process: same model, no segmentation
+	back, err := ReadProgramBinary(&buf, g2)
+	if err != nil {
+		t.Fatalf("ReadProgramBinary on fresh graph: %v", err)
+	}
+	if n := back.Program.Graph.NumSegments(); n != 2 {
+		t.Errorf("the plan's graph has %d segments, want 2", n)
+	}
+	if n := g2.NumSegments(); n != 1 {
+		t.Errorf("reading the plan wrote the fresh graph: %d segments", n)
+	}
+	if got, want := back.Program.String(), plan.Program.String(); got != want {
+		t.Errorf("round-trip changed the program:\n%s\nvs\n%s", got, want)
+	}
+	if err := Verify(back, c.M(), 5); err != nil {
+		t.Errorf("Verify on re-loaded segmented plan: %v", err)
+	}
+	if dt := Simulate(back, c, 1); dt <= 0 {
+		t.Errorf("Simulate on re-loaded segmented plan = %v", dt)
+	}
+}
+
+// A failed read must not leave the caller's graph mutated: a plan already
+// bound to the graph would index its ratio rows with the clobbered segment
+// assignment.
+func TestFailedReadProgramLeavesGraphUnmutated(t *testing.T) {
+	c := heteroPair()
+	seg2, _ := binaryPayload(t, Options{Segments: 2})
+	g2 := quickstartGraph(t)
+	back, err := ReadProgramBinary(bytes.NewReader(seg2), g2)
+	if err != nil {
+		t.Fatalf("ReadProgramBinary: %v", err)
+	}
+	before := GraphIdentity(t, g2)
+
+	// Corrupt the plan so the load fails at the binding check: stripping
+	// segment_of changes the fingerprint of the graph the program would bind
+	// to, so the program no longer binds.
+	bad := withTrailer(t, seg2, func(m map[string]json.RawMessage) { delete(m, "segment_of") })
+	if _, err := ReadProgramBinary(bytes.NewReader(bad), g2); err == nil {
+		t.Fatal("ReadProgramBinary accepted a plan with a stripped segment assignment")
+	} else if !strings.Contains(err.Error(), "fingerprint mismatch") {
+		t.Errorf("unexpected error: %v", err)
+	}
+	if GraphIdentity(t, g2) != before {
+		t.Fatalf("failed ReadProgramBinary wrote the graph: segment assignment now %v", g2.SegmentOf)
+	}
+	// The previously loaded plan still works against the intact graph.
+	if err := Verify(back, c.M(), 3); err != nil {
+		t.Errorf("plan bound before the failed load no longer verifies: %v", err)
+	}
+}
+
+// Binding a serialized plan to the wrong graph must fail loudly, not produce
+// a silently wrong program.
+func TestReadProgramRejectsWrongGraph(t *testing.T) {
+	flat, _ := binaryPayload(t, Options{})
+	other := NewGraph()
+	other.AddPlaceholder("x", 0, 2, 2)
+	if _, err := ReadProgramBinary(bytes.NewReader(flat), other); err == nil {
+		t.Fatal("ReadProgramBinary bound a plan to the wrong graph")
+	} else if !strings.Contains(err.Error(), "node") {
+		t.Errorf("unexpected error: %v", err)
+	}
 }
 
 // rawDim is the shard dim one computation's bytes carry.
@@ -105,15 +320,15 @@ func FuzzReadProgramBinary(f *testing.F) {
 	f.Add(pastEnd) // trailer length past the end
 	// An implausible instruction count: the real header up to the graph
 	// hash, empty name tables, 2^40 instructions, then the real trailer.
-	pos := 5 // magic and version
-	_, n := binary.Uvarint(flat[pos:])
-	pos += n
-	hashLen, n := binary.Uvarint(flat[pos:])
-	pos += n + int(hashLen)
+	_, pos := graphHashSpan(flat)
 	tlen := int(binary.BigEndian.Uint32(flat[len(flat)-8:]))
 	huge := append(slices.Clone(flat[:pos]), 0, 0)
 	huge = binary.AppendUvarint(huge, 1<<40)
 	f.Add(append(huge, flat[len(flat)-8-tlen:]...))
+	// Each payload TestReadProgramRejectsBadRatios holds to its rejection.
+	for _, bad := range badPayloads(f, flat, seg4) {
+		f.Add(bad.data)
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		g := quickstartGraph(t)

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"math"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -92,8 +94,8 @@ func TestFunctionalOptions(t *testing.T) {
 }
 
 // The binary plan payload must round-trip the full plan — program, ratios,
-// segment assignment, cost — against a freshly rebuilt graph, exactly like
-// the JSON form.
+// segment assignment, cost, bit for bit — against a freshly rebuilt graph,
+// and the re-loaded plan is a first-class plan: it verifies and simulates.
 func TestBinaryPlanRoundTrip(t *testing.T) {
 	g := testGraph(t)
 	c := testCluster()
@@ -114,12 +116,16 @@ func TestBinaryPlanRoundTrip(t *testing.T) {
 	if back.Program.String() != plan.Program.String() {
 		t.Error("binary round-trip changed the program")
 	}
-	if len(back.Ratios) != len(plan.Ratios) || back.Cost != plan.Cost {
+	if !slices.EqualFunc(back.Ratios, plan.Ratios, slices.Equal[[]float64]) ||
+		math.Float64bits(back.Cost) != math.Float64bits(plan.Cost) {
 		t.Errorf("binary round-trip changed ratios/cost: %v/%v vs %v/%v",
 			back.Ratios, back.Cost, plan.Ratios, plan.Cost)
 	}
 	if err := Verify(back, c.M(), 21); err != nil {
 		t.Errorf("Verify after binary round-trip: %v", err)
+	}
+	if dt := Simulate(back, c, 1); dt <= 0 {
+		t.Errorf("Simulate after binary round-trip = %v", dt)
 	}
 
 	// The program section is a plain dist binary program: DecodeBinary
@@ -141,7 +147,7 @@ func TestBinaryPlanRoundTrip(t *testing.T) {
 }
 
 // A balancer failure costs the plan its tuned ratios, not the caller the
-// plan: what comes back validates and survives both wire formats. The
+// plan: what comes back validates and survives the wire format. The
 // failure is injected — ViT on the heterogeneous testbed, the witness before
 // the ratio LP went over device classes, now solves — as the result the loop
 // returns when its first LP fails: Q⁽¹⁾ under the B⁽⁰⁾ it was searched under.
@@ -167,13 +173,7 @@ func TestPlanSurvivesBalancerFailure(t *testing.T) {
 	if err := planwire.ValidateRatios(plan.Ratios, g.NumSegments()); err != nil {
 		t.Errorf("ValidateRatios: %v", err)
 	}
-	var js, bin bytes.Buffer
-	if err := plan.WriteProgram(&js); err != nil {
-		t.Fatalf("WriteProgram: %v", err)
-	}
-	if _, err := ReadProgram(&js, g); err != nil {
-		t.Errorf("ReadProgram: %v", err)
-	}
+	var bin bytes.Buffer
 	if err := plan.WriteProgramBinary(&bin); err != nil {
 		t.Fatalf("WriteProgramBinary: %v", err)
 	}

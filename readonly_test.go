@@ -123,40 +123,29 @@ func TestReadPlanDoesNotWriteTheGraph(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var js bytes.Buffer
-	if err := plan.WriteProgram(&js); err != nil {
-		t.Fatal(err)
-	}
 	bin := planBytes(t, plan)
 	// A graph of the same shape at another batch size: the node counts agree,
 	// so the segment assignment covers it and only the binding check refuses.
 	other := func() *hap.Graph { return models.Training(models.MLP(32, 48, 32, 32, 32, 24, 8)) }
-	for _, form := range []struct {
-		name string
-		read func(*hap.Graph) (*hap.Plan, error)
-	}{
-		{"json", func(g *hap.Graph) (*hap.Plan, error) { return hap.ReadProgram(bytes.NewReader(js.Bytes()), g) }},
-		{"binary", func(g *hap.Graph) (*hap.Plan, error) { return hap.ReadProgramBinary(bytes.NewReader(bin), g) }},
-	} {
-		t.Run(form.name+"/accepted", func(t *testing.T) {
-			g := readonlyGraph()
-			before := hap.GraphIdentity(t, g)
-			back, err := form.read(g)
-			if err != nil {
-				t.Fatal(err)
-			}
-			wantUnwritten(t, "an accepted read", g, before)
-			wantBound(t, back, 2)
-		})
-		t.Run(form.name+"/rejected", func(t *testing.T) {
-			g := other()
-			before := hap.GraphIdentity(t, g)
-			if _, err := form.read(g); err == nil {
-				t.Fatal("a plan for another graph was accepted")
-			}
-			wantUnwritten(t, "a rejected read", g, before)
-		})
-	}
+	read := func(g *hap.Graph) (*hap.Plan, error) { return hap.ReadProgramBinary(bytes.NewReader(bin), g) }
+	t.Run("binary/accepted", func(t *testing.T) {
+		g := readonlyGraph()
+		before := hap.GraphIdentity(t, g)
+		back, err := read(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantUnwritten(t, "an accepted read", g, before)
+		wantBound(t, back, 2)
+	})
+	t.Run("binary/rejected", func(t *testing.T) {
+		g := other()
+		before := hap.GraphIdentity(t, g)
+		if _, err := read(g); err == nil {
+			t.Fatal("a plan for another graph was accepted")
+		}
+		wantUnwritten(t, "a rejected read", g, before)
+	})
 }
 
 func TestClientSynthesizeDoesNotWriteTheGraph(t *testing.T) {
