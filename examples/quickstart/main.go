@@ -47,5 +47,9 @@ func main() {
 	fmt.Println("equivalence check: ok (distributed ≡ single-device)")
 
 	// 5. Simulate one iteration on the modeled cluster.
-	fmt.Printf("simulated iteration time: %.2f ms\n", hap.Simulate(plan, c, 1)*1e3)
+	dt, err := hap.Simulate(plan, c, 1)
+	if err != nil {
+		log.Fatalf("simulate: %v", err)
+	}
+	fmt.Printf("simulated iteration time: %.2f ms\n", dt*1e3)
 }

@@ -28,6 +28,7 @@
 package hap
 
 import (
+	"fmt"
 	"io"
 	"time"
 
@@ -155,14 +156,32 @@ func Verify(plan *Plan, devices int, seed int64) error {
 
 // Simulate runs the plan on the modeled cluster and returns the simulated
 // per-iteration time in seconds (kernel overheads, barriers and link noise
-// included — the analytic Cost underestimates this; Fig. 18).
-func Simulate(plan *Plan, c *Cluster, seed int64) float64 {
-	return sim.IterationTime(c, plan.Program, plan.Ratios, seed)
+// included — the analytic Cost underestimates this; Fig. 18). A plan whose
+// ratio rows are not one per device of c is refused.
+func Simulate(plan *Plan, c *Cluster, seed int64) (float64, error) {
+	if err := checkWidth(plan, c, "simulate"); err != nil {
+		return 0, err
+	}
+	return sim.IterationTime(c, plan.Program, plan.Ratios, seed), nil
 }
 
 // WriteTrace writes a Chrome-trace JSON of one simulated iteration, like
-// the artifact's trace.json.gz.
+// the artifact's trace.json.gz. It refuses what Simulate refuses.
 func WriteTrace(w io.Writer, plan *Plan, c *Cluster, seed int64) error {
+	if err := checkWidth(plan, c, "trace"); err != nil {
+		return err
+	}
 	r := sim.Trace(c, plan.Program, plan.Ratios, sim.Options{Seed: seed})
 	return sim.WriteTrace(w, r.Events)
+}
+
+// checkWidth reports a ratio row of plan whose width is not c's device
+// count, as Verify does.
+func checkWidth(plan *Plan, c *Cluster, what string) error {
+	for k, row := range plan.Ratios {
+		if len(row) != c.M() {
+			return fmt.Errorf("hap: %s on %d devices: ratio row %d holds %d ratios", what, c.M(), k, len(row))
+		}
+	}
+	return nil
 }

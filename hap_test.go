@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"io"
 	"strings"
 	"testing"
 
@@ -49,8 +50,8 @@ func TestParallelizeEndToEnd(t *testing.T) {
 	if err := Verify(plan, c.M(), 5); err != nil {
 		t.Errorf("Verify: %v", err)
 	}
-	if s := Simulate(plan, c, 1); s < plan.Cost {
-		t.Errorf("simulated %v below analytic %v", s, plan.Cost)
+	if s, err := Simulate(plan, c, 1); err != nil || s < plan.Cost {
+		t.Errorf("simulated %v (err %v) below analytic %v", s, err, plan.Cost)
 	}
 }
 
@@ -80,6 +81,28 @@ func TestParallelizeExactSearch(t *testing.T) {
 	}
 	if err := Verify(plan, 2, 9); err != nil {
 		t.Errorf("Verify: %v", err)
+	}
+}
+
+// TestSimulateRejectsDeviceCountMismatch: a 2-device plan simulated or
+// traced on four devices is refused with both counts, as Verify refuses it,
+// instead of indexing past its ratio rows.
+func TestSimulateRejectsDeviceCountMismatch(t *testing.T) {
+	c := testCluster()
+	plan, err := planWith(testGraph(t), c, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wide := PerGPU(MachineSpec{Type: V100, GPUs: 4})
+	want := "on 4 devices: ratio row 0 holds 2 ratios"
+	if dt, err := Simulate(plan, wide, 1); err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("Simulate on 4 devices = %v, %v; want an error containing %q", dt, err, want)
+	}
+	if err := WriteTrace(io.Discard, plan, wide, 1); err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("WriteTrace on 4 devices: %v; want an error containing %q", err, want)
+	}
+	if err := Verify(plan, wide.M(), 1); err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("Verify on 4 devices: %v; want an error containing %q", err, want)
 	}
 }
 

@@ -3,11 +3,79 @@ package graph
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+
+	"hap/internal/tensor"
 )
 
-// DecodeReference is DecodeBytes's encoding/json path alone: the oracle the
+// graphJSON is the wire form as a struct for encoding/json: the oracle the
+// writers' bytes and the one-pass reader's answers are held to.
+type graphJSON struct {
+	Version int        `json:"version"`
+	Nodes   []nodeJSON `json:"nodes"`
+	// Loss is a pointer so an omitted field decodes as "no loss" (-1), not
+	// as node 0.
+	Loss         *int     `json:"loss"`
+	Params       []int    `json:"params,omitempty"`
+	Grads        [][2]int `json:"grads,omitempty"`
+	ForwardCount int      `json:"forward_count,omitempty"`
+	PrimalOf     [][2]int `json:"primal_of,omitempty"`
+	SegmentOf    []int    `json:"segment_of,omitempty"`
+}
+
+type nodeJSON struct {
+	Op             string  `json:"op"`
+	Inputs         []int   `json:"inputs,omitempty"`
+	Shape          []int   `json:"shape"`
+	Name           string  `json:"name,omitempty"`
+	Scale          float64 `json:"scale,omitempty"`
+	FlopsPerSample float64 `json:"flops_per_sample,omitempty"`
+	// BatchDim is a pointer for the same reason Loss is.
+	BatchDim *int `json:"batch_dim"`
+}
+
+// DecodeReference decodes data with encoding/json into graphJSON and builds
+// the graph from it under the checks DecodeBytes runs: the oracle the
 // one-pass reader is held to.
-var DecodeReference = decodeReflect
+func DecodeReference(data []byte) (*Graph, error) {
+	var gj graphJSON
+	if err := json.NewDecoder(bytes.NewReader(data)).Decode(&gj); err != nil {
+		return nil, fmt.Errorf("graph: decode: %w", err)
+	}
+	gf := graphFields{Version: gj.Version, Loss: -1, Params: gj.Params, Grads: gj.Grads,
+		ForwardCount: gj.ForwardCount, PrimalOf: gj.PrimalOf, SegmentOf: gj.SegmentOf}
+	if gj.Loss != nil {
+		gf.Loss = *gj.Loss
+	}
+	g := New()
+	for i, nj := range gj.Nodes {
+		kind, ok := ParseOpKind(nj.Op)
+		if !ok {
+			return nil, fmt.Errorf("graph: decode: node %d: unknown op %q", i, nj.Op)
+		}
+		bd := -1
+		if nj.BatchDim != nil {
+			bd = *nj.BatchDim
+		}
+		node := Node{
+			ID:             NodeID(i),
+			Kind:           kind,
+			Shape:          tensor.Shape(nj.Shape),
+			Name:           nj.Name,
+			ScaleFactor:    positiveZero(nj.Scale),
+			FlopsPerSample: positiveZero(nj.FlopsPerSample),
+			BatchDim:       bd,
+		}
+		for _, u := range nj.Inputs {
+			node.Inputs = append(node.Inputs, NodeID(u))
+		}
+		g.Nodes = append(g.Nodes, node)
+	}
+	if err := gf.finish(g); err != nil {
+		return nil, err
+	}
+	return g, nil
+}
 
 // WireOracle returns the bytes encoding/json writes for g's graphJSON:
 // compact (json.Marshal) and indented (a json.Encoder with SetIndent("",

@@ -2,26 +2,31 @@ package graph_test
 
 import (
 	"bytes"
+	"encoding/json"
 	"reflect"
+	"strings"
 	"testing"
 
 	"hap/internal/graph"
 	"hap/internal/models"
 )
 
-// FuzzGraphDecode holds graph.DecodeBytes, which parses the graph of every
-// full-body request, to four properties: no input panics it; it and the
-// encoding/json reader (DecodeReference) both reject an input or both accept
-// it as reflect.DeepEqual graphs, so the one-pass reader changes no answer;
-// an accepted graph's AppendJSON is json.Marshal of its graphJSON; and an
+// FuzzGraphDecode holds graph.DecodeBytes, which reads the graph of every
+// full-body request, to five properties: no input panics it; on every input
+// free of the three spellings it refuses, it and the encoding/json oracle
+// (DecodeReference) both reject the input or both accept it as
+// reflect.DeepEqual graphs; every input that names a graph or node member
+// twice or in another case, or puts null in a known array, is refused; an
+// accepted graph's AppendJSON is json.Marshal of its graphJSON; and an
 // accepted graph re-encodes to bytes that decode to the same fingerprint —
 // the fingerprint is the plan cache's key, so a graph whose key moves across
 // a round trip would be planned twice or served another graph's plan.
 //
-// The committed corpus holds one input per fallback trigger of the one-pass
-// reader (a key spelled otherwise, a repeated key, an escaped name, a
-// fraction in an int field, a null shape, an unknown field) and floats at
-// the writer's format boundaries, 1e-6 and 1e21.
+// The committed corpus holds each refused spelling at graph and node level
+// (refused-*), each member null (null-*), escaped names and values, an
+// unknown member, fractions and exponents, 19-digit and out-of-range
+// numbers, short and long pairs, and floats at the writer's format
+// boundaries, 1e-6 and 1e21.
 func FuzzGraphDecode(f *testing.F) {
 	tiny := models.TransformerConfig{Layers: 2, Hidden: 8, FFN: 16, SeqLen: 4, Vocab: 16}
 	moe := tiny
@@ -86,11 +91,17 @@ func FuzzGraphDecode(f *testing.F) {
 }
 
 // decodeAgreeing decodes data with DecodeBytes and fails t unless the
-// encoding/json reader gives the same answer: both an error, or equal
-// graphs.
+// answer is encoding/json's (DecodeReference): both an error, or equal
+// graphs. Data carrying a spelling the reader refuses must be refused.
 func decodeAgreeing(t *testing.T, data []byte) (*graph.Graph, error) {
 	t.Helper()
 	g, err := graph.DecodeBytes(data)
+	if refused(data, graphShape) {
+		if err == nil {
+			t.Fatal("DecodeBytes accepted a repeated member, a member in another case or a null array element")
+		}
+		return nil, err
+	}
 	ref, refErr := graph.DecodeReference(data)
 	if (err == nil) != (refErr == nil) {
 		t.Fatalf("DecodeBytes err %v, encoding/json err %v", err, refErr)
@@ -99,4 +110,83 @@ func decodeAgreeing(t *testing.T, data []byte) (*graph.Graph, error) {
 		t.Fatalf("DecodeBytes and encoding/json decode different graphs:\n%v\nvs\n%v", g, ref)
 	}
 	return g, err
+}
+
+// shape is what the reader knows of a document: an object's members, or
+// the elements of an array it reads.
+type shape struct {
+	members map[string]*shape
+	elem    *shape
+}
+
+var (
+	scalar    = &shape{}
+	intArray  = &shape{elem: scalar}
+	pairArray = &shape{elem: intArray}
+	nodeShape = &shape{members: map[string]*shape{
+		"op": scalar, "inputs": intArray, "shape": intArray, "name": scalar,
+		"scale": scalar, "flops_per_sample": scalar, "batch_dim": scalar,
+	}}
+	graphShape = &shape{members: map[string]*shape{
+		"version": scalar, "nodes": {elem: nodeShape}, "loss": scalar, "params": intArray,
+		"grads": pairArray, "forward_count": scalar, "primal_of": pairArray, "segment_of": intArray,
+	}}
+)
+
+// refused reports whether the JSON value data starts with, read as s,
+// names a known member twice or in another case (by encoding/json's
+// folding, strings.EqualFold) or holds null in a known array. It walks
+// encoding/json's tokens, so it sees what encoding/json's decoder sees.
+func refused(data []byte, s *shape) bool {
+	dec := json.NewDecoder(bytes.NewReader(data))
+	tok, err := dec.Token()
+	if err != nil {
+		return false
+	}
+	found, _ := walk(dec, tok, s)
+	return found
+}
+
+// walk reads the value tok starts and reports a refused spelling in it;
+// it stops at the first token error.
+func walk(dec *json.Decoder, tok json.Token, s *shape) (found bool, err error) {
+	if s == nil {
+		s = &shape{}
+	}
+	switch tok {
+	case json.Delim('{'):
+		seen := map[string]bool{}
+		for dec.More() && err == nil {
+			if tok, err = dec.Token(); err != nil {
+				break
+			}
+			name := tok.(string)
+			sub, known := s.members[name]
+			found = found || seen[name]
+			seen[name] = known
+			for k := range s.members {
+				found = found || !known && strings.EqualFold(name, k)
+			}
+			if tok, err = dec.Token(); err == nil {
+				var f bool
+				f, err = walk(dec, tok, sub)
+				found = found || f
+			}
+		}
+	case json.Delim('['):
+		for dec.More() && err == nil {
+			if tok, err = dec.Token(); err == nil {
+				found = found || s.elem != nil && tok == nil
+				var f bool
+				f, err = walk(dec, tok, s.elem)
+				found = found || f
+			}
+		}
+	default:
+		return false, nil
+	}
+	if err == nil {
+		_, err = dec.Token()
+	}
+	return found, err
 }

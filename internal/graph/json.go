@@ -6,16 +6,15 @@
 // gradient designations, and the autodiff bookkeeping (ForwardCount,
 // PrimalOf) that the segmenter consumes.
 //
-// The wire form is the one encoding/json writes for graphJSON, but neither
-// direction reflects over it. AppendJSON and Encode write its compact and
-// indented bytes directly. DecodeBytes reads the canonical form in one pass,
-// straight into Nodes; input that reader does not recognise (a key spelled
-// otherwise, a repeated key, a string with an escape or invalid UTF-8, a
-// fraction or exponent in an int field, null, an unknown field, an unknown
-// op) is decoded by encoding/json into graphJSON as before. Both readers
-// share the range checks, Validate and shape inference, so they accept the
-// same inputs and build the same graphs; FuzzGraphDecode holds them to that
-// and TestGraphWireBytes holds the writers to encoding/json's bytes.
+// The wire form is the one encoding/json writes for graphJSON, the struct
+// the test oracle keeps (export_test.go), but nothing reflects over it.
+// AppendJSON and Encode write its compact and indented bytes directly, and
+// TestGraphWireBytes holds them to encoding/json's. DecodeBytes and
+// DecodeFrom read it in one pass on package wirejson's tokenizer
+// (jsonread.go): every spelling encoding/json takes into graphJSON, except
+// three it would take and the reader refuses — a member named twice, a
+// member name in another case, null as an array element. FuzzGraphDecode
+// holds the reader to encoding/json on every other input.
 
 package graph
 
@@ -31,36 +30,22 @@ import (
 	"unicode/utf8"
 
 	"hap/internal/tensor"
+	"hap/internal/wirejson"
 )
 
 // wireVersion is bumped on incompatible changes to the serialized graph form.
 const wireVersion = 1
 
-// graphJSON is the on-wire form of a Graph. Map-valued fields (Grads,
-// PrimalOf) travel as id-sorted pairs so encoding is byte-deterministic.
-type graphJSON struct {
-	Version int        `json:"version"`
-	Nodes   []nodeJSON `json:"nodes"`
-	// Loss is a pointer so an omitted field decodes as "no loss" (-1), not
-	// as node 0 — clients hand-write this format.
-	Loss         *int     `json:"loss"`
-	Params       []int    `json:"params,omitempty"`
-	Grads        [][2]int `json:"grads,omitempty"` // [param, grad] pairs
-	ForwardCount int      `json:"forward_count,omitempty"`
-	PrimalOf     [][2]int `json:"primal_of,omitempty"` // [node, primal] pairs
-	SegmentOf    []int    `json:"segment_of,omitempty"`
-}
-
-type nodeJSON struct {
-	Op             string  `json:"op"`
-	Inputs         []int   `json:"inputs,omitempty"`
-	Shape          []int   `json:"shape"`
-	Name           string  `json:"name,omitempty"`
-	Scale          float64 `json:"scale,omitempty"`
-	FlopsPerSample float64 `json:"flops_per_sample,omitempty"`
-	// BatchDim is a pointer for the same reason Loss is: omitted must mean
-	// "no batch axis" (-1), not axis 0.
-	BatchDim *int `json:"batch_dim"`
+// graphFields are a wire graph's graph-level members, held until the nodes
+// are read and checked.
+type graphFields struct {
+	Version      int
+	Loss         int // -1 when omitted: clients hand-write this format
+	Params       []int
+	Grads        [][2]int // [param, grad] pairs
+	ForwardCount int
+	PrimalOf     [][2]int // [node, primal] pairs
+	SegmentOf    []int
 }
 
 // AppendJSON appends the graph's compact wire form to b: byte for byte what
@@ -304,100 +289,34 @@ func Decode(r io.Reader) (*Graph, error) {
 }
 
 // DecodeBytes decodes the graph whose JSON starts data (anything after it
-// is ignored, as json.Decoder ignores it) and validates it like Decode. The
-// canonical form is read in one pass, straight into Nodes whose Inputs and
-// Shape share slabs; any other spelling goes through encoding/json. Both
-// paths answer an input alike, down to the error.
+// is ignored, as json.Decoder ignores it) and validates it like Decode.
 func DecodeBytes(data []byte) (*Graph, error) {
-	if g, n, err := DecodePrefix(data); n > 0 {
-		return g, err
-	}
-	return decodeReflect(data)
+	return DecodeFrom(&wirejson.Reader{Data: data})
 }
 
-// DecodePrefix runs DecodeBytes's one-pass reader on the graph object at
-// the front of data (after any JSON space) and reports how many bytes of
-// data it spans, so a caller can read the graph where it lies inside a
-// larger document. n is 0 when the reader does not recognise the bytes: g
-// and err are then nil, and DecodeBytes on the graph's bytes gives the
-// answer. When n > 0, g and err are what DecodeBytes(data[:n]) returns.
-func DecodePrefix(data []byte) (g *Graph, n int, err error) {
-	r := wireReader{data: data}
-	var gj graphJSON
-	g = New()
+// DecodeFrom reads the graph at r's position in one pass, straight into
+// Nodes whose Inputs and Shape share slabs, leaves r past it and validates
+// it like Decode. A failure is also left in r.Err, so the read of an
+// enclosing document stops there.
+func DecodeFrom(r *wirejson.Reader) (*Graph, error) {
+	w := wireReader{Reader: *r}
+	gf := graphFields{Loss: -1}
+	g := New()
 	// Every node spells "op" once: counting them sizes the node slice (and
 	// the name ends) in one allocation each.
-	if n := bytes.Count(data, []byte(`"op"`)); n > 0 {
-		g.Nodes, r.nameEnds = make([]Node, 0, n), make([]int, 0, n)
+	if n := bytes.Count(r.Data[r.I:], []byte(`"op"`)); n > 0 {
+		g.Nodes, w.nameEnds = make([]Node, 0, n), make([]int, 0, n)
 	}
-	if !r.graph(&gj, g) {
-		return nil, 0, nil
+	ok := w.graph(&gf, g)
+	if *r = w.Reader; !ok {
+		r.Err = fmt.Errorf("graph: decode: %w", r.Err)
+	} else if err := gf.finish(g); err != nil {
+		r.Err = err
 	}
-	if len(g.Nodes) == 0 {
-		g.Nodes = nil // as encoding/json's path leaves a graph without nodes
-	}
-	if err := checkVersion(gj.Version); err != nil {
-		return nil, r.i, err
-	}
-	for i := range g.Nodes {
-		if err := checkNode(i, &g.Nodes[i], len(g.Nodes)); err != nil {
-			return nil, r.i, err
-		}
-	}
-	if err := gj.finish(g); err != nil {
-		return nil, r.i, err
-	}
-	return g, r.i, nil
-}
-
-// decodeReflect is the encoding/json reader, for input the one-pass reader
-// does not recognise.
-func decodeReflect(data []byte) (*Graph, error) {
-	var gj graphJSON
-	if err := json.NewDecoder(bytes.NewReader(data)).Decode(&gj); err != nil {
-		return nil, fmt.Errorf("graph: decode: %w", err)
-	}
-	if err := checkVersion(gj.Version); err != nil {
-		return nil, err
-	}
-	g := New()
-	for i, nj := range gj.Nodes {
-		kind, ok := ParseOpKind(nj.Op)
-		if !ok {
-			return nil, fmt.Errorf("graph: decode: node %d: unknown op %q", i, nj.Op)
-		}
-		bd := -1
-		if nj.BatchDim != nil {
-			bd = *nj.BatchDim
-		}
-		node := Node{
-			ID:             NodeID(i),
-			Kind:           kind,
-			Shape:          tensor.Shape(nj.Shape),
-			Name:           nj.Name,
-			ScaleFactor:    positiveZero(nj.Scale),
-			FlopsPerSample: positiveZero(nj.FlopsPerSample),
-			BatchDim:       bd,
-		}
-		for _, u := range nj.Inputs {
-			node.Inputs = append(node.Inputs, NodeID(u))
-		}
-		if err := checkNode(i, &node, len(gj.Nodes)); err != nil {
-			return nil, err
-		}
-		g.Nodes = append(g.Nodes, node)
-	}
-	if err := gj.finish(g); err != nil {
-		return nil, err
+	if r.Err != nil {
+		return nil, r.Err
 	}
 	return g, nil
-}
-
-func checkVersion(v int) error {
-	if v != wireVersion {
-		return fmt.Errorf("graph: decode: unsupported graph version %d (want %d)", v, wireVersion)
-	}
-	return nil
 }
 
 // checkNode range-checks node i of a graph of n nodes.
@@ -418,48 +337,56 @@ func checkNode(i int, node *Node, n int) error {
 	return nil
 }
 
-// finish range-checks the graph-level fields of gj, moves them onto g, whose
-// nodes are built and checked, and validates the whole.
-func (gj *graphJSON) finish(g *Graph) error {
-	n := len(g.Nodes)
-	inRange := func(id int) bool { return id >= 0 && id < n }
-	loss := -1
-	if gj.Loss != nil {
-		loss = *gj.Loss
+// finish range-checks gf and the nodes read into g, moves gf onto g and
+// validates the whole.
+func (gf *graphFields) finish(g *Graph) error {
+	if gf.Version != wireVersion {
+		return fmt.Errorf("graph: decode: unsupported graph version %d (want %d)", gf.Version, wireVersion)
 	}
+	n := len(g.Nodes)
+	if n == 0 {
+		g.Nodes = nil // "nodes": [] reads as no nodes, as omitted does
+	}
+	for i := range g.Nodes {
+		if err := checkNode(i, &g.Nodes[i], n); err != nil {
+			return err
+		}
+	}
+	inRange := func(id int) bool { return id >= 0 && id < n }
+	loss := gf.Loss
 	if loss != -1 && !inRange(loss) {
 		return fmt.Errorf("graph: decode: loss %d of %d nodes", loss, n)
 	}
 	g.Loss = NodeID(loss)
-	if len(gj.Grads) > 0 {
-		g.Grads = make(map[NodeID]NodeID, len(gj.Grads))
+	if len(gf.Grads) > 0 {
+		g.Grads = make(map[NodeID]NodeID, len(gf.Grads))
 	}
-	if len(gj.PrimalOf) > 0 {
-		g.PrimalOf = make(map[NodeID]NodeID, len(gj.PrimalOf))
+	if len(gf.PrimalOf) > 0 {
+		g.PrimalOf = make(map[NodeID]NodeID, len(gf.PrimalOf))
 	}
-	for _, p := range gj.Params {
+	for _, p := range gf.Params {
 		if !inRange(p) {
 			return fmt.Errorf("graph: decode: parameter %d of %d nodes", p, n)
 		}
 		g.Params = append(g.Params, NodeID(p))
 	}
-	for _, pr := range gj.Grads {
+	for _, pr := range gf.Grads {
 		if !inRange(pr[0]) || !inRange(pr[1]) {
 			return fmt.Errorf("graph: decode: gradient pair %v of %d nodes", pr, n)
 		}
 		g.Grads[NodeID(pr[0])] = NodeID(pr[1])
 	}
-	if gj.ForwardCount < 0 || gj.ForwardCount > n {
-		return fmt.Errorf("graph: decode: forward_count %d of %d nodes", gj.ForwardCount, n)
+	if gf.ForwardCount < 0 || gf.ForwardCount > n {
+		return fmt.Errorf("graph: decode: forward_count %d of %d nodes", gf.ForwardCount, n)
 	}
-	g.ForwardCount = gj.ForwardCount
-	for _, pr := range gj.PrimalOf {
+	g.ForwardCount = gf.ForwardCount
+	for _, pr := range gf.PrimalOf {
 		if !inRange(pr[0]) || !inRange(pr[1]) {
 			return fmt.Errorf("graph: decode: primal pair %v of %d nodes", pr, n)
 		}
 		g.PrimalOf[NodeID(pr[0])] = NodeID(pr[1])
 	}
-	g.SegmentOf = gj.SegmentOf
+	g.SegmentOf = gf.SegmentOf
 	for _, s := range g.SegmentOf {
 		if s < 0 {
 			return fmt.Errorf("graph: decode: negative segment %d", s)

@@ -1,21 +1,17 @@
 package graph
 
 import (
-	"strconv"
-	"unicode/utf8"
+	"fmt"
 
-	"hap/internal/tensor"
+	"hap/internal/wirejson"
 )
 
-// wireReader is DecodePrefix's one-pass reader of the canonical graph form.
-// Each method reports whether it recognised what it read; the first false
-// abandons the read, and the caller hands the bytes to encoding/json. It
-// accepts only what encoding/json decodes the same way into graphJSON:
-// strict JSON, each known key spelled exactly and at most once, strings
-// without escapes, ints without fraction or exponent, no null.
+// wireReader is DecodeFrom's one-pass reader of a graph's wire form, built
+// on the tokenizer the request envelope shares (package wirejson): it takes
+// every spelling encoding/json takes into the wire form's struct but the
+// three wirejson refuses, and reads the nodes straight into Nodes.
 type wireReader struct {
-	data []byte
-	i    int
+	wirejson.Reader
 
 	// inputs and dims are the slabs every node's Inputs and Shape are cut
 	// from; names collects the node names, which become one string once the
@@ -55,176 +51,10 @@ func (s *slab[T]) cut() []T {
 	return out
 }
 
-func (r *wireReader) space() {
-	for ; r.i < len(r.data); r.i++ {
-		switch r.data[r.i] {
-		case ' ', '\t', '\n', '\r':
-		default:
-			return
-		}
-	}
-}
-
-// next skips space and consumes c if it comes next.
-func (r *wireReader) next(c byte) bool {
-	r.space()
-	if r.i < len(r.data) && r.data[r.i] == c {
-		r.i++
-		return true
-	}
-	return false
-}
-
-// str reads a string that needs no unescaping: no backslash, no control
-// byte, valid UTF-8. The bytes alias data.
-func (r *wireReader) str() ([]byte, bool) {
-	if !r.next('"') {
-		return nil, false
-	}
-	start, ascii := r.i, true
-	for ; r.i < len(r.data); r.i++ {
-		switch c := r.data[r.i]; {
-		case c == '"':
-			s := r.data[start:r.i]
-			r.i++
-			return s, ascii || utf8.Valid(s)
-		case c == '\\' || c < ' ':
-			return nil, false
-		case c >= utf8.RuneSelf:
-			ascii = false
-		}
-	}
-	return nil, false
-}
-
-// key reads an object key and its colon.
-func (r *wireReader) key() ([]byte, bool) {
-	k, ok := r.str()
-	return k, ok && r.next(':')
-}
-
-// digits consumes a run of decimal digits and reports its length.
-func (r *wireReader) digits() int {
-	start := r.i
-	for r.i < len(r.data) && '0' <= r.data[r.i] && r.data[r.i] <= '9' {
-		r.i++
-	}
-	return r.i - start
-}
-
-// int reads an integer: no fraction, no exponent, at most 18 digits (so it
-// fits an int64; a longer one is left to encoding/json).
-func (r *wireReader) int() (int, bool) {
-	r.space()
-	neg := r.i < len(r.data) && r.data[r.i] == '-'
-	if neg {
-		r.i++
-	}
-	start := r.i
-	n := r.digits()
-	if n == 0 || n > 18 || (n > 1 && r.data[start] == '0') {
-		return 0, false
-	}
-	if r.i < len(r.data) {
-		if c := r.data[r.i]; c == '.' || c == 'e' || c == 'E' {
-			return 0, false
-		}
-	}
-	var v int64
-	for _, c := range r.data[start:r.i] {
-		v = 10*v + int64(c-'0')
-	}
-	if neg {
-		v = -v
-	}
-	if int64(int(v)) != v {
-		return 0, false
-	}
-	return int(v), true
-}
-
-// float reads a JSON number and parses it as encoding/json does.
-func (r *wireReader) float() (float64, bool) {
-	r.space()
-	start := r.i
-	if r.i < len(r.data) && r.data[r.i] == '-' {
-		r.i++
-	}
-	intStart := r.i
-	if n := r.digits(); n == 0 || (n > 1 && r.data[intStart] == '0') {
-		return 0, false
-	}
-	if r.i < len(r.data) && r.data[r.i] == '.' {
-		r.i++
-		if r.digits() == 0 {
-			return 0, false
-		}
-	}
-	if r.i < len(r.data) && (r.data[r.i] == 'e' || r.data[r.i] == 'E') {
-		r.i++
-		if r.i < len(r.data) && (r.data[r.i] == '+' || r.data[r.i] == '-') {
-			r.i++
-		}
-		if r.digits() == 0 {
-			return 0, false
-		}
-	}
-	v, err := strconv.ParseFloat(string(r.data[start:r.i]), 64)
-	return v, err == nil
-}
-
-// array reads a JSON array, calling elem for each element.
-func (r *wireReader) array(elem func() bool) bool {
-	if !r.next('[') {
-		return false
-	}
-	if r.next(']') {
-		return true
-	}
-	for {
-		if !elem() {
-			return false
-		}
-		if !r.next(',') {
-			return r.next(']')
-		}
-	}
-}
-
-// object reads a JSON object, calling member with each key; member reads
-// the value. seen holds one bit per key of want, so a repeated or unknown
-// key is not recognised.
-func (r *wireReader) object(want []string, member func(k int) bool) bool {
-	if !r.next('{') {
-		return false
-	}
-	if r.next('}') {
-		return true
-	}
-	var seen uint
-	for {
-		name, ok := r.key()
-		if !ok {
-			return false
-		}
-		k := 0
-		for k < len(want) && want[k] != string(name) {
-			k++
-		}
-		if k == len(want) || seen&(1<<k) != 0 || !member(k) {
-			return false
-		}
-		seen |= 1 << k
-		if !r.next(',') {
-			return r.next('}')
-		}
-	}
-}
-
-func (r *wireReader) ints(into *[]int) bool {
+func (r *wireReader) ints(name string, into *[]int) bool {
 	out := []int{}
-	ok := r.array(func() bool {
-		v, ok := r.int()
+	ok := r.Array(name, func() bool {
+		v, ok := r.Int()
 		out = append(out, v)
 		return ok
 	})
@@ -232,54 +62,51 @@ func (r *wireReader) ints(into *[]int) bool {
 	return ok
 }
 
-func (r *wireReader) pairs(into *[][2]int) bool {
-	return r.array(func() bool {
+// pairs reads [k, v] pairs. As encoding/json fills a [2]int, a short pair
+// is padded with zeros and an element past the second is read and dropped.
+func (r *wireReader) pairs(name string, into *[][2]int) bool {
+	return r.Array(name, func() bool {
 		var p [2]int
-		var ok bool
-		if !r.next('[') {
-			return false
-		}
-		if p[0], ok = r.int(); !ok || !r.next(',') {
-			return false
-		}
-		if p[1], ok = r.int(); !ok || !r.next(']') {
-			return false
-		}
+		n := 0
+		ok := r.Array(name, func() bool {
+			if n++; n > len(p) {
+				return r.Skip()
+			}
+			var ok bool
+			p[n-1], ok = r.Int()
+			return ok
+		})
 		*into = append(*into, p)
-		return true
+		return ok
 	})
 }
 
 var graphKeys = []string{"version", "nodes", "loss", "params", "grads", "forward_count", "primal_of", "segment_of"}
 
-// graph reads the graph object: its nodes into g, the graph-level fields
-// into gj for the checks DecodePrefix shares with encoding/json's path.
-func (r *wireReader) graph(gj *graphJSON, g *Graph) bool {
-	ok := r.object(graphKeys, func(k int) bool {
+// graph reads the graph object: its nodes into g, the graph-level members
+// into gf for the checks DecodeFrom runs once the whole graph is read.
+func (r *wireReader) graph(gf *graphFields, g *Graph) bool {
+	ok := r.Object(graphKeys, func(k int) bool {
+		var ok bool
 		switch graphKeys[k] {
 		case "version":
-			var ok bool
-			gj.Version, ok = r.int()
-			return ok
+			gf.Version, ok = r.Int()
 		case "nodes":
-			return r.array(func() bool { return r.node(g) })
+			ok = r.Array("nodes", func() bool { return r.node(g) })
 		case "loss":
-			v, ok := r.int()
-			gj.Loss = &v
-			return ok
+			gf.Loss, ok = r.Int()
 		case "params":
-			return r.ints(&gj.Params)
+			ok = r.ints("params", &gf.Params)
 		case "grads":
-			return r.pairs(&gj.Grads)
+			ok = r.pairs("grads", &gf.Grads)
 		case "forward_count":
-			var ok bool
-			gj.ForwardCount, ok = r.int()
-			return ok
+			gf.ForwardCount, ok = r.Int()
 		case "primal_of":
-			return r.pairs(&gj.PrimalOf)
+			ok = r.pairs("primal_of", &gf.PrimalOf)
 		default: // "segment_of"
-			return r.ints(&gj.SegmentOf)
+			ok = r.ints("segment_of", &gf.SegmentOf)
 		}
+		return ok
 	})
 	if !ok {
 		return false
@@ -299,52 +126,52 @@ var nodeKeys = []string{"op", "inputs", "shape", "name", "scale", "flops_per_sam
 // node reads one node object and appends it to g.Nodes.
 func (r *wireReader) node(g *Graph) bool {
 	n := Node{ID: NodeID(len(g.Nodes)), BatchDim: -1}
-	hasOp := false
-	ok := r.object(nodeKeys, func(k int) bool {
+	var op []byte
+	ok := r.Object(nodeKeys, func(k int) bool {
+		var ok bool
 		switch nodeKeys[k] {
 		case "op":
-			name, ok := r.str()
-			n.Kind, hasOp = opByName[string(name)]
-			return ok && hasOp
+			op, ok = r.Str()
 		case "inputs":
-			ok := r.array(func() bool {
-				v, ok := r.int()
+			ok = r.Array("inputs", func() bool {
+				v, ok := r.Int()
 				r.inputs.add(NodeID(v))
 				return ok
 			})
 			if in := r.inputs.cut(); len(in) > 0 {
 				n.Inputs = in
 			}
-			return ok
 		case "shape":
-			ok := r.array(func() bool {
-				v, ok := r.int()
+			ok = r.Array("shape", func() bool {
+				v, ok := r.Int()
 				r.dims.add(v)
 				return ok
 			})
-			if n.Shape = tensor.Shape(r.dims.cut()); n.Shape == nil {
-				n.Shape = tensor.Shape{} // "[]" is an empty shape, not an absent one
+			if n.Shape = r.dims.cut(); n.Shape == nil {
+				n.Shape = []int{} // "[]" is an empty shape, not an absent one
 			}
-			return ok
 		case "name":
-			name, ok := r.str()
+			var name []byte
+			name, ok = r.Str()
 			r.names = append(r.names, name...)
-			return ok
 		case "scale":
-			v, ok := r.float()
-			n.ScaleFactor = positiveZero(v)
-			return ok
+			n.ScaleFactor, ok = r.Float()
+			n.ScaleFactor = positiveZero(n.ScaleFactor)
 		case "flops_per_sample":
-			v, ok := r.float()
-			n.FlopsPerSample = positiveZero(v)
-			return ok
+			n.FlopsPerSample, ok = r.Float()
+			n.FlopsPerSample = positiveZero(n.FlopsPerSample)
 		default: // "batch_dim"
-			var ok bool
-			n.BatchDim, ok = r.int()
-			return ok
+			n.BatchDim, ok = r.Int()
 		}
+		return ok
 	})
-	if !ok || !hasOp {
+	if ok {
+		if n.Kind, ok = opByName[string(op)]; !ok {
+			r.Fail(fmt.Errorf("unknown op %q", op))
+		}
+	}
+	if !ok {
+		r.Err = fmt.Errorf("node %d: %w", len(g.Nodes), r.Err)
 		return false
 	}
 	r.nameEnds = append(r.nameEnds, len(r.names))

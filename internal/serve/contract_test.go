@@ -134,6 +134,10 @@ func TestWireContract(t *testing.T) {
 	l.do("400 bad JSON", http.MethodPost, single, []byte("]["), nil)
 	l.do("400 negative options", http.MethodPost, single, requestBody(t, g, c, RequestOptions{Segments: -1}), nil)
 	l.do("400 missing graph", http.MethodPost, single, []byte(`{"cluster": {"version": 1}}`), nil)
+	// Spellings encoding/json would take and the request reader refuses
+	// (RFC 8259 §4, RFC 7493 §2.3); before, the second was a key-only hit.
+	l.do("400 repeated member", http.MethodPost, single, []byte(`{"key":"`+key+`","key":"`+key+`"}`), nil)
+	l.do("400 member in another case", http.MethodPost, single, []byte(`{"Key":"`+key+`"}`), nil)
 	l.do("405 synthesize", http.MethodGet, single, nil, nil)
 	_, small := newServer(Config{MaxRequestBytes: 128})
 	l.do("413 synthesize", http.MethodPost, small+"/v1/synthesize", body, nil)

@@ -63,6 +63,7 @@ import (
 	"hap/internal/graph"
 	"hap/internal/obs"
 	"hap/internal/telemetry"
+	"hap/internal/wirejson"
 )
 
 // ProtocolVersion names the serve wire protocol implemented by this build,
@@ -161,22 +162,6 @@ type Config struct {
 	Synthesize func(context.Context, *graph.Graph, *cluster.Cluster, hap.Options) (*hap.Plan, error)
 }
 
-// Request is the body of POST /v1/synthesize: a graph and a cluster in their
-// JSON wire formats (graph.Encode, cluster.Encode), plus planner options.
-//
-// A body carrying only Key — the plan's cache key, which
-// the sender derived with fingerprint.PlanKey from its own graph, cluster and
-// options — asks for the plan without uploading anything: a key in the local
-// store is answered exactly like a full-body hit, any other key gets the
-// need_body answer and the sender repeats the request in full. Key is ignored
-// when graph and cluster are present.
-type Request struct {
-	Graph   json.RawMessage `json:"graph"`
-	Cluster json.RawMessage `json:"cluster"`
-	Options RequestOptions  `json:"options"`
-	Key     string          `json:"key,omitempty"`
-}
-
 // ErrorEnvelope is the structured error body of every endpoint.
 type ErrorEnvelope struct {
 	Code    string `json:"code"`
@@ -203,27 +188,10 @@ const NeedBody = "need_body"
 var needBodyAnswer = []byte(`{"code":"need_body","message":"no plan under this key here: resend with graph and cluster"}` + "\n")
 
 // RequestOptions mirrors hap.Options on the wire. The retired "optimize",
-// "exact_search" and "max_iterations" fields decode as unknown fields: they
-// are ignored, and the request keys and plans like one without them.
+// "exact_search" and "max_iterations" fields read as unknown members: they
+// are skipped, and the request keys and plans like one without them.
 type RequestOptions struct {
 	Segments int `json:"segments,omitempty"`
-}
-
-// UnmarshalJSON rejects negative segments when a request body is parsed, so
-// they answer 400 before a cache key is derived from them: a negative
-// segment count means nothing to the planner and would only mint a second
-// key for the unsegmented plan.
-func (o *RequestOptions) UnmarshalJSON(b []byte) error {
-	type plain RequestOptions // drops this method, so the decode below does not recurse
-	var p plain
-	if err := json.Unmarshal(b, &p); err != nil {
-		return err
-	}
-	if p.Segments < 0 {
-		return fmt.Errorf("options: segments (%d) must not be negative", p.Segments)
-	}
-	*o = RequestOptions(p)
-	return nil
 }
 
 // Stats is an in-process snapshot of the server counters. GET /metrics
@@ -540,19 +508,6 @@ func (s *Server) readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool)
 	return buf.Bytes(), true
 }
 
-// parseBody parses a request body's outer JSON object. Like the stream
-// decoder the endpoints always used, it reads the first JSON value and
-// ignores anything after it.
-func parseBody(body []byte, into any) error {
-	return json.NewDecoder(bytes.NewReader(body)).Decode(into)
-}
-
-// absent reports whether a request field was omitted or sent as JSON null
-// (what a struct-marshalling sender emits for a payload it does not have).
-func absent(raw json.RawMessage) bool {
-	return len(raw) == 0 || string(raw) == "null"
-}
-
 // planInput is a decoded full-body request: what a miss plans from.
 type planInput struct {
 	opts RequestOptions
@@ -560,180 +515,69 @@ type planInput struct {
 	c    *cluster.Cluster
 }
 
-// decodeRequest parses a single-plan request body. A key-only body yields its
-// key and a nil input; a full body yields its decoded, validated graph and
-// cluster and the key they derive. The body a client sends is read in one
-// pass (readFullBody); any other goes through parseRequest.
+// requestMembers are the members of a /v1/synthesize body.
+var requestMembers = []string{"graph", "cluster", "options", "key"}
+
+// decodeRequest reads the body of POST /v1/synthesize, {"graph", "cluster",
+// "options", "key"}, in one pass on the tokenizer the graph reader is built
+// on (package wirejson: the spellings it takes and the three it refuses).
+// The graph is decoded where it lies (graph.DecodeFrom), the cluster's span
+// goes to cluster.Decode, and negative segments are refused on sight.
+//
+// A body with a key and neither graph nor cluster (each absent or null) is
+// the key-only form: the sender derived the key with fingerprint.PlanKey
+// from its own graph, cluster and options, and asks for the plan without
+// uploading anything. It yields the key and a nil input, and decodes
+// nothing else. Any other body must carry both payloads; it yields them
+// decoded and validated, and the key they derive — a key riding along is
+// ignored.
 func decodeRequest(body []byte) (key string, in *planInput, err error) {
-	in, ok, err := readFullBody(body)
-	if !ok {
-		return parseRequest(body)
-	}
-	if err != nil {
-		return "", nil, err
-	}
-	return cacheKey(in.g, in.c, in.opts), in, nil
-}
-
-// parseRequest is decodeRequest through parseBody: the outer object into a
-// Request, then each payload by its own decoder.
-func parseRequest(body []byte) (key string, in *planInput, err error) {
-	var req Request
-	if err := parseBody(body, &req); err != nil {
-		return "", nil, err
-	}
-	if req.Key != "" && absent(req.Graph) && absent(req.Cluster) {
-		return req.Key, nil, nil
-	}
-	in = &planInput{opts: req.Options}
-	if in.g, in.c, err = decodeGraphCluster(&req); err != nil {
-		return "", nil, err
-	}
-	return cacheKey(in.g, in.c, in.opts), in, nil
-}
-
-// readFullBody reads a full body of the form a client sends — one object
-// holding "graph", "cluster" and optionally "options", each once, in any
-// order — in one pass: the graph is decoded where it lies in body by
-// graph.DecodePrefix, the cluster and options by their own decoders. ok is
-// false for a body it does not recognise (a key, a null, an unknown or
-// repeated member, a payload that fails to parse or a cluster that fails to
-// decode), and parseRequest then answers it, so every answer and every 400
-// message stays parseRequest's. When ok, in and err are what parseRequest
-// would return.
-func readFullBody(body []byte) (in *planInput, ok bool, err error) {
+	r := wirejson.Reader{Data: body}
 	var (
 		g           *graph.Graph
-		gErr        error
 		clusterJSON []byte
 		opts        RequestOptions
-		seen        [len(fullBodyMembers)]bool
+		sentKey     []byte
 	)
-	i := skipSpace(body, 0)
-	if i == len(body) || body[i] != '{' {
-		return nil, false, nil
-	}
-	for {
-		// A member: "name", a colon, the value.
-		i = skipSpace(body, i+1)
-		if i == len(body) || body[i] != '"' {
-			return nil, false, nil
-		}
-		end := bytes.IndexByte(body[i+1:], '"')
-		if end < 0 {
-			return nil, false, nil
-		}
-		name := body[i+1 : i+1+end]
-		i = skipSpace(body, i+end+2)
-		if i == len(body) || body[i] != ':' {
-			return nil, false, nil
-		}
-		i = skipSpace(body, i+1)
-		m := 0
-		for m < len(fullBodyMembers) && fullBodyMembers[m] != string(name) {
-			m++
-		}
-		if m == len(fullBodyMembers) || seen[m] {
-			return nil, false, nil
-		}
-		seen[m] = true
-		if m == 0 {
-			n := 0
-			if g, n, gErr = graph.DecodePrefix(body[i:]); n == 0 {
-				return nil, false, nil
+	r.Object(requestMembers, func(m int) bool {
+		switch requestMembers[m] {
+		case "graph":
+			g, _ = graph.DecodeFrom(&r)
+		case "cluster":
+			start := r.I
+			if r.Skip() {
+				clusterJSON = body[start:r.I]
 			}
-			i += n
-		} else {
-			end := objectEnd(body, i)
-			if end < 0 {
-				return nil, false, nil
+		case "options":
+			r.Object([]string{"segments"}, func(int) bool {
+				opts.Segments, _ = r.Int()
+				return r.Err == nil
+			})
+			if r.Err != nil {
+				r.Err = fmt.Errorf("options: %w", r.Err)
+			} else if opts.Segments < 0 {
+				// A negative count means nothing to the planner and would only
+				// mint a second key for the unsegmented plan.
+				r.Fail(fmt.Errorf("options: segments (%d) must not be negative", opts.Segments))
 			}
-			if m == 1 {
-				clusterJSON = body[i:end]
-			} else if json.Unmarshal(body[i:end], &opts) != nil {
-				return nil, false, nil
-			}
-			i = end
+		default: // "key"
+			sentKey, _ = r.Str()
 		}
-		if i = skipSpace(body, i); i == len(body) {
-			return nil, false, nil
-		}
-		if body[i] == '}' {
-			break
-		}
-		if body[i] != ',' {
-			return nil, false, nil
-		}
+		return r.Err == nil
+	})
+	switch {
+	case r.Err != nil:
+		return "", nil, r.Err
+	case g == nil && clusterJSON == nil && len(sentKey) > 0:
+		return string(sentKey), nil, nil
+	case g == nil || clusterJSON == nil:
+		return "", nil, errors.New("graph and cluster are required")
 	}
-	if !seen[0] || !seen[1] {
-		return nil, false, nil
-	}
-	if gErr != nil {
-		return nil, true, gErr
-	}
-	// The cluster's bytes were only delimited: one that does not decode may
-	// not even be JSON, which parseBody reports first.
 	c, err := cluster.Decode(bytes.NewReader(clusterJSON))
 	if err != nil {
-		return nil, false, nil
+		return "", nil, err
 	}
-	return &planInput{opts: opts, g: g, c: c}, true, nil
-}
-
-// fullBodyMembers are the members readFullBody reads, in the order of its
-// seen flags.
-var fullBodyMembers = [...]string{"graph", "cluster", "options"}
-
-// skipSpace returns the index of the first non-space byte of b from i on.
-func skipSpace(b []byte, i int) int {
-	for i < len(b) && (b[i] == ' ' || b[i] == '\t' || b[i] == '\n' || b[i] == '\r') {
-		i++
-	}
-	return i
-}
-
-// objectEnd returns the index just past the JSON object starting at b[i],
-// or -1. It only balances brackets outside strings; whether the object is
-// valid JSON is its decoder's to say.
-func objectEnd(b []byte, i int) int {
-	if i == len(b) || b[i] != '{' {
-		return -1
-	}
-	depth := 0
-	for ; i < len(b); i++ {
-		switch b[i] {
-		case '"':
-			for i++; i < len(b) && b[i] != '"'; i++ {
-				if b[i] == '\\' {
-					i++
-				}
-			}
-		case '{', '[':
-			depth++
-		case '}', ']':
-			if depth--; depth == 0 {
-				return i + 1
-			}
-		}
-	}
-	return -1
-}
-
-// decodeGraphCluster decodes and validates the two payloads of a full-body
-// request.
-func decodeGraphCluster(req *Request) (*graph.Graph, *cluster.Cluster, error) {
-	if len(req.Graph) == 0 || len(req.Cluster) == 0 {
-		return nil, nil, errors.New("graph and cluster are required")
-	}
-	g, err := graph.DecodeBytes(req.Graph)
-	if err != nil {
-		return nil, nil, err
-	}
-	c, err := cluster.Decode(bytes.NewReader(req.Cluster))
-	if err != nil {
-		return nil, nil, err
-	}
-	return g, c, nil
+	return cacheKey(g, c, opts), &planInput{opts: opts, g: g, c: c}, nil
 }
 
 // handleSynthesize serves POST /v1/synthesize: decode → store → need_body →

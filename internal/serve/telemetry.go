@@ -184,8 +184,9 @@ func (s *Server) handleTelemetry(w http.ResponseWriter, r *http.Request) {
 // past the drift threshold, re-solves the stale entries. An error means the
 // batch was refused, and nothing was ingested.
 func (s *Server) ingestTelemetry(body []byte) (TelemetryResponse, error) {
+	// The first JSON value is the report; anything after it is ignored.
 	var req TelemetryRequest
-	if err := parseBody(body, &req); err != nil {
+	if err := json.NewDecoder(bytes.NewReader(body)).Decode(&req); err != nil {
 		return TelemetryResponse{}, err
 	}
 	if len(req.Cluster) == 0 {

@@ -193,8 +193,8 @@ func TestSegmentedPlanReloadsOnFreshGraph(t *testing.T) {
 	if err := Verify(back, c.M(), 5); err != nil {
 		t.Errorf("Verify on re-loaded segmented plan: %v", err)
 	}
-	if dt := Simulate(back, c, 1); dt <= 0 {
-		t.Errorf("Simulate on re-loaded segmented plan = %v", dt)
+	if dt, err := Simulate(back, c, 1); err != nil || dt <= 0 {
+		t.Errorf("Simulate on re-loaded segmented plan = %v, %v", dt, err)
 	}
 }
 

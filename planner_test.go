@@ -124,8 +124,8 @@ func TestBinaryPlanRoundTrip(t *testing.T) {
 	if err := Verify(back, c.M(), 21); err != nil {
 		t.Errorf("Verify after binary round-trip: %v", err)
 	}
-	if dt := Simulate(back, c, 1); dt <= 0 {
-		t.Errorf("Simulate after binary round-trip = %v", dt)
+	if dt, err := Simulate(back, c, 1); err != nil || dt <= 0 {
+		t.Errorf("Simulate after binary round-trip = %v, %v", dt, err)
 	}
 
 	// The program section is a plain dist binary program: DecodeBinary
