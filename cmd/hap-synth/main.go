@@ -5,7 +5,7 @@
 // Usage:
 //
 //	hap-synth [-model VGG19|ViT|BERT-Base|BERT-MoE] [-k gpusPerMachine]
-//	          [-cluster hetero|homo|a100p100] [-segments n] [-workers n]
+//	          [-cluster hetero|homo|a100p100] [-segments n]
 //	          [-trace file] [-out plan.bin] [-server http://host:8080]
 //
 // The printed disassembly is the form a person reads; -out writes the binary
@@ -39,7 +39,6 @@ func main() {
 	k := flag.Int("k", 1, "GPUs per machine")
 	clusterName := flag.String("cluster", "hetero", "cluster: hetero (2×V100+6×P100 machines), homo (4×P100), a100p100")
 	segments := flag.Int("segments", 1, "model segments for per-segment sharding ratios")
-	workers := flag.Int("workers", 0, "beam-search worker goroutines (0 = GOMAXPROCS); the plan is byte-identical for any value")
 	trace := flag.String("trace", "", "write a Chrome trace of one simulated iteration to this file")
 	out := flag.String("out", "", "write the plan (program, ratios, cost) as its binary payload to this file and check that it re-loads to the same program")
 	server := flag.String("server", "", "synthesize via this hap-serve daemon (e.g. http://host:8080) instead of locally")
@@ -63,7 +62,7 @@ func main() {
 		*model, g.NumNodes(), float64(g.ParameterCount())/1e6, g.TotalFlops()/1e9)
 
 	// ^C cancels the synthesis — locally it aborts the search within one
-	// candidate batch; against a server it also aborts the remote search.
+	// expansion; against a server it also aborts the remote search.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
 
@@ -77,7 +76,7 @@ func main() {
 			plan.SynthesisTime = time.Since(start).Seconds()
 		}
 	} else {
-		plan, err = hap.NewPlanner(c, hap.WithSegments(*segments), hap.WithWorkers(*workers)).Plan(ctx, g)
+		plan, err = hap.NewPlanner(c, hap.WithSegments(*segments)).Plan(ctx, g)
 	}
 	if err != nil {
 		log.Fatal(err)

@@ -2,7 +2,6 @@ package hap
 
 import (
 	"bytes"
-	"context"
 	"flag"
 	"fmt"
 	"math/rand"
@@ -16,8 +15,6 @@ import (
 	"hap/internal/graph"
 	"hap/internal/models"
 	"hap/internal/passes"
-	"hap/internal/synth"
-	"hap/internal/theory"
 )
 
 // The randomized differential harness: generate seeded random training
@@ -383,48 +380,5 @@ func TestDifferentialSeededVGG19(t *testing.T) {
 	}
 	if plan.Cost > coldWide.Cost*(1+1e-9) {
 		t.Errorf("seeded cost %v worse than cold %v", plan.Cost, coldWide.Cost)
-	}
-}
-
-// TestDifferentialParallelDeterminism checks the parallel beam's central
-// guarantee on the same seeded random graphs the differential harness fuzzes
-// with: Workers=4 and Workers=1 emit byte-identical disassembly on every
-// graph × cluster pair, each communicating every tensor at most once. Run
-// under -race (CI does) this also exercises the worker pool for data races
-// on real workloads.
-func TestDifferentialParallelDeterminism(t *testing.T) {
-	graphs := 12
-	if testing.Short() {
-		graphs = 4
-	}
-	clusters := fuzzClusters()
-	for i := 0; i < graphs; i++ {
-		seed := *fuzzSeed + int64(i)
-		rng := rand.New(rand.NewSource(seed))
-		g := randomTrainingGraph(t, rng)
-		th := theory.New(g)
-		for ci, c := range clusters {
-			t.Run(fmt.Sprintf("seed=%d/cluster=%d", seed, ci), func(t *testing.T) {
-				b := cost.UniformRatios(g.NumSegments(), c.ProportionalRatios())
-				// Force the beam (small graphs would pick exact A*, which is
-				// always serial): width 24 matches the auto choice's regime.
-				serial, sstats, err := synth.Synthesize(context.Background(), g, th, c, b, synth.Options{BeamWidth: 24, Workers: 1})
-				if err != nil {
-					t.Fatalf("workers=1: %v", err)
-				}
-				parallel, pstats, err := synth.Synthesize(context.Background(), g, th, c, b, synth.Options{BeamWidth: 24, Workers: 4})
-				if err != nil {
-					t.Fatalf("workers=4: %v", err)
-				}
-				wantEachTensorCommunicatedOnce(t, "workers=1", serial)
-				wantEachTensorCommunicatedOnce(t, "workers=4", parallel)
-				if serial.String() != parallel.String() {
-					t.Errorf("workers=4 emitted a different program:\n%s\nvs workers=1:\n%s", parallel, serial)
-				}
-				if sstats.Cost != pstats.Cost {
-					t.Errorf("workers=4 cost %v != workers=1 cost %v", pstats.Cost, sstats.Cost)
-				}
-			})
-		}
 	}
 }

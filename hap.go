@@ -105,12 +105,6 @@ type Options struct {
 	// or an error when none completed. The synthesizer's expansion limits
 	// bound memory, not time.
 	TimeBudget time.Duration
-	// Workers bounds the beam synthesizer's per-level parallelism
-	// (0 = GOMAXPROCS, 1 = serial). Any worker count yields a byte-identical
-	// plan: the parallel beam merges candidates in a deterministic order, so
-	// this knob trades only latency, never plan content — it is deliberately
-	// not part of hap-serve's cache key.
-	Workers int
 	// SeedGraph and SeedPlan supply a donor plan for incremental synthesis:
 	// when the donor graph is structurally close enough to the planned graph
 	// (normalized segment-level diff ≤ 0.25), the search is seeded
@@ -118,8 +112,8 @@ type Options struct {
 	// only the changed region is searched. A donor too far away silently
 	// degrades to cold synthesis; exact A* ignores seeds. Both nil by
 	// default. Seed inputs are deliberately not part of hap-serve's cache
-	// key: like Workers, they trade latency, never plan validity. Planning
-	// only reads them, so one donor may seed concurrent Plan calls.
+	// key: they trade latency, never plan validity. Planning only reads
+	// them, so one donor may seed concurrent Plan calls.
 	SeedGraph *Graph
 	SeedPlan  *Plan
 }

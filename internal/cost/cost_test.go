@@ -85,16 +85,76 @@ func TestEvaluateMatchesManualComputation(t *testing.T) {
 	}
 }
 
+// stageWalk is the objective the beam search accumulates instruction by
+// instruction: per stage, the opening collective's CommTime plus the worst
+// device's AddIntraPenalty and AddCompTimes.
+func stageWalk(c *cluster.Cluster, p *dist.Program, b [][]float64) float64 {
+	t := 0.0
+	acc := make([]float64, c.M())
+	for _, st := range Stages(p) {
+		clear(acc)
+		if st.Comm != nil {
+			t += CommTime(c, p.Graph, *st.Comm, b)
+			AddIntraPenalty(c, p.Graph, *st.Comm, b, acc)
+		}
+		for _, in := range st.Comps {
+			AddCompTimes(c, p.Graph, in, b, acc)
+		}
+		t += slices.Max(acc)
+	}
+	return t
+}
+
+// allCollectives is handProgram with a collective of every kind between its
+// computations, each communicating the tensor just computed, so each of the
+// model's five comm formulas opens a stage.
+func allCollectives(t *testing.T) *dist.Program {
+	p, g := handProgram(t)
+	after := map[int]collective.Kind{
+		0: collective.PaddedAllGather,  // x
+		2: collective.ReduceScatter,    // y
+		5: collective.AllToAll,         // gy
+		6: collective.GroupedBroadcast, // xt
+	}
+	q := &dist.Program{Graph: g}
+	for i, in := range p.Instrs {
+		q.Instrs = append(q.Instrs, in)
+		if k, ok := after[i]; ok {
+			q.Instrs = append(q.Instrs, dist.Comm(in.Ref, k, 0, 0))
+		}
+	}
+	return q
+}
+
+// The LP's extracted model must price a program as the search does: Eval
+// against the stage walk, to 1e-12 relative — not to the bit, since the two
+// associate the same terms differently. The cluster mixes multi-GPU
+// machines (the intra-machine penalty, constant for All-Reduce and
+// ratio-scaled otherwise) with a single GPU.
 func TestStageModelEvalConsistent(t *testing.T) {
-	p, _ := handProgram(t)
-	c := mixed()
+	p := allCollectives(t)
+	kinds := map[collective.Kind]bool{}
+	for _, in := range p.Instrs {
+		if in.IsComm {
+			kinds[in.Coll] = true
+		}
+	}
+	if len(kinds) != 5 {
+		t.Fatalf("program has %d collective kinds, want all 5", len(kinds))
+	}
+	c := cluster.FromMachines(cluster.DefaultNetwork(), 8,
+		cluster.MachineSpec{Type: cluster.V100, GPUs: 4},
+		cluster.MachineSpec{Type: cluster.P100, GPUs: 2},
+		cluster.MachineSpec{Type: cluster.A100, GPUs: 1})
 	model := Extract(c, p)
 	for _, b := range [][][]float64{
-		UniformRatios(1, []float64{0.5, 0.5}),
-		UniformRatios(1, []float64{0.8, 0.2}),
+		UniformRatios(1, c.ProportionalRatios()),
+		UniformRatios(1, c.EvenRatios()),
+		UniformRatios(1, []float64{0.2, 0.7, 0.1}),
 	} {
-		if got, want := model.Eval(b), Evaluate(c, p, b); math.Abs(got-want) > 1e-12 {
-			t.Errorf("Eval=%v Evaluate=%v for %v", got, want, b[0])
+		got, want := model.Eval(b), stageWalk(c, p, b)
+		if math.Abs(got-want) > 1e-12*want {
+			t.Errorf("Eval = %v, stage walk = %v at B = %v", got, want, b[0])
 		}
 	}
 }

@@ -62,7 +62,7 @@ func modelPayloads(t *testing.T) []payload {
 				}
 			}
 			b := cost.UniformRatios(g.NumSegments(), c.ProportionalRatios())
-			p, _, err := synth.Synthesize(context.Background(), g, theory.New(g), c, b, synth.Options{BeamWidth: 48, Workers: 1})
+			p, _, err := synth.Synthesize(context.Background(), g, theory.New(g), c, b, synth.Options{BeamWidth: 48})
 			if err != nil {
 				realErr = err
 				return

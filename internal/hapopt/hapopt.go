@@ -19,7 +19,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"runtime"
 	"slices"
 	"sync"
 	"time"
@@ -164,17 +163,10 @@ func Optimize(ctx context.Context, g *graph.Graph, c *cluster.Cluster, opt Optio
 
 	// One Synthesizer per portfolio theory serves every iteration: SetRatios
 	// re-prices it for the new B, and each Run reuses the scratch the last
-	// one left. Several theories search concurrently, so the worker budget is
-	// split instead of oversubscribed — two beams at GOMAXPROCS workers each
-	// would contend for the same cores. Plans are worker-count-invariant, so
-	// the split trades only latency, never content.
-	so := opt.Synth
-	if len(portfolio) > 1 {
-		so.Workers = splitWorkers(so.Workers, len(portfolio))
-	}
+	// one left.
 	arms := make([]*synth.Synthesizer, len(portfolio))
 	for i, th := range portfolio {
-		o := so
+		o := opt.Synth
 		if i != 0 {
 			// Filtered portfolio theories carry their own triple set; the
 			// seed's pins reference the base theory's.
@@ -221,10 +213,10 @@ func Optimize(ctx context.Context, g *graph.Graph, c *cluster.Cluster, opt Optio
 			}
 		}
 		// The portfolio theories search concurrently under the shared
-		// deadline (each search is internally parallel too; see
-		// synth.Options.Workers). Selection walks the results in portfolio
-		// order with the same tie-breaking as a sequential loop — the base
-		// theory wins cost ties — so the outcome is order-deterministic.
+		// deadline, one goroutine each. Selection walks the results in
+		// portfolio order with the same tie-breaking as a sequential loop —
+		// the base theory wins cost ties — so the outcome is
+		// order-deterministic.
 		outs := make([]portfolioResult, len(arms))
 		if len(arms) == 1 {
 			outs[0].p, outs[0].stats, outs[0].err = arms[0].Run(ictx)
@@ -341,19 +333,6 @@ type portfolioResult struct {
 	p     *dist.Program
 	stats synth.Stats
 	err   error
-}
-
-// splitWorkers divides a worker budget (0 = GOMAXPROCS) across the portfolio's
-// n concurrent searches, never below one worker each.
-func splitWorkers(workers, n int) int {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	per := workers / n
-	if per < 1 {
-		per = 1
-	}
-	return per
 }
 
 func hasExperts(g *graph.Graph) bool {

@@ -260,21 +260,6 @@ func TestOptimizeContextSemantics(t *testing.T) {
 	}
 }
 
-// splitWorkers divides the worker budget across concurrent portfolio
-// searches instead of oversubscribing, never dropping below one per search.
-func TestSplitWorkers(t *testing.T) {
-	for _, tc := range []struct{ workers, n, want int }{
-		{8, 2, 4}, {8, 3, 2}, {1, 2, 1}, {2, 2, 1}, {3, 2, 1},
-	} {
-		if got := splitWorkers(tc.workers, tc.n); got != tc.want {
-			t.Errorf("splitWorkers(%d, %d) = %d, want %d", tc.workers, tc.n, got, tc.want)
-		}
-	}
-	if got := splitWorkers(0, 2); got < 1 {
-		t.Errorf("splitWorkers(0, 2) = %d, want >= 1", got)
-	}
-}
-
 // perGPU is a four-machine heterogeneous cluster with one virtual device per
 // GPU — the shape on which the balancer's B really moves between iterations.
 func perGPU(v100, a100, v100b, p100 int) *cluster.Cluster {

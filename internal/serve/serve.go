@@ -117,10 +117,10 @@ type Config struct {
 	// SynthTimeBudget bounds each request's synthesis wall-clock time
 	// (0 = DefaultSynthTimeBudget; negative = unlimited).
 	SynthTimeBudget time.Duration
-	// SynthWorkers bounds each synthesis's beam parallelism (0 = GOMAXPROCS).
-	// A server-level knob, not a request option, and not part of the cache
-	// key: any worker count emits a byte-identical plan, so it trades only
-	// latency under load, never cached content.
+	// SynthWorkers is ignored: every synthesis runs on one goroutine.
+	//
+	// Deprecated: a no-op kept only because bench/ still sets it; ROADMAP O
+	// deletes it with bench/'s calls.
 	SynthWorkers int
 	// CacheDir enables write-through disk persistence of the plan cache:
 	// every cached plan is also written to a content-addressed file under
@@ -426,7 +426,6 @@ func (s *Server) hapOptions(opt RequestOptions) hap.Options {
 	return hap.Options{
 		Segments:   opt.Segments,
 		TimeBudget: budget,
-		Workers:    s.cfg.SynthWorkers,
 	}
 }
 

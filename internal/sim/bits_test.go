@@ -23,13 +23,12 @@ type clockInput struct {
 	b    [][]float64
 }
 
-// paperPlan plans VGG19 on c at B⁽⁰⁾ with the default beam at Workers 1,
-// the plan TestGoldenPlanIdentity pins for the same input.
+// paperPlan plans VGG19 on c at B⁽⁰⁾ with the default beam, the plan TestGoldenPlanIdentity pins for the same input.
 func paperPlan(tb testing.TB, name string, c *cluster.Cluster) clockInput {
 	tb.Helper()
 	g := models.Build(models.ModelVGG19, c.TotalGPUs())
 	b := cost.UniformRatios(g.NumSegments(), c.ProportionalRatios())
-	p, _, err := synth.Synthesize(context.Background(), g, theory.New(g), c, b, synth.Options{BeamWidth: 48, Workers: 1})
+	p, _, err := synth.Synthesize(context.Background(), g, theory.New(g), c, b, synth.Options{BeamWidth: 48})
 	if err != nil {
 		tb.Fatalf("%s: Synthesize: %v", name, err)
 	}

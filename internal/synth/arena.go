@@ -27,10 +27,8 @@
 // free list, handed back when a level retires and carved from slabs sized by
 // the beam width — at most one level and its successors hold one at a time.
 //
-// get/put are unlocked: only the goroutine running the search calls them.
-// The beam's phase-1 workers score candidates without materializing them;
-// clone (A*, the seed fast-forward, the beam's serial materialize loop) and
-// release all run on the search's own goroutine.
+// get/put are unlocked: a search, A*, the seed fast-forward and every beam
+// phase alike, runs on the one goroutine that called Run.
 
 package synth
 

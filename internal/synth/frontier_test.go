@@ -255,18 +255,13 @@ func beamCases() []beamCase {
 	b0 := func(g *graph.Graph, c *cluster.Cluster) [][]float64 {
 		return cost.UniformRatios(g.NumSegments(), c.ProportionalRatios())
 	}
-	var cases []beamCase
-	for _, workers := range []int{1, 4} {
-		workers := workers // the closure outlives the iteration (go 1.21 loop semantics)
-		cases = append(cases, beamCase{"vgg19", func(*testing.T) *Synthesizer {
-			g, th, c, ratios := benchInput(models.ModelVGG19)
-			return New(g, th, c, ratios, Options{BeamWidth: 48, Workers: workers})
-		}})
-	}
-	cases = append(cases, beamCase{"moe4", func(*testing.T) *Synthesizer {
+	cases := []beamCase{{"vgg19", func(*testing.T) *Synthesizer {
+		g, th, c, ratios := benchInput(models.ModelVGG19)
+		return New(g, th, c, ratios, Options{BeamWidth: 48})
+	}}, {"moe4", func(*testing.T) *Synthesizer {
 		g := goldenInputs()["moe4"](het)
-		return New(g, theory.New(g), het, b0(g, het), Options{BeamWidth: 48, Workers: 1})
-	}}, beamCase{"mlp/seg4", func(t *testing.T) *Synthesizer {
+		return New(g, theory.New(g), het, b0(g, het), Options{BeamWidth: 48})
+	}}, {"mlp/seg4", func(t *testing.T) *Synthesizer {
 		g := seedTestGraph(t, 64, 96, 128, 96, 64, 32)
 		segment.Assign(g, 4)
 		if g.NumSegments() < 2 {
@@ -279,12 +274,12 @@ func beamCases() []beamCase {
 			ratios[seg][0] += 0.01 * float64(seg)
 			ratios[seg][1] -= 0.01 * float64(seg)
 		}
-		return New(g, theory.New(g), het, ratios, Options{BeamWidth: 24, Workers: 4})
-	}}, beamCase{"seeded", func(t *testing.T) *Synthesizer {
+		return New(g, theory.New(g), het, ratios, Options{BeamWidth: 24})
+	}}, {"seeded", func(t *testing.T) *Synthesizer {
 		batch := models.PerDeviceBatch(models.ModelVGG19) * het.TotalGPUs()
 		base := models.Training(models.VGG19(batch, 224, 10))
 		wide := models.Training(models.VGG19OneWider(batch, 224, 10))
-		syBase, thBase := synthFor(base, het, Options{BeamWidth: 48, Workers: 1})
+		syBase, thBase := synthFor(base, het, Options{BeamWidth: 48})
 		donor, _, err := syBase.Run(context.Background())
 		if err != nil {
 			t.Fatal(err)
@@ -303,10 +298,10 @@ func beamCases() []beamCase {
 		if pins == 0 {
 			t.Fatal("the seed pins no communication: the pin filter is not exercised")
 		}
-		return New(wide, thWide, het, b0(wide, het), Options{BeamWidth: -1, Workers: 1, Seed: seed})
-	}})
+		return New(wide, thWide, het, b0(wide, het), Options{BeamWidth: -1, Seed: seed})
+	}}}
 	for _, name := range []string{"no-sfb", "no-grouped-broadcast"} {
-		opt := Options{BeamWidth: 16, Workers: 1, DisableSFB: name == "no-sfb", DisableGroupedBroadcast: name == "no-grouped-broadcast"}
+		opt := Options{BeamWidth: 16, DisableSFB: name == "no-sfb", DisableGroupedBroadcast: name == "no-grouped-broadcast"}
 		cases = append(cases, beamCase{name, func(t *testing.T) *Synthesizer {
 			g := seedTestGraph(t, 64, 128, 96, 32)
 			return New(g, theory.New(g), het, b0(g, het), opt)
@@ -374,7 +369,7 @@ func FuzzFrontierWalk(f *testing.F) {
 		}
 		gi := int(data[0]) % len(graphs)
 		g, th := graphs[gi], theories[gi]
-		opt := Options{BeamWidth: 4, Workers: 1, DisableGroupedBroadcast: data[0]&2 != 0, DisableSFB: data[0]&4 != 0}
+		opt := Options{BeamWidth: 4, DisableGroupedBroadcast: data[0]&2 != 0, DisableSFB: data[0]&4 != 0}
 		sy := New(g, th, c, ratios(c), opt)
 		s := sy.rootState()
 		// The walk leaves the beam's schedule, so nextReq is parked past the

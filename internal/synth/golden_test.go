@@ -69,7 +69,7 @@ func goldenInputs() map[string]func(c *cluster.Cluster) *graph.Graph {
 }
 
 // TestGoldenPlanIdentity holds every cold search of the table byte-identical
-// to the pinned hash at Workers 1 and 4.
+// to the pinned hash.
 func TestGoldenPlanIdentity(t *testing.T) {
 	clusters := map[string]*cluster.Cluster{
 		"het8": cluster.PaperHeterogeneous(1),
@@ -82,15 +82,13 @@ func TestGoldenPlanIdentity(t *testing.T) {
 				g := build(c)
 				th := theory.New(g)
 				b := cost.UniformRatios(g.NumSegments(), c.ProportionalRatios())
-				for _, workers := range []int{1, 4} {
-					p, stats, err := Synthesize(context.Background(), g, th, c, b, Options{BeamWidth: 48, Workers: workers})
-					if err != nil {
-						t.Fatalf("workers=%d: %v", workers, err)
-					}
-					got := pinOf(p, stats)
-					if want := goldenPlans[name]; got != want {
-						t.Errorf("workers=%d: plan moved: built\n\t%q: {%q, %d, %d},\npinned %+v", workers, name, got.hash, got.expansions, got.pushed, want)
-					}
+				p, stats, err := Synthesize(context.Background(), g, th, c, b, Options{BeamWidth: 48})
+				if err != nil {
+					t.Fatal(err)
+				}
+				got := pinOf(p, stats)
+				if want := goldenPlans[name]; got != want {
+					t.Errorf("plan moved: built\n\t%q: {%q, %d, %d},\npinned %+v", name, got.hash, got.expansions, got.pushed, want)
 				}
 			})
 		}
@@ -104,20 +102,17 @@ func pinOf(p *dist.Program, stats Stats) goldenPlan {
 	return goldenPlan{fmt.Sprintf("%016x", h.Sum64()), stats.Expansions, stats.Pushed}
 }
 
-// TestGoldenSeededPlan holds the seeded search to goldenSeeded at Workers 1
-// and 4, and to having consumed its seed.
+// TestGoldenSeededPlan holds the seeded search to goldenSeeded, and to
+// having consumed its seed.
 func TestGoldenSeededPlan(t *testing.T) {
-	in := newSeededInput(t)
-	for _, workers := range []int{1, 4} {
-		p, stats, err := in.search(workers)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		if !stats.Seeded {
-			t.Errorf("workers=%d: the search did not consume its seed", workers)
-		}
-		if got := pinOf(p, stats); got != goldenSeeded {
-			t.Errorf("workers=%d: seeded plan moved: built {%q, %d, %d}, pinned %+v", workers, got.hash, got.expansions, got.pushed, goldenSeeded)
-		}
+	p, stats, err := newSeededInput(t).search()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !stats.Seeded {
+		t.Error("the search did not consume its seed")
+	}
+	if got := pinOf(p, stats); got != goldenSeeded {
+		t.Errorf("seeded plan moved: built {%q, %d, %d}, pinned %+v", got.hash, got.expansions, got.pushed, goldenSeeded)
 	}
 }

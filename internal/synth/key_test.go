@@ -192,7 +192,7 @@ func TestStateKeyMatchesRebuild(t *testing.T) {
 			t.Fatal(err)
 		}
 		c := twoDevices()
-		sy := New(g, theory.New(g), c, ratios(c), Options{BeamWidth: 8, Workers: 1})
+		sy := New(g, theory.New(g), c, ratios(c), Options{BeamWidth: 8})
 		var lc levelCands
 		sy.levelHook = func(level []*state, _ []candRef) {
 			for _, s := range level {
@@ -256,7 +256,7 @@ func TestTrailRebuildsPrograms(t *testing.T) {
 	t.Run("beam", func(t *testing.T) {
 		const width = 48
 		g, th, c, ratios := benchInput(models.ModelVGG19)
-		sy := New(g, th, c, ratios, Options{BeamWidth: width, Workers: 1})
+		sy := New(g, th, c, ratios, Options{BeamWidth: width})
 		structs := map[*state]bool{}
 		levels := 0
 		sy.levelHook = func(level []*state, _ []candRef) {
@@ -286,7 +286,7 @@ func TestTrailRebuildsPrograms(t *testing.T) {
 	t.Run("fast-forward", func(t *testing.T) {
 		g := seedTestGraph(t, 64, 128, 96, 32)
 		c := cluster.PaperHeterogeneous(1)
-		opt := Options{BeamWidth: 24, Workers: 1}
+		opt := Options{BeamWidth: 24}
 		sy, th := synthFor(g, c, opt)
 		donor, _, err := sy.Run(context.Background())
 		if err != nil {

@@ -174,7 +174,7 @@ func FuzzLazySortPrefix(f *testing.F) {
 // candidate arenas the merge actually sees, ties and all — through the oracle.
 func TestLazySortRealLevels(t *testing.T) {
 	g, th, c, ratios := benchInput(models.ModelVGG19)
-	sy := New(g, th, c, ratios, Options{BeamWidth: 48, Workers: 1})
+	sy := New(g, th, c, ratios, Options{BeamWidth: 48})
 	levels, cands := 0, 0
 	rng := rand.New(rand.NewSource(24))
 	sy.levelHook = func(_ []*state, refs []candRef) {
@@ -394,7 +394,7 @@ func FuzzBlockPartition(f *testing.F) {
 // and the block loop's state stay off the heap.
 func TestLazySortAllocs(t *testing.T) {
 	g, th, c, ratios := benchInput(models.ModelVGG19)
-	sy := New(g, th, c, ratios, Options{BeamWidth: 48, Workers: 1})
+	sy := New(g, th, c, ratios, Options{BeamWidth: 48})
 	var level []candRef
 	sy.levelHook = func(_ []*state, refs []candRef) {
 		if len(refs) > len(level) {

@@ -30,7 +30,7 @@ func synthFor(g *graph.Graph, c *cluster.Cluster, opt Options) (*Synthesizer, *t
 func TestSeedFullReplay(t *testing.T) {
 	g := seedTestGraph(t, 64, 128, 96, 32)
 	c := cluster.PaperHeterogeneous(1)
-	opt := Options{BeamWidth: 24, Workers: 1}
+	opt := Options{BeamWidth: 24}
 
 	sy, th := synthFor(g, c, opt)
 	cold, coldStats, err := sy.Run(context.Background())
@@ -69,7 +69,7 @@ func TestSeedWidenedModel(t *testing.T) {
 	base := seedTestGraph(t, 64, 96, 96, 96, 96, 96, 96, 32)
 	wide := seedTestGraph(t, 64, 96, 96, 112, 96, 96, 96, 32)
 	c := cluster.PaperHeterogeneous(1)
-	opt := Options{BeamWidth: 24, Workers: 1}
+	opt := Options{BeamWidth: 24}
 
 	syBase, thBase := synthFor(base, c, opt)
 	donor, _, err := syBase.Run(context.Background())
@@ -107,44 +107,12 @@ func TestSeedWidenedModel(t *testing.T) {
 	}
 }
 
-// TestSeedWorkerInvariance: seeded plans stay byte-identical across worker
-// counts, like cold ones.
-func TestSeedWorkerInvariance(t *testing.T) {
-	base := seedTestGraph(t, 64, 96, 96, 96, 96, 96, 96, 32)
-	wide := seedTestGraph(t, 64, 96, 96, 112, 96, 96, 96, 32)
-	c := cluster.PaperHeterogeneous(1)
-
-	syBase, thBase := synthFor(base, c, Options{BeamWidth: 24, Workers: 1})
-	donor, _, err := syBase.Run(context.Background())
-	if err != nil {
-		t.Fatalf("donor synthesis: %v", err)
-	}
-	thWide := theory.New(wide)
-	seed := BuildSeed(base, donor, thBase, wide, thWide, 0)
-	if seed == nil {
-		t.Fatalf("BuildSeed returned nil")
-	}
-	b := cost.UniformRatios(wide.NumSegments(), c.ProportionalRatios())
-	var first string
-	for _, workers := range []int{1, 4} {
-		p, _, err := New(wide, thWide, c, b, Options{BeamWidth: 24, Workers: workers, Seed: seed}).Run(context.Background())
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		if first == "" {
-			first = p.String()
-		} else if p.String() != first {
-			t.Fatalf("seeded plan differs between worker counts")
-		}
-	}
-}
-
 // TestSeedDistanceThreshold: a structurally unrelated donor is rejected.
 func TestSeedDistanceThreshold(t *testing.T) {
 	base := seedTestGraph(t, 64, 128, 96, 32)
 	other := seedTestGraph(t, 48, 80, 56, 24, 16)
 	c := cluster.PaperHeterogeneous(1)
-	syBase, thBase := synthFor(base, c, Options{BeamWidth: 24, Workers: 1})
+	syBase, thBase := synthFor(base, c, Options{BeamWidth: 24})
 	donor, _, err := syBase.Run(context.Background())
 	if err != nil {
 		t.Fatalf("donor synthesis: %v", err)
@@ -324,7 +292,7 @@ func fuzzSeedDonors(tb testing.TB) []seedDonor {
 	c := cluster.PaperHeterogeneous(1)
 	mlp := models.Training(models.MLP(64, 96, 96, 96, 96, 96, 96, 32))
 	mlpWide := models.Training(models.MLP(64, 96, 96, 112, 96, 96, 96, 32))
-	sy, mlpTh := synthFor(mlp, c, Options{BeamWidth: 24, Workers: 1})
+	sy, mlpTh := synthFor(mlp, c, Options{BeamWidth: 24})
 	mlpProg, _, err := sy.Run(context.Background())
 	if err != nil {
 		tb.Fatal(err)
@@ -427,7 +395,7 @@ func FuzzBuildSeed(f *testing.F) {
 		// A mutated donor can pin a prefix (say, a replicated first layer)
 		// from which all four states of the narrow seeded beam dead-end; the
 		// search then falls back to a cold one, so it always plans.
-		p, _, err := New(g, th, d.c, ratios, Options{BeamWidth: -1, Workers: 1, Seed: seed}).Run(context.Background())
+		p, _, err := New(g, th, d.c, ratios, Options{BeamWidth: -1, Seed: seed}).Run(context.Background())
 		if err != nil {
 			t.Fatalf("seeded search: %v", err)
 		}

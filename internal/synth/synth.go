@@ -22,9 +22,8 @@
 // collapses cost-equivalent permutations without losing any stage partition;
 // an optional beam bound caps expansions per search depth for model-scale
 // graphs (exact search remains the default for small graphs); the beam
-// search fans each level's candidate scoring over Options.Workers goroutines
-// and merges candidates in a deterministic total order, so the emitted
-// program is byte-identical for every worker count; a beam state inherits its
+// merges each level's candidates in a deterministic total order, so the
+// emitted program is a function of the inputs alone; a beam state inherits its
 // parent's legal collectives instead of re-deriving them every level; and the
 // per-expansion hot path is allocation-lean — pooled states with
 // copy-on-write bitsets, a dedup key and a completeness count maintained per
@@ -37,10 +36,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
 	"slices"
 	"sort"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -59,13 +56,10 @@ type Options struct {
 	// BeamWidth caps expansions per depth (0 = exact A*; negative = choose
 	// automatically: exact for small graphs, beam for model-scale ones).
 	BeamWidth int
-	// Workers is the number of goroutines the beam search fans each level's
-	// candidate generation and scoring over (0 = GOMAXPROCS, 1 = serial);
-	// survivors are always materialized serially. The emitted program is
-	// byte-identical for every worker count: workers own contiguous chunks of
-	// the level, so the merged candidate sequence — (parent index, candidate
-	// index) order — and the deterministic sort over it are independent of
-	// how the level was partitioned (see DESIGN.md). Exact A* is always serial.
+	// Workers is ignored: every search runs on the goroutine that calls Run.
+	//
+	// Deprecated: a no-op kept only because bench/ still sets it; ROADMAP O
+	// deletes it with bench/'s calls.
 	Workers int
 	// DisableGroupedBroadcast removes the grouped-Broadcast All-Gather
 	// implementation (ablation "C", Sec. 7.4).
@@ -243,9 +237,8 @@ func (s *state) place(ref graph.NodeID, v int8) {
 
 // clone allocates a successor of s from the per-search arena. The bitsets
 // are shared copy-on-write; every other slice is copied into the recycled
-// state's backing. Only the search's own goroutine clones and releases
-// (phase 1's workers score candidates without materializing them), which is
-// what lets the arena go unlocked.
+// state's backing. A search runs on one goroutine, which is what lets the
+// arena go unlocked.
 func (sy *Synthesizer) clone(s *state) *state {
 	c := sy.arena.get()
 	c.props = append(c.props[:0], s.props...)
@@ -493,16 +486,16 @@ type Synthesizer struct {
 	// one falls back to (runCold).
 	coldWidth int
 	// ctx is the Run context, the search's one clock: its cancellation
-	// (client disconnect) latches expired via a watcher goroutine, so every
-	// worker aborts between candidate batches without polling ctx on the hot
-	// path; its deadline is polled directly (see expiredNow).
+	// (client disconnect) latches expired through context.AfterFunc, so the
+	// search aborts between expansions without polling ctx on the hot path;
+	// its deadline is polled directly (see expiredNow).
 	ctx context.Context
 	// start and deadline are Run's entry time and ctx.Deadline() (zero =
 	// unlimited); their difference is the budget the expiry error names.
 	start, deadline time.Time
-	// expired latches a passed deadline or a ctx cancellation so every beam
-	// worker observes it between candidate batches (prompt cancellation, see
-	// expiredNow).
+	// expired latches the context being done, so the search observes a
+	// cancellation between expansions (see expiredNow). It is atomic because
+	// the AfterFunc callback writes it from another goroutine.
 	expired atomic.Bool
 	// span is the tracing span covering this search, resolved once from the
 	// Run context. Nil when tracing is off — every use below is nil-safe, so
@@ -676,17 +669,9 @@ func (sy *Synthesizer) compTimes(tr *theory.Triple) []float64 {
 	return comp[:m]
 }
 
-// workers resolves Options.Workers (0 = GOMAXPROCS).
-func (sy *Synthesizer) workers() int {
-	if w := sy.opt.Workers; w > 0 {
-		return w
-	}
-	return runtime.GOMAXPROCS(0)
-}
-
 // Synthesize runs the search under ctx and returns the best program found.
 // Cancelling ctx, or its deadline passing, aborts an in-flight search within
-// one candidate batch.
+// one expansion.
 func Synthesize(ctx context.Context, g *graph.Graph, th *theory.Theory, c *cluster.Cluster, b [][]float64, opt Options) (*dist.Program, Stats, error) {
 	return New(g, th, c, b, opt).Run(ctx)
 }
@@ -719,10 +704,10 @@ func (sy *Synthesizer) rootState() *state {
 }
 
 // Run executes the search under ctx: exact A* (Fig. 10) when BeamWidth is
-// zero, a level-synchronized (optionally multi-core) beam search otherwise.
+// zero, a level-synchronized beam search otherwise.
 // ctx is the search's only clock: its deadline is the wall-clock budget, its
-// cancellation an abort. Both share one latch, so either stops the search
-// within one candidate batch.
+// cancellation an abort. The search polls both once per expansion, so either
+// stops it within one expansion.
 func (sy *Synthesizer) Run(ctx context.Context) (*dist.Program, Stats, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -736,32 +721,25 @@ func (sy *Synthesizer) Run(ctx context.Context) (*dist.Program, Stats, error) {
 		if sy.opt.BeamWidth > 0 {
 			sy.span.SetAttrStr("mode", "beam")
 			sy.span.SetAttrInt("beam_width", int64(sy.opt.BeamWidth))
-			sy.span.SetAttrInt("workers", int64(sy.workers()))
 		} else {
 			sy.span.SetAttrStr("mode", "astar")
 		}
 		sy.span.SetAttrInt("nodes", int64(sy.g.NumNodes()))
 	}
 	// An already-cancelled context must abort deterministically, not race
-	// the watcher goroutine against a fast search.
+	// the AfterFunc callback against a fast search.
 	sy.expired.Store(ctx.Err() != nil)
 	// Nothing of the previous Run survives it: its states and trail records
 	// are scratch for this one.
 	sy.arena.rewind()
 	sy.trail = sy.trail[:0]
-	// The watcher turns ctx cancellation into the expired latch the search
-	// already polls, keeping ctx.Err() (a mutex acquisition in the common
-	// cancelCtx case) off the per-expansion hot path.
-	if done := ctx.Done(); done != nil {
-		stop := make(chan struct{})
-		defer close(stop)
-		go func() {
-			select {
-			case <-done:
-				sy.expired.Store(true)
-			case <-stop:
-			}
-		}()
+	// ctx cancellation sets the expired latch the search already polls,
+	// keeping ctx.Err() (a mutex acquisition in the common cancelCtx case)
+	// off the per-expansion hot path. A context that can never be cancelled
+	// registers nothing (three allocations a search would not use).
+	if ctx.Done() != nil {
+		stop := context.AfterFunc(ctx, func() { sy.expired.Store(true) })
+		defer stop()
 	}
 	root := sy.rootState()
 
@@ -880,25 +858,22 @@ type candSpan struct {
 	start, comps int32
 }
 
-// levelCands is a level's (or one worker's chunk of a level's) scored
-// candidates: one ref per candidate, the computation triples among them, and
-// one span per state scored — plus a closing sentinel once the level is
-// whole. Communication candidates are not stored: they are the states'
-// frontiers.
+// levelCands is a level's scored candidates: one ref per candidate, the
+// computation triples among them, and one span per state scored — plus a
+// closing sentinel once the level is whole. Communication candidates are
+// not stored: they are the states' frontiers.
 type levelCands struct {
-	refs       []candRef
-	comps      []*theory.Triple
-	spans      []candSpan
-	expansions int
+	refs  []candRef
+	comps []*theory.Triple
+	spans []candSpan
 }
 
 func (lc *levelCands) reset() {
-	lc.refs, lc.comps, lc.spans, lc.expansions = lc.refs[:0], lc.comps[:0], lc.spans[:0], 0
+	lc.refs, lc.comps, lc.spans = lc.refs[:0], lc.comps[:0], lc.spans[:0]
 }
 
 // scoreCandidates scores every successor of s without materializing it,
-// appending to lc. Safe to run concurrently for distinct states: it reads
-// only s and the immutable search context.
+// appending to lc. It reads only s and the search context.
 func (sy *Synthesizer) scoreCandidates(s *state, lc *levelCands) {
 	parent := int32(len(lc.spans))
 	lc.spans = append(lc.spans, candSpan{start: int32(len(lc.refs)), comps: int32(len(lc.comps))})
@@ -1026,16 +1001,14 @@ func (sy *Synthesizer) materialize(s *state, st step) *state {
 // level k holds partial programs with k instructions; the best BeamWidth
 // states per level (by A* score) advance.
 //
-// Each level runs in three phases. (1) Scoring fans out over Options.Workers
-// goroutines, each worker owning a contiguous chunk of the level's states:
-// per state, the next node's applicable triples, priced from the per-B
-// compute table, and one add per entry of the frontier it inherited. The
-// concatenated refs, each carrying its parent's index, are always in (parent
-// index, candidate index) order regardless of worker count. (2) The merge
-// order is a deterministic sort by score over that fixed order, one order
-// for every worker count — the surviving beam, and therefore the emitted
-// program, is byte-identical whether the level ran on 1 worker or 16 —
-// computed lazily, only as far as phase 3 reads (lazysort.go). (3) Survivors
+// Each level runs in three phases. (1) Scoring walks the level's states in
+// order: per state, the next node's applicable triples, priced from the
+// per-B compute table, and one add per entry of the frontier it inherited.
+// The refs, each carrying its parent's index, are in (parent index,
+// candidate index) order. (2) The merge order is a deterministic sort by
+// score over that fixed order — so the surviving beam, and therefore the
+// emitted program, is a function of the inputs alone — computed lazily,
+// only as far as phase 3 reads (lazysort.go). (3) Survivors
 // are materialized and selected serially, in merge order, with dedup by
 // state key — computed before the candidate is built, so a duplicate costs a
 // key and a map probe; a built child updates its completeness count from the
@@ -1047,15 +1020,11 @@ func (sy *Synthesizer) runBeam(root *state) (*state, Stats, error) {
 	var stats Stats
 	var best *state
 	bestCost := 0.0
-	W := sy.workers()
 	bs := &sy.beam
-	if len(bs.ws) < W {
-		bs.ws = make([]levelCands, W)
-	}
 	if bs.visited == nil {
 		bs.visited = map[uint64]struct{}{}
 	}
-	ws, lc, visited := bs.ws, &bs.lc, bs.visited
+	lc, visited := &bs.lc, bs.visited
 	kept, next := bs.kept, bs.next[:0]
 	level := append(bs.level[:0], root)
 	// The buffers go back to the scratch however the search ends, grown.
@@ -1066,71 +1035,16 @@ func (sy *Synthesizer) runBeam(root *state) (*state, Stats, error) {
 		// then is this nil check, not per-candidate work).
 		lv := sy.span.Child("beam_level")
 		n := len(level)
-		workers := W
-		if workers > n {
-			workers = n
-		}
-		// Phase 1: scoring. Contiguous chunks keep the concatenated refs
-		// ordered by (parent, enumeration index) for every worker count — the
-		// fixed input the merge's sort permutes.
+		// Phase 1: scoring, in (parent, enumeration index) order — the fixed
+		// input the merge's sort permutes.
 		lc.reset()
-		if workers <= 1 {
-			for pi := 0; pi < n; pi++ {
-				stats.Expansions++
-				if err := sy.overBudget(stats.Expansions); err != nil {
-					endAborted(lv, depth, n)
-					return nil, stats, err
-				}
-				sy.scoreCandidates(level[pi], lc)
-			}
-		} else {
-			chunk := (n + workers - 1) / workers
-			var wg sync.WaitGroup
-			for c := 0; c < workers; c++ {
-				lo := c * chunk
-				hi := lo + chunk
-				if hi > n {
-					hi = n
-				}
-				w := &ws[c]
-				w.reset()
-				if lo >= hi {
-					continue
-				}
-				wg.Add(1)
-				go func(lo, hi int, w *levelCands) {
-					defer wg.Done()
-					for pi := lo; pi < hi; pi++ {
-						// Budget cancellation propagates per candidate batch:
-						// every worker re-checks the shared flag/deadline
-						// between states and bails as soon as any trips it.
-						if sy.expiredNow() {
-							return
-						}
-						w.expansions++
-						sy.scoreCandidates(level[pi], w)
-					}
-				}(lo, hi, w)
-			}
-			wg.Wait()
-			// Chunks concatenate in level order; positions shift by what the
-			// earlier chunks hold.
-			for c := 0; c < workers; c++ {
-				w := &ws[c]
-				stats.Expansions += w.expansions
-				ro, co, po := int32(len(lc.refs)), int32(len(lc.comps)), int32(len(lc.spans))
-				for _, r := range w.refs {
-					lc.refs = append(lc.refs, candRef{score: r.score, idx: r.idx + ro, parent: r.parent + po})
-				}
-				lc.comps = append(lc.comps, w.comps...)
-				for _, sp := range w.spans {
-					lc.spans = append(lc.spans, candSpan{start: sp.start + ro, comps: sp.comps + co})
-				}
-			}
-			if sy.expired.Load() {
+		for pi := 0; pi < n; pi++ {
+			stats.Expansions++
+			if err := sy.overBudget(stats.Expansions); err != nil {
 				endAborted(lv, depth, n)
-				return nil, stats, sy.overBudget(stats.Expansions)
+				return nil, stats, err
 			}
+			sy.scoreCandidates(level[pi], lc)
 		}
 		lc.spans = append(lc.spans, candSpan{start: int32(len(lc.refs)), comps: int32(len(lc.comps))})
 		// Phase 2: deterministic merge order. The order is that of an unstable
@@ -1235,12 +1149,11 @@ func (sy *Synthesizer) runCold(seeded Stats) (*state, Stats, error) {
 }
 
 // beamScratch is runBeam's per-level working set, kept on the Synthesizer
-// so a Run after the first allocates none of it: the level's candidates
-// (lc, and the workers' chunks ws), the dedup set, which parents kept a
-// child, and the current and next levels.
+// so a Run after the first allocates none of it: the level's candidates,
+// the dedup set, which parents kept a child, and the current and next
+// levels.
 type beamScratch struct {
 	lc          levelCands
-	ws          []levelCands
 	visited     map[uint64]struct{}
 	kept        []bool
 	next, level []*state
@@ -1273,21 +1186,11 @@ func (sy *Synthesizer) overBudget(expansions int) error {
 	return fmt.Errorf("synth: exceeded %v time budget after %d expansions", sy.deadline.Sub(sy.start), expansions)
 }
 
-// expiredNow reports (and latches, so concurrent workers short-circuit
-// without re-reading the clock) whether the context's deadline has passed or
-// the context was cancelled (the watcher goroutine sets the latch).
+// expiredNow reports whether the context is done (the latch the AfterFunc
+// callback sets) or its deadline has passed (polled, not waiting for the
+// context's own timer).
 func (sy *Synthesizer) expiredNow() bool {
-	if sy.expired.Load() {
-		return true
-	}
-	if sy.deadline.IsZero() {
-		return false
-	}
-	if time.Now().After(sy.deadline) {
-		sy.expired.Store(true)
-		return true
-	}
-	return false
+	return sy.expired.Load() || !sy.deadline.IsZero() && time.Now().After(sy.deadline)
 }
 
 // score is cost(Q) + ecost(Q): the A* priority. ecost is the remaining flops

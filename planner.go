@@ -5,7 +5,7 @@
 //	p := hap.NewPlanner(c, hap.WithSegments(4), hap.WithTimeBudget(time.Minute))
 //	plan, err := p.Plan(ctx, g)
 //
-// Cancelling ctx aborts an in-flight synthesis within one candidate batch;
+// Cancelling ctx aborts an in-flight synthesis within one expansion;
 // WithTimeBudget is sugar for context.WithTimeout around every Plan call,
 // with the hapopt loop's graceful degradation (an expired budget returns the
 // best plan found so far) preserved.
@@ -33,9 +33,12 @@ func WithSegments(n int) Option { return func(o *Options) { o.Segments = n } }
 // best plan the loop found so far (or an error when none completed).
 func WithTimeBudget(d time.Duration) Option { return func(o *Options) { o.TimeBudget = d } }
 
-// WithWorkers bounds the beam synthesizer's parallelism (0 = GOMAXPROCS).
-// Plans are byte-identical for every worker count.
-func WithWorkers(n int) Option { return func(o *Options) { o.Workers = n } }
+// WithWorkers returns an Option that does nothing: every search runs on the
+// goroutine that calls Plan.
+//
+// Deprecated: a no-op kept only because bench/ still calls it; ROADMAP O
+// deletes it with bench/'s calls.
+func WithWorkers(int) Option { return func(*Options) {} }
 
 // WithOptions adopts an Options struct wholesale — for callers that build
 // their options as data (hap-serve lowers wire options this way), and the
@@ -74,7 +77,6 @@ func (p *Planner) searchCtx(ctx context.Context) (context.Context, context.Cance
 // time budget is deliberately absent: it travels on the context.
 func (p *Planner) hapoptOptions() hapopt.Options {
 	o := hapopt.Options{Segments: p.opt.Segments, Synth: synth.Auto()}
-	o.Synth.Workers = p.opt.Workers
 	if p.opt.SeedPlan != nil && p.opt.SeedGraph != nil {
 		o.SeedGraph = p.opt.SeedGraph
 		o.SeedProgram = p.opt.SeedPlan.Program
@@ -86,7 +88,7 @@ func (p *Planner) hapoptOptions() hapopt.Options {
 var optimize = hapopt.Optimize
 
 // Plan synthesizes a distributed plan for g on the planner's cluster.
-// Cancelling ctx aborts an in-flight search within one candidate batch.
+// Cancelling ctx aborts an in-flight search within one expansion.
 // g is only read, so concurrent calls may share it: the plan's
 // Program.Graph is g, or a shallow copy of g carrying the plan's segment
 // assignment (WithSegments) when g does not carry it already.

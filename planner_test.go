@@ -27,7 +27,7 @@ func cancelGraph(t *testing.T) *graph.Graph {
 }
 
 // Cancelling the context must abort an in-flight synthesis within one
-// candidate batch — far sooner than the search would finish on its own.
+// expansion — far sooner than the search would finish on its own.
 func TestPlanContextCancelAbortsSearch(t *testing.T) {
 	g := cancelGraph(t)
 	c := testCluster()
@@ -45,8 +45,8 @@ func TestPlanContextCancelAbortsSearch(t *testing.T) {
 	if !errors.Is(err, context.Canceled) {
 		t.Errorf("err = %v, want context.Canceled in the chain", err)
 	}
-	// Generous bound: workers re-check the cancellation latch between
-	// candidate batches, so the search must stop within ~one beam level.
+	// Generous bound: the search re-checks the cancellation latch between
+	// expansions, so it must stop within ~one beam level.
 	// Uncancelled, this synthesis runs ten times longer than the cancel waits.
 	if elapsed > 2*time.Second {
 		t.Errorf("cancelled Plan returned after %v, want prompt abort", elapsed)
@@ -78,11 +78,11 @@ func TestPlannerTimeBudget(t *testing.T) {
 func TestFunctionalOptions(t *testing.T) {
 	var got Options
 	for _, o := range []Option{
-		WithSegments(3), WithTimeBudget(time.Second), WithWorkers(4),
+		WithSegments(3), WithTimeBudget(time.Second),
 	} {
 		o(&got)
 	}
-	want := Options{Segments: 3, TimeBudget: time.Second, Workers: 4}
+	want := Options{Segments: 3, TimeBudget: time.Second}
 	if got != want {
 		t.Errorf("options = %+v, want %+v", got, want)
 	}
