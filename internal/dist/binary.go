@@ -306,9 +306,13 @@ func DecodeBinaryWithFingerprint(data []byte, g *graph.Graph, fp string) (*Progr
 	}
 	// Every untrusted integer is compared in uint64 before it is converted:
 	// a huge value must not wrap negative through int conversion and dodge
-	// a range check (or, as a shard dim, read as -1: replicated).
+	// a range check (or, as a shard dim, read as -1: replicated). Each
+	// instruction is filled in place, field by field.
 	p := &Program{Graph: g, Instrs: make([]Instruction, count)}
+	inputs := 0 // the input lists bindInputs copies, counted as they are read
 	for i := range p.Instrs {
+		in := &p.Instrs[i]
+		in.ShardDim = -1
 		flags, err := r.byte()
 		if err != nil {
 			return fail("instr %d: reading flags: %w", i, err)
@@ -330,7 +334,7 @@ func DecodeBinaryWithFingerprint(data []byte, g *graph.Graph, fp string) (*Progr
 			if ci >= uint64(len(colls)) {
 				return fail("instr %d: collective index %d out of table range %d", i, ci, len(colls))
 			}
-			p.Instrs[i] = Comm(graph.NodeID(ref), colls[ci], int(dim), int(dim2))
+			in.Ref, in.IsComm, in.Coll, in.Dim, in.Dim2 = graph.NodeID(ref), true, colls[ci], int(dim), int(dim2)
 			continue
 		}
 		oi, err := r.uvarint()
@@ -340,7 +344,7 @@ func DecodeBinaryWithFingerprint(data []byte, g *graph.Graph, fp string) (*Progr
 		if oi >= uint64(len(ops)) {
 			return fail("instr %d: op index %d out of table range %d", i, oi, len(ops))
 		}
-		in := Instruction{Ref: graph.NodeID(ref), Op: ops[oi], ShardDim: -1, FlopsScaled: flags&binFlagScaled != 0}
+		in.Ref, in.Op, in.FlopsScaled = graph.NodeID(ref), ops[oi], flags&binFlagScaled != 0
 		if flags&binFlagShardDim != 0 {
 			sd, err := r.uvarint()
 			if err != nil {
@@ -351,9 +355,11 @@ func DecodeBinaryWithFingerprint(data []byte, g *graph.Graph, fp string) (*Progr
 			}
 			in.ShardDim = int(sd)
 		}
-		p.Instrs[i] = in
+		if !in.Op.IsLeaf() {
+			inputs += len(g.Node(in.Ref).Inputs)
+		}
 	}
-	p.bindInputs()
+	p.bindInputs(inputs)
 	if err := p.Validate(); err != nil {
 		return fail("%w", err)
 	}
@@ -378,24 +384,18 @@ func checkBinding(g *graph.Graph, nodes uint64, hash, fp string) error {
 
 // bindInputs gives every computation a copy of its graph node's input list
 // (inputs are not serialized: Validate holds them to the node's anyway), all
-// copies carved from one allocation. Leaf loaders get none, and so does a
-// reference outside the graph, which Validate rejects.
-func (p *Program) bindInputs() {
-	g := p.Graph
-	bound := func(in *Instruction) []graph.NodeID {
-		if in.IsComm || in.Ref < 0 || int(in.Ref) >= g.NumNodes() || in.Op.IsLeaf() {
-			return nil
-		}
-		return g.Node(in.Ref).Inputs
-	}
-	n := 0
-	for i := range p.Instrs {
-		n += len(bound(&p.Instrs[i]))
-	}
+// copies carved from one allocation of n, the lists' total length. Leaf
+// loaders get none. Every reference lies inside the graph: the decode
+// checked it.
+func (p *Program) bindInputs(n int) {
 	slab := make([]graph.NodeID, n)
 	for i := range p.Instrs {
-		if k := copy(slab, bound(&p.Instrs[i])); k > 0 {
-			p.Instrs[i].Inputs = slab[:k:k]
+		in := &p.Instrs[i]
+		if in.IsComm || in.Op.IsLeaf() {
+			continue
+		}
+		if k := copy(slab, p.Graph.Node(in.Ref).Inputs); k > 0 {
+			in.Inputs = slab[:k:k]
 			slab = slab[k:]
 		}
 	}

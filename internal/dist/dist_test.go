@@ -249,3 +249,26 @@ func TestCloneIsIndependent(t *testing.T) {
 		t.Errorf("mutating the clone changed the original:\n%s", p)
 	}
 }
+
+// A program missing several gradients is refused with one error, naming the
+// lowest parameter's, however the gradient map iterates.
+func TestValidateMissingGradientsDeterministic(t *testing.T) {
+	g := graph.New()
+	x := g.AddPlaceholder("x", 0, 4, 8)
+	p := &Program{Graph: g}
+	p.Instrs = append(p.Instrs, Instruction{Ref: x, Op: graph.Placeholder, ShardDim: 0})
+	for i := 0; i < 3; i++ {
+		w := g.AddParameter("w", 8, 8)
+		p.Instrs = append(p.Instrs, Instruction{Ref: w, Op: graph.Parameter, ShardDim: -1})
+		g.Grads[w] = g.AddOp(graph.Transpose, w)
+	}
+	if err := g.Validate(); err != nil {
+		t.Fatalf("graph invalid: %v", err)
+	}
+	const want = "dist: gradient e2 of parameter e1 is never materialized"
+	for run := 0; run < 50; run++ {
+		if err := p.Validate(); err == nil || err.Error() != want {
+			t.Fatalf("run %d: error %v, want %q", run, err, want)
+		}
+	}
+}

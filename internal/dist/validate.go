@@ -86,10 +86,16 @@ func (p *Program) Validate() error {
 	if g.Loss >= 0 && !defined[g.Loss] {
 		return fmt.Errorf("dist: loss e%d is never materialized", g.Loss)
 	}
+	// A missing gradient is reported by its lowest parameter id, so the
+	// error does not depend on the map's iteration order.
+	missing, found := graph.NodeID(0), false
 	for param, grad := range g.Grads {
-		if !defined[grad] {
-			return fmt.Errorf("dist: gradient e%d of parameter e%d is never materialized", grad, param)
+		if !defined[grad] && (!found || param < missing) {
+			missing, found = param, true
 		}
+	}
+	if found {
+		return fmt.Errorf("dist: gradient e%d of parameter e%d is never materialized", g.Grads[missing], missing)
 	}
 	return nil
 }

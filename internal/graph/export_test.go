@@ -34,6 +34,9 @@ type nodeJSON struct {
 	BatchDim *int `json:"batch_dim"`
 }
 
+// CountOps is the count of "op" that presizes DecodeFrom's node slice.
+var CountOps = countOps
+
 // DecodeReference decodes data with encoding/json into graphJSON and builds
 // the graph from it under the checks DecodeBytes runs: the oracle the
 // one-pass reader is held to.

@@ -12,7 +12,8 @@ import (
 )
 
 // FuzzGraphDecode holds graph.DecodeBytes, which reads the graph of every
-// full-body request, to five properties: no input panics it; on every input
+// full-body request, to six properties: the count of "op" that presizes its
+// node slice is bytes.Count's; no input panics it; on every input
 // free of the three spellings it refuses, it and the encoding/json oracle
 // (DecodeReference) both reject the input or both accept it as
 // reflect.DeepEqual graphs; every input that names a graph or node member
@@ -65,6 +66,9 @@ func FuzzGraphDecode(f *testing.F) {
 		f.Add([]byte(body))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
+		if got, want := graph.CountOps(data), bytes.Count(data, []byte(`"op"`)); got != want {
+			t.Fatalf(`counted %d "op", bytes.Count %d`, got, want)
+		}
 		g, err := decodeAgreeing(t, data)
 		if err != nil {
 			return

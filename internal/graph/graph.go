@@ -493,8 +493,8 @@ func (g *Graph) Consumers() [][]NodeID {
 	return out
 }
 
-// arity is each op kind's input count, for Validate.
-var arity = map[OpKind]int{
+// arity is each op kind's input count, for Validate, indexed by kind.
+var arity = [...]int8{
 	Placeholder: 0, Parameter: 0, Ones: 0, Expand: 1,
 	MatMul: 2, Transpose: 1, Add: 2, Mul: 2, Scale: 1,
 	ReLU: 1, Sigmoid: 1, GeLU: 1, Softmax: 1, Sum: 1,
@@ -512,8 +512,8 @@ func (g *Graph) Validate() error {
 		if n.ID != NodeID(i) {
 			return fmt.Errorf("graph: node %d has id %d", i, n.ID)
 		}
-		if want, ok := arity[n.Kind]; ok && len(n.Inputs) != want {
-			return fmt.Errorf("graph: node %d (%v) has %d inputs, want %d", i, n.Kind, len(n.Inputs), want)
+		if k := n.Kind; k >= 0 && int(k) < len(arity) && len(n.Inputs) != int(arity[k]) {
+			return fmt.Errorf("graph: node %d (%v) has %d inputs, want %d", i, n.Kind, len(n.Inputs), arity[k])
 		}
 		for _, in := range n.Inputs {
 			if in < 0 || in >= NodeID(i) {

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"bytes"
+	"math/rand"
 	"reflect"
 	"strings"
 	"testing"
@@ -218,5 +219,41 @@ func TestFingerprintCoversSemantics(t *testing.T) {
 				t.Errorf("perturbing %s did not change the fingerprint", p.name)
 			}
 		})
+	}
+}
+
+// countOps is bytes.Count of "op" on random bodies over the bytes the
+// pattern is made of, where matches abut and overlap (`"op"op"` holds one),
+// and on every prefix and suffix of a training graph's body.
+func TestCountOpsMatchesBytesCount(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	alphabet := []byte(`"opx`)
+	for i := 0; i < 20000; i++ {
+		b := make([]byte, rng.Intn(24))
+		for k := range b {
+			b[k] = alphabet[rng.Intn(len(alphabet))]
+		}
+		if got, want := countOps(b), bytes.Count(b, []byte(`"op"`)); got != want {
+			t.Fatalf("%q: counted %d, bytes.Count %d", b, got, want)
+		}
+	}
+	var buf bytes.Buffer
+	if err := buildTraining(t).Encode(&buf); err != nil {
+		t.Fatal(err)
+	}
+	body := buf.Bytes()
+	for k := 0; k <= len(body); k++ {
+		for _, b := range [][]byte{body[:k], body[k:]} {
+			if got, want := countOps(b), bytes.Count(b, []byte(`"op"`)); got != want {
+				t.Fatalf("%q: counted %d, bytes.Count %d", b, got, want)
+			}
+		}
+	}
+}
+
+// The arity table covers every op kind, as the map it replaced did.
+func TestArityCoversEveryKind(t *testing.T) {
+	if len(arity) != len(opNames) {
+		t.Errorf("arity covers %d kinds, there are %d", len(arity), len(opNames))
 	}
 }

@@ -18,17 +18,26 @@
 // only wants the program can hand the whole payload to dist.DecodeBinary —
 // trailing bytes are ignored. ReadBinary locates the trailer from the
 // fixed-size suffix.
+//
+// The trailer is written by encoding/json and read without reflection, on
+// the tokenizer the request readers share (package wirejson). The reader
+// takes every spelling encoding/json takes into Trailer but three, which it
+// refuses with an error naming the member: a member named twice ("cost"
+// twice), a name equal to a member's only under case folding ("Cost"), and
+// null as an element of ratios, of one of its rows, or of segment_of.
+// encoding/json would keep the last of two values, fill Cost from "Cost"
+// and read a null element as 0; no writer of the payload spells any of them.
 package planwire
 
 import (
 	"bytes"
 	"encoding/binary"
-	"encoding/json"
 	"fmt"
 	"math"
 
 	"hap/internal/dist"
 	"hap/internal/graph"
+	"hap/internal/wirejson"
 )
 
 // Trailer is the JSON metadata appended after the binary program: what
@@ -57,8 +66,8 @@ func ReadBinary(data []byte, g *graph.Graph, fp string) (*dist.Program, [][]floa
 	if err != nil {
 		return fail(err)
 	}
-	var tr Trailer
-	if err := json.Unmarshal(data[progEnd:len(data)-8], &tr); err != nil {
+	tr, err := readTrailer(data[progEnd : len(data)-8])
+	if err != nil {
 		return fail(fmt.Errorf("trailer: %w", err))
 	}
 	bg, fp, err := binding(g, tr.SegmentOf, fp)
@@ -73,6 +82,50 @@ func ReadBinary(data []byte, g *graph.Graph, fp string) (*dist.Program, [][]floa
 		return fail(err)
 	}
 	return prog, tr.Ratios, tr.Cost, nil
+}
+
+var trailerKeys = []string{"ratios", "segment_of", "cost"}
+
+// readTrailer reads the trailer JSON, which must be the whole of data, into
+// a Trailer as encoding/json would, but for the spellings the package doc
+// names.
+func readTrailer(data []byte) (Trailer, error) {
+	var tr Trailer
+	r := wirejson.Reader{Data: data}
+	ok := r.Object(trailerKeys, func(k int) bool {
+		switch trailerKeys[k] {
+		case "ratios":
+			tr.Ratios = [][]float64{}
+			return r.Array("ratios", func() bool {
+				row := []float64{}
+				ok := r.Array("ratios", func() bool {
+					v, ok := r.Float()
+					row = append(row, v)
+					return ok
+				})
+				tr.Ratios = append(tr.Ratios, row)
+				return ok
+			})
+		case "segment_of":
+			tr.SegmentOf = []int{}
+			return r.Array("segment_of", func() bool {
+				v, ok := r.Int()
+				tr.SegmentOf = append(tr.SegmentOf, v)
+				return ok
+			})
+		default: // "cost"
+			var ok bool
+			tr.Cost, ok = r.Float()
+			return ok
+		}
+	})
+	if ok && r.I != len(data) {
+		r.Fail(fmt.Errorf("invalid character %q after top-level value", data[r.I]))
+	}
+	if r.Err != nil {
+		return Trailer{}, r.Err
+	}
+	return tr, nil
 }
 
 // frame checks a binary payload's framing, decoding nothing — the trailer

@@ -1,6 +1,8 @@
-// Package wirejson is the one-pass JSON reader the daemon's request readers
-// share: graph.DecodeFrom reads a graph with it, and the /v1/synthesize
-// envelope (graph, cluster, options, key) is read with it around the graph.
+// Package wirejson is the repository's one-pass JSON reader: graph.DecodeFrom
+// reads a graph with it, the /v1/synthesize envelope (graph, cluster,
+// options, key) is read with it around the graph, and planwire reads a
+// plan's trailer (ratios, segment assignment, cost) with it on every plan
+// the client, the library and the daemon decode.
 // It reads what encoding/json reads into a struct — any member order and
 // whitespace, escaped strings and names, unknown members of any value
 // (skipped), null as a member's whole value (read as the member's absence),

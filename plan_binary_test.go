@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/json"
+	"fmt"
 	"math"
 	"slices"
 	"strings"
@@ -63,13 +64,17 @@ func binaryPayload(t testing.TB, opt Options) ([]byte, []int) {
 	return buf.Bytes(), plan.Program.Graph.SegmentOf
 }
 
+// trailerStart returns where a binary payload's JSON trailer begins.
+func trailerStart(payload []byte) int {
+	return len(payload) - 8 - int(binary.BigEndian.Uint32(payload[len(payload)-8:]))
+}
+
 // withTrailer returns a copy of a binary payload whose JSON trailer edit has
 // rewritten, framed anew: the program section is untouched.
 func withTrailer(t testing.TB, payload []byte, edit func(m map[string]json.RawMessage)) []byte {
 	t.Helper()
-	progEnd := len(payload) - 8 - int(binary.BigEndian.Uint32(payload[len(payload)-8:]))
 	var m map[string]json.RawMessage
-	if err := json.Unmarshal(payload[progEnd:len(payload)-8], &m); err != nil {
+	if err := json.Unmarshal(payload[trailerStart(payload):len(payload)-8], &m); err != nil {
 		t.Fatalf("trailer: %v", err)
 	}
 	edit(m)
@@ -77,6 +82,13 @@ func withTrailer(t testing.TB, payload []byte, edit func(m map[string]json.RawMe
 	if err != nil {
 		t.Fatalf("trailer: %v", err)
 	}
+	return withRawTrailer(payload, string(tr))
+}
+
+// withRawTrailer returns a copy of a binary payload carrying the trailer
+// text tr, framed anew.
+func withRawTrailer(payload []byte, tr string) []byte {
+	progEnd := trailerStart(payload)
 	out := append(slices.Clone(payload[:progEnd]), tr...)
 	out = binary.BigEndian.AppendUint32(out, uint32(len(tr)))
 	return append(out, planwire.Magic[:]...)
@@ -100,11 +112,23 @@ type badPayload struct {
 
 // badPayloads edits the quickstart plan's payloads (flat, and seg4 planned
 // with Segments: 4) into inputs the reader must refuse: malformed ratios, an
-// input that is no plan payload, and programs that no longer bind to the
-// quickstart graph.
+// input that is no plan payload, programs that no longer bind to the
+// quickstart graph, and the three trailer spellings encoding/json would
+// take, each refused naming its member.
 func badPayloads(t testing.TB, flat, seg4 []byte) []badPayload {
 	ratios := func(v string) []byte {
 		return withTrailer(t, flat, func(m map[string]json.RawMessage) { m["ratios"] = json.RawMessage(v) })
+	}
+	// Each spelling below reads under encoding/json as flat's own trailer,
+	// {"ratios":[row],"cost":cost}, or one its checks pass.
+	var fields planwire.Trailer
+	if err := json.Unmarshal(flat[trailerStart(flat):len(flat)-8], &fields); err != nil || len(fields.Ratios) != 1 || len(fields.SegmentOf) != 0 {
+		t.Fatalf("flat's trailer (err %v) is not one ratio row without a segment assignment", err)
+	}
+	row, _ := json.Marshal(fields.Ratios[0])
+	cost, _ := json.Marshal(fields.Cost)
+	trailer := func(format string, args ...any) []byte {
+		return withRawTrailer(flat, fmt.Sprintf(format, args...))
 	}
 	segs := func(m map[string]json.RawMessage) {
 		var s []int
@@ -125,6 +149,9 @@ func badPayloads(t testing.TB, flat, seg4 []byte) []badPayload {
 		{"short segment assignment", "segment assignment covers", withTrailer(t, seg4, segs)},
 		{"forged graph hash", "fingerprint mismatch", forged},
 		{"unknown op", "unknown op", bytes.Replace(flat, []byte("relu"), []byte("rulu"), 1)},
+		{"repeated cost", `"cost" appears twice`, trailer(`{"ratios":[%s],"cost":%s,"cost":%[2]s}`, row, cost)},
+		{"cost in another case", `"Cost" differs from "cost"`, trailer(`{"ratios":[%s],"Cost":%s}`, row, cost)},
+		{"null in a ratios row", `"ratios" holds a null`, trailer(`{"ratios":[%s,null]],"cost":%s}`, row[:len(row)-1], cost)},
 	}
 }
 
@@ -300,11 +327,19 @@ func rawShardDims(prog []byte) (dims []rawDim, ok bool) {
 	return dims, !bad
 }
 
+// sameBits reports whether two rows hold the same float64 bits.
+func sameBits(a, b []float64) bool {
+	return slices.EqualFunc(a, b, func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) })
+}
+
 // FuzzReadProgramBinary feeds arbitrary bytes to the binary plan decoder,
 // bound to a fresh quickstart graph that already carries a segment
 // assignment. It must never panic; no read, accepted or rejected, may write
-// the graph; an accepted payload must bind to a graph carrying the trailer's
-// segment assignment and say what its bytes say (every
+// the graph; an accepted payload's trailer must decode under encoding/json,
+// the oracle of the trailer reader, to the plan's ratios and cost bit for
+// bit and to the segment assignment the plan's graph carries (the reader
+// refuses three spellings encoding/json takes: the seeds hold one of each);
+// an accepted payload must say what its bytes say (every
 // computation's shard dim, flagged or not, is the one in the payload — the
 // committed corpus holds a flagged 2^64−1 that once read as −1, replicated)
 // and re-encode to a payload that decodes to the same program, ratios and
@@ -341,13 +376,19 @@ func FuzzReadProgramBinary(f *testing.F) {
 		if err != nil {
 			return
 		}
-		progEnd := len(data) - 8 - int(binary.BigEndian.Uint32(data[len(data)-8:]))
+		progEnd := trailerStart(data)
 		var tr planwire.Trailer
 		if err := json.Unmarshal(data[progEnd:len(data)-8], &tr); err != nil {
-			t.Fatalf("accepted a payload whose trailer does not decode: %v", err)
+			t.Fatalf("accepted a payload whose trailer encoding/json refuses: %v", err)
 		}
 		if !slices.Equal(plan.Program.Graph.SegmentOf, tr.SegmentOf) {
-			t.Fatalf("the plan's graph carries segment assignment %v, the trailer %v", plan.Program.Graph.SegmentOf, tr.SegmentOf)
+			t.Fatalf("the plan's graph carries segment assignment %v, encoding/json reads %v", plan.Program.Graph.SegmentOf, tr.SegmentOf)
+		}
+		if !slices.EqualFunc(plan.Ratios, tr.Ratios, sameBits) {
+			t.Fatalf("the plan carries ratios %v, encoding/json reads %v", plan.Ratios, tr.Ratios)
+		}
+		if math.Float64bits(plan.Cost) != math.Float64bits(tr.Cost) {
+			t.Fatalf("the plan carries cost %v, encoding/json reads %v", plan.Cost, tr.Cost)
 		}
 		dims, ok := rawShardDims(data[:progEnd])
 		var comps []int
