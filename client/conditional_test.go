@@ -34,7 +34,6 @@ func (r *statusRecorder) WriteHeader(code int) {
 func newRecordingServer(t *testing.T, cfg serve.Config) (*httptest.Server, func() []int) {
 	t.Helper()
 	s := serve.New(cfg)
-	t.Cleanup(s.Close)
 	h := s.Handler()
 	var mu sync.Mutex
 	var codes []int

@@ -31,7 +31,6 @@ type sent struct {
 func newObservedServer(t *testing.T, cfg serve.Config) (*serve.Server, string, func() []sent) {
 	t.Helper()
 	s := serve.New(cfg)
-	t.Cleanup(s.Close)
 	h := s.Handler()
 	var mu sync.Mutex
 	var log []sent
@@ -135,7 +134,6 @@ func TestClientResendSegmentedGraph(t *testing.T) {
 // full bodies for the rest of its lifetime, and every call still succeeds.
 func TestClientFallsBackOnOldDaemon(t *testing.T) {
 	s := serve.New(serve.Config{})
-	t.Cleanup(s.Close)
 	h := s.Handler()
 	var mu sync.Mutex
 	var keyOnly, full int

@@ -19,8 +19,13 @@
 // (liveness, protocol and fleet membership), GET /metrics (every counter,
 // Prometheus text format), GET /v1/debug/traces[/<id>[?format=chrome]].
 // With -cache-dir, cached plans are written through to disk and restored on
-// the next boot (oldest first, preserving LRU order); -cache-ttl expires
-// aged plans so the directory cannot grow unbounded.
+// the next boot (oldest first, preserving LRU order); every LRU eviction
+// deletes its file, so the directory stays within -cache-entries plans.
+// -cache-ttl expires aged plans: one found past the TTL when the cache is
+// read (a lookup, a donor or drift scan, a warm-up stream, a /metrics
+// scrape) is evicted and its file deleted, and a boot restores none. The
+// daemon runs no timer of its own for it; -synth-budget is the deadline of
+// each synthesis's context.
 //
 // Fleet mode: -self names this node's advertise URL and -peers/-peers-file
 // the other members. Request fingerprints are consistent-hash routed to an
@@ -147,7 +152,6 @@ func main() {
 		TraceSlow:        *traceSlow,
 		Logger:           logger,
 	})
-	defer s.Close()
 	if *cacheDir != "" {
 		logger.Info("cache restored", "plans", s.Stats().CacheRestored, "dir", *cacheDir)
 	}

@@ -30,7 +30,6 @@ package hap
 import (
 	"fmt"
 	"io"
-	"time"
 
 	"hap/internal/autodiff"
 	"hap/internal/cluster"
@@ -99,12 +98,6 @@ func PerGPU(machines ...MachineSpec) *Cluster {
 type Options struct {
 	// Segments > 1 enables per-segment sharding ratios (Sec. 5.2).
 	Segments int
-	// TimeBudget bounds the whole optimization's wall-clock time
-	// (0 = unlimited): every program search runs under the budget's
-	// remainder, and an expired budget returns the best plan found so far —
-	// or an error when none completed. The synthesizer's expansion limits
-	// bound memory, not time.
-	TimeBudget time.Duration
 	// SeedGraph and SeedPlan supply a donor plan for incremental synthesis:
 	// when the donor graph is structurally close enough to the planned graph
 	// (normalized segment-level diff ≤ 0.25), the search is seeded

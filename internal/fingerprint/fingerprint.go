@@ -111,8 +111,16 @@ func (o Options) Sig() string {
 }
 
 func (o Options) appendSig(b []byte) []byte {
+	// The planner segments a graph only when asked for more than one
+	// segment, so 0 and 1 plan alike and sign alike, as s0. A negative count
+	// keeps its own slot: the daemon refuses it, so no key-only request may
+	// find it a plan.
+	seg := o.Segments
+	if seg == 1 {
+		seg = 0
+	}
 	b = append(b, 's')
-	b = strconv.AppendInt(b, int64(o.Segments), 10)
+	b = strconv.AppendInt(b, int64(seg), 10)
 	// The retired max_iterations, exact_search and optimize options' slots,
 	// at the values every request now plans under: keys are wire contract
 	// and name persisted files.

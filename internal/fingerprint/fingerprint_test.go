@@ -46,6 +46,20 @@ func TestPlanKeyGolden(t *testing.T) {
 	}
 }
 
+// One segment plans as none (the planner segments only past one), so the
+// two share a key; every other count keeps its own.
+func TestOneSegmentKeysAsNone(t *testing.T) {
+	key := func(o fingerprint.Options) string { return fingerprint.PlanKey("aa", "bb", o) }
+	if one, none := key(fingerprint.Options{Segments: 1}), key(fingerprint.Options{}); one != none {
+		t.Errorf("segments 1 keys as %q, segments 0 as %q: want one key", one, none)
+	}
+	for _, n := range []int{-1, 2} {
+		if k := key(fingerprint.Options{Segments: n}); k == key(fingerprint.Options{}) {
+			t.Errorf("segments %d shares the default key %q", n, k)
+		}
+	}
+}
+
 // The signature is the tail of the key; the retired options' slots hold
 // the values every request plans under.
 func TestOptionsSig(t *testing.T) {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -232,5 +233,33 @@ func TestFleetReplicaSetClampedToSize(t *testing.T) {
 func TestFleetRequiresSelf(t *testing.T) {
 	if _, err := New(Config{}); err == nil {
 		t.Fatal("Fleet without Self did not error")
+	}
+}
+
+// TestStartStopReturnsGoroutines: Start runs the peers-file poller and the
+// health prober on a goroutine each, and Stop ends both, so the goroutine
+// count comes back to where it was before Start.
+func TestStartStopReturnsGoroutines(t *testing.T) {
+	peers := filepath.Join(t.TempDir(), "peers")
+	if err := os.WriteFile(peers, []byte("http://b:1\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	f, err := New(Config{Self: "http://a:1", PeersFile: peers})
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := runtime.NumGoroutine()
+	f.Start()
+	if n := runtime.NumGoroutine(); n < before+2 {
+		t.Errorf("Start: %d goroutines, want the poller and the prober on top of %d", n, before)
+	}
+	f.Stop()
+	// Stop signals both loops; each returns at its next select.
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > before {
+		if time.Now().After(deadline) {
+			t.Fatalf("Stop: %d goroutines 5s later, want %d", runtime.NumGoroutine(), before)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }

@@ -24,7 +24,6 @@ import (
 // the same path the CI load job exercises via cmd/hap-loadgen.
 func TestE2ESingleDaemon(t *testing.T) {
 	s := serve.New(serve.Config{})
-	t.Cleanup(s.Close)
 	srv := httptest.NewServer(s.Handler())
 	t.Cleanup(srv.Close)
 
@@ -114,7 +113,6 @@ func newTrio(t *testing.T, mutate func(cfg *serve.Config)) []string {
 			mutate(&cfg)
 		}
 		s := serve.New(cfg)
-		t.Cleanup(s.Close)
 		switches[i].mu.Lock()
 		switches[i].h = s.Handler()
 		switches[i].mu.Unlock()
@@ -187,7 +185,6 @@ func TestE2EOverload(t *testing.T) {
 			return hap.NewPlanner(c, hap.WithOptions(opt)).Plan(context.Background(), g)
 		},
 	})
-	t.Cleanup(s.Close)
 	srv := httptest.NewServer(s.Handler())
 	t.Cleanup(srv.Close)
 

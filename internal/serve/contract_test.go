@@ -112,7 +112,6 @@ func TestWireContract(t *testing.T) {
 		s := New(cfg)
 		srv := httptest.NewServer(s.Handler())
 		t.Cleanup(srv.Close)
-		t.Cleanup(s.Close)
 		return s, srv.URL
 	}
 
@@ -139,7 +138,7 @@ func TestWireContract(t *testing.T) {
 	l.do("400 repeated member", http.MethodPost, single, []byte(`{"key":"`+key+`","key":"`+key+`"}`), nil)
 	l.do("400 member in another case", http.MethodPost, single, []byte(`{"Key":"`+key+`"}`), nil)
 	l.do("405 synthesize", http.MethodGet, single, nil, nil)
-	_, small := newServer(Config{MaxRequestBytes: 128})
+	_, small := newServer(Config{maxRequestBytes: 128})
 	l.do("413 synthesize", http.MethodPost, small+"/v1/synthesize", body, nil)
 
 	// A repeat body whose plan was evicted: it decodes to the same key, the

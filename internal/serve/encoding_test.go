@@ -47,7 +47,6 @@ func TestTwoEncodingPlanFileRestores(t *testing.T) {
 	}
 
 	s := New(Config{CacheDir: dir})
-	defer s.Close()
 	srv := httptest.NewServer(s.Handler())
 	defer srv.Close()
 	if st := s.Stats(); st.CacheRestored != 1 || st.CacheBytes != int64(len(old.Bin)) {
@@ -124,7 +123,6 @@ func TestUnframedPayloadRefused(t *testing.T) {
 			t.Fatal(err)
 		}
 		s := New(Config{CacheDir: dir})
-		defer s.Close()
 		srv := httptest.NewServer(s.Handler())
 		defer srv.Close()
 		if st := s.Stats(); st.CacheRestored != 0 {
@@ -135,7 +133,6 @@ func TestUnframedPayloadRefused(t *testing.T) {
 
 	t.Run("fleet", func(t *testing.T) {
 		s := New(Config{})
-		defer s.Close()
 		srv := httptest.NewServer(s.Handler())
 		defer srv.Close()
 		resp := postPath(t, srv.URL, fleet.EntriesPath, record, "")
@@ -187,6 +184,5 @@ func TestDonorSeedsFromBinaryPayload(t *testing.T) {
 			t.Errorf("spoiled donor %v: plan fails verification: %v", spoil, err)
 		}
 		srv.Close()
-		s.Close()
 	}
 }

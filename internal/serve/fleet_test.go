@@ -90,7 +90,6 @@ func newFleetTrio(t *testing.T, mutate func(i int, cfg *Config)) []*fleetNode {
 			mutate(i, &cfg)
 		}
 		n.s = New(cfg)
-		t.Cleanup(n.s.Close)
 		switches[i].set(n.s.Handler())
 	}
 	return nodes
@@ -317,7 +316,6 @@ func TestFleetPeerListReloadMidTraffic(t *testing.T) {
 				return planWith(g, c, opt)
 			},
 		})
-		defer node.s.Close()
 		switches[i].set(node.s.Handler())
 		nodes[i] = node
 	}
@@ -371,7 +369,6 @@ func TestFleetPeerListReloadMidTraffic(t *testing.T) {
 // entries are rejected, and Stats counts the accepted push.
 func TestFleetEntriesRoundTrip(t *testing.T) {
 	s := New(Config{})
-	defer s.Close()
 	srv := httptest.NewServer(s.Handler())
 	defer srv.Close()
 
@@ -465,7 +462,6 @@ func TestStoreIgnoresSuppliedETag(t *testing.T) {
 // reported — the "interrupted warm-up keeps what arrived" contract.
 func TestFleetWarmup(t *testing.T) {
 	source := New(Config{})
-	defer source.Close()
 	for i := 0; i < 3; i++ {
 		source.store.Put(fmt.Sprintf("k%d", i), CachedPlan{Bin: framed(fmt.Sprintf("plan-%d", i))})
 	}
@@ -477,7 +473,6 @@ func TestFleetWarmup(t *testing.T) {
 		t.Fatal(err)
 	}
 	joining := New(Config{Fleet: fl})
-	defer joining.Close()
 	n, err := joining.WarmFrom(context.Background(), fl.Members.Peers())
 	if err != nil || n != 3 {
 		t.Fatalf("WarmFrom = (%d, %v), want (3, nil)", n, err)
@@ -508,7 +503,6 @@ func TestFleetWarmup(t *testing.T) {
 		t.Fatal(err)
 	}
 	cold := New(Config{Fleet: fl2})
-	defer cold.Close()
 	n, err = cold.WarmFrom(context.Background(), fl2.Members.Peers())
 	if err == nil {
 		t.Error("interrupted stream reported no error")
@@ -529,7 +523,6 @@ func TestFleetWarmup(t *testing.T) {
 // with the order reversed.
 func TestFleetWarmupKeepsHottest(t *testing.T) {
 	source := New(Config{})
-	defer source.Close()
 	for i := 0; i < 3; i++ {
 		source.store.Put(fmt.Sprintf("k%d", i), CachedPlan{Bin: framed(fmt.Sprintf("plan-%d", i))})
 	}
@@ -541,7 +534,6 @@ func TestFleetWarmupKeepsHottest(t *testing.T) {
 		t.Fatal(err)
 	}
 	joining := New(Config{Fleet: fl, MaxCacheEntries: 2})
-	defer joining.Close()
 	n, err := joining.WarmFrom(context.Background(), fl.Members.Peers())
 	if err != nil || n != 2 {
 		t.Fatalf("WarmFrom = (%d, %v), want (2, nil): the stream stops once the cache is full", n, err)
@@ -566,7 +558,6 @@ func TestFleetWarmupKeepsHottest(t *testing.T) {
 // the tail's, so the oldest-first replay puts k2 back on top.
 func TestFleetWarmupRestartKeepsRecency(t *testing.T) {
 	source := New(Config{})
-	defer source.Close()
 	for i := 0; i < 3; i++ {
 		source.store.Put(fmt.Sprintf("k%d", i), CachedPlan{Bin: framed(fmt.Sprintf("plan-%d", i))})
 	}
@@ -593,10 +584,8 @@ func TestFleetWarmupRestartKeepsRecency(t *testing.T) {
 	if got := held(joining); got != "k2 k1 k0" {
 		t.Fatalf("warmed cache holds [%s] most recent first, want [k2 k1 k0]", got)
 	}
-	joining.Close()
 
 	restarted := New(Config{CacheDir: dir})
-	defer restarted.Close()
 	if got := held(restarted); got != "k2 k1 k0" {
 		t.Errorf("restarted cache holds [%s] most recent first, want the warm-up order [k2 k1 k0]", got)
 	}

@@ -103,7 +103,7 @@ func newKeyFirstServer(t *testing.T, cfg Config) (*Server, string) {
 	t.Helper()
 	s := New(cfg)
 	srv := httptest.NewServer(s.Handler())
-	t.Cleanup(func() { srv.Close(); s.Close() })
+	t.Cleanup(srv.Close)
 	return s, srv.URL
 }
 
@@ -298,7 +298,7 @@ func TestRejectedBodyRejectedEveryTime(t *testing.T) {
 func TestOversizedBodyBeatsStore(t *testing.T) {
 	c := testCluster()
 	body := requestBody(t, testGraph(t), c, RequestOptions{})
-	s, url := newKeyFirstServer(t, Config{MaxRequestBytes: int64(len(body)) - 1})
+	s, url := newKeyFirstServer(t, Config{maxRequestBytes: int64(len(body)) - 1})
 	key := clientKey(testGraph(t), c, RequestOptions{})
 	s.store.Put(key, CachedPlan{Bin: framed("plan")})
 
@@ -443,7 +443,6 @@ const warmHitAllocCeiling = 55
 func warmHitServer(tb testing.TB) (s *Server, full, keyOnly []byte) {
 	tb.Helper()
 	s = New(Config{})
-	tb.Cleanup(s.Close)
 	g := models.Training(models.VGG19(8, 32, 10))
 	c := testCluster()
 	full = requestBody(tb, g, c, RequestOptions{})

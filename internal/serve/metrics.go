@@ -127,7 +127,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	counter("hap_serve_admission_shed_total", "Cache misses shed with 429 by the synthesis admission gate.", st.AdmissionShed)
 	gauge("hap_serve_inflight_synth", "Local syntheses currently executing.", float64(st.InflightSynth))
 	counter("hap_serve_errors_total", "Requests answered with an error status.", st.Errors)
-	counter("hap_serve_cache_evictions_total", "Plans evicted by the LRU caps or the TTL sweep.", st.CacheEvictions)
+	counter("hap_serve_cache_evictions_total", "Plans evicted by the LRU caps or past the TTL.", st.CacheEvictions)
 	gauge("hap_serve_cache_entries", "Plans currently cached.", float64(st.CacheEntries))
 	gauge("hap_serve_cache_bytes", "Bytes of plans currently cached.", float64(st.CacheBytes))
 	gauge("hap_serve_cache_restored", "Plans reloaded from the cache directory on boot.", float64(st.CacheRestored))

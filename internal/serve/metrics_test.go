@@ -68,7 +68,6 @@ func TestHistogramConcurrentObserve(t *testing.T) {
 // per-endpoint buckets, +Inf covering the request count, sum and count.
 func TestMetricsExposesLatencyHistograms(t *testing.T) {
 	s := New(Config{})
-	defer s.Close()
 	srv := httptest.NewServer(s.Handler())
 	defer srv.Close()
 
@@ -115,7 +114,6 @@ func TestMetricsExposesFleetSeries(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := New(Config{Fleet: fl})
-	defer s.Close()
 	srv := httptest.NewServer(s.Handler())
 	defer srv.Close()
 
@@ -147,7 +145,6 @@ func TestMetricsSeriesNames(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := New(Config{Fleet: fl})
-	defer s.Close()
 	srv := httptest.NewServer(s.Handler())
 	defer srv.Close()
 

@@ -43,7 +43,6 @@ func intraDriftReport(t testing.TB, spec *cluster.Cluster) []byte {
 // -race.
 func TestBatchSiblingsReplanConcurrently(t *testing.T) {
 	s := New(Config{})
-	defer s.Close()
 	srv := httptest.NewServer(s.Handler())
 	defer srv.Close()
 	specs := []*cluster.Cluster{testCluster(), altCluster()}
@@ -97,7 +96,6 @@ func TestBatchSiblingsReplanConcurrently(t *testing.T) {
 func TestDriftReportPromotesNothing(t *testing.T) {
 	spec, alt := testCluster(), altCluster()
 	s := New(Config{MaxCacheEntries: 2})
-	defer s.Close()
 	srv := httptest.NewServer(s.Handler())
 	defer srv.Close()
 	reported, other := testGraph(t), seedServeGraph(32, 48, 8)
@@ -135,7 +133,6 @@ func TestDriftReportPromotesNothing(t *testing.T) {
 func TestReplanOntoSameBytesKeepsTagAndVersion(t *testing.T) {
 	spec := testCluster()
 	s := New(Config{})
-	defer s.Close()
 	srv := httptest.NewServer(s.Handler())
 	defer srv.Close()
 	body := requestBody(t, testGraph(t), spec, RequestOptions{})
@@ -166,7 +163,6 @@ func TestReplanOntoSameBytesKeepsTagAndVersion(t *testing.T) {
 // Run under -race: the entry's source is read and marked by every report.
 func TestConcurrentDriftReportsOneSpec(t *testing.T) {
 	s := New(Config{})
-	defer s.Close()
 	srv := httptest.NewServer(s.Handler())
 	defer srv.Close()
 	spec := testCluster()

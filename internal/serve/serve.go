@@ -52,7 +52,6 @@ import (
 	"slices"
 	"strconv"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -90,6 +89,7 @@ const EndpointV1 = "v1"
 // Defaults for Config zero values.
 const (
 	DefaultMaxCacheEntries = 1024
+	// DefaultMaxRequestBytes caps the accepted request body size.
 	DefaultMaxRequestBytes = 64 << 20
 	// DefaultSynthTimeBudget bounds one request's synthesis wall-clock time
 	// (the whole Q↔B loop, not just one search) so a single adversarial
@@ -112,8 +112,6 @@ const shedRetryAfter = "1"
 type Config struct {
 	// MaxCacheEntries caps the number of cached plans (0 = default).
 	MaxCacheEntries int
-	// MaxRequestBytes caps the accepted request body size (0 = default).
-	MaxRequestBytes int64
 	// SynthTimeBudget bounds each request's synthesis wall-clock time
 	// (0 = DefaultSynthTimeBudget; negative = unlimited).
 	SynthTimeBudget time.Duration
@@ -130,9 +128,9 @@ type Config struct {
 	CacheDir string
 	// CacheTTL expires cached plans (and their persisted files) older than
 	// this age: files past the TTL are deleted instead of restored on boot,
-	// and a background sweep evicts aged entries so a long-lived CacheDir
-	// does not grow unbounded under a slowly-rotating working set
-	// (0 = never expire).
+	// and an entry found past it when the store is read — a lookup, a
+	// donor, warm-up or drift scan, a /metrics scrape — is evicted and its
+	// file deleted (0 = never expire).
 	CacheTTL time.Duration
 	// MaxInflightSynth bounds the number of concurrently executing local
 	// syntheses (0 = unlimited). When every slot is busy, cache misses that
@@ -160,6 +158,10 @@ type Config struct {
 	// Synthesize overrides the planner, for tests. Nil means a hap.Planner
 	// driven by the request context.
 	Synthesize func(context.Context, *graph.Graph, *cluster.Cluster, hap.Options) (*hap.Plan, error)
+
+	// maxRequestBytes lowers the body cap below DefaultMaxRequestBytes, for
+	// tests (0 = default).
+	maxRequestBytes int64
 }
 
 // ErrorEnvelope is the structured error body of every endpoint.
@@ -210,7 +212,7 @@ type Stats struct {
 	Errors         uint64 // requests answered with an error status
 	CacheEntries   int    // plans currently cached
 	CacheBytes     int64  // bytes currently cached
-	CacheEvictions uint64 // plans evicted by the LRU caps or the TTL sweep
+	CacheEvictions uint64 // plans evicted by the LRU caps or past the TTL
 	CacheRestored  int    // plans reloaded from CacheDir on boot
 	// Fleet reports the fleet-layer counters; nil on a standalone daemon.
 	Fleet *FleetStats
@@ -226,9 +228,6 @@ type Server struct {
 	flight flightGroup
 
 	latency *histogram // /v1/synthesize request latency
-
-	stopSweep chan struct{}
-	closeOnce sync.Once
 
 	hits         atomic.Uint64
 	misses       atomic.Uint64
@@ -277,14 +276,13 @@ type Server struct {
 // New returns a Server with zero Config values filled from the defaults.
 // When cfg.CacheDir is set, previously persisted plans are restored into the
 // cache before the first request (oldest mtime first, so LRU recency
-// survives the restart), and a positive cfg.CacheTTL starts the background
-// expiry sweep — call Close to stop it.
+// survives the restart). New starts no goroutine.
 func New(cfg Config) *Server {
 	if cfg.MaxCacheEntries <= 0 {
 		cfg.MaxCacheEntries = DefaultMaxCacheEntries
 	}
-	if cfg.MaxRequestBytes <= 0 {
-		cfg.MaxRequestBytes = DefaultMaxRequestBytes
+	if cfg.maxRequestBytes <= 0 {
+		cfg.maxRequestBytes = DefaultMaxRequestBytes
 	}
 	if cfg.SynthTimeBudget == 0 {
 		cfg.SynthTimeBudget = DefaultSynthTimeBudget
@@ -332,43 +330,14 @@ func New(cfg Config) *Server {
 	if f := cfg.Fleet; f != nil {
 		s.nodeLabel = f.Self()
 	}
-	if cfg.CacheTTL > 0 {
-		s.stopSweep = make(chan struct{})
-		go s.sweepLoop()
-	}
 	return s
 }
 
-// sweepLoop periodically expires TTL-aged cache entries and their files.
-func (s *Server) sweepLoop() {
-	// Sweeping at a quarter of the TTL bounds overstay at 25% without
-	// scanning a large cache every few seconds.
-	interval := s.cfg.CacheTTL / 4
-	if interval < time.Minute {
-		interval = time.Minute
-	}
-	ticker := time.NewTicker(interval)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-s.stopSweep:
-			return
-		case <-ticker.C:
-			s.store.sweep(time.Now())
-		}
-	}
-}
-
-// Close stops the server's background work (the TTL sweeper). It does not
-// touch the fleet's pollers — the fleet is owned by the caller that built
-// it.
-func (s *Server) Close() {
-	s.closeOnce.Do(func() {
-		if s.stopSweep != nil {
-			close(s.stopSweep)
-		}
-	})
-}
+// Close does nothing: the server runs no background work.
+//
+// Deprecated: a no-op kept only because bench/ still calls it; ROADMAP O
+// deletes it with bench/'s calls.
+func (s *Server) Close() {}
 
 // Handler returns the daemon's HTTP routes.
 func (s *Server) Handler() http.Handler {
@@ -415,18 +384,6 @@ func (s *Server) Stats() Stats {
 // and so does a key-first client, through the same fingerprint.PlanKey.
 func cacheKey(g *graph.Graph, c *cluster.Cluster, opt RequestOptions) string {
 	return fingerprint.PlanKey(graph.Fingerprint(g), c.Fingerprint(), fingerprint.Options(opt))
-}
-
-// hapOptions lowers wire options plus server config into planner options.
-func (s *Server) hapOptions(opt RequestOptions) hap.Options {
-	budget := s.cfg.SynthTimeBudget
-	if budget < 0 {
-		budget = 0 // negative config = unlimited
-	}
-	return hap.Options{
-		Segments:   opt.Segments,
-		TimeBudget: budget,
-	}
 }
 
 // fail answers an error with the structured JSON envelope.
@@ -493,9 +450,9 @@ func (s *Server) readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool)
 		return nil, false
 	}
 	// One allocation for a body that declares its length.
-	size := min(max(r.ContentLength, 0), presizeBodyCap, s.cfg.MaxRequestBytes)
+	size := min(max(r.ContentLength, 0), presizeBodyCap, s.cfg.maxRequestBytes)
 	buf := bytes.NewBuffer(make([]byte, 0, size+bytes.MinRead))
-	if _, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, s.cfg.MaxRequestBytes)); err != nil {
+	if _, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, s.cfg.maxRequestBytes)); err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
 			s.fail(w, http.StatusRequestEntityTooLarge, CodeTooLarge, "request body exceeds %d bytes", tooBig.Limit)
@@ -734,9 +691,11 @@ type donor struct {
 // The synthesize span rides on ctx, so the planner's phase spans (theory, beam
 // levels, passes, verify) attach to the trace of whoever executes the search —
 // a joined waiter's flight span shows the wait, not someone else's search.
+// The planner call runs under Config.SynthTimeBudget, the one place the
+// daemon's budget becomes the context's deadline.
 func (s *Server) synthesize(ctx context.Context, sp *obs.Span, key string, c *cluster.Cluster, src *planSource) (*hap.Plan, CachedPlan, error) {
 	s.syntheses.Add(1)
-	ho := s.hapOptions(src.opts)
+	ho := hap.Options{Segments: src.opts.Segments}
 	sds := sp.Child("seeded_search")
 	if d := s.nearestDonor(src, key); len(d.bin) > 0 {
 		if dp, err := hap.ReadProgramBinary(bytes.NewReader(d.bin), d.g); err == nil {
@@ -747,7 +706,13 @@ func (s *Server) synthesize(ctx context.Context, sp *obs.Span, key string, c *cl
 	}
 	sds.End()
 	ss := sp.Child("synthesize")
-	p, err := s.cfg.Synthesize(obs.ContextWithSpan(ctx, ss), src.g, c, ho)
+	sctx := obs.ContextWithSpan(ctx, ss)
+	if budget := s.cfg.SynthTimeBudget; budget > 0 {
+		var cancel context.CancelFunc
+		sctx, cancel = context.WithTimeout(sctx, budget)
+		defer cancel()
+	}
+	p, err := s.cfg.Synthesize(sctx, src.g, c, ho)
 	if err == nil && p.Seeded {
 		ss.SetAttrFloat("seed_distance", p.SeedDistance)
 	}

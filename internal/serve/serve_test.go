@@ -7,10 +7,12 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"sort"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"hap"
 	"hap/internal/cluster"
@@ -305,7 +307,7 @@ func TestServePanicContained(t *testing.T) {
 }
 
 func TestServeOversizedRequestGets413(t *testing.T) {
-	s := New(Config{MaxRequestBytes: 128})
+	s := New(Config{maxRequestBytes: 128})
 	srv := httptest.NewServer(s.Handler())
 	defer srv.Close()
 	body := requestBody(t, testGraph(t), testCluster(), RequestOptions{}) // well over 128 bytes
@@ -354,7 +356,6 @@ func TestHealthz(t *testing.T) {
 		t.Fatal(err)
 	}
 	node := New(Config{Fleet: fl})
-	defer node.Close()
 	nodeSrv := httptest.NewServer(node.Handler())
 	defer nodeSrv.Close()
 	h = getHealthz(t, nodeSrv.URL)
@@ -429,16 +430,16 @@ func TestRetiredOptionsKeyAsDefault(t *testing.T) {
 }
 
 // TestOptimizeOptionPlumbing checks a miss runs under the default synth time
-// budget, and that the retired "optimize" option no longer splits the cache:
+// budget (and under none with a negative one), and that the retired "optimize" option no longer splits the cache:
 // a body that still sends "optimize": false decodes (unknown fields are
 // ignored), derives the default key and is served the cached plan.
 func TestOptimizeOptionPlumbing(t *testing.T) {
 	var mu sync.Mutex
-	var opts []hap.Options
+	var budgets []time.Duration // each synthesis's time left, -1 without a deadline
 	s := New(Config{
 		Synthesize: func(ctx context.Context, g *graph.Graph, c *cluster.Cluster, opt hap.Options) (*hap.Plan, error) {
 			mu.Lock()
-			opts = append(opts, opt)
+			budgets = append(budgets, timeLeft(ctx))
 			mu.Unlock()
 			return planWith(g, c, opt)
 		},
@@ -461,12 +462,76 @@ func TestOptimizeOptionPlumbing(t *testing.T) {
 
 	mu.Lock()
 	defer mu.Unlock()
-	if len(opts) != 1 {
-		t.Fatalf("%d syntheses, want 1", len(opts))
+	if len(budgets) != 1 {
+		t.Fatalf("%d syntheses, want 1", len(budgets))
 	}
-	if opts[0].TimeBudget != DefaultSynthTimeBudget {
-		t.Errorf("synthesis ran with time budget %v, want default %v", opts[0].TimeBudget, DefaultSynthTimeBudget)
+	if b := budgets[0]; b <= 0 || b > DefaultSynthTimeBudget {
+		t.Errorf("synthesis ran with %v left on its context, want a deadline within the default %v", b, DefaultSynthTimeBudget)
 	}
+
+	// A negative budget plans under the request's own context, with no
+	// deadline of the daemon's.
+	left := make(chan time.Duration, 1)
+	unlimited := httptest.NewServer(New(Config{
+		SynthTimeBudget: -1,
+		Synthesize: func(ctx context.Context, g *graph.Graph, c *cluster.Cluster, opt hap.Options) (*hap.Plan, error) {
+			left <- timeLeft(ctx)
+			return planWith(g, c, opt)
+		},
+	}).Handler())
+	defer unlimited.Close()
+	if status, _, b := post(t, unlimited.URL, body); status != http.StatusOK {
+		t.Fatalf("unlimited budget: status %d: %s", status, b)
+	}
+	if b := <-left; b != -1 {
+		t.Errorf("unlimited budget: synthesis context has %v left, want no deadline", b)
+	}
+}
+
+// timeLeft is how long ctx has until its deadline, -1 when it has none.
+func timeLeft(ctx context.Context) time.Duration {
+	dl, ok := ctx.Deadline()
+	if !ok {
+		return -1
+	}
+	return time.Until(dl)
+}
+
+// TestOneSegmentIsTheDefaultPlan: segments 0 and 1 plan alike, so a
+// segments:1 body after a segments:0 fill of the same graph and cluster is a
+// hit on the one plan, not a second synthesis.
+func TestOneSegmentIsTheDefaultPlan(t *testing.T) {
+	s := New(Config{})
+	srv := httptest.NewServer(s.Handler())
+	defer srv.Close()
+	g, c := testGraph(t), testCluster()
+	status, hdr, plan := post(t, srv.URL, requestBody(t, g, c, RequestOptions{}))
+	if status != http.StatusOK || hdr != "miss" {
+		t.Fatalf("segments:0 fill: status %d cache %q: %s", status, hdr, plan)
+	}
+	status, hdr, b := post(t, srv.URL, requestBody(t, g, c, RequestOptions{Segments: 1}))
+	if status != http.StatusOK || hdr != "hit" || !bytes.Equal(b, plan) {
+		t.Errorf("segments:1 request: status %d cache %q, want 200/hit with the segments:0 plan", status, hdr)
+	}
+	if n := s.Stats().Syntheses; n != 1 {
+		t.Errorf("%d syntheses, want 1", n)
+	}
+}
+
+// TestNewStartsNoGoroutine: the daemon runs no background work of its own —
+// a TTL is checked where the store is read — so building one, with a TTL
+// and a cache directory, leaves the goroutine count where it was.
+func TestNewStartsNoGoroutine(t *testing.T) {
+	// A goroutine of an earlier test may start or finish meanwhile: retry,
+	// and fail only when every attempt grew the count.
+	for i := 0; i < 5; i++ {
+		before := runtime.NumGoroutine()
+		New(Config{CacheTTL: time.Hour, CacheDir: t.TempDir()})
+		if runtime.NumGoroutine() <= before {
+			return
+		}
+	}
+	t.Error("serve.New started a goroutine")
 }
 
 // TestMetricsEndpoint checks the Prometheus text exposition carries the

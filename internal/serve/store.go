@@ -3,7 +3,9 @@
 // disk mirror (persist.go) and the version and ETag metadata every stored
 // plan carries. A model-scale plan is about 1–3 KiB of binary payload, so the
 // entry cap is the binding limit in production; the byte cap is a backstop
-// against a few very large plans. serve.go handles the wire protocol; the
+// against a few very large plans. A TTL is checked where entries are read:
+// Get, Range and the counts drop what has aged past it, so the store runs no
+// timer and starts no goroutine. serve.go handles the wire protocol; the
 // miss path and replication intake write through Put, warm-up through Warm;
 // the warm-up stream a node serves, donor lookup and the drift scan read
 // Range.
@@ -54,8 +56,8 @@ type storeEntry struct {
 	key string
 	val CachedPlan
 	// at is the entry's LRU stamp: its insert (or refresh) time, or just
-	// below the tail's for a warm-up entry. The TTL sweep reads it, and the
-	// disk mirror keeps it as the plan file's mtime, so a restore replays
+	// below the tail's for a warm-up entry. The TTL is measured from it, and
+	// the disk mirror keeps it as the plan file's mtime, so a restore replays
 	// entries in stamp order.
 	at time.Time
 }
@@ -65,10 +67,11 @@ type storeEntry struct {
 const warmStampStep = time.Millisecond
 
 // store holds encoded plans under their content-address cache keys. Inserts
-// mirror to disk with the entry's LRU stamp as the file's mtime, LRU and TTL
-// evictions delete their files, and construction reloads the directory in
-// mtime order — so the directory converges to the LRU's actual contents and
-// a restart does not re-pay every synthesis. Each write takes mu once, for
+// mirror to disk with the entry's LRU stamp as the file's mtime, LRU
+// evictions and entries read past the TTL delete their files, and
+// construction reloads the directory in mtime order — so the directory
+// converges to the LRU's actual contents and a restart does not re-pay every
+// synthesis. Each write takes mu once, for
 // its version, its insert and the evictions it causes; hashing the ETag and
 // the disk mirror run outside it. Safe for concurrent use.
 type store struct {
@@ -120,17 +123,27 @@ func newStore(maxEntries int, maxBytes int64, persist *diskStore, ttl time.Durat
 	return s
 }
 
-// Get returns the stored plan and refreshes its recency. The returned plan
-// bytes are shared — callers must not mutate them.
+// Get returns the stored plan and refreshes its recency. An entry past the
+// TTL is a miss: it is evicted and its file deleted. The returned plan bytes
+// are shared — callers must not mutate them.
 func (s *store) Get(key string) (CachedPlan, bool) {
 	s.mu.Lock()
-	defer s.mu.Unlock()
 	e, ok := s.items[key]
 	if !ok {
+		s.mu.Unlock()
+		return CachedPlan{}, false
+	}
+	ent := e.Value.(*storeEntry)
+	if s.ttl > 0 && ent.at.Before(time.Now().Add(-s.ttl)) {
+		s.evict(e)
+		s.mu.Unlock()
+		s.drop([]string{key})
 		return CachedPlan{}, false
 	}
 	s.ll.MoveToFront(e)
-	return e.Value.(*storeEntry).val, true
+	v := ent.val
+	s.mu.Unlock()
+	return v, true
 }
 
 // Put stores (or refreshes) v at the LRU head, evicting from the tail until
@@ -256,13 +269,17 @@ func (s *store) drop(keys []string) {
 // lock and runs outside it, so it may block (warm-up streams entries over the
 // network) or compare (donor lookup) while hits go on. The snapshot shares
 // its byte slices with the store (immutable by contract), so it is cheap.
+// Entries past the TTL are dropped, not visited: nothing donates, streams
+// or re-solves an expired plan.
 func (s *store) Range(fn func(key string, v CachedPlan) bool) {
 	s.mu.Lock()
+	expired := s.expire()
 	snap := make([]storeEntry, 0, s.ll.Len())
 	for e := s.ll.Front(); e != nil; e = e.Next() {
 		snap = append(snap, *e.Value.(*storeEntry))
 	}
 	s.mu.Unlock()
+	s.drop(expired)
 	for _, e := range snap {
 		if !fn(e.key, e.val) {
 			return
@@ -270,24 +287,25 @@ func (s *store) Range(fn func(key string, v CachedPlan) bool) {
 	}
 }
 
-// counts returns the plans and bytes held and the evictions so far.
+// counts returns the plans and bytes held and the evictions so far, after
+// dropping the entries past the TTL.
 func (s *store) counts() (entries int, bytes int64, evictions uint64) {
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.ll.Len(), s.bytes, s.evictions
+	expired := s.expire()
+	entries, bytes, evictions = s.ll.Len(), s.bytes, s.evictions
+	s.mu.Unlock()
+	s.drop(expired)
+	return entries, bytes, evictions
 }
 
-// sweep evicts every entry stamped before now minus the TTL, deleting its
-// file — the GC pass that keeps a long-lived -cache-dir from growing
-// unbounded under a slowly-rotating working set — and returns how many went.
-// A no-op without a TTL.
-func (s *store) sweep(now time.Time) int {
+// expire evicts every entry stamped more than the TTL ago and returns their
+// keys, for the caller to drop once it has released s.mu. A no-op without a
+// TTL. The caller holds s.mu.
+func (s *store) expire() (expired []string) {
 	if s.ttl <= 0 {
-		return 0
+		return nil
 	}
-	cutoff := now.Add(-s.ttl)
-	var expired []string
-	s.mu.Lock()
+	cutoff := time.Now().Add(-s.ttl)
 	for e := s.ll.Front(); e != nil; {
 		next := e.Next()
 		if e.Value.(*storeEntry).at.Before(cutoff) {
@@ -295,7 +313,5 @@ func (s *store) sweep(now time.Time) int {
 		}
 		e = next
 	}
-	s.mu.Unlock()
-	s.drop(expired)
-	return len(expired)
+	return expired
 }

@@ -131,23 +131,36 @@ func TestLRUUpdateExistingKey(t *testing.T) {
 }
 
 func TestLRUConcurrentAccess(t *testing.T) {
-	// Meaningful under -race: hammer the store from many goroutines.
-	c := newStore(32, 1<<20, nil, 0)
-	var wg sync.WaitGroup
-	for i := 0; i < 8; i++ {
-		wg.Add(1)
-		go func(id int) {
-			defer wg.Done()
-			for j := 0; j < 200; j++ {
-				k := fmt.Sprintf("k%d", (id+j)%64)
-				c.Put(k, bp(k))
-				c.Get(k)
-			}
-		}(i)
-	}
-	wg.Wait()
-	if entries, _, _ := c.counts(); entries > 32 {
-		t.Errorf("%d entries above the cap", entries)
+	// Meaningful under -race: hammer the store from many goroutines. With a
+	// TTL shorter than the run, the readers evict too.
+	for _, ttl := range []time.Duration{0, time.Microsecond} {
+		c := newStore(32, 1<<20, nil, ttl)
+		var wg sync.WaitGroup
+		for i := 0; i < 8; i++ {
+			wg.Add(1)
+			go func(id int) {
+				defer wg.Done()
+				for j := 0; j < 200; j++ {
+					k := fmt.Sprintf("k%d", (id+j)%64)
+					c.Put(k, bp(k))
+					c.Get(k)
+					if j%16 == 0 {
+						c.Range(func(string, CachedPlan) bool { return true })
+						c.counts()
+					}
+				}
+			}(i)
+		}
+		wg.Wait()
+		entries, size, _ := c.counts()
+		if entries > 32 {
+			t.Errorf("ttl %v: %d entries above the cap", ttl, entries)
+		}
+		var held int64
+		c.Range(func(_ string, v CachedPlan) bool { held += v.size(); return true })
+		if held != size {
+			t.Errorf("ttl %v: entries hold %d bytes, the store counts %d", ttl, held, size)
+		}
 	}
 }
 
@@ -221,39 +234,71 @@ func TestRestoreAppliesTTLCutoff(t *testing.T) {
 	}
 }
 
-// TestSweepExpiresAgedEntries restores backdated entries, then runs the TTL
-// sweep as if time had passed: aged entries leave the cache and the disk.
-func TestSweepExpiresAgedEntries(t *testing.T) {
-	dir := t.TempDir()
-	d, err := newDiskStore(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d.save("old", framedPlan("a"), time.Now())
-	backdate(t, d, "old", 2*time.Hour)
-	d.save("new", framedPlan("b"), time.Now())
+// TestExpiredEntriesDroppedOnRead restores backdated entries, then ages
+// them as if time had passed: each reader of the store — Get, the Range
+// snapshot and the counts behind Stats — finds the aged entry past the TTL
+// and drops it, deleting its file and counting an eviction, while the fresh
+// entry stays.
+func TestExpiredEntriesDroppedOnRead(t *testing.T) {
+	for name, read := range map[string]func(t *testing.T, s *store){
+		"get": func(t *testing.T, s *store) {
+			if _, ok := s.Get("old"); ok {
+				t.Error("Get served an entry past the TTL")
+			}
+		},
+		"range": func(t *testing.T, s *store) {
+			s.Range(func(k string, _ CachedPlan) bool {
+				if k == "old" {
+					t.Error("Range visited an entry past the TTL")
+				}
+				return true
+			})
+		},
+		"counts": func(t *testing.T, s *store) {
+			if n, _, _ := s.counts(); n != 1 {
+				t.Errorf("counts report %d entries, want the fresh one only", n)
+			}
+		},
+	} {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			d, err := newDiskStore(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			d.save("old", framedPlan("a"), time.Now())
+			backdate(t, d, "old", 2*time.Hour)
+			d.save("new", framedPlan("b"), time.Now())
 
-	// TTL of 3h restores both ("old" is 2h, inside the horizon)...
-	s := newStore(10, 1<<20, d, 3*time.Hour)
-	if s.restored != 2 {
-		t.Fatalf("restored = %d, want 2", s.restored)
+			// TTL of 3h restores both ("old" is 2h, inside the horizon)...
+			s := newStore(10, 1<<20, d, 3*time.Hour)
+			if s.restored != 2 {
+				t.Fatalf("restored = %d, want 2", s.restored)
+			}
+			// ...then 2h "later" "old" (now 4h) is past the TTL.
+			ageEntries(s, 2*time.Hour)
+			read(t, s)
+			if n := planFiles(t, dir); n != 1 {
+				t.Errorf("%d plan files after the read, want 1", n)
+			}
+			if _, ok := s.Get("new"); !ok {
+				t.Error("fresh entry dropped")
+			}
+			// A drop counts as a cache eviction in Stats.
+			if _, _, ev := s.counts(); ev != 1 {
+				t.Errorf("evictions = %d, want 1", ev)
+			}
+		})
 	}
-	// ...then a sweep 2h "later" finds "old" (now 4h) past the TTL.
-	if n := s.sweep(time.Now().Add(2 * time.Hour)); n != 1 {
-		t.Errorf("sweep evicted %d entries, want 1", n)
-	}
-	if _, ok := s.Get("old"); ok {
-		t.Error("aged entry survived the sweep")
-	}
-	if _, ok := s.Get("new"); !ok {
-		t.Error("fresh entry swept")
-	}
-	if n := planFiles(t, dir); n != 1 {
-		t.Errorf("%d plan files after sweep, want 1", n)
-	}
-	// Sweep evictions count as cache evictions in Stats.
-	if _, _, ev := s.counts(); ev != 1 {
-		t.Errorf("evictions = %d, want 1", ev)
+}
+
+// ageEntries moves every entry's stamp back by d, standing in for d passing.
+func ageEntries(s *store, d time.Duration) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for e := s.ll.Front(); e != nil; e = e.Next() {
+		ent := e.Value.(*storeEntry)
+		ent.at = ent.at.Add(-d)
 	}
 }
 

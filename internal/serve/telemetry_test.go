@@ -96,7 +96,6 @@ func achievedTFLOPS(c *cluster.Cluster, i int) float64 {
 // naming an unknown device rejects the batch with a structured 400.
 func TestTelemetryDriftVerdict(t *testing.T) {
 	s := New(Config{})
-	defer s.Close()
 	srv := httptest.NewServer(s.Handler())
 	defer srv.Close()
 	c := testCluster()
@@ -159,7 +158,6 @@ func TestTelemetryDriftVerdict(t *testing.T) {
 // 304s against the new tag.
 func TestTelemetryBackgroundReplan(t *testing.T) {
 	s := New(Config{})
-	defer s.Close()
 	srv := httptest.NewServer(s.Handler())
 	defer srv.Close()
 	c := testCluster()
@@ -248,7 +246,6 @@ func TestTelemetryReplanFailureKeepsOldPlan(t *testing.T) {
 		return nil, fmt.Errorf("lp: infeasible")
 	}
 	s := New(Config{})
-	defer s.Close()
 	srv := httptest.NewServer(s.Handler())
 	defer srv.Close()
 	c := testCluster()
@@ -281,7 +278,6 @@ func TestTelemetryReplanFailureKeepsOldPlan(t *testing.T) {
 // cluster.
 func TestTelemetryResolvesCostOnlyOps(t *testing.T) {
 	s := New(Config{})
-	defer s.Close()
 	srv := httptest.NewServer(s.Handler())
 	defer srv.Close()
 	c := testCluster()
@@ -312,7 +308,6 @@ func TestTelemetryResolvesCostOnlyOps(t *testing.T) {
 // verifies on that many devices.
 func TestTelemetryDroppedDeviceResolves(t *testing.T) {
 	s := New(Config{})
-	defer s.Close()
 	srv := httptest.NewServer(s.Handler())
 	defer srv.Close()
 	c := testCluster()
@@ -351,7 +346,6 @@ func TestTelemetryDroppedDeviceResolves(t *testing.T) {
 // the way swaps in ratios that still verify.
 func TestTelemetryNearZeroThrottle(t *testing.T) {
 	s := New(Config{})
-	defer s.Close()
 	srv := httptest.NewServer(s.Handler())
 	defer srv.Close()
 	c := testCluster()
@@ -414,7 +408,6 @@ func FuzzTelemetryReport(f *testing.F) {
 	quiet := slog.New(slog.NewTextHandler(io.Discard, nil))
 	f.Fuzz(func(t *testing.T, body []byte) {
 		s := New(Config{Logger: quiet})
-		defer s.Close()
 		s.store.Put(key, CachedPlan{Bin: v.Bin, src: newPlanSource(g, spec, RequestOptions{})})
 		w := httptest.NewRecorder()
 		s.handleTelemetry(w, httptest.NewRequest(http.MethodPost, "/v1/telemetry", bytes.NewReader(body)))
@@ -471,7 +464,6 @@ func TestPlanVersioningThroughStore(t *testing.T) {
 // "not wired"), and a monitored cluster gets its labeled drift series.
 func TestMetricsExposesTelemetrySeries(t *testing.T) {
 	s := New(Config{})
-	defer s.Close()
 	srv := httptest.NewServer(s.Handler())
 	defer srv.Close()
 

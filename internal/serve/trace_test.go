@@ -265,7 +265,6 @@ func FuzzTraceHeader(f *testing.F) {
 		f.Add(seed)
 	}
 	s := New(Config{})
-	defer s.Close()
 	h := s.Handler()
 	f.Fuzz(func(t *testing.T, id string) {
 		for i := 0; i < len(id); i++ {
@@ -347,7 +346,6 @@ func newTracedPair(t *testing.T) []*fleetNode {
 			t.Fatal(err)
 		}
 		n.s = New(Config{Fleet: fl})
-		t.Cleanup(n.s.Close)
 		switches[i].set(n.s.Handler())
 	}
 	return nodes
@@ -480,7 +478,6 @@ func (b *syncBuffer) String() string {
 func TestTraceSlowLogEveryRequest(t *testing.T) {
 	var logs syncBuffer
 	s := New(Config{TraceSlow: -1, Logger: obs.NewLogger("json", &logs)})
-	defer s.Close()
 	srv := httptest.NewServer(s.Handler())
 	defer srv.Close()
 
@@ -568,7 +565,6 @@ func TestMetricsPhaseSummaries(t *testing.T) {
 // scrape path reading live counters mid-swap (run under -race).
 func TestMetricsScrapeDuringReplan(t *testing.T) {
 	s := New(Config{})
-	defer s.Close()
 	srv := httptest.NewServer(s.Handler())
 	defer srv.Close()
 	g, c := testGraph(t), testCluster()

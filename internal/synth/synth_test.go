@@ -404,7 +404,7 @@ func TestContextCancelAbortsSearch(t *testing.T) {
 // expansion, so the search stops within one expansion of it rather than
 // running out. No option states the budget — the context is the search's
 // only clock.
-func TestParallelBudgetPropagatesToWorkers(t *testing.T) {
+func TestMidSearchDeadlineStops(t *testing.T) {
 	g := graph.New()
 	x := g.AddPlaceholder("x", 0, 256, 256)
 	h := x
@@ -420,8 +420,8 @@ func TestParallelBudgetPropagatesToWorkers(t *testing.T) {
 	th := theory.New(g)
 	budget := 20 * time.Millisecond
 	for name, opt := range map[string]Options{
-		"exact":  {},
-		"serial": {BeamWidth: 64},
+		"exact": {},
+		"beam":  {BeamWidth: 64},
 	} {
 		t.Run(name, func(t *testing.T) {
 			ctx, cancel := context.WithTimeout(context.Background(), budget)

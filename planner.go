@@ -2,19 +2,18 @@
 // configured with functional options, driving the hapopt loop under a
 // context.Context. This is the one way in.
 //
-//	p := hap.NewPlanner(c, hap.WithSegments(4), hap.WithTimeBudget(time.Minute))
+//	p := hap.NewPlanner(c, hap.WithSegments(4))
 //	plan, err := p.Plan(ctx, g)
 //
-// Cancelling ctx aborts an in-flight synthesis within one expansion;
-// WithTimeBudget is sugar for context.WithTimeout around every Plan call,
-// with the hapopt loop's graceful degradation (an expired budget returns the
-// best plan found so far) preserved.
+// The caller's context is the planner's one clock. Cancelling it aborts an
+// in-flight synthesis within one expansion; its deadline is the time budget,
+// and the hapopt loop degrades gracefully when it passes (the best plan
+// found so far is returned, or an error when none completed).
 package hap
 
 import (
 	"context"
 	"fmt"
-	"time"
 
 	"hap/internal/hapopt"
 	"hap/internal/obs"
@@ -27,11 +26,6 @@ type Option func(*Options)
 
 // WithSegments requests per-segment sharding ratios (Sec. 5.2).
 func WithSegments(n int) Option { return func(o *Options) { o.Segments = n } }
-
-// WithTimeBudget bounds each Plan call's wall-clock time: the call
-// runs under context.WithTimeout(ctx, d), and an expired budget returns the
-// best plan the loop found so far (or an error when none completed).
-func WithTimeBudget(d time.Duration) Option { return func(o *Options) { o.TimeBudget = d } }
 
 // WithWorkers returns an Option that does nothing: every search runs on the
 // goroutine that calls Plan.
@@ -61,20 +55,7 @@ func NewPlanner(c *Cluster, opts ...Option) *Planner {
 	return p
 }
 
-// searchCtx applies the TimeBudget sugar: a budgeted planner runs every call
-// under context.WithTimeout.
-func (p *Planner) searchCtx(ctx context.Context) (context.Context, context.CancelFunc) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if p.opt.TimeBudget > 0 {
-		return context.WithTimeout(ctx, p.opt.TimeBudget)
-	}
-	return context.WithCancel(ctx)
-}
-
-// hapoptOptions lowers the planner's options for one optimization run. The
-// time budget is deliberately absent: it travels on the context.
+// hapoptOptions lowers the planner's options for one optimization run.
 func (p *Planner) hapoptOptions() hapopt.Options {
 	o := hapopt.Options{Segments: p.opt.Segments, Synth: synth.Auto()}
 	if p.opt.SeedPlan != nil && p.opt.SeedGraph != nil {
@@ -87,14 +68,17 @@ func (p *Planner) hapoptOptions() hapopt.Options {
 // optimize is the loop Plan runs; tests stand in for it to inject faults.
 var optimize = hapopt.Optimize
 
-// Plan synthesizes a distributed plan for g on the planner's cluster.
-// Cancelling ctx aborts an in-flight search within one expansion.
+// Plan synthesizes a distributed plan for g on the planner's cluster under
+// ctx, the search's one clock (nil reads as context.Background()):
+// cancelling it aborts an in-flight search within one expansion, and its
+// deadline is the time budget.
 // g is only read, so concurrent calls may share it: the plan's
 // Program.Graph is g, or a shallow copy of g carrying the plan's segment
 // assignment (WithSegments) when g does not carry it already.
 func (p *Planner) Plan(ctx context.Context, g *Graph) (*Plan, error) {
-	ctx, cancel := p.searchCtx(ctx)
-	defer cancel()
+	if ctx == nil {
+		ctx = context.Background()
+	}
 	res, err := optimize(ctx, g, p.c, p.hapoptOptions())
 	if err != nil {
 		return nil, err

@@ -53,18 +53,22 @@ func TestPlanContextCancelAbortsSearch(t *testing.T) {
 	}
 }
 
-// WithTimeBudget is context.WithTimeout sugar with the loop's graceful
-// degradation intact: an expired budget with no completed plan errors, a
-// generous one plans normally.
+// A time budget is the context's deadline, with the loop's graceful
+// degradation intact: an expired deadline with no completed plan errors (a
+// budget error, not a cancellation), a generous one plans normally.
 func TestPlannerTimeBudget(t *testing.T) {
 	g := testGraph(t)
 	c := testCluster()
-	if _, err := NewPlanner(c, WithTimeBudget(time.Nanosecond)).Plan(context.Background(), g); err == nil {
+	ctx, cancel := context.WithTimeout(context.Background(), time.Nanosecond)
+	defer cancel()
+	if _, err := NewPlanner(c).Plan(ctx, g); err == nil {
 		t.Error("nanosecond budget returned a plan, want an error")
 	} else if errors.Is(err, context.Canceled) {
 		t.Errorf("nanosecond budget reported cancellation (%v), want budget expiry", err)
 	}
-	plan, err := NewPlanner(c, WithTimeBudget(time.Minute)).Plan(context.Background(), g)
+	ctx, cancel = context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	plan, err := NewPlanner(c).Plan(ctx, g)
 	if err != nil {
 		t.Fatalf("generous budget: %v", err)
 	}
@@ -73,16 +77,21 @@ func TestPlannerTimeBudget(t *testing.T) {
 	}
 }
 
+// A nil context reads as context.Background(): no deadline, no cancel.
+func TestPlanNilContext(t *testing.T) {
+	//lint:ignore SA1012 the nil context is what is under test
+	plan, err := NewPlanner(testCluster()).Plan(nil, testGraph(t))
+	if err != nil || len(plan.Program.Instrs) == 0 {
+		t.Fatalf("Plan(nil, g) = %v, %v; want a plan", plan, err)
+	}
+}
+
 // The functional options must lower onto the same Options struct the legacy
 // API uses.
 func TestFunctionalOptions(t *testing.T) {
 	var got Options
-	for _, o := range []Option{
-		WithSegments(3), WithTimeBudget(time.Second),
-	} {
-		o(&got)
-	}
-	want := Options{Segments: 3, TimeBudget: time.Second}
+	WithSegments(3)(&got)
+	want := Options{Segments: 3}
 	if got != want {
 		t.Errorf("options = %+v, want %+v", got, want)
 	}
@@ -179,5 +188,56 @@ func TestPlanSurvivesBalancerFailure(t *testing.T) {
 	}
 	if _, err := ReadProgramBinary(&bin, g); err != nil {
 		t.Errorf("ReadProgramBinary: %v", err)
+	}
+}
+
+// TestPlanAllocationPin holds what Plan adds around the optimization loop
+// on VGG19 × het8. Its own frame is pinned exactly: with the loop stood in by
+// a stub returning a finished result, Plan allocates planOverAllocs (the
+// Plan) more than the program's Validate. The caller's context reaches the
+// searches as it is, so with the real loop Plan allocates no more than
+// hapopt.Optimize and Validate do plus that pin: a context.Background()
+// caller pays for no cancel context, nor for the AfterFunc each search would
+// register on one. (A search's allocation count varies by a few between runs
+// of the same input, 506–511 here, so that comparison is of averages, within
+// loopNoise.)
+func TestPlanAllocationPin(t *testing.T) {
+	const planOverAllocs, loopNoise = 1, 3
+	in := warmInputs()[0]
+	g, c := in.build(), in.c
+	p := NewPlanner(c)
+	ctx := context.Background()
+	res, err := hapopt.Optimize(ctx, g, c, p.hapoptOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	validate := testing.AllocsPerRun(5, func() {
+		if err := res.Program.Validate(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	plan := func() {
+		if _, err := p.Plan(ctx, g); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	defer func(f func(context.Context, *Graph, *Cluster, hapopt.Options) (*hapopt.Result, error)) { optimize = f }(optimize)
+	optimize = func(context.Context, *Graph, *Cluster, hapopt.Options) (*hapopt.Result, error) { return res, nil }
+	if got := testing.AllocsPerRun(5, plan) - validate; got != planOverAllocs {
+		t.Errorf("%s: around a stubbed loop Plan allocates %.0f more than Validate, pin %d", in.name, got, planOverAllocs)
+	}
+
+	optimize = hapopt.Optimize
+	loop := testing.AllocsPerRun(5, func() {
+		if _, err := hapopt.Optimize(ctx, g, c, p.hapoptOptions()); err != nil {
+			t.Fatal(err)
+		}
+	})
+	whole := testing.AllocsPerRun(5, plan)
+	t.Logf("%s: Plan %.0f allocations, Optimize %.0f, Validate %.0f", in.name, whole, loop, validate)
+	if gap := whole - loop - validate; gap > planOverAllocs+loopNoise {
+		t.Errorf("%s: Plan allocates %.0f more than Optimize+Validate, want at most %d (pin %d + noise %d)",
+			in.name, gap, planOverAllocs+loopNoise, planOverAllocs, loopNoise)
 	}
 }

@@ -150,7 +150,6 @@ func TestReadPlanDoesNotWriteTheGraph(t *testing.T) {
 
 func TestClientSynthesizeDoesNotWriteTheGraph(t *testing.T) {
 	s := serve.New(serve.Config{})
-	t.Cleanup(s.Close)
 	srv := httptest.NewServer(s.Handler())
 	t.Cleanup(srv.Close)
 	g := readonlyGraph()
