@@ -14,16 +14,20 @@
 //
 // Span IDs are random uint64s rather than per-trace sequence numbers so
 // that spans recorded independently on two fleet nodes merge into one
-// trace by plain append, with no renumbering pass.
+// trace by plain append, with no renumbering pass. They need to be unique,
+// not secret, so they come from math/rand's auto-seeded global generator
+// (math/rand/v2 needs a go 1.22 module); trace IDs, which clients see and
+// choose, come from crypto/rand.
 package obs
 
 import (
 	"context"
 	"crypto/rand"
 	"encoding/base64"
-	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
+	"maps"
+	mrand "math/rand"
 	"strconv"
 	"strings"
 	"sync"
@@ -168,12 +172,8 @@ type Span struct {
 
 // newSpanID mints a random nonzero span identifier.
 func newSpanID() uint64 {
-	var b [8]byte
 	for {
-		if _, err := rand.Read(b[:]); err != nil {
-			return 1
-		}
-		if id := binary.LittleEndian.Uint64(b[:]); id != 0 {
+		if id := mrand.Uint64(); id != 0 {
 			return id
 		}
 	}
@@ -195,9 +195,10 @@ func (s *Span) Child(name string) *Span {
 	return &Span{t: s.t, id: newSpanID(), parent: s.id, name: name, start: time.Now()}
 }
 
-// SetAttrStr attaches a string attribute. No-op on nil.
+// SetAttrStr attaches a string attribute. No-op on nil and on an ended
+// span, whose record owns the attribute map.
 func (s *Span) SetAttrStr(key, v string) {
-	if s == nil {
+	if s == nil || s.ended {
 		return
 	}
 	if s.attrs == nil {
@@ -241,27 +242,22 @@ func (s *Span) End() {
 		return
 	}
 	s.ended = true
-	s.t.add(s.record(time.Since(s.start)))
+	// The span is done with its attributes: the record takes the map.
+	s.t.add(s.record(time.Since(s.start), s.attrs))
 }
 
 // Record snapshots the span as if it ended now, without closing it. Used
 // to export a provisional root record on fleet-hop responses, where the
-// remote root must appear in the merged trace before it actually ends.
+// remote root must appear in the merged trace before it actually ends. The
+// span stays open to attributes, so the record gets a copy of them.
 func (s *Span) Record() SpanRecord {
 	if s == nil {
 		return SpanRecord{}
 	}
-	return s.record(time.Since(s.start))
+	return s.record(time.Since(s.start), maps.Clone(s.attrs))
 }
 
-func (s *Span) record(d time.Duration) SpanRecord {
-	var attrs map[string]string
-	if len(s.attrs) > 0 {
-		attrs = make(map[string]string, len(s.attrs))
-		for k, v := range s.attrs {
-			attrs[k] = v
-		}
-	}
+func (s *Span) record(d time.Duration, attrs map[string]string) SpanRecord {
 	return SpanRecord{
 		ID:      s.id,
 		Parent:  s.parent,

@@ -155,6 +155,29 @@ func TestTraceMergeAndProvisionalRecord(t *testing.T) {
 	}
 }
 
+// End hands the span's attributes to its record, so the span must take no
+// more of them; a provisional Record copies them, because the span goes on.
+func TestSpanAttrsAfterRecordAndEnd(t *testing.T) {
+	tr := New("abc123", "")
+	sp := tr.Root("request", 0)
+	sp.SetAttrStr("cache", "miss")
+	provisional := sp.Record()
+	sp.SetAttrInt("status", 200)
+	if len(provisional.Attrs) != 1 {
+		t.Errorf("provisional record attrs %v, want only the attribute set before it", provisional.Attrs)
+	}
+	sp.End()
+	sp.SetAttrStr("cache", "hit")
+	sp.SetAttrBool("late", true)
+	got := tr.Snapshot()
+	if len(got) != 1 {
+		t.Fatalf("trace has %d spans, want 1", len(got))
+	}
+	if a := got[0].Attrs; len(a) != 2 || a["cache"] != "miss" || a["status"] != "200" {
+		t.Errorf("ended span's record attrs %v, want cache=miss status=200", a)
+	}
+}
+
 // A trace's extent runs from its earliest start to its latest end, whichever
 // records those are: spans merged from a fleet hop carry the remote node's
 // clock, so a record that starts later may end last.

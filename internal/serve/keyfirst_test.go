@@ -429,13 +429,13 @@ func TestFastPathHitSpans(t *testing.T) {
 // warmHitAllocCeiling bounds the allocations of one key-only hit served
 // through Handler().ServeHTTP with tracing at its default (on), as the
 // benchmark's daemon runs: request and recorder excluded, the trace, its
-// three spans and the response headers included. Measured with go1.24: 41,
+// three spans and the response headers included. Measured with go1.24: 39,
 // one of them decodeRequest's (the key's string; through encoding/json the
 // body cost 20 and the hit 60). A full-body hit decodes its graph by design
 // and is not bounded here. The ceiling keeps the third of headroom the old
 // one had over its 60: room for a Go release to move a few, not for a
 // decode to reach the key-only path.
-const warmHitAllocCeiling = 55
+const warmHitAllocCeiling = 53
 
 // warmHitServer fills a daemon, tracing at its default (on), with the plan of
 // a model-sized request (~15 KB) and returns it with the full body and the

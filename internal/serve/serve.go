@@ -320,10 +320,13 @@ func New(cfg Config) *Server {
 	if cfg.MaxInflightSynth > 0 {
 		s.synthSem = make(chan struct{}, cfg.MaxInflightSynth)
 	}
-	// Tracing is on by default (an empty ring is just a few pointers; the
-	// per-request cost is a handful of small allocations and the synthesis
-	// hot path stays untouched — spans attach per phase, not per candidate).
-	// A negative TraceRing turns it off entirely.
+	// Tracing is on by default. Measured with go1.24, a key-only hit records
+	// 3 spans in 21 allocations; a miss records one span per phase (per Q↔B
+	// iteration for the search, never per beam level: the search span sums
+	// the levels), 16 spans in ~170 allocations over the untraced miss, and a
+	// forwarded one sends ~3.4 KiB of spans back to the proxying peer
+	// (TestMissTraceCostIndependentOfSearchDepth). A negative TraceRing turns
+	// it off entirely.
 	if cfg.TraceRing >= 0 {
 		s.traces = obs.NewCollector(cfg.TraceRing)
 	}

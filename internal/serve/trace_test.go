@@ -12,6 +12,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -23,7 +24,7 @@ import (
 )
 
 // beamCluster has three devices, so synth.Auto picks the beam search and
-// the trace carries per-level beam_level spans (two devices solve exactly).
+// the search span carries the beam's level sums (two devices solve exactly).
 func beamCluster() *cluster.Cluster {
 	return cluster.FromGPUs(cluster.DefaultNetwork(),
 		cluster.MachineSpec{Type: cluster.V100, GPUs: 2},
@@ -103,10 +104,43 @@ func assertWellFormed(t *testing.T, rec *obs.TraceRecord) {
 	}
 }
 
+// wantSearchLevels holds a beam miss's trace to the search contract: every
+// search span sums its beam levels — at least two, as many candidates as
+// the selection loop read or more, the merge sorting no more than it was
+// given — and no span is recorded per level.
+func wantSearchLevels(t *testing.T, rec *obs.TraceRecord) {
+	t.Helper()
+	searches := 0
+	for _, sp := range rec.Spans {
+		if sp.Name != "search" {
+			continue
+		}
+		searches++
+		n := map[string]int{}
+		for _, attr := range []string{"levels", "candidates", "read", "sorted"} {
+			v, err := strconv.Atoi(sp.Attrs[attr])
+			if err != nil {
+				t.Fatalf("search span %s attr %q: %v (attrs %v)", attr, sp.Attrs[attr], err, sp.Attrs)
+			}
+			n[attr] = v
+		}
+		if n["levels"] < 2 || n["read"] > n["candidates"] || n["sorted"] > n["candidates"] {
+			t.Errorf("search span sums %v, want levels >= 2, read and sorted <= candidates", n)
+		}
+	}
+	if searches == 0 {
+		t.Error("trace has no search span")
+	}
+	if n := spanNames(rec)["beam_level"]; n != 0 {
+		t.Errorf("trace records %d beam_level spans, want the levels summed on the search span", n)
+	}
+}
+
 // TestTraceSingleNodeSynthesis: a cold miss on a standalone daemon records
 // one trace whose span tree covers the whole pipeline — decode, cache
-// lookup, flight, synthesize, theory, per-level beam search, verify,
-// encode — and a repeat hit records a trace with no synthesis.
+// lookup, flight, synthesize, theory, beam search, verify, encode — with
+// the beam's levels summed on the search span, and a repeat hit records a
+// trace with no synthesis.
 func TestTraceSingleNodeSynthesis(t *testing.T) {
 	srv := httptest.NewServer(New(Config{}).Handler())
 	defer srv.Close()
@@ -129,21 +163,18 @@ func TestTraceSingleNodeSynthesis(t *testing.T) {
 	rec := getTrace(t, srv.URL, traceID)
 	assertWellFormed(t, rec)
 	names := spanNames(rec)
-	for _, want := range []string{"request", "decode", "cache_lookup", "flight", "synthesize", "theory", "search", "beam_level", "verify", "encode"} {
+	for _, want := range []string{"request", "decode", "cache_lookup", "flight", "synthesize", "theory", "search", "verify", "encode"} {
 		if names[want] == 0 {
 			t.Errorf("trace lacks a %q span (got %v)", want, names)
 		}
 	}
-	if names["beam_level"] < 2 {
-		t.Errorf("beam search recorded %d beam_level spans, want one per level (>= 2)", names["beam_level"])
-	}
+	wantSearchLevels(t, rec)
 	root := rec.Root()
 	if root.Attrs["cache"] != "miss" || root.Attrs["endpoint"] != EndpointV1 {
 		t.Errorf("root attrs = %v, want cache=miss endpoint=%s", root.Attrs, EndpointV1)
 	}
 	spanAttrs := map[string][]string{
-		"beam_level": {"candidates", "read", "sorted"},
-		"flight":     {"key", "shared"},
+		"flight": {"key", "shared"},
 	}
 	for _, sp := range rec.Spans {
 		for _, attr := range spanAttrs[sp.Name] {
@@ -384,11 +415,12 @@ func TestTraceFleetCrossNode(t *testing.T) {
 	assertWellFormed(t, rec)
 
 	names := spanNames(rec)
-	for _, want := range []string{"request", "proxy", "synthesize", "theory", "search", "beam_level", "verify", "encode", "replicate", "replicate_push"} {
+	for _, want := range []string{"request", "proxy", "synthesize", "theory", "search", "verify", "encode", "replicate", "replicate_push"} {
 		if names[want] == 0 {
 			t.Errorf("cross-node trace lacks a %q span (got %v)", want, names)
 		}
 	}
+	wantSearchLevels(t, rec)
 	if names["request"] != 2 {
 		t.Errorf("cross-node trace has %d request spans, want 2 (one per node)", names["request"])
 	}

@@ -498,10 +498,11 @@ type Synthesizer struct {
 	// the AfterFunc callback writes it from another goroutine.
 	expired atomic.Bool
 	// span is the tracing span covering this search, resolved once from the
-	// Run context. Nil when tracing is off — every use below is nil-safe, so
-	// the hot path pays a pointer check per beam level and nothing per
-	// candidate (guarded by TestSearchAllocationPin).
+	// Run context. Nil when tracing is off — every use is nil-safe and none
+	// is inside the search loops (guarded by TestSearchAllocationPin).
 	span *obs.Span
+	// tally sums the beam's levels over a Run for the search span.
+	tally beamTally
 	// totalFlopsPerSec is the admissible-heuristic denominator.
 	totalFlopsPerSec float64
 	outputs          []theory.Output
@@ -714,6 +715,7 @@ func (sy *Synthesizer) Run(ctx context.Context) (*dist.Program, Stats, error) {
 	}
 	sy.ctx, sy.start = ctx, time.Now()
 	sy.deadline, _ = ctx.Deadline()
+	sy.tally = beamTally{}
 	// One context lookup per search; nil (tracing off) makes every span call
 	// below a no-op.
 	sy.span = obs.SpanFromContext(ctx).Child("search")
@@ -774,21 +776,41 @@ func (sy *Synthesizer) Run(ctx context.Context) (*dist.Program, Stats, error) {
 	}
 	stats.Elapsed = time.Since(sy.start)
 	if err != nil {
-		if sy.span != nil {
-			sy.span.SetAttrInt("expansions", int64(stats.Expansions))
-			sy.span.SetAttrStr("error", err.Error())
-			sy.span.End()
-		}
+		sy.endSpan(stats, err)
 		return nil, stats, err
 	}
 	stats.Cost = best.effCost()
-	if sy.span != nil {
-		sy.span.SetAttrInt("expansions", int64(stats.Expansions))
-		sy.span.SetAttrInt("pushed", int64(stats.Pushed))
-		sy.span.SetAttrFloat("cost", stats.Cost)
-		sy.span.End()
-	}
+	sy.endSpan(stats, nil)
 	return sy.program(best.tail), stats, nil
+}
+
+// endSpan records the search's totals on its span and ends it: the effort,
+// the beam's level sums, and the error or the cost. No-op untraced.
+func (sy *Synthesizer) endSpan(stats Stats, err error) {
+	sp := sy.span
+	if sp == nil {
+		return
+	}
+	sp.SetAttrInt("expansions", int64(stats.Expansions))
+	if sy.opt.BeamWidth > 0 {
+		t := &sy.tally
+		sp.SetAttrInt("levels", int64(t.levels))
+		sp.SetAttrInt("candidates", int64(t.candidates))
+		sp.SetAttrInt("read", int64(t.read))
+		sp.SetAttrInt("sorted", int64(t.sorted))
+		if t.aborted {
+			sp.SetAttrBool("aborted", true)
+			sp.SetAttrInt("depth", int64(t.abortDepth))
+			sp.SetAttrInt("states", int64(t.abortStates))
+		}
+	}
+	if err != nil {
+		sp.SetAttrStr("error", err.Error())
+	} else {
+		sp.SetAttrInt("pushed", int64(stats.Pushed))
+		sp.SetAttrFloat("cost", stats.Cost)
+	}
+	sp.End()
 }
 
 // runAStar is the exact search of Fig. 10.
@@ -1030,10 +1052,8 @@ func (sy *Synthesizer) runBeam(root *state) (*state, Stats, error) {
 	// The buffers go back to the scratch however the search ends, grown.
 	defer func() { bs.kept, bs.next, bs.level = kept, next[:0], level[:0] }()
 	maxLevels := 3*sy.g.NumNodes() + 100
+	t := &sy.tally
 	for depth := 0; depth < maxLevels && len(level) > 0; depth++ {
-		// One span per beam level (nil when tracing is off — the only cost
-		// then is this nil check, not per-candidate work).
-		lv := sy.span.Child("beam_level")
 		n := len(level)
 		// Phase 1: scoring, in (parent, enumeration index) order — the fixed
 		// input the merge's sort permutes.
@@ -1041,7 +1061,7 @@ func (sy *Synthesizer) runBeam(root *state) (*state, Stats, error) {
 		for pi := 0; pi < n; pi++ {
 			stats.Expansions++
 			if err := sy.overBudget(stats.Expansions); err != nil {
-				endAborted(lv, depth, n)
+				t.aborted, t.abortDepth, t.abortStates = true, depth, n
 				return nil, stats, err
 			}
 			sy.scoreCandidates(level[pi], lc)
@@ -1112,15 +1132,10 @@ func (sy *Synthesizer) runBeam(root *state) (*state, Stats, error) {
 				sy.release(s)
 			}
 		}
-		if lv != nil {
-			lv.SetAttrInt("depth", int64(depth))
-			lv.SetAttrInt("states", int64(n))
-			lv.SetAttrInt("candidates", int64(len(refs)))
-			lv.SetAttrInt("read", int64(read))
-			lv.SetAttrInt("sorted", int64(sy.merge.sorted))
-			lv.SetAttrInt("survivors", int64(len(next)))
-			lv.End()
-		}
+		t.levels++
+		t.candidates += len(refs)
+		t.read += read
+		t.sorted += sy.merge.sorted
 		level, next = next, level
 	}
 	if best == nil {
@@ -1159,16 +1174,17 @@ type beamScratch struct {
 	next, level []*state
 }
 
-// endAborted records the beam level a budget or cancellation cut short, so
-// the trace of an aborted search ends at the level it was cut at.
-func endAborted(lv *obs.Span, depth, states int) {
-	if lv == nil {
-		return
-	}
-	lv.SetAttrInt("depth", int64(depth))
-	lv.SetAttrInt("states", int64(states))
-	lv.SetAttrBool("aborted", true)
-	lv.End()
+// beamTally is what the search span reports of the beam's levels: four
+// sums over every level a Run searched (both searches of a cold fallback) —
+// the levels, their candidates, how many of those the selection loop read
+// and how many the lazy merge sorted — and, when a deadline or a
+// cancellation cut the search short, the depth and live state count of the
+// level it stopped at. Integer adds per level, kept whether or not the
+// search is traced.
+type beamTally struct {
+	levels, candidates, read, sorted int
+	aborted                          bool
+	abortDepth, abortStates          int
 }
 
 // overBudget reports a passed deadline or a ctx cancellation. Checked once

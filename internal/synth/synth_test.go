@@ -314,20 +314,20 @@ func traced(ctx context.Context) (context.Context, *obs.Trace) {
 }
 
 // wantAbortedLevel holds an aborted beam search's trace to the level it was
-// cut at: one recorded beam_level span, marked aborted, with its position.
+// cut at: the one search span, marked aborted, with the level's position.
 func wantAbortedLevel(t *testing.T, tr *obs.Trace) {
 	t.Helper()
-	var levels []obs.SpanRecord
+	var searches []obs.SpanRecord
 	for _, sp := range tr.Snapshot() {
-		if sp.Name == "beam_level" {
-			levels = append(levels, sp)
+		if sp.Name == "search" {
+			searches = append(searches, sp)
 		}
 	}
-	if len(levels) != 1 {
-		t.Fatalf("trace has %d beam_level spans, want the one the search was cut at", len(levels))
+	if len(searches) != 1 {
+		t.Fatalf("trace has %d search spans, want 1", len(searches))
 	}
-	if a := levels[0].Attrs; a["aborted"] != "true" || a["depth"] != "0" || a["states"] != "1" {
-		t.Errorf("cut-short beam_level has attrs %v, want aborted=true depth=0 states=1", a)
+	if a := searches[0].Attrs; a["aborted"] != "true" || a["depth"] != "0" || a["states"] != "1" {
+		t.Errorf("cut-short search has attrs %v, want aborted=true depth=0 states=1", a)
 	}
 }
 
