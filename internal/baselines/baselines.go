@@ -57,12 +57,6 @@ func leafWants(g *graph.Graph, tr *theory.Triple, allowExpertShard bool) bool {
 	return true
 }
 
-// isSFB reports whether the triple is a replicated MatMul over gathered
-// operands — the pattern sufficient factor broadcasting synthesizes through.
-func isSFB(g *graph.Graph, tr *theory.Triple) bool {
-	return !tr.FlopsScaled && g.Node(tr.Node).Kind == graph.MatMul && len(tr.Pre) == 2
-}
-
 func plan(name string, g *graph.Graph, c *cluster.Cluster, th *theory.Theory,
 	ratios []float64, opt synth.Options) (*Plan, error) {
 	b := cost.UniformRatios(g.NumSegments(), ratios)
@@ -88,7 +82,7 @@ func autoOpts() synth.Options {
 // DPEV builds the DP-EV baseline: data parallelism, even sharding ratios.
 func DPEV(g *graph.Graph, c *cluster.Cluster) (*Plan, error) {
 	th := theory.New(g).Filter(func(tr *theory.Triple) bool {
-		return leafWants(g, tr, false) && !isSFB(g, tr)
+		return leafWants(g, tr, false) && !theory.IsSFB(g, tr)
 	})
 	return plan("DP-EV", g, c, th, c.EvenRatios(), autoOpts())
 }
@@ -97,7 +91,7 @@ func DPEV(g *graph.Graph, c *cluster.Cluster) (*Plan, error) {
 // device compute power.
 func DPCP(g *graph.Graph, c *cluster.Cluster) (*Plan, error) {
 	th := theory.New(g).Filter(func(tr *theory.Triple) bool {
-		return leafWants(g, tr, false) && !isSFB(g, tr)
+		return leafWants(g, tr, false) && !theory.IsSFB(g, tr)
 	})
 	return plan("DP-CP", g, c, th, c.ProportionalRatios(), autoOpts())
 }
@@ -108,16 +102,8 @@ func DPCP(g *graph.Graph, c *cluster.Cluster) (*Plan, error) {
 // multiple of the device count (PadExperts), as DeepSpeed requires.
 func DeepSpeed(g *graph.Graph, c *cluster.Cluster) (*Plan, error) {
 	th := theory.New(g).Filter(func(tr *theory.Triple) bool {
-		if !leafWants(g, tr, true) || isSFB(g, tr) {
-			return false
-		}
-		// DeepSpeed-MoE always partitions on the expert dimension: keep
-		// only the expert-parallel rules for the expert matmul family.
-		switch g.Node(tr.Node).Kind {
-		case graph.ExpertMM, graph.ExpertMMGradX, graph.ExpertMMGradW:
-			return tr.Out.Kind == theory.Gather && tr.Out.Dim == 0
-		}
-		return true
+		// DeepSpeed-MoE always partitions on the expert dimension.
+		return leafWants(g, tr, true) && !theory.IsSFB(g, tr) && theory.ExpertParallel(g, tr)
 	})
 	return plan("DeepSpeed", g, c, th, c.EvenRatios(), autoOpts())
 }

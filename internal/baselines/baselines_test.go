@@ -62,7 +62,7 @@ func TestTAGAllowsSFB(t *testing.T) {
 	g := models.Training(models.MLP(256, 64, 128, 10))
 	th := theory.New(g)
 	sfb := 0
-	filtered := th.Filter(func(tr *theory.Triple) bool { return isSFB(g, tr) })
+	filtered := th.Filter(func(tr *theory.Triple) bool { return theory.IsSFB(g, tr) })
 	for _, trs := range filtered.ByNode {
 		sfb += len(trs)
 	}

@@ -153,11 +153,7 @@ func Optimize(ctx context.Context, g *graph.Graph, c *cluster.Cluster, opt Optio
 	portfolio := []*theory.Theory{th}
 	if hasExperts(g) {
 		portfolio = append(portfolio, th.Filter(func(tr *theory.Triple) bool {
-			switch g.Node(tr.Node).Kind {
-			case graph.ExpertMM, graph.ExpertMMGradX, graph.ExpertMMGradW:
-				return tr.Out.Kind == theory.Gather && tr.Out.Dim == 0
-			}
-			return true
+			return theory.ExpertParallel(g, tr)
 		}))
 	}
 

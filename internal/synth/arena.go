@@ -5,22 +5,21 @@
 // ~40% of clones on model-scale searches, since a level's survivors outlive
 // the level that allocated them — paid five separate allocations (the state
 // plus four slice backings). The arena batch-allocates states in blocks and
-// carves each state's fixed-size backing (placed, openComp, one bitset) and
-// initial props capacity out of per-block slabs: a miss is one slab index, a
-// hit is a free-list pop. Nothing escapes a search — Run rebuilds the winning
-// program from the trail before returning — so the slabs live as long as the
-// Synthesizer: the next Run rewinds the arena (rewind), handing every state
-// it ever carved back to the free list with its backing, so a Synthesizer
-// that serves a whole Q↔B loop reuses what its first search carved.
+// carves each state's fixed-size backing (placed, openComp, both bitsets)
+// and initial props capacity out of per-block slabs: a miss is one slab
+// index, a hit is a free-list pop. Nothing escapes a search — Run rebuilds
+// the winning program from the trail before returning — so the slabs live
+// as long as the Synthesizer: the next Run rewinds the arena (rewind),
+// handing every state it ever carved back to the free list with its
+// backing, so a Synthesizer that serves a whole Q↔B loop reuses what its
+// first search carved.
 //
-// No state outlives its level as an ancestor: a step's program is a trail
+// Every state owns all of its backing — clone copies, it never shares — and
+// no state outlives its level as an ancestor: a step's program is a trail
 // record (Synthesizer.trail), so every state of a retiring level returns
 // here whole, backing included, and the next level's successors reuse it.
 // A search therefore carves about two levels' worth of states, however deep
 // it runs, and props backing that has already grown to the graph is reused.
-// The one thing a retiring state cannot hand back is a bitset its children
-// still borrow copy-on-write; get gives a state arriving without a spare
-// bitset one from the bitset slab, so cowCopy stays off the heap.
 //
 // Communication frontiers (state.front) are not per-state backing: a state
 // needs one only while it sits in the beam, so their buffers are a second
@@ -35,8 +34,8 @@ package synth
 import "hap/internal/theory"
 
 const (
-	// arenaBlock is the number of states (and of backings, and of bitsets)
-	// allocated per slab.
+	// arenaBlock is the number of states (and of backings) allocated per
+	// slab.
 	arenaBlock = 256
 	// arenaPropCap and arenaFrontCap are the initial capacities carved from
 	// the slabs. A state whose props (or a frontier buffer whose entries)
@@ -58,8 +57,7 @@ type stateArena struct {
 	// blocks are the state blocks allocated so far; the last one's uncarved
 	// rest is block.
 	blocks [][]state
-	// The current slabs' uncarved rest: state structs, bitsets, and the
-	// structs' backings.
+	// The current slabs' uncarved rest: state structs and their backings.
 	block  []state
 	bits   []uint64
 	placed []int8
@@ -78,50 +76,35 @@ func (a *stateArena) init(nodes, m, words, width int) {
 
 // get returns a recycled state, or carves a fresh one from the current
 // block. Fresh states come with zero-length slices whose capacities alias
-// the slabs, so the caller's append-into pattern fills them in place; every
-// state comes with at least one spare bitset: every expansion copies-on-write
-// exactly one of its two sets, so cowCopy never reaches the heap.
+// the slabs, so the caller's append-into pattern fills them in place.
 func (a *stateArena) get() *state {
-	var s *state
 	if n := len(a.free); n > 0 {
-		s = a.free[n-1]
+		s := a.free[n-1]
 		a.free[n-1] = nil
 		a.free = a.free[:n-1]
-	} else {
-		if len(a.block) == 0 {
-			a.block = make([]state, arenaBlock)
-			a.blocks = append(a.blocks, a.block)
-			a.placed = make([]int8, arenaBlock*a.nodes)
-			a.comp = make([]float64, arenaBlock*a.m)
-			a.props = make([]theory.Property, arenaBlock*arenaPropCap)
-		}
-		s = &a.block[0]
-		a.block = a.block[1:]
-		s.placed, a.placed = a.placed[:0:a.nodes], a.placed[a.nodes:]
-		s.openComp, a.comp = a.comp[:0:a.m], a.comp[a.m:]
-		s.props, a.props = a.props[:0:arenaPropCap], a.props[arenaPropCap:]
+		return s
 	}
-	if s.spare[0] == nil && s.spare[1] == nil {
-		s.spare[0] = a.bitset()
+	if len(a.block) == 0 {
+		a.block = make([]state, arenaBlock)
+		a.blocks = append(a.blocks, a.block)
+		a.placed = make([]int8, arenaBlock*a.nodes)
+		a.comp = make([]float64, arenaBlock*a.m)
+		a.props = make([]theory.Property, arenaBlock*arenaPropCap)
+		a.bits = make([]uint64, arenaBlock*2*a.words)
 	}
+	s := &a.block[0]
+	a.block = a.block[1:]
+	s.placed, a.placed = a.placed[:0:a.nodes], a.placed[a.nodes:]
+	s.openComp, a.comp = a.comp[:0:a.m], a.comp[a.m:]
+	s.props, a.props = a.props[:0:arenaPropCap], a.props[arenaPropCap:]
+	s.computed, a.bits = a.bits[:0:a.words], a.bits[a.words:]
+	s.communicated, a.bits = a.bits[:0:a.words], a.bits[a.words:]
 	return s
 }
 
-// bitset carves a zeroed bitset from the bitset slab: the slab is never
-// re-carved, so its uncarved rest is still zero.
-func (a *stateArena) bitset() []uint64 {
-	if len(a.bits) < a.words {
-		a.bits = make([]uint64, arenaBlock*a.words)
-	}
-	b := a.bits[:a.words:a.words]
-	a.bits = a.bits[a.words:]
-	return b
-}
-
 // rewind makes every state the arena has carved free again, for the next
-// search: no state outlives the Run that used it. Each keeps its backing;
-// the bitsets it owned become its spares (a borrowed one has its owner), and
-// its frontier buffer goes back to the frontier free list.
+// search: no state outlives the Run that used it. Each keeps its backing,
+// and its frontier buffer goes back to the frontier free list.
 func (a *stateArena) rewind() {
 	a.free = a.free[:0]
 	for i, blk := range a.blocks {
@@ -130,14 +113,6 @@ func (a *stateArena) rewind() {
 		}
 		for j := range blk {
 			s := &blk[j]
-			if s.ownsComputed {
-				s.stash(s.computed)
-			}
-			if s.ownsCommunicated {
-				s.stash(s.communicated)
-			}
-			s.computed, s.communicated = nil, nil
-			s.ownsComputed, s.ownsCommunicated = false, false
 			a.putFront(s.front)
 			s.front = nil
 			a.free = append(a.free, s)

@@ -94,14 +94,18 @@ func (in *seededInput) search() (*dist.Program, Stats, error) {
 // allocated and the flops were recomputed. A count fails past its pin + 25 %: fresh states carving new slabs
 // instead of reusing retired ones cost about one allocation per two states
 // materialized (VGG19 read 5 722 before retired states handed their backing
-// back); a fresh state's copy-on-write bitset missing the arena's slab costs
-// one per state (9 665 before the slab); a closure in runBeam that captures
+// back); every state's two bitsets are carved from the arena's slab beside
+// its other backing and copied on clone — carved from the heap they cost one
+// allocation per copy (9 665 before the slab), and while a child borrowed
+// its parent's bitsets copy-on-write a retiring parent could not hand them
+// back, so the rows read 437 / 1 420 KiB, 734 / 3 742, 879 / 5 626,
+// 437 / 1 414 and 145 / 452; a closure in runBeam that captures
 // the selection loop's locals moves them to the heap once per iteration
 // (19 631 before the materialize loop went serial) — escape analysis is
 // per function, not per branch. The incremental
 // row read 2 793 while the replay kept each tensor's properties in a map,
 // the donor's theory allocated per triple, the hasher per node signature and
-// the seed a slice per pin; BuildSeed is now 43 of its 145 (the donor's
+// the seed a slice per pin; BuildSeed is now 43 of its 140 (the donor's
 // theory 12, the diff 7, the replay's mirror and branches, the seed's
 // tables). Bytes fail past their pin + 5 %:
 // retired ancestors kept as state structs until the search ends, and
@@ -138,15 +142,15 @@ func TestSearchAllocationPin(t *testing.T) {
 		allocs int
 		kib    int
 	}{
-		{"VGG19", cold(models.ModelVGG19, het), 437, 1420},
-		{"BERT-Base", cold(models.ModelBERTBase, het), 734, 3742},
-		{"BERT-MoE", cold(models.ModelBERTMoE, het), 879, 5626},
-		{"VGG19 hom4", cold(models.ModelVGG19, cluster.PaperHomogeneous(2)), 437, 1414},
+		{"VGG19", cold(models.ModelVGG19, het), 413, 1319},
+		{"BERT-Base", cold(models.ModelBERTBase, het), 690, 3221},
+		{"BERT-MoE", cold(models.ModelBERTMoE, het), 822, 4826},
+		{"VGG19 hom4", cold(models.ModelVGG19, cluster.PaperHomogeneous(2)), 415, 1326},
 		{"VGG19 incremental", func() {
 			if _, _, err := seeded.search(); err != nil {
 				t.Fatal(err)
 			}
-		}, 145, 452},
+		}, 140, 436},
 	} {
 		got := testing.AllocsPerRun(2, row.search)
 		kib := kibPerRun(2, row.search)
@@ -159,6 +163,34 @@ func TestSearchAllocationPin(t *testing.T) {
 		}
 	}
 
+}
+
+// TestRerunAllocationPin holds a reused Synthesizer's second Run to a flat
+// allocation count on every paper model: the arena, the trail and the beam's
+// scratch all survive from the first Run, so what a re-run allocates is the
+// emitted program and the search's fixed overhead, not its states. The
+// Q↔B loop re-prices one Synthesizer per arm and leans on this. The runs
+// read 19–21; while children borrowed their parents' bitsets copy-on-write,
+// a retiring parent could not hand its bitsets back, every re-run carved
+// fresh ones and read 34 / 58 / 71 (VGG19 / BERT-Base / BERT-MoE), growing
+// with the search.
+func TestRerunAllocationPin(t *testing.T) {
+	const pin = 24
+	for _, model := range []models.PaperModel{models.ModelVGG19, models.ModelBERTBase, models.ModelBERTMoE} {
+		g, th, c, ratios := benchInput(model)
+		sy := New(g, th, c, ratios, Options{BeamWidth: 48})
+		run := func() {
+			if _, _, err := sy.Run(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+		}
+		run()
+		got := testing.AllocsPerRun(2, run)
+		t.Logf("%s: %.0f allocs per re-run", model, got)
+		if got > pin {
+			t.Errorf("%s: a reused Synthesizer's Run made %.0f allocations, want at most %d", model, got, pin)
+		}
+	}
 }
 
 func BenchmarkSynthesizeVGG19(b *testing.B) {

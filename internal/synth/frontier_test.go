@@ -119,12 +119,12 @@ func oracleCandidates(sy *Synthesizer, s *state, out []oracleCand) []oracleCand 
 		id := sy.reqNodes[s.nextReq]
 		trs := sy.th.ByNode[id]
 		if sd := sy.opt.Seed; sd != nil && sd.compPin[id] != nil {
-			if pin := sd.compPin[id]; !(sy.opt.DisableSFB && sy.isSFBTriple(pin)) && sy.compApplicable(s, pin) {
+			if pin := sd.compPin[id]; !(sy.opt.DisableSFB && theory.IsSFB(sy.g, pin)) && sy.compApplicable(s, pin) {
 				trs = sd.compPin[id : id+1 : id+1]
 			}
 		}
 		for _, tr := range trs {
-			if sy.opt.DisableSFB && sy.isSFBTriple(tr) {
+			if sy.opt.DisableSFB && theory.IsSFB(sy.g, tr) {
 				continue
 			}
 			if sy.compApplicable(s, tr) {
@@ -386,7 +386,7 @@ func FuzzFrontierWalk(f *testing.F) {
 					continue
 				}
 				for _, tr := range th.ByNode[id] {
-					if !(opt.DisableSFB && sy.isSFBTriple(tr)) && sy.compApplicable(s, tr) {
+					if !(opt.DisableSFB && theory.IsSFB(sy.g, tr)) && sy.compApplicable(s, tr) {
 						comps = append(comps, tr)
 					}
 				}

@@ -85,8 +85,8 @@ func checkCommOrders(t testing.TB, sy *Synthesizer, s *state, pick byte) {
 		t.Fatalf("depth %d: %+v then %+v reaches key %016x, the other order %016x (same content: %v)",
 			s.depth, first, second, ab.key(), ba.key(), sameContent(ab, ba))
 	}
-	for _, x := range []*state{ab, m1, ba, m2} { // children before the parents they borrow from
-		sy.release(x)
+	for _, x := range []*state{ab, m1, ba, m2} {
+		sy.retire(x)
 	}
 }
 
@@ -109,7 +109,7 @@ func checkChildKeys(t testing.TB, sy *Synthesizer, s *state, comps []*theory.Tri
 			t.Fatalf("depth %d: childKey of %+v is %016x, the child it builds has key %016x", s.depth, st, got, want)
 		}
 		checkComplete(t, sy, ns)
-		sy.release(ns)
+		sy.retire(ns)
 	}
 	for _, tr := range comps {
 		ns := sy.applyComp(s, tr)

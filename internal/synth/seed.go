@@ -452,7 +452,7 @@ func (sy *Synthesizer) fastForward(root *state) (*state, int, bool) {
 		if st.comm {
 			ns = sy.applySeedComm(s, st)
 		} else if int(s.nextReq) < len(sy.reqNodes) && sy.reqNodes[s.nextReq] == st.node &&
-			!(sy.opt.DisableSFB && sy.isSFBTriple(st.tr)) {
+			!(sy.opt.DisableSFB && theory.IsSFB(sy.g, st.tr)) {
 			if ns = sy.applyComp(s, st.tr); ns != nil {
 				ns.nextReq = s.nextReq + 1
 			}

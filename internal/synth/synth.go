@@ -25,8 +25,8 @@
 // merges each level's candidates in a deterministic total order, so the
 // emitted program is a function of the inputs alone; a beam state inherits its
 // parent's legal collectives instead of re-deriving them every level; and the
-// per-expansion hot path is allocation-lean — pooled states with
-// copy-on-write bitsets, a dedup key and a completeness count maintained per
+// per-expansion hot path is allocation-lean — states recycled whole from a
+// per-search arena, a dedup key and a completeness count maintained per
 // step, computation and collective costs tabled per B, and binary-searched
 // property sets.
 package synth
@@ -151,16 +151,6 @@ type state struct {
 	// of one elemCode per property, computed bit, communicated bit and leaf
 	// placement, kept current by the writers (see key).
 	h uint64
-
-	// Copy-on-write bookkeeping: clone shares the parent's bitset words and
-	// copies only on first mutation (each expansion touches one of the two
-	// sets, never both). owns* marks a backing array this state allocated —
-	// and may recycle on release, unless a child still borrows it (retire).
-	ownsComputed     bool
-	ownsCommunicated bool
-	// spare holds bitset backing arrays recycled from this state object's
-	// previous pooled lives, consumed by the next copy-on-write.
-	spare [2][]uint64
 }
 
 func (s *state) effCost() float64 {
@@ -176,42 +166,11 @@ func (s *state) effCost() float64 {
 func bitGet(b []uint64, i graph.NodeID) bool { return b[i/64]&(1<<(uint(i)%64)) != 0 }
 func bitSet(b []uint64, i graph.NodeID)      { b[i/64] |= 1 << (uint(i) % 64) }
 
-// cowCopy returns a private copy of src, reusing a spare backing array from
-// this state's previous pooled life when one is available.
-func (s *state) cowCopy(src []uint64) []uint64 {
-	var dst []uint64
-	for i, sp := range s.spare {
-		if sp != nil && len(sp) >= len(src) {
-			dst, s.spare[i] = sp[:len(src)], nil
-			break
-		}
-	}
-	if dst == nil {
-		dst = make([]uint64, len(src))
-	}
-	copy(dst, src)
-	return dst
-}
-
-func (s *state) stash(b []uint64) {
-	for i := range s.spare {
-		if s.spare[i] == nil {
-			s.spare[i] = b
-			return
-		}
-	}
-}
-
-// setComputed and setCommunicated are the only bitset writers: they
-// materialize the copy-on-write before mutating, and add a newly set bit to
-// the state key.
+// setComputed and setCommunicated are the only bitset writers: they add a
+// newly set bit to the state key.
 func (s *state) setComputed(id graph.NodeID) {
 	if bitGet(s.computed, id) {
 		return
-	}
-	if !s.ownsComputed {
-		s.computed = s.cowCopy(s.computed)
-		s.ownsComputed = true
 	}
 	bitSet(s.computed, id)
 	s.h ^= nodeCode(elemComputed, id)
@@ -220,10 +179,6 @@ func (s *state) setComputed(id graph.NodeID) {
 func (s *state) setCommunicated(id graph.NodeID) {
 	if bitGet(s.communicated, id) {
 		return
-	}
-	if !s.ownsCommunicated {
-		s.communicated = s.cowCopy(s.communicated)
-		s.ownsCommunicated = true
 	}
 	bitSet(s.communicated, id)
 	s.h ^= nodeCode(elemCommunicated, id)
@@ -235,15 +190,15 @@ func (s *state) place(ref graph.NodeID, v int8) {
 	s.h ^= placedCode(ref, v)
 }
 
-// clone allocates a successor of s from the per-search arena. The bitsets
-// are shared copy-on-write; every other slice is copied into the recycled
-// state's backing. A search runs on one goroutine, which is what lets the
-// arena go unlocked.
+// clone allocates a successor of s from the per-search arena, copying
+// every slice into the recycled state's own backing: no two states share a
+// word, so a state returns to the arena whole whenever it leaves the search.
+// A search runs on one goroutine, which is what lets the arena go unlocked.
 func (sy *Synthesizer) clone(s *state) *state {
 	c := sy.arena.get()
 	c.props = append(c.props[:0], s.props...)
-	c.computed, c.ownsComputed = s.computed, false
-	c.communicated, c.ownsCommunicated = s.communicated, false
+	c.computed = append(c.computed[:0], s.computed...)
+	c.communicated = append(c.communicated[:0], s.communicated...)
 	c.placed = append(c.placed[:0], s.placed...)
 	c.closedCost = s.closedCost
 	c.openComm = s.openComm
@@ -258,26 +213,9 @@ func (sy *Synthesizer) clone(s *state) *state {
 	return c
 }
 
-// release returns s to the arena and recycles the bitsets it owns. Callers
-// must guarantee no live state borrows those bitsets: a fresh complete
-// candidate that loses to the best so far, or a beam-level state retired
-// with no surviving child, satisfies this (see runBeam's retirement).
-func (sy *Synthesizer) release(s *state) {
-	if s.ownsComputed {
-		s.stash(s.computed)
-	}
-	if s.ownsCommunicated {
-		s.stash(s.communicated)
-	}
-	sy.retire(s)
-}
-
-// retire returns s to the arena whole while children may still borrow its
-// bitsets: those stay with the children and are not recycled. Nothing else
-// of s is read again — its program lives on in the trail.
+// retire returns s to the arena whole, backing included: nothing of s is
+// read again — its program lives on in the trail.
 func (sy *Synthesizer) retire(s *state) {
-	s.computed, s.communicated = nil, nil
-	s.ownsComputed, s.ownsCommunicated = false, false
 	sy.dropFront(s)
 	sy.arena.put(s)
 }
@@ -528,9 +466,8 @@ type Synthesizer struct {
 	commPen [][]float64
 
 	// arena allocates and recycles beam states (and their slice backing);
-	// a level's states return whole when it retires (see release and retire
-	// for the aliasing discipline), and every state it carved returns when
-	// the next Run rewinds it.
+	// a level's states return whole when it retires (retire), and every
+	// state it carved returns when the next Run rewinds it.
 	arena stateArena
 	// trail holds one record per step taken this search (record), in
 	// chunks of trailChunk: every state's program, rebuilt on demand by
@@ -682,8 +619,10 @@ func (sy *Synthesizer) rootState() *state {
 	g := sy.g
 	root := sy.arena.get()
 	root.tail = -1
-	root.computed, root.communicated = sy.arena.bitset(), sy.arena.bitset()
-	root.ownsComputed, root.ownsCommunicated = true, true
+	root.computed = root.computed[:sy.words]
+	root.communicated = root.communicated[:sy.words]
+	clear(root.computed)
+	clear(root.communicated)
 	root.props = root.props[:0]
 	root.placed = root.placed[:g.NumNodes()]
 	root.openComp = root.openComp[:sy.c.M()]
@@ -914,12 +853,12 @@ func (sy *Synthesizer) scoreCandidates(s *state, lc *levelCands) {
 		// applicable; an inapplicable pin (changed-region interference)
 		// degrades to full enumeration.
 		if sd := sy.opt.Seed; sd != nil && sd.compPin[id] != nil {
-			if pin := sd.compPin[id]; !(sy.opt.DisableSFB && sy.isSFBTriple(pin)) && sy.compApplicable(s, pin) {
+			if pin := sd.compPin[id]; !(sy.opt.DisableSFB && theory.IsSFB(sy.g, pin)) && sy.compApplicable(s, pin) {
 				trs = sd.compPin[id : id+1 : id+1]
 			}
 		}
 		for _, tr := range trs {
-			if sy.opt.DisableSFB && sy.isSFBTriple(tr) {
+			if sy.opt.DisableSFB && theory.IsSFB(sy.g, tr) {
 				continue
 			}
 			if sy.compApplicable(s, tr) {
@@ -1047,10 +986,10 @@ func (sy *Synthesizer) runBeam(root *state) (*state, Stats, error) {
 		bs.visited = map[uint64]struct{}{}
 	}
 	lc, visited := &bs.lc, bs.visited
-	kept, next := bs.kept, bs.next[:0]
+	next := bs.next[:0]
 	level := append(bs.level[:0], root)
 	// The buffers go back to the scratch however the search ends, grown.
-	defer func() { bs.kept, bs.next, bs.level = kept, next[:0], level[:0] }()
+	defer func() { bs.next, bs.level = next[:0], level[:0] }()
 	maxLevels := 3*sy.g.NumNodes() + 100
 	t := &sy.tally
 	for depth := 0; depth < maxLevels && len(level) > 0; depth++ {
@@ -1079,11 +1018,6 @@ func (sy *Synthesizer) runBeam(root *state) (*state, Stats, error) {
 		// Phase 3: materialize + select survivors in merge order.
 		clear(visited)
 		next = next[:0]
-		if cap(kept) < n {
-			kept = make([]bool, n)
-		}
-		kept = kept[:n]
-		clear(kept)
 		read := 0
 		for read < len(refs) {
 			if read >= sy.merge.sorted {
@@ -1108,29 +1042,21 @@ func (sy *Synthesizer) runBeam(root *state) (*state, Stats, error) {
 				if ec := ns.effCost(); best == nil || ec < bestCost {
 					sy.dropFront(ns) // never expanded
 					best, bestCost = ns, ec
-					kept[pi] = true
 				} else {
-					sy.release(ns)
+					sy.retire(ns)
 				}
 				continue
 			}
 			visited[key] = struct{}{}
 			next = append(next, ns)
-			kept[pi] = true
 			if len(next) >= sy.opt.BeamWidth {
 				break
 			}
 		}
 		// Retire this level: every state goes back to the arena whole — its
-		// program lives on in the trail. A state with a surviving child (or a
-		// retained complete one) leaves the bitsets it owns to the children
-		// borrowing them (retire); the others' are recycled too (release).
-		for pi, s := range level {
-			if kept[pi] {
-				sy.retire(s)
-			} else {
-				sy.release(s)
-			}
+		// program lives on in the trail.
+		for _, s := range level {
+			sy.retire(s)
 		}
 		t.levels++
 		t.candidates += len(refs)
@@ -1165,12 +1091,10 @@ func (sy *Synthesizer) runCold(seeded Stats) (*state, Stats, error) {
 
 // beamScratch is runBeam's per-level working set, kept on the Synthesizer
 // so a Run after the first allocates none of it: the level's candidates,
-// the dedup set, which parents kept a child, and the current and next
-// levels.
+// the dedup set, and the current and next levels.
 type beamScratch struct {
 	lc          levelCands
 	visited     map[uint64]struct{}
-	kept        []bool
 	next, level []*state
 }
 
@@ -1231,7 +1155,7 @@ func (sy *Synthesizer) expandFrom(s *state, out []*state) []*state {
 			continue
 		}
 		for _, tr := range sy.th.ByNode[id] {
-			if sy.opt.DisableSFB && sy.isSFBTriple(tr) {
+			if sy.opt.DisableSFB && theory.IsSFB(sy.g, tr) {
 				continue
 			}
 			if ns := sy.applyComp(s, tr); ns != nil {
@@ -1259,10 +1183,6 @@ func (sy *Synthesizer) ready(s *state, id graph.NodeID) bool {
 		}
 	}
 	return true
-}
-
-func (sy *Synthesizer) isSFBTriple(tr *theory.Triple) bool {
-	return !tr.FlopsScaled && sy.g.Node(tr.Node).Kind == graph.MatMul && len(tr.Pre) == 2
 }
 
 // compApplicable checks a computation triple's preconditions without

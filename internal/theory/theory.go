@@ -249,6 +249,27 @@ func (t *Theory) Filter(keep func(*Triple) bool) *Theory {
 	return nt
 }
 
+// IsSFB reports whether tr is a replicated MatMul over two non-leaf
+// operands — the pattern sufficient factor broadcasting synthesizes
+// through. The SFB ablation (synth.Options.DisableSFB) and the
+// data-parallel baselines drop these triples.
+func IsSFB(g *graph.Graph, tr *Triple) bool {
+	return !tr.FlopsScaled && g.Node(tr.Node).Kind == graph.MatMul && len(tr.Pre) == 2
+}
+
+// ExpertParallel reports whether tr keeps to expert parallelism: an expert
+// matmul, forward or either gradient, passes only when its output is
+// sharded on the expert dimension (dim 0); every other triple passes.
+// hapopt's expert-parallel portfolio arm and the DeepSpeed baseline search
+// theories filtered by it.
+func ExpertParallel(g *graph.Graph, tr *Triple) bool {
+	switch g.Node(tr.Node).Kind {
+	case graph.ExpertMM, graph.ExpertMMGradX, graph.ExpertMMGradW:
+		return tr.Out.Kind == Gather && tr.Out.Dim == 0
+	}
+	return true
+}
+
 // pre is a rule's input requirements: one property per input, held by
 // value so matching a rule allocates nothing. graph.Validate caps every
 // op's arity at 2.

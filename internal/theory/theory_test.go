@@ -5,6 +5,7 @@ import (
 
 	"hap/internal/autodiff"
 	"hap/internal/graph"
+	"hap/internal/models"
 )
 
 func matmulGraph() (*graph.Graph, graph.NodeID) {
@@ -229,5 +230,32 @@ func TestEveryModelOpHasRules(t *testing.T) {
 		if th.Required[id] && !g.Node(id).Kind.IsLeaf() && len(th.ByNode[id]) == 0 {
 			t.Errorf("node e%d (%v) has no rules", id, g.Node(id).Kind)
 		}
+	}
+}
+
+// TestExpertParallel holds the expert-parallel restriction on BERT-MoE:
+// every expert matmul, forward and both gradients, keeps exactly its
+// expert-dimension rule, and every other node keeps all of its triples.
+func TestExpertParallel(t *testing.T) {
+	g := models.Build(models.ModelBERTMoE, 4)
+	th := New(g)
+	ep := th.Filter(func(tr *Triple) bool { return ExpertParallel(g, tr) })
+	experts := 0
+	for id, trs := range th.ByNode {
+		switch g.Node(graph.NodeID(id)).Kind {
+		case graph.ExpertMM, graph.ExpertMMGradX, graph.ExpertMMGradW:
+			experts++
+			kept := ep.ByNode[id]
+			if len(kept) != 1 || kept[0].Out.Kind != Gather || kept[0].Out.Dim != 0 {
+				t.Errorf("node %d (%v): kept %d triples, want its one expert-dimension rule", id, g.Node(graph.NodeID(id)).Kind, len(kept))
+			}
+		default:
+			if len(ep.ByNode[id]) != len(trs) {
+				t.Errorf("node %d (%v): kept %d of %d triples", id, g.Node(graph.NodeID(id)).Kind, len(ep.ByNode[id]), len(trs))
+			}
+		}
+	}
+	if experts == 0 {
+		t.Fatal("BERT-MoE has no expert matmul")
 	}
 }
