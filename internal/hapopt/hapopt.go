@@ -158,8 +158,8 @@ func Optimize(ctx context.Context, g *graph.Graph, c *cluster.Cluster, opt Optio
 	}
 
 	// One Synthesizer per portfolio theory serves every iteration: SetRatios
-	// re-prices it for the new B, and each Run reuses the scratch the last
-	// one left.
+	// re-prices it for the new B, and each Run borrows its search memory
+	// from synth's process-wide pool.
 	arms := make([]*synth.Synthesizer, len(portfolio))
 	for i, th := range portfolio {
 		o := opt.Synth

@@ -371,6 +371,7 @@ func FuzzFrontierWalk(f *testing.F) {
 		g, th := graphs[gi], theories[gi]
 		opt := Options{BeamWidth: 4, DisableGroupedBroadcast: data[0]&2 != 0, DisableSFB: data[0]&4 != 0}
 		sy := New(g, th, c, ratios(c), opt)
+		sy.borrow() // the walk steps outside Run, on a scratch of its own
 		s := sy.rootState()
 		// The walk leaves the beam's schedule, so nextReq is parked past the
 		// end: scoreCandidates and the oracle then emit communication only.

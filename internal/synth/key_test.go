@@ -217,6 +217,7 @@ func TestStateKeyMatchesRebuild(t *testing.T) {
 		g := mlpTraining()
 		c := twoDevices()
 		sy := New(g, theory.New(g), c, ratios(c), Options{})
+		sy.borrow() // the walk expands outside Run, on a scratch of its own
 		root := sy.rootState()
 		checkKey(t, root)
 		seen := map[uint64]*state{root.key(): root}
@@ -297,6 +298,7 @@ func TestTrailRebuildsPrograms(t *testing.T) {
 			t.Fatal("BuildSeed returned nil for an identical graph")
 		}
 		sy = New(g, th, c, cost.UniformRatios(g.NumSegments(), c.ProportionalRatios()), opt)
+		sy.borrow() // the fast-forward runs outside Run, on a scratch of its own
 		end, applied, done := sy.fastForward(sy.rootState())
 		if !done {
 			t.Fatalf("the fast-forward stopped after %d of %d steps", applied, opt.Seed.Steps())

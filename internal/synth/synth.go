@@ -337,7 +337,7 @@ type trailRec struct {
 const trailChunk = 1024
 
 // record appends st, taken from the state whose tail is prev, to the trail
-// and returns its index: the successor's tail. A chunk an earlier Run
+// and returns its index: the successor's tail. A chunk an earlier search
 // filled is re-sliced, not reallocated.
 func (sy *Synthesizer) record(prev int32, st step) int32 {
 	n := len(sy.trail)
@@ -409,10 +409,11 @@ func (q *pq) Pop() interface{} {
 }
 
 // Synthesizer holds a search's context. Everything but the ratios is fixed
-// at New; SetRatios re-prices the search for another B, and every Run
-// rewinds the scratch the previous one left (the arena, the trail, the
-// beam's buffers) instead of allocating it again, so one Synthesizer serves
-// a whole Q↔B loop.
+// at New; SetRatios re-prices the search for another B, so one Synthesizer
+// serves a whole Q↔B loop. New carves no search memory: every Run borrows
+// a scratch an earlier search returned (the arena, the trail, the beam's
+// buffers) and returns it, so searches reuse each other's memory
+// process-wide.
 type Synthesizer struct {
 	g     *graph.Graph
 	th    *theory.Theory
@@ -465,20 +466,10 @@ type Synthesizer struct {
 	commT   [][numColl]float64
 	commPen [][]float64
 
-	// arena allocates and recycles beam states (and their slice backing);
-	// a level's states return whole when it retires (retire), and every
-	// state it carved returns when the next Run rewinds it.
-	arena stateArena
-	// trail holds one record per step taken this search (record), in
-	// chunks of trailChunk: every state's program, rebuilt on demand by
-	// program. It only grows within a search, 32 bytes a step, so no state
-	// needs to outlive its level as an ancestor; the next Run re-slices it.
-	trail [][]trailRec
-	// beam is runBeam's per-level scratch, kept across Runs.
-	beam beamScratch
-	// merge is the beam's per-level lazy sort (its range stack lives here so
-	// a search allocates it once, with the Synthesizer).
-	merge lazySort
+	// runScratch is the search's working memory — the state arena, the
+	// trail, the beam's buffers — borrowed from scratchPool for the length
+	// of a Run (arena.go); nil between Runs.
+	*runScratch
 	// levelHook, when set (tests only), sees each level's states and their
 	// unsorted candidate refs before the merge permutes them.
 	levelHook func(level []*state, refs []candRef)
@@ -487,12 +478,6 @@ type Synthesizer struct {
 	// follow its placement (its gradient), -1 otherwise: the one tensor whose
 	// frontier segment a leaf placement changes.
 	gradOf []graph.NodeID
-
-	// Serial scratch (never used concurrently): exact A*'s successors and
-	// per-tensor segments, and inheritFront's touched set.
-	expandBuf []*state
-	segBuf    []frontEntry
-	touched   []graph.NodeID
 }
 
 // New prepares a synthesizer for one (graph, theory, cluster, ratios) tuple.
@@ -531,7 +516,6 @@ func New(g *graph.Graph, th *theory.Theory, c *cluster.Cluster, b [][]float64, o
 		compT:            make([][]float64, g.NumNodes()),
 		commT:            make([][numColl]float64, g.NumNodes()),
 	}
-	s.arena.init(g.NumNodes(), c.M(), s.words, opt.BeamWidth)
 	for i := range s.outputIdx {
 		s.outputIdx[i], s.gradOf[i] = -1, -1
 	}
@@ -670,10 +654,10 @@ func (sy *Synthesizer) Run(ctx context.Context) (*dist.Program, Stats, error) {
 	// An already-cancelled context must abort deterministically, not race
 	// the AfterFunc callback against a fast search.
 	sy.expired.Store(ctx.Err() != nil)
-	// Nothing of the previous Run survives it: its states and trail records
-	// are scratch for this one.
-	sy.arena.rewind()
-	sy.trail = sy.trail[:0]
+	// Nothing of an earlier search survives it: its states and trail
+	// records are scratch for this one, which gives them back below, once
+	// the program is rebuilt.
+	sy.borrow()
 	// ctx cancellation sets the expired latch the search already polls,
 	// keeping ctx.Err() (a mutex acquisition in the common cancelCtx case)
 	// off the per-expansion hot path. A context that can never be cancelled
@@ -715,12 +699,15 @@ func (sy *Synthesizer) Run(ctx context.Context) (*dist.Program, Stats, error) {
 	}
 	stats.Elapsed = time.Since(sy.start)
 	if err != nil {
+		sy.giveBack()
 		sy.endSpan(stats, err)
 		return nil, stats, err
 	}
 	stats.Cost = best.effCost()
 	sy.endSpan(stats, nil)
-	return sy.program(best.tail), stats, nil
+	p := sy.program(best.tail)
+	sy.giveBack()
+	return p, stats, nil
 }
 
 // endSpan records the search's totals on its span and ends it: the effort,
@@ -1082,16 +1069,16 @@ func (sy *Synthesizer) runCold(seeded Stats) (*state, Stats, error) {
 	defer func() { sy.opt = opt }()
 	sy.opt.Seed, sy.opt.BeamWidth = nil, sy.coldWidth
 	sy.arena.rewind()
-	sy.trail = sy.trail[:0]
+	sy.dropTrail()
 	best, stats, err := sy.runBeam(sy.rootState())
 	stats.Expansions += seeded.Expansions
 	stats.Pushed += seeded.Pushed
 	return best, stats, err
 }
 
-// beamScratch is runBeam's per-level working set, kept on the Synthesizer
-// so a Run after the first allocates none of it: the level's candidates,
-// the dedup set, and the current and next levels.
+// beamScratch is runBeam's per-level working set, kept in the run scratch
+// so a search on a reused scratch allocates none of it: the level's
+// candidates, the dedup set, and the current and next levels.
 type beamScratch struct {
 	lc          levelCands
 	visited     map[uint64]struct{}

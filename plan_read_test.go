@@ -47,6 +47,20 @@ func warmInputs() []warmInput {
 	}
 }
 
+// planColdInputs are the benchmark's plan_cold inputs, built as
+// bench/inputs.go builds them: four serve_warm inputs and BERT-Base cut to six
+// layers on the A100+P100 testbed.
+func planColdInputs() []warmInput {
+	warm := warmInputs()
+	a1p1 := cluster.PaperA100P100()
+	bert6 := func() *Graph {
+		cfg := models.BERTBase()
+		cfg.Layers = 6
+		return models.Training(models.BERT(cfg, models.PerDeviceBatch(models.ModelBERTBase)*a1p1.TotalGPUs()*cfg.SeqLen))
+	}
+	return []warmInput{warm[0], warm[1], warm[2], {"bert6/a100p100", bert6, a1p1}, warm[4]}
+}
+
 // warmPayload plans in and returns its binary payload, a fresh graph to
 // bind it to and that graph's fingerprint: what the Go client holds when a
 // warm hit's answer arrives.

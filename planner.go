@@ -40,7 +40,8 @@ func WithWorkers(int) Option { return func(*Options) {} }
 func WithOptions(opt Options) Option { return func(o *Options) { *o = opt } }
 
 // Planner plans distributed programs for one cluster. It is cheap to build,
-// immutable, and safe for concurrent use; synthesis state lives per call.
+// immutable, and safe for concurrent use; search memory is pooled
+// process-wide and released by the collector.
 type Planner struct {
 	c   *Cluster
 	opt Options

@@ -5,8 +5,11 @@ import (
 	"context"
 	"errors"
 	"math"
+	"runtime"
+	"runtime/debug"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -191,18 +194,47 @@ func TestPlanSurvivesBalancerFailure(t *testing.T) {
 	}
 }
 
+// scratchIdleCycles is internal/synth's: that many collections with no
+// search between them free the synthesizer's pooled scratches.
+const scratchIdleCycles = 8
+
+// allocsPerRun returns the fewest allocations f made in one of runs runs,
+// measured with the collector paused and on one P (internal/synth's
+// allocsPerRun has the reasons). A cold run first drains the synthesizer's
+// scratch pool with scratchIdleCycles collections, so its search carves its
+// memory as a fresh one; a warm run follows an unmeasured one, so its
+// search borrows the scratch a run before returned.
+func allocsPerRun(runs int, cold bool, f func()) float64 {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
+	allocs := math.Inf(1)
+	var before, after runtime.MemStats
+	for i := 0; i < runs; i++ {
+		for j := 0; cold && j < scratchIdleCycles; j++ {
+			runtime.GC()
+		}
+		runtime.ReadMemStats(&before)
+		f()
+		runtime.ReadMemStats(&after)
+		allocs = min(allocs, float64(after.Mallocs-before.Mallocs))
+	}
+	return allocs
+}
+
 // TestPlanAllocationPin holds what Plan adds around the optimization loop
-// on VGG19 × het8. Its own frame is pinned exactly: with the loop stood in by
-// a stub returning a finished result, Plan allocates planOverAllocs (the
-// Plan) more than the program's Validate. The caller's context reaches the
-// searches as it is, so with the real loop Plan allocates no more than
-// hapopt.Optimize and Validate do plus that pin: a context.Background()
-// caller pays for no cancel context, nor for the AfterFunc each search would
-// register on one. (A search's allocation count varies by a few between runs
-// of the same input, 506–511 here, so that comparison is of averages, within
-// loopNoise.)
+// on VGG19 × het8, exactly. With the loop stood in by a stub returning a
+// finished result, Plan allocates planOverAllocs (the Plan) more than the
+// program's Validate. The caller's context reaches the searches as it is,
+// so with the real loop Plan allocates exactly hapopt.Optimize's and
+// Validate's allocations plus that pin, cold (the search carves its
+// scratch) and warm (it borrows one) alike: a context.Background() caller
+// pays for no cancel context, nor for the AfterFunc each search would
+// register on one. (With the collector running, a whole search's count
+// varied by a few between runs of the same input, 506–511 here, so this
+// comparison allowed 3 allocations of noise.)
 func TestPlanAllocationPin(t *testing.T) {
-	const planOverAllocs, loopNoise = 1, 3
+	const planOverAllocs = 1
 	in := warmInputs()[0]
 	g, c := in.build(), in.c
 	p := NewPlanner(c)
@@ -211,7 +243,7 @@ func TestPlanAllocationPin(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	validate := testing.AllocsPerRun(5, func() {
+	validate := allocsPerRun(3, false, func() {
 		if err := res.Program.Validate(); err != nil {
 			t.Fatal(err)
 		}
@@ -224,20 +256,85 @@ func TestPlanAllocationPin(t *testing.T) {
 
 	defer func(f func(context.Context, *Graph, *Cluster, hapopt.Options) (*hapopt.Result, error)) { optimize = f }(optimize)
 	optimize = func(context.Context, *Graph, *Cluster, hapopt.Options) (*hapopt.Result, error) { return res, nil }
-	if got := testing.AllocsPerRun(5, plan) - validate; got != planOverAllocs {
+	if got := allocsPerRun(3, false, plan) - validate; got != planOverAllocs {
 		t.Errorf("%s: around a stubbed loop Plan allocates %.0f more than Validate, pin %d", in.name, got, planOverAllocs)
 	}
 
 	optimize = hapopt.Optimize
-	loop := testing.AllocsPerRun(5, func() {
-		if _, err := hapopt.Optimize(ctx, g, c, p.hapoptOptions()); err != nil {
-			t.Fatal(err)
+	for _, cold := range []bool{true, false} {
+		loop := allocsPerRun(3, cold, func() {
+			if _, err := hapopt.Optimize(ctx, g, c, p.hapoptOptions()); err != nil {
+				t.Fatal(err)
+			}
+		})
+		whole := allocsPerRun(3, cold, plan)
+		t.Logf("%s (cold %v): Plan %.0f allocations, Optimize %.0f, Validate %.0f", in.name, cold, whole, loop, validate)
+		if gap := whole - loop - validate; gap != planOverAllocs {
+			t.Errorf("%s (cold %v): Plan allocates %.0f more than Optimize+Validate, pin %d", in.name, cold, gap, planOverAllocs)
 		}
-	})
-	whole := testing.AllocsPerRun(5, plan)
-	t.Logf("%s: Plan %.0f allocations, Optimize %.0f, Validate %.0f", in.name, whole, loop, validate)
-	if gap := whole - loop - validate; gap > planOverAllocs+loopNoise {
-		t.Errorf("%s: Plan allocates %.0f more than Optimize+Validate, want at most %d (pin %d + noise %d)",
-			in.name, gap, planOverAllocs+loopNoise, planOverAllocs, loopNoise)
+	}
+}
+
+// TestConcurrentPlansSharePool plans the benchmark's plan_cold inputs
+// concurrently, twice each, on one Planner per input: every search, MoE's
+// two concurrent arms included, borrows its working memory from the
+// synthesizer's process-wide pool while others hold theirs. Each plan's
+// bytes must equal the serial plan's: a scratch shared between two
+// searches, or one that carried anything of an earlier search into the
+// next, would move them.
+func TestConcurrentPlansSharePool(t *testing.T) {
+	ins := planColdInputs()
+	planners := make([]*Planner, len(ins))
+	serial := make([][]byte, len(ins))
+	encode := func(plan *Plan) []byte {
+		var buf bytes.Buffer
+		if err := plan.WriteProgramBinary(&buf); err != nil {
+			t.Error(err)
+		}
+		return buf.Bytes()
+	}
+	for i, in := range ins {
+		planners[i] = NewPlanner(in.c)
+		plan, err := planners[i].Plan(context.Background(), in.build())
+		if err != nil {
+			t.Fatalf("%s: %v", in.name, err)
+		}
+		serial[i] = encode(plan)
+	}
+	var wg sync.WaitGroup
+	for rep := 0; rep < 2; rep++ {
+		for i, in := range ins {
+			wg.Add(1)
+			go func(i int, in warmInput) {
+				defer wg.Done()
+				plan, err := planners[i].Plan(context.Background(), in.build())
+				if err != nil {
+					t.Errorf("%s: %v", in.name, err)
+					return
+				}
+				if !bytes.Equal(encode(plan), serial[i]) {
+					t.Errorf("%s: a concurrent plan's bytes differ from the serial plan's", in.name)
+				}
+			}(i, in)
+		}
+	}
+	wg.Wait()
+}
+
+// BenchmarkPlanWarm times the path bench/'s plan_cold workload times: one
+// Planner per plan_cold input, re-planned, so every search after the first
+// borrows the working memory an earlier one returned to the pool. What a
+// cold plan allocates is held by the cold rows of the allocation pins.
+func BenchmarkPlanWarm(b *testing.B) {
+	for _, in := range planColdInputs() {
+		p, g := NewPlanner(in.c), in.build()
+		b.Run(in.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := p.Plan(context.Background(), g); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
