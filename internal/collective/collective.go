@@ -20,7 +20,7 @@ import (
 )
 
 // Kind enumerates collective operations (including implementation variants).
-type Kind int
+type Kind uint8
 
 // Collective kinds. PaddedAllGather and GroupedBroadcast are the two
 // All-Gather implementations whose trade-off Fig. 4 studies.

@@ -75,18 +75,30 @@ type Stage struct {
 	Comps []dist.Instruction
 }
 
-// Stages splits a program into its synchronization stages.
+// Stages splits a program into its synchronization stages. The stages are
+// views into p.Instrs and copy no instruction: Comm points at the opening
+// instruction and Comps is the run of computations after it, capped at its
+// end. Callers must not append to Comps (the cap makes an append copy the
+// stage away from the program rather than overwrite the next stage), and a
+// write through either is a write to p.
 func Stages(p *dist.Program) []Stage {
-	stages := []Stage{{}}
+	n := 1
 	for i := range p.Instrs {
-		in := p.Instrs[i]
-		if in.IsComm {
-			stages = append(stages, Stage{Comm: &p.Instrs[i]})
-		} else {
-			s := &stages[len(stages)-1]
-			s.Comps = append(s.Comps, in)
+		if p.Instrs[i].IsComm {
+			n++
 		}
 	}
+	stages := make([]Stage, 0, n)
+	start := 0
+	var comm *dist.Instruction
+	for i := range p.Instrs {
+		if p.Instrs[i].IsComm {
+			stages = append(stages, Stage{Comm: comm, Comps: p.Instrs[start:i:i]})
+			comm, start = &p.Instrs[i], i+1
+		}
+	}
+	end := len(p.Instrs)
+	stages = append(stages, Stage{Comm: comm, Comps: p.Instrs[start:end:end]})
 	// Drop an empty leading stage (program starting with a collective).
 	if stages[0].Comm == nil && len(stages[0].Comps) == 0 && len(stages) > 1 {
 		stages = stages[1:]
@@ -251,7 +263,8 @@ func Extract(c *cluster.Cluster, p *dist.Program) *Model {
 				}
 			}
 		}
-		for _, in := range st.Comps {
+		for i := range st.Comps {
+			in := &st.Comps[i]
 			flops := g.Flops(in.Ref)
 			if flops == 0 {
 				continue

@@ -27,19 +27,29 @@ import (
 )
 
 // Instruction is one SPMD instruction, executed identically on every device.
+//
+// The fields are ordered for size: the four one-byte fields (Op,
+// FlopsScaled, IsComm, Coll) come last and share one word, so an
+// instruction is 64 bytes, a cache line, where declaration order by meaning
+// padded it to 80. A plan's instruction list is the one copy of its
+// instructions, and the client decodes one per served plan.
 type Instruction struct {
 	// Ref is the single-device tensor this instruction produces (computation)
 	// or redistributes in place (communication).
 	Ref graph.NodeID
-	// Op is the computation's op kind, mirroring the graph node. Unused for
-	// communication instructions.
-	Op graph.OpKind
 	// Inputs mirror the graph node's inputs (empty for leaf loaders, whose
-	// nodes have none).
+	// nodes have none). A program owns its input lists: they never alias
+	// the graph's.
 	Inputs []graph.NodeID
 	// ShardDim is the dimension a leaf loader (or a sharded Expand) splits
 	// locally, -1 for replicated. Unused (-1) for communication.
 	ShardDim int
+	// Dim is the sharding dimension the collective operates on (the gathered
+	// or scattered dim); Dim2 is All-To-All's destination sharding dim.
+	Dim, Dim2 int
+	// Op is the computation's op kind, mirroring the graph node. Unused for
+	// communication instructions.
+	Op graph.OpKind
 	// FlopsScaled reports whether per-device flops scale with the sharding
 	// ratio (false for replicated execution, the SFB-enabling rules).
 	FlopsScaled bool
@@ -47,9 +57,6 @@ type Instruction struct {
 	IsComm bool
 	// Coll is the collective kind (communication only).
 	Coll collective.Kind
-	// Dim is the sharding dimension the collective operates on (the gathered
-	// or scattered dim); Dim2 is All-To-All's destination sharding dim.
-	Dim, Dim2 int
 }
 
 // Comm builds a communication instruction applying the collective kind to

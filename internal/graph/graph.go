@@ -21,7 +21,7 @@ import (
 type NodeID int
 
 // OpKind enumerates the single-device instruction set.
-type OpKind int
+type OpKind uint8
 
 // Single-device op kinds. The *Grad kinds are produced by the autodiff pass.
 const (

@@ -126,7 +126,11 @@ func countHolds(got float64, pin int) bool {
 // 812 / 2 156 and 504 / 1 518 KiB. Until searches borrowed their scratch
 // from a pool every Optimize was a cold one, and with the collector running
 // the counts jittered (VGG19 × het8 read 506–511), so the pins allowed
-// + 25 %.
+// + 25 %. While every triple embedded its instruction, a search's program
+// grew by append, cost.Stages copied every computation and the
+// expert-parallel arm's theory.Filter grew one slice per node, the rows
+// read, cold → warm in allocations / KiB: 2 889 / 8 797 → 1 413 / 896,
+// 755 / 1 828 → 374 / 571 and 485 / 1 429 → 104 / 196.
 func TestOptimizeAllocationPin(t *testing.T) {
 	cfg := models.BERTBase()
 	cfg.Layers = 4
@@ -138,12 +142,12 @@ func TestOptimizeAllocationPin(t *testing.T) {
 		coldAllocs, coldKiB int
 		warmAllocs, warmKiB int
 	}{
-		{"BERT-MoE/het8", loopInput, 2, 2889, 8797, 1413, 896},
+		{"BERT-MoE/het8", loopInput, 2, 1575, 8465, 99, 564},
 		{"bert4/pg16/seg4", func() (*graph.Graph, *cluster.Cluster, Options) {
 			return bertGraph(cfg, models.PerDeviceBatch(models.ModelBERTBase)*pg16.TotalGPUs()), pg16,
 				Options{Segments: 4, Synth: synth.Options{BeamWidth: 48}}
-		}, 4, 755, 1828, 374, 571},
-		{"VGG19/hom4", hom4Input, 1, 485, 1429, 104, 196},
+		}, 4, 626, 1526, 245, 268},
+		{"VGG19/hom4", hom4Input, 1, 447, 1341, 66, 107},
 	} {
 		g, c, opt := row.input()
 		if _, searches, _, err := optimizeTraced(g, c, opt); err != nil || searches != row.searches {

@@ -52,10 +52,12 @@
 // recycled state is never grown one slice at a time (growing them by
 // append read plan_balance's allocs_per_call 758 against 698). Everything
 // shape-free — frontier buffers, the trail's chunks, the candidate and
-// level buffers, the dedup set — is always kept. A returned scratch holds
-// no pointer into the finished search: its used trail records and
-// candidate triples are zeroed (giveBack), so the pool never pins a
-// finished search's theory or graph.
+// level buffers, the dedup set — is always kept. The states are trimmed:
+// a returned scratch keeps at most one block of them (trim), all a
+// width-48 beam search carves, where exact A* carves thousands. A returned
+// scratch holds no pointer into the finished search: its used trail
+// records and candidate triples are zeroed (giveBack), so the pool never
+// pins a finished search's theory or graph.
 //
 // get/put are unlocked: a search, A*, the seed fast-forward and every beam
 // phase alike, runs on the one goroutine that called Run, and a borrowed
@@ -231,6 +233,7 @@ func (sy *Synthesizer) giveBack() {
 	rs := sy.runScratch
 	sy.runScratch = nil
 	rs.dropTrail()
+	rs.arena.trim()
 	lc := &rs.beam.lc
 	clear(lc.comps[:cap(lc.comps)])
 	p := &scratchPool
@@ -294,6 +297,24 @@ func (a *stateArena) reshape(nodes, m, words, width int) {
 	a.free, a.blocks, a.block = a.free[:0], nil, nil
 	a.bits, a.placed, a.comp, a.props = nil, nil, nil, nil
 	a.nodes, a.m, a.words = max(a.nodes, nodes), max(a.m, m), max(a.words, words)
+}
+
+// trim keeps the arena's first block of states, with their backing, and
+// drops the rest: a pooled scratch holds at most arenaBlock states. A
+// width-48 beam search carves fewer (96 on VGG19 × het8), so trim drops
+// nothing of it. An exact A* search keeps every state it pushes and carves
+// thousands (10 335 on the 18-node test MLP × two devices): untrimmed, the
+// pool would hold them, and every later borrow would rewind them, until it
+// frees the scratch. The frontier buffers of the dropped states go with
+// them.
+func (a *stateArena) trim() {
+	if len(a.blocks) <= 1 {
+		return
+	}
+	clear(a.blocks[1:])
+	a.blocks = a.blocks[:1]
+	a.free, a.block = nil, nil
+	a.bits, a.placed, a.comp, a.props = nil, nil, nil, nil
 }
 
 // fits reports whether the arena's state slabs are long enough for a search

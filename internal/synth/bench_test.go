@@ -141,6 +141,10 @@ func countHolds(got float64, pin int) bool {
 	return got <= 1.25*float64(pin)
 }
 
+// vgg19WarmAllocs is TestSearchAllocationPin's warm VGG19 row, which
+// TestGiveBackTrimsArena holds after an A* search too.
+const vgg19WarmAllocs = 19
+
 // TestSearchAllocationPin holds the beam's allocation profile, cold and
 // warm. Each row is one search, whose allocation count is exact run to run
 // (the search is deterministic and single-threaded; see allocsPerRun) and
@@ -180,7 +184,11 @@ func countHolds(got float64, pin int) bool {
 // a cold row counts 1 more than that search did (413, 690, 822, 415, 140):
 // the scratch itself. While the pool was a sync.Pool it counted 3 more:
 // the pool's per-P array and its registration, which sync.Pool makes again
-// after every collection.
+// after every collection. While program() grew its chain and instruction
+// list by append and every triple embedded an 80-byte instruction (the
+// theory's copy of its node's inputs beside it), the rows read, cold →
+// warm in allocations / KiB: 414 / 1 319 → 33 / 78, 691 / 3 221 → 37 / 187,
+// 823 / 4 826 → 37 / 201, 416 / 1 326 → 35 / 93 and 141 / 436 → 75 / 160.
 func TestSearchAllocationPin(t *testing.T) {
 	het := cluster.PaperHeterogeneous(1)
 	cold := func(model models.PaperModel, c *cluster.Cluster) func() {
@@ -198,15 +206,15 @@ func TestSearchAllocationPin(t *testing.T) {
 		coldAllocs, coldKiB int
 		warmAllocs, warmKiB int
 	}{
-		{"VGG19", cold(models.ModelVGG19, het), 414, 1319, 33, 78},
-		{"BERT-Base", cold(models.ModelBERTBase, het), 691, 3221, 37, 187},
-		{"BERT-MoE", cold(models.ModelBERTMoE, het), 823, 4826, 37, 201},
-		{"VGG19 hom4", cold(models.ModelVGG19, cluster.PaperHomogeneous(2)), 416, 1326, 35, 93},
+		{"VGG19", cold(models.ModelVGG19, het), 400, 1282, vgg19WarmAllocs, 41},
+		{"BERT-Base", cold(models.ModelBERTBase, het), 675, 3160, 21, 126},
+		{"BERT-MoE", cold(models.ModelBERTMoE, het), 807, 4772, 21, 150},
+		{"VGG19 hom4", cold(models.ModelVGG19, cluster.PaperHomogeneous(2)), 402, 1288, 21, 55},
 		{"VGG19 incremental", func() {
 			if _, _, err := seeded.search(); err != nil {
 				t.Fatal(err)
 			}
-		}, 141, 436, 75, 160},
+		}, 127, 394, 61, 117},
 	} {
 		for _, c := range []struct {
 			temp        string
@@ -234,14 +242,18 @@ func TestSearchAllocationPin(t *testing.T) {
 // children borrowed their parents' bitsets copy-on-write, a retiring parent
 // could not hand its bitsets back, every re-run carved fresh ones and read
 // 34 / 58 / 71 (VGG19 / BERT-Base / BERT-MoE), growing with the search.
+// Warm, a re-run now allocates the program alone: its record chain, the
+// leaves it loads, the Program, its instruction list and one slab of input
+// lists. While program() grew the chain and the list by append, the rows
+// read cold 400 / 675 / 807 and warm 19 / 21 / 21.
 func TestRerunAllocationPin(t *testing.T) {
 	for _, row := range []struct {
 		model      models.PaperModel
 		cold, warm int
 	}{
-		{models.ModelVGG19, 400, 19},
-		{models.ModelBERTBase, 675, 21},
-		{models.ModelBERTMoE, 807, 21},
+		{models.ModelVGG19, 386, 5},
+		{models.ModelBERTBase, 659, 5},
+		{models.ModelBERTMoE, 791, 5},
 	} {
 		g, th, c, ratios := benchInput(row.model)
 		sy := New(g, th, c, ratios, Options{BeamWidth: 48})
@@ -409,5 +421,68 @@ func TestBorrowPrefersFittingScratch(t *testing.T) {
 	defer again.giveBack()
 	if again.runScratch != fits {
 		t.Fatal("a BERT-Base search took the scratch carved for VGG19 while one carved for BERT-Base was idle")
+	}
+}
+
+// carvedStates counts the states an arena has carved and holds.
+func carvedStates(a *stateArena) int {
+	n := 0
+	for _, blk := range a.blocks {
+		n += len(blk)
+	}
+	return n - len(a.block)
+}
+
+// TestGiveBackTrimsArena holds giveBack's trim rule: an exact A* search
+// carves thousands of states, and the scratch it returns to the pool keeps
+// at most arenaBlock of them. A width-48 beam search carves fewer than
+// that, so the trim costs it nothing: a VGG19 search borrowing the trimmed
+// scratch, and the warm search after it, allocate exactly
+// TestSearchAllocationPin's warm VGG19 row.
+func TestGiveBackTrimsArena(t *testing.T) {
+	scratchPool.Lock()
+	clear(scratchPool.idle)
+	scratchPool.idle = scratchPool.idle[:0]
+	scratchPool.Unlock()
+	g := models.Training(models.MLP(64, 32, 48, 8))
+	c := twoDevices()
+	sy := New(g, theory.New(g), c, ratios(c), Options{})
+	sy.borrow()
+	if _, _, err := sy.runAStar(sy.rootState()); err != nil {
+		t.Fatal(err)
+	}
+	rs := sy.runScratch
+	carved := carvedStates(&rs.arena)
+	sy.giveBack()
+	held := carvedStates(&rs.arena)
+	t.Logf("%d-node MLP: A* carved %d states, its returned scratch holds %d", g.NumNodes(), carved, held)
+	if carved <= arenaBlock {
+		t.Fatalf("the A* search carved %d states, want more than one block (%d) for the trim to act on", carved, arenaBlock)
+	}
+	if held > arenaBlock {
+		t.Errorf("the returned scratch holds %d states, want at most %d", held, arenaBlock)
+	}
+
+	vg, vth, vc, vratios := benchInput(models.ModelVGG19)
+	beam := New(vg, vth, vc, vratios, Options{BeamWidth: 48})
+	var used *runScratch
+	beam.levelHook = func([]*state, []candRef) { used = beam.runScratch }
+	if _, _, err := beam.Run(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if used != rs {
+		t.Fatal("the VGG19 search did not borrow the scratch the A* search returned")
+	}
+	if n := carvedStates(&rs.arena); n > arenaBlock {
+		t.Errorf("the VGG19 beam search carved %d states, more than the one block the trim keeps", n)
+	}
+	got, kib := allocsPerRun(3, false, func() {
+		if _, _, err := Synthesize(context.Background(), vg, vth, vc, vratios, Options{BeamWidth: 48}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("VGG19 warm after A*: %.0f allocs, %.0f KiB", got, kib)
+	if !countHolds(got, vgg19WarmAllocs) {
+		t.Errorf("a warm VGG19 search after an A* one made %.0f allocations, pinned %d (exact: %v)", got, vgg19WarmAllocs, exactCounts)
 	}
 }

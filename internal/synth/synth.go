@@ -361,29 +361,61 @@ func (sy *Synthesizer) rec(i int32) *trailRec { return &sy.trail[i/trailChunk][i
 // program rebuilds the instruction sequence of the state whose tail is tail
 // from the trail. A computation's fused leaf loaders are re-derived as
 // applyComp emitted them: one per LeafPre whose leaf was unplaced before
-// the step.
+// the step. A first walk sizes the program exactly — one instruction per
+// step plus its loaders, and one slab for every computation's copy of its
+// node's inputs — so the program grows nothing and owns its input lists,
+// like the programs dist.DecodeBinary returns: theory.Triple.Instr's inputs
+// are the graph node's own, and no plan shares backing with its graph.
 func (sy *Synthesizer) program(tail int32) *dist.Program {
-	var chain []int32
+	n := 0
 	for i := tail; i >= 0; i = sy.rec(i).prev {
-		chain = append(chain, i)
+		n++
 	}
-	placed := make([]bool, sy.g.NumNodes())
-	p := &dist.Program{Graph: sy.g}
-	for k := len(chain) - 1; k >= 0; k-- {
-		st := sy.rec(chain[k]).step
+	chain := make([]int32, n)
+	for i, k := tail, n-1; i >= 0; i, k = sy.rec(i).prev, k-1 {
+		chain[k] = i
+	}
+	// The sizing walk sets loaded for every leaf some step places; the
+	// emitting walk clears it as the leaf is placed, so there a leaf is
+	// unplaced exactly while it is still set.
+	loaded := make([]bool, sy.g.NumNodes())
+	count, inputs := n, 0
+	for _, i := range chain {
+		tr := sy.rec(i).tr
+		if tr == nil {
+			continue
+		}
+		inputs += len(sy.g.Node(tr.Node).Inputs)
+		for _, lp := range tr.LeafPre {
+			if !loaded[lp.Ref] {
+				count++
+			}
+		}
+		for _, lp := range tr.LeafPre {
+			loaded[lp.Ref] = true
+		}
+	}
+	p := &dist.Program{Graph: sy.g, Instrs: make([]dist.Instruction, 0, count)}
+	slab := make([]graph.NodeID, inputs)
+	for _, i := range chain {
+		st := sy.rec(i).step
 		if st.tr == nil {
 			p.Instrs = append(p.Instrs, dist.Comm(st.cc.ref, collective.Kind(st.cc.coll), int(st.cc.dim), int(st.cc.dim2)))
 			continue
 		}
 		for _, lp := range st.tr.LeafPre {
-			if !placed[lp.Ref] {
+			if loaded[lp.Ref] {
 				p.Instrs = append(p.Instrs, theory.LeafInstr(sy.g, lp))
 			}
 		}
 		for _, lp := range st.tr.LeafPre {
-			placed[lp.Ref] = true
+			loaded[lp.Ref] = false
 		}
-		p.Instrs = append(p.Instrs, st.tr.Instr(sy.g))
+		in := st.tr.Instr(sy.g)
+		if k := copy(slab, in.Inputs); k > 0 {
+			in.Inputs, slab = slab[:k:k], slab[k:]
+		}
+		p.Instrs = append(p.Instrs, in)
 	}
 	return p
 }

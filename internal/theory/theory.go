@@ -88,24 +88,25 @@ type Triple struct {
 	// FlopsScaled reports whether per-device flops scale with the sharding
 	// ratio (false for replicated execution, the SFB-enabling rules).
 	FlopsScaled bool
-	// instr is the materialized computation instruction, built once at rule
-	// construction and shared (including its Inputs backing array) by every
-	// search state; see Instr.
-	instr dist.Instruction
 }
 
-// Instr materializes the computation instruction of the triple. For Expand
+// Instr materializes the computation instruction of the triple from the
+// triple and g's node: the op, the inputs and FlopsScaled. For Expand
 // (whose sharded variant produces a different local shape) the output shard
 // dimension is recorded so the runtime can execute it.
 //
-// The instruction is built once per triple and returned by value: the Inputs
-// backing array is one copy of the node's inputs, shared by the node's
-// triples and by every state the synthesizer materializes from them
-// (millions, on model-scale searches). Instruction inputs mirror the
-// immutable graph and are never mutated downstream; consumers that rewrite
-// programs in place work on dist.Program.Clone copies.
+// The instruction is built on demand, not stored: a theory holds thousands
+// of triples and a plan emits a few hundred instructions. Its Inputs is the
+// graph node's own input list, not a copy; the synthesizer's program copies
+// every emitted computation's inputs into one slab the program owns, so no
+// plan aliases its graph.
 func (t *Triple) Instr(g *graph.Graph) dist.Instruction {
-	return t.instr
+	n := g.Node(t.Node)
+	in := dist.Instruction{Ref: t.Node, Op: n.Kind, Inputs: n.Inputs, ShardDim: -1, FlopsScaled: t.FlopsScaled}
+	if n.Kind == graph.Expand && t.Out.Kind == Gather {
+		in.ShardDim = int(t.Out.Dim)
+	}
+	return in
 }
 
 // LeafInstr materializes the fused leaf-loader instruction establishing
@@ -179,9 +180,8 @@ type Output struct {
 
 // New builds the background theory for a single-device graph by matching
 // the per-op rules against every node. The rules run twice: a counting pass
-// sizes one slab each for the triples, their properties and their
-// instructions' inputs, and a filling pass writes into them, so New
-// allocates per graph rather than per triple.
+// sizes one slab each for the triples and their properties, and a filling
+// pass writes into them, so New allocates per graph rather than per triple.
 func New(g *graph.Graph) *Theory {
 	n := g.NumNodes()
 	t := &Theory{
@@ -217,7 +217,6 @@ func New(g *graph.Graph) *Theory {
 	b.triples = make([]Triple, 0, b.nTriples)
 	b.ptrs = make([]*Triple, 0, b.nTriples)
 	b.props = make([]Property, 0, b.nProps)
-	b.inputs = make([]graph.NodeID, 0, b.nInputs)
 	b.fill = true
 	b.each(t)
 	t.stride = 3 + b.maxDim
@@ -228,7 +227,10 @@ func New(g *graph.Graph) *Theory {
 // Filter returns a copy of the theory restricted to triples accepted by
 // keep, with the wanted index recomputed. Baseline systems (pure data
 // parallelism, expert parallelism with replicated dense parameters, …) are
-// expressed as filtered theories searched by the same synthesizer.
+// expressed as filtered theories searched by the same synthesizer. Each
+// node's kept triples are a run of one slab of triple pointers, sized by
+// the theory's triple count, so Filter allocates per theory rather than
+// per node.
 func (t *Theory) Filter(keep func(*Triple) bool) *Theory {
 	nt := &Theory{
 		Graph:     t.Graph,
@@ -238,11 +240,20 @@ func (t *Theory) Filter(keep func(*Triple) bool) *Theory {
 		Outputs:   t.Outputs,
 		stride:    t.stride,
 	}
+	n := 0
+	for _, triples := range t.ByNode {
+		n += len(triples)
+	}
+	slab := make([]*Triple, 0, n)
 	for id, triples := range t.ByNode {
+		start := len(slab)
 		for _, tr := range triples {
 			if keep(tr) {
-				nt.ByNode[id] = append(nt.ByNode[id], tr)
+				slab = append(slab, tr)
 			}
+		}
+		if end := len(slab); end > start {
+			nt.ByNode[id] = slab[start:end:end]
 		}
 	}
 	nt.indexWanted()
@@ -303,18 +314,15 @@ type builder struct {
 
 	// Tallies of the counting pass. maxDim is the widest Gather dimension
 	// any precondition names (-1 for none).
-	nTriples, nProps, nInputs, maxDim int
+	nTriples, nProps, maxDim int
 
 	// Slabs of the filling pass.
 	triples []Triple
 	ptrs    []*Triple
 	props   []Property
-	inputs  []graph.NodeID
 
-	// node is the node whose rules are being matched; nodeInputs is its
-	// instructions' shared copy of its inputs.
-	node       graph.NodeID
-	nodeInputs []graph.NodeID
+	// node is the node whose rules are being matched.
+	node graph.NodeID
 }
 
 // each matches the rules of every required computation node, in id order;
@@ -325,15 +333,7 @@ func (b *builder) each(t *Theory) {
 		if !t.Required[id] || b.g.Node(id).Kind.IsLeaf() {
 			continue
 		}
-		inputs := b.g.Node(id).Inputs
-		b.node, b.nodeInputs = id, nil
-		if !b.fill {
-			b.nInputs += len(inputs)
-		} else if len(inputs) > 0 {
-			start := len(b.inputs)
-			b.inputs = append(b.inputs, inputs...)
-			b.nodeInputs = b.inputs[start:len(b.inputs):len(b.inputs)]
-		}
+		b.node = id
 		start := len(b.ptrs)
 		b.rules(id)
 		if end := len(b.ptrs); b.fill && end > start {
@@ -395,14 +395,6 @@ func (b *builder) add(in pre, outProp Property, scaled bool) {
 	}
 	if end > mid {
 		tr.LeafPre = b.props[mid:end:end]
-	}
-	kind := b.g.Node(b.node).Kind
-	tr.instr = dist.Instruction{
-		Ref: b.node, Op: kind, Inputs: b.nodeInputs,
-		ShardDim: -1, FlopsScaled: scaled,
-	}
-	if kind == graph.Expand && outProp.Kind == Gather {
-		tr.instr.ShardDim = int(outProp.Dim)
 	}
 	b.ptrs = append(b.ptrs, tr)
 }

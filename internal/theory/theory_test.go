@@ -2,8 +2,11 @@ package theory
 
 import (
 	"testing"
+	"unsafe"
 
 	"hap/internal/autodiff"
+	"hap/internal/collective"
+	"hap/internal/dist"
 	"hap/internal/graph"
 	"hap/internal/models"
 )
@@ -257,5 +260,36 @@ func TestExpertParallel(t *testing.T) {
 	}
 	if experts == 0 {
 		t.Fatal("BERT-MoE has no expert matmul")
+	}
+}
+
+// TestInstructionLayout holds the packed sizes: an instruction is one
+// 64-byte line (its four one-byte fields share a word) and a triple, which
+// no longer embeds one, is 80 bytes. The op and collective kinds are
+// uint8, numbered from 0 by iota, so each enumeration must name fewer than
+// 256 kinds: the count is the run of values from 0 that round-trip through
+// their names.
+func TestInstructionLayout(t *testing.T) {
+	if n := unsafe.Sizeof(dist.Instruction{}); n != 64 {
+		t.Errorf("dist.Instruction is %d bytes, want 64", n)
+	}
+	if n := unsafe.Sizeof(Triple{}); n != 80 {
+		t.Errorf("theory.Triple is %d bytes, want 80", n)
+	}
+	ops := 0
+	for ; ops < 256; ops++ {
+		if k, ok := graph.ParseOpKind(graph.OpKind(ops).String()); !ok || int(k) != ops {
+			break
+		}
+	}
+	colls := 0
+	for ; colls < 256; colls++ {
+		if k, ok := collective.ParseKind(collective.Kind(colls).String()); !ok || int(k) != colls {
+			break
+		}
+	}
+	t.Logf("%d op kinds, %d collective kinds", ops, colls)
+	if ops == 0 || ops >= 256 || colls == 0 || colls >= 256 {
+		t.Errorf("%d op kinds and %d collective kinds, want each 1 to 255", ops, colls)
 	}
 }
