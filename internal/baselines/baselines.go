@@ -37,7 +37,7 @@ type Plan struct {
 // parameters replicated. allowExpertShard additionally admits rank-3 expert
 // parameters sharded on the expert dimension (DeepSpeed expert parallelism).
 func leafWants(g *graph.Graph, tr *theory.Triple, allowExpertShard bool) bool {
-	for _, p := range tr.LeafPre {
+	for _, p := range tr.LeafPre() {
 		n := g.Node(p.Ref)
 		switch n.Kind {
 		case graph.Placeholder:

@@ -340,17 +340,21 @@ func (d *Diff) MapAB(a NodeID) (NodeID, bool) {
 
 // SharedSubFingerprints counts how many sub-fingerprints of a (with
 // multiplicity) also appear in b — the donor-selection similarity score the
-// serve index uses. Both arguments are as returned by SubFingerprints.
+// serve index uses: the size of the two lists' multiset intersection. Both
+// arguments are SubFingerprints results sorted ascending (slices.Sort), so
+// one merge walk counts it without allocating.
 func SharedSubFingerprints(a, b []uint64) int {
-	counts := make(map[uint64]int, len(b))
-	for _, h := range b {
-		counts[h]++
-	}
-	shared := 0
-	for _, h := range a {
-		if counts[h] > 0 {
-			counts[h]--
+	shared, i, j := 0, 0, 0
+	for i < len(a) && j < len(b) {
+		switch {
+		case a[i] < b[j]:
+			i++
+		case a[i] > b[j]:
+			j++
+		default:
 			shared++
+			i++
+			j++
 		}
 	}
 	return shared

@@ -1,6 +1,10 @@
 package graph
 
-import "testing"
+import (
+	"math/rand"
+	"slices"
+	"testing"
+)
 
 // mlp builds a small MLP-shaped forward graph: x · w1 · w2 · … with ReLUs,
 // summed into a loss.
@@ -120,12 +124,19 @@ func TestDiffCrossesSegmentBoundary(t *testing.T) {
 	}
 }
 
+// sortedSubs is SubFingerprints sorted, as SharedSubFingerprints takes it.
+func sortedSubs(g *Graph) []uint64 {
+	subs := SubFingerprints(g)
+	slices.Sort(subs)
+	return subs
+}
+
 // TestDiffSharedSubFingerprints checks the similarity primitive: a one-layer
 // edit leaves most chunk hashes shared; a disjoint graph shares none.
 func TestDiffSharedSubFingerprints(t *testing.T) {
 	a := mlp(16, 32, 32, 32, 32, 32, 32, 8)
 	b := mlp(16, 32, 32, 48, 32, 32, 32, 8)
-	fa, fb := SubFingerprints(a), SubFingerprints(b)
+	fa, fb := sortedSubs(a), sortedSubs(b)
 	shared := SharedSubFingerprints(fa, fb)
 	if shared == 0 {
 		t.Fatalf("one-layer edit shares no sub-fingerprints (|a|=%d |b|=%d)", len(fa), len(fb))
@@ -134,7 +145,61 @@ func TestDiffSharedSubFingerprints(t *testing.T) {
 		t.Fatalf("one-layer edit shares every sub-fingerprint — chunks not content-sensitive")
 	}
 	c := mlp(17, 33, 35, 9)
-	if got := SharedSubFingerprints(SubFingerprints(c), fa); got != 0 {
+	if got := SharedSubFingerprints(sortedSubs(c), fa); got != 0 {
 		t.Fatalf("disjoint graphs share %d sub-fingerprints, want 0", got)
+	}
+}
+
+// sharedByMap is the multiset intersection SharedSubFingerprints counted
+// before it took sorted lists: a map of b's counts, drawn down by a.
+func sharedByMap(a, b []uint64) int {
+	counts := make(map[uint64]int, len(b))
+	for _, h := range b {
+		counts[h]++
+	}
+	shared := 0
+	for _, h := range a {
+		if counts[h] > 0 {
+			counts[h]--
+			shared++
+		}
+	}
+	return shared
+}
+
+// TestSharedSubFingerprintsMatchesMap holds the merge walk to the map count
+// on random multisets: lengths 0 to 40 over alphabets of 1 to 30 values, so
+// that repeats, disjoint lists and empty lists all occur, both ways round.
+func TestSharedSubFingerprintsMatchesMap(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	draw := func(n, alphabet int) []uint64 {
+		out := make([]uint64, n)
+		for i := range out {
+			out[i] = uint64(rng.Intn(alphabet)) * 0x9e3779b97f4a7c15
+		}
+		slices.Sort(out)
+		return out
+	}
+	for i := 0; i < 5000; i++ {
+		alphabet := 1 + rng.Intn(30)
+		a, b := draw(rng.Intn(41), alphabet), draw(rng.Intn(41), alphabet)
+		if got, want := SharedSubFingerprints(a, b), sharedByMap(a, b); got != want {
+			t.Fatalf("SharedSubFingerprints(%v, %v) = %d, the map count %d", a, b, got, want)
+		}
+		if got, want := SharedSubFingerprints(b, a), sharedByMap(b, a); got != want {
+			t.Fatalf("SharedSubFingerprints(%v, %v) = %d, the map count %d", b, a, got, want)
+		}
+	}
+}
+
+// TestSharedSubFingerprintsAllocationPin holds the donor lookup's per-entry
+// comparison at no allocation: it runs once per cached entry on every miss,
+// and while it built a map of b's counts each time it allocated about 5 KiB
+// of each serve_churn call's 410.
+func TestSharedSubFingerprintsAllocationPin(t *testing.T) {
+	a := sortedSubs(mlp(16, 32, 32, 32, 32, 32, 32, 8))
+	b := sortedSubs(mlp(16, 32, 32, 48, 32, 32, 32, 8))
+	if n := testing.AllocsPerRun(10, func() { SharedSubFingerprints(a, b) }); n != 0 {
+		t.Fatalf("SharedSubFingerprints made %v allocations, want 0", n)
 	}
 }

@@ -120,7 +120,7 @@ func countHolds(got float64, pin int) bool {
 // KiB. Those two clusters are one GPU per device: while each Synthesizer
 // also allocated a penalty table of zeros, the cold rows read 2 997 /
 // 10 478 KiB and 817 / 2 197 KiB. VGG19/hom4 is hom4Input, one search on the
-// commPen != nil path (the intra-machine penalty table and its slab). While
+// commPen != nil path (the intra-machine penalty table). While
 // a search's states borrowed their parents' bitsets copy-on-write and
 // re-carved them on every re-run, the three cold rows read 2 993 / 10 334,
 // 812 / 2 156 and 504 / 1 518 KiB. Until searches borrowed their scratch
@@ -130,7 +130,10 @@ func countHolds(got float64, pin int) bool {
 // grew by append, cost.Stages copied every computation and the
 // expert-parallel arm's theory.Filter grew one slice per node, the rows
 // read, cold → warm in allocations / KiB: 2 889 / 8 797 → 1 413 / 896,
-// 755 / 1 828 → 374 / 571 and 485 / 1 429 → 104 / 196.
+// 755 / 1 828 → 374 / 571 and 485 / 1 429 → 104 / 196. While each triple
+// held its requirements in a slab of properties and synth.New tabled costs
+// per graph node, they read 1 575 / 8 465 → 99 / 564, 626 / 1 526 →
+// 245 / 268 and 447 / 1 341 → 66 / 107.
 func TestOptimizeAllocationPin(t *testing.T) {
 	cfg := models.BERTBase()
 	cfg.Layers = 4
@@ -142,12 +145,12 @@ func TestOptimizeAllocationPin(t *testing.T) {
 		coldAllocs, coldKiB int
 		warmAllocs, warmKiB int
 	}{
-		{"BERT-MoE/het8", loopInput, 2, 1575, 8465, 99, 564},
+		{"BERT-MoE/het8", loopInput, 2, 1552, 8375, 76, 474},
 		{"bert4/pg16/seg4", func() (*graph.Graph, *cluster.Cluster, Options) {
 			return bertGraph(cfg, models.PerDeviceBatch(models.ModelBERTBase)*pg16.TotalGPUs()), pg16,
 				Options{Segments: 4, Synth: synth.Options{BeamWidth: 48}}
-		}, 4, 626, 1526, 245, 268},
-		{"VGG19/hom4", hom4Input, 1, 447, 1341, 66, 107},
+		}, 4, 616, 1494, 235, 237},
+		{"VGG19/hom4", hom4Input, 1, 435, 1308, 54, 75},
 	} {
 		g, c, opt := row.input()
 		if _, searches, _, err := optimizeTraced(g, c, opt); err != nil || searches != row.searches {

@@ -27,6 +27,7 @@ import (
 	"fmt"
 	"math"
 	"net/http"
+	"slices"
 	"sync"
 
 	"hap"
@@ -101,7 +102,8 @@ type TelemetryStats struct {
 type planSource struct {
 	g *graph.Graph
 	// subs are the graph's segment sub-fingerprints (graph.SubFingerprints:
-	// one stable hash per content-defined chunk of the node sequence).
+	// one stable hash per content-defined chunk of the node sequence),
+	// sorted ascending once here, as graph.SharedSubFingerprints takes them.
 	subs []uint64
 	// specFP fingerprints the cluster the request named: the drift scan's
 	// filter, and with optsSig (the options slice of the cache key) what a
@@ -122,9 +124,11 @@ type planSource struct {
 // spec, fingerprinting both once for every later reader.
 func newPlanSource(g *graph.Graph, spec *cluster.Cluster, opts RequestOptions) *planSource {
 	specFP := spec.Fingerprint()
+	subs := graph.SubFingerprints(g)
+	slices.Sort(subs)
 	return &planSource{
 		g:         g,
-		subs:      graph.SubFingerprints(g),
+		subs:      subs,
 		specFP:    specFP,
 		opts:      opts,
 		optsSig:   fingerprint.Options(opts).Sig(),

@@ -143,7 +143,7 @@ func countHolds(got float64, pin int) bool {
 
 // vgg19WarmAllocs is TestSearchAllocationPin's warm VGG19 row, which
 // TestGiveBackTrimsArena holds after an A* search too.
-const vgg19WarmAllocs = 19
+const vgg19WarmAllocs = 10
 
 // TestSearchAllocationPin holds the beam's allocation profile, cold and
 // warm. Each row is one search, whose allocation count is exact run to run
@@ -155,10 +155,11 @@ const vgg19WarmAllocs = 19
 // overhead. All rows but "VGG19 hom4" run on the paper's
 // one-GPU-per-machine cluster, so they carry no intra-machine penalty table;
 // "VGG19 hom4" runs on PaperHomogeneous(2), whose two-GPU machines take the
-// commPen != nil path (the penalty table and its slab). The per-B compute
-// table shares a slab with the tabled flops: the cold rows read 437 / 1 440,
-// 734 / 3 805, 879 / 5 693 and 145 / 476 KiB while the zero penalty table
-// was allocated and the flops were recomputed. Fresh states carving new
+// commPen != nil path (the penalty table, one more run of the slab that
+// holds the tabled flops and the other cost tables). The cold rows read
+// 437 / 1 440, 734 / 3 805, 879 / 5 693 and 145 / 476 KiB while the zero
+// penalty table was allocated and the flops were recomputed. Fresh states
+// carving new
 // slabs instead of reusing retired ones cost about one allocation per two
 // states materialized (VGG19 read 5 722 before retired states handed their
 // backing back); every state's two bitsets are carved from the arena's slab
@@ -172,7 +173,7 @@ const vgg19WarmAllocs = 19
 // analysis is per function, not per branch. The incremental row read 2 793
 // while the replay kept each tensor's properties in a map, the donor's
 // theory allocated per triple, the hasher per node signature and the seed a
-// slice per pin; BuildSeed is now 43 of its 140 (the donor's theory 12, the
+// slice per pin; BuildSeed was then 43 of its 140 (the donor's theory 12, the
 // diff 7, the replay's mirror and branches, the seed's tables). Bytes fail
 // past their pin + 5 %: retired ancestors kept as state structs until the
 // search ends, and duplicates built before their key rejected them, cost
@@ -189,6 +190,13 @@ const vgg19WarmAllocs = 19
 // theory's copy of its node's inputs beside it), the rows read, cold →
 // warm in allocations / KiB: 414 / 1 319 → 33 / 78, 691 / 3 221 → 37 / 187,
 // 823 / 4 826 → 37 / 201, 416 / 1 326 → 35 / 93 and 141 / 436 → 75 / 160.
+// While each triple held its requirements in a slab of properties and New
+// tabled costs per graph node (a slice header per node, five penalty
+// vectors per tensor, reqNodes grown by append), they read 400 / 1 282 →
+// 19 / 41, 675 / 3 160 → 21 / 126, 807 / 4 772 → 21 / 150, 402 / 1 288 →
+// 21 / 55 and 127 / 394 → 61 / 117. A warm search's 10 allocations are now
+// New's 5 (the Synthesizer, the int32 slab of outputIdx and row, gradOf,
+// reqNodes, one slab of flops and cost tables) and the program's 5.
 func TestSearchAllocationPin(t *testing.T) {
 	het := cluster.PaperHeterogeneous(1)
 	cold := func(model models.PaperModel, c *cluster.Cluster) func() {
@@ -206,15 +214,15 @@ func TestSearchAllocationPin(t *testing.T) {
 		coldAllocs, coldKiB int
 		warmAllocs, warmKiB int
 	}{
-		{"VGG19", cold(models.ModelVGG19, het), 400, 1282, vgg19WarmAllocs, 41},
-		{"BERT-Base", cold(models.ModelBERTBase, het), 675, 3160, 21, 126},
-		{"BERT-MoE", cold(models.ModelBERTMoE, het), 807, 4772, 21, 150},
-		{"VGG19 hom4", cold(models.ModelVGG19, cluster.PaperHomogeneous(2)), 402, 1288, 21, 55},
+		{"VGG19", cold(models.ModelVGG19, het), 391, 1277, vgg19WarmAllocs, 36},
+		{"BERT-Base", cold(models.ModelBERTBase, het), 664, 3148, 10, 113},
+		{"BERT-MoE", cold(models.ModelBERTMoE, het), 796, 4755, 10, 132},
+		{"VGG19 hom4", cold(models.ModelVGG19, cluster.PaperHomogeneous(2)), 391, 1269, 10, 36},
 		{"VGG19 incremental", func() {
 			if _, _, err := seeded.search(); err != nil {
 				t.Fatal(err)
 			}
-		}, 127, 394, 61, 117},
+		}, 117, 376, 51, 99},
 	} {
 		for _, c := range []struct {
 			temp        string
@@ -484,5 +492,37 @@ func TestGiveBackTrimsArena(t *testing.T) {
 	t.Logf("VGG19 warm after A*: %.0f allocs, %.0f KiB", got, kib)
 	if !countHolds(got, vgg19WarmAllocs) {
 		t.Errorf("a warm VGG19 search after an A* one made %.0f allocations, pinned %d (exact: %v)", got, vgg19WarmAllocs, exactCounts)
+	}
+}
+
+// TestNewAllocationPin holds what New allocates per input, exactly (bytes
+// too; both may grow 5 % off go1.24 or under the race detector, see
+// exactCounts): the Synthesizer, one int32 slab for outputIdx and row,
+// gradOf, reqNodes sized to the required nodes, and one float64 slab
+// holding the tabled flops and every cost table, one run each, indexed by
+// row of reqNodes — 1 + 2M + 5 floats a row, plus 2M on PaperHomogeneous(2),
+// whose two-GPU machines need the penalty table in its two shapes (M is 8
+// on het8 and 4 on hom4, so both rows are 22 floats wide). While New tabled
+// per graph node — a slice header per node for compT and commPen, five
+// penalty vectors per tensor, reqNodes grown by append — it made 14
+// allocations and 29 184 bytes on het8, 16 and 43 904 on hom4.
+func TestNewAllocationPin(t *testing.T) {
+	for _, row := range []struct {
+		name   string
+		c      *cluster.Cluster
+		allocs int
+		bytes  float64
+	}{
+		{"VGG19 het8", cluster.PaperHeterogeneous(1), 5, 24160},
+		{"VGG19 hom4", cluster.PaperHomogeneous(2), 5, 24160},
+	} {
+		g, th, c, ratios := inputOn(models.ModelVGG19, row.c)
+		got, kib := allocsPerRun(3, false, func() { New(g, th, c, ratios, Options{BeamWidth: 48}) })
+		bytes := kib * 1024
+		t.Logf("%s: New made %.0f allocations, %.0f bytes", row.name, got, bytes)
+		bytesHold := bytes == row.bytes || !exactCounts && bytes <= 1.05*row.bytes
+		if !countHolds(got, row.allocs) || !bytesHold {
+			t.Errorf("%s: New made %.0f allocations and %.0f bytes, pinned %d and %.0f (exact: %v)", row.name, got, bytes, row.allocs, row.bytes, exactCounts)
+		}
 	}
 }

@@ -92,7 +92,7 @@ func oracleCommDelta(sy *Synthesizer, s *state, cc commCand) float64 {
 			worst = v
 		}
 	}
-	return s.closedCost + s.openComm + worst + sy.commT[cc.ref][cc.coll]
+	return s.closedCost + s.openComm + worst + sy.commTime(cc.ref, collective.Kind(cc.coll))
 }
 
 // isComplete is completeness by its definition: every output of s in an
@@ -187,8 +187,8 @@ func checkFrontier(t testing.TB, sy *Synthesizer, s *state, want []oracleCand) {
 		if e.cc != comms[i].cc {
 			t.Fatalf("depth %d: frontier entry %d is %+v, the oracle has %+v", s.depth, i, e.cc, comms[i].cc)
 		}
-		if math.Float64bits(e.off) != math.Float64bits(sy.commT[e.cc.ref][e.cc.coll]) {
-			t.Fatalf("depth %d: frontier entry %d carries offset %v, commT has %v", s.depth, i, e.off, sy.commT[e.cc.ref][e.cc.coll])
+		if want := sy.commTime(e.cc.ref, collective.Kind(e.cc.coll)); math.Float64bits(e.off) != math.Float64bits(want) {
+			t.Fatalf("depth %d: frontier entry %d carries offset %v, commTime says %v", s.depth, i, e.off, want)
 		}
 		src := theory.Property{Ref: e.cc.ref, Kind: theory.Gather, Dim: e.cc.dim}
 		if k := collective.Kind(e.cc.coll); k == collective.AllReduce || k == collective.ReduceScatter {

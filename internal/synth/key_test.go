@@ -116,7 +116,7 @@ func checkChildKeys(t testing.TB, sy *Synthesizer, s *state, comps []*theory.Tri
 		if ns == nil {
 			t.Fatalf("depth %d: an applicable triple of node %d did not apply", s.depth, tr.Node)
 		}
-		for _, p := range tr.LeafPre {
+		for _, p := range tr.LeafPre() {
 			if s.placed[p.Ref] == unplaced {
 				cov.leaf++
 				break

@@ -293,12 +293,12 @@ func (r *replayer) replay(rs *replayState, instrs []dist.Instruction, steps []do
 // applicable mirrors Synthesizer.compApplicable, except that leaf placements
 // must already be set: the donor program's loaders precede their consumer.
 func (r *replayer) applicable(rs *replayState, tr *theory.Triple) bool {
-	for _, p := range tr.Pre {
+	for _, p := range tr.Pre() {
 		if !rs.has(p) {
 			return false
 		}
 	}
-	for _, p := range tr.LeafPre {
+	for _, p := range tr.LeafPre() {
 		want := replicated
 		if p.Kind == theory.Gather {
 			want = int8(p.Dim)
@@ -399,25 +399,27 @@ func BuildSeed(donorG *graph.Graph, donorProg *dist.Program, donorTh *theory.The
 func matchTriple(donor *theory.Triple, candidates []*theory.Triple, mapID func(graph.NodeID) (graph.NodeID, bool)) *theory.Triple {
 	var found *theory.Triple
 	for _, tt := range candidates {
+		tPre, tLeaf := tt.Pre(), tt.LeafPre()
+		dPre, dLeaf := donor.Pre(), donor.LeafPre()
 		if tt.FlopsScaled != donor.FlopsScaled ||
 			tt.Out.Kind != donor.Out.Kind || tt.Out.Dim != donor.Out.Dim ||
-			len(tt.Pre) != len(donor.Pre) || len(tt.LeafPre) != len(donor.LeafPre) {
+			len(tPre) != len(dPre) || len(tLeaf) != len(dLeaf) {
 			continue
 		}
 		ok := true
-		for i, p := range donor.Pre {
+		for i, p := range dPre {
 			m, mok := mapID(p.Ref)
-			if !mok || m != tt.Pre[i].Ref || p.Kind != tt.Pre[i].Kind || p.Dim != tt.Pre[i].Dim {
+			if !mok || m != tPre[i].Ref || p.Kind != tPre[i].Kind || p.Dim != tPre[i].Dim {
 				ok = false
 				break
 			}
 		}
-		for i, p := range donor.LeafPre {
+		for i, p := range dLeaf {
 			if !ok {
 				break
 			}
 			m, mok := mapID(p.Ref)
-			if !mok || m != tt.LeafPre[i].Ref || p.Kind != tt.LeafPre[i].Kind || p.Dim != tt.LeafPre[i].Dim {
+			if !mok || m != tLeaf[i].Ref || p.Kind != tLeaf[i].Kind || p.Dim != tLeaf[i].Dim {
 				ok = false
 				break
 			}

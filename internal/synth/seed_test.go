@@ -234,12 +234,12 @@ func (r *replayer) mapReplay(rs *mapReplayState, instrs []dist.Instruction, step
 }
 
 func (r *replayer) mapApplicable(rs *mapReplayState, tr *theory.Triple) bool {
-	for _, p := range tr.Pre {
+	for _, p := range tr.Pre() {
 		if !rs.props[p] {
 			return false
 		}
 	}
-	for _, p := range tr.LeafPre {
+	for _, p := range tr.LeafPre() {
 		want := replicated
 		if p.Kind == theory.Gather {
 			want = int8(p.Dim)

@@ -386,12 +386,12 @@ func (sy *Synthesizer) program(tail int32) *dist.Program {
 			continue
 		}
 		inputs += len(sy.g.Node(tr.Node).Inputs)
-		for _, lp := range tr.LeafPre {
+		for _, lp := range tr.LeafPre() {
 			if !loaded[lp.Ref] {
 				count++
 			}
 		}
-		for _, lp := range tr.LeafPre {
+		for _, lp := range tr.LeafPre() {
 			loaded[lp.Ref] = true
 		}
 	}
@@ -403,12 +403,12 @@ func (sy *Synthesizer) program(tail int32) *dist.Program {
 			p.Instrs = append(p.Instrs, dist.Comm(st.cc.ref, collective.Kind(st.cc.coll), int(st.cc.dim), int(st.cc.dim2)))
 			continue
 		}
-		for _, lp := range st.tr.LeafPre {
+		for _, lp := range st.tr.LeafPre() {
 			if loaded[lp.Ref] {
 				p.Instrs = append(p.Instrs, theory.LeafInstr(sy.g, lp))
 			}
 		}
-		for _, lp := range st.tr.LeafPre {
+		for _, lp := range st.tr.LeafPre() {
 			loaded[lp.Ref] = false
 		}
 		in := st.tr.Instr(sy.g)
@@ -482,21 +482,26 @@ type Synthesizer struct {
 	outputIdx []int32
 	// reqNodes lists the required non-leaf nodes in ascending id order: the
 	// strict global topological schedule the beam walks (state.nextReq
-	// indexes it, so finding the next computation is O(1) per state).
+	// indexes it, so finding the next computation is O(1) per state). Only
+	// these nodes are ever computed or communicated.
 	reqNodes []graph.NodeID
-	// flops holds Graph.Flops of every required node, evaluated once.
+	// row maps a node id to its index in reqNodes, -1 otherwise: the row of
+	// every per-node table below.
+	row []int32
+	// flops holds Graph.Flops of every required node, by row, evaluated once.
 	flops []float64
-	// compT, commT and commPen table a step's cost under b, per required
-	// node (DESIGN.md "Memoized costs"): the search prices the same few
-	// steps millions of times. compT[id] holds the per-device times
-	// cost.AddCompTimes adds, unscaled then scaled by b (see compTimes).
-	// commT and commPen hold cost.CommTime and cost.AddIntraPenalty per
-	// (ref, collective kind) — both dim-independent; commPen[ref] flattens
-	// the per-kind penalty vectors with stride M. commPen is nil when no
-	// device aggregates GPUs: every penalty is then zero.
-	compT   [][]float64
-	commT   [][numColl]float64
-	commPen [][]float64
+	// compT, commT and commPen table a step's cost under b, one row per
+	// required node (DESIGN.md "Memoized costs"): the search prices the same
+	// few steps millions of times. Each is flat, and read only through its
+	// accessor. compT holds the per-device times cost.AddCompTimes adds,
+	// unscaled then scaled by b (see compTimes). commT holds cost.CommTime
+	// per collective kind (see commTime); commPen cost.AddIntraPenalty in its
+	// two shapes, All-Reduce's then the other kinds' (see commPenalty). Both
+	// are dim-independent. commPen is nil when no device aggregates GPUs:
+	// every penalty is then zero.
+	compT   []float64
+	commT   []float64
+	commPen []float64
 
 	// runScratch is the search's working memory — the state arena, the
 	// trail, the beam's buffers — borrowed from scratchPool for the length
@@ -538,18 +543,19 @@ func New(g *graph.Graph, th *theory.Theory, c *cluster.Cluster, b [][]float64, o
 	if opt.BeamWidth == 0 {
 		opt.Seed = nil // exact A* ignores seeds: no pin may filter its segments
 	}
+	n := g.NumNodes()
+	idx := make([]int32, 2*n) // outputIdx and row share one slab
 	s := &Synthesizer{
 		g: g, th: th, c: c, b: b, opt: opt, coldWidth: coldWidth,
-		words:            (g.NumNodes() + 63) / 64,
+		words:            (n + 63) / 64,
 		totalFlopsPerSec: c.TotalFlops(),
 		outputs:          th.Outputs,
-		outputIdx:        make([]int32, g.NumNodes()),
-		gradOf:           make([]graph.NodeID, g.NumNodes()),
-		compT:            make([][]float64, g.NumNodes()),
-		commT:            make([][numColl]float64, g.NumNodes()),
+		outputIdx:        idx[:n:n],
+		row:              idx[n:],
+		gradOf:           make([]graph.NodeID, n),
 	}
 	for i := range s.outputIdx {
-		s.outputIdx[i], s.gradOf[i] = -1, -1
+		s.outputIdx[i], s.row[i], s.gradOf[i] = -1, -1, -1
 	}
 	for i, o := range th.Outputs {
 		s.outputIdx[o.Ref] = int32(i)
@@ -557,27 +563,34 @@ func New(g *graph.Graph, th *theory.Theory, c *cluster.Cluster, b [][]float64, o
 			s.gradOf[o.Param] = o.Ref
 		}
 	}
+	required := func(id graph.NodeID) bool { return th.Required[id] && !g.Node(id).Kind.IsLeaf() }
+	rows := 0
 	for i := range g.Nodes {
-		id := graph.NodeID(i)
-		if th.Required[id] && !g.Node(id).Kind.IsLeaf() {
+		if required(graph.NodeID(i)) {
+			rows++
+		}
+	}
+	s.reqNodes = make([]graph.NodeID, 0, rows)
+	for i := range g.Nodes {
+		if id := graph.NodeID(i); required(id) {
+			s.row[id] = int32(len(s.reqNodes))
 			s.reqNodes = append(s.reqNodes, id)
 		}
 	}
-	// flops and the compute table share one slab.
-	m := c.M()
-	comp := make([]float64, g.NumNodes()+2*m*len(s.reqNodes))
-	s.flops, comp = comp[:g.NumNodes()], comp[g.NumNodes():]
-	for _, id := range s.reqNodes {
-		s.flops[id] = g.Flops(id)
-		s.compT[id], comp = comp[:2*m:2*m], comp[2*m:]
-	}
+	// flops and the cost tables share one slab, one run each.
+	m, pen := c.M(), 0
 	if slices.ContainsFunc(c.Devices, func(d cluster.VirtualDevice) bool { return d.GPUs > 1 }) {
-		s.commPen = make([][]float64, g.NumNodes())
-		stride := numColl * m
-		pen := make([]float64, stride*len(s.reqNodes))
-		for _, id := range s.reqNodes {
-			s.commPen[id], pen = pen[:stride:stride], pen[stride:]
-		}
+		pen = 2 * m
+	}
+	tab := make([]float64, rows*(1+2*m+numColl+pen))
+	s.flops, tab = tab[:rows:rows], tab[rows:]
+	s.compT, tab = tab[:2*m*rows:2*m*rows], tab[2*m*rows:]
+	s.commT, tab = tab[:numColl*rows:numColl*rows], tab[numColl*rows:]
+	if pen > 0 {
+		s.commPen = tab
+	}
+	for r, id := range s.reqNodes {
+		s.flops[r] = g.Flops(id)
 	}
 	s.price()
 	return s
@@ -590,25 +603,28 @@ func (sy *Synthesizer) SetRatios(b [][]float64) {
 	sy.price()
 }
 
-// price fills compT, commT and commPen under sy.b, in place. A compT entry
-// is the quotient cost.AddCompTimes adds, computed by the same operations in
-// the same order, so a tabled score keeps the bits of a priced one.
+// price fills compT, commT and commPen under sy.b, in place, row by row.
+// Every entry is what the cost model adds, computed by the same operations
+// in the same order, so a tabled score keeps the bits of a priced one.
+// cost.AddIntraPenalty has two shapes — All-Reduce replicas at full size,
+// the four other kinds scaled by b — so it runs once per shape, not once
+// per kind.
 func (sy *Synthesizer) price() {
 	m := sy.c.M()
-	for _, id := range sy.reqNodes {
-		flops, comp, seg := sy.flops[id], sy.compT[id], sy.g.Segment(id)
+	for r, id := range sy.reqNodes {
+		flops, comp, seg := sy.flops[r], sy.compT[2*m*r:2*m*(r+1)], sy.g.Segment(id)
 		for j, d := range sy.c.Devices {
 			comp[j] = flops / d.Flops()
 			comp[m+j] = flops * sy.b[seg][j] / d.Flops()
 		}
 		for k := 0; k < numColl; k++ {
-			in := dist.Comm(id, collective.Kind(k), 0, 0)
-			sy.commT[id][k] = cost.CommTime(sy.c, sy.g, in, sy.b)
-			if sy.commPen != nil {
-				pen := sy.commPen[id][k*m : (k+1)*m]
-				clear(pen)
-				cost.AddIntraPenalty(sy.c, sy.g, in, sy.b, pen)
-			}
+			sy.commT[numColl*r+k] = cost.CommTime(sy.c, sy.g, dist.Comm(id, collective.Kind(k), 0, 0), sy.b)
+		}
+		if sy.commPen != nil {
+			pen := sy.commPen[2*m*r : 2*m*(r+1)]
+			clear(pen)
+			cost.AddIntraPenalty(sy.c, sy.g, dist.Comm(id, collective.AllReduce, 0, 0), sy.b, pen[:m])
+			cost.AddIntraPenalty(sy.c, sy.g, dist.Comm(id, collective.PaddedAllGather, 0, 0), sy.b, pen[m:])
 		}
 	}
 }
@@ -616,11 +632,32 @@ func (sy *Synthesizer) price() {
 // compTimes returns the per-device times tr adds to the open stage under
 // sy.b: flops scaled by the device's ratio when tr shards its work.
 func (sy *Synthesizer) compTimes(tr *theory.Triple) []float64 {
-	comp, m := sy.compT[tr.Node], sy.c.M()
+	m := sy.c.M()
+	i := 2 * m * int(sy.row[tr.Node])
 	if tr.FlopsScaled {
-		return comp[m:]
+		i += m
 	}
-	return comp[:m]
+	return sy.compT[i : i+m : i+m]
+}
+
+// commTime returns cost.CommTime of a collective of kind on ref under sy.b.
+func (sy *Synthesizer) commTime(ref graph.NodeID, kind collective.Kind) float64 {
+	return sy.commT[numColl*int(sy.row[ref])+int(kind)]
+}
+
+// commPenalty returns the per-device intra-machine penalty a collective of
+// kind on ref opens its stage with under sy.b: cost.AddIntraPenalty's, nil
+// when no device aggregates GPUs.
+func (sy *Synthesizer) commPenalty(ref graph.NodeID, kind collective.Kind) []float64 {
+	if sy.commPen == nil {
+		return nil
+	}
+	m := sy.c.M()
+	i := 2 * m * int(sy.row[ref])
+	if kind != collective.AllReduce {
+		i += m
+	}
+	return sy.commPen[i : i+m : i+m]
 }
 
 // Synthesize runs the search under ctx and returns the best program found.
@@ -650,8 +687,8 @@ func (sy *Synthesizer) rootState() *state {
 	for i := range root.placed {
 		root.placed[i] = unplaced
 	}
-	for _, id := range sy.reqNodes {
-		root.remFlops += sy.flops[id]
+	for _, f := range sy.flops {
+		root.remFlops += f
 	}
 	// The empty program holds no property, so no output is acceptable yet.
 	root.unmet = int32(len(sy.outputs))
@@ -881,7 +918,7 @@ func (sy *Synthesizer) scoreCandidates(s *state, lc *levelCands) {
 				continue
 			}
 			if sy.compApplicable(s, tr) {
-				score := sy.compDelta(s, tr) + (s.remFlops-sy.flops[id])/sy.totalFlopsPerSec
+				score := sy.compDelta(s, tr) + (s.remFlops-sy.flops[s.nextReq])/sy.totalFlopsPerSec
 				lc.refs = append(lc.refs, candRef{score: score, idx: int32(len(lc.refs)), parent: parent})
 				lc.comps = append(lc.comps, tr)
 			}
@@ -939,7 +976,7 @@ func commKey(s *state, cc commCand) uint64 {
 // which cancels.
 func (sy *Synthesizer) compKey(s *state, tr *theory.Triple) uint64 {
 	h := s.h ^ nodeCode(elemLastComp, tr.Node)
-	for _, p := range tr.LeafPre {
+	for _, p := range tr.LeafPre() {
 		if s.placed[p.Ref] == unplaced {
 			h ^= placedCode(p.Ref, leafPlacement(p))
 		}
@@ -1207,12 +1244,12 @@ func (sy *Synthesizer) ready(s *state, id graph.NodeID) bool {
 // compApplicable checks a computation triple's preconditions without
 // materializing the successor state.
 func (sy *Synthesizer) compApplicable(s *state, tr *theory.Triple) bool {
-	for _, p := range tr.Pre {
+	for _, p := range tr.Pre() {
 		if !s.hasProp(p) {
 			return false
 		}
 	}
-	for _, p := range tr.LeafPre {
+	for _, p := range tr.LeafPre() {
 		if got := s.placed[p.Ref]; got != leafPlacement(p) && got != unplaced {
 			return false
 		}
@@ -1249,7 +1286,7 @@ func (sy *Synthesizer) applyComp(s *state, tr *theory.Triple) *state {
 	}
 	ns := sy.clone(s)
 	ns.tail = sy.record(s.tail, step{tr: tr})
-	for _, p := range tr.LeafPre {
+	for _, p := range tr.LeafPre() {
 		if s.placed[p.Ref] == unplaced {
 			ns.place(p.Ref, leafPlacement(p))
 		}
@@ -1259,8 +1296,9 @@ func (sy *Synthesizer) applyComp(s *state, tr *theory.Triple) *state {
 		ns.addProp(tr.Out)
 	}
 	ns.lastComp = tr.Node
-	ns.remFlops -= sy.flops[tr.Node]
-	if sy.flops[tr.Node] != 0 { // cost.AddCompTimes' skip: x+0 is not always x
+	flops := sy.flops[sy.row[tr.Node]]
+	ns.remFlops -= flops
+	if flops != 0 { // cost.AddCompTimes' skip: x+0 is not always x
 		for j, dt := range sy.compTimes(tr) {
 			ns.openComp[j] += dt
 		}
@@ -1279,7 +1317,7 @@ func (sy *Synthesizer) applyComp(s *state, tr *theory.Triple) *state {
 			sy.touched = touch(sy.touched, u)
 		}
 	}
-	for _, p := range tr.LeafPre {
+	for _, p := range tr.LeafPre() {
 		if gr := sy.gradOf[p.Ref]; gr >= 0 && s.placed[p.Ref] == unplaced {
 			sy.touched = touch(sy.touched, gr)
 		}
@@ -1323,8 +1361,8 @@ type commCand struct {
 }
 
 // frontEntry is one legal collective of a state's communication frontier:
-// the candidate and its memoized commT[ref][coll], the only part of its score
-// that is the candidate's own — 24 bytes.
+// the candidate and its memoized commTime(ref, coll), the only part of its
+// score that is the candidate's own — 24 bytes.
 type frontEntry struct {
 	cc  commCand
 	off float64
@@ -1383,7 +1421,7 @@ func (sy *Synthesizer) commCandidates(s *state, p theory.Property, run []theory.
 		}
 		out = append(out, frontEntry{
 			cc:  commCand{ref: p.Ref, coll: uint8(coll), dim: int8(d), dim2: int8(d2), resKind: res.Kind, resDim: res.Dim},
-			off: sy.commT[p.Ref][coll],
+			off: sy.commTime(p.Ref, coll),
 		})
 	}
 
@@ -1495,14 +1533,13 @@ func (sy *Synthesizer) applyComm(s *state, cc commCand) *state {
 		}
 	}
 	ns.closedCost += ns.openComm + worst
-	k := int(cc.coll)
-	if sy.commPen == nil {
+	k := collective.Kind(cc.coll)
+	if pen := sy.commPenalty(cc.ref, k); pen == nil {
 		clear(ns.openComp)
 	} else {
-		m := len(ns.openComp)
-		copy(ns.openComp, sy.commPen[cc.ref][k*m:(k+1)*m])
+		copy(ns.openComp, pen)
 	}
-	ns.openComm = sy.commT[cc.ref][k]
+	ns.openComm = sy.commTime(cc.ref, k)
 	ns.lastComp = -1
 	if sy.opt.BeamWidth > 0 {
 		// A communicated tensor has no segment, and nothing else moved.

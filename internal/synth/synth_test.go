@@ -442,12 +442,16 @@ func TestMidSearchDeadlineStops(t *testing.T) {
 	}
 }
 
-// TestCompTimesMatchCost holds the per-B compute table to the cost model it
-// replaced: for every required node, unscaled and scaled, the time the table
-// adds on each device has the bits cost.AddCompTimes adds, under uneven
-// per-segment, per-device ratios and again after SetRatios re-prices the
-// search. The penalty table matches cost.AddIntraPenalty where a device
-// aggregates GPUs, and is absent where none does (every penalty is zero).
+// TestCompTimesMatchCost holds the per-B tables to the cost model they
+// replaced, read through the accessors the beam reads them by: for every
+// required node, unscaled and scaled, the time the compute table adds on
+// each device has the bits cost.AddCompTimes adds, and for each of the five
+// collective kinds commTime has cost.CommTime's bits and commPenalty
+// cost.AddIntraPenalty's, under uneven per-segment, per-device ratios and
+// again after SetRatios re-prices the search. The penalty table is absent
+// where no device aggregates GPUs (every penalty is zero). The tables are
+// indexed by row of reqNodes, not by node id: the MLP's leaves put every
+// row below its node id, so a table read by node id fails.
 func TestCompTimesMatchCost(t *testing.T) {
 	uneven := func(g *graph.Graph, c *cluster.Cluster, skew float64) [][]float64 {
 		b := cost.UniformRatios(g.NumSegments(), c.ProportionalRatios())
@@ -477,12 +481,15 @@ func TestCompTimesMatchCost(t *testing.T) {
 			if (sy.commPen != nil) != tc.multiGPU {
 				t.Fatalf("penalty table allocated: %v, want %v", sy.commPen != nil, tc.multiGPU)
 			}
+			if len(sy.flops) != len(sy.reqNodes) {
+				t.Fatalf("%d tabled flops for %d required nodes", len(sy.flops), len(sy.reqNodes))
+			}
 			check := func(b [][]float64) {
 				t.Helper()
 				m := c.M()
-				for _, id := range sy.reqNodes {
-					if sy.flops[id] != g.Flops(id) {
-						t.Fatalf("node %d: tabled flops %v, Graph.Flops %v", id, sy.flops[id], g.Flops(id))
+				for r, id := range sy.reqNodes {
+					if sy.flops[r] != g.Flops(id) {
+						t.Fatalf("node %d: tabled flops %v, Graph.Flops %v", id, sy.flops[r], g.Flops(id))
 					}
 					// AddCompTimes skips a zero-flop node; so does applyComp.
 					for _, scaled := range []bool{false, true} {
@@ -495,17 +502,22 @@ func TestCompTimesMatchCost(t *testing.T) {
 							}
 						}
 					}
-					for k := 0; k < numColl; k++ {
+					for k := collective.Kind(0); int(k) < numColl; k++ {
+						in := dist.Comm(id, k, 0, 0)
+						if got, want := sy.commTime(id, k), cost.CommTime(c, g, in, b); math.Float64bits(got) != math.Float64bits(want) {
+							t.Fatalf("node %d kind %v: commTime %v, cost.CommTime %v", id, k, got, want)
+						}
 						want := make([]float64, m)
-						cost.AddIntraPenalty(c, g, dist.Comm(id, collective.Kind(k), 0, 0), b, want)
-						if sy.commPen == nil {
+						cost.AddIntraPenalty(c, g, in, b, want)
+						got := sy.commPenalty(id, k)
+						if got == nil {
 							if slices.ContainsFunc(want, func(v float64) bool { return v != 0 }) {
-								t.Fatalf("node %d kind %d: no penalty table, but cost.AddIntraPenalty adds %v", id, k, want)
+								t.Fatalf("node %d kind %v: no penalty table, but cost.AddIntraPenalty adds %v", id, k, want)
 							}
 							continue
 						}
-						if got := sy.commPen[id][k*m : (k+1)*m]; !slices.Equal(got, want) {
-							t.Fatalf("node %d kind %d: penalty %v, cost.AddIntraPenalty %v", id, k, got, want)
+						if !slices.EqualFunc(got, want, func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) }) {
+							t.Fatalf("node %d kind %v: penalty %v, cost.AddIntraPenalty %v", id, k, got, want)
 						}
 					}
 				}

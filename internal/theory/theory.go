@@ -80,14 +80,30 @@ func Pending(e graph.NodeID) Property      { return Property{Ref: e, Kind: Reduc
 // Triple is a Hoare triple {Pre} Instr {Out} computing one graph node.
 // Leaf-input requirements are split out into LeafPre so the synthesizer can
 // fuse the leaf-loader instructions (optimization 1 of Sec. 4.5).
+//
+// No op has more than two inputs (graph.Validate), so a triple holds its
+// requirements inline — the non-leaf ones first, then the leaf ones — and
+// is 64 bytes with no pointer into a slab of properties.
 type Triple struct {
-	Node    graph.NodeID
-	Pre     []Property // requirements on non-leaf inputs
-	LeafPre []Property // requirements on leaf inputs (Ref is the leaf)
-	Out     Property   // the produced property (postcondition)
+	Node graph.NodeID
+	Out  Property // the produced property (postcondition)
+	req  [2]Property
+	// nPre and nLeaf count the non-leaf and leaf requirements in req.
+	nPre, nLeaf uint8
 	// FlopsScaled reports whether per-device flops scale with the sharding
 	// ratio (false for replicated execution, the SFB-enabling rules).
 	FlopsScaled bool
+}
+
+// Pre returns the requirements on non-leaf inputs: a view of the triple's
+// own array, capped so that an append copies it away.
+func (t *Triple) Pre() []Property { return t.req[:t.nPre:t.nPre] }
+
+// LeafPre returns the requirements on leaf inputs (Ref is the leaf), a
+// capped view like Pre's.
+func (t *Triple) LeafPre() []Property {
+	end := t.nPre + t.nLeaf
+	return t.req[t.nPre:end:end]
 }
 
 // Instr materializes the computation instruction of the triple from the
@@ -163,7 +179,7 @@ func (t *Theory) indexWanted() {
 	t.wanted = make([]uint64, (len(t.Required)*t.stride+63)/64)
 	for _, triples := range t.ByNode {
 		for _, tr := range triples {
-			for _, p := range tr.Pre {
+			for _, p := range tr.Pre() {
 				i, _ := t.wantedSlot(p)
 				t.wanted[i>>6] |= 1 << (i & 63)
 			}
@@ -180,8 +196,8 @@ type Output struct {
 
 // New builds the background theory for a single-device graph by matching
 // the per-op rules against every node. The rules run twice: a counting pass
-// sizes one slab each for the triples and their properties, and a filling
-// pass writes into them, so New allocates per graph rather than per triple.
+// sizes one slab each for the triples and their pointers, and a filling pass
+// writes into them, so New allocates per graph rather than per triple.
 func New(g *graph.Graph) *Theory {
 	n := g.NumNodes()
 	t := &Theory{
@@ -216,7 +232,6 @@ func New(g *graph.Graph) *Theory {
 	b.each(t)
 	b.triples = make([]Triple, 0, b.nTriples)
 	b.ptrs = make([]*Triple, 0, b.nTriples)
-	b.props = make([]Property, 0, b.nProps)
 	b.fill = true
 	b.each(t)
 	t.stride = 3 + b.maxDim
@@ -265,7 +280,7 @@ func (t *Theory) Filter(keep func(*Triple) bool) *Theory {
 // through. The SFB ablation (synth.Options.DisableSFB) and the
 // data-parallel baselines drop these triples.
 func IsSFB(g *graph.Graph, tr *Triple) bool {
-	return !tr.FlopsScaled && g.Node(tr.Node).Kind == graph.MatMul && len(tr.Pre) == 2
+	return !tr.FlopsScaled && g.Node(tr.Node).Kind == graph.MatMul && tr.nPre == 2
 }
 
 // ExpertParallel reports whether tr keeps to expert parallelism: an expert
@@ -314,12 +329,11 @@ type builder struct {
 
 	// Tallies of the counting pass. maxDim is the widest Gather dimension
 	// any precondition names (-1 for none).
-	nTriples, nProps, maxDim int
+	nTriples, maxDim int
 
 	// Slabs of the filling pass.
 	triples []Triple
 	ptrs    []*Triple
-	props   []Property
 
 	// node is the node whose rules are being matched.
 	node graph.NodeID
@@ -347,7 +361,6 @@ func (b *builder) each(t *Theory) {
 // batch dimension).
 func (b *builder) add(in pre, outProp Property, scaled bool) {
 	var leaf [2]bool
-	nonLeaf := 0
 	for i, p := range in.p[:in.n] {
 		n := b.g.Node(p.Ref)
 		if p.Kind == Gather && (int(p.Dim) >= len(n.Shape) || n.Shape[p.Dim] < 1) {
@@ -361,13 +374,10 @@ func (b *builder) add(in pre, outProp Property, scaled bool) {
 				return // input data arrives batch-organized only
 			}
 			leaf[i] = true
-		} else {
-			nonLeaf++
 		}
 	}
 	if !b.fill {
 		b.nTriples++
-		b.nProps += in.n
 		for i, p := range in.p[:in.n] {
 			if !leaf[i] && p.Kind == Gather {
 				b.maxDim = max(b.maxDim, int(p.Dim))
@@ -376,25 +386,19 @@ func (b *builder) add(in pre, outProp Property, scaled bool) {
 		return
 	}
 
-	start := len(b.props)
+	b.triples = append(b.triples, Triple{Node: b.node, Out: outProp, FlopsScaled: scaled})
+	tr := &b.triples[len(b.triples)-1]
 	for i, p := range in.p[:in.n] {
 		if !leaf[i] {
-			b.props = append(b.props, p)
+			tr.req[tr.nPre] = p
+			tr.nPre++
 		}
 	}
 	for i, p := range in.p[:in.n] {
 		if leaf[i] {
-			b.props = append(b.props, p)
+			tr.req[tr.nPre+tr.nLeaf] = p
+			tr.nLeaf++
 		}
-	}
-	b.triples = append(b.triples, Triple{Node: b.node, Out: outProp, FlopsScaled: scaled})
-	tr := &b.triples[len(b.triples)-1]
-	mid, end := start+nonLeaf, len(b.props)
-	if mid > start {
-		tr.Pre = b.props[start:mid:mid]
-	}
-	if end > mid {
-		tr.LeafPre = b.props[mid:end:end]
 	}
 	b.ptrs = append(b.ptrs, tr)
 }

@@ -50,7 +50,7 @@ func TestPlaceholderShardRestrictedToBatchDim(t *testing.T) {
 	g, y := matmulGraph()
 	th := New(g)
 	for _, tr := range th.ByNode[y] {
-		for _, p := range tr.LeafPre {
+		for _, p := range tr.LeafPre() {
 			if g.Node(p.Ref).Kind == graph.Placeholder && p.Kind == Gather && p.Dim != 0 {
 				t.Errorf("placeholder sharded on dim %d", p.Dim)
 			}
@@ -264,8 +264,10 @@ func TestExpertParallel(t *testing.T) {
 }
 
 // TestInstructionLayout holds the packed sizes: an instruction is one
-// 64-byte line (its four one-byte fields share a word) and a triple, which
-// no longer embeds one, is 80 bytes. The op and collective kinds are
+// 64-byte line (its four one-byte fields share a word), a property is 16
+// bytes, and a triple, which no longer embeds an instruction and holds its
+// two requirements inline, is 64 bytes (80 while they were two slice
+// headers into a slab of properties). The op and collective kinds are
 // uint8, numbered from 0 by iota, so each enumeration must name fewer than
 // 256 kinds: the count is the run of values from 0 that round-trip through
 // their names.
@@ -273,8 +275,11 @@ func TestInstructionLayout(t *testing.T) {
 	if n := unsafe.Sizeof(dist.Instruction{}); n != 64 {
 		t.Errorf("dist.Instruction is %d bytes, want 64", n)
 	}
-	if n := unsafe.Sizeof(Triple{}); n != 80 {
-		t.Errorf("theory.Triple is %d bytes, want 80", n)
+	if n := unsafe.Sizeof(Property{}); n != 16 {
+		t.Errorf("theory.Property is %d bytes, want 16", n)
+	}
+	if n := unsafe.Sizeof(Triple{}); n != 64 {
+		t.Errorf("theory.Triple is %d bytes, want 64", n)
 	}
 	ops := 0
 	for ; ops < 256; ops++ {
