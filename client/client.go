@@ -212,9 +212,13 @@ func (c *Client) postData(ctx context.Context, path string, data []byte, ifNoneM
 	return resp, nil
 }
 
-// needBody mirrors serve.NeedBody: the X-HAP-Cache value of the daemon's
+// needBody mirrors serve.NeedBody: the cacheHeader value of the daemon's
 // answer to a key-only request it holds no plan for.
 const needBody = "need_body"
+
+// cacheHeader mirrors serve.CacheHeader, the header naming a plan answer's
+// cache outcome.
+const cacheHeader = "X-Hap-Cache"
 
 // Synthesize plans g on cl via the server, which answers with the binary
 // plan payload; an answer that does not decode as one is an error.
@@ -247,7 +251,7 @@ func (c *Client) Synthesize(ctx context.Context, g *hap.Graph, cl *hap.Cluster, 
 			c.fullBodies.Store(true)
 		case err != nil:
 			return nil, err
-		case r.Header.Get("X-HAP-Cache") == needBody:
+		case r.Header.Get(cacheHeader) == needBody:
 			io.Copy(io.Discard, r.Body)
 			r.Body.Close()
 		default:

@@ -208,3 +208,11 @@ func TestClientKeyRequestErrorsSurface(t *testing.T) {
 		t.Errorf("server saw %d requests, want 1", calls)
 	}
 }
+
+// The client's copies of the daemon's cache-outcome header and need_body
+// value are the daemon's.
+func TestMirroredWireNames(t *testing.T) {
+	if cacheHeader != serve.CacheHeader || needBody != serve.NeedBody {
+		t.Errorf("client mirrors %q/%q, the daemon says %q/%q", cacheHeader, needBody, serve.CacheHeader, serve.NeedBody)
+	}
+}

@@ -20,16 +20,18 @@ import (
 	"hap/internal/planwire"
 )
 
-// Wire headers of the fleet layer.
+// Wire headers of the fleet layer, spelled canonically
+// (http.CanonicalHeaderKey) so Header.Get and Set find them without
+// rewriting the key.
 const (
 	// ForwardHeader marks an intra-fleet forwarded request; its value is the
 	// forwarding node's advertise URL. A node receiving it serves locally —
 	// never re-forwards — so divergent ring views during a membership reload
 	// cannot create proxy loops.
-	ForwardHeader = "X-HAP-Fleet-Forward"
+	ForwardHeader = "X-Hap-Fleet-Forward"
 	// NodeHeader names the node that actually answered a proxied request,
 	// set on the response for observability and the fleet tests.
-	NodeHeader = "X-HAP-Fleet-Node"
+	NodeHeader = "X-Hap-Fleet-Node"
 )
 
 // A forwarded plan request goes to the peer's plan endpoint and asks for the

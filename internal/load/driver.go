@@ -28,6 +28,9 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"hap/internal/fleet"
+	"hap/internal/serve"
 )
 
 // Options configures one load run.
@@ -276,7 +279,7 @@ func (e *executor) do(ctx context.Context, spec Spec) Result {
 		io.Copy(io.Discard, resp.Body)
 		resp.Body.Close()
 	}()
-	res.Proxied = resp.Header.Get("X-HAP-Fleet-Node") != ""
+	res.Proxied = resp.Header.Get(fleet.NodeHeader) != ""
 	switch {
 	case resp.StatusCode == http.StatusNotModified:
 		// Conditional revalidation answered from the client's cached copy:
@@ -285,7 +288,7 @@ func (e *executor) do(ctx context.Context, spec Spec) Result {
 	case resp.StatusCode == http.StatusTooManyRequests:
 		res.Outcome = OutcomeShed
 	case resp.StatusCode/100 == 2:
-		if resp.Header.Get("X-HAP-Cache") == "hit" {
+		if resp.Header.Get(serve.CacheHeader) == "hit" {
 			res.Outcome = OutcomeWarm
 		} else {
 			res.Outcome = OutcomeMiss

@@ -12,6 +12,15 @@
 // than SetAttr(any) for the same reason: an `any` parameter would allocate
 // at the call site even when the span is nil.
 //
+// When tracing is on, a trace costs a constant few allocations, not a few
+// per span. A Trace hands out its spans from chunks it owns (the first
+// chunk inline, so a caller that embeds a Trace holds a short trace in its
+// own allocation) and keeps every span's attributes typed, in one slab:
+// numbers are formatted only when someone reads the trace. SpanRecord, with
+// its map of string attributes, is the export form, built by Snapshot,
+// Finish and Export, and by nothing on the request path. Collector.Add keeps
+// the trace itself, without copying its records.
+//
 // Span IDs are random uint64s rather than per-trace sequence numbers so
 // that spans recorded independently on two fleet nodes merge into one
 // trace by plain append, with no renumbering pass. They need to be unique,
@@ -26,7 +35,7 @@ import (
 	"encoding/base64"
 	"encoding/hex"
 	"encoding/json"
-	"maps"
+	"math"
 	mrand "math/rand"
 	"strconv"
 	"strings"
@@ -37,15 +46,18 @@ import (
 // TraceHeader carries the trace identity on requests and responses:
 // "traceID" from clients, "traceID-parentSpanID" on fleet forward hops so
 // the remote node parents its work under the proxying node's hop span.
-const TraceHeader = "X-HAP-Trace"
+// Header names are spelled canonically (http.CanonicalHeaderKey), so
+// Header.Get and Set find them without rewriting the key.
+const TraceHeader = "X-Hap-Trace"
 
 // SpansHeader returns the remote node's span records (base64 of JSON) on
 // responses to fleet-forwarded requests, so the proxying node can merge
 // them into the client-facing trace. Never set on responses to end clients.
-const SpansHeader = "X-HAP-Trace-Spans"
+const SpansHeader = "X-Hap-Trace-Spans"
 
-// SpanRecord is one completed (or provisionally snapshotted) span. Times
-// are Unix microseconds to match the Chrome trace-event format's unit.
+// SpanRecord is one completed (or provisionally snapshotted) span in its
+// export form. Times are Unix microseconds to match the Chrome trace-event
+// format's unit.
 type SpanRecord struct {
 	ID      uint64            `json:"id"`
 	Parent  uint64            `json:"parent,omitempty"`
@@ -56,23 +68,100 @@ type SpanRecord struct {
 	Attrs   map[string]string `json:"attrs,omitempty"`
 }
 
-// Trace accumulates the spans of one request.
+// Storage sizes. A cache hit records 3 spans and at most 5 attributes, so
+// it fits the inline chunk; a miss records ~16 spans and ~35 attributes.
+const (
+	inlineSpans = 4
+	inlineAttrs = 6
+	chunkSpans  = 16
+)
+
+// attrKind tags the value an attr holds.
+type attrKind uint8
+
+const (
+	attrStr attrKind = iota
+	attrInt
+	attrFloat
+	attrBool
+)
+
+// attr is one typed span attribute in its trace's slab. A span's attributes
+// are a chain through prev, newest first.
+type attr struct {
+	key  string
+	str  string // attrStr
+	num  uint64 // attrInt: int64 bits; attrFloat: float64 bits; attrBool: 0 or 1
+	prev int32  // slab index + 1 of the span's previous attribute; 0 ends the chain
+	kind attrKind
+}
+
+// value formats the attribute as its export form does.
+func (a *attr) value() string {
+	switch a.kind {
+	case attrInt:
+		return itoa(int64(a.num))
+	case attrFloat:
+		return ftoa(math.Float64frombits(a.num))
+	case attrBool:
+		if a.num != 0 {
+			return "true"
+		}
+		return "false"
+	}
+	return a.str
+}
+
+// spanChunk is heap storage for the spans past the inline chunk. Chunks are
+// never moved, so a *Span stays valid for the trace's life.
+type spanChunk struct {
+	spans [chunkSpans]Span
+	next  *spanChunk
+}
+
+// mergedRecord is a record from another node, at its position in the
+// trace's record order.
+type mergedRecord struct {
+	at int32
+	SpanRecord
+}
+
+// Trace accumulates the spans of one request. Its storage is guarded by mu:
+// MoE portfolio arms open, annotate and end spans of one trace from two
+// goroutines.
 // A nil *Trace is valid and inert.
 type Trace struct {
 	id   string
 	node string
 
-	mu    sync.Mutex
-	spans []SpanRecord
+	mu     sync.Mutex
+	n      int // spans handed out
+	first  [inlineSpans]Span
+	head   *spanChunk // chunks past first, oldest first
+	tail   *spanChunk
+	attrs  []attr // the attribute slab; starts on attrs0
+	attrs0 [inlineAttrs]attr
+	merged []mergedRecord
+	recs   int32 // records so far: ended spans and merged records
+	closed bool  // Finish or Collector.Add ran: the records are fixed
 }
 
 // New starts a trace. An empty id mints a fresh random one; node labels
 // every span recorded here (fleet advertise URL, or "" standalone).
 func New(id, node string) *Trace {
+	t := new(Trace)
+	t.Init(id, node)
+	return t
+}
+
+// Init starts a zero Trace in place, as New does on the heap: a caller that
+// embeds a Trace in its own per-request struct pays no allocation for it.
+// Init must not be called on a trace in use.
+func (t *Trace) Init(id, node string) {
 	if id == "" {
 		id = NewTraceID()
 	}
-	return &Trace{id: id, node: node}
+	t.id, t.node = id, node
 }
 
 // NewTraceID returns a 16-hex-digit random trace identifier.
@@ -83,7 +172,9 @@ func NewTraceID() string {
 		// request path alive at the cost of trace collisions.
 		return "0000000000000000"
 	}
-	return hex.EncodeToString(b[:])
+	var h [16]byte
+	hex.Encode(h[:], b[:])
+	return string(h[:])
 }
 
 // ID returns the trace identifier ("" on nil).
@@ -101,73 +192,261 @@ func (t *Trace) Root(name string, parent uint64) *Span {
 	if t == nil {
 		return nil
 	}
-	return &Span{t: t, id: newSpanID(), parent: parent, name: name, start: time.Now()}
+	return t.open(name, parent)
 }
 
-// add appends a finished span record.
-func (t *Trace) add(r SpanRecord) {
+// open hands out the next span slot, or nil once the trace is closed.
+func (t *Trace) open(name string, parent uint64) *Span {
+	id, start := newSpanID(), time.Now()
 	t.mu.Lock()
-	t.spans = append(t.spans, r)
-	t.mu.Unlock()
+	defer t.mu.Unlock()
+	if t.closed {
+		return nil
+	}
+	s := t.slot()
+	*s = Span{t: t, id: id, parent: parent, name: name, start: start}
+	return s
+}
+
+// slot returns the storage of the next span, adding a chunk when the last
+// one is full. Call with mu held.
+func (t *Trace) slot() *Span {
+	i := t.n
+	t.n++
+	if i < inlineSpans {
+		return &t.first[i]
+	}
+	i = (i - inlineSpans) % chunkSpans
+	if i == 0 {
+		c := new(spanChunk)
+		if t.tail == nil {
+			t.head = c
+		} else {
+			t.tail.next = c
+		}
+		t.tail = c
+	}
+	return &t.tail.spans[i]
+}
+
+// each calls fn on every span handed out, open ones included. Call with mu
+// held.
+func (t *Trace) each(fn func(*Span)) {
+	for i := 0; i < t.n && i < inlineSpans; i++ {
+		fn(&t.first[i])
+	}
+	n := t.n - inlineSpans
+	for c := t.head; c != nil; c = c.next {
+		for i := 0; i < n && i < chunkSpans; i++ {
+			fn(&c.spans[i])
+		}
+		n -= chunkSpans
+	}
 }
 
 // Merge appends span records from another node verbatim (random span IDs
-// make this collision-safe). No-op on nil.
+// make this collision-safe). No-op on nil and on a closed trace.
 func (t *Trace) Merge(spans []SpanRecord) {
 	if t == nil || len(spans) == 0 {
 		return
 	}
 	t.mu.Lock()
-	t.spans = append(t.spans, spans...)
-	t.mu.Unlock()
+	defer t.mu.Unlock()
+	if t.closed {
+		return
+	}
+	for _, r := range spans {
+		t.recs++
+		t.merged = append(t.merged, mergedRecord{at: t.recs, SpanRecord: r})
+	}
 }
 
-// Snapshot copies the spans recorded so far (nil on nil receiver).
+// Snapshot exports the records so far, own ended spans and merged ones, in
+// the order they were recorded (nil on nil receiver).
 func (t *Trace) Snapshot() []SpanRecord {
 	if t == nil {
 		return nil
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	out := make([]SpanRecord, len(t.spans))
-	copy(out, t.spans)
+	return t.records()
+}
+
+// records builds the export form of every record, in record order. Call
+// with mu held.
+func (t *Trace) records() []SpanRecord {
+	out := make([]SpanRecord, t.recs)
+	t.each(func(s *Span) {
+		if s.rec != 0 {
+			out[s.rec-1] = s.record(s.durUS)
+		}
+	})
+	for i := range t.merged {
+		out[t.merged[i].at-1] = t.merged[i].SpanRecord
+	}
 	return out
 }
 
-// Finish packages the trace for the collector ring. Call after the root
-// span has ended. Returns nil on a nil trace.
+// Finish closes the trace and returns its export form. Spans ended,
+// attributes set and records merged after it are dropped. Call after the
+// root span has ended. Returns nil on a nil trace.
 func (t *Trace) Finish() *TraceRecord {
 	if t == nil {
 		return nil
 	}
-	spans := t.Snapshot()
-	rec := &TraceRecord{TraceID: t.id, Node: t.node, Spans: spans}
-	// The extent runs from the earliest start to the latest end, which need
-	// not belong to one span: merged fleet spans carry another node's clock.
+	t.close()
+	return t.Export()
+}
+
+// close fixes the trace's records: later writes are dropped, so a reader
+// of a closed trace sees what it held when it closed.
+func (t *Trace) close() {
+	t.mu.Lock()
+	t.closed = true
+	t.mu.Unlock()
+}
+
+// Export builds the trace's export form: every record so far, with the
+// trace's extent. Returns nil on a nil trace.
+func (t *Trace) Export() *TraceRecord {
+	if t == nil {
+		return nil
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	rec := &TraceRecord{TraceID: t.id, Node: t.node, Spans: t.records()}
+	rec.StartUS, rec.DurUS = t.extent()
+	return rec
+}
+
+// Len returns the number of records, own ended spans and merged ones.
+func (t *Trace) Len() int {
+	if t == nil {
+		return 0
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return int(t.recs)
+}
+
+// Extent returns the trace's start and duration in microseconds: from the
+// earliest start to the latest end, which need not belong to one record,
+// since merged fleet records carry another node's clock.
+func (t *Trace) Extent() (startUS, durUS int64) {
+	if t == nil {
+		return 0, 0
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.extent()
+}
+
+// extent is Extent with mu held.
+func (t *Trace) extent() (startUS, durUS int64) {
 	var end int64
-	for i, sp := range spans {
-		if i == 0 || sp.StartUS < rec.StartUS {
-			rec.StartUS = sp.StartUS
+	first := true
+	widen := func(start, dur int64) {
+		if first || start < startUS {
+			startUS = start
 		}
-		if e := sp.StartUS + sp.DurUS; i == 0 || e > end {
+		if e := start + dur; first || e > end {
 			end = e
 		}
+		first = false
 	}
-	rec.DurUS = end - rec.StartUS
-	return rec
+	t.each(func(s *Span) {
+		if s.rec != 0 {
+			widen(s.start.UnixMicro(), s.durUS)
+		}
+	})
+	for i := range t.merged {
+		widen(t.merged[i].StartUS, t.merged[i].DurUS)
+	}
+	return startUS, end - startUS
+}
+
+// Each calls fn with the name, node and duration of every record, own
+// ended spans and merged ones, in no set order and without building
+// records. fn must not call back into the trace.
+func (t *Trace) Each(fn func(name, node string, durUS int64)) {
+	if t == nil {
+		return
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	t.each(func(s *Span) {
+		if s.rec != 0 {
+			fn(s.name, t.node, s.durUS)
+		}
+	})
+	for i := range t.merged {
+		fn(t.merged[i].Name, t.merged[i].Node, t.merged[i].DurUS)
+	}
+}
+
+// RootAttr returns attribute key of the root record, formatted as its
+// export would be, or "" when the trace has no root or the root no such
+// attribute. The root is TraceRecord.Root's: parent 0, the earliest start,
+// the first recorded among equal starts.
+func (t *Trace) RootAttr(key string) string {
+	if t == nil {
+		return ""
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	var own *Span
+	var merged *SpanRecord
+	var at int32
+	var start int64
+	better := func(s int64, a int32) bool {
+		return at == 0 || s < start || s == start && a < at
+	}
+	t.each(func(s *Span) {
+		if s.rec != 0 && s.parent == 0 {
+			if st := s.start.UnixMicro(); better(st, s.rec) {
+				own, merged, at, start = s, nil, s.rec, st
+			}
+		}
+	})
+	for i := range t.merged {
+		if m := &t.merged[i]; m.Parent == 0 && better(m.StartUS, m.at) {
+			own, merged, at, start = nil, &m.SpanRecord, m.at, m.StartUS
+		}
+	}
+	switch {
+	case own != nil:
+		if a := t.find(own, key); a != nil {
+			return a.value()
+		}
+	case merged != nil:
+		return merged.Attrs[key]
+	}
+	return ""
+}
+
+// find returns s's attribute key, or nil. Call with mu held.
+func (t *Trace) find(s *Span, key string) *attr {
+	for i := s.attrs; i != 0; i = t.attrs[i-1].prev {
+		if a := &t.attrs[i-1]; a.key == key {
+			return a
+		}
+	}
+	return nil
 }
 
 // Span measures one phase. A nil *Span is valid and inert, which is the
 // entire hot-path contract: hap-layer hooks call these methods without
-// checking whether tracing is enabled.
+// checking whether tracing is enabled. Its mutable fields belong to its
+// trace's mutex.
 type Span struct {
 	t      *Trace
 	id     uint64
 	parent uint64
 	name   string
 	start  time.Time
-	attrs  map[string]string
-	ended  bool
+	durUS  int64 // set by End
+	attrs  int32 // slab index + 1 of the newest attribute; 0 = none
+	rec    int32 // position + 1 in the trace's record order; 0 while open
 }
 
 // newSpanID mints a random nonzero span identifier.
@@ -187,24 +466,22 @@ func (s *Span) SpanID() uint64 {
 	return s.id
 }
 
-// Child opens a sub-span. Returns nil (still inert) on a nil receiver.
+// Child opens a sub-span. Returns nil (still inert) on a nil receiver and
+// once the trace is closed.
 func (s *Span) Child(name string) *Span {
 	if s == nil {
 		return nil
 	}
-	return &Span{t: s.t, id: newSpanID(), parent: s.id, name: name, start: time.Now()}
+	return s.t.open(name, s.id)
 }
 
-// SetAttrStr attaches a string attribute. No-op on nil and on an ended
-// span, whose record owns the attribute map.
+// SetAttrStr attaches a string attribute; setting a key again replaces its
+// value. No-op on nil and on an ended span, whose record is fixed.
 func (s *Span) SetAttrStr(key, v string) {
-	if s == nil || s.ended {
+	if s == nil {
 		return
 	}
-	if s.attrs == nil {
-		s.attrs = make(map[string]string, 4)
-	}
-	s.attrs[key] = v
+	s.set(attr{key: key, str: v, kind: attrStr})
 }
 
 // SetAttrInt attaches an integer attribute. No-op on nil.
@@ -212,7 +489,7 @@ func (s *Span) SetAttrInt(key string, v int64) {
 	if s == nil {
 		return
 	}
-	s.SetAttrStr(key, itoa(v))
+	s.set(attr{key: key, num: uint64(v), kind: attrInt})
 }
 
 // SetAttrFloat attaches a float attribute. No-op on nil.
@@ -220,7 +497,7 @@ func (s *Span) SetAttrFloat(key string, v float64) {
 	if s == nil {
 		return
 	}
-	s.SetAttrStr(key, ftoa(v))
+	s.set(attr{key: key, num: math.Float64bits(v), kind: attrFloat})
 }
 
 // SetAttrBool attaches a boolean attribute. No-op on nil.
@@ -228,45 +505,85 @@ func (s *Span) SetAttrBool(key string, v bool) {
 	if s == nil {
 		return
 	}
+	var n uint64
 	if v {
-		s.SetAttrStr(key, "true")
-	} else {
-		s.SetAttrStr(key, "false")
+		n = 1
 	}
+	s.set(attr{key: key, num: n, kind: attrBool})
+}
+
+// set stores a on s: over the value of its key if s has one, else at the
+// end of the slab, growing it past the inline chunk.
+func (s *Span) set(a attr) {
+	t := s.t
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if s.rec != 0 || t.closed {
+		return
+	}
+	if old := t.find(s, a.key); old != nil {
+		a.prev = old.prev
+		*old = a
+		return
+	}
+	if t.attrs == nil {
+		t.attrs = t.attrs0[:0]
+	}
+	a.prev = s.attrs
+	t.attrs = append(t.attrs, a)
+	s.attrs = int32(len(t.attrs))
 }
 
 // End closes the span and records it on its trace. Ending twice records
-// once. No-op on nil.
+// once. No-op on nil and on a closed trace.
 func (s *Span) End() {
-	if s == nil || s.ended {
+	if s == nil {
 		return
 	}
-	s.ended = true
-	// The span is done with its attributes: the record takes the map.
-	s.t.add(s.record(time.Since(s.start), s.attrs))
+	d := time.Since(s.start)
+	t := s.t
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if s.rec != 0 || t.closed {
+		return
+	}
+	s.durUS = d.Microseconds()
+	t.recs++
+	s.rec = t.recs
 }
 
 // Record snapshots the span as if it ended now, without closing it. Used
 // to export a provisional root record on fleet-hop responses, where the
-// remote root must appear in the merged trace before it actually ends. The
-// span stays open to attributes, so the record gets a copy of them.
+// remote root must appear in the merged trace before it actually ends.
 func (s *Span) Record() SpanRecord {
 	if s == nil {
 		return SpanRecord{}
 	}
-	return s.record(time.Since(s.start), maps.Clone(s.attrs))
+	d := time.Since(s.start)
+	s.t.mu.Lock()
+	defer s.t.mu.Unlock()
+	return s.record(d.Microseconds())
 }
 
-func (s *Span) record(d time.Duration, attrs map[string]string) SpanRecord {
-	return SpanRecord{
+// record builds s's export form with duration durUS. Call with mu held.
+func (s *Span) record(durUS int64) SpanRecord {
+	r := SpanRecord{
 		ID:      s.id,
 		Parent:  s.parent,
 		Name:    s.name,
 		Node:    s.t.node,
 		StartUS: s.start.UnixMicro(),
-		DurUS:   d.Microseconds(),
-		Attrs:   attrs,
+		DurUS:   durUS,
 	}
+	if s.attrs != 0 {
+		r.Attrs = make(map[string]string, 4)
+		t := s.t
+		for i := s.attrs; i != 0; i = t.attrs[i-1].prev {
+			a := &t.attrs[i-1]
+			r.Attrs[a.key] = a.value()
+		}
+	}
+	return r
 }
 
 func itoa(v int64) string { return strconv.FormatInt(v, 10) }
@@ -329,16 +646,164 @@ func ParseTraceHeader(v string) (id string, parent uint64) {
 }
 
 // EncodeSpans renders span records for the X-HAP-Trace-Spans response
-// header: base64(JSON array). Empty input encodes to "".
+// header: base64(JSON array). Empty input encodes to "". The JSON is
+// written directly, not through encoding/json: the same members, with
+// attributes in no set order, so any version's DecodeSpans reads it.
 func EncodeSpans(spans []SpanRecord) string {
 	if len(spans) == 0 {
 		return ""
 	}
-	b, err := json.Marshal(spans)
-	if err != nil {
+	b := make([]byte, 0, recordBytes*len(spans))
+	b = append(b, '[')
+	for i := range spans {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = appendRecord(b, &spans[i])
+	}
+	return base64.StdEncoding.EncodeToString(append(b, ']'))
+}
+
+// EncodeSpans renders the trace's X-HAP-Trace-Spans header straight from
+// its typed records: every record so far, in record order, then a
+// provisional record of open, a span still running, as Span.Record takes
+// it. It decodes to what EncodeSpans(append(t.Snapshot(), open.Record()))
+// does. "" on a nil trace.
+func (t *Trace) EncodeSpans(open *Span) string {
+	if t == nil {
 		return ""
 	}
-	return base64.StdEncoding.EncodeToString(b)
+	var openUS int64
+	if open != nil {
+		openUS = time.Since(open.start).Microseconds()
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	own := make([]*Span, t.recs)
+	t.each(func(s *Span) {
+		if s.rec != 0 {
+			own[s.rec-1] = s
+		}
+	})
+	b := make([]byte, 0, recordBytes*(len(own)+1))
+	b = append(b, '[')
+	m := 0
+	for i, s := range own {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		if s == nil {
+			b = appendRecord(b, &t.merged[m].SpanRecord)
+			m++
+			continue
+		}
+		b = t.appendSpan(b, s, s.durUS)
+	}
+	if open != nil {
+		if len(own) > 0 {
+			b = append(b, ',')
+		}
+		b = t.appendSpan(b, open, openUS)
+	}
+	if len(b) == 1 {
+		return ""
+	}
+	return base64.StdEncoding.EncodeToString(append(b, ']'))
+}
+
+// recordBytes is about the JSON size of one span record, the encoders'
+// buffer estimate: a miss's 16 records take ~2.5 KiB.
+const recordBytes = 256
+
+// appendHead appends a span record's JSON object up to its attributes,
+// leaving the object open.
+func appendHead(b []byte, id, parent uint64, name, node string, startUS, durUS int64) []byte {
+	b = append(b, `{"id":`...)
+	b = strconv.AppendUint(b, id, 10)
+	if parent != 0 {
+		b = append(b, `,"parent":`...)
+		b = strconv.AppendUint(b, parent, 10)
+	}
+	b = append(b, `,"name":`...)
+	b = appendString(b, name)
+	if node != "" {
+		b = append(b, `,"node":`...)
+		b = appendString(b, node)
+	}
+	b = append(b, `,"start_us":`...)
+	b = strconv.AppendInt(b, startUS, 10)
+	b = append(b, `,"dur_us":`...)
+	return strconv.AppendInt(b, durUS, 10)
+}
+
+// appendRecord appends r as a JSON object.
+func appendRecord(b []byte, r *SpanRecord) []byte {
+	b = appendHead(b, r.ID, r.Parent, r.Name, r.Node, r.StartUS, r.DurUS)
+	if len(r.Attrs) > 0 {
+		b = append(b, `,"attrs":{`...)
+		first := true
+		for k, v := range r.Attrs {
+			if !first {
+				b = append(b, ',')
+			}
+			first = false
+			b = appendString(b, k)
+			b = append(b, ':')
+			b = appendString(b, v)
+		}
+		b = append(b, '}')
+	}
+	return append(b, '}')
+}
+
+// appendSpan appends s's record with duration durUS as a JSON object, its
+// attribute values formatted as value does. Call with mu held.
+func (t *Trace) appendSpan(b []byte, s *Span, durUS int64) []byte {
+	b = appendHead(b, s.id, s.parent, s.name, t.node, s.start.UnixMicro(), durUS)
+	if s.attrs != 0 {
+		b = append(b, `,"attrs":{`...)
+		for i := s.attrs; i != 0; i = t.attrs[i-1].prev {
+			a := &t.attrs[i-1]
+			if i != s.attrs {
+				b = append(b, ',')
+			}
+			b = appendString(b, a.key)
+			b = append(b, ':')
+			switch a.kind {
+			case attrInt:
+				b = append(b, '"')
+				b = strconv.AppendInt(b, int64(a.num), 10)
+				b = append(b, '"')
+			case attrFloat:
+				b = append(b, '"')
+				b = strconv.AppendFloat(b, math.Float64frombits(a.num), 'g', -1, 64)
+				b = append(b, '"')
+			default:
+				b = appendString(b, a.value())
+			}
+		}
+		b = append(b, '}')
+	}
+	return append(b, '}')
+}
+
+// appendString appends s as a JSON string. Only the quote, the backslash and
+// control characters are escaped; other bytes are copied, and a decoder
+// reads invalid UTF-8 as U+FFFD, as encoding/json writes it.
+func appendString(b []byte, s string) []byte {
+	const hex = "0123456789abcdef"
+	b = append(b, '"')
+	for i := 0; i < len(s); i++ {
+		switch c := s[i]; {
+		case c == '"' || c == '\\':
+			b = append(b, '\\', c)
+		case c < 0x20:
+			b = append(b, '\\', 'u', '0', '0', hex[c>>4], hex[c&0xf])
+		default:
+			b = append(b, c)
+		}
+	}
+	return append(b, '"')
 }
 
 // DecodeSpans reverses EncodeSpans; malformed input yields nil (a trace

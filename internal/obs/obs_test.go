@@ -46,7 +46,7 @@ func TestTraceNilSafety(t *testing.T) {
 		t.Errorf("nil trace Finish = %v, want nil", got)
 	}
 	var c *Collector
-	c.Add(&TraceRecord{})
+	c.Add(New("x", ""))
 	if c.Traces() != nil {
 		t.Error("nil collector should be empty")
 	}
@@ -222,7 +222,7 @@ func TestTraceHeaderCodec(t *testing.T) {
 func TestTraceCollectorRing(t *testing.T) {
 	c := NewCollector(3)
 	for i := 0; i < 5; i++ {
-		c.Add(&TraceRecord{TraceID: fmt.Sprintf("t%d", i)})
+		c.Add(New(fmt.Sprintf("t%d", i), ""))
 	}
 	recs := c.Traces()
 	if len(recs) != 3 {
@@ -230,7 +230,7 @@ func TestTraceCollectorRing(t *testing.T) {
 	}
 	var ids []string
 	for _, r := range recs {
-		ids = append(ids, r.TraceID)
+		ids = append(ids, r.ID())
 	}
 	if got := strings.Join(ids, ","); got != "t4,t3,t2" {
 		t.Errorf("newest-first order = %s, want t4,t3,t2", got)
@@ -238,12 +238,12 @@ func TestTraceCollectorRing(t *testing.T) {
 	if _, ok := c.Get("t1"); ok {
 		t.Error("evicted trace still found")
 	}
-	if r, ok := c.Get("t3"); !ok || r.TraceID != "t3" {
+	if r, ok := c.Get("t3"); !ok || r.ID() != "t3" {
 		t.Error("retained trace not found")
 	}
 	// Duplicate IDs: newest wins.
-	c.Add(&TraceRecord{TraceID: "t4", Node: "newer"})
-	if r, _ := c.Get("t4"); r.Node != "newer" {
+	c.Add(New("t4", "newer"))
+	if r, _ := c.Get("t4"); r.Export().Node != "newer" {
 		t.Error("Get should return the newest record for an ID")
 	}
 }

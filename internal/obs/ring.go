@@ -15,8 +15,7 @@ import (
 // the capacity is left at zero.
 const DefaultRingSize = 256
 
-// TraceRecord is a completed trace as held in the ring and served by the
-// debug endpoints.
+// TraceRecord is a trace's export form, as the debug endpoints serve it.
 type TraceRecord struct {
 	TraceID string       `json:"trace_id"`
 	Node    string       `json:"node,omitempty"`
@@ -41,14 +40,15 @@ func (r *TraceRecord) Root() SpanRecord {
 }
 
 // Collector is a fixed-capacity ring of completed traces: the newest N are
-// kept, older ones fall off. Safe for concurrent use. A nil *Collector is
-// valid and inert — that is the "tracing disabled" state.
+// kept, older ones fall off. It keeps each trace itself, typed, and builds
+// the export form only when asked for one. Safe for concurrent use. A nil
+// *Collector is valid and inert — that is the "tracing disabled" state.
 type Collector struct {
 	mu   sync.Mutex
 	cap  int
-	recs []*TraceRecord // ring storage
-	next int            // insertion index
-	n    int            // live count (<= cap)
+	recs []*Trace // ring storage
+	next int      // insertion index
+	n    int      // live count (<= cap)
 }
 
 // NewCollector builds a ring keeping up to capacity traces
@@ -57,17 +57,19 @@ func NewCollector(capacity int) *Collector {
 	if capacity <= 0 {
 		capacity = DefaultRingSize
 	}
-	return &Collector{cap: capacity, recs: make([]*TraceRecord, capacity)}
+	return &Collector{cap: capacity, recs: make([]*Trace, capacity)}
 }
 
-// Add stores a completed trace, evicting the oldest at capacity. No-op on
-// a nil collector or nil record.
-func (c *Collector) Add(r *TraceRecord) {
-	if c == nil || r == nil {
+// Add closes t (as Finish does, without exporting it) and stores it,
+// evicting the oldest at capacity. Call after t's root span has ended.
+// No-op on a nil collector or nil trace.
+func (c *Collector) Add(t *Trace) {
+	if c == nil || t == nil {
 		return
 	}
+	t.close()
 	c.mu.Lock()
-	c.recs[c.next] = r
+	c.recs[c.next] = t
 	c.next = (c.next + 1) % c.cap
 	if c.n < c.cap {
 		c.n++
@@ -76,13 +78,13 @@ func (c *Collector) Add(r *TraceRecord) {
 }
 
 // Traces returns retained traces, newest first.
-func (c *Collector) Traces() []*TraceRecord {
+func (c *Collector) Traces() []*Trace {
 	if c == nil {
 		return nil
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	out := make([]*TraceRecord, 0, c.n)
+	out := make([]*Trace, 0, c.n)
 	for i := 1; i <= c.n; i++ {
 		out = append(out, c.recs[(c.next-i+c.cap)%c.cap])
 	}
@@ -90,15 +92,15 @@ func (c *Collector) Traces() []*TraceRecord {
 }
 
 // Get returns the newest trace with the given ID.
-func (c *Collector) Get(id string) (*TraceRecord, bool) {
+func (c *Collector) Get(id string) (*Trace, bool) {
 	if c == nil {
 		return nil, false
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for i := 1; i <= c.n; i++ {
-		if r := c.recs[(c.next-i+c.cap)%c.cap]; r.TraceID == id {
-			return r, true
+		if t := c.recs[(c.next-i+c.cap)%c.cap]; t.id == id {
+			return t, true
 		}
 	}
 	return nil, false

@@ -27,14 +27,22 @@ import (
 	"hap/internal/cluster"
 	"hap/internal/fleet"
 	"hap/internal/graph"
+	"hap/internal/obs"
 )
 
 var updateContract = flag.Bool("update-contract", false, "rewrite testdata/wire_contract.golden from this run")
 
 // contractHeaders are the response headers the contract pins, in golden order.
+// The golden labels the X-HAP headers in the spelling they were first
+// written in, not the canonical spelling of CacheHeader and the other
+// constants: Header.Get matches either, so the golden is the same file it
+// was before the constants were made canonical.
 var contractHeaders = []string{
-	"Content-Type", "X-HAP-Cache", "ETag", PlanVersionHeader, SeedDistanceHeader, "Retry-After",
+	"Content-Type", "X-HAP-Cache", "ETag", "X-HAP-Plan-Version", "X-HAP-Seed-Distance", "Retry-After",
 }
+
+// contractNodeHeader labels fleet.NodeHeader in the golden, as above.
+const contractNodeHeader = "X-HAP-Fleet-Node"
 
 // digest stands in for a plan payload in the golden: length and hash pin the
 // bytes without printing kilobytes of program.
@@ -62,7 +70,7 @@ func (l *contractLog) record(name string, status int, h http.Header, body []byte
 		}
 	}
 	if h.Get(fleet.NodeHeader) != "" {
-		fmt.Fprintf(&l.buf, "%s: <peer>\n", fleet.NodeHeader)
+		fmt.Fprintf(&l.buf, "%s: <peer>\n", contractNodeHeader)
 	}
 	var env ErrorEnvelope
 	switch {
@@ -244,5 +252,24 @@ func TestWireContract(t *testing.T) {
 			}
 		}
 		t.Fatalf("wire contract moved: %d lines, golden has %d", len(gotLines), len(wantLines))
+	}
+}
+
+// Every header name the daemon and its fleet read or write is spelled
+// canonically: Header.Get and Set then use the name as it is, where a
+// non-canonical spelling costs each of them a rewritten copy of the key.
+func TestHeaderNamesCanonical(t *testing.T) {
+	for name, h := range map[string]string{
+		"obs.TraceHeader":          obs.TraceHeader,
+		"obs.SpansHeader":          obs.SpansHeader,
+		"fleet.ForwardHeader":      fleet.ForwardHeader,
+		"fleet.NodeHeader":         fleet.NodeHeader,
+		"serve.CacheHeader":        CacheHeader,
+		"serve.PlanVersionHeader":  PlanVersionHeader,
+		"serve.SeedDistanceHeader": SeedDistanceHeader,
+	} {
+		if c := http.CanonicalHeaderKey(h); c != h {
+			t.Errorf("%s = %q, want its canonical spelling %q", name, h, c)
+		}
 	}
 }

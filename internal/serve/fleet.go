@@ -170,7 +170,7 @@ func (s *Server) proxyPlanRequest(w http.ResponseWriter, r *http.Request, body [
 		// client intact: the proxying node relays the 429 as authoritative
 		// (the owner is up and answering; its refusal is load, not failure)
 		// and the client backs off exactly as if it had hit the owner.
-		for _, h := range []string{"Content-Type", "X-HAP-Cache", "ETag", PlanVersionHeader, "Retry-After"} {
+		for _, h := range []string{"Content-Type", CacheHeader, "ETag", PlanVersionHeader, "Retry-After"} {
 			if v := resp.Header.Get(h); v != "" {
 				w.Header().Set(h, v)
 			}

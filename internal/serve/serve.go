@@ -73,14 +73,21 @@ const ProtocolVersion = "v2"
 // Content-Type of every plan answer.
 const BinaryPlanContentType = "application/x-hap-plan"
 
+// Response header names are spelled canonically (http.CanonicalHeaderKey),
+// so Header.Get and Set find them without rewriting the key.
+//
+// CacheHeader carries a plan answer's cache outcome: "hit", "miss" (a
+// proxied answer relays the owner's), or NeedBody.
+const CacheHeader = "X-Hap-Cache"
+
 // PlanVersionHeader carries the served plan's monotonic version (see
 // CachedPlan.Version) on every plan response, including 304s.
-const PlanVersionHeader = "X-HAP-Plan-Version"
+const PlanVersionHeader = "X-Hap-Plan-Version"
 
 // SeedDistanceHeader carries the donor's normalized structural distance on a
 // miss response whose synthesis was seeded from a similar cached plan
 // (incremental synthesis). Absent on cache hits and cold syntheses.
-const SeedDistanceHeader = "X-HAP-Seed-Distance"
+const SeedDistanceHeader = "X-Hap-Seed-Distance"
 
 // EndpointV1 is the endpoint label of /v1/synthesize on the latency
 // histogram, request traces and the slow log.
@@ -181,7 +188,7 @@ const (
 	CodeOverloaded       = "overloaded"
 )
 
-// NeedBody is the X-HAP-Cache value (and envelope code) of the answer to a
+// NeedBody is the CacheHeader value (and envelope code) of the answer to a
 // key-only request whose key is not in this node's store: not an error — the
 // sender repeats the request with graph and cluster, and that request is the
 // one counted as a miss.
@@ -321,12 +328,15 @@ func New(cfg Config) *Server {
 		s.synthSem = make(chan struct{}, cfg.MaxInflightSynth)
 	}
 	// Tracing is on by default. Measured with go1.24, a key-only hit records
-	// 3 spans in 21 allocations; a miss records one span per phase (per Q↔B
-	// iteration for the search, never per beam level: the search span sums
-	// the levels), 16 spans in ~170 allocations over the untraced miss, and a
-	// forwarded one sends ~3.4 KiB of spans back to the proxying peer
-	// (TestMissTraceCostIndependentOfSearchDepth). A negative TraceRing turns
-	// it off entirely.
+	// 3 spans in 2 allocations over the untraced hit (the requestTrace, which
+	// embeds the trace and its first spans and attributes, and the minted
+	// trace ID; 21 while each span was its own allocation); a miss records
+	// one span per phase (per Q↔B iteration for the search, never per beam
+	// level: the search span sums the levels), 16 spans in ~11 allocations
+	// over the untraced miss (~170 before), and a forwarded one sends ~3.4
+	// KiB of spans back to the proxying peer, ~15 allocations in all
+	// (TestWarmHitAllocs, TestMissTraceCostIndependentOfSearchDepth). A
+	// negative TraceRing turns it off entirely.
 	if cfg.TraceRing >= 0 {
 		s.traces = obs.NewCollector(cfg.TraceRing)
 	}
@@ -552,7 +562,7 @@ func decodeRequest(body []byte) (key string, in *planInput, err error) {
 // error — the full request that follows is the miss).
 func (s *Server) handleSynthesize(w http.ResponseWriter, r *http.Request) {
 	defer s.latency.since(time.Now())
-	rt, r, w := s.startRequestTrace(w, r)
+	rt, w := s.startRequestTrace(w, r)
 	defer rt.finish()
 
 	ds := rt.span("decode")
@@ -589,7 +599,7 @@ func (s *Server) handleSynthesize(w http.ResponseWriter, r *http.Request) {
 		// Answered from the local store or not at all: a bare key is never
 		// proxied — the full request that follows routes like any miss.
 		rt.setCache(NeedBody)
-		w.Header().Set("X-HAP-Cache", NeedBody)
+		w.Header().Set(CacheHeader, NeedBody)
 		w.Header().Set("Content-Type", "application/json")
 		w.Write(needBodyAnswer)
 		return
@@ -785,7 +795,7 @@ func (s *Server) storePlan(sp *obs.Span, key string, v CachedPlan) CachedPlan {
 // response (including the 304, per RFC 9110) so clients always hold the
 // current tag.
 func writePlan(w http.ResponseWriter, r *http.Request, plan CachedPlan, cache string) {
-	w.Header().Set("X-HAP-Cache", cache)
+	w.Header().Set(CacheHeader, cache)
 	if plan.ETag != "" {
 		w.Header().Set("ETag", plan.ETag)
 	}

@@ -46,12 +46,18 @@ const (
 // the first WriteHeader can export this node's spans to a forwarding peer
 // before the status line is committed.
 //
+// The trace is embedded, and with it the storage of a hit's spans and
+// attributes, so a traced hit costs this one allocation and its trace ID;
+// a miss's further spans and attributes grow into heap chunks. The debug
+// ring keeps the trace, and so this struct, after the request: finish drops
+// the ResponseWriter first.
+//
 // A nil *requestTrace is valid and inert — handlers call its methods
 // unconditionally, exactly like a nil obs.Span.
 type requestTrace struct {
+	tr        obs.Trace
 	s         *Server
 	w         http.ResponseWriter
-	tr        *obs.Trace
 	root      *obs.Span
 	start     time.Time
 	forwarded bool
@@ -59,6 +65,7 @@ type requestTrace struct {
 	status    int
 	cache     string
 	role      string
+	idHeader  [1]string // the X-Hap-Trace response header's value
 }
 
 // maxClientTraceID bounds an end client's X-HAP-Trace value: the debug ring
@@ -68,33 +75,37 @@ const maxClientTraceID = 64
 // startRequestTrace begins tracing one plan request. An end client's
 // X-HAP-Trace value is the trace ID verbatim (a UUID's dashes included);
 // only a fleet forward carries the "traceID-parentSpanID" hop form. When tracing is off it
-// returns (nil, r, w) and the handler path is unchanged; when on, the
-// returned writer must replace w (it exports spans on fleet-hop responses)
-// and the returned request carries the root span on its context.
-func (s *Server) startRequestTrace(w http.ResponseWriter, r *http.Request) (*requestTrace, *http.Request, http.ResponseWriter) {
+// returns (nil, w) and the handler path is unchanged; when on, the returned
+// writer must replace w (it exports spans on fleet-hop responses). The root
+// span reaches the miss path as planMiss's argument, not on the request's
+// context.
+func (s *Server) startRequestTrace(w http.ResponseWriter, r *http.Request) (*requestTrace, http.ResponseWriter) {
 	if s.traces == nil {
-		return nil, r, w
+		return nil, w
 	}
 	forwarded := r.Header.Get(fleet.ForwardHeader) != ""
 	id, parent := r.Header.Get(obs.TraceHeader), uint64(0)
 	if forwarded {
 		id, parent = obs.ParseTraceHeader(id)
 	} else if len(id) > maxClientTraceID {
-		id = "" // obs.New mints a fresh one
+		id = "" // Init mints a fresh one
 	}
-	tr := obs.New(id, s.nodeLabel)
-	root := tr.Root("request", parent)
-	root.SetAttrStr("endpoint", EndpointV1)
 	rt := &requestTrace{
-		s: s, w: w, tr: tr, root: root,
+		s: s, w: w,
 		start:     time.Now(),
 		forwarded: forwarded,
 		role:      roleLocal,
 	}
+	rt.tr.Init(id, s.nodeLabel)
+	rt.root = rt.tr.Root("request", parent)
+	rt.root.SetAttrStr("endpoint", EndpointV1)
 	// The trace ID rides on every response — including errors, so a failed
-	// request is greppable in the server log by the ID the client holds.
-	w.Header().Set(obs.TraceHeader, tr.ID())
-	return rt, r.WithContext(obs.ContextWithSpan(r.Context(), root)), rt
+	// request is greppable in the server log by the ID the client holds. The
+	// key is canonical and the value slice is the trace's, so this is Set
+	// without its allocation.
+	rt.idHeader[0] = rt.tr.ID()
+	w.Header()[obs.TraceHeader] = rt.idHeader[:]
+	return rt, rt
 }
 
 // span opens a child of the request's root span (nil-safe).
@@ -154,8 +165,7 @@ func (rt *requestTrace) WriteHeader(code int) {
 		rt.wrote = true
 		rt.status = code
 		if rt.forwarded {
-			spans := append(rt.tr.Snapshot(), rt.root.Record())
-			rt.w.Header().Set(obs.SpansHeader, obs.EncodeSpans(spans))
+			rt.w.Header().Set(obs.SpansHeader, rt.tr.EncodeSpans(rt.root))
 		}
 	}
 	rt.w.WriteHeader(code)
@@ -184,9 +194,9 @@ func (rt *requestTrace) finish() {
 	rt.root.SetAttrStr("fleet_role", rt.role)
 	rt.root.SetAttrInt("status", int64(status))
 	rt.root.End()
-	rec := rt.tr.Finish()
-	rt.s.collectTrace(rec)
-	rt.s.logSlowRequest(rec, rt.cache, rt.role, status, time.Since(rt.start))
+	rt.w = nil // the ring keeps rt; it must not keep the connection's writer
+	rt.s.collectTrace(&rt.tr)
+	rt.s.logSlowRequest(&rt.tr, rt.cache, rt.role, status, time.Since(rt.start))
 }
 
 // phaseNames are the /metrics summary labels of
@@ -209,30 +219,26 @@ func phaseIndex(name string) int {
 }
 
 // collectTrace lands a completed trace in the debug ring and accumulates
-// its phase spans into the /metrics summaries. Only spans recorded by THIS
-// node aggregate — a merged remote subtree is the remote node's work and
-// is counted by its own /metrics.
-func (s *Server) collectTrace(rec *obs.TraceRecord) {
-	if rec == nil {
-		return
-	}
-	s.traces.Add(rec)
-	for i := range rec.Spans {
-		sp := &rec.Spans[i]
-		if sp.Node != s.nodeLabel {
-			continue
+// its phase spans into the /metrics summaries, reading the typed records.
+// Only spans recorded by THIS node aggregate — a merged remote subtree is
+// the remote node's work and is counted by its own /metrics.
+func (s *Server) collectTrace(tr *obs.Trace) {
+	s.traces.Add(tr)
+	tr.Each(func(name, node string, durUS int64) {
+		if node != s.nodeLabel {
+			return
 		}
-		if pi := phaseIndex(sp.Name); pi >= 0 {
+		if pi := phaseIndex(name); pi >= 0 {
 			s.phase[pi].count.Add(1)
-			s.phase[pi].sumNs.Add(sp.DurUS * 1000)
+			s.phase[pi].sumNs.Add(durUS * 1000)
 		}
-	}
+	})
 }
 
 // logSlowRequest emits the structured slow-request line: every request
 // when Config.TraceSlow is negative, requests at or past the threshold
 // when positive, nothing when zero.
-func (s *Server) logSlowRequest(rec *obs.TraceRecord, cache, role string, status int, elapsed time.Duration) {
+func (s *Server) logSlowRequest(tr *obs.Trace, cache, role string, status int, elapsed time.Duration) {
 	if s.cfg.TraceSlow == 0 {
 		return
 	}
@@ -241,13 +247,13 @@ func (s *Server) logSlowRequest(rec *obs.TraceRecord, cache, role string, status
 	}
 	s.slowRequests.Add(1)
 	s.logger.LogAttrs(context.Background(), slog.LevelWarn, "slow request",
-		slog.String("trace_id", rec.TraceID),
+		slog.String("trace_id", tr.ID()),
 		slog.String("endpoint", EndpointV1),
 		slog.String("cache", cache),
 		slog.String("fleet_role", role),
 		slog.Int("status", status),
 		slog.Duration("elapsed", elapsed),
-		slog.String("spans", spanBreakdown(rec)),
+		slog.String("spans", spanBreakdown(tr.Export())),
 	)
 }
 
@@ -319,21 +325,21 @@ func (s *Server) handleDebugTraces(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, http.StatusNotFound, CodeNotFound, "tracing is disabled (negative trace ring)")
 		return
 	}
-	recs := s.traces.Traces()
+	trs := s.traces.Traces()
 	out := struct {
 		Traces []TraceSummary `json:"traces"`
-	}{Traces: make([]TraceSummary, 0, len(recs))}
-	for _, rec := range recs {
-		root := rec.Root()
+	}{Traces: make([]TraceSummary, 0, len(trs))}
+	for _, tr := range trs {
+		start, dur := tr.Extent()
 		out.Traces = append(out.Traces, TraceSummary{
-			TraceID:  rec.TraceID,
-			StartUS:  rec.StartUS,
-			DurUS:    rec.DurUS,
-			Spans:    len(rec.Spans),
-			Endpoint: root.Attrs["endpoint"],
-			Cache:    root.Attrs["cache"],
-			Role:     root.Attrs["fleet_role"],
-			Status:   root.Attrs["status"],
+			TraceID:  tr.ID(),
+			StartUS:  start,
+			DurUS:    dur,
+			Spans:    tr.Len(),
+			Endpoint: tr.RootAttr("endpoint"),
+			Cache:    tr.RootAttr("cache"),
+			Role:     tr.RootAttr("fleet_role"),
+			Status:   tr.RootAttr("status"),
 		})
 	}
 	writeJSON(w, out)
@@ -352,11 +358,12 @@ func (s *Server) handleDebugTrace(w http.ResponseWriter, r *http.Request) {
 		s.handleDebugTraces(w, r)
 		return
 	}
-	rec, ok := s.traces.Get(id)
+	tr, ok := s.traces.Get(id)
 	if !ok {
 		s.fail(w, http.StatusNotFound, CodeNotFound, "no trace %q in the debug ring", id)
 		return
 	}
+	rec := tr.Export()
 	if r.URL.Query().Get("format") == "chrome" {
 		w.Header().Set("Content-Type", "application/json")
 		obs.WriteChrome(w, rec)

@@ -16,6 +16,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"hap/internal/cluster"
 	"hap/internal/fleet"
@@ -319,13 +320,23 @@ func FuzzTraceHeader(f *testing.F) {
 			t.Fatalf("trace ID %q answered as %q, want it verbatim", id, got)
 		}
 		traces := s.traces.Traces()
-		if len(traces) == 0 || traces[0].TraceID != got {
+		if len(traces) == 0 || traces[0].ID() != got {
 			t.Fatalf("newest trace is not %q", got)
 		}
-		if root := traces[0].Root(); root.Name != "request" || root.Parent != 0 {
+		if root := traces[0].Export().Root(); root.Name != "request" || root.Parent != 0 {
 			t.Fatalf("trace %q root = %q with parent %x, want an unparented request span", got, root.Name, root.Parent)
 		}
 	})
+}
+
+// A traced request's one allocation, the requestTrace with its embedded
+// obs.Trace, stays within the 1 KiB size class: the ring keeps DefaultTraceRing
+// of them, and a hit's trace bytes were ~2 KiB when each span and attribute
+// map was its own allocation.
+func TestRequestTraceSize(t *testing.T) {
+	if n := unsafe.Sizeof(requestTrace{}); n > 1<<10 {
+		t.Errorf("requestTrace is %d bytes, want at most 1 KiB", n)
+	}
 }
 
 // TestTraceRingDisabled: a negative TraceRing turns tracing off — no trace

@@ -9,8 +9,10 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"slices"
 	"strconv"
+	"strings"
 	"testing"
 
 	"hap/internal/fleet"
@@ -19,14 +21,19 @@ import (
 )
 
 // Bounds on a traced miss, measured with go1.24 on the two MLPs below, whose
-// searches run 30 and 100 beam levels: 16 spans, a 3.4 KiB span header and
-// 168 allocations over the same miss untraced, for both. With a span per beam
-// level they were 46 and 116 spans, 11.8 and 32.0 KiB of header and 722 and
-// 2 054 allocations. The bounds leave room for a few more phase spans, not
-// for one per level.
+// searches run 30 and 100 beam levels: 16 spans and a 3.4 KiB span header
+// for both, and over the same miss untraced 15 allocations when the miss was
+// forwarded by a fleet peer (the span header included), 11 when not. With a
+// span per beam level they were 46 and 116 spans, 11.8 and 32.0 KiB of
+// header and 722 and 2 054 allocations; with a span per phase but each span
+// its own allocation, with a map of formatted attributes and encoding/json
+// writing the header, a forwarded miss cost 168. The header bound leaves
+// room for a few more phase spans, not for one per level; the allocation
+// bounds keep a third of headroom over the measurements.
 const (
-	maxMissSpansHeader = 6 << 10
-	maxMissTraceAllocs = 250
+	maxMissSpansHeader            = 6 << 10
+	maxMissTraceAllocs            = 20
+	maxUnforwardedMissTraceAllocs = 15
 )
 
 // missTraceGraphs are two training MLPs whose beam searches run different
@@ -45,6 +52,14 @@ func serveForwardedMiss(cfg Config, body []byte) *httptest.ResponseRecorder {
 	req := httptest.NewRequest(http.MethodPost, "/v1/synthesize", bytes.NewReader(body))
 	req.Header.Set(fleet.ForwardHeader, "http://peer")
 	req.Header.Set(obs.TraceHeader, obs.FormatTraceHeader("cafe0123cafe0123", 0xbeef))
+	rr := httptest.NewRecorder()
+	New(cfg).Handler().ServeHTTP(rr, req)
+	return rr
+}
+
+// serveMiss answers body on a fresh daemon as an end client's request.
+func serveMiss(cfg Config, body []byte) *httptest.ResponseRecorder {
+	req := httptest.NewRequest(http.MethodPost, "/v1/synthesize", bytes.NewReader(body))
 	rr := httptest.NewRecorder()
 	New(cfg).Handler().ServeHTTP(rr, req)
 	return rr
@@ -87,13 +102,22 @@ func TestMissTraceCostIndependentOfSearchDepth(t *testing.T) {
 			t.Errorf("graph %d: %d-byte span header on a forwarded miss, want at most %d", i, len(hdr), maxMissSpansHeader)
 		}
 
-		traced := testing.AllocsPerRun(5, func() { serveForwardedMiss(Config{}, body) })
-		untraced := testing.AllocsPerRun(5, func() { serveForwardedMiss(Config{TraceRing: -1}, body) })
-		if d := traced - untraced; d > maxMissTraceAllocs {
-			t.Errorf("graph %d: a traced miss makes %.0f allocations more than an untraced one, want at most %d", i, d, maxMissTraceAllocs)
+		for _, row := range []struct {
+			how   string
+			serve func(Config, []byte) *httptest.ResponseRecorder
+			max   int
+		}{
+			{"forwarded", serveForwardedMiss, maxMissTraceAllocs},
+			{"unforwarded", serveMiss, maxUnforwardedMissTraceAllocs},
+		} {
+			traced := testing.AllocsPerRun(5, func() { row.serve(Config{}, body) })
+			untraced := testing.AllocsPerRun(5, func() { row.serve(Config{TraceRing: -1}, body) })
+			if d := traced - untraced; d > float64(row.max) {
+				t.Errorf("graph %d: a traced %s miss makes %.0f allocations more than an untraced one, want at most %d", i, row.how, d, row.max)
+			}
+			t.Logf("graph %d: %s miss, %.0f − %.0f allocations traced − untraced", i, row.how, traced, untraced)
 		}
-		t.Logf("graph %d: %d beam levels, %d spans, %d-byte span header, %.0f − %.0f allocations traced − untraced",
-			i, n, len(spans), len(hdr), traced, untraced)
+		t.Logf("graph %d: %d beam levels, %d spans, %d-byte span header", i, n, len(spans), len(hdr))
 	}
 	if levels[0] == levels[1] {
 		t.Fatalf("both searches ran %d beam levels; the graphs do not tell a per-level span from a per-phase one", levels[0])
@@ -101,4 +125,41 @@ func TestMissTraceCostIndependentOfSearchDepth(t *testing.T) {
 	if names[0] != names[1] {
 		t.Errorf("span names differ with search depth:\n%s\n%s", names[0], names[1])
 	}
+}
+
+// A forwarded miss's span header decodes to the records it did when
+// encoding/json wrote it: testdata/spans-header-v1 in internal/obs is that
+// header for the first MLP of missTraceGraphs, and the tree of span names,
+// with each span's attributes, is the same now. Only IDs and times differ.
+func TestForwardedSpansMatchV1Header(t *testing.T) {
+	raw, err := os.ReadFile("../obs/testdata/spans-header-v1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := requestBody(t, missTraceGraphs()[0], beamCluster(), RequestOptions{})
+	rr := serveForwardedMiss(Config{}, body)
+	got, want := spanTree(obs.DecodeSpans(rr.Header().Get(obs.SpansHeader))), spanTree(obs.DecodeSpans(strings.TrimSpace(string(raw))))
+	if len(want) != 16 || !slices.Equal(got, want) {
+		t.Errorf("forwarded miss's spans\n%s\nwant\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
+	}
+}
+
+// spanTree renders records as sorted "path attrs" lines: each span's name
+// under its ancestors' names, with its attributes in key order. A parent
+// outside the records (the hop's proxy span) ends the path.
+func spanTree(spans []obs.SpanRecord) []string {
+	byID := map[uint64]obs.SpanRecord{}
+	for _, sp := range spans {
+		byID[sp.ID] = sp
+	}
+	var lines []string
+	for _, sp := range spans {
+		path := sp.Name
+		for p := sp.Parent; byID[p].ID != 0; p = byID[p].Parent {
+			path = byID[p].Name + "/" + path
+		}
+		lines = append(lines, fmt.Sprintf("%s %v", path, sp.Attrs))
+	}
+	slices.Sort(lines)
+	return lines
 }
