@@ -67,7 +67,7 @@ func TestParallelizeExactSearch(t *testing.T) {
 		t.Fatalf("Plan: %v", err)
 	}
 	searches := 0
-	for _, sp := range tr.Snapshot() {
+	for _, sp := range tr.Export().Spans {
 		if sp.Name != "search" {
 			continue
 		}

@@ -17,16 +17,19 @@
 // chunk inline, so a caller that embeds a Trace holds a short trace in its
 // own allocation) and keeps every span's attributes typed, in one slab:
 // numbers are formatted only when someone reads the trace. SpanRecord, with
-// its map of string attributes, is the export form, built by Snapshot,
-// Finish and Export, and by nothing on the request path. Collector.Add keeps
-// the trace itself, without copying its records.
+// its map of string attributes, is the export form, built by Finish and
+// Export, and by nothing on the request path. Collector.Add keeps the trace
+// itself, without copying its records. Trace.EncodeSpans writes the spans
+// header straight from the typed spans; DecodeSpans reads it back.
 //
 // Span IDs are random uint64s rather than per-trace sequence numbers so
 // that spans recorded independently on two fleet nodes merge into one
 // trace by plain append, with no renumbering pass. They need to be unique,
 // not secret, so they come from math/rand's auto-seeded global generator
 // (math/rand/v2 needs a go 1.22 module); trace IDs, which clients see and
-// choose, come from crypto/rand.
+// choose, come from crypto/rand. Merge stores another node's records as
+// ended spans of the trace beside its own, so every reader walks one
+// sequence of spans.
 package obs
 
 import (
@@ -119,14 +122,8 @@ type spanChunk struct {
 	next  *spanChunk
 }
 
-// mergedRecord is a record from another node, at its position in the
-// trace's record order.
-type mergedRecord struct {
-	at int32
-	SpanRecord
-}
-
-// Trace accumulates the spans of one request. Its storage is guarded by mu:
+// Trace accumulates the spans of one request, its own and those merged
+// from other fleet nodes, in one storage. Its storage is guarded by mu:
 // MoE portfolio arms open, annotate and end spans of one trace from two
 // goroutines.
 // A nil *Trace is valid and inert.
@@ -141,8 +138,7 @@ type Trace struct {
 	tail   *spanChunk
 	attrs  []attr // the attribute slab; starts on attrs0
 	attrs0 [inlineAttrs]attr
-	merged []mergedRecord
-	recs   int32 // records so far: ended spans and merged records
+	recs   int32 // records so far: ended spans and merged ones
 	closed bool  // Finish or Collector.Add ran: the records are fixed
 }
 
@@ -204,7 +200,7 @@ func (t *Trace) open(name string, parent uint64) *Span {
 		return nil
 	}
 	s := t.slot()
-	*s = Span{t: t, id: id, parent: parent, name: name, start: start}
+	*s = Span{t: t, id: id, parent: parent, name: name, node: t.node, start: start}
 	return s
 }
 
@@ -244,8 +240,10 @@ func (t *Trace) each(fn func(*Span)) {
 	}
 }
 
-// Merge appends span records from another node verbatim (random span IDs
-// make this collision-safe). No-op on nil and on a closed trace.
+// Merge stores span records from another node as ended spans of the
+// trace, each with its ID, parent, name, node, start, duration and
+// attributes (random span IDs make this collision-safe). No-op on nil and
+// on a closed trace.
 func (t *Trace) Merge(spans []SpanRecord) {
 	if t == nil || len(spans) == 0 {
 		return
@@ -255,21 +253,15 @@ func (t *Trace) Merge(spans []SpanRecord) {
 	if t.closed {
 		return
 	}
-	for _, r := range spans {
-		t.recs++
-		t.merged = append(t.merged, mergedRecord{at: t.recs, SpanRecord: r})
+	for i := range spans {
+		r := &spans[i]
+		s := t.slot()
+		*s = Span{t: t, id: r.ID, parent: r.Parent, name: r.Name, node: r.Node, start: time.UnixMicro(r.StartUS), durUS: r.DurUS}
+		for k, v := range r.Attrs {
+			t.push(s, attr{key: k, str: v, kind: attrStr})
+		}
+		t.end(s)
 	}
-}
-
-// Snapshot exports the records so far, own ended spans and merged ones, in
-// the order they were recorded (nil on nil receiver).
-func (t *Trace) Snapshot() []SpanRecord {
-	if t == nil {
-		return nil
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.records()
 }
 
 // records builds the export form of every record, in record order. Call
@@ -278,12 +270,9 @@ func (t *Trace) records() []SpanRecord {
 	out := make([]SpanRecord, t.recs)
 	t.each(func(s *Span) {
 		if s.rec != 0 {
-			out[s.rec-1] = s.record(s.durUS)
+			out[s.rec-1] = s.record()
 		}
 	})
-	for i := range t.merged {
-		out[t.merged[i].at-1] = t.merged[i].SpanRecord
-	}
 	return out
 }
 
@@ -306,8 +295,8 @@ func (t *Trace) close() {
 	t.mu.Unlock()
 }
 
-// Export builds the trace's export form: every record so far, with the
-// trace's extent. Returns nil on a nil trace.
+// Export builds the trace's export form: every record so far, in record
+// order, with the trace's extent. Returns nil on a nil trace.
 func (t *Trace) Export() *TraceRecord {
 	if t == nil {
 		return nil
@@ -319,49 +308,25 @@ func (t *Trace) Export() *TraceRecord {
 	return rec
 }
 
-// Len returns the number of records, own ended spans and merged ones.
-func (t *Trace) Len() int {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return int(t.recs)
-}
-
-// Extent returns the trace's start and duration in microseconds: from the
+// extent returns the trace's start and duration in microseconds: from the
 // earliest start to the latest end, which need not belong to one record,
-// since merged fleet records carry another node's clock.
-func (t *Trace) Extent() (startUS, durUS int64) {
-	if t == nil {
-		return 0, 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.extent()
-}
-
-// extent is Extent with mu held.
+// since merged fleet records carry another node's clock. Call with mu held.
 func (t *Trace) extent() (startUS, durUS int64) {
 	var end int64
 	first := true
-	widen := func(start, dur int64) {
+	t.each(func(s *Span) {
+		if s.rec == 0 {
+			return
+		}
+		start := s.start.UnixMicro()
 		if first || start < startUS {
 			startUS = start
 		}
-		if e := start + dur; first || e > end {
+		if e := start + s.durUS; first || e > end {
 			end = e
 		}
 		first = false
-	}
-	t.each(func(s *Span) {
-		if s.rec != 0 {
-			widen(s.start.UnixMicro(), s.durUS)
-		}
 	})
-	for i := range t.merged {
-		widen(t.merged[i].StartUS, t.merged[i].DurUS)
-	}
 	return startUS, end - startUS
 }
 
@@ -376,52 +341,9 @@ func (t *Trace) Each(fn func(name, node string, durUS int64)) {
 	defer t.mu.Unlock()
 	t.each(func(s *Span) {
 		if s.rec != 0 {
-			fn(s.name, t.node, s.durUS)
+			fn(s.name, s.node, s.durUS)
 		}
 	})
-	for i := range t.merged {
-		fn(t.merged[i].Name, t.merged[i].Node, t.merged[i].DurUS)
-	}
-}
-
-// RootAttr returns attribute key of the root record, formatted as its
-// export would be, or "" when the trace has no root or the root no such
-// attribute. The root is TraceRecord.Root's: parent 0, the earliest start,
-// the first recorded among equal starts.
-func (t *Trace) RootAttr(key string) string {
-	if t == nil {
-		return ""
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	var own *Span
-	var merged *SpanRecord
-	var at int32
-	var start int64
-	better := func(s int64, a int32) bool {
-		return at == 0 || s < start || s == start && a < at
-	}
-	t.each(func(s *Span) {
-		if s.rec != 0 && s.parent == 0 {
-			if st := s.start.UnixMicro(); better(st, s.rec) {
-				own, merged, at, start = s, nil, s.rec, st
-			}
-		}
-	})
-	for i := range t.merged {
-		if m := &t.merged[i]; m.Parent == 0 && better(m.StartUS, m.at) {
-			own, merged, at, start = nil, &m.SpanRecord, m.at, m.StartUS
-		}
-	}
-	switch {
-	case own != nil:
-		if a := t.find(own, key); a != nil {
-			return a.value()
-		}
-	case merged != nil:
-		return merged.Attrs[key]
-	}
-	return ""
 }
 
 // find returns s's attribute key, or nil. Call with mu held.
@@ -434,6 +356,23 @@ func (t *Trace) find(s *Span, key string) *attr {
 	return nil
 }
 
+// push appends a to the slab as s's newest attribute, growing the slab
+// past the inline chunk. Call with mu held.
+func (t *Trace) push(s *Span, a attr) {
+	if t.attrs == nil {
+		t.attrs = t.attrs0[:0]
+	}
+	a.prev = s.attrs
+	t.attrs = append(t.attrs, a)
+	s.attrs = int32(len(t.attrs))
+}
+
+// end records s, fixing its place in the record order. Call with mu held.
+func (t *Trace) end(s *Span) {
+	t.recs++
+	s.rec = t.recs
+}
+
 // Span measures one phase. A nil *Span is valid and inert, which is the
 // entire hot-path contract: hap-layer hooks call these methods without
 // checking whether tracing is enabled. Its mutable fields belong to its
@@ -443,6 +382,7 @@ type Span struct {
 	id     uint64
 	parent uint64
 	name   string
+	node   string // the node that recorded the span
 	start  time.Time
 	durUS  int64 // set by End
 	attrs  int32 // slab index + 1 of the newest attribute; 0 = none
@@ -513,7 +453,7 @@ func (s *Span) SetAttrBool(key string, v bool) {
 }
 
 // set stores a on s: over the value of its key if s has one, else at the
-// end of the slab, growing it past the inline chunk.
+// end of the slab.
 func (s *Span) set(a attr) {
 	t := s.t
 	t.mu.Lock()
@@ -526,12 +466,7 @@ func (s *Span) set(a attr) {
 		*old = a
 		return
 	}
-	if t.attrs == nil {
-		t.attrs = t.attrs0[:0]
-	}
-	a.prev = s.attrs
-	t.attrs = append(t.attrs, a)
-	s.attrs = int32(len(t.attrs))
+	t.push(s, a)
 }
 
 // End closes the span and records it on its trace. Ending twice records
@@ -548,32 +483,18 @@ func (s *Span) End() {
 		return
 	}
 	s.durUS = d.Microseconds()
-	t.recs++
-	s.rec = t.recs
+	t.end(s)
 }
 
-// Record snapshots the span as if it ended now, without closing it. Used
-// to export a provisional root record on fleet-hop responses, where the
-// remote root must appear in the merged trace before it actually ends.
-func (s *Span) Record() SpanRecord {
-	if s == nil {
-		return SpanRecord{}
-	}
-	d := time.Since(s.start)
-	s.t.mu.Lock()
-	defer s.t.mu.Unlock()
-	return s.record(d.Microseconds())
-}
-
-// record builds s's export form with duration durUS. Call with mu held.
-func (s *Span) record(durUS int64) SpanRecord {
+// record builds the export form of s, an ended span. Call with mu held.
+func (s *Span) record() SpanRecord {
 	r := SpanRecord{
 		ID:      s.id,
 		Parent:  s.parent,
 		Name:    s.name,
-		Node:    s.t.node,
+		Node:    s.node,
 		StartUS: s.start.UnixMicro(),
-		DurUS:   durUS,
+		DurUS:   s.durUS,
 	}
 	if s.attrs != 0 {
 		r.Attrs = make(map[string]string, 4)
@@ -645,30 +566,12 @@ func ParseTraceHeader(v string) (id string, parent uint64) {
 	return v[:i], p
 }
 
-// EncodeSpans renders span records for the X-HAP-Trace-Spans response
-// header: base64(JSON array). Empty input encodes to "". The JSON is
-// written directly, not through encoding/json: the same members, with
-// attributes in no set order, so any version's DecodeSpans reads it.
-func EncodeSpans(spans []SpanRecord) string {
-	if len(spans) == 0 {
-		return ""
-	}
-	b := make([]byte, 0, recordBytes*len(spans))
-	b = append(b, '[')
-	for i := range spans {
-		if i > 0 {
-			b = append(b, ',')
-		}
-		b = appendRecord(b, &spans[i])
-	}
-	return base64.StdEncoding.EncodeToString(append(b, ']'))
-}
-
-// EncodeSpans renders the trace's X-HAP-Trace-Spans header straight from
-// its typed records: every record so far, in record order, then a
-// provisional record of open, a span still running, as Span.Record takes
-// it. It decodes to what EncodeSpans(append(t.Snapshot(), open.Record()))
-// does. "" on a nil trace.
+// EncodeSpans renders the trace's X-HAP-Trace-Spans header, base64 of a
+// JSON array, straight from its typed spans: every record so far, in
+// record order, then a provisional record of open, a span still running,
+// measured now. The members are those of SpanRecord, with attributes in no
+// set order, so any version's DecodeSpans reads it. "" on a nil trace and
+// when there is nothing to write.
 func (t *Trace) EncodeSpans(open *Span) string {
 	if t == nil {
 		return ""
@@ -679,87 +582,57 @@ func (t *Trace) EncodeSpans(open *Span) string {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	own := make([]*Span, t.recs)
+	spans := make([]*Span, t.recs, t.recs+1)
 	t.each(func(s *Span) {
 		if s.rec != 0 {
-			own[s.rec-1] = s
+			spans[s.rec-1] = s
 		}
 	})
-	b := make([]byte, 0, recordBytes*(len(own)+1))
-	b = append(b, '[')
-	m := 0
-	for i, s := range own {
-		if i > 0 {
-			b = append(b, ',')
-		}
-		if s == nil {
-			b = appendRecord(b, &t.merged[m].SpanRecord)
-			m++
-			continue
-		}
-		b = t.appendSpan(b, s, s.durUS)
-	}
 	if open != nil {
-		if len(own) > 0 {
+		spans = append(spans, open)
+	}
+	if len(spans) == 0 {
+		return ""
+	}
+	b := make([]byte, 0, recordBytes*len(spans))
+	for i, s := range spans {
+		if i == 0 {
+			b = append(b, '[')
+		} else {
 			b = append(b, ',')
 		}
-		b = t.appendSpan(b, open, openUS)
-	}
-	if len(b) == 1 {
-		return ""
+		durUS := s.durUS
+		if i == int(t.recs) {
+			durUS = openUS
+		}
+		b = t.appendSpan(b, s, durUS)
 	}
 	return base64.StdEncoding.EncodeToString(append(b, ']'))
 }
 
-// recordBytes is about the JSON size of one span record, the encoders'
+// recordBytes is about the JSON size of one span record, the encoder's
 // buffer estimate: a miss's 16 records take ~2.5 KiB.
 const recordBytes = 256
-
-// appendHead appends a span record's JSON object up to its attributes,
-// leaving the object open.
-func appendHead(b []byte, id, parent uint64, name, node string, startUS, durUS int64) []byte {
-	b = append(b, `{"id":`...)
-	b = strconv.AppendUint(b, id, 10)
-	if parent != 0 {
-		b = append(b, `,"parent":`...)
-		b = strconv.AppendUint(b, parent, 10)
-	}
-	b = append(b, `,"name":`...)
-	b = appendString(b, name)
-	if node != "" {
-		b = append(b, `,"node":`...)
-		b = appendString(b, node)
-	}
-	b = append(b, `,"start_us":`...)
-	b = strconv.AppendInt(b, startUS, 10)
-	b = append(b, `,"dur_us":`...)
-	return strconv.AppendInt(b, durUS, 10)
-}
-
-// appendRecord appends r as a JSON object.
-func appendRecord(b []byte, r *SpanRecord) []byte {
-	b = appendHead(b, r.ID, r.Parent, r.Name, r.Node, r.StartUS, r.DurUS)
-	if len(r.Attrs) > 0 {
-		b = append(b, `,"attrs":{`...)
-		first := true
-		for k, v := range r.Attrs {
-			if !first {
-				b = append(b, ',')
-			}
-			first = false
-			b = appendString(b, k)
-			b = append(b, ':')
-			b = appendString(b, v)
-		}
-		b = append(b, '}')
-	}
-	return append(b, '}')
-}
 
 // appendSpan appends s's record with duration durUS as a JSON object, its
 // attribute values formatted as value does. Call with mu held.
 func (t *Trace) appendSpan(b []byte, s *Span, durUS int64) []byte {
-	b = appendHead(b, s.id, s.parent, s.name, t.node, s.start.UnixMicro(), durUS)
+	b = append(b, `{"id":`...)
+	b = strconv.AppendUint(b, s.id, 10)
+	if s.parent != 0 {
+		b = append(b, `,"parent":`...)
+		b = strconv.AppendUint(b, s.parent, 10)
+	}
+	b = append(b, `,"name":`...)
+	b = appendString(b, s.name)
+	if s.node != "" {
+		b = append(b, `,"node":`...)
+		b = appendString(b, s.node)
+	}
+	b = append(b, `,"start_us":`...)
+	b = strconv.AppendInt(b, s.start.UnixMicro(), 10)
+	b = append(b, `,"dur_us":`...)
+	b = strconv.AppendInt(b, durUS, 10)
 	if s.attrs != 0 {
 		b = append(b, `,"attrs":{`...)
 		for i := s.attrs; i != 0; i = t.attrs[i-1].prev {
@@ -806,8 +679,9 @@ func appendString(b []byte, s string) []byte {
 	return append(b, '"')
 }
 
-// DecodeSpans reverses EncodeSpans; malformed input yields nil (a trace
-// missing a hop's spans is still a usable trace).
+// DecodeSpans reads a spans header, as Trace.EncodeSpans writes it and as
+// encoding/json wrote it in earlier versions; malformed input yields nil (a
+// trace missing a hop's spans is still a usable trace).
 func DecodeSpans(v string) []SpanRecord {
 	if v == "" {
 		return nil

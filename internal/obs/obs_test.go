@@ -35,12 +35,12 @@ func TestTraceNilSafety(t *testing.T) {
 	if got := sp.SpanID(); got != 0 {
 		t.Errorf("nil span SpanID = %d, want 0", got)
 	}
-	if rec := sp.Record(); rec.ID != 0 {
-		t.Errorf("nil span Record = %+v, want zero", rec)
+	if got := tr.EncodeSpans(sp); got != "" {
+		t.Errorf("nil trace EncodeSpans = %q, want empty", got)
 	}
 	tr.Merge([]SpanRecord{{ID: 1}})
-	if got := tr.Snapshot(); got != nil {
-		t.Errorf("nil trace Snapshot = %v, want nil", got)
+	if got := tr.Export(); got != nil {
+		t.Errorf("nil trace Export = %v, want nil", got)
 	}
 	if got := tr.Finish(); got != nil {
 		t.Errorf("nil trace Finish = %v, want nil", got)
@@ -132,7 +132,7 @@ func TestTraceMergeAndProvisionalRecord(t *testing.T) {
 	broot := b.Root("request", proxy.SpanID())
 	synth := broot.Child("synthesize")
 	synth.End()
-	remote := append(b.Snapshot(), broot.Record())
+	remote := DecodeSpans(b.EncodeSpans(broot))
 
 	a.Merge(remote)
 	proxy.End()
@@ -156,12 +156,13 @@ func TestTraceMergeAndProvisionalRecord(t *testing.T) {
 }
 
 // End hands the span's attributes to its record, so the span must take no
-// more of them; a provisional Record copies them, because the span goes on.
+// more of them; a provisional record in the spans header takes those set so
+// far, and the span goes on.
 func TestSpanAttrsAfterRecordAndEnd(t *testing.T) {
 	tr := New("abc123", "")
 	sp := tr.Root("request", 0)
 	sp.SetAttrStr("cache", "miss")
-	provisional := sp.Record()
+	provisional := decodeOne(t, tr.EncodeSpans(sp))
 	sp.SetAttrInt("status", 200)
 	if len(provisional.Attrs) != 1 {
 		t.Errorf("provisional record attrs %v, want only the attribute set before it", provisional.Attrs)
@@ -169,7 +170,7 @@ func TestSpanAttrsAfterRecordAndEnd(t *testing.T) {
 	sp.End()
 	sp.SetAttrStr("cache", "hit")
 	sp.SetAttrBool("late", true)
-	got := tr.Snapshot()
+	got := tr.Export().Spans
 	if len(got) != 1 {
 		t.Fatalf("trace has %d spans, want 1", len(got))
 	}
@@ -180,16 +181,41 @@ func TestSpanAttrsAfterRecordAndEnd(t *testing.T) {
 
 // A trace's extent runs from its earliest start to its latest end, whichever
 // records those are: spans merged from a fleet hop carry the remote node's
-// clock, so a record that starts later may end last.
+// clock, so a record that starts later may end last. Its root is the
+// parent-0 record that starts first, the first recorded among equal starts,
+// whatever its ID: a peer's header may carry ID 0.
 func TestTraceFinishExtent(t *testing.T) {
-	tr := New("abc123", "")
-	tr.Merge([]SpanRecord{
-		{ID: 1, Name: "a", StartUS: 10, DurUS: 80},
-		{ID: 2, Name: "b", StartUS: 5, DurUS: 195},
-		{ID: 3, Name: "c", StartUS: 0, DurUS: 100},
-	})
-	if rec := tr.Finish(); rec.StartUS != 0 || rec.DurUS != 200 {
-		t.Errorf("extent = start %d dur %d, want start 0 dur 200", rec.StartUS, rec.DurUS)
+	for _, row := range []struct {
+		name       string
+		spans      []SpanRecord
+		start, dur int64
+		root       string
+	}{
+		{"latest end not latest start", []SpanRecord{
+			{ID: 1, Name: "a", StartUS: 10, DurUS: 80},
+			{ID: 2, Name: "b", StartUS: 5, DurUS: 195},
+			{ID: 3, Name: "c", StartUS: 0, DurUS: 100},
+		}, 0, 200, "c"},
+		{"root of ID 0", []SpanRecord{
+			{ID: 0, Name: "zero", StartUS: 5, DurUS: 10},
+			{ID: 7, Name: "later", StartUS: 9, DurUS: 1},
+			{ID: 8, Parent: 7, Name: "child", StartUS: 1, DurUS: 1},
+		}, 1, 14, "zero"},
+		{"equal starts", []SpanRecord{
+			{ID: 4, Name: "first", StartUS: 5, DurUS: 1},
+			{ID: 3, Name: "second", StartUS: 5, DurUS: 2},
+		}, 5, 2, "first"},
+		{"no root", []SpanRecord{{ID: 4, Parent: 9, Name: "orphan", StartUS: 5, DurUS: 1}}, 5, 1, ""},
+	} {
+		tr := New("abc123", "")
+		tr.Merge(row.spans)
+		rec := tr.Finish()
+		if rec.StartUS != row.start || rec.DurUS != row.dur {
+			t.Errorf("%s: extent = start %d dur %d, want start %d dur %d", row.name, rec.StartUS, rec.DurUS, row.start, row.dur)
+		}
+		if got := rec.Root().Name; got != row.root {
+			t.Errorf("%s: root %q, want %q", row.name, got, row.root)
+		}
 	}
 }
 
@@ -206,15 +232,16 @@ func TestTraceHeaderCodec(t *testing.T) {
 		t.Errorf("zero parent formats as %q", got)
 	}
 
-	spans := []SpanRecord{{ID: 7, Name: "synthesize", Node: "b", StartUS: 10, DurUS: 5}}
-	got := DecodeSpans(EncodeSpans(spans))
-	if len(got) != 1 || got[0].ID != 7 || got[0].Name != "synthesize" || got[0].Node != "b" || got[0].DurUS != 5 {
+	tr := New("x", "a")
+	tr.Merge([]SpanRecord{{ID: 7, Name: "synthesize", Node: "b", StartUS: 10, DurUS: 5}})
+	got := DecodeSpans(tr.EncodeSpans(nil))
+	if len(got) != 1 || got[0].ID != 7 || got[0].Name != "synthesize" || got[0].Node != "b" || got[0].StartUS != 10 || got[0].DurUS != 5 {
 		t.Errorf("spans codec round trip = %+v", got)
 	}
 	if DecodeSpans("") != nil || DecodeSpans("!!!not-base64") != nil {
 		t.Error("malformed spans header should decode to nil")
 	}
-	if EncodeSpans(nil) != "" {
+	if New("x", "").EncodeSpans(nil) != "" {
 		t.Error("empty spans should encode to empty header")
 	}
 }
@@ -255,7 +282,7 @@ func TestTraceWriteChrome(t *testing.T) {
 	child.SetAttrInt("expansions", 42)
 	child.End()
 	root.End()
-	tr.Merge([]SpanRecord{{ID: 99, Parent: root.SpanID(), Name: "remote", Node: "http://b", StartUS: root.Record().StartUS, DurUS: 3}})
+	tr.Merge([]SpanRecord{{ID: 99, Parent: root.SpanID(), Name: "remote", Node: "http://b", StartUS: tr.Export().Root().StartUS, DurUS: 3}})
 	rec := tr.Finish()
 
 	var buf bytes.Buffer
@@ -329,28 +356,30 @@ func TestTraceLoggerFormats(t *testing.T) {
 
 // FuzzDecodeSpans: DecodeSpans reads the X-HAP-Trace-Spans header of every
 // proxied miss. Arbitrary header values never panic it, the empty value
-// decodes to nil, whatever decodes re-encodes to records that decode equal,
-// and merging the decoded records into a trace keeps the trace's own spans.
-// The committed corpus holds a forwarded miss's real header, the empty
-// value, non-base64 text and base64 of non-JSON.
+// decodes to nil, whatever decodes, merged into a fresh trace, is written by
+// Trace.EncodeSpans to a header that decodes to the same records in order
+// (node, start, duration and attributes kept), and merging the decoded
+// records into a trace keeps the trace's own spans. The committed corpus
+// holds a forwarded miss's real header, the empty value, non-base64 text,
+// base64 of non-JSON, the extreme start times and a root of ID 0.
 func FuzzDecodeSpans(f *testing.F) {
-	f.Add(EncodeSpans([]SpanRecord{{ID: 7, Parent: 3, Name: "synthesize", Node: "b", StartUS: 10, DurUS: 5, Attrs: map[string]string{"k": "v"}}}))
+	f.Add(jsonEncodeSpans([]SpanRecord{{ID: 7, Parent: 3, Name: "synthesize", Node: "b", StartUS: 10, DurUS: 5, Attrs: map[string]string{"k": "v"}}}))
 	f.Fuzz(func(t *testing.T, v string) {
 		spans := DecodeSpans(v)
 		if v == "" && spans != nil {
 			t.Fatalf("empty header decoded to %+v", spans)
 		}
-		if len(spans) > 0 {
-			if again := DecodeSpans(EncodeSpans(spans)); !slices.EqualFunc(spans, again, sameRecord) {
-				t.Fatalf("re-encoded records decode to %+v, want %+v", again, spans)
-			}
+		fresh := New("abc123", "self")
+		fresh.Merge(spans)
+		if again := DecodeSpans(fresh.EncodeSpans(nil)); !slices.EqualFunc(spans, again, sameRecord) {
+			t.Fatalf("merged records re-encode to %+v, want %+v", again, spans)
 		}
 
 		tr := New("abc123", "self")
 		own := tr.Root("request", 0)
 		own.Child("proxy").End()
 		own.End()
-		mine := tr.Snapshot()
+		mine := tr.Export().Spans
 		tr.Merge(spans)
 		rec := tr.Finish()
 		if len(rec.Spans) != len(mine)+len(spans) || !slices.EqualFunc(rec.Spans[:len(mine)], mine, sameRecord) {

@@ -24,16 +24,15 @@ type TraceRecord struct {
 	Spans   []SpanRecord `json:"spans"`
 }
 
-// Root returns the trace's root span (parent 0, earliest start wins), or a
-// zero record if the trace is empty.
+// Root returns the trace's root span: of the records with parent 0, the
+// earliest start, the first recorded among equal starts. A zero record if
+// there is none.
 func (r *TraceRecord) Root() SpanRecord {
 	var root SpanRecord
+	found := false
 	for _, sp := range r.Spans {
-		if sp.Parent != 0 {
-			continue
-		}
-		if root.ID == 0 || sp.StartUS < root.StartUS {
-			root = sp
+		if sp.Parent == 0 && (!found || sp.StartUS < root.StartUS) {
+			root, found = sp, true
 		}
 	}
 	return root

@@ -330,16 +330,17 @@ func (s *Server) handleDebugTraces(w http.ResponseWriter, r *http.Request) {
 		Traces []TraceSummary `json:"traces"`
 	}{Traces: make([]TraceSummary, 0, len(trs))}
 	for _, tr := range trs {
-		start, dur := tr.Extent()
+		rec := tr.Export()
+		root := rec.Root()
 		out.Traces = append(out.Traces, TraceSummary{
-			TraceID:  tr.ID(),
-			StartUS:  start,
-			DurUS:    dur,
-			Spans:    tr.Len(),
-			Endpoint: tr.RootAttr("endpoint"),
-			Cache:    tr.RootAttr("cache"),
-			Role:     tr.RootAttr("fleet_role"),
-			Status:   tr.RootAttr("status"),
+			TraceID:  rec.TraceID,
+			StartUS:  rec.StartUS,
+			DurUS:    rec.DurUS,
+			Spans:    len(rec.Spans),
+			Endpoint: root.Attrs["endpoint"],
+			Cache:    root.Attrs["cache"],
+			Role:     root.Attrs["fleet_role"],
+			Status:   root.Attrs["status"],
 		})
 	}
 	writeJSON(w, out)

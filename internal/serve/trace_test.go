@@ -456,6 +456,38 @@ func TestTraceFleetCrossNode(t *testing.T) {
 		t.Errorf("remote request span parent = %x, want the proxy hop span %x", remoteRootParent, proxyID)
 	}
 
+	// The requester's listing summarizes the merged trace: its span count
+	// includes the owner's merged records, its root attributes are the
+	// requester's own request root's (the requester proxied the miss, as a
+	// replica of the key or a plain proxy; the owner's merged root carries
+	// no cache outcome), and its extent covers every record.
+	var sum TraceSummary
+	for _, s := range getTraceList(t, requester.url) {
+		if s.TraceID == traceID {
+			sum = s
+		}
+	}
+	if sum.TraceID == "" {
+		t.Fatalf("listing lacks trace %s", traceID)
+	}
+	if sum.Spans != byNode[requester.url]+byNode[ownerURL] {
+		t.Errorf("listing counts %d spans, want %d own + %d merged", sum.Spans, byNode[requester.url], byNode[ownerURL])
+	}
+	var ownRoot obs.SpanRecord
+	for _, sp := range rec.Spans {
+		if sp.Name == "request" && sp.Node == requester.url {
+			ownRoot = sp
+		}
+	}
+	if sum.Cache != "proxy" || sum.Role != ownRoot.Attrs["fleet_role"] || sum.Role != roleReplica && sum.Role != roleProxy || sum.Status != "200" || sum.Endpoint != EndpointV1 {
+		t.Errorf("listing root attrs cache=%q fleet_role=%q status=%q endpoint=%q, want the requester's root %v", sum.Cache, sum.Role, sum.Status, sum.Endpoint, ownRoot.Attrs)
+	}
+	for _, sp := range rec.Spans {
+		if sp.StartUS < sum.StartUS || sp.StartUS+sp.DurUS > sum.StartUS+sum.DurUS {
+			t.Errorf("listing extent [%d, +%d] leaves out %s span %q [%d, +%d]", sum.StartUS, sum.DurUS, sp.Node, sp.Name, sp.StartUS, sp.DurUS)
+		}
+	}
+
 	// The Chrome export is valid JSON with one process per node plus every
 	// span as a complete event.
 	chromeResp, err := http.Get(requester.url + "/v1/debug/traces/" + traceID + "?format=chrome")

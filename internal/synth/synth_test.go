@@ -318,7 +318,7 @@ func traced(ctx context.Context) (context.Context, *obs.Trace) {
 func wantAbortedLevel(t *testing.T, tr *obs.Trace) {
 	t.Helper()
 	var searches []obs.SpanRecord
-	for _, sp := range tr.Snapshot() {
+	for _, sp := range tr.Export().Spans {
 		if sp.Name == "search" {
 			searches = append(searches, sp)
 		}
