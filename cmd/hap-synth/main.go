@@ -18,7 +18,6 @@
 package main
 
 import (
-	"bytes"
 	"context"
 	"flag"
 	"fmt"
@@ -31,6 +30,7 @@ import (
 	"hap/client"
 	"hap/internal/cluster"
 	"hap/internal/models"
+	"hap/internal/planwire"
 	"hap/internal/sim"
 )
 
@@ -90,18 +90,18 @@ func main() {
 		st.Instrs, st.Comms, st.FlopsScaled, st.PerCollective)
 
 	if *out != "" {
-		var buf bytes.Buffer
-		if err := plan.WriteProgramBinary(&buf); err != nil {
+		bin, err := planwire.Append(nil, plan.Program, plan.Ratios, plan.Cost)
+		if err != nil {
 			log.Fatal(err)
 		}
-		if err := os.WriteFile(*out, buf.Bytes(), 0o644); err != nil {
+		if err := os.WriteFile(*out, bin, 0o644); err != nil {
 			log.Fatal(err)
 		}
-		back, err := hap.ReadProgramBinary(bytes.NewReader(buf.Bytes()), g)
+		back, _, _, err := planwire.ReadBinary(bin, g, "")
 		if err != nil {
 			log.Fatalf("re-loading %s: %v", *out, err)
 		}
-		if back.Program.String() != plan.Program.String() {
+		if back.String() != plan.Program.String() {
 			log.Fatalf("round-trip through %s changed the program", *out)
 		}
 		fmt.Printf("wrote %s (round-trip ok)\n", *out)

@@ -25,11 +25,11 @@
 package dist
 
 import (
-	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 
 	"hap/internal/collective"
 	"hap/internal/graph"
@@ -56,50 +56,51 @@ const (
 
 // EncodeBinary writes the program in the compact binary format.
 func (p *Program) EncodeBinary(w io.Writer) error {
-	if p.Graph == nil {
-		return fmt.Errorf("dist: encode binary: program has no graph")
+	b, err := p.AppendBinary(nil)
+	if err == nil {
+		_, err = w.Write(b)
 	}
-	bw := bufio.NewWriter(w)
-	bw.Write(binaryMagic[:])
-	bw.WriteByte(binaryVersion)
-	var scratch [binary.MaxVarintLen64]byte
-	uv := func(v uint64) {
-		bw.Write(scratch[:binary.PutUvarint(scratch[:], v)])
-	}
-	str := func(s string) {
-		uv(uint64(len(s)))
-		bw.WriteString(s)
-	}
-	uv(uint64(p.Graph.NumNodes()))
-	str(graph.Fingerprint(p.Graph))
+	return err
+}
 
-	// String tables: every kind used, in first-appearance order.
-	opIdx := map[graph.OpKind]uint64{}
-	collIdx := map[collective.Kind]uint64{}
-	var ops []string
-	var colls []string
+// AppendBinary appends the program in the compact binary format to b.
+func (p *Program) AppendBinary(b []byte) ([]byte, error) {
+	if p.Graph == nil {
+		return b, fmt.Errorf("dist: encode binary: program has no graph")
+	}
+	// String tables: every kind used, in first-appearance order. A program
+	// uses a handful of kinds, so a linear scan finds an entry's index.
+	var opBuf [32]graph.OpKind
+	var collBuf [8]collective.Kind
+	ops, colls := opBuf[:0], collBuf[:0]
 	for i := range p.Instrs {
 		in := &p.Instrs[i]
 		if in.IsComm {
-			if _, ok := collIdx[in.Coll]; !ok {
-				collIdx[in.Coll] = uint64(len(colls))
-				colls = append(colls, in.Coll.String())
+			if !slices.Contains(colls, in.Coll) {
+				colls = append(colls, in.Coll)
 			}
-		} else if _, ok := opIdx[in.Op]; !ok {
-			opIdx[in.Op] = uint64(len(ops))
-			ops = append(ops, in.Op.String())
+		} else if !slices.Contains(ops, in.Op) {
+			ops = append(ops, in.Op)
 		}
 	}
-	uv(uint64(len(ops)))
-	for _, s := range ops {
-		str(s)
+	// A program takes about 4.5 bytes an instruction, so sizing for 6 leaves
+	// room for a plan trailer (planwire.Append): the payload is one allocation.
+	fp := graph.Fingerprint(p.Graph)
+	b = slices.Grow(b, 64+len(fp)+6*len(p.Instrs))
+	b = append(b, binaryMagic[:]...)
+	b = append(b, binaryVersion)
+	b = binary.AppendUvarint(b, uint64(p.Graph.NumNodes()))
+	b = appendString(b, fp)
+	b = binary.AppendUvarint(b, uint64(len(ops)))
+	for _, op := range ops {
+		b = appendString(b, op.String())
 	}
-	uv(uint64(len(colls)))
-	for _, s := range colls {
-		str(s)
+	b = binary.AppendUvarint(b, uint64(len(colls)))
+	for _, k := range colls {
+		b = appendString(b, k.String())
 	}
 
-	uv(uint64(len(p.Instrs)))
+	b = binary.AppendUvarint(b, uint64(len(p.Instrs)))
 	for i := range p.Instrs {
 		in := &p.Instrs[i]
 		var flags byte
@@ -112,20 +113,25 @@ func (p *Program) EncodeBinary(w io.Writer) error {
 		if !in.IsComm && in.ShardDim >= 0 {
 			flags |= binFlagShardDim
 		}
-		bw.WriteByte(flags)
-		uv(uint64(in.Ref))
+		b = append(b, flags)
+		b = binary.AppendUvarint(b, uint64(in.Ref))
 		if in.IsComm {
-			uv(collIdx[in.Coll])
-			uv(uint64(in.Dim))
-			uv(uint64(in.Dim2))
+			b = binary.AppendUvarint(b, uint64(slices.Index(colls, in.Coll)))
+			b = binary.AppendUvarint(b, uint64(in.Dim))
+			b = binary.AppendUvarint(b, uint64(in.Dim2))
 		} else {
-			uv(opIdx[in.Op])
+			b = binary.AppendUvarint(b, uint64(slices.Index(ops, in.Op)))
 			if in.ShardDim >= 0 {
-				uv(uint64(in.ShardDim))
+				b = binary.AppendUvarint(b, uint64(in.ShardDim))
 			}
 		}
 	}
-	return bw.Flush()
+	return b, nil
+}
+
+// appendString appends s, length first.
+func appendString(b []byte, s string) []byte {
+	return append(binary.AppendUvarint(b, uint64(len(s))), s...)
 }
 
 // EqualBinary reports whether p and q, two programs over one graph, encode

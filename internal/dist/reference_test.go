@@ -173,3 +173,81 @@ func ReferenceDecodeBinary(r io.Reader, g *graph.Graph) (*Program, error) {
 	}
 	return p, nil
 }
+
+// ReferenceEncodeBinary is the binary program encoder as it was before it
+// appended to a byte slice: a bufio stream writer with varint closures, and
+// the name tables indexed by two maps. It is kept verbatim as the oracle
+// AppendBinary and planwire.Append are held to byte for byte
+// (encode_oracle_test.go).
+func ReferenceEncodeBinary(p *Program, w io.Writer) error {
+	if p.Graph == nil {
+		return fmt.Errorf("dist: encode binary: program has no graph")
+	}
+	bw := bufio.NewWriter(w)
+	bw.Write(binaryMagic[:])
+	bw.WriteByte(binaryVersion)
+	var scratch [binary.MaxVarintLen64]byte
+	uv := func(v uint64) {
+		bw.Write(scratch[:binary.PutUvarint(scratch[:], v)])
+	}
+	str := func(s string) {
+		uv(uint64(len(s)))
+		bw.WriteString(s)
+	}
+	uv(uint64(p.Graph.NumNodes()))
+	str(graph.Fingerprint(p.Graph))
+
+	// String tables: every kind used, in first-appearance order.
+	opIdx := map[graph.OpKind]uint64{}
+	collIdx := map[collective.Kind]uint64{}
+	var ops []string
+	var colls []string
+	for i := range p.Instrs {
+		in := &p.Instrs[i]
+		if in.IsComm {
+			if _, ok := collIdx[in.Coll]; !ok {
+				collIdx[in.Coll] = uint64(len(colls))
+				colls = append(colls, in.Coll.String())
+			}
+		} else if _, ok := opIdx[in.Op]; !ok {
+			opIdx[in.Op] = uint64(len(ops))
+			ops = append(ops, in.Op.String())
+		}
+	}
+	uv(uint64(len(ops)))
+	for _, s := range ops {
+		str(s)
+	}
+	uv(uint64(len(colls)))
+	for _, s := range colls {
+		str(s)
+	}
+
+	uv(uint64(len(p.Instrs)))
+	for i := range p.Instrs {
+		in := &p.Instrs[i]
+		var flags byte
+		if in.IsComm {
+			flags |= binFlagComm
+		}
+		if in.FlopsScaled {
+			flags |= binFlagScaled
+		}
+		if !in.IsComm && in.ShardDim >= 0 {
+			flags |= binFlagShardDim
+		}
+		bw.WriteByte(flags)
+		uv(uint64(in.Ref))
+		if in.IsComm {
+			uv(collIdx[in.Coll])
+			uv(uint64(in.Dim))
+			uv(uint64(in.Dim2))
+		} else {
+			uv(opIdx[in.Op])
+			if in.ShardDim >= 0 {
+				uv(uint64(in.ShardDim))
+			}
+		}
+	}
+	return bw.Flush()
+}

@@ -47,7 +47,7 @@ const EntriesPath = "/v1/fleet/entries"
 
 // Entry is one cached plan crossing a process or disk boundary: a
 // replication push, a warm-up stream line, and the daemon's plan file are
-// all this record. Bin is the plan's binary payload (Plan.WriteProgramBinary),
+// all this record. Bin is the plan's binary payload (planwire.Append),
 // base64 on the wire (encoding/json's []byte form) and restored byte-exact,
 // so the content address keeps meaning the same bytes fleet-wide.
 type Entry struct {

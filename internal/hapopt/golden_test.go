@@ -7,7 +7,9 @@ import (
 	"math"
 	"testing"
 
+	"hap/internal/balance"
 	"hap/internal/cluster"
+	"hap/internal/cost"
 	"hap/internal/graph"
 	"hap/internal/models"
 	"hap/internal/synth"
@@ -82,7 +84,8 @@ func TestGoldenRatios(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			h := fnv.New64a()
 			opt := Options{Segments: tc.segments, Synth: synth.Auto()}
-			opt.onRatios = func(b [][]float64) {
+			opt.balance = func(m *cost.Model) ([][]float64, error) {
+				b, err := balance.RatiosFromModel(m)
 				var w [8]byte
 				for _, row := range b {
 					for _, v := range row {
@@ -90,6 +93,7 @@ func TestGoldenRatios(t *testing.T) {
 						h.Write(w[:])
 					}
 				}
+				return b, err
 			}
 			_, _, attrs, err := optimizeTraced(tc.g, tc.c, opt)
 			if err != nil {

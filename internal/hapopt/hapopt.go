@@ -58,8 +58,6 @@ type Options struct {
 
 	// iterations, set by tests only, stands in for maxIterations when > 0.
 	iterations int
-	// onRatios, set by tests only, sees every B the balancer hands back.
-	onRatios func(b [][]float64)
 	// balance, set by tests only, stands in for balance.RatiosFromModel.
 	balance func(*cost.Model) ([][]float64, error)
 }
@@ -281,9 +279,6 @@ func Optimize(ctx context.Context, g *graph.Graph, c *cluster.Cluster, opt Optio
 			} else {
 				converged = sameRatios(nb, b)
 				b = nb
-				if opt.onRatios != nil {
-					opt.onRatios(b)
-				}
 			}
 			bs.End()
 		}

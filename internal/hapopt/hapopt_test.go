@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"hap/internal/balance"
 	"hap/internal/cluster"
 	"hap/internal/collective"
 	"hap/internal/cost"
@@ -483,7 +484,13 @@ func TestSynthesizerReuse(t *testing.T) {
 	// balancer handed back, but the last.
 	loopRatios := func(g *graph.Graph, c *cluster.Cluster, opt Options) [][][]float64 {
 		bs := [][][]float64{cost.UniformRatios(max(opt.Segments, 1), c.ProportionalRatios())}
-		opt.onRatios = func(b [][]float64) { bs = append(bs, cloneRatios(b)) }
+		opt.balance = func(m *cost.Model) ([][]float64, error) {
+			b, err := balance.RatiosFromModel(m)
+			if err == nil {
+				bs = append(bs, cloneRatios(b))
+			}
+			return b, err
+		}
 		if _, err := Optimize(context.Background(), g, c, opt); err != nil {
 			t.Fatal(err)
 		}

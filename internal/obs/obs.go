@@ -531,13 +531,6 @@ func SpanFromContext(ctx context.Context) *Span {
 	return s
 }
 
-// Start opens a child of the context's span (nil if none) and returns the
-// ctx carrying it plus the span itself. Convenience for handler phases.
-func Start(ctx context.Context, name string) (context.Context, *Span) {
-	s := SpanFromContext(ctx).Child(name)
-	return ContextWithSpan(ctx, s), s
-}
-
 // ---- fleet-hop header codec ----
 
 // FormatTraceHeader renders the outgoing X-HAP-Trace value for a fleet

@@ -65,11 +65,6 @@ func TestTraceDisabledPathAllocs(t *testing.T) {
 		c.SetAttrInt("bytes", 4096)
 		c.SetAttrStr("endpoint", "/v1/synthesize")
 		c.End()
-		ctx2, s2 := Start(ctx, "flight")
-		if ctx2 != ctx {
-			t.Fatal("Start with nil span must return ctx unchanged")
-		}
-		s2.End()
 	})
 	if allocs != 0 {
 		t.Fatalf("disabled tracing path allocates %v per run, want 0", allocs)

@@ -1,10 +1,10 @@
-// Package planwire reads a plan's one wire form: the binary payload
-// Plan.WriteProgramBinary writes, which the plan store, its disk mirror, the
-// fleet and every /v1/synthesize answer carry. The hap package wraps the
-// reader (hap.ReadProgramBinary) and writes the payload itself; the client
-// calls ReadBinary directly so it can hand over the graph fingerprint it
-// already computed for the plan's cache key, sparing the binding check a
-// second hash of the same graph.
+// Package planwire is the only writer (Append) and reader (ReadBinary) of a
+// plan's one wire form, the binary payload the plan store, its disk mirror,
+// the fleet and every /v1/synthesize answer carry. The hap package wraps
+// both; the daemon calls them on the bytes it holds, and the client calls
+// ReadBinary so it can hand over the graph fingerprint it already computed
+// for the plan's cache key, sparing the binding check a second hash of the
+// same graph.
 //
 // A reader never writes the graph it is given. The program binds to that
 // graph when it already carries the plan's segment assignment, and to a
@@ -32,6 +32,7 @@ package planwire
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/json"
 	"fmt"
 	"math"
 
@@ -53,6 +54,23 @@ type Trailer struct {
 
 // Magic terminates every binary plan payload.
 var Magic = [4]byte{'H', 'A', 'P', 'T'}
+
+// Append appends the binary payload of a plan — prog, its sharding ratios
+// and its modeled cost — to b. The segment assignment travels from
+// prog.Graph.
+func Append(b []byte, prog *dist.Program, ratios [][]float64, cost float64) ([]byte, error) {
+	b, err := prog.AppendBinary(b)
+	if err != nil {
+		return b, err
+	}
+	tr, err := json.Marshal(Trailer{Ratios: ratios, SegmentOf: prog.Graph.SegmentOf, Cost: cost})
+	if err != nil {
+		return b, err
+	}
+	b = append(b, tr...)
+	b = binary.BigEndian.AppendUint32(b, uint32(len(tr)))
+	return append(b, Magic[:]...), nil
+}
 
 // ReadBinary loads a plan from a binary payload held in memory, binding its
 // program to g (which must be the graph the plan was synthesized for) or to

@@ -34,7 +34,7 @@
 //	GET  /metrics           counters + latency histograms, Prometheus text
 //
 // Errors are answered with a structured JSON envelope {"code", "message"},
-// and every plan answer is the binary plan payload (hap.WriteProgramBinary,
+// and every plan answer is the binary plan payload (planwire.Append,
 // Content-Type application/x-hap-plan), whatever the Accept header says — the
 // one encoding the daemon stores, persists and replicates. A caller with K
 // clusters for one graph makes K requests: each is a key-first request on its
@@ -61,6 +61,7 @@ import (
 	"hap/internal/fleet"
 	"hap/internal/graph"
 	"hap/internal/obs"
+	"hap/internal/planwire"
 	"hap/internal/telemetry"
 	"hap/internal/wirejson"
 )
@@ -711,8 +712,8 @@ func (s *Server) synthesize(ctx context.Context, sp *obs.Span, key string, c *cl
 	ho := hap.Options{Segments: src.opts.Segments}
 	sds := sp.Child("seeded_search")
 	if d := s.nearestDonor(src, key); len(d.bin) > 0 {
-		if dp, err := hap.ReadProgramBinary(bytes.NewReader(d.bin), d.g); err == nil {
-			ho.SeedGraph, ho.SeedPlan = dp.Program.Graph, dp
+		if prog, ratios, cost, err := planwire.ReadBinary(d.bin, d.g, ""); err == nil {
+			ho.SeedGraph, ho.SeedPlan = prog.Graph, &hap.Plan{Program: prog, Ratios: ratios, Cost: cost}
 			sds.SetAttrStr("donor", d.key)
 			sds.SetAttrInt("shared_subs", int64(d.shared))
 		}
@@ -737,9 +738,9 @@ func (s *Server) synthesize(ctx context.Context, sp *obs.Span, key string, c *cl
 		s.synthIncremental.Add(1)
 	}
 	es := sp.Child("encode")
-	v, err := encodePlan(p)
+	bin, err := planwire.Append(nil, p.Program, p.Ratios, p.Cost)
 	es.End()
-	return p, v, err
+	return p, CachedPlan{Bin: bin}, err
 }
 
 // fleetRole classifies this node's relationship to a cache key for the
@@ -757,16 +758,6 @@ func (s *Server) fleetRole(key string) string {
 	default:
 		return roleProxy
 	}
-}
-
-// encodePlan renders a synthesized plan into its cached form, the binary
-// payload.
-func encodePlan(p *hap.Plan) (CachedPlan, error) {
-	var bin bytes.Buffer
-	if err := p.WriteProgramBinary(&bin); err != nil {
-		return CachedPlan{}, err
-	}
-	return CachedPlan{Bin: bin.Bytes()}, nil
 }
 
 // storePlan is the second half of the miss tail: it inserts a freshly

@@ -24,7 +24,7 @@ import (
 // metadata served with it. The byte slice is shared between callers and must
 // be treated as immutable.
 type CachedPlan struct {
-	Bin []byte // WriteProgramBinary payload, the body of every plan answer
+	Bin []byte // planwire.Append payload, the body of every plan answer
 	// Version counts how many times this key's content has been replaced on
 	// its owning node — 1 on first synthesis, bumped by each drift re-solve
 	// that swaps. Replicas copy the owner's version verbatim, so the number is

@@ -30,7 +30,6 @@ import (
 	"slices"
 	"sync"
 
-	"hap"
 	"hap/internal/balance"
 	"hap/internal/cluster"
 	"hap/internal/cost"
@@ -302,28 +301,28 @@ func (s *Server) replanForSpec(specFP string, mon *telemetry.Monitor) int {
 // size: the ratios are well-formed, and with the device count unchanged the
 // new B models no slower on the drifted cluster than the stale one.
 func resolve(drifted *cluster.Cluster, old CachedPlan) (CachedPlan, error) {
-	p, err := hap.ReadProgramBinary(bytes.NewReader(old.Bin), old.src.g)
+	prog, staleB, _, err := planwire.ReadBinary(old.Bin, old.src.g, "")
 	if err != nil {
 		return CachedPlan{}, fmt.Errorf("decode: %w", err)
 	}
-	b, err := resolveRatios(drifted, p.Program)
+	b, err := resolveRatios(drifted, prog)
 	if err != nil {
 		return CachedPlan{}, fmt.Errorf("ratio LP: %w", err)
 	}
-	if err := planwire.ValidateRatios(b, p.Program.Graph.NumSegments()); err != nil {
+	if err := planwire.ValidateRatios(b, prog.Graph.NumSegments()); err != nil {
 		return CachedPlan{}, fmt.Errorf("ratio LP: %w", err)
 	}
-	model := cost.Extract(drifted, p.Program)
+	model := cost.Extract(drifted, prog)
 	c := model.Eval(b)
-	if len(p.Ratios[0]) == drifted.M() {
+	if len(staleB[0]) == drifted.M() {
 		// A relative hair of slack: an LP vertex tied with the stale B may
 		// evaluate a rounding error above it.
-		if stale := model.Eval(p.Ratios); c > stale*(1+1e-9) {
+		if stale := model.Eval(staleB); c > stale*(1+1e-9) {
 			return CachedPlan{}, fmt.Errorf("ratio LP: re-solved cost %g exceeds the stale ratios' %g", c, stale)
 		}
 	}
-	p.Ratios, p.Cost = b, c
-	return encodePlan(p)
+	bin, err := planwire.Append(nil, prog, b, c)
+	return CachedPlan{Bin: bin}, err
 }
 
 // telemetryStats assembles the Stats telemetry slice. Always non-nil: the

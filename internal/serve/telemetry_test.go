@@ -389,7 +389,7 @@ func FuzzTelemetryReport(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	v, err := encodePlan(p)
+	bin, err := planwire.Append(nil, p.Program, p.Ratios, p.Cost)
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -408,7 +408,7 @@ func FuzzTelemetryReport(f *testing.F) {
 	quiet := slog.New(slog.NewTextHandler(io.Discard, nil))
 	f.Fuzz(func(t *testing.T, body []byte) {
 		s := New(Config{Logger: quiet})
-		s.store.Put(key, CachedPlan{Bin: v.Bin, src: newPlanSource(g, spec, RequestOptions{})})
+		s.store.Put(key, CachedPlan{Bin: bin, src: newPlanSource(g, spec, RequestOptions{})})
 		w := httptest.NewRecorder()
 		s.handleTelemetry(w, httptest.NewRequest(http.MethodPost, "/v1/telemetry", bytes.NewReader(body)))
 		ts := s.Stats().Telemetry

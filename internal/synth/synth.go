@@ -514,7 +514,7 @@ type Synthesizer struct {
 	// gradOf maps a parameter to the output tensor whose acceptable forms
 	// follow its placement (its gradient), -1 otherwise: the one tensor whose
 	// frontier segment a leaf placement changes.
-	gradOf []graph.NodeID
+	gradOf []int32
 }
 
 // New prepares a synthesizer for one (graph, theory, cluster, ratios) tuple.
@@ -544,15 +544,15 @@ func New(g *graph.Graph, th *theory.Theory, c *cluster.Cluster, b [][]float64, o
 		opt.Seed = nil // exact A* ignores seeds: no pin may filter its segments
 	}
 	n := g.NumNodes()
-	idx := make([]int32, 2*n) // outputIdx and row share one slab
+	idx := make([]int32, 3*n) // outputIdx, row and gradOf share one slab
 	s := &Synthesizer{
 		g: g, th: th, c: c, b: b, opt: opt, coldWidth: coldWidth,
 		words:            (n + 63) / 64,
 		totalFlopsPerSec: c.TotalFlops(),
 		outputs:          th.Outputs,
 		outputIdx:        idx[:n:n],
-		row:              idx[n:],
-		gradOf:           make([]graph.NodeID, n),
+		row:              idx[n : 2*n : 2*n],
+		gradOf:           idx[2*n:],
 	}
 	for i := range s.outputIdx {
 		s.outputIdx[i], s.row[i], s.gradOf[i] = -1, -1, -1
@@ -560,7 +560,7 @@ func New(g *graph.Graph, th *theory.Theory, c *cluster.Cluster, b [][]float64, o
 	for i, o := range th.Outputs {
 		s.outputIdx[o.Ref] = int32(i)
 		if o.Param >= 0 {
-			s.gradOf[o.Param] = o.Ref
+			s.gradOf[o.Param] = int32(o.Ref)
 		}
 	}
 	required := func(id graph.NodeID) bool { return th.Required[id] && !g.Node(id).Kind.IsLeaf() }
@@ -1319,7 +1319,7 @@ func (sy *Synthesizer) applyComp(s *state, tr *theory.Triple) *state {
 	}
 	for _, p := range tr.LeafPre() {
 		if gr := sy.gradOf[p.Ref]; gr >= 0 && s.placed[p.Ref] == unplaced {
-			sy.touched = touch(sy.touched, gr)
+			sy.touched = touch(sy.touched, graph.NodeID(gr))
 		}
 	}
 	if sy.opt.BeamWidth > 0 {

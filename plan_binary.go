@@ -3,15 +3,12 @@
 // hap-synth -out carry. The program travels as dist.EncodeBinary bytes,
 // followed by a small JSON trailer carrying the plan metadata the program
 // format does not cover (sharding ratios, segment assignment, modeled cost).
-// The layout is documented, and read, in internal/planwire. The form a
-// person reads is the disassembly, Program.String().
+// The layout is documented, written and read in internal/planwire alone. The
+// form a person reads is the disassembly, Program.String().
 
 package hap
 
 import (
-	"bytes"
-	"encoding/binary"
-	"encoding/json"
 	"fmt"
 	"io"
 
@@ -24,24 +21,10 @@ import (
 // synthesis. The payload's program section decodes directly with
 // dist.DecodeBinary.
 func (p *Plan) WriteProgramBinary(w io.Writer) error {
-	var buf bytes.Buffer
-	if err := p.Program.EncodeBinary(&buf); err != nil {
-		return err
+	b, err := planwire.Append(nil, p.Program, p.Ratios, p.Cost)
+	if err == nil {
+		_, err = w.Write(b)
 	}
-	tr, err := json.Marshal(planwire.Trailer{
-		Ratios:    p.Ratios,
-		SegmentOf: p.Program.Graph.SegmentOf,
-		Cost:      p.Cost,
-	})
-	if err != nil {
-		return err
-	}
-	buf.Write(tr)
-	var suffix [8]byte
-	binary.BigEndian.PutUint32(suffix[:4], uint32(len(tr)))
-	copy(suffix[4:], planwire.Magic[:])
-	buf.Write(suffix[:])
-	_, err = w.Write(buf.Bytes())
 	return err
 }
 

@@ -2,6 +2,9 @@ package hap
 
 import (
 	"bytes"
+	"io"
+	"runtime"
+	"strings"
 	"testing"
 
 	"hap/internal/cluster"
@@ -116,6 +119,41 @@ func TestReadBinaryAllocationPin(t *testing.T) {
 		})
 		if got != pin {
 			t.Errorf("%s: ReadBinary made %.0f allocations, pin %.0f", in.name, got, pin)
+		}
+	}
+}
+
+// TestWriteProgramBinaryAllocationPin pins the allocations of the payload
+// writer exactly on go1.24 (a quarter more elsewhere; none under the race
+// detector, which drops sync.Pool entries at random, encoding/json's
+// encoder state among them): the graph
+// fingerprint's digest, the trailer's two in encoding/json, and the payload
+// appended in one buffer sized for program and trailer. While the program
+// went through a bufio writer with varint closures and two maps for its name
+// tables, and the payload through two bytes.Buffers, it made 20 allocations
+// and 8 040 bytes on vgg19/het8, 18 and 7 800 on bert12/hom4; now 1 312 and
+// 3 216 bytes.
+func TestWriteProgramBinaryAllocationPin(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector drops pooled encoder states at random")
+	}
+	const pin = 4
+	exact := strings.HasPrefix(runtime.Version(), "go1.24")
+	for _, in := range warmInputs() {
+		if in.name != "vgg19/het8" && in.name != "bert12/hom4" {
+			continue
+		}
+		plan, err := planWith(in.build(), in.c, Options{})
+		if err != nil {
+			t.Fatalf("%s: Plan: %v", in.name, err)
+		}
+		got := testing.AllocsPerRun(20, func() {
+			if err := plan.WriteProgramBinary(io.Discard); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if got != pin && (exact || got > pin*5/4) {
+			t.Errorf("%s: WriteProgramBinary made %.0f allocations, pin %d", in.name, got, pin)
 		}
 	}
 }
