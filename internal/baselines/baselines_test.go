@@ -30,11 +30,11 @@ func TestDPProgramIsDataParallel(t *testing.T) {
 		switch in.Op {
 		case 1: // graph.Parameter
 			if in.ShardDim != -1 {
-				t.Errorf("DP parameter sharded: %v", in)
+				t.Errorf("DP parameter sharded: %s", in.Text(g))
 			}
 		case 0: // graph.Placeholder
 			if in.ShardDim != 0 {
-				t.Errorf("DP placeholder not batch-sharded: %v", in)
+				t.Errorf("DP placeholder not batch-sharded: %s", in.Text(g))
 			}
 		}
 	}

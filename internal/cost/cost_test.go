@@ -39,12 +39,12 @@ func handProgram(t *testing.T) (*dist.Program, *graph.Graph) {
 	add := func(in dist.Instruction) { p.Instrs = append(p.Instrs, in) }
 	add(dist.Instruction{Ref: x, Op: graph.Placeholder, ShardDim: 0})
 	add(dist.Instruction{Ref: w, Op: graph.Parameter, ShardDim: -1})
-	add(dist.Instruction{Ref: y, Op: graph.MatMul, Inputs: []graph.NodeID{x, w}, ShardDim: -1, FlopsScaled: true})
-	add(dist.Instruction{Ref: g.Loss, Op: graph.Sum, Inputs: []graph.NodeID{y}, ShardDim: -1, FlopsScaled: true})
+	add(dist.Instruction{Ref: y, Op: graph.MatMul, ShardDim: -1, FlopsScaled: true})
+	add(dist.Instruction{Ref: g.Loss, Op: graph.Sum, ShardDim: -1, FlopsScaled: true})
 	add(dist.Instruction{Ref: ones, Op: graph.Ones, ShardDim: -1})
-	add(dist.Instruction{Ref: gy, Op: graph.Expand, Inputs: []graph.NodeID{ones}, ShardDim: 0, FlopsScaled: true})
-	add(dist.Instruction{Ref: xt, Op: graph.Transpose, Inputs: []graph.NodeID{x}, ShardDim: -1, FlopsScaled: true})
-	add(dist.Instruction{Ref: gw, Op: graph.MatMul, Inputs: []graph.NodeID{xt, gy}, ShardDim: -1, FlopsScaled: true})
+	add(dist.Instruction{Ref: gy, Op: graph.Expand, ShardDim: 0, FlopsScaled: true})
+	add(dist.Instruction{Ref: xt, Op: graph.Transpose, ShardDim: -1, FlopsScaled: true})
+	add(dist.Instruction{Ref: gw, Op: graph.MatMul, ShardDim: -1, FlopsScaled: true})
 	add(dist.Comm(gw, collective.AllReduce, 0, 0))
 	return p, g
 }

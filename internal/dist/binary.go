@@ -315,7 +315,6 @@ func DecodeBinaryWithFingerprint(data []byte, g *graph.Graph, fp string) (*Progr
 	// a range check (or, as a shard dim, read as -1: replicated). Each
 	// instruction is filled in place, field by field.
 	p := &Program{Graph: g, Instrs: make([]Instruction, count)}
-	inputs := 0 // the input lists bindInputs copies, counted as they are read
 	for i := range p.Instrs {
 		in := &p.Instrs[i]
 		in.ShardDim = -1
@@ -361,11 +360,7 @@ func DecodeBinaryWithFingerprint(data []byte, g *graph.Graph, fp string) (*Progr
 			}
 			in.ShardDim = int(sd)
 		}
-		if !in.Op.IsLeaf() {
-			inputs += len(g.Node(in.Ref).Inputs)
-		}
 	}
-	p.bindInputs(inputs)
 	if err := p.Validate(); err != nil {
 		return fail("%w", err)
 	}
@@ -386,23 +381,4 @@ func checkBinding(g *graph.Graph, nodes uint64, hash, fp string) error {
 		return fmt.Errorf("graph fingerprint mismatch (program %s, binding graph %s): the plan was synthesized for a structurally different graph", hash, fp)
 	}
 	return nil
-}
-
-// bindInputs gives every computation a copy of its graph node's input list
-// (inputs are not serialized: Validate holds them to the node's anyway), all
-// copies carved from one allocation of n, the lists' total length. Leaf
-// loaders get none. Every reference lies inside the graph: the decode
-// checked it.
-func (p *Program) bindInputs(n int) {
-	slab := make([]graph.NodeID, n)
-	for i := range p.Instrs {
-		in := &p.Instrs[i]
-		if in.IsComm || in.Op.IsLeaf() {
-			continue
-		}
-		if k := copy(slab, p.Graph.Node(in.Ref).Inputs); k > 0 {
-			in.Inputs = slab[:k:k]
-			slab = slab[k:]
-		}
-	}
 }

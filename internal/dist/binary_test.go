@@ -24,11 +24,11 @@ func binaryTestProgram(t *testing.T) *Program {
 	p.Instrs = append(p.Instrs,
 		Instruction{Ref: x, Op: graph.Placeholder, ShardDim: 0},
 		Instruction{Ref: w, Op: graph.Parameter, ShardDim: -1},
-		Instruction{Ref: y, Op: graph.MatMul, Inputs: []graph.NodeID{x, w}, ShardDim: -1, FlopsScaled: true},
+		Instruction{Ref: y, Op: graph.MatMul, ShardDim: -1, FlopsScaled: true},
 		Comm(y, collective.PaddedAllGather, 0, 0),
-		Instruction{Ref: s, Op: graph.ReLU, Inputs: []graph.NodeID{y}, ShardDim: -1},
+		Instruction{Ref: s, Op: graph.ReLU, ShardDim: -1},
 		Comm(s, collective.AllToAll, 0, 1),
-		Instruction{Ref: g.Loss, Op: graph.Sum, Inputs: []graph.NodeID{s}, ShardDim: -1, FlopsScaled: true},
+		Instruction{Ref: g.Loss, Op: graph.Sum, ShardDim: -1, FlopsScaled: true},
 		Comm(g.Loss, collective.AllReduce, 0, 0),
 	)
 	if err := p.Validate(); err != nil {
@@ -210,7 +210,7 @@ func TestDecodedProgramIsValidatedStructurally(t *testing.T) {
 	// rejected by the decoder's validation pass.
 	g := trainingGraph(t)
 	p := &Program{Graph: g, Instrs: []Instruction{
-		{Ref: 2, Op: graph.MatMul, Inputs: []graph.NodeID{0, 1}, ShardDim: -1, FlopsScaled: true},
+		{Ref: 2, Op: graph.MatMul, ShardDim: -1, FlopsScaled: true},
 	}}
 	_, err := DecodeBinary(bytes.NewReader(encodeBinary(t, p)), g)
 	if err == nil || !strings.Contains(err.Error(), "before it is defined") {

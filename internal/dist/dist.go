@@ -28,19 +28,17 @@ import (
 
 // Instruction is one SPMD instruction, executed identically on every device.
 //
-// The fields are ordered for size: the four one-byte fields (Op,
-// FlopsScaled, IsComm, Coll) come last and share one word, so an
-// instruction is 64 bytes, a cache line, where declaration order by meaning
-// padded it to 80. A plan's instruction list is the one copy of its
-// instructions, and the client decodes one per served plan.
+// A computation applies graph node Ref to that node's own inputs, so the
+// instruction does not carry them: the program's graph holds them, and
+// Text reads them from it. The fields are ordered for size: the four
+// one-byte fields (Op, FlopsScaled, IsComm, Coll) come last and share one
+// word, so an instruction is a comparable 40-byte value. A plan's
+// instruction list is the one copy of its instructions, and the client
+// decodes one per served plan.
 type Instruction struct {
 	// Ref is the single-device tensor this instruction produces (computation)
 	// or redistributes in place (communication).
 	Ref graph.NodeID
-	// Inputs mirror the graph node's inputs (empty for leaf loaders, whose
-	// nodes have none). A program owns its input lists: they never alias
-	// the graph's.
-	Inputs []graph.NodeID
 	// ShardDim is the dimension a leaf loader (or a sharded Expand) splits
 	// locally, -1 for replicated. Unused (-1) for communication.
 	ShardDim int
@@ -65,10 +63,12 @@ func Comm(ref graph.NodeID, kind collective.Kind, d, d2 int) Instruction {
 	return Instruction{Ref: ref, ShardDim: -1, IsComm: true, Coll: kind, Dim: d, Dim2: d2}
 }
 
-// String renders the instruction in the paper's listing notation:
+// Text renders the instruction in the paper's listing notation:
 // "all-gather(e3, 1)" for collectives, "e5 = matmul(e1, e3)" for
-// computations, with sharded placements as "e0 = placeholder-shard(0)".
-func (in Instruction) String() string {
+// computations, with sharded placements as "e0 = placeholder-shard(0)". A
+// computation's inputs are node Ref's in g; a reference outside g (or a nil
+// g) renders none.
+func (in Instruction) Text(g *graph.Graph) string {
 	if in.IsComm {
 		switch in.Coll {
 		case collective.AllReduce:
@@ -79,20 +79,24 @@ func (in Instruction) String() string {
 			return fmt.Sprintf("%v(e%d, %d)", in.Coll, in.Ref, in.Dim)
 		}
 	}
+	var inputs []graph.NodeID
+	if g != nil && in.Ref >= 0 && int(in.Ref) < g.NumNodes() {
+		inputs = g.Node(in.Ref).Inputs
+	}
 	var b strings.Builder
 	fmt.Fprintf(&b, "e%d = %v", in.Ref, in.Op)
 	if in.ShardDim >= 0 {
 		b.WriteString("-shard")
 	}
 	b.WriteByte('(')
-	for i, u := range in.Inputs {
+	for i, u := range inputs {
 		if i > 0 {
 			b.WriteString(", ")
 		}
 		fmt.Fprintf(&b, "e%d", u)
 	}
 	if in.ShardDim >= 0 {
-		if len(in.Inputs) > 0 {
+		if len(inputs) > 0 {
 			b.WriteString(", ")
 		}
 		fmt.Fprintf(&b, "%d", in.ShardDim)
@@ -107,15 +111,11 @@ type Program struct {
 	Instrs []Instruction
 }
 
-// Clone returns a copy of the program whose instruction list (and each
-// instruction's input list) is independent of the original. The graph is
-// shared: optimization passes rewrite instructions, never the graph.
+// Clone returns a copy of the program whose instruction list is
+// independent of the original. The graph is shared: optimization passes
+// rewrite instructions, never the graph.
 func (p *Program) Clone() *Program {
-	np := &Program{Graph: p.Graph, Instrs: append([]Instruction(nil), p.Instrs...)}
-	for i := range np.Instrs {
-		np.Instrs[i].Inputs = append([]graph.NodeID(nil), np.Instrs[i].Inputs...)
-	}
-	return np
+	return &Program{Graph: p.Graph, Instrs: append([]Instruction(nil), p.Instrs...)}
 }
 
 // NumComms returns the number of communication instructions.
@@ -137,7 +137,7 @@ func (p *Program) NumComms() int {
 func (p *Program) Format(w io.Writer) error {
 	for i := range p.Instrs {
 		in := &p.Instrs[i]
-		line := in.String()
+		line := in.Text(p.Graph)
 		if in.IsComm {
 			line = fmt.Sprintf("e%d = %s", in.Ref, line)
 		}

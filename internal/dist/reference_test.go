@@ -163,9 +163,6 @@ func ReferenceDecodeBinary(r io.Reader, g *graph.Graph) (*Program, error) {
 			}
 			in.ShardDim = int(sd)
 		}
-		if ref < uint64(g.NumNodes()) && !in.Op.IsLeaf() {
-			in.Inputs = append(in.Inputs, g.Node(graph.NodeID(ref)).Inputs...)
-		}
 		p.Instrs = append(p.Instrs, in)
 	}
 	if err := p.Validate(); err != nil {

@@ -17,7 +17,7 @@ import (
 //
 //   - the carried graph itself validates;
 //   - every instruction references an existing graph node, and computation
-//     op kinds and input lists mirror the node's;
+//     op kinds mirror the node's;
 //   - every input of a computation is defined by an earlier instruction
 //     (use-before-def), and no tensor is computed twice;
 //   - communications redistribute tensors that an earlier instruction
@@ -73,9 +73,6 @@ func (p *Program) Validate() error {
 		if in.ShardDim < -1 || in.ShardDim >= rank {
 			return fmt.Errorf("dist: instr %d: shard dim %d out of range for e%d (shape %v)", i, in.ShardDim, in.Ref, n.Shape)
 		}
-		if len(in.Inputs) != 0 && !sameIDs(in.Inputs, n.Inputs) {
-			return fmt.Errorf("dist: instr %d: inputs %v do not mirror node e%d's inputs %v", i, in.Inputs, in.Ref, n.Inputs)
-		}
 		for _, u := range n.Inputs {
 			if !defined[u] {
 				return fmt.Errorf("dist: instr %d: e%d uses e%d before it is defined", i, in.Ref, u)
@@ -98,16 +95,4 @@ func (p *Program) Validate() error {
 		return fmt.Errorf("dist: gradient e%d of parameter e%d is never materialized", g.Grads[missing], missing)
 	}
 	return nil
-}
-
-func sameIDs(a, b []graph.NodeID) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

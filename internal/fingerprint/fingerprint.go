@@ -18,6 +18,7 @@ import (
 	"math"
 	"math/bits"
 	"strconv"
+	"strings"
 )
 
 // FNV-1a 64-bit parameters (the hash/fnv New64a function).
@@ -140,4 +141,12 @@ func PlanKey(graphFP, clusterFP string, o Options) string {
 	b = append(b, clusterFP...)
 	b = append(b, ':')
 	return string(o.appendSig(b))
+}
+
+// KeyGraph returns the graph fingerprint key starts with, as PlanKey was
+// given it: a holder of the key binds a plan to its graph without hashing
+// the graph again.
+func KeyGraph(key string) string {
+	graphFP, _, _ := strings.Cut(key, ":")
+	return graphFP
 }

@@ -43,6 +43,9 @@ func TestPlanKeyGolden(t *testing.T) {
 		if got := fingerprint.PlanKey(graph.Fingerprint(tc.g), tc.c.Fingerprint(), tc.opt); got != tc.want {
 			t.Errorf("%s: key = %q, want %q", tc.name, got, tc.want)
 		}
+		if got, want := fingerprint.KeyGraph(tc.want), graph.Fingerprint(tc.g); got != want {
+			t.Errorf("%s: KeyGraph = %q, want the graph's fingerprint %q", tc.name, got, want)
+		}
 	}
 }
 

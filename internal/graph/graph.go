@@ -187,7 +187,10 @@ func (g *Graph) NumNodes() int { return len(g.Nodes) }
 func (g *Graph) add(n Node) NodeID {
 	n.ID = NodeID(len(g.Nodes))
 	if n.Shape == nil {
-		n.Shape = g.inferShape(&n)
+		// A scalar's shape is empty, not nil: the wire writes it.
+		if n.Shape = g.inferShape(&n, nil); n.Shape == nil {
+			n.Shape = tensor.Shape{}
+		}
 	}
 	if n.BatchDim == 0 && n.Kind != Placeholder {
 		// Zero value means "unset" for non-placeholders; recompute.
@@ -280,7 +283,10 @@ func (g *Graph) SetLoss(id NodeID) {
 	g.Loss = id
 }
 
-func (g *Graph) inferShape(n *Node) tensor.Shape {
+// inferShape appends n's output shape, inferred from its inputs', to dst and
+// returns it: a caller that only checks the shape passes a buffer of its
+// own, and add passes nil. It panics on inputs the op cannot take.
+func (g *Graph) inferShape(n *Node, dst tensor.Shape) tensor.Shape {
 	in := func(i int) tensor.Shape { return g.Node(n.Inputs[i]).Shape }
 	switch n.Kind {
 	case MatMul:
@@ -288,29 +294,29 @@ func (g *Graph) inferShape(n *Node) tensor.Shape {
 		if len(a) != 2 || len(b) != 2 || a[1] != b[0] {
 			panic(fmt.Sprintf("graph: matmul shape mismatch %v · %v", a, b))
 		}
-		return tensor.Shape{a[0], b[1]}
+		return append(dst, a[0], b[1])
 	case Transpose:
 		a := in(0)
 		if len(a) != 2 {
 			panic(fmt.Sprintf("graph: transpose needs rank 2, got %v", a))
 		}
-		return tensor.Shape{a[1], a[0]}
+		return append(dst, a[1], a[0])
 	case Add, Mul:
 		a, b := in(0), in(1)
 		if !a.Equal(b) {
 			panic(fmt.Sprintf("graph: %v shape mismatch %v vs %v", n.Kind, a, b))
 		}
-		return a.Clone()
+		return append(dst, a...)
 	case Scale, ReLU, Sigmoid, GeLU, Softmax:
-		return in(0).Clone()
+		return append(dst, in(0)...)
 	case ReLUGrad, SigmoidGrad, GeLUGrad, SoftmaxGrad:
 		a, b := in(0), in(1)
 		if !a.Equal(b) {
 			panic(fmt.Sprintf("graph: %v shape mismatch %v vs %v", n.Kind, a, b))
 		}
-		return a.Clone()
+		return append(dst, a...)
 	case Sum:
-		return tensor.Shape{}
+		return dst
 	case ConvGradX:
 		// (w, gy): grad has the shape of the conv input, which equals
 		// (batch of gy, in-features of w's logical input) — builders use
@@ -327,16 +333,16 @@ func (g *Graph) inferShape(n *Node) tensor.Shape {
 		if c == 0 {
 			c = 1
 		}
-		return tensor.Shape{e, c, h}
+		return append(dst, e, c, h)
 	case ExpertMM:
 		d, w := in(0), in(1)
 		if len(d) != 3 || len(w) != 3 || d[0] != w[0] || d[2] != w[1] {
 			panic(fmt.Sprintf("graph: expert_mm shape mismatch %v · %v", d, w))
 		}
-		return tensor.Shape{d[0], d[1], w[2]}
+		return append(dst, d[0], d[1], w[2])
 	case Combine:
 		e, gates := in(0), in(1)
-		return tensor.Shape{gates[0], e[2]}
+		return append(dst, gates[0], e[2])
 	default:
 		panic(fmt.Sprintf("graph: cannot infer shape for %v", n.Kind))
 	}

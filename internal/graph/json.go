@@ -24,7 +24,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math"
 	"slices"
 	"strconv"
 	"unicode/utf8"
@@ -123,21 +122,13 @@ func (w *jsonWriter) key(i int, k string) {
 
 func (w *jsonWriter) int(v int) { w.b = strconv.AppendInt(w.b, int64(v), 10) }
 
-// float writes v the way encoding/json does: 'f' format, else 'e' below
-// 1e-6 or from 1e21, with a one-digit negative exponent unpadded.
+// float writes v the way encoding/json does (wirejson.AppendFloat).
 func (w *jsonWriter) float(v float64) error {
-	if math.IsInf(v, 0) || math.IsNaN(v) {
+	b, ok := wirejson.AppendFloat(w.b, v)
+	if !ok {
 		return fmt.Errorf("graph: encode: unsupported value %v", v)
 	}
-	format := byte('f')
-	if abs := math.Abs(v); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
-		format = 'e'
-	}
-	w.b = strconv.AppendFloat(w.b, v, format, -1, 64)
-	if n := len(w.b); format == 'e' && n >= 4 && w.b[n-4] == 'e' && w.b[n-3] == '-' && w.b[n-2] == '0' {
-		w.b[n-2] = w.b[n-1]
-		w.b = w.b[:n-1]
-	}
+	w.b = b
 	return nil
 }
 
@@ -419,18 +410,20 @@ func (gf *graphFields) finish(g *Graph) error {
 	// synthesis rules and the numeric runtime trust them, and an
 	// inconsistent shape (e.g. a scalar "softmax" of a matrix) panics deep
 	// in the pipeline. Kinds without an inference rule (leaves, grad kinds
-	// with explicit shapes) keep their declared shape.
+	// with explicit shapes) keep their declared shape. Each inferred shape
+	// is appended to one stack buffer (a rank past its length spills).
+	var buf [4]int
 	for i := range g.Nodes {
 		n := &g.Nodes[i]
 		if !inferableKinds[n.Kind] {
 			continue
 		}
-		want, ok := g.tryInferShape(n)
+		want, ok := g.tryInferShape(n, buf[:0])
 		if !ok {
 			return fmt.Errorf("graph: decode: node %d (%v) has inconsistent input shapes", i, n.Kind)
 		}
 		if !n.Shape.Equal(want) {
-			return fmt.Errorf("graph: decode: node %d (%v) declares shape %v, op produces %v", i, n.Kind, n.Shape, want)
+			return fmt.Errorf("graph: decode: node %d (%v) declares shape %v, op produces %v", i, n.Kind, n.Shape, want.Clone())
 		}
 	}
 	return nil
@@ -457,11 +450,11 @@ var inferableKinds = map[OpKind]bool{
 }
 
 // tryInferShape runs inferShape, converting its panics into ok=false.
-func (g *Graph) tryInferShape(n *Node) (s tensor.Shape, ok bool) {
+func (g *Graph) tryInferShape(n *Node, dst tensor.Shape) (s tensor.Shape, ok bool) {
 	defer func() {
 		if recover() != nil {
 			s, ok = nil, false
 		}
 	}()
-	return g.inferShape(n), true
+	return g.inferShape(n, dst), true
 }

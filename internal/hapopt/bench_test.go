@@ -136,7 +136,10 @@ func countHolds(got float64, pin int) bool {
 // 245 / 268 and 447 / 1 341 → 66 / 107. While synth.New allocated gradOf
 // apart from its int32 slab (one allocation more per New), they read
 // 1 552 / 8 375 → 76 / 474, 616 / 1 494 → 235 / 237 and 435 / 1 308 →
-// 54 / 75.
+// 54 / 75. While every emitted computation carried a copy of its node's
+// input list (a slab per program, a copy per Clone), they read
+// 1 550 / 8 371 → 74 / 470, 615 / 1 493 → 234 / 236 and 434 / 1 307 →
+// 53 / 74.
 func TestOptimizeAllocationPin(t *testing.T) {
 	cfg := models.BERTBase()
 	cfg.Layers = 4
@@ -148,12 +151,12 @@ func TestOptimizeAllocationPin(t *testing.T) {
 		coldAllocs, coldKiB int
 		warmAllocs, warmKiB int
 	}{
-		{"BERT-MoE/het8", loopInput, 2, 1550, 8371, 74, 470},
+		{"BERT-MoE/het8", loopInput, 2, 1548, 8324, 72, 423},
 		{"bert4/pg16/seg4", func() (*graph.Graph, *cluster.Cluster, Options) {
 			return bertGraph(cfg, models.PerDeviceBatch(models.ModelBERTBase)*pg16.TotalGPUs()), pg16,
 				Options{Segments: 4, Synth: synth.Options{BeamWidth: 48}}
-		}, 4, 615, 1493, 234, 236},
-		{"VGG19/hom4", hom4Input, 1, 434, 1307, 53, 74},
+		}, 4, 611, 1469, 230, 212},
+		{"VGG19/hom4", hom4Input, 1, 433, 1302, 52, 69},
 	} {
 		g, c, opt := row.input()
 		if _, searches, _, err := optimizeTraced(g, c, opt); err != nil || searches != row.searches {

@@ -179,7 +179,7 @@ func TestDeadCodePrunedBeforeCostModeling(t *testing.T) {
 	// analysis can reject it.
 	dirty := &dist.Program{Graph: g, Instrs: append(append([]dist.Instruction{}, res.Program.Instrs...),
 		dist.Instruction{Ref: d, Op: graph.Placeholder, ShardDim: 0},
-		dist.Instruction{Ref: r, Op: graph.ReLU, Inputs: []graph.NodeID{d}, ShardDim: -1, FlopsScaled: true},
+		dist.Instruction{Ref: r, Op: graph.ReLU, ShardDim: -1, FlopsScaled: true},
 		dist.Comm(r, collective.AllReduce, 0, 0),
 	)}
 	if err := dirty.Validate(); err != nil {

@@ -36,14 +36,14 @@ func reductionProgram(t *testing.T, comms ...dist.Instruction) *dist.Program {
 	p := &dist.Program{Graph: g, Instrs: []dist.Instruction{
 		{Ref: x, Op: graph.Placeholder, ShardDim: 1},
 		{Ref: w, Op: graph.Parameter, ShardDim: 0},
-		{Ref: y, Op: graph.MatMul, Inputs: []graph.NodeID{x, w}, ShardDim: -1, FlopsScaled: true},
+		{Ref: y, Op: graph.MatMul, ShardDim: -1, FlopsScaled: true},
 	}}
 	for i := range comms {
 		comms[i].Ref = y
 		p.Instrs = append(p.Instrs, comms[i])
 	}
 	p.Instrs = append(p.Instrs, dist.Instruction{
-		Ref: g.Loss, Op: graph.Sum, Inputs: []graph.NodeID{y}, ShardDim: -1,
+		Ref: g.Loss, Op: graph.Sum, ShardDim: -1,
 	})
 	if err := p.Validate(); err != nil {
 		t.Fatalf("test program ill-formed before passes: %v", err)
@@ -95,11 +95,11 @@ func TestCommFusionKeepsLoadBearingPairs(t *testing.T) {
 	p := &dist.Program{Graph: g, Instrs: []dist.Instruction{
 		{Ref: x, Op: graph.Placeholder, ShardDim: 1},
 		{Ref: w, Op: graph.Parameter, ShardDim: 0},
-		{Ref: y, Op: graph.MatMul, Inputs: []graph.NodeID{x, w}, ShardDim: -1, FlopsScaled: true},
+		{Ref: y, Op: graph.MatMul, ShardDim: -1, FlopsScaled: true},
 		dist.Comm(y, collective.ReduceScatter, 0, 0),
-		{Ref: r, Op: graph.ReLU, Inputs: []graph.NodeID{y}, ShardDim: -1, FlopsScaled: true},
+		{Ref: r, Op: graph.ReLU, ShardDim: -1, FlopsScaled: true},
 		dist.Comm(y, collective.PaddedAllGather, 0, 0),
-		{Ref: g.Loss, Op: graph.Sum, Inputs: []graph.NodeID{r}, ShardDim: -1},
+		{Ref: g.Loss, Op: graph.Sum, ShardDim: -1},
 	}}
 	changed, err := CommFusion{}.Run(p, testCluster())
 	if err != nil {
@@ -165,8 +165,8 @@ func TestDCERemovesDeadLeafAndItsCollective(t *testing.T) {
 		{Ref: w, Op: graph.Parameter, ShardDim: -1},
 		{Ref: dead, Op: graph.Parameter, ShardDim: 0},
 		dist.Comm(dead, collective.PaddedAllGather, 0, 0),
-		{Ref: y, Op: graph.MatMul, Inputs: []graph.NodeID{x, w}, ShardDim: -1},
-		{Ref: g.Loss, Op: graph.Sum, Inputs: []graph.NodeID{y}, ShardDim: -1},
+		{Ref: y, Op: graph.MatMul, ShardDim: -1},
+		{Ref: g.Loss, Op: graph.Sum, ShardDim: -1},
 	}}
 	st, err := Default().Run(p, testCluster())
 	if err != nil {

@@ -19,8 +19,9 @@
 // trailing bytes are ignored. ReadBinary locates the trailer from the
 // fixed-size suffix.
 //
-// The trailer is written by encoding/json and read without reflection, on
-// the tokenizer the request readers share (package wirejson). The reader
+// The trailer is written and read without reflection: appendTrailer writes
+// the bytes json.Marshal would, and the reader runs on the tokenizer the
+// request readers share (package wirejson). The reader
 // takes every spelling encoding/json takes into Trailer but three, which it
 // refuses with an error naming the member: a member named twice ("cost"
 // twice), a name equal to a member's only under case folding ("Cost"), and
@@ -32,9 +33,9 @@ package planwire
 import (
 	"bytes"
 	"encoding/binary"
-	"encoding/json"
 	"fmt"
 	"math"
+	"strconv"
 
 	"hap/internal/dist"
 	"hap/internal/graph"
@@ -63,13 +64,60 @@ func Append(b []byte, prog *dist.Program, ratios [][]float64, cost float64) ([]b
 	if err != nil {
 		return b, err
 	}
-	tr, err := json.Marshal(Trailer{Ratios: ratios, SegmentOf: prog.Graph.SegmentOf, Cost: cost})
+	start := len(b)
+	b, err = appendTrailer(b, Trailer{Ratios: ratios, SegmentOf: prog.Graph.SegmentOf, Cost: cost})
 	if err != nil {
-		return b, err
+		return b[:start], err
 	}
-	b = append(b, tr...)
-	b = binary.BigEndian.AppendUint32(b, uint32(len(tr)))
+	b = binary.BigEndian.AppendUint32(b, uint32(len(b)-start))
 	return append(b, Magic[:]...), nil
+}
+
+// appendTrailer appends tr's JSON, byte for byte what json.Marshal(tr)
+// writes, and refuses what it refuses: a NaN or infinite ratio or cost.
+func appendTrailer(b []byte, tr Trailer) ([]byte, error) {
+	var ok bool
+	b = append(b, `{"ratios":`...)
+	if tr.Ratios == nil {
+		b = append(b, "null"...)
+	} else {
+		b = append(b, '[')
+		for i, row := range tr.Ratios {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			if row == nil {
+				b = append(b, "null"...)
+				continue
+			}
+			b = append(b, '[')
+			for j, v := range row {
+				if j > 0 {
+					b = append(b, ',')
+				}
+				if b, ok = wirejson.AppendFloat(b, v); !ok {
+					return b, fmt.Errorf("trailer: ratios[%d][%d] = %v is not a JSON number", i, j, v)
+				}
+			}
+			b = append(b, ']')
+		}
+		b = append(b, ']')
+	}
+	if len(tr.SegmentOf) > 0 {
+		b = append(b, `,"segment_of":[`...)
+		for i, s := range tr.SegmentOf {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			b = strconv.AppendInt(b, int64(s), 10)
+		}
+		b = append(b, ']')
+	}
+	b = append(b, `,"cost":`...)
+	if b, ok = wirejson.AppendFloat(b, tr.Cost); !ok {
+		return b, fmt.Errorf("trailer: cost %v is not a JSON number", tr.Cost)
+	}
+	return append(b, '}'), nil
 }
 
 // ReadBinary loads a plan from a binary payload held in memory, binding its

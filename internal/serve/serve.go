@@ -700,7 +700,8 @@ type donor struct {
 // plan (nearestDonor), looked up inside the seeded_search span that records
 // the choice (the planner's own search span carries the resulting seed
 // distance and fast-forward depth); a donor that fails to decode means a cold
-// search.
+// search. The donor binds by its key's graph fingerprint, which the store
+// keyed it by, not by hashing its graph again.
 //
 // The synthesize span rides on ctx, so the planner's phase spans (theory, beam
 // levels, passes, verify) attach to the trace of whoever executes the search —
@@ -712,7 +713,7 @@ func (s *Server) synthesize(ctx context.Context, sp *obs.Span, key string, c *cl
 	ho := hap.Options{Segments: src.opts.Segments}
 	sds := sp.Child("seeded_search")
 	if d := s.nearestDonor(src, key); len(d.bin) > 0 {
-		if prog, ratios, cost, err := planwire.ReadBinary(d.bin, d.g, ""); err == nil {
+		if prog, ratios, cost, err := planwire.ReadBinary(d.bin, d.g, fingerprint.KeyGraph(d.key)); err == nil {
 			ho.SeedGraph, ho.SeedPlan = prog.Graph, &hap.Plan{Program: prog, Ratios: ratios, Cost: cost}
 			sds.SetAttrStr("donor", d.key)
 			sds.SetAttrInt("shared_subs", int64(d.shared))

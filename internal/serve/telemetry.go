@@ -265,7 +265,7 @@ func (s *Server) replanForSpec(specFP string, mon *telemetry.Monitor) int {
 	})
 	t.mu.Unlock()
 	for _, e := range todo {
-		v, err := resolve(drifted, e.old)
+		v, err := resolve(drifted, e.key, e.old)
 		swapped := err == nil && !bytes.Equal(v.Bin, e.old.Bin)
 		if swapped {
 			// The swap: a version bump, a new content tag, and
@@ -299,9 +299,10 @@ func (s *Server) replanForSpec(specFP string, mon *telemetry.Monitor) int {
 // performance drift. No search runs, so a dropped device is balanced over
 // the survivors. The swap is gated only on checks that hold at any model
 // size: the ratios are well-formed, and with the device count unchanged the
-// new B models no slower on the drifted cluster than the stale one.
-func resolve(drifted *cluster.Cluster, old CachedPlan) (CachedPlan, error) {
-	prog, staleB, _, err := planwire.ReadBinary(old.Bin, old.src.g, "")
+// new B models no slower on the drifted cluster than the stale one. The
+// program binds to its graph by the graph fingerprint key starts with.
+func resolve(drifted *cluster.Cluster, key string, old CachedPlan) (CachedPlan, error) {
+	prog, staleB, _, err := planwire.ReadBinary(old.Bin, old.src.g, fingerprint.KeyGraph(key))
 	if err != nil {
 		return CachedPlan{}, fmt.Errorf("decode: %w", err)
 	}

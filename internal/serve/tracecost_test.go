@@ -7,9 +7,12 @@ package serve
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"runtime"
+	"runtime/debug"
 	"slices"
 	"strconv"
 	"strings"
@@ -65,10 +68,10 @@ func serveMiss(cfg Config, body []byte) *httptest.ResponseRecorder {
 	return rr
 }
 
-// TestMissTraceCostIndependentOfSearchDepth pins what a traced miss costs:
-// the same span names whatever the search's depth, a span header of a few
-// KiB on a forwarded miss, and a fixed number of allocations over the same
-// miss untraced.
+// TestMissTraceCostIndependentOfSearchDepth pins what a traced miss costs
+// on the wire: the same span names whatever the search's depth, and a span
+// header of a few KiB on a forwarded miss. TestMissTraceAllocs holds its
+// allocations.
 func TestMissTraceCostIndependentOfSearchDepth(t *testing.T) {
 	var names []string
 	var levels []int
@@ -101,22 +104,6 @@ func TestMissTraceCostIndependentOfSearchDepth(t *testing.T) {
 		if len(hdr) > maxMissSpansHeader {
 			t.Errorf("graph %d: %d-byte span header on a forwarded miss, want at most %d", i, len(hdr), maxMissSpansHeader)
 		}
-
-		for _, row := range []struct {
-			how   string
-			serve func(Config, []byte) *httptest.ResponseRecorder
-			max   int
-		}{
-			{"forwarded", serveForwardedMiss, maxMissTraceAllocs},
-			{"unforwarded", serveMiss, maxUnforwardedMissTraceAllocs},
-		} {
-			traced := testing.AllocsPerRun(5, func() { row.serve(Config{}, body) })
-			untraced := testing.AllocsPerRun(5, func() { row.serve(Config{TraceRing: -1}, body) })
-			if d := traced - untraced; d > float64(row.max) {
-				t.Errorf("graph %d: a traced %s miss makes %.0f allocations more than an untraced one, want at most %d", i, row.how, d, row.max)
-			}
-			t.Logf("graph %d: %s miss, %.0f − %.0f allocations traced − untraced", i, row.how, traced, untraced)
-		}
 		t.Logf("graph %d: %d beam levels, %d spans, %d-byte span header", i, n, len(spans), len(hdr))
 	}
 	if levels[0] == levels[1] {
@@ -125,6 +112,54 @@ func TestMissTraceCostIndependentOfSearchDepth(t *testing.T) {
 	if names[0] != names[1] {
 		t.Errorf("span names differ with search depth:\n%s\n%s", names[0], names[1])
 	}
+}
+
+// TestMissTraceAllocs holds a traced miss to a fixed number of allocations
+// over the same miss untraced, forwarded by a fleet peer or not, whatever
+// the search's depth. Each count is the fewest of five misses with the
+// collector paused and on one P: with the collector running, sync.Pool
+// drops moved the difference by several allocations run to run. It is
+// skipped under the race detector, which drops a quarter of sync.Pool's
+// Puts at random.
+func TestMissTraceAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector drops sync.Pool entries at random")
+	}
+	for i, g := range missTraceGraphs() {
+		body := requestBody(t, g, beamCluster(), RequestOptions{})
+		for _, row := range []struct {
+			how   string
+			serve func(Config, []byte) *httptest.ResponseRecorder
+			max   int
+		}{
+			{"forwarded", serveForwardedMiss, maxMissTraceAllocs},
+			{"unforwarded", serveMiss, maxUnforwardedMissTraceAllocs},
+		} {
+			traced := allocsPerRun(5, func() { row.serve(Config{}, body) })
+			untraced := allocsPerRun(5, func() { row.serve(Config{TraceRing: -1}, body) })
+			if d := traced - untraced; d > float64(row.max) {
+				t.Errorf("graph %d: a traced %s miss makes %.0f allocations more than an untraced one, want at most %d", i, row.how, d, row.max)
+			}
+			t.Logf("graph %d: %s miss, %.0f − %.0f allocations traced − untraced", i, row.how, traced, untraced)
+		}
+	}
+}
+
+// allocsPerRun is the fewest allocations of runs calls of f, after one
+// call to warm up, with the collector paused and on one P.
+func allocsPerRun(runs int, f func()) float64 {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
+	allocs := math.Inf(1)
+	var before, after runtime.MemStats
+	for i := 0; i < runs; i++ {
+		runtime.ReadMemStats(&before)
+		f()
+		runtime.ReadMemStats(&after)
+		allocs = min(allocs, float64(after.Mallocs-before.Mallocs))
+	}
+	return allocs
 }
 
 // A forwarded miss's span header decodes to the records it did when

@@ -55,12 +55,13 @@ const runAllocs = 3
 // constant: the events slice is sized up front, and a collective's or a
 // computation's name is formatted once for all devices, not once per device
 // as when VGG19 × het8's trace read 3 189 allocations (395 now, 391 of them
-// the names).
+// the names). The names are counted with the renderer Trace uses,
+// Instruction.Text on the program's graph.
 func TestTraceAllocationPin(t *testing.T) {
 	for _, in := range clockInputs(t) {
 		names := testing.AllocsPerRun(5, func() {
 			for i := range in.p.Instrs {
-				_ = in.p.Instrs[i].String()
+				_ = in.p.Instrs[i].Text(in.p.Graph)
 			}
 		})
 		got := testing.AllocsPerRun(5, func() { Trace(in.c, in.p, in.b, Options{Seed: 1}) })

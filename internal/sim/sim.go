@@ -138,7 +138,7 @@ func walk(c *cluster.Cluster, p *dist.Program, b [][]float64, opt Options, tr *t
 				}
 			}
 			if tr != nil {
-				name := coll.String()
+				name := coll.Text(g)
 				for j := 0; j < m; j++ {
 					tr.emit(name, "comm", j, stageStart, commDur)
 				}
@@ -155,7 +155,7 @@ func walk(c *cluster.Cluster, p *dist.Program, b [][]float64, opt Options, tr *t
 			flops := g.Flops(in.Ref)
 			var name string
 			if tr != nil {
-				name = in.String()
+				name = in.Text(g)
 			}
 			for j, d := range c.Devices {
 				f := flops

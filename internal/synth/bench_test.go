@@ -143,7 +143,7 @@ func countHolds(got float64, pin int) bool {
 
 // vgg19WarmAllocs is TestSearchAllocationPin's warm VGG19 row, which
 // TestGiveBackTrimsArena holds after an A* search too.
-const vgg19WarmAllocs = 9
+const vgg19WarmAllocs = 8
 
 // TestSearchAllocationPin holds the beam's allocation profile, cold and
 // warm. Each row is one search, whose allocation count is exact run to run
@@ -197,9 +197,12 @@ const vgg19WarmAllocs = 9
 // 21 / 55 and 127 / 394 → 61 / 117. While New allocated gradOf apart from
 // the int32 slab, they read 391 / 1 277 → 10 / 36, 664 / 3 148 → 10 / 113,
 // 796 / 4 755 → 10 / 132, 391 / 1 269 → 10 / 36 and 117 / 376 → 51 / 99.
-// A warm search's 9 allocations are now New's 4 (the Synthesizer, the
-// int32 slab of outputIdx, row and gradOf, reqNodes, one slab of flops and
-// cost tables) and the program's 5.
+// While every emitted computation carried a copy of its node's input list
+// (one slab per program, and 64-byte instructions), they read 390 / 1 276
+// → 9 / 35, 663 / 3 146 → 9 / 111, 795 / 4 753 → 9 / 130, 390 / 1 268 →
+// 9 / 35 and 116 / 375 → 50 / 98. A warm search's 8 allocations are now
+// New's 4 (the Synthesizer, the int32 slab of outputIdx, row and gradOf,
+// reqNodes, one slab of flops and cost tables) and the program's 4.
 func TestSearchAllocationPin(t *testing.T) {
 	het := cluster.PaperHeterogeneous(1)
 	cold := func(model models.PaperModel, c *cluster.Cluster) func() {
@@ -217,15 +220,15 @@ func TestSearchAllocationPin(t *testing.T) {
 		coldAllocs, coldKiB int
 		warmAllocs, warmKiB int
 	}{
-		{"VGG19", cold(models.ModelVGG19, het), 390, 1276, vgg19WarmAllocs, 35},
-		{"BERT-Base", cold(models.ModelBERTBase, het), 663, 3146, 9, 111},
-		{"BERT-MoE", cold(models.ModelBERTMoE, het), 795, 4753, 9, 130},
-		{"VGG19 hom4", cold(models.ModelVGG19, cluster.PaperHomogeneous(2)), 390, 1268, 9, 35},
+		{"VGG19", cold(models.ModelVGG19, het), 389, 1271, vgg19WarmAllocs, 30},
+		{"BERT-Base", cold(models.ModelBERTBase, het), 662, 3127, 8, 92},
+		{"BERT-MoE", cold(models.ModelBERTMoE, het), 794, 4728, 8, 106},
+		{"VGG19 hom4", cold(models.ModelVGG19, cluster.PaperHomogeneous(2)), 389, 1263, 8, 30},
 		{"VGG19 incremental", func() {
 			if _, _, err := seeded.search(); err != nil {
 				t.Fatal(err)
 			}
-		}, 116, 375, 50, 98},
+		}, 115, 370, 49, 93},
 	} {
 		for _, c := range []struct {
 			temp        string
@@ -254,17 +257,18 @@ func TestSearchAllocationPin(t *testing.T) {
 // could not hand its bitsets back, every re-run carved fresh ones and read
 // 34 / 58 / 71 (VGG19 / BERT-Base / BERT-MoE), growing with the search.
 // Warm, a re-run now allocates the program alone: its record chain, the
-// leaves it loads, the Program, its instruction list and one slab of input
-// lists. While program() grew the chain and the list by append, the rows
-// read cold 400 / 675 / 807 and warm 19 / 21 / 21.
+// leaves it loads, the Program and its instruction list. While program()
+// grew the chain and the list by append, the rows read cold 400 / 675 / 807
+// and warm 19 / 21 / 21; while it copied its computations' input lists into
+// one slab of its own, 386 / 659 / 791 and 5 / 5 / 5.
 func TestRerunAllocationPin(t *testing.T) {
 	for _, row := range []struct {
 		model      models.PaperModel
 		cold, warm int
 	}{
-		{models.ModelVGG19, 386, 5},
-		{models.ModelBERTBase, 659, 5},
-		{models.ModelBERTMoE, 791, 5},
+		{models.ModelVGG19, 385, 4},
+		{models.ModelBERTBase, 658, 4},
+		{models.ModelBERTMoE, 790, 4},
 	} {
 		g, th, c, ratios := benchInput(row.model)
 		sy := New(g, th, c, ratios, Options{BeamWidth: 48})

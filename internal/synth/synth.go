@@ -361,11 +361,8 @@ func (sy *Synthesizer) rec(i int32) *trailRec { return &sy.trail[i/trailChunk][i
 // program rebuilds the instruction sequence of the state whose tail is tail
 // from the trail. A computation's fused leaf loaders are re-derived as
 // applyComp emitted them: one per LeafPre whose leaf was unplaced before
-// the step. A first walk sizes the program exactly — one instruction per
-// step plus its loaders, and one slab for every computation's copy of its
-// node's inputs — so the program grows nothing and owns its input lists,
-// like the programs dist.DecodeBinary returns: theory.Triple.Instr's inputs
-// are the graph node's own, and no plan shares backing with its graph.
+// the step. A first walk sizes the program exactly, one instruction per
+// step plus its loaders, so the program grows nothing.
 func (sy *Synthesizer) program(tail int32) *dist.Program {
 	n := 0
 	for i := tail; i >= 0; i = sy.rec(i).prev {
@@ -379,13 +376,12 @@ func (sy *Synthesizer) program(tail int32) *dist.Program {
 	// emitting walk clears it as the leaf is placed, so there a leaf is
 	// unplaced exactly while it is still set.
 	loaded := make([]bool, sy.g.NumNodes())
-	count, inputs := n, 0
+	count := n
 	for _, i := range chain {
 		tr := sy.rec(i).tr
 		if tr == nil {
 			continue
 		}
-		inputs += len(sy.g.Node(tr.Node).Inputs)
 		for _, lp := range tr.LeafPre() {
 			if !loaded[lp.Ref] {
 				count++
@@ -396,7 +392,6 @@ func (sy *Synthesizer) program(tail int32) *dist.Program {
 		}
 	}
 	p := &dist.Program{Graph: sy.g, Instrs: make([]dist.Instruction, 0, count)}
-	slab := make([]graph.NodeID, inputs)
 	for _, i := range chain {
 		st := sy.rec(i).step
 		if st.tr == nil {
@@ -411,11 +406,7 @@ func (sy *Synthesizer) program(tail int32) *dist.Program {
 		for _, lp := range st.tr.LeafPre() {
 			loaded[lp.Ref] = false
 		}
-		in := st.tr.Instr(sy.g)
-		if k := copy(slab, in.Inputs); k > 0 {
-			in.Inputs, slab = slab[:k:k], slab[k:]
-		}
-		p.Instrs = append(p.Instrs, in)
+		p.Instrs = append(p.Instrs, st.tr.Instr(sy.g))
 	}
 	return p
 }

@@ -171,9 +171,9 @@ func TestSynthesizeRespectsTopologicalOrder(t *testing.T) {
 		if in.IsComm {
 			continue
 		}
-		for _, dep := range in.Inputs {
+		for _, dep := range g.Node(in.Ref).Inputs {
 			if !done[dep] {
-				t.Fatalf("instruction %v uses e%d before it is produced", in, dep)
+				t.Fatalf("instruction %s uses e%d before it is produced", in.Text(g), dep)
 			}
 		}
 		done[in.Ref] = true
@@ -302,7 +302,7 @@ func TestSearchCostMatchesCostModel(t *testing.T) {
 
 func TestProgramStringRendersPaperNotation(t *testing.T) {
 	in := dist.Comm(3, collective.PaddedAllGather, 1, 0)
-	if got := in.String(); got != "all-gather(e3, 1)" {
+	if got := in.Text(nil); got != "all-gather(e3, 1)" {
 		t.Errorf("comm rendering = %q", got)
 	}
 }

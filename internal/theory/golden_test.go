@@ -54,7 +54,7 @@ func theoryDigest(th *Theory) string {
 			fmt.Fprintf(h, " %d:%d:%d %t", tr.Out.Ref, tr.Out.Kind, tr.Out.Dim, tr.FlopsScaled)
 			in := tr.Instr(th.Graph)
 			fmt.Fprintf(h, " %d %d %v %d %t %t %d %d %d\n",
-				in.Ref, in.Op, in.Inputs, in.ShardDim, in.FlopsScaled, in.IsComm, in.Coll, in.Dim, in.Dim2)
+				in.Ref, in.Op, th.Graph.Node(in.Ref).Inputs, in.ShardDim, in.FlopsScaled, in.IsComm, in.Coll, in.Dim, in.Dim2)
 		}
 	}
 	fmt.Fprintf(h, "%v\n%v\n%v\n", th.Consumers, th.Required, th.Outputs)

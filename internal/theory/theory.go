@@ -107,18 +107,15 @@ func (t *Triple) LeafPre() []Property {
 }
 
 // Instr materializes the computation instruction of the triple from the
-// triple and g's node: the op, the inputs and FlopsScaled. For Expand
+// triple and g's node: the op and FlopsScaled. For Expand
 // (whose sharded variant produces a different local shape) the output shard
 // dimension is recorded so the runtime can execute it.
 //
 // The instruction is built on demand, not stored: a theory holds thousands
-// of triples and a plan emits a few hundred instructions. Its Inputs is the
-// graph node's own input list, not a copy; the synthesizer's program copies
-// every emitted computation's inputs into one slab the program owns, so no
-// plan aliases its graph.
+// of triples and a plan emits a few hundred instructions.
 func (t *Triple) Instr(g *graph.Graph) dist.Instruction {
 	n := g.Node(t.Node)
-	in := dist.Instruction{Ref: t.Node, Op: n.Kind, Inputs: n.Inputs, ShardDim: -1, FlopsScaled: t.FlopsScaled}
+	in := dist.Instruction{Ref: t.Node, Op: n.Kind, ShardDim: -1, FlopsScaled: t.FlopsScaled}
 	if n.Kind == graph.Expand && t.Out.Kind == Gather {
 		in.ShardDim = int(t.Out.Dim)
 	}

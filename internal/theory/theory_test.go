@@ -263,8 +263,9 @@ func TestExpertParallel(t *testing.T) {
 	}
 }
 
-// TestInstructionLayout holds the packed sizes: an instruction is one
-// 64-byte line (its four one-byte fields share a word), a property is 16
+// TestInstructionLayout holds the packed sizes: an instruction is 40 bytes
+// (its four one-byte fields share a word; 64 while it carried a copy of its
+// node's input list, a slice header), a property is 16
 // bytes, and a triple, which no longer embeds an instruction and holds its
 // two requirements inline, is 64 bytes (80 while they were two slice
 // headers into a slab of properties). The op and collective kinds are
@@ -272,8 +273,8 @@ func TestExpertParallel(t *testing.T) {
 // 256 kinds: the count is the run of values from 0 that round-trip through
 // their names.
 func TestInstructionLayout(t *testing.T) {
-	if n := unsafe.Sizeof(dist.Instruction{}); n != 64 {
-		t.Errorf("dist.Instruction is %d bytes, want 64", n)
+	if n := unsafe.Sizeof(dist.Instruction{}); n != 40 {
+		t.Errorf("dist.Instruction is %d bytes, want 40", n)
 	}
 	if n := unsafe.Sizeof(Property{}); n != 16 {
 		t.Errorf("theory.Property is %d bytes, want 16", n)

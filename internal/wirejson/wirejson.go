@@ -13,6 +13,9 @@
 //
 // Methods report success as a bool. The first failure is kept in Err and
 // every later read fails at once, so a caller may check Err once at the end.
+//
+// AppendFloat is the writers' half: the graph's and the plan trailer's
+// hand-written JSON spell a float64 with it, as encoding/json does.
 package wirejson
 
 import (
@@ -20,6 +23,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"strconv"
 	"unicode/utf8"
 )
@@ -366,4 +370,24 @@ func (r *Reader) Skip() bool {
 		return true
 	}
 	return r.syntax("looking for beginning of value")
+}
+
+// AppendFloat appends v as encoding/json writes a float64: 'f' format, else
+// 'e' below 1e-6 or from 1e21, with a one-digit negative exponent unpadded
+// ("1e-7", not "1e-07"). It reports false, appending nothing, for NaN and
+// ±Inf, which JSON cannot spell.
+func AppendFloat(b []byte, v float64) ([]byte, bool) {
+	if math.IsInf(v, 0) || math.IsNaN(v) {
+		return b, false
+	}
+	format := byte('f')
+	if abs := math.Abs(v); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	b = strconv.AppendFloat(b, v, format, -1, 64)
+	if n := len(b); format == 'e' && n >= 4 && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
+		b[n-2] = b[n-1]
+		b = b[:n-1]
+	}
+	return b, true
 }

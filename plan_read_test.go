@@ -99,13 +99,14 @@ func BenchmarkReadBinary(b *testing.B) {
 }
 
 // TestReadBinaryAllocationPin pins the allocations of the client's plan
-// decode exactly (measured with go1.24). Seven are the program's (its
-// struct, instructions, input slab, two name tables, the graph hash as a
-// string, Validate's defined set), the rest the trailer's: the ratio rows
-// and each row grown by append, four allocations for het8's eight devices,
-// three for hom4's four. Through encoding/json the trailer made seven more.
+// decode exactly (measured with go1.24). Six are the program's (its struct,
+// instructions, two name tables, the graph hash as a string, Validate's
+// defined set), the rest the trailer's: the ratio rows and each row grown by
+// append, four allocations for het8's eight devices, three for hom4's four.
+// Through encoding/json the trailer made seven more; a slab of the
+// instructions' input lists made one more (12 and 11).
 func TestReadBinaryAllocationPin(t *testing.T) {
-	pins := map[string]float64{"vgg19/het8": 12, "bert12/hom4": 11}
+	pins := map[string]float64{"vgg19/het8": 11, "bert12/hom4": 10}
 	for _, in := range warmInputs() {
 		pin, ok := pins[in.name]
 		if !ok {
@@ -124,20 +125,22 @@ func TestReadBinaryAllocationPin(t *testing.T) {
 }
 
 // TestWriteProgramBinaryAllocationPin pins the allocations of the payload
-// writer exactly on go1.24 (a quarter more elsewhere; none under the race
-// detector, which drops sync.Pool entries at random, encoding/json's
-// encoder state among them): the graph
-// fingerprint's digest, the trailer's two in encoding/json, and the payload
-// appended in one buffer sized for program and trailer. While the program
-// went through a bufio writer with varint closures and two maps for its name
-// tables, and the payload through two bytes.Buffers, it made 20 allocations
-// and 8 040 bytes on vgg19/het8, 18 and 7 800 on bert12/hom4; now 1 312 and
-// 3 216 bytes.
+// writer exactly on go1.24 (a quarter more elsewhere): the graph
+// fingerprint's digest and the payload appended in one buffer sized for
+// program and trailer. While the program went through a bufio writer with
+// varint closures and two maps for its name tables, and the payload through
+// two bytes.Buffers, it made 20 allocations and 8 040 bytes on vgg19/het8,
+// 18 and 7 800 on bert12/hom4; while encoding/json wrote the trailer, 4
+// (and 5 to 7 under the race detector, which drops its pooled encoder state
+// at random, so the pin was skipped there). The writer pools nothing now,
+// so the pin holds under the race detector too, at one more: there
+// slices.Grow's append of a make is compiled without its optimization, and
+// the make allocates.
 func TestWriteProgramBinaryAllocationPin(t *testing.T) {
+	pin := 2.0
 	if raceEnabled {
-		t.Skip("the race detector drops pooled encoder states at random")
+		pin = 3
 	}
-	const pin = 4
 	exact := strings.HasPrefix(runtime.Version(), "go1.24")
 	for _, in := range warmInputs() {
 		if in.name != "vgg19/het8" && in.name != "bert12/hom4" {
@@ -153,7 +156,7 @@ func TestWriteProgramBinaryAllocationPin(t *testing.T) {
 			}
 		})
 		if got != pin && (exact || got > pin*5/4) {
-			t.Errorf("%s: WriteProgramBinary made %.0f allocations, pin %d", in.name, got, pin)
+			t.Errorf("%s: WriteProgramBinary made %.0f allocations, pin %.0f", in.name, got, pin)
 		}
 	}
 }

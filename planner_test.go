@@ -338,48 +338,3 @@ func BenchmarkPlanWarm(b *testing.B) {
 		})
 	}
 }
-
-// A plan's instructions own their input lists: writing through them leaves
-// the planned graph, and every later plan of it, as they were. The
-// synthesized program copies its computations' inputs into one slab of its
-// own, as the binary decoder does for a plan read back.
-func TestPlanInputsDoNotAliasGraph(t *testing.T) {
-	g := models.Build(models.ModelVGG19, 8)
-	c := cluster.PaperHeterogeneous(1)
-	fp := graph.Fingerprint(g)
-	plan, err := NewPlanner(c).Plan(context.Background(), g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := plan.Program.String()
-	var bin bytes.Buffer
-	if err := plan.WriteProgramBinary(&bin); err != nil {
-		t.Fatal(err)
-	}
-	back, err := ReadProgramBinary(bytes.NewReader(bin.Bytes()), g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, p := range []*Program{plan.Program, back.Program} {
-		written := 0
-		for i := range p.Instrs {
-			for j := range p.Instrs[i].Inputs {
-				p.Instrs[i].Inputs[j] = -1
-				written++
-			}
-		}
-		if written == 0 {
-			t.Fatal("the plan has no instruction inputs to write")
-		}
-	}
-	if got := graph.Fingerprint(g); got != fp {
-		t.Fatalf("writing the plans' instruction inputs changed the graph's fingerprint from %s to %s", fp, got)
-	}
-	again, err := NewPlanner(c).Plan(context.Background(), g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := again.Program.String(); got != want {
-		t.Errorf("a re-plan after writing the first plan's inputs differs:\n%s\nwant:\n%s", got, want)
-	}
-}
