@@ -80,8 +80,8 @@ func (in Instruction) Text(g *graph.Graph) string {
 		}
 	}
 	var inputs []graph.NodeID
-	if g != nil && in.Ref >= 0 && int(in.Ref) < g.NumNodes() {
-		inputs = g.Node(in.Ref).Inputs
+	if n := nodeOf(g, in.Ref); n != nil {
+		inputs = n.Inputs
 	}
 	var b strings.Builder
 	fmt.Fprintf(&b, "e%d = %v", in.Ref, in.Op)
@@ -103,6 +103,15 @@ func (in Instruction) Text(g *graph.Graph) string {
 	}
 	b.WriteByte(')')
 	return b.String()
+}
+
+// nodeOf returns g's node ref, or nil when g is nil or has no such node:
+// rendering takes programs that Validate would refuse.
+func nodeOf(g *graph.Graph, ref graph.NodeID) *graph.Node {
+	if g == nil || ref < 0 || int(ref) >= g.NumNodes() {
+		return nil
+	}
+	return g.Node(ref)
 }
 
 // Program is a synthesized SPMD program over a single-device graph.
@@ -142,8 +151,7 @@ func (p *Program) Format(w io.Writer) error {
 			line = fmt.Sprintf("e%d = %s", in.Ref, line)
 		}
 		var notes []string
-		if p.Graph != nil && in.Ref >= 0 && int(in.Ref) < p.Graph.NumNodes() && !in.IsComm {
-			n := p.Graph.Node(in.Ref)
+		if n := nodeOf(p.Graph, in.Ref); n != nil && !in.IsComm {
 			if n.Name != "" {
 				notes = append(notes, n.Name)
 			}
