@@ -40,8 +40,8 @@
 // they measure; when the smoothed live view drifts past 10%, the report
 // re-solves the sharding ratios of every cached plan for that cluster on its
 // cached program — a linear program per plan, no search — and swaps each
-// changed plan in: its version bumps and its ETag changes, so a conditional
-// fetch gets the new plan. See README "Live telemetry & replanning".
+// changed plan in: its ETag changes, so a conditional fetch gets the new
+// plan. See README "Live telemetry & replanning".
 //
 // Observability: every request is traced end-to-end (decode, cache lookup,
 // fleet proxy hop, synthesis phases, encode, replication) and the last

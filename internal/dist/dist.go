@@ -20,6 +20,7 @@ package dist
 import (
 	"fmt"
 	"io"
+	"strconv"
 	"strings"
 
 	"hap/internal/collective"
@@ -67,24 +68,37 @@ func Comm(ref graph.NodeID, kind collective.Kind, d, d2 int) Instruction {
 // "all-gather(e3, 1)" for collectives, "e5 = matmul(e1, e3)" for
 // computations, with sharded placements as "e0 = placeholder-shard(0)". A
 // computation's inputs are node Ref's in g; a reference outside g (or a nil
-// g) renders none.
+// g) renders none. The text is appended into one buffer sized for it, so a
+// call allocates once.
 func (in Instruction) Text(g *graph.Graph) string {
+	var b strings.Builder
 	if in.IsComm {
-		switch in.Coll {
-		case collective.AllReduce:
-			return fmt.Sprintf("%v(e%d)", in.Coll, in.Ref)
-		case collective.AllToAll:
-			return fmt.Sprintf("%v(e%d, %d, %d)", in.Coll, in.Ref, in.Dim, in.Dim2)
-		default:
-			return fmt.Sprintf("%v(e%d, %d)", in.Coll, in.Ref, in.Dim)
+		name := in.Coll.String()
+		b.Grow(len(name) + 8 + decLen(int(in.Ref)) + decLen(in.Dim) + decLen(in.Dim2))
+		b.WriteString(name)
+		writeInt(&b, "(e", int(in.Ref))
+		if in.Coll != collective.AllReduce {
+			writeInt(&b, ", ", in.Dim)
 		}
+		if in.Coll == collective.AllToAll {
+			writeInt(&b, ", ", in.Dim2)
+		}
+		b.WriteByte(')')
+		return b.String()
 	}
 	var inputs []graph.NodeID
 	if n := nodeOf(g, in.Ref); n != nil {
 		inputs = n.Inputs
 	}
-	var b strings.Builder
-	fmt.Fprintf(&b, "e%d = %v", in.Ref, in.Op)
+	op := in.Op.String()
+	size := len(op) + 16 + decLen(int(in.Ref)) + decLen(in.ShardDim)
+	for _, u := range inputs {
+		size += 3 + decLen(int(u))
+	}
+	b.Grow(size)
+	writeInt(&b, "e", int(in.Ref))
+	b.WriteString(" = ")
+	b.WriteString(op)
 	if in.ShardDim >= 0 {
 		b.WriteString("-shard")
 	}
@@ -93,16 +107,35 @@ func (in Instruction) Text(g *graph.Graph) string {
 		if i > 0 {
 			b.WriteString(", ")
 		}
-		fmt.Fprintf(&b, "e%d", u)
+		writeInt(&b, "e", int(u))
 	}
 	if in.ShardDim >= 0 {
 		if len(inputs) > 0 {
 			b.WriteString(", ")
 		}
-		fmt.Fprintf(&b, "%d", in.ShardDim)
+		writeInt(&b, "", in.ShardDim)
 	}
 	b.WriteByte(')')
 	return b.String()
+}
+
+// writeInt writes prefix and then v in decimal.
+func writeInt(b *strings.Builder, prefix string, v int) {
+	var digits [20]byte
+	b.WriteString(prefix)
+	b.Write(strconv.AppendInt(digits[:0], int64(v), 10))
+}
+
+// decLen is the length of v in decimal, its sign included.
+func decLen(v int) int {
+	n := 1
+	if v < 0 {
+		n, v = 2, -v
+	}
+	for ; v >= 10; v /= 10 {
+		n++
+	}
+	return n
 }
 
 // nodeOf returns g's node ref, or nil when g is nil or has no such node:

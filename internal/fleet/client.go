@@ -49,14 +49,12 @@ const EntriesPath = "/v1/fleet/entries"
 // replication push, a warm-up stream line, and the daemon's plan file are
 // all this record. Bin is the plan's binary payload (planwire.Append),
 // base64 on the wire (encoding/json's []byte form) and restored byte-exact,
-// so the content address keeps meaning the same bytes fleet-wide.
+// so the content address keeps meaning the same bytes fleet-wide. The ETag
+// does not travel: every node derives it from the plan bytes, so the tag
+// means the same bytes fleet-wide.
 type Entry struct {
 	Key string `json:"key"`
 	Bin []byte `json:"bin"`
-	// Version carries the owner's plan version so a replica serves the
-	// number the owner does. The ETag does not travel: every node derives it
-	// from the plan bytes, so the tag means the same bytes fleet-wide.
-	Version uint64 `json:"version,omitempty"`
 }
 
 // DecodeEntry parses one entry and refuses it unless it names a key and its

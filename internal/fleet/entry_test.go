@@ -62,7 +62,8 @@ func TestDecodeEntry(t *testing.T) {
 		data []byte
 		ok   bool
 	}{
-		{"entry", record(Entry{Key: "k", Bin: bin, Version: 2}), true},
+		{"entry", record(Entry{Key: "k", Bin: bin}), true},
+		{"record that also carries a plan version", record(map[string]any{"key": "k", "bin": bin, "version": 2}), true},
 		{"record that also carries the JSON plan", record(map[string]any{"key": "k", "plan": []byte(`{"program":{}}`), "bin": bin}), true},
 		{"no key", record(Entry{Bin: bin}), false},
 		{"no payload", record(map[string]any{"key": "k", "plan": []byte(`{"program":{}}`)}), false},
@@ -92,7 +93,7 @@ func TestDecodeEntry(t *testing.T) {
 // which a disk restore once served as a hit no client could decode.
 func FuzzPlanEntry(f *testing.F) {
 	bin := planPayload(f)
-	for _, e := range []Entry{{Key: "k", Bin: bin, Version: 3}, {Key: "a:b:s0", Bin: bin}} {
+	for _, e := range []any{map[string]any{"key": "k", "bin": bin, "version": 3}, Entry{Key: "a:b:s0", Bin: bin}} {
 		data, err := json.Marshal(e)
 		if err != nil {
 			f.Fatal(err)

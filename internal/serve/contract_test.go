@@ -36,7 +36,9 @@ var updateContract = flag.Bool("update-contract", false, "rewrite testdata/wire_
 // The golden labels the X-HAP headers in the spelling they were first
 // written in, not the canonical spelling of CacheHeader and the other
 // constants: Header.Get matches either, so the golden is the same file it
-// was before the constants were made canonical.
+// was before the constants were made canonical. X-HAP-Plan-Version and
+// X-HAP-Seed-Distance are no longer sent; they stay listed so the golden
+// pins that no answer carries them.
 var contractHeaders = []string{
 	"Content-Type", "X-HAP-Cache", "ETag", "X-HAP-Plan-Version", "X-HAP-Seed-Distance", "Retry-After",
 }
@@ -260,13 +262,11 @@ func TestWireContract(t *testing.T) {
 // non-canonical spelling costs each of them a rewritten copy of the key.
 func TestHeaderNamesCanonical(t *testing.T) {
 	for name, h := range map[string]string{
-		"obs.TraceHeader":          obs.TraceHeader,
-		"obs.SpansHeader":          obs.SpansHeader,
-		"fleet.ForwardHeader":      fleet.ForwardHeader,
-		"fleet.NodeHeader":         fleet.NodeHeader,
-		"serve.CacheHeader":        CacheHeader,
-		"serve.PlanVersionHeader":  PlanVersionHeader,
-		"serve.SeedDistanceHeader": SeedDistanceHeader,
+		"obs.TraceHeader":     obs.TraceHeader,
+		"obs.SpansHeader":     obs.SpansHeader,
+		"fleet.ForwardHeader": fleet.ForwardHeader,
+		"fleet.NodeHeader":    fleet.NodeHeader,
+		"serve.CacheHeader":   CacheHeader,
 	} {
 		if c := http.CanonicalHeaderKey(h); c != h {
 			t.Errorf("%s = %q, want its canonical spelling %q", name, h, c)

@@ -144,8 +144,8 @@ func TestUnframedPayloadRefused(t *testing.T) {
 }
 
 // TestDonorSeedsFromBinaryPayload: a near-variant miss seeds its search from
-// the donor's binary payload, the one copy of the plan the store holds: the
-// seed header is set and synth_incremental goes up by one. With the donor's
+// the donor's binary payload, the one copy of the plan the store holds: its
+// trace records a seed distance and synth_incremental goes up by one. With the donor's
 // payload swapped for one that is framed but decodes to no plan (its plan
 // source kept), the same miss searches cold.
 func TestDonorSeedsFromBinaryPayload(t *testing.T) {
@@ -154,8 +154,8 @@ func TestDonorSeedsFromBinaryPayload(t *testing.T) {
 		srv := httptest.NewServer(s.Handler())
 		c := testCluster()
 		base := seedServeGraph(64, 96, 96, 96, 96, 96, 96, 32)
-		if status, _, raw := postHdr(t, srv.URL, requestBody(t, base, c, RequestOptions{})); status != http.StatusOK {
-			t.Fatalf("donor: status %d: %s", status, raw)
+		if a := ask(t, srv.URL, requestBody(t, base, c, RequestOptions{}), ""); a.status != http.StatusOK {
+			t.Fatalf("donor: status %d: %s", a.status, a.body)
 		}
 		if spoil {
 			key := cacheKey(base, c, RequestOptions{})
@@ -165,18 +165,18 @@ func TestDonorSeedsFromBinaryPayload(t *testing.T) {
 		}
 		before := s.Stats().SynthIncremental
 		wide := seedServeGraph(64, 96, 96, 112, 96, 96, 96, 32)
-		status, hdr, plan := postHdr(t, srv.URL, requestBody(t, wide, c, RequestOptions{}))
-		if status != http.StatusOK || hdr.Get("X-HAP-Cache") != "miss" {
-			t.Fatalf("spoiled donor %v: status %d cache %q: %.120s", spoil, status, hdr.Get("X-HAP-Cache"), plan)
+		a := ask(t, srv.URL, requestBody(t, wide, c, RequestOptions{}), "")
+		if a.status != http.StatusOK || a.cache != "miss" {
+			t.Fatalf("spoiled donor %v: status %d cache %q: %.120s", spoil, a.status, a.cache, a.body)
 		}
 		want := uint64(1)
 		if spoil {
 			want = 0
 		}
-		if n := s.Stats().SynthIncremental - before; (hdr.Get(SeedDistanceHeader) != "") != !spoil || n != want {
-			t.Errorf("spoiled donor %v: %s %q, synth_incremental +%d", spoil, SeedDistanceHeader, hdr.Get(SeedDistanceHeader), n)
+		if d, n := seedDistance(t, srv.URL, a), s.Stats().SynthIncremental-before; (d != -1) != !spoil || n != want {
+			t.Errorf("spoiled donor %v: seed distance %v, synth_incremental +%d", spoil, d, n)
 		}
-		p, err := hap.ReadProgramBinary(bytes.NewReader(plan), seedServeGraph(64, 96, 96, 112, 96, 96, 96, 32))
+		p, err := hap.ReadProgramBinary(bytes.NewReader(a.body), seedServeGraph(64, 96, 96, 112, 96, 96, 96, 32))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -170,7 +170,7 @@ func (s *Server) proxyPlanRequest(w http.ResponseWriter, r *http.Request, body [
 		// client intact: the proxying node relays the 429 as authoritative
 		// (the owner is up and answering; its refusal is load, not failure)
 		// and the client backs off exactly as if it had hit the owner.
-		for _, h := range []string{"Content-Type", CacheHeader, "ETag", PlanVersionHeader, "Retry-After"} {
+		for _, h := range []string{"Content-Type", CacheHeader, "ETag", "Retry-After"} {
 			if v := resp.Header.Get(h); v != "" {
 				w.Header().Set(h, v)
 			}
@@ -303,15 +303,15 @@ func (s *Server) WarmFrom(ctx context.Context, peers []string) (int, error) {
 	return 0, lastErr
 }
 
-// entryOf and planOf convert between a stored plan and its fleet wire form.
-// A plan file on disk is the same record. The version travels with the
-// entry; the receiving store derives the ETag from the plan bytes, as it does
-// for every Put. The plan source does not travel: a received entry is
-// re-solved on its owner.
+// entryOf and planOf convert between a stored plan and its fleet wire form,
+// the key and the bytes. A plan file on disk is the same record. The
+// receiving store derives the ETag from the plan bytes, as it does for every
+// Put. The plan source does not travel: a received entry is re-solved on its
+// owner.
 func entryOf(key string, v CachedPlan) fleet.Entry {
-	return fleet.Entry{Key: key, Bin: v.Bin, Version: v.Version}
+	return fleet.Entry{Key: key, Bin: v.Bin}
 }
 
 func planOf(e fleet.Entry) CachedPlan {
-	return CachedPlan{Bin: e.Bin, Version: e.Version}
+	return CachedPlan{Bin: e.Bin}
 }

@@ -372,7 +372,7 @@ func TestFleetEntriesRoundTrip(t *testing.T) {
 	srv := httptest.NewServer(s.Handler())
 	defer srv.Close()
 
-	e := fleet.Entry{Key: "k1", Bin: framed("plan"), Version: 4}
+	e := fleet.Entry{Key: "k1", Bin: framed("plan")}
 	push, _ := json.Marshal(e)
 	resp, err := http.Post(srv.URL+fleet.EntriesPath, "application/json", bytes.NewReader(push))
 	if err != nil {
@@ -382,7 +382,7 @@ func TestFleetEntriesRoundTrip(t *testing.T) {
 	if resp.StatusCode != http.StatusNoContent {
 		t.Fatalf("push: status %d, want 204", resp.StatusCode)
 	}
-	if v, ok := s.store.Get("k1"); !ok || !bytes.Equal(v.Bin, e.Bin) || v.Version != e.Version {
+	if v, ok := s.store.Get("k1"); !ok || !bytes.Equal(v.Bin, e.Bin) {
 		t.Fatalf("pushed entry did not land in the store: %+v, %v", v, ok)
 	}
 
@@ -405,6 +405,21 @@ func TestFleetEntriesRoundTrip(t *testing.T) {
 	}
 	if len(streamed) != 1 || !reflect.DeepEqual(streamed[0], e) {
 		t.Errorf("streamed entries = %+v, want the pushed entry back", streamed)
+	}
+
+	// A push in the older form, which also carried the owner's plan
+	// version, is accepted and served under the tag of its bytes.
+	old := fmt.Sprintf(`{"key":"k2","bin":"%s","version":4}`, base64.StdEncoding.EncodeToString(e.Bin))
+	resp, err = http.Post(srv.URL+fleet.EntriesPath, "application/json", strings.NewReader(old))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNoContent {
+		t.Fatalf("push carrying a version: status %d, want 204", resp.StatusCode)
+	}
+	if a := ask(t, srv.URL, keyBody("k2"), ""); a.status != http.StatusOK || a.etag != ETagFor(e.Bin) || !bytes.Equal(a.body, e.Bin) {
+		t.Errorf("entry pushed with a version: status %d tag %q, want 200 with the plan and %q", a.status, a.etag, ETagFor(e.Bin))
 	}
 
 	// A plan-less entry is invalid.
@@ -451,8 +466,8 @@ func TestStoreIgnoresSuppliedETag(t *testing.T) {
 	if err := os.WriteFile(d.path("k2"), file, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if v, ok := newStore(8, 1<<20, d, 0).Get("k2"); !ok || v.ETag != want || v.Version != 2 {
-		t.Errorf("restored entry: %v, version %d tag %q; want version 2 with %q", ok, v.Version, v.ETag, want)
+	if v, ok := newStore(8, 1<<20, d, 0).Get("k2"); !ok || v.ETag != want {
+		t.Errorf("restored entry: %v, tag %q; want %q", ok, v.ETag, want)
 	}
 }
 

@@ -48,10 +48,13 @@ func TestBatchSiblingsReplanConcurrently(t *testing.T) {
 	specs := []*cluster.Cluster{testCluster(), altCluster()}
 	opts := RequestOptions{Segments: 2}
 
+	filled := make([]string, len(specs))
 	for i, spec := range specs {
-		if status, _, raw := post(t, srv.URL, requestBody(t, testGraph(t), spec, opts)); status != http.StatusOK {
+		status, etag, raw := postConditional(t, srv.URL, requestBody(t, testGraph(t), spec, opts), "")
+		if status != http.StatusOK {
 			t.Fatalf("fill %d: status %d: %s", i, status, raw)
 		}
+		filled[i] = etag
 	}
 	var wg sync.WaitGroup
 	for i, spec := range specs {
@@ -75,9 +78,9 @@ func TestBatchSiblingsReplanConcurrently(t *testing.T) {
 		t.Fatalf("replans %d, replan_errors %d; want %d and 0", ts.Replans, ts.ReplanErrors, len(specs))
 	}
 	for i, spec := range specs {
-		_, _, ver, plan := postConditional(t, srv.URL, requestBody(t, testGraph(t), spec, opts), "")
-		if ver != "2" {
-			t.Errorf("plan %d is at version %q, want 2", i, ver)
+		_, etag, plan := postConditional(t, srv.URL, requestBody(t, testGraph(t), spec, opts), "")
+		if etag == filled[i] {
+			t.Errorf("plan %d still has its fill's tag %s after the swap", i, etag)
 		}
 		p, err := hap.ReadProgramBinary(bytes.NewReader(plan), testGraph(t))
 		if err != nil {
@@ -126,19 +129,19 @@ func TestDriftReportPromotesNothing(t *testing.T) {
 	}
 }
 
-// TestReplanOntoSameBytesKeepsTagAndVersion: a drift re-solve whose binary
-// payload comes back byte-identical swaps nothing. The entry keeps its ETag
-// and version, a warm client's revalidation still answers 304, and the replan
-// is counted as unchanged.
-func TestReplanOntoSameBytesKeepsTagAndVersion(t *testing.T) {
+// TestReplanOntoSameBytesKeepsTag: a drift re-solve whose binary payload
+// comes back byte-identical swaps nothing. The entry keeps its ETag, a warm
+// client's revalidation still answers 304, and the replan is counted as
+// unchanged.
+func TestReplanOntoSameBytesKeepsTag(t *testing.T) {
 	spec := testCluster()
 	s := New(Config{})
 	srv := httptest.NewServer(s.Handler())
 	defer srv.Close()
 	body := requestBody(t, testGraph(t), spec, RequestOptions{})
-	status, etag1, ver1, plan1 := postConditional(t, srv.URL, body, "")
-	if status != http.StatusOK || ver1 != "1" || etag1 != ETagFor(plan1) {
-		t.Fatalf("fill: status %d version %q tag %s, want 200, 1 and the payload's hash", status, ver1, etag1)
+	status, etag1, plan1 := postConditional(t, srv.URL, body, "")
+	if status != http.StatusOK || etag1 != ETagFor(plan1) {
+		t.Fatalf("fill: status %d tag %s, want 200 and the payload's hash", status, etag1)
 	}
 
 	if status, tr, raw := postTelemetry(t, srv.URL, intraDriftReport(t, spec)); status != http.StatusOK || tr.ReplansStarted != 1 {
@@ -148,11 +151,11 @@ func TestReplanOntoSameBytesKeepsTagAndVersion(t *testing.T) {
 		t.Fatalf("the replan did not come back unchanged: %+v", ts)
 	}
 
-	status, etag, ver, plan := postConditional(t, srv.URL, body, "")
-	if status != http.StatusOK || etag != etag1 || ver != ver1 || !bytes.Equal(plan, plan1) {
-		t.Errorf("after the unchanged replan: status %d tag %s version %q, same bytes %v; want %s, %q and true", status, etag, ver, bytes.Equal(plan, plan1), etag1, ver1)
+	status, etag, plan := postConditional(t, srv.URL, body, "")
+	if status != http.StatusOK || etag != etag1 || !bytes.Equal(plan, plan1) {
+		t.Errorf("after the unchanged replan: status %d tag %s, same bytes %v; want %s and true", status, etag, bytes.Equal(plan, plan1), etag1)
 	}
-	if status, _, _, _ := postConditional(t, srv.URL, body, etag1); status != http.StatusNotModified {
+	if status, _, _ := postConditional(t, srv.URL, body, etag1); status != http.StatusNotModified {
 		t.Errorf("revalidation after the unchanged replan: status %d, want 304", status)
 	}
 }
@@ -191,7 +194,7 @@ func TestConcurrentDriftReportsOneSpec(t *testing.T) {
 	if ts := s.Stats().Telemetry; ts.ReplanErrors != 0 || ts.Replans == 0 {
 		t.Errorf("replans %d, replan_errors %d; want some and 0", ts.Replans, ts.ReplanErrors)
 	}
-	_, _, _, plan := postConditional(t, srv.URL, body, "")
+	_, _, plan := postConditional(t, srv.URL, body, "")
 	p, err := hap.ReadProgramBinary(bytes.NewReader(plan), testGraph(t))
 	if err != nil {
 		t.Fatalf("served plan does not decode: %v", err)

@@ -15,6 +15,7 @@ import (
 	"hap/internal/cluster"
 	"hap/internal/graph"
 	"hap/internal/models"
+	"hap/internal/obs"
 )
 
 // seedServeGraph builds a training MLP deep enough that a one-layer widening
@@ -23,26 +24,33 @@ func seedServeGraph(widths ...int) *graph.Graph {
 	return models.Training(models.MLP(64, widths...))
 }
 
-// postHdr is post with the full response header set, for seed-header checks.
-func postHdr(t *testing.T, url string, body []byte) (int, http.Header, []byte) {
+// seedDistance reads the trace of answer a from url's debug ring and returns
+// the seed distance its synthesize span recorded, or -1 when the request ran
+// no seeded search of its own: a cold miss, a hit, a joined flight. The
+// trace is where a seeded search shows per request; the answer carries no
+// sign of it.
+func seedDistance(t *testing.T, url string, a answer) float64 {
 	t.Helper()
-	resp, err := http.Post(url+"/v1/synthesize", "application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
+	if a.trace == "" {
+		t.Fatal("the answer carries no trace ID")
 	}
-	defer resp.Body.Close()
-	b, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatal(err)
+	for _, sp := range getTrace(t, url, a.trace).Spans {
+		if v, ok := sp.Attrs["seed_distance"]; ok && sp.Name == "synthesize" {
+			d, err := strconv.ParseFloat(v, 64)
+			if err != nil {
+				t.Fatalf("synthesize span: seed_distance = %q: %v", v, err)
+			}
+			return d
+		}
 	}
-	return resp.StatusCode, resp.Header, b
+	return -1
 }
 
 // TestServeIncrementalSynthesis drives the full incremental path over the
 // wire: a first miss synthesizes cold and is stored as a donor, a structurally
-// similar second miss seeds from it — observable as the X-HAP-Seed-Distance
-// header, the SynthIncremental counter, and its /metrics series —
-// and the seeded plan still passes numeric verification.
+// similar second miss seeds from it — observable as the seed distance on its
+// trace's synthesize span, the SynthIncremental counter, and its /metrics
+// series — and the seeded plan still passes numeric verification.
 func TestServeIncrementalSynthesis(t *testing.T) {
 	s := New(Config{})
 	srv := httptest.NewServer(s.Handler())
@@ -51,26 +59,26 @@ func TestServeIncrementalSynthesis(t *testing.T) {
 	baseBody := requestBody(t, seedServeGraph(64, 96, 96, 96, 96, 96, 96, 32), c, RequestOptions{})
 	wideBody := requestBody(t, seedServeGraph(64, 96, 96, 112, 96, 96, 96, 32), c, RequestOptions{})
 
-	status, hdr, body := postHdr(t, srv.URL, baseBody)
-	if status != http.StatusOK {
-		t.Fatalf("donor request: status %d: %s", status, body)
+	a := ask(t, srv.URL, baseBody, "")
+	if a.status != http.StatusOK {
+		t.Fatalf("donor request: status %d: %s", a.status, a.body)
 	}
-	if got := hdr.Get(SeedDistanceHeader); got != "" {
-		t.Errorf("first miss has no donor but sent %s = %q", SeedDistanceHeader, got)
+	if d := seedDistance(t, srv.URL, a); d != -1 || s.Stats().SynthIncremental != 0 {
+		t.Errorf("first miss has no donor but was seeded (seed distance %v, synth_incremental %d)", d, s.Stats().SynthIncremental)
 	}
 
-	status, hdr, plan := postHdr(t, srv.URL, wideBody)
-	if status != http.StatusOK {
-		t.Fatalf("widened request: status %d: %s", status, plan)
+	a = ask(t, srv.URL, wideBody, "")
+	if a.status != http.StatusOK {
+		t.Fatalf("widened request: status %d: %s", a.status, a.body)
 	}
-	sd := hdr.Get(SeedDistanceHeader)
-	if sd == "" {
-		t.Fatalf("widened miss was not seeded: no %s header", SeedDistanceHeader)
+	d := seedDistance(t, srv.URL, a)
+	if d == -1 {
+		t.Fatal("widened miss was not seeded: its synthesize span has no seed_distance")
 	}
-	d, err := strconv.ParseFloat(sd, 64)
-	if err != nil || d <= 0 || d > 1 {
-		t.Fatalf("%s = %q, want a distance in (0, 1]", SeedDistanceHeader, sd)
+	if d <= 0 || d > 1 {
+		t.Fatalf("seed_distance = %v, want a distance in (0, 1]", d)
 	}
+	plan := a.body
 
 	// The seeded plan must re-bind to a fresh rebuild of the widened model
 	// and pass numeric verification, exactly like a cold plan.
@@ -101,13 +109,13 @@ func TestServeIncrementalSynthesis(t *testing.T) {
 		t.Errorf("/metrics missing hap_serve_synth_incremental_total 1:\n%s", metrics)
 	}
 
-	// A repeat is a pure cache hit: no synthesis ran, so no seed header.
-	status, hdr, _ = postHdr(t, srv.URL, wideBody)
-	if status != http.StatusOK || hdr.Get("X-HAP-Cache") != "hit" {
-		t.Fatalf("repeat request: status %d, cache %q, want 200/hit", status, hdr.Get("X-HAP-Cache"))
+	// A repeat is a pure cache hit: no synthesis ran, so nothing seeded.
+	a = ask(t, srv.URL, wideBody, "")
+	if a.status != http.StatusOK || a.cache != "hit" {
+		t.Fatalf("repeat request: status %d, cache %q, want 200/hit", a.status, a.cache)
 	}
-	if got := hdr.Get(SeedDistanceHeader); got != "" {
-		t.Errorf("cache hit sent %s = %q, want none", SeedDistanceHeader, got)
+	if d := seedDistance(t, srv.URL, a); d != -1 || s.Stats().SynthIncremental != 1 {
+		t.Errorf("cache hit was seeded (seed distance %v, synth_incremental %d), want neither", d, s.Stats().SynthIncremental)
 	}
 }
 
@@ -129,13 +137,14 @@ func TestServeEvictedPlanIsNeverDonor(t *testing.T) {
 	base := seedServeGraph(64, 96, 96, 96, 96, 96, 96, 32)
 	wide := seedServeGraph(64, 96, 96, 112, 96, 96, 96, 32)
 	wider := seedServeGraph(64, 96, 96, 96, 96, 112, 96, 32)
-	miss := func(g *graph.Graph) http.Header {
+	// miss returns the seed distance of g's miss, -1 when it searched cold.
+	miss := func(g *graph.Graph) float64 {
 		t.Helper()
-		status, hdr, body := postHdr(t, srv.URL, requestBody(t, g, c, RequestOptions{}))
-		if status != http.StatusOK || hdr.Get("X-HAP-Cache") != "miss" {
-			t.Fatalf("status %d, cache %q, want 200/miss: %s", status, hdr.Get("X-HAP-Cache"), body)
+		a := ask(t, srv.URL, requestBody(t, g, c, RequestOptions{}), "")
+		if a.status != http.StatusOK || a.cache != "miss" {
+			t.Fatalf("status %d, cache %q, want 200/miss: %s", a.status, a.cache, a.body)
 		}
-		return hdr
+		return seedDistance(t, srv.URL, a)
 	}
 	donorFor := func(g *graph.Graph) donor {
 		return s.nearestDonor(newPlanSource(g, c, RequestOptions{}), cacheKey(g, c, RequestOptions{}))
@@ -145,7 +154,7 @@ func TestServeEvictedPlanIsNeverDonor(t *testing.T) {
 	if d := donorFor(wide); d.key != cacheKey(base, c, RequestOptions{}) || len(d.bin) == 0 {
 		t.Fatalf("with base cached, the donor for a near-miss is %q (payload %d bytes), want base", d.key, len(d.bin))
 	}
-	if hdr := miss(wide); hdr.Get(SeedDistanceHeader) == "" {
+	if d := miss(wide); d == -1 {
 		t.Fatal("a near-miss of a cached plan was not seeded")
 	}
 
@@ -161,8 +170,8 @@ func TestServeEvictedPlanIsNeverDonor(t *testing.T) {
 	if d := donorFor(wider); evicted[d.key] {
 		t.Errorf("donor %q was evicted from the store", d.key)
 	}
-	if hdr := miss(wider); hdr.Get(SeedDistanceHeader) != "" {
-		t.Errorf("a near-miss of evicted plans was seeded (%s = %q)", SeedDistanceHeader, hdr.Get(SeedDistanceHeader))
+	if d := miss(wider); d != -1 {
+		t.Errorf("a near-miss of evicted plans was seeded (seed distance %v)", d)
 	}
 	if st := s.Stats(); st.SynthIncremental != 1 {
 		t.Errorf("synth_incremental = %d, want 1 (the near-miss of the cached base only)", st.SynthIncremental)
@@ -180,14 +189,14 @@ func TestConcurrentNearMissesSeedFromOneDonor(t *testing.T) {
 	c := testCluster()
 	opts := RequestOptions{Segments: 2}
 	base := seedServeGraph(64, 96, 96, 96, 96, 96, 96, 32)
-	if status, _, body := postHdr(t, srv.URL, requestBody(t, base, c, opts)); status != http.StatusOK {
-		t.Fatalf("donor request: status %d: %s", status, body)
+	if a := ask(t, srv.URL, requestBody(t, base, c, opts), ""); a.status != http.StatusOK {
+		t.Fatalf("donor request: status %d: %s", a.status, a.body)
 	}
 	near := []*graph.Graph{
 		seedServeGraph(64, 96, 96, 112, 96, 96, 96, 32),
 		seedServeGraph(64, 96, 96, 96, 96, 112, 96, 32),
 	}
-	hdrs := make([]http.Header, len(near))
+	traces := make([]string, len(near))
 	plans := make([][]byte, len(near))
 	var wg sync.WaitGroup
 	for i, g := range near {
@@ -201,13 +210,13 @@ func TestConcurrentNearMissesSeedFromOneDonor(t *testing.T) {
 				return
 			}
 			defer resp.Body.Close()
-			hdrs[i] = resp.Header
+			traces[i] = resp.Header.Get(obs.TraceHeader)
 			plans[i], _ = io.ReadAll(resp.Body)
 		}(i)
 	}
 	wg.Wait()
 	for i, g := range near {
-		if hdrs[i] == nil || hdrs[i].Get(SeedDistanceHeader) == "" {
+		if traces[i] == "" || seedDistance(t, srv.URL, answer{trace: traces[i]}) == -1 {
 			t.Fatalf("near-miss %d was not seeded", i)
 		}
 		p, err := hap.ReadProgramBinary(bytes.NewReader(plans[i]), g)

@@ -36,7 +36,9 @@
 // Errors are answered with a structured JSON envelope {"code", "message"},
 // and every plan answer is the binary plan payload (planwire.Append,
 // Content-Type application/x-hap-plan), whatever the Accept header says — the
-// one encoding the daemon stores, persists and replicates. A caller with K
+// one encoding the daemon stores, persists and replicates. A cached plan is
+// its key and its bytes: the cache key names what was planned, and the ETag,
+// a hash of the bytes (ETagFor), names what was answered. A caller with K
 // clusters for one graph makes K requests: each is a key-first request on its
 // own, so a hit uploads nothing and a miss routes to its own owner.
 package serve
@@ -50,7 +52,6 @@ import (
 	"log/slog"
 	"net/http"
 	"slices"
-	"strconv"
 	"strings"
 	"sync/atomic"
 	"time"
@@ -80,15 +81,6 @@ const BinaryPlanContentType = "application/x-hap-plan"
 // CacheHeader carries a plan answer's cache outcome: "hit", "miss" (a
 // proxied answer relays the owner's), or NeedBody.
 const CacheHeader = "X-Hap-Cache"
-
-// PlanVersionHeader carries the served plan's monotonic version (see
-// CachedPlan.Version) on every plan response, including 304s.
-const PlanVersionHeader = "X-Hap-Plan-Version"
-
-// SeedDistanceHeader carries the donor's normalized structural distance on a
-// miss response whose synthesis was seeded from a similar cached plan
-// (incremental synthesis). Absent on cache hits and cold syntheses.
-const SeedDistanceHeader = "X-Hap-Seed-Distance"
 
 // EndpointV1 is the endpoint label of /v1/synthesize on the latency
 // histogram, request traces and the slow log.
@@ -613,32 +605,25 @@ func (s *Server) handleSynthesize(w http.ResponseWriter, r *http.Request) {
 	if !forwarded && s.proxyPlanRequest(w, r, body, key, rt) {
 		return
 	}
-	plan, seedDist, err := s.planMiss(r.Context(), rt.rootSpan(), key, in)
+	plan, err = s.planMiss(r.Context(), rt.rootSpan(), key, in)
 	if err != nil {
 		s.failSynthesis(w, err)
 		return
-	}
-	if seedDist >= 0 {
-		w.Header().Set(SeedDistanceHeader, strconv.FormatFloat(seedDist, 'g', -1, 64))
 	}
 	writePlan(w, r, plan, "miss")
 }
 
 // planMiss is the single-miss function — flight{re-check → gate → donor →
 // synthesize → storePlan} — that every plan a request causes goes through.
-// seedDist is the donor's distance when this caller's own search ran seeded,
-// else -1.
-func (s *Server) planMiss(ctx context.Context, sp *obs.Span, key string, in *planInput) (plan CachedPlan, seedDist float64, err error) {
+// A seeded search shows on the request's trace (seeded_search's donor, the
+// synthesize span's seed_distance) and in
+// hap_serve_synth_incremental_total, not on the answer.
+func (s *Server) planMiss(ctx context.Context, sp *obs.Span, key string, in *planInput) (CachedPlan, error) {
 	// The flight span covers the whole single-flight interaction: for the
 	// executing caller it parents the synthesize/encode/replicate subtree,
 	// for joined callers it measures the wait on someone else's synthesis.
 	fs := sp.Child("flight")
 	fs.SetAttrStr("key", key)
-	// seedDist is set by the executing caller's closure when its synthesis
-	// ran seeded, and stamps the response header. Joined waiters never run
-	// the closure, so they report the plan without a seed header — they paid
-	// a wait, not a seeded search.
-	seedDist = -1.0
 	// The closure runs under fctx, the flight context: alive while any client
 	// still wants this plan, cancelled when the last one disconnects — so a
 	// dropped connection aborts the search without killing the synthesis
@@ -663,12 +648,9 @@ func (s *Server) planMiss(ctx context.Context, sp *obs.Span, key string, in *pla
 		}
 		defer release()
 		src := newPlanSource(in.g, in.c, in.opts)
-		p, v, err := s.synthesize(fctx, fs, key, in.c, src)
+		v, err := s.synthesize(fctx, fs, key, in.c, src)
 		if err != nil {
 			return CachedPlan{}, err
-		}
-		if p.Seeded {
-			seedDist = p.SeedDistance
 		}
 		// Stored before the flight key is released: a request arriving
 		// between flight completion and a later insert would synthesize a
@@ -681,7 +663,7 @@ func (s *Server) planMiss(ctx context.Context, sp *obs.Span, key string, in *pla
 	if shared {
 		s.flightShared.Add(1)
 	}
-	return plan, seedDist, err
+	return plan, err
 }
 
 // donor names a cached plan a search may be seeded from, as the graph it was
@@ -708,7 +690,7 @@ type donor struct {
 // a joined waiter's flight span shows the wait, not someone else's search.
 // The planner call runs under Config.SynthTimeBudget, the one place the
 // daemon's budget becomes the context's deadline.
-func (s *Server) synthesize(ctx context.Context, sp *obs.Span, key string, c *cluster.Cluster, src *planSource) (*hap.Plan, CachedPlan, error) {
+func (s *Server) synthesize(ctx context.Context, sp *obs.Span, key string, c *cluster.Cluster, src *planSource) (CachedPlan, error) {
 	s.syntheses.Add(1)
 	ho := hap.Options{Segments: src.opts.Segments}
 	sds := sp.Child("seeded_search")
@@ -733,7 +715,7 @@ func (s *Server) synthesize(ctx context.Context, sp *obs.Span, key string, c *cl
 	}
 	ss.End()
 	if err != nil {
-		return nil, CachedPlan{}, err
+		return CachedPlan{}, err
 	}
 	if p.Seeded {
 		s.synthIncremental.Add(1)
@@ -741,7 +723,7 @@ func (s *Server) synthesize(ctx context.Context, sp *obs.Span, key string, c *cl
 	es := sp.Child("encode")
 	bin, err := planwire.Append(nil, p.Program, p.Ratios, p.Cost)
 	es.End()
-	return p, CachedPlan{Bin: bin}, err
+	return CachedPlan{Bin: bin}, err
 }
 
 // fleetRole classifies this node's relationship to a cache key for the
@@ -765,11 +747,9 @@ func (s *Server) fleetRole(key string) string {
 // synthesized plan, carrying the planSource it was planned from, into the
 // store (which mirrors it to disk when persistence is on) and, when this node
 // owns the key, replicates it to the ring successors. It returns the plan as
-// stored — with the version and ETag the store assigned — so the synthesis
-// response and the replication pushes carry the same metadata the next cache
-// hit will. A plan the store rejects (over its caps) comes back tagged all
-// the same: the response still gets an ETag, just no stored version sequence
-// (and its source is gone with it).
+// stored — with the ETag the store derived — so the synthesis response
+// carries the tag the next cache hit will. A plan the store rejects (over its
+// caps) comes back tagged all the same (and its source is gone with it).
 //
 // sp, when non-nil, parents the replication fan-out span so the pushes show
 // up in the request trace that produced the plan (a drift re-solve has none).
@@ -783,16 +763,12 @@ func (s *Server) storePlan(sp *obs.Span, key string, v CachedPlan) CachedPlan {
 // whose If-None-Match matches the plan's current ETag gets 304 Not Modified
 // with no body — a warm client revalidating after a drift-triggered replan
 // pays a handful of header bytes instead of the full plan, until the swap
-// actually changes the content. The ETag and version headers ride on every
-// response (including the 304, per RFC 9110) so clients always hold the
-// current tag.
+// actually changes the content. The ETag rides on every response (including
+// the 304, per RFC 9110) so clients always hold the current tag.
 func writePlan(w http.ResponseWriter, r *http.Request, plan CachedPlan, cache string) {
 	w.Header().Set(CacheHeader, cache)
 	if plan.ETag != "" {
 		w.Header().Set("ETag", plan.ETag)
-	}
-	if plan.Version > 0 {
-		w.Header().Set(PlanVersionHeader, strconv.FormatUint(plan.Version, 10))
 	}
 	if plan.ETag != "" && etagMatches(r.Header.Get("If-None-Match"), plan.ETag) {
 		w.WriteHeader(http.StatusNotModified)

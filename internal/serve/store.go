@@ -1,9 +1,9 @@
 // The daemon's plan store: a concurrency-safe LRU of encoded plans, bounded
 // both by entry count and by total bytes, with an optional write-through
-// disk mirror (persist.go) and the version and ETag metadata every stored
-// plan carries. A model-scale plan is about 1–3 KiB of binary payload, so the
-// entry cap is the binding limit in production; the byte cap is a backstop
-// against a few very large plans. A TTL is checked where entries are read:
+// disk mirror (persist.go) and the ETag every stored plan carries. A
+// model-scale plan is about 1–3 KiB of binary payload, so the entry cap is
+// the binding limit in production; the byte cap is a backstop against a few
+// very large plans. A TTL is checked where entries are read:
 // Get, Range and the counts drop what has aged past it, so the store runs no
 // timer and starts no goroutine. serve.go handles the wire protocol; the
 // miss path and replication intake write through Put, warm-up through Warm;
@@ -14,27 +14,21 @@ package serve
 
 import (
 	"container/list"
-	"fmt"
 	"hash/fnv"
 	"sync"
 	"time"
 )
 
-// CachedPlan is one stored plan: its binary payload plus the response
-// metadata served with it. The byte slice is shared between callers and must
-// be treated as immutable.
+// CachedPlan is one stored plan: its binary payload plus the entity tag
+// served with it. The byte slice is shared between callers and must be
+// treated as immutable.
 type CachedPlan struct {
 	Bin []byte // planwire.Append payload, the body of every plan answer
-	// Version counts how many times this key's content has been replaced on
-	// its owning node — 1 on first synthesis, bumped by each drift re-solve
-	// that swaps. Replicas copy the owner's version verbatim, so the number is
-	// consistent fleet-wide (monotonic per key as long as the entry lives).
-	Version uint64
 	// ETag is the strong entity tag served with the plan and matched against
-	// If-None-Match: a quoted hash of the plan bytes. Content-derived, not
-	// version-derived, so a re-solve that lands on byte-identical output keeps
-	// warm clients' tags valid. The store derives it on every Put and
-	// restore; a tag supplied by the caller is never trusted.
+	// If-None-Match: a quoted hash of the plan bytes, so a re-solve that
+	// lands on byte-identical output keeps warm clients' tags valid. The
+	// store derives it on every Put and restore; a tag supplied by the
+	// caller is never trusted.
 	ETag string
 	// src is what a locally synthesized plan was planned from — its donor
 	// and re-solve record (telemetry.go); nil on replicated, warmed-up and
@@ -45,11 +39,20 @@ type CachedPlan struct {
 
 func (v CachedPlan) size() int64 { return int64(len(v.Bin)) }
 
-// ETagFor derives the strong entity tag for a plan's binary payload.
+// ETagFor derives the strong entity tag for a plan's binary payload: the
+// FNV-1a 64 hash of the bytes as 16 lower-case hex digits, in double quotes.
+// Clients hold these tags and fleet nodes compare them, so the spelling is
+// fixed; it is written in place, one allocation per tag.
 func ETagFor(bin []byte) string {
 	h := fnv.New64a()
 	h.Write(bin)
-	return fmt.Sprintf("%q", fmt.Sprintf("%016x", h.Sum64()))
+	const digits = "0123456789abcdef"
+	var b [18]byte
+	b[0], b[17] = '"', '"'
+	for i, v := 16, h.Sum64(); i > 0; i, v = i-1, v>>4 {
+		b[i] = digits[v&0xf]
+	}
+	return string(b[:])
 }
 
 type storeEntry struct {
@@ -72,8 +75,8 @@ const warmStampStep = time.Millisecond
 // construction reloads the directory in mtime order — so the directory
 // converges to the LRU's actual contents and a restart does not re-pay every
 // synthesis. Each write takes mu once, for
-// its version, its insert and the evictions it causes; hashing the ETag and
-// the disk mirror run outside it. Safe for concurrent use.
+// its insert and the evictions it causes; hashing the ETag and the disk
+// mirror run outside it. Safe for concurrent use.
 type store struct {
 	maxEntries int
 	maxBytes   int64
@@ -109,8 +112,7 @@ func newStore(maxEntries int, maxBytes int64, persist *diskStore, ttl time.Durat
 		// Restore mirrors Put: entries the (possibly re-capped) store
 		// rejects or evicts during the reload lose their files too, so the
 		// directory converges to the LRU's actual contents instead of
-		// re-reading stale plans on every boot. A file from before
-		// versioning restores as v1.
+		// re-reading stale plans on every boot.
 		s.restored = persist.load(cutoff, func(key string, v CachedPlan, mtime time.Time) bool {
 			_, stored, evicted := s.insert(key, v, mtime)
 			if !stored {
@@ -147,13 +149,10 @@ func (s *store) Get(key string) (CachedPlan, bool) {
 }
 
 // Put stores (or refreshes) v at the LRU head, evicting from the tail until
-// both caps hold, and returns it with its metadata filled in: the ETag derived
-// from the plan content and, when the caller left it zero, a version
-// continuing the stored entry's sequence (first insert = 1, replacement =
-// previous + 1). Entries arriving with a version — fleet replication — keep
-// the owner's, so the number is the same fleet-wide. A value larger than the
-// byte cap on its own is not stored at all — storing it would evict
-// everything else for a single entry — but comes back tagged all the same.
+// both caps hold, and returns it with the ETag derived from the plan
+// content. A value larger than the byte cap on its own is not stored at all
+// — storing it would evict everything else for a single entry — but comes
+// back tagged all the same.
 func (s *store) Put(key string, v CachedPlan) CachedPlan {
 	now := time.Now()
 	v, stored, evicted := s.insert(key, v, now)
@@ -168,13 +167,12 @@ func (s *store) Put(key string, v CachedPlan) CachedPlan {
 // v was stored and which keys it evicted, for the caller to mirror on disk.
 func (s *store) insert(key string, v CachedPlan, at time.Time) (_ CachedPlan, stored bool, evicted []string) {
 	v.ETag = ETagFor(v.Bin)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	e := s.version(key, &v)
 	if v.size() > s.maxBytes {
 		return v, false, nil
 	}
-	if e != nil {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if e, ok := s.items[key]; ok {
 		ent := e.Value.(*storeEntry)
 		s.bytes += v.size() - ent.val.size()
 		ent.val, ent.at = v, at
@@ -189,19 +187,18 @@ func (s *store) insert(key string, v CachedPlan, at time.Time) (_ CachedPlan, st
 	return v, true, evicted
 }
 
-// Warm stores a warm-up entry below every plan already held, keeping its
-// owner's version, and reports whether it fit without evicting anything. A
-// peer streams its plans most-recently used first, so each entry belongs
-// under the ones before it, and the first that does not fit ends the stream:
-// what is left is colder still. A key already held is replaced in place and
-// keeps its stamp. A new entry's file carries a stamp just below the tail's
-// (now in an empty store), so a restart restores the warm-up set in the
-// peer's recency order.
+// Warm stores a warm-up entry below every plan already held and reports
+// whether it fit without evicting anything. A peer streams its plans
+// most-recently used first, so each entry belongs under the ones before it,
+// and the first that does not fit ends the stream: what is left is colder
+// still. A key already held is replaced in place and keeps its stamp. A new
+// entry's file carries a stamp just below the tail's (now in an empty
+// store), so a restart restores the warm-up set in the peer's recency order.
 func (s *store) Warm(key string, v CachedPlan) bool {
 	v.ETag = ETagFor(v.Bin)
 	now := time.Now()
 	s.mu.Lock()
-	e := s.version(key, &v)
+	e := s.items[key]
 	n, grow := s.ll.Len()+1, v.size()
 	if e != nil {
 		n--
@@ -228,21 +225,6 @@ func (s *store) Warm(key string, v CachedPlan) bool {
 		s.persist.save(key, v, at)
 	}
 	return true
-}
-
-// version returns key's list element, nil when it is not held, and fills a
-// zero v.Version with the next in the key's sequence: 1 on first insert, the
-// held entry's + 1 on a replacement. The caller holds s.mu through its
-// insert, so two writes of one key never take the same version.
-func (s *store) version(key string, v *CachedPlan) *list.Element {
-	e := s.items[key]
-	if v.Version == 0 {
-		v.Version = 1
-		if e != nil {
-			v.Version = e.Value.(*storeEntry).val.Version + 1
-		}
-	}
-	return e
 }
 
 // evict unlinks one entry and returns its key; the caller holds s.mu.

@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"hash/fnv"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -23,6 +25,35 @@ func framed(s string) []byte {
 }
 
 func framedPlan(s string) CachedPlan { return CachedPlan{Bin: framed(s)} }
+
+// TestETagForSpellingAndAllocs: a tag is the payload's FNV-1a 64 hash as 16
+// zero-padded lower-case hex digits in double quotes — the spelling clients
+// hold and fleet nodes compare, here against fmt's rendering of it — written
+// in one allocation. The payloads include one whose hash starts with zero
+// digits, so the padding shows.
+func TestETagForSpellingAndAllocs(t *testing.T) {
+	sum := func(b []byte) uint64 {
+		h := fnv.New64a()
+		h.Write(b)
+		return h.Sum64()
+	}
+	payloads := [][]byte{nil, []byte("x"), framed("plan")}
+	for i := 0; ; i++ {
+		if b := []byte(strconv.Itoa(i)); sum(b) < 1<<56 {
+			payloads = append(payloads, b)
+			break
+		}
+	}
+	for _, b := range payloads {
+		if got, want := ETagFor(b), fmt.Sprintf("%q", fmt.Sprintf("%016x", sum(b))); got != want {
+			t.Errorf("ETagFor(%q) = %s, want %s", b, got, want)
+		}
+	}
+	bin := framed("plan")
+	if n := testing.AllocsPerRun(100, func() { _ = ETagFor(bin) }); n != 1 {
+		t.Errorf("ETagFor makes %.0f allocations, want 1", n)
+	}
+}
 
 // backdate rewinds a persisted plan's file mtime, standing in for a plan
 // written long ago.
@@ -330,28 +361,6 @@ func TestStoreRangeIsMRUFirst(t *testing.T) {
 	s.Range(func(string, CachedPlan) bool { visits++; return false })
 	if visits != 1 {
 		t.Errorf("Range ignored fn returning false (%d visits)", visits)
-	}
-}
-
-// TestStoreConcurrentPutsBumpVersion: concurrent replacements of one key
-// each take their own version, because a write assigns it under the lock of
-// its insert. 8 × 500 zero-versioned Puts must end at version 4 000.
-func TestStoreConcurrentPutsBumpVersion(t *testing.T) {
-	const writers, puts = 8, 500
-	s := newStore(10, 1<<20, nil, 0)
-	var wg sync.WaitGroup
-	for w := 0; w < writers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < puts; i++ {
-				s.Put("k", framedPlan(fmt.Sprintf("plan-%d-%d", w, i)))
-			}
-		}(w)
-	}
-	wg.Wait()
-	if v, _ := s.Get("k"); v.Version != writers*puts {
-		t.Errorf("version after %d concurrent Puts = %d, want %d", writers*puts, v.Version, writers*puts)
 	}
 }
 

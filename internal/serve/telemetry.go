@@ -12,11 +12,11 @@
 // synthesized against that spec has its sharding ratios re-solved on its
 // cached program for the drifted cluster, inside the report's request: one
 // ratio LP per entry, no search. A re-solve that passes its checks is swapped
-// in — the store bumps the plan version and changes the entity tag, so a
-// conditional fetch stops answering 304 and delivers the new plan; one that
-// fails leaves the old plan serving, same key, same ETag. A re-solve that
-// lands on byte-identical output is not swapped at all, so warm clients' tags
-// stay valid across no-op replans.
+// in — new bytes under the same key, so a new entity tag, and a conditional
+// fetch stops answering 304 and delivers the new plan; one that fails leaves
+// the old plan serving, same key, same ETag. A re-solve that lands on
+// byte-identical output is not swapped at all, so warm clients' tags stay
+// valid across no-op replans.
 
 package serve
 
@@ -268,8 +268,8 @@ func (s *Server) replanForSpec(specFP string, mon *telemetry.Monitor) int {
 		v, err := resolve(drifted, e.key, e.old)
 		swapped := err == nil && !bytes.Equal(v.Bin, e.old.Bin)
 		if swapped {
-			// The swap: a version bump, a new content tag, and
-			// re-replication, exactly like a fresh synthesis.
+			// The swap: a new content tag and re-replication, exactly
+			// like a fresh synthesis.
 			v.src = e.next
 			s.storePlan(nil, e.key, v)
 		}

@@ -1,8 +1,7 @@
 // Tests for the telemetry layer: drift verdicts over the wire, the re-solve
-// swap discipline (a version bump and a new tag once a re-solved plan passes
-// its checks, the old plan and tag untouched when it does not), plan
-// versioning through the store, and the metrics exposition of the
-// replanning counters.
+// swap discipline (a new tag once a re-solved plan passes its checks, the old
+// plan and tag untouched when it does not), entity tags through the store,
+// and the metrics exposition of the replanning counters.
 
 package serve
 
@@ -62,8 +61,8 @@ func postTelemetry(t *testing.T, url string, body []byte) (int, TelemetryRespons
 }
 
 // postConditional POSTs a synthesize request with an optional If-None-Match
-// tag and returns the response status, ETag, version header, and body.
-func postConditional(t *testing.T, url string, body []byte, ifNoneMatch string) (int, string, string, []byte) {
+// tag and returns the response status, ETag, and body.
+func postConditional(t *testing.T, url string, body []byte, ifNoneMatch string) (int, string, []byte) {
 	t.Helper()
 	req, err := http.NewRequest(http.MethodPost, url+"/v1/synthesize", bytes.NewReader(body))
 	if err != nil {
@@ -82,7 +81,7 @@ func postConditional(t *testing.T, url string, body []byte, ifNoneMatch string) 
 	if err != nil {
 		t.Fatal(err)
 	}
-	return resp.StatusCode, resp.Header.Get("ETag"), resp.Header.Get(PlanVersionHeader), raw
+	return resp.StatusCode, resp.Header.Get("ETag"), raw
 }
 
 // achievedTFLOPS is device i's spec achieved throughput in TFLOPS — the
@@ -153,9 +152,8 @@ func TestTelemetryDriftVerdict(t *testing.T) {
 // TestTelemetryBackgroundReplan is the acceptance test of drift replanning:
 // before any drift the plan revalidates with 304; a report past the
 // threshold re-solves the affected cache entry within the request, so by the
-// time the verdict arrives the version has bumped, the tag has changed, a
-// stale conditional fetch gets the new body, and a fresh conditional fetch
-// 304s against the new tag.
+// time the verdict arrives the tag has changed, a stale conditional fetch
+// gets the new body, and a fresh conditional fetch 304s against the new tag.
 func TestTelemetryBackgroundReplan(t *testing.T) {
 	s := New(Config{})
 	srv := httptest.NewServer(s.Handler())
@@ -163,15 +161,15 @@ func TestTelemetryBackgroundReplan(t *testing.T) {
 	c := testCluster()
 	body := requestBody(t, testGraph(t), c, RequestOptions{})
 
-	status, etag1, ver1, plan1 := postConditional(t, srv.URL, body, "")
+	status, etag1, plan1 := postConditional(t, srv.URL, body, "")
 	if status != http.StatusOK {
 		t.Fatalf("synthesis: status %d: %s", status, plan1)
 	}
-	if etag1 == "" || ver1 != "1" {
-		t.Fatalf("synthesis response: ETag %q, version %q, want a tag and version 1", etag1, ver1)
+	if etag1 != ETagFor(plan1) {
+		t.Fatalf("synthesis response: ETag %q, want the payload's tag %q", etag1, ETagFor(plan1))
 	}
 	// Warm-client revalidation before any drift: 304, no body.
-	status, etag, _, respBody := postConditional(t, srv.URL, body, etag1)
+	status, etag, respBody := postConditional(t, srv.URL, body, etag1)
 	if status != http.StatusNotModified || len(respBody) != 0 {
 		t.Fatalf("conditional fetch pre-drift: status %d, body %d bytes, want 304 empty", status, len(respBody))
 	}
@@ -189,12 +187,12 @@ func TestTelemetryBackgroundReplan(t *testing.T) {
 		t.Fatalf("telemetry verdict drifted=%v replans=%d, want true/1", tr.Drifted, tr.ReplansStarted)
 	}
 
-	// The swap happened inside the report: version 2, a new tag.
-	status, etag2, ver2, plan2 := postConditional(t, srv.URL, body, "")
-	if status != http.StatusOK || ver2 != "2" {
-		t.Fatalf("post-drift fetch: status %d version %q, want 200 and 2", status, ver2)
+	// The swap happened inside the report: new bytes under a new tag.
+	status, etag2, plan2 := postConditional(t, srv.URL, body, "")
+	if status != http.StatusOK {
+		t.Fatalf("post-drift fetch: status %d, want 200", status)
 	}
-	if etag2 == etag1 || bytes.Equal(plan2, plan1) {
+	if etag2 == etag1 || etag2 != ETagFor(plan2) || bytes.Equal(plan2, plan1) {
 		t.Fatalf("replan swapped but content did not change (tag %q → %q)", etag1, etag2)
 	}
 	// The replanned plan verifies against the drifted device count.
@@ -207,7 +205,7 @@ func TestTelemetryBackgroundReplan(t *testing.T) {
 	}
 
 	// A client holding the pre-drift tag now gets the new body...
-	status, etag, _, respBody = postConditional(t, srv.URL, body, etag1)
+	status, etag, respBody = postConditional(t, srv.URL, body, etag1)
 	if status != http.StatusOK || !bytes.Equal(respBody, plan2) {
 		t.Fatalf("stale conditional fetch: status %d, got new body=%v, want 200 with the replanned plan", status, bytes.Equal(respBody, plan2))
 	}
@@ -215,7 +213,7 @@ func TestTelemetryBackgroundReplan(t *testing.T) {
 		t.Errorf("stale conditional fetch: ETag %q, want %q", etag, etag2)
 	}
 	// ...and the new tag 304s.
-	if status, _, _, _ := postConditional(t, srv.URL, body, etag2); status != http.StatusNotModified {
+	if status, _, _ := postConditional(t, srv.URL, body, etag2); status != http.StatusNotModified {
 		t.Errorf("fresh conditional fetch: status %d, want 304", status)
 	}
 
@@ -238,8 +236,7 @@ func TestTelemetryBackgroundReplan(t *testing.T) {
 }
 
 // TestTelemetryReplanFailureKeepsOldPlan: a re-solve whose ratio LP fails
-// leaves the cached plan, its tag, and its version untouched, and counts a
-// replan error.
+// leaves the cached plan and its tag untouched, and counts a replan error.
 func TestTelemetryReplanFailureKeepsOldPlan(t *testing.T) {
 	defer func(f func(*cluster.Cluster, *dist.Program) ([][]float64, error)) { resolveRatios = f }(resolveRatios)
 	resolveRatios = func(*cluster.Cluster, *dist.Program) ([][]float64, error) {
@@ -251,7 +248,7 @@ func TestTelemetryReplanFailureKeepsOldPlan(t *testing.T) {
 	c := testCluster()
 	body := requestBody(t, testGraph(t), c, RequestOptions{})
 
-	status, etag1, ver1, plan1 := postConditional(t, srv.URL, body, "")
+	status, etag1, plan1 := postConditional(t, srv.URL, body, "")
 	if status != http.StatusOK {
 		t.Fatalf("synthesis: status %d", status)
 	}
@@ -261,9 +258,9 @@ func TestTelemetryReplanFailureKeepsOldPlan(t *testing.T) {
 	if status != http.StatusOK || tr.ReplansStarted != 1 {
 		t.Fatalf("telemetry: status %d replans=%d: %s", status, tr.ReplansStarted, raw)
 	}
-	status, etag, ver, respBody := postConditional(t, srv.URL, body, "")
-	if status != http.StatusOK || !bytes.Equal(respBody, plan1) || etag != etag1 || ver != ver1 {
-		t.Errorf("after failed replan: status %d etag %q ver %q, want the untouched original (%q/%q)", status, etag, ver, etag1, ver1)
+	status, etag, respBody := postConditional(t, srv.URL, body, "")
+	if status != http.StatusOK || !bytes.Equal(respBody, plan1) || etag != etag1 {
+		t.Errorf("after failed replan: status %d etag %q, want the untouched original (%q)", status, etag, etag1)
 	}
 	if ts := s.Stats().Telemetry; ts.ReplanErrors != 1 || ts.Replans != 0 {
 		t.Errorf("after failed replan: replan_errors %d, replans %d; want 1 and 0", ts.ReplanErrors, ts.Replans)
@@ -273,7 +270,7 @@ func TestTelemetryReplanFailureKeepsOldPlan(t *testing.T) {
 // TestTelemetryResolvesCostOnlyOps is the witness that drift replanning
 // reaches a model the numeric verifier cannot execute: a 1-layer BERT, whose
 // attention has no runtime kernel. Its drifted entry is re-solved and
-// swapped to version 2 with no replan error — even though its ratios stay
+// swapped under a new tag with no replan error — even though its ratios stay
 // where they were, the modelled cost the plan carries moved with the
 // cluster.
 func TestTelemetryResolvesCostOnlyOps(t *testing.T) {
@@ -283,15 +280,16 @@ func TestTelemetryResolvesCostOnlyOps(t *testing.T) {
 	c := testCluster()
 	g := models.Training(models.BERT(models.TransformerConfig{Layers: 1, Hidden: 8, FFN: 16, SeqLen: 4, Vocab: 16}, 16))
 	body := requestBody(t, g, c, RequestOptions{})
-	if status, _, ver, raw := postConditional(t, srv.URL, body, ""); status != http.StatusOK || ver != "1" {
-		t.Fatalf("fill: status %d version %q: %s", status, ver, raw)
+	status, etag1, raw := postConditional(t, srv.URL, body, "")
+	if status != http.StatusOK {
+		t.Fatalf("fill: status %d: %s", status, raw)
 	}
 	if status, tr, raw := postTelemetry(t, srv.URL, driftReport(t, c)); status != http.StatusOK || tr.ReplansStarted != 1 {
 		t.Fatalf("drift report: status %d replans=%d: %s", status, tr.ReplansStarted, raw)
 	}
-	status, _, ver, plan := postConditional(t, srv.URL, body, "")
-	if status != http.StatusOK || ver != "2" {
-		t.Errorf("after the drift: status %d version %q, want 200 and 2", status, ver)
+	status, etag, plan := postConditional(t, srv.URL, body, "")
+	if status != http.StatusOK || etag == etag1 {
+		t.Errorf("after the drift: status %d tag %q, want 200 and a tag other than %q", status, etag, etag1)
 	}
 	if ts := s.Stats().Telemetry; ts.ReplanErrors != 0 || ts.Replans != 1 {
 		t.Errorf("replans %d, replan_errors %d; want 1 and 0", ts.Replans, ts.ReplanErrors)
@@ -312,7 +310,8 @@ func TestTelemetryDroppedDeviceResolves(t *testing.T) {
 	defer srv.Close()
 	c := testCluster()
 	body := requestBody(t, testGraph(t), c, RequestOptions{})
-	if status, _, _, raw := postConditional(t, srv.URL, body, ""); status != http.StatusOK {
+	status, etag1, raw := postConditional(t, srv.URL, body, "")
+	if status != http.StatusOK {
 		t.Fatalf("fill: status %d: %s", status, raw)
 	}
 	status, tr, raw := postTelemetry(t, srv.URL, telemetryBody(t, c, TelemetryRequest{
@@ -321,9 +320,12 @@ func TestTelemetryDroppedDeviceResolves(t *testing.T) {
 	if status != http.StatusOK || !tr.Drifted || tr.ReplansStarted != 1 {
 		t.Fatalf("device-down report: status %d drifted=%v replans=%d: %s", status, tr.Drifted, tr.ReplansStarted, raw)
 	}
-	status, _, ver, plan := postConditional(t, srv.URL, body, "")
-	if status != http.StatusOK || ver != "2" {
-		t.Fatalf("after the drop: status %d version %q, want 200 and 2", status, ver)
+	status, etag, plan := postConditional(t, srv.URL, body, "")
+	if status != http.StatusOK || etag == etag1 {
+		t.Fatalf("after the drop: status %d tag %q, want 200 and a tag other than %q", status, etag, etag1)
+	}
+	if ts := s.Stats().Telemetry; ts.Replans != 1 || ts.ReplanErrors != 0 {
+		t.Errorf("replans %d, replan_errors %d; want 1 and 0", ts.Replans, ts.ReplanErrors)
 	}
 	p, err := hap.ReadProgramBinary(bytes.NewReader(plan), testGraph(t))
 	if err != nil {
@@ -350,7 +352,7 @@ func TestTelemetryNearZeroThrottle(t *testing.T) {
 	defer srv.Close()
 	c := testCluster()
 	body := requestBody(t, testGraph(t), c, RequestOptions{})
-	if status, _, _, raw := postConditional(t, srv.URL, body, ""); status != http.StatusOK {
+	if status, _, raw := postConditional(t, srv.URL, body, ""); status != http.StatusOK {
 		t.Fatalf("fill: status %d: %s", status, raw)
 	}
 	report := telemetryBody(t, c, TelemetryRequest{
@@ -360,7 +362,7 @@ func TestTelemetryNearZeroThrottle(t *testing.T) {
 		if status, tr, raw := postTelemetry(t, srv.URL, report); status != http.StatusOK || !tr.Drifted {
 			t.Fatalf("report %d: status %d drifted=%v: %s", i, status, tr.Drifted, raw)
 		}
-		status, _, _, plan := postConditional(t, srv.URL, body, "")
+		status, _, plan := postConditional(t, srv.URL, body, "")
 		if status != http.StatusOK {
 			t.Fatalf("fetch %d: status %d", i, status)
 		}
@@ -421,41 +423,42 @@ func FuzzTelemetryReport(f *testing.F) {
 		}
 		sp, err := hap.ReadProgramBinary(bytes.NewReader(served.Bin), g)
 		if err != nil {
-			t.Fatalf("served plan (version %d) does not decode: %v", served.Version, err)
+			t.Fatalf("served plan (tag %s) does not decode: %v", served.ETag, err)
 		}
 		if err := planwire.ValidateRatios(sp.Ratios, sp.Program.Graph.NumSegments()); err != nil {
-			t.Fatalf("served plan (version %d): %v", served.Version, err)
+			t.Fatalf("served plan (tag %s): %v", served.ETag, err)
 		}
 	})
 }
 
-// TestPlanVersioningThroughStore pins the store-level versioning contract:
-// first insert is version 1 with a content tag, a same-content refresh keeps
-// the tag, a changed-content replacement bumps the version and changes the
-// tag, and entries arriving with explicit metadata (replication) keep it.
+// TestPlanVersioningThroughStore pins the store's entity tags, a plan's one
+// identity beside its key: the first insert carries its content tag, a
+// same-content refresh keeps the tag, a changed-content replacement changes
+// it, and a tag supplied with an entry (replication) is replaced by the one
+// derived from its bytes.
 func TestPlanVersioningThroughStore(t *testing.T) {
 	s := newStore(8, 1<<20, nil, 0)
 	s.Put("k", CachedPlan{Bin: []byte(`{"a":1}`)})
 	v1, _ := s.Get("k")
-	if v1.Version != 1 || v1.ETag == "" || v1.ETag != ETagFor([]byte(`{"a":1}`)) {
-		t.Fatalf("first insert: version %d etag %q", v1.Version, v1.ETag)
+	if v1.ETag == "" || v1.ETag != ETagFor([]byte(`{"a":1}`)) {
+		t.Fatalf("first insert: etag %q", v1.ETag)
 	}
 	s.Put("k", CachedPlan{Bin: []byte(`{"a":1}`)})
 	v2, _ := s.Get("k")
-	if v2.Version != 2 || v2.ETag != v1.ETag {
-		t.Errorf("same-content refresh: version %d etag %q, want 2 with the same tag %q", v2.Version, v2.ETag, v1.ETag)
+	if v2.ETag != v1.ETag {
+		t.Errorf("same-content refresh: etag %q, want the same tag %q", v2.ETag, v1.ETag)
 	}
 	s.Put("k", CachedPlan{Bin: []byte(`{"a":2}`)})
 	v3, _ := s.Get("k")
-	if v3.Version != 3 || v3.ETag == v1.ETag {
-		t.Errorf("changed-content replacement: version %d etag %q, want 3 with a new tag", v3.Version, v3.ETag)
+	if v3.ETag == v1.ETag {
+		t.Errorf("changed-content replacement: etag %q, want a new tag", v3.ETag)
 	}
-	// A replicated entry keeps the owner's version; its tag is derived here
-	// from the bytes, never taken from the caller.
-	s.Put("r", CachedPlan{Bin: []byte(`{"b":1}`), Version: 7, ETag: `"owner-tag"`})
+	// A replicated entry's tag is derived here from the bytes, never taken
+	// from the caller.
+	s.Put("r", CachedPlan{Bin: []byte(`{"b":1}`), ETag: `"owner-tag"`})
 	vr, _ := s.Get("r")
-	if want := ETagFor([]byte(`{"b":1}`)); vr.Version != 7 || vr.ETag != want {
-		t.Errorf("replicated entry: version %d etag %q, want the owner's 7 with the content tag %q", vr.Version, vr.ETag, want)
+	if want := ETagFor([]byte(`{"b":1}`)); vr.ETag != want {
+		t.Errorf("replicated entry: etag %q, want the content tag %q", vr.ETag, want)
 	}
 }
 

@@ -51,27 +51,31 @@ func TestRunAllocationPin(t *testing.T) {
 // runAllocs bounds Run's allocations on any program.
 const runAllocs = 3
 
-// TestTraceAllocationPin holds Trace to one name per instruction plus a
-// constant: the events slice is sized up front, and a collective's or a
+// TestTraceAllocationPin holds Trace to one allocation per instruction
+// plus a constant: the events slice is sized up front, a collective's or a
 // computation's name is formatted once for all devices, not once per device
-// as when VGG19 × het8's trace read 3 189 allocations (395 now, 391 of them
-// the names). The names are counted with the renderer Trace uses,
-// Instruction.Text on the program's graph.
+// as when VGG19 × het8's trace read 3 189 allocations, and a name is
+// appended into one buffer sized for it (Instruction.Text). VGG19 × het8's
+// 155 instructions now cost 159 allocations; while Text formatted each
+// operand with fmt they cost 395, 391 of them the names. The names are
+// counted with the renderer Trace uses, Instruction.Text on the program's
+// graph.
 func TestTraceAllocationPin(t *testing.T) {
 	for _, in := range clockInputs(t) {
+		n := float64(len(in.p.Instrs))
 		names := testing.AllocsPerRun(5, func() {
 			for i := range in.p.Instrs {
 				_ = in.p.Instrs[i].Text(in.p.Graph)
 			}
 		})
 		got := testing.AllocsPerRun(5, func() { Trace(in.c, in.p, in.b, Options{Seed: 1}) })
-		t.Logf("%s: %.0f allocs per Trace, %.0f to name each of %d instructions once", in.name, got, names, len(in.p.Instrs))
-		// The race detector drops a quarter of sync.Pool's Puts at random,
-		// and fmt draws its printers from a pool, so the names' count only
-		// holds without it.
-		if got > names+runAllocs+1 && !raceEnabled {
-			t.Errorf("%s: Trace makes %.0f allocs, want at most %.0f (names %.0f + Run's %d + the events)",
-				in.name, got, names+runAllocs+1, names, runAllocs)
+		t.Logf("%s: %.0f allocs per Trace, %.0f to name each of %.0f instructions once", in.name, got, names, n)
+		if names != n {
+			t.Errorf("%s: naming %.0f instructions makes %.0f allocs, want one each", in.name, n, names)
+		}
+		if got > n+runAllocs+1 {
+			t.Errorf("%s: Trace makes %.0f allocs, want at most %.0f (a name per instruction + Run's %d + the events)",
+				in.name, got, n+runAllocs+1, runAllocs)
 		}
 	}
 }
