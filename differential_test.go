@@ -14,6 +14,7 @@ import (
 	"hap/internal/graph"
 	"hap/internal/models"
 	"hap/internal/passes"
+	"hap/internal/theory"
 )
 
 // The randomized differential harness: generate seeded random training
@@ -102,6 +103,86 @@ func fuzzClusters() []*Cluster {
 		PerGPU(MachineSpec{Type: V100, GPUs: 1}, MachineSpec{Type: P100, GPUs: 1}),
 		PerGPU(MachineSpec{Type: P100, GPUs: 2}),
 		Heterogeneous(MachineSpec{Type: V100, GPUs: 2}, MachineSpec{Type: P100, GPUs: 2}, MachineSpec{Type: P100, GPUs: 2}),
+	}
+}
+
+// fastClusters are fuzzClusters on a network 10⁴ times faster: bandwidths
+// multiplied, latencies and the kernel overhead divided. At the paper's
+// network the random graphs are too small for any plan to communicate; on
+// these some plans do.
+func fastClusters() []*Cluster {
+	cs := fuzzClusters()
+	for _, c := range cs {
+		c.Net.InterBW *= 1e4
+		c.Net.IntraBW *= 1e4
+		c.Net.InterLatency /= 1e4
+		c.Net.IntraLatency /= 1e4
+		c.Net.KernelOverhead /= 1e4
+	}
+	return cs
+}
+
+// verifyRecovered is Verify with a panic of the numeric runtime returned as
+// an error.
+func verifyRecovered(plan *Plan, devices int, seed int64) (err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = fmt.Errorf("panic: %v", r)
+		}
+	}()
+	return Verify(plan, devices, seed)
+}
+
+// TestDifferentialFastNetwork is the harness's arm whose plans communicate:
+// the random graphs, drawn as TestDifferentialRandomGraphs draws them,
+// planned on fastClusters. Every plan passes the program checker, and a
+// plan that fails Verify, by an error or a panic of the numeric runtime,
+// must have a stale read: a computation reading a layout that a collective
+// on its tensor already replaced, which the runtime's one buffer per tensor
+// no longer holds (ROADMAP AE removes them; until then such plans exist).
+// The arm fails when no plan has a collective. It runs ten graphs, or
+// -fuzz-graphs when the flag is given.
+func TestDifferentialFastNetwork(t *testing.T) {
+	graphs := 10
+	flag.Visit(func(f *flag.Flag) {
+		if f.Name == "fuzz-graphs" {
+			graphs = *fuzzGraphs
+		}
+	})
+	clusters := fastClusters()
+	plans, communicating, failing := 0, 0, 0
+	for i := 0; i < graphs; i++ {
+		seed := *fuzzSeed + int64(i)
+		rng := rand.New(rand.NewSource(seed))
+		g := randomTrainingGraph(t, rng)
+		segments := 1
+		if g.ForwardCount >= 6 && rng.Intn(2) == 0 {
+			segments = 2
+		}
+		for ci, c := range clusters {
+			plan, err := planWith(g, c, Options{Segments: segments})
+			if err != nil {
+				t.Fatalf("seed %d, cluster %d: Plan: %v", seed, ci, err)
+			}
+			stale, err := theory.Check(theory.New(plan.Program.Graph), plan.Program, nil)
+			if err != nil {
+				t.Fatalf("seed %d, cluster %d: the plan fails its check: %v\n%s", seed, ci, err, plan.Program)
+			}
+			plans++
+			if plan.Program.NumComms() > 0 {
+				communicating++
+			}
+			if err := verifyRecovered(plan, c.M(), seed); err != nil {
+				failing++
+				if stale == 0 {
+					t.Errorf("seed %d, cluster %d: Verify fails on a plan with no stale read: %v\n%s", seed, ci, err, plan.Program)
+				}
+			}
+		}
+	}
+	t.Logf("%d plans, %d with a collective, %d failing Verify", plans, communicating, failing)
+	if communicating == 0 {
+		t.Errorf("none of %d plans has a collective: the arm checks no collective", plans)
 	}
 }
 

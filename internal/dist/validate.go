@@ -1,7 +1,8 @@
 // Structural validation of distributed programs: SSA-style well-formedness
-// over the carried graph. The synthesizer produces valid programs by
-// construction; the validator is the backstop for hand-built programs,
-// decoded JSON, and future optimization passes.
+// over the carried graph. It is the binary plan decoder's check on outside
+// input, which comes with no theory to check against, and the backstop for
+// hand-built programs and the pass pipeline. The planner checks the plans
+// it makes semantically, with theory.Check.
 
 package dist
 

@@ -111,6 +111,10 @@ func Optimize(ctx context.Context, g *graph.Graph, c *cluster.Cluster, opt Optio
 	// operation below a no-op.
 	span := obs.SpanFromContext(ctx).Child("optimize")
 	defer span.End()
+	// The theory and the check below read a well-formed graph.
+	if err := g.Validate(); err != nil {
+		return nil, fmt.Errorf("hapopt: %w", err)
+	}
 	ts := span.Child("theory")
 	// From here on g carries the requested segment assignment (see above).
 	var segOf []int
@@ -314,6 +318,16 @@ func Optimize(ctx context.Context, g *graph.Graph, c *cluster.Cluster, opt Optio
 	}
 	span.SetAttrInt("iterations", int64(ran))
 	span.SetAttrStr("stop", stop)
+	// Every plan handed out passes the one program checker, against the
+	// base theory: an expert-parallel arm's triples are a subset of it.
+	vs := span.Child("verify")
+	vs.SetAttrStr("kind", "semantic")
+	stale, err := theory.Check(th, best.Program, nil)
+	vs.SetAttrInt("stale_reads", int64(stale))
+	vs.End()
+	if err != nil {
+		return nil, fmt.Errorf("hapopt: synthesized program fails its check: %w", err)
+	}
 	best.Elapsed = time.Since(start)
 	best.BalanceErr = balanceErr
 	return best, nil

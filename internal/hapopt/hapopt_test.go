@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"strconv"
 	"testing"
 	"time"
 
+	"hap/internal/autodiff"
 	"hap/internal/balance"
 	"hap/internal/cluster"
 	"hap/internal/collective"
@@ -562,4 +564,75 @@ func encodeBinary(t *testing.T, p *dist.Program) []byte {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
+}
+
+// TestVerifyPhaseChecksThePlan: Optimize's verify span, a child of its
+// optimize span, runs the program checker on the plan it returns (kind
+// semantic) and reports the plan's stale reads as theory.Check counts them.
+// VGG19 on PaperHomogeneous(2) has one.
+func TestVerifyPhaseChecksThePlan(t *testing.T) {
+	c := cluster.PaperHomogeneous(2)
+	g := models.Build(models.ModelVGG19, c.TotalGPUs())
+	tr := obs.New("test", "test")
+	root := tr.Root("test", 0)
+	res, err := Optimize(obs.ContextWithSpan(context.Background(), root), g, c, Options{Synth: synth.Auto()})
+	root.End()
+	if err != nil {
+		t.Fatal(err)
+	}
+	stale, err := theory.Check(theory.New(res.Program.Graph), res.Program, nil)
+	if err != nil {
+		t.Fatalf("the plan fails its check: %v", err)
+	}
+	spans := tr.Finish().Spans
+	var optimize uint64
+	for _, sp := range spans {
+		if sp.Name == "optimize" {
+			optimize = sp.ID
+		}
+	}
+	verified := 0
+	for _, sp := range spans {
+		if sp.Name != "verify" {
+			continue
+		}
+		verified++
+		if sp.Parent != optimize || sp.Attrs["kind"] != "semantic" || sp.Attrs["stale_reads"] != strconv.Itoa(stale) {
+			t.Errorf("verify span under %d with %v, want under optimize (%d) with kind semantic and %d stale reads", sp.Parent, sp.Attrs, optimize, stale)
+		}
+	}
+	if verified != 1 || stale != 1 {
+		t.Errorf("%d verify spans and %d stale reads, want 1 and 1", verified, stale)
+	}
+}
+
+// TestOptimizeRank63 plans a graph whose input, parameter and activations
+// have rank 63, one more than the donor replay's mask words held, and whose
+// input is batched on its last dimension, so the plan shards dim 62. The plan
+// passes the checker, and it seeds a search; BuildSeed returned nil on such
+// a donor while the replay refused ranks above 62.
+func TestOptimizeRank63(t *testing.T) {
+	shape := make([]int, 63)
+	for i := range shape {
+		shape[i] = 1
+	}
+	shape[62] = 64
+	g := graph.New()
+	x := g.AddPlaceholder("x", 62, shape...) // batched on its last dim
+	w := g.AddParameter("w", shape...)
+	g.SetLoss(g.AddOp(graph.Sum, g.AddOp(graph.Mul, x, w)))
+	if err := autodiff.Backward(g); err != nil {
+		t.Fatal(err)
+	}
+	res, err := Optimize(context.Background(), g, hetero2(), Options{Synth: synth.Auto()})
+	if err != nil {
+		t.Fatalf("Optimize: %v", err)
+	}
+	th := theory.New(g)
+	if _, err := theory.Check(th, res.Program, nil); err != nil {
+		t.Fatalf("the plan fails its check: %v\n%s", err, res.Program)
+	}
+	if synth.BuildSeed(g, res.Program, th, g, th, 0) == nil {
+		t.Errorf("BuildSeed returned nil for the plan's own graph:\n%s", res.Program)
+	}
 }

@@ -302,7 +302,7 @@ func hitShapedTrace(c *Collector) {
 	c.Add(tr)
 }
 
-// missShapedTrace records a miss's 16 spans and 36 attributes, the attribute
+// missShapedTrace records a miss's 16 spans and 37 attributes, the attribute
 // counts per span those of a two-iteration beam miss.
 func missShapedTrace(c *Collector) {
 	tr := New("", "")
@@ -337,10 +337,11 @@ func missShapedTrace(c *Collector) {
 	}
 	o.SetAttrInt("iterations", 2)
 	o.SetAttrStr("stop", "ratios_converged")
-	o.End()
-	v := s.Child("verify")
-	v.SetAttrStr("kind", "structural")
+	v := o.Child("verify")
+	v.SetAttrStr("kind", "semantic")
+	v.SetAttrInt("stale_reads", 0)
 	v.End()
+	o.End()
 	s.End()
 	f.Child("encode").End()
 	f.SetAttrBool("shared", false)

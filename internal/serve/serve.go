@@ -781,18 +781,13 @@ func writePlan(w http.ResponseWriter, r *http.Request, plan CachedPlan, cache st
 // etagMatches implements the If-None-Match comparison: a comma-separated
 // list of entity tags, or "*" matching anything. Weak tags (W/ prefix)
 // compare by their opaque value — the weak comparison RFC 9110 prescribes
-// for If-None-Match.
+// for If-None-Match. The list is scanned in place, so a conditional request
+// allocates nothing here.
 func etagMatches(ifNoneMatch, etag string) bool {
-	if ifNoneMatch == "" {
-		return false
-	}
-	for _, part := range strings.Split(ifNoneMatch, ",") {
-		tag := strings.TrimSpace(part)
-		if tag == "*" {
-			return true
-		}
-		tag = strings.TrimPrefix(tag, "W/")
-		if tag == etag {
+	for rest := ifNoneMatch; rest != ""; {
+		var tag string
+		tag, rest, _ = strings.Cut(rest, ",")
+		if tag = strings.TrimSpace(tag); tag == "*" || strings.TrimPrefix(tag, "W/") == etag {
 			return true
 		}
 	}

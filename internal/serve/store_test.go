@@ -55,6 +55,40 @@ func TestETagForSpellingAndAllocs(t *testing.T) {
 	}
 }
 
+// TestETagMatchesAndAllocs holds If-None-Match's comparison to RFC 9110's
+// weak comparison over a comma list, and to no allocation: it scans the
+// header in place (it split the header into a slice on every conditional
+// request before).
+func TestETagMatchesAndAllocs(t *testing.T) {
+	const tag = `"00ff00ff00ff00ff"`
+	for _, tc := range []struct {
+		header string
+		want   bool
+	}{
+		{"", false},
+		{tag, true},
+		{"*", true},
+		{" * ", true},
+		{"W/" + tag, true},
+		{`"aa", ` + tag, true},
+		{`"aa" ,  W/` + tag + ` , "bb"`, true},
+		{`"aa",` + tag, true},
+		{`"aa", "bb"`, false},
+		{`W/"aa"`, false},
+		{tag[1:], false},
+		{",", false},
+		{`"aa",*`, true},
+	} {
+		if got := etagMatches(tc.header, tag); got != tc.want {
+			t.Errorf("etagMatches(%q) = %t, want %t", tc.header, got, tc.want)
+		}
+	}
+	header := `"aa" ,  W/"bb", ` + tag
+	if n := testing.AllocsPerRun(100, func() { _ = etagMatches(header, tag) }); n != 0 {
+		t.Errorf("etagMatches makes %.0f allocations, want 0", n)
+	}
+}
+
 // backdate rewinds a persisted plan's file mtime, standing in for a plan
 // written long ago.
 func backdate(t *testing.T, d *diskStore, key string, age time.Duration) {

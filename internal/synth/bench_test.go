@@ -200,7 +200,10 @@ const vgg19WarmAllocs = 8
 // While every emitted computation carried a copy of its node's input list
 // (one slab per program, and 64-byte instructions), they read 390 / 1 276
 // → 9 / 35, 663 / 3 146 → 9 / 111, 795 / 4 753 → 9 / 130, 390 / 1 268 →
-// 9 / 35 and 116 / 375 → 50 / 98. A warm search's 8 allocations are now
+// 9 / 35 and 116 / 375 → 50 / 98. While BuildSeed replayed its donor on a
+// mirror of its own (a step recorded per instruction, five slices per
+// mirror and per ambiguous branch) rather than through theory.Check, the
+// incremental row read 115 / 370 → 49 / 93. A warm search's 8 allocations are now
 // New's 4 (the Synthesizer, the int32 slab of outputIdx, row and gradOf,
 // reqNodes, one slab of flops and cost tables) and the program's 4.
 func TestSearchAllocationPin(t *testing.T) {
@@ -228,7 +231,7 @@ func TestSearchAllocationPin(t *testing.T) {
 			if _, _, err := seeded.search(); err != nil {
 				t.Fatal(err)
 			}
-		}, 115, 370, 49, 93},
+		}, 97, 360, 31, 83},
 	} {
 		for _, c := range []struct {
 			temp        string

@@ -40,9 +40,9 @@ func oracleCommCandidates(sy *Synthesizer, s *state, p theory.Property, run []th
 		output = sy.outputs[oi]
 		if output.Param >= 0 {
 			switch pd := s.placed[output.Param]; pd {
-			case unplaced:
+			case theory.Unplaced:
 				return out
-			case replicated:
+			case theory.Replicated:
 				outDim = -1
 			default:
 				outDim = int(pd)

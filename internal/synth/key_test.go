@@ -25,7 +25,7 @@ func rebuildKey(s *state) uint64 {
 		h ^= propCode(p)
 	}
 	for ref, v := range s.placed {
-		if v != unplaced {
+		if v != theory.Unplaced {
 			h ^= placedCode(graph.NodeID(ref), v)
 		}
 	}
@@ -117,7 +117,7 @@ func checkChildKeys(t testing.TB, sy *Synthesizer, s *state, comps []*theory.Tri
 			t.Fatalf("depth %d: an applicable triple of node %d did not apply", s.depth, tr.Node)
 		}
 		for _, p := range tr.LeafPre() {
-			if s.placed[p.Ref] == unplaced {
+			if s.placed[p.Ref] == theory.Unplaced {
 				cov.leaf++
 				break
 			}

@@ -1,10 +1,11 @@
 // Incremental synthesis: seeding a search from a donor plan.
 //
 // BuildSeed aligns the donor graph with the target graph (graph.StructuralDiff),
-// replays the donor program against the donor's background theory to recover
-// the decision sequence that produced it — which Hoare triple computed each
-// node, which collective moved each tensor — and translates every decision
-// whose node survives the alignment onto the target theory. The result seeds
+// reads the donor program against the donor's background theory
+// (theory.Check) to recover the decision sequence that produced it — which
+// Hoare triple computed each node, which collective moved each tensor — and
+// translates every decision whose node survives the alignment onto the
+// target theory. The result seeds
 // the beam two ways:
 //
 //   - prefix fast-forward: the translated decisions are applied in donor
@@ -33,12 +34,6 @@ import (
 // seeding is pointless: too little of the donor plan survives to beat cold
 // synthesis, so BuildSeed returns nil and callers fall back.
 const DefaultMaxSeedDistance = 0.25
-
-// replayBudget bounds the backtracking replay: distinct triples can lower to
-// identical instruction bytes (the serialized program is all we have), and
-// the replayer tries each consistent reading. Real programs resolve in one
-// pass; the bound is a guard against pathological wire graphs.
-const replayBudget = 10_000
 
 // pinnedComm is one translated communication decision.
 type pinnedComm struct {
@@ -74,253 +69,11 @@ type Seed struct {
 // Steps reports how many donor decisions the seed carries (mapped or not).
 func (sd *Seed) Steps() int { return len(sd.steps) }
 
-// donorStep is one decision recovered by replaying the donor program.
-type donorStep struct {
-	comm bool
-	node graph.NodeID // donor-graph id
-	tr   *theory.Triple
-	coll collective.Kind
-	dim  int
-	dim2 int
-}
-
-// replayState mirrors the synthesizer's search state along the donor path:
-// same property accumulation, same leaf placements, same liveness pruning.
-// The mirror must be exact — a superset of the search's property set would
-// let an inconsistent reading of the program replay "successfully" and
-// produce pins the real search never chose.
-//
-// A tensor's properties are one mask word (see propBit), so dropping a dead
-// tensor's properties is one store and cloning a branch copies slices.
-type replayState struct {
-	props        []uint64
-	placed       []int8
-	computed     []bool
-	communicated []bool
-}
-
-// maxReplayRank is the widest tensor a mask word holds every Gather
-// property of: bits 0 and 1 are Identity and Reduce, bits 2..63 the shard
-// dimensions. A donor with a wider tensor is not replayed (BuildSeed
-// returns nil).
-const maxReplayRank = 62
-
-// propBit is p's bit in its tensor's mask word, 1<<p.Slot(). Every
-// property the replay sets or tests fits: a triple's dimensions lie below
-// its tensor's rank (at most maxReplayRank), and commTransition refuses a
-// collective on a dimension past it.
-func propBit(p theory.Property) uint64 { return 1 << uint(p.Slot()) }
-
-func (rs *replayState) has(p theory.Property) bool { return rs.props[p.Ref]&propBit(p) != 0 }
-func (rs *replayState) set(p theory.Property)      { rs.props[p.Ref] |= propBit(p) }
-
-func newReplayState(n int) *replayState {
-	rs := &replayState{
-		props:        make([]uint64, n),
-		placed:       make([]int8, n),
-		computed:     make([]bool, n),
-		communicated: make([]bool, n),
-	}
-	for i := range rs.placed {
-		rs.placed[i] = unplaced
-	}
-	return rs
-}
-
-func (rs *replayState) clone() *replayState {
-	return &replayState{
-		props:        append([]uint64(nil), rs.props...),
-		placed:       append([]int8(nil), rs.placed...),
-		computed:     append([]bool(nil), rs.computed...),
-		communicated: append([]bool(nil), rs.communicated...),
-	}
-}
-
-// replayer replays a donor program instruction-by-instruction.
-type replayer struct {
-	g      *graph.Graph
-	th     *theory.Theory
-	isOut  []bool
-	budget int
-	// matches is a stack of candidate readings: each computation pushes
-	// its readings above those of the ambiguous computations it branches
-	// under, and pops them when it is done.
-	matches []*theory.Triple
-}
-
-// newReplayer returns a replayer of programs for g with the full budget, or
-// nil when a tensor of g is wider than the mask words hold.
-func newReplayer(g *graph.Graph, th *theory.Theory) *replayer {
-	for i := range g.Nodes {
-		if len(g.Nodes[i].Shape) > maxReplayRank {
-			return nil
-		}
-	}
-	r := &replayer{g: g, th: th, isOut: make([]bool, g.NumNodes()), budget: replayBudget}
-	for _, o := range th.Outputs {
-		r.isOut[o.Ref] = true
-	}
-	return r
-}
-
-// dead mirrors Synthesizer.dead on the replay state: u is no required
-// output and every required consumer of u is computed.
-func (r *replayer) dead(rs *replayState, u graph.NodeID) bool {
-	if r.isOut[u] {
-		return false
-	}
-	for _, c := range r.th.Consumers[u] {
-		if r.th.Required[c] && !rs.computed[c] {
-			return false
-		}
-	}
-	return true
-}
-
-// pruneDead mirrors Synthesizer.pruneDead on the replay state.
-func (r *replayer) pruneDead(rs *replayState, justComputed graph.NodeID) {
-	for _, u := range r.g.Node(justComputed).Inputs {
-		if !r.g.Node(u).Kind.IsLeaf() && r.dead(rs, u) {
-			rs.props[u] = 0
-		}
-	}
-	if r.dead(rs, justComputed) {
-		rs.props[justComputed] = 0
-	}
-}
-
-// commTransition returns the property a collective consumes and the one it
-// establishes — the inverse of commCandidates. A collective on a dimension
-// the tensor (of the given rank) does not have is no candidate.
-func commTransition(in dist.Instruction, rank int) (src, res theory.Property, ok bool) {
-	dim := func(d int) bool { return d >= 0 && d < rank }
-	switch in.Coll {
-	case collective.AllReduce:
-		return theory.Pending(in.Ref), theory.Id(in.Ref), true
-	case collective.ReduceScatter:
-		return theory.Pending(in.Ref), theory.Shard(in.Ref, in.Dim), dim(in.Dim)
-	case collective.PaddedAllGather, collective.GroupedBroadcast:
-		return theory.Shard(in.Ref, in.Dim), theory.Id(in.Ref), dim(in.Dim)
-	case collective.AllToAll:
-		return theory.Shard(in.Ref, in.Dim), theory.Shard(in.Ref, in.Dim2), dim(in.Dim) && dim(in.Dim2)
-	}
-	return theory.Property{}, theory.Property{}, false
-}
-
-// replay consumes instrs[i:], appending recovered decisions to steps; it
-// backtracks over ambiguous computation readings. Returns the full decision
-// list, or nil when no consistent reading exists (or the budget ran out).
-func (r *replayer) replay(rs *replayState, instrs []dist.Instruction, steps []donorStep) []donorStep {
-	for len(instrs) > 0 {
-		r.budget--
-		if r.budget < 0 {
-			return nil
-		}
-		in := instrs[0]
-		if in.Ref < 0 || int(in.Ref) >= len(rs.computed) {
-			return nil
-		}
-		switch {
-		case in.IsComm:
-			src, res, ok := commTransition(in, len(r.g.Node(in.Ref).Shape))
-			if !ok || rs.communicated[in.Ref] || !rs.has(src) || rs.has(res) {
-				return nil
-			}
-			rs.communicated[in.Ref] = true
-			rs.set(res)
-			steps = append(steps, donorStep{comm: true, node: in.Ref, coll: in.Coll, dim: in.Dim, dim2: in.Dim2})
-			instrs = instrs[1:]
-
-		case in.Op.IsLeaf():
-			// A fused leaf loader: record the placement it establishes.
-			want := replicated
-			if in.ShardDim >= 0 {
-				want = int8(in.ShardDim)
-			}
-			if got := rs.placed[in.Ref]; got != unplaced && got != want {
-				return nil
-			}
-			rs.placed[in.Ref] = want
-			instrs = instrs[1:]
-
-		default:
-			// A computation: find the triples this instruction can be a
-			// lowering of whose preconditions hold right now.
-			id := in.Ref
-			if rs.computed[id] {
-				return nil
-			}
-			base := len(r.matches)
-			for _, tr := range r.th.ByNode[id] {
-				ti := tr.Instr(r.g)
-				if ti.FlopsScaled != in.FlopsScaled || ti.ShardDim != in.ShardDim {
-					continue
-				}
-				if !r.applicable(rs, tr) {
-					continue
-				}
-				r.matches = append(r.matches, tr)
-			}
-			matches := r.matches[base:]
-			r.matches = r.matches[:base]
-			if len(matches) == 0 {
-				return nil
-			}
-			if len(matches) > 1 {
-				// Ambiguous reading: branch. First consistent full replay wins;
-				// any two differ only in property bookkeeping, never in bytes.
-				// The branches push their own readings above these.
-				r.matches = r.matches[:base+len(matches)]
-				var out []donorStep
-				for _, tr := range matches {
-					branch := rs.clone()
-					r.applyComp(branch, id, tr)
-					if out = r.replay(branch, instrs[1:], append(steps, donorStep{node: id, tr: tr})); out != nil || r.budget < 0 {
-						break
-					}
-				}
-				r.matches = r.matches[:base]
-				return out
-			}
-			r.applyComp(rs, id, matches[0])
-			steps = append(steps, donorStep{node: id, tr: matches[0]})
-			instrs = instrs[1:]
-		}
-	}
-	return steps
-}
-
-// applicable mirrors Synthesizer.compApplicable, except that leaf placements
-// must already be set: the donor program's loaders precede their consumer.
-func (r *replayer) applicable(rs *replayState, tr *theory.Triple) bool {
-	for _, p := range tr.Pre() {
-		if !rs.has(p) {
-			return false
-		}
-	}
-	for _, p := range tr.LeafPre() {
-		want := replicated
-		if p.Kind == theory.Gather {
-			want = int8(p.Dim)
-		}
-		if rs.placed[p.Ref] != want {
-			return false
-		}
-	}
-	return true
-}
-
-func (r *replayer) applyComp(rs *replayState, id graph.NodeID, tr *theory.Triple) {
-	rs.computed[id] = true
-	rs.set(tr.Out)
-	r.pruneDead(rs, id)
-}
-
 // BuildSeed builds a search seed for target graph g (with background theory
 // th) from a donor plan. Returns nil — callers fall back to cold synthesis —
 // when the structural distance exceeds maxDistance (≤0 means
-// DefaultMaxSeedDistance), or when the donor program does not replay
-// consistently against its own theory. donorTh may be nil; it is built from
+// DefaultMaxSeedDistance), or when the donor program fails theory.Check
+// against its own theory, whose reading the seed translates. donorTh may be nil; it is built from
 // the donor graph on demand (or shared with th when the graphs are one
 // object).
 func BuildSeed(donorG *graph.Graph, donorProg *dist.Program, donorTh *theory.Theory, g *graph.Graph, th *theory.Theory, maxDistance float64) *Seed {
@@ -346,19 +99,15 @@ func BuildSeed(donorG *graph.Graph, donorProg *dist.Program, donorTh *theory.The
 		}
 	}
 
-	r := newReplayer(donorG, donorTh)
-	if r == nil {
-		return nil
-	}
-	donorSteps := r.replay(newReplayState(donorG.NumNodes()), donorProg.Instrs, make([]donorStep, 0, len(donorProg.Instrs)))
-	if donorSteps == nil {
+	reading := make([]*theory.Triple, donorG.NumNodes())
+	if _, err := theory.Check(donorTh, donorProg, reading); err != nil {
 		return nil
 	}
 
 	sd := &Seed{
 		compPin: make([]*theory.Triple, g.NumNodes()),
 		commPin: make([]pinnedComm, g.NumNodes()),
-		steps:   make([]seedStep, 0, len(donorSteps)),
+		steps:   make([]seedStep, 0, len(donorProg.Instrs)),
 	}
 	if d != nil {
 		sd.Distance = d.Norm
@@ -369,19 +118,23 @@ func BuildSeed(donorG *graph.Graph, donorProg *dist.Program, donorTh *theory.The
 		}
 		return d.MapAB(a)
 	}
-	for _, ds := range donorSteps {
-		tid, ok := mapID(ds.node)
+	for i := range donorProg.Instrs {
+		in := &donorProg.Instrs[i]
+		if !in.IsComm && in.Op.IsLeaf() {
+			continue // a leaf loader is no decision of its own
+		}
+		tid, ok := mapID(in.Ref)
 		if !ok {
-			sd.steps = append(sd.steps, seedStep{comm: ds.comm})
+			sd.steps = append(sd.steps, seedStep{comm: in.IsComm})
 			continue
 		}
-		if ds.comm {
-			cc := pinnedComm{valid: true, coll: ds.coll, dim: ds.dim, dim2: ds.dim2}
+		if in.IsComm {
+			cc := pinnedComm{valid: true, coll: in.Coll, dim: in.Dim, dim2: in.Dim2}
 			sd.commPin[tid] = cc
 			sd.steps = append(sd.steps, seedStep{comm: true, mapped: true, node: tid, cc: cc})
 			continue
 		}
-		tr := matchTriple(ds.tr, th.ByNode[tid], mapID)
+		tr := matchTriple(reading[in.Ref], th.ByNode[tid], mapID)
 		if tr == nil {
 			sd.steps = append(sd.steps, seedStep{})
 			continue

@@ -123,160 +123,6 @@ func TestSeedDistanceThreshold(t *testing.T) {
 	}
 }
 
-// mapReplayState is the donor replay's mirror with each tensor's properties
-// in a set, the form replayState had before its mask words. FuzzBuildSeed
-// holds the replay to it.
-type mapReplayState struct {
-	props        map[theory.Property]bool
-	placed       []int8
-	computed     []bool
-	communicated []bool
-}
-
-func newMapReplayState(n int) *mapReplayState {
-	rs := &mapReplayState{
-		props:        map[theory.Property]bool{},
-		placed:       make([]int8, n),
-		computed:     make([]bool, n),
-		communicated: make([]bool, n),
-	}
-	for i := range rs.placed {
-		rs.placed[i] = unplaced
-	}
-	return rs
-}
-
-func (rs *mapReplayState) clone() *mapReplayState {
-	c := &mapReplayState{
-		props:        make(map[theory.Property]bool, len(rs.props)),
-		placed:       append([]int8(nil), rs.placed...),
-		computed:     append([]bool(nil), rs.computed...),
-		communicated: append([]bool(nil), rs.communicated...),
-	}
-	for p := range rs.props {
-		c.props[p] = true
-	}
-	return c
-}
-
-// mapReplay is replay over a mapReplayState: the same walk, budget and
-// branching, with set lookups where replay tests mask bits.
-func (r *replayer) mapReplay(rs *mapReplayState, instrs []dist.Instruction, steps []donorStep) []donorStep {
-	for len(instrs) > 0 {
-		r.budget--
-		if r.budget < 0 {
-			return nil
-		}
-		in := instrs[0]
-		if in.Ref < 0 || int(in.Ref) >= len(rs.computed) {
-			return nil
-		}
-		switch {
-		case in.IsComm:
-			src, res, ok := commTransition(in, len(r.g.Node(in.Ref).Shape))
-			if !ok || rs.communicated[in.Ref] || !rs.props[src] || rs.props[res] {
-				return nil
-			}
-			rs.communicated[in.Ref] = true
-			rs.props[res] = true
-			steps = append(steps, donorStep{comm: true, node: in.Ref, coll: in.Coll, dim: in.Dim, dim2: in.Dim2})
-			instrs = instrs[1:]
-
-		case in.Op.IsLeaf():
-			want := replicated
-			if in.ShardDim >= 0 {
-				want = int8(in.ShardDim)
-			}
-			if got := rs.placed[in.Ref]; got != unplaced && got != want {
-				return nil
-			}
-			rs.placed[in.Ref] = want
-			instrs = instrs[1:]
-
-		default:
-			id := in.Ref
-			if rs.computed[id] {
-				return nil
-			}
-			var matches []*theory.Triple
-			for _, tr := range r.th.ByNode[id] {
-				ti := tr.Instr(r.g)
-				if ti.FlopsScaled != in.FlopsScaled || ti.ShardDim != in.ShardDim {
-					continue
-				}
-				if !r.mapApplicable(rs, tr) {
-					continue
-				}
-				matches = append(matches, tr)
-			}
-			if len(matches) == 0 {
-				return nil
-			}
-			if len(matches) > 1 {
-				for _, tr := range matches {
-					branch := rs.clone()
-					r.mapApplyComp(branch, id, tr)
-					if out := r.mapReplay(branch, instrs[1:], append(steps, donorStep{node: id, tr: tr})); out != nil {
-						return out
-					}
-					if r.budget < 0 {
-						return nil
-					}
-				}
-				return nil
-			}
-			r.mapApplyComp(rs, id, matches[0])
-			steps = append(steps, donorStep{node: id, tr: matches[0]})
-			instrs = instrs[1:]
-		}
-	}
-	return steps
-}
-
-func (r *replayer) mapApplicable(rs *mapReplayState, tr *theory.Triple) bool {
-	for _, p := range tr.Pre() {
-		if !rs.props[p] {
-			return false
-		}
-	}
-	for _, p := range tr.LeafPre() {
-		want := replicated
-		if p.Kind == theory.Gather {
-			want = int8(p.Dim)
-		}
-		if rs.placed[p.Ref] != want {
-			return false
-		}
-	}
-	return true
-}
-
-func (r *replayer) mapApplyComp(rs *mapReplayState, id graph.NodeID, tr *theory.Triple) {
-	rs.computed[id] = true
-	rs.props[tr.Out] = true
-	check := func(u graph.NodeID) {
-		if r.isOut[u] {
-			return
-		}
-		for _, c := range r.th.Consumers[u] {
-			if r.th.Required[c] && !rs.computed[c] {
-				return
-			}
-		}
-		for p := range rs.props {
-			if p.Ref == u {
-				delete(rs.props, p)
-			}
-		}
-	}
-	for _, u := range r.g.Node(id).Inputs {
-		if !r.g.Node(u).Kind.IsLeaf() {
-			check(u)
-		}
-	}
-	check(id)
-}
-
 // seedDonor is one real plan FuzzBuildSeed mutates, with the graph it was
 // planned for and a one-layer-wider target to seed.
 type seedDonor struct {
@@ -346,12 +192,10 @@ func mutateInstrs(instrs []dist.Instruction, muts []byte) []dist.Instruction {
 }
 
 // FuzzBuildSeed mutates the instructions of a real MLP or VGG19 plan and
-// replays the result as a donor. BuildSeed must never panic; the replay
-// must stay inside replayBudget and agree with the set-based mirror step for
-// step, budget spent included (or both find no reading); and any seed it
-// returns, for the donor's own graph or a one-layer-wider one, must drive a
-// search to a program that passes Validate, or to the beam's report that it
-// found none (see below).
+// seeds from the result as a donor. BuildSeed must never panic, and any seed
+// it returns, for the donor's own graph or a one-layer-wider one, must drive
+// a search to a program that passes Validate, or to the beam's report that
+// it found none (see below). theory's FuzzCheck holds the donor's reading.
 func FuzzBuildSeed(f *testing.F) {
 	donors := fuzzSeedDonors(f)
 	for which := range donors {
@@ -366,24 +210,6 @@ func FuzzBuildSeed(f *testing.F) {
 	f.Fuzz(func(t *testing.T, which uint8, wide bool, muts []byte) {
 		d := donors[int(which)%len(donors)]
 		instrs := mutateInstrs(d.prog.Instrs, muts)
-		r, ref := newReplayer(d.g, d.th), newReplayer(d.g, d.th)
-		got := r.replay(newReplayState(d.g.NumNodes()), instrs, nil)
-		want := ref.mapReplay(newMapReplayState(d.g.NumNodes()), instrs, nil)
-		if spent := replayBudget - r.budget; spent > replayBudget+1 {
-			t.Fatalf("replay spent %d of a %d budget", spent, replayBudget)
-		}
-		if r.budget != ref.budget {
-			t.Fatalf("replay left budget %d, the set mirror %d", r.budget, ref.budget)
-		}
-		if (got == nil) != (want == nil) || len(got) != len(want) {
-			t.Fatalf("replay recovered %d steps (nil %t), the set mirror %d (nil %t)", len(got), got == nil, len(want), want == nil)
-		}
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("step %d: replay %+v, set mirror %+v", i, got[i], want[i])
-			}
-		}
-
 		g, th, ratios := d.g, d.th, cost.UniformRatios(d.g.NumSegments(), d.c.ProportionalRatios())
 		if wide {
 			g, th, ratios = d.wide, d.wideTh, d.wideRatios
@@ -403,4 +229,64 @@ func FuzzBuildSeed(f *testing.F) {
 			t.Fatalf("seeded program: %v", err)
 		}
 	})
+}
+
+// replicatedProgram lowers every required computation of th by its
+// replicated triple, each leaf loaded replicated before its first reader: a
+// correct program of any length, with no collective.
+func replicatedProgram(th *theory.Theory) *dist.Program {
+	g := th.Graph
+	p := &dist.Program{Graph: g}
+	loaded := make([]bool, g.NumNodes())
+	for _, triples := range th.ByNode {
+		for _, tr := range triples {
+			if tr.Out.Kind != theory.Identity || tr.FlopsScaled {
+				continue
+			}
+			for _, q := range tr.LeafPre() {
+				if !loaded[q.Ref] {
+					loaded[q.Ref] = true
+					p.Instrs = append(p.Instrs, theory.LeafInstr(g, q))
+				}
+			}
+			p.Instrs = append(p.Instrs, tr.Instr(g))
+			break
+		}
+	}
+	return p
+}
+
+// TestSeedLongProgram seeds from a donor of more than 10 000 instructions,
+// the replicated program of a 1 500-layer MLP: it passes theory.Check, and
+// BuildSeed pins every decision. While the donor replay spent a budget of
+// 10 000 per instruction, no donor that long seeded (BuildSeed returned
+// nil); Check's budget bounds the readings it tries instead.
+func TestSeedLongProgram(t *testing.T) {
+	widths := make([]int, 1500)
+	for i := range widths {
+		widths[i] = 8
+	}
+	g := models.Training(models.MLP(64, widths...))
+	th := theory.New(g)
+	donor := replicatedProgram(th)
+	if len(donor.Instrs) <= 10_000 {
+		t.Fatalf("the donor has %d instructions, want more than 10 000", len(donor.Instrs))
+	}
+	if _, err := theory.Check(th, donor, nil); err != nil {
+		t.Fatalf("the donor fails its check: %v", err)
+	}
+	seed := BuildSeed(g, donor, th, g, th, 0)
+	if seed == nil {
+		t.Fatal("BuildSeed returned nil for a long donor")
+	}
+	leaves := 0
+	for _, in := range donor.Instrs {
+		if in.Op.IsLeaf() {
+			leaves++
+		}
+	}
+	if got, want := seed.Steps(), len(donor.Instrs)-leaves; got != want {
+		t.Errorf("the seed carries %d decisions, want %d", got, want)
+	}
+	t.Logf("%d instructions, %d decisions", len(donor.Instrs), seed.Steps())
 }

@@ -107,11 +107,6 @@ type Stats struct {
 	Seeded bool
 }
 
-const (
-	unplaced   = int8(-2)
-	replicated = int8(-1)
-)
-
 // numColl is the size of the per-ref collective cost tables.
 const numColl = int(collective.AllToAll) + 1
 
@@ -676,7 +671,7 @@ func (sy *Synthesizer) rootState() *state {
 	root.depth, root.nextReq = 0, 0
 	root.h = 0
 	for i := range root.placed {
-		root.placed[i] = unplaced
+		root.placed[i] = theory.Unplaced
 	}
 	for _, f := range sy.flops {
 		root.remFlops += f
@@ -968,8 +963,8 @@ func commKey(s *state, cc commCand) uint64 {
 func (sy *Synthesizer) compKey(s *state, tr *theory.Triple) uint64 {
 	h := s.h ^ nodeCode(elemLastComp, tr.Node)
 	for _, p := range tr.LeafPre() {
-		if s.placed[p.Ref] == unplaced {
-			h ^= placedCode(p.Ref, leafPlacement(p))
+		if s.placed[p.Ref] == theory.Unplaced {
+			h ^= placedCode(p.Ref, p.Placement())
 		}
 	}
 	if !bitGet(s.computed, tr.Node) {
@@ -1241,19 +1236,11 @@ func (sy *Synthesizer) compApplicable(s *state, tr *theory.Triple) bool {
 		}
 	}
 	for _, p := range tr.LeafPre() {
-		if got := s.placed[p.Ref]; got != leafPlacement(p) && got != unplaced {
+		if got := s.placed[p.Ref]; got != p.Placement() && got != theory.Unplaced {
 			return false
 		}
 	}
 	return true
-}
-
-// leafPlacement is the placement a leaf precondition asks for.
-func leafPlacement(p theory.Property) int8 {
-	if p.Kind == theory.Gather {
-		return int8(p.Dim)
-	}
-	return replicated
 }
 
 // compDelta returns the effective cost of s with tr appended to its open
@@ -1278,8 +1265,8 @@ func (sy *Synthesizer) applyComp(s *state, tr *theory.Triple) *state {
 	ns := sy.clone(s)
 	ns.tail = sy.record(s.tail, step{tr: tr})
 	for _, p := range tr.LeafPre() {
-		if s.placed[p.Ref] == unplaced {
-			ns.place(p.Ref, leafPlacement(p))
+		if s.placed[p.Ref] == theory.Unplaced {
+			ns.place(p.Ref, p.Placement())
 		}
 	}
 	ns.setComputed(tr.Node)
@@ -1309,7 +1296,7 @@ func (sy *Synthesizer) applyComp(s *state, tr *theory.Triple) *state {
 		}
 	}
 	for _, p := range tr.LeafPre() {
-		if gr := sy.gradOf[p.Ref]; gr >= 0 && s.placed[p.Ref] == unplaced {
+		if gr := sy.gradOf[p.Ref]; gr >= 0 && s.placed[p.Ref] == theory.Unplaced {
 			sy.touched = touch(sy.touched, graph.NodeID(gr))
 		}
 	}
@@ -1386,15 +1373,9 @@ func (sy *Synthesizer) commCandidates(s *state, p theory.Property, run []theory.
 	outDim := -1
 	if isOutput {
 		output = sy.outputs[oi]
-		if output.Param >= 0 {
-			switch pd := s.placed[output.Param]; pd {
-			case unplaced:
-				return out // placement unknown: communicating now could corner us
-			case replicated:
-				outDim = -1
-			default:
-				outDim = int(pd)
-			}
+		var known bool
+		if outDim, known = output.FinalDim(s.paramPlacement(output)); !known {
+			return out // placement unknown: communicating now could corner us
 		}
 	}
 	try := func(coll collective.Kind, d, d2 int, res theory.Property) {
@@ -1586,21 +1567,14 @@ func (sy *Synthesizer) dead(s *state, u, node graph.NodeID) bool {
 }
 
 func (sy *Synthesizer) outputAcceptable(s *state, o theory.Output) bool {
-	dim := -1
-	if o.Param >= 0 {
-		switch pd := s.placed[o.Param]; pd {
-		case unplaced:
-			return false
-		case replicated:
-			dim = -1
-		default:
-			dim = int(pd)
-		}
+	return o.Settles(s.paramPlacement(o), s.propsOf(o.Ref))
+}
+
+// paramPlacement is the placement of o's parameter (Replicated for the
+// loss, which has none).
+func (s *state) paramPlacement(o theory.Output) int8 {
+	if o.Param < 0 {
+		return theory.Replicated
 	}
-	for _, p := range s.propsOf(o.Ref) {
-		if o.Acceptable(p, dim) {
-			return true
-		}
-	}
-	return false
+	return s.placed[o.Param]
 }

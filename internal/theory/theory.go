@@ -72,6 +72,21 @@ func (p Property) Slot() int {
 	return -1
 }
 
+// Leaf placements, as a search's state and Check's replay record them: a
+// shard dimension ≥ 0, Replicated, or Unplaced until the leaf is loaded.
+const (
+	Unplaced   int8 = -2
+	Replicated int8 = -1
+)
+
+// Placement is the leaf placement a leaf precondition p asks for.
+func (p Property) Placement() int8 {
+	if p.Kind == Gather {
+		return p.Dim
+	}
+	return Replicated
+}
+
 // Id, Shard and Pending are property constructors.
 func Id(e graph.NodeID) Property           { return Property{Ref: e, Kind: Identity} }
 func Shard(e graph.NodeID, d int) Property { return Property{Ref: e, Kind: Gather, Dim: int8(d)} }
@@ -551,4 +566,34 @@ func (o Output) Acceptable(prop Property, paramShardDim int) bool {
 		return true
 	}
 	return paramShardDim >= 0 && prop.Kind == Gather && int(prop.Dim) == paramShardDim
+}
+
+// FinalDim returns the shard dimension an acceptable final form of the
+// output carries once its parameter is placed at placed: -1 (a full form)
+// for the loss or a replicated parameter, and false while the parameter is
+// unplaced, when no form is known to be acceptable.
+func (o Output) FinalDim(placed int8) (int, bool) {
+	switch {
+	case o.Param < 0 || placed == Replicated:
+		return -1, true
+	case placed == Unplaced:
+		return 0, false
+	}
+	return int(placed), true
+}
+
+// Settles reports whether the output, holding props, ends acceptable once
+// its parameter is placed at placed (the loss ignores it): the one rule a
+// search's final state and Check's replay both apply.
+func (o Output) Settles(placed int8, props []Property) bool {
+	dim, ok := o.FinalDim(placed)
+	if !ok {
+		return false
+	}
+	for _, p := range props {
+		if o.Acceptable(p, dim) {
+			return true
+		}
+	}
+	return false
 }

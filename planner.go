@@ -13,10 +13,8 @@ package hap
 
 import (
 	"context"
-	"fmt"
 
 	"hap/internal/hapopt"
-	"hap/internal/obs"
 	"hap/internal/synth"
 )
 
@@ -76,6 +74,10 @@ var optimize = hapopt.Optimize
 // g is only read, so concurrent calls may share it: the plan's
 // Program.Graph is g, or a shallow copy of g carrying the plan's segment
 // assignment (WithSegments) when g does not carry it already.
+// Every plan returned has passed the program checker (theory.Check), which
+// the optimization loop runs in its "verify" phase; a plan that fails it is
+// an error. Numeric verification (Verify) executes the plan and is left to
+// the caller: it has no kernel for several ops the paper's models use.
 func (p *Planner) Plan(ctx context.Context, g *Graph) (*Plan, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -83,17 +85,6 @@ func (p *Planner) Plan(ctx context.Context, g *Graph) (*Plan, error) {
 	res, err := optimize(ctx, g, p.c, p.hapoptOptions())
 	if err != nil {
 		return nil, err
-	}
-	// The serving path's "verify" phase: the structural validator gating
-	// every plan handed out. Numeric verification (hap.Verify) executes the
-	// plan and is left to the caller: it has no kernel for several ops the
-	// paper's models use.
-	vs := obs.SpanFromContext(ctx).Child("verify")
-	vs.SetAttrStr("kind", "structural")
-	verr := res.Program.Validate()
-	vs.End()
-	if verr != nil {
-		return nil, fmt.Errorf("hap: synthesized program is ill-formed: %w", verr)
 	}
 	return &Plan{
 		Program:       res.Program,
