@@ -32,69 +32,6 @@ var (
 	fuzzGraphs = flag.Int("fuzz-graphs", 50, "number of random graphs the differential harness generates")
 )
 
-// randomTrainingGraph builds a random small MLP-family training graph:
-// 1–3 matmul layers over a random batch and widths, with random activations
-// (ReLU/Sigmoid/GeLU/Softmax), element-wise parameter interactions
-// (Add/Mul), scaling, an optional two-branch fan-out with accumulation, and
-// a full backward pass.
-func randomTrainingGraph(t *testing.T, rng *rand.Rand) *Graph {
-	t.Helper()
-	g := NewGraph()
-	b := []int{16, 32, 64}[rng.Intn(3)]
-	f := 4 + rng.Intn(29)
-	cur := g.AddPlaceholder("x", 0, b, f)
-
-	layers := 1 + rng.Intn(3)
-	for l := 0; l < layers; l++ {
-		out := 4 + rng.Intn(29)
-		if rng.Intn(4) == 0 {
-			// Two-branch layer: y = act(x·w) ⊕ act'(x·w'), exercising fan-out
-			// and gradient accumulation.
-			w1 := g.AddParameter(fmt.Sprintf("w%da", l), f, out)
-			w2 := g.AddParameter(fmt.Sprintf("w%db", l), f, out)
-			h1 := randomActivation(g, rng, g.AddOp(MatMul, cur, w1))
-			h2 := randomActivation(g, rng, g.AddOp(MatMul, cur, w2))
-			cur = g.AddOp(Add, h1, h2)
-		} else {
-			w := g.AddParameter(fmt.Sprintf("w%d", l), f, out)
-			cur = randomActivation(g, rng, g.AddOp(MatMul, cur, w))
-			if rng.Intn(3) == 0 {
-				// Element-wise interaction with a full-shape parameter.
-				p := g.AddParameter(fmt.Sprintf("p%d", l), b, out)
-				if rng.Intn(2) == 0 {
-					cur = g.AddOp(Add, cur, p)
-				} else {
-					cur = g.AddOp(Mul, cur, p)
-				}
-			}
-		}
-		f = out
-		if rng.Intn(4) == 0 {
-			cur = g.AddScale(cur, 0.25+rng.Float64())
-		}
-	}
-	g.SetLoss(g.AddOp(Sum, g.AddScale(cur, 1/float64(b))))
-	if err := Backward(g); err != nil {
-		t.Fatalf("Backward: %v", err)
-	}
-	return g
-}
-
-func randomActivation(g *Graph, rng *rand.Rand, id NodeID) NodeID {
-	switch rng.Intn(5) {
-	case 0:
-		return g.AddOp(ReLU, id)
-	case 1:
-		return g.AddOp(Sigmoid, id)
-	case 2:
-		return g.AddOp(GeLU, id)
-	case 3:
-		return g.AddOp(Softmax, id)
-	default:
-		return id
-	}
-}
-
 // fuzzClusters are the cluster shapes every random graph is planned on:
 // heterogeneous across machines, homogeneous within one machine, and a
 // three-machine mix with machine-level (multi-GPU) virtual devices.
@@ -122,24 +59,14 @@ func fastClusters() []*Cluster {
 	return cs
 }
 
-// verifyRecovered is Verify with a panic of the numeric runtime returned as
-// an error.
-func verifyRecovered(plan *Plan, devices int, seed int64) (err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("panic: %v", r)
-		}
-	}()
-	return Verify(plan, devices, seed)
-}
-
 // TestDifferentialFastNetwork is the harness's arm whose plans communicate:
 // the random graphs, drawn as TestDifferentialRandomGraphs draws them,
 // planned on fastClusters. Every plan passes the program checker, and a
-// plan that fails Verify, by an error or a panic of the numeric runtime,
-// must have a stale read: a computation reading a layout that a collective
-// on its tensor already replaced, which the runtime's one buffer per tensor
-// no longer holds (ROADMAP AE removes them; until then such plans exist).
+// plan that fails Verify must have a stale read: a computation reading a
+// layout that a collective on its tensor already replaced, which the
+// runtime's one buffer per tensor no longer holds (ROADMAP AE removes them;
+// until then such plans exist). Verify returns such a failure as an error
+// naming the instruction; a panic would end the test binary.
 // The arm fails when no plan has a collective. It runs ten graphs, or
 // -fuzz-graphs when the flag is given.
 func TestDifferentialFastNetwork(t *testing.T) {
@@ -154,7 +81,7 @@ func TestDifferentialFastNetwork(t *testing.T) {
 	for i := 0; i < graphs; i++ {
 		seed := *fuzzSeed + int64(i)
 		rng := rand.New(rand.NewSource(seed))
-		g := randomTrainingGraph(t, rng)
+		g := models.RandomTraining(rng)
 		segments := 1
 		if g.ForwardCount >= 6 && rng.Intn(2) == 0 {
 			segments = 2
@@ -172,7 +99,7 @@ func TestDifferentialFastNetwork(t *testing.T) {
 			if plan.Program.NumComms() > 0 {
 				communicating++
 			}
-			if err := verifyRecovered(plan, c.M(), seed); err != nil {
+			if err := Verify(plan, c.M(), seed); err != nil {
 				failing++
 				if stale == 0 {
 					t.Errorf("seed %d, cluster %d: Verify fails on a plan with no stale read: %v\n%s", seed, ci, err, plan.Program)
@@ -255,7 +182,7 @@ func TestDifferentialRandomGraphs(t *testing.T) {
 	for i := 0; i < graphs; i++ {
 		seed := *fuzzSeed + int64(i)
 		rng := rand.New(rand.NewSource(seed))
-		g := randomTrainingGraph(t, rng)
+		g := models.RandomTraining(rng)
 		// Per-segment sharding ratios for some multi-layer graphs.
 		segments := 1
 		if g.ForwardCount >= 6 && rng.Intn(2) == 0 {

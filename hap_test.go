@@ -8,7 +8,10 @@ import (
 	"strings"
 	"testing"
 
+	"hap/internal/cluster"
+	"hap/internal/models"
 	"hap/internal/obs"
+	"hap/internal/theory"
 )
 
 func testCluster() *Cluster {
@@ -156,5 +159,30 @@ func TestVerifyRejectsDeviceCountMismatch(t *testing.T) {
 	}
 	if err := Verify(plan, c.M(), 1); err != nil {
 		t.Errorf("Verify on the plan's own %d devices: %v", c.M(), err)
+	}
+}
+
+// TestVerifyStaleReadIsAnError: on a network 100 times the paper's speed
+// the MLP's plan reads e13 after an all-to-all replaced the layout it reads
+// (a stale read, ROADMAP AE). The numeric runtime keeps one buffer per
+// tensor, so the matmul's local operands disagree: Verify returns an error
+// naming the instruction, where its kernel once panicked.
+func TestVerifyStaleReadIsAnError(t *testing.T) {
+	c := cluster.PaperHeterogeneous(1)
+	c.Net.InterBW *= 100
+	c.Net.IntraBW *= 100
+	c.Net.InterLatency /= 100
+	c.Net.IntraLatency /= 100
+	c.Net.KernelOverhead /= 100
+	plan, err := NewPlanner(c).Plan(context.Background(), models.Training(models.MLP(64, 256, 256, 256, 10)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stale, err := theory.Check(theory.New(plan.Program.Graph), plan.Program, nil); err != nil || stale == 0 {
+		t.Fatalf("the witness has %d stale reads (%v), want some\n%s", stale, err, plan.Program)
+	}
+	want := "runtime: distributed execution: runtime: instruction 19 (e17 = matmul(e16, e13)): device 0: graph: matmul shape mismatch [256 11] · [64 2]"
+	if err := Verify(plan, c.M(), 1); err == nil || err.Error() != want {
+		t.Errorf("Verify: %v, want %q\n%s", err, want, plan.Program)
 	}
 }

@@ -12,14 +12,12 @@
 // Beyond the core representation, the package provides the subsystem layers
 // every later pipeline stage builds on: a structural validator enforcing
 // SSA-style well-formedness (Validate), a disassembler mirroring the paper's
-// program listings (String, Format), stable JSON serialization for
-// exporting/diffing/re-loading plans (Encode, Decode), program statistics
-// (Stats), and a dead-code-elimination pass (Prune).
+// program listings (String), a JSON export for diffing plans
+// (Encode, write-only: the binary form is the one that is read back),
+// program statistics (Stats), and a dead-code-elimination pass (Prune).
 package dist
 
 import (
-	"fmt"
-	"io"
 	"strconv"
 	"strings"
 
@@ -68,74 +66,51 @@ func Comm(ref graph.NodeID, kind collective.Kind, d, d2 int) Instruction {
 // "all-gather(e3, 1)" for collectives, "e5 = matmul(e1, e3)" for
 // computations, with sharded placements as "e0 = placeholder-shard(0)". A
 // computation's inputs are node Ref's in g; a reference outside g (or a nil
-// g) renders none. The text is appended into one buffer sized for it, so a
-// call allocates once.
+// g) renders none. The text is appended into a stack buffer and copied
+// into one string of its length, so a call allocates once.
 func (in Instruction) Text(g *graph.Graph) string {
+	var buf [128]byte
+	text := in.appendText(buf[:0], g)
 	var b strings.Builder
+	b.Grow(len(text))
+	b.Write(text)
+	return b.String()
+}
+
+// appendText appends in's text (Text) to b.
+func (in Instruction) appendText(b []byte, g *graph.Graph) []byte {
 	if in.IsComm {
-		name := in.Coll.String()
-		b.Grow(len(name) + 8 + decLen(int(in.Ref)) + decLen(in.Dim) + decLen(in.Dim2))
-		b.WriteString(name)
-		writeInt(&b, "(e", int(in.Ref))
+		b = appendInt(append(b, in.Coll.String()...), "(e", int(in.Ref))
 		if in.Coll != collective.AllReduce {
-			writeInt(&b, ", ", in.Dim)
+			b = appendInt(b, ", ", in.Dim)
 		}
 		if in.Coll == collective.AllToAll {
-			writeInt(&b, ", ", in.Dim2)
+			b = appendInt(b, ", ", in.Dim2)
 		}
-		b.WriteByte(')')
-		return b.String()
+		return append(b, ')')
 	}
 	var inputs []graph.NodeID
 	if n := nodeOf(g, in.Ref); n != nil {
 		inputs = n.Inputs
 	}
-	op := in.Op.String()
-	size := len(op) + 16 + decLen(int(in.Ref)) + decLen(in.ShardDim)
+	b = append(append(appendInt(b, "e", int(in.Ref)), " = "...), in.Op.String()...)
+	if in.ShardDim >= 0 {
+		b = append(b, "-shard"...)
+	}
+	b = append(b, '(')
+	sep := ""
 	for _, u := range inputs {
-		size += 3 + decLen(int(u))
-	}
-	b.Grow(size)
-	writeInt(&b, "e", int(in.Ref))
-	b.WriteString(" = ")
-	b.WriteString(op)
-	if in.ShardDim >= 0 {
-		b.WriteString("-shard")
-	}
-	b.WriteByte('(')
-	for i, u := range inputs {
-		if i > 0 {
-			b.WriteString(", ")
-		}
-		writeInt(&b, "e", int(u))
+		b, sep = appendInt(b, sep+"e", int(u)), ", "
 	}
 	if in.ShardDim >= 0 {
-		if len(inputs) > 0 {
-			b.WriteString(", ")
-		}
-		writeInt(&b, "", in.ShardDim)
+		b = appendInt(b, sep, in.ShardDim)
 	}
-	b.WriteByte(')')
-	return b.String()
+	return append(b, ')')
 }
 
-// writeInt writes prefix and then v in decimal.
-func writeInt(b *strings.Builder, prefix string, v int) {
-	var digits [20]byte
-	b.WriteString(prefix)
-	b.Write(strconv.AppendInt(digits[:0], int64(v), 10))
-}
-
-// decLen is the length of v in decimal, its sign included.
-func decLen(v int) int {
-	n := 1
-	if v < 0 {
-		n, v = 2, -v
-	}
-	for ; v >= 10; v /= 10 {
-		n++
-	}
-	return n
+// appendInt appends prefix and then v in decimal.
+func appendInt(b []byte, prefix string, v int) []byte {
+	return strconv.AppendInt(append(b, prefix...), int64(v), 10)
 }
 
 // nodeOf returns g's node ref, or nil when g is nil or has no such node:
@@ -171,43 +146,37 @@ func (p *Program) NumComms() int {
 	return n
 }
 
-// Format writes the program one instruction per line, mirroring the paper's
-// program listings (Fig. 6): communications in assignment form
+// String renders the program one instruction per line, mirroring the
+// paper's program listings (Fig. 6): communications in assignment form
 // ("e7 = all-gather(e7, 1)"), computations annotated with the node's name,
 // the loss marker, and "replicated" for non-leaf computations whose flops do
-// not scale with the sharding ratio (the SFB pattern).
-func (p *Program) Format(w io.Writer) error {
-	for i := range p.Instrs {
-		in := &p.Instrs[i]
-		line := in.Text(p.Graph)
-		if in.IsComm {
-			line = fmt.Sprintf("e%d = %s", in.Ref, line)
-		}
-		var notes []string
-		if n := nodeOf(p.Graph, in.Ref); n != nil && !in.IsComm {
-			if n.Name != "" {
-				notes = append(notes, n.Name)
-			}
-			if in.Ref == p.Graph.Loss {
-				notes = append(notes, "loss")
-			}
-			if !in.FlopsScaled && !n.Kind.IsLeaf() && n.Kind != graph.Expand {
-				notes = append(notes, "replicated")
-			}
-		}
-		if len(notes) > 0 {
-			line += "  # " + strings.Join(notes, ", ")
-		}
-		if _, err := fmt.Fprintln(w, line); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// String renders the program as its disassembly listing.
+// not scale with the sharding ratio (the SFB pattern). The listing is
+// written into one buffer.
 func (p *Program) String() string {
 	var b strings.Builder
-	p.Format(&b) // strings.Builder writes cannot fail
+	b.Grow(64 * len(p.Instrs)) // a longer listing grows it
+	var line [128]byte
+	for i := range p.Instrs {
+		in := &p.Instrs[i]
+		if in.IsComm {
+			b.Write(appendInt(line[:0], "e", int(in.Ref)))
+			b.WriteString(" = ")
+		}
+		b.Write(in.appendText(line[:0], p.Graph))
+		if n := nodeOf(p.Graph, in.Ref); n != nil && !in.IsComm {
+			sep := "  # "
+			note := func(text string, ok bool) {
+				if ok {
+					b.WriteString(sep)
+					b.WriteString(text)
+					sep = ", "
+				}
+			}
+			note(n.Name, n.Name != "")
+			note("loss", in.Ref == p.Graph.Loss)
+			note("replicated", !in.FlopsScaled && !n.Kind.IsLeaf() && n.Kind != graph.Expand)
+		}
+		b.WriteByte('\n')
+	}
 	return b.String()
 }

@@ -27,7 +27,7 @@ import (
 // (refused-*), each member null (null-*), escaped names and values, an
 // unknown member, fractions and exponents, 19-digit and out-of-range
 // numbers, short and long pairs, and floats at the writer's format
-// boundaries, 1e-6 and 1e21.
+// boundaries, 1e-6 and 1e21; the seeds add a graph of rank 129.
 func FuzzGraphDecode(f *testing.F) {
 	tiny := models.TransformerConfig{Layers: 2, Hidden: 8, FFN: 16, SeqLen: 4, Vocab: 16}
 	moe := tiny
@@ -37,12 +37,20 @@ func FuzzGraphDecode(f *testing.F) {
 	for i := segmented.NumNodes() / 2; i < segmented.NumNodes(); i++ {
 		segmented.SegmentOf[i] = 1
 	}
+	// A rank past graph.MaxRank, which Validate refuses.
+	wide := make([]int, graph.MaxRank+1)
+	for i := range wide {
+		wide[i] = 1
+	}
+	rank129 := graph.New()
+	rank129.SetLoss(rank129.AddOp(graph.Sum, rank129.AddOp(graph.Mul, rank129.AddPlaceholder("x", 0, wide...), rank129.AddParameter("w", wide...))))
 	for _, g := range []*graph.Graph{
 		models.Training(models.MLP(8, 4, 3)),
 		models.Training(models.BERT(tiny, 8)),
 		models.Training(models.BERT(moe, 8)),
 		models.Training(models.ViT(tiny, 8, 6, 3)),
 		segmented,
+		rank129,
 	} {
 		var buf bytes.Buffer
 		if err := g.Encode(&buf); err != nil {

@@ -10,7 +10,9 @@
 package graph
 
 import (
+	"errors"
 	"fmt"
+	"math"
 	"slices"
 	"strings"
 
@@ -187,8 +189,15 @@ func (g *Graph) NumNodes() int { return len(g.Nodes) }
 func (g *Graph) add(n Node) NodeID {
 	n.ID = NodeID(len(g.Nodes))
 	if n.Shape == nil {
+		s, err := InferShape(n.Kind, g.operands(&n), nil)
+		if err == ErrDeclaredShape {
+			err = fmt.Errorf("graph: cannot infer shape for %v", n.Kind)
+		}
+		if err != nil {
+			panic(err)
+		}
 		// A scalar's shape is empty, not nil: the wire writes it.
-		if n.Shape = g.inferShape(&n, nil); n.Shape == nil {
+		if n.Shape = s; s == nil {
 			n.Shape = tensor.Shape{}
 		}
 	}
@@ -283,69 +292,66 @@ func (g *Graph) SetLoss(id NodeID) {
 	g.Loss = id
 }
 
-// inferShape appends n's output shape, inferred from its inputs', to dst and
-// returns it: a caller that only checks the shape passes a buffer of its
-// own, and add passes nil. It panics on inputs the op cannot take.
-func (g *Graph) inferShape(n *Node, dst tensor.Shape) tensor.Shape {
-	in := func(i int) tensor.Shape { return g.Node(n.Inputs[i]).Shape }
-	switch n.Kind {
+// ErrDeclaredShape is InferShape's answer for an op kind whose output shape
+// is declared where the node is built, not inferred: the leaves, Expand,
+// Conv, Embed, Attention, Pool and the gradient kinds built with AddShaped.
+var ErrDeclaredShape = errors.New("graph: output shape is declared, not inferred")
+
+// InferShape is the shape rule: the output shape of op kind k applied to
+// operands of shapes in (a unary op reads in[0]), appended to dst, or an
+// error when the op cannot take them. The builders, the wire decoder and
+// the numeric runtime all judge shapes by it; with room in dst, a success
+// allocates nothing.
+func InferShape(k OpKind, in [2]tensor.Shape, dst tensor.Shape) (tensor.Shape, error) {
+	a, b := in[0], in[1]
+	switch k {
 	case MatMul:
-		a, b := in(0), in(1)
 		if len(a) != 2 || len(b) != 2 || a[1] != b[0] {
-			panic(fmt.Sprintf("graph: matmul shape mismatch %v · %v", a, b))
+			return nil, fmt.Errorf("graph: matmul shape mismatch %v · %v", a, b)
 		}
-		return append(dst, a[0], b[1])
+		return append(dst, a[0], b[1]), nil
 	case Transpose:
-		a := in(0)
 		if len(a) != 2 {
-			panic(fmt.Sprintf("graph: transpose needs rank 2, got %v", a))
+			return nil, fmt.Errorf("graph: transpose needs rank 2, got %v", a)
 		}
-		return append(dst, a[1], a[0])
-	case Add, Mul:
-		a, b := in(0), in(1)
+		return append(dst, a[1], a[0]), nil
+	case Add, Mul, ReLUGrad, SigmoidGrad, GeLUGrad, SoftmaxGrad:
 		if !a.Equal(b) {
-			panic(fmt.Sprintf("graph: %v shape mismatch %v vs %v", n.Kind, a, b))
+			return nil, fmt.Errorf("graph: %v shape mismatch %v vs %v", k, a, b)
 		}
-		return append(dst, a...)
+		return append(dst, a...), nil
 	case Scale, ReLU, Sigmoid, GeLU, Softmax:
-		return append(dst, in(0)...)
-	case ReLUGrad, SigmoidGrad, GeLUGrad, SoftmaxGrad:
-		a, b := in(0), in(1)
-		if !a.Equal(b) {
-			panic(fmt.Sprintf("graph: %v shape mismatch %v vs %v", n.Kind, a, b))
-		}
-		return append(dst, a...)
+		return append(dst, a...), nil
 	case Sum:
-		return dst
-	case ConvGradX:
-		// (w, gy): grad has the shape of the conv input, which equals
-		// (batch of gy, in-features of w's logical input) — builders use
-		// AddOp with explicit wiring; shape = (gy[0], attr) is unknown here,
-		// so ConvGradX nodes are added with explicit shapes by autodiff.
-		panic("graph: ConvGradX requires explicit shape")
-	case ConvGradW:
-		panic("graph: ConvGradW requires explicit shape")
+		return dst, nil
 	case Dispatch:
 		// x (T,H), gates (T,E) → (E, C, H) with capacity C = T/E (≥1).
-		x, gates := in(0), in(1)
-		t, h, e := x[0], x[1], gates[1]
-		c := t / e
-		if c == 0 {
-			c = 1
+		if len(a) != 2 || len(b) != 2 || b[1] == 0 {
+			return nil, fmt.Errorf("graph: dispatch shape mismatch %v, %v", a, b)
 		}
-		return append(dst, e, c, h)
+		return append(dst, b[1], max(a[0]/b[1], 1), a[1]), nil
 	case ExpertMM:
-		d, w := in(0), in(1)
-		if len(d) != 3 || len(w) != 3 || d[0] != w[0] || d[2] != w[1] {
-			panic(fmt.Sprintf("graph: expert_mm shape mismatch %v · %v", d, w))
+		if len(a) != 3 || len(b) != 3 || a[0] != b[0] || a[2] != b[1] {
+			return nil, fmt.Errorf("graph: expert_mm shape mismatch %v · %v", a, b)
 		}
-		return append(dst, d[0], d[1], w[2])
+		return append(dst, a[0], a[1], b[2]), nil
 	case Combine:
-		e, gates := in(0), in(1)
-		return append(dst, gates[0], e[2])
-	default:
-		panic(fmt.Sprintf("graph: cannot infer shape for %v", n.Kind))
+		// e (E,C,H), gates (T,E) → (T,H).
+		if len(a) != 3 || len(b) != 2 {
+			return nil, fmt.Errorf("graph: combine shape mismatch %v, %v", a, b)
+		}
+		return append(dst, b[0], a[2]), nil
 	}
+	return nil, ErrDeclaredShape
+}
+
+// operands returns the shapes of n's first two inputs, InferShape's
+// operands.
+func (g *Graph) operands(n *Node) (in [2]tensor.Shape) {
+	for i, u := range n.Inputs[:min(len(n.Inputs), len(in))] {
+		in[i] = g.Node(u).Shape
+	}
+	return in
 }
 
 // inferBatchDim propagates the batch axis through ops where the output keeps
@@ -499,6 +505,10 @@ func (g *Graph) Consumers() [][]NodeID {
 	return out
 }
 
+// MaxRank is the most dimensions a tensor may have: theory.Property and the
+// synthesizer's candidates name a dimension in an int8.
+const MaxRank = math.MaxInt8 + 1
+
 // arity is each op kind's input count, for Validate, indexed by kind.
 var arity = [...]int8{
 	Placeholder: 0, Parameter: 0, Ones: 0, Expand: 1,
@@ -511,15 +521,22 @@ var arity = [...]int8{
 	Embed: 2, EmbedGrad: 2, Attention: 1, AttentionGrad: 2, Pool: 1, PoolGrad: 2,
 }
 
-// Validate checks topological ordering, input arity, and loss designation.
+// Validate checks topological ordering, op kinds, input arity, ranks and
+// loss designation.
 func (g *Graph) Validate() error {
 	for i := range g.Nodes {
 		n := &g.Nodes[i]
 		if n.ID != NodeID(i) {
 			return fmt.Errorf("graph: node %d has id %d", i, n.ID)
 		}
-		if k := n.Kind; k >= 0 && int(k) < len(arity) && len(n.Inputs) != int(arity[k]) {
-			return fmt.Errorf("graph: node %d (%v) has %d inputs, want %d", i, n.Kind, len(n.Inputs), arity[k])
+		if int(n.Kind) >= len(arity) {
+			return fmt.Errorf("graph: node %d has unknown op kind %d", i, n.Kind)
+		}
+		if len(n.Inputs) != int(arity[n.Kind]) {
+			return fmt.Errorf("graph: node %d (%v) has %d inputs, want %d", i, n.Kind, len(n.Inputs), arity[n.Kind])
+		}
+		if len(n.Shape) > MaxRank {
+			return fmt.Errorf("graph: node %d (%v) has rank %d, above %d", i, n.Kind, len(n.Shape), MaxRank)
 		}
 		for _, in := range n.Inputs {
 			if in < 0 || in >= NodeID(i) {

@@ -3,6 +3,8 @@ package graph
 import (
 	"strings"
 	"testing"
+
+	"hap/internal/tensor"
 )
 
 // buildMLP constructs loss = sum(relu(x·w1)·w2), the running example family
@@ -56,6 +58,103 @@ func TestMatMulShapeMismatchPanics(t *testing.T) {
 		}
 	}()
 	g.AddOp(MatMul, x, w)
+}
+
+// TestInferShapeReturnsErrors holds the shape rule to errors where the
+// inference it replaced panicked or indexed past an operand, and to
+// ErrDeclaredShape for every kind whose shape is declared.
+func TestInferShapeReturnsErrors(t *testing.T) {
+	for _, tc := range []struct {
+		kind OpKind
+		in   [2]tensor.Shape
+		want string
+	}{
+		{MatMul, [2]tensor.Shape{{8, 4}, {5, 6}}, "graph: matmul shape mismatch [8 4] · [5 6]"},
+		{MatMul, [2]tensor.Shape{{8, 4}}, "graph: matmul shape mismatch [8 4] · []"},
+		{Transpose, [2]tensor.Shape{{8}}, "graph: transpose needs rank 2, got [8]"},
+		{Add, [2]tensor.Shape{{8, 4}, {4, 8}}, "graph: add shape mismatch [8 4] vs [4 8]"},
+		{SoftmaxGrad, [2]tensor.Shape{{8, 4}, {8}}, "graph: softmax_grad shape mismatch [8 4] vs [8]"},
+		{Dispatch, [2]tensor.Shape{{8}, {8, 2}}, "graph: dispatch shape mismatch [8], [8 2]"},
+		{Dispatch, [2]tensor.Shape{{8, 4}, {8, 0}}, "graph: dispatch shape mismatch [8 4], [8 0]"},
+		{ExpertMM, [2]tensor.Shape{{2, 4, 8}, {2, 4, 8}}, "graph: expert_mm shape mismatch [2 4 8] · [2 4 8]"},
+		{Combine, [2]tensor.Shape{{2, 4}, {8, 2}}, "graph: combine shape mismatch [2 4], [8 2]"},
+		{Combine, [2]tensor.Shape{{2, 4, 4}, {8}}, "graph: combine shape mismatch [2 4 4], [8]"},
+	} {
+		if _, err := InferShape(tc.kind, tc.in, nil); err == nil || err.Error() != tc.want {
+			t.Errorf("%v on %v: error %v, want %q", tc.kind, tc.in, err, tc.want)
+		}
+	}
+	for _, k := range []OpKind{Placeholder, Parameter, Ones, Expand, Conv, ConvGradX, ConvGradW,
+		DispatchGrad, ExpertMMGradX, ExpertMMGradW, CombineGrad, CombineGradG,
+		Embed, EmbedGrad, Attention, AttentionGrad, Pool, PoolGrad} {
+		if _, err := InferShape(k, [2]tensor.Shape{{8, 4}, {8, 4}}, nil); err != ErrDeclaredShape {
+			t.Errorf("%v: error %v, want ErrDeclaredShape", k, err)
+		}
+	}
+	var buf [4]int
+	in := [2]tensor.Shape{{8, 4}, {4, 6}}
+	if got := testing.AllocsPerRun(10, func() {
+		if s, err := InferShape(MatMul, in, buf[:0]); err != nil || !s.Equal(tensor.Shape{8, 6}) {
+			t.Fatalf("matmul: %v, %v", s, err)
+		}
+	}); got != 0 {
+		t.Errorf("a success into a buffer with room allocates %.0f times, want 0", got)
+	}
+}
+
+// TestBuilderPanicsWithTheRulesError: a builder keeps panicking on shapes
+// the op cannot take, with the rule's message.
+func TestBuilderPanicsWithTheRulesError(t *testing.T) {
+	for _, tc := range []struct {
+		build func(g *Graph)
+		want  string
+	}{
+		{func(g *Graph) { g.AddOp(MatMul, g.AddPlaceholder("x", 0, 8, 4), g.AddParameter("w", 5, 6)) }, "graph: matmul shape mismatch [8 4] · [5 6]"},
+		{func(g *Graph) { g.AddOp(EmbedGrad, g.AddParameter("ids", 8), g.AddParameter("gy", 8, 4)) }, "graph: cannot infer shape for embed_grad"},
+	} {
+		func() {
+			defer func() {
+				if err, ok := recover().(error); !ok || err.Error() != tc.want {
+					t.Errorf("panic %v, want the error %q", err, tc.want)
+				}
+			}()
+			tc.build(New())
+		}()
+	}
+}
+
+// rankGraph is loss = sum(x ∘ w) over two tensors of the given rank.
+func rankGraph(rank int) *Graph {
+	shape := make([]int, rank)
+	for i := range shape {
+		shape[i] = 1
+	}
+	shape[0] = 4
+	g := New()
+	x := g.AddPlaceholder("x", 0, shape...)
+	g.SetLoss(g.AddOp(Sum, g.AddOp(Mul, x, g.AddParameter("w", shape...))))
+	return g
+}
+
+// TestValidateRefusesRankAboveMax: a rank past what an int8 dimension can
+// name is refused before any theory is built from the graph.
+func TestValidateRefusesRankAboveMax(t *testing.T) {
+	if err := rankGraph(MaxRank).Validate(); err != nil {
+		t.Errorf("rank %d: %v", MaxRank, err)
+	}
+	want := "graph: node 0 (placeholder) has rank 129, above 128"
+	if err := rankGraph(MaxRank + 1).Validate(); err == nil || err.Error() != want {
+		t.Errorf("rank %d: error %v, want %q", MaxRank+1, err, want)
+	}
+}
+
+func TestValidateRefusesUnknownKind(t *testing.T) {
+	g := buildMLP(t)
+	g.Nodes[1].Kind = OpKind(len(arity))
+	want := "graph: node 1 has unknown op kind 35"
+	if err := g.Validate(); err == nil || err.Error() != want {
+		t.Errorf("error %v, want %q", err, want)
+	}
 }
 
 func TestBatchDimPropagation(t *testing.T) {

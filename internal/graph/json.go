@@ -28,7 +28,6 @@ import (
 	"strconv"
 	"unicode/utf8"
 
-	"hap/internal/tensor"
 	"hap/internal/wirejson"
 )
 
@@ -409,20 +408,16 @@ func (gf *graphFields) finish(g *Graph) error {
 	// Declared shapes must agree with what each op would actually produce:
 	// synthesis rules and the numeric runtime trust them, and an
 	// inconsistent shape (e.g. a scalar "softmax" of a matrix) panics deep
-	// in the pipeline. Kinds without an inference rule (leaves, grad kinds
-	// with explicit shapes) keep their declared shape. Each inferred shape
-	// is appended to one stack buffer (a rank past its length spills).
+	// in the pipeline. Kinds whose shape is declared keep it. Each inferred
+	// shape is appended to one stack buffer (a rank past its length spills).
 	var buf [4]int
 	for i := range g.Nodes {
 		n := &g.Nodes[i]
-		if !inferableKinds[n.Kind] {
-			continue
-		}
-		want, ok := g.tryInferShape(n, buf[:0])
-		if !ok {
-			return fmt.Errorf("graph: decode: node %d (%v) has inconsistent input shapes", i, n.Kind)
-		}
-		if !n.Shape.Equal(want) {
+		switch want, err := InferShape(n.Kind, g.operands(n), buf[:0]); {
+		case err == ErrDeclaredShape:
+		case err != nil:
+			return fmt.Errorf("graph: decode: node %d (%v) has inconsistent input shapes: %w", i, n.Kind, err)
+		case !n.Shape.Equal(want):
 			return fmt.Errorf("graph: decode: node %d (%v) declares shape %v, op produces %v", i, n.Kind, n.Shape, want.Clone())
 		}
 	}
@@ -437,24 +432,4 @@ func positiveZero(v float64) float64 {
 		return 0
 	}
 	return v
-}
-
-// inferableKinds are the op kinds inferShape has a rule for; for these a
-// wire graph's declared shape is checked against the inferred one, and an
-// inference panic means the inputs themselves are inconsistent.
-var inferableKinds = map[OpKind]bool{
-	MatMul: true, Transpose: true, Add: true, Mul: true, Scale: true,
-	ReLU: true, Sigmoid: true, GeLU: true, Softmax: true, Sum: true,
-	ReLUGrad: true, SigmoidGrad: true, GeLUGrad: true, SoftmaxGrad: true,
-	Dispatch: true, ExpertMM: true, Combine: true,
-}
-
-// tryInferShape runs inferShape, converting its panics into ok=false.
-func (g *Graph) tryInferShape(n *Node, dst tensor.Shape) (s tensor.Shape, ok bool) {
-	defer func() {
-		if recover() != nil {
-			s, ok = nil, false
-		}
-	}()
-	return g.inferShape(n, dst), true
 }

@@ -164,6 +164,25 @@ func TestGraphJSONRejectsInconsistentShapes(t *testing.T) {
 	}
 }
 
+// TestDecodeRefusesRankAboveMax: a wire graph with a rank-129 tensor is an
+// error at decode, where it once reached the planner and panicked it; rank
+// 128 decodes.
+func TestDecodeRefusesRankAboveMax(t *testing.T) {
+	for _, rank := range []int{MaxRank, MaxRank + 1} {
+		var buf bytes.Buffer
+		if err := rankGraph(rank).Encode(&buf); err != nil {
+			t.Fatal(err)
+		}
+		_, err := Decode(&buf)
+		if rank == MaxRank && err != nil {
+			t.Errorf("rank %d: %v", rank, err)
+		}
+		if want := "graph: decode: graph: node 0 (placeholder) has rank 129, above 128"; rank > MaxRank && (err == nil || err.Error() != want) {
+			t.Errorf("rank %d: error %v, want %q", rank, err, want)
+		}
+	}
+}
+
 func TestGraphJSONOmittedFieldsUseSentinels(t *testing.T) {
 	// The in-memory "none" sentinel is -1 for both the loss designation and
 	// the batch axis; omitted fields must not silently mean node/axis 0.

@@ -48,6 +48,29 @@ func TestOptimizeMLP(t *testing.T) {
 	}
 }
 
+// TestOptimizeRefusesRankAboveMax: a rank-129 graph is an error from
+// Optimize, where theory.New once panicked on it with an index out of
+// range; rank 128 still plans.
+func TestOptimizeRefusesRankAboveMax(t *testing.T) {
+	for _, rank := range []int{graph.MaxRank, graph.MaxRank + 1} {
+		shape := make([]int, rank)
+		for i := range shape {
+			shape[i] = 1
+		}
+		shape[0] = 4
+		g := graph.New()
+		x := g.AddPlaceholder("x", 0, shape...)
+		g.SetLoss(g.AddOp(graph.Sum, g.AddOp(graph.Mul, x, g.AddParameter("w", shape...))))
+		_, err := Optimize(context.Background(), models.Training(g), cluster.PaperHeterogeneous(1), Options{})
+		if rank == graph.MaxRank && err != nil {
+			t.Errorf("rank %d: %v", rank, err)
+		}
+		if want := "hapopt: graph: node 0 (placeholder) has rank 129, above 128"; rank > graph.MaxRank && (err == nil || err.Error() != want) {
+			t.Errorf("rank %d: error %v, want %q", rank, err, want)
+		}
+	}
+}
+
 func TestIterativeNoWorseThanSinglePass(t *testing.T) {
 	g := models.Training(models.MLP(256, 64, 128, 64, 10))
 	c := hetero2()

@@ -22,6 +22,7 @@ import (
 	"time"
 
 	"hap"
+	"hap/internal/models"
 )
 
 // Class is one request class of the workload mix.
@@ -227,12 +228,8 @@ func NewCorpus(graphs, clusters int, seed int64) (*Corpus, error) {
 	rng := rand.New(rand.NewSource(seed))
 	c := &Corpus{}
 	for gi := 0; gi < graphs; gi++ {
-		g, err := randomTrainingGraph(rng)
-		if err != nil {
-			return nil, fmt.Errorf("load: building graph %d: %w", gi, err)
-		}
 		var gb bytes.Buffer
-		if err := g.Encode(&gb); err != nil {
+		if err := models.RandomTraining(rng).Encode(&gb); err != nil {
 			return nil, fmt.Errorf("load: encoding graph %d: %w", gi, err)
 		}
 		graphJSON := json.RawMessage(gb.Bytes())
@@ -255,60 +252,3 @@ func (c *Corpus) Items() int { return len(c.singles) }
 
 // SingleBody returns item i's pre-marshalled /v1/synthesize body.
 func (c *Corpus) SingleBody(i int) []byte { return c.singles[i] }
-
-// randomTrainingGraph builds one random small MLP-family training graph —
-// the same family the differential harness fuzzes: 1–3 matmul layers over a
-// random batch and widths, random activations, element-wise parameter
-// interactions, an occasional two-branch fan-out, and a full backward pass.
-func randomTrainingGraph(rng *rand.Rand) (*hap.Graph, error) {
-	g := hap.NewGraph()
-	b := []int{16, 32, 64}[rng.Intn(3)]
-	f := 4 + rng.Intn(29)
-	cur := g.AddPlaceholder("x", 0, b, f)
-	layers := 1 + rng.Intn(3)
-	for l := 0; l < layers; l++ {
-		out := 4 + rng.Intn(29)
-		if rng.Intn(4) == 0 {
-			w1 := g.AddParameter(fmt.Sprintf("w%da", l), f, out)
-			w2 := g.AddParameter(fmt.Sprintf("w%db", l), f, out)
-			h1 := randomActivation(g, rng, g.AddOp(hap.MatMul, cur, w1))
-			h2 := randomActivation(g, rng, g.AddOp(hap.MatMul, cur, w2))
-			cur = g.AddOp(hap.Add, h1, h2)
-		} else {
-			w := g.AddParameter(fmt.Sprintf("w%d", l), f, out)
-			cur = randomActivation(g, rng, g.AddOp(hap.MatMul, cur, w))
-			if rng.Intn(3) == 0 {
-				p := g.AddParameter(fmt.Sprintf("p%d", l), b, out)
-				if rng.Intn(2) == 0 {
-					cur = g.AddOp(hap.Add, cur, p)
-				} else {
-					cur = g.AddOp(hap.Mul, cur, p)
-				}
-			}
-		}
-		f = out
-		if rng.Intn(4) == 0 {
-			cur = g.AddScale(cur, 0.25+rng.Float64())
-		}
-	}
-	g.SetLoss(g.AddOp(hap.Sum, g.AddScale(cur, 1/float64(b))))
-	if err := hap.Backward(g); err != nil {
-		return nil, err
-	}
-	return g, nil
-}
-
-func randomActivation(g *hap.Graph, rng *rand.Rand, id hap.NodeID) hap.NodeID {
-	switch rng.Intn(5) {
-	case 0:
-		return g.AddOp(hap.ReLU, id)
-	case 1:
-		return g.AddOp(hap.Sigmoid, id)
-	case 2:
-		return g.AddOp(hap.GeLU, id)
-	case 3:
-		return g.AddOp(hap.Softmax, id)
-	default:
-		return id
-	}
-}

@@ -2,6 +2,8 @@ package load
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"strings"
 	"testing"
@@ -41,6 +43,24 @@ func TestCorpusDeterministic(t *testing.T) {
 	}
 	if err := json.Unmarshal(a.SingleBody(0), &req); err != nil || len(req.Graph) == 0 || len(req.Cluster) == 0 {
 		t.Errorf("single body malformed: %v", err)
+	}
+}
+
+// TestCorpusDigest pins the bytes of a corpus: the graph family is drawn
+// by models.RandomTraining, which the differential harness shares, and a
+// change to its draws moves every loadgen run's cache keys.
+func TestCorpusDigest(t *testing.T) {
+	const want = "1cd3de52cee37011f211612377663f07209bff353ea64171e7144a0f75dbb8c2"
+	c, err := NewCorpus(6, 2, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := sha256.New()
+	for i := 0; i < c.Items(); i++ {
+		h.Write(c.SingleBody(i))
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != want {
+		t.Errorf("sha256 of the %d bodies = %s, want %s", c.Items(), got, want)
 	}
 }
 

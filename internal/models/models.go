@@ -11,6 +11,7 @@ package models
 
 import (
 	"fmt"
+	"math/rand"
 
 	"hap/internal/autodiff"
 	"hap/internal/graph"
@@ -34,6 +35,54 @@ func MLP(batch int, widths ...int) *graph.Graph {
 	}
 	g.SetLoss(g.AddOp(graph.Sum, g.AddScale(h, 1/float64(batch))))
 	return g
+}
+
+// RandomTraining builds a random small MLP-family training graph from rng's
+// draws: 1–3 matmul layers over a random batch and widths, random
+// activations (ReLU/Sigmoid/GeLU/Softmax), element-wise parameter
+// interactions (Add/Mul), scaling, an occasional two-branch fan-out with
+// gradient accumulation, and a full backward pass. The differential
+// harness fuzzes this family, and the load generator's corpus is drawn
+// from it.
+func RandomTraining(rng *rand.Rand) *graph.Graph {
+	g := graph.New()
+	activation := func(id graph.NodeID) graph.NodeID { // one of four, or none
+		if k := rng.Intn(5); k < 4 {
+			return g.AddOp([...]graph.OpKind{graph.ReLU, graph.Sigmoid, graph.GeLU, graph.Softmax}[k], id)
+		}
+		return id
+	}
+	b := []int{16, 32, 64}[rng.Intn(3)]
+	f := 4 + rng.Intn(29)
+	cur := g.AddPlaceholder("x", 0, b, f)
+	layers := 1 + rng.Intn(3)
+	for l := 0; l < layers; l++ {
+		out := 4 + rng.Intn(29)
+		if rng.Intn(4) == 0 {
+			// Two-branch layer: y = act(x·w) ⊕ act'(x·w').
+			w1 := g.AddParameter(fmt.Sprintf("w%da", l), f, out)
+			w2 := g.AddParameter(fmt.Sprintf("w%db", l), f, out)
+			h1 := activation(g.AddOp(graph.MatMul, cur, w1))
+			cur = g.AddOp(graph.Add, h1, activation(g.AddOp(graph.MatMul, cur, w2)))
+		} else {
+			w := g.AddParameter(fmt.Sprintf("w%d", l), f, out)
+			cur = activation(g.AddOp(graph.MatMul, cur, w))
+			if rng.Intn(3) == 0 {
+				// Element-wise interaction with a full-shape parameter.
+				p, op := g.AddParameter(fmt.Sprintf("p%d", l), b, out), graph.Add
+				if rng.Intn(2) != 0 {
+					op = graph.Mul
+				}
+				cur = g.AddOp(op, cur, p)
+			}
+		}
+		f = out
+		if rng.Intn(4) == 0 {
+			cur = g.AddScale(cur, 0.25+rng.Float64())
+		}
+	}
+	g.SetLoss(g.AddOp(graph.Sum, g.AddScale(cur, 1/float64(b))))
+	return Training(g)
 }
 
 // transformerLayer appends one pre-LN-free Transformer block: fused-QKV

@@ -172,11 +172,19 @@ func ExecDistributed(p *dist.Program, m int, b [][]float64, leaves map[graph.Nod
 	sizes := func(ref graph.NodeID, d int) []int {
 		return collective.ShardSizes(g.Node(ref).Shape[d], b[g.Segment(ref)])
 	}
-	for _, in := range p.Instrs {
+	for i := range p.Instrs {
+		in := &p.Instrs[i]
 		if in.IsComm {
 			cur, ok := vals[in.Ref]
 			if !ok {
 				return nil, fmt.Errorf("runtime: collective on unproduced tensor e%d", in.Ref)
+			}
+			shard := in.Dim // the dim the collective reads its tensor sharded on
+			if in.Coll == collective.AllReduce || in.Coll == collective.ReduceScatter {
+				shard = -1
+			}
+			if err := checkLayout(cur, g.Node(in.Ref).Shape, shard); err != nil {
+				return nil, fmt.Errorf("runtime: instruction %d (%s): %w", i, in.Text(g), err)
 			}
 			var next []*tensor.Tensor
 			switch in.Coll {
@@ -197,6 +205,9 @@ func ExecDistributed(p *dist.Program, m int, b [][]float64, leaves map[graph.Nod
 			continue
 		}
 		n := g.Node(in.Ref)
+		if err := checkOperands(n, vals, m); err != nil {
+			return nil, fmt.Errorf("runtime: instruction %d (%s): %w", i, in.Text(g), err)
+		}
 		out := make([]*tensor.Tensor, m)
 		switch n.Kind {
 		case graph.Placeholder, graph.Parameter:
@@ -250,6 +261,54 @@ func ExecDistributed(p *dist.Program, m int, b [][]float64, leaves map[graph.Nod
 	return vals, nil
 }
 
+// checkOperands refuses computation n when an earlier instruction produced
+// none of one of its inputs, or when a device's local operands have shapes
+// the op cannot take (graph.InferShape), so a kernel never sees them.
+func checkOperands(n *graph.Node, vals map[graph.NodeID][]*tensor.Tensor, m int) error {
+	var buf [4]int
+	for j := 0; j < m; j++ {
+		var in [2]tensor.Shape
+		for k, u := range n.Inputs {
+			if _, ok := vals[u]; !ok {
+				return fmt.Errorf("reads e%d, which no earlier instruction produced", u)
+			}
+			if k < len(in) {
+				in[k] = vals[u][j].Shape()
+			}
+		}
+		if _, err := graph.InferShape(n.Kind, in, buf[:0]); err != nil && err != graph.ErrDeclaredShape {
+			return fmt.Errorf("device %d: %w", j, err)
+		}
+	}
+	return nil
+}
+
+// checkLayout refuses devices' buffers cur unless they hold a tensor of
+// shape full in one layout: whole on each (shard < 0), or cut on dim shard
+// into pieces that make the whole. A collective reads its tensor in such a
+// layout, which a computation that read a stale one can fail to leave, and
+// RelationOf tries each layout.
+func checkLayout(cur []*tensor.Tensor, full tensor.Shape, shard int) error {
+	total := 0
+	for j, t := range cur {
+		s := t.Shape()
+		ok := len(s) == len(full) && shard < len(full)
+		for d := 0; ok && d < len(s); d++ {
+			ok = s[d] == full[d] || d == shard
+		}
+		if !ok {
+			return fmt.Errorf("device %d holds shape %v, no layout of %v", j, s, full)
+		}
+		if shard >= 0 {
+			total += s[shard]
+		}
+	}
+	if shard >= 0 && total != full[shard] {
+		return fmt.Errorf("the devices' dim %d sums to %d, not %d", shard, total, full[shard])
+	}
+	return nil
+}
+
 func replicate(t *tensor.Tensor, m int) []*tensor.Tensor {
 	out := make([]*tensor.Tensor, m)
 	for i := range out {
@@ -279,30 +338,11 @@ func RelationOf(ref *tensor.Tensor, instances []*tensor.Tensor) (string, error) 
 	if allEqual {
 		return "identity", nil
 	}
-	sameShape := true
-	for _, inst := range instances {
-		if !inst.Shape().Equal(ref.Shape()) {
-			sameShape = false
-			break
-		}
-	}
-	if sameShape && tensor.AllClose(collective.AllReduceT(instances), ref, 1e-6, 1e-6) {
+	if checkLayout(instances, ref.Shape(), -1) == nil && tensor.AllClose(collective.AllReduceT(instances), ref, 1e-6, 1e-6) {
 		return "all-reduce", nil
 	}
 	for d := 0; d < ref.Rank(); d++ {
-		ok := true
-		total := 0
-		for _, inst := range instances {
-			if inst.Rank() != ref.Rank() {
-				ok = false
-				break
-			}
-			total += inst.Dim(d)
-		}
-		if !ok || total != ref.Dim(d) {
-			continue
-		}
-		if tensor.AllClose(collective.AllGatherT(instances, d), ref, rtol, atol) {
+		if checkLayout(instances, ref.Shape(), d) == nil && tensor.AllClose(collective.AllGatherT(instances, d), ref, rtol, atol) {
 			return fmt.Sprintf("all-gather(%d)", d), nil
 		}
 	}

@@ -8,7 +8,9 @@ import (
 
 	"hap/internal/autodiff"
 	"hap/internal/cluster"
+	"hap/internal/collective"
 	"hap/internal/cost"
+	"hap/internal/dist"
 	"hap/internal/graph"
 	"hap/internal/models"
 	"hap/internal/synth"
@@ -219,5 +221,35 @@ func TestCostOnlyOpsRejected(t *testing.T) {
 	}
 	if _, err := ExecSingle(g, leaves); err == nil {
 		t.Error("conv should be cost-only")
+	}
+}
+
+// TestExecDistributedRefusesWhatNoKernelTakes: a computation reading a
+// tensor no earlier instruction produced or local operands its op cannot
+// take, and a collective whose devices hold no layout of its tensor, are
+// errors naming the instruction, not kernel panics.
+func TestExecDistributedRefusesWhatNoKernelTakes(t *testing.T) {
+	g := graph.New()
+	x := g.AddPlaceholder("x", 0, 8, 4)
+	w := g.AddParameter("w", 4, 3)
+	y := g.AddOp(graph.MatMul, x, w)
+	load := func(ref graph.NodeID, shard int) dist.Instruction {
+		return dist.Instruction{Ref: ref, ShardDim: shard, Op: g.Node(ref).Kind}
+	}
+	mm := dist.Instruction{Ref: y, ShardDim: -1, Op: graph.MatMul, FlopsScaled: true}
+	leaves := map[graph.NodeID]*tensor.Tensor{x: tensor.Ones(8, 4), w: tensor.Ones(4, 3)}
+	for _, tc := range []struct {
+		instrs []dist.Instruction
+		want   string
+	}{
+		{[]dist.Instruction{load(x, 0), mm}, "runtime: instruction 1 (e2 = matmul(e0, e1)): reads e1, which no earlier instruction produced"},
+		{[]dist.Instruction{load(x, 1), load(w, -1), mm}, "runtime: instruction 2 (e2 = matmul(e0, e1)): device 0: graph: matmul shape mismatch [8 2] · [4 3]"},
+		{[]dist.Instruction{load(x, -1), load(w, -1), mm, dist.Comm(y, collective.PaddedAllGather, 0, 0)}, "runtime: instruction 3 (all-gather(e2, 0)): the devices' dim 0 sums to 16, not 8"},
+		{[]dist.Instruction{load(x, 0), load(w, -1), mm, dist.Comm(y, collective.AllReduce, 0, 0)}, "runtime: instruction 3 (all-reduce(e2)): device 0 holds shape [4 3], no layout of [8 3]"},
+	} {
+		p := &dist.Program{Graph: g, Instrs: tc.instrs}
+		if _, err := ExecDistributed(p, 2, [][]float64{{0.5, 0.5}}, leaves); err == nil || err.Error() != tc.want {
+			t.Errorf("%s: error %v, want %q", p, err, tc.want)
+		}
 	}
 }

@@ -256,6 +256,34 @@ func TestServeRejectsBadRequests(t *testing.T) {
 	}
 }
 
+// TestServeRefusesRankAboveMaxAtDecode: a full body whose graph has a
+// rank-129 tensor is answered 400 by the graph decoder; no synthesis starts
+// (theory.New once panicked on it, and only the single-flight's recover
+// kept the daemon up).
+func TestServeRefusesRankAboveMaxAtDecode(t *testing.T) {
+	s := New(Config{})
+	srv := httptest.NewServer(s.Handler())
+	defer srv.Close()
+	shape := make([]int, graph.MaxRank+1)
+	for i := range shape {
+		shape[i] = 1
+	}
+	g := graph.New()
+	x := g.AddPlaceholder("x", 0, shape...)
+	g.SetLoss(g.AddOp(graph.Sum, g.AddOp(graph.Mul, x, g.AddParameter("w", shape...))))
+	status, _, body := post(t, srv.URL, requestBody(t, g, testCluster(), RequestOptions{}))
+	var env ErrorEnvelope
+	if err := json.Unmarshal(body, &env); err != nil {
+		t.Fatalf("body %q: %v", body, err)
+	}
+	if want := "graph: decode: graph: node 0 (placeholder) has rank 129, above 128"; status != http.StatusBadRequest || env.Code != CodeBadRequest || !strings.Contains(env.Message, want) {
+		t.Errorf("answer %d %+v, want 400 %s naming %q", status, env, CodeBadRequest, want)
+	}
+	if st := s.Stats(); st.Syntheses != 0 || st.CacheMisses != 0 {
+		t.Errorf("%d syntheses and %d misses, want none", st.Syntheses, st.CacheMisses)
+	}
+}
+
 func TestServeSynthesisFailureNotCached(t *testing.T) {
 	calls := 0
 	s := New(Config{

@@ -72,8 +72,9 @@ func (sd *Seed) Steps() int { return len(sd.steps) }
 // BuildSeed builds a search seed for target graph g (with background theory
 // th) from a donor plan. Returns nil — callers fall back to cold synthesis —
 // when the structural distance exceeds maxDistance (≤0 means
-// DefaultMaxSeedDistance), or when the donor program fails theory.Check
-// against its own theory, whose reading the seed translates. donorTh may be nil; it is built from
+// DefaultMaxSeedDistance), when the donor graph fails graph.Validate, or
+// when the donor program fails theory.Check against its own theory, whose
+// reading the seed translates. donorTh may be nil; it is built from
 // the donor graph on demand (or shared with th when the graphs are one
 // object).
 func BuildSeed(donorG *graph.Graph, donorProg *dist.Program, donorTh *theory.Theory, g *graph.Graph, th *theory.Theory, maxDistance float64) *Seed {
@@ -86,6 +87,9 @@ func BuildSeed(donorG *graph.Graph, donorProg *dist.Program, donorTh *theory.The
 
 	var d *graph.Diff
 	if donorG != g {
+		if donorG.Validate() != nil {
+			return nil
+		}
 		d = graph.StructuralDiff(donorG, g)
 		if d.Norm > maxDistance {
 			return nil

@@ -25,6 +25,27 @@ func synthFor(g *graph.Graph, c *cluster.Cluster, opt Options) (*Synthesizer, *t
 	return New(g, th, c, b, opt), th
 }
 
+// TestBuildSeedRefusesInvalidDonorGraph: a donor graph that fails
+// graph.Validate (here a rank-129 input, which a Property cannot name)
+// seeds nothing, and no theory is built from it.
+func TestBuildSeedRefusesInvalidDonorGraph(t *testing.T) {
+	g := seedTestGraph(t, 64, 128, 96, 32)
+	sy, th := synthFor(g, cluster.PaperHeterogeneous(1), Options{BeamWidth: 24})
+	cold, _, err := sy.Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	donor := *g
+	donor.Nodes = append([]graph.Node(nil), g.Nodes...)
+	donor.Nodes[0].Shape = make([]int, graph.MaxRank+1)
+	for i := range donor.Nodes[0].Shape {
+		donor.Nodes[0].Shape[i] = 1
+	}
+	if seed := BuildSeed(&donor, cold, nil, g, th, 0); seed != nil {
+		t.Errorf("BuildSeed seeded from a donor graph Validate refuses")
+	}
+}
+
 // TestSeedFullReplay seeds a search from its own plan: the diff is zero, the
 // whole donor program fast-forwards, and the result must be byte-identical.
 func TestSeedFullReplay(t *testing.T) {

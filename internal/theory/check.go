@@ -151,7 +151,7 @@ func (c *checker) walk(instrs []dist.Instruction, path []branch) ([]branch, fail
 		case in.Op != n.Kind:
 			return path, failure{at: i, why: "op differs from its node's"}
 		case n.Kind.IsLeaf():
-			if t.placed != Unplaced || in.ShardDim < -1 || in.ShardDim >= min(len(n.Shape), math.MaxInt8+1) {
+			if t.placed != Unplaced || in.ShardDim < -1 || in.ShardDim >= len(n.Shape) {
 				return path, failure{at: i, why: "loads a leaf twice or on a dimension it does not have"}
 			}
 			t.placed = int8(in.ShardDim)
@@ -213,9 +213,10 @@ func (c *checker) walk(instrs []dist.Instruction, path []branch) ([]branch, fail
 
 // transition returns the property a collective consumes and the one it
 // makes (the inverse of the synthesizer's commCandidates), or false on a
-// dimension its tensor of rank rank does not have or a Property cannot name.
+// dimension its tensor of rank rank does not have. A validated graph's
+// ranks are at most graph.MaxRank, so a Property names every dimension.
 func transition(in *dist.Instruction, rank int) (src, res Property, ok bool) {
-	dim := func(d int) bool { return d >= 0 && d < min(rank, math.MaxInt8+1) }
+	dim := func(d int) bool { return d >= 0 && d < rank }
 	switch in.Coll {
 	case collective.AllReduce:
 		return Pending(in.Ref), Id(in.Ref), true

@@ -209,7 +209,8 @@ type Output struct {
 // New builds the background theory for a single-device graph by matching
 // the per-op rules against every node. The rules run twice: a counting pass
 // sizes one slab each for the triples and their pointers, and a filling pass
-// writes into them, so New allocates per graph rather than per triple.
+// writes into them, so New allocates per graph rather than per triple. g
+// must pass graph.Validate: a Property names a dimension in an int8.
 func New(g *graph.Graph) *Theory {
 	n := g.NumNodes()
 	t := &Theory{

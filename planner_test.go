@@ -334,3 +334,29 @@ func BenchmarkPlanWarm(b *testing.B) {
 		})
 	}
 }
+
+// TestPlanRefusesRankAboveMax: a graph with a rank-129 tensor is an error
+// from Plan, where it once panicked theory.New with an index out of range
+// (a Property names a dimension in an int8); rank 128 still plans.
+func TestPlanRefusesRankAboveMax(t *testing.T) {
+	for _, rank := range []int{graph.MaxRank, graph.MaxRank + 1} {
+		shape := make([]int, rank)
+		for i := range shape {
+			shape[i] = 1
+		}
+		shape[0] = 4
+		g := NewGraph()
+		x := g.AddPlaceholder("x", 0, shape...)
+		g.SetLoss(g.AddOp(graph.Sum, g.AddOp(graph.Mul, x, g.AddParameter("w", shape...))))
+		if err := Backward(g); err != nil {
+			t.Fatal(err)
+		}
+		_, err := NewPlanner(testCluster()).Plan(context.Background(), g)
+		if rank == graph.MaxRank && err != nil {
+			t.Errorf("rank %d: %v", rank, err)
+		}
+		if rank > graph.MaxRank && (err == nil || !strings.Contains(err.Error(), "has rank 129, above 128")) {
+			t.Errorf("rank %d: error %v, want the rank refused", rank, err)
+		}
+	}
+}
