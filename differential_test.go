@@ -1,17 +1,14 @@
 package hap
 
 import (
-	"bytes"
 	"flag"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"hap/internal/cluster"
-	"hap/internal/collective"
 	"hap/internal/cost"
-	"hap/internal/dist"
-	"hap/internal/graph"
 	"hap/internal/models"
 	"hap/internal/passes"
 	"hap/internal/theory"
@@ -62,13 +59,14 @@ func fastClusters() []*Cluster {
 // TestDifferentialFastNetwork is the harness's arm whose plans communicate:
 // the random graphs, drawn as TestDifferentialRandomGraphs draws them,
 // planned on fastClusters. Every plan passes the program checker, and a
-// plan that fails Verify must have a stale read: a computation reading a
-// layout that a collective on its tensor already replaced, which the
-// runtime's one buffer per tensor no longer holds (ROADMAP AE removes them;
-// until then such plans exist). Verify returns such a failure as an error
-// naming the instruction; a panic would end the test binary.
-// The arm fails when no plan has a collective. It runs ten graphs, or
-// -fuzz-graphs when the flag is given.
+// plan that fails Verify must be in a known defect class: it has a stale
+// read (a computation reading a layout that a collective on its tensor
+// already replaced, which the runtime's one buffer per tensor no longer
+// holds; ROADMAP AE), or it reads a sharded tensor across a segment
+// boundary with unequal ratios (crossesUnequalSegments; ROADMAP P). Verify
+// returns such a failure as an error naming the instruction; a panic would
+// end the test binary. The arm fails when no plan has a collective. It runs
+// ten graphs, or -fuzz-graphs when the flag is given.
 func TestDifferentialFastNetwork(t *testing.T) {
 	graphs := 10
 	flag.Visit(func(f *flag.Flag) {
@@ -76,41 +74,99 @@ func TestDifferentialFastNetwork(t *testing.T) {
 			graphs = *fuzzGraphs
 		}
 	})
-	clusters := fastClusters()
-	plans, communicating, failing := 0, 0, 0
+	plans, communicating, stale, boundary := 0, 0, 0, 0
 	for i := 0; i < graphs; i++ {
 		seed := *fuzzSeed + int64(i)
-		rng := rand.New(rand.NewSource(seed))
-		g := models.RandomTraining(rng)
-		segments := 1
-		if g.ForwardCount >= 6 && rng.Intn(2) == 0 {
-			segments = 2
-		}
-		for ci, c := range clusters {
-			plan, err := planWith(g, c, Options{Segments: segments})
-			if err != nil {
-				t.Fatalf("seed %d, cluster %d: Plan: %v", seed, ci, err)
-			}
-			stale, err := theory.Check(theory.New(plan.Program.Graph), plan.Program, nil)
-			if err != nil {
-				t.Fatalf("seed %d, cluster %d: the plan fails its check: %v\n%s", seed, ci, err, plan.Program)
-			}
+		for ci := range fastClusters() {
+			plan, c, staleReads, reading := fastArmPlan(t, seed, ci)
 			plans++
 			if plan.Program.NumComms() > 0 {
 				communicating++
 			}
 			if err := Verify(plan, c.M(), seed); err != nil {
-				failing++
-				if stale == 0 {
-					t.Errorf("seed %d, cluster %d: Verify fails on a plan with no stale read: %v\n%s", seed, ci, err, plan.Program)
+				switch {
+				case staleReads > 0:
+					stale++
+				case crossesUnequalSegments(plan, reading):
+					boundary++
+				default:
+					t.Errorf("seed %d, cluster %d: Verify fails on a plan with no stale read and no unequal segment boundary: %v\n%s", seed, ci, err, plan.Program)
 				}
 			}
 		}
 	}
-	t.Logf("%d plans, %d with a collective, %d failing Verify", plans, communicating, failing)
+	t.Logf("%d plans, %d with a collective; failing Verify: %d with a stale read, %d across an unequal segment boundary", plans, communicating, stale, boundary)
 	if communicating == 0 {
 		t.Errorf("none of %d plans has a collective: the arm checks no collective", plans)
 	}
+}
+
+// fastArmPlan draws the random graph of seed, as
+// TestDifferentialRandomGraphs draws it, plans it on fastClusters()[ci] and
+// returns the plan with its cluster, stale-read count and reading.
+func fastArmPlan(t *testing.T, seed int64, ci int) (*Plan, *Cluster, int, []*theory.Triple) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	g := models.RandomTraining(rng)
+	segments := 1
+	if g.ForwardCount >= 6 && rng.Intn(2) == 0 {
+		segments = 2
+	}
+	c := fastClusters()[ci]
+	plan, err := planWith(g, c, Options{Segments: segments})
+	if err != nil {
+		t.Fatalf("seed %d, cluster %d: Plan: %v", seed, ci, err)
+	}
+	th := theory.New(plan.Program.Graph)
+	reading := make([]*theory.Triple, th.Graph.NumNodes())
+	stale, err := theory.Check(th, plan.Program, reading)
+	if err != nil {
+		t.Fatalf("seed %d, cluster %d: the plan fails its check: %v\n%s", seed, ci, err, plan.Program)
+	}
+	return plan, c, stale, reading
+}
+
+// TestVerifySegmentBoundaryIsAnError is the fast-network arm's witness of
+// ROADMAP P's segment-boundary defect: seed 106 on fastClusters()[0] plans
+// two segments with ratios [[0.691 0.309] [0.5 0.5]], and e25 = matmul(e24,
+// e21) reads two operands split by different segments' ratios. The plan has
+// no stale read. Verify fails with an error naming the instruction; the
+// test expects that error until P gives a boundary one meaning.
+func TestVerifySegmentBoundaryIsAnError(t *testing.T) {
+	plan, c, stale, reading := fastArmPlan(t, 106, 0)
+	if stale != 0 || !crossesUnequalSegments(plan, reading) {
+		t.Fatalf("the witness has %d stale reads, crosses an unequal segment boundary: %t; want 0 and true\nratios %v\n%s",
+			stale, crossesUnequalSegments(plan, reading), plan.Ratios, plan.Program)
+	}
+	want := "runtime: distributed execution: runtime: instruction 25 (e25 = matmul(e24, e21)): device 0: graph: matmul shape mismatch [31 44] · [32 31]"
+	if err := Verify(plan, c.M(), 106); err == nil || err.Error() != want {
+		t.Errorf("Verify: %v, want %q\nratios %v\n%s", err, want, plan.Ratios, plan.Program)
+	}
+}
+
+// crossesUnequalSegments reports whether a computation of plan, read as
+// reading (theory.Check's reading of plan.Program), reads a sharded operand
+// of another segment whose ratios differ from its own segment's. The
+// runtime splits each tensor by its own segment's ratios, so such an
+// operand's local shape is not the one the computation's segment expects:
+// ROADMAP P's segment-boundary defect, which the cost model charges as a
+// transfer the program does not hold.
+func crossesUnequalSegments(plan *Plan, reading []*theory.Triple) bool {
+	g := plan.Program.Graph
+	for _, tr := range reading {
+		if tr == nil {
+			continue
+		}
+		seg := g.Segment(tr.Node)
+		for _, pre := range [2][]theory.Property{tr.Pre(), tr.LeafPre()} {
+			for _, p := range pre {
+				if from := g.Segment(p.Ref); p.Kind == theory.Gather && from != seg && !slices.Equal(plan.Ratios[from], plan.Ratios[seg]) {
+					return true
+				}
+			}
+		}
+	}
+	return false
 }
 
 // passesArm is the pass-pipeline-enabled arm of the differential harness:
@@ -188,7 +244,6 @@ func TestDifferentialRandomGraphs(t *testing.T) {
 		if g.ForwardCount >= 6 && rng.Intn(2) == 0 {
 			segments = 2
 		}
-		var plans []*Program
 		for ci, c := range clusters {
 			c := c
 			t.Run(fmt.Sprintf("seed=%d/cluster=%d/segments=%d", seed, ci, segments), func(t *testing.T) {
@@ -208,10 +263,9 @@ func TestDifferentialRandomGraphs(t *testing.T) {
 						err, g, plan.Program)
 				}
 				passesArm(t, plan, c, seed)
-				plans = append(plans, plan.Program, seededArm(t, g, plan, c, segments, seed))
+				seededArm(t, g, plan, c, segments, seed)
 			})
 		}
-		equalBinaryArm(t, plans)
 	}
 }
 
@@ -220,7 +274,7 @@ func TestDifferentialRandomGraphs(t *testing.T) {
 // and cost no more than the cold one — on every graph × cluster pair the
 // harness generates. Graphs small enough for exact A* exercise the
 // seed-ignored path instead (the planner must not report them seeded).
-func seededArm(t *testing.T, g *Graph, cold *Plan, c *cluster.Cluster, segments int, seed int64) *Program {
+func seededArm(t *testing.T, g *Graph, cold *Plan, c *cluster.Cluster, segments int, seed int64) {
 	t.Helper()
 	plan, err := planWith(g, c, Options{Segments: segments, SeedGraph: g, SeedPlan: cold})
 	if err != nil {
@@ -244,101 +298,6 @@ func seededArm(t *testing.T, g *Graph, cold *Plan, c *cluster.Cluster, segments 
 		// ratio rebalancing could differ, and it is deterministic too.
 		if plan.Program.String() != cold.Program.String() {
 			t.Errorf("self-seeded plan differs from its donor:\n%s\nvs cold:\n%s", plan.Program, cold.Program)
-		}
-	}
-	return plan.Program
-}
-
-// equalBinaryArm holds Program.EqualBinary — the optimizer loop's test for a
-// program it has seen before — to bytes.Equal of the two encodings, over
-// every pair of one graph's plans and of single-field variants of them: one
-// for each field the encoding writes, and for one it does not (a second
-// negative shard dim). These plans hold no collective, so each
-// also gets a copy with an All-Reduce appended, whose fields vary too.
-func equalBinaryArm(t *testing.T, plans []*Program) {
-	t.Helper()
-	var bases, progs []*Program
-	for _, p := range plans {
-		q := p.Clone()
-		if n := len(q.Instrs); n > 0 {
-			q.Instrs = append(q.Instrs, dist.Comm(q.Instrs[n-1].Ref, collective.AllReduce, 0, 0))
-		}
-		bases = append(bases, p, q)
-	}
-	for _, p := range bases {
-		progs = append(progs, p)
-		if len(p.Instrs) == 0 {
-			continue
-		}
-		variant := func(edit func(in *dist.Instruction)) {
-			for i := range p.Instrs {
-				q := p.Clone()
-				before := q.Instrs[i]
-				edit(&q.Instrs[i])
-				if q.Instrs[i] != before {
-					progs = append(progs, q)
-					return
-				}
-			}
-		}
-		variant(func(in *dist.Instruction) { in.Ref++ })
-		variant(func(in *dist.Instruction) { in.FlopsScaled = !in.FlopsScaled })
-		variant(func(in *dist.Instruction) {
-			if in.IsComm {
-				if in.Coll == collective.AllToAll {
-					in.Coll = collective.AllReduce
-				} else {
-					in.Coll = collective.AllToAll
-				}
-			}
-		})
-		variant(func(in *dist.Instruction) {
-			if in.IsComm {
-				in.Dim++
-			}
-		})
-		variant(func(in *dist.Instruction) {
-			if in.IsComm {
-				in.Dim2++
-			}
-		})
-		variant(func(in *dist.Instruction) {
-			if !in.IsComm {
-				if in.Op == graph.Add {
-					in.Op = graph.Mul
-				} else {
-					in.Op = graph.Add
-				}
-			}
-		})
-		variant(func(in *dist.Instruction) {
-			if !in.IsComm {
-				in.ShardDim = (in.ShardDim+2)%3 - 1 // -1 → 0 → 1 → -1
-			}
-		})
-		variant(func(in *dist.Instruction) {
-			if !in.IsComm && in.ShardDim < 0 {
-				in.ShardDim = -2
-			}
-		})
-		q := p.Clone()
-		q.Instrs = q.Instrs[:len(q.Instrs)-1]
-		progs = append(progs, q)
-	}
-	enc := make([][]byte, len(progs))
-	for i, p := range progs {
-		var buf bytes.Buffer
-		if err := p.EncodeBinary(&buf); err != nil {
-			t.Fatalf("EncodeBinary: %v", err)
-		}
-		enc[i] = buf.Bytes()
-	}
-	for i, p := range progs {
-		for j, q := range progs {
-			if got, want := p.EqualBinary(q), bytes.Equal(enc[i], enc[j]); got != want {
-				t.Errorf("programs %d and %d: EqualBinary %v, encodings equal %v:\n%s\nvs\n%s", i, j, got, want, p, q)
-				return
-			}
 		}
 	}
 }

@@ -8,10 +8,7 @@ import (
 	"strings"
 	"testing"
 
-	"hap/internal/cluster"
-	"hap/internal/models"
 	"hap/internal/obs"
-	"hap/internal/theory"
 )
 
 func testCluster() *Cluster {
@@ -162,27 +159,22 @@ func TestVerifyRejectsDeviceCountMismatch(t *testing.T) {
 	}
 }
 
-// TestVerifyStaleReadIsAnError: on a network 100 times the paper's speed
-// the MLP's plan reads e13 after an all-to-all replaced the layout it reads
-// (a stale read, ROADMAP AE). The numeric runtime keeps one buffer per
-// tensor, so the matmul's local operands disagree: Verify returns an error
-// naming the instruction, where its kernel once panicked.
+// TestVerifyStaleReadIsAnError: the fast-network arm's plan of seed 23 on
+// fastClusters()[1] reads e10 at e12 = matmul(e10, e11) after an
+// all-to-all replaced the layout it reads (a stale read, ROADMAP AE), and a
+// later computation reads the layout the all-to-all made, so the collective
+// is live. The numeric runtime keeps one buffer per tensor, so the matmul's
+// local operands disagree: Verify returns an error naming the instruction,
+// where its kernel once panicked. (The witness was an MLP on a network 100
+// times the paper's speed until the planner dropped collectives whose
+// layout nothing reads: its plan has no stale read any more.)
 func TestVerifyStaleReadIsAnError(t *testing.T) {
-	c := cluster.PaperHeterogeneous(1)
-	c.Net.InterBW *= 100
-	c.Net.IntraBW *= 100
-	c.Net.InterLatency /= 100
-	c.Net.IntraLatency /= 100
-	c.Net.KernelOverhead /= 100
-	plan, err := NewPlanner(c).Plan(context.Background(), models.Training(models.MLP(64, 256, 256, 256, 10)))
-	if err != nil {
-		t.Fatal(err)
+	plan, c, stale, _ := fastArmPlan(t, 23, 1)
+	if stale == 0 {
+		t.Fatalf("the witness has no stale read\n%s", plan.Program)
 	}
-	if stale, err := theory.Check(theory.New(plan.Program.Graph), plan.Program, nil); err != nil || stale == 0 {
-		t.Fatalf("the witness has %d stale reads (%v), want some\n%s", stale, err, plan.Program)
-	}
-	want := "runtime: distributed execution: runtime: instruction 19 (e17 = matmul(e16, e13)): device 0: graph: matmul shape mismatch [256 11] · [64 2]"
-	if err := Verify(plan, c.M(), 1); err == nil || err.Error() != want {
+	want := "runtime: distributed execution: runtime: instruction 13 (e12 = matmul(e10, e11)): device 0: graph: matmul shape mismatch [64 6] · [12 24]"
+	if err := Verify(plan, c.M(), 23); err == nil || err.Error() != want {
 		t.Errorf("Verify: %v, want %q\n%s", err, want, plan.Program)
 	}
 }

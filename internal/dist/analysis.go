@@ -44,6 +44,10 @@ func (p *Program) CollectiveCount() map[collective.Kind]int {
 // behind: a leaf loader or intermediate emitted for a triple whose consumer
 // a cheaper alternative later displaced. Communications on dead tensors are
 // removed with them; programs with no designated outputs are left untouched.
+// The planner no longer calls it: its liveness walk (theory.Checker.Live)
+// drops the same instructions and every collective whose layout nothing
+// reads. Its one remaining caller is internal/passes' DCE, until ROADMAP M
+// deletes that package.
 func (p *Program) Prune() int {
 	g := p.Graph
 	if g == nil {

@@ -134,29 +134,6 @@ func appendString(b []byte, s string) []byte {
 	return append(binary.AppendUvarint(b, uint64(len(s))), s...)
 }
 
-// EqualBinary reports whether p and q, two programs over one graph, encode
-// to the same EncodeBinary bytes, without encoding either: it compares what
-// the encoding writes of each instruction.
-func (p *Program) EqualBinary(q *Program) bool {
-	if len(p.Instrs) != len(q.Instrs) {
-		return false
-	}
-	for i := range p.Instrs {
-		a, b := &p.Instrs[i], &q.Instrs[i]
-		if a.IsComm != b.IsComm || a.FlopsScaled != b.FlopsScaled || a.Ref != b.Ref {
-			return false
-		}
-		if a.IsComm {
-			if a.Coll != b.Coll || a.Dim != b.Dim || a.Dim2 != b.Dim2 {
-				return false
-			}
-		} else if a.Op != b.Op || max(a.ShardDim, -1) != max(b.ShardDim, -1) {
-			return false // a negative shard dim is not written
-		}
-	}
-	return true
-}
-
 // DecodeBinary reads a program written by EncodeBinary, binds it to g, and
 // validates it: version, node count, the structural graph fingerprint (a
 // plan cannot be silently re-bound to a graph it was not synthesized for —

@@ -124,12 +124,10 @@ type rowID struct {
 // losing lists the rows that fail their order check on the noiseless
 // tables today. It is a ratchet, not a slack: a row may only leave it, and a
 // listed row that starts passing fails its table's test until it is removed.
-var losing = []rowID{
-	// HAP misses DeepSpeed's program on the homogeneous cluster by under
-	// 0.4 % (ROADMAP A(c)).
-	{"fig14", "BERT-MoE", 8},  // 1.508 vs 1.507 s
-	{"fig14", "BERT-MoE", 32}, // 2.724 vs 2.714 s
-}
+// Empty since the planner stopped charging for collectives whose layout
+// nothing reads: fig14 BERT-MoE 8 (1.508 vs DeepSpeed's 1.507 s) and 32
+// (2.724 vs 2.714 s) lost until then.
+var losing = []rowID{}
 
 // orders collects the failed order checks of every row it has seen.
 type orders map[rowID][]string

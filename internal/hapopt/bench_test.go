@@ -142,7 +142,11 @@ func countHolds(got float64, pin int) bool {
 // 53 / 74. Since Optimize checks the plan it returns (theory.Check, one
 // slab of four bytes per graph node), each row counts one allocation and
 // 1–2 KiB more: they read 1 548 / 8 324 → 72 / 423, 611 / 1 469 →
-// 230 / 212 and 433 / 1 302 → 52 / 69 before.
+// 230 / 212 and 433 / 1 302 → 52 / 69 before. While every iteration
+// pruned with dist.Prune (two slices each) and the verify phase made a
+// checker slab of its own, they read 1 549 / 8 326 → 73 / 425,
+// 612 / 1 470 → 231 / 213 and 434 / 1 303 → 53 / 70; the liveness walk
+// runs on one slab per Optimize, shared with the verify phase.
 func TestOptimizeAllocationPin(t *testing.T) {
 	cfg := models.BERTBase()
 	cfg.Layers = 4
@@ -154,12 +158,12 @@ func TestOptimizeAllocationPin(t *testing.T) {
 		coldAllocs, coldKiB int
 		warmAllocs, warmKiB int
 	}{
-		{"BERT-MoE/het8", loopInput, 2, 1549, 8326, 73, 425},
+		{"BERT-MoE/het8", loopInput, 2, 1547, 8316, 71, 415},
 		{"bert4/pg16/seg4", func() (*graph.Graph, *cluster.Cluster, Options) {
 			return bertGraph(cfg, models.PerDeviceBatch(models.ModelBERTBase)*pg16.TotalGPUs()), pg16,
 				Options{Segments: 4, Synth: synth.Options{BeamWidth: 48}}
-		}, 4, 612, 1470, 231, 213},
-		{"VGG19/hom4", hom4Input, 1, 434, 1303, 53, 70},
+		}, 4, 601, 1464, 220, 207},
+		{"VGG19/hom4", hom4Input, 1, 432, 1302, 51, 69},
 	} {
 		g, c, opt := row.input()
 		if _, searches, _, err := optimizeTraced(g, c, opt); err != nil || searches != row.searches {

@@ -13,6 +13,7 @@ import (
 	"hap/internal/graph"
 	"hap/internal/models"
 	"hap/internal/synth"
+	"hap/internal/theory"
 )
 
 // goldenLoop is one Optimize run as the balancer saw it: the FNV-64a of
@@ -25,18 +26,21 @@ type goldenLoop struct {
 }
 
 // goldenLoops was generated with the ratio LP over device classes (one B
-// variable per class, see balance.RatiosFromModel). synth's
+// variable per class, see balance.RatiosFromModel), on programs the
+// liveness walk (theory.Checker.Live) has cleaned, and with the loop ending
+// at the first iteration that does not beat the best. synth's
 // TestGoldenPlanIdentity runs one search at B⁽⁰⁾ and never reaches the
 // balancer; this table is the guard that a solver
 // change moved no ratio by a single bit on the benchmark's inputs. A failure
 // logs the row as built now; replace rows only in a change that means to
-// move B.
+// move B. Every row's plan is also walked again: it must keep no
+// instruction the walk drops.
 var goldenLoops = map[string]goldenLoop{
-	"mlp/pg32/seg4":      {"45aa8b78e914d7e5", "2", "ratios_converged"},
-	"mlp/pg32/seg1":      {"8c73ee8fb09cff85", "1", "ratios_converged"},
-	"bert4/pg16/seg4":    {"4a983ff54a01bf95", "4", "max_iterations"},
-	"vgg19r64/pg16/seg4": {"e25c04a56244c635", "2", "ratios_converged"},
-	"vgg19/het8":         {"c4567c15f4525d9d", "1", "ratios_converged"},
+	"mlp/pg32/seg4":      {"e431d494f01a8185", "2", "no_improvement"},
+	"mlp/pg32/seg1":      {"afa5a9766adfdd65", "1", "ratios_converged"},
+	"bert4/pg16/seg4":    {"b517652fe35455cd", "4", "no_improvement"},
+	"vgg19r64/pg16/seg4": {"ba7bdcf3f7075ec5", "2", "ratios_converged"},
+	"vgg19/het8":         {"5557e06870496071", "1", "ratios_converged"},
 	"bert6/a100p100":     {"cbaee9c2293ecf95", "1", "ratios_converged"},
 	"moe4/het8":          {"3cd3f00f0ba3ae35", "1", "ratios_converged"},
 }
@@ -95,9 +99,14 @@ func TestGoldenRatios(t *testing.T) {
 				}
 				return b, err
 			}
-			_, _, attrs, err := optimizeTraced(tc.g, tc.c, opt)
+			res, _, attrs, err := optimizeTraced(tc.g, tc.c, opt)
 			if err != nil {
 				t.Fatalf("Optimize: %v", err)
+			}
+			prog := res.Program.Clone()
+			check := theory.NewChecker(theory.New(prog.Graph))
+			if dropped, err := check.Live(prog); dropped != 0 || err != nil {
+				t.Errorf("the plan keeps %d instructions the liveness walk drops (%v)", dropped, err)
 			}
 			got := goldenLoop{fmt.Sprintf("%016x", h.Sum64()), attrs["iterations"], attrs["stop"]}
 			if want := goldenLoops[tc.name]; got != want {

@@ -4,14 +4,18 @@
 //	Q⁽ˢ⁾ = argmin_Q t(Q, B⁽ˢ⁻¹⁾)   (program synthesizer)
 //	B⁽ˢ⁾ = argmin_B t(Q⁽ˢ⁾, B)     (load balancer LP)
 //
-// iterated until convergence or oscillation; the best (Q,B) pair seen is
-// returned. A search is a pure function of B, so convergence is decided
-// before a search, not after it: when the balancer hands back the B the last
-// search ran under (see sameRatios), the loop stops without re-running it.
-// Oscillation — a Q, and with it B = LP(Q), coming back after a cycle of two
-// or more — is caught by remembering every Q. Each theory of the portfolio
-// has one synth.Synthesizer for the whole loop, re-priced for every B. This
-// package is HAP's top-level optimizer.
+// iterated until B converges or an iteration does not improve; the best
+// (Q,B) pair seen is returned. A search is a pure function of B, so
+// convergence is decided before a search, not after it: when the balancer
+// hands back the B the last search ran under (see sameRatios), the loop
+// stops without re-running it. An iteration whose t(Q,B) does not beat the
+// best ends the loop too, and this also ends oscillation: a Q coming back
+// after a cycle brings back B = LP(Q) and its t, which cannot beat the best.
+// Before it is costed, each Q goes through the liveness walk
+// (theory.Checker.Live), which drops every instruction, collectives
+// included, whose result nothing reads. Each theory of the portfolio has one
+// synth.Synthesizer for the whole loop, re-priced for every B. This package
+// is HAP's top-level optimizer.
 package hapopt
 
 import (
@@ -19,7 +23,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"slices"
 	"sync"
 	"time"
 
@@ -74,9 +77,10 @@ type Result struct {
 	Iters   int
 	Elapsed time.Duration
 	Synth   synth.Stats // stats of the final synthesis
-	// Pruned is the number of dead instructions removed from Program before
-	// cost modeling (the synthesizer's fused-leaf optimization can leave
-	// displaced leaf loaders behind; see dist.Prune).
+	// Pruned is the number of dead instructions the liveness walk
+	// (theory.Checker.Live) removed from Program before cost modeling: leaf
+	// loaders the synthesizer's fused-leaf optimization displaced, and
+	// collectives whose layout no computation or output reads.
 	Pruned int
 	// Seeded reports whether the returned program came out of a seeded
 	// (incremental) search rather than a cold one, and SeedDistance the
@@ -177,11 +181,14 @@ func Optimize(ctx context.Context, g *graph.Graph, c *cluster.Cluster, opt Optio
 		solve = balance.RatiosFromModel
 	}
 
+	// One checker slab serves every iteration's liveness walk and the
+	// verify phase.
+	check := theory.NewChecker(th)
+
 	// Zero when ctx has no deadline; the searches read the same one.
 	deadline, _ := ctx.Deadline()
 	var best *Result
 	var balanceErr error
-	var seen []*dist.Program
 	ran, stop := 0, "max_iterations"
 	for iter := 1; iter <= iterations; iter++ {
 		// The iteration span parents this round's searches and balance solve;
@@ -262,12 +269,14 @@ func Optimize(ctx context.Context, g *graph.Graph, c *cluster.Cluster, opt Optio
 			break // budget expired mid-iteration; serve what we have
 		}
 		// Dead instructions must never reach cost modeling or the balancer:
-		// a leaf loader (or a collective on it) that the fused-leaf
-		// optimization displaced would inflate t(Q,B) and skew B. Pruning is
-		// the only cleanup a synthesized program needs — the synthesizer never
-		// communicates a tensor twice, so there is no collective to fuse or
-		// deduplicate (internal/passes canonicalizes other programs).
-		pruned := p.Prune()
+		// a leaf loader the fused-leaf optimization displaced, or a
+		// collective whose layout nothing reads, would inflate t(Q,B) and
+		// skew B. The liveness walk replays the program with the checker and
+		// drops both; it is the only cleanup a synthesized program needs.
+		pruned, err := check.Live(p)
+		if err != nil {
+			return nil, fmt.Errorf("hapopt: synthesized program fails its check: %w", err)
+		}
 		model := cost.Extract(c, p)
 		// Convergence: when the balancer returns the B this iteration's
 		// search ran under, the next search would return this Q again.
@@ -287,7 +296,8 @@ func Optimize(ctx context.Context, g *graph.Graph, c *cluster.Cluster, opt Optio
 			bs.End()
 		}
 		t := model.Eval(b)
-		if best == nil || t < best.Cost {
+		improved := best == nil || t < best.Cost
+		if improved {
 			best = &Result{Program: p, Ratios: cloneRatios(b), Cost: t, Iters: iter, Synth: stats, Pruned: pruned}
 			// stats.Seeded (not just a non-nil seed) so a small graph routed
 			// to exact A* — which ignores seeds — is not reported seeded.
@@ -307,14 +317,13 @@ func Optimize(ctx context.Context, g *graph.Graph, c *cluster.Cluster, opt Optio
 			stop = "ratios_converged"
 			break
 		}
-		// Oscillation: B is a function of Q, so a Q seen before brings its B
-		// back with it — the (Q,B) pair repeats and the loop is in a cycle.
-		// Programs compare on what their encoding holds.
-		if slices.ContainsFunc(seen, p.EqualBinary) {
-			stop = "pair_repeated"
+		// An iteration that does not beat the best ends the loop. This
+		// also ends a cycle: B is a function of Q, so a Q seen before brings
+		// back its B and its t, which cannot beat the best.
+		if !improved {
+			stop = "no_improvement"
 			break
 		}
-		seen = append(seen, p)
 	}
 	span.SetAttrInt("iterations", int64(ran))
 	span.SetAttrStr("stop", stop)
@@ -322,7 +331,7 @@ func Optimize(ctx context.Context, g *graph.Graph, c *cluster.Cluster, opt Optio
 	// base theory: an expert-parallel arm's triples are a subset of it.
 	vs := span.Child("verify")
 	vs.SetAttrStr("kind", "semantic")
-	stale, err := theory.Check(th, best.Program, nil)
+	stale, err := check.Check(best.Program, nil)
 	vs.SetAttrInt("stale_reads", int64(stale))
 	vs.End()
 	if err != nil {

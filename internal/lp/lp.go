@@ -96,7 +96,18 @@ type Result struct {
 }
 
 const (
-	eps      = 1e-9
+	// eps is the tableau's zero: a pivot leaves a row alone whose entry in
+	// the entering column is below it, and the ratio test skips such a row.
+	// It is absolute, so it must sit below every coefficient the ratio LPs
+	// carry and above round-off. Their coefficients are seconds per unit
+	// of ratio and reach down to 1e-10 (balance's FuzzRatioLP draws that
+	// span); round-off on entries of order 1–10 is about 1e-15. At 1e-9 the
+	// threshold dropped real entries: on BERT-MoE × A100+P100, once the
+	// planner stopped charging for dead collectives, the LP stopped 5.8e-6
+	// short of the exact optimum. A threshold relative to each column was
+	// the other choice; it would part the solver from the reference it is
+	// held to pivot for pivot, so the absolute one was lowered instead.
+	eps      = 1e-12
 	enterEps = 1e-7 // noise-robust entering threshold
 )
 

@@ -2,8 +2,8 @@
 // reusable rewrite layer over the dist.Program IR for programs the
 // synthesizer did not emit. The planner does not run it — the synthesizer
 // never communicates a tensor twice, so its programs hold no collective pair
-// to fuse and no repeat to deduplicate, and a prune (dist.Prune) is all they
-// need.
+// to fuse and no repeat to deduplicate, and the planner's liveness walk
+// (theory.Checker.Live) is all they need.
 //
 // Decoded or hand-built programs (hap.ReadProgramBinary, baselines,
 // lowered backends such as ExpandAllReduce's) carry whatever their producer

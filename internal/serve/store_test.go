@@ -217,12 +217,18 @@ func TestLRUConcurrentAccess(t *testing.T) {
 			}(i)
 		}
 		wg.Wait()
-		entries, size, _ := c.counts()
+		// One locked snapshot: with a 1 µs TTL, counts and Range each expire
+		// entries, so two separate readings race the clock.
+		c.mu.Lock()
+		entries, size := c.ll.Len(), c.bytes
+		var held int64
+		for e := c.ll.Front(); e != nil; e = e.Next() {
+			held += e.Value.(*storeEntry).val.size()
+		}
+		c.mu.Unlock()
 		if entries > 32 {
 			t.Errorf("ttl %v: %d entries above the cap", ttl, entries)
 		}
-		var held int64
-		c.Range(func(_ string, v CachedPlan) bool { held += v.size(); return true })
 		if held != size {
 			t.Errorf("ttl %v: entries hold %d bytes, the store counts %d", ttl, held, size)
 		}

@@ -25,6 +25,7 @@ const (
 	computed uint8 = 1 << iota
 	communicated
 	isOutput
+	resRead // a required computation read the layout its collective made
 )
 
 // tensorState is one tensor in Check's replay, four bytes. A tensor is
@@ -65,11 +66,20 @@ type failure struct {
 	why string
 }
 
-type checker struct {
+// Checker is Check on one slab of tensor states, allocated by NewChecker
+// and reused by every program it checks against its theory: the planner
+// makes one per Optimize, for each iteration's liveness walk and the final
+// verify phase. It serves one goroutine at a time; a copy shares the slab.
+type Checker struct {
 	th      *Theory
 	ts      []tensorState
 	reading []*Triple
 	stale   int
+}
+
+// NewChecker returns a checker of programs over th.
+func NewChecker(th *Theory) Checker {
+	return Checker{th: th, ts: make([]tensorState, len(th.Required))}
 }
 
 // Check returns nil when prog, whose instructions refer to th.Graph's
@@ -92,7 +102,14 @@ type checker struct {
 // numeric runtime, one buffer per tensor, no longer holds it. They are
 // counted, not rejected.
 func Check(th *Theory, prog *dist.Program, reading []*Triple) (staleReads int, err error) {
-	c := checker{th: th, ts: make([]tensorState, len(th.Required)), reading: reading}
+	c := NewChecker(th)
+	return c.Check(prog, reading)
+}
+
+// Check is the package's Check on c's slab.
+func (c *Checker) Check(prog *dist.Program, reading []*Triple) (staleReads int, err error) {
+	th := c.th
+	c.reading = reading
 	// A failed reading walks the program again with the picks so far: the
 	// depth-first order, with no copy of the state per branch.
 	var buf [8]branch
@@ -124,7 +141,7 @@ func Check(th *Theory, prog *dist.Program, reading []*Triple) (staleReads int, e
 // walk replays instrs once, reading the j-th ambiguous computation as
 // path[j] picks, or by its first match past path's end, where it appends
 // the branch.
-func (c *checker) walk(instrs []dist.Instruction, path []branch) ([]branch, failure) {
+func (c *Checker) walk(instrs []dist.Instruction, path []branch) ([]branch, failure) {
 	g := c.th.Graph
 	for i := range c.ts {
 		c.ts[i] = tensorState{out: noSlot, res: noSlot, placed: Unplaced}
@@ -232,7 +249,7 @@ func transition(in *dist.Instruction, rank int) (src, res Property, ok bool) {
 
 // applicable mirrors the synthesizer's compApplicable, except that leaves
 // must already be placed: a program's loaders precede their consumers.
-func (c *checker) applicable(tr *Triple) bool {
+func (c *Checker) applicable(tr *Triple) bool {
 	for _, p := range tr.Pre() {
 		if !c.ts[p.Ref].holds(p) {
 			return false
@@ -246,15 +263,21 @@ func (c *checker) applicable(tr *Triple) bool {
 	return true
 }
 
-// apply computes tr's node: it counts tr's stale reads, records tr, and
-// prunes as the synthesizer's pruneDead does.
-func (c *checker) apply(tr *Triple) {
+// apply computes tr's node: it counts tr's stale reads, marks the
+// collective layouts a required node reads, records tr, and prunes as the
+// synthesizer's pruneDead does.
+func (c *Checker) apply(tr *Triple) {
+	id := tr.Node
 	for _, p := range tr.Pre() {
-		if t := &c.ts[p.Ref]; t.flags&communicated != 0 && t.res != uint8(p.Slot()) {
+		t := &c.ts[p.Ref]
+		switch {
+		case t.flags&communicated == 0:
+		case t.res != uint8(p.Slot()):
 			c.stale++
+		case c.th.Required[id]:
+			t.flags |= resRead
 		}
 	}
-	id := tr.Node
 	c.ts[id].flags |= computed
 	c.ts[id].out = uint8(tr.Out.Slot())
 	if c.reading != nil {
@@ -270,7 +293,7 @@ func (c *checker) apply(tr *Triple) {
 
 // prune drops u's properties when u is no output and every required
 // consumer of u is computed.
-func (c *checker) prune(u graph.NodeID) {
+func (c *Checker) prune(u graph.NodeID) {
 	if c.ts[u].flags&isOutput != 0 {
 		return
 	}
@@ -280,4 +303,45 @@ func (c *checker) prune(u graph.NodeID) {
 		}
 	}
 	c.ts[u].out, c.ts[u].res = noSlot, noSlot
+}
+
+// Live drops prog's dead instructions in place and returns how many went,
+// or Check's error, dropping nothing, when prog fails it. An instruction is
+// dead when no output needs its node: a computation or leaf loader that no
+// output's ancestry reaches, or a collective on such a tensor (what
+// dist.Prune drops). A collective is dead too when no computation of a
+// required node reads the layout it makes, in the reading Check finds, and
+// its tensor, when an output, settles without it (Output.Settles). A
+// collective moves its tensor's layout; a layout nothing reads is paid for
+// and unused. What stays is correct: the reading Check found still holds
+// for it. A graph with no outputs anchors no liveness: nothing is dropped.
+func (c *Checker) Live(prog *dist.Program) (dropped int, err error) {
+	if _, err := c.Check(prog, nil); err != nil {
+		return 0, err
+	}
+	if len(c.th.Outputs) == 0 {
+		return 0, nil
+	}
+	for _, o := range c.th.Outputs {
+		t := &c.ts[o.Ref]
+		if t.flags&(communicated|resRead) != communicated {
+			continue
+		}
+		placed := Replicated
+		if o.Param >= 0 {
+			placed = c.ts[o.Param].placed
+		}
+		if out := [1]Property{slotProperty(o.Ref, t.out)}; !o.Settles(placed, out[:]) {
+			t.flags |= resRead
+		}
+	}
+	kept := prog.Instrs[:0]
+	for _, in := range prog.Instrs {
+		if c.th.Required[in.Ref] && (!in.IsComm || c.ts[in.Ref].flags&resRead != 0) {
+			kept = append(kept, in)
+		}
+	}
+	dropped = len(prog.Instrs) - len(kept)
+	prog.Instrs = kept
+	return dropped, nil
 }

@@ -85,10 +85,11 @@ func readAcceptedDeletions(t *testing.T) []string {
 // TestCheckMutatedPaperPlans plans the twelve paper plans, each of which
 // must pass Check, and mutates each one. Moving a collective other than an
 // all-reduce onto another dimension its tensor has must be rejected (107
-// such changes when the test was written). So must deleting one collective, except for the deletions
-// acceptedDeletionsFile lists: each drops a collective whose layout no
-// computation reads, so the program stays correct without it (ROADMAP AE,
-// which removes such collectives, empties the list). The list is a ratchet:
+// such changes when the test was written, 72 once the planner dropped
+// dead collectives). So must deleting one collective, except for the
+// deletions acceptedDeletionsFile lists: the planner's liveness walk drops
+// every collective whose layout nothing reads (63 lines before it did), and
+// the three left are reading ambiguities its header explains. The list is a ratchet:
 // a deletion it names that Check now rejects fails the test until the line
 // goes, and a change must not add lines.
 func TestCheckMutatedPaperPlans(t *testing.T) {
@@ -175,6 +176,43 @@ func TestCheckAllocs(t *testing.T) {
 		}
 		if limit := float64(12*n + 512); bytes > limit {
 			t.Errorf("%s: %.0f bytes per check, want at most %.0f (12 per node + 512)", p.name, bytes, limit)
+		}
+	}
+}
+
+// TestLiveAllocationPin holds the liveness walk to zero allocations on
+// VGG19 and ViT × PaperHomogeneous(2): Optimize runs it every iteration, on
+// the one slab its Checker holds, and it drops in place.
+func TestLiveAllocationPin(t *testing.T) {
+	for _, p := range mustPaperPlans(t) {
+		if p.name != "VGG19/hom2" && p.name != "ViT/hom2" {
+			continue
+		}
+		k := theory.NewChecker(p.th)
+		prog := &dist.Program{Graph: p.th.Graph, Instrs: make([]dist.Instruction, 0, len(p.prog.Instrs))}
+		gc := debug.SetGCPercent(-1)
+		allocs := testing.AllocsPerRun(20, func() {
+			prog.Instrs = append(prog.Instrs[:0], p.prog.Instrs...)
+			if _, err := k.Live(prog); err != nil {
+				t.Fatal(err)
+			}
+		})
+		debug.SetGCPercent(gc)
+		if allocs != 0 {
+			t.Errorf("%s: %.1f allocations per walk, want 0", p.name, allocs)
+		}
+	}
+}
+
+// TestPaperPlansKeepNothingDead walks every paper plan again: the planner
+// ran the liveness walk on it, so no instruction, and no collective whose
+// layout nothing reads, is left to drop.
+func TestPaperPlansKeepNothingDead(t *testing.T) {
+	for _, p := range mustPaperPlans(t) {
+		prog := p.prog.Clone()
+		k := theory.NewChecker(p.th)
+		if dropped, err := k.Live(prog); dropped != 0 || err != nil {
+			t.Errorf("%s: the walk drops %d instructions (%v)", p.name, dropped, err)
 		}
 	}
 }
@@ -411,6 +449,44 @@ func (m *setChecker) apply(s *setState, tr *theory.Triple) {
 	prune(tr.Node)
 }
 
+// live is Checker.Live's rule on the state s that instrs, an accepted
+// program, ends in: an instruction stays when its node is required and,
+// for a collective, a required computation of s's reading reads the
+// property it made, or its tensor is an output that settles on nothing
+// else. With no outputs, everything stays.
+func (m *setChecker) live(s *setState, instrs []dist.Instruction) []dist.Instruction {
+	if len(m.th.Outputs) == 0 {
+		return slices.Clone(instrs)
+	}
+	read := map[graph.NodeID]bool{}
+	for id, tr := range s.reading {
+		if tr == nil || !m.th.Required[id] {
+			continue
+		}
+		for _, p := range tr.Pre() {
+			if res, ok := s.moved[p.Ref]; ok && res == p {
+				read[p.Ref] = true
+			}
+		}
+	}
+	for _, o := range m.th.Outputs {
+		placed := theory.Replicated
+		if o.Param >= 0 {
+			placed = s.placed[o.Param]
+		}
+		if _, ok := s.moved[o.Ref]; ok && !o.Settles(placed, []theory.Property{s.reading[o.Ref].Out}) {
+			read[o.Ref] = true
+		}
+	}
+	var kept []dist.Instruction
+	for _, in := range instrs {
+		if m.th.Required[in.Ref] && (!in.IsComm || read[in.Ref]) {
+			kept = append(kept, in)
+		}
+	}
+	return kept
+}
+
 // mutateInstrs applies the mutations muts encodes, three bytes each (what,
 // where, value), to a copy of instrs: drop, duplicate or swap instructions,
 // or rewrite one's ref, shard dim, flop scaling, collective, dims or kind.
@@ -474,6 +550,8 @@ func fuzzCheckPlans(tb testing.TB) []paperPlan {
 // Check must never panic, and it must agree with the set-based oracle
 // above: both accept or both reject (by the reading budget or not), and on
 // an accepted program both find the same reading and the same stale reads.
+// On an accepted program the liveness walk keeps what the oracle's live
+// keeps, and what it keeps passes Check.
 func FuzzCheck(f *testing.F) {
 	plans := fuzzCheckPlans(f)
 	for which := range plans {
@@ -509,6 +587,17 @@ func FuzzCheck(f *testing.F) {
 			if reading[id] != want.reading[id] {
 				t.Fatalf("e%d: Check reads %+v, the oracle %+v", id, reading[id], want.reading[id])
 			}
+		}
+		walked := &dist.Program{Graph: prog.Graph, Instrs: slices.Clone(prog.Instrs)}
+		k := theory.NewChecker(p.th)
+		if _, err := k.Live(walked); err != nil {
+			t.Fatalf("Live: %v on a program Check accepts", err)
+		}
+		if kept := m.live(want, prog.Instrs); !slices.Equal(walked.Instrs, kept) {
+			t.Fatalf("Live keeps\n%s\nthe oracle\n%s", walked, &dist.Program{Graph: prog.Graph, Instrs: kept})
+		}
+		if _, err := theory.Check(p.th, walked, nil); err != nil {
+			t.Fatalf("the walked program fails its check: %v\n%s", err, walked)
 		}
 	})
 }
