@@ -1,15 +1,18 @@
 package hap
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"math/rand"
 	"slices"
+	"strconv"
 	"testing"
 
 	"hap/internal/cluster"
 	"hap/internal/cost"
 	"hap/internal/models"
+	"hap/internal/obs"
 	"hap/internal/passes"
 	"hap/internal/theory"
 )
@@ -276,7 +279,7 @@ func TestDifferentialRandomGraphs(t *testing.T) {
 // seed-ignored path instead (the planner must not report them seeded).
 func seededArm(t *testing.T, g *Graph, cold *Plan, c *cluster.Cluster, segments int, seed int64) {
 	t.Helper()
-	plan, err := planWith(g, c, Options{Segments: segments, SeedGraph: g, SeedPlan: cold})
+	plan, err := planWith(g, c, Options{Segments: segments, SeedPlan: cold})
 	if err != nil {
 		t.Fatalf("seeded Plan: %v", err)
 	}
@@ -291,9 +294,6 @@ func seededArm(t *testing.T, g *Graph, cold *Plan, c *cluster.Cluster, segments 
 		t.Errorf("seeded plan cost %v worse than cold %v", plan.Cost, cold.Cost)
 	}
 	if plan.Seeded {
-		if plan.SeedDistance != 0 {
-			t.Errorf("self-seeded plan reports distance %v, want 0", plan.SeedDistance)
-		}
 		// A full replay re-emits the donor program; only the optimizer loop's
 		// ratio rebalancing could differ, and it is deterministic too.
 		if plan.Program.String() != cold.Program.String() {
@@ -325,7 +325,10 @@ func TestDifferentialSeededVGG19(t *testing.T) {
 		t.Fatalf("cold widened VGG19: %v", err)
 	}
 
-	plan, err := planWith(wide, c, Options{SeedGraph: base, SeedPlan: cold})
+	tr := obs.New("", "")
+	root := tr.Root("plan", 0)
+	plan, err := NewPlanner(c, WithOptions(Options{SeedPlan: cold})).Plan(obs.ContextWithSpan(context.Background(), root), wide)
+	root.End()
 	if err != nil {
 		t.Fatalf("seeded widened VGG19: %v", err)
 	}
@@ -337,8 +340,15 @@ func TestDifferentialSeededVGG19(t *testing.T) {
 	if !plan.Seeded {
 		t.Fatal("one-layer-wider VGG19 did not seed from the base plan")
 	}
-	if plan.SeedDistance <= 0 || plan.SeedDistance > 0.25 {
-		t.Errorf("seed distance = %v, want in (0, 0.25]", plan.SeedDistance)
+	// The seed distance is the optimize loop's seed span's to report.
+	distance := ""
+	for _, sp := range tr.Export().Spans {
+		if sp.Name == "seed" {
+			distance = sp.Attrs["distance"]
+		}
+	}
+	if d, err := strconv.ParseFloat(distance, 64); err != nil || d <= 0 || d > 0.25 {
+		t.Errorf("seed span distance = %q, want in (0, 0.25]", distance)
 	}
 	if err := plan.Program.Validate(); err != nil {
 		t.Fatalf("seeded program ill-formed: %v", err)

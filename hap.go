@@ -98,17 +98,16 @@ func PerGPU(machines ...MachineSpec) *Cluster {
 type Options struct {
 	// Segments > 1 enables per-segment sharding ratios (Sec. 5.2).
 	Segments int
-	// SeedGraph and SeedPlan supply a donor plan for incremental synthesis:
-	// when the donor graph is structurally close enough to the planned graph
-	// (normalized segment-level diff ≤ 0.25), the search is seeded
-	// from the donor plan — decisions in the unchanged region are pinned and
-	// only the changed region is searched. A donor too far away silently
-	// degrades to cold synthesis; exact A* ignores seeds. Both nil by
-	// default. Seed inputs are deliberately not part of hap-serve's cache
-	// key: they trade latency, never plan validity. Planning only reads
-	// them, so one donor may seed concurrent Plan calls.
-	SeedGraph *Graph
-	SeedPlan  *Plan
+	// SeedPlan supplies a donor plan for incremental synthesis: when the
+	// graph it was planned for (SeedPlan.Program.Graph) is structurally
+	// close enough to the planned graph (normalized segment-level diff ≤
+	// 0.25), the search is seeded from the donor plan — decisions in the
+	// unchanged region are pinned and only the changed region is searched.
+	// A donor too far away silently degrades to cold synthesis; exact A*
+	// ignores seeds. Nil by default. A seed is deliberately not part of
+	// hap-serve's cache key: it trades latency, never plan validity.
+	// Planning only reads it, so one donor may seed concurrent Plan calls.
+	SeedPlan *Plan
 }
 
 // Plan is the result of Planner.Plan: what every worker runs.
@@ -124,12 +123,10 @@ type Plan struct {
 	// bytes are a function of the inputs alone.
 	SynthesisTime float64
 	// Seeded reports whether the plan came out of a seeded (incremental)
-	// search rather than a cold one, and SeedDistance the donor's normalized
-	// structural distance. In-memory only: not serialized by
+	// search rather than a cold one. In-memory only: not serialized by
 	// WriteProgramBinary — a reloaded plan is just a plan, regardless of how
 	// it was found.
-	Seeded       bool
-	SeedDistance float64
+	Seeded bool
 }
 
 // Verify numerically checks that the plan's program is semantically

@@ -26,7 +26,7 @@ func perGPU(n int) *cluster.Cluster {
 // loop solves first on that input.
 func firstModel(tb testing.TB, g *graph.Graph, c *cluster.Cluster, segments int) *cost.Model {
 	tb.Helper()
-	res, err := hapopt.Optimize(context.Background(), g, c, hapopt.Options{Segments: segments, SkipBalance: true, Synth: synth.Auto()})
+	res, err := hapopt.Optimize(context.Background(), g, c, hapopt.Options{Segments: segments, FixedRatios: c.ProportionalRatios(), Synth: synth.Auto()})
 	if err != nil {
 		tb.Fatalf("Optimize: %v", err)
 	}

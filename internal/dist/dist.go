@@ -13,8 +13,10 @@
 // every later pipeline stage builds on: a structural validator enforcing
 // SSA-style well-formedness (Validate), a disassembler mirroring the paper's
 // program listings (String), a JSON export for diffing plans
-// (Encode, write-only: the binary form is the one that is read back),
-// program statistics (Stats), and a dead-code-elimination pass (Prune).
+// (Encode, write-only: the binary form is the one that is read back), and
+// program statistics (Stats). Dead code is the program checker's to find
+// (theory.Checker.Live): liveness depends on the layouts a program's
+// computations read, which only the theory knows.
 package dist
 
 import (

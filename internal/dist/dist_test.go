@@ -179,54 +179,6 @@ func TestSFBProgramMarksReplicatedComputation(t *testing.T) {
 	}
 }
 
-func TestPruneRemovesUnreachableInstructions(t *testing.T) {
-	g := trainingGraph(t)
-	// Extra dead nodes: a relu of y nobody consumes, with its own dead
-	// all-gather, plus a dead leaf loader for an unused parameter.
-	dead := g.AddOp(graph.ReLU, 2)
-	deadW := g.AddParameter("w_dead", 8, 2)
-	p := dataParallel(t, g)
-	p.Instrs = append(p.Instrs,
-		Instruction{Ref: deadW, Op: graph.Parameter, ShardDim: -1},
-		Instruction{Ref: dead, Op: graph.ReLU, ShardDim: -1, FlopsScaled: true},
-		Comm(dead, collective.PaddedAllGather, 0, 0),
-	)
-	if err := p.Validate(); err != nil {
-		t.Fatalf("pre-prune Validate: %v", err)
-	}
-	if removed := p.Prune(); removed != 3 {
-		t.Errorf("Prune removed %d instructions, want 3:\n%s", removed, p)
-	}
-	if err := p.Validate(); err != nil {
-		t.Errorf("post-prune Validate: %v", err)
-	}
-	if len(p.Instrs) != 9 || p.NumComms() != 1 {
-		t.Errorf("pruned program has %d instrs / %d comms, want 9 / 1:\n%s", len(p.Instrs), p.NumComms(), p)
-	}
-	// Idempotent: a second pass finds nothing.
-	if removed := p.Prune(); removed != 0 {
-		t.Errorf("second Prune removed %d instructions", removed)
-	}
-}
-
-func TestPruneNilGraphIsNoOp(t *testing.T) {
-	p := &Program{Instrs: []Instruction{{Ref: 0, Op: graph.Placeholder, ShardDim: -1}}}
-	if removed := p.Prune(); removed != 0 {
-		t.Errorf("Prune on graph-less program removed %d instructions", removed)
-	}
-}
-
-func TestPruneKeepsProgramsWithoutOutputs(t *testing.T) {
-	g := graph.New()
-	g.AddPlaceholder("x", 0, 4, 4)
-	p := &Program{Graph: g, Instrs: []Instruction{
-		{Ref: 0, Op: graph.Placeholder, ShardDim: 0},
-	}}
-	if removed := p.Prune(); removed != 0 {
-		t.Errorf("Prune removed %d instructions from an output-less program", removed)
-	}
-}
-
 func TestCloneIsIndependent(t *testing.T) {
 	g := trainingGraph(t)
 	p := dataParallel(t, g)

@@ -259,7 +259,7 @@ func Fig15() *Report {
 			}
 			return fmt.Sprintf("%.0f", base/t*100)
 		}
-		q := variant(hapopt.Options{Synth: noOpt, SkipBalance: true, InitialRatios: cl.EvenRatios()})
+		q := variant(hapopt.Options{Synth: noOpt, FixedRatios: cl.EvenRatios()})
 		qb := variant(hapopt.Options{Synth: noOpt})
 		qbc := variant(hapopt.Options{Synth: synth.Auto()})
 		r.Rows = append(r.Rows, []string{string(m), "100", q, qb, qbc})

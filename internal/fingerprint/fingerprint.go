@@ -143,6 +143,12 @@ func PlanKey(graphFP, clusterFP string, o Options) string {
 	return string(o.appendSig(b))
 }
 
+// MaxPlanKey is the longest key PlanKey writes: two 16-hex-digit
+// fingerprints, two colons, and the options signature at its longest, the
+// most negative segment count. An intake refuses a longer key: no request
+// can name it, and the store's byte cap does not count keys.
+const MaxPlanKey = 2*16 + 2 + len("s-9223372036854775808:i0:xfalse:otrue")
+
 // KeyGraph returns the graph fingerprint key starts with, as PlanKey was
 // given it: a holder of the key binds a plan to its graph without hashing
 // the graph again.

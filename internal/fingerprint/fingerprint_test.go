@@ -75,6 +75,20 @@ func TestOptionsSig(t *testing.T) {
 	}
 }
 
+// MaxPlanKey is the length of the longest key PlanKey writes: 16-hex-digit
+// fingerprints under the segment count with the longest decimal form.
+func TestMaxPlanKey(t *testing.T) {
+	h := fingerprint.New()
+	fp := h.Sum()
+	longest := 0
+	for _, seg := range []int{0, 1, 4, math.MaxInt64, math.MinInt64} {
+		longest = max(longest, len(fingerprint.PlanKey(fp, fp, fingerprint.Options{Segments: seg})))
+	}
+	if longest != fingerprint.MaxPlanKey {
+		t.Errorf("the longest plan key has %d bytes, MaxPlanKey is %d", longest, fingerprint.MaxPlanKey)
+	}
+}
+
 // The hasher is FNV-1a 64 over little-endian words — the same function the
 // plan→graph binding check uses, pinned here by value.
 func TestHasherGolden(t *testing.T) {

@@ -16,6 +16,7 @@ import (
 	"net/http"
 	"time"
 
+	"hap/internal/fingerprint"
 	"hap/internal/obs"
 	"hap/internal/planwire"
 )
@@ -57,12 +58,13 @@ type Entry struct {
 	Bin []byte `json:"bin"`
 }
 
-// DecodeEntry parses one entry and refuses it unless it names a key and its
-// payload is framed as a binary plan (planwire.Framed): a payload no client
-// could decode must not be stored and then served as a hit. Every intake —
-// disk restore, a replication push, the warm-up stream — decodes here.
-// Unknown fields are ignored, so records that also carried the plan's JSON
-// form still decode.
+// DecodeEntry parses one entry and refuses it unless it names a key no
+// longer than a plan key (fingerprint.MaxPlanKey) and its payload is framed
+// as a binary plan (planwire.Framed): a payload no client could decode must
+// not be stored and then served as a hit, and the store's byte cap counts
+// payloads, not keys. Every intake — disk restore, a replication push, the
+// warm-up stream — decodes here. Unknown fields are ignored, so records that
+// also carried the plan's JSON form still decode.
 func DecodeEntry(data []byte) (Entry, error) {
 	var e Entry
 	if err := json.Unmarshal(data, &e); err != nil {
@@ -70,6 +72,9 @@ func DecodeEntry(data []byte) (Entry, error) {
 	}
 	if e.Key == "" || !planwire.Framed(e.Bin) {
 		return Entry{}, fmt.Errorf("fleet: entry: a key and a framed plan payload are required")
+	}
+	if len(e.Key) > fingerprint.MaxPlanKey {
+		return Entry{}, fmt.Errorf("fleet: entry: a %d-byte key, over the %d bytes a plan key takes", len(e.Key), fingerprint.MaxPlanKey)
 	}
 	return e, nil
 }

@@ -6,9 +6,11 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"reflect"
+	"strings"
 	"testing"
 
 	"hap"
+	"hap/internal/fingerprint"
 )
 
 // planPayload is a real plan's binary payload, what every accepted entry
@@ -66,6 +68,7 @@ func TestDecodeEntry(t *testing.T) {
 		{"record that also carries a plan version", record(map[string]any{"key": "k", "bin": bin, "version": 2}), true},
 		{"record that also carries the JSON plan", record(map[string]any{"key": "k", "plan": []byte(`{"program":{}}`), "bin": bin}), true},
 		{"no key", record(Entry{Bin: bin}), false},
+		{"key longer than a plan key", record(Entry{Key: strings.Repeat("k", fingerprint.MaxPlanKey+1), Bin: bin}), false},
 		{"no payload", record(map[string]any{"key": "k", "plan": []byte(`{"program":{}}`)}), false},
 		{"garbage payload", record(Entry{Key: "k", Bin: []byte("not a plan payload")}), false},
 		{"truncated payload", record(Entry{Key: "k", Bin: bin[:len(bin)-1]}), false},
@@ -86,11 +89,13 @@ func TestDecodeEntry(t *testing.T) {
 
 // FuzzPlanEntry feeds arbitrary bytes to DecodeEntry, the one decoder every
 // plan record crossing a disk or process boundary passes. It must never
-// panic; an accepted entry names a key and carries a framed payload (checked
-// by framedWalk, not by the function under test); and an accepted entry
-// re-encodes to bytes that decode to the same entry. The committed corpus
-// holds the witness: a record with a good JSON plan and a garbage payload,
-// which a disk restore once served as a hit no client could decode.
+// panic; an accepted entry names a key no longer than a plan key and carries
+// a framed payload (checked by framedWalk, not by the function under test);
+// and an accepted entry re-encodes to bytes that decode to the same entry.
+// The committed corpus holds the witnesses: a record with a good JSON plan
+// and a garbage payload, which a disk restore once served as a hit no client
+// could decode, and a framed payload under a key longer than any plan key,
+// which the store once held outside its byte cap.
 func FuzzPlanEntry(f *testing.F) {
 	bin := planPayload(f)
 	for _, e := range []any{map[string]any{"key": "k", "bin": bin, "version": 3}, Entry{Key: "a:b:s0", Bin: bin}} {
@@ -108,6 +113,9 @@ func FuzzPlanEntry(f *testing.F) {
 		}
 		if e.Key == "" || !framedWalk(e.Bin) {
 			t.Fatalf("accepted key %q with an unframed %d-byte payload", e.Key, len(e.Bin))
+		}
+		if len(e.Key) > fingerprint.MaxPlanKey {
+			t.Fatalf("accepted a %d-byte key, over the %d a plan key takes", len(e.Key), fingerprint.MaxPlanKey)
 		}
 		again, err := json.Marshal(e)
 		if err != nil {

@@ -143,8 +143,8 @@ func countHolds(got float64, pin int) bool {
 // slab of four bytes per graph node), each row counts one allocation and
 // 1–2 KiB more: they read 1 548 / 8 324 → 72 / 423, 611 / 1 469 →
 // 230 / 212 and 433 / 1 302 → 52 / 69 before. While every iteration
-// pruned with dist.Prune (two slices each) and the verify phase made a
-// checker slab of its own, they read 1 549 / 8 326 → 73 / 425,
+// ran a reachability prune of its own (two slices each) and the verify
+// phase made a checker slab of its own, they read 1 549 / 8 326 → 73 / 425,
 // 612 / 1 470 → 231 / 213 and 434 / 1 303 → 53 / 70; the liveness walk
 // runs on one slab per Optimize, shared with the verify phase.
 func TestOptimizeAllocationPin(t *testing.T) {

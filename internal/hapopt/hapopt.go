@@ -44,19 +44,19 @@ type Options struct {
 	Segments int
 	// Synth forwards synthesizer options.
 	Synth synth.Options
-	// SkipBalance freezes B at B⁽⁰⁾ (ablation "Q" of Sec. 7.4).
-	SkipBalance bool
-	// InitialRatios overrides B⁽⁰⁾ (default: proportional to device flops).
-	InitialRatios []float64
-	// SeedGraph and SeedProgram supply a donor plan for incremental
-	// synthesis: when the donor graph is structurally close enough to g
-	// (normalized diff ≤ synth.DefaultMaxSeedDistance), every iteration's
-	// program search is seeded from the donor — decisions in the unchanged
-	// region are pinned and the beam narrows (see synth.Options.Seed). A
-	// donor too far away, or one whose program fails to replay, silently
-	// degrades to cold synthesis. Portfolio arms (the expert-parallel MoE theory) always
-	// search cold: the filtered theory does not contain the pinned triples.
-	SeedGraph   *graph.Graph
+	// FixedRatios, when non-nil, fixes B to these per-device ratios in every
+	// segment: one search under them, no balancer (ablation "Q" of
+	// Sec. 7.4). Nil alternates from B⁽⁰⁾ proportional to device flops.
+	FixedRatios []float64
+	// SeedProgram supplies a donor plan for incremental synthesis: when the
+	// graph it was planned for (SeedProgram.Graph) is structurally close
+	// enough to g (normalized diff ≤ synth.DefaultMaxSeedDistance), every
+	// iteration's program search is seeded from the donor — decisions in the
+	// unchanged region are pinned and the beam narrows (see
+	// synth.Options.Seed). A donor too far away, or one whose program fails
+	// to replay, silently degrades to cold synthesis. Portfolio arms (the
+	// expert-parallel MoE theory) always search cold: the filtered theory
+	// does not contain the pinned triples.
 	SeedProgram *dist.Program
 
 	// iterations, set by tests only, stands in for maxIterations when > 0.
@@ -83,10 +83,9 @@ type Result struct {
 	// collectives whose layout no computation or output reads.
 	Pruned int
 	// Seeded reports whether the returned program came out of a seeded
-	// (incremental) search rather than a cold one, and SeedDistance the
-	// donor's normalized structural distance (0 for an identical graph).
-	Seeded       bool
-	SeedDistance float64
+	// (incremental) search rather than a cold one: false when exact A*,
+	// which ignores seeds, or a cold portfolio arm found it.
+	Seeded bool
 	// BalanceErr is the load balancer's error when its LP failed
 	// (stop=balance_failed on the optimize span): the loop ended there, and
 	// that iteration's program was costed under the ratios it was searched
@@ -136,7 +135,7 @@ func Optimize(ctx context.Context, g *graph.Graph, c *cluster.Cluster, opt Optio
 	// and reused by every iteration's search.
 	if opt.SeedProgram != nil && opt.Synth.Seed == nil {
 		ss := span.Child("seed")
-		opt.Synth.Seed = synth.BuildSeed(opt.SeedGraph, opt.SeedProgram, nil, g, th, 0)
+		opt.Synth.Seed = synth.BuildSeed(opt.SeedProgram.Graph, opt.SeedProgram, nil, g, th, 0)
 		if sd := opt.Synth.Seed; sd != nil {
 			ss.SetAttrFloat("distance", sd.Distance)
 			ss.SetAttrInt("steps", int64(sd.Steps()))
@@ -144,7 +143,7 @@ func Optimize(ctx context.Context, g *graph.Graph, c *cluster.Cluster, opt Optio
 		ss.End()
 	}
 
-	init := opt.InitialRatios
+	init := opt.FixedRatios
 	if init == nil {
 		init = c.ProportionalRatios()
 	}
@@ -238,7 +237,6 @@ func Optimize(ctx context.Context, g *graph.Graph, c *cluster.Cluster, opt Optio
 		}
 		var p *dist.Program
 		var stats synth.Stats
-		win := 0
 		for i := range outs {
 			cp, cs, err := outs[i].p, outs[i].stats, outs[i].err
 			if err != nil {
@@ -260,7 +258,7 @@ func Optimize(ctx context.Context, g *graph.Graph, c *cluster.Cluster, opt Optio
 				continue
 			}
 			if p == nil || cs.Cost < stats.Cost {
-				p, stats, win = cp, cs, i
+				p, stats = cp, cs
 			}
 		}
 		if p == nil {
@@ -282,8 +280,8 @@ func Optimize(ctx context.Context, g *graph.Graph, c *cluster.Cluster, opt Optio
 		// search ran under, the next search would return this Q again.
 		// A balancer that fails degrades the plan, not the call: this Q is
 		// judged under the B its search ran under, and the loop ends.
-		converged := opt.SkipBalance
-		if !opt.SkipBalance {
+		converged := opt.FixedRatios != nil
+		if !converged {
 			bs := it.Child("balance")
 			nb, err := solve(model)
 			if err != nil {
@@ -298,13 +296,7 @@ func Optimize(ctx context.Context, g *graph.Graph, c *cluster.Cluster, opt Optio
 		t := model.Eval(b)
 		improved := best == nil || t < best.Cost
 		if improved {
-			best = &Result{Program: p, Ratios: cloneRatios(b), Cost: t, Iters: iter, Synth: stats, Pruned: pruned}
-			// stats.Seeded (not just a non-nil seed) so a small graph routed
-			// to exact A* — which ignores seeds — is not reported seeded.
-			if sd := opt.Synth.Seed; sd != nil && win == 0 && stats.Seeded {
-				best.Seeded = true
-				best.SeedDistance = sd.Distance
-			}
+			best = &Result{Program: p, Ratios: cloneRatios(b), Cost: t, Iters: iter, Synth: stats, Pruned: pruned, Seeded: stats.Seeded}
 		}
 		it.SetAttrFloat("cost", t)
 		it.End()

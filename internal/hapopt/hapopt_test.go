@@ -96,18 +96,18 @@ func TestSkipBalanceAblation(t *testing.T) {
 	if err != nil {
 		t.Fatalf("full: %v", err)
 	}
-	noB, err := Optimize(context.Background(), g, c, Options{SkipBalance: true})
+	noB, err := Optimize(context.Background(), g, c, Options{FixedRatios: c.ProportionalRatios()})
 	if err != nil {
 		t.Fatalf("noB: %v", err)
 	}
 	if full.Cost > noB.Cost+1e-12 {
 		t.Errorf("full HAP (%v) worse than Q-only ablation (%v)", full.Cost, noB.Cost)
 	}
-	// Without balancing the ratios must remain B⁽⁰⁾ (proportional).
+	// Without balancing the ratios must remain the fixed ones.
 	cp := c.ProportionalRatios()
 	for j, v := range noB.Ratios[0] {
 		if diff := v - cp[j]; diff > 1e-9 || diff < -1e-9 {
-			t.Errorf("SkipBalance changed ratios: %v vs %v", noB.Ratios[0], cp)
+			t.Errorf("FixedRatios changed ratios: %v vs %v", noB.Ratios[0], cp)
 			break
 		}
 	}
@@ -375,7 +375,7 @@ func TestLoopSearchCount(t *testing.T) {
 		want int
 	}{
 		{"homogeneous", models.Training(models.MLP(256, 64, 128, 64, 10)), cluster.PaperHomogeneous(2), Options{Synth: synth.Auto()}, 1},
-		{"skip_balance", models.Training(models.MLP(256, 64, 128, 64, 10)), hetero2(), Options{SkipBalance: true}, 1},
+		{"skip_balance", models.Training(models.MLP(256, 64, 128, 64, 10)), hetero2(), Options{FixedRatios: hetero2().ProportionalRatios()}, 1},
 		{"moe_portfolio", bertGraph(moe, models.PerDeviceBatch(models.ModelBERTMoE)*het8.TotalGPUs()), het8, Options{Synth: synth.Auto()}, 2},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -433,7 +433,7 @@ func TestLoopStopReasons(t *testing.T) {
 		mod         func(*Options, *cluster.Cluster)
 		stop, iters string
 	}{
-		{"ratios_converged", func(o *Options, _ *cluster.Cluster) { o.SkipBalance = true }, "ratios_converged", "1"},
+		{"ratios_converged", func(o *Options, c *cluster.Cluster) { o.FixedRatios = c.ProportionalRatios() }, "ratios_converged", "1"},
 		{"no_improvement", func(*Options, *cluster.Cluster) {}, "no_improvement", "2"},
 		{"max_iterations", func(o *Options, c *cluster.Cluster) {
 			o.iterations = 2
@@ -594,7 +594,6 @@ func TestSynthesizerReuse(t *testing.T) {
 				if err != nil {
 					t.Fatalf("B⁽%d⁾ fresh: %v", k, err)
 				}
-				st.Elapsed, fst.Elapsed = 0, 0
 				if st.Seeded != (in.opt.Seed != nil) {
 					t.Errorf("B⁽%d⁾: Seeded %v with seed %v", k, st.Seeded, in.opt.Seed != nil)
 				}

@@ -10,7 +10,7 @@ import (
 
 // Golden disassembly tests: pass rewrites reviewed as before/after program
 // listings, so a change to fusion behavior shows up as a readable test diff
-// (dist.Format is the paper's listing notation).
+// (Program.String is the paper's listing notation).
 
 func golden(t *testing.T, p *dist.Program, want string) {
 	t.Helper()

@@ -3,16 +3,16 @@
 // synthesizer did not emit. The planner does not run it — the synthesizer
 // never communicates a tensor twice, so its programs hold no collective pair
 // to fuse and no repeat to deduplicate, and the planner's liveness walk
-// (theory.Checker.Live) is all they need.
+// (theory.Checker.Live) removes whatever dead code they hold.
 //
 // Decoded or hand-built programs (hap.ReadProgramBinary, baselines,
 // lowered backends such as ExpandAllReduce's) carry whatever their producer
 // wrote. A Pass rewrites one program in place — merging collective pairs
-// into cheaper equivalents, deduplicating redundant collectives, deleting
-// dead code — and reports how many rewrites it made. A Pipeline runs a pass
-// list to a fixed point with per-pass stats and (optionally) the structural
-// validator after every pass, so a buggy rewrite is caught at the pass
-// boundary instead of deep inside the cost model or the numeric runtime.
+// into cheaper equivalents, deduplicating redundant collectives — and
+// reports how many rewrites it made. A Pipeline runs a pass list to a fixed
+// point with per-pass stats and the structural validator after every pass,
+// so a buggy rewrite is caught at the pass boundary instead of deep inside
+// the cost model or the numeric runtime.
 //
 // Passes only ever need the program and the cluster: cost decisions (is the
 // fused collective actually cheaper here?) are made against the analytic
@@ -49,7 +49,7 @@ type Stats struct {
 	// Changed is the total rewrite count across all passes and rounds.
 	Changed int `json:"changed"`
 	// Converged reports that the final round changed nothing — a true fixed
-	// point. False means MaxRounds expired with rewrites still happening
+	// point. False means maxRounds expired with rewrites still happening
 	// (an oscillating pass pair); the program is still validated but holds
 	// whatever state the last round produced.
 	Converged bool `json:"converged"`
@@ -67,37 +67,28 @@ func (s Stats) ChangedBy(name string) int {
 	return 0
 }
 
-// Pipeline runs an ordered pass list to a fixed point.
+// Pipeline runs an ordered pass list to a fixed point, validating the
+// program's structure after every pass.
 type Pipeline struct {
 	// Passes run in order within each round.
 	Passes []Pass
-	// Validate runs the structural validator after every pass, failing fast
-	// on a rewrite that broke SSA well-formedness.
-	Validate bool
-	// MaxRounds bounds the fixed-point iteration (0 = 4; every shipped pass
-	// converges in one round, the bound is the backstop for pass cycles).
-	MaxRounds int
 }
 
-// Default returns the standard pipeline: collective fusion,
-// collective CSE, then dead-code elimination, validated after every pass.
+// maxRounds bounds the fixed-point iteration: every shipped pass converges
+// in one round, the bound is the backstop for pass cycles.
+const maxRounds = 4
+
+// Default returns the standard pipeline: collective fusion, then
+// collective CSE.
 func Default() *Pipeline {
-	return &Pipeline{
-		Passes:   []Pass{CommFusion{}, CollectiveCSE{}, DCE{}},
-		Validate: true,
-	}
+	return &Pipeline{Passes: []Pass{CommFusion{}, CollectiveCSE{}}}
 }
 
 // Run drives the pipeline to a fixed point (no pass changes anything in a
-// full round) or to MaxRounds, whichever comes first; Stats.Converged
+// full round) or to maxRounds, whichever comes first; Stats.Converged
 // distinguishes the two. The program is mutated in place; on error it may
-// hold a partially rewritten (but, with Validate set, still well-formed)
-// program.
+// hold a partially rewritten (but still well-formed) program.
 func (pl *Pipeline) Run(p *dist.Program, c *cluster.Cluster) (Stats, error) {
-	maxRounds := pl.MaxRounds
-	if maxRounds <= 0 {
-		maxRounds = 4
-	}
 	stats := Stats{PerPass: make([]PassStat, len(pl.Passes))}
 	for i, pass := range pl.Passes {
 		stats.PerPass[i].Pass = pass.Name()
@@ -114,13 +105,11 @@ func (pl *Pipeline) Run(p *dist.Program, c *cluster.Cluster) (Stats, error) {
 			if err != nil {
 				return stats, fmt.Errorf("passes: %s: %w", pass.Name(), err)
 			}
-			// Validate unconditionally, not only when the pass reports
+			// Validate after every pass, not only when the pass reports
 			// changes: a buggy pass that mutates the program but returns 0
 			// must still be caught at its own boundary.
-			if pl.Validate {
-				if err := p.Validate(); err != nil {
-					return stats, fmt.Errorf("passes: %s produced an ill-formed program: %w", pass.Name(), err)
-				}
+			if err := p.Validate(); err != nil {
+				return stats, fmt.Errorf("passes: %s produced an ill-formed program: %w", pass.Name(), err)
 			}
 		}
 		if roundChanged == 0 {

@@ -2,7 +2,6 @@ package passes
 
 import (
 	"errors"
-	"strings"
 	"testing"
 
 	"hap/internal/cluster"
@@ -153,33 +152,6 @@ func TestCollectiveCSEDedupsRepeatedCollective(t *testing.T) {
 	}
 }
 
-func TestDCERemovesDeadLeafAndItsCollective(t *testing.T) {
-	g := graph.New()
-	x := g.AddPlaceholder("x", 0, 16, 8)
-	w := g.AddParameter("w", 8, 4)
-	dead := g.AddParameter("unused", 16, 4)
-	y := g.AddOp(graph.MatMul, x, w)
-	g.SetLoss(g.AddOp(graph.Sum, y))
-	p := &dist.Program{Graph: g, Instrs: []dist.Instruction{
-		{Ref: x, Op: graph.Placeholder, ShardDim: -1},
-		{Ref: w, Op: graph.Parameter, ShardDim: -1},
-		{Ref: dead, Op: graph.Parameter, ShardDim: 0},
-		dist.Comm(dead, collective.PaddedAllGather, 0, 0),
-		{Ref: y, Op: graph.MatMul, ShardDim: -1},
-		{Ref: g.Loss, Op: graph.Sum, ShardDim: -1},
-	}}
-	st, err := Default().Run(p, testCluster())
-	if err != nil {
-		t.Fatalf("pipeline: %v", err)
-	}
-	if got := st.ChangedBy("dce"); got != 2 {
-		t.Errorf("dce removed %d instructions, want 2 (dead loader + its collective)", got)
-	}
-	if strings.Contains(p.String(), "unused") {
-		t.Errorf("dead parameter survived the pipeline:\n%s", p)
-	}
-}
-
 // breakerPass deliberately corrupts the program to prove the pipeline's
 // validation gate fails fast at the pass boundary.
 type breakerPass struct{}
@@ -192,7 +164,7 @@ func (breakerPass) Run(p *dist.Program, c *cluster.Cluster) (int, error) {
 
 func TestPipelineValidatesAfterEveryPass(t *testing.T) {
 	p := reductionProgram(t, comm(collective.AllReduce, 0, 0))
-	pl := &Pipeline{Passes: []Pass{breakerPass{}}, Validate: true}
+	pl := &Pipeline{Passes: []Pass{breakerPass{}}}
 	if _, err := pl.Run(p, testCluster()); err == nil {
 		t.Fatal("pipeline accepted a pass that broke SSA well-formedness")
 	}

@@ -20,6 +20,7 @@ import (
 
 	"hap"
 	"hap/internal/cluster"
+	"hap/internal/fingerprint"
 	"hap/internal/fleet"
 	"hap/internal/graph"
 )
@@ -430,6 +431,30 @@ func TestFleetEntriesRoundTrip(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("empty entry: status %d, want 400", resp.StatusCode)
+	}
+}
+
+// TestFleetEntryKeyBounded: a pushed entry whose key is longer than any
+// plan key is refused with a 400 and stores nothing. The store's byte cap
+// counts payloads only, so without the bound a few pushes of 4 MiB keys and
+// tiny plans held megabytes outside it.
+func TestFleetEntryKeyBounded(t *testing.T) {
+	s := New(Config{})
+	srv := httptest.NewServer(s.Handler())
+	defer srv.Close()
+	for _, n := range []int{fingerprint.MaxPlanKey + 1, 4 << 20} {
+		push, _ := json.Marshal(fleet.Entry{Key: strings.Repeat("k", n), Bin: framed("plan")})
+		resp, err := http.Post(srv.URL+fleet.EntriesPath, "application/json", bytes.NewReader(push))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%d-byte key: status %d, want 400", n, resp.StatusCode)
+		}
+	}
+	if st := s.Stats(); st.CacheEntries != 0 || st.CacheBytes != 0 {
+		t.Errorf("store holds %d entries, %d bytes after refused pushes, want none", st.CacheEntries, st.CacheBytes)
 	}
 }
 

@@ -2,7 +2,6 @@ package serve
 
 import (
 	"bytes"
-	"context"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -12,7 +11,6 @@ import (
 	"testing"
 
 	"hap"
-	"hap/internal/cluster"
 	"hap/internal/graph"
 	"hap/internal/models"
 	"hap/internal/obs"
@@ -25,31 +23,43 @@ func seedServeGraph(widths ...int) *graph.Graph {
 }
 
 // seedDistance reads the trace of answer a from url's debug ring and returns
-// the seed distance its synthesize span recorded, or -1 when the request ran
-// no seeded search of its own: a cold miss, a hit, a joined flight. The
-// trace is where a seeded search shows per request; the answer carries no
-// sign of it.
+// the seed distance its planner's seed span recorded, or -1 when the request
+// built no seed of its own: a cold miss, a hit, a joined flight. The trace is
+// where a seeded search shows per request; the answer carries no sign of it.
+// The seed span is the distance's one place on the trace: a second span
+// carrying it fails the test.
 func seedDistance(t *testing.T, url string, a answer) float64 {
 	t.Helper()
 	if a.trace == "" {
 		t.Fatal("the answer carries no trace ID")
 	}
-	for _, sp := range getTrace(t, url, a.trace).Spans {
-		if v, ok := sp.Attrs["seed_distance"]; ok && sp.Name == "synthesize" {
-			d, err := strconv.ParseFloat(v, 64)
-			if err != nil {
-				t.Fatalf("synthesize span: seed_distance = %q: %v", v, err)
+	spans := getTrace(t, url, a.trace).Spans
+	names := make(map[uint64]string, len(spans))
+	for _, sp := range spans {
+		names[sp.ID] = sp.Name
+	}
+	d := -1.0
+	for _, sp := range spans {
+		for k, v := range sp.Attrs {
+			if !strings.Contains(k, "distance") {
+				continue
 			}
-			return d
+			if sp.Name != "seed" || names[sp.Parent] != "optimize" || k != "distance" || d != -1 {
+				t.Fatalf("span %s/%s carries %s=%s: the seed distance belongs once on optimize/seed", names[sp.Parent], sp.Name, k, v)
+			}
+			var err error
+			if d, err = strconv.ParseFloat(v, 64); err != nil {
+				t.Fatalf("seed span: distance = %q: %v", v, err)
+			}
 		}
 	}
-	return -1
+	return d
 }
 
 // TestServeIncrementalSynthesis drives the full incremental path over the
 // wire: a first miss synthesizes cold and is stored as a donor, a structurally
 // similar second miss seeds from it — observable as the seed distance on its
-// trace's synthesize span, the SynthIncremental counter, and its /metrics
+// trace's seed span, the SynthIncremental counter, and its /metrics
 // series — and the seeded plan still passes numeric verification.
 func TestServeIncrementalSynthesis(t *testing.T) {
 	s := New(Config{})
@@ -73,10 +83,10 @@ func TestServeIncrementalSynthesis(t *testing.T) {
 	}
 	d := seedDistance(t, srv.URL, a)
 	if d == -1 {
-		t.Fatal("widened miss was not seeded: its synthesize span has no seed_distance")
+		t.Fatal("widened miss was not seeded: its trace has no seed span with a distance")
 	}
 	if d <= 0 || d > 1 {
-		t.Fatalf("seed_distance = %v, want a distance in (0, 1]", d)
+		t.Fatalf("seed distance = %v, want a distance in (0, 1]", d)
 	}
 	plan := a.body
 
@@ -125,12 +135,7 @@ func TestServeIncrementalSynthesis(t *testing.T) {
 // unrelated plans push base and that near-miss out, a second near-miss of
 // base finds no donor and synthesizes cold.
 func TestServeEvictedPlanIsNeverDonor(t *testing.T) {
-	s := New(Config{
-		MaxCacheEntries: 2,
-		Synthesize: func(ctx context.Context, g *graph.Graph, c *cluster.Cluster, opt hap.Options) (*hap.Plan, error) {
-			return planWith(g, c, opt)
-		},
-	})
+	s := New(Config{MaxCacheEntries: 2})
 	srv := httptest.NewServer(s.Handler())
 	defer srv.Close()
 	c := testCluster()

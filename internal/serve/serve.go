@@ -616,8 +616,8 @@ func (s *Server) handleSynthesize(w http.ResponseWriter, r *http.Request) {
 // planMiss is the single-miss function — flight{re-check → gate → donor →
 // synthesize → storePlan} — that every plan a request causes goes through.
 // A seeded search shows on the request's trace (seeded_search's donor, the
-// synthesize span's seed_distance) and in
-// hap_serve_synth_incremental_total, not on the answer.
+// planner's seed span's distance) and in hap_serve_synth_incremental_total,
+// not on the answer.
 func (s *Server) planMiss(ctx context.Context, sp *obs.Span, key string, in *planInput) (CachedPlan, error) {
 	// The flight span covers the whole single-flight interaction: for the
 	// executing caller it parents the synthesize/encode/replicate subtree,
@@ -680,9 +680,9 @@ type donor struct {
 // call, made by planMiss alone while it holds an admission slot
 // (acquireSynth). It plans src's graph on c, seeded from the nearest cached
 // plan (nearestDonor), looked up inside the seeded_search span that records
-// the choice (the planner's own search span carries the resulting seed
-// distance and fast-forward depth); a donor that fails to decode means a cold
-// search. The donor binds by its key's graph fingerprint, which the store
+// the choice (the planner's own seed span carries the seed distance, its
+// search span the fast-forward depth); a donor that fails to decode means a
+// cold search. The donor binds by its key's graph fingerprint, which the store
 // keyed it by, not by hashing its graph again.
 //
 // The synthesize span rides on ctx, so the planner's phase spans (theory, beam
@@ -696,7 +696,7 @@ func (s *Server) synthesize(ctx context.Context, sp *obs.Span, key string, c *cl
 	sds := sp.Child("seeded_search")
 	if d := s.nearestDonor(src, key); len(d.bin) > 0 {
 		if prog, ratios, cost, err := planwire.ReadBinary(d.bin, d.g, fingerprint.KeyGraph(d.key)); err == nil {
-			ho.SeedGraph, ho.SeedPlan = prog.Graph, &hap.Plan{Program: prog, Ratios: ratios, Cost: cost}
+			ho.SeedPlan = &hap.Plan{Program: prog, Ratios: ratios, Cost: cost}
 			sds.SetAttrStr("donor", d.key)
 			sds.SetAttrInt("shared_subs", int64(d.shared))
 		}
@@ -710,9 +710,6 @@ func (s *Server) synthesize(ctx context.Context, sp *obs.Span, key string, c *cl
 		defer cancel()
 	}
 	p, err := s.cfg.Synthesize(sctx, src.g, c, ho)
-	if err == nil && p.Seeded {
-		ss.SetAttrFloat("seed_distance", p.SeedDistance)
-	}
 	ss.End()
 	if err != nil {
 		return CachedPlan{}, err

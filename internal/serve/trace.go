@@ -68,17 +68,20 @@ type requestTrace struct {
 	idHeader  [1]string // the X-Hap-Trace response header's value
 }
 
-// maxClientTraceID bounds an end client's X-HAP-Trace value: the debug ring
-// keeps every ID it is sent, so a longer one is replaced by a minted ID.
-const maxClientTraceID = 64
+// maxTraceID bounds the trace ID a request names, an end client's X-HAP-Trace
+// value or the ID part of a fleet hop's: the debug ring keeps every ID it is
+// sent, so a longer one is replaced by a minted ID. A real hop carries an ID
+// this node would have taken from its client, or a minted one.
+const maxTraceID = 64
 
 // startRequestTrace begins tracing one plan request. An end client's
 // X-HAP-Trace value is the trace ID verbatim (a UUID's dashes included);
-// only a fleet forward carries the "traceID-parentSpanID" hop form. When tracing is off it
-// returns (nil, w) and the handler path is unchanged; when on, the returned
-// writer must replace w (it exports spans on fleet-hop responses). The root
-// span reaches the miss path as planMiss's argument, not on the request's
-// context.
+// only a fleet forward carries the "traceID-parentSpanID" hop form, and any
+// caller can mark a request forwarded, so the bound holds for both. When
+// tracing is off it returns (nil, w) and the handler path is unchanged; when
+// on, the returned writer must replace w (it exports spans on fleet-hop
+// responses). The root span reaches the miss path as planMiss's argument,
+// not on the request's context.
 func (s *Server) startRequestTrace(w http.ResponseWriter, r *http.Request) (*requestTrace, http.ResponseWriter) {
 	if s.traces == nil {
 		return nil, w
@@ -87,8 +90,9 @@ func (s *Server) startRequestTrace(w http.ResponseWriter, r *http.Request) (*req
 	id, parent := r.Header.Get(obs.TraceHeader), uint64(0)
 	if forwarded {
 		id, parent = obs.ParseTraceHeader(id)
-	} else if len(id) > maxClientTraceID {
-		id = "" // Init mints a fresh one
+	}
+	if id == "" || len(id) > maxTraceID {
+		id, parent = "", 0 // Init mints a fresh one, a trace of its own
 	}
 	rt := &requestTrace{
 		s: s, w: w,

@@ -268,7 +268,7 @@ func TestTraceClientIDVerbatim(t *testing.T) {
 		t.Errorf("newest listed trace = %+v, want %s on endpoint v1 with status 400", list, uuid)
 	}
 
-	long := strings.Repeat("a", maxClientTraceID+1)
+	long := strings.Repeat("a", maxTraceID+1)
 	if got := send(long); !isMintedTraceID(got) {
 		t.Errorf("%d-byte trace ID answered as %q, want a minted 16-hex ID", len(long), got)
 	}
@@ -287,44 +287,106 @@ func isMintedTraceID(id string) bool {
 	return true
 }
 
+// TestForwardedTraceIDBounded: a request marked as a fleet forward, which
+// any caller can send, is held to the same 64-byte trace ID bound as an end
+// client's. An over-long ID in the hop form is answered with a minted ID in
+// a trace of its own, and the ring keeps nothing longer than the bound; an
+// ID within it keeps its hop parent.
+func TestForwardedTraceIDBounded(t *testing.T) {
+	s := New(Config{})
+	h := s.Handler()
+	send := func(value string) *httptest.ResponseRecorder {
+		req := httptest.NewRequest(http.MethodPost, "/v1/synthesize", strings.NewReader("{}"))
+		req.Header.Set(fleet.ForwardHeader, "http://peer")
+		req.Header.Set(obs.TraceHeader, value)
+		rr := httptest.NewRecorder()
+		h.ServeHTTP(rr, req)
+		return rr
+	}
+	long := strings.Repeat("f", 100_000)
+	if got := send(obs.FormatTraceHeader(long, 0x1f)).Header().Get(obs.TraceHeader); !isMintedTraceID(got) {
+		t.Errorf("forwarded %d-byte trace ID answered as %.80q, want a minted 16-hex ID", len(long), got)
+	}
+	if root := requestSpan(s.traces.Traces()[0]); root.Parent != 0 {
+		t.Errorf("over-long forwarded trace's root has parent %x, want a trace of its own", root.Parent)
+	}
+	if got := send(obs.FormatTraceHeader("cafe0123cafe0123", 0x1f)).Header().Get(obs.TraceHeader); got != "cafe0123cafe0123" {
+		t.Errorf("forwarded trace ID answered as %q, want cafe0123cafe0123", got)
+	}
+	if root := requestSpan(s.traces.Traces()[0]); root.Parent != 0x1f {
+		t.Errorf("forwarded trace's root has parent %x, want the hop's 1f", root.Parent)
+	}
+	for _, tr := range s.traces.Traces() {
+		if len(tr.ID()) > maxTraceID {
+			t.Errorf("the ring keeps a %d-byte trace ID", len(tr.ID()))
+		}
+	}
+}
+
+// requestSpan is tr's root request span, parented or not (obs's Root finds
+// only an unparented one).
+func requestSpan(tr *obs.Trace) obs.SpanRecord {
+	for _, sp := range tr.Export().Spans {
+		if sp.Name == "request" {
+			return sp
+		}
+	}
+	return obs.SpanRecord{}
+}
+
 // FuzzTraceHeader serves a traced 400 (POST /v1/synthesize with body {})
-// under an arbitrary X-HAP-Trace value: the handler must not panic, the
-// response must carry the sent ID — or a minted one for an empty or
-// over-long value — and the newest trace in the ring must have that ID and
-// a root request span.
+// under an arbitrary X-HAP-Trace value, once as an end client's request and
+// once marked as a fleet forward: the handler must not panic, the response
+// must carry the sent ID — the hop form's ID part on a forward, or a minted
+// one for an empty or over-long ID — and the newest trace in the ring must
+// have that ID and a root request span, parented by the hop only when its ID
+// was kept. No trace in the ring has an ID over the bound.
 func FuzzTraceHeader(f *testing.F) {
 	for _, seed := range []string{"", "cafe0123cafe0123", "abc-1f", "123e4567-e89b-12d3-a456-426614174000"} {
 		f.Add(seed)
 	}
 	s := New(Config{})
 	h := s.Handler()
-	f.Fuzz(func(t *testing.T, id string) {
-		for i := 0; i < len(id); i++ {
-			if c := id[i]; (c < ' ' && c != '\t') || c == 0x7f {
+	f.Fuzz(func(t *testing.T, value string) {
+		for i := 0; i < len(value); i++ {
+			if c := value[i]; (c < ' ' && c != '\t') || c == 0x7f {
 				t.Skip("net/http refuses to send control bytes in a header value")
 			}
 		}
-		req := httptest.NewRequest(http.MethodPost, "/v1/synthesize", strings.NewReader("{}"))
-		req.Header.Set(obs.TraceHeader, id)
-		rr := httptest.NewRecorder()
-		h.ServeHTTP(rr, req)
-		if rr.Code != http.StatusBadRequest {
-			t.Fatalf("POST {} = %d, want 400", rr.Code)
-		}
-		got := rr.Header().Get(obs.TraceHeader)
-		if id == "" || len(id) > maxClientTraceID {
-			if !isMintedTraceID(got) {
-				t.Fatalf("trace ID %q (%d bytes) answered as %q, want a minted 16-hex ID", id, len(id), got)
+		for _, forwarded := range []bool{false, true} {
+			req := httptest.NewRequest(http.MethodPost, "/v1/synthesize", strings.NewReader("{}"))
+			req.Header.Set(obs.TraceHeader, value)
+			id, parent := value, uint64(0)
+			if forwarded {
+				req.Header.Set(fleet.ForwardHeader, "http://peer")
+				id, parent = obs.ParseTraceHeader(value)
 			}
-		} else if got != id {
-			t.Fatalf("trace ID %q answered as %q, want it verbatim", id, got)
-		}
-		traces := s.traces.Traces()
-		if len(traces) == 0 || traces[0].ID() != got {
-			t.Fatalf("newest trace is not %q", got)
-		}
-		if root := traces[0].Export().Root(); root.Name != "request" || root.Parent != 0 {
-			t.Fatalf("trace %q root = %q with parent %x, want an unparented request span", got, root.Name, root.Parent)
+			rr := httptest.NewRecorder()
+			h.ServeHTTP(rr, req)
+			if rr.Code != http.StatusBadRequest {
+				t.Fatalf("POST {} = %d, want 400", rr.Code)
+			}
+			got := rr.Header().Get(obs.TraceHeader)
+			if id == "" || len(id) > maxTraceID {
+				if !isMintedTraceID(got) {
+					t.Fatalf("forwarded %v: trace ID %.80q (%d bytes) answered as %.80q, want a minted 16-hex ID", forwarded, id, len(id), got)
+				}
+				parent = 0
+			} else if got != id {
+				t.Fatalf("forwarded %v: trace ID %q answered as %q, want it verbatim", forwarded, id, got)
+			}
+			traces := s.traces.Traces()
+			if len(traces) == 0 || traces[0].ID() != got {
+				t.Fatalf("newest trace is not %.80q", got)
+			}
+			if root := requestSpan(traces[0]); root.Name != "request" || root.Parent != parent {
+				t.Fatalf("trace %q root = %q with parent %x, want a request span with parent %x", got, root.Name, root.Parent, parent)
+			}
+			for _, tr := range traces {
+				if len(tr.ID()) > maxTraceID {
+					t.Fatalf("the ring keeps a %d-byte trace ID", len(tr.ID()))
+				}
+			}
 		}
 	})
 }

@@ -23,13 +23,18 @@ import (
 	"hap/internal/dist"
 )
 
-// Options tunes the simulated overheads.
+// The testbed's fixed overheads, the stand-in for what the paper measures on
+// real GPUs (Fig. 18) and the analytic model leaves out.
+const (
+	// kernelOverhead is charged per computation instruction per device: a
+	// typical CUDA launch.
+	kernelOverhead = 8e-6
+	// barrierOverhead is charged per synchronization stage.
+	barrierOverhead = 25e-6
+)
+
+// Options tunes the simulated link noise.
 type Options struct {
-	// KernelOverhead is charged per computation instruction per device
-	// (default 8µs, a typical CUDA launch).
-	KernelOverhead float64
-	// BarrierOverhead is charged per synchronization stage (default 25µs).
-	BarrierOverhead float64
 	// NoiseSigma is the relative σ of the per-collective efficiency noise
 	// (default 0.03). Negative disables noise entirely — the deterministic
 	// mode program-rewrite tests compare simulated times in.
@@ -39,12 +44,6 @@ type Options struct {
 }
 
 func (o *Options) defaults() {
-	if o.KernelOverhead == 0 {
-		o.KernelOverhead = 8e-6
-	}
-	if o.BarrierOverhead == 0 {
-		o.BarrierOverhead = 25e-6
-	}
 	if o.NoiseSigma == 0 {
 		o.NoiseSigma = 0.03
 	}
@@ -162,7 +161,7 @@ func walk(c *cluster.Cluster, p *dist.Program, b [][]float64, opt Options, tr *t
 				if in.FlopsScaled {
 					f *= b[seg][j]
 				}
-				dur := f/d.Flops() + opt.KernelOverhead
+				dur := f/d.Flops() + kernelOverhead
 				if tr != nil {
 					tr.emit(name, "comp", j, stageStart+commDur+comp[j], dur)
 				}
@@ -175,7 +174,7 @@ func walk(c *cluster.Cluster, p *dist.Program, b [][]float64, opt Options, tr *t
 				worst = v
 			}
 		}
-		clock = stageStart + commDur + worst + opt.BarrierOverhead
+		clock = stageStart + commDur + worst + barrierOverhead
 		if i == len(instrs) {
 			break
 		}

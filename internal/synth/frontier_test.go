@@ -110,7 +110,7 @@ func isComplete(sy *Synthesizer, s *state) bool {
 func checkComplete(t testing.TB, sy *Synthesizer, s *state) {
 	t.Helper()
 	if want := isComplete(sy, s); s.complete != want {
-		t.Fatalf("depth %d: complete is %v (%d outputs unmet), every output re-tested says %v", s.depth, s.complete, s.unmet, want)
+		t.Fatalf("trail record %d: complete is %v (%d outputs unmet), every output re-tested says %v", s.tail, s.complete, s.unmet, want)
 	}
 }
 
@@ -174,21 +174,21 @@ func oracleCandidates(sy *Synthesizer, s *state, out []oracleCand) []oracleCand 
 func checkFrontier(t testing.TB, sy *Synthesizer, s *state, want []oracleCand) {
 	t.Helper()
 	if rebuilt := sy.appendFrontier(s, nil); !slices.Equal(s.front, rebuilt) {
-		t.Fatalf("depth %d: inherited frontier differs from the segments rebuilt from scratch:\n got %+v\nwant %+v", s.depth, s.front, rebuilt)
+		t.Fatalf("trail record %d: inherited frontier differs from the segments rebuilt from scratch:\n got %+v\nwant %+v", s.tail, s.front, rebuilt)
 	}
 	comms := want
 	for len(comms) > 0 && comms[0].tr != nil {
 		comms = comms[1:]
 	}
 	if len(comms) != len(s.front) {
-		t.Fatalf("depth %d: frontier has %d entries, the oracle enumerates %d", s.depth, len(s.front), len(comms))
+		t.Fatalf("trail record %d: frontier has %d entries, the oracle enumerates %d", s.tail, len(s.front), len(comms))
 	}
 	for i, e := range s.front {
 		if e.cc != comms[i].cc {
-			t.Fatalf("depth %d: frontier entry %d is %+v, the oracle has %+v", s.depth, i, e.cc, comms[i].cc)
+			t.Fatalf("trail record %d: frontier entry %d is %+v, the oracle has %+v", s.tail, i, e.cc, comms[i].cc)
 		}
 		if want := sy.commTime(e.cc.ref, collective.Kind(e.cc.coll)); math.Float64bits(e.off) != math.Float64bits(want) {
-			t.Fatalf("depth %d: frontier entry %d carries offset %v, commTime says %v", s.depth, i, e.off, want)
+			t.Fatalf("trail record %d: frontier entry %d carries offset %v, commTime says %v", s.tail, i, e.off, want)
 		}
 		src := theory.Property{Ref: e.cc.ref, Kind: theory.Gather, Dim: e.cc.dim}
 		if k := collective.Kind(e.cc.coll); k == collective.AllReduce || k == collective.ReduceScatter {
@@ -196,8 +196,8 @@ func checkFrontier(t testing.TB, sy *Synthesizer, s *state, want []oracleCand) {
 		}
 		res := theory.Property{Ref: e.cc.ref, Kind: e.cc.resKind, Dim: e.cc.resDim}
 		if bitGet(s.communicated, e.cc.ref) || !s.hasProp(src) || s.hasProp(res) {
-			t.Fatalf("depth %d: frontier entry %+v is not legal here (communicated %v, has source %v, has result %v)",
-				s.depth, e.cc, bitGet(s.communicated, e.cc.ref), s.hasProp(src), s.hasProp(res))
+			t.Fatalf("trail record %d: frontier entry %+v is not legal here (communicated %v, has source %v, has result %v)",
+				s.tail, e.cc, bitGet(s.communicated, e.cc.ref), s.hasProp(src), s.hasProp(res))
 		}
 	}
 }
@@ -404,7 +404,7 @@ func FuzzFrontierWalk(f *testing.F) {
 				ns = sy.applyComm(s, s.front[k-len(comps)].cc)
 			}
 			if ns == nil {
-				t.Fatalf("depth %d: an applicable candidate did not apply", s.depth)
+				t.Fatalf("trail record %d: an applicable candidate did not apply", s.tail)
 			}
 			sy.retire(s) // as the beam retires a level: the state recycles whole along the walk
 			s = ns
@@ -418,11 +418,11 @@ func FuzzFrontierWalk(f *testing.F) {
 			lc.reset()
 			sy.scoreCandidates(s, &lc)
 			if len(lc.refs) != len(want) {
-				t.Fatalf("depth %d: %d refs, the oracle enumerates %d", s.depth, len(lc.refs), len(want))
+				t.Fatalf("trail record %d: %d refs, the oracle enumerates %d", s.tail, len(lc.refs), len(want))
 			}
 			for i, r := range lc.refs {
 				if !sameRef(r, candRef{score: want[i].score, idx: int32(i)}) {
-					t.Fatalf("depth %d: ref %d is %+v, the oracle scores it %v", s.depth, i, r, want[i].score)
+					t.Fatalf("trail record %d: ref %d is %+v, the oracle scores it %v", s.tail, i, r, want[i].score)
 				}
 			}
 		}

@@ -52,7 +52,7 @@ func sameContent(a, b *state) bool {
 func checkKey(t testing.TB, s *state) {
 	t.Helper()
 	if got, want := s.key(), rebuildKey(s); got != want {
-		t.Fatalf("depth %d: maintained key %016x, rebuilt from the content %016x", s.depth, got, want)
+		t.Fatalf("trail record %d: maintained key %016x, rebuilt from the content %016x", s.tail, got, want)
 	}
 }
 
@@ -73,7 +73,7 @@ func checkCommOrders(t testing.TB, sy *Synthesizer, s *state, pick byte) {
 	via := func(a, b commCand) (mid, end *state) {
 		mid = sy.applyComm(s, a)
 		if !slices.ContainsFunc(mid.front, func(e frontEntry) bool { return e.cc == b }) {
-			t.Fatalf("depth %d: %+v is not legal after %+v", s.depth, b, a)
+			t.Fatalf("trail record %d: %+v is not legal after %+v", s.tail, b, a)
 		}
 		return mid, sy.applyComm(mid, b)
 	}
@@ -82,8 +82,8 @@ func checkCommOrders(t testing.TB, sy *Synthesizer, s *state, pick byte) {
 	checkKey(t, ab)
 	checkKey(t, ba)
 	if ab.key() != ba.key() || !sameContent(ab, ba) {
-		t.Fatalf("depth %d: %+v then %+v reaches key %016x, the other order %016x (same content: %v)",
-			s.depth, first, second, ab.key(), ba.key(), sameContent(ab, ba))
+		t.Fatalf("trail record %d: %+v then %+v reaches key %016x, the other order %016x (same content: %v)",
+			s.tail, first, second, ab.key(), ba.key(), sameContent(ab, ba))
 	}
 	for _, x := range []*state{ab, m1, ba, m2} {
 		sy.retire(x)
@@ -106,7 +106,7 @@ func checkChildKeys(t testing.TB, sy *Synthesizer, s *state, comps []*theory.Tri
 	check := func(st step, ns *state) {
 		t.Helper()
 		if got, want := sy.childKey(s, st), ns.key(); got != want {
-			t.Fatalf("depth %d: childKey of %+v is %016x, the child it builds has key %016x", s.depth, st, got, want)
+			t.Fatalf("trail record %d: childKey of %+v is %016x, the child it builds has key %016x", s.tail, st, got, want)
 		}
 		checkComplete(t, sy, ns)
 		sy.retire(ns)
@@ -114,7 +114,7 @@ func checkChildKeys(t testing.TB, sy *Synthesizer, s *state, comps []*theory.Tri
 	for _, tr := range comps {
 		ns := sy.applyComp(s, tr)
 		if ns == nil {
-			t.Fatalf("depth %d: an applicable triple of node %d did not apply", s.depth, tr.Node)
+			t.Fatalf("trail record %d: an applicable triple of node %d did not apply", s.tail, tr.Node)
 		}
 		for _, p := range tr.LeafPre() {
 			if s.placed[p.Ref] == theory.Unplaced {
@@ -162,7 +162,7 @@ func TestStateKeyMatchesRebuild(t *testing.T) {
 					checkKey(t, s)
 					checkComplete(t, sy, s)
 					if o, ok := byKey[s.key()]; ok && !sameContent(o, s) {
-						t.Fatalf("depth %d: two states of different content share key %016x", s.depth, s.key())
+						t.Fatalf("trail record %d: two states of different content share key %016x", s.tail, s.key())
 					}
 					byKey[s.key()] = s
 					lc.reset()
@@ -231,7 +231,7 @@ func TestStateKeyMatchesRebuild(t *testing.T) {
 				checkComplete(t, sy, ns)
 				if o, ok := seen[ns.key()]; ok {
 					if !sameContent(o, ns) {
-						t.Fatalf("depth %d: two states of different content share key %016x", ns.depth, ns.key())
+						t.Fatalf("trail record %d: two states of different content share key %016x", ns.tail, ns.key())
 					}
 					merged++
 					continue

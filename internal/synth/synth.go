@@ -99,7 +99,6 @@ const coldBeamWidth = 48
 type Stats struct {
 	Expansions int
 	Pushed     int
-	Elapsed    time.Duration
 	Cost       float64 // estimated t(Q,B) of the returned program
 	// Seeded reports whether the search actually consumed a donor seed.
 	// False when a seed was supplied but automatic mode routed the graph to
@@ -135,7 +134,6 @@ type state struct {
 	openComp   []float64 // per-device comp time of the open stage
 	lastComp   graph.NodeID
 	remFlops   float64
-	depth      int32 // steps so far (for beam leveling)
 	nextReq    int32 // beam only: index into Synthesizer.reqNodes of the next computation
 	// unmet counts the outputs not yet in an acceptable form. It only falls:
 	// an output's properties are never pruned and a leaf is placed once, so
@@ -200,7 +198,6 @@ func (sy *Synthesizer) clone(s *state) *state {
 	c.openComp = append(c.openComp[:0], s.openComp...)
 	c.lastComp = s.lastComp
 	c.remFlops = s.remFlops
-	c.depth = s.depth + 1
 	c.nextReq = s.nextReq
 	c.unmet = s.unmet
 	c.complete = false
@@ -668,7 +665,7 @@ func (sy *Synthesizer) rootState() *state {
 	clear(root.openComp)
 	root.closedCost, root.openComm, root.remFlops = 0, 0, 0
 	root.lastComp = -1
-	root.depth, root.nextReq = 0, 0
+	root.nextReq = 0
 	root.h = 0
 	for i := range root.placed {
 		root.placed[i] = theory.Unplaced
@@ -733,7 +730,6 @@ func (sy *Synthesizer) Run(ctx context.Context) (*dist.Program, Stats, error) {
 			var done bool
 			from, applied, done = sy.fastForward(root)
 			if sy.span != nil {
-				sy.span.SetAttrFloat("seed_distance", sy.opt.Seed.Distance)
 				sy.span.SetAttrInt("seed_prefix", int64(applied))
 			}
 			if done {
@@ -752,7 +748,6 @@ func (sy *Synthesizer) Run(ctx context.Context) (*dist.Program, Stats, error) {
 	} else {
 		best, stats, err = sy.runAStar(root)
 	}
-	stats.Elapsed = time.Since(sy.start)
 	if err != nil {
 		sy.giveBack()
 		sy.endSpan(stats, err)

@@ -308,13 +308,13 @@ func (c *Checker) prune(u graph.NodeID) {
 // Live drops prog's dead instructions in place and returns how many went,
 // or Check's error, dropping nothing, when prog fails it. An instruction is
 // dead when no output needs its node: a computation or leaf loader that no
-// output's ancestry reaches, or a collective on such a tensor (what
-// dist.Prune drops). A collective is dead too when no computation of a
-// required node reads the layout it makes, in the reading Check finds, and
-// its tensor, when an output, settles without it (Output.Settles). A
-// collective moves its tensor's layout; a layout nothing reads is paid for
-// and unused. What stays is correct: the reading Check found still holds
-// for it. A graph with no outputs anchors no liveness: nothing is dropped.
+// output's ancestry reaches, or a collective on such a tensor. A collective
+// is dead too when no computation of a required node reads the layout it
+// makes, in the reading Check finds, and its tensor, when an output, settles
+// without it (Output.Settles). A collective moves its tensor's layout; a
+// layout nothing reads is paid for and unused. What stays is correct: the
+// reading Check found still holds for it. A graph with no outputs anchors
+// no liveness: nothing is dropped.
 func (c *Checker) Live(prog *dist.Program) (dropped int, err error) {
 	if _, err := c.Check(prog, nil); err != nil {
 		return 0, err

@@ -34,7 +34,7 @@ func WithWorkers(int) Option { return func(*Options) {} }
 
 // WithOptions adopts an Options struct wholesale — for callers that build
 // their options as data (hap-serve lowers wire options this way), and the
-// only way to supply a seed donor (Options.SeedGraph, Options.SeedPlan).
+// only way to supply a seed donor (Options.SeedPlan).
 func WithOptions(opt Options) Option { return func(o *Options) { *o = opt } }
 
 // Planner plans distributed programs for one cluster. It is cheap to build,
@@ -57,8 +57,7 @@ func NewPlanner(c *Cluster, opts ...Option) *Planner {
 // hapoptOptions lowers the planner's options for one optimization run.
 func (p *Planner) hapoptOptions() hapopt.Options {
 	o := hapopt.Options{Segments: p.opt.Segments, Synth: synth.Auto()}
-	if p.opt.SeedPlan != nil && p.opt.SeedGraph != nil {
-		o.SeedGraph = p.opt.SeedGraph
+	if p.opt.SeedPlan != nil {
 		o.SeedProgram = p.opt.SeedPlan.Program
 	}
 	return o
@@ -92,6 +91,5 @@ func (p *Planner) Plan(ctx context.Context, g *Graph) (*Plan, error) {
 		Cost:          res.Cost,
 		SynthesisTime: res.Elapsed.Seconds(),
 		Seeded:        res.Seeded,
-		SeedDistance:  res.SeedDistance,
 	}, nil
 }

@@ -166,7 +166,7 @@ func TestBinaryPlanRoundTrip(t *testing.T) {
 func TestPlanSurvivesBalancerFailure(t *testing.T) {
 	defer func(f func(context.Context, *Graph, *Cluster, hapopt.Options) (*hapopt.Result, error)) { optimize = f }(optimize)
 	optimize = func(ctx context.Context, g *Graph, c *Cluster, o hapopt.Options) (*hapopt.Result, error) {
-		o.SkipBalance = true
+		o.FixedRatios = c.ProportionalRatios()
 		res, err := hapopt.Optimize(ctx, g, c, o)
 		if err == nil {
 			res.BalanceErr = lp.ErrUnbounded
